@@ -35,6 +35,22 @@ impl Stopwatch {
     }
 }
 
+/// Minor page faults the calling thread has taken so far (`minflt` in
+/// `/proc/thread-self/stat`): the count behind "the first access pays the
+/// page-table population", where a wall-clock comparison only suggests
+/// it. 0 where procfs is not mounted.
+pub fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap_or_default();
+    // Fields count from after the parenthesised command name, which may
+    // itself hold spaces: state, ppid, pgrp, session, tty, tpgid, flags,
+    // then minflt.
+    stat.rsplit(')')
+        .next()
+        .and_then(|rest| rest.split_whitespace().nth(7))
+        .and_then(|minflt| minflt.parse().ok())
+        .unwrap_or(0)
+}
+
 /// Milliseconds as f64.
 pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3

@@ -793,7 +793,20 @@ impl ExtendibleHash {
     /// is a shard — see the field's docs).
     #[inline(always)]
     pub fn dir_hash(&self, key: u64) -> u64 {
-        mult_hash(key).rotate_left(self.cfg.hash_rot)
+        self.dir_hash_of(mult_hash(key))
+    }
+
+    /// [`ExtendibleHash::dir_hash`] of the key whose [`mult_hash`] is
+    /// `hash`, for callers that already computed it (shard routing).
+    #[inline(always)]
+    pub(crate) fn dir_hash_of(&self, hash: u64) -> u64 {
+        hash.rotate_left(self.cfg.hash_rot)
+    }
+
+    /// [`Index::get`] from the key's [`ExtendibleHash::dir_hash`].
+    #[inline]
+    pub(crate) fn get_hashed(&self, key: u64, dir_hash: u64) -> Option<u64> {
+        self.bucket_for(dir_hash).get(key)
     }
 }
 
@@ -818,7 +831,7 @@ impl Index for ExtendibleHash {
     /// `&self` lookup runs — this is the sound basis for parallel lookup
     /// phases (see [`crate::ShortcutEh`]).
     fn get(&self, key: u64) -> Option<u64> {
-        self.bucket_for(self.dir_hash(key)).get(key)
+        self.get_hashed(key, self.dir_hash(key))
     }
 
     fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {

@@ -13,16 +13,23 @@
 //! Two write disciplines coexist:
 //!
 //! * **Exclusive** — [`ShardedIndex`] implements [`Index`], with writes
-//!   through `&mut self` exactly like a single shard. No locks are
-//!   contended (`&mut` proves exclusivity; the per-shard `RwLock`s are
-//!   accessed via `get_mut`).
+//!   through `&mut self` exactly like a single shard. No lock is touched:
+//!   the borrow already excludes every reader.
 //! * **Shared** — [`ShardedIndex::insert_shared`] /
 //!   [`ShardedIndex::remove_shared`] / [`ShardedIndex::insert_batch_shared`]
 //!   take `&self` and a per-shard **write lock**, so one writer thread per
 //!   shard can run concurrently with each other and with any number of
-//!   lock-free… rather, read-locked readers. A single shard's writes are
-//!   still serialized (Shortcut-EH is single-writer by construction); the
-//!   sharding is what buys write parallelism.
+//!   readers. A single shard's writes are still serialized (Shortcut-EH is
+//!   single-writer by construction); the sharding is what buys write
+//!   parallelism.
+//!
+//! Readers ([`Index::get`] / [`Index::get_many`]) enter a shard through a
+//! **biased read section** ([`shortcut_rewire::ReadBias`]): until a shared
+//! writer shows up they publish the reader pin the shortcut read needs
+//! anyway, load the shard's bias word and proceed — no atomic RMW, no
+//! shared line written. The first shared writer revokes the bias and
+//! waits for those readers; readers then take the lock's read side until
+//! [`shortcut_rewire::REARM_AFTER`] of them in a row met no writer.
 //!
 //! Shards opted into the same [`shortcut_rewire::VmaBudget`] should set
 //! [`shortcut_rewire::PoolConfig::fair_share`] (the constructor here does
@@ -38,11 +45,98 @@ use crate::shortcut_eh::{ShortcutEh, ShortcutEhConfig};
 use crate::stats::IndexStats;
 use crate::traits::Index;
 use parking_lot::RwLock;
+use shortcut_rewire::{ReadBias, ReaderPin, RetireList};
+use std::cell::UnsafeCell;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Hard cap on `shard_bits`: 2^8 = 256 shards is already far past any
 /// plausible core count, and each shard costs a mapper thread + pool.
 pub const MAX_SHARD_BITS: u32 = 8;
+
+/// One shard behind its biased reader-writer section (module docs).
+struct Shard {
+    /// The writers' lock, and the readers' while the bias is revoked.
+    lock: RwLock<()>,
+    bias: ReadBias,
+    /// `eh`'s retire list, whose pins the bias reads — held here so the
+    /// fast path reaches it without forming a reference into `eh`.
+    pins: Arc<RetireList>,
+    eh: UnsafeCell<ShortcutEh>,
+}
+
+// SAFETY: `eh` is reached through `&self` only inside the section
+// `lock` + `bias` implement: shared references under a pin that saw the
+// bias armed or under the read lock, the exclusive one under the write
+// lock after the bias is revoked and its readers have drained (`write`);
+// `&mut self` callers use `eh.get_mut()`, the borrow excluding every reader.
+// `ShortcutEh` is `Send + Sync`; the other fields are `Sync`.
+unsafe impl Sync for Shard {}
+
+impl Shard {
+    fn new(eh: ShortcutEh) -> Self {
+        Shard {
+            lock: RwLock::new(()),
+            bias: ReadBias::default(),
+            pins: Arc::clone(eh.retire_list()),
+            eh: UnsafeCell::new(eh),
+        }
+    }
+
+    /// The lookup paths' read section: `f` gets the shard and a pin on its
+    /// retire list, live for the whole call. Short reads only — the pin
+    /// holds back directory reclamation and any shared writer.
+    #[inline]
+    fn read<R>(&self, f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R) -> R {
+        match self.bias.try_enter(&self.pins) {
+            // SAFETY: the pin saw the bias armed, so a writer cannot pass
+            // `write`'s drain before the pin drops at the end of `f`.
+            Some(pin) => f(unsafe { &*self.eh.get() }, &pin),
+            None => self.read_on_lock(f),
+        }
+    }
+
+    /// [`Shard::read`] while the bias is revoked. Out of line, so the
+    /// biased path stays a leaf around the inlined lookup.
+    #[inline(never)]
+    fn read_on_lock<R>(&self, f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R) -> R {
+        let _shared = self.lock.read();
+        self.bias.note_locked_read();
+        let pin = self.pins.pin();
+        // SAFETY: the read lock excludes `write`.
+        f(unsafe { &*self.eh.get() }, &pin)
+    }
+
+    /// Shared access under the read lock and no pin, for callers that may
+    /// block or run long (statistics, `wait_sync`, arbitrary closures).
+    fn read_locked<R>(&self, f: impl FnOnce(&ShortcutEh) -> R) -> R {
+        let _shared = self.lock.read();
+        // SAFETY: the read lock excludes `write`.
+        f(unsafe { &*self.eh.get() })
+    }
+
+    /// The shared writers' section.
+    fn write<R>(&self, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
+        let _exclusive = self.lock.write();
+        while !self.bias.try_revoke(|| self.pins.readers_quiesced()) {
+            std::thread::yield_now();
+        }
+        // SAFETY: the write lock excludes writers and locked readers, and
+        // the revoked bias has drained: no reader that entered on it is
+        // left, and new ones see it cleared and wait for the lock.
+        f(unsafe { &mut *self.eh.get() })
+    }
+
+    /// Batched lookup, one read section (so one pin and one seqlock
+    /// ticket) per chunk.
+    fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
+        let mut out = Vec::with_capacity(keys.len());
+        for chunk in keys.chunks(ShortcutEh::GET_MANY_PIN_CHUNK) {
+            self.read(|eh, pin| eh.get_chunk(chunk, pin, &mut out));
+        }
+        out
+    }
+}
 
 /// `N = 2^s` Shortcut-EH shards routed by the top `s` hash bits. See the
 /// module docs for the routing scheme and the two write disciplines.
@@ -50,7 +144,7 @@ pub struct ShardedIndex {
     /// `s`: number of top hash bits consumed by routing.
     bits: u32,
     /// The shards, in routing order (`shards[i]` serves route value `i`).
-    shards: Vec<RwLock<ShortcutEh>>,
+    shards: Vec<Shard>,
 }
 
 impl ShardedIndex {
@@ -109,7 +203,7 @@ impl ShardedIndex {
             let mut cfg = make_cfg(i);
             cfg.eh.hash_rot = bits;
             cfg.eh.pool.fair_share = bits > 0;
-            shards.push(RwLock::new(ShortcutEh::try_new(cfg)?));
+            shards.push(Shard::new(ShortcutEh::try_new(cfg)?));
         }
         Ok(ShardedIndex { bits, shards })
     }
@@ -140,7 +234,7 @@ impl ShardedIndex {
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&ShortcutEh) -> R) -> R {
-        f(&self.shards[i].read())
+        self.shards[i].read_locked(f)
     }
 
     /// Run `f` against shard `i` under a **write** lock (shared-writer
@@ -150,14 +244,22 @@ impl ShardedIndex {
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn with_shard_mut<R>(&self, i: usize, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
-        f(&mut self.shards[i].write())
+        self.shards[i].write(f)
+    }
+
+    /// `(revocations, rearms)` of shard `i`'s read bias: how often a
+    /// shared writer sent its readers to the lock, and how often a
+    /// writer-free run of reads took them off it again (revocations ahead
+    /// means they are on the lock now). Panics if `i >= shard_count()`.
+    pub fn bias_counters(&self, i: usize) -> (u64, u64) {
+        self.shards[i].bias.counters()
     }
 
     // ------------------------------------------------------------------
     // Shared-write discipline: `&self` + per-shard write locks. One
     // writer thread per shard runs fully in parallel; readers use the
     // `Index` read path ([`Index::get`] / [`Index::get_many`] take
-    // `&self` and a read lock).
+    // `&self` and the shard's biased read section).
     // ------------------------------------------------------------------
 
     /// Insert through a per-shard write lock (shared-writer discipline:
@@ -168,7 +270,7 @@ impl ShardedIndex {
     ///
     /// Same contract as [`Index::insert`].
     pub fn insert_shared(&self, key: u64, value: u64) -> Result<(), IndexError> {
-        self.shards[self.shard_of(key)].write().insert(key, value)
+        self.shards[self.shard_of(key)].write(|s| s.insert(key, value))
     }
 
     /// Remove through a per-shard write lock. See [`ShardedIndex::insert_shared`].
@@ -177,7 +279,7 @@ impl ShardedIndex {
     ///
     /// Same contract as [`Index::remove`].
     pub fn remove_shared(&self, key: u64) -> Result<Option<u64>, IndexError> {
-        self.shards[self.shard_of(key)].write().remove(key)
+        self.shards[self.shard_of(key)].write(|s| s.remove(key))
     }
 
     /// Batched insert through per-shard write locks: the batch is split
@@ -193,13 +295,13 @@ impl ShardedIndex {
     /// contract as [`Index::insert_batch`], per shard.
     pub fn insert_batch_shared(&self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
         if self.bits == 0 {
-            return self.shards[0].write().insert_batch(entries);
+            return self.shards[0].write(|s| s.insert_batch(entries));
         }
         for (i, group) in self.scatter_entries(entries).iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            self.shards[i].write().insert_batch(group)?;
+            self.shards[i].write(|s| s.insert_batch(group))?;
         }
         Ok(())
     }
@@ -217,7 +319,7 @@ impl ShardedIndex {
     /// [`ShardedIndex::insert_batch_shared`].
     pub fn remove_batch_shared(&self, keys: &[u64]) -> Result<Vec<Option<u64>>, IndexError> {
         if self.bits == 0 {
-            return self.shards[0].write().remove_batch(keys);
+            return self.shards[0].write(|s| s.remove_batch(keys));
         }
         let routed = self.scatter_keys(keys);
         let mut out = vec![None; keys.len()];
@@ -228,7 +330,7 @@ impl ShardedIndex {
             }
             shard_keys.clear();
             shard_keys.extend(group.iter().map(|&(_, k)| k));
-            let answers = self.shards[i].write().remove_batch(&shard_keys)?;
+            let answers = self.shards[i].write(|s| s.remove_batch(&shard_keys))?;
             for (&(pos, _), ans) in group.iter().zip(answers) {
                 out[pos] = ans;
             }
@@ -267,7 +369,7 @@ impl ShardedIndex {
     fn fold<T>(&self, mut f: impl FnMut(&ShortcutEh) -> T, merge: impl Fn(T, T) -> T) -> T {
         let mut acc: Option<T> = None;
         for s in &self.shards {
-            let v = f(&s.read());
+            let v = s.read_locked(&mut f);
             acc = Some(match acc {
                 None => v,
                 Some(a) => merge(a, v),
@@ -321,7 +423,7 @@ impl ShardedIndex {
         let deadline = Instant::now() + timeout;
         for s in &self.shards {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if !s.read().wait_sync(remaining) {
+            if !s.read_locked(|s| s.wait_sync(remaining)) {
                 return false;
             }
         }
@@ -380,7 +482,7 @@ impl ShardedIndex {
             vmas_after: 0,
         };
         for s in &mut self.shards {
-            let o = s.get_mut().compact()?;
+            let o = s.eh.get_mut().compact()?;
             total.pages_moved += o.pages_moved;
             total.vmas_before += o.vmas_before;
             total.vmas_after += o.vmas_after;
@@ -396,7 +498,7 @@ impl ShardedIndex {
     pub fn layout_vmas(&self) -> Result<usize, IndexError> {
         let mut total = 0;
         for s in &self.shards {
-            total += s.read().layout_vmas()?;
+            total += s.read_locked(|s| s.layout_vmas())?;
         }
         Ok(total)
     }
@@ -421,13 +523,13 @@ impl ShardedIndex {
     /// via [`ShardedIndex::try_new`]; with `try_new_with` and divergent
     /// per-shard layouts, inspect shards individually).
     pub fn slot_layout(&self) -> shortcut_rewire::SlotLayout {
-        self.shards[0].read().slot_layout()
+        self.shards[0].read_locked(|s| s.slot_layout())
     }
 
     /// Shard 0's bucket geometry (see [`ShardedIndex::slot_layout`] for
     /// the homogeneity caveat).
     pub fn bucket_layout(&self) -> crate::bucket::BucketLayout {
-        self.shards[0].read().bucket_layout()
+        self.shards[0].read_locked(|s| s.bucket_layout())
     }
 }
 
@@ -443,16 +545,20 @@ impl std::fmt::Debug for ShardedIndex {
 impl Index for ShardedIndex {
     fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
         let i = self.shard_of(key);
-        self.shards[i].get_mut().insert(key, value)
+        self.shards[i].eh.get_mut().insert(key, value)
     }
 
+    /// One hash routes and probes: the shard gets the hash it was chosen
+    /// by, and the section's pin is the shortcut read's pin.
+    #[inline]
     fn get(&self, key: u64) -> Option<u64> {
-        self.shards[self.shard_of(key)].read().get(key)
+        let hash = mult_hash(key);
+        self.shards[dir_slot(hash, self.bits)].read(|eh, pin| eh.get_pinned(key, hash, pin))
     }
 
     fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
         let i = self.shard_of(key);
-        self.shards[i].get_mut().remove(key)
+        self.shards[i].eh.get_mut().remove(key)
     }
 
     fn len(&self) -> usize {
@@ -468,13 +574,13 @@ impl Index for ShardedIndex {
     }
 
     /// Scatter/gather batched lookup: keys are split by shard, each
-    /// shard's group is answered through its one-ticket batched
-    /// [`Index::get_many`] under a single read-lock acquisition, and the
+    /// shard's group is answered through its one-ticket-per-chunk batched
+    /// path inside the same read section [`Index::get`] enters, and the
     /// answers are reassembled in caller order (`out[i]` answers
     /// `keys[i]`).
     fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
         if self.bits == 0 {
-            return self.shards[0].read().get_many(keys);
+            return self.shards[0].get_many(keys);
         }
         // (caller position, key) per shard, preserving relative order.
         let routed = self.scatter_keys(keys);
@@ -486,7 +592,7 @@ impl Index for ShardedIndex {
             }
             shard_keys.clear();
             shard_keys.extend(group.iter().map(|&(_, k)| k));
-            let answers = self.shards[i].read().get_many(&shard_keys);
+            let answers = self.shards[i].get_many(&shard_keys);
             for (&(pos, _), ans) in group.iter().zip(answers) {
                 out[pos] = ans;
             }
@@ -504,13 +610,13 @@ impl Index for ShardedIndex {
     /// applied-prefix contract.
     fn insert_batch(&mut self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
         if self.bits == 0 {
-            return self.shards[0].get_mut().insert_batch(entries);
+            return self.shards[0].eh.get_mut().insert_batch(entries);
         }
         for (i, group) in self.scatter_entries(entries).iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            self.shards[i].get_mut().insert_batch(group)?;
+            self.shards[i].eh.get_mut().insert_batch(group)?;
         }
         Ok(())
     }
@@ -526,7 +632,7 @@ impl Index for ShardedIndex {
     /// applied-prefix contract.
     fn remove_batch(&mut self, keys: &[u64]) -> Result<Vec<Option<u64>>, IndexError> {
         if self.bits == 0 {
-            return self.shards[0].get_mut().remove_batch(keys);
+            return self.shards[0].eh.get_mut().remove_batch(keys);
         }
         let routed = self.scatter_keys(keys);
         let mut out = vec![None; keys.len()];
@@ -537,7 +643,7 @@ impl Index for ShardedIndex {
             }
             shard_keys.clear();
             shard_keys.extend(group.iter().map(|&(_, k)| k));
-            let answers = self.shards[i].get_mut().remove_batch(&shard_keys)?;
+            let answers = self.shards[i].eh.get_mut().remove_batch(&shard_keys)?;
             for (&(pos, _), ans) in group.iter().zip(answers) {
                 out[pos] = ans;
             }

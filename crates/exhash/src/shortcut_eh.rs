@@ -22,20 +22,22 @@
 //! directory too large for `vm.max_map_count` suspends the shortcut
 //! (see [`ShortcutEh::shortcut_suspended`]) instead of dying in `mmap`.
 //!
-//! [`Index::get`] takes `&self` and the routing counters are atomics, so
-//! any number of threads may share a `&ShortcutEh` and look up concurrently
-//! (the type is `Sync`); Rust's aliasing rules guarantee no writer exists
-//! while those shared borrows are alive.
+//! [`Index::get`] takes `&self` and the routing counters are tallies on
+//! the reader's own pin stripe, so any number of threads may share a
+//! `&ShortcutEh` and look up concurrently (the type is `Sync`); Rust's
+//! aliasing rules guarantee no writer exists while those shared borrows
+//! are alive.
 
 use crate::bucket::{BucketLayout, BucketRef};
 use crate::eh::{CompactionOutcome, DirEvent, EhConfig, ExtendibleHash};
 use crate::error::IndexError;
-use crate::hash::dir_slot;
+use crate::hash::{dir_slot, mult_hash};
 use crate::stats::IndexStats;
 use crate::traits::Index;
-use shortcut_core::{CompactionPolicy, MaintConfig, MaintRequest, Maintainer, RoutePolicy};
-use shortcut_rewire::RetireList;
-use std::sync::atomic::{AtomicU64, Ordering};
+use shortcut_core::{
+    CompactionPolicy, MaintConfig, MaintRequest, Maintainer, ReadTicket, RoutePolicy,
+};
+use shortcut_rewire::{ReaderPin, RetireList};
 use std::sync::Arc;
 
 /// Shortcut-EH tuning.
@@ -49,13 +51,11 @@ pub struct ShortcutEhConfig {
     pub policy: RoutePolicy,
 }
 
-/// Thread-safe routing counters, bumped from `&self` lookups.
-#[derive(Debug, Default)]
-struct RouteCounters {
-    shortcut_lookups: AtomicU64,
-    traditional_lookups: AtomicU64,
-    shortcut_retries: AtomicU64,
-}
+// Routing counters: tally cells of the reader's pin stripe
+// ([`ReaderPin::tally`]), summed by [`ShortcutEh::stats`].
+const SHORTCUT_LOOKUPS: usize = 0;
+const TRADITIONAL_LOOKUPS: usize = 1;
+const SHORTCUT_RETRIES: usize = 2;
 
 /// The shortcut-enhanced extendible hash table. See module docs.
 pub struct ShortcutEh {
@@ -64,10 +64,15 @@ pub struct ShortcutEh {
     maint: Maintainer,
     eh: ExtendibleHash,
     policy: RoutePolicy,
-    counters: RouteCounters,
+    /// The routing decision of `policy` for the directory's current
+    /// fan-in, so a lookup reads a bit where it used to divide. Only
+    /// splits and doublings move the fan-in, and they reach
+    /// [`ShortcutEh::relay_events`], which refreshes it.
+    use_shortcut: bool,
     /// The pool's retirement machinery: lookups pin it around every
     /// dereference of the published shortcut base, so the mapper's
-    /// reclamation never unmaps a retired directory under a reader.
+    /// reclamation never unmaps a retired directory under a reader —
+    /// and count themselves on the pin's stripe.
     retire: Arc<RetireList>,
     /// `log2(slot_bytes)` of the pool's layout: published slot `i` starts
     /// at `base + (i << slot_shift)` — the layout-derived replacement for
@@ -95,7 +100,7 @@ impl ShortcutEh {
     /// [`Index::get_many`]: large enough to amortize the per-chunk
     /// validation to nothing, small enough (microseconds of pin hold)
     /// that batched read storms cannot stall the reclaim scan.
-    const GET_MANY_PIN_CHUNK: usize = 4096; // audit:allow(page-literal): key-batch size per pin, not a page size
+    pub(crate) const GET_MANY_PIN_CHUNK: usize = 4096; // audit:allow(page-literal): key-batch size per pin, not a page size
 
     /// Build with custom configuration and spawn the mapper thread.
     ///
@@ -122,9 +127,9 @@ impl ShortcutEh {
         eh.set_maint_metrics(maint.metrics_handle());
         let this = ShortcutEh {
             maint,
+            use_shortcut: cfg.policy.use_shortcut(eh.avg_fanin(), true),
             eh,
             policy: cfg.policy,
-            counters: RouteCounters::default(),
             retire,
             slot_shift,
             bucket_layout,
@@ -173,9 +178,10 @@ impl ShortcutEh {
     /// Structural + routing statistics (merged with the inner EH's).
     pub fn stats(&self) -> IndexStats {
         let mut s = self.eh.stats();
-        s.shortcut_lookups = self.counters.shortcut_lookups.load(Ordering::Relaxed);
-        s.traditional_lookups = self.counters.traditional_lookups.load(Ordering::Relaxed);
-        s.shortcut_retries = self.counters.shortcut_retries.load(Ordering::Relaxed);
+        let tallies = self.retire.tallies();
+        s.shortcut_lookups = tallies[SHORTCUT_LOOKUPS];
+        s.traditional_lookups = tallies[TRADITIONAL_LOOKUPS];
+        s.shortcut_retries = tallies[SHORTCUT_RETRIES];
         s
     }
 
@@ -268,9 +274,21 @@ impl ShortcutEh {
             .map(|t| (t.base as usize, t.slots))
     }
 
+    /// The pool's retire list: a pin on it covers reads of this index's
+    /// published shortcut (the shard's read section pins it once for both).
+    pub(crate) fn retire_list(&self) -> &Arc<RetireList> {
+        &self.retire
+    }
+
     /// Forward directory events to the mapper queue.
     fn relay_events(&mut self) {
-        for ev in self.eh.take_events() {
+        let events = self.eh.take_events();
+        if events.is_empty() {
+            return;
+        }
+        // A split or a doubling moved the fan-in.
+        self.use_shortcut = self.policy.use_shortcut(self.eh.avg_fanin(), true);
+        for ev in events {
             match ev {
                 DirEvent::SlotUpdated { slot, ppage } => {
                     let v = self.maint.state().bump_traditional();
@@ -500,42 +518,22 @@ impl ShortcutEh {
         self.eh.ideal_layout_vmas()
     }
 
-    /// Attempt the lookup through the shortcut directory. The outer `None`
-    /// means "not answered" (out of sync, raced, or routed away) — fall
-    /// back to the traditional directory.
-    ///
-    /// Takes `&self`: the hot path must not carry a unique borrow — the
-    /// measured cost of the out-of-line variant of this function was ~2x
-    /// on the benchmark host (the call boundary blocks hoisting of the
-    /// fan-in computation and keeps the seqlock loads from fusing with the
-    /// surrounding code). Statistics are bumped by the callers.
+    /// Read `key` through the published directory of ticket `t`; `hash`
+    /// is the key's directory hash. `None` means "not answered" (raced a
+    /// modification, or the bucket is deeper than the published depth) —
+    /// fall back to the traditional directory. The caller holds a pin on
+    /// the retire list, taken before the ticket: it is what keeps a
+    /// directory this read might land in mapped until the read drains.
     #[inline(always)]
-    fn shortcut_get(&self, key: u64, hash: u64) -> Option<Option<u64>> {
-        if !self
-            .policy
-            .use_shortcut(self.eh.avg_fanin(), true /* checked by ticket */)
-        {
-            return None;
-        }
-        let state = self.maint.state();
-        // Cheap pre-check without a pin: versions are plain atomics and
-        // deciding "out of sync" touches no shortcut memory. This keeps
-        // the fallback path (including budget-suspended operation) free
-        // of the pin's fence.
-        if !state.in_sync() {
-            return None;
-        }
-        // The pin must be taken before the ticket: it is what keeps a
-        // directory this read might land in mapped until the read drains.
-        let _pin = self.retire.pin();
-        let t = state.begin_read()?;
+    fn read_through(&self, t: ReadTicket, key: u64, hash: u64) -> Option<Option<u64>> {
         debug_assert!(t.slots.is_power_of_two());
         let g = t.slots.trailing_zeros();
         let slot = dir_slot(hash, g);
         // SAFETY: the published area has t.slots slots; `slot < t.slots`
         // by construction of dir_slot; a racing rebuild retires the old
-        // area but reclamation waits for `_pin` to drop, so the slot stays
-        // readable (stale data is discarded by the ticket below).
+        // area but reclamation waits for the caller's pin to drop, so the
+        // slot stays readable (stale data is discarded by the ticket
+        // below).
         let bucket_ptr = unsafe { t.base.add(slot << self.slot_shift) };
         // SAFETY: `bucket_ptr` is in-bounds and slot-aligned per above.
         let bucket = unsafe { BucketRef::from_ptr(bucket_ptr, self.bucket_layout) };
@@ -549,11 +547,75 @@ impl ShortcutEh {
             return None;
         }
         let result = bucket.get(key);
-        if self.maint.state().still_valid(t) {
-            Some(result)
-        } else {
-            None
+        self.maint.state().still_valid(t).then_some(result)
+    }
+
+    /// One lookup under the caller's pin on this index's retire list, from
+    /// the key's already computed [`mult_hash`]: the shard's read section
+    /// routes with that hash and pins once for itself and for this read.
+    /// Counts the lookup on the pin's stripe.
+    #[inline]
+    pub(crate) fn get_pinned(&self, key: u64, hash: u64, pin: &ReaderPin<'_>) -> Option<u64> {
+        let h = self.eh.dir_hash_of(hash);
+        // One `begin_read` is the in-sync check and the ticket: out of
+        // sync (or budget-suspended) it reads two versions and touches no
+        // shortcut memory.
+        if self.use_shortcut {
+            if let Some(t) = self.maint.state().begin_read() {
+                if let Some(res) = self.read_through(t, key, h) {
+                    pin.tally(SHORTCUT_LOOKUPS, 1);
+                    return res;
+                }
+                // In sync but unanswered: the ticket was discarded.
+                pin.tally(SHORTCUT_RETRIES, 1);
+            }
         }
+        pin.tally(TRADITIONAL_LOOKUPS, 1);
+        self.eh.get_hashed(key, h)
+    }
+
+    /// Answer one chunk of a batched lookup (at most
+    /// [`ShortcutEh::GET_MANY_PIN_CHUNK`] keys) under the caller's pin and
+    /// one seqlock ticket, appending to `out`. A chunk that is out of sync
+    /// or raced a modification is answered through the traditional
+    /// directory.
+    pub(crate) fn get_chunk(&self, chunk: &[u64], pin: &ReaderPin<'_>, out: &mut Vec<Option<u64>>) {
+        debug_assert!(chunk.len() <= Self::GET_MANY_PIN_CHUNK);
+        let state = self.maint.state();
+        if let Some(t) = self.use_shortcut.then(|| state.begin_read()).flatten() {
+            debug_assert!(t.slots.is_power_of_two());
+            let g = t.slots.trailing_zeros();
+            let start = out.len();
+            let mut deep = 0u64;
+            out.extend(chunk.iter().map(|&k| {
+                let slot = dir_slot(self.eh.dir_hash(k), g);
+                // SAFETY: see `read_through` — slot < t.slots and the pin
+                // defers reclamation of retired areas.
+                let bucket = unsafe {
+                    BucketRef::from_ptr(t.base.add(slot << self.slot_shift), self.bucket_layout)
+                };
+                // Coarsely published directory: over-depth buckets are
+                // unresolvable here, answer those keys traditionally (see
+                // `read_through`).
+                if bucket.local_depth() > g {
+                    deep += 1;
+                    self.eh.get(k)
+                } else {
+                    bucket.get(k)
+                }
+            }));
+            if state.still_valid(t) {
+                pin.tally(SHORTCUT_LOOKUPS, chunk.len() as u64 - deep);
+                pin.tally(TRADITIONAL_LOOKUPS, deep);
+                return;
+            }
+            // The chunk raced a modification; discard it, count one retry
+            // (one discarded ticket) and re-answer it traditionally.
+            out.truncate(start);
+            pin.tally(SHORTCUT_RETRIES, 1);
+        }
+        pin.tally(TRADITIONAL_LOOKUPS, chunk.len() as u64);
+        out.extend(chunk.iter().map(|&k| self.eh.get(k)));
     }
 }
 
@@ -572,25 +634,7 @@ impl Index for ShortcutEh {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        let h = self.eh.dir_hash(key);
-        // Run the hot path through the seqlock-guarded shortcut, then
-        // account on the atomic counters.
-        if let Some(res) = self.shortcut_get(key, h) {
-            self.counters
-                .shortcut_lookups
-                .fetch_add(1, Ordering::Relaxed);
-            return res;
-        }
-        if self.in_sync() {
-            // In sync but unanswered: the ticket raced a modification.
-            self.counters
-                .shortcut_retries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.counters
-            .traditional_lookups
-            .fetch_add(1, Ordering::Relaxed);
-        self.eh.get(key)
+        self.get_pinned(key, mult_hash(key), &self.retire.pin())
     }
 
     fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
@@ -608,72 +652,16 @@ impl Index for ShortcutEh {
     }
 
     /// Batched lookup with one seqlock ticket (and one reader pin) per
-    /// chunk of up to 4096 keys: the policy
-    /// check, fan-in computation, and the two version validations are
-    /// paid once per chunk instead of per key, while the pin is released
-    /// between chunks so an arbitrarily large batch cannot starve
-    /// retired-directory reclamation. A chunk that is out of sync or
-    /// raced a modification falls back to the traditional directory.
+    /// chunk of up to 4096 keys: the two version validations are paid once
+    /// per chunk instead of per key. The pin is per chunk on purpose: one
+    /// pin spanning an arbitrarily large batch would keep a reclaim-scan
+    /// stripe busy indefinitely and starve retired-directory reclamation
+    /// (the bounded-spin scan gives up, and retired areas accumulate
+    /// against the VMA budget).
     fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out: Vec<Option<u64>> = Vec::with_capacity(keys.len());
-        // The policy decision (fan-in computation included) depends only
-        // on directory shape, which `&self` methods cannot change — pay it
-        // once per batch, not per chunk. The *pin*, by contrast, stays
-        // per-chunk on purpose: one pin spanning an arbitrarily large
-        // batch would keep a reclaim-scan stripe busy indefinitely and
-        // starve retired-directory reclamation (PR 3's bounded-spin scan
-        // gives up, and retired areas accumulate against the VMA budget).
-        let use_shortcut = self.policy.use_shortcut(self.eh.avg_fanin(), true);
-        for chunk in keys.chunks(Self::GET_MANY_PIN_CHUNK.max(1)) {
-            if use_shortcut && self.in_sync() {
-                let _pin = self.retire.pin();
-                if let Some(t) = self.maint.state().begin_read() {
-                    debug_assert!(t.slots.is_power_of_two());
-                    let g = t.slots.trailing_zeros();
-                    let start = out.len();
-                    let mut deep = 0u64;
-                    out.extend(chunk.iter().map(|&k| {
-                        let slot = dir_slot(self.eh.dir_hash(k), g);
-                        // SAFETY: see `shortcut_get` — slot < t.slots and
-                        // the pin defers reclamation of retired areas.
-                        let bucket = unsafe {
-                            BucketRef::from_ptr(
-                                t.base.add(slot << self.slot_shift),
-                                self.bucket_layout,
-                            )
-                        };
-                        // Coarsely published directory: over-depth buckets
-                        // are unresolvable here, answer those keys
-                        // traditionally (see `shortcut_get`).
-                        if bucket.local_depth() > g {
-                            deep += 1;
-                            self.eh.get(k)
-                        } else {
-                            bucket.get(k)
-                        }
-                    }));
-                    if self.maint.state().still_valid(t) {
-                        self.counters
-                            .shortcut_lookups
-                            .fetch_add(chunk.len() as u64 - deep, Ordering::Relaxed);
-                        self.counters
-                            .traditional_lookups
-                            .fetch_add(deep, Ordering::Relaxed);
-                        continue;
-                    }
-                    // The chunk raced a modification; discard it, count
-                    // one retry (one discarded ticket) and re-answer it
-                    // traditionally.
-                    out.truncate(start);
-                    self.counters
-                        .shortcut_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.counters
-                .traditional_lookups
-                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            out.extend(chunk.iter().map(|&k| self.eh.get(k)));
+        let mut out = Vec::with_capacity(keys.len());
+        for chunk in keys.chunks(Self::GET_MANY_PIN_CHUNK) {
+            self.get_chunk(chunk, &self.retire.pin(), &mut out);
         }
         out
     }
@@ -721,6 +709,13 @@ mod tests {
             },
             policy: RoutePolicy::default(),
         }
+    }
+
+    /// The shortcut path alone, as `get_pinned` takes it.
+    fn via_shortcut(t: &ShortcutEh, key: u64) -> Option<Option<u64>> {
+        let _pin = t.retire.pin();
+        let ticket = t.maint.state().begin_read()?;
+        t.read_through(ticket, key, t.eh.dir_hash(key))
     }
 
     #[test]
@@ -791,8 +786,7 @@ mod tests {
         assert!(t.wait_sync(Duration::from_secs(10)));
         // Compare the shortcut path against the traditional path directly.
         for k in (0..10_000u64).step_by(37) {
-            let h = t.eh.dir_hash(k);
-            let via_shortcut = t.shortcut_get(k, h).expect("in sync");
+            let via_shortcut = via_shortcut(&t, k).expect("in sync");
             let via_traditional = t.eh.get(k);
             assert_eq!(via_shortcut, via_traditional, "key {k}");
         }
@@ -1122,8 +1116,7 @@ mod tests {
         // directory for every applied key.
         assert!(t.wait_sync(Duration::from_secs(10)), "mapper never drained");
         for k in 0..applied {
-            let via_shortcut = t.shortcut_get(k, t.eh.dir_hash(k));
-            if let Some(res) = via_shortcut {
+            if let Some(res) = via_shortcut(&t, k) {
                 assert_eq!(res, Some(k), "shortcut reads pre-split bucket for {k}");
             }
         }

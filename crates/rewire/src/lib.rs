@@ -22,6 +22,8 @@
 //!   account their VMA footprint against a `vm.max_map_count`-fed budget,
 //!   and superseded areas are *retired* (epoch-stamped, kept mapped) until
 //!   every reader pin taken before retirement has drained, then unmapped.
+//! * [`ReadBias`] — the same reader pins standing in for the read side of a
+//!   reader-writer lock while no shared writer is around.
 //!
 //! All `unsafe` in the workspace is concentrated here. The safety argument
 //! is documented on each wrapper; the crate-level invariants are:
@@ -35,6 +37,7 @@
 //!    pointers and volatile-free plain loads/stores; callers must not hold
 //!    Rust references to both views simultaneously.
 
+mod bias;
 mod budget;
 mod error;
 mod memfile;
@@ -46,6 +49,7 @@ mod stats;
 pub mod sync;
 mod varea;
 
+pub use bias::{ReadBias, REARM_AFTER};
 pub use budget::{
     budget_headroom, max_map_count, BudgetBinding, BudgetReservation, PoolUsage, VmaBudget,
     VmaSnapshot, DEFAULT_MAX_MAP_COUNT,
@@ -54,7 +58,7 @@ pub use error::{Error, Result};
 pub use memfile::MemFile;
 pub use page::{is_page_aligned, page_size, pages_to_bytes, PageIdx, PAGE_SHIFT_4K, PAGE_SIZE_4K};
 pub use pool::{PagePool, PoolConfig, PoolHandle};
-pub use retire::{PinStrategy, ReaderPin, Reclaimable, RetireCore, RetireList};
+pub use retire::{PinStrategy, ReaderPin, Reclaimable, RetireCore, RetireList, TALLIES};
 pub use slot::{SlotLayout, HUGE_PAGE_BYTES};
 pub use stats::{RewireStats, StatsSnapshot};
 pub use varea::{planned_vmas, rewire_page_raw, Mapping, VirtArea};

@@ -75,9 +75,19 @@ const SCAN_SPINS: usize = 1_000;
 #[cfg(feature = "loomish")]
 const SCAN_SPINS: usize = 2;
 
+/// Event tallies a stripe carries beside its pin count, for the holder of
+/// a [`ReaderPin`] to count what the pinned read did (the index counts
+/// shortcut-served and traditional lookups and discarded tickets).
+pub const TALLIES: usize = 3;
+
+/// One reader stripe: the pin count and the pinning thread's tallies share
+/// a cache line no other exclusive-slot thread writes.
 #[repr(align(128))]
 #[derive(Default)]
-struct Stripe(AtomicUsize);
+struct Stripe {
+    pins: AtomicUsize,
+    tallies: [AtomicU64; TALLIES],
+}
 
 /// How reader pins pair with the reclaim scan. Fixed per [`RetireCore`] at
 /// construction; surfaced through the facade's `StatsSnapshot`.
@@ -181,73 +191,83 @@ fn expedited_barrier() -> bool {
     }
 }
 
-/// A thread's stripe assignment: the first [`STRIPES`] threads own an
-/// exclusive slot (asym-eligible), later threads share the overflow
-/// stripes (always RMW).
-#[derive(Clone, Copy)]
-enum SlotClaim {
-    Exclusive(usize),
-    Shared(usize),
-}
-
-impl SlotClaim {
-    fn index(self) -> usize {
-        match self {
-            SlotClaim::Exclusive(i) | SlotClaim::Shared(i) => i,
-        }
-    }
-}
-
-fn slot_claim() -> SlotClaim {
+/// Stripe of the calling thread: the first [`STRIPES`] threads to pin own
+/// an exclusive slot (`< STRIPES`, asym-eligible), later threads share the
+/// overflow stripes (always RMW). Claimed once per thread and kept in a
+/// const-initialised thread-local, so a pin reads it with one plain load.
+#[inline]
+fn slot_claim() -> usize {
     // Under an active model run, slot assignment must be a pure function
     // of the (deterministic) model thread id — the process-global counter
     // below would hand different slots to the same logical thread across
     // replayed executions and break DFS replay.
     #[cfg(feature = "loomish")]
     if let Some(tid) = loomish::thread::model_thread_id() {
-        return if tid < STRIPES {
-            SlotClaim::Exclusive(tid)
-        } else {
-            SlotClaim::Shared(STRIPES + tid % OVERFLOW_STRIPES)
-        };
+        return overflow_fold(tid);
     }
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    const UNCLAIMED: usize = usize::MAX;
     thread_local! {
-        static IDX: usize = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        static CLAIM: std::cell::Cell<usize> = const { std::cell::Cell::new(UNCLAIMED) };
     }
-    IDX.with(|&i| {
-        if i < STRIPES {
-            SlotClaim::Exclusive(i)
-        } else {
-            SlotClaim::Shared(STRIPES + i % OVERFLOW_STRIPES)
+    CLAIM.with(|claim| {
+        if claim.get() == UNCLAIMED {
+            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            claim.set(overflow_fold(
+                NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            ));
         }
+        claim.get()
     })
+}
+
+fn overflow_fold(i: usize) -> usize {
+    if i < STRIPES {
+        i
+    } else {
+        STRIPES + i % OVERFLOW_STRIPES
+    }
 }
 
 /// Proof of an in-flight shortcut read. While any pin taken before a
 /// reclaim scan is alive, no retired area is unmapped. Dropping the pin
 /// releases the reader's stripe.
 pub struct ReaderPin<'a> {
-    stripe: &'a AtomicUsize,
+    stripe: &'a Stripe,
     /// Taken through the asymmetric plain-store path (exclusive slot,
     /// [`PinStrategy::Asymmetric`]); the unpin must mirror it.
     asym: bool,
 }
 
+impl ReaderPin<'_> {
+    /// Add `n` to tally `cell` (`< `[`TALLIES`]) of this pin's stripe. On
+    /// an exclusive slot the pinning thread is the cell's only writer, so
+    /// the count is a plain load + store; shared stripes pay the RMW.
+    #[inline]
+    pub fn tally(&self, cell: usize, n: u64) {
+        let cell = &self.stripe.tallies[cell];
+        if self.asym {
+            cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        } else {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+}
+
 impl Drop for ReaderPin<'_> {
+    #[inline]
     fn drop(&mut self) {
         if self.asym {
             // Exclusive slot: this thread is the only writer, so the plain
             // load cannot race. Release on the store: every load the
             // reader performed through the ticket base happens-before a
             // reclaimer whose (membarrier-paired) scan observes the zero.
-            self.stripe
-                .store(self.stripe.load(Ordering::Relaxed) - 1, Ordering::Release);
+            let pins = &self.stripe.pins;
+            pins.store(pins.load(Ordering::Relaxed) - 1, Ordering::Release);
         } else {
             // Release: every load the reader performed through the ticket
             // base happens-before a reclaimer that observes this stripe at
             // zero.
-            self.stripe.fetch_sub(1, Ordering::Release);
+            self.stripe.pins.fetch_sub(1, Ordering::Release);
         }
     }
 }
@@ -316,22 +336,22 @@ impl<T: Reclaimable> RetireCore<T> {
     /// PR 3 fallback pairing even where `membarrier` is available (used by
     /// the fallback-matrix tests), and the model suites pass an explicit
     /// strategy so each proof is deterministic about what it proves.
+    ///
+    /// `Asymmetric` is a request: the expedited command EPERMs unless the
+    /// process registered, so outside a model run (where the barrier is
+    /// the loomish op and needs no registration) the list takes what the
+    /// cached probe found, and a host without `membarrier` gets `Dekker` —
+    /// a list never holds a pairing whose barrier cannot be issued.
     pub fn with_strategy(strategy: PinStrategy) -> Self {
-        if strategy == PinStrategy::Asymmetric {
-            // The expedited command EPERMs unless the process registered;
-            // run the (cached) probe for its registration side effect. On
-            // a host where it fails, the strategy stays safe: every
-            // reclaim tick aborts before its scan (reclamation disabled,
-            // never unsoundness). Skipped in the model, where the barrier
-            // is the loomish op and needs no registration.
-            #[cfg(feature = "loomish")]
-            let in_model = loomish::thread::model_thread_id().is_some();
-            #[cfg(not(feature = "loomish"))]
-            let in_model = false;
-            if !in_model {
-                let _ = PinStrategy::detect();
-            }
-        }
+        #[cfg(feature = "loomish")]
+        let in_model = loomish::thread::model_thread_id().is_some();
+        #[cfg(not(feature = "loomish"))]
+        let in_model = false;
+        let strategy = if strategy == PinStrategy::Asymmetric && !in_model {
+            PinStrategy::detect()
+        } else {
+            strategy
+        };
         RetireCore {
             strategy,
             stripes: std::array::from_fn(|_| Stripe::default()),
@@ -376,23 +396,33 @@ impl<T: Reclaimable> RetireCore<T> {
     /// the membarrier's job.
     #[inline]
     pub fn pin(&self) -> ReaderPin<'_> {
-        let claim = slot_claim();
-        if self.strategy == PinStrategy::Asymmetric {
-            if let SlotClaim::Exclusive(i) = claim {
-                let stripe = &self.stripes[i].0;
-                // Exclusive slot: this thread is the only writer, so the
-                // plain load+store increment cannot lose updates.
-                stripe.store(stripe.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-                std::sync::atomic::compiler_fence(Ordering::SeqCst);
-                return ReaderPin { stripe, asym: true };
+        let slot = slot_claim();
+        let stripe = &self.stripes[slot];
+        let asym = self.strategy == PinStrategy::Asymmetric && slot < STRIPES;
+        if asym {
+            // Exclusive slot: this thread is the only writer, so the
+            // plain load+store increment cannot lose updates.
+            let pins = &stripe.pins;
+            pins.store(pins.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            std::sync::atomic::compiler_fence(Ordering::SeqCst);
+        } else {
+            stripe.pins.fetch_add(1, Ordering::SeqCst);
+        }
+        ReaderPin { stripe, asym }
+    }
+
+    /// Sum of every stripe's tallies ([`ReaderPin::tally`]). Exclusive-slot
+    /// cells are written with plain stores, so the sum is exact for counts
+    /// made by threads the caller has synchronised with (joined, or handed
+    /// a result by) and a recent lower bound otherwise.
+    pub fn tallies(&self) -> [u64; TALLIES] {
+        let mut sum = [0; TALLIES];
+        for stripe in &self.stripes {
+            for (total, cell) in sum.iter_mut().zip(&stripe.tallies) {
+                *total += cell.load(Ordering::Relaxed);
             }
         }
-        let stripe = &self.stripes[claim.index()].0;
-        stripe.fetch_add(1, Ordering::SeqCst);
-        ReaderPin {
-            stripe,
-            asym: false,
-        }
+        sum
     }
 
     /// Hand a superseded area to the list. The caller must have unpublished
@@ -423,23 +453,34 @@ impl<T: Reclaimable> RetireCore<T> {
         // Everything retired up to here is reclaimable *if* the scan below
         // completes: those retirements were unpublished before this load.
         let safe_epoch = self.epoch.load(Ordering::SeqCst);
-        // Reclaimer half of the Dekker pattern with the SeqCst increment
-        // in `pin` (see there): order the epoch snapshot and everything
-        // before it (retirement, unpublication) ahead of the stripe scan.
-        // Kept unconditionally — overflow-stripe pins (and the Dekker
-        // fallback) always take the RMW path and pair with this fence.
+        self.readers_quiesced().then_some(safe_epoch)
+    }
+
+    /// Pair with every reader pin, then observe each stripe at zero (each
+    /// at its own moment, with bounded spinning). `true`: every read
+    /// pinned before this call has drained, and every later one observes
+    /// the stores the caller made before it. `false`: a reader kept a
+    /// stripe busy (or, against the kernel's contract, the barrier
+    /// failed) — call again. The reclaimer and a writer revoking a
+    /// [`crate::ReadBias`] both wait for readers through this.
+    pub fn readers_quiesced(&self) -> bool {
+        // Writer half of the Dekker pattern with the SeqCst increment in
+        // `pin` (see there): order the caller's earlier stores and loads
+        // (epoch snapshot, unpublication, bias revocation) ahead of the
+        // stripe scan. Kept unconditionally — overflow-stripe pins (and
+        // the Dekker fallback) always take the RMW path and pair with
+        // this fence.
         fence(Ordering::SeqCst);
         // Asymmetric half: run a full barrier inside every running thread
         // of the process, so each exclusive-slot reader sits strictly
         // before it (pin store globally visible to the scan below) or
-        // strictly after it (its base load sees the unpublication that
-        // preceded the epoch snapshot). Registration succeeded at init, so
-        // failure is unexpected; skip this reclaim tick if it happens.
+        // strictly after it (its next load sees the stores that preceded
+        // this call). Registration succeeded at init, so failure is
+        // unexpected; report the scan as incomplete if it happens.
         if self.strategy == PinStrategy::Asymmetric && !expedited_barrier() {
-            return None;
+            return false;
         }
-        self.scan_stripes()?;
-        Some(safe_epoch)
+        self.scan_stripes().is_some()
     }
 
     fn scan_stripes(&self) -> Option<()> {
@@ -448,7 +489,7 @@ impl<T: Reclaimable> RetireCore<T> {
             // Acquire: observing zero synchronizes with the Release
             // decrement of every drained reader, ordering their loads
             // before the munmap / page reuse.
-            while stripe.0.load(Ordering::Acquire) != 0 {
+            while stripe.pins.load(Ordering::Acquire) != 0 {
                 spins += 1;
                 if spins > SCAN_SPINS {
                     return None; // readers still in flight; retry later
@@ -536,8 +577,8 @@ impl<T: Reclaimable> RetireCore<T> {
     /// scan's fence can no longer pair with it — the scan may miss a live
     /// pin *and* the reader may miss the unpublication.
     pub fn pin_seeded_relaxed(&self) -> ReaderPin<'_> {
-        let stripe = &self.stripes[slot_claim().index()].0;
-        stripe.fetch_add(1, Ordering::Relaxed);
+        let stripe = &self.stripes[slot_claim()];
+        stripe.pins.fetch_add(1, Ordering::Relaxed);
         ReaderPin {
             stripe,
             asym: false,
@@ -595,6 +636,13 @@ impl<T: Reclaimable> RetireCore<T> {
             expedited_barrier();
             Some(safe_epoch)
         })
+    }
+
+    /// Seeded bug: [`RetireCore::readers_quiesced`] without its fence and
+    /// barrier — the bare stripe scan, paired with no pin. The seeded
+    /// writer of `tests/loom_shard_bias.rs` waits for readers with it.
+    pub fn readers_quiesced_seeded_unpaired(&self) -> bool {
+        self.scan_stripes().is_some()
     }
 }
 

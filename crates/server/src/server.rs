@@ -122,8 +122,15 @@ impl ServerCtx {
             let sh = self.index.shard_stats(i);
             let _ = writeln!(
                 out,
-                "shard{}: entries={} global_depth={} buckets={} in_sync={}\r",
-                i, sh.len, sh.global_depth, sh.bucket_count, sh.in_sync
+                "shard{}: entries={} global_depth={} buckets={} in_sync={} \
+                 bias_revocations={} bias_rearms={}\r",
+                i,
+                sh.len,
+                sh.global_depth,
+                sh.bucket_count,
+                sh.in_sync,
+                sh.bias_revocations,
+                sh.bias_rearms
             );
         }
         out

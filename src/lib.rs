@@ -441,6 +441,13 @@ pub struct StatsSnapshot {
     /// (`"avx2"`/`"sse2"`/`"scalar"`; `"mixed"` only in a merged snapshot
     /// whose shards somehow disagree).
     pub probe_backend: &'static str,
+    /// Times a shared writer revoked a shard's read bias and sent its
+    /// readers to the shard lock ([`ShardedIndex::bias_counters`]).
+    pub bias_revocations: u64,
+    /// Times a writer-free run of locked reads took a shard's readers off
+    /// the lock again; a shard with fewer rearms than revocations is
+    /// serving `get` through the lock right now.
+    pub bias_rearms: u64,
     /// Structural + routing statistics of the index.
     pub index: IndexStats,
     /// Counters of the asynchronous mapper thread.
@@ -461,7 +468,8 @@ impl StatsSnapshot {
     /// Field-by-field semantics:
     ///
     /// * **Counters sum**: `shards`, `len`, `bucket_count`, `versions`
-    ///   (both halves), and the nested counter blocks via their own
+    ///   (both halves), `bias_revocations`, `bias_rearms`, and the nested
+    ///   counter blocks via their own
     ///   documented merges ([`IndexStats::merge`],
     ///   `MaintSnapshot::merge`, `rewire::StatsSnapshot::merge`,
     ///   [`VmaSnapshot::merge`]).
@@ -514,6 +522,8 @@ impl StatsSnapshot {
             } else {
                 "mixed"
             },
+            bias_revocations: self.bias_revocations + other.bias_revocations,
+            bias_rearms: self.bias_rearms + other.bias_rearms,
             index: self.index.merge(&other.index),
             maint: self.maint.merge(&other.maint),
             rewire: self.rewire.merge(&other.rewire),
@@ -604,8 +614,8 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "read_path: pin_strategy={} probe_backend={}",
-            self.pin_strategy, self.probe_backend
+            "read_path: pin_strategy={} probe_backend={} bias_revocations={} bias_rearms={}",
+            self.pin_strategy, self.probe_backend, self.bias_revocations, self.bias_rearms
         )
     }
 }
@@ -651,6 +661,7 @@ impl ShortcutIndex {
     }
 
     /// Look up a key. Takes `&self`: concurrent readers are safe.
+    #[inline]
     pub fn get(&self, key: u64) -> Option<u64> {
         Index::get(&self.inner, key)
     }
@@ -843,6 +854,7 @@ impl ShortcutIndex {
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn shard_stats(&self, i: usize) -> StatsSnapshot {
+        let (bias_revocations, bias_rearms) = self.inner.bias_counters(i);
         self.inner.with_shard(i, |s| StatsSnapshot {
             shards: 1,
             len: s.len(),
@@ -859,6 +871,8 @@ impl ShortcutIndex {
             huge_pages_active: s.huge_active(),
             pin_strategy: s.pin_strategy(),
             probe_backend: probe_backend().name(),
+            bias_revocations,
+            bias_rearms,
             index: s.stats(),
             maint: s.maint_metrics(),
             rewire: s.pool_stats(),
@@ -939,6 +953,8 @@ mod tests {
             huge_pages_active: true,
             pin_strategy: PinStrategy::Asymmetric,
             probe_backend: "scalar",
+            bias_revocations: 0,
+            bias_rearms: 0,
             index: IndexStats::default(),
             maint: MaintSnapshot::default(),
             rewire: rewire::StatsSnapshot::default(),
@@ -1001,7 +1017,7 @@ mod tests {
             "structure: splits=0 ",
             "maint: creates=0 ",
             "vma: in_use=0 ",
-            "read_path: pin_strategy=asymmetric probe_backend=scalar",
+            "read_path: pin_strategy=asymmetric probe_backend=scalar bias_revocations=0 bias_rearms=0",
         ] {
             assert!(text.contains(key), "missing `{key}` in:\n{text}");
         }

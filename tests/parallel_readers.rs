@@ -2,10 +2,12 @@
 //! share `&ShortcutIndex` / `&ShortcutEh` and call `Index::get` /
 //! `Index::get_many` — which take `&self` — concurrently. Rust's aliasing
 //! rules make this sound: no `&mut` (writer) can coexist with the shared
-//! borrows, and the routing statistics are atomics.
+//! borrows, and the routing statistics are tallies on each reader's own
+//! pin stripe.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 use taking_the_shortcut::{Index, ShortcutIndex};
 
 #[test]
@@ -39,7 +41,7 @@ fn concurrent_readers_see_every_key() {
     });
     assert_eq!(hits.load(Ordering::Relaxed), n);
     assert!(index.maint_error().is_none());
-    // Reader traffic must be visible in the (atomic) routing counters.
+    // Reader traffic must be visible in the routing counters.
     let s = index.stats();
     assert_eq!(
         s.index.shortcut_lookups + s.index.traditional_lookups,
@@ -180,6 +182,103 @@ fn sharded_writers_and_readers_run_concurrently() {
     assert_eq!(s.shards, 4);
     assert_eq!(s.len as u64, n);
     assert!(index.maint_error().is_none());
+
+    // The writers above revoked every shard's read bias; the sweep just
+    // made (20k writer-free reads per shard) must have armed it again.
+    let back_on_bias = |index: &ShortcutIndex| {
+        (0..index.shard_count()).all(|i| {
+            let sh = index.shard_stats(i);
+            sh.bias_revocations == sh.bias_rearms
+        })
+    };
+    assert!(s.bias_revocations >= 4, "shared writers never revoked");
+    assert!(back_on_bias(&index), "a writer-free sweep did not re-arm");
+
+    // One more phase, through a whole bias cycle under load: readers start
+    // biased, shared writers arrive mid-run and grow every shard (splits
+    // under the readers' feet), the writers stop, and the still-running
+    // readers take every shard back off its lock.
+    let extra = 20_000u64;
+    let first_sweep_done = Barrier::new(5);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for r in 0..4u64 {
+            let (index, first_sweep_done, stop) = (&index, &first_sweep_done, &stop);
+            s.spawn(move || {
+                let mut sweeps = 0;
+                loop {
+                    for k in (r..n + extra).step_by(5) {
+                        match index.get(k) {
+                            Some(v) => assert_eq!(v, k ^ 0xABCD, "foreign value for {k}"),
+                            None => assert!(k >= n, "key {k} vanished"),
+                        }
+                    }
+                    if sweeps == 0 {
+                        first_sweep_done.wait();
+                    }
+                    sweeps += 1;
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                }
+            });
+        }
+        // Every reader has read every shard on the bias and keeps going.
+        first_sweep_done.wait();
+        let before = index.stats().bias_revocations;
+        for k in n..n + extra {
+            index.insert_shared(k, k ^ 0xABCD).unwrap();
+        }
+        assert!(
+            index.stats().bias_revocations >= before + 4,
+            "writers got in without revoking the readers' bias"
+        );
+        // No more writers: the readers' own traffic must re-arm.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !back_on_bias(&index) {
+            assert!(Instant::now() < deadline, "bias never re-armed");
+            std::thread::yield_now();
+        }
+        stop.store(true, Ordering::Release);
+    });
+    for k in 0..n + extra {
+        assert_eq!(index.get(k), Some(k ^ 0xABCD), "key {k}");
+    }
+    assert!(index.maint_error().is_none());
+}
+
+#[test]
+fn short_lived_readers_are_counted_exactly() {
+    // 40 threads that each read a little and exit: more than the 32
+    // exclusive pin stripes, so some count through the shared overflow
+    // stripes, and all are gone when the sum is taken — the counts must
+    // live with the index, not with the threads.
+    let mut index = ShortcutIndex::builder().capacity(4_000).build().unwrap();
+    for k in 0..4_000u64 {
+        index.insert(k, k + 9).unwrap();
+    }
+    assert!(index.wait_sync(Duration::from_secs(30)));
+    let before = index.stats().index;
+    let (threads, singles, batch) = (40u64, 300u64, 100u64);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let index = &index;
+            s.spawn(move || {
+                for k in (t..4_000).step_by(7).take(singles as usize) {
+                    assert_eq!(index.get(k), Some(k + 9));
+                }
+                let keys: Vec<u64> = (t..t + batch).collect();
+                assert!(index.get_many(&keys).iter().all(Option::is_some));
+            });
+        }
+    });
+    let after = index.stats().index;
+    assert_eq!(
+        (after.shortcut_lookups + after.traditional_lookups)
+            - (before.shortcut_lookups + before.traditional_lookups),
+        threads * (singles + batch),
+        "every get of every exited thread must be in the sum"
+    );
 }
 
 #[test]
