@@ -41,6 +41,13 @@ impl TraditionalNode {
         self.slots[i]
     }
 
+    /// Where slot `i` itself is stored, for callers that prefetch the
+    /// slot ahead of following it.
+    #[inline]
+    pub fn slot_addr(&self, i: usize) -> *const *mut u8 {
+        &self.slots[i]
+    }
+
     /// Follow slot `i` to its leaf. Returns `None` for null slots.
     ///
     /// This is the *three-indirection* path of Figure 1a: (1) the implicit

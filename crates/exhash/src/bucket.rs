@@ -147,6 +147,26 @@ unsafe fn eq8_avx2(p: *const u8, key: u64) -> u32 {
     out
 }
 
+/// Bytes per cache line on every supported target.
+const CACHE_LINE: usize = 64;
+
+/// Hint that the line holding `p` will be read soon. A prefetch never
+/// faults and returns nothing, so `p` need not be dereferenceable — which
+/// is what lets the batched lookups issue it from a seqlock ticket they
+/// have not validated yet (CONCURRENCY.md §2).
+#[inline(always)]
+pub(crate) fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetcht0` is a hint: it reads no memory architecturally
+    // and cannot fault, whatever `p` is.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// Bits `[from, to)` of a `u64` set. `from < to <= 64`.
 #[inline]
 fn mask_range(from: usize, to: usize) -> u64 {
@@ -696,6 +716,26 @@ impl BucketRef {
                 }
             }
         }
+    }
+
+    /// Ask the cache for the lines a probe for `key` reads first: the
+    /// header (local depth, and on page-sized buckets the whole bitmaps),
+    /// the home slot's bitmap word where that lies beyond the header's
+    /// line, and the home entry — one entry in four straddles two lines,
+    /// hence both of its words. All three are functions of the bucket's
+    /// address and the key alone, so a batched lookup can issue them for a
+    /// key it will only probe several keys later.
+    #[inline(always)]
+    pub(crate) fn prefetch(self, key: u64) {
+        let slot = home_slot(key, self.layout.capacity());
+        let word = OCCUPIED_OFF + slot / 64 * 8;
+        let entry = self.layout.entries_off as usize + slot * 16;
+        prefetch(self.ptr);
+        if word >= CACHE_LINE {
+            prefetch(self.ptr.wrapping_add(word));
+        }
+        prefetch(self.ptr.wrapping_add(entry));
+        prefetch(self.ptr.wrapping_add(entry + 8));
     }
 
     /// Look up `key`.

@@ -37,6 +37,12 @@ impl Directory {
         self.node.get(slot)
     }
 
+    /// Where `slot`'s pointer is stored (to prefetch it).
+    #[inline]
+    pub fn slot_addr(&self, slot: usize) -> *const *mut u8 {
+        self.node.slot_addr(slot)
+    }
+
     /// Store `ptr` in `slot`.
     #[inline]
     pub fn set(&mut self, slot: usize, ptr: *mut u8) {

@@ -41,6 +41,7 @@
 use crate::eh::CompactionOutcome;
 use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash};
+use crate::route::{route, route_all};
 use crate::shortcut_eh::{ShortcutEh, ShortcutEhConfig};
 use crate::stats::IndexStats;
 use crate::traits::Index;
@@ -125,16 +126,6 @@ impl Shard {
         // the revoked bias has drained: no reader that entered on it is
         // left, and new ones see it cleared and wait for the lock.
         f(unsafe { &mut *self.eh.get() })
-    }
-
-    /// Batched lookup, one read section (so one pin and one seqlock
-    /// ticket) per chunk.
-    fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(ShortcutEh::GET_MANY_PIN_CHUNK) {
-            self.read(|eh, pin| eh.get_chunk(chunk, pin, &mut out));
-        }
-        out
     }
 }
 
@@ -282,80 +273,70 @@ impl ShardedIndex {
         self.shards[self.shard_of(key)].write(|s| s.remove(key))
     }
 
-    /// Batched insert through per-shard write locks: the batch is split
-    /// by shard (preserving relative order within each shard), and each
-    /// shard's group is applied under one write-lock acquisition via its
-    /// one-ticket batched path.
+    /// Batched insert through per-shard write locks: each window of 4096
+    /// entries of the batch is split by shard, preserving relative
+    /// order within a shard, and a shard's share is applied under one
+    /// write-lock acquisition and one relay to its mapper.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing shard's error. Shards whose groups
-    /// were applied before the failure keep them; the failing shard keeps
-    /// its applied prefix — the same "applied prefix stays readable"
-    /// contract as [`Index::insert_batch`], per shard.
+    /// Propagates the first failing shard's error. What was applied before
+    /// the failure — earlier windows, earlier shards of the failing
+    /// window, the failing shard's prefix — stays applied and readable:
+    /// the contract of [`Index::insert_batch`], per shard.
     pub fn insert_batch_shared(&self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
-        if self.bits == 0 {
-            return self.shards[0].write(|s| s.insert_batch(entries));
-        }
-        for (i, group) in self.scatter_entries(entries).iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            self.shards[i].write(|s| s.insert_batch(group))?;
-        }
-        Ok(())
+        route(self.bits, entries, |i, window, hashes, positions| {
+            self.shards[i].write(|s| s.insert_chunk(&entries[window], hashes, positions))
+        })
     }
 
-    /// Batched remove through per-shard write locks: the batch is split by
-    /// shard and each shard's group is applied under one write-lock
-    /// acquisition; answers are reassembled in caller order (`out[i]`
-    /// answers `keys[i]`, as in [`Index::remove_batch`]).
+    /// Batched lookup into a caller-owned buffer: `out` is resized to
+    /// `keys.len()` and `out[i]` answers `keys[i]`. Each window of the
+    /// batch is split by shard and a shard's share is answered inside the
+    /// read section [`Index::get`] enters — one pin, one seqlock ticket —
+    /// straight into its places in `out`. Allocates nothing once `out`
+    /// has the capacity.
+    pub fn get_many_into(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
+        out.clear();
+        out.resize(keys.len(), None);
+        route_all(self.bits, keys, |i, window, hashes, positions| {
+            let (keys, out) = (&keys[window.clone()], &mut out[window]);
+            self.shards[i].read(|s, pin| s.get_chunk(keys, hashes, positions, pin, out));
+        });
+    }
+
+    /// Batched remove through per-shard write locks; answers in caller
+    /// order (`out[i]` answers `keys[i]`, as in [`Index::remove_batch`]).
+    /// Allocating wrapper of [`ShardedIndex::remove_batch_shared_into`].
     ///
     /// # Errors
     ///
-    /// Propagates the first failing shard's error. Shards whose groups
-    /// were applied before the failure keep their removals — the same
-    /// per-shard applied-prefix contract as
-    /// [`ShardedIndex::insert_batch_shared`].
+    /// None today: removals touch bucket contents only. Fallible per the
+    /// [`Index`] write contract.
     pub fn remove_batch_shared(&self, keys: &[u64]) -> Result<Vec<Option<u64>>, IndexError> {
-        if self.bits == 0 {
-            return self.shards[0].write(|s| s.remove_batch(keys));
-        }
-        let routed = self.scatter_keys(keys);
-        let mut out = vec![None; keys.len()];
-        let mut shard_keys = Vec::new();
-        for (i, group) in routed.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            shard_keys.clear();
-            shard_keys.extend(group.iter().map(|&(_, k)| k));
-            let answers = self.shards[i].write(|s| s.remove_batch(&shard_keys))?;
-            for (&(pos, _), ans) in group.iter().zip(answers) {
-                out[pos] = ans;
-            }
-        }
+        let mut out = Vec::with_capacity(keys.len());
+        self.remove_batch_shared_into(keys, &mut out)?;
         Ok(out)
     }
 
-    /// Split a batch of entries into per-shard groups, preserving the
-    /// relative order of entries within each shard.
-    fn scatter_entries(&self, entries: &[(u64, u64)]) -> Vec<Vec<(u64, u64)>> {
-        let mut routed: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.shards.len()];
-        for &(k, v) in entries {
-            routed[self.shard_of(k)].push((k, v));
-        }
-        routed
-    }
-
-    /// Split a batch of keys into per-shard `(caller position, key)`
-    /// groups, preserving relative order within each shard.
-    fn scatter_keys(&self, keys: &[u64]) -> Vec<Vec<(usize, u64)>> {
-        let mut routed: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.shards.len()];
-        for (pos, &k) in keys.iter().enumerate() {
-            routed[self.shard_of(k)].push((pos, k));
-        }
-        routed
+    /// [`ShardedIndex::remove_batch_shared`] into a caller-owned buffer,
+    /// windowed and split like [`ShardedIndex::insert_batch_shared`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedIndex::remove_batch_shared`].
+    pub fn remove_batch_shared_into(
+        &self,
+        keys: &[u64],
+        out: &mut Vec<Option<u64>>,
+    ) -> Result<(), IndexError> {
+        out.clear();
+        out.resize(keys.len(), None);
+        route_all(self.bits, keys, |i, window, hashes, positions| {
+            let (keys, out) = (&keys[window.clone()], &mut out[window]);
+            self.shards[i].write(|s| s.remove_chunk(keys, hashes, positions, out));
+        });
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -573,81 +554,38 @@ impl Index for ShardedIndex {
         }
     }
 
-    /// Scatter/gather batched lookup: keys are split by shard, each
-    /// shard's group is answered through its one-ticket-per-chunk batched
-    /// path inside the same read section [`Index::get`] enters, and the
-    /// answers are reassembled in caller order (`out[i]` answers
-    /// `keys[i]`).
+    /// Allocating wrapper of [`ShardedIndex::get_many_into`].
     fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        if self.bits == 0 {
-            return self.shards[0].get_many(keys);
-        }
-        // (caller position, key) per shard, preserving relative order.
-        let routed = self.scatter_keys(keys);
-        let mut out = vec![None; keys.len()];
-        let mut shard_keys = Vec::new();
-        for (i, group) in routed.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            shard_keys.clear();
-            shard_keys.extend(group.iter().map(|&(_, k)| k));
-            let answers = self.shards[i].get_many(&shard_keys);
-            for (&(pos, _), ans) in group.iter().zip(answers) {
-                out[pos] = ans;
-            }
-        }
+        let mut out = Vec::with_capacity(keys.len());
+        self.get_many_into(keys, &mut out);
         out
     }
 
-    /// Scatter batched insert: entries are split by shard and each
-    /// shard's group is applied through its batched path.
+    /// [`ShardedIndex::insert_batch_shared`] without the locks: the
+    /// exclusive borrow already excludes every reader and writer.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing shard's error; see
-    /// [`ShardedIndex::insert_batch_shared`] for the per-shard
-    /// applied-prefix contract.
+    /// As [`ShardedIndex::insert_batch_shared`].
     fn insert_batch(&mut self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
-        if self.bits == 0 {
-            return self.shards[0].eh.get_mut().insert_batch(entries);
-        }
-        for (i, group) in self.scatter_entries(entries).iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            self.shards[i].eh.get_mut().insert_batch(group)?;
-        }
-        Ok(())
+        route(self.bits, entries, |i, window, hashes, positions| {
+            let shard = self.shards[i].eh.get_mut();
+            shard.insert_chunk(&entries[window], hashes, positions)
+        })
     }
 
-    /// Scattered batched remove: keys are split by shard, each shard's
-    /// group is applied through its batched path, and the answers are
-    /// reassembled in caller order.
+    /// [`ShardedIndex::remove_batch_shared`] without the locks.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing shard's error; see
-    /// [`ShardedIndex::remove_batch_shared`] for the per-shard
-    /// applied-prefix contract.
+    /// As [`ShardedIndex::remove_batch_shared`].
     fn remove_batch(&mut self, keys: &[u64]) -> Result<Vec<Option<u64>>, IndexError> {
-        if self.bits == 0 {
-            return self.shards[0].eh.get_mut().remove_batch(keys);
-        }
-        let routed = self.scatter_keys(keys);
         let mut out = vec![None; keys.len()];
-        let mut shard_keys = Vec::new();
-        for (i, group) in routed.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            shard_keys.clear();
-            shard_keys.extend(group.iter().map(|&(_, k)| k));
-            let answers = self.shards[i].eh.get_mut().remove_batch(&shard_keys)?;
-            for (&(pos, _), ans) in group.iter().zip(answers) {
-                out[pos] = ans;
-            }
-        }
+        route_all(self.bits, keys, |i, window, hashes, positions| {
+            let (keys, out) = (&keys[window.clone()], &mut out[window]);
+            let shard = self.shards[i].eh.get_mut();
+            shard.remove_chunk(keys, hashes, positions, out);
+        });
         Ok(out)
     }
 }

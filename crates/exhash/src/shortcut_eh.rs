@@ -29,9 +29,10 @@
 //! are alive.
 
 use crate::bucket::{BucketLayout, BucketRef};
-use crate::eh::{CompactionOutcome, DirEvent, EhConfig, ExtendibleHash};
+use crate::eh::{CompactionOutcome, DirEvent, EhConfig, ExtendibleHash, PREFETCH_DISTANCE};
 use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash};
+use crate::route::{route, route_all};
 use crate::stats::IndexStats;
 use crate::traits::Index;
 use shortcut_core::{
@@ -96,12 +97,6 @@ pub struct ShortcutEh {
 }
 
 impl ShortcutEh {
-    /// Keys served under one reader pin / seqlock ticket in
-    /// [`Index::get_many`]: large enough to amortize the per-chunk
-    /// validation to nothing, small enough (microseconds of pin hold)
-    /// that batched read storms cannot stall the reclaim scan.
-    pub(crate) const GET_MANY_PIN_CHUNK: usize = 4096; // audit:allow(page-literal): key-batch size per pin, not a page size
-
     /// Build with custom configuration and spawn the mapper thread.
     ///
     /// # Errors
@@ -518,32 +513,41 @@ impl ShortcutEh {
         self.eh.ideal_layout_vmas()
     }
 
+    /// The bucket slot the published directory of ticket `t` holds for the
+    /// directory hash `hash`. The caller holds a pin on the retire list,
+    /// taken before the ticket: it is what keeps a directory this read
+    /// might land in mapped until the read drains. What the bucket reads
+    /// is only an answer once [`SharedDirectoryState::still_valid`] says
+    /// so for `t`.
+    ///
+    /// [`SharedDirectoryState::still_valid`]: shortcut_core::SharedDirectoryState::still_valid
+    #[inline(always)]
+    fn published_bucket(&self, t: ReadTicket, hash: u64) -> BucketRef {
+        debug_assert!(t.slots.is_power_of_two());
+        let slot = dir_slot(hash, t.slots.trailing_zeros());
+        // SAFETY: the published area has t.slots slots; `slot < t.slots`
+        // by construction of dir_slot, so the pointer is in-bounds and
+        // slot-aligned; a racing rebuild retires the old area but
+        // reclamation waits for the caller's pin to drop, so the slot stays
+        // readable (stale data is discarded by the caller's ticket check).
+        unsafe { BucketRef::from_ptr(t.base.add(slot << self.slot_shift), self.bucket_layout) }
+    }
+
     /// Read `key` through the published directory of ticket `t`; `hash`
     /// is the key's directory hash. `None` means "not answered" (raced a
     /// modification, or the bucket is deeper than the published depth) —
-    /// fall back to the traditional directory. The caller holds a pin on
-    /// the retire list, taken before the ticket: it is what keeps a
-    /// directory this read might land in mapped until the read drains.
+    /// fall back to the traditional directory. Needs the caller's pin
+    /// ([`ShortcutEh::published_bucket`]).
     #[inline(always)]
     fn read_through(&self, t: ReadTicket, key: u64, hash: u64) -> Option<Option<u64>> {
-        debug_assert!(t.slots.is_power_of_two());
-        let g = t.slots.trailing_zeros();
-        let slot = dir_slot(hash, g);
-        // SAFETY: the published area has t.slots slots; `slot < t.slots`
-        // by construction of dir_slot; a racing rebuild retires the old
-        // area but reclamation waits for the caller's pin to drop, so the
-        // slot stays readable (stale data is discarded by the ticket
-        // below).
-        let bucket_ptr = unsafe { t.base.add(slot << self.slot_shift) };
-        // SAFETY: `bucket_ptr` is in-bounds and slot-aligned per above.
-        let bucket = unsafe { BucketRef::from_ptr(bucket_ptr, self.bucket_layout) };
+        let bucket = self.published_bucket(t, hash);
         // The shortcut may be published at a coarser depth than the
         // traditional directory (VMA-budget admission). A bucket deeper
         // than the published depth shares its slot with a sibling and is
         // not resolvable here — serve that key traditionally. (A torn
         // read of the depth field is fine: the ticket check below
         // discards any value read across a racing modification.)
-        if bucket.local_depth() > g {
+        if bucket.local_depth() > t.slots.trailing_zeros() {
             return None;
         }
         let result = bucket.get(key);
@@ -574,48 +578,119 @@ impl ShortcutEh {
         self.eh.get_hashed(key, h)
     }
 
-    /// Answer one chunk of a batched lookup (at most
-    /// [`ShortcutEh::GET_MANY_PIN_CHUNK`] keys) under the caller's pin and
-    /// one seqlock ticket, appending to `out`. A chunk that is out of sync
-    /// or raced a modification is answered through the traditional
-    /// directory.
-    pub(crate) fn get_chunk(&self, chunk: &[u64], pin: &ReaderPin<'_>, out: &mut Vec<Option<u64>>) {
-        debug_assert!(chunk.len() <= Self::GET_MANY_PIN_CHUNK);
+    /// Answer the routed `positions` of one window of a batched lookup
+    /// (see [`crate::route`]) under the caller's pin and one seqlock
+    /// ticket: `out[p]` answers `keys[p]`, whose [`mult_hash`] is
+    /// `hashes[p]`. The published bucket address is a function of the
+    /// hash alone, so the lines the probe of the key
+    /// [`PREFETCH_DISTANCE`] ahead will read are requested from the
+    /// ticket's base before the current key is probed — one stage where
+    /// the traditional directory needs two
+    /// ([`ExtendibleHash::get_chunk`]). A chunk that is out of sync or
+    /// raced a modification is answered through the traditional directory.
+    pub(crate) fn get_chunk(
+        &self,
+        keys: &[u64],
+        hashes: &[u64],
+        positions: &[u16],
+        pin: &ReaderPin<'_>,
+        out: &mut [Option<u64>],
+    ) {
         let state = self.maint.state();
+        let n = positions.len();
         if let Some(t) = self.use_shortcut.then(|| state.begin_read()).flatten() {
-            debug_assert!(t.slots.is_power_of_two());
             let g = t.slots.trailing_zeros();
-            let start = out.len();
+            let at = |i: usize| {
+                let p = positions[i] as usize;
+                let h = self.eh.dir_hash_of(hashes[p]);
+                (p, keys[p], h, self.published_bucket(t, h))
+            };
+            // A prefetch cannot fault and its result is never consumed, so
+            // it may run ahead of the ticket's validation.
+            let ahead = |i: usize| {
+                let (_, key, _, bucket) = at(i);
+                bucket.prefetch(key);
+            };
+            (0..n.min(PREFETCH_DISTANCE)).for_each(ahead);
             let mut deep = 0u64;
-            out.extend(chunk.iter().map(|&k| {
-                let slot = dir_slot(self.eh.dir_hash(k), g);
-                // SAFETY: see `read_through` — slot < t.slots and the pin
-                // defers reclamation of retired areas.
-                let bucket = unsafe {
-                    BucketRef::from_ptr(t.base.add(slot << self.slot_shift), self.bucket_layout)
-                };
+            for i in 0..n {
+                if i + PREFETCH_DISTANCE < n {
+                    ahead(i + PREFETCH_DISTANCE);
+                }
+                let (p, key, h, bucket) = at(i);
                 // Coarsely published directory: over-depth buckets are
                 // unresolvable here, answer those keys traditionally (see
                 // `read_through`).
-                if bucket.local_depth() > g {
+                out[p] = if bucket.local_depth() > g {
                     deep += 1;
-                    self.eh.get(k)
+                    self.eh.get_hashed(key, h)
                 } else {
-                    bucket.get(k)
-                }
-            }));
+                    bucket.get(key)
+                };
+            }
+            #[cfg(test)]
+            if let Some(hook) = tests::BEFORE_VALIDATION.take() {
+                hook();
+            }
             if state.still_valid(t) {
-                pin.tally(SHORTCUT_LOOKUPS, chunk.len() as u64 - deep);
-                pin.tally(TRADITIONAL_LOOKUPS, deep);
+                pin.tally(SHORTCUT_LOOKUPS, n as u64 - deep);
+                if deep > 0 {
+                    pin.tally(TRADITIONAL_LOOKUPS, deep);
+                }
                 return;
             }
-            // The chunk raced a modification; discard it, count one retry
-            // (one discarded ticket) and re-answer it traditionally.
-            out.truncate(start);
+            // The chunk raced a modification: count one retry (one
+            // discarded ticket) and answer it again, traditionally.
             pin.tally(SHORTCUT_RETRIES, 1);
         }
-        pin.tally(TRADITIONAL_LOOKUPS, chunk.len() as u64);
-        out.extend(chunk.iter().map(|&k| self.eh.get(k)));
+        pin.tally(TRADITIONAL_LOOKUPS, n as u64);
+        self.eh.get_chunk(keys, hashes, positions, out);
+    }
+
+    /// Insert the routed `positions` of one window of a batch, in order,
+    /// relaying directory events to the mapper once for all of them.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failing insert; the entries before it stay
+    /// applied and relayed.
+    pub(crate) fn insert_chunk(
+        &mut self,
+        entries: &[(u64, u64)],
+        hashes: &[u64],
+        positions: &[u16],
+    ) -> Result<(), IndexError> {
+        let result = positions.iter().try_for_each(|&p| {
+            let (key, value) = entries[p as usize];
+            let h = self.eh.dir_hash_of(hashes[p as usize]);
+            self.eh.insert_hashed(key, value, h)?;
+            // Keep incremental compaction paced per entry, not per batch:
+            // a giant batch would otherwise stall an in-flight plan.
+            self.maybe_compact();
+            Ok(())
+        });
+        // Relay what happened, also after an error, so the shortcut
+        // converges on the applied prefix — and before the caller leaves
+        // its write section: the version bump is what keeps readers off a
+        // shortcut that predates these splits.
+        self.relay_events();
+        result
+    }
+
+    /// Remove the routed `positions` of one window of a batch, in order:
+    /// `out[p]` is the value `keys[p]` held. Bucket contents only — no
+    /// directory change, no maintenance traffic.
+    pub(crate) fn remove_chunk(
+        &mut self,
+        keys: &[u64],
+        hashes: &[u64],
+        positions: &[u16],
+        out: &mut [Option<u64>],
+    ) {
+        for &p in positions {
+            let h = self.eh.dir_hash_of(hashes[p as usize]);
+            out[p as usize] = self.eh.remove_hashed(keys[p as usize], h);
+        }
     }
 }
 
@@ -652,37 +727,28 @@ impl Index for ShortcutEh {
     }
 
     /// Batched lookup with one seqlock ticket (and one reader pin) per
-    /// chunk of up to 4096 keys: the two version validations are paid once
-    /// per chunk instead of per key. The pin is per chunk on purpose: one
-    /// pin spanning an arbitrarily large batch would keep a reclaim-scan
-    /// stripe busy indefinitely and starve retired-directory reclamation
-    /// (the bounded-spin scan gives up, and retired areas accumulate
-    /// against the VMA budget).
+    /// window of 4096 keys: the two version validations are paid
+    /// once per window instead of per key. The pin is per window on
+    /// purpose: one pin spanning an arbitrarily large batch would keep a
+    /// reclaim-scan stripe busy indefinitely and starve retired-directory
+    /// reclamation (the bounded-spin scan gives up, and retired areas
+    /// accumulate against the VMA budget).
     fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(Self::GET_MANY_PIN_CHUNK) {
-            self.get_chunk(chunk, &self.retire.pin(), &mut out);
-        }
+        let mut out = vec![None; keys.len()];
+        route_all(0, keys, |_, window, hashes, positions| {
+            let (keys, out) = (&keys[window.clone()], &mut out[window]);
+            self.get_chunk(keys, hashes, positions, &self.retire.pin(), out);
+        });
         out
     }
 
     /// Batched insert that relays directory events to the mapper once per
-    /// batch instead of once per key, shrinking producer-side overhead
+    /// window instead of once per key, shrinking producer-side overhead
     /// during insert storms.
     fn insert_batch(&mut self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
-        for &(k, v) in entries {
-            if let Err(e) = self.eh.insert(k, v) {
-                // Relay what already happened so the shortcut still
-                // converges on the applied prefix.
-                self.relay_events();
-                return Err(e);
-            }
-            // Keep incremental compaction paced per entry, not per batch:
-            // a giant batch would otherwise stall an in-flight plan.
-            self.maybe_compact();
-        }
-        self.relay_events();
-        Ok(())
+        route(0, entries, |_, window, hashes, positions| {
+            self.insert_chunk(&entries[window], hashes, positions)
+        })
     }
 }
 
@@ -709,6 +775,13 @@ mod tests {
             },
             policy: RoutePolicy::default(),
         }
+    }
+
+    thread_local! {
+        /// Runs once on this thread, between the last probe of the next
+        /// `get_chunk` and its ticket validation.
+        pub(super) static BEFORE_VALIDATION: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+            const { std::cell::Cell::new(None) };
     }
 
     /// The shortcut path alone, as `get_pinned` takes it.
@@ -808,6 +881,36 @@ mod tests {
         // The synced batch must have been answered via the shortcut.
         let s = t.stats();
         assert!(s.shortcut_lookups >= keys.len() as u64);
+    }
+
+    #[test]
+    fn invalidated_chunk_is_answered_traditionally_and_counted_once() {
+        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
+        for k in 0..8_000u64 {
+            t.insert(k, !k).unwrap();
+        }
+        assert!(t.wait_sync(Duration::from_secs(10)));
+        // Two windows, hits and misses. A modification lands after the
+        // first window's last probe: that ticket is discarded and the
+        // window answered again; the second window finds the shortcut out
+        // of sync and never takes a ticket.
+        let keys: Vec<u64> = (0..5_000u64).map(|k| k * 2).collect();
+        let before = t.stats();
+        let state = t.state_arc();
+        BEFORE_VALIDATION.set(Some(Box::new(move || {
+            state.bump_traditional();
+        })));
+        let got = t.get_many(&keys);
+        for (&k, got) in keys.iter().zip(got) {
+            assert_eq!(got, (k < 8_000).then_some(!k), "key {k}");
+        }
+        let after = t.stats();
+        assert_eq!(after.shortcut_retries - before.shortcut_retries, 1);
+        assert_eq!(after.shortcut_lookups, before.shortcut_lookups);
+        assert_eq!(
+            after.traditional_lookups - before.traditional_lookups,
+            keys.len() as u64
+        );
     }
 
     #[test]

@@ -135,9 +135,8 @@ mod tests {
         assert!(revoke());
         assert!(revoke(), "already locked: nothing to wait for");
         assert_eq!(bias.counters(), (1, 0));
-        for _ in 0..REARM_AFTER - 1 {
-            bias.note_locked_read();
-        }
+        // (Not a range: the run is a single read in the model build.)
+        std::iter::repeat_n((), REARM_AFTER as usize - 1).for_each(|()| bias.note_locked_read());
         assert!(!bias.is_armed(), "one read short of the run");
         assert!(revoke(), "a writer restarts the run");
         for _ in 0..REARM_AFTER {

@@ -19,9 +19,9 @@
 //!    runs** (reads / inserts / removes). Runs execute in order, so the
 //!    FIFO semantics survive; within a run the per-request cost is
 //!    amortized:
-//!    * a read run becomes **one** `get_many` batch — one seqlock ticket
-//!      and one reader pin per shard chunk for every `GET`/`MGET` in the
-//!      run (PR 2's contract, built for exactly this caller);
+//!    * a read run becomes **one** `get_many_into` batch — one seqlock
+//!      ticket and one reader pin per shard for every `GET`/`MGET` in the
+//!      run, answered into a buffer the executor keeps ([`RunBuffers`]);
 //!    * a write run becomes **one** `insert_batch_shared` — scattered so
 //!      each shard's writer lane runs in parallel with other executors;
 //!    * a remove run becomes **one** `remove_batch_shared`.
@@ -223,122 +223,144 @@ impl ServerStats {
     }
 }
 
-/// Execute one drained FIFO batch: split into maximal homogeneous runs
-/// and drive each run through the matching batched index entry point.
+/// Execute one drained FIFO batch on fresh buffers. An executor loop
+/// keeps a [`RunBuffers`] and calls [`RunBuffers::execute`] instead.
 pub fn execute_batch(index: &ShortcutIndex, stats: &ServerStats, ops: Vec<Op>) {
-    let mut reads: Vec<(Vec<u64>, bool, Arc<ReplySlot>)> = Vec::new();
-    let mut writes: Vec<(u64, u64, Arc<ReplySlot>)> = Vec::new();
-    let mut removes: Vec<(Vec<u64>, Arc<ReplySlot>)> = Vec::new();
-    // `kind` of the run currently being accumulated: 0 reads, 1 writes,
-    // 2 removes. A kind switch flushes the previous run, preserving the
-    // drained FIFO order across runs.
-    let mut current: Option<u8> = None;
-    for op in ops {
-        let kind = match op {
-            Op::Read { .. } => 0u8,
-            Op::Write { .. } => 1,
-            Op::Remove { .. } => 2,
-        };
-        if current.is_some() && current != Some(kind) {
-            flush_run(index, stats, &mut reads, &mut writes, &mut removes);
-        }
-        current = Some(kind);
-        match op {
-            Op::Read { keys, single, slot } => reads.push((keys, single, slot)),
-            Op::Write { key, value, slot } => writes.push((key, value, slot)),
-            Op::Remove { keys, slot } => removes.push((keys, slot)),
-        }
-    }
-    flush_run(index, stats, &mut reads, &mut writes, &mut removes);
+    RunBuffers::default().execute(index, stats, ops);
 }
 
-/// Execute whichever single run is pending (at most one of the three
-/// vectors is non-empty between flushes).
-fn flush_run(
-    index: &ShortcutIndex,
-    stats: &ServerStats,
-    reads: &mut Vec<(Vec<u64>, bool, Arc<ReplySlot>)>,
-    writes: &mut Vec<(u64, u64, Arc<ReplySlot>)>,
-    removes: &mut Vec<(Vec<u64>, Arc<ReplySlot>)>,
-) {
-    if !reads.is_empty() {
-        let all_keys: Vec<u64> = reads
-            .iter()
-            .flat_map(|(keys, _, _)| keys.iter().copied())
-            .collect();
-        let answers = index.get_many(&all_keys);
-        stats.read_batches.fetch_add(1, Ordering::Relaxed);
-        stats
-            .read_ops
-            .fetch_add(reads.len() as u64, Ordering::Relaxed);
-        stats
-            .read_keys
-            .fetch_add(all_keys.len() as u64, Ordering::Relaxed);
-        let mut at = 0;
-        for (keys, single, slot) in reads.drain(..) {
-            let mine = &answers[at..at + keys.len()];
-            at += keys.len();
-            let reply = if single {
-                match mine[0] {
-                    Some(v) => Reply::bulk_u64(v),
-                    None => Reply::Nil,
-                }
-            } else {
-                Reply::Array(
-                    mine.iter()
-                        .map(|a| match a {
-                            Some(v) => Reply::bulk_u64(*v),
-                            None => Reply::Nil,
-                        })
-                        .collect(),
-                )
+/// What one run of a drained batch is gathered into and answered from.
+/// An executor owns one for its lifetime, so a steady-state run allocates
+/// nothing: the index's `_into` entry points reuse `answers`, and the
+/// gathering vectors keep their capacity.
+#[derive(Debug, Default)]
+pub struct RunBuffers {
+    reads: Vec<(Vec<u64>, bool, Arc<ReplySlot>)>,
+    writes: Vec<(u64, u64, Arc<ReplySlot>)>,
+    removes: Vec<(Vec<u64>, Arc<ReplySlot>)>,
+    /// The run's keys (reads, removes) flattened in FIFO order.
+    keys: Vec<u64>,
+    /// The run's entries (writes) in FIFO order.
+    entries: Vec<(u64, u64)>,
+    /// `answers[i]` answers `keys[i]`.
+    answers: Vec<Option<u64>>,
+}
+
+impl RunBuffers {
+    /// Execute one drained FIFO batch: split it into maximal homogeneous
+    /// runs and drive each run through the matching batched index entry
+    /// point.
+    pub fn execute(&mut self, index: &ShortcutIndex, stats: &ServerStats, ops: Vec<Op>) {
+        // `kind` of the run currently being accumulated: 0 reads, 1
+        // writes, 2 removes. A kind switch flushes the previous run,
+        // preserving the drained FIFO order across runs.
+        let mut current: Option<u8> = None;
+        for op in ops {
+            let kind = match op {
+                Op::Read { .. } => 0u8,
+                Op::Write { .. } => 1,
+                Op::Remove { .. } => 2,
             };
-            slot.fill(reply);
-        }
-    } else if !writes.is_empty() {
-        let entries: Vec<(u64, u64)> = writes.iter().map(|&(k, v, _)| (k, v)).collect();
-        let result = index.insert_batch_shared(&entries);
-        stats.write_batches.fetch_add(1, Ordering::Relaxed);
-        stats
-            .write_ops
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        for (_, _, slot) in writes.drain(..) {
-            // On a batch failure every member reports it: per-shard
-            // applied prefixes are not attributable to individual
-            // entries from out here, and a spurious error beats a
-            // spurious OK. (Insert only fails when the pool/directory
-            // cannot grow — the server equivalent of OOM.)
-            slot.fill(match &result {
-                Ok(()) => Reply::Simple("OK"),
-                Err(e) => Reply::Error(format!("ERR storage: {e}")),
-            });
-        }
-    } else if !removes.is_empty() {
-        let all_keys: Vec<u64> = removes
-            .iter()
-            .flat_map(|(keys, _)| keys.iter().copied())
-            .collect();
-        let result = index.remove_batch_shared(&all_keys);
-        stats.del_batches.fetch_add(1, Ordering::Relaxed);
-        stats
-            .del_keys
-            .fetch_add(all_keys.len() as u64, Ordering::Relaxed);
-        match result {
-            Ok(answers) => {
-                let mut at = 0;
-                for (keys, slot) in removes.drain(..) {
-                    let removed = answers[at..at + keys.len()]
-                        .iter()
-                        .filter(|a| a.is_some())
-                        .count();
-                    at += keys.len();
-                    slot.fill(Reply::Int(removed as i64));
-                }
+            if current.is_some() && current != Some(kind) {
+                self.flush_run(index, stats);
             }
-            Err(e) => {
-                let msg = format!("ERR storage: {e}");
-                for (_, slot) in removes.drain(..) {
-                    slot.fill(Reply::Error(msg.clone()));
+            current = Some(kind);
+            match op {
+                Op::Read { keys, single, slot } => self.reads.push((keys, single, slot)),
+                Op::Write { key, value, slot } => self.writes.push((key, value, slot)),
+                Op::Remove { keys, slot } => self.removes.push((keys, slot)),
+            }
+        }
+        self.flush_run(index, stats);
+    }
+
+    /// Execute whichever single run is pending (at most one of the three
+    /// gathering vectors is non-empty between flushes).
+    fn flush_run(&mut self, index: &ShortcutIndex, stats: &ServerStats) {
+        let RunBuffers {
+            reads,
+            writes,
+            removes,
+            keys,
+            entries,
+            answers,
+        } = self;
+        if !reads.is_empty() {
+            keys.clear();
+            keys.extend(reads.iter().flat_map(|(keys, _, _)| keys));
+            index.get_many_into(keys, answers);
+            stats.read_batches.fetch_add(1, Ordering::Relaxed);
+            stats
+                .read_ops
+                .fetch_add(reads.len() as u64, Ordering::Relaxed);
+            stats
+                .read_keys
+                .fetch_add(keys.len() as u64, Ordering::Relaxed);
+            let mut at = 0;
+            for (keys, single, slot) in reads.drain(..) {
+                let mine = &answers[at..at + keys.len()];
+                at += keys.len();
+                let reply = if single {
+                    match mine[0] {
+                        Some(v) => Reply::bulk_u64(v),
+                        None => Reply::Nil,
+                    }
+                } else {
+                    Reply::Array(
+                        mine.iter()
+                            .map(|a| match a {
+                                Some(v) => Reply::bulk_u64(*v),
+                                None => Reply::Nil,
+                            })
+                            .collect(),
+                    )
+                };
+                slot.fill(reply);
+            }
+        } else if !writes.is_empty() {
+            entries.clear();
+            entries.extend(writes.iter().map(|&(k, v, _)| (k, v)));
+            let result = index.insert_batch_shared(entries);
+            stats.write_batches.fetch_add(1, Ordering::Relaxed);
+            stats
+                .write_ops
+                .fetch_add(entries.len() as u64, Ordering::Relaxed);
+            for (_, _, slot) in writes.drain(..) {
+                // On a batch failure every member reports it: per-shard
+                // applied prefixes are not attributable to individual
+                // entries from out here, and a spurious error beats a
+                // spurious OK. (Insert only fails when the pool/directory
+                // cannot grow — the server equivalent of OOM.)
+                slot.fill(match &result {
+                    Ok(()) => Reply::Simple("OK"),
+                    Err(e) => Reply::Error(format!("ERR storage: {e}")),
+                });
+            }
+        } else if !removes.is_empty() {
+            keys.clear();
+            keys.extend(removes.iter().flat_map(|(keys, _)| keys));
+            let result = index.remove_batch_shared_into(keys, answers);
+            stats.del_batches.fetch_add(1, Ordering::Relaxed);
+            stats
+                .del_keys
+                .fetch_add(keys.len() as u64, Ordering::Relaxed);
+            match result {
+                Ok(()) => {
+                    let mut at = 0;
+                    for (keys, slot) in removes.drain(..) {
+                        let removed = answers[at..at + keys.len()]
+                            .iter()
+                            .filter(|a| a.is_some())
+                            .count();
+                        at += keys.len();
+                        slot.fill(Reply::Int(removed as i64));
+                    }
+                }
+                Err(e) => {
+                    let msg = format!("ERR storage: {e}");
+                    for (_, slot) in removes.drain(..) {
+                        slot.fill(Reply::Error(msg.clone()));
+                    }
                 }
             }
         }

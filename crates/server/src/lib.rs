@@ -24,7 +24,7 @@ pub mod conn;
 pub mod protocol;
 pub mod server;
 
-pub use batch::{execute_batch, Lane, Op, ReplySlot, ServerStats};
+pub use batch::{execute_batch, Lane, Op, ReplySlot, RunBuffers, ServerStats};
 pub use config::{Engine, ServerConfig};
 pub use protocol::{Decoder, ProtoError, RawCommand, Reply, Request};
 pub use server::{Server, ServerCtx, ShutdownReport};

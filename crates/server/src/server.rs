@@ -19,7 +19,7 @@
 //! 4. the final [`StatsSnapshot`] and server counters are captured for
 //!    the shutdown report.
 
-use crate::batch::{execute_batch, Lane, ServerStats};
+use crate::batch::{Lane, RunBuffers, ServerStats};
 use crate::config::{Engine, ServerConfig};
 use shortcut_rewire::sync::{AtomicBool, AtomicU64, Ordering};
 use std::io;
@@ -304,12 +304,13 @@ fn acceptor_loop(
 /// drain-flag-and-empty contract encoded in `Lane::drain`.
 fn executor_loop(ctx: &Arc<ServerCtx>, lane_idx: usize) {
     let lane = &ctx.lanes[lane_idx];
+    let mut buffers = RunBuffers::default();
     loop {
         let ops = lane.drain(ctx.cfg.max_batch, ctx.cfg.batch_window, &ctx.drain);
         if ops.is_empty() {
             return;
         }
-        execute_batch(&ctx.index, &ctx.stats, ops);
+        buffers.execute(&ctx.index, &ctx.stats, ops);
     }
 }
 

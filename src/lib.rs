@@ -666,9 +666,19 @@ impl ShortcutIndex {
         Index::get(&self.inner, key)
     }
 
-    /// Batched lookup; validates one seqlock ticket for the whole batch.
+    /// Batched lookup: `out[i]` answers `keys[i]`. Hashes each key once,
+    /// enters each shard once per window of 4096 keys (one pin, one
+    /// seqlock ticket) and prefetches ahead of the probe. Allocates the
+    /// answer; see [`ShortcutIndex::get_many_into`].
     pub fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
         Index::get_many(&self.inner, keys)
+    }
+
+    /// [`ShortcutIndex::get_many`] into a caller-owned buffer (resized to
+    /// `keys.len()`): no allocation once `out` has the capacity — what a
+    /// server's executor loop wants.
+    pub fn get_many_into(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
+        self.inner.get_many_into(keys, out);
     }
 
     /// Insert a batch, relaying directory events to the mapper once.
@@ -834,6 +844,20 @@ impl ShortcutIndex {
     /// their removals.
     pub fn remove_batch_shared(&self, keys: &[u64]) -> Result<Vec<Option<u64>>, IndexError> {
         self.inner.remove_batch_shared(keys)
+    }
+
+    /// [`ShortcutIndex::remove_batch_shared`] into a caller-owned buffer
+    /// (resized to `keys.len()`).
+    ///
+    /// # Errors
+    ///
+    /// As [`ShortcutIndex::remove_batch_shared`].
+    pub fn remove_batch_shared_into(
+        &self,
+        keys: &[u64],
+        out: &mut Vec<Option<u64>>,
+    ) -> Result<(), IndexError> {
+        self.inner.remove_batch_shared_into(keys, out)
     }
 
     /// One merged snapshot of index, maintenance, and pool counters,
