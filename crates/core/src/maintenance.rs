@@ -710,8 +710,13 @@ pub struct Maintainer {
 impl Maintainer {
     /// Spawn the mapper thread over `pool`.
     pub fn spawn(pool: PoolHandle, cfg: MaintConfig) -> Self {
+        Self::spawn_on(pool, cfg, Arc::new(SharedDirectoryState::new()))
+    }
+
+    /// [`Maintainer::spawn`] publishing into a `state` the caller built
+    /// (with the index's [`crate::ReadGeometry`]).
+    pub fn spawn_on(pool: PoolHandle, cfg: MaintConfig, state: Arc<SharedDirectoryState>) -> Self {
         let queue: Arc<SegQueue<MaintRequest>> = Arc::new(SegQueue::new());
-        let state = Arc::new(SharedDirectoryState::new());
         let metrics = Arc::new(MaintMetrics::default());
         let stop = Arc::new(AtomicBool::new(false));
         let stop_signal: Arc<(Mutex<()>, Condvar)> = Arc::new((Mutex::new(()), Condvar::new()));
@@ -1291,7 +1296,8 @@ mod tests {
         assert!(!state.suspended());
         assert!(state.in_sync());
         let t = state.begin_read().unwrap();
-        assert_eq!(t.slots, 6);
+        // The descriptor publishes a depth: of 6 slots, hashes reach 4.
+        assert_eq!(t.slots, 4);
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
         unsafe {

@@ -18,8 +18,31 @@
 
 use shortcut_rewire::sync::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
-/// Shared state published by the mapper thread and read by lookups.
+/// The constants a lookup needs beside the published directory, fixed when
+/// the index is built: they ride in the descriptor so a read finds them on
+/// the line it loads anyway.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadGeometry {
+    /// `log2(slot_bytes)`: published slot `i` starts at `base + (i << slot_shift)`.
+    pub slot_shift: u32,
+    /// Left rotation that turns a key's hash into its directory hash.
+    pub hash_rot: u32,
+    /// Entries per bucket.
+    pub bucket_capacity: u32,
+    /// Byte offset of a bucket's entry array.
+    pub bucket_entries_off: u32,
+}
+
+/// The read descriptor: everything a shortcut-served lookup loads before
+/// it touches the bucket, on one cache line. Published by the mapper
+/// thread (and, for the routing bit, the write path); read by lookups.
+///
+/// Invariant: `base` is non-null whenever `shortcut_version != 0` —
+/// [`SharedDirectoryState::publish`] refuses a null base or a zero version
+/// and stores the base before the version, so a reader whose Acquire load
+/// saw a version also sees a base.
 #[derive(Debug)]
+#[repr(align(64))]
 pub struct SharedDirectoryState {
     /// Version of the traditional directory (bumped by the index on every
     /// directory-modifying operation).
@@ -29,8 +52,13 @@ pub struct SharedDirectoryState {
     shortcut_version: AtomicU64,
     /// Base address of the current shortcut area (null until first create).
     base: AtomicPtr<u8>,
-    /// Slot count of the current shortcut area.
-    slots: AtomicUsize,
+    /// `log2` of the current shortcut area's slot count: the depth a
+    /// reader shifts by.
+    depth: AtomicUsize,
+    geometry: ReadGeometry,
+    /// Whether lookups should try the shortcut at the directory's current
+    /// fan-in. Written by the write path, which excludes the readers.
+    route_shortcut: AtomicBool,
     /// Whether the mapper skipped the latest rebuild because the directory
     /// no longer fits the VMA budget. Readers fall back to the traditional
     /// directory until a rebuild fits again.
@@ -50,21 +78,57 @@ pub struct ReadTicket {
     version: u64,
     /// Published base pointer at ticket time.
     pub base: *mut u8,
-    /// Published slot count at ticket time.
+    /// Published slot count at ticket time: a power of two.
     pub slots: usize,
+}
+
+impl ReadTicket {
+    /// `log2(slots)`: the published depth at ticket time. (Where
+    /// [`SharedDirectoryState::begin_read`] is inlined this is the depth
+    /// it loaded, not a bit scan of `slots`.)
+    #[inline]
+    pub fn depth(&self) -> u32 {
+        self.slots.trailing_zeros()
+    }
 }
 
 impl SharedDirectoryState {
     /// Fresh state: both versions 0, no shortcut published.
     pub fn new() -> Self {
+        Self::with_geometry(ReadGeometry::default())
+    }
+
+    /// [`SharedDirectoryState::new`] carrying the index's read constants.
+    pub fn with_geometry(geometry: ReadGeometry) -> Self {
         SharedDirectoryState {
             traditional_version: AtomicU64::new(0),
             shortcut_version: AtomicU64::new(0),
             base: AtomicPtr::new(std::ptr::null_mut()),
-            slots: AtomicUsize::new(0),
+            depth: AtomicUsize::new(0),
+            geometry,
+            route_shortcut: AtomicBool::new(true),
             suspended: AtomicBool::new(false),
             compaction_wanted: AtomicBool::new(false),
         }
+    }
+
+    /// The read constants this state was built with.
+    #[inline]
+    pub fn geometry(&self) -> ReadGeometry {
+        self.geometry
+    }
+
+    /// Record the routing decision for the directory's current fan-in.
+    /// Called from the write path only, inside the section that excludes
+    /// readers, whose hand-off orders it.
+    pub fn set_route_shortcut(&self, on: bool) {
+        self.route_shortcut.store(on, Ordering::Release);
+    }
+
+    /// Whether lookups should try the shortcut at all.
+    #[inline]
+    pub fn route_shortcut(&self) -> bool {
+        self.route_shortcut.load(Ordering::Acquire)
     }
 
     /// Record whether the live directory's mapping footprint exceeds the
@@ -85,7 +149,10 @@ impl SharedDirectoryState {
     /// traditional directory's slot count when admission published at a
     /// coarser depth to fit the VMA budget.
     pub fn published_slots(&self) -> usize {
-        self.slots.load(Ordering::Acquire)
+        if self.base.load(Ordering::Acquire).is_null() {
+            return 0;
+        }
+        1 << self.depth.load(Ordering::Acquire)
     }
 
     /// Record whether shortcut maintenance is suspended by the VMA budget
@@ -121,16 +188,22 @@ impl SharedDirectoryState {
     /// Whether the shortcut is in sync (and something has been published).
     pub fn in_sync(&self) -> bool {
         let sv = self.shortcut_version.load(Ordering::Acquire);
-        sv != 0
-            && sv == self.traditional_version.load(Ordering::Acquire)
-            && !self.base.load(Ordering::Acquire).is_null()
+        sv != 0 && sv == self.traditional_version.load(Ordering::Acquire)
     }
 
-    /// Publish a (possibly new) shortcut area reflecting `version`.
-    /// Called by the mapper thread only, *after* population finished.
+    /// Publish a (possibly new) shortcut area of `slots` slots reflecting
+    /// `version`. Called by the mapper thread only, *after* population
+    /// finished. Readers address the largest power of two of them, which
+    /// is all a hash-addressed directory has.
+    ///
+    /// # Panics
+    ///
+    /// On a null `base`, a zero `version` (the type's invariant) or no
+    /// slots.
     pub fn publish(&self, base: *mut u8, slots: usize, version: u64) {
+        assert!(!base.is_null() && version != 0);
         self.base.store(base, Ordering::Release);
-        self.slots.store(slots, Ordering::Release);
+        self.depth.store(slots.ilog2() as usize, Ordering::Release);
         self.shortcut_version.store(version, Ordering::Release);
     }
 
@@ -142,15 +215,13 @@ impl SharedDirectoryState {
         if sv == 0 || sv != self.traditional_version.load(Ordering::Acquire) {
             return None;
         }
+        // Non-null by the type's invariant: `sv != 0` was stored after it.
         let base = self.base.load(Ordering::Acquire);
-        if base.is_null() {
-            return None;
-        }
-        let slots = self.slots.load(Ordering::Acquire);
+        debug_assert!(!base.is_null());
         Some(ReadTicket {
             version: sv,
             base,
-            slots,
+            slots: 1 << self.depth.load(Ordering::Acquire),
         })
     }
 
@@ -198,7 +269,7 @@ impl SharedDirectoryState {
     /// cover, and validation has nothing to pair with.
     pub fn publish_seeded_relaxed(&self, base: *mut u8, slots: usize, version: u64) {
         self.base.store(base, Ordering::Release);
-        self.slots.store(slots, Ordering::Release);
+        self.depth.store(slots.ilog2() as usize, Ordering::Release);
         self.shortcut_version.store(version, Ordering::Relaxed);
     }
 }

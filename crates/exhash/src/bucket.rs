@@ -184,15 +184,18 @@ fn home_slot(key: u64, capacity: usize) -> usize {
     ((bucket_slot_hash(key) as u128 * capacity as u128) >> 64) as usize
 }
 
-/// Outcome of the unified bucket probe for a key.
+/// Outcome of the unified bucket probe for a key. Two words — a tag and
+/// one slot — so the outlined probe tier returns it in registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProbeHit {
     /// Key found live in this slot.
     Found(usize),
-    /// Key absent; `first_free` is the first insertable slot on its probe
-    /// path (a tombstone, or the never-used terminator), `None` when the
-    /// probe wrapped the whole bucket without one.
-    Missing { first_free: Option<usize> },
+    /// Key absent; this is the first insertable slot on its probe path (a
+    /// tombstone, or the never-used terminator).
+    Free(usize),
+    /// Key absent, and the probe wrapped the whole bucket without an
+    /// insertable slot.
+    Full,
 }
 
 /// Per-segment control flow of the probe (`[start, capacity)` then
@@ -242,8 +245,18 @@ pub struct BucketLayout {
 impl BucketLayout {
     /// Layout of a bucket filling `bytes` (the slot size): the maximum
     /// `capacity` with `8 + 16·⌈capacity/64⌉ + 16·capacity ≤ bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Unless `bytes` is a power of two of at least 128.
     pub fn for_bytes(bytes: usize) -> Self {
-        debug_assert!(bytes >= 128, "slot too small for a bucket ({bytes} B)");
+        // A capacity of zero would break the probe's fast window, which
+        // wraps but is not clamped to the capacity; `from_hot_fields`
+        // rounds up to the slot size.
+        assert!(
+            bytes >= 128 && bytes.is_power_of_two(),
+            "no bucket fits a slot of {bytes} B"
+        );
         let mut capacity = (bytes - 8) / 16; // ignores the bitmaps
         while 8 + 16 * capacity.div_ceil(64) + 16 * capacity > bytes {
             capacity -= 1;
@@ -260,6 +273,37 @@ impl BucketLayout {
     /// Layout of a bucket filling one slot of `slot_layout`.
     pub fn for_slot(slot_layout: SlotLayout) -> Self {
         Self::for_bytes(slot_layout.slot_bytes())
+    }
+
+    /// This layout as the constants of a read descriptor, for an index
+    /// whose directory hash is the key's hash rotated left by `hash_rot`.
+    pub(crate) fn read_geometry(self, hash_rot: u32) -> shortcut_core::ReadGeometry {
+        shortcut_core::ReadGeometry {
+            slot_shift: self.bytes.trailing_zeros(),
+            hash_rot,
+            bucket_capacity: self.capacity,
+            bucket_entries_off: self.entries_off,
+        }
+    }
+
+    /// The layout a read descriptor carries.
+    #[inline(always)]
+    pub(crate) fn from_geometry(g: shortcut_core::ReadGeometry) -> Self {
+        Self::from_hot_fields(g.bucket_capacity, g.bucket_entries_off)
+    }
+
+    /// The layout back from the two fields a probe's hit path reads — all
+    /// its caller need keep for [`BucketRef::probe_slow`]. The others
+    /// follow: the two bitmaps are equally long, and a slot is a power of
+    /// two less than twice what its bucket uses.
+    #[inline(always)]
+    fn from_hot_fields(capacity: u32, entries_off: u32) -> Self {
+        BucketLayout {
+            bytes: (entries_off + 16 * capacity).next_power_of_two(),
+            capacity,
+            tombstone_off: (OCCUPIED_OFF as u32 + entries_off) / 2,
+            entries_off,
+        }
     }
 
     /// The paper's 4 KB layout ([`BUCKET_CAPACITY`] entries).
@@ -318,6 +362,8 @@ impl BucketRef {
     pub unsafe fn from_ptr(ptr: *mut u8, layout: BucketLayout) -> Self {
         debug_assert!(!ptr.is_null());
         debug_assert_eq!(ptr as usize % 8, 0, "bucket slot must be aligned");
+        let rebuilt = BucketLayout::from_hot_fields(layout.capacity, layout.entries_off);
+        debug_assert_eq!(layout, rebuilt, "see `from_hot_fields`");
         BucketRef { ptr, layout }
     }
 
@@ -391,6 +437,16 @@ impl BucketRef {
         self.bitmap_word(base, slot / 64) >> (slot % 64) & 1 == 1
     }
 
+    /// [`Self::bit`] of the tombstone bitmap, off the probe's hit path:
+    /// rotated into the sign so that it shares no mask with the occupied test
+    /// (a mask the compiler would compute ahead of both).
+    #[inline]
+    fn tombstone_bit(self, slot: usize) -> bool {
+        let word = self.bitmap_word(self.tombstone_off(), slot / 64);
+        // `!slot` is `63 - slot % 64` modulo 64, the rotation's own modulus.
+        (word.rotate_left(!slot as u32) as i64) < 0
+    }
+
     #[inline]
     fn set_bit(self, base: usize, slot: usize, on: bool) {
         let w = self.bitmap_word(base, slot / 64);
@@ -427,49 +483,39 @@ impl BucketRef {
     /// loop (which paid a division, two bitmap-word loads and a shift per
     /// slot). The wrap-around is two linear segments, `[start, capacity)`
     /// then `[0, start)`, so there is no per-slot modulo.
-    #[inline]
-    fn probe(self, key: u64) -> ProbeHit {
-        // Lazy backend: the OnceLock is consulted only if the fast path
-        // falls through to the word walk, so the common short-run probe
-        // pays no atomic load for dispatch it never uses.
-        self.probe_inner(key, probe_backend)
-    }
-
-    /// [`Self::probe`] with an explicit backend — the agreement tests pit
-    /// every available kernel against the scalar one on the same bucket.
-    #[cfg(test)]
-    #[inline]
-    fn probe_with(self, key: u64, backend: ProbeBackend) -> ProbeHit {
-        self.probe_inner(key, || backend)
-    }
-
+    ///
     /// Two tiers. The *fast path*, inlined into the caller: at the paper's
     /// ~0.35 load limit a probe run averages ~1.3 slots, so a short
     /// per-slot walk answers nearly every probe with two bit tests and at
     /// most one key compare per slot — no word machinery, no backend
     /// dispatch, and a hot-path code footprint as small as the historical
     /// per-slot loop's. It only handles the all-occupied prefix of the
-    /// run: a match is Found, a never-used slot is a clean Missing (every
-    /// earlier slot was occupied, so it is also the first insertable
-    /// one). A tombstone — where `first_free` bookkeeping starts — or a
+    /// run: a match is Found, a never-used slot is Free (every earlier
+    /// slot was occupied, so it is also the first insertable one). A
+    /// tombstone — where first-free bookkeeping starts — or a
     /// run outlasting the window falls through to the outlined *word
     /// walk* ([`Self::probe_slow`]), which re-examines the walked slots
     /// (a few redundant compares, only on the already-expensive path).
-    /// `backend` is a thunk so each instantiation const-folds it away.
+    #[inline]
+    fn probe(self, key: u64) -> ProbeHit {
+        match self.probe_fast(key) {
+            Some(hit) => hit,
+            None => Self::probe_slow(self.ptr, self.layout.capacity, self.layout.entries_off, key),
+        }
+    }
+
+    /// The fast path of [`Self::probe`]; `None` leaves it to the word walk.
     #[inline(always)]
-    fn probe_inner(self, key: u64, backend: impl FnOnce() -> ProbeBackend) -> ProbeHit {
+    fn probe_fast(self, key: u64) -> Option<ProbeHit> {
         let capacity = self.layout.capacity();
-        let start = home_slot(key, capacity);
-        let mut slot = start;
-        for _ in 0..FAST_PROBE_SLOTS.min(capacity) {
+        let mut slot = home_slot(key, capacity);
+        for _ in 0..FAST_PROBE_SLOTS {
             if self.bit(OCCUPIED_OFF, slot) {
                 if self.entry(slot).0 == key {
-                    return ProbeHit::Found(slot);
+                    return Some(ProbeHit::Found(slot));
                 }
-            } else if !self.bit(self.tombstone_off(), slot) {
-                return ProbeHit::Missing {
-                    first_free: Some(slot),
-                };
+            } else if !self.tombstone_bit(slot) {
+                return Some(ProbeHit::Free(slot));
             } else {
                 break;
             }
@@ -478,15 +524,55 @@ impl BucketRef {
                 slot = 0;
             }
         }
-        self.probe_slow(key, start, backend())
+        None
     }
 
-    /// The outlined tier of [`Self::probe_with`]: dispatches once into a
-    /// `#[target_feature]` wrapper so the whole word walk — including the
-    /// vector compares — compiles as one feature-enabled region: the
-    /// `eq8_*` kernels inline into the loop instead of paying a call
-    /// (and, on AVX2, a `vzeroupper`) per byte group.
-    fn probe_slow(self, key: u64, start: usize, backend: ProbeBackend) -> ProbeHit {
+    /// The word walk alone with an explicit backend — the agreement tests
+    /// pit every available kernel against the scalar one on the same
+    /// bucket.
+    #[cfg(test)]
+    fn probe_with(self, key: u64, backend: ProbeBackend) -> ProbeHit {
+        self.word_walk(key, backend)
+    }
+
+    /// The outlined tier of [`Self::probe`], with the process's backend —
+    /// consulted only here, so the common short-run probe pays no atomic
+    /// load for dispatch it never uses. Takes the bucket as scalars, and
+    /// only those the fast path has in registers anyway: a by-value
+    /// `BucketRef` (24 bytes) or `BucketLayout` (16) is passed in memory,
+    /// which would put every caller's bucket on its stack. Hashes again,
+    /// so the fast path need not keep the home slot either.
+    #[cold]
+    #[inline(never)]
+    fn probe_slow(ptr: *mut u8, capacity: u32, entries_off: u32, key: u64) -> ProbeHit {
+        let layout = BucketLayout::from_hot_fields(capacity, entries_off);
+        BucketRef { ptr, layout }.word_walk(key, probe_backend())
+    }
+
+    /// [`Self::probe_slow`] for [`Self::get`], through to the value: the
+    /// caller then keeps neither the bucket nor its layout across the call.
+    #[cold]
+    #[inline(never)]
+    fn get_slow(ptr: *mut u8, capacity: u32, entries_off: u32, key: u64) -> Option<u64> {
+        let layout = BucketLayout::from_hot_fields(capacity, entries_off);
+        let this = BucketRef { ptr, layout };
+        this.value_at(this.word_walk(key, probe_backend()))
+    }
+
+    fn value_at(self, hit: ProbeHit) -> Option<u64> {
+        match hit {
+            ProbeHit::Found(slot) => Some(self.entry(slot).1),
+            _ => None,
+        }
+    }
+
+    /// Dispatches once into a `#[target_feature]` wrapper so the whole
+    /// word walk — including the vector compares — compiles as one
+    /// feature-enabled region: the `eq8_*` kernels inline into the loop
+    /// instead of paying a call (and, on AVX2, a `vzeroupper`) per byte
+    /// group.
+    fn word_walk(self, key: u64, backend: ProbeBackend) -> ProbeHit {
+        let start = home_slot(key, self.layout.capacity());
         #[cfg(target_arch = "x86_64")]
         match backend {
             // SAFETY: SSE2 is part of the x86-64 baseline.
@@ -531,13 +617,13 @@ impl BucketRef {
         let mut first_free = None;
         match self.probe_segment(key, start, capacity, backend, &mut first_free) {
             SegmentOutcome::Found(slot) => return ProbeHit::Found(slot),
-            SegmentOutcome::Terminated => return ProbeHit::Missing { first_free },
+            SegmentOutcome::Terminated => return first_free.map_or(ProbeHit::Full, ProbeHit::Free),
             SegmentOutcome::Continue => {}
         }
         match self.probe_segment(key, 0, start, backend, &mut first_free) {
             SegmentOutcome::Found(slot) => ProbeHit::Found(slot),
             SegmentOutcome::Terminated | SegmentOutcome::Continue => {
-                ProbeHit::Missing { first_free }
+                first_free.map_or(ProbeHit::Full, ProbeHit::Free)
             }
         }
     }
@@ -700,21 +786,14 @@ impl BucketRef {
                 self.set_entry(slot, key, value);
                 InsertOutcome::Updated
             }
-            ProbeHit::Missing { first_free } => {
-                if self.count() >= max_entries {
-                    return InsertOutcome::Full;
-                }
-                match first_free {
-                    Some(slot) => {
-                        self.set_entry(slot, key, value);
-                        self.set_bit(OCCUPIED_OFF, slot, true);
-                        self.set_bit(self.tombstone_off(), slot, false);
-                        self.set_count(self.count() + 1);
-                        InsertOutcome::Inserted
-                    }
-                    None => InsertOutcome::Full,
-                }
+            ProbeHit::Free(slot) if self.count() < max_entries => {
+                self.set_entry(slot, key, value);
+                self.set_bit(OCCUPIED_OFF, slot, true);
+                self.set_bit(self.tombstone_off(), slot, false);
+                self.set_count(self.count() + 1);
+                InsertOutcome::Inserted
             }
+            ProbeHit::Free(_) | ProbeHit::Full => InsertOutcome::Full,
         }
     }
 
@@ -741,9 +820,9 @@ impl BucketRef {
     /// Look up `key`.
     #[inline]
     pub fn get(self, key: u64) -> Option<u64> {
-        match self.probe(key) {
-            ProbeHit::Found(slot) => Some(self.entry(slot).1),
-            ProbeHit::Missing { .. } => None,
+        match self.probe_fast(key) {
+            Some(hit) => self.value_at(hit),
+            None => Self::get_slow(self.ptr, self.layout.capacity, self.layout.entries_off, key),
         }
     }
 
@@ -758,7 +837,7 @@ impl BucketRef {
                 self.set_count(self.count() - 1);
                 Some(v)
             }
-            ProbeHit::Missing { .. } => None,
+            _ => None,
         }
     }
 
@@ -1064,7 +1143,7 @@ mod tests {
                 // A missing key in a full bucket wraps the whole table.
                 assert_eq!(
                     b.probe_with(u64::MAX, back),
-                    ProbeHit::Missing { first_free: None },
+                    ProbeHit::Full,
                     "{back:?} miss"
                 );
             }

@@ -26,15 +26,13 @@ pub fn bucket_slot_hash(key: u64) -> u64 {
     key.wrapping_mul(BUCKET_CONST)
 }
 
-/// Directory slot for a hash under `global_depth`: the top `global_depth`
-/// bits. Depth 0 always maps to slot 0.
+/// Directory slot for a hash under `global_depth` (`< 64`): the top
+/// `global_depth` bits. Depth 0 always maps to slot 0 — the shift is split
+/// in two so that it needs no branch to be valid there.
 #[inline(always)]
 pub fn dir_slot(hash: u64, global_depth: u32) -> usize {
-    if global_depth == 0 {
-        0
-    } else {
-        (hash >> (64 - global_depth)) as usize
-    }
+    debug_assert!(global_depth < 64);
+    ((hash >> 1) >> (63 - global_depth)) as usize
 }
 
 /// The `depth`-th most significant bit of `hash` (0-indexed): the bit that

@@ -46,6 +46,7 @@ use crate::shortcut_eh::{ShortcutEh, ShortcutEhConfig};
 use crate::stats::IndexStats;
 use crate::traits::Index;
 use parking_lot::RwLock;
+use shortcut_core::SharedDirectoryState;
 use shortcut_rewire::{ReadBias, ReaderPin, RetireList};
 use std::cell::UnsafeCell;
 use std::sync::Arc;
@@ -55,14 +56,19 @@ use std::time::{Duration, Instant};
 /// plausible core count, and each shard costs a mapper thread + pool.
 pub const MAX_SHARD_BITS: u32 = 8;
 
-/// One shard behind its biased reader-writer section (module docs).
+/// One shard behind its biased reader-writer section (module docs). The
+/// bias word and the two handles a lookup follows lead the struct, on one
+/// line: the fast path reads nothing else of the shard, and forms no
+/// reference into `eh` before it is inside the section.
+#[repr(C)]
 struct Shard {
+    bias: ReadBias,
+    /// `eh`'s read descriptor ([`ShortcutEh::state_arc`]).
+    desc: Arc<SharedDirectoryState>,
+    /// `eh`'s retire list, whose pins the bias reads.
+    pins: Arc<RetireList>,
     /// The writers' lock, and the readers' while the bias is revoked.
     lock: RwLock<()>,
-    bias: ReadBias,
-    /// `eh`'s retire list, whose pins the bias reads — held here so the
-    /// fast path reaches it without forming a reference into `eh`.
-    pins: Arc<RetireList>,
     eh: UnsafeCell<ShortcutEh>,
 }
 
@@ -77,16 +83,54 @@ unsafe impl Sync for Shard {}
 impl Shard {
     fn new(eh: ShortcutEh) -> Self {
         Shard {
-            lock: RwLock::new(()),
             bias: ReadBias::default(),
+            desc: eh.state_arc(),
             pins: Arc::clone(eh.retire_list()),
+            lock: RwLock::new(()),
             eh: UnsafeCell::new(eh),
         }
     }
 
-    /// The lookup paths' read section: `f` gets the shard and a pin on its
-    /// retire list, live for the whole call. Short reads only — the pin
-    /// holds back directory reclamation and any shared writer.
+    /// One lookup from the key's [`mult_hash`], in a read section of its
+    /// own whose pin is also the shortcut read's. The shape `xtask
+    /// hotpath` holds: a pin on an exclusive slot that saw the bias armed
+    /// runs straight through the inlined lookup; every other way in — a
+    /// shared stripe, a revoked bias — is one call to
+    /// [`Shard::get_slow`], pin handed over by value.
+    #[inline]
+    fn get(&self, key: u64, hash: u64) -> Option<u64> {
+        match self.bias.try_enter(&self.pins) {
+            Some(pin) if pin.is_exclusive() => {
+                // SAFETY: the pin saw the bias armed, so a writer cannot
+                // pass `write`'s drain before `get_pinned` drops it.
+                unsafe { &*self.eh.get() }.get_pinned(&self.desc, key, hash, pin)
+            }
+            biased => self.get_slow(key, hash, biased),
+        }
+    }
+
+    /// [`Shard::get`] with an RMW pin (`biased`), or on the lock when the
+    /// bias is revoked (`None`).
+    #[cold]
+    #[inline(never)]
+    fn get_slow(&self, key: u64, hash: u64, biased: Option<ReaderPin<'_>>) -> Option<u64> {
+        let _shared;
+        let pin = match biased {
+            Some(pin) => pin,
+            None => {
+                _shared = self.lock.read();
+                self.bias.note_locked_read();
+                self.pins.pin()
+            }
+        };
+        // SAFETY: the pin saw the bias armed (see `get`), or the read lock
+        // excludes `write`.
+        unsafe { &*self.eh.get() }.get_pinned(&self.desc, key, hash, pin)
+    }
+
+    /// The batched lookups' read section: `f` gets the shard and a pin on
+    /// its retire list, live for the whole call. Short reads only — the
+    /// pin holds back directory reclamation and any shared writer.
     #[inline]
     fn read<R>(&self, f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R) -> R {
         match self.bias.try_enter(&self.pins) {
@@ -99,6 +143,7 @@ impl Shard {
 
     /// [`Shard::read`] while the bias is revoked. Out of line, so the
     /// biased path stays a leaf around the inlined lookup.
+    #[cold]
     #[inline(never)]
     fn read_on_lock<R>(&self, f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R) -> R {
         let _shared = self.lock.read();
@@ -534,7 +579,14 @@ impl Index for ShardedIndex {
     #[inline]
     fn get(&self, key: u64) -> Option<u64> {
         let hash = mult_hash(key);
-        self.shards[dir_slot(hash, self.bits)].read(|eh, pin| eh.get_pinned(key, hash, pin))
+        let shard = match self.bits {
+            // Unsharded: no route shift, no stride multiply, no bounds check.
+            // SAFETY: `try_new_with` builds `1 << bits >= 1` shards and
+            // nothing removes one.
+            0 => unsafe { self.shards.get_unchecked(0) },
+            bits => &self.shards[dir_slot(hash, bits)],
+        };
+        shard.get(key, hash)
     }
 
     fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
@@ -880,6 +932,38 @@ mod tests {
         // Pool counters really sum: each shard allocated at least a page.
         assert!(t.pool_stats().pages_allocated >= t.shard_count() as u64);
         assert!(!t.shortcut_suspended());
+    }
+
+    /// The one exit of `get` that `tests/oracle.rs` cannot reach: a
+    /// modification lands between the probe and the ticket's validation.
+    #[test]
+    fn a_ticket_discarded_at_validation_is_answered_traditionally_and_counted_once() {
+        use crate::shortcut_eh::tests::BEFORE_VALIDATION;
+        use shortcut_rewire::PinStrategy::{Asymmetric, Dekker};
+        for (bits, strategy, key) in [
+            (0, Asymmetric, 17),
+            (0, Dekker, 999_999),
+            (2, Asymmetric, 999_999),
+            (2, Dekker, 17),
+        ] {
+            let mut cfg = fast_cfg();
+            cfg.eh.pool.pin_strategy = Some(strategy);
+            let mut t = ShardedIndex::try_new(bits, cfg).unwrap();
+            for k in 0..4_000u64 {
+                t.insert(k, val(k)).unwrap();
+            }
+            assert!(t.wait_sync(Duration::from_secs(10)));
+            let state = t.with_shard(t.shard_of(key), |s| s.state_arc());
+            BEFORE_VALIDATION.set(Some(Box::new(move || {
+                state.bump_traditional();
+            })));
+            let before = t.stats();
+            assert_eq!(t.get(key), (key < 4_000).then(|| val(key)), "key {key}");
+            let after = t.stats();
+            assert_eq!(after.shortcut_lookups, before.shortcut_lookups);
+            assert_eq!(after.traditional_lookups, before.traditional_lookups + 1);
+            assert_eq!(after.shortcut_retries, before.shortcut_retries + 1);
+        }
     }
 
     #[test]

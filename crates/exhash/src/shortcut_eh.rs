@@ -36,7 +36,8 @@ use crate::route::{route, route_all};
 use crate::stats::IndexStats;
 use crate::traits::Index;
 use shortcut_core::{
-    CompactionPolicy, MaintConfig, MaintRequest, Maintainer, ReadTicket, RoutePolicy,
+    CompactionPolicy, MaintConfig, MaintRequest, Maintainer, ReadGeometry, ReadTicket, RoutePolicy,
+    SharedDirectoryState,
 };
 use shortcut_rewire::{ReaderPin, RetireList};
 use std::sync::Arc;
@@ -64,24 +65,16 @@ pub struct ShortcutEh {
     // the EH (and its page pool) is torn down.
     maint: Maintainer,
     eh: ExtendibleHash,
-    policy: RoutePolicy,
-    /// The routing decision of `policy` for the directory's current
-    /// fan-in, so a lookup reads a bit where it used to divide. Only
-    /// splits and doublings move the fan-in, and they reach
+    /// Its decision for the directory's current fan-in is a bit in the
+    /// read descriptor, so a lookup reads a bit where it used to divide.
+    /// Only splits and doublings move the fan-in, and they reach
     /// [`ShortcutEh::relay_events`], which refreshes it.
-    use_shortcut: bool,
+    policy: RoutePolicy,
     /// The pool's retirement machinery: lookups pin it around every
     /// dereference of the published shortcut base, so the mapper's
     /// reclamation never unmaps a retired directory under a reader —
     /// and count themselves on the pin's stripe.
     retire: Arc<RetireList>,
-    /// `log2(slot_bytes)` of the pool's layout: published slot `i` starts
-    /// at `base + (i << slot_shift)` — the layout-derived replacement for
-    /// the historical hard-coded `slot * 4096`.
-    slot_shift: u32,
-    /// Bucket geometry shared with the inner EH (capacity, offsets), used
-    /// to type published slots on the lookup path.
-    bucket_layout: BucketLayout,
     /// Bucket-layout compaction policy (mirrored into the inner EH; the
     /// mapper raises the trigger flag, the write path here runs the
     /// moves).
@@ -111,23 +104,22 @@ impl ShortcutEh {
         // runs inside its directory-doubling path.
         cfg.eh.compaction = cfg.maint.compaction;
         let compaction = cfg.maint.compaction;
+        let hash_rot = cfg.eh.hash_rot;
         let mut eh = ExtendibleHash::try_new(cfg.eh)?;
         let handle = eh.pool_handle();
         let retire = Arc::clone(handle.retire_list());
-        let slot_shift = handle.layout().slot_shift();
-        let bucket_layout = eh.bucket_layout();
-        let maint = Maintainer::spawn(handle, cfg.maint);
+        // The lookup path types published slots from the descriptor alone.
+        let state = SharedDirectoryState::with_geometry(eh.bucket_layout().read_geometry(hash_rot));
+        state.set_route_shortcut(cfg.policy.use_shortcut(eh.avg_fanin(), true));
+        let maint = Maintainer::spawn_on(handle, cfg.maint, Arc::new(state));
         // Write-path compaction work (page moves) mirrors into the
         // mapper's metrics so one snapshot tells the whole story.
         eh.set_maint_metrics(maint.metrics_handle());
         let this = ShortcutEh {
             maint,
-            use_shortcut: cfg.policy.use_shortcut(eh.avg_fanin(), true),
             eh,
             policy: cfg.policy,
             retire,
-            slot_shift,
-            bucket_layout,
             compaction,
             next_compaction_splits: 0,
             next_urgent_splits: 0,
@@ -282,7 +274,8 @@ impl ShortcutEh {
             return;
         }
         // A split or a doubling moved the fan-in.
-        self.use_shortcut = self.policy.use_shortcut(self.eh.avg_fanin(), true);
+        let route = self.policy.use_shortcut(self.eh.avg_fanin(), true);
+        self.maint.state().set_route_shortcut(route);
         for ev in events {
             match ev {
                 DirEvent::SlotUpdated { slot, ppage } => {
@@ -513,69 +506,60 @@ impl ShortcutEh {
         self.eh.ideal_layout_vmas()
     }
 
-    /// The bucket slot the published directory of ticket `t` holds for the
-    /// directory hash `hash`. The caller holds a pin on the retire list,
-    /// taken before the ticket: it is what keeps a directory this read
-    /// might land in mapped until the read drains. What the bucket reads
-    /// is only an answer once [`SharedDirectoryState::still_valid`] says
-    /// so for `t`.
-    ///
-    /// [`SharedDirectoryState::still_valid`]: shortcut_core::SharedDirectoryState::still_valid
-    #[inline(always)]
-    fn published_bucket(&self, t: ReadTicket, hash: u64) -> BucketRef {
-        debug_assert!(t.slots.is_power_of_two());
-        let slot = dir_slot(hash, t.slots.trailing_zeros());
-        // SAFETY: the published area has t.slots slots; `slot < t.slots`
-        // by construction of dir_slot, so the pointer is in-bounds and
-        // slot-aligned; a racing rebuild retires the old area but
-        // reclamation waits for the caller's pin to drop, so the slot stays
-        // readable (stale data is discarded by the caller's ticket check).
-        unsafe { BucketRef::from_ptr(t.base.add(slot << self.slot_shift), self.bucket_layout) }
-    }
-
-    /// Read `key` through the published directory of ticket `t`; `hash`
-    /// is the key's directory hash. `None` means "not answered" (raced a
-    /// modification, or the bucket is deeper than the published depth) —
-    /// fall back to the traditional directory. Needs the caller's pin
-    /// ([`ShortcutEh::published_bucket`]).
-    #[inline(always)]
-    fn read_through(&self, t: ReadTicket, key: u64, hash: u64) -> Option<Option<u64>> {
-        let bucket = self.published_bucket(t, hash);
-        // The shortcut may be published at a coarser depth than the
-        // traditional directory (VMA-budget admission). A bucket deeper
-        // than the published depth shares its slot with a sibling and is
-        // not resolvable here — serve that key traditionally. (A torn
-        // read of the depth field is fine: the ticket check below
-        // discards any value read across a racing modification.)
-        if bucket.local_depth() > t.slots.trailing_zeros() {
-            return None;
-        }
-        let result = bucket.get(key);
-        self.maint.state().still_valid(t).then_some(result)
-    }
-
     /// One lookup under the caller's pin on this index's retire list, from
     /// the key's already computed [`mult_hash`]: the shard's read section
     /// routes with that hash and pins once for itself and for this read.
-    /// Counts the lookup on the pin's stripe.
-    #[inline]
-    pub(crate) fn get_pinned(&self, key: u64, hash: u64, pin: &ReaderPin<'_>) -> Option<u64> {
-        let h = self.eh.dir_hash_of(hash);
+    /// `desc` is this index's [`ShortcutEh::state_arc`], which the caller
+    /// keeps at hand; a shortcut-served hit reads nothing else of `self`.
+    /// Counts the lookup on the pin's stripe and drops the pin.
+    #[inline(always)]
+    pub(crate) fn get_pinned(
+        &self,
+        desc: &SharedDirectoryState,
+        key: u64,
+        hash: u64,
+        pin: ReaderPin<'_>,
+    ) -> Option<u64> {
+        debug_assert!(std::ptr::eq(desc, &**self.maint.state()));
         // One `begin_read` is the in-sync check and the ticket: out of
         // sync (or budget-suspended) it reads two versions and touches no
         // shortcut memory.
-        if self.use_shortcut {
-            if let Some(t) = self.maint.state().begin_read() {
-                if let Some(res) = self.read_through(t, key, h) {
-                    pin.tally(SHORTCUT_LOOKUPS, 1);
-                    return res;
-                }
-                // In sync but unanswered: the ticket was discarded.
-                pin.tally(SHORTCUT_RETRIES, 1);
+        let Some(t) = desc.route_shortcut().then(|| desc.begin_read()).flatten() else {
+            return self.get_traditional(key, pin, false);
+        };
+        let h = hash.rotate_left(desc.geometry().hash_rot);
+        let bucket = published_bucket(t, desc.geometry(), h);
+        // The shortcut may be published at a coarser depth than the
+        // traditional directory (VMA-budget admission). A bucket deeper
+        // than the published depth shares its slot with a sibling and is
+        // not resolvable here — serve that key traditionally. (A torn read
+        // of the depth field is fine: the ticket check discards any value
+        // read across a racing modification.)
+        if bucket.local_depth() <= t.depth() {
+            let result = bucket.get(key);
+            #[cfg(test)]
+            tests::run_before_validation();
+            if desc.still_valid(t) {
+                pin.tally(SHORTCUT_LOOKUPS, 1);
+                return result;
             }
         }
+        self.get_traditional(key, pin, true)
+    }
+
+    /// Where [`ShortcutEh::get_pinned`] leaves the shortcut: without a
+    /// ticket (out of sync, suspended, routed away by the fan-in), or with
+    /// one it `discarded` (an over-depth bucket, a modification raced).
+    /// Out of line and fed scalars — it hashes again — so the hit path
+    /// neither carries a second probe nor keeps anything alive for this.
+    #[cold]
+    #[inline(never)]
+    fn get_traditional(&self, key: u64, pin: ReaderPin<'_>, discarded: bool) -> Option<u64> {
+        if discarded {
+            pin.tally(SHORTCUT_RETRIES, 1);
+        }
         pin.tally(TRADITIONAL_LOOKUPS, 1);
-        self.eh.get_hashed(key, h)
+        self.eh.get_hashed(key, self.eh.dir_hash(key))
     }
 
     /// Answer the routed `positions` of one window of a batched lookup
@@ -598,12 +582,12 @@ impl ShortcutEh {
     ) {
         let state = self.maint.state();
         let n = positions.len();
-        if let Some(t) = self.use_shortcut.then(|| state.begin_read()).flatten() {
-            let g = t.slots.trailing_zeros();
+        if let Some(t) = state.route_shortcut().then(|| state.begin_read()).flatten() {
+            let (g, geometry) = (t.depth(), state.geometry());
             let at = |i: usize| {
                 let p = positions[i] as usize;
                 let h = self.eh.dir_hash_of(hashes[p]);
-                (p, keys[p], h, self.published_bucket(t, h))
+                (p, keys[p], h, published_bucket(t, geometry, h))
             };
             // A prefetch cannot fault and its result is never consumed, so
             // it may run ahead of the ticket's validation.
@@ -620,7 +604,7 @@ impl ShortcutEh {
                 let (p, key, h, bucket) = at(i);
                 // Coarsely published directory: over-depth buckets are
                 // unresolvable here, answer those keys traditionally (see
-                // `read_through`).
+                // `get_pinned`).
                 out[p] = if bucket.local_depth() > g {
                     deep += 1;
                     self.eh.get_hashed(key, h)
@@ -629,9 +613,7 @@ impl ShortcutEh {
                 };
             }
             #[cfg(test)]
-            if let Some(hook) = tests::BEFORE_VALIDATION.take() {
-                hook();
-            }
+            tests::run_before_validation();
             if state.still_valid(t) {
                 pin.tally(SHORTCUT_LOOKUPS, n as u64 - deep);
                 if deep > 0 {
@@ -694,6 +676,27 @@ impl ShortcutEh {
     }
 }
 
+/// The bucket slot the published directory of ticket `t` holds for the
+/// directory hash `hash`. The caller holds a pin on the retire list, taken
+/// before the ticket: it is what keeps a directory this read might land in
+/// mapped until the read drains. What the bucket reads is only an answer
+/// once [`SharedDirectoryState::still_valid`] says so for `t`.
+#[inline(always)]
+fn published_bucket(t: ReadTicket, geometry: ReadGeometry, hash: u64) -> BucketRef {
+    let slot = dir_slot(hash, t.depth());
+    // SAFETY: the published area has `1 << t.depth()` slots and `slot` is
+    // below that by construction of dir_slot, so the pointer is in-bounds
+    // and slot-aligned; a racing rebuild retires the old area but
+    // reclamation waits for the caller's pin to drop, so the slot stays
+    // readable (stale data is discarded by the caller's ticket check).
+    unsafe {
+        BucketRef::from_ptr(
+            t.base.add(slot << geometry.slot_shift),
+            BucketLayout::from_geometry(geometry),
+        )
+    }
+}
+
 impl Index for ShortcutEh {
     fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
         let r = self.eh.insert(key, value);
@@ -709,7 +712,7 @@ impl Index for ShortcutEh {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        self.get_pinned(key, mult_hash(key), &self.retire.pin())
+        self.get_pinned(self.maint.state(), key, mult_hash(key), self.retire.pin())
     }
 
     fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
@@ -753,7 +756,7 @@ impl Index for ShortcutEh {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use shortcut_rewire::PoolConfig;
     use std::time::Duration;
@@ -779,16 +782,25 @@ mod tests {
 
     thread_local! {
         /// Runs once on this thread, between the last probe of the next
-        /// `get_chunk` and its ticket validation.
-        pub(super) static BEFORE_VALIDATION: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        /// `get_pinned` / `get_chunk` and its ticket validation.
+        pub(crate) static BEFORE_VALIDATION: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
             const { std::cell::Cell::new(None) };
+    }
+
+    pub(super) fn run_before_validation() {
+        if let Some(hook) = BEFORE_VALIDATION.take() {
+            hook();
+        }
     }
 
     /// The shortcut path alone, as `get_pinned` takes it.
     fn via_shortcut(t: &ShortcutEh, key: u64) -> Option<Option<u64>> {
         let _pin = t.retire.pin();
-        let ticket = t.maint.state().begin_read()?;
-        t.read_through(ticket, key, t.eh.dir_hash(key))
+        let state = t.maint.state();
+        let ticket = state.begin_read()?;
+        let bucket = published_bucket(ticket, state.geometry(), t.eh.dir_hash(key));
+        let result = (bucket.local_depth() <= ticket.depth()).then(|| bucket.get(key))?;
+        state.still_valid(ticket).then_some(result)
     }
 
     #[test]

@@ -7,11 +7,15 @@
 use proptest::prelude::*;
 use shortcut_exhash::{
     ChConfig, ChainedHash, EhConfig, ExtendibleHash, HashTable, HtConfig, HtiConfig,
-    IncrementalHashTable, Index, IndexError, ShortcutEh, ShortcutEhConfig,
+    IncrementalHashTable, Index, IndexError, IndexStats, ShardedIndex, ShortcutEh,
+    ShortcutEhConfig,
 };
-use shortcut_rewire::PoolConfig;
+use shortcut_rewire::{PinStrategy, PoolConfig, VmaBudget};
 use std::collections::HashMap;
 use std::time::Duration;
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -299,4 +303,163 @@ fn constructor_failure_is_typed_not_panic() {
         }),
         Err(IndexError::Pool(_))
     ));
+}
+
+/// How a single-key lookup is counted: the moves of (`shortcut_lookups`,
+/// `traditional_lookups`, `shortcut_retries`) across one `get`.
+type Counted = (u64, u64, u64);
+const SHORTCUT: Counted = (1, 0, 0);
+const TRADITIONAL: Counted = (0, 1, 0);
+const DISCARDED: Counted = (0, 1, 1);
+
+/// One state the fast path of `ShardedIndex::get` can leave by.
+struct Exit {
+    name: &'static str,
+    /// Adjusts the configuration the index is built with.
+    configure: fn(&mut ShortcutEhConfig),
+    /// Brings the loaded index into the state (and checks it is there).
+    enter: fn(&ShardedIndex),
+    /// What a lookup may count as, each of which some lookup must.
+    counted: &'static [Counted],
+}
+
+/// A budget of `limit` mappings, which the directories of the test's key
+/// set (128 slots in all) outgrow at either shard count.
+fn budget(cfg: &mut ShortcutEhConfig, limit: usize) {
+    cfg.eh.pool.vma_budget = Some(VmaBudget::with_limit(limit));
+}
+
+/// Key `i` of the exits test: scattered (splitmix64), so that bucket
+/// fills vary and a directory holds buckets of more than one depth.
+fn scattered(i: u64) -> u64 {
+    let z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+const EXITS: &[Exit] = &[
+    Exit {
+        name: "armed and in sync",
+        configure: |_| {},
+        enter: |t| {
+            for i in 0..t.shard_count() {
+                assert_eq!(t.bias_counters(i), (0, 0), "shard {i} never saw a writer");
+            }
+        },
+        counted: &[SHORTCUT],
+    },
+    Exit {
+        name: "bias revoked",
+        configure: |_| {},
+        // A shared writer came by every shard (rewriting present entries
+        // changes no directory): reads go to the lock, too few to re-arm.
+        enter: |t| {
+            for k in (0..64).map(scattered) {
+                t.insert_shared(k, !k).unwrap();
+            }
+            for i in 0..t.shard_count() {
+                assert_eq!(t.bias_counters(i), (1, 0), "shard {i}");
+            }
+        },
+        counted: &[SHORTCUT],
+    },
+    Exit {
+        name: "out of sync",
+        configure: |_| {},
+        // A directory change the mapper never hears of holds it back.
+        enter: |t| {
+            for i in 0..t.shard_count() {
+                t.with_shard(i, |s| s.state_arc().bump_traditional());
+            }
+            assert!(!t.in_sync());
+        },
+        counted: &[TRADITIONAL],
+    },
+    Exit {
+        name: "budget-suspended",
+        // Worst-case admission, and less than one shard's directory needs.
+        configure: |cfg| budget(cfg, 24),
+        enter: |t| {
+            common::wait_until("every shard's mapper has refused its directory", || {
+                (0..t.shard_count()).all(|i| t.with_shard(i, |s| s.shortcut_suspended()))
+            });
+        },
+        counted: &[TRADITIONAL],
+    },
+    Exit {
+        name: "coarsely published, some buckets over-depth",
+        // Layout-exact admission (compaction on): half the slots fit.
+        configure: |cfg| {
+            budget(cfg, 48);
+            cfg.maint.compaction = shortcut_core::CompactionPolicy::on();
+        },
+        enter: |t| {
+            // (A create deferred behind a directory not yet reclaimed is
+            // retried by the mapper's own ticks.)
+            common::wait_until("every shard is in sync", || t.in_sync());
+            assert!(t.maint_metrics().creates_coarse > 0);
+        },
+        counted: &[SHORTCUT, DISCARDED],
+    },
+    Exit {
+        name: "fan-in above the routing threshold",
+        configure: |cfg| cfg.policy = shortcut_core::RoutePolicy::with_threshold(0.0),
+        enter: |t| assert!(t.in_sync()),
+        counted: &[TRADITIONAL],
+    },
+];
+
+fn counted(before: &IndexStats, after: &IndexStats) -> Counted {
+    (
+        after.shortcut_lookups - before.shortcut_lookups,
+        after.traditional_lookups - before.traditional_lookups,
+        after.shortcut_retries - before.shortcut_retries,
+    )
+}
+
+/// Every exit of the single-key lookup but the one that needs a hook
+/// between probe and validation (`shard::tests`, beside the hook): one key
+/// set, hits and misses, through each state at one and four shards under
+/// both pin strategies — oracle-exact answers, and every call counted
+/// exactly once, the way the state says.
+#[test]
+fn every_exit_of_get_answers_exactly_and_counts_once() {
+    let entries: Vec<(u64, u64)> = (0..5_000).map(|i| (scattered(i), !scattered(i))).collect();
+    // Every seventh entry, and as many keys again that are not there.
+    let probes = (0..10_000u64).step_by(7).map(|i| (i < 5_000, scattered(i)));
+    for exit in EXITS {
+        for (bits, strategy) in [
+            (0, PinStrategy::Asymmetric),
+            (0, PinStrategy::Dekker),
+            (2, PinStrategy::Asymmetric),
+            (2, PinStrategy::Dekker),
+        ] {
+            let case = format!("{} (bits {bits}, {strategy} requested)", exit.name);
+            let mut cfg = small_shortcut_config();
+            cfg.eh.pool.pin_strategy = Some(strategy);
+            (exit.configure)(&mut cfg);
+            let mut t = ShardedIndex::try_new(bits, cfg).unwrap();
+            // In steps, so the mapper applies the intermediate directories
+            // a budget is judged against instead of superseding them.
+            for step in entries.chunks(500) {
+                t.insert_batch(step).unwrap();
+                if !t.shortcut_suspended() {
+                    t.wait_sync(Duration::from_secs(30));
+                }
+            }
+            (exit.enter)(&t);
+            let mut seen = vec![0usize; exit.counted.len()];
+            for (present, k) in probes.clone() {
+                let before = t.stats();
+                let got = t.get(k);
+                let moved = counted(&before, &t.stats());
+                assert_eq!(got, present.then_some(!k), "{case}: key {k}");
+                let which = exit.counted.iter().position(|&c| c == moved);
+                seen[which.unwrap_or_else(|| panic!("{case}: key {k} counted as {moved:?}"))] += 1;
+            }
+            assert!(seen.iter().all(|&n| n > 0), "{case}: counted {seen:?}");
+            assert!(t.maint_error().is_none(), "{case}");
+        }
+    }
 }

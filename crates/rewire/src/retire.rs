@@ -191,33 +191,70 @@ fn expedited_barrier() -> bool {
     }
 }
 
-/// Stripe of the calling thread: the first [`STRIPES`] threads to pin own
-/// an exclusive slot (`< STRIPES`, asym-eligible), later threads share the
-/// overflow stripes (always RMW). Claimed once per thread and kept in a
-/// const-initialised thread-local, so a pin reads it with one plain load.
+/// "No slot yet": above every exclusive bound, so a thread's first pin
+/// fails the fast path's one compare and claims out of line.
+const UNCLAIMED: usize = usize::MAX;
+
+thread_local! {
+    /// Stripe of this thread. No destructor: a pin reads it with one load.
+    static CLAIM: std::cell::Cell<usize> = const { std::cell::Cell::new(UNCLAIMED) };
+    /// Hands the thread's exclusive slot back when the thread exits.
+    static LEASE: SlotLease = const { SlotLease };
+}
+
+/// Bit `i`: exclusive slot `i` belongs to a live thread.
+static TAKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+struct SlotLease;
+
+impl Drop for SlotLease {
+    fn drop(&mut self) {
+        // (A later destructor of this thread that pins claims afresh.)
+        let slot = CLAIM.replace(UNCLAIMED);
+        if slot < STRIPES {
+            // Release: the next owner's Acquire claim sees this thread's
+            // last plain stores to the slot's counters.
+            TAKEN.fetch_and(!(1 << slot), std::sync::atomic::Ordering::Release);
+        }
+    }
+}
+
+/// Stripe of the calling thread, or [`UNCLAIMED`] before its first pin.
 #[inline]
-fn slot_claim() -> usize {
+fn claimed_slot() -> usize {
     // Under an active model run, slot assignment must be a pure function
-    // of the (deterministic) model thread id — the process-global counter
-    // below would hand different slots to the same logical thread across
-    // replayed executions and break DFS replay.
+    // of the (deterministic) model thread id — process-global state would
+    // hand different slots to the same logical thread across replayed
+    // executions and break DFS replay.
     #[cfg(feature = "loomish")]
     if let Some(tid) = loomish::thread::model_thread_id() {
         return overflow_fold(tid);
     }
-    const UNCLAIMED: usize = usize::MAX;
-    thread_local! {
-        static CLAIM: std::cell::Cell<usize> = const { std::cell::Cell::new(UNCLAIMED) };
-    }
-    CLAIM.with(|claim| {
-        if claim.get() == UNCLAIMED {
-            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-            claim.set(overflow_fold(
-                NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            ));
+    CLAIM.get()
+}
+
+/// First pin of a thread: lease the lowest free exclusive slot (`< STRIPES`,
+/// asym-eligible) until the thread exits, or — all taken, or the thread is
+/// past running the lease's destructor — use a shared overflow stripe
+/// (always RMW).
+fn claim_slot() -> usize {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static OVERFLOWED: AtomicUsize = AtomicUsize::new(0);
+    let leased = LEASE.try_with(|_| ()).is_ok();
+    let mut taken = TAKEN.load(Ordering::Relaxed);
+    let slot = loop {
+        let free = (!taken).trailing_zeros() as usize;
+        if !leased || free >= STRIPES {
+            break overflow_fold(STRIPES + OVERFLOWED.fetch_add(1, Ordering::Relaxed));
         }
-        claim.get()
-    })
+        let claimed = taken | 1 << free;
+        match TAKEN.compare_exchange_weak(taken, claimed, Ordering::Acquire, Ordering::Relaxed) {
+            Ok(_) => break free,
+            Err(now) => taken = now,
+        }
+    };
+    CLAIM.set(slot);
+    slot
 }
 
 // `OVERFLOW_STRIPES` is 1 in the shrunk model build.
@@ -230,17 +267,69 @@ fn overflow_fold(i: usize) -> usize {
     }
 }
 
+/// `r`, its address held in one register from here on, so that pin and
+/// unpin address the counter the same plain way (`[reg]`). Left to fold
+/// `base + slot * 128` into the increment, the compiler makes the
+/// decrement's reload of that store miss the fast forwarding path of
+/// current x86-64 cores: 4 ns a pin/unpin pair against under 1.
+#[inline(always)]
+#[allow(clippy::pointers_in_nomem_asm_block)] // nothing is dereferenced
+fn in_one_register<T>(r: &T) -> &T {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the template is a comment: `p` leaves as it entered, still
+    // pointing at `*r`, borrowed for as long.
+    unsafe {
+        let mut p: *const T = r;
+        std::arch::asm!("/* {0} */", inout(reg) p, options(pure, nomem, nostack, preserves_flags));
+        &*p
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    r
+}
+
 /// Proof of an in-flight shortcut read. While any pin taken before a
 /// reclaim scan is alive, no retired area is unmapped. Dropping the pin
 /// releases the reader's stripe.
+///
+/// A pin stays on its thread — an exclusive slot's counters are written
+/// with plain stores by their one owner — so it is neither `Send`:
+///
+/// ```compile_fail,E0277
+/// let list = shortcut_rewire::RetireList::new();
+/// let pin = list.pin();
+/// std::thread::scope(|s| { s.spawn(move || drop(pin)); });
+/// ```
+///
+/// nor `Sync`:
+///
+/// ```compile_fail,E0277
+/// let list = shortcut_rewire::RetireList::new();
+/// let pin = list.pin();
+/// std::thread::scope(|s| { s.spawn(|| pin.tally(0, 1)); });
+/// ```
 pub struct ReaderPin<'a> {
     stripe: &'a Stripe,
     /// Taken through the asymmetric plain-store path (exclusive slot,
     /// [`PinStrategy::Asymmetric`]); the unpin must mirror it.
     asym: bool,
+    _thread_confined: std::marker::PhantomData<*mut ()>,
 }
 
-impl ReaderPin<'_> {
+impl<'a> ReaderPin<'a> {
+    fn on(stripe: &'a Stripe, asym: bool) -> Self {
+        ReaderPin {
+            stripe,
+            asym,
+            _thread_confined: std::marker::PhantomData,
+        }
+    }
+
+    /// Whether taking, counting on and dropping this pin needs no RMW.
+    #[inline]
+    pub fn is_exclusive(&self) -> bool {
+        self.asym
+    }
+
     /// Add `n` to tally `cell` (`< `[`TALLIES`]) of this pin's stripe. On
     /// an exclusive slot the pinning thread is the cell's only writer, so
     /// the count is a plain load + store; shared stripes pay the RMW.
@@ -250,26 +339,39 @@ impl ReaderPin<'_> {
         if self.asym {
             cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
         } else {
-            cell.fetch_add(n, Ordering::Relaxed);
+            tally_shared(cell, n);
         }
     }
+}
+
+// The RMW halves are out of line: a caller that inlines the exclusive
+// path carries no `lock`-prefixed instruction.
+#[cold]
+#[inline(never)]
+fn tally_shared(cell: &AtomicU64, n: u64) {
+    cell.fetch_add(n, Ordering::Relaxed);
+}
+
+#[cold]
+#[inline(never)]
+fn unpin_shared(pins: &AtomicUsize) {
+    // Release: every load the reader performed through the ticket base
+    // happens-before a reclaimer that observes this stripe at zero.
+    pins.fetch_sub(1, Ordering::Release);
 }
 
 impl Drop for ReaderPin<'_> {
     #[inline]
     fn drop(&mut self) {
+        let pins = &self.stripe.pins;
         if self.asym {
             // Exclusive slot: this thread is the only writer, so the plain
             // load cannot race. Release on the store: every load the
             // reader performed through the ticket base happens-before a
             // reclaimer whose (membarrier-paired) scan observes the zero.
-            let pins = &self.stripe.pins;
             pins.store(pins.load(Ordering::Relaxed) - 1, Ordering::Release);
         } else {
-            // Release: every load the reader performed through the ticket
-            // base happens-before a reclaimer that observes this stripe at
-            // zero.
-            self.stripe.pins.fetch_sub(1, Ordering::Release);
+            unpin_shared(pins);
         }
     }
 }
@@ -299,6 +401,9 @@ struct Retired<T> {
 /// alias over [`VirtArea`].
 pub struct RetireCore<T> {
     strategy: PinStrategy,
+    /// Slots below this pin with plain stores: [`STRIPES`] under
+    /// [`PinStrategy::Asymmetric`], 0 under [`PinStrategy::Dekker`].
+    exclusive: usize,
     stripes: [Stripe; STRIPES + OVERFLOW_STRIPES],
     epoch: AtomicU64,
     retired: Mutex<Vec<Retired<T>>>,
@@ -356,6 +461,11 @@ impl<T: Reclaimable> RetireCore<T> {
         };
         RetireCore {
             strategy,
+            exclusive: if strategy == PinStrategy::Asymmetric {
+                STRIPES
+            } else {
+                0
+            },
             stripes: std::array::from_fn(|_| Stripe::default()),
             epoch: AtomicU64::new(0),
             retired: Mutex::new(Vec::new()),
@@ -398,19 +508,37 @@ impl<T: Reclaimable> RetireCore<T> {
     /// the membarrier's job.
     #[inline]
     pub fn pin(&self) -> ReaderPin<'_> {
-        let slot = slot_claim();
-        let stripe = &self.stripes[slot];
-        let asym = self.strategy == PinStrategy::Asymmetric && slot < STRIPES;
-        if asym {
-            // Exclusive slot: this thread is the only writer, so the
-            // plain load+store increment cannot lose updates.
-            let pins = &stripe.pins;
-            pins.store(pins.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-            std::sync::atomic::compiler_fence(Ordering::SeqCst);
-        } else {
-            stripe.pins.fetch_add(1, Ordering::SeqCst);
+        let slot = claimed_slot();
+        if slot >= self.exclusive {
+            return self.pin_slow(slot);
         }
-        ReaderPin { stripe, asym }
+        debug_assert!(slot < STRIPES);
+        // SAFETY: `slot < self.exclusive <= STRIPES`, inside `stripes`.
+        let stripe = in_one_register(unsafe { self.stripes.get_unchecked(slot) });
+        // Exclusive slot: this thread is the only writer, so the plain
+        // load+store increment cannot lose updates.
+        let pins = &stripe.pins;
+        pins.store(pins.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        std::sync::atomic::compiler_fence(Ordering::SeqCst);
+        ReaderPin::on(stripe, true)
+    }
+
+    /// [`RetireCore::pin`] off the exclusive fast path: a thread's first
+    /// pin, and every pin on a shared stripe or under the Dekker pairing.
+    #[cold]
+    #[inline(never)]
+    fn pin_slow(&self, slot: usize) -> ReaderPin<'_> {
+        let slot = if slot == UNCLAIMED {
+            claim_slot()
+        } else {
+            slot
+        };
+        if slot < self.exclusive {
+            return self.pin();
+        }
+        let stripe = &self.stripes[slot];
+        stripe.pins.fetch_add(1, Ordering::SeqCst);
+        ReaderPin::on(stripe, false)
     }
 
     /// Sum of every stripe's tallies ([`ReaderPin::tally`]). Exclusive-slot
@@ -579,12 +707,9 @@ impl<T: Reclaimable> RetireCore<T> {
     /// scan's fence can no longer pair with it — the scan may miss a live
     /// pin *and* the reader may miss the unpublication.
     pub fn pin_seeded_relaxed(&self) -> ReaderPin<'_> {
-        let stripe = &self.stripes[slot_claim()];
+        let stripe = &self.stripes[claimed_slot()];
         stripe.pins.fetch_add(1, Ordering::Relaxed);
-        ReaderPin {
-            stripe,
-            asym: false,
-        }
+        ReaderPin::on(stripe, false)
     }
 
     /// Seeded bug: `quiescent_epoch` without the SeqCst fence between the
@@ -720,6 +845,27 @@ mod tests {
         assert_eq!(list.try_reclaim(), 0, "must not unmap under a pin");
         drop(pin);
         assert_eq!(list.try_reclaim(), 1);
+    }
+
+    // (The model build has 2 exclusive slots, fewer than the harness's own
+    // threads hold at a time.)
+    #[cfg(not(feature = "loomish"))]
+    #[test]
+    fn exclusive_slots_return_when_their_thread_exits() {
+        let list = RetireList::new();
+        // Three times the slots there are, one thread alive at a time.
+        for i in 0..100 {
+            let slot = std::thread::scope(|s| {
+                let pinned = s.spawn(|| {
+                    drop(list.pin());
+                    CLAIM.get()
+                });
+                pinned.join().unwrap()
+            });
+            assert!(slot < STRIPES, "thread {i} pinned on shared stripe {slot}");
+        }
+        assert_eq!(list.try_reclaim(), 0, "nothing retired, every pin drained");
+        assert!(list.readers_quiesced());
     }
 
     #[test]

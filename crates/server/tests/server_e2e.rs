@@ -11,6 +11,9 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 /// A decoded reply, as much structure as the assertions need.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum R {
@@ -279,18 +282,10 @@ fn mid_stream_disconnect_does_not_take_the_server_down() {
     // must be visible (they were accepted before the disconnect).
     let mut client = Client::connect(addr);
     assert_eq!(client.roundtrip(&["PING"]), R::Simple("PONG".into()));
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        // A's pipeline races our read; poll until the last write lands.
-        if client.roundtrip(&["GET", "199"]) == R::Bulk(Some("398".into())) {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "writes from the disconnected client never landed"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // A's pipeline races our read; poll until the last write lands.
+    common::wait_until("the disconnected client's writes land", || {
+        client.roundtrip(&["GET", "199"]) == R::Bulk(Some("398".into()))
+    });
 
     // Malformed input on a live connection: error reply, then close.
     let mut bad = TcpStream::connect(addr).unwrap();

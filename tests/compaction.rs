@@ -10,6 +10,8 @@ use std::time::Duration;
 use taking_the_shortcut::exhash::{ChConfig, ChainedHash};
 use taking_the_shortcut::{CompactionPolicy, Index, ShortcutIndex};
 
+mod common;
+
 fn build(policy: CompactionPolicy, slot_power: u32) -> ShortcutIndex {
     ShortcutIndex::builder()
         .capacity(150_000)
@@ -191,10 +193,9 @@ fn compaction_collapses_live_vmas_by_10x() {
 
     // Settle retired directories so `live ≈ in_use` before measuring.
     let drain = |index: &ShortcutIndex| {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while index.stats().vma.retired_areas > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        common::wait_until("retired directories are reclaimed", || {
+            index.stats().vma.retired_areas == 0
+        });
         index.stats()
     };
     let before = drain(&index);

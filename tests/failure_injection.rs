@@ -8,6 +8,8 @@ use taking_the_shortcut::core::{
 };
 use taking_the_shortcut::rewire::{Error, PageIdx, PagePool, PinStrategy, PoolConfig, VirtArea};
 
+mod common;
+
 #[test]
 fn pool_exhaustion_is_an_error_not_a_crash() {
     let mut pool = PagePool::new(PoolConfig {
@@ -72,11 +74,8 @@ fn mapper_surfaces_bad_requests_as_errors() {
         version: v,
     });
     // The mapper must record the failure (and stop), never publish sync.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while maint.error().is_none() && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let err = maint.error().expect("mapper swallowed the failure");
+    common::wait_until("the mapper records the failure", || maint.error().is_some());
+    let err = maint.error().expect("just seen");
     assert!(matches!(err, Error::InvalidArg { .. }), "{err}");
     assert!(!maint.state().in_sync());
 }

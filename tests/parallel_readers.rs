@@ -7,8 +7,10 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use taking_the_shortcut::{Index, ShortcutIndex};
+
+mod common;
 
 #[test]
 fn concurrent_readers_see_every_key() {
@@ -234,11 +236,7 @@ fn sharded_writers_and_readers_run_concurrently() {
             "writers got in without revoking the readers' bias"
         );
         // No more writers: the readers' own traffic must re-arm.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while !back_on_bias(&index) {
-            assert!(Instant::now() < deadline, "bias never re-armed");
-            std::thread::yield_now();
-        }
+        common::wait_until("the bias re-arms", || back_on_bias(&index));
         stop.store(true, Ordering::Release);
     });
     for k in 0..n + extra {

@@ -4,8 +4,10 @@
 //! small injected VMA budget must suspend the shortcut gracefully instead
 //! of leaking mappings until `vm.max_map_count` kills the process.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use taking_the_shortcut::{ShortcutIndex, StatsSnapshot};
+
+mod common;
 
 /// Insert `chunk`-sized batches until the index reports at least `target`
 /// doublings, pacing with `wait_sync` so the mapper applies (rather than
@@ -30,15 +32,11 @@ fn grow_to_doublings(index: &mut ShortcutIndex, target: u64, chunk: u64) -> u64 
 }
 
 /// Poll until no retired areas remain (the mapper reclaims on poll ticks).
-fn drain_retired(index: &ShortcutIndex, timeout: Duration) -> StatsSnapshot {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let s = index.stats();
-        if s.vma.retired_areas == 0 || Instant::now() > deadline {
-            return s;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+fn drain_retired(index: &ShortcutIndex) -> StatsSnapshot {
+    common::wait_until("retired directories are reclaimed", || {
+        index.stats().vma.retired_areas == 0
+    });
+    index.stats()
 }
 
 #[test]
@@ -60,7 +58,7 @@ fn mapping_count_plateaus_after_doublings() {
     assert!(index.wait_sync(Duration::from_secs(60)), "never synced");
 
     // With no live readers, every retired directory must drain.
-    let s = drain_retired(&index, Duration::from_secs(10));
+    let s = drain_retired(&index);
     assert!(s.index.doublings >= 8);
     assert_eq!(s.vma.retired_areas, 0, "retired areas leaked: {:?}", s.vma);
     assert!(s.vma.areas_retired >= 5, "{:?}", s.vma);
@@ -107,7 +105,7 @@ fn forced_dekker_fallback_reclaims_exactly_like_the_default() {
 
     let n = grow_to_doublings(&mut index, 6, 100);
     assert!(index.wait_sync(Duration::from_secs(60)), "never synced");
-    let s = drain_retired(&index, Duration::from_secs(10));
+    let s = drain_retired(&index);
     assert_eq!(s.vma.retired_areas, 0, "retired areas leaked: {:?}", s.vma);
     assert!(s.vma.areas_retired >= 3, "{:?}", s.vma);
     assert_eq!(
@@ -159,8 +157,8 @@ fn plateau_scales_down_with_slot_size() {
     fill(&mut big);
     assert!(base.wait_sync(Duration::from_secs(60)));
     assert!(big.wait_sync(Duration::from_secs(60)));
-    let sb = drain_retired(&base, Duration::from_secs(10));
-    let sg = drain_retired(&big, Duration::from_secs(10));
+    let sb = drain_retired(&base);
+    let sg = drain_retired(&big);
     assert_eq!(sg.len, sb.len);
     assert_eq!(sg.pages_per_slot, 4);
     assert!(
@@ -202,7 +200,7 @@ fn growth_without_reclamation_accumulates_retired_areas() {
     grow_to_doublings(&mut tidy, 8, 100);
     assert!(leaky.wait_sync(Duration::from_secs(60)));
     assert!(tidy.wait_sync(Duration::from_secs(60)));
-    let tidy_stats = drain_retired(&tidy, Duration::from_secs(10));
+    let tidy_stats = drain_retired(&tidy);
     let leaky_stats = leaky.stats();
 
     // Legacy mode never hands areas to the pool's retire list.
@@ -238,7 +236,7 @@ fn tiny_budget_suspends_instead_of_dying() {
 
     assert!(index.shortcut_suspended(), "budget never suspended");
     assert!(index.maint_error().is_none(), "{:?}", index.maint_error());
-    let s = drain_retired(&index, Duration::from_secs(10));
+    let s = drain_retired(&index);
     assert!(s.maint.creates_skipped > 0);
     assert!(s.vma.in_use <= s.vma.limit, "budget exceeded: {:?}", s.vma);
     assert_eq!(s.vma.retired_areas, 0, "retired areas leaked: {:?}", s.vma);
