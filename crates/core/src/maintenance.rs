@@ -2,8 +2,9 @@
 //!
 //! All directory-modifying operations are reflected synchronously in the
 //! *traditional* directory; the shortcut directory replays them
-//! asynchronously. Coordination runs through a concurrent lock-free FIFO
-//! queue ([`crossbeam::queue::SegQueue`]):
+//! asynchronously. Coordination runs through a FIFO queue — a vector
+//! behind one mutex, appended to once per relay and swapped out whole by
+//! the mapper:
 //!
 //! * **Update** — after a bucket split, two (or more) slots must be
 //!   remapped; the index pushes one request per slot carrying the slot
@@ -16,6 +17,15 @@
 //! paper found 25 ms to work well), executes requests, eagerly populates
 //! the page table, and only then stamps the shortcut's version — so no
 //! access through an in-sync shortcut ever takes a page fault.
+//!
+//! **Passes.** What the mapper finds queued when it wakes is one *pass*
+//! ([`MapperEngine::apply_batch`]): the last create, then the updates
+//! behind it as one sorted list whose slots first lose their page-table
+//! entries through a vectored `MADV_DONTNEED`
+//! ([`shortcut_rewire::VirtArea::zap`]: one TLB shootdown per call, where
+//! rewiring populated slots costs one each), then one publish. Then it
+//! parks until the tick, a backlog of [`WAKE_BACKLOG`] or a demand
+//! ([`Maintainer::wait_sync`]).
 //!
 //! **Retired-area lifecycle.** A create supersedes the previous shortcut
 //! area. It is *retired* into the pool's [`shortcut_rewire::RetireList`]
@@ -36,12 +46,11 @@
 use crate::metrics::{MaintMetrics, MaintSnapshot};
 use crate::shortcut_node::ShortcutNode;
 use crate::version::SharedDirectoryState;
-use crossbeam::queue::SegQueue;
 use parking_lot::{Condvar, Mutex};
-use shortcut_rewire::{Error, PageIdx, PoolHandle, Result};
-use std::sync::atomic::{AtomicBool, Ordering};
+use shortcut_rewire::{Error, PageIdx, PoolHandle, Result, RetireList, ZapCall};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Mappings left unaccounted for the rest of the process (binary, heap,
 /// stacks, the pool view's transient splits) when admitting a rebuild.
@@ -100,6 +109,9 @@ pub fn service_census(assignments: &[(usize, PageIdx)], max_shift: u32) -> (usiz
     (total, resolvable)
 }
 
+/// Queue length that wakes a parked mapper ahead of its tick.
+pub const WAKE_BACKLOG: usize = 512;
+
 /// A maintenance request, as pushed by the index's main thread.
 #[derive(Debug, Clone)]
 pub enum MaintRequest {
@@ -121,14 +133,6 @@ pub enum MaintRequest {
         /// Traditional-directory version this rebuild reflects.
         version: u64,
     },
-}
-
-impl MaintRequest {
-    fn version(&self) -> u64 {
-        match self {
-            MaintRequest::Update { version, .. } | MaintRequest::Create { version, .. } => *version,
-        }
-    }
 }
 
 /// Policy for physically compacting bucket pages into directory order.
@@ -270,6 +274,9 @@ fn next_mapper_seq() -> usize {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
+/// The payload of a [`MaintRequest::Create`]: `(slots, assignments, version)`.
+type Rebuild = (usize, Vec<(usize, PageIdx)>, u64);
+
 /// The synchronous core of the mapper: applies requests to the shortcut it
 /// owns. Separated from the thread so the logic is unit-testable and so
 /// benches can drive maintenance deterministically.
@@ -288,7 +295,7 @@ pub struct MapperEngine {
     /// scan). Retried on poll ticks once it would fit, so a transient
     /// reclaim failure does not suspend the shortcut permanently.
     /// Superseded by any newer create.
-    deferred: Option<MaintRequest>,
+    deferred: Option<Rebuild>,
     /// `traditional_depth − published_depth` of the current node: 0 when
     /// the shortcut resolves the full directory, > 0 when admission
     /// coarsened the published depth to fit the budget. Update slots are
@@ -302,6 +309,9 @@ pub struct MapperEngine {
     /// updates can leave it slightly stale; a retry that then fails
     /// recomputes it, so the probe self-corrects instead of looping.
     deferred_min_want: usize,
+    /// The vectored PTE drop ahead of a batch of updates: the process's
+    /// (tests inject others), `None` from the first call that fails.
+    zap: Option<ZapCall>,
 }
 
 impl MapperEngine {
@@ -322,168 +332,208 @@ impl MapperEngine {
             deferred: None,
             published_shift: 0,
             deferred_min_want: 0,
+            zap: shortcut_rewire::zap_call(),
         }
     }
 
-    /// Apply a batch of requests in FIFO order, honoring supersession: only
-    /// the *last* create in the batch is executed, and updates older than it
-    /// are discarded. Returns the number of requests consumed.
+    /// Apply one pass's requests, honoring supersession: only the *last*
+    /// create is executed, updates older than it are discarded, and the
+    /// updates behind it are applied as one batch (one vectored zap per
+    /// [`shortcut_rewire::ZAP_BATCH`] slots, one publish). Returns the
+    /// number of requests consumed.
     pub fn apply_batch(&mut self, batch: Vec<MaintRequest>) -> Result<usize> {
-        if batch.is_empty() {
-            return Ok(0);
-        }
         let n = batch.len();
-        // Find the last create; everything before it is superseded.
-        let last_create = batch
-            .iter()
-            .rposition(|r| matches!(r, MaintRequest::Create { .. }));
-        let start = match last_create {
-            Some(i) => {
-                let discarded = batch[..i]
-                    .iter()
-                    .filter(|r| matches!(r, MaintRequest::Update { .. }))
-                    .count();
-                self.metrics
-                    .updates_discarded
-                    .fetch_add(discarded as u64, Ordering::Relaxed);
-                i
+        let mut create = None;
+        let mut updates = Vec::new();
+        for req in batch {
+            match req {
+                MaintRequest::Update {
+                    slot,
+                    ppage,
+                    version,
+                } => updates.push((slot, ppage, version)),
+                MaintRequest::Create {
+                    slots,
+                    assignments,
+                    version,
+                } => {
+                    self.metrics
+                        .updates_discarded
+                        .fetch_add(updates.len() as u64, Ordering::Relaxed);
+                    updates.clear();
+                    create = Some((slots, assignments, version));
+                }
             }
-            None => 0,
-        };
-        for req in batch.into_iter().skip(start) {
-            self.apply_one(req)?;
         }
+        if let Some((slots, assignments, version)) = create {
+            self.apply_create(slots, assignments, version)?;
+        }
+        self.apply_updates(updates)?;
         Ok(n)
     }
 
-    fn apply_one(&mut self, req: MaintRequest) -> Result<()> {
-        let version = req.version();
-        match req {
-            MaintRequest::Update { slot, ppage, .. } => {
-                // While a create is deferred (budget-skipped, awaiting
-                // retry), updates describe the *deferred* directory — fold
-                // them into its assignment vector rather than discarding
-                // them, or the retried create would publish pre-split
-                // slots and a later update could restore version equality
-                // over a stale mapping.
-                if let Some(MaintRequest::Create {
-                    slots,
-                    assignments,
-                    version: deferred_version,
-                }) = &mut self.deferred
-                {
-                    if slot < *slots {
-                        match assignments.binary_search_by_key(&slot, |a| a.0) {
-                            Ok(i) => assignments[i].1 = ppage,
-                            Err(i) => assignments.insert(i, (slot, ppage)),
-                        }
-                        *deferred_version = version;
-                        return Ok(());
+    /// Apply the updates of one pass, in FIFO order `(slot, page, version)`,
+    /// as **one** sorted, last-wins assignment list: zap, rewire, touch,
+    /// publish the last version once. The shortcut is out of sync from the
+    /// first of these versions until that publish (the writer bumped the
+    /// traditional version before relaying), so no reader takes an answer
+    /// from a slot this touches.
+    fn apply_updates(&mut self, updates: Vec<(usize, PageIdx, u64)>) -> Result<()> {
+        let live_slots = self.current.as_ref().map_or(0, |n| n.slots());
+        let mut batch: Vec<(usize, PageIdx)> = Vec::with_capacity(updates.len());
+        let mut last_version = 0;
+        for (slot, ppage, version) in updates {
+            // While a create is deferred (budget-skipped, awaiting
+            // retry), updates describe the *deferred* directory — fold
+            // them into its assignment vector rather than discarding
+            // them, or the retried create would publish pre-split
+            // slots and a later update could restore version equality
+            // over a stale mapping.
+            if let Some((slots, assignments, deferred_version)) = &mut self.deferred {
+                if slot < *slots {
+                    match assignments.binary_search_by_key(&slot, |a| a.0) {
+                        Ok(i) => assignments[i].1 = ppage,
+                        Err(i) => assignments.insert(i, (slot, ppage)),
                     }
+                    *deferred_version = version;
+                    continue;
                 }
-                // Producers address slots at the traditional directory's
-                // depth; a coarsely published node resolves them at its
-                // own granularity. A split deeper than the published
-                // depth clobbers the shared coarse slot with one sibling
-                // — readers detect the over-depth bucket via its stored
-                // local depth and fall back for those keys.
-                let slot = slot >> self.published_shift;
-                let node = match self.current.as_mut() {
-                    Some(n) if slot < n.slots() => n,
-                    _ => {
-                        // Stale update (raced a rebuild that shrank… or no
-                        // node yet). Protocol-respecting producers never hit
-                        // this; drop defensively.
-                        self.metrics
-                            .updates_discarded
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Ok(());
-                    }
-                };
-                node.set_slot(slot, &self.pool, ppage)?;
-                if self.cfg.eager_populate {
-                    // Touch just the remapped slot to install its PTE.
-                    // SAFETY: slot was just rewired to a valid pool page.
-                    unsafe {
-                        std::ptr::read_volatile(node.slot_ptr(slot));
-                    }
-                    self.metrics.pages_populated.fetch_add(1, Ordering::Relaxed);
-                }
-                self.metrics.updates_applied.fetch_add(1, Ordering::Relaxed);
-                self.metrics.slots_rewired.fetch_add(1, Ordering::Relaxed);
-                let node = self.current.as_ref().expect("checked above");
-                self.state.publish(node.base(), node.slots(), version);
             }
-            MaintRequest::Create {
-                slots, assignments, ..
-            } => {
-                // Any newer create supersedes a deferred one.
-                self.deferred = None;
-                let (shift, reservation) = if self.cfg.reclaim {
-                    match self.admit_create(slots, &assignments) {
-                        Some((shift, r)) => (shift, Some(r)),
-                        None => {
-                            self.deferred = Some(MaintRequest::Create {
-                                slots,
-                                assignments,
-                                version,
-                            });
-                            return Ok(());
-                        }
-                    }
-                } else {
-                    (0, None)
-                };
-                let coarse;
-                let (pub_slots, pub_assignments) = if shift == 0 {
-                    (slots, &assignments)
-                } else {
-                    coarse = coarsen_assignments(&assignments, shift);
-                    (slots >> shift, &coarse)
-                };
-                // The node inherits the pool's slot layout: each published
-                // slot spans a whole 2^k-page physical slot.
-                let mut node =
-                    ShortcutNode::for_pool(pub_slots, &self.pool, self.cfg.eager_populate)?;
-                let calls = node.set_batch(&self.pool, pub_assignments)?;
-                if self.cfg.eager_populate {
-                    let touched = node.populate();
+            // Producers address slots at the traditional directory's
+            // depth; a coarsely published node resolves them at its
+            // own granularity. A split deeper than the published
+            // depth clobbers the shared coarse slot with one sibling
+            // — readers detect the over-depth bucket via its stored
+            // local depth and fall back for those keys.
+            let slot = slot >> self.published_shift;
+            if slot >= live_slots {
+                // Stale update (raced a rebuild that shrank… or no
+                // node yet). Protocol-respecting producers never hit
+                // this; drop defensively.
+                self.metrics
+                    .updates_discarded
+                    .fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            batch.push((slot, ppage));
+            last_version = version;
+        }
+        let Some(node) = self.current.as_mut().filter(|_| !batch.is_empty()) else {
+            return Ok(());
+        };
+        let applied = batch.len() as u64;
+        // Stable, so among updates of one slot the last one queued is the
+        // last one here, and it wins.
+        batch.sort_by_key(|&(slot, _)| slot);
+        batch.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        if let Some(call) = self.zap {
+            match node.zap(call, &batch) {
+                Some(n) => {
                     self.metrics
-                        .pages_populated
-                        .fetch_add(touched as u64, Ordering::Relaxed);
+                        .slots_zapped
+                        .fetch_add(n as u64, Ordering::Relaxed);
                 }
-                // Hand the worst-case reservation over to the built node
-                // as its exact charge in one atomic adjustment — the
-                // budget never transiently double-counts the directory
-                // (which could trip `in_use <= limit` asserts) and never
-                // dips (which would let a concurrent pool steal margin).
-                match reservation {
-                    Some(r) => {
-                        r.settle(node.vma_estimate());
-                        node.charge_to_prepaid(&self.pool);
-                    }
-                    None => node.charge_to(&self.pool),
+                None => self.zap = None,
+            }
+        }
+        node.set_batch(&self.pool, &batch)?;
+        if self.cfg.eager_populate {
+            for &(slot, _) in &batch {
+                // Touch just the remapped slot to install its PTE.
+                // SAFETY: slot was just rewired to a valid pool page.
+                unsafe {
+                    std::ptr::read_volatile(node.slot_ptr(slot));
                 }
-                self.metrics.creates_applied.fetch_add(1, Ordering::Relaxed);
-                if shift > 0 {
-                    self.metrics.creates_coarse.fetch_add(1, Ordering::Relaxed);
+            }
+            self.metrics
+                .pages_populated
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        }
+        self.metrics
+            .updates_applied
+            .fetch_add(applied, Ordering::Relaxed);
+        self.metrics
+            .slots_rewired
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.metrics.update_batches.fetch_add(1, Ordering::Relaxed);
+        self.state.publish(node.base(), node.slots(), last_version);
+        Ok(())
+    }
+
+    /// Replace the shortcut with a fresh `slots`-slot directory, if
+    /// admission lets it in; defer it otherwise.
+    fn apply_create(
+        &mut self,
+        slots: usize,
+        assignments: Vec<(usize, PageIdx)>,
+        version: u64,
+    ) -> Result<()> {
+        // Any newer create supersedes a deferred one.
+        self.deferred = None;
+        let (shift, reservation) = if self.cfg.reclaim {
+            match self.admit_create(slots, &assignments) {
+                Some((shift, r)) => (shift, Some(r)),
+                None => {
+                    self.deferred = Some((slots, assignments, version));
+                    return Ok(());
                 }
-                self.metrics
-                    .slots_rewired
-                    .fetch_add(pub_assignments.len() as u64, Ordering::Relaxed);
-                self.metrics
-                    .create_mmap_calls
-                    .fetch_add(calls, Ordering::Relaxed);
-                self.published_shift = shift;
-                self.state.publish(node.base(), node.slots(), version);
-                self.state.set_suspended(false);
-                if let Some(old) = self.current.replace(node) {
-                    if self.cfg.reclaim {
-                        self.pool.retire_list().retire(old.into_area());
-                    } else {
-                        self.retired.push(old);
-                    }
-                }
+            }
+        } else {
+            (0, None)
+        };
+        let coarse;
+        let (pub_slots, pub_assignments) = if shift == 0 {
+            (slots, &assignments)
+        } else {
+            coarse = coarsen_assignments(&assignments, shift);
+            (slots >> shift, &coarse)
+        };
+        // The node inherits the pool's slot layout: each published
+        // slot spans a whole 2^k-page physical slot.
+        let mut node = ShortcutNode::for_pool(pub_slots, &self.pool, self.cfg.eager_populate)?;
+        let calls = node.set_batch(&self.pool, pub_assignments)?;
+        if self.cfg.eager_populate {
+            let touched = node.populate();
+            self.metrics
+                .pages_populated
+                .fetch_add(touched as u64, Ordering::Relaxed);
+        }
+        // Hand the worst-case reservation over to the built node
+        // as its exact charge in one atomic adjustment — the
+        // budget never transiently double-counts the directory
+        // (which could trip `in_use <= limit` asserts) and never
+        // dips (which would let a concurrent pool steal margin).
+        match reservation {
+            Some(r) => {
+                r.settle(node.vma_estimate());
+                node.charge_to_prepaid(&self.pool);
+            }
+            None => node.charge_to(&self.pool),
+        }
+        self.metrics.creates_applied.fetch_add(1, Ordering::Relaxed);
+        if shift > 0 {
+            self.metrics.creates_coarse.fetch_add(1, Ordering::Relaxed);
+        }
+        self.metrics
+            .slots_rewired
+            .fetch_add(pub_assignments.len() as u64, Ordering::Relaxed);
+        self.metrics
+            .create_mmap_calls
+            .fetch_add(calls, Ordering::Relaxed);
+        self.published_shift = shift;
+        self.state.publish(node.base(), node.slots(), version);
+        self.state.set_suspended(false);
+        if let Some(old) = self.current.replace(node) {
+            if self.cfg.reclaim {
+                self.pool.retire_list().retire(old.into_area());
+            } else {
+                self.retired.push(old);
             }
         }
         Ok(())
@@ -647,7 +697,7 @@ impl MapperEngine {
             return Ok(0);
         }
         let reclaimed = self.pool.retire_list().try_reclaim();
-        if matches!(self.deferred, Some(MaintRequest::Create { .. })) {
+        if self.deferred.is_some() {
             // Racy pre-check to avoid re-counting a skip every tick; the
             // retry's real admission goes through try_reserve again. The
             // probe is one O(1) `would_fit` against the smallest
@@ -659,8 +709,8 @@ impl MapperEngine {
             let budget = Arc::clone(self.pool.budget());
             let headroom = budget_headroom(budget.limit());
             if budget.would_fit_for(self.pool.usage(), self.deferred_min_want, headroom) {
-                if let Some(req) = self.deferred.take() {
-                    self.apply_one(req)?;
+                if let Some((slots, assignments, version)) = self.deferred.take() {
+                    self.apply_create(slots, assignments, version)?;
                 }
             }
         }
@@ -694,15 +744,78 @@ impl MapperEngine {
     }
 }
 
+/// What producers and the mapper hand each other, under one lock.
+#[derive(Default)]
+struct Inbox {
+    /// Requests in FIFO order; the mapper swaps the vector out whole.
+    queue: Vec<MaintRequest>,
+    /// Someone wants a pass now rather than at the tick. Raised before
+    /// the notify and read by the mapper under the lock before it parks,
+    /// so a demand is never slept through; cleared where a pass starts.
+    demand: bool,
+    /// The mapper is between taking a queue and finishing its pass.
+    in_pass: bool,
+    stop: bool,
+    /// First error a pass hit; the mapper stops there.
+    error: Option<Error>,
+}
+
+/// State shared between a [`Maintainer`] and its mapper thread.
+struct Shared {
+    inbox: Mutex<Inbox>,
+    /// Wakes the parked mapper (demand, backlog, stop).
+    wake: Condvar,
+    /// Announces a finished pass to [`Maintainer::wait_sync`].
+    done: Condvar,
+}
+
+/// The mapper thread: one pass per wake, then park.
+fn mapper_loop(mut engine: MapperEngine, shared: &Shared, poll: Duration) {
+    let metrics = Arc::clone(&engine.metrics);
+    loop {
+        let batch = {
+            let mut inbox = shared.inbox.lock();
+            inbox.demand = false;
+            inbox.in_pass = true;
+            std::mem::take(&mut inbox.queue)
+        };
+        let polls = if batch.is_empty() {
+            &metrics.idle_polls
+        } else {
+            &metrics.busy_polls
+        };
+        polls.fetch_add(1, Ordering::Relaxed);
+        // Every pass ends in a reclaim tick: retired areas drain, a
+        // deferred create is retried, the compaction trigger is read.
+        let pass = engine
+            .apply_batch(batch)
+            .and_then(|_| engine.reclaim_tick());
+        let mut inbox = shared.inbox.lock();
+        inbox.in_pass = false;
+        inbox.error = pass.err();
+        // Release: who reads the count (Acquire, `wait_sync`) sees what
+        // the pass published and whether it left the shortcut suspended.
+        metrics.passes.fetch_add(1, Ordering::Release);
+        shared.done.notify_all();
+        let stop = |inbox: &Inbox| inbox.stop || inbox.error.is_some();
+        if !(stop(&inbox) || inbox.demand) {
+            shared.wake.wait_for(&mut inbox, poll);
+        }
+        if stop(&inbox) {
+            return;
+        }
+    }
+}
+
 /// Handle owning the mapper thread. Dropping it stops and joins the thread
 /// (and only then unmaps all shortcut areas, current and retired).
 pub struct Maintainer {
-    queue: Arc<SegQueue<MaintRequest>>,
+    shared: Arc<Shared>,
     state: Arc<SharedDirectoryState>,
     metrics: Arc<MaintMetrics>,
-    stop: Arc<AtomicBool>,
-    stop_signal: Arc<(Mutex<()>, Condvar)>,
-    error: Arc<Mutex<Option<Error>>>,
+    /// The pool's retire list: what is still on it tells a deferred
+    /// create (worth waiting for) from a skipped one.
+    retire: Arc<RetireList>,
     poll_interval: Duration,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -716,78 +829,35 @@ impl Maintainer {
     /// [`Maintainer::spawn`] publishing into a `state` the caller built
     /// (with the index's [`crate::ReadGeometry`]).
     pub fn spawn_on(pool: PoolHandle, cfg: MaintConfig, state: Arc<SharedDirectoryState>) -> Self {
-        let queue: Arc<SegQueue<MaintRequest>> = Arc::new(SegQueue::new());
-        let metrics = Arc::new(MaintMetrics::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_signal: Arc<(Mutex<()>, Condvar)> = Arc::new((Mutex::new(()), Condvar::new()));
-        let error: Arc<Mutex<Option<Error>>> = Arc::new(Mutex::new(None));
-
-        let t_queue = Arc::clone(&queue);
-        let t_state = Arc::clone(&state);
-        let t_metrics = Arc::clone(&metrics);
-        let t_stop = Arc::clone(&stop);
-        let t_signal = Arc::clone(&stop_signal);
-        let t_error = Arc::clone(&error);
         let poll = if cfg.poll_stagger {
             staggered_poll_interval(cfg.poll_interval, next_mapper_seq())
         } else {
             cfg.poll_interval
         };
+        let metrics = Arc::new(MaintMetrics::default());
+        Self::start(MapperEngine::new(pool, state, metrics, cfg), poll)
+    }
 
+    /// Run `engine` on a mapper thread of its own.
+    fn start(engine: MapperEngine, poll_interval: Duration) -> Self {
+        let shared = Arc::new(Shared {
+            inbox: Mutex::new(Inbox::default()),
+            wake: Condvar::new(),
+            done: Condvar::new(),
+        });
+        let (state, metrics) = (Arc::clone(&engine.state), Arc::clone(&engine.metrics));
+        let retire = Arc::clone(engine.pool.retire_list());
+        let t_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("shortcut-mapper".into())
-            .spawn(move || {
-                let mut engine = MapperEngine::new(pool, t_state, Arc::clone(&t_metrics), cfg);
-                loop {
-                    let mut batch = Vec::new();
-                    while let Some(req) = t_queue.pop() {
-                        batch.push(req);
-                    }
-                    if batch.is_empty() {
-                        t_metrics.idle_polls.fetch_add(1, Ordering::Relaxed);
-                        // Idle tick: drive retired-area reclamation (and a
-                        // deferred-create retry) while the queue is quiet.
-                        if let Err(e) = engine.reclaim_tick() {
-                            *t_error.lock() = Some(e);
-                            break;
-                        }
-                        if t_stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // Wait out the poll interval on a condvar so Drop
-                        // can interrupt immediately (a sliced sleep would
-                        // both oversleep on coarse-timer hosts and delay
-                        // shutdown).
-                        let (lock, cv) = &*t_signal;
-                        let mut guard = lock.lock();
-                        if !t_stop.load(Ordering::Acquire) {
-                            cv.wait_for(&mut guard, poll);
-                        }
-                        continue;
-                    }
-                    t_metrics.busy_polls.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = engine.apply_batch(batch) {
-                        *t_error.lock() = Some(e);
-                        break;
-                    }
-                    if let Err(e) = engine.reclaim_tick() {
-                        *t_error.lock() = Some(e);
-                        break;
-                    }
-                    // Drain again immediately after work: insert bursts
-                    // enqueue faster than one batch per poll.
-                }
-            })
+            .spawn(move || mapper_loop(engine, &t_shared, poll_interval))
             .expect("failed to spawn mapper thread");
-
         Maintainer {
-            queue,
+            shared,
             state,
             metrics,
-            stop,
-            stop_signal,
-            error,
-            poll_interval: poll,
+            retire,
+            poll_interval,
             handle: Some(handle),
         }
     }
@@ -809,23 +879,42 @@ impl Maintainer {
 
     /// Enqueue a request.
     pub fn submit(&self, req: MaintRequest) {
-        self.queue.push(req);
+        self.submit_all([req]);
     }
 
-    /// Pop all *pending* requests (the paper's main thread does this right
-    /// before pushing a create, as they became outdated). Returns how many
-    /// were dropped.
-    pub fn drop_pending(&self) -> usize {
-        let mut n = 0;
-        while self.queue.pop().is_some() {
-            n += 1;
+    /// Enqueue a relay's requests, in order, under one lock. A create
+    /// supersedes whatever is queued ahead of it (the paper's main thread
+    /// drops those right before pushing the create). The relay that takes
+    /// the backlog across [`WAKE_BACKLOG`] wakes a parked mapper.
+    pub fn submit_all(&self, reqs: impl IntoIterator<Item = MaintRequest>) {
+        let mut inbox = self.shared.inbox.lock();
+        let before = inbox.queue.len();
+        for req in reqs {
+            if matches!(req, MaintRequest::Create { .. }) {
+                inbox.queue.clear();
+            }
+            inbox.queue.push(req);
         }
-        n
+        if before < WAKE_BACKLOG && inbox.queue.len() >= WAKE_BACKLOG {
+            inbox.demand = true;
+            self.shared.wake.notify_one();
+        }
     }
 
-    /// Current queue length (approximate, lock-free).
+    /// Drop all *pending* requests, as [`Maintainer::submit_all`] does
+    /// ahead of a create. Returns how many were dropped.
+    pub fn drop_pending(&self) -> usize {
+        std::mem::take(&mut self.shared.inbox.lock().queue).len()
+    }
+
+    /// Current queue length.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.shared.inbox.lock().queue.len()
+    }
+
+    /// Passes the mapper has completed (apply, then reclaim tick).
+    pub fn passes(&self) -> u64 {
+        self.metrics.passes.load(Ordering::Acquire)
     }
 
     /// Maintenance counters.
@@ -841,7 +930,7 @@ impl Maintainer {
 
     /// First error the mapper hit, if any.
     pub fn error(&self) -> Option<Error> {
-        self.error.lock().clone()
+        self.shared.inbox.lock().error.clone()
     }
 
     /// Whether the mapper skipped the latest rebuild because the directory
@@ -851,54 +940,71 @@ impl Maintainer {
     }
 
     /// Block until the shortcut is in sync with the traditional directory
-    /// (or `timeout` elapses). Returns whether sync was reached; when
-    /// maintenance is budget-suspended it returns `false` after a short
-    /// grace period (a few poll ticks) rather than waiting out the whole
-    /// timeout — the grace covers a *transient* suspension, where a
-    /// reader pin stalled reclamation and the deferred rebuild succeeds
-    /// on an upcoming tick, while a directory that genuinely does not
-    /// fit the budget stays suspended and fails fast. Test and benchmark
-    /// helper; production readers never wait, they just fall back.
+    /// (or `timeout` elapses). Returns whether sync was reached. Out of
+    /// sync, it **demands** a pass instead of waiting for the tick, so
+    /// the wait is the time the mapper takes to apply what is queued.
+    /// When a pass that started after the demand leaves nothing pending
+    /// and the shortcut budget-suspended, a directory that genuinely does
+    /// not fit (nothing retired is left to reclaim) fails fast, while a
+    /// create only *deferred* behind a pinned reclaim keeps getting the
+    /// tick's retries until it lands or the timeout ends. Test and
+    /// benchmark helper; production readers never wait, they just fall
+    /// back.
     pub fn wait_sync(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let grace = (self.poll_interval * 4).max(Duration::from_millis(4));
-        let mut suspended_since: Option<std::time::Instant> = None;
-        while std::time::Instant::now() < deadline {
-            if self.error.lock().is_some() {
+        let deadline = Instant::now() + timeout;
+        let mut inbox = self.shared.inbox.lock();
+        // Pass count from which a pass that began after our last look at
+        // the state has completed; `None` before the first look.
+        let mut awaited: Option<u64> = None;
+        loop {
+            if inbox.error.is_some() {
                 return false;
             }
-            if self.pending() == 0 && self.state.in_sync() {
+            let idle = inbox.queue.is_empty();
+            if idle && self.state.in_sync() {
                 return true;
             }
-            if self.pending() == 0 && self.state.suspended() {
-                let since = *suspended_since.get_or_insert_with(std::time::Instant::now);
-                if since.elapsed() > grace {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            let passes = self.passes();
+            if awaited.is_none_or(|target| passes >= target) {
+                // A pass that began after the demand left nothing queued
+                // and no sync: more demands change nothing, only what the
+                // tick's reclaim frees can.
+                let stalled = awaited.is_some() && idle;
+                if stalled && self.state.suspended() && self.retire.retired_count() == 0 {
                     return false;
                 }
-            } else {
-                suspended_since = None;
+                if !stalled {
+                    inbox.demand = true;
+                    self.shared.wake.notify_one();
+                }
+                // A pass in flight took its queue before this look.
+                awaited = Some(passes + 1 + u64::from(inbox.in_pass));
             }
-            std::thread::yield_now();
-            std::thread::sleep(Duration::from_millis(1));
+            self.shared.done.wait_for(&mut inbox, deadline - now);
         }
-        self.pending() == 0 && self.state.in_sync()
     }
 }
 
 impl Drop for Maintainer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Wake the mapper if it is waiting out a poll interval.
-        let (lock, cv) = &*self.stop_signal;
         {
-            let _guard = lock.lock();
-            cv.notify_all();
+            let mut inbox = self.shared.inbox.lock();
+            inbox.stop = true;
+            self.shared.wake.notify_one();
         }
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
 }
+
+#[cfg(test)]
+#[path = "pass_tests.rs"]
+mod pass_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1782,8 +1888,9 @@ mod tests {
                 ..MaintConfig::default()
             },
         );
-        // Give the thread a moment to enter its sleep.
-        std::thread::sleep(Duration::from_millis(20));
+        // The first pass is over: the mapper sits out its minute, and
+        // five requests are no backlog.
+        pass_tests::wait_until("the first pass", || m.passes() == 1);
         for i in 0..5 {
             m.submit(MaintRequest::Update {
                 slot: i,
@@ -1791,8 +1898,7 @@ mod tests {
                 version: i as u64 + 1,
             });
         }
-        let dropped = m.drop_pending();
-        assert!(dropped <= 5);
+        assert_eq!(m.drop_pending(), 5);
         assert_eq!(m.pending(), 0);
     }
 }

@@ -54,6 +54,13 @@ pub struct MaintMetrics {
     pub busy_polls: AtomicU64,
     /// Times the mapper woke up to an empty queue.
     pub idle_polls: AtomicU64,
+    /// Passes completed (a wake's queue applied, then a reclaim tick);
+    /// Release/Acquire where [`crate::Maintainer::wait_sync`] counts them.
+    pub passes: AtomicU64,
+    /// Passes that applied a batch of updates to the live node.
+    pub update_batches: AtomicU64,
+    /// Slots zapped (`MADV_DONTNEED`) ahead of their rewiring.
+    pub slots_zapped: AtomicU64,
 }
 
 /// Plain-value snapshot of [`MaintMetrics`].
@@ -96,6 +103,12 @@ pub struct MaintSnapshot {
     pub busy_polls: u64,
     /// Polls without work.
     pub idle_polls: u64,
+    /// Mapper passes completed.
+    pub passes: u64,
+    /// Passes that applied a batch of updates.
+    pub update_batches: u64,
+    /// Slots zapped ahead of their rewiring.
+    pub slots_zapped: u64,
 }
 
 impl MaintSnapshot {
@@ -125,6 +138,9 @@ impl MaintSnapshot {
             pages_populated: self.pages_populated + other.pages_populated,
             busy_polls: self.busy_polls + other.busy_polls,
             idle_polls: self.idle_polls + other.idle_polls,
+            passes: self.passes + other.passes,
+            update_batches: self.update_batches + other.update_batches,
+            slots_zapped: self.slots_zapped + other.slots_zapped,
         }
     }
 }
@@ -149,6 +165,9 @@ impl MaintMetrics {
             pages_populated: self.pages_populated.load(Ordering::Relaxed),
             busy_polls: self.busy_polls.load(Ordering::Relaxed),
             idle_polls: self.idle_polls.load(Ordering::Relaxed),
+            passes: self.passes.load(Ordering::Relaxed),
+            update_batches: self.update_batches.load(Ordering::Relaxed),
+            slots_zapped: self.slots_zapped.load(Ordering::Relaxed),
         }
     }
 }

@@ -8,7 +8,7 @@
 //! resolved by the MMU when the leaf is read — one hardware-accelerated
 //! page-table lookup, cached by the TLB.
 
-use shortcut_rewire::{Mapping, PageIdx, PoolHandle, Result, SlotLayout, VirtArea};
+use shortcut_rewire::{Mapping, PageIdx, PoolHandle, Result, SlotLayout, VirtArea, ZapCall};
 
 /// A `k`-slot inner node expressed purely in the page table.
 pub struct ShortcutNode {
@@ -107,6 +107,12 @@ impl ShortcutNode {
         assignments: &[(usize, PageIdx)],
     ) -> Result<u64> {
         self.area.rewire_batch(pool, assignments)
+    }
+
+    /// Drop the page-table entries of the slots `assignments` is about to
+    /// set ([`VirtArea::zap`]): the slots zapped, `None` once `call` fails.
+    pub fn zap(&self, call: ZapCall, assignments: &[(usize, PageIdx)]) -> Option<usize> {
+        self.area.zap(call, assignments)
     }
 
     /// Clear slot `i` back to the anonymous (null-like) state.

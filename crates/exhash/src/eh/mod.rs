@@ -280,6 +280,12 @@ impl ExtendibleHash {
         self.pool.handle()
     }
 
+    /// Whether [`ExtendibleHash::take_events`] has anything to return.
+    #[inline]
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     /// Drain the directory events accumulated since the last call.
     pub fn take_events(&mut self) -> Vec<DirEvent> {
         std::mem::take(&mut self.events)

@@ -570,8 +570,9 @@ impl std::fmt::Debug for ShardedIndex {
 
 impl Index for ShardedIndex {
     fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
-        let i = self.shard_of(key);
-        self.shards[i].eh.get_mut().insert(key, value)
+        let hash = mult_hash(key);
+        let shard = self.shards[dir_slot(hash, self.bits)].eh.get_mut();
+        shard.insert_hashed(key, value, hash)
     }
 
     /// One hash routes and probes: the shard gets the hash it was chosen

@@ -267,43 +267,38 @@ impl ShortcutEh {
         &self.retire
     }
 
-    /// Forward directory events to the mapper queue.
+    /// Forward directory events to the mapper queue: one submission, under
+    /// one lock, per relay.
     fn relay_events(&mut self) {
-        let events = self.eh.take_events();
-        if events.is_empty() {
+        if !self.eh.has_events() {
             return;
         }
         // A split or a doubling moved the fan-in.
         let route = self.policy.use_shortcut(self.eh.avg_fanin(), true);
-        self.maint.state().set_route_shortcut(route);
-        for ev in events {
+        let state = self.maint.state();
+        state.set_route_shortcut(route);
+        let requests = self.eh.take_events().into_iter().map(|ev| {
+            let version = state.bump_traditional();
             match ev {
-                DirEvent::SlotUpdated { slot, ppage } => {
-                    let v = self.maint.state().bump_traditional();
-                    self.maint.submit(MaintRequest::Update {
-                        slot,
-                        ppage,
-                        version: v,
-                    });
-                }
+                DirEvent::SlotUpdated { slot, ppage } => MaintRequest::Update {
+                    slot,
+                    ppage,
+                    version,
+                },
                 // Both a doubling and a full-pass compaction supersede
-                // every pending update and require a full rebuild; after a
-                // compaction the assignment is an identity run the rebuild
-                // coalesces into a handful of mmap calls.
+                // every pending update (the queue drops them ahead of the
+                // create) and require a full rebuild; after a compaction
+                // the assignment is an identity run the rebuild coalesces
+                // into a handful of mmap calls.
                 DirEvent::Doubled { slots, assignments }
-                | DirEvent::Rebuilt { slots, assignments } => {
-                    // Paper: pending updates became outdated; drop them
-                    // before enqueueing the create.
-                    self.maint.drop_pending();
-                    let v = self.maint.state().bump_traditional();
-                    self.maint.submit(MaintRequest::Create {
-                        slots,
-                        assignments,
-                        version: v,
-                    });
-                }
+                | DirEvent::Rebuilt { slots, assignments } => MaintRequest::Create {
+                    slots,
+                    assignments,
+                    version,
+                },
             }
-        }
+        });
+        self.maint.submit_all(requests);
     }
 
     /// Minimum splits between triggered compaction attempts.
@@ -629,6 +624,30 @@ impl ShortcutEh {
         self.eh.get_chunk(keys, hashes, positions, out);
     }
 
+    /// [`Index::insert`] from the key's [`mult_hash`], for callers that
+    /// routed by it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Index::insert`].
+    pub(crate) fn insert_hashed(
+        &mut self,
+        key: u64,
+        value: u64,
+        hash: u64,
+    ) -> Result<(), IndexError> {
+        let r = self.eh.insert_hashed(key, value, self.eh.dir_hash_of(hash));
+        // Compaction work (trigger reaction / plan stepping) happens
+        // before the relay so its slot updates ride the same submission.
+        self.maybe_compact();
+        // Relay even on error: a multi-round split can apply a first round
+        // (moving entries and bumping the traditional directory) before a
+        // later round fails. Skipping the relay would leave the shortcut
+        // stamped in-sync while pointing at pre-split buckets.
+        self.relay_events();
+        r
+    }
+
     /// Insert the routed `positions` of one window of a batch, in order,
     /// relaying directory events to the mapper once for all of them.
     ///
@@ -699,16 +718,7 @@ fn published_bucket(t: ReadTicket, geometry: ReadGeometry, hash: u64) -> BucketR
 
 impl Index for ShortcutEh {
     fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
-        let r = self.eh.insert(key, value);
-        // Compaction work (trigger reaction / plan stepping) happens
-        // before the relay so its slot updates ride the same submission.
-        self.maybe_compact();
-        // Relay even on error: a multi-round split can apply a first round
-        // (moving entries and bumping the traditional directory) before a
-        // later round fails. Skipping the relay would leave the shortcut
-        // stamped in-sync while pointing at pre-split buckets.
-        self.relay_events();
-        r
+        self.insert_hashed(key, value, mult_hash(key))
     }
 
     fn get(&self, key: u64) -> Option<u64> {

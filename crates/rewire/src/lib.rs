@@ -61,4 +61,6 @@ pub use pool::{PagePool, PoolConfig, PoolHandle};
 pub use retire::{PinStrategy, ReaderPin, Reclaimable, RetireCore, RetireList, TALLIES};
 pub use slot::{SlotLayout, HUGE_PAGE_BYTES};
 pub use stats::{RewireStats, StatsSnapshot};
-pub use varea::{planned_vmas, rewire_page_raw, Mapping, VirtArea};
+pub use varea::{
+    planned_vmas, rewire_page_raw, zap_call, Mapping, VirtArea, ZapCall, ZapRange, ZAP_BATCH,
+};

@@ -14,6 +14,71 @@ use crate::page::{page_size, PageIdx};
 use crate::pool::PoolHandle;
 use crate::slot::SlotLayout;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+/// Slots one vectored zap call covers (the kernel takes at most 1024).
+pub const ZAP_BATCH: usize = 512;
+
+/// One `(base, length)` range of a [`ZapCall`].
+pub type ZapRange = libc::iovec;
+
+/// One vectored `MADV_DONTNEED` over `ranges` of this process: the bytes
+/// advised, negative when refused. See [`VirtArea::zap`].
+///
+/// # Safety
+///
+/// Every range must be page aligned and hold nothing but views of a file
+/// (or untouched anonymous pages): whatever else it held is lost.
+pub type ZapCall = unsafe fn(&[ZapRange]) -> isize;
+
+/// `pidfd_open(getpid())`, opened by the first [`zap_call`].
+static SELF_PIDFD: OnceLock<libc::c_long> = OnceLock::new();
+
+/// The [`ZapCall`] of [`zap_call`].
+///
+/// # Safety
+///
+/// As [`ZapCall`].
+unsafe fn process_madvise_dontneed(ranges: &[ZapRange]) -> isize {
+    let pidfd = *SELF_PIDFD.get().expect("zap_call() hands this out");
+    let (iov, n) = (ranges.as_ptr(), ranges.len());
+    // SAFETY: the array outlives the call; what the ranges may cover is
+    // the caller's obligation.
+    unsafe {
+        libc::syscall(
+            libc::SYS_process_madvise,
+            pidfd,
+            iov,
+            n,
+            libc::MADV_DONTNEED,
+            0,
+        ) as isize
+    }
+}
+
+/// The process's [`ZapCall`], or `None` where the kernel does not offer
+/// it: `process_madvise` on the caller's own pidfd takes `MADV_DONTNEED`
+/// from Linux 6.13 on; older kernels answer `EINVAL`, a seccomp filter
+/// `EPERM` or `ENOSYS`. Probed once per process, on a scratch page.
+pub fn zap_call() -> Option<ZapCall> {
+    static PROBE: OnceLock<bool> = OnceLock::new();
+    let supported = *PROBE.get_or_init(|| {
+        // SAFETY: pidfd_open takes two scalars and returns an fd or -1.
+        let pidfd = *SELF_PIDFD.get_or_init(|| unsafe {
+            libc::syscall(libc::SYS_pidfd_open, std::process::id() as libc::c_long, 0)
+        });
+        let Ok(area) = VirtArea::reserve(1) else {
+            return false;
+        };
+        let range = ZapRange {
+            iov_base: area.base() as *mut libc::c_void,
+            iov_len: page_size(),
+        };
+        // SAFETY: the range is the one untouched anonymous page of `area`.
+        pidfd >= 0 && unsafe { process_madvise_dontneed(&[range]) } == page_size() as isize
+    });
+    supported.then_some(process_madvise_dontneed as ZapCall)
+}
 
 /// Reserve `len` bytes of anonymous memory whose base is aligned to
 /// `align` (a power of two, at least the system page size): over-reserve
@@ -429,6 +494,30 @@ impl VirtArea {
             i += run;
         }
         Ok(calls)
+    }
+
+    /// Drop the page-table entries of the pool-backed slots `assignments`
+    /// is about to rewire, [`ZAP_BATCH`] per vectored call, so the
+    /// rewiring `mmap`s find nothing to flush: one TLB shootdown per call
+    /// here instead of one per slot there. A zapped slot still maps its
+    /// pool page; a reader that touches it merely faults the page back in.
+    /// Returns the slots zapped, `None` once a call is refused or short —
+    /// the rewiring needs none of this, the caller carries on without.
+    pub fn zap(&self, call: ZapCall, assignments: &[(usize, PageIdx)]) -> Option<usize> {
+        let len = self.slot_bytes();
+        let ranges: Vec<ZapRange> = assignments
+            .iter()
+            .filter(|&&(v, _)| matches!(self.map[v], Mapping::Pool(_)))
+            .map(|&(v, _)| ZapRange {
+                iov_base: self.page_ptr(v) as *mut libc::c_void,
+                iov_len: len,
+            })
+            .collect();
+        // SAFETY: every range is one whole slot of this area (`page_ptr`
+        // checks the bound) that the shadow map says is a MAP_SHARED view
+        // of the pool file: its contents live in the file.
+        let whole = |batch: &[ZapRange]| unsafe { call(batch) } == (batch.len() * len) as isize;
+        ranges.chunks(ZAP_BATCH).all(whole).then_some(ranges.len())
     }
 
     /// Reset page `vpage` back to the reserved (anonymous) state — the
@@ -864,6 +953,64 @@ mod tests {
         })
         .unwrap();
         assert!(a.rewire(0, &base_pool.handle(), PageIdx(0)).is_err());
+    }
+
+    thread_local! {
+        static ZAP_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The process's call where there is one, a stand-in that advises
+    /// everything (and drops nothing) elsewhere; counts itself.
+    ///
+    /// # Safety
+    ///
+    /// As [`ZapCall`].
+    unsafe fn counted_zap(ranges: &[ZapRange]) -> isize {
+        ZAP_CALLS.with(|c| c.set(c.get() + 1));
+        match zap_call() {
+            // SAFETY: the caller's obligation, passed on.
+            Some(real) => unsafe { real(ranges) },
+            None => ranges.iter().map(|r| r.iov_len).sum::<usize>() as isize,
+        }
+    }
+
+    /// # Safety
+    ///
+    /// None: it touches nothing.
+    unsafe fn refused_zap(_: &[ZapRange]) -> isize {
+        -1
+    }
+
+    #[test]
+    fn zap_keeps_contents_and_batches_its_calls() {
+        let mut p = pool();
+        let h = p.handle();
+        let leaves = [p.alloc_page().unwrap(), p.alloc_page().unwrap()];
+        for (i, &leaf) in leaves.iter().enumerate() {
+            // SAFETY: page_ptr of a page just allocated from the live pool.
+            unsafe {
+                *(p.page_ptr(leaf) as *mut u64) = 40 + i as u64;
+            }
+        }
+        let slots = ZAP_BATCH + 3;
+        let mut a = VirtArea::reserve_populated(slots + 1).unwrap();
+        let wired: Vec<(usize, PageIdx)> = (0..slots).map(|v| (v, leaves[v % 2])).collect();
+        a.rewire_batch(&h, &wired).unwrap();
+        // The never-wired last slot is skipped: it is no view of the file.
+        let mut all = wired.clone();
+        all.push((slots, leaves[0]));
+        ZAP_CALLS.with(|c| c.set(0));
+        assert_eq!(a.zap(counted_zap, &all), Some(slots));
+        assert_eq!(ZAP_CALLS.with(|c| c.get()), 2, "ceil(515 / ZAP_BATCH)");
+        for &(v, _) in &wired {
+            // SAFETY: page_ptr stays inside the reserved area; a zapped
+            // slot still maps its pool page and faults it back in.
+            unsafe {
+                assert_eq!(*(a.page_ptr(v) as *const u64), 40 + (v % 2) as u64);
+            }
+        }
+        assert_eq!(a.vma_estimate(), planned_vmas(slots + 1, &wired));
+        assert_eq!(a.zap(refused_zap, &all), None);
     }
 
     #[test]

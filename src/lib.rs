@@ -448,6 +448,10 @@ pub struct StatsSnapshot {
     /// the lock again; a shard with fewer rearms than revocations is
     /// serving `get` through the lock right now.
     pub bias_rearms: u64,
+    /// Whether the process has the vectored `MADV_DONTNEED`
+    /// ([`rewire::zap_call`]) the mapper batches its TLB shootdowns with;
+    /// without it every slot update costs its own.
+    pub zap_supported: bool,
     /// Structural + routing statistics of the index.
     pub index: IndexStats,
     /// Counters of the asynchronous mapper thread.
@@ -484,7 +488,7 @@ impl StatsSnapshot {
     ///   is the common value; `pin_strategy` is `Asymmetric` only if
     ///   **every** shard runs asymmetric (any Dekker fallback shows);
     ///   `probe_backend` keeps the common name, or `"mixed"` if shards
-    ///   ever disagreed.
+    ///   ever disagreed; `zap_supported` is one probe per process (and).
     pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
         let buckets = self.bucket_count + other.bucket_count;
         StatsSnapshot {
@@ -524,6 +528,7 @@ impl StatsSnapshot {
             },
             bias_revocations: self.bias_revocations + other.bias_revocations,
             bias_rearms: self.bias_rearms + other.bias_rearms,
+            zap_supported: self.zap_supported && other.zap_supported,
             index: self.index.merge(&other.index),
             maint: self.maint.merge(&other.maint),
             rewire: self.rewire.merge(&other.rewire),
@@ -594,13 +599,16 @@ impl std::fmt::Display for StatsSnapshot {
         writeln!(
             f,
             "maint: creates={} updates={} creates_skipped={} creates_deferred={} \
-             creates_coarse={} vmas_saved={}",
+             creates_coarse={} vmas_saved={} passes={} update_batches={} slots_zapped={}",
             self.maint.creates_applied,
             self.maint.updates_applied,
             self.maint.creates_skipped,
             self.maint.creates_deferred,
             self.maint.creates_coarse,
-            self.maint.vmas_saved
+            self.maint.vmas_saved,
+            self.maint.passes,
+            self.maint.update_batches,
+            self.maint.slots_zapped
         )?;
         writeln!(
             f,
@@ -614,8 +622,13 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "read_path: pin_strategy={} probe_backend={} bias_revocations={} bias_rearms={}",
-            self.pin_strategy, self.probe_backend, self.bias_revocations, self.bias_rearms
+            "read_path: pin_strategy={} probe_backend={} bias_revocations={} bias_rearms={} \
+             zap_supported={}",
+            self.pin_strategy,
+            self.probe_backend,
+            self.bias_revocations,
+            self.bias_rearms,
+            self.zap_supported
         )
     }
 }
@@ -897,6 +910,7 @@ impl ShortcutIndex {
             probe_backend: probe_backend().name(),
             bias_revocations,
             bias_rearms,
+            zap_supported: rewire::zap_call().is_some(),
             index: s.stats(),
             maint: s.maint_metrics(),
             rewire: s.pool_stats(),
@@ -979,6 +993,7 @@ mod tests {
             probe_backend: "scalar",
             bias_revocations: 0,
             bias_rearms: 0,
+            zap_supported: true,
             index: IndexStats::default(),
             maint: MaintSnapshot::default(),
             rewire: rewire::StatsSnapshot::default(),
@@ -1040,8 +1055,9 @@ mod tests {
             "lookups: shortcut=190 traditional=10 retries=0 shortcut_served_pct=95.0",
             "structure: splits=0 ",
             "maint: creates=0 ",
+            " passes=0 update_batches=0 slots_zapped=0",
             "vma: in_use=0 ",
-            "read_path: pin_strategy=asymmetric probe_backend=scalar bias_revocations=0 bias_rearms=0",
+            "read_path: pin_strategy=asymmetric probe_backend=scalar bias_revocations=0 bias_rearms=0 zap_supported=true",
         ] {
             assert!(text.contains(key), "missing `{key}` in:\n{text}");
         }
