@@ -10,6 +10,7 @@ use shortcut_exhash::{BucketLayout, EhConfig, Index, ShardedIndex, ShortcutEh, S
 use shortcut_rewire::{max_map_count, PageIdx, PoolConfig, SlotLayout, VmaBudget};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use taking_the_shortcut::ShortcutIndex;
 
 /// **A1** — how much does coalescing contiguous rewirings into single
 /// `mmap` calls (paper §2.1, last paragraph) save during shortcut creation?
@@ -231,101 +232,142 @@ pub fn a4_populate(s: &ScaleArgs) -> Table {
     t
 }
 
-/// **A5** — directory-order physical compaction (the PR 4 subsystem):
-/// fill a Shortcut-EH under each policy arm, then report the layout's
-/// planned-VMA estimate against its fan-in ideal, the live budget
-/// footprint, whether the shortcut had to suspend, the relocation work
-/// spent, and the synced lookup throughput. The sweep covers off (PR 3
-/// behavior), rebuild-only, rebuild+background, and background-only.
+/// One A5 cell: how far an index grows, and in what shape.
+struct A5Cell {
+    /// Epochs of inserts; the cell ends at `epochs × epoch` keys.
+    epochs: usize,
+    /// `k`: 2^k base pages per slot.
+    slot_power: u32,
+    /// `s`: 2^s shards on one budget.
+    shard_bits: u32,
+    seed: u64,
+}
+
+/// **A5** — directory-order physical compaction, off against on, as the
+/// mapping budget sees it. Each cell grows a [`ShortcutIndex`] the way the
+/// benchmark's `grow_churn` does — an epoch inserts 2^16 keys, removes an
+/// eighth of them, lets the shortcut catch up and reads 2^14 live keys
+/// back — on a private 65 530-mapping budget, and reports what compaction
+/// is for (the share of reads the shortcut served, the peak of the
+/// budget's `in_use` over the epochs' sync points) next to what it costs
+/// (pages moved, insert time). The cells span the directory sizes around
+/// the budget: one that never feels it, the 2^16- and 2^17-slot plateaus
+/// at 4 KB slots, 16 KB slots, and four shards sharing the budget.
+///
+/// # Panics
+///
+/// If an `on` arm ends suspended or with a maintenance error: compaction
+/// exists so that neither happens at these sizes.
 pub fn a5_compaction(s: &ScaleArgs) -> Table {
-    let n = s.pick(10_000_000, 4_000_000, 60_000);
-    let lookups = s.pick(5_000_000, 1_000_000, 60_000);
-    let arms: [(&str, CompactionPolicy); 4] = [
-        ("off", CompactionPolicy::disabled()),
-        (
-            "rebuild",
-            CompactionPolicy {
-                on_rebuild: true,
-                background_moves: 0,
-                trigger_fraction: 0.25,
-            },
-        ),
-        ("rebuild+bg32", CompactionPolicy::on()),
-        (
-            "bg8",
-            CompactionPolicy {
-                on_rebuild: false,
-                background_moves: 8,
-                trigger_fraction: 0.25,
-            },
-        ),
-    ];
+    let epoch = s.pick(1 << 16, 1 << 16, 1 << 12);
+    let reads = s.pick(1 << 14, 1 << 14, 1 << 10);
+    let budget = s.pick(65_530, 65_530, 4_090);
+    let cell = |epochs, slot_power, shard_bits, seed| A5Cell {
+        epochs,
+        slot_power,
+        shard_bits,
+        seed,
+    };
+    let mut cells = vec![cell(4, 0, 0, 1), cell(36, 0, 0, 7), cell(61, 0, 2, 1)];
+    if s.paper {
+        cells.extend([cell(76, 0, 0, 4), cell(107, 0, 0, 4), cell(122, 2, 0, 1)]);
+    } else if s.quick {
+        // A sixteenth of everything: the budget binds at 2^12 slots.
+        cells = vec![cell(48, 0, 0, 1), cell(48, 0, 2, 1)];
+    }
 
     let mut t = Table::new(
-        format!("Ablation A5 — bucket-layout compaction, {n} keys"),
+        format!("Ablation A5 — compaction off / on, epochs of {epoch} keys, budget {budget}"),
         &[
-            "policy",
-            "fill [ms]",
-            "layout VMAs",
-            "ideal",
-            "live VMAs",
-            "suspended",
+            "keys",
+            "k",
+            "shards",
+            "seed",
+            "compaction",
+            "insert [ms]",
+            "served",
             "pages moved",
-            "lookups [ms]",
+            "peak in_use",
+            "creates skipped",
+            "suspended",
+            "maint error",
         ],
     );
-    for (name, policy) in arms {
-        let mut sceh = ShortcutEh::try_new(ShortcutEhConfig {
-            eh: EhConfig {
-                pool: super::fig7::bench_pool_config(n * 2),
-                ..EhConfig::default()
-            },
-            maint: MaintConfig {
-                compaction: policy,
-                ..MaintConfig::default()
-            },
-            ..Default::default()
-        })
-        .expect("Shortcut-EH construction failed");
-        let mut gen = KeyGen::new(42);
-        let keys = gen.uniform_keys(n);
-
-        let sw = Stopwatch::start();
-        for &k in &keys {
-            sceh.insert(k, k).expect("insert failed");
-        }
-        let fill_ms = ms(sw.elapsed());
-        let _ = sceh.wait_sync(Duration::from_secs(120));
-
-        let layout = sceh.layout_vmas().expect("layout estimate failed");
-        let ideal = sceh.ideal_layout_vmas();
-        let vma = sceh.vma_stats();
-        let moved = sceh.maint_metrics().pages_moved;
-        let suspended = sceh.shortcut_suspended();
-
-        let probe = gen.hits_from(&keys, lookups);
-        let sw = Stopwatch::start();
-        let mut found = 0u64;
-        for &k in &probe {
-            if sceh.get(k).is_some() {
-                found += 1;
+    for c in &cells {
+        let keys = KeyGen::new(c.seed).uniform_keys(c.epochs * epoch);
+        for (name, policy) in compaction_arms() {
+            let mut index = ShortcutIndex::builder()
+                .capacity(keys.len())
+                .vma_budget(budget)
+                .slot_pages(c.slot_power)
+                .shards(c.shard_bits)
+                .compaction(policy)
+                .build()
+                .expect("index construction failed");
+            let mut gen = KeyGen::new(c.seed ^ 0xA5);
+            let (mut insert_ms, mut peak) = (0.0, 0u64);
+            for e in 0..c.epochs {
+                let fresh = &keys[e * epoch..(e + 1) * epoch];
+                let sw = Stopwatch::start();
+                for &k in fresh {
+                    index.insert(k, k).expect("insert failed");
+                }
+                insert_ms += ms(sw.elapsed());
+                let removed = epoch / 8;
+                for &k in &fresh[..removed] {
+                    index.remove(k).expect("remove failed");
+                }
+                let _ = index.wait_sync(Duration::from_secs(120));
+                peak = peak.max(index.stats().vma.in_use);
+                // Live keys: any epoch so far, past its removed eighth.
+                let mut found = 0usize;
+                for _ in 0..reads {
+                    let at = gen.index(e + 1) * epoch + removed + gen.index(epoch - removed);
+                    found += usize::from(index.get(keys[at]).is_some());
+                }
+                assert_eq!(found, reads, "a live key went missing");
             }
+            let stats = index.stats();
+            let error = index.maint_error();
+            assert!(
+                !(policy.enabled() && (stats.shortcut_suspended || error.is_some())),
+                "compaction on must keep {} keys (k = {}, {} shards, seed {}) \
+                 shortcut-served: maint error {error:?}\n{stats}",
+                keys.len(),
+                c.slot_power,
+                stats.shards,
+                c.seed
+            );
+            t.row(&[
+                Table::n(keys.len() as u64),
+                c.slot_power.to_string(),
+                stats.shards.to_string(),
+                c.seed.to_string(),
+                name.into(),
+                Table::f(insert_ms),
+                format!("{:.3}", stats.shortcut_served_pct() / 100.0),
+                Table::n(stats.maint.pages_moved),
+                Table::n(peak),
+                Table::n(stats.maint.creates_skipped),
+                if stats.shortcut_suspended {
+                    "YES"
+                } else {
+                    "no"
+                }
+                .into(),
+                error.map_or("none".into(), |e| e.to_string()),
+            ]);
         }
-        std::hint::black_box(found);
-        let lookup_ms = ms(sw.elapsed());
-
-        t.row(&[
-            name.into(),
-            Table::f(fill_ms),
-            Table::n(layout as u64),
-            Table::n(ideal as u64),
-            Table::n(vma.live_vmas()),
-            if suspended { "YES" } else { "no" }.into(),
-            Table::n(moved),
-            Table::f(lookup_ms),
-        ]);
     }
     t
+}
+
+/// The compaction axis of A5 and A6.
+fn compaction_arms() -> [(&'static str, CompactionPolicy); 2] {
+    [
+        ("off", CompactionPolicy::disabled()),
+        ("on", CompactionPolicy::on()),
+    ]
 }
 
 /// Pool sized for `expected_entries` at an arbitrary slot layout (the
@@ -360,10 +402,6 @@ pub fn a6_slot_size(s: &ScaleArgs) -> Table {
     let n = s.pick(4_000_000, 2_000_000, 60_000);
     let lookups = s.pick(2_000_000, 1_000_000, 60_000);
     let slot_powers = [0u32, 2, 4];
-    let arms: [(&str, CompactionPolicy); 2] = [
-        ("off", CompactionPolicy::disabled()),
-        ("on", CompactionPolicy::on()),
-    ];
 
     let mut t = Table::new(
         format!("Ablation A6 — slot size × compaction, {n} keys"),
@@ -380,7 +418,7 @@ pub fn a6_slot_size(s: &ScaleArgs) -> Table {
     );
     for k in slot_powers {
         let layout = SlotLayout::new(k).expect("slot power in range");
-        for (name, policy) in arms {
+        for (name, policy) in compaction_arms() {
             let mut sceh = ShortcutEh::try_new(ShortcutEhConfig {
                 eh: EhConfig {
                     pool: slot_pool_config(n * 2, layout),
@@ -594,9 +632,8 @@ mod tests {
     fn a5_compaction_runs_all_arms() {
         let t = a5_compaction(&quick());
         let s = t.render();
-        assert!(s.contains("off"));
-        assert!(s.contains("rebuild+bg32"));
-        assert!(s.contains("bg8"));
+        assert!(s.contains(" off |"), "{s}");
+        assert!(s.contains("  on |"), "{s}");
     }
 
     #[test]

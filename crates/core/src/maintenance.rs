@@ -135,81 +135,40 @@ pub enum MaintRequest {
     },
 }
 
-/// Policy for physically compacting bucket pages into directory order.
+/// Whether bucket pages are physically compacted into directory order.
 ///
 /// A scattered bucket layout costs roughly one VMA per directory slot
 /// (adjacent slots map non-consecutive pool offsets, so the kernel cannot
 /// merge them); laid out in directory order, fan-in-1 runs become identity
-/// mappings that collapse into a handful of VMAs. The *decision* to
-/// compact is made here in the maintenance layer — the mapper's poll loop
-/// watches the live footprint and raises
-/// [`SharedDirectoryState::set_compaction_wanted`], and rebuild admission
-/// switches from worst-case to layout-exact reservations — while the
-/// physical page moves execute on the index's write path, the only place
-/// with exclusive access to the bucket pages.
-#[derive(Debug, Clone, Copy)]
+/// mappings that collapse into a handful of VMAs. Compaction is one pass —
+/// the index's write path, the only place with exclusive access to the
+/// bucket pages, sorts them all and hands the mapper one rebuild — run at
+/// every directory doubling, when the pool's mappings cross half of its
+/// share of the budget, and to rescue a suspended or coarsely published
+/// shortcut. Here it switches rebuild admission from worst-case to
+/// layout-exact reservations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionPolicy {
-    /// Compact during directory doublings: the rebuild's assignment vector
-    /// is then an identity run over freshly placed pages, so the Create
-    /// the mapper receives coalesces into a handful of `mmap` calls and
-    /// VMAs — the pass rides a moment that already rebuilds everything.
-    pub on_rebuild: bool,
-    /// Buckets moved per write-path step while an incremental background
-    /// plan is active (0 disables background compaction; the trigger flag
-    /// is then ignored). Splits between doublings fragment the layout a
-    /// few VMAs at a time; background moves repair it without a
-    /// stop-the-world pass.
-    pub background_moves: usize,
-    /// The mapper requests compaction once the live directory's VMA
-    /// estimate exceeds this fraction of the budget limit (floored at
-    /// [`CompactionPolicy::TRIGGER_FLOOR`]; cleared again below half the
-    /// trigger for hysteresis).
-    pub trigger_fraction: f64,
+    enabled: bool,
 }
 
 impl CompactionPolicy {
-    /// Minimum absolute trigger, so tiny directories do not cause
-    /// busywork compactions. Small enough that injected test budgets
-    /// (hundreds of mappings) still exercise the trigger path.
-    pub const TRIGGER_FLOOR: usize = 64;
-
-    /// Compaction fully disabled — the PR 3 behavior (worst-case rebuild
-    /// admission, no page relocation). This is the default.
+    /// No page relocation, worst-case rebuild admission. This is the
+    /// default.
     pub fn disabled() -> Self {
-        CompactionPolicy {
-            on_rebuild: false,
-            background_moves: 0,
-            trigger_fraction: 0.25,
-        }
+        CompactionPolicy { enabled: false }
     }
 
-    /// The recommended production policy: compact at every doubling and
-    /// repair split-driven fragmentation with 32 background moves per
-    /// write-path step once the footprint passes a quarter of the budget.
+    /// The recommended production policy: compaction on.
     pub fn on() -> Self {
-        CompactionPolicy {
-            on_rebuild: true,
-            background_moves: 32,
-            trigger_fraction: 0.25,
-        }
+        CompactionPolicy { enabled: true }
     }
 
-    /// Whether any form of compaction is active (this also switches
-    /// rebuild admission from worst-case to layout-exact reservations,
-    /// because compaction bounds how far the layout can fragment).
+    /// Whether compaction is on (this also switches rebuild admission
+    /// from worst-case to layout-exact reservations, because compaction
+    /// bounds how far the layout can fragment).
     pub fn enabled(&self) -> bool {
-        self.on_rebuild || self.background_moves > 0
-    }
-
-    /// The VMA estimate above which the mapper raises the compaction flag.
-    pub fn trigger_vmas(&self, budget_limit: usize) -> usize {
-        ((budget_limit as f64 * self.trigger_fraction) as usize).max(Self::TRIGGER_FLOOR)
-    }
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        Self::disabled()
+        self.enabled
     }
 }
 
@@ -221,12 +180,6 @@ pub struct MaintConfig {
     /// Whether rewirings eagerly populate the page table (`MAP_POPULATE`).
     /// The paper's design always populates before bumping the version.
     pub eager_populate: bool,
-    /// Whether superseded directories are retired into the pool's
-    /// [`shortcut_rewire::RetireList`] and reclaimed once readers drain,
-    /// with rebuilds admission-checked against the pool's VMA budget.
-    /// `false` restores the seed's keep-everything-mapped behavior (VMA
-    /// use then grows with every doubling until `vm.max_map_count`).
-    pub reclaim: bool,
     /// Physical bucket-layout compaction (see [`CompactionPolicy`];
     /// default disabled).
     pub compaction: CompactionPolicy,
@@ -234,8 +187,8 @@ pub struct MaintConfig {
     /// mappers in the process (see [`staggered_poll_interval`]). On by
     /// default: the first mapper keeps `poll_interval` exactly, so a
     /// single-index process is unaffected, while N sharded mappers
-    /// spawned together spread their reclaim/compaction ticks instead of
-    /// scanning in lockstep. Set `false` to pin the interval (tests that
+    /// spawned together spread their reclaim ticks instead of scanning in
+    /// lockstep. Set `false` to pin the interval (tests that
     /// reason about exact tick counts).
     pub poll_stagger: bool,
 }
@@ -245,7 +198,6 @@ impl Default for MaintConfig {
         MaintConfig {
             poll_interval: Duration::from_millis(25),
             eager_populate: true,
-            reclaim: true,
             compaction: CompactionPolicy::default(),
             poll_stagger: true,
         }
@@ -257,9 +209,9 @@ impl Default for MaintConfig {
 /// `step` walks 1..=64 — i.e. up to +25 % of the base, in distinct
 /// increments for up to 64 co-resident mappers. Mapper 0 keeps `base`
 /// exactly. Two mappers started together therefore *cannot* share a
-/// period, so their idle ticks (reclaim scans, compaction triggers,
-/// deferred-create retries) drift apart instead of thundering onto the
-/// shared budget at the same instant.
+/// period, so their idle ticks (reclaim scans, deferred-create retries)
+/// drift apart instead of thundering onto the shared budget at the same
+/// instant.
 pub fn staggered_poll_interval(base: Duration, seq: usize) -> Duration {
     if seq == 0 {
         return base;
@@ -286,10 +238,6 @@ pub struct MapperEngine {
     metrics: Arc<MaintMetrics>,
     cfg: MaintConfig,
     current: Option<ShortcutNode>,
-    /// Replaced areas in legacy (`reclaim: false`) mode, kept mapped until
-    /// the engine is dropped. With reclamation on, superseded areas go to
-    /// the pool's retire list instead.
-    retired: Vec<ShortcutNode>,
     /// A create that was skipped because its footprint did not fit the
     /// budget *at that moment* (e.g. a reader pin stalled the reclaim
     /// scan). Retried on poll ticks once it would fit, so a transient
@@ -328,7 +276,6 @@ impl MapperEngine {
             metrics,
             cfg,
             current: None,
-            retired: Vec::new(),
             deferred: None,
             published_shift: 0,
             deferred_min_want: 0,
@@ -476,16 +423,9 @@ impl MapperEngine {
     ) -> Result<()> {
         // Any newer create supersedes a deferred one.
         self.deferred = None;
-        let (shift, reservation) = if self.cfg.reclaim {
-            match self.admit_create(slots, &assignments) {
-                Some((shift, r)) => (shift, Some(r)),
-                None => {
-                    self.deferred = Some((slots, assignments, version));
-                    return Ok(());
-                }
-            }
-        } else {
-            (0, None)
+        let Some((shift, reservation)) = self.admit_create(slots, &assignments) else {
+            self.deferred = Some((slots, assignments, version));
+            return Ok(());
         };
         let coarse;
         let (pub_slots, pub_assignments) = if shift == 0 {
@@ -509,13 +449,8 @@ impl MapperEngine {
         // budget never transiently double-counts the directory
         // (which could trip `in_use <= limit` asserts) and never
         // dips (which would let a concurrent pool steal margin).
-        match reservation {
-            Some(r) => {
-                r.settle(node.vma_estimate());
-                node.charge_to_prepaid(&self.pool);
-            }
-            None => node.charge_to(&self.pool),
-        }
+        reservation.settle(node.vma_estimate());
+        node.charge_to_prepaid(&self.pool);
         self.metrics.creates_applied.fetch_add(1, Ordering::Relaxed);
         if shift > 0 {
             self.metrics.creates_coarse.fetch_add(1, Ordering::Relaxed);
@@ -530,11 +465,7 @@ impl MapperEngine {
         self.state.publish(node.base(), node.slots(), version);
         self.state.set_suspended(false);
         if let Some(old) = self.current.replace(node) {
-            if self.cfg.reclaim {
-                self.pool.retire_list().retire(old.into_area());
-            } else {
-                self.retired.push(old);
-            }
+            self.pool.retire_list().retire(old.into_area());
         }
         Ok(())
     }
@@ -558,11 +489,11 @@ impl MapperEngine {
     /// fragment to one VMA per slot as later bucket splits break merged
     /// runs, so admitting at `slots` guarantees the live directory can
     /// never outgrow the budget between doublings. With compaction
-    /// enabled the layout's fragmentation is bounded (splits are repaired
-    /// by background moves and every doubling re-sorts the pool), so
-    /// admission uses the rebuild's **exact** initial footprint instead —
-    /// this is what lets a compacted multi-million-slot directory through
-    /// a stock `vm.max_map_count`.
+    /// enabled the layout's fragmentation is bounded (every doubling
+    /// re-sorts the pool, and so does the write path once the footprint
+    /// crosses half of the pool's share), so admission uses the rebuild's
+    /// **exact** initial footprint instead — this is what lets a compacted
+    /// multi-million-slot directory through a stock `vm.max_map_count`.
     fn rebuild_reservation(
         &self,
         slots: usize,
@@ -685,17 +616,9 @@ impl MapperEngine {
     }
 
     /// Drive retired-area reclamation, then retry a deferred create if it
-    /// would now fit (called by the mapper thread on every poll tick).
-    /// Also evaluates the compaction trigger: when the live directory's
-    /// VMA estimate crosses the policy threshold, the shared
-    /// `compaction_wanted` flag asks the write path — the only place with
-    /// exclusive access to the bucket pages — to run the moves. Returns
-    /// the number of areas unmapped.
+    /// would now fit (called by the mapper thread at the end of every
+    /// pass). Returns the number of areas unmapped.
     pub fn reclaim_tick(&mut self) -> Result<usize> {
-        self.compaction_tick();
-        if !self.cfg.reclaim {
-            return Ok(0);
-        }
         let reclaimed = self.pool.retire_list().try_reclaim();
         if self.deferred.is_some() {
             // Racy pre-check to avoid re-counting a skip every tick; the
@@ -717,30 +640,15 @@ impl MapperEngine {
         Ok(reclaimed)
     }
 
-    /// Raise/clear the compaction flag from the live node's footprint
-    /// (with hysteresis: set above the trigger, cleared below half of it).
-    fn compaction_tick(&self) {
-        if self.cfg.compaction.background_moves == 0 {
-            return;
-        }
-        let trigger = self.cfg.compaction.trigger_vmas(self.pool.budget().limit());
-        let estimate = self.current.as_ref().map_or(0, |n| n.vma_estimate());
-        if estimate > trigger {
-            self.state.set_compaction_wanted(true);
-        } else if estimate < trigger / 2 {
-            self.state.set_compaction_wanted(false);
-        }
-    }
-
     /// The node currently serving the shortcut, if any.
     pub fn current(&self) -> Option<&ShortcutNode> {
         self.current.as_ref()
     }
 
-    /// Number of retired, still mapped areas (legacy engine-held ones plus
-    /// those awaiting reader drain in the pool's retire list).
+    /// Number of retired, still mapped areas awaiting reader drain in the
+    /// pool's retire list.
     pub fn retired_count(&self) -> usize {
-        self.retired.len() + self.pool.retire_list().retired_count()
+        self.pool.retire_list().retired_count()
     }
 }
 
@@ -786,7 +694,7 @@ fn mapper_loop(mut engine: MapperEngine, shared: &Shared, poll: Duration) {
         };
         polls.fetch_add(1, Ordering::Relaxed);
         // Every pass ends in a reclaim tick: retired areas drain, a
-        // deferred create is retried, the compaction trigger is read.
+        // deferred create is retried.
         let pass = engine
             .apply_batch(batch)
             .and_then(|_| engine.reclaim_tick());
@@ -934,7 +842,7 @@ impl Maintainer {
     }
 
     /// Whether the mapper skipped the latest rebuild because the directory
-    /// would not fit the VMA budget (see [`MaintConfig::reclaim`]).
+    /// would not fit the VMA budget.
     pub fn suspended(&self) -> bool {
         self.state.suspended()
     }
@@ -1236,36 +1144,6 @@ mod tests {
         assert_eq!(eng.reclaim_tick().unwrap(), 1);
         assert_eq!(eng.retired_count(), 0);
         assert_eq!(handle.retire_list().counters().1, 1);
-    }
-
-    #[test]
-    fn legacy_mode_keeps_retired_areas_mapped_forever() {
-        let mut pl = pool();
-        let state = Arc::new(SharedDirectoryState::new());
-        let metrics = Arc::new(MaintMetrics::default());
-        let mut eng = MapperEngine::new(
-            pl.handle(),
-            Arc::clone(&state),
-            metrics,
-            MaintConfig {
-                reclaim: false,
-                ..MaintConfig::default()
-            },
-        );
-        let l0 = pl.alloc_page().unwrap();
-        stamp(&pl, l0, 7);
-        for slots in [1usize, 2] {
-            let v = state.bump_traditional();
-            eng.apply_batch(vec![MaintRequest::Create {
-                slots,
-                assignments: (0..slots).map(|s| (s, l0)).collect(),
-                version: v,
-            }])
-            .unwrap();
-        }
-        assert_eq!(eng.retired_count(), 1);
-        assert_eq!(eng.reclaim_tick().unwrap(), 0, "legacy mode never reclaims");
-        assert_eq!(eng.retired_count(), 1);
     }
 
     #[test]
@@ -1669,69 +1547,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_trigger_sets_and_clears_with_hysteresis() {
-        // Drive the engine over a tiny budget whose trigger floor we can
-        // cross with a fan-in-heavy directory, and watch the shared flag.
-        // limit 256: admission comfortably fits a ~72-slot directory while
-        // the trigger sits at the 64 floor, which that directory crosses
-        // when fully aliased.
-        let mut pl = PagePool::new(PoolConfig {
-            initial_pages: 16,
-            min_growth_pages: 16,
-            view_capacity_pages: 1 << 14,
-            vma_budget: Some(shortcut_rewire::VmaBudget::with_limit(256)),
-            ..PoolConfig::default()
-        })
-        .unwrap();
-        let state = Arc::new(SharedDirectoryState::new());
-        let metrics = Arc::new(MaintMetrics::default());
-        let policy = CompactionPolicy {
-            on_rebuild: true,
-            background_moves: 8,
-            trigger_fraction: 0.25,
-        };
-        assert_eq!(policy.trigger_vmas(100_000), 25_000);
-        assert_eq!(policy.trigger_vmas(100), CompactionPolicy::TRIGGER_FLOOR);
-        assert_eq!(policy.trigger_vmas(256), CompactionPolicy::TRIGGER_FLOOR);
-        assert_eq!(policy.trigger_vmas(4000), 1000);
-        let mut eng = MapperEngine::new(
-            pl.handle(),
-            Arc::clone(&state),
-            Arc::clone(&metrics),
-            MaintConfig {
-                compaction: policy,
-                ..MaintConfig::default()
-            },
-        );
-        // No node yet: flag stays clear.
-        eng.reclaim_tick().unwrap();
-        assert!(!state.compaction_wanted());
-        // An aliased directory larger than the floor raises the flag.
-        let l0 = pl.alloc_page().unwrap();
-        let slots = CompactionPolicy::TRIGGER_FLOOR + 8;
-        let v = state.bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
-            slots,
-            assignments: (0..slots).map(|s| (s, l0)).collect(),
-            version: v,
-        }])
-        .unwrap();
-        eng.reclaim_tick().unwrap();
-        assert!(state.compaction_wanted(), "estimate above trigger");
-        // A compacted (identity) replacement clears it again.
-        let run = pl.alloc_run(slots).unwrap();
-        let v = state.bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
-            slots,
-            assignments: (0..slots).map(|s| (s, PageIdx(run.0 + s))).collect(),
-            version: v,
-        }])
-        .unwrap();
-        eng.reclaim_tick().unwrap();
-        assert!(!state.compaction_wanted(), "estimate below half-trigger");
-    }
-
-    #[test]
     fn update_without_node_is_discarded_not_fatal() {
         let pl = pool();
         let state = Arc::new(SharedDirectoryState::new());
@@ -1770,7 +1585,7 @@ mod tests {
     fn co_spawned_mappers_diverge() {
         // Two maintainers started together (same config) must not share a
         // poll period — otherwise N sharded mappers tick their reclaim
-        // and compaction scans in lockstep.
+        // scans in lockstep.
         let mut p1 = pool();
         let mut p2 = pool();
         let _ = p1.alloc_page().unwrap();

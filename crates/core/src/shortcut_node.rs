@@ -52,20 +52,13 @@ impl ShortcutNode {
         self.area.layout()
     }
 
-    /// Charge the node's VMA footprint (current estimate, tracked across
-    /// future remappings) against `pool`'s
-    /// [`shortcut_rewire::VmaBudget`] for the rest of its lifetime.
-    /// Callers that build under a worst-case
-    /// [`shortcut_rewire::BudgetReservation`] attach *after* the build so
-    /// the directory is never double-counted while it is being rewired.
-    pub fn charge_to(&mut self, pool: &PoolHandle) {
-        self.area.attach_budget(pool.binding());
-    }
-
-    /// Attach `pool`'s budget without charging now: the caller has
-    /// already settled a reservation down to this node's exact estimate
-    /// (see [`shortcut_rewire::BudgetReservation::settle`]). Future
-    /// remapping deltas and the release on drop are tracked as usual.
+    /// Attach `pool`'s [`shortcut_rewire::VmaBudget`] without charging
+    /// now: the caller built the node under a
+    /// [`shortcut_rewire::BudgetReservation`] and has settled it down to
+    /// this node's exact estimate
+    /// ([`shortcut_rewire::BudgetReservation::settle`]), so the directory
+    /// is never double-counted while it is being rewired. Future remapping
+    /// deltas and the release on drop are tracked as usual.
     pub fn charge_to_prepaid(&mut self, pool: &PoolHandle) {
         self.area.attach_budget_prepaid(pool.binding());
     }

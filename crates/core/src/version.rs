@@ -16,7 +16,12 @@
 //! Dereferencing a ticket's base therefore requires holding a
 //! [`shortcut_rewire::ReaderPin`] from the pool the shortcut maps.
 
-use shortcut_rewire::sync::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use shortcut_rewire::sync::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
+
+/// Alignment [`SharedDirectoryState::publish`] requires of a base: its low
+/// bits carry the published depth (< 64), so a reader gets both from one
+/// load and can never pair one directory's base with another's depth.
+const BASE_ALIGN: usize = 64;
 
 /// The constants a lookup needs beside the published directory, fixed when
 /// the index is built: they ride in the descriptor so a read finds them on
@@ -37,10 +42,10 @@ pub struct ReadGeometry {
 /// it touches the bucket, on one cache line. Published by the mapper
 /// thread (and, for the routing bit, the write path); read by lookups.
 ///
-/// Invariant: `base` is non-null whenever `shortcut_version != 0` —
-/// [`SharedDirectoryState::publish`] refuses a null base or a zero version
-/// and stores the base before the version, so a reader whose Acquire load
-/// saw a version also sees a base.
+/// Invariant: the published base is non-null whenever
+/// `shortcut_version != 0` — [`SharedDirectoryState::publish`] refuses a
+/// null base or a zero version and stores the base before the version, so
+/// a reader whose Acquire load saw a version also sees a base.
 #[derive(Debug)]
 #[repr(align(64))]
 pub struct SharedDirectoryState {
@@ -50,11 +55,10 @@ pub struct SharedDirectoryState {
     /// Version the current shortcut directory reflects (stamped by the
     /// mapper after rewiring + population).
     shortcut_version: AtomicU64,
-    /// Base address of the current shortcut area (null until first create).
-    base: AtomicPtr<u8>,
-    /// `log2` of the current shortcut area's slot count: the depth a
-    /// reader shifts by.
-    depth: AtomicUsize,
+    /// Base address of the current shortcut area (null until first
+    /// create) with, in its six low bits, `log2` of the area's slot
+    /// count: the depth a reader shifts by.
+    published: AtomicPtr<u8>,
     geometry: ReadGeometry,
     /// Whether lookups should try the shortcut at the directory's current
     /// fan-in. Written by the write path, which excludes the readers.
@@ -63,12 +67,19 @@ pub struct SharedDirectoryState {
     /// no longer fits the VMA budget. Readers fall back to the traditional
     /// directory until a rebuild fits again.
     suspended: AtomicBool,
-    /// Whether the mapper's poll loop observed the live directory's VMA
-    /// footprint above the compaction trigger. The write path (the only
-    /// place with exclusive access to the bucket pages) checks this flag
-    /// and performs the physical moves; the mapper clears it once the
-    /// footprint drops back below the trigger's hysteresis band.
-    compaction_wanted: AtomicBool,
+}
+
+/// The published word of a `slots`-slot area at `base`.
+#[inline(always)]
+fn pack(base: *mut u8, slots: usize) -> *mut u8 {
+    base.map_addr(|a| a | slots.ilog2() as usize)
+}
+
+/// Split a published word into the area's base and its depth.
+#[inline(always)]
+fn unpack(published: *mut u8) -> (*mut u8, u32) {
+    let depth = published.addr() & (BASE_ALIGN - 1);
+    (published.map_addr(|a| a & !(BASE_ALIGN - 1)), depth as u32)
 }
 
 /// Proof that a shortcut read started in sync; must be revalidated after
@@ -103,12 +114,10 @@ impl SharedDirectoryState {
         SharedDirectoryState {
             traditional_version: AtomicU64::new(0),
             shortcut_version: AtomicU64::new(0),
-            base: AtomicPtr::new(std::ptr::null_mut()),
-            depth: AtomicUsize::new(0),
+            published: AtomicPtr::new(std::ptr::null_mut()),
             geometry,
             route_shortcut: AtomicBool::new(true),
             suspended: AtomicBool::new(false),
-            compaction_wanted: AtomicBool::new(false),
         }
     }
 
@@ -131,28 +140,16 @@ impl SharedDirectoryState {
         self.route_shortcut.load(Ordering::Acquire)
     }
 
-    /// Record whether the live directory's mapping footprint exceeds the
-    /// compaction trigger (set/cleared by the mapper thread's poll loop).
-    pub fn set_compaction_wanted(&self, wanted: bool) {
-        self.compaction_wanted.store(wanted, Ordering::Release);
-    }
-
-    /// Whether the mapper has requested a compaction pass. Checked by the
-    /// index's write path, which owns the bucket pages exclusively and is
-    /// therefore the only place relocation is sound.
-    pub fn compaction_wanted(&self) -> bool {
-        self.compaction_wanted.load(Ordering::Acquire)
-    }
-
     /// Slot count of the currently published shortcut area (0 before the
     /// first create), regardless of sync state. Smaller than the
     /// traditional directory's slot count when admission published at a
     /// coarser depth to fit the VMA budget.
     pub fn published_slots(&self) -> usize {
-        if self.base.load(Ordering::Acquire).is_null() {
+        let (base, depth) = unpack(self.published.load(Ordering::Acquire));
+        if base.is_null() {
             return 0;
         }
-        1 << self.depth.load(Ordering::Acquire)
+        1 << depth
     }
 
     /// Record whether shortcut maintenance is suspended by the VMA budget
@@ -198,12 +195,13 @@ impl SharedDirectoryState {
     ///
     /// # Panics
     ///
-    /// On a null `base`, a zero `version` (the type's invariant) or no
-    /// slots.
+    /// On a null `base` or a zero `version` (the type's invariant), a
+    /// `base` that is not 64-byte aligned (a mapped area is page aligned)
+    /// or no slots.
     pub fn publish(&self, base: *mut u8, slots: usize, version: u64) {
         assert!(!base.is_null() && version != 0);
-        self.base.store(base, Ordering::Release);
-        self.depth.store(slots.ilog2() as usize, Ordering::Release);
+        assert_eq!(base.addr() % BASE_ALIGN, 0, "unaligned shortcut base");
+        self.published.store(pack(base, slots), Ordering::Release);
         self.shortcut_version.store(version, Ordering::Release);
     }
 
@@ -216,12 +214,13 @@ impl SharedDirectoryState {
             return None;
         }
         // Non-null by the type's invariant: `sv != 0` was stored after it.
-        let base = self.base.load(Ordering::Acquire);
+        // One load, so the base and the depth belong to one directory.
+        let (base, depth) = unpack(self.published.load(Ordering::Acquire));
         debug_assert!(!base.is_null());
         Some(ReadTicket {
             version: sv,
             base,
-            slots: 1 << self.depth.load(Ordering::Acquire),
+            slots: 1 << depth,
         })
     }
 
@@ -268,8 +267,7 @@ impl SharedDirectoryState {
     /// observe the new version without the bucket stores it is supposed to
     /// cover, and validation has nothing to pair with.
     pub fn publish_seeded_relaxed(&self, base: *mut u8, slots: usize, version: u64) {
-        self.base.store(base, Ordering::Release);
-        self.depth.store(slots.ilog2() as usize, Ordering::Release);
+        self.published.store(pack(base, slots), Ordering::Release);
         self.shortcut_version.store(version, Ordering::Relaxed);
     }
 }
@@ -277,6 +275,10 @@ impl SharedDirectoryState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Something to publish: aligned as a mapped area would be.
+    #[repr(align(64))]
+    struct Page([u8; 64]);
 
     #[test]
     fn starts_out_of_sync() {
@@ -290,8 +292,8 @@ mod tests {
         let s = SharedDirectoryState::new();
         let v = s.bump_traditional();
         assert!(!s.in_sync());
-        let mut page = [0u8; 8];
-        s.publish(page.as_mut_ptr(), 1, v);
+        let mut page = Page([0; 64]);
+        s.publish(page.0.as_mut_ptr(), 1, v);
         assert!(s.in_sync());
         let t = s.begin_read().unwrap();
         assert_eq!(t.slots, 1);
@@ -302,8 +304,8 @@ mod tests {
     fn modification_invalidates_inflight_read() {
         let s = SharedDirectoryState::new();
         let v = s.bump_traditional();
-        let mut page = [0u8; 8];
-        s.publish(page.as_mut_ptr(), 1, v);
+        let mut page = Page([0; 64]);
+        s.publish(page.0.as_mut_ptr(), 1, v);
         let t = s.begin_read().unwrap();
         // A split happens mid-read…
         s.bump_traditional();
@@ -315,11 +317,11 @@ mod tests {
     fn catch_up_restores_sync() {
         let s = SharedDirectoryState::new();
         let v1 = s.bump_traditional();
-        let mut page = [0u8; 8];
-        s.publish(page.as_mut_ptr(), 1, v1);
+        let mut page = Page([0; 64]);
+        s.publish(page.0.as_mut_ptr(), 1, v1);
         let v2 = s.bump_traditional();
         assert!(!s.in_sync());
-        s.publish(page.as_mut_ptr(), 2, v2);
+        s.publish(page.0.as_mut_ptr(), 2, v2);
         assert!(s.in_sync());
         assert_eq!(s.begin_read().unwrap().slots, 2);
     }

@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrd};
 use std::sync::Arc;
 
 /// Never dereferenced (see `loom_seqlock.rs`).
-const FAKE_BASE: *mut u8 = 8 as *mut u8;
+const FAKE_BASE: *mut u8 = 64 as *mut u8;
 
 /// Nothing is retired here; the core is used for its pin stripes only.
 struct NoArea;

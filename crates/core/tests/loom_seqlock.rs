@@ -29,9 +29,11 @@ use shortcut_rewire::sync::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Never dereferenced: the model only checks publication/validation, so
-/// any fixed non-null value works (and a constant keeps replay
-/// deterministic, unlike a heap address).
-const FAKE_BASE: *mut u8 = 8 as *mut u8;
+/// any fixed non-null value aligned as `publish` demands works (and a
+/// constant keeps replay deterministic, unlike a heap address).
+const FAKE_BASE: *mut u8 = 64 as *mut u8;
+/// A second directory, for the scenario that replaces one.
+const OTHER_BASE: *mut u8 = 128 as *mut u8;
 
 #[derive(Clone, Copy)]
 enum WriterKind {
@@ -187,6 +189,40 @@ fn seeded_publish_before_data_is_caught() {
         err.message.contains("different version") || err.message.contains("torn bucket"),
         "unexpected counterexample: {err}"
     );
+}
+
+/// A ticket's base and depth are one directory's, before any validation:
+/// the mapper replaces a 4-slot directory by a 32-slot one at another
+/// address while a reader takes a ticket. Pairing the old base with the new
+/// depth (two loads of two words did) indexes past the old area, and
+/// `still_valid` only discards the result after the access.
+#[test]
+fn a_ticket_never_pairs_one_directory_with_anothers_depth() {
+    let report = builder()
+        .check(|| {
+            let state = Arc::new(SharedDirectoryState::new());
+            let v1 = state.bump_traditional();
+            state.publish(FAKE_BASE, 1 << 2, v1);
+            let mapper = {
+                let state = Arc::clone(&state);
+                shortcut_rewire::sync::thread::spawn(move || {
+                    let v2 = state.bump_traditional();
+                    state.publish(OTHER_BASE, 1 << 5, v2);
+                })
+            };
+            if let Some(t) = state.begin_read() {
+                assert!(
+                    (t.base, t.slots) == (FAKE_BASE, 1 << 2)
+                        || (t.base, t.slots) == (OTHER_BASE, 1 << 5),
+                    "torn ticket: base {:?} with {} slots",
+                    t.base,
+                    t.slots
+                );
+            }
+            mapper.join().unwrap();
+        })
+        .unwrap_or_else(|cx| panic!("torn ticket: {cx}"));
+    println!("ticket: {} interleavings explored", report.executions);
 }
 
 /// The same protocol under sequentially-consistent-per-location

@@ -84,12 +84,10 @@ pub struct EhConfig {
     /// identical to a standalone index instead of every shard's
     /// directory burning `s` constant levels. Default 0 (unsharded).
     pub hash_rot: u32,
-    /// Bucket-layout compaction policy (see
-    /// [`shortcut_core::CompactionPolicy`]; default disabled). With
-    /// `on_rebuild`, every directory doubling relocates the buckets into
-    /// directory order, so the emitted rebuild assignment is an identity
-    /// run; `background_moves` paces the incremental plans that
-    /// Shortcut-EH starts when the mapper requests one.
+    /// Bucket-layout compaction (see [`shortcut_core::CompactionPolicy`];
+    /// default disabled). When on, every directory doubling relocates the
+    /// buckets into directory order, so the emitted rebuild assignment is
+    /// an identity run.
     pub compaction: CompactionPolicy,
 }
 
@@ -118,19 +116,6 @@ pub struct CompactionOutcome {
     pub vmas_after: usize,
 }
 
-/// An in-flight incremental compaction: a pre-allocated contiguous target
-/// run plus a cursor over the directory. Each step moves a budgeted number
-/// of buckets; a doubling aborts the plan (the rebuild pass re-sorts
-/// everything anyway).
-struct CompactPlan {
-    target: PageIdx,
-    total: usize,
-    slots_at_start: usize,
-    next_slot: usize,
-    next_target: usize,
-    vmas_before: usize,
-}
-
 /// The EH baseline (and the synchronous half of Shortcut-EH).
 pub struct ExtendibleHash {
     pool: PagePool,
@@ -144,11 +129,6 @@ pub struct ExtendibleHash {
     cfg: EhConfig,
     stats: IndexStats,
     events: Vec<DirEvent>,
-    /// Active incremental compaction, if any.
-    plan: Option<CompactPlan>,
-    /// Splits since the last completed compaction pass (fragmentation
-    /// proxy used to pace triggered compactions).
-    splits_since_compaction: u64,
     /// Mirror of compaction counters into the mapper's metrics (attached
     /// by Shortcut-EH so write-path moves show up next to the mapper's
     /// own counters).
@@ -192,8 +172,6 @@ impl ExtendibleHash {
             cfg,
             stats: IndexStats::default(),
             events: Vec::new(),
-            plan: None,
-            splits_since_compaction: 0,
             maint_metrics: None,
         })
     }
@@ -322,13 +300,9 @@ impl ExtendibleHash {
                 max_global_depth: self.cfg.max_global_depth,
             });
         }
-        // A doubling reshapes every covering range; an in-flight
-        // incremental plan is obsolete (the rebuild pass below, or the
-        // next triggered plan, re-sorts everything).
-        self.abort_compaction_plan();
         self.dir.double();
         self.stats.doublings += 1;
-        if self.cfg.compaction.on_rebuild {
+        if self.cfg.compaction.enabled() {
             // Compact "for free" while the shortcut must be rebuilt
             // anyway: the emitted assignment is then an identity run the
             // mapper coalesces into a handful of mmap calls and VMAs. A
@@ -414,7 +388,6 @@ impl ExtendibleHash {
         }
         self.bucket_count += 1;
         self.stats.splits += 1;
-        self.splits_since_compaction += 1;
         // Opportunistically return relocated-away pages whose reader pins
         // have drained (split frequency makes this prompt without putting
         // a quiescence scan on the per-insert path).
@@ -513,16 +486,6 @@ impl ExtendibleHash {
         planned
     }
 
-    /// Splits since the last completed compaction pass.
-    pub fn splits_since_compaction(&self) -> u64 {
-        self.splits_since_compaction
-    }
-
-    /// Whether an incremental compaction plan is in flight.
-    pub fn compaction_plan_active(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// Mirror compaction counters into the mapper's metrics (attached by
     /// Shortcut-EH).
     pub fn set_maint_metrics(&mut self, metrics: Arc<MaintMetrics>) {
@@ -532,7 +495,6 @@ impl ExtendibleHash {
     fn note_compaction(&mut self, outcome: CompactionOutcome) {
         self.stats.compactions += 1;
         self.stats.pages_moved += outcome.pages_moved as u64;
-        self.splits_since_compaction = 0;
         if let Some(m) = &self.maint_metrics {
             m.compactions.fetch_add(1, Ordering::Relaxed);
             m.pages_moved
@@ -552,15 +514,13 @@ impl ExtendibleHash {
     }
 
     /// Move the bucket covering `slot` to `dst`: copy the page, repoint
-    /// every covering directory slot, retire the source, and (optionally)
-    /// record the per-slot identity assignment / update events. Returns
-    /// the covering width.
+    /// every covering directory slot, retire the source, and record the
+    /// per-slot identity assignment. Returns the covering width.
     fn move_bucket(
         &mut self,
         slot: usize,
         dst: PageIdx,
-        assignments: Option<&mut Vec<(usize, PageIdx)>>,
-        emit_updates: bool,
+        assignments: &mut Vec<(usize, PageIdx)>,
     ) -> Result<usize, IndexError> {
         let g = self.dir.global_depth();
         let ptr = self.dir.get(slot);
@@ -575,16 +535,7 @@ impl ExtendibleHash {
             self.dir.set(s, dst_ptr);
         }
         self.pool.retire_page(src)?;
-        if let Some(out) = assignments {
-            out.extend(range.clone().map(|s| (s, dst)));
-        }
-        if emit_updates && self.cfg.track_events {
-            self.events
-                .extend(range.clone().map(|s| DirEvent::SlotUpdated {
-                    slot: s,
-                    ppage: dst,
-                }));
-        }
+        assignments.extend(range.clone().map(|s| (s, dst)));
         Ok(range.len())
     }
 
@@ -592,7 +543,7 @@ impl ExtendibleHash {
     /// (with `track_events`) emit a single [`DirEvent::Rebuilt`] carrying
     /// the identity assignment. Sources are epoch-retired and reclaimed
     /// once reader pins drain; the vacated span is reused by the next
-    /// pass. Any in-flight incremental plan is aborted first.
+    /// pass.
     ///
     /// # Errors
     ///
@@ -601,7 +552,6 @@ impl ExtendibleHash {
     /// consistent and a `Rebuilt` event with the *current* assignment is
     /// still emitted, so a shortcut can never legitimize stale slots.
     pub fn compact_full(&mut self) -> Result<CompactionOutcome, IndexError> {
-        self.abort_compaction_plan();
         self.pool.reclaim_retired_pages();
         let slots = self.dir.slot_count();
         let vmas_before = self.layout_vmas()?;
@@ -614,12 +564,7 @@ impl ExtendibleHash {
             if cursor >= slots {
                 break Ok(());
             }
-            match self.move_bucket(
-                cursor,
-                PageIdx(target.0 + moved),
-                Some(&mut assignments),
-                false,
-            ) {
+            match self.move_bucket(cursor, PageIdx(target.0 + moved), &mut assignments) {
                 Ok(cover) => {
                     cursor += cover;
                     moved += 1;
@@ -659,108 +604,6 @@ impl ExtendibleHash {
         }
     }
 
-    /// Start an incremental compaction plan: pre-allocate the contiguous
-    /// target run and reset the cursor. Buckets are then moved
-    /// `background_moves` at a time by [`ExtendibleHash::compact_step`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when the pool cannot host the target run; nothing changes.
-    pub fn start_compaction_plan(&mut self) -> Result<(), IndexError> {
-        self.abort_compaction_plan();
-        self.pool.reclaim_retired_pages();
-        let vmas_before = self.layout_vmas()?;
-        let total = self.bucket_count;
-        let target = self.pool.alloc_run(total)?;
-        self.plan = Some(CompactPlan {
-            target,
-            total,
-            slots_at_start: self.dir.slot_count(),
-            next_slot: 0,
-            next_target: 0,
-            vmas_before,
-        });
-        Ok(())
-    }
-
-    /// Advance the active plan by up to `budget` bucket moves, emitting
-    /// one [`DirEvent::SlotUpdated`] per repointed slot (so the shortcut
-    /// converges incrementally, without a stop-the-world rebuild). Returns
-    /// the number of buckets moved; 0 when no plan is active. Completing
-    /// the pass frees the unused target tail and reclaims drained retired
-    /// pages.
-    ///
-    /// # Errors
-    ///
-    /// A failed move aborts the plan (the directory stays consistent and
-    /// all emitted events remain valid) and surfaces the pool error.
-    pub fn compact_step(&mut self, budget: usize) -> Result<usize, IndexError> {
-        let Some(plan) = &self.plan else {
-            return Ok(0);
-        };
-        if plan.slots_at_start != self.dir.slot_count() {
-            // A doubling raced the plan (only possible if the caller
-            // interleaves steps and inserts); drop it.
-            self.abort_compaction_plan();
-            return Ok(0);
-        }
-        let mut moved = 0usize;
-        while moved < budget.max(1) {
-            let Some(plan) = &self.plan else { break };
-            let (slot, dst) = (plan.next_slot, PageIdx(plan.target.0 + plan.next_target));
-            if slot >= plan.slots_at_start {
-                break;
-            }
-            if plan.next_target >= plan.total {
-                // Splits ahead of the cursor created more covering ranges
-                // than the pre-allocated target run has pages; moving on
-                // would write past the run into a live page. Abandon the
-                // pass — the moved prefix stays valid and the next plan
-                // is sized for the grown bucket count.
-                self.abort_compaction_plan();
-                return Ok(moved);
-            }
-            match self.move_bucket(slot, dst, None, true) {
-                Ok(cover) => {
-                    let plan = self.plan.as_mut().expect("checked above");
-                    plan.next_slot += cover;
-                    plan.next_target += 1;
-                    moved += 1;
-                }
-                Err(e) => {
-                    self.abort_compaction_plan();
-                    self.note_compaction_skipped();
-                    return Err(e);
-                }
-            }
-        }
-        self.stats.pages_moved += moved as u64;
-        if let Some(m) = &self.maint_metrics {
-            m.pages_moved.fetch_add(moved as u64, Ordering::Relaxed);
-        }
-        let done = self
-            .plan
-            .as_ref()
-            .is_some_and(|p| p.next_slot >= p.slots_at_start);
-        if done {
-            let plan = self.plan.take().expect("checked above");
-            if plan.next_target < plan.total {
-                let _ = self.pool.free_run(
-                    PageIdx(plan.target.0 + plan.next_target),
-                    plan.total - plan.next_target,
-                );
-            }
-            let outcome = CompactionOutcome {
-                pages_moved: 0, // per-step accounting already happened
-                vmas_before: plan.vmas_before,
-                vmas_after: self.layout_vmas()?,
-            };
-            self.note_compaction(outcome);
-        }
-        self.pool.reclaim_retired_pages();
-        Ok(moved)
-    }
-
     /// Re-announce the current directory as a full rebuild without moving
     /// any page: pushes one [`DirEvent::Rebuilt`] carrying the current
     /// assignment. Shortcut-EH uses this to lift a budget suspension once
@@ -780,26 +623,6 @@ impl ExtendibleHash {
             });
         }
         Ok(())
-    }
-
-    /// Drop the active plan, if any, returning its unused target pages to
-    /// the pool. Already-moved buckets stay where they are (the directory
-    /// is consistent after every move).
-    pub fn abort_compaction_plan(&mut self) {
-        if let Some(plan) = self.plan.take() {
-            if plan.next_target < plan.total {
-                let _ = self.pool.free_run(
-                    PageIdx(plan.target.0 + plan.next_target),
-                    plan.total - plan.next_target,
-                );
-            }
-        }
-    }
-
-    /// Opportunistically free retired (relocated-away) pages whose reader
-    /// pins have drained. Exposed for callers pacing their own compaction.
-    pub fn reclaim_retired_pages(&mut self) -> usize {
-        self.pool.reclaim_retired_pages()
     }
 
     /// The hash the directory addresses with: the key's multiplicative
@@ -1127,7 +950,7 @@ mod tests {
         }
         // Sources were retired, and (no readers) a reclaim frees them for
         // reuse — the next pass can reuse the vacated span.
-        eh.reclaim_retired_pages();
+        eh.pool.reclaim_retired_pages();
         assert_eq!(eh.pool.retired_page_count(), 0);
         let pages_before = eh.pool.file_pages();
         eh.compact_full().unwrap();
@@ -1148,11 +971,7 @@ mod tests {
                 ..PoolConfig::default()
             },
             track_events: true,
-            compaction: shortcut_core::CompactionPolicy {
-                on_rebuild: true,
-                background_moves: 0,
-                trigger_fraction: 0.25,
-            },
+            compaction: shortcut_core::CompactionPolicy::on(),
             ..EhConfig::default()
         })
         .unwrap();
@@ -1203,121 +1022,14 @@ mod tests {
         // followed it: each breaks at most 3 boundaries on top of the
         // irreducible fan-in floor (`ideal = slots − buckets + 1`).
         let layout = eh.layout_vmas().unwrap();
-        let bound = eh.ideal_layout_vmas() + 3 * eh.splits_since_compaction() as usize;
+        // Every split since added one bucket to those the pass placed.
+        let splits_since = eh.bucket_count() - distinct.len();
+        let bound = eh.ideal_layout_vmas() + 3 * splits_since;
         assert!(
             layout <= bound,
-            "{layout} VMAs > ideal {} + 3×{} splits",
+            "{layout} VMAs > ideal {} + 3×{splits_since} splits",
             eh.ideal_layout_vmas(),
-            eh.splits_since_compaction()
         );
-    }
-
-    #[test]
-    fn incremental_plan_converges_and_frees_tail() {
-        let mut eh = small();
-        for k in 0..10_000u64 {
-            eh.insert(k, k + 1).unwrap();
-        }
-        let before = eh.layout_vmas().unwrap();
-        eh.start_compaction_plan().unwrap();
-        assert!(eh.compaction_plan_active());
-        let mut steps = 0;
-        while eh.compaction_plan_active() {
-            let moved = eh.compact_step(7).unwrap();
-            assert!(moved > 0 || !eh.compaction_plan_active());
-            steps += 1;
-            assert!(steps < 100_000, "plan never converged");
-        }
-        assert_eq!(eh.stats().compactions, 1);
-        assert_eq!(eh.stats().pages_moved as usize, eh.bucket_count());
-        assert_eq!(eh.layout_vmas().unwrap(), eh.ideal_layout_vmas());
-        assert!(eh.layout_vmas().unwrap() < before);
-        for k in 0..10_000u64 {
-            assert_eq!(eh.get(k), Some(k + 1), "key {k}");
-        }
-        // Inserting on (splitting) after the pass stays correct.
-        for k in 10_000..12_000u64 {
-            eh.insert(k, k + 1).unwrap();
-        }
-        for k in 0..12_000u64 {
-            assert_eq!(eh.get(k), Some(k + 1), "key {k}");
-        }
-    }
-
-    #[test]
-    fn splits_during_plan_cannot_overrun_the_target_run() {
-        // Splits ahead of the cursor create more covering ranges than the
-        // plan pre-allocated target pages; the step must abandon the pass
-        // rather than relocate into a page beyond the run (which is
-        // typically a freshly split *live* bucket — moving onto it would
-        // silently clobber its entries).
-        let mut eh = small();
-        let mut k = 0u64;
-        for _ in 0..10_000u64 {
-            eh.insert(k, k ^ 7).unwrap();
-            k += 1;
-        }
-        // Start the plan right after a doubling: the next doubling (which
-        // would abort the plan before the overrun can occur) is then a
-        // full depth-generation away, leaving maximal room for splits to
-        // outgrow the plan's pre-sized target run.
-        let doublings = eh.stats().doublings;
-        while eh.stats().doublings == doublings {
-            eh.insert(k, k ^ 7).unwrap();
-            k += 1;
-        }
-        eh.start_compaction_plan().unwrap();
-        // Drain the free queue so split allocations land in freshly grown
-        // pages immediately *past* the target run — exactly the dst an
-        // unguarded overrun would relocate onto.
-        let file_pages = eh.pool.file_pages();
-        while eh.pool.file_pages() == file_pages {
-            eh.pool.alloc_page().unwrap();
-        }
-        let mut rounds = 0;
-        while eh.compaction_plan_active() {
-            for _ in 0..50 {
-                eh.insert(k, k ^ 7).unwrap();
-                k += 1;
-            }
-            eh.compact_step(2).unwrap();
-            rounds += 1;
-            assert!(rounds < 1_000_000, "plan neither finished nor aborted");
-        }
-        // Every entry — including those inserted into buckets that split
-        // while the plan was running — survives intact.
-        for x in 0..k {
-            assert_eq!(eh.get(x), Some(x ^ 7), "key {x}");
-        }
-        eh.reclaim_retired_pages();
-        assert_eq!(eh.pool.retired_page_count(), 0);
-    }
-
-    #[test]
-    fn doubling_aborts_incremental_plan() {
-        let mut eh = small();
-        for k in 0..5_000u64 {
-            eh.insert(k, k).unwrap();
-        }
-        eh.start_compaction_plan().unwrap();
-        eh.compact_step(3).unwrap();
-        let allocated = eh.pool.allocated_pages();
-        // Force growth through a doubling.
-        let doublings = eh.stats().doublings;
-        let mut k = 5_000u64;
-        while eh.stats().doublings == doublings {
-            eh.insert(k, k).unwrap();
-            k += 1;
-        }
-        assert!(!eh.compaction_plan_active(), "doubling must abort the plan");
-        // The aborted plan's unclaimed target pages were returned (modulo
-        // pages the new splits allocated meanwhile, and retired sources
-        // still awaiting reclaim).
-        eh.reclaim_retired_pages();
-        assert!(eh.pool.allocated_pages() < allocated + (k - 5_000) as usize);
-        for x in 0..k {
-            assert_eq!(eh.get(x), Some(x), "key {x}");
-        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use shortcut_core::{
     CompactionPolicy, MaintConfig, MaintRequest, Maintainer, ReadGeometry, ReadTicket, RoutePolicy,
     SharedDirectoryState,
 };
-use shortcut_rewire::{ReaderPin, RetireList};
+use shortcut_rewire::{PoolUsage, ReaderPin, RetireList};
 use std::sync::Arc;
 
 /// Shortcut-EH tuning.
@@ -75,18 +75,16 @@ pub struct ShortcutEh {
     /// reclamation never unmaps a retired directory under a reader —
     /// and count themselves on the pin's stripe.
     retire: Arc<RetireList>,
-    /// Bucket-layout compaction policy (mirrored into the inner EH; the
-    /// mapper raises the trigger flag, the write path here runs the
-    /// moves).
+    /// What the pool holds of its (possibly shared) VMA budget.
+    usage: Arc<PoolUsage>,
+    /// Bucket-layout compaction policy (mirrored into the inner EH, which
+    /// runs the pass at every doubling; the write path here runs it on
+    /// the other occasions, see [`ShortcutEh::maybe_compact`]).
     compaction: CompactionPolicy,
-    /// Split count below which a triggered compaction is not attempted
-    /// again (paces passes and prevents futile re-runs on fan-in-heavy
-    /// directories whose layout cannot shrink).
-    next_compaction_splits: u64,
-    /// Shorter cadence used while suspended or under footprint pressure
-    /// (bounds the cost of repeated republish probes without delaying
-    /// recovery by a full amortization pace).
-    next_urgent_splits: u64,
+    /// Split count below which [`ShortcutEh::maybe_compact`] does not
+    /// look again: bounds what its probes (and a rescue the mapper
+    /// refuses) cost.
+    next_look_splits: u64,
 }
 
 impl ShortcutEh {
@@ -108,6 +106,7 @@ impl ShortcutEh {
         let mut eh = ExtendibleHash::try_new(cfg.eh)?;
         let handle = eh.pool_handle();
         let retire = Arc::clone(handle.retire_list());
+        let usage = Arc::clone(handle.usage());
         // The lookup path types published slots from the descriptor alone.
         let state = SharedDirectoryState::with_geometry(eh.bucket_layout().read_geometry(hash_rot));
         state.set_route_shortcut(cfg.policy.use_shortcut(eh.avg_fanin(), true));
@@ -120,9 +119,9 @@ impl ShortcutEh {
             eh,
             policy: cfg.policy,
             retire,
+            usage,
             compaction,
-            next_compaction_splits: 0,
-            next_urgent_splits: 0,
+            next_look_splits: 0,
         };
         // Publish the initial single-slot directory so the shortcut can
         // serve reads before the first doubling.
@@ -301,16 +300,13 @@ impl ShortcutEh {
         self.maint.submit_all(requests);
     }
 
-    /// Minimum splits between triggered compaction attempts.
+    /// Splits between two looks of [`ShortcutEh::maybe_compact`].
     const COMPACTION_SPLIT_INTERVAL: u64 = 64;
 
-    /// Splits that must elapse before the next compaction attempt: at
-    /// least the flat interval, and at least a quarter of the bucket
-    /// count — a pass costs one page move per bucket, so this bounds the
-    /// background overhead at ~4 amortized moves per split regardless of
-    /// scale.
-    fn compaction_pace(&self) -> u64 {
-        Self::COMPACTION_SPLIT_INTERVAL.max(self.eh.bucket_count() as u64 / 4)
+    /// The coarsest publish the mapper's admission tries, as a shift of
+    /// the directory's depth.
+    fn max_publish_shift(&self) -> u32 {
+        shortcut_core::MAX_PUBLISH_SHIFT.min(self.eh.dir_slots().trailing_zeros())
     }
 
     /// Hand the mapper a fresh full-directory announcement targeting a
@@ -326,7 +322,7 @@ impl ShortcutEh {
         improve_below: Option<u32>,
         count_skip: bool,
     ) {
-        let shifts = 0..=shortcut_core::MAX_PUBLISH_SHIFT.min(self.eh.dir_slots().trailing_zeros());
+        let shifts = 0..=self.max_publish_shift();
         let best_current = shifts.clone().find(|&s| {
             self.eh
                 .layout_vmas_at(s)
@@ -370,102 +366,84 @@ impl ShortcutEh {
         }
     }
 
-    /// React to the mapper's compaction signals on the write path — the
+    /// The two occasions for a compaction pass the write path has to look
+    /// for itself (the third, a doubling, is the inner EH's) — here, the
     /// only place bucket pages can be relocated without tearing a reader:
     ///
-    /// * step an in-flight incremental plan;
     /// * **rescue** a budget-suspended shortcut by re-announcing /
-    ///   re-sorting once some published depth fits again;
-    /// * **repair** a fragmenting live directory when the mapper raises
-    ///   the trigger flag — incrementally while published at full depth,
-    ///   via the republish ladder when published coarse (an unaffordable
-    ///   publish depth cannot be fixed in place) or when footprint
-    ///   pressure is urgent.
+    ///   re-sorting once some published depth fits again, and a coarsely
+    ///   published one (it resolves only the shallow buckets) once the
+    ///   fan-in has shrunk enough that a finer depth is affordable;
+    /// * **repair** a live directory that splits have fragmented until
+    ///   this pool's mappings crossed half of its share of the budget —
+    ///   when a pass can bring them back under it with room for a quarter
+    ///   of the buckets to split again: a pass moves every bucket, so that
+    ///   is at most four moves per split, and the passes of one directory
+    ///   size get further and further apart. On a directory whose fan-in
+    ///   alone keeps it above that, a pass would move every page for
+    ///   nothing, and is not run.
+    ///
+    /// Runs on every insert: nothing but the split count is read between
+    /// two looks [`ShortcutEh::COMPACTION_SPLIT_INTERVAL`] splits apart.
     fn maybe_compact(&mut self) {
-        if !self.compaction.enabled() {
-            return;
-        }
-        if self.eh.compaction_plan_active() {
-            // A failed move aborted the plan inside compact_step (already
-            // counted as skipped); the index stays fully consistent.
-            let _ = self.eh.compact_step(self.compaction.background_moves);
-            return;
-        }
-        // Everything below first passes cheap gates (plain counters and
-        // atomics); the budget is only read (atomically, via
-        // `ExtendibleHash::vma_budget`) once an action is actually due —
-        // this runs on every insert.
         let splits = self.eh.stats().splits;
+        if !self.compaction.enabled() || splits < self.next_look_splits {
+            return;
+        }
+        self.next_look_splits = splits + Self::COMPACTION_SPLIT_INTERVAL;
+        let budget = self.eh.vma_budget();
+        let limit = budget.limit();
+        let admitted = limit.saturating_sub(shortcut_core::maintenance::budget_headroom(limit));
         if self.maint.state().suspended() {
-            if splits < self.next_urgent_splits {
-                return;
-            }
-            self.next_urgent_splits = splits + Self::COMPACTION_SPLIT_INTERVAL;
-            let limit = self.eh.vma_budget().limit();
-            let admitted = limit.saturating_sub(shortcut_core::maintenance::budget_headroom(limit));
             self.republish_or_compact(admitted, None, true);
             return;
         }
-        let dir_slots = self.eh.dir_slots();
-        let published_slots = self.maint.state().published_slots();
-        let coarse = published_slots != 0 && published_slots < dir_slots;
-        // Service recovery: a coarse publish resolves only the shallow
-        // buckets; once the fan-in has shrunk enough that a finer depth
-        // is affordable, re-announce (or re-sort) at that depth. Runs on
-        // the urgent cadence — service is degraded meanwhile — but acts
-        // only when the published depth actually improves.
-        if coarse && splits >= self.next_urgent_splits {
-            self.next_urgent_splits = splits + Self::COMPACTION_SPLIT_INTERVAL;
-            let published_shift = (dir_slots / published_slots).trailing_zeros();
-            let limit = self.eh.vma_budget().limit();
-            self.republish_or_compact(limit / 2, Some(published_shift), false);
-            return;
-        }
-        if self.compaction.background_moves == 0 || !self.maint.state().compaction_wanted() {
-            return;
-        }
-        if splits < self.next_urgent_splits && splits < self.next_compaction_splits {
-            return;
-        }
-        // Amortization pace bounds background copy bandwidth — but when
-        // the footprint has grown past half the budget, VMA headroom
-        // matters more than copy bandwidth, so repair on the (shorter)
-        // urgent cadence.
-        let budget = std::sync::Arc::clone(self.eh.vma_budget());
-        let limit = budget.limit();
-        let urgent = budget.in_use() * 2 > limit;
-        if urgent {
-            if splits < self.next_urgent_splits {
+        // Half of what admission guarantees this pool: an even part of the
+        // budget among the shards of a sharded index, else all of it.
+        let half_share = if self.usage.is_fair() {
+            budget.fair_share(0) / 2
+        } else {
+            limit / 2
+        };
+        // How much coarser than the directory the shortcut is published
+        // (not at all before the first create).
+        let published_shift = match self.maint.state().published_slots() {
+            0 => 0,
+            published => (self.eh.dir_slots() / published).trailing_zeros(),
+        };
+        let (held, total) = (self.usage.in_use(), budget.in_use());
+        if held > half_share {
+            let target = half_share.saturating_sub(self.eh.bucket_count() / 4);
+            // The mapper publishes a sorted layout at the finest depth it
+            // can admit beside what the other pools hold.
+            let room = admitted.saturating_sub(total.saturating_sub(held));
+            let lands_under_target = (0..=self.max_publish_shift())
+                .map(|shift| self.eh.ideal_layout_vmas_at(shift))
+                .find(|&planned| planned <= room)
+                .is_some_and(|planned| planned <= target);
+            if lands_under_target {
+                // What the pool holds is what the mapper has got to: a pass
+                // it has yet to apply shows in the layout alone.
+                let fragmented = self
+                    .eh
+                    .layout_vmas_at(published_shift)
+                    .is_ok_and(|planned| planned > half_share);
+                if fragmented && self.eh.compact_full().is_err() {
+                    self.eh.note_compaction_skipped();
+                }
                 return;
             }
-            self.next_urgent_splits = splits + Self::COMPACTION_SPLIT_INTERVAL;
-            // Re-publish at the best depth the budget affords, comfortably
-            // below the limit so the next splits have room to fragment.
-            self.next_compaction_splits = splits + self.compaction_pace();
-            self.republish_or_compact(limit / 2, None, true);
-            return;
+            if total > admitted {
+                // No pass gets this pool under its half, and the budget is
+                // past what admission hands out: announce the directory
+                // again, so that admission publishes it coarser.
+                self.republish_or_compact(half_share, None, true);
+                return;
+            }
         }
-        if splits < self.next_compaction_splits {
-            return;
-        }
-        self.next_compaction_splits = splits + self.compaction_pace();
-        // Published at full depth under no pressure: repair in place,
-        // incrementally, if the saving justifies the pass's cost (one
-        // move per bucket).
-        let ideal = self.eh.ideal_layout_vmas();
-        let min_saving = (Self::COMPACTION_SPLIT_INTERVAL as usize).max(self.eh.bucket_count() / 8);
-        let worthwhile = self
-            .eh
-            .layout_vmas()
-            .is_ok_and(|planned| planned.saturating_sub(ideal) >= min_saving);
-        if !worthwhile {
-            self.eh.note_compaction_skipped();
-            return;
-        }
-        if self.eh.start_compaction_plan().is_err() {
-            // No room for the target run (view capacity): keep serving
-            // with the fragmented layout.
-            self.eh.note_compaction_skipped();
+        if published_shift > 0 {
+            // Acts only when the published depth actually improves.
+            self.republish_or_compact(half_share, Some(published_shift), false);
         }
     }
 
@@ -637,8 +615,7 @@ impl ShortcutEh {
         hash: u64,
     ) -> Result<(), IndexError> {
         let r = self.eh.insert_hashed(key, value, self.eh.dir_hash_of(hash));
-        // Compaction work (trigger reaction / plan stepping) happens
-        // before the relay so its slot updates ride the same submission.
+        // Before the relay, so a pass's rebuild rides the same submission.
         self.maybe_compact();
         // Relay even on error: a multi-round split can apply a first round
         // (moving entries and bumping the traditional directory) before a
@@ -665,8 +642,6 @@ impl ShortcutEh {
             let (key, value) = entries[p as usize];
             let h = self.eh.dir_hash_of(hashes[p as usize]);
             self.eh.insert_hashed(key, value, h)?;
-            // Keep incremental compaction paced per entry, not per batch:
-            // a giant batch would otherwise stall an in-flight plan.
             self.maybe_compact();
             Ok(())
         });
@@ -800,6 +775,20 @@ pub(crate) mod tests {
     pub(super) fn run_before_validation() {
         if let Some(hook) = BEFORE_VALIDATION.take() {
             hook();
+        }
+    }
+
+    /// Let the mapper run passes — each ends in a reclaim tick — until it
+    /// has unmapped every retired directory.
+    fn drain_retired(t: &ShortcutEh) {
+        for _ in 0..10_000 {
+            if t.vma_stats().retired_areas == 0 {
+                return;
+            }
+            let seen = t.maint.passes();
+            while t.maint.passes() == seen {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -1024,12 +1013,8 @@ pub(crate) mod tests {
             assert_eq!(t.get(k), Some(k * 5), "key {k}");
         }
         // The budget estimate stays within its limit, and the retired
-        // directories were reclaimed rather than accumulated. Give the
-        // mapper a few idle ticks to drain the tail.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while t.vma_stats().retired_areas > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // directories were reclaimed rather than accumulated.
+        drain_retired(&t);
         let vma = t.vma_stats();
         assert!(vma.in_use <= vma.limit, "{vma:?}");
         assert!(vma.areas_retired > 0, "{vma:?}");
@@ -1057,13 +1042,10 @@ pub(crate) mod tests {
             t.wait_sync(Duration::from_secs(10)),
             "rebuild never applied"
         );
-        // Give the mapper a few ticks to reclaim the superseded directory,
-        // then the budget must reflect the compacted layout (plus the pool
-        // view and small constants).
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while t.vma_stats().retired_areas > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // Once the mapper has reclaimed the superseded directory, the
+        // budget must reflect the compacted layout (plus the pool view and
+        // small constants).
+        drain_retired(&t);
         let vma = t.vma_stats();
         assert!(
             vma.live_vmas() <= (ideal + 16) as u64,

@@ -48,13 +48,14 @@
 //!   ([`ShortcutIndex::shortcut_suspended`]) — lookups keep working
 //!   through the traditional directory, and nothing dies inside `mmap`.
 //! * With [`IndexBuilder::compaction`] enabled, bucket pages are
-//!   physically **relocated into directory order** (at doublings, and
-//!   incrementally when the mapper's trigger fires), so rebuilds map
-//!   identity runs the kernel merges into a handful of VMAs — rebuild
-//!   admission then reserves the exact layout footprint instead of the
-//!   worst case, and shortcut-served lookups scale to millions of keys
-//!   on a stock kernel. [`ShortcutIndex::compact`] runs a pass
-//!   explicitly.
+//!   physically **relocated into directory order** — one pass, run at
+//!   every doubling, when the index's mappings cross half of its share
+//!   of the budget, and to rescue a suspended or coarsely published
+//!   shortcut — so rebuilds map identity runs the kernel merges into a
+//!   handful of VMAs; rebuild admission then reserves the exact layout
+//!   footprint instead of the worst case, and shortcut-served lookups
+//!   scale to millions of keys on a stock kernel.
+//!   [`ShortcutIndex::compact`] runs a pass explicitly.
 //! * [`IndexBuilder::slot_pages`] sizes the physical slot (the bucket
 //!   and rewiring unit) as `2^k` base pages: larger slots hold `~2^k`
 //!   more entries per bucket, so the directory is `~2^k` shallower and
@@ -64,8 +65,7 @@
 //!   fallback to 4 KB-page slots
 //!   (`StatsSnapshot::huge_pages_active`).
 //! * [`IndexBuilder::vma_budget`] injects a private limit (tests, CI
-//!   stress); [`IndexBuilder::reclamation`] can disable the lifecycle for
-//!   A/B comparisons; [`StatsSnapshot::vma`] reports the live/retired
+//!   stress); [`StatsSnapshot::vma`] reports the live/retired
 //!   mapping split ([`VmaSnapshot::live_vmas`]), the limit, and
 //!   reclamation totals, and [`ShortcutIndex::layout_vmas`] /
 //!   [`ShortcutIndex::ideal_layout_vmas`] expose the layout estimates.
@@ -98,8 +98,18 @@ use shortcut_core::metrics::MaintSnapshot;
 use shortcut_exhash::{EhConfig, ShortcutEh, ShortcutEhConfig};
 use std::time::Duration;
 
-/// Builder for [`ShortcutIndex`]: capacity-driven pool sizing, routing
-/// policy, and mapper configuration in one place.
+/// Builder for [`ShortcutIndex`]: ten setters — pool sizing
+/// ([`capacity`](IndexBuilder::capacity), [`pool`](IndexBuilder::pool),
+/// [`slot_pages`](IndexBuilder::slot_pages),
+/// [`huge_pages`](IndexBuilder::huge_pages)), routing
+/// ([`fanin_threshold`](IndexBuilder::fanin_threshold)), the mapper
+/// ([`poll_interval`](IndexBuilder::poll_interval)), the mapping budget
+/// ([`vma_budget`](IndexBuilder::vma_budget),
+/// [`compaction`](IndexBuilder::compaction)) and concurrency
+/// ([`shards`](IndexBuilder::shards),
+/// [`pin_strategy`](IndexBuilder::pin_strategy)). What they do not reach
+/// (load factor, lazy population, a whole [`MaintConfig`]) is set on the
+/// layers below: [`exhash::ShortcutEhConfig`].
 ///
 /// Obtained via [`ShortcutIndex::builder`]; finished with
 /// [`IndexBuilder::build`].
@@ -107,11 +117,9 @@ use std::time::Duration;
 pub struct IndexBuilder {
     capacity: Option<usize>,
     pool: Option<PoolConfig>,
-    max_load_factor: Option<f64>,
     policy: RoutePolicy,
     maint: MaintConfig,
     vma_budget_limit: Option<usize>,
-    reclaim: Option<bool>,
     slot_power: Option<u32>,
     huge_pages: bool,
     shard_bits: u32,
@@ -137,41 +145,16 @@ impl IndexBuilder {
         self
     }
 
-    /// Maximum bucket load factor before splitting (paper: 0.35).
-    pub fn max_load_factor(mut self, f: f64) -> Self {
-        self.max_load_factor = Some(f);
-        self
-    }
-
-    /// Full routing policy (see [`RoutePolicy`]).
-    pub fn route_policy(mut self, policy: RoutePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Shorthand: route through the shortcut only while the average fan-in
-    /// is at most `threshold` (paper §3.2; default 8).
+    /// Route through the shortcut only while the average fan-in is at most
+    /// `threshold` (paper §3.2; default 8).
     pub fn fanin_threshold(mut self, threshold: f64) -> Self {
         self.policy = RoutePolicy::with_threshold(threshold);
         self
     }
 
-    /// Full mapper-thread configuration (see [`MaintConfig`]).
-    pub fn maint(mut self, maint: MaintConfig) -> Self {
-        self.maint = maint;
-        self
-    }
-
-    /// Shorthand: the mapper thread's queue polling interval (paper: 25 ms).
+    /// The mapper thread's queue polling interval (paper: 25 ms).
     pub fn poll_interval(mut self, interval: Duration) -> Self {
         self.maint.poll_interval = interval;
-        self
-    }
-
-    /// Shorthand: whether rewirings eagerly populate the page table before
-    /// the shortcut version is stamped (the paper's default).
-    pub fn eager_populate(mut self, eager: bool) -> Self {
-        self.maint.eager_populate = eager;
         self
     }
 
@@ -186,15 +169,6 @@ impl IndexBuilder {
     /// for mappings the budget does not track.
     pub fn vma_budget(mut self, limit: usize) -> Self {
         self.vma_budget_limit = Some(limit);
-        self
-    }
-
-    /// Whether superseded shortcut directories are retired and reclaimed
-    /// once outstanding readers drain (default `true`). `false` restores
-    /// the keep-everything-mapped behavior of early versions — VMA use
-    /// then grows with every directory doubling.
-    pub fn reclamation(mut self, enabled: bool) -> Self {
-        self.reclaim = Some(enabled);
         self
     }
 
@@ -288,13 +262,16 @@ impl IndexBuilder {
         self
     }
 
-    /// Physical bucket-layout compaction policy (default
+    /// Physical bucket-layout compaction (default
     /// [`CompactionPolicy::disabled`]; use [`CompactionPolicy::on`] for
     /// the recommended production setting). With compaction the bucket
-    /// pages are relocated into directory order, so rebuilds map identity
-    /// runs the kernel merges into a handful of VMAs — this is what lets
-    /// shortcut-served lookups scale past the `vm.max_map_count` ceiling
-    /// (millions of keys on a stock kernel) instead of suspending.
+    /// pages are relocated into directory order — at every doubling, when
+    /// the index's mappings cross half of its share of the budget, and to
+    /// rescue a suspended or coarsely published shortcut — so rebuilds map
+    /// identity runs the kernel merges into a handful of VMAs: this is
+    /// what lets shortcut-served lookups scale past the
+    /// `vm.max_map_count` ceiling (millions of keys on a stock kernel)
+    /// instead of suspending.
     pub fn compaction(mut self, policy: CompactionPolicy) -> Self {
         self.maint.compaction = policy;
         self
@@ -324,8 +301,8 @@ impl IndexBuilder {
                 .map(|p| p.slot_layout)
                 .unwrap_or_default(),
         };
-        let load = self.max_load_factor.unwrap_or(0.35);
-        let entries_per_slot = BucketLayout::for_slot(layout).steady_entries(load);
+        let eh = EhConfig::default();
+        let entries_per_slot = BucketLayout::for_slot(layout).steady_entries(eh.max_load_factor);
         // Compaction passes transiently hold live buckets + the target run
         // + not-yet-reclaimed sources, so give the fixed reservation extra
         // room (virtual address space is effectively free; physical pages
@@ -371,23 +348,12 @@ impl IndexBuilder {
             // which is likewise one shared instance.
             pool.vma_budget = Some(VmaBudget::with_limit(limit));
         }
-        let mut eh = EhConfig {
-            pool,
-            ..EhConfig::default()
-        };
-        if let Some(f) = self.max_load_factor {
-            eh.max_load_factor = f;
-        }
-        let mut maint = self.maint;
-        if let Some(reclaim) = self.reclaim {
-            maint.reclaim = reclaim;
-        }
         Ok(ShortcutIndex {
             inner: ShardedIndex::try_new(
                 self.shard_bits,
                 ShortcutEhConfig {
-                    eh,
-                    maint,
+                    eh: EhConfig { pool, ..eh },
+                    maint: self.maint,
                     policy: self.policy,
                 },
             )?,

@@ -40,8 +40,8 @@ fn val(k: u64) -> u64 {
 /// One mutation-or-check step of the interleaving.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Insert the next `n` keys (batched — drives splits and doublings,
-    /// and steps any in-flight incremental plan per entry).
+    /// Insert the next `n` keys (batched — drives splits, doublings and
+    /// the passes they trigger).
     Insert(usize),
     /// Remove every `stride`-th key inserted so far.
     Remove(usize),
@@ -67,11 +67,6 @@ fn policies() -> impl Strategy<Value = CompactionPolicy> {
     prop_oneof![
         Just(CompactionPolicy::disabled()),
         Just(CompactionPolicy::on()),
-        Just(CompactionPolicy {
-            on_rebuild: false,
-            background_moves: 4,
-            trigger_fraction: 0.25,
-        }),
     ]
 }
 
@@ -100,9 +95,8 @@ fn read_phase(index: &ShortcutIndex, oracle: &ChainedHash, next_key: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Interleave inserts (→ splits, doublings), removals, explicit
-    // compaction passes, and background compaction ticks against 4
-    // concurrent reader threads; every lookup must match the chained-hash
+    // Interleave inserts (→ splits, doublings), removals, and explicit
+    // and triggered compaction passes against 4 concurrent reader threads; every lookup must match the chained-hash
     // oracle, and after each full compaction the layout estimate must
     // have dropped to the ideal (never increased). Runs at both the
     // paper's 4 KB slots (k = 0) and 16 KB slots (k = 2): relocation,
@@ -159,6 +153,165 @@ proptest! {
         prop_assert_eq!(stats.pages_per_slot, 1usize << slot_power);
         let vma = stats.vma;
         prop_assert!(vma.in_use <= vma.limit, "budget exceeded: {:?}", vma);
+    }
+}
+
+/// The mapping budget of the occasion scenarios: the stock 65 530 at a
+/// sixteenth, so that a few hundred thousand keys reach the directory sizes
+/// where it binds.
+const OCCASION_BUDGET: usize = 4_090;
+
+/// The `i`-th key of the occasion scenarios (SplitMix64's finalizer):
+/// spread like random keys, so buckets split one by one, not in the
+/// lockstep waves consecutive integers make of a multiplicative hash.
+fn key(i: u64) -> u64 {
+    let z = (i ^ (i >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The next 512 keys of [`key`]'s sequence, with their values.
+fn next_batch(next: &mut u64) -> Vec<(u64, u64)> {
+    let batch = (*next..*next + 512).map(|i| (key(i), val(i))).collect();
+    *next += 512;
+    batch
+}
+
+fn occasion_index(policy: CompactionPolicy, shard_bits: u32, budget: usize) -> ShortcutIndex {
+    ShortcutIndex::builder()
+        .capacity(400_000)
+        .poll_interval(Duration::from_millis(1))
+        .vma_budget(budget)
+        .shards(shard_bits)
+        .compaction(policy)
+        .build()
+        .unwrap()
+}
+
+/// Compaction is one pass run on three occasions; this drives an index
+/// (one shard, then four on one budget) through each and checks that the
+/// pass ran when, and only when, the occasion's condition held.
+#[test]
+fn each_occasion_runs_one_pass_when_and_only_when_its_condition_holds() {
+    for shard_bits in [0, 2] {
+        doublings_and_pressure(shard_bits);
+        rescue_of_a_suspended_shortcut(shard_bits);
+    }
+}
+
+/// Growth through two directory sizes on a budget the larger one crosses
+/// half of: every doubling is one pass; between doublings a shard's pass
+/// count moves only once its mappings have crossed half of its share, by
+/// one, and lands back under it; the budget never runs past 80 % at a
+/// sync point. The same keys with compaction off move no page.
+fn doublings_and_pressure(shard_bits: u32) {
+    let shards = 1usize << shard_bits;
+    let half_share = (OCCASION_BUDGET / shards / 2) as u64;
+    let mut on = occasion_index(CompactionPolicy::on(), shard_bits, OCCASION_BUDGET);
+    let mut off = occasion_index(CompactionPolicy::disabled(), shard_bits, OCCASION_BUDGET);
+    let mut before: Vec<_> = (0..shards).map(|i| on.shard_stats(i)).collect();
+    // Per shard: passes run under pressure, and doublings seen since.
+    let mut pressure_passes = vec![0u64; shards];
+    let mut doublings_since = vec![0u64; shards];
+    let mut next = 1u64;
+    while doublings_since.contains(&0) {
+        assert!(next < 400_000, "pressure never ran a pass: {before:?}");
+        let batch = next_batch(&mut next);
+        on.insert_batch(&batch).unwrap();
+        off.insert_batch(&batch).unwrap();
+        assert!(on.wait_sync(Duration::from_secs(60)), "never synced");
+        assert_eq!(off.stats().maint.pages_moved, 0);
+        for (i, was) in before.iter_mut().enumerate() {
+            let now = on.shard_stats(i);
+            assert!(
+                now.vma.in_use * 5 <= now.vma.limit * 4,
+                "budget past 80 % at a sync point: {:?}",
+                now.vma
+            );
+            let doublings = now.index.doublings - was.index.doublings;
+            let passes = now.maint.compactions - was.maint.compactions;
+            assert!(passes >= doublings, "a doubling ran no pass");
+            let extra = passes - doublings;
+            // A split adds at most two mappings.
+            let splits = now.index.splits - was.index.splits;
+            let crossed = was.vma.pool_in_use + 2 * splits > half_share;
+            assert!(
+                extra == 0 || crossed,
+                "shard {i}: a pass without its occasion: {was}\n{now}"
+            );
+            if extra > 0 {
+                assert_eq!(extra, 1, "shard {i}: one occasion, one pass");
+                assert!(
+                    now.vma.pool_in_use <= half_share,
+                    "shard {i}: the pass left {} mappings, over half the share",
+                    now.vma.pool_in_use
+                );
+                pressure_passes[i] += 1;
+            }
+            if pressure_passes[i] > 0 {
+                doublings_since[i] += doublings;
+            }
+            *was = now;
+        }
+    }
+    assert_eq!(on.stats().maint.creates_skipped, 0);
+    assert!(on.maint_error().is_none());
+    for i in (1..next).step_by(997) {
+        assert_eq!(on.get(key(i)), Some(val(i)), "key {i}");
+    }
+}
+
+/// A shortcut the budget suspended is rescued once growth has shrunk what
+/// the directory needs: 100 keys whose hashes share 12 bits below the
+/// shard's force a 2^13-slot directory of a few buckets, which fits a
+/// budget of 511 mappings at no published depth; the spread keys that
+/// follow fill it in until one does, and the write path announces it
+/// again. No create is skipped after that.
+fn rescue_of_a_suspended_shortcut(shard_bits: u32) {
+    let mut index = occasion_index(CompactionPolicy::on(), shard_bits, OCCASION_BUDGET / 8);
+    // `mult_hash` multiplies by an odd constant: invert it (Newton).
+    let mult = taking_the_shortcut::exhash::mult_hash(1);
+    let inverse = (0..6).fold(mult, |x, _| {
+        x.wrapping_mul(2u64.wrapping_sub(mult.wrapping_mul(x)))
+    });
+    let prefix = 12 + shard_bits;
+    let clustered: Vec<(u64, u64)> = (0..100u64)
+        .map(|i| {
+            (
+                (0xABC << (64 - prefix) | i << (57 - prefix)).wrapping_mul(inverse),
+                i,
+            )
+        })
+        .collect();
+    index.insert_batch(&clustered).unwrap();
+    assert!(
+        !index.wait_sync(Duration::from_secs(60)),
+        "the directory fit"
+    );
+    assert!(index.shortcut_suspended());
+    assert!(index.stats().maint.creates_skipped > 0);
+
+    let mut next = 1u64;
+    while index.shortcut_suspended() {
+        assert!(next < 400_000, "never rescued: {}", index.stats());
+        index.insert_batch(&next_batch(&mut next)).unwrap();
+        let _ = index.wait_sync(Duration::from_secs(60));
+    }
+    let skipped = index.stats().maint.creates_skipped;
+    for _ in 0..16 {
+        index.insert_batch(&next_batch(&mut next)).unwrap();
+        assert!(index.wait_sync(Duration::from_secs(60)), "never synced");
+    }
+    let stats = index.stats();
+    assert!(!stats.shortcut_suspended);
+    assert_eq!(
+        stats.maint.creates_skipped, skipped,
+        "a create skipped after the rescue"
+    );
+    assert!(stats.vma.in_use <= stats.vma.limit, "{:?}", stats.vma);
+    assert!(index.maint_error().is_none());
+    for &(k, v) in &clustered {
+        assert_eq!(index.get(k), Some(v), "key {k}");
     }
 }
 

@@ -180,47 +180,6 @@ fn plateau_scales_down_with_slot_size() {
 }
 
 #[test]
-fn growth_without_reclamation_accumulates_retired_areas() {
-    // A/B the knob on identical workloads: `reclamation(false)` restores
-    // the seed's keep-everything-mapped behavior, so its mapping estimate
-    // must exceed the reclaiming index's by at least the retired
-    // directories the latter gave back (each ≥ 1 VMA).
-    let build = |reclaim: bool| {
-        ShortcutIndex::builder()
-            .capacity(300_000)
-            .poll_interval(Duration::from_millis(1))
-            .reclamation(reclaim)
-            .vma_budget(1_000_000) // private: isolate `in_use` accounting
-            .build()
-            .unwrap()
-    };
-    let mut leaky = build(false);
-    let mut tidy = build(true);
-    grow_to_doublings(&mut leaky, 8, 100);
-    grow_to_doublings(&mut tidy, 8, 100);
-    assert!(leaky.wait_sync(Duration::from_secs(60)));
-    assert!(tidy.wait_sync(Duration::from_secs(60)));
-    let tidy_stats = drain_retired(&tidy);
-    let leaky_stats = leaky.stats();
-
-    // Legacy mode never hands areas to the pool's retire list.
-    assert_eq!(leaky_stats.vma.areas_retired, 0);
-    assert_eq!(leaky_stats.vma.areas_reclaimed, 0);
-    assert!(tidy_stats.vma.areas_reclaimed >= 5);
-    // Identical workload and final directory (same keys, same sync
-    // points), but the legacy engine still holds every superseded
-    // directory it applied — its mapping footprint must exceed the
-    // reclaiming index's.
-    assert_eq!(leaky_stats.global_depth, tidy_stats.global_depth);
-    assert!(
-        leaky_stats.vma.in_use > tidy_stats.vma.in_use,
-        "legacy {:?} vs reclaiming {:?}",
-        leaky_stats.vma,
-        tidy_stats.vma
-    );
-}
-
-#[test]
 fn tiny_budget_suspends_instead_of_dying() {
     // Simulate a kernel with a ~300-mapping budget (the stress CI job's
     // configuration): growth must continue past the point where the
