@@ -379,11 +379,25 @@ impl BucketRef {
         self.layout
     }
 
-    /// Zero the slot and set the local depth — a fresh empty bucket.
+    /// Zero the **whole** slot and set the local depth: an empty bucket
+    /// with every byte defined, which [`Self::reset`] does not promise.
     pub fn init(self, local_depth: u32) {
         // SAFETY: per from_ptr contract the whole slot is ours.
         unsafe {
             std::ptr::write_bytes(self.ptr, 0, self.layout.bytes());
+        }
+        self.set_local_depth(local_depth);
+    }
+
+    /// Empty the bucket and set the local depth by zeroing the header and
+    /// both bitmaps only (72 B of a 4 KB slot). The entry array keeps its
+    /// bytes, a recycled pool slot's garbage included: a probe reads the
+    /// entry of an occupied slot only, and the vector kernels mask the rest.
+    pub fn reset(self, local_depth: u32) {
+        // SAFETY: the header and bitmaps are the slot's first
+        // `entries_off` bytes (from_ptr contract).
+        unsafe {
+            std::ptr::write_bytes(self.ptr, 0, self.layout.entries_off as usize);
         }
         self.set_local_depth(local_depth);
     }
@@ -841,23 +855,34 @@ impl BucketRef {
         }
     }
 
-    /// Copy out all live entries (used when splitting).
-    pub fn drain_entries(self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.count());
-        for slot in 0..self.layout.capacity() {
-            if self.bit(OCCUPIED_OFF, slot) {
-                out.push(self.entry(slot));
+    /// Insert a key the caller knows to be absent, into a bucket it knows
+    /// to be tombstone-free with room left (a split re-placing entries
+    /// after [`Self::reset`]): the first unoccupied slot from the home
+    /// slot on takes it. No duplicate search, no load-limit test.
+    pub fn insert_absent(self, key: u64, value: u64) {
+        let capacity = self.layout.capacity();
+        assert!(self.count() < capacity, "insert_absent into a full bucket");
+        let mut slot = home_slot(key, capacity);
+        while self.bit(OCCUPIED_OFF, slot) {
+            slot += 1;
+            if slot == capacity {
+                slot = 0;
             }
         }
-        out
+        debug_assert!(!self.tombstone_bit(slot), "bucket has tombstones");
+        self.set_entry(slot, key, value);
+        self.set_bit(OCCUPIED_OFF, slot, true);
+        self.set_count(self.count() + 1);
     }
 
     /// Iterate live entries without allocating.
     pub fn for_each_entry(self, mut f: impl FnMut(u64, u64)) {
-        for slot in 0..self.layout.capacity() {
-            if self.bit(OCCUPIED_OFF, slot) {
-                let (k, v) = self.entry(slot);
+        for word in 0..self.layout.capacity().div_ceil(64) {
+            let mut occupied = self.bitmap_word(OCCUPIED_OFF, word);
+            while occupied != 0 {
+                let (k, v) = self.entry(word * 64 + occupied.trailing_zeros() as usize);
                 f(k, v);
+                occupied &= occupied - 1;
             }
         }
     }
@@ -867,22 +892,43 @@ impl BucketRef {
 mod tests {
     use super::*;
 
-    /// A heap-allocated stand-in for a pool slot of `layout.bytes()`.
-    fn slot(layout: BucketLayout) -> (Vec<u8>, BucketRef) {
-        let mut mem = vec![0u8; layout.bytes() + 8];
+    /// A heap-allocated stand-in for a pool slot of `layout.bytes()`, every
+    /// byte `fill` (a recycled pool page is not zero); not yet a bucket.
+    fn raw_slot(layout: BucketLayout, fill: u8) -> (Vec<u8>, BucketRef) {
+        let mut mem = vec![fill; layout.bytes() + 8];
         let off = mem.as_ptr().align_offset(8);
         // SAFETY: `off < 8` keeps the pointer inside the buffer, whose 8
         // spare bytes absorb the alignment shift.
         let ptr = unsafe { mem.as_mut_ptr().add(off) };
         // SAFETY: `ptr` is 8-aligned with `layout.bytes()` writable bytes
         // behind it, and `mem` (returned alongside) keeps them alive.
-        let b = unsafe { BucketRef::from_ptr(ptr, layout) };
+        (mem, unsafe { BucketRef::from_ptr(ptr, layout) })
+    }
+
+    /// An empty bucket in a zeroed stand-in slot.
+    fn slot(layout: BucketLayout) -> (Vec<u8>, BucketRef) {
+        let (mem, b) = raw_slot(layout, 0);
         b.init(0);
         (mem, b)
     }
 
     fn page() -> (Vec<u8>, BucketRef) {
         slot(BucketLayout::base())
+    }
+
+    impl BucketRef {
+        /// Bits set in the bitmap at offset `base`.
+        fn bits_set(self, base: usize) -> usize {
+            (0..self.layout.capacity().div_ceil(64))
+                .map(|w| self.bitmap_word(base, w).count_ones() as usize)
+                .sum()
+        }
+
+        /// Slots marked deleted and not reused since (for this crate's
+        /// tests of what a split leaves behind).
+        pub(crate) fn tombstones(self) -> usize {
+            self.bits_set(self.tombstone_off())
+        }
     }
 
     #[test]
@@ -1022,14 +1068,15 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_all_live_entries() {
+    fn for_each_entry_visits_exactly_the_live_entries() {
         let (_m, b) = page();
         for k in 0..50u64 {
             b.insert(k, k * 2, BUCKET_CAPACITY);
         }
         b.remove(10);
         b.remove(20);
-        let mut got = b.drain_entries();
+        let mut got = Vec::new();
+        b.for_each_entry(|k, v| got.push((k, v)));
         got.sort_unstable();
         assert_eq!(got.len(), 48);
         assert!(!got.iter().any(|(k, _)| *k == 10 || *k == 20));
@@ -1113,6 +1160,82 @@ mod tests {
                 for k in 0..=SlotLayout::MAX_SLOT_POWER {
                     let layout = BucketLayout::for_slot(SlotLayout::new(k).unwrap());
                     run_ops(layout, &ops, &probes);
+                }
+            }
+        }
+    }
+
+    /// What a split does to each half: on a slot that starts as a recycled
+    /// pool page (`0xA5` everywhere, not zeros) and then lives through a
+    /// random insert/remove history (so it has tombstones), `reset` plus
+    /// `insert_absent` of the survivors must leave a bucket that every
+    /// backend reads exactly as a `HashMap` of the survivors — and that
+    /// keeps doing so through further inserts and removes.
+    mod rebuild {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        fn assert_reads_as(b: BucketRef, model: &HashMap<u64, u64>, domain: u64) {
+            assert_eq!(b.count(), model.len());
+            assert_eq!(b.bits_set(OCCUPIED_OFF), b.count());
+            let backends = all_backends();
+            for key in 0..domain {
+                for &back in &backends {
+                    let got = b.value_at(b.probe_with(key, back));
+                    assert_eq!(got, model.get(&key).copied(), "{back:?} key {key}");
+                }
+                assert_eq!(b.get(key), model.get(&key).copied(), "get key {key}");
+            }
+        }
+
+        fn run(layout: BucketLayout, ops: &[(u8, u64)]) {
+            let (_mem, b) = raw_slot(layout, 0xA5);
+            b.reset(3);
+            let domain = (layout.capacity() as u64 / 2).max(8);
+            let mut model = HashMap::new();
+            for &(kind, raw) in ops {
+                let key = raw % domain;
+                if kind % 3 < 2 {
+                    b.insert(key, !raw, layout.capacity());
+                    model.insert(key, !raw);
+                } else {
+                    assert_eq!(b.remove(key), model.remove(&key));
+                }
+            }
+            assert_reads_as(b, &model, domain);
+
+            let mut survivors = Vec::new();
+            b.for_each_entry(|k, v| survivors.push((k, v)));
+            b.reset(4);
+            assert_eq!((b.local_depth(), b.count()), (4, 0));
+            for &(k, v) in &survivors {
+                b.insert_absent(k, v);
+            }
+            assert_eq!(b.tombstones(), 0, "rebuilt with tombstones");
+            assert_reads_as(b, &model, domain);
+
+            // The rebuilt bucket is an ordinary one: re-insert, add, remove.
+            for &(kind, raw) in ops {
+                let key = (raw >> 7) % domain;
+                if kind % 2 == 0 {
+                    b.insert(key, raw, layout.capacity());
+                    model.insert(key, raw);
+                } else {
+                    assert_eq!(b.remove(key), model.remove(&key));
+                }
+            }
+            assert_reads_as(b, &model, domain);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+            #[test]
+            fn reset_and_insert_absent_rebuild_a_dirty_slot(
+                ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..200),
+            ) {
+                for layout in [BucketLayout::base(), BucketLayout::for_bytes(512)] {
+                    run(layout, &ops);
                 }
             }
         }

@@ -129,6 +129,9 @@ pub struct ExtendibleHash {
     cfg: EhConfig,
     stats: IndexStats,
     events: Vec<DirEvent>,
+    /// A splitting bucket's live entries, between its emptying and their
+    /// re-placement: sized for the load limit once, reused by every split.
+    split_entries: Vec<(u64, u64)>,
     /// Mirror of compaction counters into the mapper's metrics (attached
     /// by Shortcut-EH so write-path moves show up next to the mapper's
     /// own counters).
@@ -172,6 +175,7 @@ impl ExtendibleHash {
             cfg,
             stats: IndexStats::default(),
             events: Vec::new(),
+            split_entries: Vec::with_capacity(max_entries),
             maint_metrics: None,
         })
     }
@@ -358,22 +362,29 @@ impl ExtendibleHash {
         let range = Directory::covering_range(slot, g, l);
         let half = range.len() / 2;
 
-        // Fresh bucket page for the upper half.
+        // Bucket page for the upper half, fresh or recycled.
         let new_page = self.pool.alloc_page()?;
         let new_ptr = self.pool.page_ptr(new_page);
         // SAFETY: freshly allocated pool slot, exclusively ours.
         let new = unsafe { BucketRef::from_ptr(new_ptr, self.bucket_layout) };
-        new.init(l + 1);
 
-        // Redistribute: the (l+1)-th hash bit decides the side.
-        let entries = old.drain_entries();
-        old.init(l + 1);
-        for (k, v) in entries {
-            let h = self.dir_hash(k);
-            let target = if split_bit(h, l) { new } else { old };
-            let r = target.insert(k, v, self.bucket_layout.capacity());
-            debug_assert_ne!(r, InsertOutcome::Full, "split lost an entry");
+        // Redistribute: the (l+1)-th hash bit decides the side. Both
+        // halves restart empty and tombstone-free, and every entry is
+        // known absent from the half it goes to.
+        let mut entries = std::mem::take(&mut self.split_entries);
+        entries.clear();
+        old.for_each_entry(|k, v| entries.push((k, v)));
+        new.reset(l + 1);
+        old.reset(l + 1);
+        for &(k, v) in &entries {
+            let target = if split_bit(self.dir_hash(k), l) {
+                new
+            } else {
+                old
+            };
+            target.insert_absent(k, v);
         }
+        self.split_entries = entries;
 
         // Redirect the upper half of the covering range.
         let first_new = range.start + half;
@@ -856,23 +867,53 @@ mod tests {
     #[test]
     fn entries_live_in_their_prefix_bucket() {
         let mut eh = small();
-        for k in 0..3_000u64 {
-            eh.insert(k, k).unwrap();
+        let bucket_at = |eh: &ExtendibleHash, slot: usize| {
+            // SAFETY: directory invariant — live bucket page.
+            unsafe { BucketRef::from_ptr(eh.dir.get(slot), eh.bucket_layout) }
+        };
+        // Every third key is removed shortly after it went in, so buckets
+        // carry tombstones when they split.
+        let mut model = std::collections::HashMap::new();
+        for k in 0..20_000u64 {
+            let splits = eh.stats().splits;
+            eh.insert(k, !k).unwrap();
+            model.insert(k, !k);
+            if eh.stats().splits > splits {
+                // The bucket `k` went into and its buddy are the halves of
+                // the last split: rebuilt, so tombstone-free.
+                let g = eh.global_depth();
+                let slot = dir_slot(eh.dir_hash(k), g);
+                let l = bucket_at(&eh, slot).local_depth();
+                for half in [slot, slot ^ (1 << (g - l))] {
+                    let b = bucket_at(&eh, half);
+                    assert_eq!(b.local_depth(), l, "not a buddy at key {k}");
+                    assert_eq!(b.tombstones(), 0, "split left a tombstone at key {k}");
+                }
+            }
+            if k % 3 == 2 {
+                assert_eq!(eh.remove(k - 1).unwrap(), model.remove(&(k - 1)));
+            }
+        }
+        assert!(eh.stats().splits > 100);
+        assert_eq!(eh.len(), model.len());
+        for k in 0..20_000u64 {
+            assert_eq!(eh.get(k), model.get(&k).copied(), "key {k}");
         }
         let g = eh.global_depth();
-        for s in 0..eh.dir_slots() {
-            let ptr = eh.dir.get(s);
-            // SAFETY: directory invariant.
-            let b = unsafe { BucketRef::from_ptr(ptr, eh.bucket_layout) };
-            let l = b.local_depth();
+        let mut entries = 0;
+        let mut s = 0;
+        while s < eh.dir_slots() {
+            let b = bucket_at(&eh, s);
+            let cover = 1usize << (g - b.local_depth());
             b.for_each_entry(|k, _| {
-                let h = mult_hash(k);
-                let slot = dir_slot(h, g);
                 // The entry's slot must be covered by this bucket.
-                let cover = 1usize << (g - l);
+                let slot = dir_slot(eh.dir_hash(k), g);
                 assert_eq!(slot / cover, s / cover, "entry {k} in wrong bucket");
+                entries += 1;
             });
+            s += cover;
         }
+        assert_eq!(entries, model.len(), "a bucket holds a removed entry");
     }
 
     #[test]

@@ -32,6 +32,12 @@ use std::sync::Arc;
 /// plus the `PROT_NONE` remainder of the fixed reservation.
 const POOL_VIEW_VMAS: usize = 2;
 
+/// [`PagePool::alloc_page`] grows an exhausted file by this fraction of
+/// its size (at least [`PoolConfig::min_growth_pages`]). Grown slots are
+/// populated, so the step bounds what is faulted in ahead of use: an
+/// eighth, at ≈ 6 calls per doubling, where doubling left up to half.
+const GROWTH_DIVISOR: usize = 8;
+
 /// Probe whether an `MFD_HUGETLB` file is actually usable: reserve one
 /// slot's worth of hugepages, map and touch it, then shrink back. A
 /// kernel that accepts the flag but has no hugepages reserved fails the
@@ -444,7 +450,8 @@ impl PagePool {
         Ok(())
     }
 
-    /// Allocate one (zero-initialized on first use) physical page.
+    /// Allocate one physical page. A slot never handed out before reads as
+    /// zeros; a recycled one still holds what its last owner left there.
     pub fn alloc_page(&mut self) -> Result<PageIdx> {
         loop {
             match self.free_queue.pop_front() {
@@ -456,9 +463,10 @@ impl PagePool {
                 }
                 Some(_) => continue, // stale entry from a shrink
                 None => {
-                    let target = (self.file_pages + self.cfg.min_growth_pages)
-                        .max(self.file_pages * 2)
-                        .min(self.cfg.view_capacity_pages);
+                    let step = (self.file_pages / GROWTH_DIVISOR)
+                        .max(self.cfg.min_growth_pages)
+                        .max(1);
+                    let target = (self.file_pages + step).min(self.cfg.view_capacity_pages);
                     if target <= self.file_pages {
                         return Err(Error::BadResize {
                             current: self.file_pages,
@@ -857,7 +865,10 @@ impl PagePool {
 
     /// Snapshot of the pool's operation counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        StatsSnapshot {
+            pool_file_slots: self.file_pages as u64,
+            ..self.stats.snapshot()
+        }
     }
 
     /// The VMA budget this pool accounts against.
@@ -928,6 +939,52 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 10);
+    }
+
+    /// Lines of `/proc/self/maps` that lie inside `[lo, hi)`, as
+    /// `(start, end)` addresses.
+    fn mappings_within(lo: usize, hi: usize) -> Vec<(usize, usize)> {
+        std::fs::read_to_string("/proc/self/maps")
+            .unwrap()
+            .lines()
+            .filter_map(|line| {
+                let (start, end) = line.split_whitespace().next()?.split_once('-')?;
+                let start = usize::from_str_radix(start, 16).ok()?;
+                let end = usize::from_str_radix(end, 16).ok()?;
+                (start >= lo && end <= hi).then_some((start, end))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn growth_populates_an_eighth_ahead_and_keeps_one_mapping() {
+        let mut p = PagePool::with_defaults().unwrap();
+        let floor = PoolConfig::default().min_growth_pages;
+        for n in 1..=33_000usize {
+            p.alloc_page().unwrap();
+            assert!(
+                p.file_pages() <= n * 9 / 8 + floor,
+                "{} file slots for {n} allocated",
+                p.file_pages()
+            );
+        }
+        let s = p.stats();
+        assert_eq!(s.pages_allocated, 33_000);
+        assert_eq!(s.pool_file_slots, p.file_pages() as u64);
+        assert_eq!(s.pages_populated, s.pool_file_slots, "pretouch is on");
+        assert!(
+            s.pages_populated * 4 <= s.pages_allocated * 5,
+            "{} populated for {} allocated",
+            s.pages_populated,
+            s.pages_allocated
+        );
+        // Each step maps the next range of the same file right behind the
+        // last, so the kernel merges them: the view stays the one VMA the
+        // budget charges for it however many steps it took.
+        assert!(s.pool_grows >= 20, "only {} growth steps", s.pool_grows);
+        let base = p.view_base() as usize;
+        let end = base + p.file_pages() * p.layout().slot_bytes();
+        assert_eq!(mappings_within(base, end), [(base, end)]);
     }
 
     #[test]

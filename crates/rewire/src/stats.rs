@@ -39,12 +39,17 @@ pub struct StatsSnapshot {
     pub pages_allocated: u64,
     /// Pages returned to the pool allocator.
     pub pages_freed: u64,
+    /// Gauge: slots in the pool's file right now, handed out or not (0 in
+    /// an area's snapshot). Populated eagerly, all of them are resident,
+    /// where `pages_allocated − pages_freed` counts only those in use.
+    pub pool_file_slots: u64,
 }
 
 impl StatsSnapshot {
     /// Merge two pools' snapshots (the sharded index aggregates one per
-    /// shard's pool). Every field is a monotone event counter, so the
-    /// merge **sums** them all; there are no gauges here.
+    /// shard's pool). Every field but one is a monotone event counter and
+    /// the gauge, `pool_file_slots`, adds up across pools, so the merge
+    /// **sums** them all.
     pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             mmap_calls: self.mmap_calls + other.mmap_calls,
@@ -55,6 +60,7 @@ impl StatsSnapshot {
             pool_shrinks: self.pool_shrinks + other.pool_shrinks,
             pages_allocated: self.pages_allocated + other.pages_allocated,
             pages_freed: self.pages_freed + other.pages_freed,
+            pool_file_slots: self.pool_file_slots + other.pool_file_slots,
         }
     }
 }
@@ -116,13 +122,15 @@ impl RewireStats {
             pool_shrinks: self.pool_shrinks.load(Ordering::Relaxed),
             pages_allocated: self.pages_allocated.load(Ordering::Relaxed),
             pages_freed: self.pages_freed.load(Ordering::Relaxed),
+            pool_file_slots: 0,
         }
     }
 }
 
 impl StatsSnapshot {
-    /// Difference `self - earlier`, counter-wise. Useful for measuring the
-    /// cost of a single phase.
+    /// Difference `self - earlier`, counter-wise (the `pool_file_slots`
+    /// gauge keeps `self`'s reading). Useful for measuring the cost of a
+    /// single phase.
     pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             mmap_calls: self.mmap_calls - earlier.mmap_calls,
@@ -133,6 +141,7 @@ impl StatsSnapshot {
             pool_shrinks: self.pool_shrinks - earlier.pool_shrinks,
             pages_allocated: self.pages_allocated - earlier.pages_allocated,
             pages_freed: self.pages_freed - earlier.pages_freed,
+            pool_file_slots: self.pool_file_slots,
         }
     }
 }
@@ -160,17 +169,20 @@ mod tests {
         let a = StatsSnapshot {
             mmap_calls: 4,
             pages_rewired: 10,
+            pool_file_slots: 7,
             ..StatsSnapshot::default()
         };
         let b = StatsSnapshot {
             mmap_calls: 1,
             pages_freed: 3,
+            pool_file_slots: 5,
             ..StatsSnapshot::default()
         };
         let m = a.merge(&b);
         assert_eq!(m.mmap_calls, 5);
         assert_eq!(m.pages_rewired, 10);
         assert_eq!(m.pages_freed, 3);
+        assert_eq!(m.pool_file_slots, 12, "a gauge that adds up across pools");
         assert_eq!(m, b.merge(&a));
     }
 

@@ -595,6 +595,12 @@ impl std::fmt::Display for StatsSnapshot {
             self.bias_revocations,
             self.bias_rearms,
             self.zap_supported
+        )?;
+        let r = &self.rewire;
+        writeln!(
+            f,
+            "rewire: pages_populated={} pages_allocated={} pages_freed={} pool_file_slots={}",
+            r.pages_populated, r.pages_allocated, r.pages_freed, r.pool_file_slots
         )
     }
 }
@@ -1024,6 +1030,7 @@ mod tests {
             " passes=0 update_batches=0 slots_zapped=0",
             "vma: in_use=0 ",
             "read_path: pin_strategy=asymmetric probe_backend=scalar bias_revocations=0 bias_rearms=0 zap_supported=true",
+            "rewire: pages_populated=0 pages_allocated=0 pages_freed=0 pool_file_slots=0",
         ] {
             assert!(text.contains(key), "missing `{key}` in:\n{text}");
         }

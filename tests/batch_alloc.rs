@@ -4,11 +4,14 @@
 //! `remove_batch_shared_into` make **zero** heap allocations per call, at
 //! one shard and four, from one key to more than a routing window.
 //! Writes only update or re-insert keys the buckets already had room for,
-//! so no split (which allocates a directory event) is provoked.
+//! so no split (which allocates a directory event) is provoked. A split
+//! itself, on an index that records no events, allocates nothing either:
+//! second test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
+use taking_the_shortcut::exhash::{ExtendibleHash, Index};
 use taking_the_shortcut::ShortcutIndex;
 
 /// Counts the allocations of the thread that asks, so the index's mapper
@@ -99,4 +102,24 @@ fn batched_calls_allocate_nothing_after_warm_up() {
             "reads were not shortcut-served"
         );
     }
+}
+
+/// A split re-places its entries through a buffer the index owns: from the
+/// first insert on, an insert that splits — without doubling the directory
+/// or growing the pool's file, which allocate by design — makes no heap
+/// allocation.
+#[test]
+fn a_split_allocates_nothing() {
+    let mut eh = ExtendibleHash::with_defaults().unwrap();
+    let shape = |eh: &ExtendibleHash| (eh.stats().doublings, eh.pool_stats().pool_grows);
+    let mut plain_splits = 0;
+    for k in 0..200_000u64 {
+        let (splits, before) = (eh.stats().splits, shape(&eh));
+        let allocated = allocations(|| eh.insert(k, k).unwrap());
+        if eh.stats().splits > splits && shape(&eh) == before {
+            assert_eq!(allocated, 0, "split at key {k} allocated");
+            plain_splits += 1;
+        }
+    }
+    assert!(plain_splits > 1_000, "only {plain_splits} plain splits");
 }
