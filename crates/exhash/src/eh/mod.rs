@@ -235,6 +235,12 @@ impl ExtendibleHash {
         self.stats
     }
 
+    /// Bucket splits so far ([`IndexStats::splits`], without the copy).
+    #[inline]
+    pub fn splits(&self) -> u64 {
+        self.stats.splits
+    }
+
     /// Operation counters of the backing page pool.
     pub fn pool_stats(&self) -> shortcut_rewire::StatsSnapshot {
         self.pool.stats()
@@ -270,7 +276,13 @@ impl ExtendibleHash {
 
     /// Drain the directory events accumulated since the last call.
     pub fn take_events(&mut self) -> Vec<DirEvent> {
-        std::mem::take(&mut self.events)
+        self.drain_events().collect()
+    }
+
+    /// [`ExtendibleHash::take_events`] in place: the buffer keeps its
+    /// capacity, so recording the next split's events allocates nothing.
+    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, DirEvent> {
+        self.events.drain(..)
     }
 
     /// The bucket a hash currently routes to.

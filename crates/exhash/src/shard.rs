@@ -76,7 +76,8 @@ struct Shard {
 // `lock` + `bias` implement: shared references under a pin that saw the
 // bias armed or under the read lock, the exclusive one under the write
 // lock after the bias is revoked and its readers have drained (`write`);
-// `&mut self` callers use `eh.get_mut()`, the borrow excluding every reader.
+// `&mut self` callers use `eh.get_mut()` (`shard_for_mut`: the cell's
+// pointer), the borrow excluding every reader.
 // `ShortcutEh` is `Send + Sync`; the other fields are `Sync`.
 unsafe impl Sync for Shard {}
 
@@ -263,6 +264,27 @@ impl ShardedIndex {
         dir_slot(mult_hash(key), self.bits)
     }
 
+    /// The shard a key routes to, from its [`mult_hash`] — which the
+    /// shard then probes with, so every single-key entry point hashes once.
+    #[inline]
+    fn shard_for(&self, hash: u64) -> &Shard {
+        match self.bits {
+            // Unsharded: no route shift, no stride multiply, no bounds check.
+            // SAFETY: `try_new_with` builds `1 << bits >= 1` shards and
+            // nothing removes one.
+            0 => unsafe { self.shards.get_unchecked(0) },
+            bits => &self.shards[dir_slot(hash, bits)],
+        }
+    }
+
+    /// [`ShardedIndex::shard_for`] for the exclusive write discipline.
+    #[inline]
+    fn shard_for_mut(&mut self, hash: u64) -> &mut ShortcutEh {
+        // SAFETY: `&mut self` excludes every reader and writer of every
+        // shard, for as long as the returned borrow lives.
+        unsafe { &mut *self.shard_for(hash).eh.get() }
+    }
+
     /// Run `f` against shard `i` under a **read** lock (per-shard stats,
     /// layout inspection, read-only probes).
     ///
@@ -306,7 +328,9 @@ impl ShardedIndex {
     ///
     /// Same contract as [`Index::insert`].
     pub fn insert_shared(&self, key: u64, value: u64) -> Result<(), IndexError> {
-        self.shards[self.shard_of(key)].write(|s| s.insert(key, value))
+        let hash = mult_hash(key);
+        self.shard_for(hash)
+            .write(|s| s.insert_hashed(key, value, hash))
     }
 
     /// Remove through a per-shard write lock. See [`ShardedIndex::insert_shared`].
@@ -315,7 +339,9 @@ impl ShardedIndex {
     ///
     /// Same contract as [`Index::remove`].
     pub fn remove_shared(&self, key: u64) -> Result<Option<u64>, IndexError> {
-        self.shards[self.shard_of(key)].write(|s| s.remove(key))
+        let hash = mult_hash(key);
+        self.shard_for(hash)
+            .write(|s| Ok(s.remove_hashed(key, hash)))
     }
 
     /// Batched insert through per-shard write locks: each window of 4096
@@ -569,10 +595,10 @@ impl std::fmt::Debug for ShardedIndex {
 }
 
 impl Index for ShardedIndex {
+    #[inline]
     fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
         let hash = mult_hash(key);
-        let shard = self.shards[dir_slot(hash, self.bits)].eh.get_mut();
-        shard.insert_hashed(key, value, hash)
+        self.shard_for_mut(hash).insert_hashed(key, value, hash)
     }
 
     /// One hash routes and probes: the shard gets the hash it was chosen
@@ -580,19 +606,13 @@ impl Index for ShardedIndex {
     #[inline]
     fn get(&self, key: u64) -> Option<u64> {
         let hash = mult_hash(key);
-        let shard = match self.bits {
-            // Unsharded: no route shift, no stride multiply, no bounds check.
-            // SAFETY: `try_new_with` builds `1 << bits >= 1` shards and
-            // nothing removes one.
-            0 => unsafe { self.shards.get_unchecked(0) },
-            bits => &self.shards[dir_slot(hash, bits)],
-        };
-        shard.get(key, hash)
+        self.shard_for(hash).get(key, hash)
     }
 
+    #[inline]
     fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
-        let i = self.shard_of(key);
-        self.shards[i].eh.get_mut().remove(key)
+        let hash = mult_hash(key);
+        Ok(self.shard_for_mut(hash).remove_hashed(key, hash))
     }
 
     fn len(&self) -> usize {

@@ -121,7 +121,7 @@ impl ShortcutEh {
             retire,
             usage,
             compaction,
-            next_look_splits: 0,
+            next_look_splits: Self::COMPACTION_SPLIT_INTERVAL,
         };
         // Publish the initial single-slot directory so the shortcut can
         // serve reads before the first doubling.
@@ -276,7 +276,7 @@ impl ShortcutEh {
         let route = self.policy.use_shortcut(self.eh.avg_fanin(), true);
         let state = self.maint.state();
         state.set_route_shortcut(route);
-        let requests = self.eh.take_events().into_iter().map(|ev| {
+        let requests = self.eh.drain_events().map(|ev| {
             let version = state.bump_traditional();
             match ev {
                 DirEvent::SlotUpdated { slot, ppage } => MaintRequest::Update {
@@ -383,10 +383,11 @@ impl ShortcutEh {
     ///   alone keeps it above that, a pass would move every page for
     ///   nothing, and is not run.
     ///
-    /// Runs on every insert: nothing but the split count is read between
-    /// two looks [`ShortcutEh::COMPACTION_SPLIT_INTERVAL`] splits apart.
+    /// Runs after every insert that split: nothing but the split count is
+    /// read between two looks [`ShortcutEh::COMPACTION_SPLIT_INTERVAL`]
+    /// splits apart.
     fn maybe_compact(&mut self) {
-        let splits = self.eh.stats().splits;
+        let splits = self.eh.splits();
         if !self.compaction.enabled() || splits < self.next_look_splits {
             return;
         }
@@ -603,11 +604,14 @@ impl ShortcutEh {
     }
 
     /// [`Index::insert`] from the key's [`mult_hash`], for callers that
-    /// routed by it.
+    /// routed by it: the inner EH's insert and one look at its event
+    /// buffer. A plain insert changes no directory and leaves none, so it
+    /// owes the mapper nothing.
     ///
     /// # Errors
     ///
     /// As [`Index::insert`].
+    #[inline]
     pub(crate) fn insert_hashed(
         &mut self,
         key: u64,
@@ -615,14 +619,33 @@ impl ShortcutEh {
         hash: u64,
     ) -> Result<(), IndexError> {
         let r = self.eh.insert_hashed(key, value, self.eh.dir_hash_of(hash));
-        // Before the relay, so a pass's rebuild rides the same submission.
+        if self.eh.has_events() {
+            return self.insert_slow(r);
+        }
+        r
+    }
+
+    /// What an insert that changed the directory owes, `r` being its
+    /// result: a look at the layout — before the relay, so a pass's rebuild
+    /// rides the same submission — and the relay. Also on error: a
+    /// multi-round split can apply a first round (moving entries and
+    /// changing the traditional directory) before a later round fails, and
+    /// skipping the relay would leave the shortcut stamped in-sync while
+    /// pointing at pre-split buckets.
+    #[cold]
+    #[inline(never)]
+    fn insert_slow(&mut self, r: Result<(), IndexError>) -> Result<(), IndexError> {
         self.maybe_compact();
-        // Relay even on error: a multi-round split can apply a first round
-        // (moving entries and bumping the traditional directory) before a
-        // later round fails. Skipping the relay would leave the shortcut
-        // stamped in-sync while pointing at pre-split buckets.
         self.relay_events();
         r
+    }
+
+    /// [`Index::remove`] from the key's [`mult_hash`]. Bucket contents
+    /// only, which both directories alias — no directory change, no
+    /// maintenance traffic.
+    #[inline]
+    pub(crate) fn remove_hashed(&mut self, key: u64, hash: u64) -> Option<u64> {
+        self.eh.remove_hashed(key, self.eh.dir_hash_of(hash))
     }
 
     /// Insert the routed `positions` of one window of a batch, in order,
@@ -642,7 +665,9 @@ impl ShortcutEh {
             let (key, value) = entries[p as usize];
             let h = self.eh.dir_hash_of(hashes[p as usize]);
             self.eh.insert_hashed(key, value, h)?;
-            self.maybe_compact();
+            if self.eh.has_events() {
+                self.maybe_compact();
+            }
             Ok(())
         });
         // Relay what happened, also after an error, so the shortcut
@@ -654,8 +679,7 @@ impl ShortcutEh {
     }
 
     /// Remove the routed `positions` of one window of a batch, in order:
-    /// `out[p]` is the value `keys[p]` held. Bucket contents only — no
-    /// directory change, no maintenance traffic.
+    /// `out[p]` is the value `keys[p]` held.
     pub(crate) fn remove_chunk(
         &mut self,
         keys: &[u64],
@@ -664,8 +688,7 @@ impl ShortcutEh {
         out: &mut [Option<u64>],
     ) {
         for &p in positions {
-            let h = self.eh.dir_hash_of(hashes[p as usize]);
-            out[p as usize] = self.eh.remove_hashed(keys[p as usize], h);
+            out[p as usize] = self.remove_hashed(keys[p as usize], hashes[p as usize]);
         }
     }
 }
@@ -692,6 +715,7 @@ fn published_bucket(t: ReadTicket, geometry: ReadGeometry, hash: u64) -> BucketR
 }
 
 impl Index for ShortcutEh {
+    #[inline]
     fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
         self.insert_hashed(key, value, mult_hash(key))
     }
@@ -700,10 +724,9 @@ impl Index for ShortcutEh {
         self.get_pinned(self.maint.state(), key, mult_hash(key), self.retire.pin())
     }
 
+    #[inline]
     fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
-        // Removals mutate bucket *contents*, which both directories alias —
-        // no directory change, no maintenance traffic.
-        self.eh.remove(key)
+        Ok(self.remove_hashed(key, mult_hash(key)))
     }
 
     fn len(&self) -> usize {
@@ -743,6 +766,7 @@ impl Index for ShortcutEh {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::bucket::BUCKET_CAPACITY;
     use shortcut_rewire::PoolConfig;
     use std::time::Duration;
 
@@ -1190,6 +1214,150 @@ pub(crate) mod tests {
         );
         assert_eq!(big.slot_layout().pages_per_slot(), 4);
         assert!(!big.huge_requested());
+    }
+
+    /// A configuration whose mapper only runs on demand (a tick of an
+    /// hour) and whose buckets split at `entry_limit` entries.
+    fn on_demand_cfg(entry_limit: usize, view_capacity_pages: usize) -> ShortcutEhConfig {
+        let mut cfg = fast_cfg();
+        cfg.maint.poll_interval = Duration::from_secs(3600);
+        cfg.eh.pool.view_capacity_pages = view_capacity_pages;
+        cfg.eh.max_load_factor = (entry_limit as f64 + 0.5) / BUCKET_CAPACITY as f64;
+        cfg
+    }
+
+    /// What only a split or a doubling moves.
+    fn shape(t: &ShortcutEh) -> (u64, u64) {
+        (t.eh.splits(), t.eh.stats().doublings)
+    }
+
+    fn assert_reads_as(t: &ShortcutEh, model: &std::collections::HashMap<u64, u64>, domain: u64) {
+        for k in 0..domain {
+            assert_eq!(t.get(k), model.get(&k).copied(), "key {k}");
+        }
+    }
+
+    /// The write path's contract with the mapper, operation by operation:
+    /// the hooks run exactly when the directory changed, and never leave
+    /// an event behind. At the 4 KB layout, and — an index has no layout
+    /// below one 4 KB slot — at a 4 KB slot held to a 512 B bucket's entry
+    /// limit: a split every few inserts, multi-round ones among them.
+    #[test]
+    fn hooks_run_exactly_when_the_directory_changed() {
+        for layout in [BucketLayout::for_bytes(512), BucketLayout::base()] {
+            // The layout's entry limit at the paper's load factor.
+            let limit = (layout.capacity() as f64 * 0.35) as usize;
+            let mut t = ShortcutEh::try_new(on_demand_cfg(limit, 1 << 16)).unwrap();
+            assert!(t.wait_sync(Duration::from_secs(10)));
+            let domain = 150 * limit as u64;
+            let mut model = std::collections::HashMap::new();
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ limit as u64;
+            let mut next = || {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                rng >> 33
+            };
+            let (mut structural, mut plain) = (0, 0);
+            for op in 0..2 * domain {
+                let before = (shape(&t), t.versions().0, t.maint.pending());
+                let key = next() % domain;
+                match next() % 8 {
+                    0 => assert_eq!(t.remove(key).unwrap(), model.remove(&key), "key {key}"),
+                    1 => {
+                        let batch: Vec<(u64, u64)> =
+                            (0..64).map(|_| (next() % domain, next())).collect();
+                        t.insert_batch(&batch).unwrap();
+                        model.extend(batch);
+                    }
+                    _ => {
+                        t.insert(key, op).unwrap();
+                        model.insert(key, op);
+                        if shape(&t) == before.0 {
+                            assert_eq!(t.maint.pending(), before.2, "a plain insert relayed");
+                            plain += 1;
+                        }
+                    }
+                }
+                assert!(!t.eh.has_events(), "op {op} left events behind");
+                let changed = shape(&t) != before.0;
+                assert_eq!(t.versions().0 > before.1, changed, "op {op}");
+                structural += usize::from(changed);
+                // Stay below the backlog that wakes the mapper by itself.
+                if t.maint.pending() > 128 || op % 1024 == 0 {
+                    assert_reads_as(&t, &model, domain);
+                    assert!(t.wait_sync(Duration::from_secs(10)), "never synced");
+                    assert_eq!(t.maint.pending(), 0);
+                    assert_reads_as(&t, &model, domain);
+                }
+            }
+            assert_eq!(t.len(), model.len());
+            assert!(structural > 50 && plain > 1_000, "{structural} / {plain}");
+            assert!(t.maint_error().is_none());
+        }
+    }
+
+    /// An insert that fails after it changed the directory — in a later
+    /// round of a multi-round split, or between a doubling and the split
+    /// it was for — is relayed all the same: version bumped, the applied
+    /// part queued, and the shortcut converges on it.
+    #[test]
+    fn a_split_that_fails_in_a_later_round_is_still_relayed() {
+        let mut later_rounds = 0;
+        for seed in 0..64u64 {
+            // Three entries a bucket: one split in eight needs a second round.
+            let mut t = ShortcutEh::try_new(on_demand_cfg(3, 8)).unwrap();
+            assert!(t.wait_sync(Duration::from_secs(10)));
+            let mut model = std::collections::HashMap::new();
+            // Scattered keys: evenly spread ones fill every bucket at once
+            // and fail on a doubling, never mid-split.
+            let key = |i: u64| {
+                let x = (seed << 32 | i).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                (x ^ x >> 29).wrapping_mul(0x94D0_49BB_1331_11EB)
+            };
+            let (failed, before) = (0u64..)
+                .find_map(|i| {
+                    let before = (shape(&t), t.versions().0, t.maint.pending());
+                    match t.insert(key(i), i) {
+                        Ok(()) => model.insert(key(i), i).and(None),
+                        Err(e) => {
+                            assert!(matches!(e, IndexError::Pool(_)), "{e}");
+                            Some((key(i), before))
+                        }
+                    }
+                })
+                .unwrap();
+            assert!(!t.eh.has_events());
+            let (splits, doublings) = shape(&t);
+            if (splits, doublings) == before.0 {
+                // Failed before anything was applied: nothing owed.
+                assert_eq!((t.versions().0, t.maint.pending()), (before.1, before.2));
+                continue;
+            }
+            assert!(t.versions().0 > before.1, "applied part not stamped");
+            if splits > before.0 .0 {
+                later_rounds += 1;
+                // A doubling's create would have superseded the queue.
+                if doublings == before.0 .1 {
+                    assert!(t.maint.pending() > before.2, "applied round not queued");
+                }
+            }
+            let reads_as_model = |t: &ShortcutEh| {
+                assert_eq!(t.get(failed), None);
+                for (&k, &v) in &model {
+                    assert_eq!(t.get(k), Some(v), "key {k}");
+                }
+            };
+            reads_as_model(&t);
+            assert!(t.wait_sync(Duration::from_secs(10)), "mapper never drained");
+            reads_as_model(&t);
+            for (&k, &v) in &model {
+                if let Some(got) = via_shortcut(&t, k) {
+                    assert_eq!(got, Some(v), "shortcut is stale for {k}");
+                }
+            }
+        }
+        assert!(later_rounds > 0, "no seed failed in a later round");
     }
 
     #[test]

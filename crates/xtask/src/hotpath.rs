@@ -1,39 +1,107 @@
-//! Shape check of the single-key read path.
+//! Shape check of the single-key paths.
 //!
 //! Builds the `hotpath` example (`examples/hotpath.rs`), whose
-//! `hotpath_get` symbol is `ShortcutIndex::get` inlined whole into one
-//! out-of-line function, disassembles that symbol with `objdump` and
-//! holds what a timer cannot: that it carries **no `lock`-prefixed
+//! `hotpath_get` / `hotpath_insert` / `hotpath_remove` symbols are
+//! `ShortcutIndex::{get, insert, remove}` inlined whole into one
+//! out-of-line function each, disassembles them with `objdump` and holds
+//! what a timer cannot: that a symbol carries **no `lock`-prefixed
 //! instruction** (every RMW exit — shared-stripe pins, the read lock, the
-//! first-use slot claim — must stay out of line) and that it has **not
-//! grown** more than a quarter past the committed budget (a second probe
-//! inlined into it, which is what the cold exits used to cost, roughly
-//! doubles it).
+//! first-use slot claim, the relay's queue lock — must stay out of line),
+//! that it has **not grown** more than a quarter past the committed
+//! budget (a second probe inlined into `get`, which is what its cold
+//! exits used to cost, roughly doubles it), that its **frame** is within
+//! budget, and that **every `call` goes where it may**: the write paths
+//! call the EH body they share with the plain-EH arm once, and leave
+//! otherwise only through cold exits — a wrapper layer that comes back
+//! shows as a call to a function that is not on the list.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The fixture's symbol.
-const SYMBOL: &str = "hotpath_get";
+/// One checked symbol of the fixture.
+struct Checked {
+    symbol: &'static str,
+    /// Size when last reviewed (x86-64, `--release`, the pinned
+    /// toolchain). Re-measure and move it, with the reason, when the path
+    /// changes on purpose.
+    budget_bytes: usize,
+    /// Largest `sub rsp` the symbol may open with, in bytes.
+    frame_bytes: usize,
+    /// Fragments of the (mangled) names a `call` may go to, besides
+    /// [`PANICS`]; `None` does not look (the read path's calls are all
+    /// `#[cold]` by construction of its `match`es, and its budget catches
+    /// one that is inlined).
+    callees: Option<&'static [&'static str]>,
+}
 
-/// Size of [`SYMBOL`] when last reviewed (x86-64, `--release`, the pinned
-/// toolchain). Re-measure and move it, with the reason, when the read
-/// path changes on purpose.
-const BUDGET_BYTES: usize = 1024;
+/// A slice index out of bounds and `_Unwind_Resume`: cold by nature, and
+/// allowed wherever callees are checked.
+const PANICS: [&str; 2] = ["panic_bounds_check", "_Unwind_Resume"];
 
-/// Slack over [`BUDGET_BYTES`] for compiler versions and layout noise.
+const CHECKED: [Checked; 3] = [
+    Checked {
+        symbol: "hotpath_get",
+        budget_bytes: 1024,
+        frame_bytes: 0,
+        callees: None,
+    },
+    // Route, the shared `ExtendibleHash::insert_hashed`, one look at the
+    // event buffer; `ShortcutEh::insert_slow` when it is not empty.
+    // Measured 176 B, frame 0x20 (the `Result` both calls write).
+    Checked {
+        symbol: "hotpath_insert",
+        budget_bytes: 176,
+        frame_bytes: 0x20,
+        callees: Some(&["ExtendibleHash13insert_hashed", "ShortcutEh11insert_slow"]),
+    },
+    // Route and the shared `ExtendibleHash::remove_hashed`. Measured
+    // 124 B, no frame.
+    Checked {
+        symbol: "hotpath_remove",
+        budget_bytes: 124,
+        frame_bytes: 0,
+        callees: Some(&["ExtendibleHash13remove_hashed"]),
+    },
+];
+
+/// Slack over a budget for compiler versions and layout noise.
 const SLACK_PERCENT: usize = 25;
+
+/// Where a `call` goes, as the listing writes it.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Callee {
+    /// `call 209e0 <name>`.
+    Named(String),
+    /// `call QWORD PTR [rip+0x…]  # 89ac0 <…>`: through the GOT slot at
+    /// this address, which a `R_X86_64_RELATIVE` relocation fills.
+    Slot(u64),
+}
 
 /// What the disassembly of one symbol shows.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Shape {
     pub instructions: usize,
     pub lock_prefixed: usize,
-    pub calls: usize,
+    /// Every `call`, and every `jmp` out of the symbol (a tail call).
+    pub calls: Vec<Callee>,
+    /// The first `sub rsp, N`.
+    pub frame_bytes: usize,
 }
 
-/// Count the instruction lines of an `objdump -d --no-show-raw-insn`
-/// listing (`  addr:\tmnemonic operands`).
+fn hex(word: &str) -> Option<u64> {
+    u64::from_str_radix(word.trim_start_matches("0x"), 16).ok()
+}
+
+/// Whether a `jmp` leaves its symbol — through a GOT slot (the `# slot`
+/// note) or to a bare `<name>`; one that stays goes to `<symbol+0x…>`.
+fn leaves(insn: &str) -> bool {
+    let stays = |(_, target): (&str, &str)| target.contains("+0x");
+    insn.contains('#') || insn.split_once('<').is_some_and(|jump| !stays(jump))
+}
+
+/// Read the instruction lines of an `objdump -d --no-show-raw-insn -M
+/// intel` listing (`  addr:\tmnemonic operands`).
 pub fn shape_of(listing: &str) -> Shape {
     let mut shape = Shape::default();
     for line in listing.lines() {
@@ -46,8 +114,20 @@ pub fn shape_of(listing: &str) -> Shape {
         let mut words = insn.split_whitespace();
         match words.next() {
             Some("lock") => shape.lock_prefixed += 1,
-            // A tail call leaves by `jmp`; only `call` comes back.
-            Some(m) if m.starts_with("call") => shape.calls += 1,
+            Some(m) if m.starts_with("call") || (m == "jmp" && leaves(insn)) => {
+                let slot = insn.split_once('#').map(|(_, slot)| slot);
+                shape.calls.push(match slot {
+                    Some(slot) => {
+                        Callee::Slot(slot.split_whitespace().next().and_then(hex).unwrap_or(0))
+                    }
+                    None => Callee::Named(insn.rsplit('<').next().unwrap_or("").to_string()),
+                });
+            }
+            Some("sub") if shape.frame_bytes == 0 => {
+                if let Some(bytes) = words.next().and_then(|ops| ops.strip_prefix("rsp,")) {
+                    shape.frame_bytes = hex(bytes).unwrap_or(0) as usize;
+                }
+            }
             Some(_) => {}
             None => continue,
         }
@@ -66,6 +146,31 @@ pub fn size_of(symbols: &str, symbol: &str) -> Option<usize> {
     })
 }
 
+/// `address -> name` of an `objdump -t` symbol table.
+fn names_of(symbols: &str) -> HashMap<u64, &str> {
+    symbols
+        .lines()
+        .filter_map(|line| {
+            let address = hex(line.split_whitespace().next()?)?;
+            Some((address, line.split_whitespace().next_back()?))
+        })
+        .collect()
+}
+
+/// `GOT slot -> target address` of an `objdump -R` relocation table
+/// (`slot R_X86_64_RELATIVE *ABS*+0xtarget`).
+fn slots_of(relocations: &str) -> HashMap<u64, u64> {
+    relocations
+        .lines()
+        .filter_map(|line| {
+            let mut fields = line.split_whitespace();
+            let slot = hex(fields.next()?)?;
+            let target = fields.nth(1)?.strip_prefix("*ABS*+")?;
+            Some((slot, hex(target)?))
+        })
+        .collect()
+}
+
 fn output_of(cmd: &mut Command) -> Result<String, String> {
     let out = cmd
         .output()
@@ -77,6 +182,76 @@ fn output_of(cmd: &mut Command) -> Result<String, String> {
         ));
     }
     Ok(String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// Hold one symbol to its row of [`CHECKED`]. `Ok` is its report line.
+fn check(
+    checked: &Checked,
+    binary: &Path,
+    symbols: &str,
+    names: &HashMap<u64, &str>,
+    slots: &HashMap<u64, u64>,
+) -> Result<String, String> {
+    let Checked {
+        symbol,
+        budget_bytes,
+        frame_bytes,
+        callees,
+    } = checked;
+    let listing = output_of(
+        Command::new("objdump")
+            .args(["-d", "--no-show-raw-insn", "-M", "intel"])
+            .arg(format!("--disassemble={symbol}"))
+            .arg(binary),
+    )?;
+    let shape = shape_of(&listing);
+    let size = size_of(symbols, symbol)
+        .filter(|_| shape.instructions > 0)
+        .ok_or(format!("no symbol `{symbol}` in {}", binary.display()))?;
+    let report = format!(
+        "hotpath: `{symbol}` is {size} bytes (budget {budget_bytes} + {SLACK_PERCENT} %), \
+         {} instructions, {} lock-prefixed, {} calls and tail calls, frame {:#x}",
+        shape.instructions,
+        shape.lock_prefixed,
+        shape.calls.len(),
+        shape.frame_bytes
+    );
+    if shape.lock_prefixed > 0 {
+        return Err(format!(
+            "{report}\nhotpath: a `lock`-prefixed instruction is inlined into `{symbol}` — \
+             move the RMW exit out of line (#[cold] #[inline(never)])"
+        ));
+    }
+    if size * 100 > budget_bytes * (100 + SLACK_PERCENT) {
+        return Err(format!(
+            "{report}\nhotpath: `{symbol}` outgrew its budget — look for a cold exit that \
+             is inlined again (a second bucket probe roughly doubles `hotpath_get`)"
+        ));
+    }
+    if shape.frame_bytes > *frame_bytes {
+        return Err(format!(
+            "{report}\nhotpath: `{symbol}` opens a frame beyond its {frame_bytes:#x} bytes — \
+             something is passed to a cold exit through memory, or kept alive across one"
+        ));
+    }
+    for callee in &shape.calls {
+        let name = match callee {
+            Callee::Named(name) => name.as_str(),
+            Callee::Slot(slot) => slots
+                .get(slot)
+                .and_then(|target| names.get(target))
+                .copied()
+                .unwrap_or("?"),
+        };
+        let listed = |allowed: &[&str]| allowed.iter().chain(&PANICS).any(|a| name.contains(a));
+        if callees.is_some_and(|allowed| !listed(allowed)) {
+            return Err(format!(
+                "{report}\nhotpath: `{symbol}` calls `{name}`, which is neither the EH body it \
+                 shares with the plain-EH arm nor one of its cold exits — a wrapper layer is back"
+            ));
+        }
+    }
+    Ok(report)
 }
 
 /// Run the check. `Ok` carries the report line(s); `Err` the finding.
@@ -98,37 +273,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let target =
         std::env::var_os("CARGO_TARGET_DIR").map_or_else(|| root.join("target"), PathBuf::from);
     let binary = target.join("release/examples/hotpath");
-    let listing = output_of(
-        Command::new("objdump")
-            .args(["-d", "--no-show-raw-insn", "-M", "intel"])
-            .arg(format!("--disassemble={SYMBOL}"))
-            .arg(&binary),
-    )?;
-    let shape = shape_of(&listing);
-    let size = size_of(
-        &output_of(Command::new("objdump").arg("-t").arg(&binary))?,
-        SYMBOL,
-    )
-    .filter(|_| shape.instructions > 0)
-    .ok_or(format!("no symbol `{SYMBOL}` in {}", binary.display()))?;
-    let report = format!(
-        "hotpath: `{SYMBOL}` is {size} bytes (budget {BUDGET_BYTES} + {SLACK_PERCENT} %), \
-         {} instructions, {} lock-prefixed, {} calls (its cold exits)",
-        shape.instructions, shape.lock_prefixed, shape.calls
-    );
-    if shape.lock_prefixed > 0 {
-        return Err(format!(
-            "{report}\nhotpath: a `lock`-prefixed instruction is inlined into the read path — \
-             move the RMW exit out of line (#[cold] #[inline(never)])"
-        ));
-    }
-    if size * 100 > BUDGET_BYTES * (100 + SLACK_PERCENT) {
-        return Err(format!(
-            "{report}\nhotpath: the read path outgrew its budget — look for a cold exit that \
-             is inlined again (a second bucket probe roughly doubles the symbol)"
-        ));
-    }
-    Ok(report)
+    let symbols = output_of(Command::new("objdump").arg("-t").arg(&binary))?;
+    let names = names_of(&symbols);
+    let slots = slots_of(&output_of(Command::new("objdump").arg("-R").arg(&binary))?);
+    let reports: Result<Vec<String>, String> = CHECKED
+        .iter()
+        .map(|checked| check(checked, &binary, &symbols, &names, &slots))
+        .collect();
+    Ok(reports?.join("\n"))
 }
 
 #[cfg(test)]
@@ -142,9 +294,13 @@ Disassembly of section .text:
 
 0000000000021960 <hotpath_get>:
    21960:\tpush   r15
+   21961:\tsub    rsp,0x20
    21962:\tlock inc QWORD PTR [rax]
    21966:\tcall   QWORD PTR [rip+0x66217]        # 87f50 <_DYNAMIC+0x3a0>
-   2196c:\tjmp    QWORD PTR [rip+0x661bd]
+   21969:\tcall   209e0 <_ZN4core9panicking18panic_bounds_check17h0E>
+   2196c:\tjmp    QWORD PTR [rip+0x661bd]        # 87f58 <_DYNAMIC+0x3a8>
+   2196d:\tjmp    21972 <hotpath_get+0x12>
+   2196f:\tsub    rsp,0x8
    21972:\tret
 ";
 
@@ -153,9 +309,14 @@ Disassembly of section .text:
         assert_eq!(
             shape_of(LISTING),
             Shape {
-                instructions: 5,
+                instructions: 9,
                 lock_prefixed: 1,
-                calls: 1
+                calls: vec![
+                    Callee::Slot(0x87f50),
+                    Callee::Named("_ZN4core9panicking18panic_bounds_check17h0E>".into()),
+                    Callee::Slot(0x87f58),
+                ],
+                frame_bytes: 0x20,
             }
         );
     }
@@ -166,5 +327,14 @@ Disassembly of section .text:
                      0000000000021d60 g     F .text\t0000000000000010              hotpath_get_other\n";
         assert_eq!(size_of(table, "hotpath_get"), Some(0x3fa));
         assert_eq!(size_of(table, "absent"), None);
+        assert_eq!(names_of(table)[&0x21d60], "hotpath_get_other");
+    }
+
+    #[test]
+    fn resolves_a_got_slot_through_its_relocation() {
+        let relocations = "OFFSET           TYPE              VALUE\n\
+                           0000000000087f50 R_X86_64_RELATIVE  *ABS*+0x0000000000021d60\n\
+                           0000000000087f58 R_X86_64_GLOB_DAT  free@GLIBC_2.2.5\n";
+        assert_eq!(slots_of(relocations), HashMap::from([(0x87f50, 0x21d60)]));
     }
 }

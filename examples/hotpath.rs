@@ -1,7 +1,9 @@
-//! Fixture of `cargo run -p xtask -- hotpath`: [`ShortcutIndex::get`]
-//! compiled into one out-of-line, unmangled symbol (`hotpath_get`) that the
-//! task disassembles to hold the read path's shape — size, no `lock`
-//! prefix — where a timer cannot. Running it checks the symbol answers.
+//! Fixture of `cargo run -p xtask -- hotpath`: [`ShortcutIndex::get`],
+//! [`ShortcutIndex::insert`] and [`ShortcutIndex::remove`], each compiled
+//! into one out-of-line, unmangled symbol (`hotpath_get`, `hotpath_insert`,
+//! `hotpath_remove`) that the task disassembles to hold the path's shape —
+//! size, frame, no `lock` prefix, where its calls go — where a timer
+//! cannot. Running it checks the symbols answer.
 //!
 //! ```bash
 //! cargo run --release --example hotpath
@@ -26,10 +28,33 @@ pub fn hotpath_eh_get(eh: &ExtendibleHash, key: u64) -> Option<u64> {
     eh.get(key)
 }
 
+/// The whole single-key insert down to the EH body both arms share: route,
+/// one call to it, one look at its event buffer, the relay out of line.
+#[no_mangle]
+#[inline(never)]
+pub fn hotpath_insert(index: &mut ShortcutIndex, key: u64, value: u64) -> Result<(), IndexError> {
+    index.insert(key, value)
+}
+
+/// The plain-EH insert the benchmark's `speedup_vs_eh` divides by: a jump
+/// into the same body (the task does not check it).
+#[no_mangle]
+#[inline(never)]
+pub fn hotpath_eh_insert(eh: &mut ExtendibleHash, key: u64, value: u64) -> Result<(), IndexError> {
+    eh.insert(key, value)
+}
+
+/// The whole single-key remove: one hash, route, the shared EH body.
+#[no_mangle]
+#[inline(never)]
+pub fn hotpath_remove(index: &mut ShortcutIndex, key: u64) -> Result<Option<u64>, IndexError> {
+    index.remove(key)
+}
+
 fn main() -> Result<(), IndexError> {
     let mut index = ShortcutIndex::builder().capacity(1 << 14).build()?;
     for k in 0..1u64 << 14 {
-        index.insert(k, !k)?;
+        hotpath_insert(&mut index, std::hint::black_box(k), !k)?;
     }
     index.wait_sync(Duration::from_secs(30));
     for k in 0..1u64 << 15 {
@@ -39,7 +64,14 @@ fn main() -> Result<(), IndexError> {
     println!("hotpath_get: {}", index.stats());
 
     let mut eh = ExtendibleHash::try_new(EhConfig::default())?;
-    eh.insert(7, 70)?;
-    assert_eq!(hotpath_eh_get(&eh, std::hint::black_box(7)), Some(70));
+    for k in 0..1u64 << 14 {
+        hotpath_eh_insert(&mut eh, std::hint::black_box(k), !k)?;
+    }
+    assert_eq!(hotpath_eh_get(&eh, std::hint::black_box(7)), Some(!7));
+    for k in 0..1u64 << 15 {
+        let expect = (k < 1 << 14).then_some(!k);
+        assert_eq!(hotpath_remove(&mut index, std::hint::black_box(k))?, expect);
+    }
+    assert!(index.is_empty());
     Ok(())
 }

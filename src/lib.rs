@@ -641,6 +641,7 @@ impl ShortcutIndex {
     ///
     /// Surfaces pool growth / directory-doubling failure as a typed
     /// [`IndexError`]; applied entries stay readable.
+    #[inline]
     pub fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
         Index::insert(&mut self.inner, key, value)
     }
@@ -680,6 +681,7 @@ impl ShortcutIndex {
     /// # Errors
     ///
     /// Never fails today; fallible per the [`Index`] write contract.
+    #[inline]
     pub fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
         Index::remove(&mut self.inner, key)
     }
@@ -909,6 +911,7 @@ impl ShortcutIndex {
 }
 
 impl Index for ShortcutIndex {
+    #[inline]
     fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
         ShortcutIndex::insert(self, key, value)
     }
@@ -917,6 +920,7 @@ impl Index for ShortcutIndex {
         ShortcutIndex::get(self, key)
     }
 
+    #[inline]
     fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
         ShortcutIndex::remove(self, key)
     }
