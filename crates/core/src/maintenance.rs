@@ -16,7 +16,11 @@
 //! A separate **mapper thread** polls the queue at a fixed interval (the
 //! paper found 25 ms to work well), executes requests, eagerly populates
 //! the page table, and only then stamps the shortcut's version — so no
-//! access through an in-sync shortcut ever takes a page fault.
+//! access through an in-sync shortcut ever takes a page fault. Readers see
+//! the stamp once the pass ends: under the queue's lock, which the write
+//! path bumps versions under too, the mapper sets the serving word
+//! ([`SharedDirectoryState::refresh_serving`]) if what it published is
+//! still the traditional version.
 //!
 //! **Passes.** What the mapper finds queued when it wakes is one *pass*
 //! ([`MapperEngine::apply_batch`]): the last create, then the updates
@@ -29,12 +33,13 @@
 //!
 //! **Retired-area lifecycle.** A create supersedes the previous shortcut
 //! area. It is *retired* into the pool's [`shortcut_rewire::RetireList`]
-//! (epoch-stamped, kept mapped): a reader that raced the rebuild reads
-//! stale but *mapped* memory and the seqlock ticket makes it discard the
-//! value. On every poll tick the mapper drives reclamation — a retired
-//! area is munmapped once every reader pin taken before its retirement has
-//! drained — so VMA use plateaus at roughly the live directory instead of
-//! growing with every doubling as it did in the seed.
+//! (epoch-stamped, kept mapped): a reader outside a read section that
+//! raced the rebuild reads stale but *mapped* memory and its ticket check
+//! makes it discard the value. On every poll tick the mapper drives
+//! reclamation — a retired area is munmapped once every reader pin taken
+//! before its retirement has drained — so VMA use plateaus at roughly the
+//! live directory instead of growing with every doubling as it did in the
+//! seed.
 //!
 //! **VMA budget.** Before building a directory the mapper asks the pool's
 //! [`shortcut_rewire::VmaBudget`] whether the rebuild's mapping footprint
@@ -701,6 +706,10 @@ fn mapper_loop(mut engine: MapperEngine, shared: &Shared, poll: Duration) {
         let mut inbox = shared.inbox.lock();
         inbox.in_pass = false;
         inbox.error = pass.err();
+        // Serve what the pass published if it is still the traditional
+        // version: compared and stored under the lock the write path bumps
+        // under, so no bump falls in between.
+        engine.state.refresh_serving();
         // Release: who reads the count (Acquire, `wait_sync`) sees what
         // the pass published and whether it left the shortcut suspended.
         metrics.passes.fetch_add(1, Ordering::Release);
@@ -793,7 +802,9 @@ impl Maintainer {
     /// Enqueue a relay's requests, in order, under one lock. A create
     /// supersedes whatever is queued ahead of it (the paper's main thread
     /// drops those right before pushing the create). The relay that takes
-    /// the backlog across [`WAKE_BACKLOG`] wakes a parked mapper.
+    /// the backlog across [`WAKE_BACKLOG`] wakes a parked mapper. `reqs`
+    /// is drained under the lock: a producer whose iterator bumps the
+    /// traditional version bumps under it, as a live mapper requires.
     pub fn submit_all(&self, reqs: impl IntoIterator<Item = MaintRequest>) {
         let mut inbox = self.shared.inbox.lock();
         let before = inbox.queue.len();
@@ -848,9 +859,11 @@ impl Maintainer {
     }
 
     /// Block until the shortcut is in sync with the traditional directory
-    /// (or `timeout` elapses). Returns whether sync was reached. Out of
-    /// sync, it **demands** a pass instead of waiting for the tick, so
-    /// the wait is the time the mapper takes to apply what is queued.
+    /// and no pass is in flight — so the pass that synced it has set the
+    /// serving word — or `timeout` elapses. Returns whether sync was
+    /// reached. Out of sync, it **demands** a pass instead of waiting for
+    /// the tick, so the wait is the time the mapper takes to apply what is
+    /// queued.
     /// When a pass that started after the demand leaves nothing pending
     /// and the shortcut budget-suspended, a directory that genuinely does
     /// not fit (nothing retired is left to reclaim) fails fast, while a
@@ -869,7 +882,8 @@ impl Maintainer {
                 return false;
             }
             let idle = inbox.queue.is_empty();
-            if idle && self.state.in_sync() {
+            // A pass in flight has yet to serve what it published.
+            if idle && !inbox.in_pass && self.state.in_sync() {
                 return true;
             }
             let now = Instant::now();
@@ -916,6 +930,9 @@ mod pass_tests;
 
 #[cfg(test)]
 mod tests {
+    // An engine driven without its thread has no end of pass: a test that
+    // reads through the shortcut serves what it published by hand
+    // (`state.refresh_serving()`), which no bump races here.
     use super::*;
     use shortcut_rewire::{PagePool, PoolConfig, PAGE_SIZE_4K};
 
@@ -961,6 +978,7 @@ mod tests {
         }])
         .unwrap();
         assert!(state.in_sync());
+        state.refresh_serving();
         let t = state.begin_read().unwrap();
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1004,6 +1022,7 @@ mod tests {
         }])
         .unwrap();
         assert!(state.in_sync());
+        state.refresh_serving();
         let t = state.begin_read().unwrap();
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1054,6 +1073,7 @@ mod tests {
         assert_eq!(s.updates_discarded, 2);
         assert_eq!(s.creates_applied, 1);
         assert!(state.in_sync());
+        state.refresh_serving();
         assert_eq!(state.begin_read().unwrap().slots, 4);
     }
 
@@ -1088,6 +1108,7 @@ mod tests {
         ])
         .unwrap();
         assert!(state.in_sync());
+        state.refresh_serving();
         let t = state.begin_read().unwrap();
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1120,6 +1141,7 @@ mod tests {
         .unwrap();
         // A reader pins, takes its ticket, and is about to dereference.
         let pin = handle.retire_list().pin();
+        state.refresh_serving();
         let old_base = state.begin_read().unwrap().base;
 
         let v2 = state.bump_traditional();
@@ -1279,6 +1301,7 @@ mod tests {
         assert_eq!(eng.reclaim_tick().unwrap(), 1);
         assert!(!state.suspended());
         assert!(state.in_sync());
+        state.refresh_serving();
         let t = state.begin_read().unwrap();
         // The descriptor publishes a depth: of 6 slots, hashes reach 4.
         assert_eq!(t.slots, 4);
@@ -1384,6 +1407,7 @@ mod tests {
         assert!(state.in_sync(), "coarse publish must keep the shortcut up");
         assert!(!state.suspended());
         assert_eq!(metrics.snapshot().creates_coarse, 1);
+        state.refresh_serving();
         let t = state.begin_read().unwrap();
         assert_eq!(t.slots, 8, "published at half depth");
         for i in 0..8 {
@@ -1411,6 +1435,7 @@ mod tests {
             .unwrap();
         }
         assert!(state.in_sync());
+        state.refresh_serving();
         let t = state.begin_read().unwrap();
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1499,6 +1524,7 @@ mod tests {
         .unwrap();
         assert!(state.in_sync());
         assert!(!state.suspended());
+        state.refresh_serving();
         let t = state.begin_read().unwrap();
         assert_eq!(
             t.slots, 4,

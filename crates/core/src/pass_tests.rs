@@ -138,9 +138,11 @@ impl Rig {
     }
 
     /// What a lookup of each published slot answers: the stamp of the
-    /// page behind it, read through the published base.
+    /// page behind it, read through the published base once the end of
+    /// the (threadless) pass has served it.
     fn answers(&self) -> Vec<u64> {
         assert!(self.state.in_sync(), "not in sync");
+        self.state.refresh_serving();
         let t = self.state.begin_read().expect("in sync");
         let node = self.eng.current().expect("published");
         assert_eq!(t.base, node.base());

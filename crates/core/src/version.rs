@@ -7,16 +7,23 @@
 //! **and** the page-table population have completed. The shortcut may serve
 //! a read only while the two versions are equal.
 //!
-//! Reads follow a seqlock-style protocol ([`SharedDirectoryState::begin_read`]
-//! / [`SharedDirectoryState::still_valid`]): validate versions, read through the
-//! published base pointer, validate again. Retired shortcut areas stay
-//! mapped until every reader pin taken before their retirement has drained
-//! (see [`shortcut_rewire::RetireList`]), so a read that loses the race
-//! reads *stale but mapped* memory and is then discarded — never a fault.
-//! Dereferencing a ticket's base therefore requires holding a
-//! [`shortcut_rewire::ReaderPin`] from the pool the shortcut maps.
+//! Readers do not compare the versions: they load one **serving word**,
+//! which holds the published `base | depth` exactly while the shortcut may
+//! answer (versions equal, routing on) and is null otherwise. A bump
+//! clears it ([`SharedDirectoryState::bump_traditional`]); only the mapper
+//! sets it, at the end of a pass and under the lock every racing bump
+//! holds too ([`SharedDirectoryState::refresh_serving`]). A read section
+//! excludes every bump, so a reader inside one loads the word once and
+//! never validates (CONCURRENCY.md §2). [`SharedDirectoryState::begin_read`]
+//! / [`SharedDirectoryState::still_valid`] give readers outside a section
+//! a ticket and its re-check. Retired shortcut areas stay mapped until
+//! every reader pin taken before their retirement has drained (see
+//! [`shortcut_rewire::RetireList`]), so dereferencing a ticket's base
+//! requires holding a [`shortcut_rewire::ReaderPin`] from the pool the
+//! shortcut maps.
 
 use shortcut_rewire::sync::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::ptr;
 
 /// Alignment [`SharedDirectoryState::publish`] requires of a base: its low
 /// bits carry the published depth (< 64), so a reader gets both from one
@@ -44,11 +51,14 @@ pub struct ReadGeometry {
 ///
 /// Invariant: the published base is non-null whenever
 /// `shortcut_version != 0` — [`SharedDirectoryState::publish`] refuses a
-/// null base or a zero version and stores the base before the version, so
-/// a reader whose Acquire load saw a version also sees a base.
+/// null base or a zero version and stores the base before the version.
 #[derive(Debug)]
 #[repr(align(64))]
 pub struct SharedDirectoryState {
+    /// `published` while the shortcut may serve reads, null otherwise:
+    /// the one word a lookup loads to decide.
+    serving: AtomicPtr<u8>,
+    geometry: ReadGeometry,
     /// Version of the traditional directory (bumped by the index on every
     /// directory-modifying operation).
     traditional_version: AtomicU64,
@@ -59,9 +69,8 @@ pub struct SharedDirectoryState {
     /// create) with, in its six low bits, `log2` of the area's slot
     /// count: the depth a reader shifts by.
     published: AtomicPtr<u8>,
-    geometry: ReadGeometry,
-    /// Whether lookups should try the shortcut at the directory's current
-    /// fan-in. Written by the write path, which excludes the readers.
+    /// Whether lookups should use the shortcut at the directory's current
+    /// fan-in: an input of the serving word, read by whoever sets it.
     route_shortcut: AtomicBool,
     /// Whether the mapper skipped the latest rebuild because the directory
     /// no longer fits the VMA budget. Readers fall back to the traditional
@@ -82,11 +91,11 @@ fn unpack(published: *mut u8) -> (*mut u8, u32) {
     (published.map_addr(|a| a & !(BASE_ALIGN - 1)), depth as u32)
 }
 
-/// Proof that a shortcut read started in sync; must be revalidated after
-/// the read with [`SharedDirectoryState::still_valid`].
+/// The directory a shortcut read may use, taken from the serving word.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadTicket {
-    version: u64,
+    /// The serving word it was taken from.
+    word: *mut u8,
     /// Published base pointer at ticket time.
     pub base: *mut u8,
     /// Published slot count at ticket time: a power of two.
@@ -112,10 +121,11 @@ impl SharedDirectoryState {
     /// [`SharedDirectoryState::new`] carrying the index's read constants.
     pub fn with_geometry(geometry: ReadGeometry) -> Self {
         SharedDirectoryState {
+            serving: AtomicPtr::new(ptr::null_mut()),
+            geometry,
             traditional_version: AtomicU64::new(0),
             shortcut_version: AtomicU64::new(0),
-            published: AtomicPtr::new(std::ptr::null_mut()),
-            geometry,
+            published: AtomicPtr::new(ptr::null_mut()),
             route_shortcut: AtomicBool::new(true),
             suspended: AtomicBool::new(false),
         }
@@ -128,16 +138,15 @@ impl SharedDirectoryState {
     }
 
     /// Record the routing decision for the directory's current fan-in.
-    /// Called from the write path only, inside the section that excludes
-    /// readers, whose hand-off orders it.
+    /// Turning it off clears the serving word (a clear is always safe: it
+    /// only sends readers to the traditional directory); turning it on
+    /// takes effect at the next [`SharedDirectoryState::refresh_serving`].
+    /// The write path decides in the relay that also bumps the version.
     pub fn set_route_shortcut(&self, on: bool) {
         self.route_shortcut.store(on, Ordering::Release);
-    }
-
-    /// Whether lookups should try the shortcut at all.
-    #[inline]
-    pub fn route_shortcut(&self) -> bool {
-        self.route_shortcut.load(Ordering::Acquire)
+        if !on {
+            self.serving.store(ptr::null_mut(), Ordering::Release);
+        }
     }
 
     /// Slot count of the currently published shortcut area (0 before the
@@ -166,9 +175,15 @@ impl SharedDirectoryState {
         self.suspended.load(Ordering::Acquire)
     }
 
-    /// Record a modification of the traditional directory; returns the new
-    /// version (to be attached to the maintenance request).
+    /// Record a modification of the traditional directory, taking the
+    /// shortcut out of service until the mapper has published it; returns
+    /// the new version (to be attached to the maintenance request). A
+    /// caller racing a live mapper bumps under its inbox lock (the write
+    /// path bumps inside `Maintainer::submit_all`), so that no
+    /// [`SharedDirectoryState::refresh_serving`] falls between its compare
+    /// and its store.
     pub fn bump_traditional(&self) -> u64 {
+        self.serving.store(ptr::null_mut(), Ordering::Release);
         self.traditional_version.fetch_add(1, Ordering::AcqRel) + 1
     }
 
@@ -182,7 +197,8 @@ impl SharedDirectoryState {
         self.shortcut_version.load(Ordering::Acquire)
     }
 
-    /// Whether the shortcut is in sync (and something has been published).
+    /// Whether the shortcut is in sync (and something has been published),
+    /// whatever the routing decision.
     pub fn in_sync(&self) -> bool {
         let sv = self.shortcut_version.load(Ordering::Acquire);
         sv != 0 && sv == self.traditional_version.load(Ordering::Acquire)
@@ -190,8 +206,9 @@ impl SharedDirectoryState {
 
     /// Publish a (possibly new) shortcut area of `slots` slots reflecting
     /// `version`. Called by the mapper thread only, *after* population
-    /// finished. Readers address the largest power of two of them, which
-    /// is all a hash-addressed directory has.
+    /// finished; readers see it once [`SharedDirectoryState::refresh_serving`]
+    /// finds it in sync. Readers address the largest power of two of the
+    /// slots, which is all a hash-addressed directory has.
     ///
     /// # Panics
     ///
@@ -205,41 +222,58 @@ impl SharedDirectoryState {
         self.shortcut_version.store(version, Ordering::Release);
     }
 
-    /// Begin a shortcut read: returns a ticket if the shortcut is currently
-    /// in sync, else `None` (caller takes the traditional path).
+    /// Set the serving word to the published directory if it may serve
+    /// reads — in sync, routing on — and clear it otherwise. The mapper
+    /// calls this at the end of every pass, under the inbox lock that
+    /// every racing [`SharedDirectoryState::bump_traditional`] holds too:
+    /// a bump between the compare and the store would leave a superseded
+    /// directory serving (`tests/loom_read_section.rs` seeds exactly that).
+    pub fn refresh_serving(&self) {
+        self.serve_if(self.in_sync());
+    }
+
+    /// The store of [`SharedDirectoryState::refresh_serving`], on a
+    /// verdict of sync taken by the caller.
+    fn serve_if(&self, in_sync: bool) {
+        let word = if in_sync && self.route_shortcut.load(Ordering::Acquire) {
+            self.published.load(Ordering::Acquire)
+        } else {
+            ptr::null_mut()
+        };
+        self.serving.store(word, Ordering::Release);
+    }
+
+    /// The directory a shortcut read may use now — base and depth from the
+    /// one load of the serving word — or `None` (caller takes the
+    /// traditional path). Inside a read section the answer holds for the
+    /// whole section; outside one, check the read with
+    /// [`SharedDirectoryState::still_valid`].
     #[inline]
     pub fn begin_read(&self) -> Option<ReadTicket> {
-        let sv = self.shortcut_version.load(Ordering::Acquire);
-        if sv == 0 || sv != self.traditional_version.load(Ordering::Acquire) {
+        let word = self.serving.load(Ordering::Acquire);
+        if word.is_null() {
             return None;
         }
-        // Non-null by the type's invariant: `sv != 0` was stored after it.
-        // One load, so the base and the depth belong to one directory.
-        let (base, depth) = unpack(self.published.load(Ordering::Acquire));
-        debug_assert!(!base.is_null());
+        let (base, depth) = unpack(word);
         Some(ReadTicket {
-            version: sv,
+            word,
             base,
             slots: 1 << depth,
         })
     }
 
-    /// Validate a ticket after the read: `true` iff no modification raced
-    /// with it (neither version moved), so the value read may be used.
+    /// After a read through `t` outside a read section: `true` iff the
+    /// serving word is still the one `t` was taken from. The acquire fence
+    /// orders the read's plain loads before the re-check, so a reader that
+    /// consumed a byte written after a bump sees the word moved
+    /// (`tests/loom_seqlock.rs` proves the fence load-bearing). A word that
+    /// went away and came back between the two calls — an update pass
+    /// republishing the same area — passes: readers that need more hold a
+    /// read section, inside which the word cannot move at all.
     #[inline]
     pub fn still_valid(&self, t: ReadTicket) -> bool {
-        // The reader's data loads through `t.base` are plain loads; an
-        // acquire *load* below would not keep them from being satisfied
-        // after the version re-check (acquire orders later accesses, not
-        // earlier ones). The acquire fence is the classic seqlock
-        // read-side exit barrier: every load issued before it is ordered
-        // before the two validation loads, so a reader that consumed any
-        // post-bump bucket byte is guaranteed to observe the version
-        // moved and discard. `tests/loom_seqlock.rs` proves this fence
-        // load-bearing (dropping it admits a torn read).
         fence(Ordering::Acquire);
-        self.shortcut_version.load(Ordering::Acquire) == t.version
-            && self.traditional_version.load(Ordering::Acquire) == t.version
+        self.serving.load(Ordering::Acquire) == t.word
     }
 }
 
@@ -249,26 +283,24 @@ impl Default for SharedDirectoryState {
     }
 }
 
-/// Deliberately-broken seqlock variants, compiled only for the model
-/// tests: each drops one link of the protocol so `tests/loom_seqlock.rs`
-/// can prove the checker flags it. Never call these outside that suite.
+/// Deliberately-broken variants, compiled only for the model tests: each
+/// drops one link of the protocol so `tests/loom_*.rs` can prove the
+/// checker flags it. Never call these outside those suites.
 #[cfg(feature = "loomish")]
 impl SharedDirectoryState {
     /// Seeded bug: ticket validation without the acquire fence. The data
-    /// loads are free to be satisfied after the version re-check, so a
-    /// torn bucket read can pass validation.
+    /// loads are free to be satisfied after the re-check, so a torn bucket
+    /// read can pass validation.
     #[inline]
     pub fn still_valid_seeded_unfenced(&self, t: ReadTicket) -> bool {
-        self.shortcut_version.load(Ordering::Acquire) == t.version
-            && self.traditional_version.load(Ordering::Acquire) == t.version
+        self.serving.load(Ordering::Acquire) == t.word
     }
 
-    /// Seeded bug: publication with the version stamp relaxed. Readers can
-    /// observe the new version without the bucket stores it is supposed to
-    /// cover, and validation has nothing to pair with.
-    pub fn publish_seeded_relaxed(&self, base: *mut u8, slots: usize, version: u64) {
-        self.published.store(pack(base, slots), Ordering::Release);
-        self.shortcut_version.store(version, Ordering::Relaxed);
+    /// Seeded bug: [`SharedDirectoryState::refresh_serving`] on a verdict
+    /// of sync the mapper took before it held the lock. A bump in between
+    /// is overwritten, and a superseded directory serves.
+    pub fn refresh_serving_seeded_stale(&self, in_sync: bool) {
+        self.serve_if(in_sync);
     }
 }
 
@@ -279,6 +311,11 @@ mod tests {
     /// Something to publish: aligned as a mapped area would be.
     #[repr(align(64))]
     struct Page([u8; 64]);
+
+    /// The directory `s` serves, if any.
+    fn serving(s: &SharedDirectoryState) -> Option<(*mut u8, usize)> {
+        s.begin_read().map(|t| (t.base, t.slots))
+    }
 
     #[test]
     fn starts_out_of_sync() {
@@ -295,6 +332,7 @@ mod tests {
         let mut page = Page([0; 64]);
         s.publish(page.0.as_mut_ptr(), 1, v);
         assert!(s.in_sync());
+        s.refresh_serving();
         let t = s.begin_read().unwrap();
         assert_eq!(t.slots, 1);
         assert!(s.still_valid(t));
@@ -306,6 +344,7 @@ mod tests {
         let v = s.bump_traditional();
         let mut page = Page([0; 64]);
         s.publish(page.0.as_mut_ptr(), 1, v);
+        s.refresh_serving();
         let t = s.begin_read().unwrap();
         // A split happens mid-read…
         s.bump_traditional();
@@ -323,6 +362,7 @@ mod tests {
         assert!(!s.in_sync());
         s.publish(page.0.as_mut_ptr(), 2, v2);
         assert!(s.in_sync());
+        s.refresh_serving();
         assert_eq!(s.begin_read().unwrap().slots, 2);
     }
 
@@ -333,6 +373,48 @@ mod tests {
         let s = SharedDirectoryState::new();
         assert_eq!(s.traditional_version(), 0);
         assert_eq!(s.shortcut_version(), 0);
+        s.refresh_serving();
         assert!(s.begin_read().is_none());
+    }
+
+    /// The serving word's truth table: `base | depth` exactly while the
+    /// published version is the traditional one and routing is on.
+    #[test]
+    fn the_word_serves_exactly_the_in_sync_routed_directory() {
+        let s = SharedDirectoryState::new();
+        let (mut a, mut b) = (Page([0; 64]), Page([0; 64]));
+        let (a, b) = (a.0.as_mut_ptr(), b.0.as_mut_ptr());
+        let v1 = s.bump_traditional();
+        s.refresh_serving();
+        assert_eq!(serving(&s), None, "before the first publish");
+        s.publish(a, 2, v1);
+        assert_eq!(serving(&s), None, "set by the refresh, not by publish");
+        s.refresh_serving();
+        assert_eq!(serving(&s), Some((a, 2)));
+
+        // A bump clears it until that version is published.
+        let v2 = s.bump_traditional();
+        assert_eq!(serving(&s), None, "bumped");
+        let v3 = s.bump_traditional();
+        s.publish(b, 8, v2);
+        s.refresh_serving();
+        assert_eq!(serving(&s), None, "a publish of an older version");
+        s.publish(b, 8, v3);
+        s.refresh_serving();
+        assert_eq!(serving(&s), Some((b, 8)));
+
+        // Routing: off clears at once, and no refresh serves it; on serves
+        // at the next refresh while in sync. `in_sync` ignores routing.
+        s.set_route_shortcut(false);
+        assert_eq!(serving(&s), None, "routing off");
+        s.refresh_serving();
+        assert_eq!(serving(&s), None, "routing off, refreshed");
+        assert!(s.in_sync());
+        s.set_route_shortcut(true);
+        s.refresh_serving();
+        assert_eq!(serving(&s), Some((b, 8)), "routing back on in sync");
+        s.bump_traditional();
+        s.refresh_serving();
+        assert_eq!(serving(&s), None, "routing on, out of sync");
     }
 }

@@ -1,8 +1,8 @@
 //! Exhaustive model check of the composition a single-key lookup leans on:
 //! the **shard read section** (`ReadBias` over the `RetireCore` pin
-//! stripes, `tests/loom_shard_bias.rs` in `shortcut-rewire`) around the
-//! **seqlock** of the read descriptor (`tests/loom_seqlock.rs`), with the
-//! mapper publishing from outside every section.
+//! stripes, `tests/loom_shard_bias.rs` in `shortcut-rewire`) around **one
+//! load of the serving word** of the read descriptor, with the mapper
+//! serving from outside every section.
 //!
 //! Run with `cargo test -p shortcut-core --features loomish`. (It sits here
 //! and not beside `loom_shard_bias.rs` because `shortcut-rewire` cannot
@@ -10,33 +10,27 @@
 //!
 //! The scenario is `shortcut_exhash::shard::Shard` with its parts named. A
 //! reader runs `Shard::get` twice: enter the section (`try_enter`, else the
-//! lock and `note_locked_read` and a pin), take a ticket, read the bucket,
-//! validate. A shared writer runs `Shard::write` once: lock, revoke the
-//! bias, and inside the section split a bucket — bump the traditional
-//! version, rewrite the bucket, queue the version for the mapper. The
-//! mapper polls its queue twice and publishes what it finds. The bucket is
-//! two words tied to the version that wrote them (`data0 == version`,
-//! `data1 == 100 + data0`), and the published slot count doubles as the
-//! version, as in the seqlock suite.
+//! lock and `note_locked_read` and a pin), load the serving word, read the
+//! bucket through it — and nothing else: no validation. A shared writer
+//! runs `Shard::write` once: lock, revoke the bias, and inside the section
+//! split a bucket — rewrite it with plain stores, then relay: under the
+//! inbox lock, bump the traditional version (which clears the word) and
+//! queue it. The mapper runs two passes: under the inbox lock take the
+//! queue, publish what it took, then under the inbox lock again refresh
+//! the word. The bucket is two words tied to the version that wrote them
+//! (`data0 == version`, `data1 == 100 + data0`), and the published slot
+//! count doubles as the version, as in the seqlock suite.
 //!
-//! Checked in every execution:
+//! Checked in every execution: **every shortcut answer is whole and comes
+//! from the current directory** — the word names the version of the bucket
+//! the reader then reads. Nothing but the section's hand-off orders the
+//! writer's plain bucket stores against the reader, and nothing but the
+//! inbox lock orders the mapper's compare against the writer's bump.
 //!
-//! * **a validated read is of its ticket's version, whole** — the
-//!   seqlock's promise, now with the section's hand-off as the only thing
-//!   ordering the writer's plain bucket stores against the reader;
-//! * **no ticket taken inside a section is ever discarded** — the writer
-//!   is excluded for as long as the reader is inside, and a mapper that
-//!   published the version the ticket carries has nothing further to
-//!   publish until a writer bumps again. `still_valid` stays in the lookup
-//!   all the same (it is what makes a stale ticket harmless wherever one
-//!   can arise: a bump made outside a section, as the seeded writer and
-//!   the index's own test hooks do); this is the run a change that drops it
-//!   for section-held reads would cite.
-//!
-//! Seeded bug, for the second invariant's teeth: a writer that bumps the
-//! version *before* it enters its section. Readers still never validate a
-//! foreign bucket (the seqlock catches every one), but tickets are
-//! discarded inside sections.
+//! Seeded bug, for the lock's teeth: a mapper that compares the versions
+//! before it takes the inbox lock to store the word. A bump between the
+//! two leaves the superseded directory serving, and a reader that enters
+//! after the writer's section reads the split bucket through it.
 
 #![cfg(feature = "loomish")]
 
@@ -60,9 +54,9 @@ impl Reclaimable for NoArea {
 }
 
 #[derive(Clone, Copy, PartialEq)]
-enum WriterKind {
+enum MapperKind {
     Correct,
-    SeededBumpOutsideSection,
+    SeededCompareOutsideTheLock,
 }
 
 /// What the executions of one exploration reached, summed outside the
@@ -71,10 +65,9 @@ enum WriterKind {
 struct Coverage {
     biased_reads: StdAtomicU64,
     locked_reads: StdAtomicU64,
-    validated: StdAtomicU64,
-    validated_after_the_split: StdAtomicU64,
-    out_of_sync: StdAtomicU64,
-    discarded_inside: StdAtomicU64,
+    served: StdAtomicU64,
+    served_after_the_split: StdAtomicU64,
+    not_serving: StdAtomicU64,
     splits: StdAtomicU64,
 }
 
@@ -84,8 +77,8 @@ struct World {
     lock: Mutex<()>,
     state: SharedDirectoryState,
     bucket: [AtomicU64; 2],
-    /// The mapper's queue: the version of the split to publish, 0 if none.
-    queued: AtomicU64,
+    /// The mapper's inbox: the version of the split to publish, 0 if none.
+    inbox: Mutex<u64>,
 }
 
 impl World {
@@ -94,23 +87,19 @@ impl World {
     /// `loom_shard_bias.rs`).
     fn lookup(&self, seen: &Coverage) -> Option<&'static str> {
         let Some(t) = self.state.begin_read() else {
-            seen.out_of_sync.fetch_add(1, StdOrd::Relaxed);
+            seen.not_serving.fetch_add(1, StdOrd::Relaxed);
             return None;
         };
         let a = self.bucket[0].load(Ordering::Relaxed);
         let b = self.bucket[1].load(Ordering::Relaxed);
-        if !self.state.still_valid(t) {
-            seen.discarded_inside.fetch_add(1, StdOrd::Relaxed);
-            return None;
-        }
-        seen.validated.fetch_add(1, StdOrd::Relaxed);
+        seen.served.fetch_add(1, StdOrd::Relaxed);
         if t.slots == 2 {
-            seen.validated_after_the_split.fetch_add(1, StdOrd::Relaxed);
+            seen.served_after_the_split.fetch_add(1, StdOrd::Relaxed);
         }
         if a != t.slots as u64 {
-            Some("validated read saw a bucket of another version")
+            Some("a shortcut answer came from a superseded directory")
         } else if b != 100 + a {
-            Some("validated read saw a torn bucket")
+            Some("a shortcut answer was torn")
         } else {
             None
         }
@@ -140,33 +129,46 @@ impl World {
 
     /// `Shard::write` around one bucket split (giving up where production
     /// scans again, as in `loom_shard_bias.rs`).
-    fn split(&self, kind: WriterKind, seen: &Coverage) {
-        let early =
-            (kind == WriterKind::SeededBumpOutsideSection).then(|| self.state.bump_traditional());
+    fn split(&self, seen: &Coverage) {
         let exclusive = self.lock.lock().unwrap();
         if self.bias.try_revoke(|| self.core.readers_quiesced()) {
-            let v = early.unwrap_or_else(|| self.state.bump_traditional());
+            // The only writer: the version the relay below will bump to.
+            let v = self.state.traditional_version() + 1;
             self.bucket[0].store(v, Ordering::Relaxed);
             self.bucket[1].store(100 + v, Ordering::Relaxed);
             // `relay_events`, before the section ends.
-            self.queued.store(v, Ordering::Release);
+            let mut queue = self.inbox.lock().unwrap();
+            *queue = self.state.bump_traditional();
+            drop(queue);
             seen.splits.fetch_add(1, StdOrd::Relaxed);
         }
         drop(exclusive);
     }
 
-    /// One poll of the mapper: publish the queued version, if any.
-    fn mapper_poll(&self) {
-        let v = self.queued.swap(0, Ordering::AcqRel);
+    /// One pass of the mapper: publish the queued version, if any, then
+    /// serve what is published if it is current.
+    fn mapper_pass(&self, kind: MapperKind) {
+        let v = std::mem::take(&mut *self.inbox.lock().unwrap());
         if v != 0 {
             self.state.publish(FAKE_BASE, v as usize, v);
+        }
+        match kind {
+            MapperKind::Correct => {
+                let _inbox = self.inbox.lock().unwrap();
+                self.state.refresh_serving();
+            }
+            MapperKind::SeededCompareOutsideTheLock => {
+                let in_sync = self.state.in_sync();
+                let _inbox = self.inbox.lock().unwrap();
+                self.state.refresh_serving_seeded_stale(in_sync);
+            }
         }
     }
 }
 
 fn scenario(
     strategy: PinStrategy,
-    writer: WriterKind,
+    mapper: MapperKind,
     seen: Arc<Coverage>,
 ) -> impl Fn() + Send + Sync + 'static {
     move || {
@@ -176,13 +178,14 @@ fn scenario(
             lock: Mutex::new(()),
             state: SharedDirectoryState::new(),
             bucket: [AtomicU64::new(0), AtomicU64::new(0)],
-            queued: AtomicU64::new(0),
+            inbox: Mutex::new(0),
         });
-        // Quiescent setup: version 1 written and published.
+        // Quiescent setup: version 1 written, published and served.
         let v1 = world.state.bump_traditional();
         world.bucket[0].store(v1, Ordering::Release);
         world.bucket[1].store(100 + v1, Ordering::Release);
         world.state.publish(FAKE_BASE, v1 as usize, v1);
+        world.state.refresh_serving();
 
         // Model thread 1: an exclusive stripe (plain-store pin under
         // `Asymmetric`).
@@ -193,30 +196,28 @@ fn scenario(
                 world.get(&seen);
             })
         };
-        let writer_t = {
+        let writer = {
             let (world, seen) = (Arc::clone(&world), Arc::clone(&seen));
-            thread::spawn(move || world.split(writer, &seen))
+            thread::spawn(move || world.split(&seen))
         };
-        let mapper = {
+        let mapper_t = {
             let world = Arc::clone(&world);
             thread::spawn(move || {
-                world.mapper_poll();
-                world.mapper_poll();
+                world.mapper_pass(mapper);
+                world.mapper_pass(mapper);
             })
         };
         reader.join().unwrap();
-        writer_t.join().unwrap();
-        mapper.join().unwrap();
+        writer.join().unwrap();
+        mapper_t.join().unwrap();
 
-        // Quiesced world: the mapper catches up, and a reader validates
-        // whatever the last writer left. (The seeded writer may have
-        // bumped and then given up: nothing to catch up with.)
-        world.mapper_poll();
+        // Quiesced world: the mapper catches up, and a reader is served
+        // whatever the last writer left.
+        world.mapper_pass(MapperKind::Correct);
         let after = Coverage::default();
         world.get(&after);
-        let synced = world.state.in_sync();
-        assert!(synced || writer == WriterKind::SeededBumpOutsideSection);
-        assert_eq!(after.validated.load(StdOrd::Relaxed), u64::from(synced));
+        assert!(world.state.in_sync());
+        assert_eq!(after.served.load(StdOrd::Relaxed), 1);
     }
 }
 
@@ -229,10 +230,10 @@ fn builder() -> Builder {
 fn holds_exhaustively(strategy: PinStrategy) {
     let seen = Arc::new(Coverage::default());
     let report = builder()
-        .check(scenario(strategy, WriterKind::Correct, Arc::clone(&seen)))
+        .check(scenario(strategy, MapperKind::Correct, Arc::clone(&seen)))
         .unwrap_or_else(|cx| panic!("read section ({strategy}) counterexample: {cx}"));
     println!(
-        "read section ({strategy}): {} interleavings explored, invariants held",
+        "read section ({strategy}): {} interleavings explored, invariant held",
         report.executions
     );
     assert!(
@@ -243,15 +244,12 @@ fn holds_exhaustively(strategy: PinStrategy) {
     for (what, count) in [
         ("biased reads", &seen.biased_reads),
         ("locked reads", &seen.locked_reads),
-        ("validated reads", &seen.validated),
+        ("served reads", &seen.served),
         (
-            "validated reads of the split bucket",
-            &seen.validated_after_the_split,
+            "served reads of the split bucket",
+            &seen.served_after_the_split,
         ),
-        (
-            "reads that found the shortcut out of sync",
-            &seen.out_of_sync,
-        ),
+        ("reads the shortcut did not serve", &seen.not_serving),
         ("splits", &seen.splits),
     ] {
         assert!(
@@ -259,11 +257,6 @@ fn holds_exhaustively(strategy: PinStrategy) {
             "no execution reached: {what}"
         );
     }
-    assert_eq!(
-        seen.discarded_inside.load(StdOrd::Relaxed),
-        0,
-        "a ticket taken inside a read section was discarded"
-    );
 }
 
 #[test]
@@ -276,23 +269,21 @@ fn read_section_holds_exhaustively_under_dekker_pins() {
     holds_exhaustively(PinStrategy::Dekker);
 }
 
-/// Teeth check for the zero above: bump outside the section and tickets
-/// are discarded inside sections — while `still_valid` keeps every
-/// validated read of its own version.
+/// Teeth check for the inbox lock: a mapper that compares outside it lets
+/// a bump slip between its compare and its store.
 #[test]
-fn seeded_bump_outside_the_section_discards_tickets_but_validates_none_wrongly() {
+fn seeded_compare_outside_the_inbox_lock_is_caught() {
     for strategy in [PinStrategy::Asymmetric, PinStrategy::Dekker] {
-        let seen = Arc::new(Coverage::default());
-        builder()
+        let err = builder()
             .check(scenario(
                 strategy,
-                WriterKind::SeededBumpOutsideSection,
-                Arc::clone(&seen),
+                MapperKind::SeededCompareOutsideTheLock,
+                Arc::new(Coverage::default()),
             ))
-            .unwrap_or_else(|cx| panic!("seqlock let a foreign bucket through ({strategy}): {cx}"));
+            .expect_err("stale compare not caught — the model checker has lost its teeth");
         assert!(
-            seen.discarded_inside.load(StdOrd::Relaxed) > 0,
-            "no discarded ticket seen ({strategy}) — the counter has lost its teeth"
+            err.message.contains("superseded directory"),
+            "unexpected counterexample ({strategy}): {err}"
         );
     }
 }

@@ -152,8 +152,8 @@ const CACHE_LINE: usize = 64;
 
 /// Hint that the line holding `p` will be read soon. A prefetch never
 /// faults and returns nothing, so `p` need not be dereferenceable — which
-/// is what lets the batched lookups issue it from a seqlock ticket they
-/// have not validated yet (CONCURRENCY.md §2).
+/// is what lets the batched lookups issue it for keys whose bucket they
+/// have not reached yet (CONCURRENCY.md §2).
 #[inline(always)]
 pub(crate) fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]

@@ -428,8 +428,8 @@ impl ExtendibleHash {
     // bucket, so a copy-then-repoint can never tear a lookup. Readers that
     // raced through a *retired shortcut directory* may still dereference
     // the old page — which is why sources are epoch-retired via
-    // [`shortcut_rewire::PagePool::retire_page`] instead of freed, and the
-    // seqlock ticket discards whatever they read.
+    // [`shortcut_rewire::PagePool::retire_page`] instead of freed, and
+    // their ticket check discards whatever they read.
     // ------------------------------------------------------------------
 
     /// `slots − buckets + 1`: the planned-VMA estimate of a perfectly

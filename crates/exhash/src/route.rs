@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::convert::Infallible;
 use std::ops::Range;
 
-/// Keys routed — and then served under one reader pin and seqlock ticket,
+/// Keys routed — and then served under one reader pin and serving word,
 /// or one write section, per shard — at a time: large enough to amortize
 /// the per-section cost to nothing, small enough (microseconds of pin
 /// hold) that batched read storms cannot stall the reclaim scan.

@@ -364,7 +364,7 @@ impl ShardedIndex {
     /// Batched lookup into a caller-owned buffer: `out` is resized to
     /// `keys.len()` and `out[i]` answers `keys[i]`. Each window of the
     /// batch is split by shard and a shard's share is answered inside the
-    /// read section [`Index::get`] enters — one pin, one seqlock ticket —
+    /// read section [`Index::get`] enters — one pin, one serving word —
     /// straight into its places in `out`. Allocates nothing once `out`
     /// has the capacity.
     pub fn get_many_into(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
@@ -955,35 +955,55 @@ mod tests {
         assert!(!t.shortcut_suspended());
     }
 
-    /// The one exit of `get` that `tests/oracle.rs` cannot reach: a
-    /// modification lands between the probe and the ticket's validation.
+    /// What lets a lookup skip validation: the relay of a split clears the
+    /// shard's serving word inside the write section that split, so a
+    /// reader entering after the section never finds the directory that
+    /// predates the split — it goes traditional until a pass serves the
+    /// new one.
     #[test]
-    fn a_ticket_discarded_at_validation_is_answered_traditionally_and_counted_once() {
-        use crate::shortcut_eh::tests::BEFORE_VALIDATION;
+    fn a_relay_clears_the_serving_word_before_its_write_section_ends() {
         use shortcut_rewire::PinStrategy::{Asymmetric, Dekker};
-        for (bits, strategy, key) in [
-            (0, Asymmetric, 17),
-            (0, Dekker, 999_999),
-            (2, Asymmetric, 999_999),
-            (2, Dekker, 17),
-        ] {
+        for (bits, strategy) in [(0, Asymmetric), (0, Dekker), (2, Asymmetric), (2, Dekker)] {
             let mut cfg = fast_cfg();
             cfg.eh.pool.pin_strategy = Some(strategy);
-            let mut t = ShardedIndex::try_new(bits, cfg).unwrap();
+            // Passes on demand only: nothing serves behind the test's back.
+            cfg.maint.poll_interval = Duration::from_secs(3600);
+            let t = ShardedIndex::try_new(bits, cfg).unwrap();
             for k in 0..4_000u64 {
-                t.insert(k, val(k)).unwrap();
+                t.insert_shared(k, val(k)).unwrap();
             }
             assert!(t.wait_sync(Duration::from_secs(10)));
-            let state = t.with_shard(t.shard_of(key), |s| s.state_arc());
-            BEFORE_VALIDATION.set(Some(Box::new(move || {
-                state.bump_traditional();
-            })));
-            let before = t.stats();
-            assert_eq!(t.get(key), (key < 4_000).then(|| val(key)), "key {key}");
-            let after = t.stats();
-            assert_eq!(after.shortcut_lookups, before.shortcut_lookups);
-            assert_eq!(after.traditional_lookups, before.traditional_lookups + 1);
-            assert_eq!(after.shortcut_retries, before.shortcut_retries + 1);
+            let shard = t.shard_of(0);
+            let mut keys = (4_000u64..).filter(|&k| t.shard_of(k) == shard);
+            let split_key = t.with_shard_mut(shard, |s| {
+                let desc = s.state_arc();
+                assert!(desc.begin_read().is_some(), "not serving before the split");
+                let splits = s.stats().splits;
+                let key = keys
+                    .find(|&k| {
+                        s.insert(k, val(k)).unwrap();
+                        s.stats().splits > splits
+                    })
+                    .unwrap();
+                assert!(desc.begin_read().is_none(), "serving after the relay");
+                key
+            });
+            let counted = |k: u64| {
+                let before = t.stats();
+                assert_eq!(t.get(k), Some(val(k)), "key {k}");
+                let after = t.stats();
+                (
+                    after.shortcut_lookups - before.shortcut_lookups,
+                    after.traditional_lookups - before.traditional_lookups,
+                )
+            };
+            for k in [0, split_key] {
+                assert_eq!(counted(k), (0, 1), "key {k} before the pass");
+            }
+            assert!(t.wait_sync(Duration::from_secs(10)));
+            for k in [0, split_key] {
+                assert_eq!(counted(k), (1, 0), "key {k} after the pass");
+            }
         }
     }
 

@@ -11,9 +11,11 @@
 //!
 //! Lookups route through the shortcut when (a) its version matches the
 //! traditional directory's and (b) the average fan-in is at most the
-//! routing threshold (default 8, §3.2). A seqlock-style ticket discards
-//! results that raced a modification; the fallback is always the
-//! traditional directory, so correctness never depends on the mapper.
+//! routing threshold (default 8, §3.2): one load of the read descriptor's
+//! serving word, which holds the published directory exactly then. No
+//! modification can run inside a lookup's read section, so the answer
+//! needs no validation; the fallback is always the traditional directory,
+//! so correctness never depends on the mapper.
 //!
 //! Superseded directories are *retired*, not leaked: each lookup holds a
 //! [`shortcut_rewire::ReaderPin`] across its dereference, and the mapper
@@ -57,7 +59,6 @@ pub struct ShortcutEhConfig {
 // ([`ReaderPin::tally`]), summed by [`ShortcutEh::stats`].
 const SHORTCUT_LOOKUPS: usize = 0;
 const TRADITIONAL_LOOKUPS: usize = 1;
-const SHORTCUT_RETRIES: usize = 2;
 
 /// The shortcut-enhanced extendible hash table. See module docs.
 pub struct ShortcutEh {
@@ -65,8 +66,8 @@ pub struct ShortcutEh {
     // the EH (and its page pool) is torn down.
     maint: Maintainer,
     eh: ExtendibleHash,
-    /// Its decision for the directory's current fan-in is a bit in the
-    /// read descriptor, so a lookup reads a bit where it used to divide.
+    /// Its decision for the directory's current fan-in is folded into the
+    /// read descriptor's serving word, so a lookup reads none of it.
     /// Only splits and doublings move the fan-in, and they reach
     /// [`ShortcutEh::relay_events`], which refreshes it.
     policy: RoutePolicy,
@@ -167,7 +168,6 @@ impl ShortcutEh {
         let tallies = self.retire.tallies();
         s.shortcut_lookups = tallies[SHORTCUT_LOOKUPS];
         s.traditional_lookups = tallies[TRADITIONAL_LOOKUPS];
-        s.shortcut_retries = tallies[SHORTCUT_RETRIES];
         s
     }
 
@@ -249,7 +249,7 @@ impl ShortcutEh {
         std::sync::Arc::clone(self.maint.state())
     }
 
-    /// Published shortcut state (base address, slots) if in sync.
+    /// Served shortcut state (base address, slots), if any.
     /// For diagnostics and benchmarks only — dereferencing the base
     /// requires a pin from the pool's retire list.
     #[doc(hidden)]
@@ -267,7 +267,10 @@ impl ShortcutEh {
     }
 
     /// Forward directory events to the mapper queue: one submission, under
-    /// one lock, per relay.
+    /// one lock, per relay. Each event's version bump runs under that lock
+    /// (`submit_all` drains the iterator there) and clears the serving
+    /// word, before the caller leaves its write section: no reader that
+    /// enters after it finds a directory that predates these events.
     fn relay_events(&mut self) {
         if !self.eh.has_events() {
             return;
@@ -495,57 +498,50 @@ impl ShortcutEh {
         pin: ReaderPin<'_>,
     ) -> Option<u64> {
         debug_assert!(std::ptr::eq(desc, &**self.maint.state()));
-        // One `begin_read` is the in-sync check and the ticket: out of
-        // sync (or budget-suspended) it reads two versions and touches no
-        // shortcut memory.
-        let Some(t) = desc.route_shortcut().then(|| desc.begin_read()).flatten() else {
-            return self.get_traditional(key, pin, false);
+        // One load decides: the serving word is null out of sync, budget
+        // suspended or routed away by the fan-in, and no bump can move it
+        // while the caller's section lasts, so what it names is the
+        // current directory for the whole read — nothing to validate.
+        let Some(t) = desc.begin_read() else {
+            return self.get_traditional(key, pin);
         };
         let h = hash.rotate_left(desc.geometry().hash_rot);
         let bucket = published_bucket(t, desc.geometry(), h);
         // The shortcut may be published at a coarser depth than the
         // traditional directory (VMA-budget admission). A bucket deeper
         // than the published depth shares its slot with a sibling and is
-        // not resolvable here — serve that key traditionally. (A torn read
-        // of the depth field is fine: the ticket check discards any value
-        // read across a racing modification.)
+        // not resolvable here — serve that key traditionally.
         if bucket.local_depth() <= t.depth() {
             let result = bucket.get(key);
-            #[cfg(test)]
-            tests::run_before_validation();
-            if desc.still_valid(t) {
-                pin.tally(SHORTCUT_LOOKUPS, 1);
-                return result;
-            }
+            pin.tally(SHORTCUT_LOOKUPS, 1);
+            return result;
         }
-        self.get_traditional(key, pin, true)
+        self.get_traditional(key, pin)
     }
 
-    /// Where [`ShortcutEh::get_pinned`] leaves the shortcut: without a
-    /// ticket (out of sync, suspended, routed away by the fan-in), or with
-    /// one it `discarded` (an over-depth bucket, a modification raced).
-    /// Out of line and fed scalars — it hashes again — so the hit path
-    /// neither carries a second probe nor keeps anything alive for this.
+    /// Where [`ShortcutEh::get_pinned`] leaves the shortcut: not serving
+    /// (out of sync, suspended, routed away by the fan-in), or a bucket
+    /// deeper than a coarse publish resolves — one traditional lookup
+    /// either way. Out of line and fed scalars — it hashes again — so the
+    /// hit path neither carries a second probe nor keeps anything alive
+    /// for this.
     #[cold]
     #[inline(never)]
-    fn get_traditional(&self, key: u64, pin: ReaderPin<'_>, discarded: bool) -> Option<u64> {
-        if discarded {
-            pin.tally(SHORTCUT_RETRIES, 1);
-        }
+    fn get_traditional(&self, key: u64, pin: ReaderPin<'_>) -> Option<u64> {
         pin.tally(TRADITIONAL_LOOKUPS, 1);
         self.eh.get_hashed(key, self.eh.dir_hash(key))
     }
 
     /// Answer the routed `positions` of one window of a batched lookup
-    /// (see [`crate::route`]) under the caller's pin and one seqlock
-    /// ticket: `out[p]` answers `keys[p]`, whose [`mult_hash`] is
-    /// `hashes[p]`. The published bucket address is a function of the
-    /// hash alone, so the lines the probe of the key
+    /// (see [`crate::route`]) under the caller's pin and read section, on
+    /// one load of the serving word: `out[p]` answers `keys[p]`, whose
+    /// [`mult_hash`] is `hashes[p]`. The published bucket address is a
+    /// function of the hash alone, so the lines the probe of the key
     /// [`PREFETCH_DISTANCE`] ahead will read are requested from the
-    /// ticket's base before the current key is probed — one stage where
+    /// served base before the current key is probed — one stage where
     /// the traditional directory needs two
-    /// ([`ExtendibleHash::get_chunk`]). A chunk that is out of sync or
-    /// raced a modification is answered through the traditional directory.
+    /// ([`ExtendibleHash::get_chunk`]). A window the shortcut does not
+    /// serve is answered through the traditional directory.
     pub(crate) fn get_chunk(
         &self,
         keys: &[u64],
@@ -556,51 +552,42 @@ impl ShortcutEh {
     ) {
         let state = self.maint.state();
         let n = positions.len();
-        if let Some(t) = state.route_shortcut().then(|| state.begin_read()).flatten() {
-            let (g, geometry) = (t.depth(), state.geometry());
-            let at = |i: usize| {
-                let p = positions[i] as usize;
-                let h = self.eh.dir_hash_of(hashes[p]);
-                (p, keys[p], h, published_bucket(t, geometry, h))
-            };
-            // A prefetch cannot fault and its result is never consumed, so
-            // it may run ahead of the ticket's validation.
-            let ahead = |i: usize| {
-                let (_, key, _, bucket) = at(i);
-                bucket.prefetch(key);
-            };
-            (0..n.min(PREFETCH_DISTANCE)).for_each(ahead);
-            let mut deep = 0u64;
-            for i in 0..n {
-                if i + PREFETCH_DISTANCE < n {
-                    ahead(i + PREFETCH_DISTANCE);
-                }
-                let (p, key, h, bucket) = at(i);
-                // Coarsely published directory: over-depth buckets are
-                // unresolvable here, answer those keys traditionally (see
-                // `get_pinned`).
-                out[p] = if bucket.local_depth() > g {
-                    deep += 1;
-                    self.eh.get_hashed(key, h)
-                } else {
-                    bucket.get(key)
-                };
+        let Some(t) = state.begin_read() else {
+            pin.tally(TRADITIONAL_LOOKUPS, n as u64);
+            self.eh.get_chunk(keys, hashes, positions, out);
+            return;
+        };
+        let (g, geometry) = (t.depth(), state.geometry());
+        let at = |i: usize| {
+            let p = positions[i] as usize;
+            let h = self.eh.dir_hash_of(hashes[p]);
+            (p, keys[p], h, published_bucket(t, geometry, h))
+        };
+        let ahead = |i: usize| {
+            let (_, key, _, bucket) = at(i);
+            bucket.prefetch(key);
+        };
+        (0..n.min(PREFETCH_DISTANCE)).for_each(ahead);
+        let mut deep = 0u64;
+        for i in 0..n {
+            if i + PREFETCH_DISTANCE < n {
+                ahead(i + PREFETCH_DISTANCE);
             }
-            #[cfg(test)]
-            tests::run_before_validation();
-            if state.still_valid(t) {
-                pin.tally(SHORTCUT_LOOKUPS, n as u64 - deep);
-                if deep > 0 {
-                    pin.tally(TRADITIONAL_LOOKUPS, deep);
-                }
-                return;
-            }
-            // The chunk raced a modification: count one retry (one
-            // discarded ticket) and answer it again, traditionally.
-            pin.tally(SHORTCUT_RETRIES, 1);
+            let (p, key, h, bucket) = at(i);
+            // Coarsely published directory: over-depth buckets are
+            // unresolvable here, answer those keys traditionally (see
+            // `get_pinned`).
+            out[p] = if bucket.local_depth() > g {
+                deep += 1;
+                self.eh.get_hashed(key, h)
+            } else {
+                bucket.get(key)
+            };
         }
-        pin.tally(TRADITIONAL_LOOKUPS, n as u64);
-        self.eh.get_chunk(keys, hashes, positions, out);
+        pin.tally(SHORTCUT_LOOKUPS, n as u64 - deep);
+        if deep > 0 {
+            pin.tally(TRADITIONAL_LOOKUPS, deep);
+        }
     }
 
     /// [`Index::insert`] from the key's [`mult_hash`], for callers that
@@ -693,19 +680,18 @@ impl ShortcutEh {
     }
 }
 
-/// The bucket slot the published directory of ticket `t` holds for the
+/// The bucket slot the directory `t` was served from holds for the
 /// directory hash `hash`. The caller holds a pin on the retire list, taken
-/// before the ticket: it is what keeps a directory this read might land in
-/// mapped until the read drains. What the bucket reads is only an answer
-/// once [`SharedDirectoryState::still_valid`] says so for `t`.
+/// before it loaded the serving word: it is what keeps that directory
+/// mapped until the read drains.
 #[inline(always)]
 fn published_bucket(t: ReadTicket, geometry: ReadGeometry, hash: u64) -> BucketRef {
     let slot = dir_slot(hash, t.depth());
     // SAFETY: the published area has `1 << t.depth()` slots and `slot` is
     // below that by construction of dir_slot, so the pointer is in-bounds
-    // and slot-aligned; a racing rebuild retires the old area but
-    // reclamation waits for the caller's pin to drop, so the slot stays
-    // readable (stale data is discarded by the caller's ticket check).
+    // and slot-aligned; a rebuild retires an area only after a bump took
+    // it out of service, and reclamation waits for the caller's pin to
+    // drop, so the slot stays readable.
     unsafe {
         BucketRef::from_ptr(
             t.base.add(slot << geometry.slot_shift),
@@ -737,9 +723,8 @@ impl Index for ShortcutEh {
         "Shortcut-EH"
     }
 
-    /// Batched lookup with one seqlock ticket (and one reader pin) per
-    /// window of 4096 keys: the two version validations are paid
-    /// once per window instead of per key. The pin is per window on
+    /// Batched lookup with one load of the serving word (and one reader
+    /// pin) per window of 4096 keys. The pin is per window on
     /// purpose: one pin spanning an arbitrarily large batch would keep a
     /// reclaim-scan stripe busy indefinitely and starve retired-directory
     /// reclamation (the bounded-spin scan gives up, and retired areas
@@ -764,7 +749,7 @@ impl Index for ShortcutEh {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::bucket::BUCKET_CAPACITY;
     use shortcut_rewire::PoolConfig;
@@ -789,19 +774,6 @@ pub(crate) mod tests {
         }
     }
 
-    thread_local! {
-        /// Runs once on this thread, between the last probe of the next
-        /// `get_pinned` / `get_chunk` and its ticket validation.
-        pub(crate) static BEFORE_VALIDATION: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
-            const { std::cell::Cell::new(None) };
-    }
-
-    pub(super) fn run_before_validation() {
-        if let Some(hook) = BEFORE_VALIDATION.take() {
-            hook();
-        }
-    }
-
     /// Let the mapper run passes — each ends in a reclaim tick — until it
     /// has unmapped every retired directory.
     fn drain_retired(t: &ShortcutEh) {
@@ -822,8 +794,7 @@ pub(crate) mod tests {
         let state = t.maint.state();
         let ticket = state.begin_read()?;
         let bucket = published_bucket(ticket, state.geometry(), t.eh.dir_hash(key));
-        let result = (bucket.local_depth() <= ticket.depth()).then(|| bucket.get(key))?;
-        state.still_valid(ticket).then_some(result)
+        (bucket.local_depth() <= ticket.depth()).then(|| bucket.get(key))
     }
 
     #[test]
@@ -920,27 +891,26 @@ pub(crate) mod tests {
 
     #[test]
     fn invalidated_chunk_is_answered_traditionally_and_counted_once() {
-        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
+        // Passes on demand only: the bump below is a test's, outside the
+        // inbox lock, and no pass may race it.
+        let mut cfg = fast_cfg();
+        cfg.maint.poll_interval = Duration::from_secs(3600);
+        let mut t = ShortcutEh::try_new(cfg).unwrap();
         for k in 0..8_000u64 {
             t.insert(k, !k).unwrap();
         }
         assert!(t.wait_sync(Duration::from_secs(10)));
-        // Two windows, hits and misses. A modification lands after the
-        // first window's last probe: that ticket is discarded and the
-        // window answered again; the second window finds the shortcut out
-        // of sync and never takes a ticket.
+        // Two windows, hits and misses, after a directory change the
+        // mapper never hears of: the bump cleared the serving word, and
+        // every key is one traditional lookup.
         let keys: Vec<u64> = (0..5_000u64).map(|k| k * 2).collect();
         let before = t.stats();
-        let state = t.state_arc();
-        BEFORE_VALIDATION.set(Some(Box::new(move || {
-            state.bump_traditional();
-        })));
+        t.state_arc().bump_traditional();
         let got = t.get_many(&keys);
         for (&k, got) in keys.iter().zip(got) {
             assert_eq!(got, (k < 8_000).then_some(!k), "key {k}");
         }
         let after = t.stats();
-        assert_eq!(after.shortcut_retries - before.shortcut_retries, 1);
         assert_eq!(after.shortcut_lookups, before.shortcut_lookups);
         assert_eq!(
             after.traditional_lookups - before.traditional_lookups,

@@ -25,8 +25,6 @@ pub struct IndexStats {
     pub shortcut_lookups: u64,
     /// Lookups answered via the traditional directory (Shortcut-EH).
     pub traditional_lookups: u64,
-    /// Shortcut reads that had to be discarded after the seqlock recheck.
-    pub shortcut_retries: u64,
 }
 
 impl IndexStats {
@@ -45,7 +43,6 @@ impl IndexStats {
             compaction_skipped: self.compaction_skipped + other.compaction_skipped,
             shortcut_lookups: self.shortcut_lookups + other.shortcut_lookups,
             traditional_lookups: self.traditional_lookups + other.traditional_lookups,
-            shortcut_retries: self.shortcut_retries + other.shortcut_retries,
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! * **Reads take `&self`.** Any number of threads may share an index and
 //!   look up concurrently (Shortcut-EH routes such reads through its
-//!   seqlock-protected shortcut directory); per-read bookkeeping uses
+//!   version-gated shortcut directory); per-read bookkeeping uses
 //!   interior mutability. Schemes whose reads are *not* thread-safe (HTI
 //!   migrates entries on every access through a `RefCell`) are simply
 //!   `!Sync`, so the compiler — not a comment — enforces the difference.
@@ -14,7 +14,7 @@
 //!
 //! Batched entry points ([`Index::get_many`], [`Index::insert_batch`]) have
 //! loop defaults; schemes override them when a batch can amortize real work
-//! (Shortcut-EH validates one seqlock ticket per batch instead of per key).
+//! (Shortcut-EH decides the access path once per batch instead of per key).
 
 use crate::error::IndexError;
 

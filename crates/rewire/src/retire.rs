@@ -1,9 +1,9 @@
 //! Epoch-based retirement of virtual areas.
 //!
 //! When a shortcut directory is rebuilt, the superseded [`VirtArea`] cannot
-//! be unmapped immediately: a seqlock reader that obtained its ticket just
-//! before the rebuild may still be dereferencing the old base (it will
-//! discard the value at validation, but the *load* must not fault). The
+//! be unmapped immediately: a reader that loaded the old base just before
+//! the rebuild may still be dereferencing it (one outside a read section
+//! discards the value at validation, but the *load* must not fault). The
 //! seed kept every retired area mapped forever, so VMA use grew with each
 //! doubling until `vm.max_map_count` tripped. This module bounds that:
 //!
@@ -13,7 +13,7 @@
 //! * The writer hands superseded areas to [`RetireList::retire`], which
 //!   stamps them with a monotonically increasing **epoch**. Retirement must
 //!   happen only after the area is unpublished (no *new* reader can reach
-//!   it), which the seqlock's version check guarantees.
+//!   it), which the version bump that clears the serving word guarantees.
 //! * [`RetireCore::try_reclaim`] snapshots the epoch, then observes every
 //!   reader stripe at zero (each at its own moment). Any reader that
 //!   pinned before the scan has, by then, dropped its pin; readers that
@@ -77,8 +77,8 @@ const SCAN_SPINS: usize = 2;
 
 /// Event tallies a stripe carries beside its pin count, for the holder of
 /// a [`ReaderPin`] to count what the pinned read did (the index counts
-/// shortcut-served and traditional lookups and discarded tickets).
-pub const TALLIES: usize = 3;
+/// shortcut-served and traditional lookups).
+pub const TALLIES: usize = 2;
 
 /// One reader stripe: the pin count and the pinning thread's tallies share
 /// a cache line no other exclusive-slot thread writes.

@@ -2,7 +2,7 @@
 //! instrumented ones when the `loomish` feature is enabled.
 //!
 //! Every concurrency protocol in the stack (the [`crate::RetireList`]
-//! pin/reclaim Dekker pairing here, the seqlock in `shortcut-core`, the
+//! pin/reclaim Dekker pairing here, the serving word in `shortcut-core`, the
 //! reply-slot rendezvous in `shortcut-server`) routes its atomics, mutexes
 //! and condvars through this module, so the exact production code can be
 //! run under the loomish model checker by flipping one feature. With the

@@ -19,8 +19,8 @@
 //!    runs** (reads / inserts / removes). Runs execute in order, so the
 //!    FIFO semantics survive; within a run the per-request cost is
 //!    amortized:
-//!    * a read run becomes **one** `get_many_into` batch — one seqlock
-//!      ticket and one reader pin per shard for every `GET`/`MGET` in the
+//!    * a read run becomes **one** `get_many_into` batch — one load of
+//!      the serving word and one reader pin per shard for every `GET`/`MGET` in the
 //!      run, answered into a buffer the executor keeps ([`RunBuffers`]);
 //!    * a write run becomes **one** `insert_batch_shared` — scattered so
 //!      each shard's writer lane runs in parallel with other executors;

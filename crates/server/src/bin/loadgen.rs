@@ -430,7 +430,7 @@ fn server_report(cfg: &Config) -> std::io::Result<String> {
             .find_map(|l| l.trim_end().strip_prefix(key).map(|v| v.trim().to_string()))
             .unwrap_or_else(|| "?".to_string())
     };
-    // `lookups: shortcut=A traditional=B retries=C ...` from the snapshot.
+    // `lookups: shortcut=A traditional=B ...` from the snapshot.
     let lookup = |name: &str| -> String {
         info.lines()
             .find(|l| l.starts_with("lookups:"))

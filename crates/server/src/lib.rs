@@ -1,7 +1,7 @@
 //! `shortcut-server`: a RESP-speaking network KV server over the
 //! shortcut index, with **request batch aggregation**.
 //!
-//! The paper's batched entry points (`get_many`'s one-seqlock-ticket
+//! The paper's batched entry points (`get_many`'s one-serving-word
 //! reads, `insert_batch_shared`'s parallel per-shard writer lanes) want
 //! batches — but network clients send one request at a time. This crate
 //! closes that gap server-side: per-connection readers decode requests

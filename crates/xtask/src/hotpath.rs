@@ -40,9 +40,12 @@ struct Checked {
 const PANICS: [&str; 2] = ["panic_bounds_check", "_Unwind_Resume"];
 
 const CHECKED: [Checked; 3] = [
+    // Route, pin, bias, descriptor, serving word, slot, over-depth test,
+    // probe, tally, unpin. Measured 926 B (70 instructions on the hit),
+    // no frame.
     Checked {
         symbol: "hotpath_get",
-        budget_bytes: 1024,
+        budget_bytes: 926,
         frame_bytes: 0,
         callees: None,
     },
@@ -65,8 +68,10 @@ const CHECKED: [Checked; 3] = [
     },
 ];
 
-/// Slack over a budget for compiler versions and layout noise.
-const SLACK_PERCENT: usize = 25;
+/// Slack over a budget for compiler versions and layout noise: just under
+/// the 96 bytes (10.4 %) the per-`get` seqlock round trip used to cost, so
+/// it cannot come back unnoticed.
+const SLACK_PERCENT: usize = 10;
 
 /// Where a `call` goes, as the listing writes it.
 #[derive(Debug, PartialEq, Eq)]

@@ -42,7 +42,7 @@ fn main() -> Result<(), IndexError> {
     let mut hits = 0u64;
     let keys: Vec<u64> = (0..1_000_000u64).collect();
     for chunk in keys.chunks(1024) {
-        // One seqlock ticket per batch instead of per key.
+        // One access-path decision per batch instead of per key.
         for (i, v) in index.get_many(chunk).into_iter().enumerate() {
             if v == Some(chunk[i] * 2) {
                 hits += 1;
@@ -53,8 +53,8 @@ fn main() -> Result<(), IndexError> {
 
     let s = index.stats();
     println!(
-        "  routed via shortcut: {} | via traditional: {} | discarded races: {}",
-        s.index.shortcut_lookups, s.index.traditional_lookups, s.index.shortcut_retries
+        "  routed via shortcut: {} | via traditional: {}",
+        s.index.shortcut_lookups, s.index.traditional_lookups
     );
     println!(
         "  mapper: {} slot updates, {} rebuilds, {} slots rewired, {} pages populated",

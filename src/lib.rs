@@ -546,10 +546,9 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "lookups: shortcut={} traditional={} retries={} shortcut_served_pct={:.1}",
+            "lookups: shortcut={} traditional={} shortcut_served_pct={:.1}",
             self.index.shortcut_lookups,
             self.index.traditional_lookups,
-            self.index.shortcut_retries,
             self.shortcut_served_pct()
         )?;
         writeln!(
@@ -1028,7 +1027,7 @@ mod tests {
             "index: entries=150 ",
             "shortcut: in_sync=true ",
             "layout: pages_per_slot=1 ",
-            "lookups: shortcut=190 traditional=10 retries=0 shortcut_served_pct=95.0",
+            "lookups: shortcut=190 traditional=10 shortcut_served_pct=95.0",
             "structure: splits=0 ",
             "maint: creates=0 ",
             " passes=0 update_batches=0 slots_zapped=0",

@@ -161,6 +161,8 @@ fn reclamation_never_unmaps_under_a_stale_read_ticket() {
         }])
         .unwrap();
 
+    // The end of the pass (the engine runs threadless here) serves it.
+    state.refresh_serving();
     // Reader pins and takes its ticket, then stalls before dereferencing.
     let pin = handle.retire_list().pin();
     let ticket = state.begin_read().expect("in sync");
@@ -236,6 +238,7 @@ fn stale_ticket_protection_is_identical_under_forced_dekker_fallback() {
         }])
         .unwrap();
 
+    state.refresh_serving();
     let pin = handle.retire_list().pin();
     let ticket = state.begin_read().expect("in sync");
 
