@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use taking_the_shortcut::{PinStrategy, ShortcutIndex};
+use taking_the_shortcut::{Index, PinStrategy, ShortcutIndex};
 
 const ENTRIES: u64 = 200_000;
 

@@ -43,7 +43,7 @@ fn main() {
 }
 
 fn facade_snapshot(entries: usize) {
-    use taking_the_shortcut::ShortcutIndex;
+    use taking_the_shortcut::{Index, ShortcutIndex};
     println!("\nFacade snapshot — {entries} entries, stable StatsSnapshot rendering\n");
     let mut index = ShortcutIndex::builder()
         .capacity(entries)

@@ -6,9 +6,8 @@ use crate::timing::{ms, Stopwatch};
 use crate::workload::KeyGen;
 use crate::Table;
 use shortcut_core::{CompactionPolicy, MaintConfig, RoutePolicy, ShortcutNode};
-use shortcut_exhash::{BucketLayout, EhConfig, Index, ShardedIndex, ShortcutEh, ShortcutEhConfig};
+use shortcut_exhash::{BucketLayout, EhConfig, Index, ShortcutEh, ShortcutEhConfig};
 use shortcut_rewire::{max_map_count, PageIdx, PoolConfig, SlotLayout, VmaBudget};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use taking_the_shortcut::ShortcutIndex;
 
@@ -508,20 +507,23 @@ pub fn a7_shards(s: &ScaleArgs) -> Table {
         // like production but private to the arm (isolates accounting).
         let budget = VmaBudget::with_limit(max_map_count());
         let layout = SlotLayout::default();
-        let index = ShardedIndex::try_new_with(bits, |_| ShortcutEhConfig {
-            eh: EhConfig {
-                pool: PoolConfig {
-                    vma_budget: Some(Arc::clone(&budget)),
-                    ..slot_pool_config((n / shards) * 2, layout)
+        let index = ShortcutIndex::try_new(
+            bits,
+            ShortcutEhConfig {
+                eh: EhConfig {
+                    pool: PoolConfig {
+                        vma_budget: Some(budget),
+                        ..slot_pool_config((n / shards) * 2, layout)
+                    },
+                    ..EhConfig::default()
                 },
-                ..EhConfig::default()
+                maint: MaintConfig {
+                    compaction: CompactionPolicy::on(),
+                    ..MaintConfig::default()
+                },
+                ..Default::default()
             },
-            maint: MaintConfig {
-                compaction: CompactionPolicy::on(),
-                ..MaintConfig::default()
-            },
-            ..Default::default()
-        })
+        )
         .expect("sharded construction failed");
 
         let mut gen = KeyGen::new(42);
@@ -549,7 +551,7 @@ pub fn a7_shards(s: &ScaleArgs) -> Table {
         let sw = Stopwatch::start();
         let _ = index.wait_sync(Duration::from_secs(240));
         let sync_ms = ms(sw.elapsed());
-        let vma = index.vma_stats();
+        let vma = index.stats().vma;
 
         let probe = gen.hits_from(&keys, lookups);
         let sw = Stopwatch::start();
@@ -588,17 +590,18 @@ pub fn a7_shards(s: &ScaleArgs) -> Table {
         std::hint::black_box(found);
         let batch_ms = ms(sw.elapsed());
 
+        let stats = index.stats();
         t.row(&[
             shards.to_string(),
             Table::f(fill_ms),
             Table::f(sync_ms),
-            index.global_depth().to_string(),
+            stats.global_depth.to_string(),
             Table::n(vma.live_vmas()),
             Table::n(vma.fair_pools),
             Table::f(one_ms),
             Table::f(nt_ms),
             Table::f(batch_ms),
-            if index.shortcut_suspended() {
+            if stats.shortcut_suspended {
                 "YES"
             } else {
                 "no"

@@ -840,6 +840,18 @@ impl BucketRef {
         }
     }
 
+    /// [`Self::get`], inlined into the caller whatever else in its codegen
+    /// unit probes: the shortcut hit path, which is mostly this probe.
+    /// (`get` does not call it: a one-call body would hand the forced
+    /// inline to every caller of `get`.)
+    #[inline(always)]
+    pub(crate) fn get_inlined(self, key: u64) -> Option<u64> {
+        match self.probe_fast(key) {
+            Some(hit) => self.value_at(hit),
+            None => Self::get_slow(self.ptr, self.layout.capacity, self.layout.entries_off, key),
+        }
+    }
+
     /// Remove `key`, returning its value. Shares `get`'s probe, including
     /// its early termination at the first never-used slot.
     pub fn remove(self, key: u64) -> Option<u64> {

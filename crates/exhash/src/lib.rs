@@ -24,8 +24,14 @@
 //! readers can share an index across threads where the scheme is `Sync`),
 //! writes through `&mut self` returning [`IndexError`] on pool or
 //! directory-growth failure, and overridable batched entry points.
+//!
+//! The front door is [`ShortcutIndex`]: `2^s` Shortcut-EH shards routed
+//! by the top hash bits, configured through [`IndexBuilder`], with
+//! shared-writer entry points beside [`Index`] and one merged
+//! [`StatsSnapshot`].
 
 pub mod bucket;
+mod builder;
 pub mod chained;
 pub mod eh;
 pub mod error;
@@ -36,18 +42,21 @@ mod route;
 pub mod shard;
 pub mod shortcut_eh;
 pub mod stats;
+#[cfg(test)]
+mod tests;
 pub mod traits;
 
 pub use bucket::{
     probe_backend, BucketLayout, BucketRef, InsertOutcome, ProbeBackend, BUCKET_CAPACITY,
 };
+pub use builder::IndexBuilder;
 pub use chained::{ChConfig, ChainedHash};
 pub use eh::{CompactionOutcome, DirEvent, EhConfig, ExtendibleHash};
 pub use error::IndexError;
 pub use hash::{bucket_slot_hash, dir_slot, mult_hash};
 pub use ht::{HashTable, HtConfig};
 pub use hti::{HtiConfig, IncrementalHashTable};
-pub use shard::{ShardedIndex, MAX_SHARD_BITS};
+pub use shard::{ShortcutIndex, MAX_SHARD_BITS};
 pub use shortcut_eh::{ShortcutEh, ShortcutEhConfig};
-pub use stats::IndexStats;
+pub use stats::{IndexStats, StatsSnapshot};
 pub use traits::Index;

@@ -1,6 +1,6 @@
-//! Hash-partitioned sharding over [`ShortcutEh`].
+//! [`ShortcutIndex`]: hash-partitioned sharding over [`ShortcutEh`].
 //!
-//! [`ShardedIndex`] owns `N = 2^s` independent Shortcut-EH shards — each
+//! [`ShortcutIndex`] owns `N = 2^s` independent Shortcut-EH shards — each
 //! with its own page pool, mapper thread, retirement list, and compaction
 //! policy — and routes every key by the **top `s` bits** of its
 //! multiplicative hash ([`mult_hash`]). Each shard's directory then hashes
@@ -12,24 +12,28 @@
 //!
 //! Two write disciplines coexist:
 //!
-//! * **Exclusive** — [`ShardedIndex`] implements [`Index`], with writes
+//! * **Exclusive** — [`ShortcutIndex`] implements [`Index`], with writes
 //!   through `&mut self` exactly like a single shard. No lock is touched:
 //!   the borrow already excludes every reader.
-//! * **Shared** — [`ShardedIndex::insert_shared`] /
-//!   [`ShardedIndex::remove_shared`] / [`ShardedIndex::insert_batch_shared`]
+//! * **Shared** — [`ShortcutIndex::insert_shared`] /
+//!   [`ShortcutIndex::remove_shared`] / [`ShortcutIndex::insert_batch_shared`]
 //!   take `&self` and a per-shard **write lock**, so one writer thread per
 //!   shard can run concurrently with each other and with any number of
 //!   readers. A single shard's writes are still serialized (Shortcut-EH is
 //!   single-writer by construction); the sharding is what buys write
 //!   parallelism.
 //!
-//! Readers ([`Index::get`] / [`Index::get_many`]) enter a shard through a
-//! **biased read section** ([`shortcut_rewire::ReadBias`]): until a shared
-//! writer shows up they publish the reader pin the shortcut read needs
-//! anyway, load the shard's bias word and proceed — no atomic RMW, no
-//! shared line written. The first shared writer revokes the bias and
-//! waits for those readers; readers then take the lock's read side until
-//! [`shortcut_rewire::REARM_AFTER`] of them in a row met no writer.
+//! Readers ([`ShortcutIndex::get`] / [`Index::get_many`]) enter a shard
+//! through a **biased read section** ([`shortcut_rewire::ReadBias`]):
+//! until a shared writer shows up they publish the reader pin the shortcut
+//! read needs anyway, load the shard's bias word and proceed — no atomic
+//! RMW, no shared line written. The first shared writer revokes the bias
+//! and waits for those readers; readers then take the lock's read side
+//! until [`shortcut_rewire::REARM_AFTER`] of them in a row met no writer.
+//!
+//! Shard state is observed one way: [`ShortcutIndex::shard_stats`] reads a
+//! shard into a [`StatsSnapshot`], and [`ShortcutIndex::stats`] folds those
+//! with [`StatsSnapshot::merge`].
 //!
 //! Shards opted into the same [`shortcut_rewire::VmaBudget`] should set
 //! [`shortcut_rewire::PoolConfig::fair_share`] (the constructor here does
@@ -38,12 +42,13 @@
 //! spare, so one hot shard's deep directory can never suspend the others'
 //! rebuilds.
 
+use crate::builder::IndexBuilder;
 use crate::eh::CompactionOutcome;
 use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash};
 use crate::route::{route, route_all};
 use crate::shortcut_eh::{ShortcutEh, ShortcutEhConfig};
-use crate::stats::IndexStats;
+use crate::stats::StatsSnapshot;
 use crate::traits::Index;
 use parking_lot::RwLock;
 use shortcut_core::SharedDirectoryState;
@@ -175,39 +180,28 @@ impl Shard {
     }
 }
 
-/// `N = 2^s` Shortcut-EH shards routed by the top `s` hash bits. See the
-/// module docs for the routing scheme and the two write disciplines.
-pub struct ShardedIndex {
+/// The index: `N = 2^s` Shortcut-EH shards routed by the top `s` hash
+/// bits, each with its own pool and mapper thread, behind
+/// [`ShortcutIndex::builder`] — concurrent `&self` reads, typed errors,
+/// and one merged [`StatsSnapshot`]. [`IndexBuilder::shards`] picks `s`
+/// (default 0: one shard). See the module docs for the routing scheme and
+/// the two write disciplines; import [`Index`] for the exclusive writes
+/// and the batched reads.
+pub struct ShortcutIndex {
     /// `s`: number of top hash bits consumed by routing.
     bits: u32,
     /// The shards, in routing order (`shards[i]` serves route value `i`).
     shards: Vec<Shard>,
 }
 
-impl ShardedIndex {
-    /// Build `2^bits` shards, deriving each shard's configuration from
-    /// `base` by renaming its pool memfd (`<name>-s<i>`). The routing
-    /// rotation (`eh.hash_rot = bits`) and — for `bits > 0` — fair-share
-    /// budget admission (`eh.pool.fair_share`) are forced on every shard;
-    /// see [`ShardedIndex::try_new_with`] for per-shard control over the
-    /// rest of the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shard construction failures ([`IndexError::Pool`] and
-    /// friends); already-built shards are dropped cleanly.
-    pub fn try_new(bits: u32, base: ShortcutEhConfig) -> Result<Self, IndexError> {
-        Self::try_new_with(bits, |i| {
-            let mut cfg = base.clone();
-            if bits > 0 {
-                cfg.eh.pool.name = format!("{}-s{i}", cfg.eh.pool.name);
-            }
-            cfg
-        })
+impl ShortcutIndex {
+    /// Start building an index.
+    pub fn builder() -> IndexBuilder {
+        IndexBuilder::default()
     }
 
-    /// Build `2^bits` shards, calling `make_cfg(i)` for shard `i`'s
-    /// configuration. Two fields are overridden on every shard because
+    /// Build `2^bits` shards from `base`, each with its pool memfd renamed
+    /// `<name>-s<i>`. Two fields are overridden on every shard because
     /// they are correctness-critical for the sharded layout:
     ///
     /// * `eh.hash_rot = bits` — the shard directory must consume the hash
@@ -218,31 +212,29 @@ impl ShardedIndex {
     ///   is forced off and behavior is bit-identical to a bare
     ///   [`ShortcutEh`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `bits > `[`MAX_SHARD_BITS`].
-    ///
     /// # Errors
     ///
-    /// Propagates shard construction failures; already-built shards are
-    /// dropped cleanly.
-    pub fn try_new_with(
-        bits: u32,
-        mut make_cfg: impl FnMut(usize) -> ShortcutEhConfig,
-    ) -> Result<Self, IndexError> {
-        assert!(
-            bits <= MAX_SHARD_BITS,
-            "shard_bits {bits} exceeds the cap of {MAX_SHARD_BITS} (2^{MAX_SHARD_BITS} shards)"
-        );
+    /// [`IndexError::Config`] for `bits > `[`MAX_SHARD_BITS`]; otherwise
+    /// propagates shard construction failures ([`IndexError::Pool`] and
+    /// friends), dropping already-built shards cleanly.
+    pub fn try_new(bits: u32, base: ShortcutEhConfig) -> Result<Self, IndexError> {
+        if bits > MAX_SHARD_BITS {
+            return Err(IndexError::config(format!(
+                "shards({bits}) exceeds the cap of {MAX_SHARD_BITS} (2^{MAX_SHARD_BITS} shards)"
+            )));
+        }
         let n = 1usize << bits;
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
-            let mut cfg = make_cfg(i);
+            let mut cfg = base.clone();
+            if bits > 0 {
+                cfg.eh.pool.name = format!("{}-s{i}", cfg.eh.pool.name);
+            }
             cfg.eh.hash_rot = bits;
             cfg.eh.pool.fair_share = bits > 0;
             shards.push(Shard::new(ShortcutEh::try_new(cfg)?));
         }
-        Ok(ShardedIndex { bits, shards })
+        Ok(ShortcutIndex { bits, shards })
     }
 
     /// `s`: the number of top hash bits consumed by routing.
@@ -270,14 +262,14 @@ impl ShardedIndex {
     fn shard_for(&self, hash: u64) -> &Shard {
         match self.bits {
             // Unsharded: no route shift, no stride multiply, no bounds check.
-            // SAFETY: `try_new_with` builds `1 << bits >= 1` shards and
-            // nothing removes one.
+            // SAFETY: `try_new` builds `1 << bits >= 1` shards and nothing
+            // removes one.
             0 => unsafe { self.shards.get_unchecked(0) },
             bits => &self.shards[dir_slot(hash, bits)],
         }
     }
 
-    /// [`ShardedIndex::shard_for`] for the exclusive write discipline.
+    /// [`ShortcutIndex::shard_for`] for the exclusive write discipline.
     #[inline]
     fn shard_for_mut(&mut self, hash: u64) -> &mut ShortcutEh {
         // SAFETY: `&mut self` excludes every reader and writer of every
@@ -285,8 +277,20 @@ impl ShardedIndex {
         unsafe { &mut *self.shard_for(hash).eh.get() }
     }
 
-    /// Run `f` against shard `i` under a **read** lock (per-shard stats,
-    /// layout inspection, read-only probes).
+    /// Look up a key. Takes `&self`: concurrent readers are safe. One
+    /// hash routes and probes: the shard gets the hash it was chosen by,
+    /// and the section's pin is the shortcut read's pin.
+    ///
+    /// Inlined into the caller; [`Index::get`] is the same lookup as one
+    /// out-of-line function, as the other schemes' are.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<u64> {
+        let hash = mult_hash(key);
+        self.shard_for(hash).get(key, hash)
+    }
+
+    /// Run `f` against shard `i` under a **read** lock (per-shard
+    /// accessors, layout inspection, read-only probes).
     ///
     /// # Panics
     ///
@@ -305,24 +309,18 @@ impl ShardedIndex {
         self.shards[i].write(f)
     }
 
-    /// `(revocations, rearms)` of shard `i`'s read bias: how often a
-    /// shared writer sent its readers to the lock, and how often a
-    /// writer-free run of reads took them off it again (revocations ahead
-    /// means they are on the lock now). Panics if `i >= shard_count()`.
-    pub fn bias_counters(&self, i: usize) -> (u64, u64) {
-        self.shards[i].bias.counters()
-    }
-
     // ------------------------------------------------------------------
     // Shared-write discipline: `&self` + per-shard write locks. One
     // writer thread per shard runs fully in parallel; readers use the
-    // `Index` read path ([`Index::get`] / [`Index::get_many`] take
-    // `&self` and the shard's biased read section).
+    // read path (`get` / `get_many` take `&self` and the shard's biased
+    // read section).
     // ------------------------------------------------------------------
 
     /// Insert through a per-shard write lock (shared-writer discipline:
     /// safe from many threads; writes to *different* shards proceed in
-    /// parallel, writes to the same shard serialize on its lock).
+    /// parallel, writes to the same shard serialize on its lock). Pair
+    /// one writer thread per shard (partition keys with
+    /// [`ShortcutIndex::shard_of`]) for contention-free scaling.
     ///
     /// # Errors
     ///
@@ -333,7 +331,7 @@ impl ShardedIndex {
             .write(|s| s.insert_hashed(key, value, hash))
     }
 
-    /// Remove through a per-shard write lock. See [`ShardedIndex::insert_shared`].
+    /// Remove through a per-shard write lock. See [`ShortcutIndex::insert_shared`].
     ///
     /// # Errors
     ///
@@ -364,9 +362,9 @@ impl ShardedIndex {
     /// Batched lookup into a caller-owned buffer: `out` is resized to
     /// `keys.len()` and `out[i]` answers `keys[i]`. Each window of the
     /// batch is split by shard and a shard's share is answered inside the
-    /// read section [`Index::get`] enters — one pin, one serving word —
-    /// straight into its places in `out`. Allocates nothing once `out`
-    /// has the capacity.
+    /// read section [`ShortcutIndex::get`] enters — one pin, one serving
+    /// word — straight into its places in `out`. Allocates nothing once
+    /// `out` has the capacity.
     pub fn get_many_into(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         out.clear();
         out.resize(keys.len(), None);
@@ -378,7 +376,7 @@ impl ShardedIndex {
 
     /// Batched remove through per-shard write locks; answers in caller
     /// order (`out[i]` answers `keys[i]`, as in [`Index::remove_batch`]).
-    /// Allocating wrapper of [`ShardedIndex::remove_batch_shared_into`].
+    /// Allocating wrapper of [`ShortcutIndex::remove_batch_shared_into`].
     ///
     /// # Errors
     ///
@@ -390,12 +388,12 @@ impl ShardedIndex {
         Ok(out)
     }
 
-    /// [`ShardedIndex::remove_batch_shared`] into a caller-owned buffer,
-    /// windowed and split like [`ShardedIndex::insert_batch_shared`].
+    /// [`ShortcutIndex::remove_batch_shared`] into a caller-owned buffer,
+    /// windowed and split like [`ShortcutIndex::insert_batch_shared`].
     ///
     /// # Errors
     ///
-    /// As [`ShardedIndex::remove_batch_shared`].
+    /// As [`ShortcutIndex::remove_batch_shared`].
     pub fn remove_batch_shared_into(
         &self,
         keys: &[u64],
@@ -411,66 +409,64 @@ impl ShardedIndex {
     }
 
     // ------------------------------------------------------------------
-    // Aggregated observability: every accessor folds the per-shard value
-    // with the documented `merge()` semantics (counters sum, gauges take
-    // the honest extreme). Use [`ShardedIndex::with_shard`] for the
-    // per-shard breakdown.
+    // Observability: one snapshot per shard, one fold across them.
     // ------------------------------------------------------------------
 
-    /// Fold `f(shard)` over all shards under read locks.
-    fn fold<T>(&self, mut f: impl FnMut(&ShortcutEh) -> T, merge: impl Fn(T, T) -> T) -> T {
-        let mut acc: Option<T> = None;
-        for s in &self.shards {
-            let v = s.read_locked(&mut f);
-            acc = Some(match acc {
-                None => v,
-                Some(a) => merge(a, v),
-            });
-        }
-        acc.expect("at least one shard")
+    /// One merged snapshot of index, maintenance, and pool counters,
+    /// aggregated over all shards with the documented
+    /// [`StatsSnapshot::merge`] semantics. Per-shard snapshots are taken
+    /// one shard at a time (not atomically across shards).
+    pub fn stats(&self) -> StatsSnapshot {
+        (0..self.shard_count())
+            .map(|i| self.shard_stats(i))
+            .reduce(|a, b| a.merge(&b))
+            .expect("at least one shard")
     }
 
-    /// Aggregated structural counters ([`IndexStats::merge`]: all summed).
-    pub fn stats(&self) -> IndexStats {
-        self.fold(|s| s.stats(), |a, b| a.merge(&b))
-    }
-
-    /// Aggregated mapper counters ([`shortcut_core::metrics::MaintSnapshot::merge`]:
-    /// counters summed, `coarse_service_pct` takes the worst shard).
-    pub fn maint_metrics(&self) -> shortcut_core::metrics::MaintSnapshot {
-        self.fold(|s| s.maint_metrics(), |a, b| a.merge(&b))
-    }
-
-    /// Aggregated pool/rewiring counters ([`shortcut_rewire::StatsSnapshot::merge`]:
-    /// all summed).
-    pub fn pool_stats(&self) -> shortcut_rewire::StatsSnapshot {
-        self.fold(|s| s.pool_stats(), |a, b| a.merge(&b))
-    }
-
-    /// Aggregated VMA accounting ([`shortcut_rewire::VmaSnapshot::merge`]:
-    /// per-pool attribution and retirement counters summed; the shared
-    /// budget gauges — `in_use`, `limit`, fair-share fields — take the
-    /// max so a budget shared by all shards is not double-counted).
-    pub fn vma_stats(&self) -> shortcut_rewire::VmaSnapshot {
-        self.fold(|s| s.vma_stats(), |a, b| a.merge(&b))
-    }
-
-    /// Summed `(traditional, published)` version counters across shards:
-    /// a monotone progress pair whose equality still means "every shard's
-    /// shortcut has caught up" (per-shard published never exceeds
-    /// traditional).
-    pub fn versions(&self) -> (u64, u64) {
-        self.fold(|s| s.versions(), |a, b| (a.0 + b.0, a.1 + b.1))
+    /// The per-shard breakdown behind [`ShortcutIndex::stats`]: shard
+    /// `i`'s own snapshot (`shards == 1`), read under its read lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.shard_count()`.
+    pub fn shard_stats(&self, i: usize) -> StatsSnapshot {
+        let shard = &self.shards[i];
+        let (bias_revocations, bias_rearms) = shard.bias.counters();
+        shard.read_locked(|s| StatsSnapshot {
+            shards: 1,
+            len: s.len(),
+            global_depth: s.global_depth(),
+            bucket_count: s.bucket_count(),
+            avg_fanin: s.avg_fanin(),
+            in_sync: s.in_sync(),
+            versions: s.versions(),
+            shortcut_suspended: s.shortcut_suspended(),
+            pages_per_slot: s.slot_layout().pages_per_slot(),
+            slot_bytes: s.slot_layout().slot_bytes(),
+            bucket_capacity: s.bucket_layout().capacity(),
+            huge_pages_requested: s.huge_requested(),
+            huge_pages_active: s.huge_active(),
+            pin_strategy: s.pin_strategy(),
+            probe_backend: crate::bucket::probe_backend().name(),
+            bias_revocations,
+            bias_rearms,
+            zap_supported: shortcut_rewire::zap_call().is_some(),
+            index: s.stats(),
+            maint: s.maint_metrics(),
+            rewire: s.pool_stats(),
+            vma: s.vma_stats(),
+        })
     }
 
     /// Whether **every** shard's shortcut directory is in sync.
     pub fn in_sync(&self) -> bool {
-        self.fold(|s| s.in_sync(), |a, b| a && b)
+        self.shards.iter().all(|s| s.read_locked(|s| s.in_sync()))
     }
 
     /// Block until every shard's shortcut is in sync or `timeout`
     /// elapses; `true` when all shards synced. The timeout is a shared
-    /// deadline, not per shard.
+    /// deadline, not per shard. A test/bench helper: production readers
+    /// never wait, they fall back to the traditional directory.
     pub fn wait_sync(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         for s in &self.shards {
@@ -482,51 +478,26 @@ impl ShardedIndex {
         true
     }
 
-    /// Whether **any** shard's maintenance is suspended by the VMA budget
-    /// (with fair-share admission, a suspended shard implicates only its
-    /// own footprint — see the module docs).
-    pub fn shortcut_suspended(&self) -> bool {
-        self.fold(|s| s.shortcut_suspended(), |a, b| a || b)
-    }
-
-    /// First maintenance error observed across shards, if any.
+    /// First error a shard's mapper thread hit, if any.
     pub fn maint_error(&self) -> Option<IndexError> {
-        self.fold(|s| s.maint_error(), |a, b| a.or(b))
+        self.shards
+            .iter()
+            .find_map(|s| s.read_locked(|s| s.maint_error()))
     }
 
-    /// Maximum global depth across shards (the deepest shard directory).
-    pub fn global_depth(&self) -> u32 {
-        self.fold(|s| s.global_depth(), |a, b| a.max(b))
-    }
-
-    /// Total bucket count across shards.
-    pub fn bucket_count(&self) -> usize {
-        self.fold(|s| s.bucket_count(), |a, b| a + b)
-    }
-
-    /// Entry-weighted average directory fan-in: total directory slots
-    /// over total buckets — the same quantity a single directory of the
-    /// combined population would report, not a naive mean of per-shard
-    /// averages.
-    pub fn avg_fanin(&self) -> f64 {
-        let (slots, buckets) = self.fold(
-            |s| (s.avg_fanin() * s.bucket_count() as f64, s.bucket_count()),
-            |a, b| (a.0 + b.0, a.1 + b.1),
-        );
-        if buckets == 0 {
-            0.0
-        } else {
-            slots / buckets as f64
-        }
-    }
-
-    /// Compact every shard's bucket layout (exclusive discipline), summing
-    /// the per-shard outcomes.
+    /// Relocate every shard's bucket pages into directory order in one
+    /// synchronous pass each (exclusive discipline) and hand the identity
+    /// rebuilds to the mappers, summing the per-shard outcomes. After the
+    /// mappers apply them (and retired mappings drain), the live VMA
+    /// footprint collapses from one-per-scattered-slot to one per fan-in
+    /// cluster. Automatic passes run per the [`IndexBuilder::compaction`]
+    /// policy; this entry point is for explicit maintenance windows.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing shard's error; earlier shards keep
-    /// their completed passes.
+    /// Propagates the first failing shard's error (typically no room for
+    /// the contiguous target run); earlier shards keep their completed
+    /// passes, and the index stays consistent and keeps answering.
     pub fn compact(&mut self) -> Result<CompactionOutcome, IndexError> {
         let mut total = CompactionOutcome {
             pages_moved: 0,
@@ -542,7 +513,8 @@ impl ShardedIndex {
         Ok(total)
     }
 
-    /// Summed planned-VMA estimate of every shard's current layout.
+    /// Summed planned-VMA estimate of every shard's current layout, as a
+    /// fresh shortcut rebuild would map it (`O(slots)` — diagnostics).
     ///
     /// # Errors
     ///
@@ -555,58 +527,37 @@ impl ShardedIndex {
         Ok(total)
     }
 
-    /// Summed ideal (post-compaction) planned-VMA estimate.
+    /// Summed `slots − buckets + 1`: the irreducible footprint of a
+    /// perfectly compacted layout (per shard, one VMA plus one per aliased
+    /// fan-in > 1 slot).
     pub fn ideal_layout_vmas(&self) -> usize {
-        self.fold(|s| s.ideal_layout_vmas(), |a, b| a + b)
-    }
-
-    /// Whether any shard's pool requested hugepage backing.
-    pub fn huge_requested(&self) -> bool {
-        self.fold(|s| s.huge_requested(), |a, b| a || b)
-    }
-
-    /// Whether **every** shard's pool actually runs on hugepages (the
-    /// conservative aggregate: mixed backing reports `false`).
-    pub fn huge_active(&self) -> bool {
-        self.fold(|s| s.huge_active(), |a, b| a && b)
-    }
-
-    /// Shard 0's physical slot layout (identical across shards when built
-    /// via [`ShardedIndex::try_new`]; with `try_new_with` and divergent
-    /// per-shard layouts, inspect shards individually).
-    pub fn slot_layout(&self) -> shortcut_rewire::SlotLayout {
-        self.shards[0].read_locked(|s| s.slot_layout())
-    }
-
-    /// Shard 0's bucket geometry (see [`ShardedIndex::slot_layout`] for
-    /// the homogeneity caveat).
-    pub fn bucket_layout(&self) -> crate::bucket::BucketLayout {
-        self.shards[0].read_locked(|s| s.bucket_layout())
+        self.shards
+            .iter()
+            .map(|s| s.read_locked(|s| s.ideal_layout_vmas()))
+            .sum()
     }
 }
 
-impl std::fmt::Debug for ShardedIndex {
+impl std::fmt::Debug for ShortcutIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedIndex")
+        f.debug_struct("ShortcutIndex")
             .field("bits", &self.bits)
             .field("shards", &self.shards.len())
             .finish_non_exhaustive()
     }
 }
 
-impl Index for ShardedIndex {
+impl Index for ShortcutIndex {
     #[inline]
     fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
         let hash = mult_hash(key);
         self.shard_for_mut(hash).insert_hashed(key, value, hash)
     }
 
-    /// One hash routes and probes: the shard gets the hash it was chosen
-    /// by, and the section's pin is the shortcut read's pin.
-    #[inline]
+    /// [`ShortcutIndex::get`], out of line: a caller through the trait
+    /// pays one call, as it does for every other scheme.
     fn get(&self, key: u64) -> Option<u64> {
-        let hash = mult_hash(key);
-        self.shard_for(hash).get(key, hash)
+        ShortcutIndex::get(self, key)
     }
 
     #[inline]
@@ -616,7 +567,7 @@ impl Index for ShardedIndex {
     }
 
     fn len(&self) -> usize {
-        self.fold(|s| s.len(), |a, b| a + b)
+        self.shards.iter().map(|s| s.read_locked(|s| s.len())).sum()
     }
 
     fn name(&self) -> &'static str {
@@ -627,19 +578,21 @@ impl Index for ShardedIndex {
         }
     }
 
-    /// Allocating wrapper of [`ShardedIndex::get_many_into`].
+    /// Allocating wrapper of [`ShortcutIndex::get_many_into`]: hashes each
+    /// key once, enters each shard once per window of 4096 keys (one pin,
+    /// one serving word) and prefetches ahead of the probe.
     fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let mut out = Vec::with_capacity(keys.len());
         self.get_many_into(keys, &mut out);
         out
     }
 
-    /// [`ShardedIndex::insert_batch_shared`] without the locks: the
+    /// [`ShortcutIndex::insert_batch_shared`] without the locks: the
     /// exclusive borrow already excludes every reader and writer.
     ///
     /// # Errors
     ///
-    /// As [`ShardedIndex::insert_batch_shared`].
+    /// As [`ShortcutIndex::insert_batch_shared`].
     fn insert_batch(&mut self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
         route(self.bits, entries, |i, window, hashes, positions| {
             let shard = self.shards[i].eh.get_mut();
@@ -647,11 +600,11 @@ impl Index for ShardedIndex {
         })
     }
 
-    /// [`ShardedIndex::remove_batch_shared`] without the locks.
+    /// [`ShortcutIndex::remove_batch_shared`] without the locks.
     ///
     /// # Errors
     ///
-    /// As [`ShardedIndex::remove_batch_shared`].
+    /// As [`ShortcutIndex::remove_batch_shared`].
     fn remove_batch(&mut self, keys: &[u64]) -> Result<Vec<Option<u64>>, IndexError> {
         let mut out = vec![None; keys.len()];
         route_all(self.bits, keys, |i, window, hashes, positions| {
@@ -698,7 +651,7 @@ mod tests {
 
     #[test]
     fn unsharded_is_a_single_shard_and_routes_everything_to_it() {
-        let mut t = ShardedIndex::try_new(0, fast_cfg()).unwrap();
+        let mut t = ShortcutIndex::try_new(0, fast_cfg()).unwrap();
         assert_eq!(t.shard_count(), 1);
         assert_eq!(t.name(), "Shortcut-EH");
         for k in 0..2_000u64 {
@@ -716,15 +669,16 @@ mod tests {
     fn unsharded_matches_a_bare_shortcut_eh() {
         // N = 1 must behave identically to ShortcutEh: same answers, same
         // routing hash (hash_rot = 0 leaves dir_hash == mult_hash).
-        let mut sharded = ShardedIndex::try_new(0, fast_cfg()).unwrap();
+        let mut sharded = ShortcutIndex::try_new(0, fast_cfg()).unwrap();
         let mut bare = ShortcutEh::try_new(fast_cfg()).unwrap();
         for k in 0..5_000u64 {
             sharded.insert(k, val(k)).unwrap();
             bare.insert(k, val(k)).unwrap();
         }
         assert_eq!(sharded.len(), bare.len());
-        assert_eq!(sharded.global_depth(), bare.global_depth());
-        assert_eq!(sharded.bucket_count(), bare.bucket_count());
+        let stats = sharded.stats();
+        assert_eq!(stats.global_depth, bare.global_depth());
+        assert_eq!(stats.bucket_count, bare.bucket_count());
         for k in (0..6_000u64).step_by(7) {
             assert_eq!(sharded.get(k), bare.get(k), "key {k}");
         }
@@ -732,7 +686,7 @@ mod tests {
 
     #[test]
     fn routing_spreads_keys_over_all_shards() {
-        let mut t = ShardedIndex::try_new(2, fast_cfg()).unwrap();
+        let mut t = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
         for k in 0..4_000u64 {
             t.insert(k, val(k)).unwrap();
         }
@@ -750,7 +704,7 @@ mod tests {
 
     #[test]
     fn removals_route_to_the_owning_shard() {
-        let mut t = ShardedIndex::try_new(2, fast_cfg()).unwrap();
+        let mut t = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
         for k in 0..1_000u64 {
             t.insert(k, val(k)).unwrap();
         }
@@ -766,7 +720,7 @@ mod tests {
 
     #[test]
     fn get_many_reassembles_in_caller_order() {
-        let mut t = ShardedIndex::try_new(2, fast_cfg()).unwrap();
+        let mut t = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
         for k in 0..8_000u64 {
             t.insert(k, val(k)).unwrap();
         }
@@ -781,7 +735,7 @@ mod tests {
 
     #[test]
     fn insert_batch_scatters_and_everything_reads_back() {
-        let mut t = ShardedIndex::try_new(2, fast_cfg()).unwrap();
+        let mut t = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
         let entries: Vec<(u64, u64)> = (0..6_000u64).map(|k| (k, val(k))).collect();
         t.insert_batch(&entries).unwrap();
         assert_eq!(t.len(), entries.len());
@@ -792,18 +746,18 @@ mod tests {
 
     #[test]
     fn sharded_lookups_sync_and_use_the_shortcut() {
-        let mut t = ShardedIndex::try_new(2, fast_cfg()).unwrap();
+        let mut t = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
         for k in 0..20_000u64 {
             t.insert(k, k + 3).unwrap();
         }
         assert!(t.wait_sync(Duration::from_secs(10)), "never synced");
         assert!(t.in_sync());
-        let (tv, sv) = t.versions();
+        let (tv, sv) = t.stats().versions;
         assert_eq!(tv, sv);
         for k in 0..20_000u64 {
             assert_eq!(t.get(k), Some(k + 3), "key {k}");
         }
-        let s = t.stats();
+        let s = t.stats().index;
         assert!(
             s.shortcut_lookups > s.traditional_lookups,
             "shortcut {} vs traditional {}",
@@ -815,7 +769,7 @@ mod tests {
 
     #[test]
     fn shared_writers_one_per_shard_with_concurrent_readers() {
-        let t = Arc::new(ShardedIndex::try_new(2, fast_cfg()).unwrap());
+        let t = Arc::new(ShortcutIndex::try_new(2, fast_cfg()).unwrap());
         let per_shard = 3_000u64;
         let keys: Vec<Vec<u64>> = {
             // Pre-partition keys so each writer thread owns one shard.
@@ -868,7 +822,7 @@ mod tests {
 
     #[test]
     fn insert_batch_shared_takes_one_lock_per_shard() {
-        let t = ShardedIndex::try_new(1, fast_cfg()).unwrap();
+        let t = ShortcutIndex::try_new(1, fast_cfg()).unwrap();
         let entries: Vec<(u64, u64)> = (0..4_000u64).map(|k| (k, val(k))).collect();
         t.insert_batch_shared(&entries).unwrap();
         for &(k, v) in &entries {
@@ -879,7 +833,7 @@ mod tests {
 
     #[test]
     fn remove_batch_scatters_and_reassembles_in_caller_order() {
-        let mut t = ShardedIndex::try_new(2, fast_cfg()).unwrap();
+        let mut t = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
         for k in 0..3_000u64 {
             t.insert(k, val(k)).unwrap();
         }
@@ -899,7 +853,7 @@ mod tests {
 
     #[test]
     fn remove_batch_shared_matches_sequential_removes() {
-        let t = ShardedIndex::try_new(2, fast_cfg()).unwrap();
+        let t = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
         for k in 0..2_000u64 {
             t.insert_shared(k, val(k)).unwrap();
         }
@@ -934,25 +888,26 @@ mod tests {
 
     #[test]
     fn aggregates_fold_across_shards() {
-        let mut t = ShardedIndex::try_new(2, fast_cfg()).unwrap();
+        let mut t = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
         for k in 0..10_000u64 {
             t.insert(k, val(k)).unwrap();
         }
         assert!(t.wait_sync(Duration::from_secs(10)));
+        let stats = t.stats();
         let buckets: usize = (0..4).map(|i| t.with_shard(i, |s| s.bucket_count())).sum();
-        assert_eq!(t.bucket_count(), buckets);
+        assert_eq!(stats.bucket_count, buckets);
         let depth_max = (0..4)
             .map(|i| t.with_shard(i, |s| s.global_depth()))
             .max()
             .unwrap();
-        assert_eq!(t.global_depth(), depth_max);
-        let fanin = t.avg_fanin();
+        assert_eq!(stats.global_depth, depth_max);
+        let fanin = stats.avg_fanin;
         assert!(fanin >= 1.0, "fan-in {fanin} below 1");
         assert!(t.ideal_layout_vmas() >= t.shard_count());
         assert!(t.layout_vmas().unwrap() >= t.ideal_layout_vmas());
         // Pool counters really sum: each shard allocated at least a page.
-        assert!(t.pool_stats().pages_allocated >= t.shard_count() as u64);
-        assert!(!t.shortcut_suspended());
+        assert!(stats.rewire.pages_allocated >= t.shard_count() as u64);
+        assert!(!stats.shortcut_suspended);
     }
 
     /// What lets a lookup skip validation: the relay of a split clears the
@@ -968,7 +923,7 @@ mod tests {
             cfg.eh.pool.pin_strategy = Some(strategy);
             // Passes on demand only: nothing serves behind the test's back.
             cfg.maint.poll_interval = Duration::from_secs(3600);
-            let t = ShardedIndex::try_new(bits, cfg).unwrap();
+            let t = ShortcutIndex::try_new(bits, cfg).unwrap();
             for k in 0..4_000u64 {
                 t.insert_shared(k, val(k)).unwrap();
             }
@@ -989,9 +944,9 @@ mod tests {
                 key
             });
             let counted = |k: u64| {
-                let before = t.stats();
+                let before = t.stats().index;
                 assert_eq!(t.get(k), Some(val(k)), "key {k}");
-                let after = t.stats();
+                let after = t.stats().index;
                 (
                     after.shortcut_lookups - before.shortcut_lookups,
                     after.traditional_lookups - before.traditional_lookups,
@@ -1008,8 +963,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shard_bits")]
-    fn shard_bits_above_the_cap_panic() {
-        let _ = ShardedIndex::try_new(MAX_SHARD_BITS + 1, fast_cfg());
+    fn shard_bits_above_the_cap_are_a_config_error() {
+        let err = ShortcutIndex::try_new(MAX_SHARD_BITS + 1, fast_cfg()).unwrap_err();
+        assert!(matches!(err, IndexError::Config { .. }), "got {err:?}");
     }
 }

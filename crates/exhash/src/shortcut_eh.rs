@@ -512,7 +512,7 @@ impl ShortcutEh {
         // than the published depth shares its slot with a sibling and is
         // not resolvable here — serve that key traditionally.
         if bucket.local_depth() <= t.depth() {
-            let result = bucket.get(key);
+            let result = bucket.get_inlined(key);
             pin.tally(SHORTCUT_LOOKUPS, 1);
             return result;
         }

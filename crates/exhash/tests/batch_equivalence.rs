@@ -1,4 +1,4 @@
-//! Every batched entry point of [`ShardedIndex`] must equal the same
+//! Every batched entry point of [`ShortcutIndex`] must equal the same
 //! operations applied one by one, in batch order, to a `HashMap`: across
 //! shard counts, batch sizes on both sides of a routing window, duplicate
 //! keys inside one batch (the later insert wins, the first remove takes
@@ -7,7 +7,7 @@
 //! forms alike.
 
 use proptest::prelude::*;
-use shortcut_exhash::{EhConfig, Index, ShardedIndex, ShortcutEhConfig};
+use shortcut_exhash::{EhConfig, Index, ShortcutEhConfig, ShortcutIndex};
 use shortcut_rewire::{PoolConfig, VmaBudget};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -19,8 +19,8 @@ const KEYSPACE: u64 = 3_000;
 /// Batch sizes: empty, tiny, and both sides of the 4096-key window.
 const SIZES: [usize; 7] = [0, 1, 5, 300, 4_095, 4_097, 9_000];
 
-fn index(bits: u32) -> ShardedIndex {
-    ShardedIndex::try_new(
+fn index(bits: u32) -> ShortcutIndex {
+    ShortcutIndex::try_new(
         bits,
         ShortcutEhConfig {
             eh: EhConfig {

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use shortcut_exhash::{
     ChConfig, ChainedHash, EhConfig, ExtendibleHash, HashTable, HtConfig, HtiConfig,
-    IncrementalHashTable, Index, IndexError, IndexStats, ShardedIndex, ShortcutEh,
-    ShortcutEhConfig,
+    IncrementalHashTable, Index, IndexError, IndexStats, ShortcutEh, ShortcutEhConfig,
+    ShortcutIndex,
 };
 use shortcut_rewire::{PinStrategy, PoolConfig, VmaBudget};
 use std::collections::HashMap;
@@ -311,13 +311,13 @@ type Counted = (u64, u64);
 const SHORTCUT: Counted = (1, 0);
 const TRADITIONAL: Counted = (0, 1);
 
-/// One state the fast path of `ShardedIndex::get` can leave by.
+/// One state the fast path of `ShortcutIndex::get` can leave by.
 struct Exit {
     name: &'static str,
     /// Adjusts the configuration the index is built with.
     configure: fn(&mut ShortcutEhConfig),
     /// Brings the loaded index into the state (and checks it is there).
-    enter: fn(&ShardedIndex),
+    enter: fn(&ShortcutIndex),
     /// What a lookup may count as, each of which some lookup must.
     counted: &'static [Counted],
 }
@@ -343,7 +343,9 @@ const EXITS: &[Exit] = &[
         configure: |_| {},
         enter: |t| {
             for i in 0..t.shard_count() {
-                assert_eq!(t.bias_counters(i), (0, 0), "shard {i} never saw a writer");
+                let s = t.shard_stats(i);
+                let bias = (s.bias_revocations, s.bias_rearms);
+                assert_eq!(bias, (0, 0), "shard {i} never saw a writer");
             }
         },
         counted: &[SHORTCUT],
@@ -358,7 +360,8 @@ const EXITS: &[Exit] = &[
                 t.insert_shared(k, !k).unwrap();
             }
             for i in 0..t.shard_count() {
-                assert_eq!(t.bias_counters(i), (1, 0), "shard {i}");
+                let s = t.shard_stats(i);
+                assert_eq!((s.bias_revocations, s.bias_rearms), (1, 0), "shard {i}");
             }
         },
         counted: &[SHORTCUT],
@@ -399,7 +402,7 @@ const EXITS: &[Exit] = &[
             // (A create deferred behind a directory not yet reclaimed is
             // retried by the mapper's own ticks.)
             common::wait_until("every shard is in sync", || t.in_sync());
-            assert!(t.maint_metrics().creates_coarse > 0);
+            assert!(t.stats().maint.creates_coarse > 0);
         },
         counted: &[SHORTCUT, TRADITIONAL],
     },
@@ -439,21 +442,21 @@ fn every_exit_of_get_answers_exactly_and_counts_once() {
             let mut cfg = small_shortcut_config();
             cfg.eh.pool.pin_strategy = Some(strategy);
             (exit.configure)(&mut cfg);
-            let mut t = ShardedIndex::try_new(bits, cfg).unwrap();
+            let mut t = ShortcutIndex::try_new(bits, cfg).unwrap();
             // In steps, so the mapper applies the intermediate directories
             // a budget is judged against instead of superseding them.
             for step in entries.chunks(500) {
                 t.insert_batch(step).unwrap();
-                if !t.shortcut_suspended() {
+                if !t.stats().shortcut_suspended {
                     t.wait_sync(Duration::from_secs(30));
                 }
             }
             (exit.enter)(&t);
             let mut seen = vec![0usize; exit.counted.len()];
             for (present, k) in probes.clone() {
-                let before = t.stats();
+                let before = t.stats().index;
                 let got = t.get(k);
-                let moved = counted(&before, &t.stats());
+                let moved = counted(&before, &t.stats().index);
                 assert_eq!(got, present.then_some(!k), "{case}: key {k}");
                 let which = exit.counted.iter().position(|&c| c == moved);
                 seen[which.unwrap_or_else(|| panic!("{case}: key {k} counted as {moved:?}"))] += 1;

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
-use taking_the_shortcut::{IndexError, ShortcutIndex};
+use taking_the_shortcut::{Index, IndexError, ShortcutIndex};
 
 /// Pack (user id, expiry tick) into the stored u64.
 fn pack(user: u32, expiry_tick: u32) -> u64 {

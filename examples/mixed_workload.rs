@@ -20,7 +20,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
-use taking_the_shortcut::{CompactionPolicy, IndexError, ShortcutIndex};
+use taking_the_shortcut::{CompactionPolicy, Index, IndexError, ShortcutIndex};
 
 fn main() -> Result<(), IndexError> {
     let entries: u64 = std::env::var("MIXED_WORKLOAD_ENTRIES")
@@ -98,12 +98,12 @@ fn main() -> Result<(), IndexError> {
         }
     }
     let mut synced = index.wait_sync(Duration::from_secs(120));
-    if !synced && !index.shortcut_suspended() {
+    if !synced && !index.stats().shortcut_suspended {
         // A transient suspension resolved between wait_sync giving up and
         // the check above (deferred rebuild applied); settle it.
         synced = index.wait_sync(Duration::from_secs(10));
     }
-    if index.shortcut_suspended() {
+    if index.stats().shortcut_suspended {
         println!(
             "bulk load done; directory exceeds the VMA budget — shortcut \
              suspended, serving traditionally ({:?})\n",
@@ -115,7 +115,10 @@ fn main() -> Result<(), IndexError> {
             "initial sync failed (mapper error: {:?})",
             index.maint_error()
         );
-        println!("bulk load done, shortcut in sync: {:?}\n", index.versions());
+        println!(
+            "bulk load done, shortcut in sync: {:?}\n",
+            index.stats().versions
+        );
     }
 
     for wave in 1..=4 {
@@ -128,7 +131,7 @@ fn main() -> Result<(), IndexError> {
             .collect();
         index.insert_batch(&burst)?;
         keys.extend(burst.iter().map(|(k, _)| *k));
-        let (tv, sv) = index.versions();
+        let (tv, sv) = index.stats().versions;
         println!(
             "wave {wave}: insert burst done — versions t={tv} s={sv} ({})",
             if tv == sv { "in sync" } else { "OUT OF SYNC" }
@@ -143,13 +146,13 @@ fn main() -> Result<(), IndexError> {
                 let k = keys[rng.random_range(0..keys.len())];
                 assert!(index.get(k).is_some());
             }
-            let (tv, sv) = index.versions();
+            let (tv, sv) = index.stats().versions;
             let ns = t0.elapsed().as_nanos() as f64 / per_slice as f64;
             println!(
                 "  slice {slice}: {ns:6.0} ns/lookup   versions t={tv} s={sv} {}",
                 if tv == sv {
                     "✓ shortcut"
-                } else if index.shortcut_suspended() {
+                } else if index.stats().shortcut_suspended {
                     "… traditional (VMA budget)"
                 } else {
                     "… traditional (catching up)"
@@ -189,16 +192,15 @@ fn main() -> Result<(), IndexError> {
         // The CI stress contract: with compaction on, this scale must end
         // fully shortcut-served under the stock vm.max_map_count.
         assert!(
-            !index.shortcut_suspended(),
+            !s.shortcut_suspended,
             "shortcut suspended at exit: vma={:?} maint={:?}",
-            s.vma,
-            s.maint
+            s.vma, s.maint
         );
         let final_sync = index.wait_sync(Duration::from_secs(60));
         assert!(
             final_sync,
             "shortcut never converged: {:?}",
-            index.versions()
+            index.stats().versions
         );
         // Per shard, not just in aggregate: every shard must end
         // shortcut-served (the sharded CI leg's contract).

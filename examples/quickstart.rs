@@ -6,7 +6,7 @@
 //! ```
 
 use std::time::{Duration, Instant};
-use taking_the_shortcut::{IndexError, ShortcutIndex};
+use taking_the_shortcut::{Index, IndexError, ShortcutIndex};
 
 fn main() -> Result<(), IndexError> {
     // A shortcut-enhanced extendible hash table: 4 KB buckets from a
@@ -34,7 +34,7 @@ fn main() -> Result<(), IndexError> {
 
     // Let the shortcut directory catch up with the splits and doublings.
     let synced = index.wait_sync(Duration::from_secs(30));
-    let (tver, sver) = index.versions();
+    let (tver, sver) = index.stats().versions;
     println!("  shortcut in sync: {synced} (versions: traditional {tver}, shortcut {sver})");
 
     println!("looking up 1M entries (batches of 1024)…");

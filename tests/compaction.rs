@@ -288,11 +288,11 @@ fn rescue_of_a_suspended_shortcut(shard_bits: u32) {
         !index.wait_sync(Duration::from_secs(60)),
         "the directory fit"
     );
-    assert!(index.shortcut_suspended());
+    assert!(index.stats().shortcut_suspended);
     assert!(index.stats().maint.creates_skipped > 0);
 
     let mut next = 1u64;
-    while index.shortcut_suspended() {
+    while index.stats().shortcut_suspended {
         assert!(next < 400_000, "never rescued: {}", index.stats());
         index.insert_batch(&next_batch(&mut next)).unwrap();
         let _ = index.wait_sync(Duration::from_secs(60));

@@ -55,6 +55,8 @@ fn extendible_hash_round_trip_through_facade() {
 
 #[test]
 fn shortcut_index_round_trip_through_facade() {
+    use taking_the_shortcut::Index;
+
     let mut idx = taking_the_shortcut::ShortcutIndex::builder()
         .capacity(2_000)
         .build()

@@ -286,7 +286,7 @@ fn index_survives_pathological_key_patterns() {
 
 #[test]
 fn facade_surfaces_pool_exhaustion_as_typed_error() {
-    use taking_the_shortcut::{IndexError, PoolConfig, ShortcutIndex};
+    use taking_the_shortcut::{Index, IndexError, PoolConfig, ShortcutIndex};
     // A pool whose fixed reservation holds only 8 bucket pages: the
     // facade must hand back IndexError::Pool once splitting outgrows it —
     // no panic — and keep the applied prefix readable.

@@ -6,7 +6,7 @@
 //! an `mmap` error at first access.
 
 use std::time::Duration;
-use taking_the_shortcut::{ShortcutIndex, SlotLayout};
+use taking_the_shortcut::{Index, ShortcutIndex, SlotLayout};
 
 fn reserved_hugepages() -> usize {
     std::fs::read_to_string("/proc/sys/vm/nr_hugepages")

@@ -14,7 +14,7 @@ mod common;
 
 #[test]
 fn concurrent_readers_see_every_key() {
-    let mut index = ShortcutIndex::with_defaults().unwrap();
+    let mut index = ShortcutIndex::builder().build().unwrap();
     let n = 100_000u64;
     for k in 0..n {
         index.insert(k, k ^ 0xABCD).unwrap();
@@ -70,7 +70,7 @@ fn concurrent_batched_readers_see_every_key() {
                 let mut local = 0u64;
                 let keys: Vec<u64> = (0..n).filter(|k| k % readers == r).collect();
                 for chunk in keys.chunks(512) {
-                    // One seqlock ticket per chunk.
+                    // One read section (one serving-word load) per chunk.
                     for (i, v) in index.get_many(chunk).into_iter().enumerate() {
                         if v == Some(!chunk[i]) {
                             local += 1;
@@ -90,7 +90,7 @@ fn readers_race_a_writer_free_index_through_the_trait_object() {
     // The same hammering, but through &dyn Index — the type a storage
     // engine would hold — to pin down that the trait's &self contract
     // composes with threads.
-    let mut index = ShortcutIndex::with_defaults().unwrap();
+    let mut index = ShortcutIndex::builder().build().unwrap();
     for k in 0..30_000u64 {
         index
             .insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15), k)
@@ -112,7 +112,7 @@ fn readers_race_a_writer_free_index_through_the_trait_object() {
 
 #[test]
 fn get_many_agrees_with_get() {
-    let mut index = ShortcutIndex::with_defaults().unwrap();
+    let mut index = ShortcutIndex::builder().build().unwrap();
     for k in 0..30_000u64 {
         index
             .insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15), k)

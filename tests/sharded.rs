@@ -189,7 +189,7 @@ fn deep_shard_cannot_suspend_its_siblings() {
 
     // Let every mapper catch up (the hot shard may finish coarse or
     // suspended; the call returns false in that case, which is fine).
-    let _ = index.as_sharded().wait_sync(Duration::from_secs(5));
+    let _ = index.wait_sync(Duration::from_secs(5));
     for i in 0..4 {
         if i == hot {
             continue;

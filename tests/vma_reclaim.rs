@@ -5,7 +5,7 @@
 //! of leaking mappings until `vm.max_map_count` kills the process.
 
 use std::time::Duration;
-use taking_the_shortcut::{ShortcutIndex, StatsSnapshot};
+use taking_the_shortcut::{Index, ShortcutIndex, StatsSnapshot};
 
 mod common;
 
@@ -23,7 +23,7 @@ fn grow_to_doublings(index: &mut ShortcutIndex, target: u64, chunk: u64) -> u64 
             )
             .expect("insert failed");
         k += chunk;
-        if !index.shortcut_suspended() {
+        if !index.stats().shortcut_suspended {
             let _ = index.wait_sync(Duration::from_secs(30));
         }
         assert!(k < 10_000_000, "never reached {target} doublings");
@@ -193,7 +193,7 @@ fn tiny_budget_suspends_instead_of_dying() {
         .unwrap();
     let n = grow_to_doublings(&mut index, 10, 2_000);
 
-    assert!(index.shortcut_suspended(), "budget never suspended");
+    assert!(index.stats().shortcut_suspended, "budget never suspended");
     assert!(index.maint_error().is_none(), "{:?}", index.maint_error());
     let s = drain_retired(&index);
     assert!(s.maint.creates_skipped > 0);
