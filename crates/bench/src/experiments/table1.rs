@@ -220,6 +220,19 @@ pub fn run(opts: &Table1Opts) -> (Table1Result, Table) {
         Table::f(result.lazy.access2),
         Table::f(result.eager.access2),
     ]);
+    table.row(&[
+        "Set Indir. [mmap calls]".into(),
+        Table::n(result.traditional.set_mmap_calls),
+        Table::n(result.lazy.set_mmap_calls),
+        Table::n(result.eager.set_mmap_calls),
+    ]);
+    let faults = |p: &Phases| format!("{} / {}", p.access_faults[0], p.access_faults[1]);
+    table.row(&[
+        "1. / 2. Access [minor faults]".into(),
+        faults(&result.traditional),
+        faults(&result.lazy),
+        faults(&result.eager),
+    ]);
     (result, table)
 }
 

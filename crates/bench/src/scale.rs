@@ -1,4 +1,4 @@
-//! Shared CLI argument handling for the experiment binaries.
+//! The scaling flags every experiment of `repro` takes.
 
 /// Scaling options parsed from the command line.
 ///
@@ -29,7 +29,7 @@ impl Default for ScaleArgs {
 
 impl ScaleArgs {
     /// Parse from an iterator of CLI arguments (panics on malformed input
-    /// with a usage message — these are benchmark binaries).
+    /// with a usage message — this is a benchmark binary).
     pub fn parse(args: impl Iterator<Item = String>) -> Self {
         let mut out = ScaleArgs::default();
         let mut args = args.peekable();
@@ -46,23 +46,10 @@ impl ScaleArgs {
                         .unwrap_or_else(|_| panic!("--scale needs an integer, got {v}"));
                     assert!(out.scale >= 1, "--scale must be >= 1");
                 }
-                "--help" | "-h" => {
-                    println!(
-                        "options: [--paper-scale] [--quick] [--scale <divisor>]\n\
-                         default: mid-size run; --paper-scale: original cardinalities;\n\
-                         --quick: smoke test; --scale N: divide default sizes by N"
-                    );
-                    std::process::exit(0);
-                }
                 other => panic!("unknown argument {other} (try --help)"),
             }
         }
         out
-    }
-
-    /// Parse from the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
     }
 
     /// Pick a cardinality: `paper` under `--paper-scale`, `quick` under
@@ -118,5 +105,35 @@ mod tests {
     #[should_panic]
     fn unknown_flag_panics() {
         parse(&["--frobnicate"]);
+    }
+
+    fn dispatch(args: &[&str]) -> (&'static [crate::Experiment], ScaleArgs) {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        crate::parse(&args)
+    }
+
+    #[test]
+    fn experiment_name_selects_its_entry() {
+        let (selected, s) = dispatch(&["fig2", "--quick"]);
+        assert_eq!(selected.len(), 1);
+        assert_eq!(selected[0].0, "fig2");
+        assert!(s.quick);
+        let (all, s) = dispatch(&["all", "--scale", "3"]);
+        assert_eq!(all.len(), crate::EXPERIMENTS.len());
+        assert_eq!(s.scale, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "usage: repro")]
+    fn unknown_experiment_panics_with_usage() {
+        dispatch(&["fig3", "--quick"]);
+    }
+
+    #[test]
+    fn experiment_names_are_unique() {
+        let names: std::collections::HashSet<&str> =
+            crate::EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names.len(), crate::EXPERIMENTS.len());
+        assert!(!names.contains("all"));
     }
 }

@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-/// A simple stopwatch with phase support.
+/// A simple stopwatch.
 pub struct Stopwatch {
     start: Instant,
 }
@@ -15,23 +15,9 @@ impl Stopwatch {
         }
     }
 
-    /// Elapsed time since start (or last lap).
+    /// Elapsed time since start.
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-
-    /// Elapsed time and reset.
-    pub fn lap(&mut self) -> Duration {
-        let d = self.start.elapsed();
-        self.start = Instant::now();
-        d
-    }
-
-    /// Time a closure, returning (duration, result).
-    pub fn time<T>(f: impl FnOnce() -> T) -> (Duration, T) {
-        let t = Instant::now();
-        let r = f();
-        (t.elapsed(), r)
     }
 }
 
@@ -75,28 +61,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn time_reports_result() {
-        let (d, v) = Stopwatch::time(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(d.as_nanos() > 0);
-    }
-
-    #[test]
     fn unit_conversions() {
         let d = Duration::from_millis(1500);
         assert!((ms(d) - 1500.0).abs() < 1e-9);
         assert!((us(d) - 1_500_000.0).abs() < 1e-6);
         assert!((us_per(d, 1000) - 1500.0).abs() < 1e-9);
         assert_eq!(us_per(d, 0), 0.0);
-    }
-
-    #[test]
-    fn lap_resets() {
-        let mut s = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let first = s.lap();
-        let second = s.elapsed();
-        assert!(first >= Duration::from_millis(2));
-        assert!(second < first);
     }
 }

@@ -69,11 +69,6 @@ impl KeyGen {
             })
             .collect()
     }
-
-    /// Shuffle a vector in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        items.shuffle(&mut self.rng);
-    }
 }
 
 #[cfg(test)]

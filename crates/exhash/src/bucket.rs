@@ -60,30 +60,20 @@ impl ProbeBackend {
 }
 
 /// The process-wide probe backend: runtime feature detection (AVX2, else
-/// SSE2 on x86-64, else scalar), overridable for benchmarks and the
-/// non-AVX2 CI leg via `SHORTCUT_PROBE=scalar|sse2|avx2` (an unsupported
-/// or unknown value falls back to detection). Read once and cached.
+/// SSE2 on x86-64, else scalar). Detected once and cached.
 pub fn probe_backend() -> ProbeBackend {
     static BACKEND: OnceLock<ProbeBackend> = OnceLock::new();
     *BACKEND.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            let detected = if is_x86_feature_detected!("avx2") {
+            if is_x86_feature_detected!("avx2") {
                 ProbeBackend::Avx2
             } else {
                 ProbeBackend::Sse2
-            };
-            match std::env::var("SHORTCUT_PROBE").as_deref() {
-                Ok("scalar") => ProbeBackend::Scalar,
-                Ok("sse2") => ProbeBackend::Sse2,
-                Ok("avx2") if detected == ProbeBackend::Avx2 => ProbeBackend::Avx2,
-                _ => detected,
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            // Only the portable kernel exists here; the override can at
-            // most restate it.
             ProbeBackend::Scalar
         }
     })
@@ -1109,9 +1099,8 @@ mod tests {
 
     /// Every backend the host can run (scalar everywhere; SSE2 and, when
     /// detected, AVX2 on x86-64). The agreement tests pit them pairwise on
-    /// identical bucket states — including the forced-scalar CI leg, where
-    /// `probe_backend()` itself returns `Scalar` but the vector kernels
-    /// are still exercised here through `probe_with`.
+    /// identical bucket states through `probe_with`, whichever backend
+    /// `probe_backend()` picked for the process.
     fn all_backends() -> Vec<ProbeBackend> {
         #[allow(unused_mut)]
         let mut backends = vec![ProbeBackend::Scalar];

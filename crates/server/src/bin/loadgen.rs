@@ -5,7 +5,7 @@
 //! fraction, batch-synchronous pipelining) for a fixed duration. Prints
 //! one machine-parseable `RESULT` line (QPS, p50/p99 latency) and one
 //! `SERVER` line distilled from the server's `INFO` reply — the CI smoke
-//! leg and `BENCH_pr7.json` both grep these.
+//! leg greps these.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
