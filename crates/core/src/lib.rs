@@ -33,4 +33,4 @@ pub use metrics::MaintMetrics;
 pub use route::RoutePolicy;
 pub use shortcut_node::ShortcutNode;
 pub use traditional::TraditionalNode;
-pub use version::{ReadGeometry, ReadTicket, SharedDirectoryState};
+pub use version::{ReadGeometry, ReadLine, ReadTicket, SharedDirectoryState};

@@ -708,7 +708,7 @@ fn mapper_loop(mut engine: MapperEngine, shared: &Shared, poll: Duration) {
         inbox.error = pass.err();
         // Serve what the pass published if it is still the traditional
         // version: compared and stored under the lock the write path bumps
-        // under, so no bump falls in between.
+        // and a shard revokes its bias under, so neither falls in between.
         engine.state.refresh_serving();
         // Release: who reads the count (Acquire, `wait_sync`) sees what
         // the pass published and whether it left the shortcut suspended.
@@ -743,8 +743,7 @@ impl Maintainer {
         Self::spawn_on(pool, cfg, Arc::new(SharedDirectoryState::new()))
     }
 
-    /// [`Maintainer::spawn`] publishing into a `state` the caller built
-    /// (with the index's [`crate::ReadGeometry`]).
+    /// [`Maintainer::spawn`] publishing into a `state` the caller built.
     pub fn spawn_on(pool: PoolHandle, cfg: MaintConfig, state: Arc<SharedDirectoryState>) -> Self {
         let poll = if cfg.poll_stagger {
             staggered_poll_interval(cfg.poll_interval, next_mapper_seq())
@@ -818,6 +817,12 @@ impl Maintainer {
             inbox.demand = true;
             self.shared.wake.notify_one();
         }
+    }
+
+    /// The inbox lock: every store to the serving word and a shard's
+    /// admission word is made under it (a shard takes it after its own).
+    pub fn inbox_lock(&self) -> impl Sized + '_ {
+        self.shared.inbox.lock()
     }
 
     /// Drop all *pending* requests, as [`Maintainer::submit_all`] does

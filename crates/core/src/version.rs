@@ -14,7 +14,8 @@
 //! sets it, at the end of a pass and under the lock every racing bump
 //! holds too ([`SharedDirectoryState::refresh_serving`]). A read section
 //! excludes every bump, so a reader inside one loads the word once and
-//! never validates (CONCURRENCY.md §2). [`SharedDirectoryState::begin_read`]
+//! never validates (CONCURRENCY.md §2); a biased one reads its copy on the
+//! shard's [`ReadLine`] (§4). [`SharedDirectoryState::begin_read`]
 //! / [`SharedDirectoryState::still_valid`] give readers outside a section
 //! a ticket and its re-check. Retired shortcut areas stay mapped until
 //! every reader pin taken before their retirement has drained (see
@@ -23,7 +24,9 @@
 //! shortcut maps.
 
 use shortcut_rewire::sync::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use shortcut_rewire::{ReadBias, ReaderPin, RetireList};
 use std::ptr;
+use std::sync::{Arc, OnceLock};
 
 /// Alignment [`SharedDirectoryState::publish`] requires of a base: its low
 /// bits carry the published depth (< 64), so a reader gets both from one
@@ -31,8 +34,7 @@ use std::ptr;
 const BASE_ALIGN: usize = 64;
 
 /// The constants a lookup needs beside the published directory, fixed when
-/// the index is built: they ride in the descriptor so a read finds them on
-/// the line it loads anyway.
+/// the index is built: they ride on the [`ReadLine`] a read loads anyway.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadGeometry {
     /// `log2(slot_bytes)`: published slot `i` starts at `base + (i << slot_shift)`.
@@ -45,9 +47,37 @@ pub struct ReadGeometry {
     pub bucket_entries_off: u32,
 }
 
-/// The read descriptor: everything a shortcut-served lookup loads before
-/// it touches the bucket, on one cache line. Published by the mapper
-/// thread (and, for the routing bit, the write path); read by lookups.
+/// One shard's **read line**: what a biased single-key lookup loads
+/// before the bucket, on a line of its own. The bias's admission word holds
+/// the published `base | depth` exactly while the bias is armed and the
+/// attached descriptor serving ([`SharedDirectoryState::attach_line`]).
+#[derive(Debug)]
+#[repr(C, align(64))]
+pub struct ReadLine {
+    pub bias: ReadBias,
+    pub geometry: ReadGeometry,
+    /// The shard's retire list, whose pins the bias reads.
+    pub pins: Arc<RetireList>,
+}
+
+const _: () =
+    assert!(std::mem::align_of::<ReadLine>() == 64 && std::mem::offset_of!(ReadLine, bias) == 0);
+
+impl ReadLine {
+    /// A hit path's way in: a pin on the thread's exclusive stripe, then
+    /// the one load of the admission word — the pin and the directory the
+    /// word serves. `None`, nothing left pinned, off an exclusive stripe
+    /// or with nothing served.
+    #[inline]
+    pub fn enter(&self) -> Option<(ReaderPin<'_>, ReadTicket)> {
+        let pin = self.pins.pin_exclusive()?;
+        let served = ReadTicket::of(self.bias.admission(&pin))?;
+        Some((pin, served))
+    }
+}
+
+/// The read descriptor: the serving word and what decides it. Published
+/// by the mapper thread (and, for the routing bit, the write path).
 ///
 /// Invariant: the published base is non-null whenever
 /// `shortcut_version != 0` — [`SharedDirectoryState::publish`] refuses a
@@ -58,7 +88,6 @@ pub struct SharedDirectoryState {
     /// `published` while the shortcut may serve reads, null otherwise:
     /// the one word a lookup loads to decide.
     serving: AtomicPtr<u8>,
-    geometry: ReadGeometry,
     /// Version of the traditional directory (bumped by the index on every
     /// directory-modifying operation).
     traditional_version: AtomicU64,
@@ -76,6 +105,8 @@ pub struct SharedDirectoryState {
     /// no longer fits the VMA budget. Readers fall back to the traditional
     /// directory until a rebuild fits again.
     suspended: AtomicBool,
+    /// The index's `lines[i]`, once attached.
+    line: OnceLock<(Arc<[ReadLine]>, usize)>,
 }
 
 /// The published word of a `slots`-slot area at `base`.
@@ -103,6 +134,20 @@ pub struct ReadTicket {
 }
 
 impl ReadTicket {
+    /// The directory a word names: none for null and the bias's tags.
+    #[inline(always)]
+    fn of(word: *mut u8) -> Option<ReadTicket> {
+        if word.addr() < BASE_ALIGN {
+            return None;
+        }
+        let (base, depth) = unpack(word);
+        Some(ReadTicket {
+            word,
+            base,
+            slots: 1 << depth,
+        })
+    }
+
     /// `log2(slots)`: the published depth at ticket time. (Where
     /// [`SharedDirectoryState::begin_read`] is inlined this is the depth
     /// it loaded, not a bit scan of `slots`.)
@@ -115,26 +160,42 @@ impl ReadTicket {
 impl SharedDirectoryState {
     /// Fresh state: both versions 0, no shortcut published.
     pub fn new() -> Self {
-        Self::with_geometry(ReadGeometry::default())
-    }
-
-    /// [`SharedDirectoryState::new`] carrying the index's read constants.
-    pub fn with_geometry(geometry: ReadGeometry) -> Self {
         SharedDirectoryState {
             serving: AtomicPtr::new(ptr::null_mut()),
-            geometry,
             traditional_version: AtomicU64::new(0),
             shortcut_version: AtomicU64::new(0),
             published: AtomicPtr::new(ptr::null_mut()),
             route_shortcut: AtomicBool::new(true),
             suspended: AtomicBool::new(false),
+            line: OnceLock::new(),
         }
     }
 
-    /// The read constants this state was built with.
-    #[inline]
-    pub fn geometry(&self) -> ReadGeometry {
-        self.geometry
+    /// Mirror the serving word to `lines[i]`'s admission word from now on.
+    /// Once, under the inbox lock.
+    pub fn attach_line(&self, lines: Arc<[ReadLine]>, i: usize) {
+        assert!(self.line.set((lines, i)).is_ok(), "a read line is attached");
+        self.serve(self.serving.load(Ordering::Acquire));
+    }
+
+    fn line(&self) -> Option<&ReadLine> {
+        self.line.get().map(|(lines, i)| &lines[*i])
+    }
+
+    /// Arm the attached line's bias with the serving word, under the
+    /// shard's read lock and the inbox lock.
+    pub fn rearm(&self) {
+        if let Some(line) = self.line() {
+            line.bias.rearm(self.serving.load(Ordering::Acquire));
+        }
+    }
+
+    /// The one store of the serving word, mirrored to an armed line.
+    fn serve(&self, word: *mut u8) {
+        self.serving.store(word, Ordering::Release);
+        if let Some(line) = self.line() {
+            line.bias.admit(word);
+        }
     }
 
     /// Record the routing decision for the directory's current fan-in.
@@ -145,7 +206,7 @@ impl SharedDirectoryState {
     pub fn set_route_shortcut(&self, on: bool) {
         self.route_shortcut.store(on, Ordering::Release);
         if !on {
-            self.serving.store(ptr::null_mut(), Ordering::Release);
+            self.serve(ptr::null_mut());
         }
     }
 
@@ -183,7 +244,7 @@ impl SharedDirectoryState {
     /// [`SharedDirectoryState::refresh_serving`] falls between its compare
     /// and its store.
     pub fn bump_traditional(&self) -> u64 {
-        self.serving.store(ptr::null_mut(), Ordering::Release);
+        self.serve(ptr::null_mut());
         self.traditional_version.fetch_add(1, Ordering::AcqRel) + 1
     }
 
@@ -225,22 +286,15 @@ impl SharedDirectoryState {
     /// Set the serving word to the published directory if it may serve
     /// reads — in sync, routing on — and clear it otherwise. The mapper
     /// calls this at the end of every pass, under the inbox lock that
-    /// every racing [`SharedDirectoryState::bump_traditional`] holds too:
-    /// a bump between the compare and the store would leave a superseded
-    /// directory serving (`tests/loom_read_section.rs` seeds exactly that).
+    /// every racing [`SharedDirectoryState::bump_traditional`] and bias
+    /// revocation holds too (`tests/loom_admission.rs` seeds it outside).
     pub fn refresh_serving(&self) {
-        self.serve_if(self.in_sync());
-    }
-
-    /// The store of [`SharedDirectoryState::refresh_serving`], on a
-    /// verdict of sync taken by the caller.
-    fn serve_if(&self, in_sync: bool) {
-        let word = if in_sync && self.route_shortcut.load(Ordering::Acquire) {
+        let word = if self.in_sync() && self.route_shortcut.load(Ordering::Acquire) {
             self.published.load(Ordering::Acquire)
         } else {
             ptr::null_mut()
         };
-        self.serving.store(word, Ordering::Release);
+        self.serve(word);
     }
 
     /// The directory a shortcut read may use now — base and depth from the
@@ -250,16 +304,7 @@ impl SharedDirectoryState {
     /// [`SharedDirectoryState::still_valid`].
     #[inline]
     pub fn begin_read(&self) -> Option<ReadTicket> {
-        let word = self.serving.load(Ordering::Acquire);
-        if word.is_null() {
-            return None;
-        }
-        let (base, depth) = unpack(word);
-        Some(ReadTicket {
-            word,
-            base,
-            slots: 1 << depth,
-        })
+        ReadTicket::of(self.serving.load(Ordering::Acquire))
     }
 
     /// After a read through `t` outside a read section: `true` iff the
@@ -280,27 +325,6 @@ impl SharedDirectoryState {
 impl Default for SharedDirectoryState {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Deliberately-broken variants, compiled only for the model tests: each
-/// drops one link of the protocol so `tests/loom_*.rs` can prove the
-/// checker flags it. Never call these outside those suites.
-#[cfg(feature = "loomish")]
-impl SharedDirectoryState {
-    /// Seeded bug: ticket validation without the acquire fence. The data
-    /// loads are free to be satisfied after the re-check, so a torn bucket
-    /// read can pass validation.
-    #[inline]
-    pub fn still_valid_seeded_unfenced(&self, t: ReadTicket) -> bool {
-        self.serving.load(Ordering::Acquire) == t.word
-    }
-
-    /// Seeded bug: [`SharedDirectoryState::refresh_serving`] on a verdict
-    /// of sync the mapper took before it held the lock. A bump in between
-    /// is overwritten, and a superseded directory serves.
-    pub fn refresh_serving_seeded_stale(&self, in_sync: bool) {
-        self.serve_if(in_sync);
     }
 }
 
@@ -375,6 +399,79 @@ mod tests {
         assert_eq!(s.shortcut_version(), 0);
         s.refresh_serving();
         assert!(s.begin_read().is_none());
+    }
+
+    /// The admission word's truth table over the bias (armed, draining,
+    /// locked) × the descriptor (in sync, out of sync, suspended) ×
+    /// routing: the serving word exactly while armed, a revoked bias's tag
+    /// whatever the descriptor does, and the serving word again once a
+    /// locked read re-arms.
+    #[test]
+    fn the_admission_word_is_the_serving_word_exactly_while_armed() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Bias {
+            Armed,
+            Draining,
+            Locked,
+        }
+        let mut page = Page([0; 64]);
+        let base = page.0.as_mut_ptr();
+        for bias in [Bias::Armed, Bias::Draining, Bias::Locked] {
+            for sync in ["in sync", "out of sync", "suspended"] {
+                for route in [true, false] {
+                    let case = format!("{bias:?}, {sync}, routing {route}");
+                    let s = SharedDirectoryState::new();
+                    let pins = Arc::new(RetireList::new());
+                    let lines: Arc<[ReadLine]> = Arc::new([ReadLine {
+                        bias: ReadBias::default(),
+                        geometry: ReadGeometry::default(),
+                        pins: Arc::clone(&pins),
+                    }]);
+                    s.attach_line(Arc::clone(&lines), 0);
+                    let word = || lines[0].bias.admission(&pins.pin());
+                    let v = s.bump_traditional();
+                    if sync != "suspended" {
+                        s.publish(base, 4, v);
+                    }
+                    if sync != "in sync" {
+                        s.set_suspended(sync == "suspended");
+                        s.bump_traditional();
+                    }
+                    s.set_route_shortcut(route);
+                    s.refresh_serving();
+                    let serving = if sync == "in sync" && route {
+                        base.wrapping_add(2)
+                    } else {
+                        ptr::null_mut()
+                    };
+                    if bias != Bias::Armed {
+                        let quiesced = bias == Bias::Locked;
+                        assert_eq!(lines[0].bias.try_revoke(|| (), || quiesced), quiesced);
+                        s.refresh_serving();
+                        assert!(!ReadBias::admits(word()), "{case}: revoked");
+                        s.bump_traditional();
+                        assert!(!ReadBias::admits(word()), "{case}: revoked, bumped");
+                        if bias == Bias::Draining {
+                            continue;
+                        }
+                        // The locked read that re-arms, once the mapper
+                        // caught up again.
+                        if sync == "in sync" {
+                            s.publish(base, 4, s.traditional_version());
+                        }
+                        s.refresh_serving();
+                        s.rearm();
+                    }
+                    assert_eq!(word(), serving, "{case}");
+                    if let Some((_, t)) = lines[0].enter() {
+                        assert!(!serving.is_null(), "{case}: entered");
+                        assert_eq!((t.base, t.slots), (base, 4), "{case}");
+                    }
+                    s.bump_traditional();
+                    assert!(word().is_null(), "{case}: bumped");
+                }
+            }
+        }
     }
 
     /// The serving word's truth table: `base | depth` exactly while the

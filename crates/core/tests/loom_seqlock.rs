@@ -26,7 +26,7 @@
 #![cfg(feature = "loomish")]
 
 use loomish::Builder;
-use shortcut_core::SharedDirectoryState;
+use shortcut_core::{ReadTicket, SharedDirectoryState};
 use shortcut_rewire::sync::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -50,6 +50,15 @@ enum ReaderKind {
     Correct,
     /// Seeded bug: validation without the acquire fence.
     SeededUnfenced,
+}
+
+/// Seeded bug: `still_valid` without its acquire fence — the same word
+/// re-loaded and compared. The data loads are free to be satisfied after
+/// the re-check, so a torn bucket read can pass validation.
+fn still_valid_seeded_unfenced(state: &SharedDirectoryState, t: ReadTicket) -> bool {
+    state
+        .begin_read()
+        .is_some_and(|now| (now.base, now.slots) == (t.base, t.slots))
 }
 
 /// What the mapper does once a version's directory is in place.
@@ -105,7 +114,7 @@ fn scenario(wk: WriterKind, rk: ReaderKind) -> impl Fn() + Send + Sync + 'static
                     let b = data1.load(Ordering::Relaxed);
                     let valid = match rk {
                         ReaderKind::Correct => state.still_valid(t),
-                        ReaderKind::SeededUnfenced => state.still_valid_seeded_unfenced(t),
+                        ReaderKind::SeededUnfenced => still_valid_seeded_unfenced(&state, t),
                     };
                     if valid {
                         assert_eq!(

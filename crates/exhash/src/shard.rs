@@ -26,10 +26,12 @@
 //! Readers ([`ShortcutIndex::get`] / [`Index::get_many`]) enter a shard
 //! through a **biased read section** ([`shortcut_rewire::ReadBias`]):
 //! until a shared writer shows up they publish the reader pin the shortcut
-//! read needs anyway, load the shard's bias word and proceed — no atomic
-//! RMW, no shared line written. The first shared writer revokes the bias
-//! and waits for those readers; readers then take the lock's read side
-//! until [`shortcut_rewire::REARM_AFTER`] of them in a row met no writer.
+//! read needs anyway, load the **admission word** on the shard's
+//! [`ReadLine`] — which names the served directory while the bias is armed
+//! — and proceed: no atomic RMW, no shared line written. The first shared
+//! writer revokes the bias and waits for those readers; readers then take
+//! the lock's read side until [`shortcut_rewire::REARM_AFTER`] of them in a
+//! row met no writer.
 //!
 //! Shard state is observed one way: [`ShortcutIndex::shard_stats`] reads a
 //! shard into a [`StatsSnapshot`], and [`ShortcutIndex::stats`] folds those
@@ -51,8 +53,8 @@ use crate::shortcut_eh::{ShortcutEh, ShortcutEhConfig};
 use crate::stats::StatsSnapshot;
 use crate::traits::Index;
 use parking_lot::RwLock;
-use shortcut_core::SharedDirectoryState;
-use shortcut_rewire::{ReadBias, ReaderPin, RetireList};
+use shortcut_core::ReadLine;
+use shortcut_rewire::{ReadBias, ReaderPin};
 use std::cell::UnsafeCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,102 +63,58 @@ use std::time::{Duration, Instant};
 /// plausible core count, and each shard costs a mapper thread + pool.
 pub const MAX_SHARD_BITS: u32 = 8;
 
-/// One shard behind its biased reader-writer section (module docs). The
-/// bias word and the two handles a lookup follows lead the struct, on one
-/// line: the fast path reads nothing else of the shard, and forms no
-/// reference into `eh` before it is inside the section.
-#[repr(C)]
+/// One shard behind its biased reader-writer section (module docs), whose
+/// [`ReadLine`] is the index's: the fast path reads nothing of it.
 struct Shard {
-    bias: ReadBias,
-    /// `eh`'s read descriptor ([`ShortcutEh::state_arc`]).
-    desc: Arc<SharedDirectoryState>,
-    /// `eh`'s retire list, whose pins the bias reads.
-    pins: Arc<RetireList>,
     /// The writers' lock, and the readers' while the bias is revoked.
     lock: RwLock<()>,
     eh: UnsafeCell<ShortcutEh>,
 }
 
 // SAFETY: `eh` is reached through `&self` only inside the section
-// `lock` + `bias` implement: shared references under a pin that saw the
-// bias armed or under the read lock, the exclusive one under the write
-// lock after the bias is revoked and its readers have drained (`write`);
-// `&mut self` callers use `eh.get_mut()` (`shard_for_mut`: the cell's
-// pointer), the borrow excluding every reader.
-// `ShortcutEh` is `Send + Sync`; the other fields are `Sync`.
+// `lock` + the line's bias implement: shared references under a pin that
+// saw the bias armed or under the read lock, the exclusive one under the
+// write lock after the bias is revoked and its readers have drained
+// (`write`); `&mut self` callers use `eh.get_mut()` (`shard_for_mut`: the
+// cell's pointer), the borrow excluding every reader.
+// `ShortcutEh` is `Send + Sync`; the lock is `Sync`.
 unsafe impl Sync for Shard {}
 
 impl Shard {
-    fn new(eh: ShortcutEh) -> Self {
-        Shard {
-            bias: ReadBias::default(),
-            desc: eh.state_arc(),
-            pins: Arc::clone(eh.retire_list()),
-            lock: RwLock::new(()),
-            eh: UnsafeCell::new(eh),
-        }
-    }
-
-    /// One lookup from the key's [`mult_hash`], in a read section of its
-    /// own whose pin is also the shortcut read's. The shape `xtask
-    /// hotpath` holds: a pin on an exclusive slot that saw the bias armed
-    /// runs straight through the inlined lookup; every other way in — a
-    /// shared stripe, a revoked bias — is one call to
-    /// [`Shard::get_slow`], pin handed over by value.
-    #[inline]
-    fn get(&self, key: u64, hash: u64) -> Option<u64> {
-        match self.bias.try_enter(&self.pins) {
-            Some(pin) if pin.is_exclusive() => {
-                // SAFETY: the pin saw the bias armed, so a writer cannot
-                // pass `write`'s drain before `get_pinned` drops it.
-                unsafe { &*self.eh.get() }.get_pinned(&self.desc, key, hash, pin)
-            }
-            biased => self.get_slow(key, hash, biased),
-        }
-    }
-
-    /// [`Shard::get`] with an RMW pin (`biased`), or on the lock when the
-    /// bias is revoked (`None`).
-    #[cold]
-    #[inline(never)]
-    fn get_slow(&self, key: u64, hash: u64, biased: Option<ReaderPin<'_>>) -> Option<u64> {
-        let _shared;
-        let pin = match biased {
-            Some(pin) => pin,
-            None => {
-                _shared = self.lock.read();
-                self.bias.note_locked_read();
-                self.pins.pin()
-            }
-        };
-        // SAFETY: the pin saw the bias armed (see `get`), or the read lock
-        // excludes `write`.
-        unsafe { &*self.eh.get() }.get_pinned(&self.desc, key, hash, pin)
-    }
-
-    /// The batched lookups' read section: `f` gets the shard and a pin on
+    /// The read section of the batched lookups and the hit path's exits:
+    /// `f` gets the shard and a pin on
     /// its retire list, live for the whole call. Short reads only — the
     /// pin holds back directory reclamation and any shared writer.
     #[inline]
-    fn read<R>(&self, f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R) -> R {
-        match self.bias.try_enter(&self.pins) {
+    fn read<R>(&self, line: &ReadLine, f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R) -> R {
+        let pin = line.pins.pin();
+        if ReadBias::admits(line.bias.admission(&pin)) {
             // SAFETY: the pin saw the bias armed, so a writer cannot pass
             // `write`'s drain before the pin drops at the end of `f`.
-            Some(pin) => f(unsafe { &*self.eh.get() }, &pin),
-            None => self.read_on_lock(f),
+            return f(unsafe { &*self.eh.get() }, &pin);
         }
+        drop(pin);
+        self.read_on_lock(line, f)
     }
 
-    /// [`Shard::read`] while the bias is revoked. Out of line, so the
-    /// biased path stays a leaf around the inlined lookup.
+    /// [`Shard::read`] while the bias is revoked, counted: the
+    /// [`shortcut_rewire::REARM_AFTER`]th in a row re-arms the bias. Out of
+    /// line, so the biased path stays a leaf around the inlined lookup.
     #[cold]
     #[inline(never)]
-    fn read_on_lock<R>(&self, f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R) -> R {
+    fn read_on_lock<R>(
+        &self,
+        line: &ReadLine,
+        f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R,
+    ) -> R {
         let _shared = self.lock.read();
-        self.bias.note_locked_read();
-        let pin = self.pins.pin();
         // SAFETY: the read lock excludes `write`.
-        f(unsafe { &*self.eh.get() }, &pin)
+        let eh = unsafe { &*self.eh.get() };
+        if line.bias.note_locked_read() {
+            let _inbox = eh.maint().inbox_lock();
+            eh.maint().state().rearm();
+        }
+        f(eh, &line.pins.pin())
     }
 
     /// Shared access under the read lock and no pin, for callers that may
@@ -168,14 +126,18 @@ impl Shard {
     }
 
     /// The shared writers' section.
-    fn write<R>(&self, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
+    fn write<R>(&self, line: &ReadLine, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
         let _exclusive = self.lock.write();
-        while !self.bias.try_revoke(|| self.pins.readers_quiesced()) {
+        // SAFETY: the write lock excludes writers and locked readers;
+        // biased readers hold shared references too.
+        let maint = unsafe { &*self.eh.get() }.maint();
+        let quiesced = || line.pins.readers_quiesced();
+        while !line.bias.try_revoke(|| maint.inbox_lock(), quiesced) {
             std::thread::yield_now();
         }
         // SAFETY: the write lock excludes writers and locked readers, and
         // the revoked bias has drained: no reader that entered on it is
-        // left, and new ones see it cleared and wait for the lock.
+        // left, and new ones see it revoked and wait for the lock.
         f(unsafe { &mut *self.eh.get() })
     }
 }
@@ -190,6 +152,9 @@ impl Shard {
 pub struct ShortcutIndex {
     /// `s`: number of top hash bits consumed by routing.
     bits: u32,
+    /// The shards' read lines, in routing order (each shard's descriptor
+    /// holds the array too, to store its line's admission word).
+    lines: Arc<[ReadLine]>,
     /// The shards, in routing order (`shards[i]` serves route value `i`).
     shards: Vec<Shard>,
 }
@@ -224,7 +189,7 @@ impl ShortcutIndex {
             )));
         }
         let n = 1usize << bits;
-        let mut shards = Vec::with_capacity(n);
+        let (mut shards, mut lines) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for i in 0..n {
             let mut cfg = base.clone();
             if bits > 0 {
@@ -232,9 +197,28 @@ impl ShortcutIndex {
             }
             cfg.eh.hash_rot = bits;
             cfg.eh.pool.fair_share = bits > 0;
-            shards.push(Shard::new(ShortcutEh::try_new(cfg)?));
+            let eh = ShortcutEh::try_new(cfg)?;
+            lines.push(ReadLine {
+                bias: ReadBias::default(),
+                geometry: eh.geometry,
+                pins: Arc::clone(eh.retire_list()),
+            });
+            shards.push(Shard {
+                lock: RwLock::new(()),
+                eh: UnsafeCell::new(eh),
+            });
         }
-        Ok(ShortcutIndex { bits, shards })
+        let lines: Arc<[ReadLine]> = lines.into();
+        for (i, shard) in shards.iter_mut().enumerate() {
+            let maint = shard.eh.get_mut().maint();
+            let _inbox = maint.inbox_lock();
+            maint.state().attach_line(Arc::clone(&lines), i);
+        }
+        Ok(ShortcutIndex {
+            bits,
+            lines,
+            shards,
+        })
     }
 
     /// `s`: the number of top hash bits consumed by routing.
@@ -256,37 +240,66 @@ impl ShortcutIndex {
         dir_slot(mult_hash(key), self.bits)
     }
 
-    /// The shard a key routes to, from its [`mult_hash`] — which the
-    /// shard then probes with, so every single-key entry point hashes once.
+    /// The read line of the shard a key routes to, from its [`mult_hash`]
+    /// — which the shard then probes with, so a lookup hashes once.
     #[inline]
-    fn shard_for(&self, hash: u64) -> &Shard {
+    fn line_for(&self, hash: u64) -> &ReadLine {
         match self.bits {
-            // Unsharded: no route shift, no stride multiply, no bounds check.
-            // SAFETY: `try_new` builds `1 << bits >= 1` shards and nothing
+            // Unsharded: no route shift, no bounds check.
+            // SAFETY: `try_new` builds `1 << bits >= 1` lines and nothing
             // removes one.
-            0 => unsafe { self.shards.get_unchecked(0) },
-            bits => &self.shards[dir_slot(hash, bits)],
+            0 => unsafe { self.lines.get_unchecked(0) },
+            bits => &self.lines[dir_slot(hash, bits)],
         }
     }
 
-    /// [`ShortcutIndex::shard_for`] for the exclusive write discipline.
+    /// The shard a key routes to, from its [`mult_hash`], for the
+    /// exclusive write discipline.
     #[inline]
     fn shard_for_mut(&mut self, hash: u64) -> &mut ShortcutEh {
-        // SAFETY: `&mut self` excludes every reader and writer of every
-        // shard, for as long as the returned borrow lives.
-        unsafe { &mut *self.shard_for(hash).eh.get() }
+        let shard = match self.bits {
+            // SAFETY: as in `line_for`.
+            0 => unsafe { self.shards.get_unchecked_mut(0) },
+            bits => &mut self.shards[dir_slot(hash, bits)],
+        };
+        shard.eh.get_mut()
     }
 
-    /// Look up a key. Takes `&self`: concurrent readers are safe. One
-    /// hash routes and probes: the shard gets the hash it was chosen by,
-    /// and the section's pin is the shortcut read's pin.
+    /// Shard `i`'s shared writers' section.
+    fn write<R>(&self, i: usize, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
+        self.shards[i].write(&self.lines[i], f)
+    }
+
+    /// Look up a key. Takes `&self`: concurrent readers are safe. The hit
+    /// path is pin, one load of the admission word, probe, tally, unpin;
+    /// every other way is one call to `get_slow`.
     ///
     /// Inlined into the caller; [`Index::get`] is the same lookup as one
     /// out-of-line function, as the other schemes' are.
     #[inline]
     pub fn get(&self, key: u64) -> Option<u64> {
         let hash = mult_hash(key);
-        self.shard_for(hash).get(key, hash)
+        let line = self.line_for(hash);
+        // A served word is an armed one: no writer passes `Shard::write`'s
+        // drain before the pin drops.
+        if let Some((pin, t)) = line.enter() {
+            if let Some(hit) = ShortcutEh::get_served(t, line.geometry, key, hash, &pin) {
+                return hit;
+            }
+        }
+        self.get_slow(line, key)
+    }
+
+    /// [`ShortcutIndex::get`] off its hit path — no exclusive stripe,
+    /// nothing served, an over-depth bucket, a revoked bias — in the
+    /// batched lookups' section, through the serving word.
+    #[cold]
+    #[inline(never)]
+    fn get_slow(&self, line: &ReadLine, key: u64) -> Option<u64> {
+        // `line` is one of `lines`, as `line_for` answers.
+        let offset = std::ptr::from_ref(line).addr() - self.lines.as_ptr().addr();
+        let shard = &self.shards[offset / std::mem::size_of::<ReadLine>()];
+        shard.read(line, |s, pin| s.get_pinned(key, mult_hash(key), pin))
     }
 
     /// Run `f` against shard `i` under a **read** lock (per-shard
@@ -306,7 +319,7 @@ impl ShortcutIndex {
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn with_shard_mut<R>(&self, i: usize, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
-        self.shards[i].write(f)
+        self.write(i, f)
     }
 
     // ------------------------------------------------------------------
@@ -327,8 +340,9 @@ impl ShortcutIndex {
     /// Same contract as [`Index::insert`].
     pub fn insert_shared(&self, key: u64, value: u64) -> Result<(), IndexError> {
         let hash = mult_hash(key);
-        self.shard_for(hash)
-            .write(|s| s.insert_hashed(key, value, hash))
+        self.write(dir_slot(hash, self.bits), |s| {
+            s.insert_hashed(key, value, hash)
+        })
     }
 
     /// Remove through a per-shard write lock. See [`ShortcutIndex::insert_shared`].
@@ -338,8 +352,10 @@ impl ShortcutIndex {
     /// Same contract as [`Index::remove`].
     pub fn remove_shared(&self, key: u64) -> Result<Option<u64>, IndexError> {
         let hash = mult_hash(key);
-        self.shard_for(hash)
-            .write(|s| Ok(s.remove_hashed(key, hash)))
+        self.write(
+            dir_slot(hash, self.bits),
+            |s| Ok(s.remove_hashed(key, hash)),
+        )
     }
 
     /// Batched insert through per-shard write locks: each window of 4096
@@ -355,7 +371,7 @@ impl ShortcutIndex {
     /// the contract of [`Index::insert_batch`], per shard.
     pub fn insert_batch_shared(&self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
         route(self.bits, entries, |i, window, hashes, positions| {
-            self.shards[i].write(|s| s.insert_chunk(&entries[window], hashes, positions))
+            self.write(i, |s| s.insert_chunk(&entries[window], hashes, positions))
         })
     }
 
@@ -370,7 +386,9 @@ impl ShortcutIndex {
         out.resize(keys.len(), None);
         route_all(self.bits, keys, |i, window, hashes, positions| {
             let (keys, out) = (&keys[window.clone()], &mut out[window]);
-            self.shards[i].read(|s, pin| s.get_chunk(keys, hashes, positions, pin, out));
+            self.shards[i].read(&self.lines[i], |s, pin| {
+                s.get_chunk(keys, hashes, positions, pin, out)
+            });
         });
     }
 
@@ -403,7 +421,7 @@ impl ShortcutIndex {
         out.resize(keys.len(), None);
         route_all(self.bits, keys, |i, window, hashes, positions| {
             let (keys, out) = (&keys[window.clone()], &mut out[window]);
-            self.shards[i].write(|s| s.remove_chunk(keys, hashes, positions, out));
+            self.write(i, |s| s.remove_chunk(keys, hashes, positions, out));
         });
         Ok(())
     }
@@ -430,9 +448,8 @@ impl ShortcutIndex {
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn shard_stats(&self, i: usize) -> StatsSnapshot {
-        let shard = &self.shards[i];
-        let (bias_revocations, bias_rearms) = shard.bias.counters();
-        shard.read_locked(|s| StatsSnapshot {
+        let (bias_revocations, bias_rearms) = self.lines[i].bias.counters();
+        self.shards[i].read_locked(|s| StatsSnapshot {
             shards: 1,
             len: s.len(),
             global_depth: s.global_depth(),

@@ -86,6 +86,9 @@ pub struct ShortcutEh {
     /// look again: bounds what its probes (and a rescue the mapper
     /// refuses) cost.
     next_look_splits: u64,
+    /// The read constants: the lookup path types published slots from
+    /// them alone (the index copies them onto the shard's read line).
+    pub(crate) geometry: ReadGeometry,
 }
 
 impl ShortcutEh {
@@ -108,8 +111,8 @@ impl ShortcutEh {
         let handle = eh.pool_handle();
         let retire = Arc::clone(handle.retire_list());
         let usage = Arc::clone(handle.usage());
-        // The lookup path types published slots from the descriptor alone.
-        let state = SharedDirectoryState::with_geometry(eh.bucket_layout().read_geometry(hash_rot));
+        let geometry = eh.bucket_layout().read_geometry(hash_rot);
+        let state = SharedDirectoryState::new();
         state.set_route_shortcut(cfg.policy.use_shortcut(eh.avg_fanin(), true));
         let maint = Maintainer::spawn_on(handle, cfg.maint, Arc::new(state));
         // Write-path compaction work (page moves) mirrors into the
@@ -123,6 +126,7 @@ impl ShortcutEh {
             usage,
             compaction,
             next_look_splits: Self::COMPACTION_SPLIT_INTERVAL,
+            geometry,
         };
         // Publish the initial single-slot directory so the shortcut can
         // serve reads before the first doubling.
@@ -249,21 +253,16 @@ impl ShortcutEh {
         std::sync::Arc::clone(self.maint.state())
     }
 
-    /// Served shortcut state (base address, slots), if any.
-    /// For diagnostics and benchmarks only — dereferencing the base
-    /// requires a pin from the pool's retire list.
-    #[doc(hidden)]
-    pub fn published_state(&self) -> Option<(usize, usize)> {
-        self.maint
-            .state()
-            .begin_read()
-            .map(|t| (t.base as usize, t.slots))
-    }
-
     /// The pool's retire list: a pin on it covers reads of this index's
     /// published shortcut (the shard's read section pins it once for both).
     pub(crate) fn retire_list(&self) -> &Arc<RetireList> {
         &self.retire
+    }
+
+    /// The mapper handle: the inbox lock the shard's bias is revoked and
+    /// re-armed under.
+    pub(crate) fn maint(&self) -> &Maintainer {
+        &self.maint
     }
 
     /// Forward directory events to the mapper queue: one submission, under
@@ -275,11 +274,14 @@ impl ShortcutEh {
         if !self.eh.has_events() {
             return;
         }
-        // A split or a doubling moved the fan-in.
-        let route = self.policy.use_shortcut(self.eh.avg_fanin(), true);
+        // A split or a doubling moved the fan-in: decided once, stored
+        // under the lock with the first bump.
+        let mut route = Some(self.policy.use_shortcut(self.eh.avg_fanin(), true));
         let state = self.maint.state();
-        state.set_route_shortcut(route);
         let requests = self.eh.drain_events().map(|ev| {
+            if let Some(on) = route.take() {
+                state.set_route_shortcut(on);
+            }
             let version = state.bump_traditional();
             match ev {
                 DirEvent::SlotUpdated { slot, ppage } => MaintRequest::Update {
@@ -484,39 +486,43 @@ impl ShortcutEh {
     }
 
     /// One lookup under the caller's pin on this index's retire list, from
-    /// the key's already computed [`mult_hash`]: the shard's read section
-    /// routes with that hash and pins once for itself and for this read.
-    /// `desc` is this index's [`ShortcutEh::state_arc`], which the caller
-    /// keeps at hand; a shortcut-served hit reads nothing else of `self`.
-    /// Counts the lookup on the pin's stripe and drops the pin.
+    /// the key's already computed [`mult_hash`], on one load of the
+    /// descriptor's serving word. Counts the lookup on the pin's stripe.
     #[inline(always)]
-    pub(crate) fn get_pinned(
-        &self,
-        desc: &SharedDirectoryState,
-        key: u64,
-        hash: u64,
-        pin: ReaderPin<'_>,
-    ) -> Option<u64> {
-        debug_assert!(std::ptr::eq(desc, &**self.maint.state()));
-        // One load decides: the serving word is null out of sync, budget
-        // suspended or routed away by the fan-in, and no bump can move it
-        // while the caller's section lasts, so what it names is the
-        // current directory for the whole read — nothing to validate.
-        let Some(t) = desc.begin_read() else {
+    pub(crate) fn get_pinned(&self, key: u64, hash: u64, pin: &ReaderPin<'_>) -> Option<u64> {
+        // The serving word is null out of sync, budget suspended or routed
+        // away by the fan-in, and no bump can move it while the caller's
+        // section lasts, so what it names is the current directory for the
+        // whole read — nothing to validate.
+        let Some(t) = self.maint.state().begin_read() else {
             return self.get_traditional(key, pin);
         };
-        let h = hash.rotate_left(desc.geometry().hash_rot);
-        let bucket = published_bucket(t, desc.geometry(), h);
+        Self::get_served(t, self.geometry, key, hash, pin)
+            .unwrap_or_else(|| self.get_traditional(key, pin))
+    }
+
+    /// The shortcut hit of `key` (whose [`mult_hash`] is `hash`) in the
+    /// directory `t` served to the caller's section, which `pin` keeps
+    /// mapped: the answer, counted on the pin's stripe — `None` for a key
+    /// the directory does not resolve.
+    #[inline(always)]
+    pub(crate) fn get_served(
+        t: ReadTicket,
+        geometry: ReadGeometry,
+        key: u64,
+        hash: u64,
+        pin: &ReaderPin<'_>,
+    ) -> Option<Option<u64>> {
+        let bucket = published_bucket(t, geometry, hash.rotate_left(geometry.hash_rot));
         // The shortcut may be published at a coarser depth than the
         // traditional directory (VMA-budget admission). A bucket deeper
         // than the published depth shares its slot with a sibling and is
-        // not resolvable here — serve that key traditionally.
-        if bucket.local_depth() <= t.depth() {
+        // not resolvable here — the caller serves that key traditionally.
+        (bucket.local_depth() <= t.depth()).then(|| {
             let result = bucket.get_inlined(key);
             pin.tally(SHORTCUT_LOOKUPS, 1);
-            return result;
-        }
-        self.get_traditional(key, pin)
+            result
+        })
     }
 
     /// Where [`ShortcutEh::get_pinned`] leaves the shortcut: not serving
@@ -527,7 +533,7 @@ impl ShortcutEh {
     /// for this.
     #[cold]
     #[inline(never)]
-    fn get_traditional(&self, key: u64, pin: ReaderPin<'_>) -> Option<u64> {
+    fn get_traditional(&self, key: u64, pin: &ReaderPin<'_>) -> Option<u64> {
         pin.tally(TRADITIONAL_LOOKUPS, 1);
         self.eh.get_hashed(key, self.eh.dir_hash(key))
     }
@@ -557,7 +563,7 @@ impl ShortcutEh {
             self.eh.get_chunk(keys, hashes, positions, out);
             return;
         };
-        let (g, geometry) = (t.depth(), state.geometry());
+        let (g, geometry) = (t.depth(), self.geometry);
         let at = |i: usize| {
             let p = positions[i] as usize;
             let h = self.eh.dir_hash_of(hashes[p]);
@@ -707,7 +713,7 @@ impl Index for ShortcutEh {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        self.get_pinned(self.maint.state(), key, mult_hash(key), self.retire.pin())
+        self.get_pinned(key, mult_hash(key), &self.retire.pin())
     }
 
     #[inline]
@@ -793,7 +799,7 @@ mod tests {
         let _pin = t.retire.pin();
         let state = t.maint.state();
         let ticket = state.begin_read()?;
-        let bucket = published_bucket(ticket, state.geometry(), t.eh.dir_hash(key));
+        let bucket = published_bucket(ticket, t.geometry, t.eh.dir_hash(key));
         (bucket.local_depth() <= ticket.depth()).then(|| bucket.get(key))
     }
 
@@ -1117,8 +1123,8 @@ mod tests {
         assert!(
             served > 2_048,
             "only {served}/4096 batched lookups shortcut-served \
-             (published={:?} dir_slots={} buckets={} metrics={:?})",
-            on.published_state(),
+             (published slots={} dir_slots={} buckets={} metrics={:?})",
+            on.state_arc().published_slots(),
             on.eh.dir_slots(),
             on.bucket_count(),
             on.maint_metrics()

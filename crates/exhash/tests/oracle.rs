@@ -10,7 +10,7 @@ use shortcut_exhash::{
     IncrementalHashTable, Index, IndexError, IndexStats, ShortcutEh, ShortcutEhConfig,
     ShortcutIndex,
 };
-use shortcut_rewire::{PinStrategy, PoolConfig, VmaBudget};
+use shortcut_rewire::{PinStrategy, PoolConfig, VmaBudget, REARM_AFTER};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -362,6 +362,28 @@ const EXITS: &[Exit] = &[
             for i in 0..t.shard_count() {
                 let s = t.shard_stats(i);
                 assert_eq!((s.bias_revocations, s.bias_rearms), (1, 0), "shard {i}");
+            }
+        },
+        counted: &[SHORTCUT],
+    },
+    Exit {
+        name: "re-armed after a shared writer",
+        configure: |_| {},
+        // The same writer, then a run of writer-free locked reads on every
+        // shard: the last one re-arms, and after the pass the relays
+        // asked for, lookups are served on the admission word again.
+        enter: |t| {
+            for k in (0..64).map(scattered) {
+                t.insert_shared(k, !k).unwrap();
+            }
+            for i in 0..t.shard_count() {
+                let k = (0..).map(scattered).find(|&k| t.shard_of(k) == i).unwrap();
+                (0..REARM_AFTER).for_each(|_| assert_eq!(t.get(k), Some(!k)));
+            }
+            assert!(t.wait_sync(Duration::from_secs(30)));
+            for i in 0..t.shard_count() {
+                let s = t.shard_stats(i);
+                assert_eq!((s.bias_revocations, s.bias_rearms), (1, 1), "shard {i}");
             }
         },
         counted: &[SHORTCUT],

@@ -3,22 +3,25 @@
 //!
 //! A reader-writer lock costs every read two atomic RMWs on the lock word
 //! even when nothing ever writes. [`ReadBias`] sits in front of such a
-//! lock and reuses the reader presence [`RetireCore::pin`] already
-//! publishes: while the bias is *armed*, a reader pins, loads the bias
-//! word, and is inside without touching the lock. A writer takes the
-//! lock's write side, then *revokes* the bias — clears the word, pairs
-//! with every pin exactly as the reclaimer does
-//! ([`RetireCore::readers_quiesced`]) and waits for the stripes to drain.
-//! Readers then take the lock's read side until [`REARM_AFTER`]
+//! lock and reuses the reader presence [`crate::RetireCore::pin`] already
+//! publishes: while the bias is *armed*, a reader pins, loads the
+//! **admission word** — null or an owner's value ≥ 64, which the index
+//! makes its served directory — and is inside without touching the lock.
+//! A writer takes the lock's write side, then *revokes* the bias — stores
+//! a tag, pairs with every pin exactly as the reclaimer does
+//! ([`crate::RetireCore::readers_quiesced`]) and waits for the stripes to
+//! drain. Readers then take the lock's read side until [`REARM_AFTER`]
 //! writer-free locked reads in a row arm the bias again.
 //!
-//! Every word here except the readers' load of `state` is accessed only
-//! under the lock, whose hand-off orders it. The argument is in
-//! CONCURRENCY.md ("Shard read bias"); `tests/loom_shard_bias.rs` checks
-//! the composition exhaustively.
+//! Every store to the word is made under an owner's lock taken after the
+//! guarded one (the index: its mapper's inbox lock), so no look-then-store
+//! of the owner's straddles a revocation; the other words are accessed
+//! only under the guarded lock. CONCURRENCY.md §4 has the argument,
+//! `shortcut-core`'s `tests/loom_admission.rs` the model check.
 
-use crate::retire::{ReaderPin, Reclaimable, RetireCore};
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
+use crate::retire::ReaderPin;
+use crate::sync::{AtomicPtr, AtomicU64, Ordering};
+use std::ptr;
 
 /// Writer-free locked reads after which the bias arms again. The worst
 /// case, a writer that returns right after every re-arm, pays one
@@ -32,80 +35,103 @@ pub const REARM_AFTER: u64 = 8192;
 #[cfg(feature = "loomish")]
 pub const REARM_AFTER: u64 = 1;
 
-/// Readers enter on their pin alone.
-const ARMED: usize = 0;
-/// A writer cleared the bias; readers that entered on it may still be in.
+/// Revoked; readers that entered on the bias may still be inside.
 const DRAINING: usize = 1;
-/// Every biased reader has left; readers and writers use the lock.
+/// Revoked, and every biased reader has left: readers and writers use the
+/// lock.
 const LOCKED: usize = 2;
 
-/// The bias word of one lock-guarded structure and its bookkeeping;
-/// starts armed. See the module docs for the protocol and who may call
-/// what.
+/// The bias of one lock-guarded structure, opening with its admission
+/// word; starts armed and null. See the module docs.
 #[derive(Debug, Default)]
+#[repr(C)]
 pub struct ReadBias {
-    state: AtomicUsize,
+    /// Armed: null or the owner's value (≥ 64). Revoked: `DRAINING` or
+    /// `LOCKED`.
+    word: AtomicPtr<u8>,
     /// Locked reads since the last writer.
     quiet_reads: AtomicU64,
     revocations: AtomicU64,
     rearms: AtomicU64,
 }
 
+const _: () = assert!(std::mem::offset_of!(ReadBias, word) == 0);
+
 impl ReadBias {
-    /// Reader fast path: publish a pin on `pins`, then look at the bias.
-    /// `Some(pin)` puts the caller inside the read section for as long as
-    /// it holds the pin (which also covers reads of the published
-    /// shortcut); `None` sends it to the lock's read side, pin dropped —
-    /// never block while pinned.
+    /// Whether an admission word lets a pinned reader in: every word but
+    /// the two revocation tags.
     #[inline]
-    pub fn try_enter<'a, T: Reclaimable>(&self, pins: &'a RetireCore<T>) -> Option<ReaderPin<'a>> {
-        let pin = pins.pin();
-        // Acquire: pairs with the Release re-arm in `note_locked_read`,
-        // which happened under a read lock taken after the last writer's
-        // unlock — so everything that writer wrote is visible in here.
-        (self.state.load(Ordering::Acquire) == ARMED).then_some(pin)
+    pub fn admits(word: *mut u8) -> bool {
+        !matches!(word.addr(), DRAINING | LOCKED)
     }
 
-    /// Whether readers currently enter on their pin alone (diagnostics;
-    /// a reader must use [`ReadBias::try_enter`], which pins first).
-    pub fn is_armed(&self) -> bool {
-        self.state.load(Ordering::Acquire) == ARMED
+    /// The admission word, for a reader holding `pin` on the list the bias
+    /// pairs with (loaded after the pin, as the borrow enforces). A word
+    /// that [`ReadBias::admits`] puts the holder inside the read section
+    /// while it holds the pin; any other sends it to the lock's read side,
+    /// pin dropped — never block while pinned.
+    #[inline]
+    pub fn admission(&self, _pin: &ReaderPin<'_>) -> *mut u8 {
+        // Acquire: pairs with the Release stores of armed words — a re-arm
+        // (after the last writer's unlock) or an owner's `admit`.
+        self.word.load(Ordering::Acquire)
     }
 
-    /// Count one read made under the lock's **read side**; the
-    /// [`REARM_AFTER`]th without a writer arms the bias. Safe because of
-    /// the read lock: no writer is inside, and the next one takes the
-    /// write lock after this store and revokes.
-    pub fn note_locked_read(&self) {
-        if self.quiet_reads.fetch_add(1, Ordering::Relaxed) + 1 == REARM_AFTER {
-            self.state.store(ARMED, Ordering::Release);
-            self.rearms.fetch_add(1, Ordering::Relaxed);
+    /// While the bias is armed, make `word` (null or ≥ 64) the admission
+    /// word; revoked, leave the tag. Under the owner's lock.
+    pub fn admit(&self, word: *mut u8) {
+        if Self::admits(self.word.load(Ordering::Relaxed)) {
+            self.word.store(word, Ordering::Release);
         }
     }
 
-    /// Writer side, holding the lock's **write side** and before touching
-    /// the guarded data: revoke the bias and wait for the readers that
-    /// entered on it, through `readers_quiesced` — which must be
-    /// [`RetireCore::readers_quiesced`] of the list the readers pin (the
-    /// model suite seeds a broken one). `false`: some were still inside
-    /// after a bounded scan — yield and call again until `true`.
-    pub fn try_revoke(&self, readers_quiesced: impl FnOnce() -> bool) -> bool {
+    /// Count one read made under the lock's **read side**; `true` for the
+    /// [`REARM_AFTER`]th without a writer, whose caller then arms the bias
+    /// ([`ReadBias::rearm`]) before it lets go of the read lock.
+    pub fn note_locked_read(&self) -> bool {
+        self.quiet_reads.fetch_add(1, Ordering::Relaxed) + 1 == REARM_AFTER
+    }
+
+    /// Arm the bias with `word` (null or ≥ 64), holding the lock's read
+    /// side — no writer is inside; the next one revokes — and the owner's.
+    pub fn rearm(&self, word: *mut u8) {
+        self.word.store(word, Ordering::Release);
+        self.rearms.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Writer side, holding the lock's **write side**, before touching
+    /// the guarded data: revoke under the owner's lock (`owner_lock`
+    /// returns its guard), then wait outside it for the readers that
+    /// entered through `readers_quiesced` — the readers' list's
+    /// [`crate::RetireCore::readers_quiesced`]. `false`: some were still
+    /// inside after a bounded scan — yield and call again until `true`.
+    pub fn try_revoke<G>(
+        &self,
+        owner_lock: impl Fn() -> G,
+        readers_quiesced: impl FnOnce() -> bool,
+    ) -> bool {
         self.quiet_reads.store(0, Ordering::Relaxed);
-        match self.state.load(Ordering::Relaxed) {
+        // Only the write side, ours, moves a revoked word; `admit` keeps an
+        // armed one armed.
+        match self.word.load(Ordering::Relaxed).addr() {
             LOCKED => return true,
-            ARMED => {
+            // A scan that gave up left readers unaccounted for: scan again.
+            DRAINING => {}
+            _ => {
+                let _owner = owner_lock();
                 // Ordered before the stripe scan by the SeqCst fence (and
                 // the barrier) that open `readers_quiesced`.
-                self.state.store(DRAINING, Ordering::Relaxed);
+                self.word
+                    .store(ptr::without_provenance_mut(DRAINING), Ordering::Relaxed);
                 self.revocations.fetch_add(1, Ordering::Relaxed);
             }
-            // A scan that gave up left readers unaccounted for: scan again.
-            _ => {}
         }
         if !readers_quiesced() {
             return false;
         }
-        self.state.store(LOCKED, Ordering::Relaxed);
+        let _owner = owner_lock();
+        self.word
+            .store(ptr::without_provenance_mut(LOCKED), Ordering::Relaxed);
         true
     }
 
@@ -127,23 +153,38 @@ mod tests {
     fn revoke_waits_for_a_biased_reader_and_quiet_reads_rearm() {
         let pins = RetireList::new();
         let bias = ReadBias::default();
-        let inside = bias.try_enter(&pins).expect("starts armed");
-        let revoke = || bias.try_revoke(|| pins.readers_quiesced());
+        let enter = || {
+            let pin = pins.pin();
+            ReadBias::admits(bias.admission(&pin)).then_some(pin)
+        };
+        let inside = enter().expect("starts armed");
+        let revoke = || bias.try_revoke(|| (), || pins.readers_quiesced());
+        let armed = || ReadBias::admits(bias.admission(&pins.pin()));
         assert!(!revoke(), "a biased reader is still inside");
-        assert!(bias.try_enter(&pins).is_none(), "revoked: go to the lock");
+        assert!(enter().is_none(), "revoked: go to the lock");
         drop(inside);
         assert!(revoke());
         assert!(revoke(), "already locked: nothing to wait for");
         assert_eq!(bias.counters(), (1, 0));
+        bias.admit(ptr::without_provenance_mut(64));
+        assert!(!armed(), "an owner's store leaves a revoked word");
         // (Not a range: the run is a single read in the model build.)
-        std::iter::repeat_n((), REARM_AFTER as usize - 1).for_each(|()| bias.note_locked_read());
-        assert!(!bias.is_armed(), "one read short of the run");
+        let due =
+            std::iter::repeat_n((), REARM_AFTER as usize - 1).map(|()| bias.note_locked_read());
+        assert!(!due.fold(false, |a, b| a | b), "one read short of the run");
         assert!(revoke(), "a writer restarts the run");
-        for _ in 0..REARM_AFTER {
-            bias.note_locked_read();
-        }
-        assert!(bias.is_armed());
+        let due: Vec<bool> = (0..REARM_AFTER).map(|_| bias.note_locked_read()).collect();
+        assert_eq!(due.iter().position(|&d| d), Some(REARM_AFTER as usize - 1));
+        bias.rearm(ptr::null_mut());
+        assert!(armed());
         assert_eq!(bias.counters(), (1, 1));
-        assert!(bias.try_enter(&pins).is_some());
+        let word = ptr::without_provenance_mut(128);
+        bias.admit(word);
+        let pin = pins.pin();
+        assert_eq!(
+            bias.admission(&pin),
+            word,
+            "armed: the owner's value is the word"
+        );
     }
 }

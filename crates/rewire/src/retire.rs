@@ -324,12 +324,6 @@ impl<'a> ReaderPin<'a> {
         }
     }
 
-    /// Whether taking, counting on and dropping this pin needs no RMW.
-    #[inline]
-    pub fn is_exclusive(&self) -> bool {
-        self.asym
-    }
-
     /// Add `n` to tally `cell` (`< `[`TALLIES`]) of this pin's stripe. On
     /// an exclusive slot the pinning thread is the cell's only writer, so
     /// the count is a plain load + store; shared stripes pay the RMW.
@@ -508,9 +502,18 @@ impl<T: Reclaimable> RetireCore<T> {
     /// the membarrier's job.
     #[inline]
     pub fn pin(&self) -> ReaderPin<'_> {
+        self.pin_exclusive().unwrap_or_else(|| self.pin_slow())
+    }
+
+    /// [`RetireCore::pin`] where it needs no RMW — the calling thread's
+    /// exclusive slot under [`PinStrategy::Asymmetric`] — and `None`,
+    /// nothing pinned, anywhere else: for a fast path that leaves to a
+    /// cold one, which pins, rather than carry the RMW pin's exits.
+    #[inline]
+    pub fn pin_exclusive(&self) -> Option<ReaderPin<'_>> {
         let slot = claimed_slot();
         if slot >= self.exclusive {
-            return self.pin_slow(slot);
+            return None;
         }
         debug_assert!(slot < STRIPES);
         // SAFETY: `slot < self.exclusive <= STRIPES`, inside `stripes`.
@@ -520,14 +523,15 @@ impl<T: Reclaimable> RetireCore<T> {
         let pins = &stripe.pins;
         pins.store(pins.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         std::sync::atomic::compiler_fence(Ordering::SeqCst);
-        ReaderPin::on(stripe, true)
+        Some(ReaderPin::on(stripe, true))
     }
 
     /// [`RetireCore::pin`] off the exclusive fast path: a thread's first
     /// pin, and every pin on a shared stripe or under the Dekker pairing.
     #[cold]
     #[inline(never)]
-    fn pin_slow(&self, slot: usize) -> ReaderPin<'_> {
+    fn pin_slow(&self) -> ReaderPin<'_> {
+        let slot = claimed_slot();
         let slot = if slot == UNCLAIMED {
             claim_slot()
         } else {
@@ -767,7 +771,8 @@ impl<T: Reclaimable> RetireCore<T> {
 
     /// Seeded bug: [`RetireCore::readers_quiesced`] without its fence and
     /// barrier — the bare stripe scan, paired with no pin. The seeded
-    /// writer of `tests/loom_shard_bias.rs` waits for readers with it.
+    /// writer of `shortcut-core`'s `tests/loom_admission.rs` waits for
+    /// readers with it.
     pub fn readers_quiesced_seeded_unpaired(&self) -> bool {
         self.scan_stripes().is_some()
     }
