@@ -16,7 +16,6 @@
 //! * [`route`] — the fan-in-based access-path choice of §3.2 (shortcut only
 //!   while average fan-in ≤ 8).
 
-pub mod hybrid;
 pub mod maintenance;
 pub mod metrics;
 pub mod route;
@@ -24,7 +23,6 @@ pub mod shortcut_node;
 pub mod traditional;
 pub mod version;
 
-pub use hybrid::HybridNode;
 pub use maintenance::{
     service_census, CompactionPolicy, MaintConfig, MaintRequest, Maintainer, MapperEngine,
     MAX_PUBLISH_SHIFT,

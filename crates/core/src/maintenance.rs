@@ -309,9 +309,7 @@ impl MapperEngine {
                     assignments,
                     version,
                 } => {
-                    self.metrics
-                        .updates_discarded
-                        .fetch_add(updates.len() as u64, Ordering::Relaxed);
+                    self.metrics.updates_discarded.add(updates.len() as u64);
                     updates.clear();
                     create = Some((slots, assignments, version));
                 }
@@ -362,9 +360,7 @@ impl MapperEngine {
                 // Stale update (raced a rebuild that shrank… or no
                 // node yet). Protocol-respecting producers never hit
                 // this; drop defensively.
-                self.metrics
-                    .updates_discarded
-                    .fetch_add(1, Ordering::Relaxed);
+                self.metrics.updates_discarded.add(1);
                 continue;
             }
             batch.push((slot, ppage));
@@ -387,9 +383,7 @@ impl MapperEngine {
         if let Some(call) = self.zap {
             match node.zap(call, &batch) {
                 Some(n) => {
-                    self.metrics
-                        .slots_zapped
-                        .fetch_add(n as u64, Ordering::Relaxed);
+                    self.metrics.slots_zapped.add(n as u64);
                 }
                 None => self.zap = None,
             }
@@ -403,17 +397,11 @@ impl MapperEngine {
                     std::ptr::read_volatile(node.slot_ptr(slot));
                 }
             }
-            self.metrics
-                .pages_populated
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            self.metrics.pages_populated.add(batch.len() as u64);
         }
-        self.metrics
-            .updates_applied
-            .fetch_add(applied, Ordering::Relaxed);
-        self.metrics
-            .slots_rewired
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.metrics.update_batches.fetch_add(1, Ordering::Relaxed);
+        self.metrics.updates_applied.add(applied);
+        self.metrics.slots_rewired.add(batch.len() as u64);
+        self.metrics.update_batches.add(1);
         self.state.publish(node.base(), node.slots(), last_version);
         Ok(())
     }
@@ -445,9 +433,7 @@ impl MapperEngine {
         let calls = node.set_batch(&self.pool, pub_assignments)?;
         if self.cfg.eager_populate {
             let touched = node.populate();
-            self.metrics
-                .pages_populated
-                .fetch_add(touched as u64, Ordering::Relaxed);
+            self.metrics.pages_populated.add(touched as u64);
         }
         // Hand the worst-case reservation over to the built node
         // as its exact charge in one atomic adjustment — the
@@ -456,16 +442,12 @@ impl MapperEngine {
         // dips (which would let a concurrent pool steal margin).
         reservation.settle(node.vma_estimate());
         node.charge_to_prepaid(&self.pool);
-        self.metrics.creates_applied.fetch_add(1, Ordering::Relaxed);
+        self.metrics.creates_applied.add(1);
         if shift > 0 {
-            self.metrics.creates_coarse.fetch_add(1, Ordering::Relaxed);
+            self.metrics.creates_coarse.add(1);
         }
-        self.metrics
-            .slots_rewired
-            .fetch_add(pub_assignments.len() as u64, Ordering::Relaxed);
-        self.metrics
-            .create_mmap_calls
-            .fetch_add(calls, Ordering::Relaxed);
+        self.metrics.slots_rewired.add(pub_assignments.len() as u64);
+        self.metrics.create_mmap_calls.add(calls);
         self.published_shift = shift;
         self.state.publish(node.base(), node.slots(), version);
         self.state.set_suspended(false);
@@ -558,9 +540,7 @@ impl MapperEngine {
         let want = self.rebuild_reservation(slots, assignments, 0);
         let overlap_headroom = headroom.max(budget.limit() / 4);
         if let Some(r) = budget.try_reserve_for(&usage, want, overlap_headroom) {
-            self.metrics
-                .coarse_service_pct
-                .store(100, Ordering::Relaxed);
+            self.metrics.coarse_service_pct.set(100);
             return Some((0, r));
         }
         if let Some(old) = self.current.take() {
@@ -569,9 +549,7 @@ impl MapperEngine {
         self.pool.retire_list().try_reclaim();
         let mut min_want = want;
         if let Some(r) = budget.try_reserve_for(&usage, want, headroom) {
-            self.metrics
-                .coarse_service_pct
-                .store(100, Ordering::Relaxed);
+            self.metrics.coarse_service_pct.set(100);
             return Some((0, r));
         }
         if max_shift > 0 {
@@ -597,9 +575,7 @@ impl MapperEngine {
                 min_want = min_want.min(want);
                 if let Some(r) = budget.try_reserve_for(&usage, want, headroom) {
                     let pct = (served * 100 / total.max(1)) as u64;
-                    self.metrics
-                        .coarse_service_pct
-                        .store(pct, Ordering::Relaxed);
+                    self.metrics.coarse_service_pct.set(pct);
                     return Some((shift, r));
                 }
             }
@@ -611,11 +587,9 @@ impl MapperEngine {
         self.deferred_min_want = min_want;
         self.state.set_suspended(true);
         if self.pool.retire_list().retired_count() > 0 {
-            self.metrics
-                .creates_deferred
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.creates_deferred.add(1);
         } else {
-            self.metrics.creates_skipped.fetch_add(1, Ordering::Relaxed);
+            self.metrics.creates_skipped.add(1);
         }
         None
     }
@@ -697,7 +671,7 @@ fn mapper_loop(mut engine: MapperEngine, shared: &Shared, poll: Duration) {
         } else {
             &metrics.busy_polls
         };
-        polls.fetch_add(1, Ordering::Relaxed);
+        polls.add(1);
         // Every pass ends in a reclaim tick: retired areas drain, a
         // deferred create is retried.
         let pass = engine
@@ -710,9 +684,10 @@ fn mapper_loop(mut engine: MapperEngine, shared: &Shared, poll: Duration) {
         // version: compared and stored under the lock the write path bumps
         // and a shard revokes its bias under, so neither falls in between.
         engine.state.refresh_serving();
-        // Release: who reads the count (Acquire, `wait_sync`) sees what
-        // the pass published and whether it left the shortcut suspended.
-        metrics.passes.fetch_add(1, Ordering::Release);
+        // Counted under the lock `wait_sync` reads the count under: who
+        // sees it sees what the pass published and whether it left the
+        // shortcut suspended.
+        metrics.passes.add(1);
         shared.done.notify_all();
         let stop = |inbox: &Inbox| inbox.stop || inbox.error.is_some();
         if !(stop(&inbox) || inbox.demand) {
@@ -836,20 +811,17 @@ impl Maintainer {
         self.shared.inbox.lock().queue.len()
     }
 
-    /// Passes the mapper has completed (apply, then reclaim tick).
+    /// Passes the mapper has completed (apply, then reclaim tick). Read
+    /// under the inbox lock, which orders it after what those passes
+    /// published.
     pub fn passes(&self) -> u64 {
-        self.metrics.passes.load(Ordering::Acquire)
+        let _inbox = self.shared.inbox.lock();
+        self.metrics.passes.get()
     }
 
     /// Maintenance counters.
     pub fn metrics(&self) -> MaintSnapshot {
         self.metrics.snapshot()
-    }
-
-    /// Shared handle to the live counters, for producers that mirror
-    /// write-path work (compaction moves) into the maintenance metrics.
-    pub fn metrics_handle(&self) -> Arc<MaintMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// First error the mapper hit, if any.
@@ -895,7 +867,7 @@ impl Maintainer {
             if now >= deadline {
                 return false;
             }
-            let passes = self.passes();
+            let passes = self.metrics.passes.get();
             if awaited.is_none_or(|target| passes >= target) {
                 // A pass that began after the demand left nothing queued
                 // and no sync: more demands change nothing, only what the

@@ -19,9 +19,8 @@ use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash, split_bit};
 use crate::stats::IndexStats;
 use crate::traits::Index;
-use shortcut_core::{CompactionPolicy, MaintMetrics};
+use shortcut_core::CompactionPolicy;
 use shortcut_rewire::{planned_vmas, PageIdx, PagePool, PoolConfig, PoolHandle, SlotLayout};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// How many keys ahead of the probe the batched lookups prefetch. One
@@ -132,10 +131,6 @@ pub struct ExtendibleHash {
     /// A splitting bucket's live entries, between its emptying and their
     /// re-placement: sized for the load limit once, reused by every split.
     split_entries: Vec<(u64, u64)>,
-    /// Mirror of compaction counters into the mapper's metrics (attached
-    /// by Shortcut-EH so write-path moves show up next to the mapper's
-    /// own counters).
-    maint_metrics: Option<Arc<MaintMetrics>>,
 }
 
 impl ExtendibleHash {
@@ -176,7 +171,6 @@ impl ExtendibleHash {
             stats: IndexStats::default(),
             events: Vec::new(),
             split_entries: Vec::with_capacity(max_entries),
-            maint_metrics: None,
         })
     }
 
@@ -509,31 +503,14 @@ impl ExtendibleHash {
         planned
     }
 
-    /// Mirror compaction counters into the mapper's metrics (attached by
-    /// Shortcut-EH).
-    pub fn set_maint_metrics(&mut self, metrics: Arc<MaintMetrics>) {
-        self.maint_metrics = Some(metrics);
-    }
-
     fn note_compaction(&mut self, outcome: CompactionOutcome) {
         self.stats.compactions += 1;
         self.stats.pages_moved += outcome.pages_moved as u64;
-        if let Some(m) = &self.maint_metrics {
-            m.compactions.fetch_add(1, Ordering::Relaxed);
-            m.pages_moved
-                .fetch_add(outcome.pages_moved as u64, Ordering::Relaxed);
-            m.vmas_saved.fetch_add(
-                outcome.vmas_before.saturating_sub(outcome.vmas_after) as u64,
-                Ordering::Relaxed,
-            );
-        }
+        self.stats.vmas_saved += outcome.vmas_before.saturating_sub(outcome.vmas_after) as u64;
     }
 
     pub(crate) fn note_compaction_skipped(&mut self) {
         self.stats.compaction_skipped += 1;
-        if let Some(m) = &self.maint_metrics {
-            m.compaction_skipped.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Move the bucket covering `slot` to `dst`: copy the page, repoint

@@ -37,6 +37,7 @@ use crate::hash::{dir_slot, mult_hash};
 use crate::route::{route, route_all};
 use crate::stats::IndexStats;
 use crate::traits::Index;
+use shortcut_core::metrics::MaintSnapshot;
 use shortcut_core::{
     CompactionPolicy, MaintConfig, MaintRequest, Maintainer, ReadGeometry, ReadTicket, RoutePolicy,
     SharedDirectoryState,
@@ -107,7 +108,7 @@ impl ShortcutEh {
         cfg.eh.compaction = cfg.maint.compaction;
         let compaction = cfg.maint.compaction;
         let hash_rot = cfg.eh.hash_rot;
-        let mut eh = ExtendibleHash::try_new(cfg.eh)?;
+        let eh = ExtendibleHash::try_new(cfg.eh)?;
         let handle = eh.pool_handle();
         let retire = Arc::clone(handle.retire_list());
         let usage = Arc::clone(handle.usage());
@@ -115,9 +116,6 @@ impl ShortcutEh {
         let state = SharedDirectoryState::new();
         state.set_route_shortcut(cfg.policy.use_shortcut(eh.avg_fanin(), true));
         let maint = Maintainer::spawn_on(handle, cfg.maint, Arc::new(state));
-        // Write-path compaction work (page moves) mirrors into the
-        // mapper's metrics so one snapshot tells the whole story.
-        eh.set_maint_metrics(maint.metrics_handle());
         let this = ShortcutEh {
             maint,
             eh,
@@ -175,9 +173,17 @@ impl ShortcutEh {
         s
     }
 
-    /// Maintenance counters of the mapper thread.
-    pub fn maint_metrics(&self) -> shortcut_core::metrics::MaintSnapshot {
-        self.maint.metrics()
+    /// Maintenance counters of the mapper thread, with the compaction
+    /// passes the write path ran (counted once, in [`IndexStats`]).
+    pub fn maint_metrics(&self) -> MaintSnapshot {
+        let s = self.eh.stats();
+        MaintSnapshot {
+            pages_moved: s.pages_moved,
+            vmas_saved: s.vmas_saved,
+            compactions: s.compactions,
+            compaction_skipped: s.compaction_skipped,
+            ..self.maint.metrics()
+        }
     }
 
     /// Operation counters of the backing page pool.

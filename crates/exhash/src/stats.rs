@@ -4,181 +4,124 @@
 use shortcut_core::metrics::MaintSnapshot;
 use shortcut_rewire::{PinStrategy, VmaSnapshot};
 
-/// Counters describing the structural work an index performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexStats {
-    /// Bucket splits (EH family).
-    pub splits: u64,
-    /// Directory doublings (EH family).
-    pub doublings: u64,
-    /// Full-table rehashes (HT).
-    pub full_rehashes: u64,
-    /// Entries migrated incrementally (HTI).
-    pub migrated_entries: u64,
-    /// Overflow chain buckets allocated (CH).
-    pub chain_buckets: u64,
-    /// Completed bucket-layout compaction passes (EH family; full
-    /// rebuild-time passes plus finished incremental plans).
-    pub compactions: u64,
-    /// Bucket pages physically relocated into directory order.
-    pub pages_moved: u64,
-    /// Compaction passes skipped (target run did not fit the pool, or the
-    /// layout was already as compact as the fan-in permits).
-    pub compaction_skipped: u64,
-    /// Lookups answered via the shortcut directory (Shortcut-EH).
-    pub shortcut_lookups: u64,
-    /// Lookups answered via the traditional directory (Shortcut-EH).
-    pub traditional_lookups: u64,
-}
-
-impl IndexStats {
-    /// Merge two indexes' statistics (the sharded index aggregates one
-    /// set per shard). Every field is a monotone event counter, so the
-    /// merge **sums** them all; there are no gauges here.
-    pub fn merge(&self, other: &IndexStats) -> IndexStats {
-        IndexStats {
-            splits: self.splits + other.splits,
-            doublings: self.doublings + other.doublings,
-            full_rehashes: self.full_rehashes + other.full_rehashes,
-            migrated_entries: self.migrated_entries + other.migrated_entries,
-            chain_buckets: self.chain_buckets + other.chain_buckets,
-            compactions: self.compactions + other.compactions,
-            pages_moved: self.pages_moved + other.pages_moved,
-            compaction_skipped: self.compaction_skipped + other.compaction_skipped,
-            shortcut_lookups: self.shortcut_lookups + other.shortcut_lookups,
-            traditional_lookups: self.traditional_lookups + other.traditional_lookups,
-        }
+shortcut_rewire::statistics! {
+    /// Counters describing the structural work an index performed. Every
+    /// field is a monotone event counter, so merging sums them all.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IndexStats {
+        /// Bucket splits (EH family).
+        splits: u64 = Sum,
+        /// Directory doublings (EH family).
+        doublings: u64 = Sum,
+        /// Full-table rehashes (HT).
+        full_rehashes: u64 = Sum,
+        /// Entries migrated incrementally (HTI).
+        migrated_entries: u64 = Sum,
+        /// Overflow chain buckets allocated (CH).
+        chain_buckets: u64 = Sum,
+        /// Completed bucket-layout compaction passes (EH family).
+        compactions: u64 = Sum,
+        /// Bucket pages physically relocated into directory order.
+        pages_moved: u64 = Sum,
+        /// Estimated VMAs saved by compaction passes (layout estimate
+        /// before minus after, summed over passes).
+        vmas_saved: u64 = Sum,
+        /// Compaction passes skipped (target run did not fit the pool, or the
+        /// layout was already as compact as the fan-in permits).
+        compaction_skipped: u64 = Sum,
+        /// Lookups answered via the shortcut directory (Shortcut-EH).
+        shortcut_lookups: u64 = Sum,
+        /// Lookups answered via the traditional directory (Shortcut-EH).
+        traditional_lookups: u64 = Sum,
     }
 }
 
-/// One merged, point-in-time view over everything the stack counts:
-/// structural index statistics, mapper-thread maintenance counters, and
-/// the page pool's rewiring counters.
-#[derive(Debug, Clone, Copy)]
-pub struct StatsSnapshot {
-    /// Number of shards this snapshot aggregates (1 for a per-shard or
-    /// unsharded snapshot; [`StatsSnapshot::merge`] sums it).
-    pub shards: usize,
-    /// Live entries.
-    pub len: usize,
-    /// Global depth of the traditional directory.
-    pub global_depth: u32,
-    /// Number of distinct buckets.
-    pub bucket_count: usize,
-    /// Average directory fan-in (`slots / buckets`, the routing input).
-    pub avg_fanin: f64,
-    /// Whether the shortcut directory was in sync at snapshot time.
-    pub in_sync: bool,
-    /// `(traditional, shortcut)` version numbers (Figure 8's quantities).
-    pub versions: (u64, u64),
-    /// Whether shortcut maintenance is suspended by the VMA budget
-    /// (lookups fall back to the traditional directory).
-    pub shortcut_suspended: bool,
-    /// Base pages per physical slot — the **count** `2^k`, not the log2
-    /// knob passed to [`IndexBuilder::slot_pages`](crate::IndexBuilder::slot_pages).
-    pub pages_per_slot: usize,
-    /// Bytes per physical slot (= bytes per bucket).
-    pub slot_bytes: usize,
-    /// Entry capacity of one bucket at this slot size.
-    pub bucket_capacity: usize,
-    /// Whether hugepage backing was requested
-    /// ([`IndexBuilder::huge_pages`](crate::IndexBuilder::huge_pages)).
-    pub huge_pages_requested: bool,
-    /// Whether the hugetlb backend is actually active;
-    /// `huge_pages_requested && !huge_pages_active` means the pool fell
-    /// back cleanly to plain 4 KB-page slots (no hugepages reserved, or
-    /// the slot size is below the 2 MB boundary).
-    pub huge_pages_active: bool,
-    /// Reader-pin pairing of the retire list:
-    /// [`PinStrategy::Asymmetric`] (membarrier-paired load/store pins) or
-    /// the [`PinStrategy::Dekker`] RMW fallback.
-    pub pin_strategy: PinStrategy,
-    /// Name of the bucket-probe key-compare kernel in use
-    /// (`"avx2"`/`"sse2"`/`"scalar"`).
-    pub probe_backend: &'static str,
-    /// Times a shared writer revoked a shard's read bias and sent its
-    /// readers to the shard lock.
-    pub bias_revocations: u64,
-    /// Times a writer-free run of locked reads took a shard's readers off
-    /// the lock again; a shard with fewer rearms than revocations is
-    /// serving `get` through the lock right now.
-    pub bias_rearms: u64,
-    /// Whether the process has the vectored `MADV_DONTNEED`
-    /// ([`shortcut_rewire::zap_call`]) the mapper batches its TLB
-    /// shootdowns with; without it every slot update costs its own.
-    pub zap_supported: bool,
-    /// Structural + routing statistics of the index.
-    pub index: IndexStats,
-    /// Counters of the asynchronous mapper thread.
-    pub maint: MaintSnapshot,
-    /// Operation counters of the backing page pool.
-    pub rewire: shortcut_rewire::StatsSnapshot,
-    /// VMA budget and retired-directory lifecycle counters: how many
-    /// mappings the index holds (live + retired + pool view), the budget
-    /// limit (`vm.max_map_count` unless overridden), and how many retired
-    /// directories were reclaimed. Experiments read this instead of
-    /// hand-deriving slot caps from the sysctl.
-    pub vma: VmaSnapshot,
-}
-
-impl StatsSnapshot {
-    /// Merge two shards' snapshots into one aggregate (commutative;
+shortcut_rewire::statistics! {
+    /// One merged, point-in-time view over everything the stack counts:
+    /// structural index statistics, mapper-thread maintenance counters, and
+    /// the page pool's rewiring counters.
     /// [`ShortcutIndex::stats`](crate::ShortcutIndex::stats) folds the
-    /// per-shard snapshots with it).
-    /// Field-by-field semantics:
-    ///
-    /// * **Counters sum**: `shards`, `len`, `bucket_count`, `versions`
-    ///   (both halves), `bias_revocations`, `bias_rearms`, and the nested
-    ///   counter blocks via their own
-    ///   documented merges ([`IndexStats::merge`],
-    ///   `MaintSnapshot::merge`, `rewire::StatsSnapshot::merge`,
-    ///   [`VmaSnapshot::merge`]).
-    /// * **Gauges take the honest extreme**: `global_depth` is the
-    ///   deepest shard (max); `avg_fanin` is re-weighted by bucket count
-    ///   (total slots over total buckets, not a mean of means);
-    ///   `in_sync` and `huge_pages_active` hold only if **every** shard
-    ///   holds (and); `shortcut_suspended` and `huge_pages_requested`
-    ///   hold if **any** shard holds (or).
-    /// * **Common values are copied from `self`**: every shard of an
-    ///   index is built from one configuration (the layout gauges
-    ///   `pages_per_slot`, `slot_bytes`, `bucket_capacity`, and
-    ///   `pin_strategy`), and `probe_backend` and `zap_supported` are
-    ///   probed once per process.
-    pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        let buckets = self.bucket_count + other.bucket_count;
-        StatsSnapshot {
-            shards: self.shards + other.shards,
-            len: self.len + other.len,
-            global_depth: self.global_depth.max(other.global_depth),
-            bucket_count: buckets,
-            avg_fanin: if buckets == 0 {
-                0.0
-            } else {
-                (self.avg_fanin * self.bucket_count as f64
-                    + other.avg_fanin * other.bucket_count as f64)
-                    / buckets as f64
-            },
-            in_sync: self.in_sync && other.in_sync,
-            versions: (
-                self.versions.0 + other.versions.0,
-                self.versions.1 + other.versions.1,
-            ),
-            shortcut_suspended: self.shortcut_suspended || other.shortcut_suspended,
-            pages_per_slot: self.pages_per_slot,
-            slot_bytes: self.slot_bytes,
-            bucket_capacity: self.bucket_capacity,
-            huge_pages_requested: self.huge_pages_requested || other.huge_pages_requested,
-            huge_pages_active: self.huge_pages_active && other.huge_pages_active,
-            pin_strategy: self.pin_strategy,
-            probe_backend: self.probe_backend,
-            bias_revocations: self.bias_revocations + other.bias_revocations,
-            bias_rearms: self.bias_rearms + other.bias_rearms,
-            zap_supported: self.zap_supported,
-            index: self.index.merge(&other.index),
-            maint: self.maint.merge(&other.maint),
-            rewire: self.rewire.merge(&other.rewire),
-            vma: self.vma.merge(&other.vma),
-        }
+    /// per-shard snapshots with [`StatsSnapshot::merge`], which is
+    /// commutative; each field's rule is declared beside it.
+    #[derive(Debug, Clone, Copy)]
+    pub struct StatsSnapshot {
+        /// Number of shards this snapshot aggregates (1 for a per-shard or
+        /// unsharded snapshot).
+        shards: usize = Sum,
+        /// Live entries.
+        len: usize = Sum,
+        /// Global depth of the traditional directory; merged, the deepest
+        /// shard's.
+        global_depth: u32 = Max,
+        /// Number of distinct buckets.
+        bucket_count: usize = Sum,
+        /// Average directory fan-in (`slots / buckets`, the routing input);
+        /// merged, re-weighted by bucket count (total slots over total
+        /// buckets, not a mean of means).
+        avg_fanin: f64 = With(|a: &Self, b: &Self| {
+            let buckets = a.bucket_count + b.bucket_count;
+            let slots = |s: &Self| s.avg_fanin * s.bucket_count as f64;
+            if buckets == 0 { 0.0 } else { (slots(a) + slots(b)) / buckets as f64 }
+        }),
+        /// Whether the shortcut directory was in sync at snapshot time (on
+        /// every shard).
+        in_sync: bool = And,
+        /// `(traditional, shortcut)` version numbers (Figure 8's
+        /// quantities); both halves sum.
+        versions: (u64, u64) = With(|a: &Self, b: &Self| {
+            (a.versions.0 + b.versions.0, a.versions.1 + b.versions.1)
+        }),
+        /// Whether shortcut maintenance is suspended by the VMA budget
+        /// (lookups fall back to the traditional directory) on any shard.
+        shortcut_suspended: bool = Or,
+        /// Base pages per physical slot — the **count** `2^k`, not the log2
+        /// knob passed to [`IndexBuilder::slot_pages`](crate::IndexBuilder::slot_pages).
+        /// Like every layout field, one configuration for all shards.
+        pages_per_slot: usize = First,
+        /// Bytes per physical slot (= bytes per bucket).
+        slot_bytes: usize = First,
+        /// Entry capacity of one bucket at this slot size.
+        bucket_capacity: usize = First,
+        /// Whether hugepage backing was requested
+        /// ([`IndexBuilder::huge_pages`](crate::IndexBuilder::huge_pages))
+        /// by any shard.
+        huge_pages_requested: bool = Or,
+        /// Whether the hugetlb backend is actually active on every shard;
+        /// `huge_pages_requested && !huge_pages_active` means the pool fell
+        /// back cleanly to plain 4 KB-page slots (no hugepages reserved, or
+        /// the slot size is below the 2 MB boundary).
+        huge_pages_active: bool = And,
+        /// Reader-pin pairing of the retire list:
+        /// [`PinStrategy::Asymmetric`] (membarrier-paired load/store pins) or
+        /// the [`PinStrategy::Dekker`] RMW fallback.
+        pin_strategy: PinStrategy = First,
+        /// Name of the bucket-probe key-compare kernel in use
+        /// (`"avx2"`/`"sse2"`/`"scalar"`), probed once per process.
+        probe_backend: &'static str = First,
+        /// Times a shared writer revoked a shard's read bias and sent its
+        /// readers to the shard lock.
+        bias_revocations: u64 = Sum,
+        /// Times a writer-free run of locked reads took a shard's readers off
+        /// the lock again; a shard with fewer rearms than revocations is
+        /// serving `get` through the lock right now.
+        bias_rearms: u64 = Sum,
+        /// Whether the process has the vectored `MADV_DONTNEED`
+        /// ([`shortcut_rewire::zap_call`]) the mapper batches its TLB
+        /// shootdowns with; without it every slot update costs its own.
+        /// Probed once per process.
+        zap_supported: bool = First,
+        /// Structural + routing statistics of the index.
+        index: IndexStats = Merge,
+        /// Counters of the asynchronous mapper thread.
+        maint: MaintSnapshot = Merge,
+        /// Operation counters of the backing page pool.
+        rewire: shortcut_rewire::StatsSnapshot = Merge,
+        /// VMA budget and retired-directory lifecycle counters: how many
+        /// mappings the index holds (live + retired + pool view), the budget
+        /// limit (`vm.max_map_count` unless overridden), and how many retired
+        /// directories were reclaimed. Experiments read this instead of
+        /// hand-deriving slot caps from the sysctl.
+        vma: VmaSnapshot = Merge,
     }
 }
 
@@ -290,22 +233,48 @@ mod tests {
     #[test]
     fn merge_sums_every_counter() {
         let a = IndexStats {
-            splits: 4,
+            splits: 1,
             doublings: 2,
-            shortcut_lookups: 100,
-            ..IndexStats::default()
+            full_rehashes: 3,
+            migrated_entries: 4,
+            chain_buckets: 5,
+            compactions: 6,
+            pages_moved: 7,
+            vmas_saved: 8,
+            compaction_skipped: 9,
+            shortcut_lookups: 10,
+            traditional_lookups: 11,
         };
         let b = IndexStats {
-            splits: 1,
-            traditional_lookups: 7,
-            shortcut_lookups: 50,
-            ..IndexStats::default()
+            splits: 100,
+            doublings: 200,
+            full_rehashes: 300,
+            migrated_entries: 400,
+            chain_buckets: 500,
+            compactions: 600,
+            pages_moved: 700,
+            vmas_saved: 800,
+            compaction_skipped: 900,
+            shortcut_lookups: 1000,
+            traditional_lookups: 1100,
         };
         let m = a.merge(&b);
-        assert_eq!(m.splits, 5);
-        assert_eq!(m.doublings, 2);
-        assert_eq!(m.shortcut_lookups, 150);
-        assert_eq!(m.traditional_lookups, 7);
+        assert_eq!(
+            m,
+            IndexStats {
+                splits: 101,
+                doublings: 202,
+                full_rehashes: 303,
+                migrated_entries: 404,
+                chain_buckets: 505,
+                compactions: 606,
+                pages_moved: 707,
+                vmas_saved: 808,
+                compaction_skipped: 909,
+                shortcut_lookups: 1010,
+                traditional_lookups: 1111,
+            }
+        );
         assert_eq!(m, b.merge(&a));
     }
 }

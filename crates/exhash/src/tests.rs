@@ -33,32 +33,109 @@ fn snap(len: usize, depth: u32, buckets: usize, fanin: f64, in_sync: bool) -> St
     }
 }
 
+/// A snapshot whose every field (and every field its `Display` prints)
+/// holds a value of its own, offset by `d`; `flip` flips every flag.
+fn distinct(d: u64, flip: bool) -> StatsSnapshot {
+    let u = |n: u64| (n + d) as usize;
+    StatsSnapshot {
+        shards: u(3),
+        len: u(1001),
+        global_depth: (7 + d) as u32,
+        bucket_count: u(40),
+        avg_fanin: 3.2 + d as f64,
+        in_sync: !flip,
+        versions: (1002 + d, 1003 + d),
+        shortcut_suspended: flip,
+        pages_per_slot: u(4),
+        slot_bytes: u(16384),
+        bucket_capacity: u(349),
+        huge_pages_requested: !flip,
+        huge_pages_active: flip,
+        pin_strategy: if flip {
+            PinStrategy::Dekker
+        } else {
+            PinStrategy::Asymmetric
+        },
+        probe_backend: if flip { "scalar" } else { "sse2" },
+        bias_revocations: 23 + d,
+        bias_rearms: 24 + d,
+        zap_supported: !flip,
+        index: IndexStats {
+            splits: 41 + d,
+            doublings: 5 + d,
+            compactions: 8 + d,
+            compaction_skipped: 9 + d,
+            pages_moved: 44 + d,
+            shortcut_lookups: 900 + d,
+            traditional_lookups: 100 + d,
+            ..IndexStats::default()
+        },
+        maint: MaintSnapshot {
+            creates_applied: 11 + d,
+            updates_applied: 12 + d,
+            creates_skipped: 13 + d,
+            creates_deferred: 14 + d,
+            creates_coarse: 15 + d,
+            vmas_saved: 16 + d,
+            passes: 17 + d,
+            update_batches: 18 + d,
+            slots_zapped: 19 + d,
+            coarse_service_pct: 100 - d / 20,
+            ..MaintSnapshot::default()
+        },
+        rewire: shortcut_rewire::StatsSnapshot {
+            pages_populated: 60 + d,
+            pages_allocated: 61 + d,
+            pages_freed: 62 + d,
+            pool_file_slots: 63 + d,
+            ..shortcut_rewire::StatsSnapshot::default()
+        },
+        vma: VmaSnapshot {
+            in_use: 500 + d,
+            retired_vmas: 50 + d,
+            limit: 65530 + d,
+            areas_retired: 21 + d,
+            areas_reclaimed: 22 + d,
+            ..VmaSnapshot::default()
+        },
+    }
+}
+
 #[test]
 fn snapshot_merge_sums_counters_and_takes_honest_gauges() {
-    let mut a = snap(100, 5, 10, 2.0, true);
-    a.index.splits = 4;
-    a.maint.coarse_service_pct = 100;
-    let mut b = snap(50, 7, 30, 1.0, false);
-    b.index.splits = 1;
-    b.shortcut_suspended = true;
-    b.maint.coarse_service_pct = 80;
-    let m = a.merge(&b);
-    assert_eq!(m.shards, 2);
-    assert_eq!(m.len, 150);
-    assert_eq!(m.global_depth, 7, "gauge: deepest shard");
-    assert_eq!(m.bucket_count, 40);
-    // Re-weighted by bucket count: (2.0*10 + 1.0*30) / 40.
-    assert!((m.avg_fanin - 1.25).abs() < 1e-9, "got {}", m.avg_fanin);
-    assert!(!m.in_sync, "in_sync only if every shard is");
-    assert!(m.shortcut_suspended, "suspended if any shard is");
-    assert_eq!(m.versions, (150, 150));
-    assert_eq!(m.index.splits, 5);
-    assert_eq!(m.maint.coarse_service_pct, 80, "worst-served shard");
-    // Commutative.
-    let n = b.merge(&a);
-    assert_eq!(n.len, m.len);
-    assert_eq!(n.global_depth, m.global_depth);
-    assert!((n.avg_fanin - m.avg_fanin).abs() < 1e-12);
+    let (a, b) = (distinct(0, false), distinct(1000, true));
+    for (m, first) in [(a.merge(&b), &a), (b.merge(&a), &b)] {
+        // Sum.
+        assert_eq!(m.shards, 1006);
+        assert_eq!(m.len, 3002);
+        assert_eq!(m.bucket_count, 1080);
+        assert_eq!(m.versions, (3004, 3006));
+        assert_eq!(m.bias_revocations, 1046);
+        assert_eq!(m.bias_rearms, 1048);
+        // Max: the deepest shard.
+        assert_eq!(m.global_depth, 1007);
+        // Re-weighted by bucket count: (3.2*40 + 1003.2*1040) / 1080.
+        let fanin = (3.2 * 40.0 + 1003.2 * 1040.0) / 1080.0;
+        assert!((m.avg_fanin - fanin).abs() < 1e-9, "got {}", m.avg_fanin);
+        // And: only if every shard holds; Or: if any does.
+        assert!(!m.in_sync && !m.huge_pages_active);
+        assert!(m.shortcut_suspended && m.huge_pages_requested);
+        // First: one configuration per index, one probe per process.
+        assert_eq!(m.pages_per_slot, first.pages_per_slot);
+        assert_eq!(m.slot_bytes, first.slot_bytes);
+        assert_eq!(m.bucket_capacity, first.bucket_capacity);
+        assert_eq!(m.pin_strategy, first.pin_strategy);
+        assert_eq!(m.probe_backend, first.probe_backend);
+        assert_eq!(m.zap_supported, first.zap_supported);
+        // Merge: each nested block by its own rules (their tests).
+        assert_eq!(m.index, a.index.merge(&b.index));
+        assert_eq!(m.index.splits, 1082);
+        assert_eq!(m.maint, a.maint.merge(&b.maint));
+        assert_eq!(m.maint.coarse_service_pct, 50, "worst-served shard");
+        assert_eq!(m.rewire, a.rewire.merge(&b.rewire));
+        assert_eq!(m.vma, a.vma.merge(&b.vma));
+        assert_eq!(m.vma.in_use, 1500, "a shared gauge: max");
+    }
 }
 
 #[test]
@@ -96,6 +173,24 @@ fn snapshot_display_is_stable_and_greppable() {
     }
     assert!((s.shortcut_served_pct() - 95.0).abs() < 1e-9);
     assert_eq!(snap(0, 0, 0, 0.0, true).shortcut_served_pct(), 0.0);
+    // Byte for byte: no key dropped, renamed or reordered, no value
+    // printed under another's key.
+    assert_eq!(
+        distinct(0, false).to_string(),
+        "index: entries=1001 shards=3 global_depth=7 buckets=40 avg_fanin=3.20\n\
+         shortcut: in_sync=true suspended=false versions_traditional=1002 \
+         versions_shortcut=1003\n\
+         layout: pages_per_slot=4 slot_bytes=16384 bucket_capacity=349 \
+         hugepages_requested=true hugepages_active=false\n\
+         lookups: shortcut=900 traditional=100 shortcut_served_pct=90.0\n\
+         structure: splits=41 doublings=5 compactions=8 compaction_skipped=9 pages_moved=44\n\
+         maint: creates=11 updates=12 creates_skipped=13 creates_deferred=14 creates_coarse=15 \
+         vmas_saved=16 passes=17 update_batches=18 slots_zapped=19\n\
+         vma: in_use=500 live=450 retired=50 limit=65530 areas_retired=21 areas_reclaimed=22\n\
+         read_path: pin_strategy=asymmetric probe_backend=sse2 bias_revocations=23 bias_rearms=24 \
+         zap_supported=true\n\
+         rewire: pages_populated=60 pages_allocated=61 pages_freed=62 pool_file_slots=63\n"
+    );
 }
 
 #[test]

@@ -453,39 +453,44 @@ impl Drop for BudgetReservation {
     }
 }
 
-/// Point-in-time view of the VMA budget and retirement machinery, merged
-/// into the facade's statistics snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VmaSnapshot {
-    /// Estimated VMAs currently held (live + retired areas + pool view).
-    /// For a shared budget this is the **process-wide** total, not this
-    /// pool's share — see [`VmaSnapshot::pool_in_use`] for the latter.
-    pub in_use: u64,
-    /// Mapping-count limit of the budget (`vm.max_map_count` unless
-    /// overridden).
-    pub limit: u64,
-    /// Estimated VMAs held by retired (superseded, not yet reclaimed)
-    /// areas — the part of `in_use` that drains once readers quiesce.
-    pub retired_vmas: u64,
-    /// Retired areas still mapped, waiting for readers to drain.
-    pub retired_areas: u64,
-    /// Areas handed to the retire list over the pool's lifetime.
-    pub areas_retired: u64,
-    /// Retired areas reclaimed (munmapped) so far.
-    pub areas_reclaimed: u64,
-    /// Estimated VMAs those reclaimed areas gave back.
-    pub vmas_reclaimed: u64,
-    /// VMAs attributed to **this pool** (its view, live directory, and
-    /// retired areas). Equals `in_use` when the pool has the budget to
-    /// itself; on a shared budget the pools' `pool_in_use` values sum to
-    /// (at most) `in_use`.
-    pub pool_in_use: u64,
-    /// Live fair-share pools registered on the budget (0 when fairness is
-    /// not in play).
-    pub fair_pools: u64,
-    /// The per-pool fair-share floor at the default admission headroom
-    /// (0 when no pool participates).
-    pub fair_share: u64,
+crate::statistics! {
+    /// Point-in-time view of the VMA budget and retirement machinery, merged
+    /// into the facade's statistics snapshot. Merging snapshots of pools
+    /// **sharing one budget** takes the max of what every pool reports of
+    /// the shared budget (summing would count it once per pool) and sums
+    /// the per-pool quantities.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct VmaSnapshot {
+        /// Estimated VMAs currently held (live + retired areas + pool view).
+        /// For a shared budget this is the **process-wide** total, not this
+        /// pool's share — see [`VmaSnapshot::pool_in_use`] for the latter.
+        in_use: u64 = Max,
+        /// Mapping-count limit of the budget (`vm.max_map_count` unless
+        /// overridden).
+        limit: u64 = Max,
+        /// Estimated VMAs held by retired (superseded, not yet reclaimed)
+        /// areas — the part of `in_use` that drains once readers quiesce.
+        retired_vmas: u64 = Sum,
+        /// Retired areas still mapped, waiting for readers to drain.
+        retired_areas: u64 = Sum,
+        /// Areas handed to the retire list over the pool's lifetime.
+        areas_retired: u64 = Sum,
+        /// Retired areas reclaimed (munmapped) so far.
+        areas_reclaimed: u64 = Sum,
+        /// Estimated VMAs those reclaimed areas gave back.
+        vmas_reclaimed: u64 = Sum,
+        /// VMAs attributed to **this pool** (its view, live directory, and
+        /// retired areas). Equals `in_use` when the pool has the budget to
+        /// itself; on a shared budget the pools' `pool_in_use` values sum to
+        /// (at most) `in_use`.
+        pool_in_use: u64 = Sum,
+        /// Live fair-share pools registered on the budget (0 when fairness is
+        /// not in play).
+        fair_pools: u64 = Max,
+        /// The per-pool fair-share floor at the default admission headroom
+        /// (0 when no pool participates).
+        fair_share: u64 = Max,
+    }
 }
 
 impl VmaSnapshot {
@@ -495,31 +500,6 @@ impl VmaSnapshot {
     /// `vm.max_map_count` — retired VMAs are transient by construction.
     pub fn live_vmas(&self) -> u64 {
         self.in_use.saturating_sub(self.retired_vmas)
-    }
-
-    /// Merge two snapshots of pools **sharing one budget** into a single
-    /// aggregate view, with the correct treatment per field kind:
-    ///
-    /// * `in_use`, `limit`, `fair_pools`, `fair_share` are properties of
-    ///   the *shared* budget — every pool reports the same process-wide
-    ///   number, so the merge takes the **max** (summing would count the
-    ///   budget once per pool).
-    /// * `pool_in_use` and all retirement counters (`retired_vmas`,
-    ///   `retired_areas`, `areas_retired`, `areas_reclaimed`,
-    ///   `vmas_reclaimed`) are per-pool quantities and are **summed**.
-    pub fn merge(&self, other: &VmaSnapshot) -> VmaSnapshot {
-        VmaSnapshot {
-            in_use: self.in_use.max(other.in_use),
-            limit: self.limit.max(other.limit),
-            retired_vmas: self.retired_vmas + other.retired_vmas,
-            retired_areas: self.retired_areas + other.retired_areas,
-            areas_retired: self.areas_retired + other.areas_retired,
-            areas_reclaimed: self.areas_reclaimed + other.areas_reclaimed,
-            vmas_reclaimed: self.vmas_reclaimed + other.vmas_reclaimed,
-            pool_in_use: self.pool_in_use + other.pool_in_use,
-            fair_pools: self.fair_pools.max(other.fair_pools),
-            fair_share: self.fair_share.max(other.fair_share),
-        }
     }
 }
 
@@ -706,7 +686,7 @@ mod tests {
     #[test]
     fn snapshot_merge_sums_pool_counters_and_maxes_shared_gauges() {
         let a = VmaSnapshot {
-            in_use: 40,
+            in_use: 41,
             limit: 100,
             retired_vmas: 5,
             retired_areas: 1,
@@ -714,34 +694,40 @@ mod tests {
             areas_reclaimed: 2,
             vmas_reclaimed: 9,
             pool_in_use: 25,
-            fair_pools: 2,
+            fair_pools: 4,
             fair_share: 45,
         };
         let b = VmaSnapshot {
             in_use: 40,
-            limit: 100,
-            retired_vmas: 2,
-            retired_areas: 2,
-            areas_retired: 4,
-            areas_reclaimed: 2,
-            vmas_reclaimed: 6,
+            limit: 101,
+            retired_vmas: 12,
+            retired_areas: 7,
+            areas_retired: 13,
+            areas_reclaimed: 6,
+            vmas_reclaimed: 16,
             pool_in_use: 15,
-            fair_pools: 2,
-            fair_share: 45,
+            fair_pools: 3,
+            fair_share: 46,
         };
         let m = a.merge(&b);
-        // Shared-budget gauges: max, not sum.
-        assert_eq!(m.in_use, 40);
-        assert_eq!(m.limit, 100);
-        assert_eq!(m.fair_pools, 2);
-        assert_eq!(m.fair_share, 45);
-        // Per-pool quantities: sum.
-        assert_eq!(m.pool_in_use, 40);
-        assert_eq!(m.retired_vmas, 7);
-        assert_eq!(m.retired_areas, 3);
-        assert_eq!(m.areas_retired, 7);
-        assert_eq!(m.areas_reclaimed, 4);
-        assert_eq!(m.vmas_reclaimed, 15);
-        assert_eq!(m.live_vmas(), 40 - 7);
+        assert_eq!(
+            m,
+            VmaSnapshot {
+                // Shared-budget gauges: max, not sum.
+                in_use: 41,
+                limit: 101,
+                fair_pools: 4,
+                fair_share: 46,
+                // Per-pool quantities: sum.
+                retired_vmas: 17,
+                retired_areas: 8,
+                areas_retired: 16,
+                areas_reclaimed: 8,
+                vmas_reclaimed: 25,
+                pool_in_use: 40,
+            }
+        );
+        assert_eq!(m, b.merge(&a));
+        assert_eq!(m.live_vmas(), 41 - 17);
     }
 }

@@ -60,7 +60,7 @@ pub use page::{is_page_aligned, page_size, pages_to_bytes, PageIdx, PAGE_SHIFT_4
 pub use pool::{PagePool, PoolConfig, PoolHandle};
 pub use retire::{PinStrategy, ReaderPin, Reclaimable, RetireCore, RetireList, TALLIES};
 pub use slot::{SlotLayout, HUGE_PAGE_BYTES};
-pub use stats::{RewireStats, StatsSnapshot};
+pub use stats::{Counter, StatsSnapshot};
 pub use varea::{
     planned_vmas, rewire_page_raw, zap_call, Mapping, VirtArea, ZapCall, ZapRange, ZAP_BATCH,
 };

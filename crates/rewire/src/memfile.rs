@@ -22,18 +22,13 @@ pub struct MemFile {
     /// Current length in bytes. Atomic so a shared handle (mapper thread)
     /// can read it without locking; only the owner resizes.
     len: AtomicUsize,
-    /// Whether the file lives on hugetlbfs (`MFD_HUGETLB`): every resize,
-    /// mapping and hole punch must then be 2 MB-granular, which
-    /// slot-aligned callers at the hugepage boundary satisfy by
-    /// construction.
-    hugetlb: bool,
 }
 
 impl MemFile {
     /// Create an empty main-memory file. `name` is purely diagnostic (it
     /// shows up in `/proc/self/fd`), need not be unique.
     pub fn create(name: &str) -> Result<Self> {
-        Self::create_with_flags(name, 0, false)
+        Self::create_with_flags(name, 0)
     }
 
     /// Create a main-memory file backed by **2 MB hardware hugepages**
@@ -42,10 +37,10 @@ impl MemFile {
     /// **not** guarantee that hugepages are actually reserved — callers
     /// must probe a mapping (see `PagePool`'s detection) and fall back.
     pub fn create_huge(name: &str) -> Result<Self> {
-        Self::create_with_flags(name, libc::MFD_HUGETLB | libc::MFD_HUGE_2MB, true)
+        Self::create_with_flags(name, libc::MFD_HUGETLB | libc::MFD_HUGE_2MB)
     }
 
-    fn create_with_flags(name: &str, flags: libc::c_uint, hugetlb: bool) -> Result<Self> {
+    fn create_with_flags(name: &str, flags: libc::c_uint) -> Result<Self> {
         let cname = CString::new(name).map_err(|_| Error::invalid("name contains NUL"))?;
         // SAFETY: memfd_create with a valid C string.
         let fd = unsafe { libc::memfd_create(cname.as_ptr(), flags) };
@@ -55,15 +50,7 @@ impl MemFile {
         Ok(MemFile {
             fd,
             len: AtomicUsize::new(0),
-            hugetlb,
         })
-    }
-
-    /// Whether the file is backed by hugetlbfs (created via
-    /// [`MemFile::create_huge`]).
-    #[inline]
-    pub fn is_hugetlb(&self) -> bool {
-        self.hugetlb
     }
 
     /// The raw file descriptor, for use in `mmap` calls.

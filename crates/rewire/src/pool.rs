@@ -323,14 +323,14 @@ impl PagePool {
             MemFile::create(&cfg.name)?
         };
         let file = Arc::new(file);
-        let stats = Arc::new(RewireStats::new());
+        let stats = Arc::new(RewireStats::default());
 
         // Reserve the fixed view as PROT_NONE anonymous memory: any stray
         // access to a not-yet-grown region faults loudly. Hugetlb inner
         // mappings need a slot-aligned base, so over-reserve and trim.
         let cap_bytes = cfg.view_capacity_pages * slot_bytes;
         let view_base = reserve_aligned(cap_bytes, slot_bytes.max(page_size()), libc::PROT_NONE)?;
-        stats.count_mmap(1);
+        stats.mmap_calls.add(1);
         let budget = cfg.vma_budget.clone().unwrap_or_else(VmaBudget::global);
         let usage = budget.register_pool(cfg.fair_share);
         BudgetBinding::with_pool(Arc::clone(&budget), Arc::clone(&usage)).charge(POOL_VIEW_VMAS);
@@ -406,7 +406,7 @@ impl PagePool {
         let slot_bytes = self.slot_bytes();
         let old_pages = self.file_pages;
         self.file.resize(new_pages * slot_bytes)?;
-        self.stats.count_grow();
+        self.stats.pool_grows.add(1);
 
         // Map the newly valid file range into the view at the same offset.
         let delta = new_pages - old_pages;
@@ -437,9 +437,9 @@ impl PagePool {
                 libc::madvise(rc, delta * slot_bytes, libc::MADV_HUGEPAGE);
             }
         }
-        self.stats.count_mmap(1);
+        self.stats.mmap_calls.add(1);
         if self.cfg.pretouch {
-            self.stats.count_populated(delta as u64);
+            self.stats.pages_populated.add(delta as u64);
         }
 
         self.file_pages = new_pages;
@@ -458,7 +458,7 @@ impl PagePool {
                 Some(i) if i < self.file_pages && self.state[i] == PageState::Free => {
                     self.state[i] = PageState::Allocated;
                     self.allocated += 1;
-                    self.stats.count_alloc(1);
+                    self.stats.pages_allocated.add(1);
                     return Ok(PageIdx(i));
                 }
                 Some(_) => continue, // stale entry from a shrink
@@ -528,7 +528,7 @@ impl PagePool {
         self.free_queue
             .retain(|&i| !(start..start + n).contains(&i));
         self.allocated += n;
-        self.stats.count_alloc(n as u64);
+        self.stats.pages_allocated.add(n as u64);
         Ok(PageIdx(start))
     }
 
@@ -566,7 +566,7 @@ impl PagePool {
         }
         self.state[i] = PageState::Free;
         self.allocated -= 1;
-        self.stats.count_free(1);
+        self.stats.pages_freed.add(1);
         self.free_queue.push_back(i);
 
         // Paper §2.1: if the unused page marks the end of the file and the
@@ -623,7 +623,7 @@ impl PagePool {
             self.free_queue.push_back(i);
         }
         self.allocated -= n;
-        self.stats.count_free(n as u64);
+        self.stats.pages_freed.add(n as u64);
         let _ = self
             .file
             .punch_hole(self.layout.byte_offset(start.0), n * self.slot_bytes());
@@ -726,7 +726,7 @@ impl PagePool {
                 self.free_queue.push_back(p);
             }
             self.allocated -= n;
-            self.stats.count_free(n as u64);
+            self.stats.pages_freed.add(n as u64);
             let _ = self
                 .file
                 .punch_hole(start * self.slot_bytes(), n * self.slot_bytes());
@@ -770,9 +770,9 @@ impl PagePool {
         if rc == libc::MAP_FAILED {
             return Err(Error::os("mmap"));
         }
-        self.stats.count_mmap(1);
+        self.stats.mmap_calls.add(1);
         self.file.resize(new_pages * self.slot_bytes())?;
-        self.stats.count_shrink();
+        self.stats.pool_shrinks.add(1);
         self.file_pages = new_pages;
         self.state.truncate(new_pages);
         // Stale queue entries >= new_pages are skipped lazily by alloc_page.
@@ -889,7 +889,7 @@ impl PagePool {
 
 impl Drop for PagePool {
     fn drop(&mut self) {
-        self.stats.count_munmap(1);
+        self.stats.munmap_calls.add(1);
         BudgetBinding::with_pool(Arc::clone(&self.budget), Arc::clone(&self.usage))
             .release(POOL_VIEW_VMAS);
         // SAFETY: unmapping our own reservation exactly once.

@@ -13,7 +13,7 @@ use crate::error::{Error, Result};
 use crate::page::{page_size, PageIdx};
 use crate::pool::PoolHandle;
 use crate::slot::SlotLayout;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::stats::Counter;
 use std::sync::OnceLock;
 
 /// Slots one vectored zap call covers (the kernel takes at most 1024).
@@ -200,7 +200,7 @@ pub struct VirtArea {
     /// Shadow of the kernel's view of each page, used for introspection,
     /// tests, and coalescing decisions.
     map: Vec<Mapping>,
-    mmap_calls: AtomicU64,
+    mmap_calls: Counter,
     populate_default: bool,
     /// Estimated VMAs this area occupies (maximal mergeable runs of `map`),
     /// maintained incrementally on every remapping.
@@ -247,16 +247,18 @@ impl VirtArea {
             layout.slot_bytes().max(page_size()),
             libc::PROT_READ | libc::PROT_WRITE,
         )?;
-        Ok(VirtArea {
+        let area = VirtArea {
             base,
             pages: slots,
             layout,
             map: vec![Mapping::Anon; slots],
-            mmap_calls: AtomicU64::new(1),
+            mmap_calls: Counter::default(),
             populate_default: false,
             vmas: 1,
             budget: None,
-        })
+        };
+        area.mmap_calls.add(1); // the reservation
+        Ok(area)
     }
 
     /// [`VirtArea::reserve_layout`] with eager page-table population on
@@ -372,7 +374,7 @@ impl VirtArea {
     /// rewirings, resets). The paper's §3.1 "beware" is about exactly this
     /// number, so it is tracked per area.
     pub fn mmap_calls(&self) -> u64 {
-        self.mmap_calls.load(Ordering::Relaxed)
+        self.mmap_calls.get()
     }
 
     /// Rewire page `vpage` to pool page `ppage` (step (2) of the paper's
@@ -437,11 +439,11 @@ impl VirtArea {
         if rc == libc::MAP_FAILED {
             return Err(Error::os("mmap"));
         }
-        self.mmap_calls.fetch_add(1, Ordering::Relaxed);
-        pool.stats().count_mmap(1);
-        pool.stats().count_rewired(n as u64);
+        self.mmap_calls.add(1);
+        pool.stats().mmap_calls.add(1);
+        pool.stats().pages_rewired.add(n as u64);
         if self.populate_default {
-            pool.stats().count_populated(n as u64);
+            pool.stats().pages_populated.add(n as u64);
         }
         let (lo, hi) = (
             vpage.saturating_sub(1),
@@ -540,7 +542,7 @@ impl VirtArea {
         if rc == libc::MAP_FAILED {
             return Err(Error::os("mmap"));
         }
-        self.mmap_calls.fetch_add(1, Ordering::Relaxed);
+        self.mmap_calls.add(1);
         let (lo, hi) = (
             vpage.saturating_sub(1),
             (vpage + 1).min(self.pages.saturating_sub(1)),
@@ -631,7 +633,7 @@ impl Drop for VirtArea {
 // thread transfers that ownership.
 unsafe impl Send for VirtArea {}
 // SAFETY: all remapping takes `&mut self`; the `&self` surface (page_ptr,
-// mapping, populate_by_touch, mmap_calls) reads plain fields, an atomic,
+// mapping, populate_by_touch, mmap_calls) reads plain fields, a counter,
 // or mapped memory. Shared references therefore permit only reads.
 unsafe impl Sync for VirtArea {}
 

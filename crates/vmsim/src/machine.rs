@@ -72,11 +72,6 @@ impl Machine {
         }
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Data access from `core`.
     pub fn access(&mut self, core: CoreId, addr: VirtAddr) -> Result<AccessOutcome, MemError> {
         self.cores[core.0].access(&mut self.aspace, addr)
@@ -143,15 +138,6 @@ impl Machine {
     /// Per-core statistics.
     pub fn core_stats(&self, core: CoreId) -> &SimStats {
         &self.cores[core.0].stats
-    }
-
-    /// Statistics merged over all cores.
-    pub fn merged_stats(&self) -> SimStats {
-        let mut out = SimStats::default();
-        for c in &self.cores {
-            out.merge(&c.stats);
-        }
-        out
     }
 }
 

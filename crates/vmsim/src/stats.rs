@@ -42,21 +42,6 @@ impl SimStats {
             self.tlb_misses as f64 / total as f64
         }
     }
-
-    /// Merge counters from another run (e.g. across cores).
-    pub fn merge(&mut self, other: &SimStats) {
-        self.tlb_l1_hits += other.tlb_l1_hits;
-        self.tlb_l2_hits += other.tlb_l2_hits;
-        self.tlb_misses += other.tlb_misses;
-        self.walk_touches += other.walk_touches;
-        self.walk_dram_touches += other.walk_dram_touches;
-        self.data_dram_touches += other.data_dram_touches;
-        self.soft_faults += other.soft_faults;
-        self.mmap_calls += other.mmap_calls;
-        self.ipis_sent += other.ipis_sent;
-        self.remote_invalidations += other.remote_invalidations;
-        self.total_ns += other.total_ns;
-    }
 }
 
 #[cfg(test)]
@@ -78,24 +63,5 @@ mod tests {
     #[test]
     fn empty_stats_miss_rate_is_zero() {
         assert_eq!(SimStats::default().tlb_miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = SimStats {
-            tlb_l1_hits: 1,
-            total_ns: 10.0,
-            ..Default::default()
-        };
-        let b = SimStats {
-            tlb_l1_hits: 2,
-            soft_faults: 3,
-            total_ns: 5.0,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.tlb_l1_hits, 3);
-        assert_eq!(a.soft_faults, 3);
-        assert!((a.total_ns - 15.0).abs() < 1e-9);
     }
 }

@@ -376,6 +376,18 @@ fn compaction_collapses_live_vmas_by_10x() {
     );
     assert!(after.maint.pages_moved > 0);
     assert_eq!(after.maint.compactions, 1);
+    // The write path counts a pass once; both blocks read that count.
+    assert_eq!(after.maint.compactions, after.index.compactions);
+    assert_eq!(after.maint.pages_moved, after.index.pages_moved);
+    assert_eq!(
+        after.maint.compaction_skipped,
+        after.index.compaction_skipped
+    );
+    assert_eq!(after.maint.vmas_saved, after.index.vmas_saved);
+    assert_eq!(
+        after.maint.vmas_saved,
+        (out.vmas_before - out.vmas_after) as u64
+    );
 
     // Everything still answers, shortcut-served once synced.
     for key in (0..k).step_by(4_093) {
