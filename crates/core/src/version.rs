@@ -74,6 +74,17 @@ impl ReadLine {
         let served = ReadTicket::of(self.bias.admission(&pin))?;
         Some((pin, served))
     }
+
+    /// A read section's way in, on whatever stripe the thread pins: the
+    /// pin and the directory the admission word serves (`None`: nothing
+    /// served, read traditionally) while the bias admits; `None`, nothing
+    /// left pinned, while it is revoked — take the lock's read side.
+    #[inline]
+    pub fn enter_section(&self) -> Option<(ReaderPin<'_>, Option<ReadTicket>)> {
+        let pin = self.pins.pin();
+        let word = self.bias.admission(&pin);
+        ReadBias::admits(word).then(|| (pin, ReadTicket::of(word)))
+    }
 }
 
 /// The read descriptor: the serving word and what decides it. Published

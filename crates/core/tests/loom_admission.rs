@@ -15,7 +15,7 @@
 //! admits — read through the descriptor's serving word — or sends the
 //! reader to the lock, where a locked read re-arms the bias under the
 //! inbox lock (`REARM_AFTER` is 1 under the model). A shared writer runs
-//! `Shard::write` once: lock, revoke the bias (the revocation's stores
+//! `Shard::enter_write` once: lock, revoke the bias (the revocation's stores
 //! under the inbox lock, the stripe scan outside it), then split a bucket
 //! — rewrite it with plain stores — and relay: under the inbox lock, bump
 //! the traditional version (which clears the words) and queue it. The
@@ -228,7 +228,7 @@ impl World {
         violation
     }
 
-    /// `Shard::write` around one bucket split and its relay (giving up
+    /// `Shard::enter_write` around one bucket split and its relay (giving up
     /// where production yields and scans again: the model has no fairness
     /// to make a spin terminate).
     fn split(&self, seed: Seed, seen: &Coverage) {

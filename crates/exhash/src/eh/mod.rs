@@ -31,6 +31,11 @@ use std::sync::Arc;
 /// at every distance from 4 to 32.
 pub(crate) const PREFETCH_DISTANCE: usize = 16;
 
+/// Keys a batch serves per entry into the sections of the shards they
+/// touch: enough to amortize the entries, few enough (microseconds of pin
+/// and lock hold) not to stall the reclaim scan or the shards' writers.
+pub(crate) const WINDOW: usize = 4096; // audit:allow(page-literal): key-batch size per pin, not a page size
+
 /// Directory-modifying events, emitted (when enabled) for the asynchronous
 /// shortcut maintenance of Shortcut-EH.
 #[derive(Debug, Clone)]
@@ -675,43 +680,14 @@ impl ExtendibleHash {
         v
     }
 
-    /// Look up the routed `positions` of one window (see [`crate::route`]):
-    /// `out[p]` answers `keys[p]`, whose [`mult_hash`] is `hashes[p]`. The
-    /// bucket's address is only known once the directory entry has been
-    /// loaded, so the rolling prefetch has two stages: the directory entry
-    /// of the key `2·D` ahead, and — through the entry the earlier stage
-    /// brought in — the bucket lines of the key `D` ahead.
-    pub(crate) fn get_chunk(
-        &self,
-        keys: &[u64],
-        hashes: &[u64],
-        positions: &[u16],
-        out: &mut [Option<u64>],
-    ) {
-        const D: usize = PREFETCH_DISTANCE;
-        let g = self.dir.global_depth();
-        let at = |i: usize| {
-            let p = positions[i] as usize;
-            (p, keys[p], self.dir_hash_of(hashes[p]))
-        };
-        let entry_ahead = |i: usize| prefetch(self.dir.slot_addr(dir_slot(at(i).2, g)));
-        let bucket_ahead = |i: usize| {
-            let (_, key, h) = at(i);
-            self.bucket_for(h).prefetch(key);
-        };
-        let n = positions.len();
-        (0..n.min(2 * D)).for_each(entry_ahead);
-        (0..n.min(D)).for_each(bucket_ahead);
-        for i in 0..n {
-            if i + 2 * D < n {
-                entry_ahead(i + 2 * D);
-            }
-            if i + D < n {
-                bucket_ahead(i + D);
-            }
-            let (p, key, h) = at(i);
-            out[p] = self.get_hashed(key, h);
-        }
+    /// Ask the cache for the directory entry of the key whose
+    /// [`ExtendibleHash::dir_hash`] is `dir_hash`: a batch does, keys ahead.
+    #[inline(always)]
+    pub(crate) fn prefetch_entry(&self, dir_hash: u64) {
+        prefetch(
+            self.dir
+                .slot_addr(dir_slot(dir_hash, self.dir.global_depth())),
+        );
     }
 }
 

@@ -38,7 +38,6 @@ pub mod error;
 pub mod hash;
 pub mod ht;
 pub mod hti;
-mod route;
 pub mod shard;
 pub mod shortcut_eh;
 pub mod stats;

@@ -45,17 +45,17 @@
 //! rebuilds.
 
 use crate::builder::IndexBuilder;
-use crate::eh::CompactionOutcome;
+use crate::eh::{CompactionOutcome, WINDOW};
 use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash};
-use crate::route::{route, route_all};
-use crate::shortcut_eh::{ShortcutEh, ShortcutEhConfig};
+use crate::shortcut_eh::{ReadSection, ShortcutEh, ShortcutEhConfig};
 use crate::stats::StatsSnapshot;
 use crate::traits::Index;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use shortcut_core::ReadLine;
-use shortcut_rewire::{ReadBias, ReaderPin};
+use shortcut_rewire::ReadBias;
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,59 +75,67 @@ struct Shard {
 // `lock` + the line's bias implement: shared references under a pin that
 // saw the bias armed or under the read lock, the exclusive one under the
 // write lock after the bias is revoked and its readers have drained
-// (`write`); `&mut self` callers use `eh.get_mut()` (`shard_for_mut`: the
-// cell's pointer), the borrow excluding every reader.
+// (`enter_write`); `&mut self` callers use `eh.get_mut()` (`shard_for_mut`)
+// or the cell's pointer (`enter_exclusive`), the borrow excluding every
+// reader.
 // `ShortcutEh` is `Send + Sync`; the lock is `Sync`.
 unsafe impl Sync for Shard {}
 
 impl Shard {
-    /// The read section of the batched lookups and the hit path's exits:
-    /// `f` gets the shard and a pin on
-    /// its retire list, live for the whole call. Short reads only — the
-    /// pin holds back directory reclamation and any shared writer.
+    /// The read section of a batch window and of the hit path's exits: a
+    /// pin and the admission word while the bias admits, the lock's read
+    /// side while it is revoked. Short reads only — it holds back
+    /// directory reclamation and the shard's shared writers.
     #[inline]
-    fn read<R>(&self, line: &ReadLine, f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R) -> R {
-        let pin = line.pins.pin();
-        if ReadBias::admits(line.bias.admission(&pin)) {
-            // SAFETY: the pin saw the bias armed, so a writer cannot pass
-            // `write`'s drain before the pin drops at the end of `f`.
-            return f(unsafe { &*self.eh.get() }, &pin);
+    fn enter_read<'a>(&'a self, line: &'a ReadLine) -> ReadSection<'a> {
+        let Some((pin, served)) = line.enter_section() else {
+            return self.enter_locked(line);
+        };
+        // SAFETY: the pin saw the bias armed, so a writer cannot pass
+        // `enter_write`'s drain before the pin drops with the section.
+        let eh = unsafe { &*self.eh.get() };
+        ReadSection {
+            eh,
+            served,
+            pin,
+            locked: None,
         }
-        drop(pin);
-        self.read_on_lock(line, f)
     }
 
-    /// [`Shard::read`] while the bias is revoked, counted: the
+    /// [`Shard::enter_read`] while the bias is revoked, counted: the
     /// [`shortcut_rewire::REARM_AFTER`]th in a row re-arms the bias. Out of
     /// line, so the biased path stays a leaf around the inlined lookup.
     #[cold]
     #[inline(never)]
-    fn read_on_lock<R>(
-        &self,
-        line: &ReadLine,
-        f: impl FnOnce(&ShortcutEh, &ReaderPin<'_>) -> R,
-    ) -> R {
-        let _shared = self.lock.read();
-        // SAFETY: the read lock excludes `write`.
+    fn enter_locked<'a>(&'a self, line: &'a ReadLine) -> ReadSection<'a> {
+        let locked = self.lock.read();
+        // SAFETY: the read lock excludes `enter_write`.
         let eh = unsafe { &*self.eh.get() };
         if line.bias.note_locked_read() {
             let _inbox = eh.maint().inbox_lock();
             eh.maint().state().rearm();
         }
-        f(eh, &line.pins.pin())
+        let pin = line.pins.pin();
+        ReadSection {
+            eh,
+            served: eh.maint().state().begin_read(),
+            pin,
+            locked: Some(locked),
+        }
     }
 
     /// Shared access under the read lock and no pin, for callers that may
     /// block or run long (statistics, `wait_sync`, arbitrary closures).
     fn read_locked<R>(&self, f: impl FnOnce(&ShortcutEh) -> R) -> R {
         let _shared = self.lock.read();
-        // SAFETY: the read lock excludes `write`.
+        // SAFETY: the read lock excludes `enter_write`.
         f(unsafe { &*self.eh.get() })
     }
 
-    /// The shared writers' section.
-    fn write<R>(&self, line: &ReadLine, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
-        let _exclusive = self.lock.write();
+    /// The shared writers' section: the write lock, then the bias revoked
+    /// and its readers drained.
+    fn enter_write<'a>(&'a self, line: &ReadLine) -> WriteSection<'a> {
+        let exclusive = self.lock.write();
         // SAFETY: the write lock excludes writers and locked readers;
         // biased readers hold shared references too.
         let maint = unsafe { &*self.eh.get() }.maint();
@@ -138,7 +146,163 @@ impl Shard {
         // SAFETY: the write lock excludes writers and locked readers, and
         // the revoked bias has drained: no reader that entered on it is
         // left, and new ones see it revoked and wait for the lock.
-        f(unsafe { &mut *self.eh.get() })
+        let eh = unsafe { &mut *self.eh.get() };
+        WriteSection {
+            eh,
+            _exclusive: Some(exclusive),
+        }
+    }
+}
+
+/// What a write holds of one shard: the shard and, for a shared writer,
+/// its write lock. Leaving relays the directory events to the mapper
+/// before the lock goes: the bump keeps later readers off a shortcut that
+/// predates these splits.
+struct WriteSection<'a> {
+    eh: &'a mut ShortcutEh,
+    _exclusive: Option<RwLockWriteGuard<'a, ()>>,
+}
+
+impl Drop for WriteSection<'_> {
+    fn drop(&mut self) {
+        self.eh.relay_events();
+    }
+}
+
+/// A bit per shard [`MAX_SHARD_BITS`] allows.
+type ShardSet = [u64; (1 << MAX_SHARD_BITS) / 64];
+
+fn add(set: &mut ShardSet, shard: usize) {
+    set[shard / 64 % set.len()] |= 1 << (shard % 64);
+}
+
+/// `f` on each shard of `set`, ascending.
+#[inline(always)]
+fn each_shard(set: ShardSet, mut f: impl FnMut(usize)) {
+    for (w, mut word) in set.into_iter().enumerate() {
+        while word != 0 {
+            f(w * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
+}
+
+/// The sections one window of a batch holds, one per shard it touches:
+/// entered in ascending shard order (CONCURRENCY.md §4), left when it
+/// drops. Never moved: it has room for every shard.
+struct Held<S> {
+    bits: u32,
+    /// `sections[i]` is initialized exactly while `entered` holds `i`.
+    entered: ShardSet,
+    sections: [MaybeUninit<S>; 1 << MAX_SHARD_BITS],
+}
+
+impl<S> Held<S> {
+    /// Enter `enter(i)` for each shard `i` one of `keys` routes to over
+    /// `2^bits` shards, run `walk` on the sections and leave them.
+    #[inline(always)]
+    fn with<R>(
+        bits: u32,
+        keys: impl Iterator<Item = u64>,
+        mut enter: impl FnMut(usize) -> S,
+        walk: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let mut touched = ShardSet::default();
+        if bits == 0 {
+            add(&mut touched, 0); // One shard owns every key.
+        } else {
+            keys.for_each(|key| add(&mut touched, dir_slot(mult_hash(key), bits)));
+        }
+        let mut held = Held {
+            bits,
+            entered: ShardSet::default(),
+            sections: [const { MaybeUninit::uninit() }; 1 << MAX_SHARD_BITS],
+        };
+        each_shard(touched, |i| {
+            held.sections[i].write(enter(i));
+            add(&mut held.entered, i);
+        });
+        walk(&mut held)
+    }
+
+    /// The section of the shard `hash` routes to.
+    ///
+    /// # Safety
+    ///
+    /// `hash` is the [`mult_hash`] of a key `self` entered for: its shard's
+    /// section is initialized.
+    #[inline(always)]
+    unsafe fn get(&self, hash: u64) -> &S {
+        // SAFETY: the caller's.
+        unsafe {
+            self.sections
+                .get_unchecked(dir_slot(hash, self.bits))
+                .assume_init_ref()
+        }
+    }
+
+    /// [`Held::get`], mutably.
+    ///
+    /// # Safety
+    ///
+    /// As [`Held::get`].
+    #[inline(always)]
+    unsafe fn get_mut(&mut self, hash: u64) -> &mut S {
+        // SAFETY: the caller's.
+        unsafe {
+            self.sections
+                .get_unchecked_mut(dir_slot(hash, self.bits))
+                .assume_init_mut()
+        }
+    }
+}
+
+impl<S> Drop for Held<S> {
+    #[inline]
+    fn drop(&mut self) {
+        let sections = &mut self.sections;
+        // SAFETY: each entered section is initialized, and dropped once.
+        each_shard(self.entered, |i| unsafe { sections[i].assume_init_drop() });
+    }
+}
+
+/// Insert `entries` one window at a time, each in the write sections
+/// `enter` gives, in batch order up to the first failing one.
+fn insert_pass<'a>(
+    bits: u32,
+    entries: &[(u64, u64)],
+    mut enter: impl FnMut(usize) -> WriteSection<'a>,
+) -> Result<(), IndexError> {
+    entries.chunks(WINDOW).try_for_each(|window| {
+        let keys = window.iter().map(|&(key, _)| key);
+        Held::with(bits, keys, &mut enter, |held| {
+            window.iter().try_for_each(|&(key, value)| {
+                let hash = mult_hash(key);
+                // SAFETY: `held` entered for the window's keys.
+                unsafe { held.get_mut(hash) }
+                    .eh
+                    .insert_deferred(key, value, hash)
+            })
+        })
+    })
+}
+
+/// Remove `keys` as [`insert_pass`] inserts: `out[i]` is the value
+/// `keys[i]` held.
+fn remove_pass<'a>(
+    bits: u32,
+    keys: &[u64],
+    out: &mut [Option<u64>],
+    mut enter: impl FnMut(usize) -> WriteSection<'a>,
+) {
+    for (keys, out) in keys.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
+        Held::with(bits, keys.iter().copied(), &mut enter, |held| {
+            for (&key, out) in keys.iter().zip(out) {
+                let hash = mult_hash(key);
+                // SAFETY: `held` entered for the window's keys.
+                *out = unsafe { held.get_mut(hash) }.eh.remove_hashed(key, hash);
+            }
+        });
     }
 }
 
@@ -266,8 +430,23 @@ impl ShortcutIndex {
     }
 
     /// Shard `i`'s shared writers' section.
-    fn write<R>(&self, i: usize, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
-        self.shards[i].write(&self.lines[i], f)
+    fn enter_write(&self, i: usize) -> WriteSection<'_> {
+        self.shards[i].enter_write(&self.lines[i])
+    }
+
+    /// Shard `i`'s write section for the exclusive discipline: no lock.
+    ///
+    /// # Safety
+    ///
+    /// The caller borrows the index by `&mut` while the section lives, and
+    /// holds no other section of shard `i`.
+    unsafe fn enter_exclusive(&self, i: usize) -> WriteSection<'_> {
+        // SAFETY: the caller's.
+        let eh = unsafe { &mut *self.shards[i].eh.get() };
+        WriteSection {
+            eh,
+            _exclusive: None,
+        }
     }
 
     /// Look up a key. Takes `&self`: concurrent readers are safe. The hit
@@ -280,8 +459,8 @@ impl ShortcutIndex {
     pub fn get(&self, key: u64) -> Option<u64> {
         let hash = mult_hash(key);
         let line = self.line_for(hash);
-        // A served word is an armed one: no writer passes `Shard::write`'s
-        // drain before the pin drops.
+        // A served word is an armed one: no writer passes
+        // `Shard::enter_write`'s drain before the pin drops.
         if let Some((pin, t)) = line.enter() {
             if let Some(hit) = ShortcutEh::get_served(t, line.geometry, key, hash, &pin) {
                 return hit;
@@ -299,11 +478,17 @@ impl ShortcutIndex {
         // `line` is one of `lines`, as `line_for` answers.
         let offset = std::ptr::from_ref(line).addr() - self.lines.as_ptr().addr();
         let shard = &self.shards[offset / std::mem::size_of::<ReadLine>()];
-        shard.read(line, |s, pin| s.get_pinned(key, mult_hash(key), pin))
+        shard
+            .enter_read(line)
+            .get(line.geometry, key, mult_hash(key))
     }
 
     /// Run `f` against shard `i` under a **read** lock (per-shard
     /// accessors, layout inspection, read-only probes).
+    ///
+    /// `f` must not call back into the index — its batched or shared-write
+    /// entry points, or a lookup: a batch writer can hold another shard and
+    /// wait for this one (CONCURRENCY.md §4). Read through the `&ShortcutEh`.
     ///
     /// # Panics
     ///
@@ -315,11 +500,14 @@ impl ShortcutIndex {
     /// Run `f` against shard `i` under a **write** lock (shared-writer
     /// maintenance such as per-shard [`ShortcutEh::compact`]).
     ///
+    /// `f` must not call back into the index, as for
+    /// [`ShortcutIndex::with_shard`].
+    ///
     /// # Panics
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn with_shard_mut<R>(&self, i: usize, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
-        self.write(i, f)
+        f(self.enter_write(i).eh)
     }
 
     // ------------------------------------------------------------------
@@ -340,9 +528,9 @@ impl ShortcutIndex {
     /// Same contract as [`Index::insert`].
     pub fn insert_shared(&self, key: u64, value: u64) -> Result<(), IndexError> {
         let hash = mult_hash(key);
-        self.write(dir_slot(hash, self.bits), |s| {
-            s.insert_hashed(key, value, hash)
-        })
+        self.enter_write(dir_slot(hash, self.bits))
+            .eh
+            .insert_hashed(key, value, hash)
     }
 
     /// Remove through a per-shard write lock. See [`ShortcutIndex::insert_shared`].
@@ -352,44 +540,61 @@ impl ShortcutIndex {
     /// Same contract as [`Index::remove`].
     pub fn remove_shared(&self, key: u64) -> Result<Option<u64>, IndexError> {
         let hash = mult_hash(key);
-        self.write(
-            dir_slot(hash, self.bits),
-            |s| Ok(s.remove_hashed(key, hash)),
-        )
+        Ok(self
+            .enter_write(dir_slot(hash, self.bits))
+            .eh
+            .remove_hashed(key, hash))
     }
 
-    /// Batched insert through per-shard write locks: each window of 4096
-    /// entries of the batch is split by shard, preserving relative
-    /// order within a shard, and a shard's share is applied under one
-    /// write-lock acquisition and one relay to its mapper.
+    /// Batched insert through per-shard write locks, in one pass per
+    /// window of 4096 entries: the window enters the write section of
+    /// every shard it touches, in ascending shard order, applies its
+    /// entries in batch order and relays each shard's directory events to
+    /// its mapper once, when it leaves.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing shard's error. What was applied before
-    /// the failure — earlier windows, earlier shards of the failing
-    /// window, the failing shard's prefix — stays applied and readable:
-    /// the contract of [`Index::insert_batch`], per shard.
+    /// Stops at the first failing entry and returns its error. Exactly the
+    /// entries before it — in batch order, whatever shard they went to —
+    /// stay applied and readable; none after it is applied: the contract
+    /// of [`Index::insert_batch`].
     pub fn insert_batch_shared(&self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
-        route(self.bits, entries, |i, window, hashes, positions| {
-            self.write(i, |s| s.insert_chunk(&entries[window], hashes, positions))
-        })
+        insert_pass(self.bits, entries, |i| self.enter_write(i))
     }
 
     /// Batched lookup into a caller-owned buffer: `out` is resized to
-    /// `keys.len()` and `out[i]` answers `keys[i]`. Each window of the
-    /// batch is split by shard and a shard's share is answered inside the
-    /// read section [`ShortcutIndex::get`] enters — one pin, one serving
-    /// word — straight into its places in `out`. Allocates nothing once
+    /// `keys.len()` and `out[i]` answers `keys[i]`. One pass per window of
+    /// 4096 keys: the window enters the read section of every shard it
+    /// touches — the one [`ShortcutIndex::get`] enters: a pin and the
+    /// admission word — in ascending shard order, then answers its keys in
+    /// batch order under one prefetch pipeline. Allocates nothing once
     /// `out` has the capacity.
+    #[inline]
     pub fn get_many_into(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         out.clear();
         out.resize(keys.len(), None);
-        route_all(self.bits, keys, |i, window, hashes, positions| {
-            let (keys, out) = (&keys[window.clone()], &mut out[window]);
-            self.shards[i].read(&self.lines[i], |s, pin| {
-                s.get_chunk(keys, hashes, positions, pin, out)
+        // Every shard has the same bucket layout and hash rotation.
+        let geometry = self.lines[0].geometry;
+        for (keys, out) in keys.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
+            let enter = |i: usize| self.shards[i].enter_read(&self.lines[i]);
+            Held::with(self.bits, keys.iter().copied(), enter, |held| {
+                match self.bits {
+                    // Unsharded: one section, which the walk reads as a
+                    // constant (hoisted out of the loop, as `line_for`'s
+                    // route is out of `get`).
+                    0 => {
+                        // SAFETY: every hash routes to shard 0, entered.
+                        let only = unsafe { held.get(0) };
+                        ShortcutEh::get_window(keys, out, geometry, |_| only);
+                    }
+                    // SAFETY: `get_window` asks for the sections of `keys`
+                    // only, which `held` entered for.
+                    _ => ShortcutEh::get_window(keys, out, geometry, |hash| unsafe {
+                        held.get(hash)
+                    }),
+                }
             });
-        });
+        }
     }
 
     /// Batched remove through per-shard write locks; answers in caller
@@ -399,7 +604,9 @@ impl ShortcutIndex {
     /// # Errors
     ///
     /// None today: removals touch bucket contents only. Fallible per the
-    /// [`Index`] write contract.
+    /// [`Index`] write contract, which is the prefix contract of
+    /// [`ShortcutIndex::insert_batch_shared`]: a failing removal would
+    /// leave exactly the removals before it, in batch order, applied.
     pub fn remove_batch_shared(&self, keys: &[u64]) -> Result<Vec<Option<u64>>, IndexError> {
         let mut out = Vec::with_capacity(keys.len());
         self.remove_batch_shared_into(keys, &mut out)?;
@@ -407,11 +614,12 @@ impl ShortcutIndex {
     }
 
     /// [`ShortcutIndex::remove_batch_shared`] into a caller-owned buffer,
-    /// windowed and split like [`ShortcutIndex::insert_batch_shared`].
+    /// in the one pass per window of [`ShortcutIndex::insert_batch_shared`].
     ///
     /// # Errors
     ///
-    /// As [`ShortcutIndex::remove_batch_shared`].
+    /// As [`ShortcutIndex::remove_batch_shared`]: exactly the prefix of the
+    /// batch before a failing removal would stay applied.
     pub fn remove_batch_shared_into(
         &self,
         keys: &[u64],
@@ -419,10 +627,7 @@ impl ShortcutIndex {
     ) -> Result<(), IndexError> {
         out.clear();
         out.resize(keys.len(), None);
-        route_all(self.bits, keys, |i, window, hashes, positions| {
-            let (keys, out) = (&keys[window.clone()], &mut out[window]);
-            self.write(i, |s| s.remove_chunk(keys, hashes, positions, out));
-        });
+        remove_pass(self.bits, keys, out, |i| self.enter_write(i));
         Ok(())
     }
 
@@ -595,9 +800,9 @@ impl Index for ShortcutIndex {
         }
     }
 
-    /// Allocating wrapper of [`ShortcutIndex::get_many_into`]: hashes each
-    /// key once, enters each shard once per window of 4096 keys (one pin,
-    /// one serving word) and prefetches ahead of the probe.
+    /// Allocating wrapper of [`ShortcutIndex::get_many_into`]: enters each
+    /// shard a window of 4096 keys touches once (one pin, one admission
+    /// word) and prefetches ahead of the probe.
     fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let mut out = Vec::with_capacity(keys.len());
         self.get_many_into(keys, &mut out);
@@ -611,10 +816,10 @@ impl Index for ShortcutIndex {
     ///
     /// As [`ShortcutIndex::insert_batch_shared`].
     fn insert_batch(&mut self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
-        route(self.bits, entries, |i, window, hashes, positions| {
-            let shard = self.shards[i].eh.get_mut();
-            shard.insert_chunk(&entries[window], hashes, positions)
-        })
+        let this = &*self;
+        // SAFETY: `&mut self` is held throughout, and a pass holds one
+        // section per shard at a time.
+        insert_pass(self.bits, entries, |i| unsafe { this.enter_exclusive(i) })
     }
 
     /// [`ShortcutIndex::remove_batch_shared`] without the locks.
@@ -623,11 +828,10 @@ impl Index for ShortcutIndex {
     ///
     /// As [`ShortcutIndex::remove_batch_shared`].
     fn remove_batch(&mut self, keys: &[u64]) -> Result<Vec<Option<u64>>, IndexError> {
-        let mut out = vec![None; keys.len()];
-        route_all(self.bits, keys, |i, window, hashes, positions| {
-            let (keys, out) = (&keys[window.clone()], &mut out[window]);
-            let shard = self.shards[i].eh.get_mut();
-            shard.remove_chunk(keys, hashes, positions, out);
+        let (mut out, this) = (vec![None; keys.len()], &*self);
+        // SAFETY: as in `insert_batch`.
+        remove_pass(self.bits, keys, &mut out, |i| unsafe {
+            this.enter_exclusive(i)
         });
         Ok(out)
     }
@@ -975,6 +1179,44 @@ mod tests {
             assert!(t.wait_sync(Duration::from_secs(10)));
             for k in [0, split_key] {
                 assert_eq!(counted(k), (1, 0), "key {k} after the pass");
+            }
+        }
+    }
+
+    /// A window enters the section of exactly the shards its keys route
+    /// to, each once, in ascending order, finds each key's in its shard's
+    /// place, and leaves each once — at every shard count up to the cap.
+    #[test]
+    fn a_window_enters_each_shard_it_touches_once_in_order() {
+        use crate::eh::WINDOW;
+        use std::cell::RefCell;
+        struct Section<'a>(usize, &'a RefCell<Vec<usize>>);
+        impl Drop for Section<'_> {
+            fn drop(&mut self) {
+                self.1.borrow_mut().push(self.0);
+            }
+        }
+        for bits in [0, 1, 3, MAX_SHARD_BITS] {
+            for n in [1, 17, 300, WINDOW] {
+                let keys: Vec<u64> = (0..n as u64).map(|k| k * 31 + 7).collect();
+                let mut touched: Vec<usize> =
+                    keys.iter().map(|&k| dir_slot(mult_hash(k), bits)).collect();
+                touched.sort_unstable();
+                touched.dedup();
+                let (entered, left) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
+                let enter = |i| {
+                    entered.borrow_mut().push(i);
+                    Section(i, &left)
+                };
+                Held::with(bits, keys.iter().copied(), enter, |held| {
+                    for &k in &keys {
+                        let hash = mult_hash(k);
+                        // SAFETY: `held` entered for `keys`.
+                        assert_eq!(unsafe { held.get(hash) }.0, dir_slot(hash, bits));
+                    }
+                });
+                assert_eq!(*entered.borrow(), touched, "bits {bits}, {n} keys");
+                assert_eq!(*left.borrow(), touched, "bits {bits}, {n} keys");
             }
         }
     }

@@ -31,12 +31,12 @@
 //! are alive.
 
 use crate::bucket::{BucketLayout, BucketRef};
-use crate::eh::{CompactionOutcome, DirEvent, EhConfig, ExtendibleHash, PREFETCH_DISTANCE};
+use crate::eh::{CompactionOutcome, DirEvent, EhConfig, ExtendibleHash, PREFETCH_DISTANCE, WINDOW};
 use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash};
-use crate::route::{route, route_all};
 use crate::stats::IndexStats;
 use crate::traits::Index;
+use parking_lot::RwLockReadGuard;
 use shortcut_core::metrics::MaintSnapshot;
 use shortcut_core::{
     CompactionPolicy, MaintConfig, MaintRequest, Maintainer, ReadGeometry, ReadTicket, RoutePolicy,
@@ -276,7 +276,7 @@ impl ShortcutEh {
     /// (`submit_all` drains the iterator there) and clears the serving
     /// word, before the caller leaves its write section: no reader that
     /// enters after it finds a directory that predates these events.
-    fn relay_events(&mut self) {
+    pub(crate) fn relay_events(&mut self) {
         if !self.eh.has_events() {
             return;
         }
@@ -491,20 +491,17 @@ impl ShortcutEh {
         self.eh.ideal_layout_vmas()
     }
 
-    /// One lookup under the caller's pin on this index's retire list, from
-    /// the key's already computed [`mult_hash`], on one load of the
-    /// descriptor's serving word. Counts the lookup on the pin's stripe.
+    /// This index's own read section: a pin on its retire list, then the
+    /// descriptor's serving word, which no bump moves while `&self` lasts.
     #[inline(always)]
-    pub(crate) fn get_pinned(&self, key: u64, hash: u64, pin: &ReaderPin<'_>) -> Option<u64> {
-        // The serving word is null out of sync, budget suspended or routed
-        // away by the fan-in, and no bump can move it while the caller's
-        // section lasts, so what it names is the current directory for the
-        // whole read — nothing to validate.
-        let Some(t) = self.maint.state().begin_read() else {
-            return self.get_traditional(key, pin);
-        };
-        Self::get_served(t, self.geometry, key, hash, pin)
-            .unwrap_or_else(|| self.get_traditional(key, pin))
+    fn section(&self) -> ReadSection<'_> {
+        let pin = self.retire.pin();
+        ReadSection {
+            eh: self,
+            served: self.maint.state().begin_read(),
+            pin,
+            locked: None,
+        }
     }
 
     /// The shortcut hit of `key` (whose [`mult_hash`] is `hash`) in the
@@ -531,7 +528,7 @@ impl ShortcutEh {
         })
     }
 
-    /// Where [`ShortcutEh::get_pinned`] leaves the shortcut: not serving
+    /// Where [`ReadSection::get`] leaves the shortcut: not serving
     /// (out of sync, suspended, routed away by the fan-in), or a bucket
     /// deeper than a coarse publish resolves — one traditional lookup
     /// either way. Out of line and fed scalars — it hashes again — so the
@@ -544,61 +541,37 @@ impl ShortcutEh {
         self.eh.get_hashed(key, self.eh.dir_hash(key))
     }
 
-    /// Answer the routed `positions` of one window of a batched lookup
-    /// (see [`crate::route`]) under the caller's pin and read section, on
-    /// one load of the serving word: `out[p]` answers `keys[p]`, whose
-    /// [`mult_hash`] is `hashes[p]`. The published bucket address is a
-    /// function of the hash alone, so the lines the probe of the key
-    /// [`PREFETCH_DISTANCE`] ahead will read are requested from the
-    /// served base before the current key is probed — one stage where
-    /// the traditional directory needs two
-    /// ([`ExtendibleHash::get_chunk`]). A window the shortcut does not
-    /// serve is answered through the traditional directory.
-    pub(crate) fn get_chunk(
-        &self,
+    /// Answer one window of a batch in batch order, `out[i]` for `keys[i]`,
+    /// each inside `section(hash)` (asked for the hashes of `keys` only):
+    /// the section, entered for the window, of the shard the key's
+    /// [`mult_hash`] routes to. One prefetch pipeline spans the window:
+    /// what the key [`PREFETCH_DISTANCE`] ahead reads first is requested
+    /// through its own section before the current key is probed.
+    #[inline(always)]
+    pub(crate) fn get_window<'s, 'a: 's>(
         keys: &[u64],
-        hashes: &[u64],
-        positions: &[u16],
-        pin: &ReaderPin<'_>,
         out: &mut [Option<u64>],
+        geometry: ReadGeometry,
+        section: impl Fn(u64) -> &'s ReadSection<'a>,
     ) {
-        let state = self.maint.state();
-        let n = positions.len();
-        let Some(t) = state.begin_read() else {
-            pin.tally(TRADITIONAL_LOOKUPS, n as u64);
-            self.eh.get_chunk(keys, hashes, positions, out);
-            return;
-        };
-        let (g, geometry) = (t.depth(), self.geometry);
+        debug_assert_eq!(keys.len(), out.len());
         let at = |i: usize| {
-            let p = positions[i] as usize;
-            let h = self.eh.dir_hash_of(hashes[p]);
-            (p, keys[p], h, published_bucket(t, geometry, h))
+            let key = keys[i];
+            let hash = mult_hash(key);
+            (key, hash, section(hash))
         };
         let ahead = |i: usize| {
-            let (_, key, _, bucket) = at(i);
-            bucket.prefetch(key);
+            let (key, hash, s) = at(i);
+            s.prefetch(geometry, key, hash);
         };
+        let n = keys.len();
         (0..n.min(PREFETCH_DISTANCE)).for_each(ahead);
-        let mut deep = 0u64;
-        for i in 0..n {
+        for (i, out) in out.iter_mut().enumerate() {
             if i + PREFETCH_DISTANCE < n {
                 ahead(i + PREFETCH_DISTANCE);
             }
-            let (p, key, h, bucket) = at(i);
-            // Coarsely published directory: over-depth buckets are
-            // unresolvable here, answer those keys traditionally (see
-            // `get_pinned`).
-            out[p] = if bucket.local_depth() > g {
-                deep += 1;
-                self.eh.get_hashed(key, h)
-            } else {
-                bucket.get(key)
-            };
-        }
-        pin.tally(SHORTCUT_LOOKUPS, n as u64 - deep);
-        if deep > 0 {
-            pin.tally(TRADITIONAL_LOOKUPS, deep);
+            let (key, hash, s) = at(i);
+            *out = s.get(geometry, key, hash);
         }
     }
 
@@ -647,49 +620,76 @@ impl ShortcutEh {
         self.eh.remove_hashed(key, self.eh.dir_hash_of(hash))
     }
 
-    /// Insert the routed `positions` of one window of a batch, in order,
-    /// relaying directory events to the mapper once for all of them.
+    /// [`ShortcutEh::insert_hashed`] in a batch's write section, which
+    /// relays when it is left: the EH insert and, after a directory change,
+    /// a look at the layout.
     ///
     /// # Errors
     ///
-    /// Stops at the first failing insert; the entries before it stay
-    /// applied and relayed.
-    pub(crate) fn insert_chunk(
+    /// As [`Index::insert`].
+    #[inline]
+    pub(crate) fn insert_deferred(
         &mut self,
-        entries: &[(u64, u64)],
-        hashes: &[u64],
-        positions: &[u16],
+        key: u64,
+        value: u64,
+        hash: u64,
     ) -> Result<(), IndexError> {
-        let result = positions.iter().try_for_each(|&p| {
-            let (key, value) = entries[p as usize];
-            let h = self.eh.dir_hash_of(hashes[p as usize]);
-            self.eh.insert_hashed(key, value, h)?;
-            if self.eh.has_events() {
-                self.maybe_compact();
+        let r = self.eh.insert_hashed(key, value, self.eh.dir_hash_of(hash));
+        if self.eh.has_events() {
+            self.maybe_compact();
+        }
+        r
+    }
+}
+
+/// What a read holds of one shard — for one lookup or one batch window:
+/// the pin, the directory it serves (`None`: read traditionally) and,
+/// while the shard's bias is revoked, its read lock.
+pub(crate) struct ReadSection<'a> {
+    pub(crate) eh: &'a ShortcutEh,
+    pub(crate) served: Option<ReadTicket>,
+    pub(crate) pin: ReaderPin<'a>,
+    pub(crate) locked: Option<RwLockReadGuard<'a, ()>>,
+}
+
+impl ReadSection<'_> {
+    /// `key`'s lookup, from its [`mult_hash`] `hash`, counted on the pin's
+    /// stripe: served, or traditional where the served one cannot.
+    #[inline(always)]
+    pub(crate) fn get(&self, geometry: ReadGeometry, key: u64, hash: u64) -> Option<u64> {
+        if let Some(t) = self.served {
+            if let Some(hit) = ShortcutEh::get_served(t, geometry, key, hash, &self.pin) {
+                return hit;
             }
-            Ok(())
-        });
-        // Relay what happened, also after an error, so the shortcut
-        // converges on the applied prefix — and before the caller leaves
-        // its write section: the version bump is what keeps readers off a
-        // shortcut that predates these splits.
-        self.relay_events();
-        result
+        }
+        self.eh.get_traditional(key, &self.pin)
     }
 
-    /// Remove the routed `positions` of one window of a batch, in order:
-    /// `out[p]` is the value `keys[p]` held.
-    pub(crate) fn remove_chunk(
-        &mut self,
-        keys: &[u64],
-        hashes: &[u64],
-        positions: &[u16],
-        out: &mut [Option<u64>],
-    ) {
-        for &p in positions {
-            out[p as usize] = self.remove_hashed(keys[p as usize], hashes[p as usize]);
+    /// Ask the cache for what [`ReadSection::get`] of `key` reads first.
+    #[inline(always)]
+    fn prefetch(&self, geometry: ReadGeometry, key: u64, hash: u64) {
+        let h = hash.rotate_left(geometry.hash_rot);
+        match self.served {
+            Some(t) => published_bucket(t, geometry, h).prefetch(key),
+            None => self.eh.eh.prefetch_entry(h),
         }
     }
+}
+
+impl Drop for ReadSection<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(locked) = self.locked.take() {
+            unlock(locked);
+        }
+    }
+}
+
+/// Out of line: a batch leaves its sections with no `lock` prefix inline.
+#[cold]
+#[inline(never)]
+fn unlock(locked: RwLockReadGuard<'_, ()>) {
+    drop(locked);
 }
 
 /// The bucket slot the directory `t` was served from holds for the
@@ -719,7 +719,7 @@ impl Index for ShortcutEh {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        self.get_pinned(key, mult_hash(key), &self.retire.pin())
+        self.section().get(self.geometry, key, mult_hash(key))
     }
 
     #[inline]
@@ -743,10 +743,10 @@ impl Index for ShortcutEh {
     /// accumulate against the VMA budget).
     fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let mut out = vec![None; keys.len()];
-        route_all(0, keys, |_, window, hashes, positions| {
-            let (keys, out) = (&keys[window.clone()], &mut out[window]);
-            self.get_chunk(keys, hashes, positions, &self.retire.pin(), out);
-        });
+        for (keys, out) in keys.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
+            let section = self.section();
+            Self::get_window(keys, out, self.geometry, |_| &section);
+        }
         out
     }
 
@@ -754,8 +754,12 @@ impl Index for ShortcutEh {
     /// window instead of once per key, shrinking producer-side overhead
     /// during insert storms.
     fn insert_batch(&mut self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
-        route(0, entries, |_, window, hashes, positions| {
-            self.insert_chunk(&entries[window], hashes, positions)
+        entries.chunks(WINDOW).try_for_each(|window| {
+            let r = window
+                .iter()
+                .try_for_each(|&(key, value)| self.insert_deferred(key, value, mult_hash(key)));
+            self.relay_events();
+            r
         })
     }
 }
@@ -800,7 +804,7 @@ mod tests {
         }
     }
 
-    /// The shortcut path alone, as `get_pinned` takes it.
+    /// The shortcut path alone, as `ReadSection::get` takes it.
     fn via_shortcut(t: &ShortcutEh, key: u64) -> Option<Option<u64>> {
         let _pin = t.retire.pin();
         let state = t.maint.state();

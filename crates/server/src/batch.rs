@@ -19,12 +19,16 @@
 //!    runs** (reads / inserts / removes). Runs execute in order, so the
 //!    FIFO semantics survive; within a run the per-request cost is
 //!    amortized:
-//!    * a read run becomes **one** `get_many_into` batch — one load of
-//!      the serving word and one reader pin per shard for every `GET`/`MGET` in the
-//!      run, answered into a buffer the executor keeps ([`RunBuffers`]);
-//!    * a write run becomes **one** `insert_batch_shared` — scattered so
-//!      each shard's writer lane runs in parallel with other executors;
-//!    * a remove run becomes **one** `remove_batch_shared`.
+//!    * a read run becomes **one** `get_many_into` batch — one read
+//!      section (a reader pin and one load of the admission word) per
+//!      shard the run touches, entered once for every `GET`/`MGET` in the
+//!      run and walked in request order, answered into a buffer the
+//!      executor keeps ([`RunBuffers`]);
+//!    * a write run becomes **one** `insert_batch_shared` — one write
+//!      section per shard it touches, applied in request order, so a
+//!      failing `SET` leaves exactly the run's earlier ones applied; other
+//!      executors write the shards it does not touch in parallel;
+//!    * a remove run becomes **one** `remove_batch_shared_into`.
 //! 3. Each op carries its [`ReplySlot`]; the executor fills it and the
 //!    connection's writer thread — which holds the slots in submission
 //!    order — encodes and sends replies in order.

@@ -1,10 +1,10 @@
-//! Shape check of the single-key paths.
+//! Shape check of the hot paths.
 //!
 //! Builds the `hotpath` example (`examples/hotpath.rs`), whose
-//! `hotpath_get` / `hotpath_insert` / `hotpath_remove` symbols are
-//! `ShortcutIndex::{get, insert, remove}` inlined whole into one
-//! out-of-line function each, disassembles them with `objdump` and holds
-//! what a timer cannot: that a symbol carries **no `lock`-prefixed
+//! `hotpath_get` / `hotpath_insert` / `hotpath_remove` /
+//! `hotpath_get_many` symbols are `ShortcutIndex::{get, insert, remove,
+//! get_many_into}` inlined whole into one out-of-line function each,
+//! disassembles them with `objdump` and holds what a timer cannot: that a symbol carries **no `lock`-prefixed
 //! instruction** (every RMW exit — shared-stripe pins, the read lock, the
 //! first-use slot claim, the relay's queue lock — must stay out of line),
 //! that it has **not grown** more than a quarter past the committed
@@ -39,7 +39,7 @@ struct Checked {
 /// allowed wherever callees are checked.
 const PANICS: [&str; 2] = ["panic_bounds_check", "_Unwind_Resume"];
 
-const CHECKED: [Checked; 3] = [
+const CHECKED: [Checked; 4] = [
     // Route to the shard's read line, pin on the exclusive stripe, the
     // admission word (the one load of shard state: the served directory),
     // slot, over-depth test, probe, tally, unpin; every other exit is one
@@ -70,6 +70,31 @@ const CHECKED: [Checked; 3] = [
         frame_bytes: 0,
         callees: Some(&["ExtendibleHash13remove_hashed"]),
     },
+    // Per window: the shards it touches, their read sections entered in
+    // ascending order (pin and admission word; `Shard::enter_locked` out of
+    // line), the keys answered in batch order under one prefetch pipeline
+    // — two copies of the walk, the unsharded one reading its one section
+    // as a constant — and the sections left (`drop_in_place::<Held<..>>`;
+    // a locked section's unlock is out of line there). Measured 4756 B;
+    // frame 0x49b8, probed a page at a time: room for a read section of
+    // every shard `MAX_SHARD_BITS` allows, of which a window initializes
+    // the ones it touches.
+    Checked {
+        symbol: "hotpath_get_many",
+        budget_bytes: 4756,
+        frame_bytes: 0x49b8,
+        callees: Some(&[
+            "pin_slow",
+            "Shard12enter_locked",
+            "unpin_shared",
+            "tally_shared",
+            "ShortcutEh15get_traditional",
+            "BucketRef8get_slow",
+            "shard..Held",
+            "do_reserve_and_handle",
+            "panic_in_cleanup",
+        ]),
+    },
 ];
 
 /// Slack over a budget for compiler versions and layout noise: just under
@@ -94,7 +119,9 @@ pub struct Shape {
     pub lock_prefixed: usize,
     /// Every `call`, and every `jmp` out of the symbol (a tail call).
     pub calls: Vec<Callee>,
-    /// The first `sub rsp, N`.
+    /// The prologue's `sub rsp, N`: the first one, or — a frame past a
+    /// page, whose pages the prologue probes — the sum of its steps (and
+    /// of a probing loop's `sub r11, N` bound).
     pub frame_bytes: usize,
 }
 
@@ -113,6 +140,10 @@ fn leaves(insn: &str) -> bool {
 /// intel` listing (`  addr:\tmnemonic operands`).
 pub fn shape_of(listing: &str) -> Shape {
     let mut shape = Shape::default();
+    // `Some(probed)` while the prologue's frame is being opened: `probed`
+    // when its last `sub rsp` was followed by a probe store, so that more
+    // steps may follow.
+    let mut opening: Option<bool> = Some(false);
     for line in listing.lines() {
         let Some((addr, insn)) = line.split_once(":\t") else {
             continue;
@@ -121,6 +152,12 @@ pub fn shape_of(listing: &str) -> Shape {
             continue;
         }
         let mut words = insn.split_whitespace();
+        let mnemonic = words.clone().next();
+        if opening == Some(true) && mnemonic == Some("mov") && insn.contains("[rsp],0x0") {
+            opening = Some(false);
+        } else if opening == Some(true) && mnemonic != Some("sub") {
+            opening = None;
+        }
         match words.next() {
             Some("lock") => shape.lock_prefixed += 1,
             Some(m) if m.starts_with("call") || (m == "jmp" && leaves(insn)) => {
@@ -132,9 +169,11 @@ pub fn shape_of(listing: &str) -> Shape {
                     None => Callee::Named(insn.rsplit('<').next().unwrap_or("").to_string()),
                 });
             }
-            Some("sub") if shape.frame_bytes == 0 => {
-                if let Some(bytes) = words.next().and_then(|ops| ops.strip_prefix("rsp,")) {
-                    shape.frame_bytes = hex(bytes).unwrap_or(0) as usize;
+            Some("sub") if opening.is_some() => {
+                let ops = words.next().unwrap_or("");
+                if let Some(bytes) = ops.strip_prefix("rsp,").or(ops.strip_prefix("r11,")) {
+                    shape.frame_bytes += hex(bytes).unwrap_or(0) as usize;
+                    opening = Some(ops.starts_with("rsp,"));
                 }
             }
             Some(_) => {}
@@ -328,6 +367,32 @@ Disassembly of section .text:
                 frame_bytes: 0x20,
             }
         );
+    }
+
+    /// A frame past a page opens in probed steps, unrolled or as a loop.
+    #[test]
+    fn sums_a_probed_prologue() {
+        let step = "\tsub    rsp,0x1000"; // audit:allow(page-literal): a stack probe's step
+        let unrolled = [
+            "  10:\tpush   rbx",
+            &format!("  11:{step}"),
+            "  18:\tmov    QWORD PTR [rsp],0x0",
+            "  20:\tsub    rsp,0x998",
+            "  27:\tmov    r12,rdx",
+            "  2a:\tsub    rsp,0x8",
+        ];
+        assert_eq!(shape_of(&unrolled.join("\n")).frame_bytes, 0x1998);
+        let looped = [
+            "  10:\tmov    r11,rsp",
+            "  13:\tsub    r11,0x9000",
+            &format!("  1a:{step}"),
+            "  21:\tmov    QWORD PTR [rsp],0x0",
+            "  29:\tcmp    rsp,r11",
+            "  2c:\tjne    1a <f+0xa>",
+            "  2e:\tsub    rsp,0x178",
+            "  35:\tmov    r12,rdx",
+        ];
+        assert_eq!(shape_of(&looped.join("\n")).frame_bytes, 0xa178);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Fixture of `cargo run -p xtask -- hotpath`: [`ShortcutIndex::get`],
-//! [`ShortcutIndex::insert`] and [`ShortcutIndex::remove`], each compiled
-//! into one out-of-line, unmangled symbol (`hotpath_get`, `hotpath_insert`,
-//! `hotpath_remove`) that the task disassembles to hold the path's shape —
-//! size, frame, no `lock` prefix, where its calls go — where a timer
+//! [`ShortcutIndex::insert`], [`ShortcutIndex::remove`] and
+//! [`ShortcutIndex::get_many_into`], each compiled into one out-of-line,
+//! unmangled symbol (`hotpath_get`, `hotpath_insert`, `hotpath_remove`,
+//! `hotpath_get_many`) that the task disassembles to hold the path's shape
+//! — size, frame, no `lock` prefix, where its calls go — where a timer
 //! cannot. Running it checks the symbols answer.
 //!
 //! ```bash
@@ -18,6 +19,15 @@ use taking_the_shortcut::{Index, IndexError, ShortcutIndex};
 #[inline(never)]
 pub fn hotpath_get(index: &ShortcutIndex, key: u64) -> Option<u64> {
     index.get(key)
+}
+
+/// The whole batched read path: per window, the sections of the shards it
+/// touches entered, its keys answered in batch order into the caller's
+/// buffer, the sections left.
+#[no_mangle]
+#[inline(never)]
+pub fn hotpath_get_many(index: &ShortcutIndex, keys: &[u64], out: &mut Vec<Option<u64>>) {
+    index.get_many_into(keys, out);
 }
 
 /// The plain-EH lookup the benchmark's `speedup_vs_eh` divides by, for
@@ -60,6 +70,12 @@ fn main() -> Result<(), IndexError> {
     for k in 0..1u64 << 15 {
         let expect = (k < 1 << 14).then_some(!k);
         assert_eq!(hotpath_get(&index, std::hint::black_box(k)), expect);
+    }
+    let keys: Vec<u64> = (0..1u64 << 15).collect();
+    let mut answers = Vec::new();
+    hotpath_get_many(&index, std::hint::black_box(&keys), &mut answers);
+    for (&k, &answer) in keys.iter().zip(&answers) {
+        assert_eq!(answer, (k < 1 << 14).then_some(!k));
     }
     println!("hotpath_get: {}", index.stats());
 

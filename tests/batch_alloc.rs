@@ -1,8 +1,8 @@
-//! The batched entry points allocate nothing in steady state: after a
-//! warm-up call (which sizes the caller's buffer and this thread's routing
-//! scratch), `get_many_into`, `insert_batch_shared` and
-//! `remove_batch_shared_into` make **zero** heap allocations per call, at
-//! one shard and four, from one key to more than a routing window.
+//! The batched entry points allocate nothing: `get_many_into`,
+//! `insert_batch_shared` and `remove_batch_shared_into` make **zero** heap
+//! allocations per call into a buffer that has the capacity — from a fresh
+//! thread's first call on, at one shard and four, from one key to more
+//! than a window.
 //! Writes only update or re-insert keys the buckets already had room for,
 //! so no split is provoked. A split itself allocates nothing either, on a
 //! plain EH (second test), and next to nothing through the facade, whose
@@ -88,6 +88,21 @@ fn batched_calls_allocate_nothing_after_warm_up() {
                 let reinserts = allocations(|| index.insert_batch_shared(&entries).unwrap());
                 [reads, updates, removes, reinserts]
             };
+            // A fresh thread's first calls, into a pre-sized buffer: no
+            // per-thread state to set up first.
+            let first = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| round(&mut Vec::with_capacity(size)))
+                    .join()
+                    .unwrap()
+            });
+            assert_eq!(
+                first,
+                [0; 4],
+                "allocations of a fresh thread's first [get_many_into, update, remove, \
+                 re-insert] call: {size} keys, {} shards",
+                1 << shard_bits
+            );
             round(&mut answers);
             assert_eq!(
                 round(&mut answers),

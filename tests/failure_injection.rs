@@ -323,3 +323,64 @@ fn facade_surfaces_pool_exhaustion_as_typed_error() {
         Err(IndexError::Pool(_))
     ));
 }
+
+/// A batched insert that fails leaves exactly the batch prefix before the
+/// failing entry applied — in batch order, across shards — which is the
+/// contract of `Index::insert_batch`. Four shards with tiny pools are
+/// driven by batches of fresh keys, spread over every shard, until
+/// several batches have failed; each failure is checked for the prefix:
+/// the entries before the first missing one read back, none after it
+/// does. An index that applies a batch shard by shard fails this whenever
+/// the failing shard is not the highest one the window touches.
+#[test]
+fn a_failing_batch_insert_leaves_exactly_its_prefix() {
+    use taking_the_shortcut::{Index, IndexError, ShortcutIndex};
+    for shared in [false, true] {
+        let mut index = ShortcutIndex::builder()
+            .shards(2)
+            .pool(PoolConfig {
+                initial_pages: 1,
+                min_growth_pages: 1,
+                view_capacity_pages: 8,
+                ..PoolConfig::default()
+            })
+            .build()
+            .unwrap();
+        let (mut next, mut failures) = (0u64, 0);
+        while failures < 8 {
+            assert!(
+                next < 1 << 20,
+                "exhaustion never surfaced (shared: {shared})"
+            );
+            let batch: Vec<(u64, u64)> = (next..next + 32)
+                .map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D))
+                .map(|k| (k, k ^ 0x5A5A))
+                .collect();
+            next += 32;
+            let result = if shared {
+                index.insert_batch_shared(&batch)
+            } else {
+                index.insert_batch(&batch)
+            };
+            let present: Vec<bool> = batch.iter().map(|&(k, _)| index.get(k).is_some()).collect();
+            let Err(e) = result else {
+                assert!(present.iter().all(|&p| p), "an applied batch lost entries");
+                continue;
+            };
+            assert!(matches!(e, IndexError::Pool(_)), "{e}");
+            let failed = present
+                .iter()
+                .position(|&p| !p)
+                .expect("a failed batch applied all");
+            assert!(
+                present[failed..].iter().all(|&p| !p),
+                "entries after the failing #{failed} applied (shared: {shared}): {present:?}"
+            );
+            for &(k, v) in &batch[..failed] {
+                assert_eq!(index.get(k), Some(v), "prefix entry {k} lost");
+            }
+            failures += 1;
+        }
+        assert!(index.maint_error().is_none());
+    }
+}

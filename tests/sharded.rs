@@ -250,3 +250,125 @@ fn deep_shard_cannot_suspend_its_siblings() {
     }
     assert!(index.maint_error().is_none());
 }
+
+/// A batch holds the sections of every shard its window touches at once,
+/// entered in ascending shard order. Run everything that takes sections
+/// concurrently at 4 shards — cross-shard batched lookups, batched
+/// inserts and removals over overlapping shard sets, single-key shared
+/// inserts, and a `with_shard_mut` compaction loop — and check every
+/// answer: the lock order must not deadlock, and no section may let a
+/// reader see a foreign value. A watchdog fails the test instead of
+/// letting a deadlock hang it.
+#[test]
+fn batches_holding_several_shards_do_not_deadlock() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Instant;
+    const DOMAIN: u64 = 4096;
+    const RUN: Duration = Duration::from_millis(1500);
+    let index = Arc::new(build());
+    assert_eq!(index.shard_count(), 4);
+    let all: Vec<(u64, u64)> = (0..DOMAIN).map(|k| (k, val(k))).collect();
+    index.insert_batch_shared(&all).unwrap();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let rounds = Arc::new(AtomicU64::new(0));
+    let (done, finished) = mpsc::channel::<&'static str>();
+    // A thread runs `work` until stopped; its `rng` draws keys of the whole
+    // domain, so a window spreads over every shard.
+    type Work = Box<dyn FnMut(&mut dyn FnMut() -> u64) + Send>;
+    let spawn = |name: &'static str, mut work: Work| {
+        let (stop, rounds, done) = (Arc::clone(&stop), Arc::clone(&rounds), done.clone());
+        std::thread::spawn(move || {
+            let mut state = (name.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % DOMAIN
+            };
+            while !stop.load(Ordering::Relaxed) {
+                work(&mut rng);
+                rounds.fetch_add(1, Ordering::Relaxed);
+            }
+            done.send(name).unwrap();
+        });
+    };
+    for name in ["reader-a", "reader-b"] {
+        let index = Arc::clone(&index);
+        let mut out = Vec::new();
+        spawn(
+            name,
+            Box::new(move |rng| {
+                let keys: Vec<u64> = (0..64).map(|_| rng()).collect();
+                index.get_many_into(&keys, &mut out);
+                for (&k, &got) in keys.iter().zip(&out) {
+                    assert!(got.is_none_or(|v| v == val(k)), "get_many({k}) = {got:?}");
+                }
+            }),
+        );
+    }
+    for name in ["writer-a", "writer-b"] {
+        let index = Arc::clone(&index);
+        let mut out = Vec::new();
+        spawn(
+            name,
+            Box::new(move |rng| {
+                let entries: Vec<(u64, u64)> =
+                    (0..48).map(|_| rng()).map(|k| (k, val(k))).collect();
+                index.insert_batch_shared(&entries).unwrap();
+                let keys: Vec<u64> = entries.iter().step_by(2).map(|&(k, _)| k).collect();
+                index.remove_batch_shared_into(&keys, &mut out).unwrap();
+                for (&k, &got) in keys.iter().zip(&out) {
+                    assert!(
+                        got.is_none_or(|v| v == val(k)),
+                        "remove_batch({k}) = {got:?}"
+                    );
+                }
+            }),
+        );
+    }
+    {
+        let index = Arc::clone(&index);
+        let mut round = 0usize;
+        spawn(
+            "single-and-compact",
+            Box::new(move |rng| {
+                let k = rng();
+                index.insert_shared(k, val(k)).unwrap();
+                round += 1;
+                if round.is_multiple_of(64) {
+                    // A pass may find no room for its target run: that is an
+                    // answer too, and leaves the shard consistent.
+                    let _ = index.with_shard_mut(round / 64 % 4, |s| s.compact());
+                }
+            }),
+        );
+    }
+    drop(done);
+
+    let watchdog = Instant::now() + Duration::from_secs(60);
+    std::thread::sleep(RUN);
+    stop.store(true, Ordering::Relaxed);
+    for _ in 0..5 {
+        let left = watchdog.saturating_duration_since(Instant::now());
+        match finished.recv_timeout(left) {
+            Ok(_) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("a thread panicked"),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("deadlock: a thread is stuck after 60 s")
+            }
+        }
+    }
+    assert!(
+        rounds.load(Ordering::Relaxed) >= 5,
+        "the threads did not run"
+    );
+    for (k, got) in (0..DOMAIN).zip(index.get_many(&(0..DOMAIN).collect::<Vec<_>>())) {
+        assert!(
+            got.is_none_or(|v| v == val(k)),
+            "final get_many({k}) = {got:?}"
+        );
+    }
+    assert!(index.maint_error().is_none());
+}
