@@ -61,6 +61,17 @@
 //! * `scan_without_barrier` — the writer revokes and scans with neither
 //!   the SeqCst fence nor the membarrier: the scan may read a stale zero
 //!   under a live pin while the reader reads a stale armed word.
+//!
+//! A second, smaller scenario is the **update beside the biased readers**
+//! (`ShortcutIndex::insert_batch_shared` on a present key, then on a new
+//! one). The writer holds the shard's lock without revoking the bias and
+//! stores a value word — one atomic store — then leaves, enters again,
+//! revokes and splits as above. A reader reads twice, through whatever
+//! section admits it, the bucket and the value: it sees the old value or
+//! the new one, the structure whole, and never the inside of a structural
+//! write; after the join it sees the new value. Its seed,
+//! `lazy_writer_moves_structure`, has the unrevoked writer also rewrite
+//! the bucket's structural words: a biased reader sees it.
 
 #![cfg(feature = "loomish")]
 
@@ -84,7 +95,12 @@ enum Seed {
     RefreshOutsideTheInboxLock,
     BiasBeforePin,
     ScanWithoutBarrier,
+    LazyWriterMovesStructure,
 }
+
+/// The value word's contents before and after the update.
+const OLD: u64 = 7;
+const NEW: u64 = 8;
 
 /// What the executions of one exploration reached, summed outside the
 /// model (written, never read, by model threads).
@@ -99,6 +115,8 @@ struct Coverage {
     served: StdAtomicU64,
     served_after_the_split: StdAtomicU64,
     splits: StdAtomicU64,
+    /// Biased reads made while a writer held the lock unrevoked.
+    beside_an_update: StdAtomicU64,
 }
 
 fn count(cell: &StdAtomicU64) {
@@ -114,7 +132,11 @@ struct World {
     /// The mapper's inbox: the version of the split to publish, 0 if none.
     inbox: Mutex<u64>,
     bucket: [AtomicU64; 2],
+    /// A present key's value word, which an update stores unrevoked.
+    value: AtomicU64,
     writing: StdAtomicBool,
+    /// A writer holds the lock without having revoked the bias.
+    updating: StdAtomicBool,
     /// Pins that pair with nothing, for the seeded reader's early look.
     unscanned: RetireList,
 }
@@ -132,7 +154,9 @@ impl World {
             lock: Mutex::new(()),
             inbox: Mutex::new(0),
             bucket: [AtomicU64::new(0), AtomicU64::new(0)],
+            value: AtomicU64::new(OLD),
             writing: StdAtomicBool::new(false),
+            updating: StdAtomicBool::new(false),
             unscanned: RetireList::with_strategy(strategy),
         };
         // Quiescent setup: version 1 written, published, served, attached.
@@ -257,6 +281,58 @@ impl World {
         drop(exclusive);
     }
 
+    /// `ShortcutIndex::get` of the updated key, through whatever section
+    /// admits the reader: the bucket read as in `read`, and the value
+    /// word — old or new.
+    fn get_value(&self, seen: &Coverage) {
+        let line = self.line();
+        let pin = line.pins.pin();
+        let violation = if ReadBias::admits(line.bias.admission(&pin)) {
+            let beside = self.updating.load(StdOrd::SeqCst);
+            let violation = self.read(None, seen).or_else(|| self.check_value());
+            drop(pin);
+            if beside && self.updating.load(StdOrd::SeqCst) {
+                count(&seen.beside_an_update);
+            }
+            violation
+        } else {
+            drop(pin);
+            let shared = self.lock.lock().unwrap();
+            let violation = self.read(None, seen).or_else(|| self.check_value());
+            drop(shared);
+            violation
+        };
+        if let Some(what) = violation {
+            panic!("{what}");
+        }
+    }
+
+    fn check_value(&self) -> Option<&'static str> {
+        let v = self.value.load(Ordering::Relaxed);
+        (v != OLD && v != NEW).then_some("a reader saw a value never stored")
+    }
+
+    /// `insert_pass` on a window of a present key, then a new one: the
+    /// value stored in a section that does not revoke, which is left; then
+    /// the rest entered again, revoked, and split (`split`).
+    fn update_then_split(&self, seed: Seed, seen: &Coverage) {
+        let unrevoked = self.lock.lock().unwrap();
+        self.updating.store(true, StdOrd::SeqCst);
+        self.value.store(NEW, Ordering::Relaxed);
+        if seed == Seed::LazyWriterMovesStructure {
+            // The seeded writer moves a structural word too, unrevoked.
+            let v = self.state.traditional_version() + 1;
+            self.writing.store(true, StdOrd::SeqCst);
+            self.bucket[0].store(v, Ordering::Relaxed);
+            self.bucket[1].store(100 + v, Ordering::Relaxed);
+            self.writing.store(false, StdOrd::SeqCst);
+        }
+        self.updating.store(false, StdOrd::SeqCst);
+        drop(unrevoked);
+        assert_eq!(self.line().bias.counters(), (0, 0), "an update revoked");
+        self.split(Seed::None, seen);
+    }
+
     /// One pass of the mapper: publish the queued version, if any, then
     /// serve what is published if it is current.
     fn mapper_pass(&self, seed: Seed) {
@@ -321,6 +397,30 @@ fn scenario(
             line.bias.try_revoke(inbox, || line.pins.readers_quiesced()),
             "stripes did not drain"
         );
+    }
+}
+
+/// The update beside the biased readers (module docs).
+fn update_scenario(
+    strategy: PinStrategy,
+    seed: Seed,
+    seen: Arc<Coverage>,
+) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let world = Arc::new(World::new(strategy));
+        let reader = {
+            let (world, seen) = (Arc::clone(&world), Arc::clone(&seen));
+            thread::spawn(move || (0..2).for_each(|_| world.get_value(&seen)))
+        };
+        let writer = {
+            let (world, seen) = (Arc::clone(&world), Arc::clone(&seen));
+            thread::spawn(move || world.update_then_split(seed, &seen))
+        };
+        reader.join().unwrap();
+        writer.join().unwrap();
+        // After the join the update is the value, whatever section reads.
+        assert_eq!(world.value.load(Ordering::Relaxed), NEW, "update lost");
+        world.get_value(&Coverage::default());
     }
 }
 
@@ -445,4 +545,47 @@ fn seeded_bias_before_pin_is_caught() {
 #[test]
 fn seeded_scan_without_barrier_is_caught() {
     caught(Seed::ScanWithoutBarrier, false, INSIDE_OR_TORN);
+}
+
+/// The update beside the biased readers holds under both pairings, and
+/// some biased read overlaps the unrevoked writer.
+#[test]
+fn update_beside_biased_readers_holds_exhaustively() {
+    for strategy in [PinStrategy::Asymmetric, PinStrategy::Dekker] {
+        let seen = Arc::new(Coverage::default());
+        let report = builder()
+            .check(update_scenario(strategy, Seed::None, Arc::clone(&seen)))
+            .unwrap_or_else(|cx| panic!("update ({strategy}) counterexample: {cx}"));
+        println!(
+            "update beside biased readers ({strategy}): {} interleavings explored, invariants held",
+            report.executions
+        );
+        for (what, count) in [
+            ("biased reads beside an update", &seen.beside_an_update),
+            ("splits", &seen.splits),
+        ] {
+            assert!(
+                count.load(StdOrd::Relaxed) > 0,
+                "no execution reached: {what} ({strategy})"
+            );
+        }
+    }
+}
+
+#[test]
+fn seeded_lazy_writer_that_moves_structure_is_caught() {
+    for strategy in [PinStrategy::Asymmetric, PinStrategy::Dekker] {
+        let run = builder().ordering_sensitive(false).check(update_scenario(
+            strategy,
+            Seed::LazyWriterMovesStructure,
+            Arc::default(),
+        ));
+        let err = run.err().unwrap_or_else(|| {
+            panic!("seed not caught ({strategy}) — the model checker has lost its teeth")
+        });
+        assert!(
+            INSIDE_OR_TORN.iter().any(|e| err.message.contains(e)),
+            "unexpected counterexample ({strategy}): {err}"
+        );
+    }
 }

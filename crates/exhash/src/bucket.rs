@@ -32,6 +32,7 @@
 
 use crate::hash::bucket_slot_hash;
 use shortcut_rewire::{SlotLayout, PAGE_SIZE_4K};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Key-compare kernel used inside the bucket probe. The probe itself is
@@ -468,6 +469,14 @@ impl BucketRef {
         }
     }
 
+    /// The value word of `slot`, atomic for lookups and [`Self::update`].
+    #[inline(always)]
+    fn value<'a>(self, slot: usize) -> &'a AtomicU64 {
+        let offset = self.layout.entries_off as usize + slot * 16 + 8;
+        // SAFETY: in-bounds and 8-aligned; the slot outlives the use.
+        unsafe { AtomicU64::from_ptr(self.ptr.add(offset).cast()) }
+    }
+
     #[inline]
     fn set_entry(self, slot: usize, key: u64, value: u64) {
         debug_assert!(slot < self.layout.capacity());
@@ -563,9 +572,10 @@ impl BucketRef {
         this.value_at(this.word_walk(key, probe_backend()))
     }
 
+    #[inline(always)]
     fn value_at(self, hit: ProbeHit) -> Option<u64> {
         match hit {
-            ProbeHit::Found(slot) => Some(self.entry(slot).1),
+            ProbeHit::Found(slot) => Some(self.value(slot).load(Ordering::Relaxed)),
             _ => None,
         }
     }
@@ -801,6 +811,17 @@ impl BucketRef {
         }
     }
 
+    /// Store `value` for `key` if present: one atomic store of its value
+    /// word, safe beside readers (CONCURRENCY.md §4). `false` if absent.
+    #[inline]
+    pub fn update(self, key: u64, value: u64) -> bool {
+        let ProbeHit::Found(slot) = self.probe(key) else {
+            return false;
+        };
+        self.value(slot).store(value, Ordering::Relaxed);
+        true
+    }
+
     /// Ask the cache for the lines a probe for `key` reads first: the
     /// header (local depth, and on page-sized buckets the whole bitmaps),
     /// the home slot's bitmap word where that lies beyond the header's
@@ -980,6 +1001,15 @@ mod tests {
         assert_eq!(b.insert(7, 2, BUCKET_CAPACITY), InsertOutcome::Updated);
         assert_eq!(b.get(7), Some(2));
         assert_eq!(b.count(), 1);
+    }
+
+    #[test]
+    fn update_stores_a_present_value_only() {
+        let (_m, b) = page();
+        b.insert(7, 1, BUCKET_CAPACITY);
+        assert!(b.update(7, 2));
+        assert!(!b.update(8, 3), "absent: nothing written");
+        assert_eq!((b.get(7), b.get(8), b.count()), (Some(2), None, 1));
     }
 
     #[test]

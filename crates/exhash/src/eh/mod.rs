@@ -671,6 +671,12 @@ impl ExtendibleHash {
         }
     }
 
+    /// [`BucketRef::update`] from the key's [`ExtendibleHash::dir_hash`].
+    #[inline]
+    pub(crate) fn update_hashed(&self, key: u64, value: u64, dir_hash: u64) -> bool {
+        self.bucket_for(dir_hash).update(key, value)
+    }
+
     /// [`Index::remove`] from the key's [`ExtendibleHash::dir_hash`].
     pub(crate) fn remove_hashed(&mut self, key: u64, dir_hash: u64) -> Option<u64> {
         let v = self.bucket_for(dir_hash).remove(key);

@@ -25,13 +25,13 @@
 //!
 //! Readers ([`ShortcutIndex::get`] / [`Index::get_many`]) enter a shard
 //! through a **biased read section** ([`shortcut_rewire::ReadBias`]):
-//! until a shared writer shows up they publish the reader pin the shortcut
-//! read needs anyway, load the **admission word** on the shard's
-//! [`ReadLine`] — which names the served directory while the bias is armed
-//! — and proceed: no atomic RMW, no shared line written. The first shared
-//! writer revokes the bias and waits for those readers; readers then take
-//! the lock's read side until [`shortcut_rewire::REARM_AFTER`] of them in a
-//! row met no writer.
+//! while the bias is armed they publish the reader pin the shortcut read
+//! needs anyway, load the **admission word** on the shard's [`ReadLine`]
+//! and proceed: no atomic RMW, no shared line written. A shared write of a
+//! present key stores its value beside them; the first structural one
+//! revokes the bias and waits for them; readers then take the lock's read
+//! side until [`shortcut_rewire::REARM_AFTER`] of them in a row met no
+//! revocation (CONCURRENCY.md §4).
 //!
 //! Shard state is observed one way: [`ShortcutIndex::shard_stats`] reads a
 //! shard into a [`StatsSnapshot`], and [`ShortcutIndex::stats`] folds those
@@ -73,11 +73,11 @@ struct Shard {
 
 // SAFETY: `eh` is reached through `&self` only inside the section
 // `lock` + the line's bias implement: shared references under a pin that
-// saw the bias armed or under the read lock, the exclusive one under the
-// write lock after the bias is revoked and its readers have drained
-// (`enter_write`); `&mut self` callers use `eh.get_mut()` (`shard_for_mut`)
-// or the cell's pointer (`enter_exclusive`), the borrow excluding every
-// reader.
+// saw the bias armed or under either side of the lock, the exclusive one
+// under the write lock after the bias is revoked and its readers have
+// drained (`WriteSection::eh`); `&mut self` callers use `eh.get_mut()`
+// (`shard_for_mut`) or the cell's pointer (`enter_exclusive`), the borrow
+// excluding every reader.
 // `ShortcutEh` is `Send + Sync`; the lock is `Sync`.
 unsafe impl Sync for Shard {}
 
@@ -132,40 +132,65 @@ impl Shard {
         f(unsafe { &*self.eh.get() })
     }
 
-    /// The shared writers' section: the write lock, then the bias revoked
-    /// and its readers drained.
-    fn enter_write<'a>(&'a self, line: &ReadLine) -> WriteSection<'a> {
-        let exclusive = self.lock.write();
-        // SAFETY: the write lock excludes writers and locked readers;
-        // biased readers hold shared references too.
-        let maint = unsafe { &*self.eh.get() }.maint();
-        let quiesced = || line.pins.readers_quiesced();
-        while !line.bias.try_revoke(|| maint.inbox_lock(), quiesced) {
-            std::thread::yield_now();
-        }
-        // SAFETY: the write lock excludes writers and locked readers, and
-        // the revoked bias has drained: no reader that entered on it is
-        // left, and new ones see it revoked and wait for the lock.
-        let eh = unsafe { &mut *self.eh.get() };
+    /// The shared writers' section: the write lock; the bias is revoked by
+    /// the first structural write ([`WriteSection::eh`]).
+    fn enter_write<'a>(&'a self, line: &'a ReadLine) -> WriteSection<'a> {
         WriteSection {
-            eh,
-            _exclusive: Some(exclusive),
+            _exclusive: Some(self.lock.write()),
+            shard: self,
+            unrevoked: Some(line),
         }
     }
 }
 
-/// What a write holds of one shard: the shard and, for a shared writer,
-/// its write lock. Leaving relays the directory events to the mapper
-/// before the lock goes: the bump keeps later readers off a shortcut that
-/// predates these splits.
+/// What a write holds of one shard: the shard, a shared writer's lock and,
+/// until it revokes, the read line. Leaving relays the directory events to
+/// the mapper before the lock goes: the bump keeps later readers off a
+/// shortcut that predates these splits.
 struct WriteSection<'a> {
-    eh: &'a mut ShortcutEh,
+    shard: &'a Shard,
+    unrevoked: Option<&'a ReadLine>,
     _exclusive: Option<RwLockWriteGuard<'a, ()>>,
+}
+
+impl WriteSection<'_> {
+    /// [`crate::BucketRef::update`], beside the biased readers: no revoking.
+    #[inline]
+    fn update(&self, key: u64, value: u64, hash: u64) -> bool {
+        // SAFETY: the write lock (or the `&mut` borrow) excludes writers and
+        // locked readers; biased readers hold `&` too, as an update may.
+        unsafe { &*self.shard.eh.get() }.update_hashed(key, value, hash)
+    }
+
+    /// The shard to itself, the bias revoked first — only while this is
+    /// the one section the caller holds (CONCURRENCY.md §4).
+    fn eh(&mut self) -> &mut ShortcutEh {
+        if let Some(line) = self.unrevoked.take() {
+            // SAFETY: as in `update`.
+            let maint = unsafe { &*self.shard.eh.get() }.maint();
+            let quiesced = || line.pins.readers_quiesced();
+            while !line.bias.try_revoke(|| maint.inbox_lock(), quiesced) {
+                std::thread::yield_now();
+            }
+        }
+        // SAFETY: the write lock excludes writers and locked readers, and
+        // the revoked bias has drained (or the `&mut` borrow of the index
+        // excludes them all): new readers see it revoked and wait.
+        unsafe { &mut *self.shard.eh.get() }
+    }
+
+    /// Revoked as it is entered: what a structural window enters.
+    fn revoked(mut self) -> Self {
+        self.eh();
+        self
+    }
 }
 
 impl Drop for WriteSection<'_> {
     fn drop(&mut self) {
-        self.eh.relay_events();
+        if self.unrevoked.is_none() {
+            self.eh().relay_events();
+        }
     }
 }
 
@@ -267,7 +292,9 @@ impl<S> Drop for Held<S> {
 }
 
 /// Insert `entries` one window at a time, each in the write sections
-/// `enter` gives, in batch order up to the first failing one.
+/// `enter` gives, in batch order up to the first failing one: present
+/// keys' values unrevoked; from the first absent key on, the rest entered
+/// again, revoked (never mid-window: CONCURRENCY.md §4).
 fn insert_pass<'a>(
     bits: u32,
     entries: &[(u64, u64)],
@@ -275,20 +302,30 @@ fn insert_pass<'a>(
 ) -> Result<(), IndexError> {
     entries.chunks(WINDOW).try_for_each(|window| {
         let keys = window.iter().map(|&(key, _)| key);
-        Held::with(bits, keys, &mut enter, |held| {
-            window.iter().try_for_each(|&(key, value)| {
+        let absent = Held::with(bits, keys, &mut enter, |held| {
+            window.iter().position(|&(key, value)| {
                 let hash = mult_hash(key);
                 // SAFETY: `held` entered for the window's keys.
-                unsafe { held.get_mut(hash) }
-                    .eh
-                    .insert_deferred(key, value, hash)
+                !unsafe { held.get(hash) }.update(key, value, hash)
+            })
+        });
+        let Some(first) = absent else {
+            return Ok(());
+        };
+        let (rest, enter) = (&window[first..], |i| enter(i).revoked());
+        Held::with(bits, rest.iter().map(|&(key, _)| key), enter, |held| {
+            rest.iter().try_for_each(|&(key, value)| {
+                let hash = mult_hash(key);
+                // SAFETY: `held` entered for the rest's keys.
+                let section = unsafe { held.get_mut(hash) };
+                section.eh().insert_deferred(key, value, hash)
             })
         })
     })
 }
 
-/// Remove `keys` as [`insert_pass`] inserts: `out[i]` is the value
-/// `keys[i]` held.
+/// Remove `keys` as [`insert_pass`] inserts new keys: `out[i]` is the
+/// value `keys[i]` held.
 fn remove_pass<'a>(
     bits: u32,
     keys: &[u64],
@@ -296,11 +333,12 @@ fn remove_pass<'a>(
     mut enter: impl FnMut(usize) -> WriteSection<'a>,
 ) {
     for (keys, out) in keys.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
-        Held::with(bits, keys.iter().copied(), &mut enter, |held| {
+        let enter = |i| enter(i).revoked();
+        Held::with(bits, keys.iter().copied(), enter, |held| {
             for (&key, out) in keys.iter().zip(out) {
                 let hash = mult_hash(key);
                 // SAFETY: `held` entered for the window's keys.
-                *out = unsafe { held.get_mut(hash) }.eh.remove_hashed(key, hash);
+                *out = unsafe { held.get_mut(hash) }.eh().remove_hashed(key, hash);
             }
         });
     }
@@ -441,10 +479,10 @@ impl ShortcutIndex {
     /// The caller borrows the index by `&mut` while the section lives, and
     /// holds no other section of shard `i`.
     unsafe fn enter_exclusive(&self, i: usize) -> WriteSection<'_> {
-        // SAFETY: the caller's.
-        let eh = unsafe { &mut *self.shards[i].eh.get() };
+        // Revoked from the start: the caller's borrow excludes readers.
         WriteSection {
-            eh,
+            shard: &self.shards[i],
+            unrevoked: None,
             _exclusive: None,
         }
     }
@@ -507,7 +545,7 @@ impl ShortcutIndex {
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn with_shard_mut<R>(&self, i: usize, f: impl FnOnce(&mut ShortcutEh) -> R) -> R {
-        f(self.enter_write(i).eh)
+        f(self.enter_write(i).eh())
     }
 
     // ------------------------------------------------------------------
@@ -521,16 +559,19 @@ impl ShortcutIndex {
     /// safe from many threads; writes to *different* shards proceed in
     /// parallel, writes to the same shard serialize on its lock). Pair
     /// one writer thread per shard (partition keys with
-    /// [`ShortcutIndex::shard_of`]) for contention-free scaling.
+    /// [`ShortcutIndex::shard_of`]) for contention-free scaling. Only a
+    /// new key revokes the shard's read bias.
     ///
     /// # Errors
     ///
     /// Same contract as [`Index::insert`].
     pub fn insert_shared(&self, key: u64, value: u64) -> Result<(), IndexError> {
         let hash = mult_hash(key);
-        self.enter_write(dir_slot(hash, self.bits))
-            .eh
-            .insert_hashed(key, value, hash)
+        let mut section = self.enter_write(dir_slot(hash, self.bits));
+        if section.update(key, value, hash) {
+            return Ok(());
+        }
+        section.eh().insert_hashed(key, value, hash)
     }
 
     /// Remove through a per-shard write lock. See [`ShortcutIndex::insert_shared`].
@@ -542,7 +583,7 @@ impl ShortcutIndex {
         let hash = mult_hash(key);
         Ok(self
             .enter_write(dir_slot(hash, self.bits))
-            .eh
+            .eh()
             .remove_hashed(key, hash))
     }
 
@@ -550,7 +591,8 @@ impl ShortcutIndex {
     /// window of 4096 entries: the window enters the write section of
     /// every shard it touches, in ascending shard order, applies its
     /// entries in batch order and relays each shard's directory events to
-    /// its mapper once, when it leaves.
+    /// its mapper once, when it leaves. Only new keys revoke read biases:
+    /// from a window's first one on, the rest of it is entered again.
     ///
     /// # Errors
     ///

@@ -521,11 +521,12 @@ impl ShortcutEh {
         // traditional directory (VMA-budget admission). A bucket deeper
         // than the published depth shares its slot with a sibling and is
         // not resolvable here — the caller serves that key traditionally.
-        (bucket.local_depth() <= t.depth()).then(|| {
-            let result = bucket.get_inlined(key);
-            pin.tally(SHORTCUT_LOOKUPS, 1);
-            result
-        })
+        if bucket.local_depth() > t.depth() {
+            return None;
+        }
+        let result = bucket.get_inlined(key);
+        pin.tally(SHORTCUT_LOOKUPS, 1);
+        Some(result)
     }
 
     /// Where [`ReadSection::get`] leaves the shortcut: not serving
@@ -610,6 +611,12 @@ impl ShortcutEh {
         self.maybe_compact();
         self.relay_events();
         r
+    }
+
+    /// [`BucketRef::update`] from the key's [`mult_hash`].
+    #[inline]
+    pub(crate) fn update_hashed(&self, key: u64, value: u64, hash: u64) -> bool {
+        self.eh.update_hashed(key, value, self.eh.dir_hash_of(hash))
     }
 
     /// [`Index::remove`] from the key's [`mult_hash`]. Bucket contents

@@ -245,7 +245,13 @@ fn sharded_facade_routes_and_aggregates() {
     for k in 0..4_000u64 {
         idx.insert(k, k ^ 0xFF).unwrap();
     }
-    // A shared write revokes one shard's read bias: a counter to sum.
+    // A shared write of a present key stores its value beside the biased
+    // readers: no shard's bias is revoked.
+    idx.insert_shared(0, 0xFF).unwrap();
+    assert_eq!(idx.stats().bias_revocations, 0, "an update revoked");
+    // A structural one — the key removed and inserted again, which moves no
+    // directory — revokes one shard's read bias: a counter to sum.
+    assert_eq!(idx.remove_shared(0).unwrap(), Some(0xFF));
     idx.insert_shared(0, 0xFF).unwrap();
     assert!(idx.wait_sync(Duration::from_secs(10)), "never synced");
     assert_eq!(idx.len(), 4_000);

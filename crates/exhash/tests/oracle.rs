@@ -337,6 +337,17 @@ fn scattered(i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A structural shared write to every shard that leaves the index as it
+/// was: the first 64 keys removed and inserted again, which revokes each
+/// shard's bias (a present key's value store would not) and moves no
+/// directory.
+fn rewrite_structurally(t: &ShortcutIndex) {
+    for k in (0..64).map(scattered) {
+        assert_eq!(t.remove_shared(k).unwrap(), Some(!k));
+        t.insert_shared(k, !k).unwrap();
+    }
+}
+
 const EXITS: &[Exit] = &[
     Exit {
         name: "armed and in sync",
@@ -353,12 +364,11 @@ const EXITS: &[Exit] = &[
     Exit {
         name: "bias revoked",
         configure: |_| {},
-        // A shared writer came by every shard (rewriting present entries
-        // changes no directory): reads go to the lock, too few to re-arm.
+        // A structural shared writer came by every shard (removing present
+        // entries and inserting them again changes no directory): reads go
+        // to the lock, too few to re-arm.
         enter: |t| {
-            for k in (0..64).map(scattered) {
-                t.insert_shared(k, !k).unwrap();
-            }
+            rewrite_structurally(t);
             for i in 0..t.shard_count() {
                 let s = t.shard_stats(i);
                 assert_eq!((s.bias_revocations, s.bias_rearms), (1, 0), "shard {i}");
@@ -373,9 +383,7 @@ const EXITS: &[Exit] = &[
         // shard: the last one re-arms, and after the pass the relays
         // asked for, lookups are served on the admission word again.
         enter: |t| {
-            for k in (0..64).map(scattered) {
-                t.insert_shared(k, !k).unwrap();
-            }
+            rewrite_structurally(t);
             for i in 0..t.shard_count() {
                 let k = (0..).map(scattered).find(|&k| t.shard_of(k) == i).unwrap();
                 (0..REARM_AFTER).for_each(|_| assert_eq!(t.get(k), Some(!k)));

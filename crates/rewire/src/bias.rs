@@ -1,5 +1,5 @@
 //! Read bias: the read side of a reader-writer lock replaced, while no
-//! writer is around, by the reader's own pin and one load.
+//! structural writer is around, by the reader's own pin and one load.
 //!
 //! A reader-writer lock costs every read two atomic RMWs on the lock word
 //! even when nothing ever writes. [`ReadBias`] sits in front of such a
@@ -7,11 +7,13 @@
 //! publishes: while the bias is *armed*, a reader pins, loads the
 //! **admission word** — null or an owner's value ≥ 64, which the index
 //! makes its served directory — and is inside without touching the lock.
-//! A writer takes the lock's write side, then *revokes* the bias — stores
-//! a tag, pairs with every pin exactly as the reclaimer does
-//! ([`crate::RetireCore::readers_quiesced`]) and waits for the stripes to
-//! drain. Readers then take the lock's read side until [`REARM_AFTER`]
-//! writer-free locked reads in a row arm the bias again.
+//! A writer that changes what readers read plainly takes the lock's write
+//! side, then *revokes* the bias — stores a tag, pairs with every pin
+//! exactly as the reclaimer does ([`crate::RetireCore::readers_quiesced`])
+//! and waits for the stripes to drain; one that only stores words readers
+//! load atomically (the index: a present key's value) need not. Readers
+//! then take the lock's read side until [`REARM_AFTER`] locked reads in a
+//! row met no revocation.
 //!
 //! Every store to the word is made under an owner's lock taken after the
 //! guarded one (the index: its mapper's inbox lock), so no look-then-store
@@ -23,8 +25,8 @@ use crate::retire::ReaderPin;
 use crate::sync::{AtomicPtr, AtomicU64, Ordering};
 use std::ptr;
 
-/// Writer-free locked reads after which the bias arms again. The worst
-/// case, a writer that returns right after every re-arm, pays one
+/// Revocation-free locked reads after which the bias arms again. The worst
+/// case, a revoking writer that returns right after every re-arm, pays one
 /// revocation (15 µs on the 2-vCPU reference host: an expedited
 /// `membarrier` plus a stripe scan) per this many reads: under 2 ns on
 /// each, a twentieth of a locked `get` (39 ns there; 22 ns biased), where
@@ -49,7 +51,7 @@ pub struct ReadBias {
     /// Armed: null or the owner's value (≥ 64). Revoked: `DRAINING` or
     /// `LOCKED`.
     word: AtomicPtr<u8>,
-    /// Locked reads since the last writer.
+    /// Locked reads since the last revocation.
     quiet_reads: AtomicU64,
     revocations: AtomicU64,
     rearms: AtomicU64,
@@ -86,8 +88,8 @@ impl ReadBias {
     }
 
     /// Count one read made under the lock's **read side**; `true` for the
-    /// [`REARM_AFTER`]th without a writer, whose caller then arms the bias
-    /// ([`ReadBias::rearm`]) before it lets go of the read lock.
+    /// [`REARM_AFTER`]th without a revocation, whose caller then arms the
+    /// bias ([`ReadBias::rearm`]) before it lets go of the read lock.
     pub fn note_locked_read(&self) -> bool {
         self.quiet_reads.fetch_add(1, Ordering::Relaxed) + 1 == REARM_AFTER
     }
@@ -172,7 +174,7 @@ mod tests {
         let due =
             std::iter::repeat_n((), REARM_AFTER as usize - 1).map(|()| bias.note_locked_read());
         assert!(!due.fold(false, |a, b| a | b), "one read short of the run");
-        assert!(revoke(), "a writer restarts the run");
+        assert!(revoke(), "a revocation restarts the run");
         let due: Vec<bool> = (0..REARM_AFTER).map(|_| bias.note_locked_read()).collect();
         assert_eq!(due.iter().position(|&d| d), Some(REARM_AFTER as usize - 1));
         bias.rearm(ptr::null_mut());

@@ -11,9 +11,10 @@
 //! shutdown flag.
 //!
 //! A client that disconnects mid-stream (EOF or reset) just ends the
-//! reader loop; ops already submitted still execute — the executor fills
-//! their slots whether or not anyone is left to read them — and the
-//! writer exits once the slot queue drains or the first write fails.
+//! reader loop once it has read what the client sent; those ops still
+//! execute — the executor fills their slots whether or not anyone is left
+//! to read them — and the writer exits once the slot queue drains or the
+//! first write fails (which does not stop the reader).
 
 use crate::batch::{Op, ReplySlot};
 use crate::protocol::{Decoder, Reply, Request};
@@ -81,9 +82,9 @@ fn reader_loop(
                 Ok(Some(args)) => {
                     ctx.stats.commands.fetch_add(1, Ordering::Relaxed);
                     let slot = ReplySlot::new();
-                    if tx.send(Arc::clone(&slot)).is_err() {
-                        break 'conn; // writer died (client gone)
-                    }
+                    // A writer that died (client gone) reads no more
+                    // replies; what the client sent still executes.
+                    let _ = tx.send(Arc::clone(&slot));
                     match Request::parse(&args) {
                         Err(msg) => slot.fill(Reply::Error(msg)),
                         Ok(Request::Ping) => slot.fill(Reply::Simple("PONG")),

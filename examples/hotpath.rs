@@ -4,7 +4,10 @@
 //! unmangled symbol (`hotpath_get`, `hotpath_insert`, `hotpath_remove`,
 //! `hotpath_get_many`) that the task disassembles to hold the path's shape
 //! — size, frame, no `lock` prefix, where its calls go — where a timer
-//! cannot. Running it checks the symbols answer.
+//! cannot; and `hotpath_index_get`, which links in the out-of-line
+//! `<ShortcutIndex as Index>::get` the benchmark's point workloads time,
+//! checked under its own (mangled) name. Running it checks the symbols
+//! answer.
 //!
 //! ```bash
 //! cargo run --release --example hotpath
@@ -19,6 +22,16 @@ use taking_the_shortcut::{Index, IndexError, ShortcutIndex};
 #[inline(never)]
 pub fn hotpath_get(index: &ShortcutIndex, key: u64) -> Option<u64> {
     index.get(key)
+}
+
+/// The lookup as a caller through the [`Index`] trait makes it — the
+/// benchmark's `get` arm: one call into the out-of-line
+/// `<ShortcutIndex as Index>::get`, compiled in `shortcut-exhash`, whose
+/// body is what the task checks.
+#[no_mangle]
+#[inline(never)]
+pub fn hotpath_index_get(index: &ShortcutIndex, key: u64) -> Option<u64> {
+    <ShortcutIndex as Index>::get(index, key)
 }
 
 /// The whole batched read path: per window, the sections of the shards it
@@ -70,6 +83,7 @@ fn main() -> Result<(), IndexError> {
     for k in 0..1u64 << 15 {
         let expect = (k < 1 << 14).then_some(!k);
         assert_eq!(hotpath_get(&index, std::hint::black_box(k)), expect);
+        assert_eq!(hotpath_index_get(&index, std::hint::black_box(k)), expect);
     }
     let keys: Vec<u64> = (0..1u64 << 15).collect();
     let mut answers = Vec::new();

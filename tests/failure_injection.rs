@@ -331,11 +331,14 @@ fn facade_surfaces_pool_exhaustion_as_typed_error() {
 /// several batches have failed; each failure is checked for the prefix:
 /// the entries before the first missing one read back, none after it
 /// does. An index that applies a batch shard by shard fails this whenever
-/// the failing shard is not the highest one the window touches.
+/// the failing shard is not the highest one the window touches. Run once
+/// more with windows that open with updates — eight keys the batch knows
+/// present get new values, stored beside the readers with nothing
+/// revoked — before the fresh keys: the updates are in the prefix.
 #[test]
 fn a_failing_batch_insert_leaves_exactly_its_prefix() {
     use taking_the_shortcut::{Index, IndexError, ShortcutIndex};
-    for shared in [false, true] {
+    for (shared, updates) in [(false, 0), (true, 0), (false, 8), (true, 8)] {
         let mut index = ShortcutIndex::builder()
             .shards(2)
             .pool(PoolConfig {
@@ -347,37 +350,60 @@ fn a_failing_batch_insert_leaves_exactly_its_prefix() {
             .build()
             .unwrap();
         let (mut next, mut failures) = (0u64, 0);
+        let mut present: Vec<u64> = Vec::new();
         while failures < 8 {
             assert!(
                 next < 1 << 20,
                 "exhaustion never surfaced (shared: {shared})"
             );
-            let batch: Vec<(u64, u64)> = (next..next + 32)
+            // Values no earlier batch wrote.
+            let rewrites = present.iter().rev().take(updates);
+            let fresh = (next..next + 32)
                 .map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D))
-                .map(|k| (k, k ^ 0x5A5A))
+                .map(|k| (k, k ^ 0x5A5A));
+            let batch: Vec<(u64, u64)> = rewrites
+                .map(|&k| (k, k ^ next << 32))
+                .chain(fresh)
                 .collect();
+            let opening = batch.len() - 32;
             next += 32;
             let result = if shared {
                 index.insert_batch_shared(&batch)
             } else {
                 index.insert_batch(&batch)
             };
-            let present: Vec<bool> = batch.iter().map(|&(k, _)| index.get(k).is_some()).collect();
+            let applied: Vec<bool> = batch
+                .iter()
+                .map(|&(k, v)| index.get(k) == Some(v))
+                .collect();
+            let fresh_applied = batch[opening..].iter().zip(&applied[opening..]);
+            present.extend(fresh_applied.filter(|(_, &a)| a).map(|(&(k, _), _)| k));
             let Err(e) = result else {
-                assert!(present.iter().all(|&p| p), "an applied batch lost entries");
+                assert!(applied.iter().all(|&a| a), "an applied batch lost entries");
                 continue;
             };
             assert!(matches!(e, IndexError::Pool(_)), "{e}");
-            let failed = present
+            assert_eq!(
+                opening, updates,
+                "the failing window opens with the updates"
+            );
+            let failed = applied
                 .iter()
-                .position(|&p| !p)
+                .position(|&a| !a)
                 .expect("a failed batch applied all");
             assert!(
-                present[failed..].iter().all(|&p| !p),
-                "entries after the failing #{failed} applied (shared: {shared}): {present:?}"
+                failed >= opening,
+                "update #{failed} not applied: {applied:?}"
+            );
+            assert!(
+                applied[failed..].iter().all(|&a| !a),
+                "entries after the failing #{failed} applied (shared: {shared}): {applied:?}"
             );
             for &(k, v) in &batch[..failed] {
                 assert_eq!(index.get(k), Some(v), "prefix entry {k} lost");
+            }
+            for &(k, _) in &batch[failed..] {
+                assert_eq!(index.get(k), None, "entry {k} after the failure");
             }
             failures += 1;
         }

@@ -1,9 +1,11 @@
 //! The sharded index end to end: proptest-generated interleavings of
 //! inserts, removals, and lookups across 4 shards — applied by one
 //! concurrent writer thread **per shard** while 4 reader threads hammer
-//! the index — must agree with a sequential `ChainedHash` oracle; and a
+//! the index — must agree with a sequential `ChainedHash` oracle; a
 //! shard driven deep enough to outgrow a shared VMA budget must never
-//! suspend its siblings' shortcut maintenance (fair-share admission).
+//! suspend its siblings' shortcut maintenance (fair-share admission);
+//! batches holding several shards at once must not deadlock; and updates
+//! of present keys must run beside biased readers without revoking.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -251,6 +253,78 @@ fn deep_shard_cannot_suspend_its_siblings() {
     assert!(index.maint_error().is_none());
 }
 
+/// A thread of [`race`]: run until stopped, each round given a draw of
+/// keys over the race's domain.
+type Work = Box<dyn FnMut(&mut dyn FnMut() -> u64) + Send>;
+
+/// Run `threads` concurrently for `run`, then stop them; a thread that
+/// does not finish its round within 60 s fails the test as a deadlock
+/// instead of letting it hang. Each thread's draws are uniform over
+/// `0..domain`, so a window of them spreads over every shard. The rounds
+/// each thread completed, in `threads` order.
+fn race(domain: u64, run: Duration, threads: Vec<(&'static str, Work)>) -> Vec<u64> {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Instant;
+    let stop = Arc::new(AtomicBool::new(false));
+    let (done, finished) = mpsc::channel::<(usize, u64)>();
+    let n = threads.len();
+    for (i, (name, mut work)) in threads.into_iter().enumerate() {
+        let (stop, done) = (Arc::clone(&stop), done.clone());
+        std::thread::spawn(move || {
+            let mut state = (name.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % domain
+            };
+            let mut rounds = 0;
+            while !stop.load(Ordering::Relaxed) {
+                work(&mut rng);
+                rounds += 1;
+            }
+            done.send((i, rounds)).unwrap();
+        });
+    }
+    drop(done);
+    let watchdog = Instant::now() + Duration::from_secs(60);
+    std::thread::sleep(run);
+    stop.store(true, Ordering::Relaxed);
+    let mut rounds = vec![0; n];
+    for _ in 0..n {
+        let left = watchdog.saturating_duration_since(Instant::now());
+        match finished.recv_timeout(left) {
+            Ok((i, r)) => rounds[i] = r,
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("a thread panicked"),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("deadlock: a thread is stuck after 60 s")
+            }
+        }
+    }
+    rounds
+}
+
+/// A reader of [`race`]: cross-shard batched lookups of `n` drawn keys,
+/// every hit `val(k)`.
+fn batch_reader(index: &std::sync::Arc<ShortcutIndex>, n: usize) -> Work {
+    let (index, mut out) = (std::sync::Arc::clone(index), Vec::new());
+    Box::new(move |rng| {
+        let keys: Vec<u64> = (0..n).map(|_| rng()).collect();
+        index.get_many_into(&keys, &mut out);
+        for (&k, &got) in keys.iter().zip(&out) {
+            assert!(got.is_none_or(|v| v == val(k)), "get_many({k}) = {got:?}");
+        }
+    })
+}
+
+/// Whether shard `i`'s read bias is armed: every revocation was followed
+/// by a re-arm.
+fn armed(index: &ShortcutIndex, i: usize) -> bool {
+    let s = index.shard_stats(i);
+    s.bias_revocations == s.bias_rearms
+}
+
 /// A batch holds the sections of every shard its window touches at once,
 /// entered in ascending shard order. Run everything that takes sections
 /// concurrently at 4 shards — cross-shard batched lookups, batched
@@ -259,10 +333,17 @@ fn deep_shard_cannot_suspend_its_siblings() {
 /// answer: the lock order must not deadlock, and no section may let a
 /// reader see a foreign value. A watchdog fails the test instead of
 /// letting a deadlock hang it.
+///
+/// Then the windows that open with updates: present keys of the lowest
+/// shard, armed, and of the highest, revoked, then a new key of the lowest
+/// — while cross-shard readers pin the lowest shard and wait for the
+/// highest one's read lock. Revoking the lowest shard there, with the
+/// highest held, would wait for such a pin for ever; the window leaves its
+/// sections and enters the rest again, revoking in ascending order.
 #[test]
 fn batches_holding_several_shards_do_not_deadlock() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{mpsc, Arc};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::time::Instant;
     const DOMAIN: u64 = 4096;
     const RUN: Duration = Duration::from_millis(1500);
@@ -271,47 +352,14 @@ fn batches_holding_several_shards_do_not_deadlock() {
     let all: Vec<(u64, u64)> = (0..DOMAIN).map(|k| (k, val(k))).collect();
     index.insert_batch_shared(&all).unwrap();
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let rounds = Arc::new(AtomicU64::new(0));
-    let (done, finished) = mpsc::channel::<&'static str>();
-    // A thread runs `work` until stopped; its `rng` draws keys of the whole
-    // domain, so a window spreads over every shard.
-    type Work = Box<dyn FnMut(&mut dyn FnMut() -> u64) + Send>;
-    let spawn = |name: &'static str, mut work: Work| {
-        let (stop, rounds, done) = (Arc::clone(&stop), Arc::clone(&rounds), done.clone());
-        std::thread::spawn(move || {
-            let mut state = (name.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut rng = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state % DOMAIN
-            };
-            while !stop.load(Ordering::Relaxed) {
-                work(&mut rng);
-                rounds.fetch_add(1, Ordering::Relaxed);
-            }
-            done.send(name).unwrap();
-        });
-    };
-    for name in ["reader-a", "reader-b"] {
-        let index = Arc::clone(&index);
-        let mut out = Vec::new();
-        spawn(
-            name,
-            Box::new(move |rng| {
-                let keys: Vec<u64> = (0..64).map(|_| rng()).collect();
-                index.get_many_into(&keys, &mut out);
-                for (&k, &got) in keys.iter().zip(&out) {
-                    assert!(got.is_none_or(|v| v == val(k)), "get_many({k}) = {got:?}");
-                }
-            }),
-        );
-    }
+    let mut threads: Vec<(&'static str, Work)> = vec![
+        ("reader-a", batch_reader(&index, 64)),
+        ("reader-b", batch_reader(&index, 64)),
+    ];
     for name in ["writer-a", "writer-b"] {
         let index = Arc::clone(&index);
         let mut out = Vec::new();
-        spawn(
+        threads.push((
             name,
             Box::new(move |rng| {
                 let entries: Vec<(u64, u64)> =
@@ -326,12 +374,12 @@ fn batches_holding_several_shards_do_not_deadlock() {
                     );
                 }
             }),
-        );
+        ));
     }
     {
         let index = Arc::clone(&index);
         let mut round = 0usize;
-        spawn(
+        threads.push((
             "single-and-compact",
             Box::new(move |rng| {
                 let k = rng();
@@ -343,32 +391,142 @@ fn batches_holding_several_shards_do_not_deadlock() {
                     let _ = index.with_shard_mut(round / 64 % 4, |s| s.compact());
                 }
             }),
-        );
+        ));
     }
-    drop(done);
-
-    let watchdog = Instant::now() + Duration::from_secs(60);
-    std::thread::sleep(RUN);
-    stop.store(true, Ordering::Relaxed);
-    for _ in 0..5 {
-        let left = watchdog.saturating_duration_since(Instant::now());
-        match finished.recv_timeout(left) {
-            Ok(_) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("a thread panicked"),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                panic!("deadlock: a thread is stuck after 60 s")
-            }
-        }
-    }
-    assert!(
-        rounds.load(Ordering::Relaxed) >= 5,
-        "the threads did not run"
-    );
+    let rounds = race(DOMAIN, RUN, threads);
+    assert!(rounds.iter().sum::<u64>() >= 5, "the threads did not run");
     for (k, got) in (0..DOMAIN).zip(index.get_many(&(0..DOMAIN).collect::<Vec<_>>())) {
         assert!(
             got.is_none_or(|v| v == val(k)),
             "final get_many({k}) = {got:?}"
         );
     }
+    assert!(index.maint_error().is_none());
+
+    // The windows that open with updates, beside the readers alone, so
+    // that the lowest shard re-arms between two of them.
+    index.insert_batch_shared(&all).unwrap();
+    let (low, high) = (0, index.shard_count() - 1);
+    let of = |shard: usize| -> Vec<u64> {
+        (0..DOMAIN)
+            .filter(|&k| index.shard_of(k) == shard)
+            .collect()
+    };
+    let head: Vec<(u64, u64)> = of(low)[..8]
+        .iter()
+        .chain(&of(high))
+        .map(|&k| (k, val(k)))
+        .collect();
+    let revoke_high = of(high)[0];
+    let sent = Arc::new(AtomicU64::new(0));
+    let writer: Work = {
+        let (index, sent) = (Arc::clone(&index), Arc::clone(&sent));
+        let mut new_key = DOMAIN;
+        Box::new(move |_| {
+            // The readers re-arm the lowest shard; a round that waits past
+            // the end of the race for them sends nothing.
+            let give_up = Instant::now() + Duration::from_millis(100);
+            while !armed(&index, low) {
+                if Instant::now() > give_up {
+                    return;
+                }
+                std::thread::yield_now();
+            }
+            // A structural write revokes the highest shard (the readers
+            // re-arm it only after thousands of windows).
+            assert!(index.remove_shared(revoke_high).unwrap().is_some());
+            index.insert_shared(revoke_high, val(revoke_high)).unwrap();
+            let mut window = head.clone();
+            new_key = (new_key + 1..).find(|&k| index.shard_of(k) == low).unwrap();
+            window.push((new_key, val(new_key)));
+            index.insert_batch_shared(&window).unwrap();
+            sent.fetch_add(1, Ordering::Relaxed);
+        })
+    };
+    // Windows of 16: nearly every one touches both shards, and the lowest
+    // re-arms four times as often as with 64.
+    let threads = vec![
+        ("reader-a", batch_reader(&index, 16)),
+        ("reader-b", batch_reader(&index, 16)),
+        ("updates-then-new", writer),
+    ];
+    race(DOMAIN, RUN, threads);
+    let sent = sent.load(Ordering::Relaxed);
+    assert!(sent >= 3, "{sent} windows opened with updates");
+    assert!(index.maint_error().is_none());
+}
+
+/// A shared writer that only rewrites present keys stores their values
+/// beside the biased readers: cross-shard `get` and `get_many_into`
+/// readers see each key's old or new value and nothing else, and no
+/// shard's bias is revoked — it stays armed throughout.
+#[test]
+fn updates_run_beside_biased_readers_and_revoke_nothing() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    const DOMAIN: u64 = 4096;
+    let other = |k: u64| !val(k);
+    let mut index = build();
+    // Loaded through `&mut`: no shared writer has come by.
+    for k in 0..DOMAIN {
+        index.insert(k, val(k)).unwrap();
+    }
+    let index = Arc::new(index);
+    let all_armed_never_revoked = |index: &ShortcutIndex| {
+        (0..index.shard_count()).all(|i| {
+            let s = index.shard_stats(i);
+            (s.bias_revocations, s.bias_rearms) == (0, 0)
+        })
+    };
+    assert!(all_armed_never_revoked(&index));
+    let either = move |k: u64, got: Option<u64>| got == Some(val(k)) || got == Some(other(k));
+    let flips = Arc::new(AtomicU64::new(0));
+    let updater: Work = {
+        let (index, flips) = (Arc::clone(&index), Arc::clone(&flips));
+        Box::new(move |rng| {
+            // Server-sized batches of updates over every shard, all to the
+            // old or all to the new values, and one single-key update.
+            let flip = flips.fetch_add(1, Ordering::Relaxed) % 2 == 1;
+            let value = |k: u64| if flip { val(k) } else { other(k) };
+            let batch: Vec<(u64, u64)> = (0..16).map(|_| rng()).map(|k| (k, value(k))).collect();
+            index.insert_batch_shared(&batch).unwrap();
+            let k = rng();
+            index.insert_shared(k, value(k)).unwrap();
+        })
+    };
+    let get_reader: Work = {
+        let index = Arc::clone(&index);
+        Box::new(move |rng| {
+            for k in (0..64).map(|_| rng()) {
+                let got = index.get(k);
+                assert!(either(k, got), "get({k}) = {got:?}");
+            }
+        })
+    };
+    let batch_reader: Work = {
+        let (index, mut out) = (Arc::clone(&index), Vec::new());
+        Box::new(move |rng| {
+            let keys: Vec<u64> = (0..64).map(|_| rng()).collect();
+            index.get_many_into(&keys, &mut out);
+            for (&k, &got) in keys.iter().zip(&out) {
+                assert!(either(k, got), "get_many({k}) = {got:?}");
+            }
+        })
+    };
+    let threads = vec![
+        ("updater", updater),
+        ("get-reader", get_reader),
+        ("batch-reader", batch_reader),
+    ];
+    let rounds = race(DOMAIN, Duration::from_millis(1000), threads);
+    assert!(rounds.iter().all(|&r| r >= 3), "rounds {rounds:?}");
+    assert!(
+        all_armed_never_revoked(&index),
+        "an update revoked a shard's bias"
+    );
+    for k in 0..DOMAIN {
+        assert!(either(k, index.get(k)), "final get({k})");
+    }
+    assert_eq!(index.len(), DOMAIN as usize);
     assert!(index.maint_error().is_none());
 }
