@@ -794,6 +794,9 @@ impl BucketRef {
 
     /// Insert or update `key`, refusing (returning [`InsertOutcome::Full`])
     /// once `max_entries` live entries are reached and the key is new.
+    /// Forced inline, as [`Self::remove`]: a by-value `BucketRef` passed to
+    /// a call goes through memory.
+    #[inline(always)]
     pub fn insert(self, key: u64, value: u64, max_entries: usize) -> InsertOutcome {
         match self.probe(key) {
             ProbeHit::Found(slot) => {
@@ -865,6 +868,7 @@ impl BucketRef {
 
     /// Remove `key`, returning its value. Shares `get`'s probe, including
     /// its early termination at the first never-used slot.
+    #[inline(always)]
     pub fn remove(self, key: u64) -> Option<u64> {
         match self.probe(key) {
             ProbeHit::Found(slot) => {

@@ -6,6 +6,9 @@
 //! overflowing bucket splits (local depth +1); if its local depth already
 //! equals the global depth, the directory doubles first.
 //!
+//! An insert or remove is one fast path inlined into the caller, in both
+//! arms; only an insert into a full bucket leaves it, for a cold split.
+//!
 //! Buckets are allocated from a [`shortcut_rewire::PagePool`] so that a
 //! shortcut directory can later be rewired straight to their physical
 //! pages — this is the prerequisite the paper states in §2.1.
@@ -284,7 +287,9 @@ impl ExtendibleHash {
         self.events.drain(..)
     }
 
-    /// The bucket a hash currently routes to.
+    /// The bucket a hash currently routes to. Forced inline: the write
+    /// paths of both arms run it in their own bodies.
+    #[inline(always)]
     fn bucket_for(&self, hash: u64) -> BucketRef {
         let ptr = self.dir.get(dir_slot(hash, self.dir.global_depth()));
         debug_assert!(!ptr.is_null());
@@ -339,8 +344,9 @@ impl ExtendibleHash {
         Ok(())
     }
 
-    /// Split the bucket the hash routes to. One split per call; the insert
-    /// loop retries (a skewed bucket may need several rounds).
+    /// Split the bucket the hash routes to. One split per call;
+    /// [`ExtendibleHash::insert_slow`] retries (a skewed bucket may need
+    /// several rounds).
     ///
     /// On failure (pool exhausted, depth cap) no entry has moved yet — the
     /// overflowing bucket is split only after the fresh page is in hand —
@@ -651,24 +657,52 @@ impl ExtendibleHash {
         self.bucket_for(dir_hash).get(key)
     }
 
-    /// [`Index::insert`] from the key's [`ExtendibleHash::dir_hash`].
+    /// [`Index::insert`] from the key's [`ExtendibleHash::dir_hash`]: the
+    /// fast path, and the slow one when it finds the bucket full.
+    #[inline(always)]
     pub(crate) fn insert_hashed(
         &mut self,
         key: u64,
         value: u64,
         dir_hash: u64,
     ) -> Result<(), IndexError> {
-        loop {
-            let bucket = self.bucket_for(dir_hash);
-            match bucket.insert(key, value, self.max_entries) {
-                InsertOutcome::Inserted => {
-                    self.len += 1;
-                    return Ok(());
-                }
-                InsertOutcome::Updated => return Ok(()),
-                InsertOutcome::Full => self.split(dir_hash)?,
-            }
+        if self.insert_fast(key, value, dir_hash) {
+            return Ok(());
         }
+        self.insert_slow(key, value, dir_hash)
+    }
+
+    /// The bucket's insert and the count, inlined into both arms: with
+    /// plain `#[inline]` LLVM kept out-of-line copies, and an arm that
+    /// called one paid for it alone. `false` (nothing changed): a new key
+    /// and a full bucket — an update never is, however full its bucket.
+    #[inline(always)]
+    pub(crate) fn insert_fast(&mut self, key: u64, value: u64, dir_hash: u64) -> bool {
+        match self
+            .bucket_for(dir_hash)
+            .insert(key, value, self.max_entries)
+        {
+            InsertOutcome::Inserted => {
+                self.len += 1;
+                true
+            }
+            InsertOutcome::Updated => true,
+            InsertOutcome::Full => false,
+        }
+    }
+
+    /// Split, and insert again: a skewed bucket may take several rounds.
+    /// An error leaves the rounds before it applied and the key out.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn insert_slow(
+        &mut self,
+        key: u64,
+        value: u64,
+        dir_hash: u64,
+    ) -> Result<(), IndexError> {
+        self.split(dir_hash)?;
+        self.insert_hashed(key, value, dir_hash)
     }
 
     /// [`BucketRef::update`] from the key's [`ExtendibleHash::dir_hash`].
@@ -678,6 +712,7 @@ impl ExtendibleHash {
     }
 
     /// [`Index::remove`] from the key's [`ExtendibleHash::dir_hash`].
+    #[inline(always)]
     pub(crate) fn remove_hashed(&mut self, key: u64, dir_hash: u64) -> Option<u64> {
         let v = self.bucket_for(dir_hash).remove(key);
         if v.is_some() {
@@ -698,6 +733,7 @@ impl ExtendibleHash {
 }
 
 impl Index for ExtendibleHash {
+    #[inline]
     fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
         self.insert_hashed(key, value, self.dir_hash(key))
     }
@@ -710,6 +746,7 @@ impl Index for ExtendibleHash {
         self.get_hashed(key, self.dir_hash(key))
     }
 
+    #[inline]
     fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
         Ok(self.remove_hashed(key, self.dir_hash(key)))
     }
@@ -1108,5 +1145,133 @@ mod tests {
             assert_eq!(eh.get(k), Some(k * 2));
         }
         assert_eq!(eh.len(), 2_000);
+    }
+
+    /// A plain EH whose 4 KB buckets split at `entry_limit` entries, over a
+    /// view of `view_capacity_pages` pool pages.
+    fn limited(entry_limit: usize, view_capacity_pages: usize) -> ExtendibleHash {
+        let eh = ExtendibleHash::try_new(EhConfig {
+            max_load_factor: (entry_limit as f64 + 0.5) / crate::BUCKET_CAPACITY as f64,
+            pool: PoolConfig {
+                initial_pages: 1,
+                min_growth_pages: 1,
+                view_capacity_pages,
+                ..PoolConfig::default()
+            },
+            ..EhConfig::default()
+        })
+        .unwrap();
+        assert_eq!(eh.bucket_entry_limit(), entry_limit);
+        eh
+    }
+
+    /// Keys scattered over the hash space: evenly spread ones fill every
+    /// bucket at once.
+    fn scattered(seed: u64, i: u64) -> u64 {
+        let x = (seed << 32 | i).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (x ^ x >> 29).wrapping_mul(0x94D0_49BB_1331_11EB)
+    }
+
+    /// Whether inserting `key` now finds its bucket full: a new key, and
+    /// the bucket at its entry limit.
+    fn finds_full(eh: &ExtendibleHash, key: u64) -> bool {
+        let bucket = eh.bucket_for(eh.dir_hash(key));
+        bucket.get(key).is_none() && bucket.count() == eh.bucket_entry_limit()
+    }
+
+    /// The fast path's boundary: an update never leaves it, however full
+    /// its bucket; a new key in that bucket does, and splits.
+    #[test]
+    fn an_update_in_a_full_bucket_splits_nothing() {
+        let mut eh = limited(3, 1 << 8);
+        for k in 0..3 {
+            eh.insert(k, k).unwrap();
+        }
+        assert_eq!((eh.splits(), eh.bucket_count(), eh.len()), (0, 1, 3));
+        assert!((0..3).all(|k| !finds_full(&eh, k)) && finds_full(&eh, 3));
+        for k in 0..3 {
+            eh.insert(k, k + 100).unwrap();
+            assert_eq!((eh.splits(), eh.len()), (0, 3), "update of {k}");
+            assert_eq!(eh.get(k), Some(k + 100));
+        }
+        eh.insert(3, 3).unwrap();
+        assert!(eh.splits() > 0);
+        assert_eq!(eh.len(), 4);
+    }
+
+    /// Insert and remove, operation by operation, against a `HashMap`:
+    /// `len()` and every `get` agree, and `splits()` moves on exactly the
+    /// inserts that found their bucket full — by several on a multi-round
+    /// split. At the 4 KB layout's entry limit, at a 512 B bucket's, and
+    /// at three entries, where one split in eight takes a second round.
+    #[test]
+    fn fast_and_slow_paths_match_a_model() {
+        let limit_of = |layout: BucketLayout| (layout.capacity() as f64 * 0.35) as usize;
+        let limits = [BucketLayout::for_bytes(512), BucketLayout::base()].map(limit_of);
+        for limit in [3, limits[0], limits[1]] {
+            let mut eh = limited(limit, 1 << 16);
+            let domain = 150 * limit as u64;
+            let mut model = std::collections::HashMap::new();
+            let (mut splitting, mut multi_round) = (0, 0);
+            for op in 0..4 * domain {
+                let key = scattered(limit as u64, op) % domain;
+                if op % 4 == 0 {
+                    assert_eq!(eh.remove(key).unwrap(), model.remove(&key), "op {op}");
+                } else {
+                    let (full, splits) = (finds_full(&eh, key), eh.splits());
+                    eh.insert(key, op).unwrap();
+                    model.insert(key, op);
+                    assert_eq!(eh.splits() > splits, full, "op {op}: key {key}");
+                    splitting += usize::from(full);
+                    multi_round += usize::from(eh.splits() > splits + 1);
+                }
+                assert_eq!(eh.len(), model.len(), "op {op}");
+                if op % 1024 == 0 {
+                    for k in 0..domain {
+                        assert_eq!(eh.get(k), model.get(&k).copied(), "op {op}: key {k}");
+                    }
+                }
+            }
+            for k in 0..domain {
+                assert_eq!(eh.get(k), model.get(&k).copied(), "key {k}");
+            }
+            assert!(splitting > 50, "{splitting} splitting inserts");
+            if limit == 3 {
+                assert!(multi_round > 0, "no multi-round split");
+            }
+        }
+    }
+
+    /// Pool exhaustion inside the slow path — in a later round of a
+    /// multi-round split among them — returns the pool's error, keeps
+    /// every entry the index held and the rounds that were applied, and
+    /// keeps `len()` exact.
+    #[test]
+    fn a_split_that_runs_out_of_pages_loses_nothing() {
+        let mut later_rounds = 0;
+        for seed in 0..64u64 {
+            // Three entries a bucket: one split in eight needs a second round.
+            let mut eh = limited(3, 8);
+            let mut model = std::collections::HashMap::new();
+            let (failed, splits) = (0u64..)
+                .find_map(|i| {
+                    let (key, splits) = (scattered(seed, i), eh.splits());
+                    match eh.insert(key, i) {
+                        Ok(()) => model.insert(key, i).and(None),
+                        Err(e) => {
+                            assert!(matches!(e, IndexError::Pool(_)), "{e}");
+                            Some((key, splits))
+                        }
+                    }
+                })
+                .unwrap();
+            later_rounds += usize::from(eh.splits() > splits);
+            assert_eq!(eh.len(), model.len());
+            assert_eq!(eh.get(failed), None);
+            for (&k, &v) in &model {
+                assert_eq!(eh.get(k), Some(v), "key {k}");
+            }
+        }
+        assert!(later_rounds > 0, "no seed failed in a later round");
     }
 }

@@ -9,6 +9,9 @@
 //! * directory doubling → pending updates are dropped (superseded) and one
 //!   *create* request carries the full slot→page assignment.
 //!
+//! A write runs plain EH's inline fast path and nothing else; only a
+//! split leaves it, and only a split owes the mapper a relay.
+//!
 //! Lookups route through the shortcut when (a) its version matches the
 //! traditional directory's and (b) the average fan-in is at most the
 //! routing threshold (default 8, §3.2): one load of the read descriptor's
@@ -577,39 +580,49 @@ impl ShortcutEh {
     }
 
     /// [`Index::insert`] from the key's [`mult_hash`], for callers that
-    /// routed by it: the inner EH's insert and one look at its event
-    /// buffer. A plain insert changes no directory and leaves none, so it
-    /// owes the mapper nothing.
+    /// routed by it: the plain-EH arm's fast path, with no `Result` or
+    /// event look of its own (EH's `Result` passed on through a stack
+    /// temporary failed a store-to-load forward every insert); a full
+    /// bucket leaves it for [`ShortcutEh::insert_slow`].
     ///
     /// # Errors
     ///
     /// As [`Index::insert`].
-    #[inline]
+    #[inline(always)]
     pub(crate) fn insert_hashed(
         &mut self,
         key: u64,
         value: u64,
         hash: u64,
     ) -> Result<(), IndexError> {
-        let r = self.eh.insert_hashed(key, value, self.eh.dir_hash_of(hash));
-        if self.eh.has_events() {
-            return self.insert_slow(r);
+        let dir_hash = self.eh.dir_hash_of(hash);
+        if self.eh.insert_fast(key, value, dir_hash) {
+            return Ok(());
         }
-        r
+        self.insert_slow(key, value, dir_hash, true)
     }
 
-    /// What an insert that changed the directory owes, `r` being its
-    /// result: a look at the layout — before the relay, so a pass's rebuild
-    /// rides the same submission — and the relay. Also on error: a
-    /// multi-round split can apply a first round (moving entries and
-    /// changing the traditional directory) before a later round fails, and
-    /// skipping the relay would leave the shortcut stamped in-sync while
-    /// pointing at pre-split buckets.
+    /// EH's split-and-retry, then what a directory change owes: a look at
+    /// the layout and (`relay`) the relay, so a pass's rebuild rides the
+    /// same submission. Also on error: a multi-round split can apply a
+    /// first round before a later one fails, and skipping the relay would
+    /// leave the shortcut stamped in-sync over pre-split buckets.
     #[cold]
     #[inline(never)]
-    fn insert_slow(&mut self, r: Result<(), IndexError>) -> Result<(), IndexError> {
-        self.maybe_compact();
-        self.relay_events();
+    fn insert_slow(
+        &mut self,
+        key: u64,
+        value: u64,
+        dir_hash: u64,
+        relay: bool,
+    ) -> Result<(), IndexError> {
+        let r = self.eh.insert_slow(key, value, dir_hash);
+        if self.eh.has_events() {
+            self.maybe_compact();
+            if relay {
+                self.relay_events();
+            }
+        }
         r
     }
 
@@ -622,30 +635,29 @@ impl ShortcutEh {
     /// [`Index::remove`] from the key's [`mult_hash`]. Bucket contents
     /// only, which both directories alias — no directory change, no
     /// maintenance traffic.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn remove_hashed(&mut self, key: u64, hash: u64) -> Option<u64> {
         self.eh.remove_hashed(key, self.eh.dir_hash_of(hash))
     }
 
     /// [`ShortcutEh::insert_hashed`] in a batch's write section, which
-    /// relays when it is left: the EH insert and, after a directory change,
-    /// a look at the layout.
+    /// relays when it is left: after a split, only the look at the layout.
     ///
     /// # Errors
     ///
     /// As [`Index::insert`].
-    #[inline]
+    #[inline(always)]
     pub(crate) fn insert_deferred(
         &mut self,
         key: u64,
         value: u64,
         hash: u64,
     ) -> Result<(), IndexError> {
-        let r = self.eh.insert_hashed(key, value, self.eh.dir_hash_of(hash));
-        if self.eh.has_events() {
-            self.maybe_compact();
+        let dir_hash = self.eh.dir_hash_of(hash);
+        if self.eh.insert_fast(key, value, dir_hash) {
+            return Ok(());
         }
-        r
+        self.insert_slow(key, value, dir_hash, false)
     }
 }
 

@@ -1,10 +1,11 @@
 //! Fixture of `cargo run -p xtask -- hotpath`: [`ShortcutIndex::get`],
-//! [`ShortcutIndex::insert`], [`ShortcutIndex::remove`] and
-//! [`ShortcutIndex::get_many_into`], each compiled into one out-of-line,
-//! unmangled symbol (`hotpath_get`, `hotpath_insert`, `hotpath_remove`,
-//! `hotpath_get_many`) that the task disassembles to hold the path's shape
-//! — size, frame, no `lock` prefix, where its calls go — where a timer
-//! cannot; and `hotpath_index_get`, which links in the out-of-line
+//! [`ShortcutIndex::insert`], [`ShortcutIndex::remove`],
+//! [`ShortcutIndex::get_many_into`] and the plain-EH insert, each compiled
+//! into one out-of-line, unmangled symbol (`hotpath_get`, `hotpath_insert`,
+//! `hotpath_remove`, `hotpath_get_many`, `hotpath_eh_insert`) that the
+//! task disassembles to hold the path's shape — size, frame, no `lock`
+//! prefix, where its calls go — where a timer cannot; and
+//! `hotpath_index_get`, which links in the out-of-line
 //! `<ShortcutIndex as Index>::get` the benchmark's point workloads time,
 //! checked under its own (mangled) name. Running it checks the symbols
 //! answer.
@@ -51,23 +52,23 @@ pub fn hotpath_eh_get(eh: &ExtendibleHash, key: u64) -> Option<u64> {
     eh.get(key)
 }
 
-/// The whole single-key insert down to the EH body both arms share: route,
-/// one call to it, one look at its event buffer, the relay out of line.
+/// The whole single-key insert: route and the EH fast path both arms
+/// share; the split and the relay out of line.
 #[no_mangle]
 #[inline(never)]
 pub fn hotpath_insert(index: &mut ShortcutIndex, key: u64, value: u64) -> Result<(), IndexError> {
     index.insert(key, value)
 }
 
-/// The plain-EH insert the benchmark's `speedup_vs_eh` divides by: a jump
-/// into the same body (the task does not check it).
+/// The plain-EH insert the benchmark's `speedup_vs_eh` divides by: the
+/// same fast path, inline, and the same cold split.
 #[no_mangle]
 #[inline(never)]
 pub fn hotpath_eh_insert(eh: &mut ExtendibleHash, key: u64, value: u64) -> Result<(), IndexError> {
     eh.insert(key, value)
 }
 
-/// The whole single-key remove: one hash, route, the shared EH body.
+/// The whole single-key remove: one hash, route, EH's remove inline.
 #[no_mangle]
 #[inline(never)]
 pub fn hotpath_remove(index: &mut ShortcutIndex, key: u64) -> Result<Option<u64>, IndexError> {
