@@ -257,7 +257,7 @@ pub struct MapperEngine {
     /// Smallest footprint any *admissible* depth of the deferred create
     /// would reserve (exact depth, or a coarser depth that still
     /// resolves at least one bucket) — computed when the create is
-    /// deferred, so the per-tick retry probe is one O(1) `would_fit`
+    /// deferred, so the per-tick retry probe is one O(1) `would_fit_for`
     /// that agrees with what admission will actually accept. Folded
     /// updates can leave it slightly stale; a retry that then fails
     /// recomputes it, so the probe self-corrects instead of looping.
@@ -581,7 +581,7 @@ impl MapperEngine {
             }
         }
         // Deferred: cache the cheapest admissible footprint so the
-        // per-tick retry probe is one O(1) `would_fit` that agrees with
+        // per-tick retry probe is one O(1) `would_fit_for` that agrees with
         // what this function will accept (recomputed here on every
         // failed retry, so a stale bound self-corrects).
         self.deferred_min_want = min_want;
@@ -601,8 +601,8 @@ impl MapperEngine {
         let reclaimed = self.pool.retire_list().try_reclaim();
         if self.deferred.is_some() {
             // Racy pre-check to avoid re-counting a skip every tick; the
-            // retry's real admission goes through try_reserve again. The
-            // probe is one O(1) `would_fit` against the smallest
+            // retry's real admission goes through try_reserve_for again. The
+            // probe is one O(1) `would_fit_for` against the smallest
             // footprint any admissible depth would reserve, cached by
             // the failed admission that deferred the create (and
             // recomputed whenever a retry fails, so a slightly-stale

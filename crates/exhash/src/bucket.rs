@@ -33,109 +33,29 @@
 use crate::hash::bucket_slot_hash;
 use shortcut_rewire::{SlotLayout, PAGE_SIZE_4K};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
-/// Key-compare kernel used inside the bucket probe. The probe itself is
-/// always the word-at-a-time bitmap walk (one `u64` load covers 64 slots'
-/// presence/tombstone state); the backend only selects how the occupied
-/// candidates within a word are compared against the probe key.
+/// How the bucket probe compares keys: one scalar per-slot walk, on every
+/// target. A stub kept, with [`probe_backend`], only because the
+/// benchmark's host record names it; the change to the benchmark that
+/// drops that record drops this stub too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeBackend {
-    /// Portable bit-iteration compare (the only backend off x86-64).
+    /// The per-slot walk.
     Scalar,
-    /// SSE2 2-entry-wide compares (baseline on every x86-64).
-    Sse2,
-    /// AVX2 2-entry-per-lane-pair compares (runtime-detected).
-    Avx2,
 }
 
 impl ProbeBackend {
-    /// Stable lowercase name, as surfaced in stats output.
+    /// Stable lowercase name, as the benchmark records it.
     pub fn name(self) -> &'static str {
         match self {
             ProbeBackend::Scalar => "scalar",
-            ProbeBackend::Sse2 => "sse2",
-            ProbeBackend::Avx2 => "avx2",
         }
     }
 }
 
-/// The process-wide probe backend: runtime feature detection (AVX2, else
-/// SSE2 on x86-64, else scalar). Detected once and cached.
+/// The probe backend: [`ProbeBackend::Scalar`], the only one.
 pub fn probe_backend() -> ProbeBackend {
-    static BACKEND: OnceLock<ProbeBackend> = OnceLock::new();
-    *BACKEND.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                ProbeBackend::Avx2
-            } else {
-                ProbeBackend::Sse2
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            ProbeBackend::Scalar
-        }
-    })
-}
-
-/// Compare the keys of 8 consecutive entries at `p` (stride 16 B: each
-/// entry is `(u64 key, u64 value)`) against `key`; bit `i` of the result
-/// is set iff entry `i`'s key matches.
-///
-/// # Safety
-///
-/// `p` must be valid for reads of 128 bytes (8 whole entries). Alignment
-/// is not required (`loadu`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[inline]
-unsafe fn eq8_sse2(p: *const u8, key: u64) -> u32 {
-    use std::arch::x86_64::*;
-    let needle = _mm_set1_epi64x(key as i64);
-    let mut out = 0u32;
-    for pair in 0..4 {
-        // SAFETY: pair * 32 + 32 <= 128, within the caller's contract.
-        let keys = unsafe {
-            let q = p.add(pair * 32) as *const __m128i;
-            // Two 16 B entries: (key, value) each; unpacklo gathers the
-            // keys.
-            _mm_unpacklo_epi64(_mm_loadu_si128(q), _mm_loadu_si128(q.add(1)))
-        };
-        // SSE2 has no 64-bit compare; a 64-bit lane matches iff both of
-        // its 32-bit halves match.
-        let eq = _mm_cmpeq_epi32(keys, needle);
-        let m = _mm_movemask_ps(_mm_castsi128_ps(eq)) as u32;
-        let lo = u32::from(m & 3 == 3);
-        let hi = u32::from(m >> 2 & 3 == 3);
-        out |= (lo | hi << 1) << (2 * pair);
-    }
-    out
-}
-
-/// AVX2 variant of [`eq8_sse2`] (same contract): each 32 B load covers two
-/// entries, lanes `[key_i, val_i, key_{i+1}, val_{i+1}]`; the key lanes
-/// are movemask bits 0 and 2.
-///
-/// # Safety
-///
-/// As [`eq8_sse2`], plus the caller must have verified AVX2 support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn eq8_avx2(p: *const u8, key: u64) -> u32 {
-    use std::arch::x86_64::*;
-    let needle = _mm256_set1_epi64x(key as i64);
-    let mut out = 0u32;
-    for pair in 0..4 {
-        // SAFETY: pair * 32 + 32 <= 128, within the caller's contract.
-        let v = unsafe { _mm256_loadu_si256(p.add(pair * 32) as *const __m256i) };
-        let eq = _mm256_cmpeq_epi64(v, needle);
-        let m = _mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32;
-        out |= ((m & 1) | (m >> 1 & 2)) << (2 * pair);
-    }
-    out
+    ProbeBackend::Scalar
 }
 
 /// Bytes per cache line on every supported target.
@@ -156,13 +76,6 @@ pub(crate) fn prefetch<T>(p: *const T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = p;
-}
-
-/// Bits `[from, to)` of a `u64` set. `from < to <= 64`.
-#[inline]
-fn mask_range(from: usize, to: usize) -> u64 {
-    let hi = if to == 64 { u64::MAX } else { (1u64 << to) - 1 };
-    hi & !((1u64 << from) - 1)
 }
 
 /// Home slot of `key` in a bucket of `capacity` slots: multiply-shift
@@ -189,16 +102,6 @@ enum ProbeHit {
     Full,
 }
 
-/// Per-segment control flow of the probe (`[start, capacity)` then
-/// `[0, start)`).
-enum SegmentOutcome {
-    Found(usize),
-    /// Hit a never-used slot: the key cannot be further along.
-    Terminated,
-    /// Segment exhausted without a terminator; continue wrapping.
-    Continue,
-}
-
 /// Entries per 4 KB bucket (`(4096 − 72) / 16`): the capacity of the
 /// default [`BucketLayout::base`], kept as a named constant for the
 /// page-sized schemes (HT, CH) and tests.
@@ -207,18 +110,9 @@ pub const BUCKET_CAPACITY: usize = 251;
 /// Header offset of the occupied bitmap (independent of capacity).
 const OCCUPIED_OFF: usize = 8;
 
-/// Minimum candidates in an 8-slot byte group before the vector compare
-/// pays for itself: below this the group's 128 B load spans more cache
-/// lines than the individual entries the scalar loop would touch, and
-/// the kernel's fixed cost (broadcast, compare, movemask) exceeds one or
-/// two dependent loads. Measured crossover on the bench host.
-#[cfg(target_arch = "x86_64")]
-const VECTOR_MIN_GROUP: u32 = 4;
-
-/// Slots the probe walks one-by-one before switching to the word-at-a-time
-/// machinery. Short probe runs (the overwhelming majority at the paper's
-/// load limit) are cheapest per-slot; the word walk and vector kernels
-/// only win on long runs and tombstone chains.
+/// Slots the inlined tier of the probe walks before it leaves the rest of
+/// the run to the outlined one. At the paper's load limit a run averages
+/// ~1.3 slots, so this answers nearly every probe inline.
 const FAST_PROBE_SLOTS: usize = 8;
 
 /// Derived geometry of a bucket inside a slot of a given byte size: the
@@ -383,7 +277,7 @@ impl BucketRef {
     /// Empty the bucket and set the local depth by zeroing the header and
     /// both bitmaps only (72 B of a 4 KB slot). The entry array keeps its
     /// bytes, a recycled pool slot's garbage included: a probe reads the
-    /// entry of an occupied slot only, and the vector kernels mask the rest.
+    /// key of an occupied slot only.
     pub fn reset(self, local_depth: u32) {
         // SAFETY: the header and bitmaps are the slot's first
         // `entries_off` bytes (from_ptr contract).
@@ -459,6 +353,18 @@ impl BucketRef {
         self.set_bitmap_word(base, slot / 64, if on { w | mask } else { w & !mask });
     }
 
+    /// The key word of `slot`: all a probe reads of an entry. Keys are
+    /// written only with readers shut out; the value word beside it is
+    /// not (see [`Self::value`]).
+    #[inline(always)]
+    fn key(self, slot: usize) -> u64 {
+        debug_assert!(slot < self.layout.capacity());
+        // SAFETY: in-bounds, aligned.
+        unsafe { (self.ptr.add(self.layout.entries_off as usize + slot * 16) as *const u64).read() }
+    }
+
+    /// The whole entry of `slot`, value word by a plain load: only for a
+    /// caller that holds the bucket to itself (`remove`, `for_each_entry`).
     #[inline]
     fn entry(self, slot: usize) -> (u64, u64) {
         debug_assert!(slot < self.layout.capacity());
@@ -488,27 +394,22 @@ impl BucketRef {
         }
     }
 
-    /// The unified probe behind `insert`/`get`/`remove`: walk the linear
-    /// probe path of `key` reading the presence/tombstone bitmaps a whole
-    /// `u64` word (64 slots) at a time, comparing only *occupied* slots —
-    /// with the configured [`ProbeBackend`]'s vector kernel — and stopping
-    /// at the first never-used slot, exactly like the historical per-slot
-    /// loop (which paid a division, two bitmap-word loads and a shift per
-    /// slot). The wrap-around is two linear segments, `[start, capacity)`
-    /// then `[0, start)`, so there is no per-slot modulo.
+    /// The probe behind `insert`/`update`/`remove`: walk the linear probe
+    /// path of `key` from its home slot one slot at a time, comparing the
+    /// key of each occupied slot, remembering the first insertable one (a
+    /// tombstone, or the never-used slot that ends the path), and wrapping
+    /// at the capacity with an increment and a reset, not a modulo.
     ///
-    /// Two tiers. The *fast path*, inlined into the caller: at the paper's
-    /// ~0.35 load limit a probe run averages ~1.3 slots, so a short
-    /// per-slot walk answers nearly every probe with two bit tests and at
-    /// most one key compare per slot — no word machinery, no backend
-    /// dispatch, and a hot-path code footprint as small as the historical
-    /// per-slot loop's. It only handles the all-occupied prefix of the
-    /// run: a match is Found, a never-used slot is Free (every earlier
-    /// slot was occupied, so it is also the first insertable one). A
-    /// tombstone — where first-free bookkeeping starts — or a
-    /// run outlasting the window falls through to the outlined *word
-    /// walk* ([`Self::probe_slow`]), which re-examines the walked slots
-    /// (a few redundant compares, only on the already-expensive path).
+    /// Two tiers of one walk. The *fast tier* ([`Self::probe_fast`],
+    /// inlined into the caller) walks the first [`FAST_PROBE_SLOTS`] slots
+    /// of the run while every one is occupied: a match is Found, a
+    /// never-used slot is Free (every earlier slot was occupied, so it is
+    /// also the first insertable one). A tombstone, where the first-free
+    /// bookkeeping starts, or a run outlasting the window leaves through
+    /// one call to the *cold tier* ([`Self::probe_slow`]), which is the
+    /// same walk carried on over the whole bucket, bookkeeping included.
+    /// It starts again at the home slot: the few slots walked twice are on
+    /// the path that is already expensive.
     #[inline]
     fn probe(self, key: u64) -> ProbeHit {
         match self.probe_fast(key) {
@@ -517,14 +418,14 @@ impl BucketRef {
         }
     }
 
-    /// The fast path of [`Self::probe`]; `None` leaves it to the word walk.
+    /// The fast tier of [`Self::probe`]; `None` leaves it to the cold one.
     #[inline(always)]
     fn probe_fast(self, key: u64) -> Option<ProbeHit> {
         let capacity = self.layout.capacity();
         let mut slot = home_slot(key, capacity);
         for _ in 0..FAST_PROBE_SLOTS {
             if self.bit(OCCUPIED_OFF, slot) {
-                if self.entry(slot).0 == key {
+                if self.key(slot) == key {
                     return Some(ProbeHit::Found(slot));
                 }
             } else if !self.tombstone_bit(slot) {
@@ -540,26 +441,16 @@ impl BucketRef {
         None
     }
 
-    /// The word walk alone with an explicit backend — the agreement tests
-    /// pit every available kernel against the scalar one on the same
-    /// bucket.
-    #[cfg(test)]
-    fn probe_with(self, key: u64, backend: ProbeBackend) -> ProbeHit {
-        self.word_walk(key, backend)
-    }
-
-    /// The outlined tier of [`Self::probe`], with the process's backend —
-    /// consulted only here, so the common short-run probe pays no atomic
-    /// load for dispatch it never uses. Takes the bucket as scalars, and
-    /// only those the fast path has in registers anyway: a by-value
+    /// The cold tier of [`Self::probe`]. Takes the bucket as scalars, and
+    /// only those the fast tier has in registers anyway: a by-value
     /// `BucketRef` (24 bytes) or `BucketLayout` (16) is passed in memory,
     /// which would put every caller's bucket on its stack. Hashes again,
-    /// so the fast path need not keep the home slot either.
+    /// so the fast tier need not keep the home slot either.
     #[cold]
     #[inline(never)]
     fn probe_slow(ptr: *mut u8, capacity: u32, entries_off: u32, key: u64) -> ProbeHit {
         let layout = BucketLayout::from_hot_fields(capacity, entries_off);
-        BucketRef { ptr, layout }.word_walk(key, probe_backend())
+        BucketRef { ptr, layout }.walk(key)
     }
 
     /// [`Self::probe_slow`] for [`Self::get`], through to the value: the
@@ -569,7 +460,37 @@ impl BucketRef {
     fn get_slow(ptr: *mut u8, capacity: u32, entries_off: u32, key: u64) -> Option<u64> {
         let layout = BucketLayout::from_hot_fields(capacity, entries_off);
         let this = BucketRef { ptr, layout };
-        this.value_at(this.word_walk(key, probe_backend()))
+        this.value_at(this.walk(key))
+    }
+
+    /// The whole probe path of `key`, at most once round the bucket. The
+    /// tombstone bit is read only at a gap, so a run of occupied slots
+    /// costs the occupied word and the keys. Stopping at the first
+    /// never-used slot is sound: an insert fills the first insertable slot
+    /// on its key's path and a never-used slot is never made again, so no
+    /// live key sits past one on its path.
+    #[inline(always)]
+    fn walk(self, key: u64) -> ProbeHit {
+        let capacity = self.layout.capacity();
+        let mut slot = home_slot(key, capacity);
+        let mut first_free = None;
+        for _ in 0..capacity {
+            if self.bit(OCCUPIED_OFF, slot) {
+                if self.key(slot) == key {
+                    return ProbeHit::Found(slot);
+                }
+            } else {
+                let free = *first_free.get_or_insert(slot);
+                if !self.tombstone_bit(slot) {
+                    return ProbeHit::Free(free);
+                }
+            }
+            slot += 1;
+            if slot == capacity {
+                slot = 0;
+            }
+        }
+        first_free.map_or(ProbeHit::Full, ProbeHit::Free)
     }
 
     #[inline(always)]
@@ -579,219 +500,6 @@ impl BucketRef {
             _ => None,
         }
     }
-
-    /// Dispatches once into a `#[target_feature]` wrapper so the whole
-    /// word walk — including the vector compares — compiles as one
-    /// feature-enabled region: the `eq8_*` kernels inline into the loop
-    /// instead of paying a call (and, on AVX2, a `vzeroupper`) per byte
-    /// group.
-    fn word_walk(self, key: u64, backend: ProbeBackend) -> ProbeHit {
-        let start = home_slot(key, self.layout.capacity());
-        #[cfg(target_arch = "x86_64")]
-        match backend {
-            // SAFETY: SSE2 is part of the x86-64 baseline.
-            ProbeBackend::Sse2 => return unsafe { self.probe_sse2(key, start) },
-            // SAFETY: `probe_backend` only yields Avx2 when
-            // `is_x86_feature_detected!("avx2")` held, and `probe_with`
-            // callers pass either that value or a backend from
-            // `all_backends` (same detection).
-            ProbeBackend::Avx2 => return unsafe { self.probe_avx2(key, start) },
-            ProbeBackend::Scalar => {}
-        }
-        self.probe_body(key, start, ProbeBackend::Scalar)
-    }
-
-    /// SSE2-region instantiation of [`Self::probe_body`].
-    ///
-    /// # Safety
-    ///
-    /// SSE2 must be available (always true on x86-64).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse2")]
-    unsafe fn probe_sse2(self, key: u64, start: usize) -> ProbeHit {
-        self.probe_body(key, start, ProbeBackend::Sse2)
-    }
-
-    /// AVX2-region instantiation of [`Self::probe_body`].
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available (runtime-detected).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn probe_avx2(self, key: u64, start: usize) -> ProbeHit {
-        self.probe_body(key, start, ProbeBackend::Avx2)
-    }
-
-    /// The word walk proper; `backend` is a compile-time constant in every
-    /// instantiation, so the per-word dispatch folds away.
-    #[inline(always)]
-    fn probe_body(self, key: u64, start: usize, backend: ProbeBackend) -> ProbeHit {
-        let capacity = self.layout.capacity();
-        let mut first_free = None;
-        match self.probe_segment(key, start, capacity, backend, &mut first_free) {
-            SegmentOutcome::Found(slot) => return ProbeHit::Found(slot),
-            SegmentOutcome::Terminated => return first_free.map_or(ProbeHit::Full, ProbeHit::Free),
-            SegmentOutcome::Continue => {}
-        }
-        match self.probe_segment(key, 0, start, backend, &mut first_free) {
-            SegmentOutcome::Found(slot) => ProbeHit::Found(slot),
-            SegmentOutcome::Terminated | SegmentOutcome::Continue => {
-                first_free.map_or(ProbeHit::Full, ProbeHit::Free)
-            }
-        }
-    }
-
-    /// Probe slots `[lo, hi)` in ascending order. Updates `first_free`
-    /// with the first insertable (not-occupied) slot on the path — a
-    /// tombstone, or the terminating never-used slot — if none was found
-    /// in an earlier segment.
-    ///
-    /// The tombstone word is loaded only once the probe reaches a *gap*
-    /// (a non-occupied slot): candidates below the first gap are matched
-    /// against the occupied word alone, so the common home-slot hit costs
-    /// one bitmap line plus one entry line. (On large buckets the two
-    /// bitmaps sit `8·⌈cap/64⌉` bytes apart — an unconditional tombstone
-    /// load measured as a whole extra cache miss per lookup at `k = 4`.)
-    /// Matching occupied slots before knowing where the terminator lies
-    /// is sound: inserts fill the first gap on the key's path and
-    /// never-used slots are never re-created, so a live key cannot sit
-    /// past a never-used slot on its path.
-    #[inline(always)]
-    fn probe_segment(
-        self,
-        key: u64,
-        lo: usize,
-        hi: usize,
-        backend: ProbeBackend,
-        first_free: &mut Option<usize>,
-    ) -> SegmentOutcome {
-        if lo >= hi {
-            return SegmentOutcome::Continue;
-        }
-        let tomb_off = self.tombstone_off();
-        for w in (lo / 64)..=((hi - 1) / 64) {
-            let base = w * 64;
-            let region = mask_range(lo.max(base) - base, (hi - base).min(64));
-            let occ = self.bitmap_word(OCCUPIED_OFF, w) & region;
-            let gaps = region & !occ;
-            if gaps == 0 {
-                // Fully occupied region: every slot is on the path and
-                // nothing can terminate the probe here.
-                if occ != 0 {
-                    if let Some(slot) = self.match_key_in_word(key, base, occ, backend) {
-                        return SegmentOutcome::Found(slot);
-                    }
-                }
-                continue;
-            }
-            // Candidates below the first gap need no tombstone knowledge.
-            let first_gap = gaps.trailing_zeros();
-            let run = occ & ((1u64 << first_gap) - 1);
-            if run != 0 {
-                if let Some(slot) = self.match_key_in_word(key, base, run, backend) {
-                    return SegmentOutcome::Found(slot);
-                }
-            }
-            // The first gap — tombstone or never-used — is the first
-            // insertable slot on the path.
-            if first_free.is_none() {
-                *first_free = Some(base + first_gap as usize);
-            }
-            let free = gaps & !self.bitmap_word(tomb_off, w);
-            if free != 0 {
-                // The lowest never-used slot terminates the probe;
-                // occupied slots between the first gap and it are still
-                // on the key's path.
-                let t = free.trailing_zeros();
-                let rest = occ & !run & ((1u64 << t) | ((1u64 << t) - 1));
-                if rest != 0 {
-                    if let Some(slot) = self.match_key_in_word(key, base, rest, backend) {
-                        return SegmentOutcome::Found(slot);
-                    }
-                }
-                return SegmentOutcome::Terminated;
-            }
-            // Every gap is a tombstone: the remaining occupied slots all
-            // stay on the path.
-            let rest = occ & !run;
-            if rest != 0 {
-                if let Some(slot) = self.match_key_in_word(key, base, rest, backend) {
-                    return SegmentOutcome::Found(slot);
-                }
-            }
-        }
-        SegmentOutcome::Continue
-    }
-
-    /// Compare `key` against every candidate slot (set bits of `cand`,
-    /// relative to slot `base`) and return the matching slot, if any.
-    /// Candidates come 8 to a byte; a byte group with at least
-    /// [`VECTOR_MIN_GROUP`] candidates whose 8 entries lie fully within
-    /// capacity rides the vector kernel (which loads all 8 whole entries —
-    /// also the non-candidates, whose bytes are always readable and whose
-    /// false matches the candidate mask filters out). Sparse groups and
-    /// the final partial group, where an 8-entry load would run past the
-    /// entry array, use bit iteration: at the paper's ~0.35 load limit a
-    /// probe run averages ~1.3 slots, and a 128 B vector compare there
-    /// touches *more* cache lines than the one entry the scalar loop
-    /// reads — measured as a net regression until gated by density.
-    #[inline(always)]
-    fn match_key_in_word(
-        self,
-        key: u64,
-        base: usize,
-        cand: u64,
-        backend: ProbeBackend,
-    ) -> Option<usize> {
-        #[cfg(target_arch = "x86_64")]
-        if backend != ProbeBackend::Scalar {
-            let capacity = self.layout.capacity();
-            let mut m = cand;
-            while m != 0 {
-                let j = (m.trailing_zeros() / 8) as usize;
-                let byte = (m >> (8 * j) & 0xff) as u32;
-                let group = base + 8 * j;
-                if byte.count_ones() >= VECTOR_MIN_GROUP && group + 8 <= capacity {
-                    // SAFETY: group + 8 <= capacity keeps all 128 bytes at
-                    // `p` inside the entry array (from_ptr contract).
-                    let p = unsafe { self.ptr.add(self.layout.entries_off as usize + group * 16) };
-                    // SAFETY: 128 readable bytes at `p` (above); the Avx2
-                    // backend is only selected when AVX2 is detected.
-                    let eq = unsafe {
-                        match backend {
-                            ProbeBackend::Avx2 => eq8_avx2(p, key),
-                            _ => eq8_sse2(p, key),
-                        }
-                    };
-                    let hit = eq & byte;
-                    if hit != 0 {
-                        return Some(group + hit.trailing_zeros() as usize);
-                    }
-                } else if let Some(slot) = self.match_key_scalar(key, group, byte as u64) {
-                    return Some(slot);
-                }
-                m &= !(0xffu64 << (8 * j));
-            }
-            return None;
-        }
-        self.match_key_scalar(key, base, cand)
-    }
-
-    /// Bit-iteration key compare over the set bits of `cand` (slots
-    /// relative to `base`).
-    #[inline]
-    fn match_key_scalar(self, key: u64, base: usize, mut cand: u64) -> Option<usize> {
-        while cand != 0 {
-            let slot = base + cand.trailing_zeros() as usize;
-            if self.entry(slot).0 == key {
-                return Some(slot);
-            }
-            cand &= cand - 1;
-        }
-        None
-    }
-
     /// Insert or update `key`, refusing (returning [`InsertOutcome::Full`])
     /// once `max_entries` live entries are reached and the key is new.
     /// Forced inline, as [`Self::remove`]: a by-value `BucketRef` passed to
@@ -1131,56 +839,133 @@ mod tests {
         assert_eq!(b.get(5), None);
     }
 
-    /// Every backend the host can run (scalar everywhere; SSE2 and, when
-    /// detected, AVX2 on x86-64). The agreement tests pit them pairwise on
-    /// identical bucket states through `probe_with`, whichever backend
-    /// `probe_backend()` picked for the process.
-    fn all_backends() -> Vec<ProbeBackend> {
-        #[allow(unused_mut)]
-        let mut backends = vec![ProbeBackend::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            backends.push(ProbeBackend::Sse2);
-            if is_x86_feature_detected!("avx2") {
-                backends.push(ProbeBackend::Avx2);
-            }
-        }
-        backends
-    }
-
-    /// Deterministic interleaving of inserts/removes (keys folded into a
-    /// small domain to force collision chains and tombstones), probing
-    /// every backend for exact agreement — `Found` slot, `Missing`
-    /// first-free, everything — after each mutation, at every layout.
-    mod agreement {
+    /// `probe`, both tiers, against a deliberately naive walk of the same
+    /// bucket — after each insert and remove of a random history, and on
+    /// buckets built so that `probe` leaves its fast tier each way there
+    /// is — at every layout.
+    mod reference {
         use super::*;
         use proptest::prelude::*;
 
-        fn run_ops(layout: BucketLayout, ops: &[(u8, u64)], probes: &[u64]) {
-            let backends = all_backends();
+        /// What `probe` must answer, slot by slot: the path by a modulo,
+        /// both bits read at every slot, the first non-occupied slot
+        /// remembered.
+        fn naive(b: BucketRef, key: u64) -> ProbeHit {
+            let capacity = b.layout.capacity();
+            let home = home_slot(key, capacity);
+            let mut first_free = None;
+            for i in 0..capacity {
+                let slot = (home + i) % capacity;
+                let occupied = b.bit(OCCUPIED_OFF, slot);
+                let tombstone = b.bit(b.tombstone_off(), slot);
+                if occupied && b.entry(slot).0 == key {
+                    return ProbeHit::Found(slot);
+                }
+                if !occupied && first_free.is_none() {
+                    first_free = Some(slot);
+                }
+                if !occupied && !tombstone {
+                    break;
+                }
+            }
+            first_free.map_or(ProbeHit::Full, ProbeHit::Free)
+        }
+
+        /// `probe`, its cold tier alone, and `get` answer as `naive` does.
+        fn check(b: BucketRef, key: u64) {
+            let want = naive(b, key);
+            assert_eq!(b.probe(key), want, "probe, key {key}");
+            let (capacity, entries_off) = (b.layout.capacity, b.layout.entries_off);
+            let cold = BucketRef::probe_slow(b.ptr, capacity, entries_off, key);
+            assert_eq!(cold, want, "cold tier, key {key}");
+            assert_eq!(b.get(key), b.value_at(want), "get, key {key}");
+        }
+
+        fn history(layout: BucketLayout, ops: &[(u8, u64)], probes: &[u64]) {
             let (_m, b) = slot(layout);
+            // A domain of half the capacity forces long runs and tombstones.
             let domain = (layout.capacity() as u64 / 2).max(8);
-            let limit = layout.capacity();
             for &(kind, raw) in ops {
                 let key = raw % domain;
-                match kind % 3 {
-                    0 | 1 => {
-                        b.insert(key, !raw, limit);
-                    }
-                    _ => {
-                        b.remove(key);
-                    }
+                if kind % 3 < 2 {
+                    b.insert(key, !raw, layout.capacity());
+                } else {
+                    b.remove(key);
                 }
+                check(b, key);
                 for &p in probes {
-                    let want = b.probe_with(p % domain, ProbeBackend::Scalar);
-                    for &back in &backends[1..] {
-                        assert_eq!(
-                            b.probe_with(p % domain, back),
-                            want,
-                            "backend {back:?} diverged from scalar (key {})",
-                            p % domain
-                        );
-                    }
+                    check(b, p % domain);
+                }
+            }
+        }
+
+        /// Make `slot` hold `key`, as an insert does.
+        fn occupy(b: BucketRef, slot: usize, key: u64) {
+            b.set_entry(slot, key, !key);
+            b.set_bit(OCCUPIED_OFF, slot, true);
+            b.set_bit(b.tombstone_off(), slot, false);
+            b.set_count(b.count() + 1);
+        }
+
+        /// Make the unoccupied `slot` a tombstone, as a remove does.
+        fn bury(b: BucketRef, slot: usize) {
+            b.set_bit(b.tombstone_off(), slot, true);
+        }
+
+        /// One bucket per way out of the fast tier, built around the home
+        /// slot of the key it is for; each builder returns where that key
+        /// then goes, if anywhere. The key is checked absent and present.
+        fn cold_exits(layout: BucketLayout, key: u64) {
+            let cap = layout.capacity();
+            let run = FAST_PROBE_SLOTS + 1;
+            let at = |home: usize, i: usize| (home + i) % cap;
+            let filler = |i: usize| !key ^ i as u64;
+            let fill = |b: BucketRef, home: usize, n: usize| {
+                (0..n).for_each(|i| occupy(b, at(home, i), filler(i)));
+            };
+            // A key whose run of `run` slots wraps at the capacity.
+            let wrapping = (0..)
+                .map(|i| key.wrapping_add(i))
+                .find(|&k| home_slot(k, cap) > cap - run)
+                .unwrap();
+            type Build<'a> = &'a dyn Fn(BucketRef, usize) -> Option<usize>;
+            let shapes: [(&str, u64, Build); 5] = [
+                ("a tombstone at home", key, &|b, home| {
+                    bury(b, home);
+                    Some(at(home, 1))
+                }),
+                ("an occupied run of nine", key, &|b, home| {
+                    fill(b, home, run);
+                    Some(at(home, run))
+                }),
+                ("every gap a tombstone", key, &|b, home| {
+                    fill(b, home, 1);
+                    (1..cap).for_each(|i| bury(b, at(home, i)));
+                    Some(at(home, cap - 1))
+                }),
+                ("a full bucket", key, &|b, home| {
+                    fill(b, home, cap);
+                    None
+                }),
+                ("a run wrapping at the capacity", wrapping, &|b, home| {
+                    fill(b, home, run);
+                    Some(at(home, run))
+                }),
+            ];
+            for (shape, key, build) in shapes {
+                let (_m, b) = slot(layout);
+                let place = build(b, home_slot(key, cap));
+                let fillers = b.count().min(run);
+                assert_eq!(b.probe_fast(key), None, "{shape}: no cold exit");
+                check(b, key);
+                if let Some(target) = place {
+                    occupy(b, target, key);
+                    assert_eq!(b.probe_fast(key), None, "{shape}: no cold exit");
+                    assert_eq!(b.probe(key), ProbeHit::Found(target), "{shape}");
+                }
+                (0..fillers).for_each(|i| check(b, filler(i)));
+                if place.is_none() {
+                    assert_eq!(b.probe(key), ProbeHit::Full, "{shape}");
                 }
             }
         }
@@ -1188,13 +973,14 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
             #[test]
-            fn backends_agree_at_every_layout(
+            fn probe_matches_a_naive_walk_at_every_layout(
                 ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..120),
                 probes in proptest::collection::vec(any::<u64>(), 4..12),
             ) {
                 for k in 0..=SlotLayout::MAX_SLOT_POWER {
                     let layout = BucketLayout::for_slot(SlotLayout::new(k).unwrap());
-                    run_ops(layout, &ops, &probes);
+                    history(layout, &ops, &probes);
+                    cold_exits(layout, probes[0]);
                 }
             }
         }
@@ -1203,8 +989,8 @@ mod tests {
     /// What a split does to each half: on a slot that starts as a recycled
     /// pool page (`0xA5` everywhere, not zeros) and then lives through a
     /// random insert/remove history (so it has tombstones), `reset` plus
-    /// `insert_absent` of the survivors must leave a bucket that every
-    /// backend reads exactly as a `HashMap` of the survivors — and that
+    /// `insert_absent` of the survivors must leave a bucket that `probe`
+    /// and `get` read exactly as a `HashMap` of the survivors — and that
     /// keeps doing so through further inserts and removes.
     mod rebuild {
         use super::*;
@@ -1214,12 +1000,9 @@ mod tests {
         fn assert_reads_as(b: BucketRef, model: &HashMap<u64, u64>, domain: u64) {
             assert_eq!(b.count(), model.len());
             assert_eq!(b.bits_set(OCCUPIED_OFF), b.count());
-            let backends = all_backends();
             for key in 0..domain {
-                for &back in &backends {
-                    let got = b.value_at(b.probe_with(key, back));
-                    assert_eq!(got, model.get(&key).copied(), "{back:?} key {key}");
-                }
+                let got = b.value_at(b.probe(key));
+                assert_eq!(got, model.get(&key).copied(), "probe key {key}");
                 assert_eq!(b.get(key), model.get(&key).copied(), "get key {key}");
             }
         }
@@ -1272,38 +1055,6 @@ mod tests {
                 for layout in [BucketLayout::base(), BucketLayout::for_bytes(512)] {
                     run(layout, &ops);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn vector_kernels_match_scalar_on_a_full_bucket() {
-        // Saturate a bucket (no tombstones, every word all-ones, the
-        // capacity-boundary partial group live) and check every key plus
-        // misses through each backend.
-        for layout in [BucketLayout::base(), BucketLayout::for_bytes(512)] {
-            let (_m, b) = slot(layout);
-            let cap = layout.capacity();
-            for key in 0..cap as u64 {
-                assert_eq!(b.insert(key, key ^ 0xdead, cap), InsertOutcome::Inserted);
-            }
-            for back in all_backends() {
-                for key in 0..cap as u64 {
-                    assert_eq!(
-                        b.probe_with(key, back),
-                        ProbeHit::Found(match b.probe_with(key, ProbeBackend::Scalar) {
-                            ProbeHit::Found(slot) => slot,
-                            miss => panic!("scalar lost key {key}: {miss:?}"),
-                        }),
-                        "{back:?} key {key}"
-                    );
-                }
-                // A missing key in a full bucket wraps the whole table.
-                assert_eq!(
-                    b.probe_with(u64::MAX, back),
-                    ProbeHit::Full,
-                    "{back:?} miss"
-                );
             }
         }
     }

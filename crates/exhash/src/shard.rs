@@ -711,7 +711,6 @@ impl ShortcutIndex {
             huge_pages_requested: s.huge_requested(),
             huge_pages_active: s.huge_active(),
             pin_strategy: s.pin_strategy(),
-            probe_backend: crate::bucket::probe_backend().name(),
             bias_revocations,
             bias_rearms,
             zap_supported: shortcut_rewire::zap_call().is_some(),

@@ -95,9 +95,6 @@ shortcut_rewire::statistics! {
         /// [`PinStrategy::Asymmetric`] (membarrier-paired load/store pins) or
         /// the [`PinStrategy::Dekker`] RMW fallback.
         pin_strategy: PinStrategy = First,
-        /// Name of the bucket-probe key-compare kernel in use
-        /// (`"avx2"`/`"sse2"`/`"scalar"`), probed once per process.
-        probe_backend: &'static str = First,
         /// Times a shared writer revoked a shard's read bias and sent its
         /// readers to the shard lock.
         bias_revocations: u64 = Sum,
@@ -209,13 +206,8 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "read_path: pin_strategy={} probe_backend={} bias_revocations={} bias_rearms={} \
-             zap_supported={}",
-            self.pin_strategy,
-            self.probe_backend,
-            self.bias_revocations,
-            self.bias_rearms,
-            self.zap_supported
+            "read_path: pin_strategy={} bias_revocations={} bias_rearms={} zap_supported={}",
+            self.pin_strategy, self.bias_revocations, self.bias_rearms, self.zap_supported
         )?;
         let r = &self.rewire;
         writeln!(

@@ -22,7 +22,6 @@ fn snap(len: usize, depth: u32, buckets: usize, fanin: f64, in_sync: bool) -> St
         huge_pages_requested: false,
         huge_pages_active: true,
         pin_strategy: PinStrategy::Asymmetric,
-        probe_backend: "scalar",
         bias_revocations: 0,
         bias_rearms: 0,
         zap_supported: true,
@@ -56,7 +55,6 @@ fn distinct(d: u64, flip: bool) -> StatsSnapshot {
         } else {
             PinStrategy::Asymmetric
         },
-        probe_backend: if flip { "scalar" } else { "sse2" },
         bias_revocations: 23 + d,
         bias_rearms: 24 + d,
         zap_supported: !flip,
@@ -125,7 +123,6 @@ fn snapshot_merge_sums_counters_and_takes_honest_gauges() {
         assert_eq!(m.slot_bytes, first.slot_bytes);
         assert_eq!(m.bucket_capacity, first.bucket_capacity);
         assert_eq!(m.pin_strategy, first.pin_strategy);
-        assert_eq!(m.probe_backend, first.probe_backend);
         assert_eq!(m.zap_supported, first.zap_supported);
         // Merge: each nested block by its own rules (their tests).
         assert_eq!(m.index, a.index.merge(&b.index));
@@ -166,7 +163,7 @@ fn snapshot_display_is_stable_and_greppable() {
         "maint: creates=0 ",
         " passes=0 update_batches=0 slots_zapped=0",
         "vma: in_use=0 ",
-        "read_path: pin_strategy=asymmetric probe_backend=scalar bias_revocations=0 bias_rearms=0 zap_supported=true",
+        "read_path: pin_strategy=asymmetric bias_revocations=0 bias_rearms=0 zap_supported=true",
         "rewire: pages_populated=0 pages_allocated=0 pages_freed=0 pool_file_slots=0",
     ] {
         assert!(text.contains(key), "missing `{key}` in:\n{text}");
@@ -187,8 +184,7 @@ fn snapshot_display_is_stable_and_greppable() {
          maint: creates=11 updates=12 creates_skipped=13 creates_deferred=14 creates_coarse=15 \
          vmas_saved=16 passes=17 update_batches=18 slots_zapped=19\n\
          vma: in_use=500 live=450 retired=50 limit=65530 areas_retired=21 areas_reclaimed=22\n\
-         read_path: pin_strategy=asymmetric probe_backend=sse2 bias_revocations=23 bias_rearms=24 \
-         zap_supported=true\n\
+         read_path: pin_strategy=asymmetric bias_revocations=23 bias_rearms=24 zap_supported=true\n\
          rewire: pages_populated=60 pages_allocated=61 pages_freed=62 pool_file_slots=63\n"
     );
 }
@@ -198,7 +194,6 @@ fn snapshot_merge_keeps_the_common_read_path() {
     let asym = snap(1, 0, 1, 1.0, true);
     let m = asym.merge(&asym);
     assert_eq!(m.pin_strategy, PinStrategy::Asymmetric);
-    assert_eq!(m.probe_backend, "scalar");
 }
 
 #[test]

@@ -57,7 +57,7 @@ pub fn budget_headroom(limit: usize) -> usize {
 /// budget's VMAs this pool (its view, live directory, and retired areas)
 /// currently holds. Obtained from [`VmaBudget::register_pool`]; every
 /// charge and release that goes through a [`BudgetBinding`] or a
-/// pool-scoped reservation adjusts both counters in tandem.
+/// [`BudgetReservation`] adjusts both counters in tandem.
 ///
 /// Pools registered with `fair == true` additionally participate in
 /// fair-share admission: see [`VmaBudget::try_reserve_for`].
@@ -97,28 +97,20 @@ impl PoolUsage {
     }
 }
 
-/// A budget plus the pool the charges should be attributed to. This is
-/// what areas carry instead of a bare `Arc<VmaBudget>`: every delta the
-/// area's VMA estimate takes is mirrored into the pool's [`PoolUsage`]
-/// (when present), so the shared total stays decomposable per pool.
+/// A budget plus the pool the charges are attributed to. This is what
+/// areas carry instead of a bare `Arc<VmaBudget>`: every delta the area's
+/// VMA estimate takes is mirrored into the pool's [`PoolUsage`], so the
+/// shared total stays decomposable per pool.
 #[derive(Debug, Clone)]
 pub struct BudgetBinding {
     budget: Arc<VmaBudget>,
-    pool: Option<Arc<PoolUsage>>,
+    pool: Arc<PoolUsage>,
 }
 
 impl BudgetBinding {
-    /// A binding that charges the budget only (no per-pool attribution).
-    pub fn new(budget: Arc<VmaBudget>) -> Self {
-        BudgetBinding { budget, pool: None }
-    }
-
     /// A binding that mirrors every charge into `pool`'s usage counter.
     pub fn with_pool(budget: Arc<VmaBudget>, pool: Arc<PoolUsage>) -> Self {
-        BudgetBinding {
-            budget,
-            pool: Some(pool),
-        }
+        BudgetBinding { budget, pool }
     }
 
     /// The underlying shared budget.
@@ -126,23 +118,19 @@ impl BudgetBinding {
         &self.budget
     }
 
-    /// The pool usage the binding attributes to, if any.
-    pub fn pool(&self) -> Option<&Arc<PoolUsage>> {
-        self.pool.as_ref()
+    /// The pool usage the binding attributes to.
+    pub fn pool(&self) -> &Arc<PoolUsage> {
+        &self.pool
     }
 
     pub(crate) fn charge(&self, n: usize) {
         self.budget.charge(n);
-        if let Some(p) = &self.pool {
-            p.charge(n);
-        }
+        self.pool.charge(n);
     }
 
     pub(crate) fn release(&self, n: usize) {
         self.budget.release(n);
-        if let Some(p) = &self.pool {
-            p.release(n);
-        }
+        self.pool.release(n);
     }
 }
 
@@ -151,8 +139,9 @@ impl BudgetBinding {
 ///
 /// The estimate is *accounting*, not enforcement — attaching an area never
 /// fails. Enforcement happens at admission points (the shortcut mapper
-/// checks [`VmaBudget::would_fit`] before building a directory) so a
-/// too-large rebuild is skipped gracefully instead of dying inside `mmap`.
+/// reserves through [`VmaBudget::try_reserve_for`] before building a
+/// directory) so a too-large rebuild is skipped gracefully instead of
+/// dying inside `mmap`.
 #[derive(Debug)]
 pub struct VmaBudget {
     limit: AtomicUsize,
@@ -270,52 +259,26 @@ impl VmaBudget {
         }
     }
 
-    /// Whether `extra` additional VMAs fit under the limit while leaving
-    /// `headroom` mappings spare for everything the budget does not track
-    /// (the binary, heap, thread stacks, transient splits).
-    ///
-    /// This is a racy read — fine for cheap pre-checks and metrics, but
-    /// admission decisions must go through [`VmaBudget::try_reserve`],
-    /// which commits atomically.
-    pub fn would_fit(&self, extra: usize, headroom: usize) -> bool {
-        let limit = self.limit().saturating_sub(headroom);
-        self.in_use().saturating_add(extra) <= limit
-    }
-
-    /// [`VmaBudget::would_fit`] under the fair-share admission cap of
-    /// `pool` — the racy pre-check matching
-    /// [`VmaBudget::try_reserve_for`].
+    /// Whether `extra` additional VMAs fit under the fair-share admission
+    /// cap of `pool` while leaving `headroom` mappings spare for everything
+    /// the budget does not track (the binary, heap, thread stacks,
+    /// transient splits). This is a racy read — fine for cheap pre-checks
+    /// and metrics, but admission decisions must go through
+    /// [`VmaBudget::try_reserve_for`], which commits atomically.
     pub fn would_fit_for(&self, pool: &Arc<PoolUsage>, extra: usize, headroom: usize) -> bool {
         let cap = self.admission_cap(pool, extra, headroom);
         self.in_use().saturating_add(extra) <= cap
     }
 
-    /// Atomically reserve `extra` VMAs if they fit under the limit minus
-    /// `headroom` (compare-and-swap on the running estimate — two pools'
-    /// mapper threads admitting rebuilds concurrently cannot both slip
-    /// past the limit the way a check-then-charge pair could). The
-    /// reservation is released when the returned guard drops; callers
-    /// hold it across a rebuild and drop it once the built area has
-    /// attached its own (exact) charge.
-    ///
-    /// Residual imprecision: reservations are worst-case while attached
-    /// areas charge their *current* estimate, so a directory that
-    /// fragments after admission (bucket splits breaking merged runs)
-    /// consumes margin that another pool may meanwhile have reserved.
-    /// That second-order overlap can only surface as a cleanly-reported
-    /// `mmap` failure, never an unaccounted mapping.
-    pub fn try_reserve(
-        self: &Arc<Self>,
-        extra: usize,
-        headroom: usize,
-    ) -> Option<BudgetReservation> {
-        let cap = self.limit().saturating_sub(headroom);
-        self.reserve_under_cap(extra, cap, None)
-    }
-
-    /// Pool-attributed, fairness-aware [`VmaBudget::try_reserve`]: the
-    /// reserved VMAs are charged to `pool`'s usage as well, and — when the
-    /// pool was registered fair — admission enforces the fair-share rule:
+    /// Atomically reserve `extra` VMAs for `pool` if they fit under the
+    /// limit minus `headroom` (compare-and-swap on the running estimate —
+    /// two pools' mapper threads admitting rebuilds concurrently cannot
+    /// both slip past the limit the way a check-then-charge pair could).
+    /// The reserved VMAs are charged to `pool`'s usage as well, and
+    /// released when the returned guard drops; callers hold it across a
+    /// rebuild and settle it once the built area's exact estimate is known.
+    /// When the pool was registered fair, admission enforces the
+    /// fair-share rule:
     ///
     /// * A request that keeps the pool **within its fair share**
     ///   (`limit − headroom` divided by the number of fair pools) only
@@ -328,8 +291,18 @@ impl VmaBudget {
     ///   never into the margin a sibling is still entitled to for its
     ///   own rebuild.
     ///
-    /// Non-fair pools (the default) see exactly the plain `try_reserve`
-    /// admission; their reservations are merely attributed.
+    /// Non-fair pools (the default) see the plain `limit − headroom` cap;
+    /// their reservations are merely attributed.
+    ///
+    /// Residual imprecision: reservations are worst-case while attached
+    /// areas charge their *current* estimate, so a directory that
+    /// fragments after admission (bucket splits breaking merged runs)
+    /// consumes margin that another pool may meanwhile have reserved; and
+    /// the fair cap is computed from racy sibling reads before the CAS
+    /// (conservative in the steady state: a sibling's concurrent growth
+    /// only shrinks what this pool should take). Both are second-order and
+    /// can only surface as a cleanly-reported `mmap` failure, never an
+    /// unaccounted mapping.
     pub fn try_reserve_for(
         self: &Arc<Self>,
         pool: &Arc<PoolUsage>,
@@ -337,21 +310,6 @@ impl VmaBudget {
         headroom: usize,
     ) -> Option<BudgetReservation> {
         let cap = self.admission_cap(pool, extra, headroom);
-        self.reserve_under_cap(extra, cap, Some(Arc::clone(pool)))
-    }
-
-    /// CAS-commit `extra` into `in_use` if the result stays `<= cap`.
-    /// The cap itself is computed from racy sibling reads *before* the
-    /// loop; that imprecision is conservative in the steady state (a
-    /// sibling's concurrent growth only shrinks what this pool should
-    /// take) and second-order at worst, like the overlap note on
-    /// [`VmaBudget::try_reserve`].
-    fn reserve_under_cap(
-        self: &Arc<Self>,
-        extra: usize,
-        cap: usize,
-        pool: Option<Arc<PoolUsage>>,
-    ) -> Option<BudgetReservation> {
         let mut cur = self.in_use.load(Ordering::Relaxed);
         loop {
             let next = cur.checked_add(extra)?;
@@ -363,12 +321,10 @@ impl VmaBudget {
                 .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
             {
                 Ok(_) => {
-                    if let Some(p) = &pool {
-                        p.charge(extra);
-                    }
+                    pool.charge(extra);
                     return Some(BudgetReservation {
                         budget: Arc::clone(self),
-                        pool,
+                        pool: Arc::clone(pool),
                         n: extra,
                     });
                 }
@@ -398,13 +354,12 @@ impl VmaBudget {
     }
 }
 
-/// A held VMA reservation from [`VmaBudget::try_reserve`] /
-/// [`VmaBudget::try_reserve_for`]; the reserved count (and its per-pool
-/// attribution, if any) is released back on drop.
+/// A held VMA reservation from [`VmaBudget::try_reserve_for`]; the
+/// reserved count and its per-pool attribution are released back on drop.
 #[derive(Debug)]
 pub struct BudgetReservation {
     budget: Arc<VmaBudget>,
-    pool: Option<Arc<PoolUsage>>,
+    pool: Arc<PoolUsage>,
     n: usize,
 }
 
@@ -420,36 +375,30 @@ impl BudgetReservation {
         match exact.cmp(&self.n) {
             std::cmp::Ordering::Less => {
                 self.budget.release(self.n - exact);
-                if let Some(p) = &self.pool {
-                    p.release(self.n - exact);
-                }
+                self.pool.release(self.n - exact);
             }
             std::cmp::Ordering::Greater => {
                 self.budget.charge(exact - self.n);
-                if let Some(p) = &self.pool {
-                    p.charge(exact - self.n);
-                }
+                self.pool.charge(exact - self.n);
             }
             std::cmp::Ordering::Equal => {}
         }
         self.n = 0; // the drop below releases nothing
     }
 
-    /// The pool this reservation is attributed to, if it came from
-    /// [`VmaBudget::try_reserve_for`]. A settled charge belongs to the
-    /// same pool; callers attaching the built area prepaid must bind it
-    /// with the same attribution so the release on drop matches.
-    pub fn pool(&self) -> Option<&Arc<PoolUsage>> {
-        self.pool.as_ref()
+    /// The pool this reservation is attributed to. A settled charge
+    /// belongs to the same pool; callers attaching the built area prepaid
+    /// must bind it with the same attribution so the release on drop
+    /// matches.
+    pub fn pool(&self) -> &Arc<PoolUsage> {
+        &self.pool
     }
 }
 
 impl Drop for BudgetReservation {
     fn drop(&mut self) {
         self.budget.release(self.n);
-        if let Some(p) = &self.pool {
-            p.release(self.n);
-        }
+        self.pool.release(self.n);
     }
 }
 
@@ -518,11 +467,12 @@ mod tests {
     #[test]
     fn charge_release_roundtrip() {
         let b = VmaBudget::with_limit(100);
+        let p = b.register_pool(false);
         b.charge(30);
         assert_eq!(b.in_use(), 30);
-        assert!(b.would_fit(70, 0));
-        assert!(!b.would_fit(71, 0));
-        assert!(!b.would_fit(70, 10));
+        assert!(b.would_fit_for(&p, 70, 0));
+        assert!(!b.would_fit_for(&p, 71, 0));
+        assert!(!b.would_fit_for(&p, 70, 10));
         b.release(20);
         assert_eq!(b.in_use(), 10);
         // Saturating under-release.
@@ -533,23 +483,28 @@ mod tests {
     #[test]
     fn try_reserve_commits_atomically_and_releases_on_drop() {
         let b = VmaBudget::with_limit(100);
+        let p = b.register_pool(false);
         b.charge(40);
-        let r = b.try_reserve(50, 0).expect("50 fits over 40/100");
+        let r = b.try_reserve_for(&p, 50, 0).expect("50 fits over 40/100");
         assert_eq!(b.in_use(), 90);
-        assert!(b.try_reserve(20, 0).is_none(), "past the limit");
-        assert!(b.try_reserve(11, 0).is_none(), "one past the limit");
+        assert!(b.try_reserve_for(&p, 20, 0).is_none(), "past the limit");
+        assert!(b.try_reserve_for(&p, 11, 0).is_none(), "one past the limit");
         drop(r);
         assert_eq!(b.in_use(), 40);
-        assert!(b.try_reserve(10, 50).is_some(), "headroom respected");
+        assert!(
+            b.try_reserve_for(&p, 10, 50).is_some(),
+            "headroom respected"
+        );
     }
 
     #[test]
     fn limit_override_applies() {
         let b = VmaBudget::with_limit(100);
+        let p = b.register_pool(false);
         b.set_limit(10);
         b.charge(8);
-        assert!(b.would_fit(2, 0));
-        assert!(!b.would_fit(3, 0));
+        assert!(b.would_fit_for(&p, 2, 0));
+        assert!(!b.would_fit_for(&p, 3, 0));
     }
 
     #[test]
@@ -571,11 +526,11 @@ mod tests {
         binding.release(3);
         assert_eq!(b.in_use(), 4);
         assert_eq!(p.in_use(), 4);
-        // Non-pool binding only moves the shared total.
-        let plain = BudgetBinding::new(Arc::clone(&b));
-        plain.charge(6);
+        // Another pool's binding moves the shared total and its own pool.
+        let q = b.register_pool(false);
+        BudgetBinding::with_pool(Arc::clone(&b), Arc::clone(&q)).charge(6);
         assert_eq!(b.in_use(), 10);
-        assert_eq!(p.in_use(), 4);
+        assert_eq!((p.in_use(), q.in_use()), (4, 6));
     }
 
     #[test]

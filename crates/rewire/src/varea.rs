@@ -205,8 +205,8 @@ pub struct VirtArea {
     /// Estimated VMAs this area occupies (maximal mergeable runs of `map`),
     /// maintained incrementally on every remapping.
     vmas: usize,
-    /// Budget (plus optional per-pool attribution) the estimate is
-    /// charged against, if attached.
+    /// Budget (plus per-pool attribution) the estimate is charged
+    /// against, if attached.
     budget: Option<BudgetBinding>,
 }
 
@@ -282,24 +282,14 @@ impl VirtArea {
     }
 
     /// Charge this area's VMA estimate against `binding` (a budget plus
-    /// optional per-pool attribution), now and on every future remapping,
-    /// until the area is dropped (which releases the charge). Replaces
-    /// any previously attached binding.
-    pub fn attach_budget(&mut self, binding: BudgetBinding) {
-        if let Some(old) = self.budget.take() {
-            old.release(self.vmas);
-        }
-        binding.charge(self.vmas);
-        self.budget = Some(binding);
-    }
-
-    /// Like [`VirtArea::attach_budget`], but without charging now: the
-    /// caller has already accounted this area's current estimate against
-    /// the binding's budget (e.g. by settling a worst-case
-    /// [`crate::BudgetReservation`] down to [`VirtArea::vma_estimate`]).
-    /// Future remapping deltas and the final release on drop are tracked
-    /// as usual. The binding's pool attribution must match the settled
-    /// reservation's, or the eventual release will be misattributed.
+    /// its per-pool attribution) on every future remapping, until the area
+    /// is dropped (which releases the charge); replaces any previously
+    /// attached binding. Nothing is charged now: the caller has already
+    /// accounted this area's current estimate against the binding (by
+    /// settling a worst-case [`crate::BudgetReservation`] down to
+    /// [`VirtArea::vma_estimate`]). The binding's pool attribution must
+    /// match the settled reservation's, or the eventual release will be
+    /// misattributed.
     pub fn attach_budget_prepaid(&mut self, binding: BudgetBinding) {
         if let Some(old) = self.budget.take() {
             old.release(self.vmas);
@@ -1023,15 +1013,20 @@ mod tests {
         let l0 = p.alloc_page().unwrap();
         let l1 = p.alloc_page().unwrap();
         let budget = VmaBudget::with_limit(1000);
+        let usage = budget.register_pool(false);
         let mut a = VirtArea::reserve(4).unwrap();
-        a.attach_budget(crate::budget::BudgetBinding::new(std::sync::Arc::clone(
-            &budget,
-        )));
-        assert_eq!(budget.in_use(), 1);
+        let reservation = budget.try_reserve_for(&usage, 8, 0).unwrap();
+        reservation.settle(a.vma_estimate());
+        a.attach_budget_prepaid(crate::budget::BudgetBinding::with_pool(
+            std::sync::Arc::clone(&budget),
+            std::sync::Arc::clone(&usage),
+        ));
+        assert_eq!((budget.in_use(), usage.in_use()), (1, 1));
         a.rewire(0, &h, l0).unwrap();
         a.rewire(2, &h, l1).unwrap();
         assert_eq!(budget.in_use(), a.vma_estimate());
+        assert_eq!(usage.in_use(), a.vma_estimate());
         drop(a);
-        assert_eq!(budget.in_use(), 0);
+        assert_eq!((budget.in_use(), usage.in_use()), (0, 0));
     }
 }
