@@ -840,9 +840,8 @@ mod tests {
     }
 
     /// `probe`, both tiers, against a deliberately naive walk of the same
-    /// bucket — after each insert and remove of a random history, and on
-    /// buckets built so that `probe` leaves its fast tier each way there
-    /// is — at every layout.
+    /// bucket, on buckets built so that `probe` leaves its fast tier each
+    /// way there is, at every layout.
     mod reference {
         use super::*;
         use proptest::prelude::*;
@@ -872,7 +871,7 @@ mod tests {
         }
 
         /// `probe`, its cold tier alone, and `get` answer as `naive` does.
-        fn check(b: BucketRef, key: u64) {
+        pub(super) fn check(b: BucketRef, key: u64) {
             let want = naive(b, key);
             assert_eq!(b.probe(key), want, "probe, key {key}");
             let (capacity, entries_off) = (b.layout.capacity, b.layout.entries_off);
@@ -881,7 +880,7 @@ mod tests {
             assert_eq!(b.get(key), b.value_at(want), "get, key {key}");
         }
 
-        fn history(layout: BucketLayout, ops: &[(u8, u64)], probes: &[u64]) {
+        pub(super) fn history(layout: BucketLayout, ops: &[(u8, u64)], probes: &[u64]) {
             let (_m, b) = slot(layout);
             // A domain of half the capacity forces long runs and tombstones.
             let domain = (layout.capacity() as u64 / 2).max(8);
@@ -979,10 +978,53 @@ mod tests {
             ) {
                 for k in 0..=SlotLayout::MAX_SLOT_POWER {
                     let layout = BucketLayout::for_slot(SlotLayout::new(k).unwrap());
-                    history(layout, &ops, &probes);
                     cold_exits(layout, probes[0]);
                 }
             }
+        }
+    }
+
+    /// The probe's two tiers — inline `probe` and the cold tier alone —
+    /// and `get` agree with the naive walk after each insert and remove of
+    /// a random history, at every layout.
+    mod agreement {
+        use super::reference::history;
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+            #[test]
+            fn backends_agree_at_every_layout(
+                ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..120),
+                probes in proptest::collection::vec(any::<u64>(), 4..12),
+            ) {
+                for k in 0..=SlotLayout::MAX_SLOT_POWER {
+                    let layout = BucketLayout::for_slot(SlotLayout::new(k).unwrap());
+                    history(layout, &ops, &probes);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vector_kernels_match_scalar_on_a_full_bucket() {
+        // Saturate a bucket by inserts (no tombstones, every bitmap word
+        // all-ones, the capacity-boundary partial word live): every key
+        // reads through both probe tiers as the naive walk does, and a
+        // missing key wraps the whole table to Full.
+        for layout in [BucketLayout::base(), BucketLayout::for_bytes(512)] {
+            let (_m, b) = slot(layout);
+            let cap = layout.capacity();
+            for key in 0..cap as u64 {
+                assert_eq!(b.insert(key, key ^ 0xdead, cap), InsertOutcome::Inserted);
+            }
+            for key in 0..cap as u64 {
+                reference::check(b, key);
+                assert!(matches!(b.probe(key), ProbeHit::Found(_)), "key {key}");
+            }
+            reference::check(b, u64::MAX);
+            assert_eq!(b.probe(u64::MAX), ProbeHit::Full, "miss");
         }
     }
 
