@@ -61,7 +61,6 @@ pub fn bench_pool_config(expected_entries: usize) -> PoolConfig {
         initial_pages: 1,
         min_growth_pages: 4096, // audit:allow(page-literal): growth step in pages (a count), not a byte size
         shrink_threshold_pages: usize::MAX,
-        pretouch: true,
         view_capacity_pages: (expected_pages * 2).next_power_of_two().max(1 << 16),
         ..PoolConfig::default()
     }

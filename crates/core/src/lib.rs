@@ -24,8 +24,8 @@ pub mod traditional;
 pub mod version;
 
 pub use maintenance::{
-    service_census, CompactionPolicy, MaintConfig, MaintRequest, Maintainer, MapperEngine,
-    MAX_PUBLISH_SHIFT,
+    service_census, CompactionPolicy, InboxGuard, MaintConfig, MaintRequest, Maintainer,
+    MapperEngine, MAX_PUBLISH_SHIFT,
 };
 pub use metrics::MaintMetrics;
 pub use route::RoutePolicy;

@@ -51,7 +51,7 @@
 use crate::metrics::{MaintMetrics, MaintSnapshot};
 use crate::shortcut_node::ShortcutNode;
 use crate::version::SharedDirectoryState;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use shortcut_rewire::{Error, PageIdx, PoolHandle, Result, RetireList, ZapCall};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -180,7 +180,10 @@ impl CompactionPolicy {
 /// Mapper configuration.
 #[derive(Debug, Clone)]
 pub struct MaintConfig {
-    /// Queue polling interval of the mapper thread (paper: 25 ms).
+    /// Queue polling interval of the mapper thread (paper: 25 ms). The
+    /// first mapper of the process keeps it exactly; later ones stagger
+    /// past it ([`staggered_poll_interval`]), so co-spawned sharded
+    /// mappers spread their reclaim ticks instead of scanning in lockstep.
     pub poll_interval: Duration,
     /// Whether rewirings eagerly populate the page table (`MAP_POPULATE`).
     /// The paper's design always populates before bumping the version.
@@ -188,14 +191,6 @@ pub struct MaintConfig {
     /// Physical bucket-layout compaction (see [`CompactionPolicy`];
     /// default disabled).
     pub compaction: CompactionPolicy,
-    /// Stagger this mapper's effective poll interval against the other
-    /// mappers in the process (see [`staggered_poll_interval`]). On by
-    /// default: the first mapper keeps `poll_interval` exactly, so a
-    /// single-index process is unaffected, while N sharded mappers
-    /// spawned together spread their reclaim ticks instead of scanning in
-    /// lockstep. Set `false` to pin the interval (tests that
-    /// reason about exact tick counts).
-    pub poll_stagger: bool,
 }
 
 impl Default for MaintConfig {
@@ -204,7 +199,6 @@ impl Default for MaintConfig {
             poll_interval: Duration::from_millis(25),
             eager_populate: true,
             compaction: CompactionPolicy::default(),
-            poll_stagger: true,
         }
     }
 }
@@ -240,6 +234,9 @@ type Rebuild = (usize, Vec<(usize, PageIdx)>, u64);
 pub struct MapperEngine {
     pool: PoolHandle,
     state: Arc<SharedDirectoryState>,
+    /// The inbox a [`Maintainer`] running this engine shares with it; its
+    /// lock is what a pass ends under and every version bump takes.
+    shared: Arc<Shared>,
     metrics: Arc<MaintMetrics>,
     cfg: MaintConfig,
     current: Option<ShortcutNode>,
@@ -278,6 +275,11 @@ impl MapperEngine {
         MapperEngine {
             pool,
             state,
+            shared: Arc::new(Shared {
+                inbox: Mutex::new(Inbox::default()),
+                wake: Condvar::new(),
+                done: Condvar::new(),
+            }),
             metrics,
             cfg,
             current: None,
@@ -286,6 +288,12 @@ impl MapperEngine {
             deferred_min_want: 0,
             zap: shortcut_rewire::zap_call(),
         }
+    }
+
+    /// The inbox lock of this engine (see [`InboxGuard`]): what a test
+    /// that drives the engine without its thread bumps versions under.
+    pub fn inbox_lock(&self) -> InboxGuard<'_> {
+        self.shared.lock(&self.state)
     }
 
     /// Apply one pass's requests, honoring supersession: only the *last*
@@ -452,9 +460,20 @@ impl MapperEngine {
         self.state.publish(node.base(), node.slots(), version);
         self.state.set_suspended(false);
         if let Some(old) = self.current.replace(node) {
-            self.pool.retire_list().retire(old.into_area());
+            self.retire(old);
         }
         Ok(())
+    }
+
+    /// Retire a superseded node. Readers must not be served its area: the
+    /// bump to the version that superseded it cleared the serving word,
+    /// and only a pass end sets it again.
+    fn retire(&self, old: ShortcutNode) {
+        debug_assert!(
+            self.state.begin_read().is_none_or(|t| t.base != old.base()),
+            "retiring the directory readers are served"
+        );
+        self.pool.retire_list().retire(old.into_area());
     }
 
     /// The coarsening shifts admission may try for a rebuild: always the
@@ -544,7 +563,7 @@ impl MapperEngine {
             return Some((0, r));
         }
         if let Some(old) = self.current.take() {
-            self.pool.retire_list().retire(old.into_area());
+            self.retire(old);
         }
         self.pool.retire_list().try_reclaim();
         let mut min_want = want;
@@ -656,6 +675,64 @@ struct Shared {
     done: Condvar,
 }
 
+impl Shared {
+    fn lock<'a>(&'a self, state: &'a SharedDirectoryState) -> InboxGuard<'a> {
+        let inbox = self.inbox.lock();
+        InboxGuard {
+            queued: inbox.queue.len(),
+            inbox,
+            shared: self,
+            state,
+        }
+    }
+}
+
+/// The inbox lock, held. Every store to the serving word and a shard's
+/// admission word is made under it, and the traditional version is bumped
+/// only through it: a bump outside it can fall between a pass-end
+/// [`SharedDirectoryState::refresh_serving`]'s compare and its store,
+/// which leaves the superseded directory served after the next pass
+/// retires it — to readers that pin after the reclaim scan unmapped it.
+/// Dropping a guard whose requests took the queue across
+/// [`WAKE_BACKLOG`] wakes a parked mapper.
+pub struct InboxGuard<'a> {
+    inbox: MutexGuard<'a, Inbox>,
+    shared: &'a Shared,
+    state: &'a SharedDirectoryState,
+    /// Queue length when the lock was taken.
+    queued: usize,
+}
+
+impl InboxGuard<'_> {
+    /// [`SharedDirectoryState::bump_traditional`], under this lock: the
+    /// shortcut leaves service until the mapper publishes the returned
+    /// version.
+    pub fn bump_traditional(&self) -> u64 {
+        // SAFETY: this guard holds the inbox lock every pass-end refresh
+        // of the state's serving word runs under.
+        unsafe { self.state.bump_traditional() }
+    }
+
+    /// Queue `req`. A create supersedes whatever is queued ahead of it
+    /// (the paper's main thread drops those right before pushing the
+    /// create).
+    pub fn submit(&mut self, req: MaintRequest) {
+        if matches!(req, MaintRequest::Create { .. }) {
+            self.inbox.queue.clear();
+        }
+        self.inbox.queue.push(req);
+    }
+}
+
+impl Drop for InboxGuard<'_> {
+    fn drop(&mut self) {
+        if self.queued < WAKE_BACKLOG && self.inbox.queue.len() >= WAKE_BACKLOG {
+            self.inbox.demand = true;
+            self.shared.wake.notify_one();
+        }
+    }
+}
+
 /// The mapper thread: one pass per wake, then park.
 fn mapper_loop(mut engine: MapperEngine, shared: &Shared, poll: Duration) {
     let metrics = Arc::clone(&engine.metrics);
@@ -720,22 +797,14 @@ impl Maintainer {
 
     /// [`Maintainer::spawn`] publishing into a `state` the caller built.
     pub fn spawn_on(pool: PoolHandle, cfg: MaintConfig, state: Arc<SharedDirectoryState>) -> Self {
-        let poll = if cfg.poll_stagger {
-            staggered_poll_interval(cfg.poll_interval, next_mapper_seq())
-        } else {
-            cfg.poll_interval
-        };
+        let poll = staggered_poll_interval(cfg.poll_interval, next_mapper_seq());
         let metrics = Arc::new(MaintMetrics::default());
         Self::start(MapperEngine::new(pool, state, metrics, cfg), poll)
     }
 
     /// Run `engine` on a mapper thread of its own.
     fn start(engine: MapperEngine, poll_interval: Duration) -> Self {
-        let shared = Arc::new(Shared {
-            inbox: Mutex::new(Inbox::default()),
-            wake: Condvar::new(),
-            done: Condvar::new(),
-        });
+        let shared = Arc::clone(&engine.shared);
         let (state, metrics) = (Arc::clone(&engine.state), Arc::clone(&engine.metrics));
         let retire = Arc::clone(engine.pool.retire_list());
         let t_shared = Arc::clone(&shared);
@@ -770,38 +839,18 @@ impl Maintainer {
 
     /// Enqueue a request.
     pub fn submit(&self, req: MaintRequest) {
-        self.submit_all([req]);
+        self.inbox_lock().submit(req);
     }
 
-    /// Enqueue a relay's requests, in order, under one lock. A create
-    /// supersedes whatever is queued ahead of it (the paper's main thread
-    /// drops those right before pushing the create). The relay that takes
-    /// the backlog across [`WAKE_BACKLOG`] wakes a parked mapper. `reqs`
-    /// is drained under the lock: a producer whose iterator bumps the
-    /// traditional version bumps under it, as a live mapper requires.
-    pub fn submit_all(&self, reqs: impl IntoIterator<Item = MaintRequest>) {
-        let mut inbox = self.shared.inbox.lock();
-        let before = inbox.queue.len();
-        for req in reqs {
-            if matches!(req, MaintRequest::Create { .. }) {
-                inbox.queue.clear();
-            }
-            inbox.queue.push(req);
-        }
-        if before < WAKE_BACKLOG && inbox.queue.len() >= WAKE_BACKLOG {
-            inbox.demand = true;
-            self.shared.wake.notify_one();
-        }
+    /// The inbox lock (see [`InboxGuard`]): a relay's bumps and requests
+    /// go in under one hold of it, and a shard stores its admission word
+    /// under it (after taking its own lock).
+    pub fn inbox_lock(&self) -> InboxGuard<'_> {
+        self.shared.lock(&self.state)
     }
 
-    /// The inbox lock: every store to the serving word and a shard's
-    /// admission word is made under it (a shard takes it after its own).
-    pub fn inbox_lock(&self) -> impl Sized + '_ {
-        self.shared.inbox.lock()
-    }
-
-    /// Drop all *pending* requests, as [`Maintainer::submit_all`] does
-    /// ahead of a create. Returns how many were dropped.
+    /// Drop all *pending* requests, as [`InboxGuard::submit`] does ahead
+    /// of a create. Returns how many were dropped.
     pub fn drop_pending(&self) -> usize {
         std::mem::take(&mut self.shared.inbox.lock().queue).len()
     }
@@ -947,7 +996,7 @@ mod tests {
         stamp(&pl, l0, 10);
         stamp(&pl, l1, 11);
 
-        let v = state.bump_traditional();
+        let v = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l1)],
@@ -982,7 +1031,7 @@ mod tests {
         stamp(&pl, l0, 10);
         stamp(&pl, l1, 11);
 
-        let v1 = state.bump_traditional();
+        let v1 = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l0)],
@@ -990,7 +1039,7 @@ mod tests {
         }])
         .unwrap();
 
-        let v2 = state.bump_traditional();
+        let v2 = eng.inbox_lock().bump_traditional();
         assert!(!state.in_sync());
         eng.apply_batch(vec![MaintRequest::Update {
             slot: 1,
@@ -1024,9 +1073,9 @@ mod tests {
         let l0 = pl.alloc_page().unwrap();
         let l1 = pl.alloc_page().unwrap();
 
-        let v1 = state.bump_traditional();
-        let v2 = state.bump_traditional();
-        let v3 = state.bump_traditional();
+        let v1 = eng.inbox_lock().bump_traditional();
+        let v2 = eng.inbox_lock().bump_traditional();
+        let v3 = eng.inbox_lock().bump_traditional();
         // Updates for v1/v2 arrive together with the create for v3.
         eng.apply_batch(vec![
             MaintRequest::Update {
@@ -1069,8 +1118,8 @@ mod tests {
         let l1 = pl.alloc_page().unwrap();
         stamp(&pl, l1, 42);
 
-        let v1 = state.bump_traditional();
-        let v2 = state.bump_traditional();
+        let v1 = eng.inbox_lock().bump_traditional();
+        let v2 = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![
             MaintRequest::Create {
                 slots: 2,
@@ -1109,7 +1158,7 @@ mod tests {
         let l0 = pl.alloc_page().unwrap();
         stamp(&pl, l0, 7);
 
-        let v1 = state.bump_traditional();
+        let v1 = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 1,
             assignments: vec![(0, l0)],
@@ -1121,7 +1170,7 @@ mod tests {
         state.refresh_serving();
         let old_base = state.begin_read().unwrap().base;
 
-        let v2 = state.bump_traditional();
+        let v2 = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l0)],
@@ -1171,7 +1220,7 @@ mod tests {
         let l0 = pl.alloc_page().unwrap();
 
         // A small directory fits.
-        let v1 = state.bump_traditional();
+        let v1 = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l0)],
@@ -1182,7 +1231,7 @@ mod tests {
         assert!(!state.suspended());
 
         // A 64-slot fan-in-64 directory (64 unmergeable VMAs) does not.
-        let v2 = state.bump_traditional();
+        let v2 = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 64,
             assignments: (0..64).map(|s| (s, l0)).collect(),
@@ -1229,7 +1278,7 @@ mod tests {
         stamp(&pl, l0, 70);
         stamp(&pl, l1, 71);
 
-        let v1 = state.bump_traditional();
+        let v1 = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l0)],
@@ -1241,7 +1290,7 @@ mod tests {
         // A reader stalls mid-read; the 6-slot rebuild (worst case 6
         // VMAs) does not fit while the old directory cannot be reclaimed.
         let pin = handle.retire_list().pin();
-        let v2 = state.bump_traditional();
+        let v2 = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 6,
             assignments: (0..6).map(|s| (s, l0)).collect(),
@@ -1258,7 +1307,7 @@ mod tests {
         // must be folded into the deferred assignments, not discarded —
         // otherwise the retry would publish a stale slot that a later
         // version-restoring update could legitimize.
-        let v3 = state.bump_traditional();
+        let v3 = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Update {
             slot: 3,
             ppage: l1,
@@ -1327,7 +1376,7 @@ mod tests {
                 },
             );
             let run = pl.alloc_run(64).unwrap();
-            let v = state.bump_traditional();
+            let v = eng.inbox_lock().bump_traditional();
             eng.apply_batch(vec![MaintRequest::Create {
                 slots: 64,
                 assignments: (0..64).map(|s| (s, PageIdx(run.0 + s))).collect(),
@@ -1374,7 +1423,7 @@ mod tests {
         for i in 0..8 {
             stamp(&pl, PageIdx(run.0 + i), 500 + i as u64);
         }
-        let v = state.bump_traditional();
+        let v = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 16,
             assignments: (0..16).map(|s| (s, PageIdx(run.0 + s / 2))).collect(),
@@ -1403,7 +1452,7 @@ mod tests {
         let fresh = pl.alloc_run(1).unwrap();
         stamp(&pl, fresh, 999);
         for fine_slot in [14usize, 15] {
-            let v = state.bump_traditional();
+            let v = eng.inbox_lock().bump_traditional();
             eng.apply_batch(vec![MaintRequest::Update {
                 slot: fine_slot,
                 ppage: fresh,
@@ -1492,7 +1541,7 @@ mod tests {
         for (i, s) in (12..16).enumerate() {
             assignments.push((s, pages[2 + i])); // four depth-4 buckets
         }
-        let v = state.bump_traditional();
+        let v = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 16,
             assignments,
@@ -1537,7 +1586,7 @@ mod tests {
             MaintConfig::default(),
         );
         let l0 = pl.alloc_page().unwrap();
-        let v = state.bump_traditional();
+        let v = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Create {
             slots: 64,
             assignments: (0..64).map(|s| (s, l0)).collect(),
@@ -1560,7 +1609,7 @@ mod tests {
             Arc::clone(&metrics),
             MaintConfig::default(),
         );
-        let v = state.bump_traditional();
+        let v = eng.inbox_lock().bump_traditional();
         eng.apply_batch(vec![MaintRequest::Update {
             slot: 0,
             ppage: PageIdx(0),
@@ -1598,21 +1647,12 @@ mod tests {
             ..MaintConfig::default()
         };
         let m1 = Maintainer::spawn(p1.handle(), cfg.clone());
-        let m2 = Maintainer::spawn(p2.handle(), cfg.clone());
+        let m2 = Maintainer::spawn(p2.handle(), cfg);
         assert_ne!(
             m1.poll_interval(),
             m2.poll_interval(),
             "co-spawned mappers must stagger their poll ticks"
         );
-        // Opting out pins the configured interval exactly.
-        let m3 = Maintainer::spawn(
-            p1.handle(),
-            MaintConfig {
-                poll_stagger: false,
-                ..cfg
-            },
-        );
-        assert_eq!(m3.poll_interval(), Duration::from_millis(25));
     }
 
     #[test]
@@ -1630,7 +1670,7 @@ mod tests {
                 ..MaintConfig::default()
             },
         );
-        let v = m.state().bump_traditional();
+        let v = m.inbox_lock().bump_traditional();
         m.submit(MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l1)],
@@ -1662,7 +1702,7 @@ mod tests {
                 ..MaintConfig::default()
             },
         );
-        let v = m.state().bump_traditional();
+        let v = m.inbox_lock().bump_traditional();
         m.submit(MaintRequest::Create {
             slots: 8,
             assignments: (0..8).map(|i| (i, pages[0])).collect(),
@@ -1670,7 +1710,7 @@ mod tests {
         });
         // Stream of split-style updates.
         for (i, p) in pages.iter().enumerate() {
-            let v = m.state().bump_traditional();
+            let v = m.inbox_lock().bump_traditional();
             m.submit(MaintRequest::Update {
                 slot: i,
                 ppage: *p,

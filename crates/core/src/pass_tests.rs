@@ -125,7 +125,7 @@ impl Rig {
         MaintRequest::Create {
             slots: dir.len(),
             assignments: dir.iter().copied().enumerate().collect(),
-            version: self.state.bump_traditional(),
+            version: self.eng.inbox_lock().bump_traditional(),
         }
     }
 
@@ -133,7 +133,7 @@ impl Rig {
         MaintRequest::Update {
             slot,
             ppage,
-            version: self.state.bump_traditional(),
+            version: self.eng.inbox_lock().bump_traditional(),
         }
     }
 
@@ -358,7 +358,7 @@ fn parked_maintainer(pool: &PagePool, zap: Option<ZapCall>) -> Maintainer {
 fn a_demand_on_a_parked_mapper_gets_one_pass_and_no_tick() {
     let r = rig(0, None, false, None);
     let m = parked_maintainer(&r.pool, Some(counted));
-    let v = m.state().bump_traditional();
+    let v = m.inbox_lock().bump_traditional();
     m.submit(MaintRequest::Create {
         slots: 2,
         assignments: vec![(0, r.pages[0]), (1, r.pages[1])],
@@ -396,9 +396,9 @@ fn a_demand_made_mid_pass_is_answered_by_the_next_pass() {
     let update = |slot: usize, ppage: PageIdx| MaintRequest::Update {
         slot,
         ppage,
-        version: m.state().bump_traditional(),
+        version: m.inbox_lock().bump_traditional(),
     };
-    let v = m.state().bump_traditional();
+    let v = m.inbox_lock().bump_traditional();
     m.submit(MaintRequest::Create {
         slots: 2,
         assignments: vec![(0, r.pages[0]), (1, r.pages[0])],
@@ -444,7 +444,7 @@ fn a_demand_made_mid_pass_is_answered_by_the_next_pass() {
 fn the_relay_that_crosses_the_backlog_wakes_a_parked_mapper_once() {
     let r = rig(0, None, false, None);
     let m = parked_maintainer(&r.pool, Some(counted));
-    let v = m.state().bump_traditional();
+    let v = m.inbox_lock().bump_traditional();
     m.submit(MaintRequest::Create {
         slots: 1024,
         assignments: (0..1024).map(|s| (s, r.pages[0])).collect(),
@@ -452,19 +452,22 @@ fn the_relay_that_crosses_the_backlog_wakes_a_parked_mapper_once() {
     });
     assert!(m.wait_sync(Duration::from_secs(60)));
     let before = m.metrics();
-    let updates = |slots: std::ops::Range<usize>| {
-        slots
-            .map(|slot| MaintRequest::Update {
+    // One relay: every bump and request under one hold of the lock.
+    let relay = |slots: std::ops::Range<usize>| {
+        let mut inbox = m.inbox_lock();
+        for slot in slots {
+            let version = inbox.bump_traditional();
+            inbox.submit(MaintRequest::Update {
                 slot,
                 ppage: r.pages[1 + slot % 7],
-                version: m.state().bump_traditional(),
-            })
-            .collect::<Vec<_>>()
+                version,
+            });
+        }
     };
-    m.submit_all(updates(0..WAKE_BACKLOG - 1));
+    relay(0..WAKE_BACKLOG - 1);
     assert!(!m.shared.inbox.lock().demand, "one short of a backlog");
     assert_eq!(m.passes(), before.passes);
-    m.submit_all(updates(WAKE_BACKLOG - 1..WAKE_BACKLOG + 1));
+    relay(WAKE_BACKLOG - 1..WAKE_BACKLOG + 1);
     wait_until("the pass the backlog started", || {
         m.passes() == before.passes + 1
     });
@@ -477,7 +480,7 @@ fn the_relay_that_crosses_the_backlog_wakes_a_parked_mapper_once() {
         after.updates_applied - before.updates_applied,
         WAKE_BACKLOG as u64 + 1
     );
-    m.submit_all(updates(0..3));
+    relay(0..3);
     assert_eq!(m.pending(), 3, "below the backlog nothing wakes it");
     assert_eq!(m.passes(), before.passes + 1);
 }

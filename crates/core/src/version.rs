@@ -249,12 +249,18 @@ impl SharedDirectoryState {
 
     /// Record a modification of the traditional directory, taking the
     /// shortcut out of service until the mapper has published it; returns
-    /// the new version (to be attached to the maintenance request). A
-    /// caller racing a live mapper bumps under its inbox lock (the write
-    /// path bumps inside `Maintainer::submit_all`), so that no
-    /// [`SharedDirectoryState::refresh_serving`] falls between its compare
-    /// and its store.
-    pub fn bump_traditional(&self) -> u64 {
+    /// the new version (to be attached to the maintenance request). The
+    /// safe way in is [`InboxGuard::bump_traditional`](crate::InboxGuard::bump_traditional).
+    ///
+    /// # Safety
+    ///
+    /// No [`SharedDirectoryState::refresh_serving`] of this state may run
+    /// concurrently: the caller holds the lock every refresh runs under
+    /// (a mapper's inbox lock), or is the only thread that refreshes. A
+    /// bump between a refresh's compare and its store leaves a superseded
+    /// directory served, which the next pass retires and a reclaim
+    /// unmaps under readers that pin after its scan.
+    pub unsafe fn bump_traditional(&self) -> u64 {
         self.serve(ptr::null_mut());
         self.traditional_version.fetch_add(1, Ordering::AcqRel) + 1
     }
@@ -347,6 +353,12 @@ mod tests {
     #[repr(align(64))]
     struct Page([u8; 64]);
 
+    /// `s.bump_traditional()`, from the one thread that also refreshes.
+    fn bump(s: &SharedDirectoryState) -> u64 {
+        // SAFETY: these tests are single-threaded; no refresh runs beside it.
+        unsafe { s.bump_traditional() }
+    }
+
     /// The directory `s` serves, if any.
     fn serving(s: &SharedDirectoryState) -> Option<(*mut u8, usize)> {
         s.begin_read().map(|t| (t.base, t.slots))
@@ -362,7 +374,7 @@ mod tests {
     #[test]
     fn publish_brings_in_sync() {
         let s = SharedDirectoryState::new();
-        let v = s.bump_traditional();
+        let v = bump(&s);
         assert!(!s.in_sync());
         let mut page = Page([0; 64]);
         s.publish(page.0.as_mut_ptr(), 1, v);
@@ -376,13 +388,13 @@ mod tests {
     #[test]
     fn modification_invalidates_inflight_read() {
         let s = SharedDirectoryState::new();
-        let v = s.bump_traditional();
+        let v = bump(&s);
         let mut page = Page([0; 64]);
         s.publish(page.0.as_mut_ptr(), 1, v);
         s.refresh_serving();
         let t = s.begin_read().unwrap();
         // A split happens mid-read…
-        s.bump_traditional();
+        bump(&s);
         assert!(!s.still_valid(t), "racing read must be discarded");
         assert!(s.begin_read().is_none(), "now out of sync");
     }
@@ -390,10 +402,10 @@ mod tests {
     #[test]
     fn catch_up_restores_sync() {
         let s = SharedDirectoryState::new();
-        let v1 = s.bump_traditional();
+        let v1 = bump(&s);
         let mut page = Page([0; 64]);
         s.publish(page.0.as_mut_ptr(), 1, v1);
-        let v2 = s.bump_traditional();
+        let v2 = bump(&s);
         assert!(!s.in_sync());
         s.publish(page.0.as_mut_ptr(), 2, v2);
         assert!(s.in_sync());
@@ -440,13 +452,13 @@ mod tests {
                     }]);
                     s.attach_line(Arc::clone(&lines), 0);
                     let word = || lines[0].bias.admission(&pins.pin());
-                    let v = s.bump_traditional();
+                    let v = bump(&s);
                     if sync != "suspended" {
                         s.publish(base, 4, v);
                     }
                     if sync != "in sync" {
                         s.set_suspended(sync == "suspended");
-                        s.bump_traditional();
+                        bump(&s);
                     }
                     s.set_route_shortcut(route);
                     s.refresh_serving();
@@ -460,7 +472,7 @@ mod tests {
                         assert_eq!(lines[0].bias.try_revoke(|| (), || quiesced), quiesced);
                         s.refresh_serving();
                         assert!(!ReadBias::admits(word()), "{case}: revoked");
-                        s.bump_traditional();
+                        bump(&s);
                         assert!(!ReadBias::admits(word()), "{case}: revoked, bumped");
                         if bias == Bias::Draining {
                             continue;
@@ -478,7 +490,7 @@ mod tests {
                         assert!(!serving.is_null(), "{case}: entered");
                         assert_eq!((t.base, t.slots), (base, 4), "{case}");
                     }
-                    s.bump_traditional();
+                    bump(&s);
                     assert!(word().is_null(), "{case}: bumped");
                 }
             }
@@ -492,7 +504,7 @@ mod tests {
         let s = SharedDirectoryState::new();
         let (mut a, mut b) = (Page([0; 64]), Page([0; 64]));
         let (a, b) = (a.0.as_mut_ptr(), b.0.as_mut_ptr());
-        let v1 = s.bump_traditional();
+        let v1 = bump(&s);
         s.refresh_serving();
         assert_eq!(serving(&s), None, "before the first publish");
         s.publish(a, 2, v1);
@@ -501,9 +513,9 @@ mod tests {
         assert_eq!(serving(&s), Some((a, 2)));
 
         // A bump clears it until that version is published.
-        let v2 = s.bump_traditional();
+        let v2 = bump(&s);
         assert_eq!(serving(&s), None, "bumped");
-        let v3 = s.bump_traditional();
+        let v3 = bump(&s);
         s.publish(b, 8, v2);
         s.refresh_serving();
         assert_eq!(serving(&s), None, "a publish of an older version");
@@ -521,7 +533,7 @@ mod tests {
         s.set_route_shortcut(true);
         s.refresh_serving();
         assert_eq!(serving(&s), Some((b, 8)), "routing back on in sync");
-        s.bump_traditional();
+        bump(&s);
         s.refresh_serving();
         assert_eq!(serving(&s), None, "routing on, out of sync");
     }

@@ -88,7 +88,7 @@ fn seqlock_readers_never_observe_torn_state() {
             let run = gen_runs[g as usize];
             let assignments: Vec<(usize, PageIdx)> =
                 (0..slots).map(|s| (s, PageIdx(run.0 + s))).collect();
-            let v = state.bump_traditional();
+            let v = maint.inbox_lock().bump_traditional();
             maint.submit(MaintRequest::Create {
                 slots,
                 assignments,
@@ -139,7 +139,7 @@ fn updates_race_with_readers_without_tearing() {
         },
     );
     let state = maint.state().clone();
-    let v = state.bump_traditional();
+    let v = maint.inbox_lock().bump_traditional();
     maint.submit(MaintRequest::Create {
         slots: 1,
         assignments: vec![(0, a)],
@@ -170,7 +170,7 @@ fn updates_race_with_readers_without_tearing() {
 
         for i in 0..400u64 {
             let target = if i % 2 == 0 { b } else { a };
-            let v = state.bump_traditional();
+            let v = maint.inbox_lock().bump_traditional();
             maint.submit(MaintRequest::Update {
                 slot: 0,
                 ppage: target,

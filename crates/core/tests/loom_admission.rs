@@ -72,13 +72,29 @@
 //! write; after the join it sees the new value. Its seed,
 //! `lazy_writer_moves_structure`, has the unrevoked writer also rewrite
 //! the bucket's structural words: a biased reader sees it.
+//!
+//! A third scenario is the **bump beside a pass that replaces the
+//! directory**, with the areas real enough to be unmapped: drop-observable
+//! stand-ins on a retire list of their own (as in `loom_retire.rs`). The
+//! old directory is served. The writer bumps the traditional version under
+//! the inbox lock (`InboxGuard`). The mapper ends a pass — its refresh
+//! under the inbox lock — then runs the next: if the version moved (the
+//! model's stand-in for the create the relay queues), it publishes the new
+//! area at it, retires the old one, reclaims what no reader pins, and
+//! refreshes. A reader pins, loads the serving
+//! word and reads through it: the area it names must be mapped. Its seed,
+//! `bump_outside_the_inbox_lock`, bumps without the lock: the first
+//! refresh compares before the bump and stores after it, so the old area
+//! is served at the new version; the next pass retires and reclaims it
+//! while the word still names it, and a reader that pins after the scan
+//! reads an unmapped area.
 
 #![cfg(feature = "loomish")]
 
 use loomish::Builder;
 use shortcut_core::{ReadGeometry, ReadLine, ReadTicket, SharedDirectoryState};
 use shortcut_rewire::sync::{thread, AtomicU64, Mutex, Ordering};
-use shortcut_rewire::{PinStrategy, ReadBias, RetireList};
+use shortcut_rewire::{PinStrategy, ReadBias, Reclaimable, RetireCore, RetireList};
 use std::sync::atomic::{
     AtomicBool as StdAtomicBool, AtomicU64 as StdAtomicU64, Ordering as StdOrd,
 };
@@ -160,7 +176,8 @@ impl World {
             unscanned: RetireList::with_strategy(strategy),
         };
         // Quiescent setup: version 1 written, published, served, attached.
-        let v1 = world.state.bump_traditional();
+        // SAFETY: no other thread exists yet.
+        let v1 = unsafe { world.state.bump_traditional() };
         world.bucket[0].store(v1, Ordering::Release);
         world.bucket[1].store(100 + v1, Ordering::Release);
         world.state.publish(FAKE_BASE, v1 as usize, v1);
@@ -274,7 +291,8 @@ impl World {
             self.writing.store(false, StdOrd::SeqCst);
             // `relay_events`, before the section ends.
             let mut queue = self.inbox.lock().unwrap();
-            *queue = self.state.bump_traditional();
+            // SAFETY: under the inbox lock, which every refresh takes.
+            *queue = unsafe { self.state.bump_traditional() };
             drop(queue);
             count(&seen.splits);
         }
@@ -585,6 +603,161 @@ fn seeded_lazy_writer_that_moves_structure_is_caught() {
         });
         assert!(
             INSIDE_OR_TORN.iter().any(|e| err.message.contains(e)),
+            "unexpected counterexample ({strategy}): {err}"
+        );
+    }
+}
+
+/// Drop-observable stand-in for a shortcut area: dropping it is the
+/// munmap, and `mapped` is the ground truth a read through it checks
+/// (outside the memory model: a real load faults on the real mapping).
+struct Area(Arc<StdAtomicBool>);
+
+impl Reclaimable for Area {
+    fn vma_estimate(&self) -> usize {
+        1
+    }
+}
+
+impl Drop for Area {
+    fn drop(&mut self) {
+        self.0.store(false, StdOrd::SeqCst);
+    }
+}
+
+/// The served directory the create replaces, and the create's.
+const OLD_BASE: *mut u8 = FAKE_BASE;
+const NEW_BASE: *mut u8 = 128 as *mut u8;
+
+/// What the rebuild scenario's executions reached.
+#[derive(Default)]
+struct RebuildCoverage {
+    old_reads: StdAtomicU64,
+    new_reads: StdAtomicU64,
+    reclaims: StdAtomicU64,
+}
+
+/// The bump beside a pass that replaces the directory (module docs).
+fn rebuild_scenario(
+    strategy: PinStrategy,
+    locked_bump: bool,
+    seen: Arc<RebuildCoverage>,
+) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let state = Arc::new(SharedDirectoryState::new());
+        let inbox = Arc::new(Mutex::new(()));
+        let areas = Arc::new(RetireCore::<Area>::with_strategy(strategy));
+        let mapped = [
+            Arc::new(StdAtomicBool::new(true)),
+            Arc::new(StdAtomicBool::new(true)),
+        ];
+        // Quiescent setup: the old directory published and served.
+        // SAFETY: no other thread exists yet.
+        let v1 = unsafe { state.bump_traditional() };
+        state.publish(OLD_BASE, 1, v1);
+        state.refresh_serving();
+        let old = Area(Arc::clone(&mapped[0]));
+
+        let writer = {
+            let (state, inbox) = (Arc::clone(&state), Arc::clone(&inbox));
+            thread::spawn(move || {
+                let held = locked_bump.then(|| inbox.lock().unwrap());
+                // SAFETY: under the inbox lock, which every refresh takes —
+                // but for the seeded bug, which bumps without it.
+                unsafe { state.bump_traditional() };
+                drop(held);
+            })
+        };
+        let mapper = {
+            let (state, inbox, areas) =
+                (Arc::clone(&state), Arc::clone(&inbox), Arc::clone(&areas));
+            let (seen, new_mapped) = (Arc::clone(&seen), Arc::clone(&mapped[1]));
+            thread::spawn(move || {
+                let end_of_pass = || {
+                    let _inbox = inbox.lock().unwrap();
+                    state.refresh_serving();
+                };
+                end_of_pass();
+                // The next pass: build, retire, reclaim.
+                let v = state.traditional_version();
+                let mut current = old;
+                if v != v1 {
+                    state.publish(NEW_BASE, 1, v);
+                    areas.retire(std::mem::replace(&mut current, Area(new_mapped)));
+                    if areas.try_reclaim() > 0 {
+                        count(&seen.reclaims);
+                    }
+                }
+                end_of_pass();
+                current
+            })
+        };
+        let reader = {
+            let (state, areas, seen) = (Arc::clone(&state), Arc::clone(&areas), Arc::clone(&seen));
+            let mapped = mapped.clone();
+            thread::spawn(move || {
+                let pin = areas.pin();
+                let whole = state.begin_read().is_none_or(|t| {
+                    let (old, cell) = if t.base == OLD_BASE {
+                        (true, &seen.old_reads)
+                    } else {
+                        (false, &seen.new_reads)
+                    };
+                    // The read itself, across a scheduling point.
+                    thread::yield_now();
+                    count(cell);
+                    mapped[usize::from(!old)].load(StdOrd::SeqCst)
+                });
+                drop(pin);
+                assert!(whole, "a reader read through an unmapped area");
+            })
+        };
+        writer.join().unwrap();
+        let current = mapper.join().unwrap();
+        reader.join().unwrap();
+        drop(current);
+    }
+}
+
+/// The locked bump holds under both pairings, and the exploration reached
+/// reads of either directory and a reclaim of the old one.
+#[test]
+fn rebuild_beside_a_locked_bump_holds_exhaustively() {
+    for strategy in [PinStrategy::Asymmetric, PinStrategy::Dekker] {
+        let seen = Arc::new(RebuildCoverage::default());
+        let report = builder()
+            .check(rebuild_scenario(strategy, true, Arc::clone(&seen)))
+            .unwrap_or_else(|cx| panic!("rebuild ({strategy}) counterexample: {cx}"));
+        println!(
+            "rebuild beside a locked bump ({strategy}): {} interleavings explored, invariant held",
+            report.executions
+        );
+        for (what, count) in [
+            ("reads of the old directory", &seen.old_reads),
+            ("reads of the new directory", &seen.new_reads),
+            ("reclaims of the old directory", &seen.reclaims),
+        ] {
+            assert!(
+                count.load(StdOrd::Relaxed) > 0,
+                "no execution reached: {what} ({strategy})"
+            );
+        }
+    }
+}
+
+#[test]
+fn seeded_bump_outside_the_inbox_lock_is_caught() {
+    for strategy in [PinStrategy::Asymmetric, PinStrategy::Dekker] {
+        let run = builder().ordering_sensitive(false).check(rebuild_scenario(
+            strategy,
+            false,
+            Arc::default(),
+        ));
+        let err = run.err().unwrap_or_else(|| {
+            panic!("seed not caught ({strategy}) — the model checker has lost its teeth")
+        });
+        assert!(
+            err.message.contains("unmapped area"),
             "unexpected counterexample ({strategy}): {err}"
         );
     }

@@ -61,6 +61,14 @@ fn still_valid_seeded_unfenced(state: &SharedDirectoryState, t: ReadTicket) -> b
         .is_some_and(|now| (now.base, now.slots) == (t.base, t.slots))
 }
 
+/// A bump by the thread that also refreshes: the scenarios here have one
+/// writer, which plays the mapper too, and readers that do neither.
+fn bump(state: &SharedDirectoryState) -> u64 {
+    // SAFETY: no refresh runs beside it (the writer is the one thread
+    // that refreshes).
+    unsafe { state.bump_traditional() }
+}
+
 /// What the mapper does once a version's directory is in place.
 fn publish_and_serve(state: &SharedDirectoryState, base: *mut u8, slots: usize, version: u64) {
     state.publish(base, slots, version);
@@ -78,7 +86,7 @@ fn scenario(wk: WriterKind, rk: ReaderKind) -> impl Fn() + Send + Sync + 'static
         // Quiescent setup: version 1 served, bucket consistent. The slot
         // count doubles as the version so the reader can check its
         // (public) ticket fields against the data it read.
-        let v1 = state.bump_traditional();
+        let v1 = bump(&state);
         data0.store(v1, Ordering::Release);
         data1.store(100 + v1, Ordering::Release);
         publish_and_serve(&state, FAKE_BASE, v1 as usize, v1);
@@ -88,7 +96,7 @@ fn scenario(wk: WriterKind, rk: ReaderKind) -> impl Fn() + Send + Sync + 'static
             let data0 = Arc::clone(&data0);
             let data1 = Arc::clone(&data1);
             shortcut_rewire::sync::thread::spawn(move || {
-                let v2 = state.bump_traditional();
+                let v2 = bump(&state);
                 match wk {
                     WriterKind::Correct => {
                         data0.store(v2, Ordering::Release);
@@ -195,12 +203,12 @@ fn a_ticket_never_pairs_one_directory_with_anothers_depth() {
     let report = builder()
         .check(|| {
             let state = Arc::new(SharedDirectoryState::new());
-            let v1 = state.bump_traditional();
+            let v1 = bump(&state);
             publish_and_serve(&state, FAKE_BASE, 1 << 2, v1);
             let mapper = {
                 let state = Arc::clone(&state);
                 shortcut_rewire::sync::thread::spawn(move || {
-                    let v2 = state.bump_traditional();
+                    let v2 = bump(&state);
                     publish_and_serve(&state, OTHER_BASE, 1 << 5, v2);
                 })
             };

@@ -1,4 +1,4 @@
-//! [`IndexBuilder`]: the ten setters that configure a [`ShortcutIndex`].
+//! [`IndexBuilder`]: the nine setters that configure a [`ShortcutIndex`].
 
 use crate::bucket::BucketLayout;
 use crate::eh::EhConfig;
@@ -9,10 +9,9 @@ use shortcut_core::{CompactionPolicy, MaintConfig, RoutePolicy};
 use shortcut_rewire::{PinStrategy, PoolConfig, SlotLayout, VmaBudget};
 use std::time::Duration;
 
-/// Builder for [`ShortcutIndex`]: ten setters — pool sizing
+/// Builder for [`ShortcutIndex`]: nine setters — pool sizing
 /// ([`capacity`](IndexBuilder::capacity), [`pool`](IndexBuilder::pool),
-/// [`slot_pages`](IndexBuilder::slot_pages),
-/// [`huge_pages`](IndexBuilder::huge_pages)), routing
+/// [`slot_pages`](IndexBuilder::slot_pages)), routing
 /// ([`fanin_threshold`](IndexBuilder::fanin_threshold)), the mapper
 /// ([`poll_interval`](IndexBuilder::poll_interval)), the mapping budget
 /// ([`vma_budget`](IndexBuilder::vma_budget),
@@ -32,7 +31,6 @@ pub struct IndexBuilder {
     maint: MaintConfig,
     vma_budget_limit: Option<usize>,
     slot_power: Option<u32>,
-    huge_pages: bool,
     shard_bits: u32,
     pin_strategy: Option<PinStrategy>,
 }
@@ -89,27 +87,14 @@ impl IndexBuilder {
     /// directory is `~2^k` times shallower and the mapping footprint
     /// (live VMAs against `vm.max_map_count`) shrinks by about the same
     /// factor, at the cost of coarser-grained splits and more bytes
-    /// copied per relocation. `k = 9` (2 MB) reaches the hardware
-    /// hugepage boundary — combine with [`IndexBuilder::huge_pages`].
-    /// Applied on top of an explicit [`IndexBuilder::pool`] config too.
+    /// copied per relocation. Applied on top of an explicit
+    /// [`IndexBuilder::pool`] config too.
     ///
     /// # Errors
     ///
     /// `k > 9` is rejected at [`IndexBuilder::build`] time.
     pub fn slot_pages(mut self, k: u32) -> Self {
         self.slot_power = Some(k);
-        self
-    }
-
-    /// Opt into hugepage backing for the pool (effective at the 2 MB slot
-    /// boundary, i.e. [`IndexBuilder::slot_pages`]`(9)`): the pool tries
-    /// an `MFD_HUGETLB` memfd, probes that hugepages are actually
-    /// reserved, and falls back cleanly to plain 4 KB-page slots
-    /// otherwise (reported by `StatsSnapshot::huge_pages_active`). Below
-    /// the boundary the pool merely advises `MADV_HUGEPAGE`,
-    /// best-effort.
-    pub fn huge_pages(mut self, enabled: bool) -> Self {
-        self.huge_pages = enabled;
         self
     }
 
@@ -239,9 +224,6 @@ impl IndexBuilder {
             None => PoolConfig::default(),
         });
         pool.slot_layout = layout;
-        if self.huge_pages {
-            pool.huge_pages = true;
-        }
         if let Some(strategy) = self.pin_strategy {
             pool.pin_strategy = Some(strategy);
         }

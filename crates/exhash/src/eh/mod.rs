@@ -221,17 +221,6 @@ impl ExtendibleHash {
         self.bucket_layout
     }
 
-    /// Whether hugepage backing was requested on the pool.
-    pub fn huge_requested(&self) -> bool {
-        self.pool.huge_requested()
-    }
-
-    /// Whether the pool's hugetlb backend is active (see
-    /// [`shortcut_rewire::PoolConfig::huge_pages`]).
-    pub fn huge_active(&self) -> bool {
-        self.pool.huge_active()
-    }
-
     /// Structural statistics.
     pub fn stats(&self) -> IndexStats {
         self.stats

@@ -708,8 +708,6 @@ impl ShortcutIndex {
             pages_per_slot: s.slot_layout().pages_per_slot(),
             slot_bytes: s.slot_layout().slot_bytes(),
             bucket_capacity: s.bucket_layout().capacity(),
-            huge_pages_requested: s.huge_requested(),
-            huge_pages_active: s.huge_active(),
             pin_strategy: s.pin_strategy(),
             bias_revocations,
             bias_rearms,

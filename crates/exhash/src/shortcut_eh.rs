@@ -132,12 +132,14 @@ impl ShortcutEh {
         // Publish the initial single-slot directory so the shortcut can
         // serve reads before the first doubling.
         let assignments = this.eh.directory_assignments()?;
-        let v = this.maint.state().bump_traditional();
-        this.maint.submit(MaintRequest::Create {
+        let mut inbox = this.maint.inbox_lock();
+        let version = inbox.bump_traditional();
+        inbox.submit(MaintRequest::Create {
             slots: this.eh.dir_slots(),
             assignments,
-            version: v,
+            version,
         });
+        drop(inbox);
         Ok(this)
     }
 
@@ -238,18 +240,6 @@ impl ShortcutEh {
         self.eh.bucket_layout()
     }
 
-    /// Whether hugepage backing was requested on the pool.
-    pub fn huge_requested(&self) -> bool {
-        self.eh.huge_requested()
-    }
-
-    /// Whether the pool's hugetlb backend is active (request at the 2 MB
-    /// boundary whose creation-time probe succeeded); `false` after a
-    /// clean fallback to 4 KB-page slots.
-    pub fn huge_active(&self) -> bool {
-        self.eh.huge_active()
-    }
-
     /// First maintenance error, if the mapper thread failed, wrapped as the
     /// index-level error type.
     pub fn maint_error(&self) -> Option<IndexError> {
@@ -269,15 +259,15 @@ impl ShortcutEh {
     }
 
     /// The mapper handle: the inbox lock the shard's bias is revoked and
-    /// re-armed under.
-    pub(crate) fn maint(&self) -> &Maintainer {
+    /// re-armed under, and versions are bumped under.
+    #[doc(hidden)]
+    pub fn maint(&self) -> &Maintainer {
         &self.maint
     }
 
-    /// Forward directory events to the mapper queue: one submission, under
-    /// one lock, per relay. Each event's version bump runs under that lock
-    /// (`submit_all` drains the iterator there) and clears the serving
-    /// word, before the caller leaves its write section: no reader that
+    /// Forward directory events to the mapper queue, under one hold of the
+    /// inbox lock per relay. Each event's version bump clears the serving
+    /// word before the caller leaves its write section: no reader that
     /// enters after it finds a directory that predates these events.
     pub(crate) fn relay_events(&mut self) {
         if !self.eh.has_events() {
@@ -286,13 +276,13 @@ impl ShortcutEh {
         // A split or a doubling moved the fan-in: decided once, stored
         // under the lock with the first bump.
         let mut route = Some(self.policy.use_shortcut(self.eh.avg_fanin(), true));
-        let state = self.maint.state();
-        let requests = self.eh.drain_events().map(|ev| {
+        let mut inbox = self.maint.inbox_lock();
+        for ev in self.eh.drain_events() {
             if let Some(on) = route.take() {
-                state.set_route_shortcut(on);
+                self.maint.state().set_route_shortcut(on);
             }
-            let version = state.bump_traditional();
-            match ev {
+            let version = inbox.bump_traditional();
+            inbox.submit(match ev {
                 DirEvent::SlotUpdated { slot, ppage } => MaintRequest::Update {
                     slot,
                     ppage,
@@ -309,9 +299,8 @@ impl ShortcutEh {
                     assignments,
                     version,
                 },
-            }
-        });
-        self.maint.submit_all(requests);
+            });
+        }
     }
 
     /// Splits between two looks of [`ShortcutEh::maybe_compact`].
@@ -926,8 +915,8 @@ mod tests {
 
     #[test]
     fn invalidated_chunk_is_answered_traditionally_and_counted_once() {
-        // Passes on demand only: the bump below is a test's, outside the
-        // inbox lock, and no pass may race it.
+        // Passes on demand only: the bump below is one the mapper never
+        // hears of.
         let mut cfg = fast_cfg();
         cfg.maint.poll_interval = Duration::from_secs(3600);
         let mut t = ShortcutEh::try_new(cfg).unwrap();
@@ -940,7 +929,7 @@ mod tests {
         // every key is one traditional lookup.
         let keys: Vec<u64> = (0..5_000u64).map(|k| k * 2).collect();
         let before = t.stats();
-        t.state_arc().bump_traditional();
+        t.maint().inbox_lock().bump_traditional();
         let got = t.get_many(&keys);
         for (&k, got) in keys.iter().zip(got) {
             assert_eq!(got, (k < 8_000).then_some(!k), "key {k}");
@@ -1218,7 +1207,6 @@ mod tests {
             g.live_vmas()
         );
         assert_eq!(big.slot_layout().pages_per_slot(), 4);
-        assert!(!big.huge_requested());
     }
 
     /// A configuration whose mapper only runs on demand (a tick of an

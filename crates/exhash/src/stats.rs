@@ -82,15 +82,6 @@ shortcut_rewire::statistics! {
         slot_bytes: usize = First,
         /// Entry capacity of one bucket at this slot size.
         bucket_capacity: usize = First,
-        /// Whether hugepage backing was requested
-        /// ([`IndexBuilder::huge_pages`](crate::IndexBuilder::huge_pages))
-        /// by any shard.
-        huge_pages_requested: bool = Or,
-        /// Whether the hugetlb backend is actually active on every shard;
-        /// `huge_pages_requested && !huge_pages_active` means the pool fell
-        /// back cleanly to plain 4 KB-page slots (no hugepages reserved, or
-        /// the slot size is below the 2 MB boundary).
-        huge_pages_active: bool = And,
         /// Reader-pin pairing of the retire list:
         /// [`PinStrategy::Asymmetric`] (membarrier-paired load/store pins) or
         /// the [`PinStrategy::Dekker`] RMW fallback.
@@ -139,8 +130,8 @@ impl StatsSnapshot {
 /// group, identical wherever a snapshot is shown — the server's `INFO`
 /// reply, `mixed_workload`'s exit report, and the `all` evaluation
 /// driver all print exactly this block instead of hand-formatting their
-/// own subsets. Lines are append-only across versions (tooling may grep
-/// for a key, so existing keys keep their meaning and format).
+/// own subsets. A key keeps its meaning and format across versions
+/// (tooling may grep for it) and goes only with the field it prints.
 impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -155,13 +146,8 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "layout: pages_per_slot={} slot_bytes={} bucket_capacity={} \
-             hugepages_requested={} hugepages_active={}",
-            self.pages_per_slot,
-            self.slot_bytes,
-            self.bucket_capacity,
-            self.huge_pages_requested,
-            self.huge_pages_active
+            "layout: pages_per_slot={} slot_bytes={} bucket_capacity={}",
+            self.pages_per_slot, self.slot_bytes, self.bucket_capacity
         )?;
         writeln!(
             f,

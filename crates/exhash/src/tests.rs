@@ -19,8 +19,6 @@ fn snap(len: usize, depth: u32, buckets: usize, fanin: f64, in_sync: bool) -> St
         pages_per_slot: 1,
         slot_bytes: shortcut_rewire::PAGE_SIZE_4K,
         bucket_capacity: 87,
-        huge_pages_requested: false,
-        huge_pages_active: true,
         pin_strategy: PinStrategy::Asymmetric,
         bias_revocations: 0,
         bias_rearms: 0,
@@ -48,8 +46,6 @@ fn distinct(d: u64, flip: bool) -> StatsSnapshot {
         pages_per_slot: u(4),
         slot_bytes: u(16384),
         bucket_capacity: u(349),
-        huge_pages_requested: !flip,
-        huge_pages_active: flip,
         pin_strategy: if flip {
             PinStrategy::Dekker
         } else {
@@ -116,8 +112,8 @@ fn snapshot_merge_sums_counters_and_takes_honest_gauges() {
         let fanin = (3.2 * 40.0 + 1003.2 * 1040.0) / 1080.0;
         assert!((m.avg_fanin - fanin).abs() < 1e-9, "got {}", m.avg_fanin);
         // And: only if every shard holds; Or: if any does.
-        assert!(!m.in_sync && !m.huge_pages_active);
-        assert!(m.shortcut_suspended && m.huge_pages_requested);
+        assert!(!m.in_sync);
+        assert!(m.shortcut_suspended);
         // First: one configuration per index, one probe per process.
         assert_eq!(m.pages_per_slot, first.pages_per_slot);
         assert_eq!(m.slot_bytes, first.slot_bytes);
@@ -177,8 +173,7 @@ fn snapshot_display_is_stable_and_greppable() {
         "index: entries=1001 shards=3 global_depth=7 buckets=40 avg_fanin=3.20\n\
          shortcut: in_sync=true suspended=false versions_traditional=1002 \
          versions_shortcut=1003\n\
-         layout: pages_per_slot=4 slot_bytes=16384 bucket_capacity=349 \
-         hugepages_requested=true hugepages_active=false\n\
+         layout: pages_per_slot=4 slot_bytes=16384 bucket_capacity=349\n\
          lookups: shortcut=900 traditional=100 shortcut_served_pct=90.0\n\
          structure: splits=41 doublings=5 compactions=8 compaction_skipped=9 pages_moved=44\n\
          maint: creates=11 updates=12 creates_skipped=13 creates_deferred=14 creates_coarse=15 \

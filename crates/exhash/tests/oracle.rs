@@ -404,7 +404,7 @@ const EXITS: &[Exit] = &[
         // A directory change the mapper never hears of holds it back.
         enter: |t| {
             for i in 0..t.shard_count() {
-                t.with_shard(i, |s| s.state_arc().bump_traditional());
+                t.with_shard(i, |s| s.maint().inbox_lock().bump_traditional());
             }
             assert!(!t.in_sync());
         },

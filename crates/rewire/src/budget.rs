@@ -118,11 +118,6 @@ impl BudgetBinding {
         &self.budget
     }
 
-    /// The pool usage the binding attributes to.
-    pub fn pool(&self) -> &Arc<PoolUsage> {
-        &self.pool
-    }
-
     pub(crate) fn charge(&self, n: usize) {
         self.budget.charge(n);
         self.pool.charge(n);
@@ -370,7 +365,8 @@ impl BudgetReservation {
     /// could push the estimate past the limit) and never dipping to zero
     /// (which would let a concurrent reservation steal the margin). The
     /// caller then owns the `exact` charge — typically by attaching the
-    /// budget to the built area as prepaid.
+    /// built area prepaid, bound to the same pool so its release on drop
+    /// matches.
     pub fn settle(mut self, exact: usize) {
         match exact.cmp(&self.n) {
             std::cmp::Ordering::Less => {
@@ -384,14 +380,6 @@ impl BudgetReservation {
             std::cmp::Ordering::Equal => {}
         }
         self.n = 0; // the drop below releases nothing
-    }
-
-    /// The pool this reservation is attributed to. A settled charge
-    /// belongs to the same pool; callers attaching the built area prepaid
-    /// must bind it with the same attribution so the release on drop
-    /// matches.
-    pub fn pool(&self) -> &Arc<PoolUsage> {
-        &self.pool
     }
 }
 

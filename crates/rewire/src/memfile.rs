@@ -28,22 +28,9 @@ impl MemFile {
     /// Create an empty main-memory file. `name` is purely diagnostic (it
     /// shows up in `/proc/self/fd`), need not be unique.
     pub fn create(name: &str) -> Result<Self> {
-        Self::create_with_flags(name, 0)
-    }
-
-    /// Create a main-memory file backed by **2 MB hardware hugepages**
-    /// (`MFD_HUGETLB | MFD_HUGE_2MB`). Fails on kernels without hugetlb
-    /// support or sandboxes that filter the flag; creation succeeding does
-    /// **not** guarantee that hugepages are actually reserved — callers
-    /// must probe a mapping (see `PagePool`'s detection) and fall back.
-    pub fn create_huge(name: &str) -> Result<Self> {
-        Self::create_with_flags(name, libc::MFD_HUGETLB | libc::MFD_HUGE_2MB)
-    }
-
-    fn create_with_flags(name: &str, flags: libc::c_uint) -> Result<Self> {
         let cname = CString::new(name).map_err(|_| Error::invalid("name contains NUL"))?;
         // SAFETY: memfd_create with a valid C string.
-        let fd = unsafe { libc::memfd_create(cname.as_ptr(), flags) };
+        let fd = unsafe { libc::memfd_create(cname.as_ptr(), 0) };
         if fd < 0 {
             return Err(Error::os("memfd_create"));
         }

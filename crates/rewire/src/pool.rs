@@ -38,37 +38,6 @@ const POOL_VIEW_VMAS: usize = 2;
 /// eighth, at ≈ 6 calls per doubling, where doubling left up to half.
 const GROWTH_DIVISOR: usize = 8;
 
-/// Probe whether an `MFD_HUGETLB` file is actually usable: reserve one
-/// slot's worth of hugepages, map and touch it, then shrink back. A
-/// kernel that accepts the flag but has no hugepages reserved fails the
-/// `mmap` (hugetlb reserves at map time), which is exactly the graceful
-/// signal the caller needs to fall back to 4 KB-page slots.
-fn probe_hugetlb(file: &MemFile, slot_bytes: usize) -> bool {
-    if file.resize(slot_bytes).is_err() {
-        return false;
-    }
-    // SAFETY: fresh mapping of our own file; unmapped before returning.
-    let ok = unsafe {
-        let p = libc::mmap(
-            std::ptr::null_mut(),
-            slot_bytes,
-            libc::PROT_READ | libc::PROT_WRITE,
-            libc::MAP_SHARED | libc::MAP_POPULATE,
-            file.fd(),
-            0,
-        );
-        if p == libc::MAP_FAILED {
-            false
-        } else {
-            *(p as *mut u64) = 0x51_07;
-            let ok = *(p as *const u64) == 0x51_07;
-            libc::munmap(p, slot_bytes);
-            ok
-        }
-    };
-    ok && file.resize(0).is_ok()
-}
-
 /// Shared implementation of [`PagePool::vma_snapshot`] /
 /// [`PoolHandle::vma_snapshot`].
 fn vma_snapshot(budget: &VmaBudget, usage: &PoolUsage, retire: &RetireList) -> VmaSnapshot {
@@ -105,9 +74,6 @@ pub struct PoolConfig {
     pub min_growth_pages: usize,
     /// Only shrink the file while it is larger than this many slots.
     pub shrink_threshold_pages: usize,
-    /// Eagerly populate page-table entries for newly grown slots
-    /// (`MAP_POPULATE`), avoiding hard page faults at access time.
-    pub pretouch: bool,
     /// Size of the fixed virtual reservation holding the linear view, in
     /// slots. The pool can never grow beyond this. Virtual address space is
     /// effectively free on 64-bit; the default reserves 16 GB at `k = 0`.
@@ -129,18 +95,6 @@ pub struct PoolConfig {
     /// the paper's one-page buckets). Constructed once; every consumer of
     /// the pool must use the same layout for its offset arithmetic.
     pub slot_layout: SlotLayout,
-    /// Opt-in hugepage backing. When the layout reaches the 2 MB boundary
-    /// ([`SlotLayout::reaches_huge_boundary`]) the pool tries an
-    /// `MFD_HUGETLB` memfd and **probes** it (reserving one slot's worth
-    /// of hugepages); if the kernel lacks support or no hugepages are
-    /// reserved (`/proc/sys/vm/nr_hugepages`), it falls back cleanly to
-    /// plain 4 KB-page slots and reports
-    /// [`PagePool::huge_active`]` == false`. Below the boundary (or after
-    /// a fallback) the pool instead advises `MADV_HUGEPAGE` on the linear
-    /// view, best-effort. Note that with hugetlb active, later growth can
-    /// still fail with a typed `mmap` error if the reserved hugepage pool
-    /// runs dry mid-run.
-    pub huge_pages: bool,
     /// Reader-pin pairing for this pool's retire list. `None` (default)
     /// probes `membarrier(2)` once per process and picks
     /// [`PinStrategy::Asymmetric`] when registration succeeds, else the
@@ -156,12 +110,10 @@ impl Default for PoolConfig {
             initial_pages: 1,
             min_growth_pages: 64,
             shrink_threshold_pages: 1024,
-            pretouch: true,
             view_capacity_pages: 1 << 22, // 16 GB of 4 KB pages
             vma_budget: None,
             fair_share: false,
             slot_layout: SlotLayout::base(),
-            huge_pages: false,
             pin_strategy: None,
         }
     }
@@ -192,7 +144,6 @@ pub struct PoolHandle {
     usage: Arc<PoolUsage>,
     retire: Arc<RetireList>,
     layout: SlotLayout,
-    huge_active: bool,
 }
 
 impl PoolHandle {
@@ -212,13 +163,6 @@ impl PoolHandle {
     #[inline]
     pub fn layout(&self) -> SlotLayout {
         self.layout
-    }
-
-    /// Whether the pool's slots are backed by hardware hugepages
-    /// (`MFD_HUGETLB` probe succeeded at creation).
-    #[inline]
-    pub fn huge_active(&self) -> bool {
-        self.huge_active
     }
 
     /// The VMA budget this pool accounts against.
@@ -263,8 +207,6 @@ pub struct PagePool {
     cfg: PoolConfig,
     /// The slot layout (copied out of `cfg` for hot-path arithmetic).
     layout: SlotLayout,
-    /// Whether the hugetlb backend is active (probe succeeded).
-    huge_active: bool,
     /// Base of the fixed anonymous reservation that hosts the linear view.
     view_base: *mut u8,
     /// Slots of the file currently mapped into the view (== file length).
@@ -306,28 +248,12 @@ impl PagePool {
         let layout = cfg.slot_layout;
         let slot_bytes = layout.slot_bytes();
 
-        // Hugepage backing: only meaningful at the 2 MB boundary, and only
-        // if the kernel both accepts MFD_HUGETLB and has hugepages
-        // reserved — probed here so failures degrade to plain 4 KB-page
-        // slots at creation time instead of SIGBUS-ing at first access.
-        let mut huge_active = false;
-        let file = if cfg.huge_pages && layout.reaches_huge_boundary() {
-            match MemFile::create_huge(&cfg.name) {
-                Ok(f) if probe_hugetlb(&f, slot_bytes) => {
-                    huge_active = true;
-                    f
-                }
-                _ => MemFile::create(&cfg.name)?,
-            }
-        } else {
-            MemFile::create(&cfg.name)?
-        };
-        let file = Arc::new(file);
+        let file = Arc::new(MemFile::create(&cfg.name)?);
         let stats = Arc::new(RewireStats::default());
 
         // Reserve the fixed view as PROT_NONE anonymous memory: any stray
-        // access to a not-yet-grown region faults loudly. Hugetlb inner
-        // mappings need a slot-aligned base, so over-reserve and trim.
+        // access to a not-yet-grown region faults loudly. The base is
+        // slot-aligned, so over-reserve and trim.
         let cap_bytes = cfg.view_capacity_pages * slot_bytes;
         let view_base = reserve_aligned(cap_bytes, slot_bytes.max(page_size()), libc::PROT_NONE)?;
         stats.mmap_calls.add(1);
@@ -339,7 +265,6 @@ impl PagePool {
         let mut pool = PagePool {
             file,
             layout,
-            huge_active,
             cfg,
             view_base,
             file_pages: 0,
@@ -374,21 +299,6 @@ impl PagePool {
         self.layout
     }
 
-    /// Whether hugepage backing was requested in the configuration.
-    #[inline]
-    pub fn huge_requested(&self) -> bool {
-        self.cfg.huge_pages
-    }
-
-    /// Whether the hugetlb backend is actually active (requested, layout
-    /// at the 2 MB boundary, and the creation-time probe succeeded).
-    /// `huge_requested() && !huge_active()` means the pool fell back to
-    /// plain 4 KB-page slots.
-    #[inline]
-    pub fn huge_active(&self) -> bool {
-        self.huge_active
-    }
-
     /// Create a pool with [`PoolConfig::default`].
     pub fn with_defaults() -> Result<Self> {
         Self::new(PoolConfig::default())
@@ -409,11 +319,8 @@ impl PagePool {
         self.stats.pool_grows.add(1);
 
         // Map the newly valid file range into the view at the same offset.
+        // Populated eagerly, so first accesses take no hard page fault.
         let delta = new_pages - old_pages;
-        let mut flags = libc::MAP_SHARED | libc::MAP_FIXED;
-        if self.cfg.pretouch {
-            flags |= libc::MAP_POPULATE;
-        }
         // SAFETY: the target range lies inside our own reservation; MAP_FIXED
         // replaces the PROT_NONE placeholder; offset/length are slot aligned.
         let rc = unsafe {
@@ -421,7 +328,7 @@ impl PagePool {
                 self.view_base.add(old_pages * slot_bytes) as *mut libc::c_void,
                 delta * slot_bytes,
                 libc::PROT_READ | libc::PROT_WRITE,
-                flags,
+                libc::MAP_SHARED | libc::MAP_FIXED | libc::MAP_POPULATE,
                 self.file.fd(),
                 (old_pages * slot_bytes) as libc::off_t,
             )
@@ -429,18 +336,8 @@ impl PagePool {
         if rc == libc::MAP_FAILED {
             return Err(Error::os("mmap"));
         }
-        if self.cfg.huge_pages && !self.huge_active {
-            // Hugetlb unavailable (or the layout is below the boundary):
-            // best-effort transparent-hugepage advice on the fresh range.
-            // SAFETY: advising a range we just mapped.
-            unsafe {
-                libc::madvise(rc, delta * slot_bytes, libc::MADV_HUGEPAGE);
-            }
-        }
         self.stats.mmap_calls.add(1);
-        if self.cfg.pretouch {
-            self.stats.pages_populated.add(delta as u64);
-        }
+        self.stats.pages_populated.add(delta as u64);
 
         self.file_pages = new_pages;
         self.state.resize(new_pages, PageState::Free);
@@ -859,7 +756,6 @@ impl PagePool {
             usage: Arc::clone(&self.usage),
             retire: Arc::clone(&self.retire),
             layout: self.layout,
-            huge_active: self.huge_active,
         }
     }
 
@@ -971,7 +867,10 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.pages_allocated, 33_000);
         assert_eq!(s.pool_file_slots, p.file_pages() as u64);
-        assert_eq!(s.pages_populated, s.pool_file_slots, "pretouch is on");
+        assert_eq!(
+            s.pages_populated, s.pool_file_slots,
+            "grown slots are populated"
+        );
         assert!(
             s.pages_populated * 4 <= s.pages_allocated * 5,
             "{} populated for {} allocated",
@@ -1351,43 +1250,16 @@ mod tests {
     }
 
     #[test]
-    fn huge_request_below_boundary_stays_plain() {
-        let p = PagePool::new(PoolConfig {
-            initial_pages: 1,
-            view_capacity_pages: 16,
-            slot_layout: SlotLayout::new(2).unwrap(),
-            huge_pages: true,
-            ..PoolConfig::default()
-        })
-        .unwrap();
-        assert!(p.huge_requested());
-        assert!(!p.huge_active(), "hugetlb needs the 2 MB boundary");
-    }
-
-    #[test]
-    fn huge_request_at_boundary_activates_or_falls_back_cleanly() {
-        // Whether hugepages are actually available depends on the host
-        // (`/proc/sys/vm/nr_hugepages`); either way the pool must come up
-        // and serve 2 MB slots correctly.
+    fn max_power_slots_alloc_and_store() {
         let layout = SlotLayout::new(SlotLayout::MAX_SLOT_POWER).unwrap();
         let mut p = PagePool::new(PoolConfig {
             initial_pages: 1,
             min_growth_pages: 1,
             view_capacity_pages: 4,
             slot_layout: layout,
-            huge_pages: true,
             ..PoolConfig::default()
         })
         .unwrap();
-        assert!(p.huge_requested());
-        let nr_hugepages: usize = std::fs::read_to_string("/proc/sys/vm/nr_hugepages")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
-        if nr_hugepages == 0 {
-            assert!(!p.huge_active(), "no reserved hugepages, must fall back");
-        }
-        assert_eq!(p.handle().huge_active(), p.huge_active());
         let a = p.alloc_page().unwrap();
         let mid = layout.slot_bytes() / 2;
         // SAFETY: page_ptr of a page this test allocated; offsets stay inside

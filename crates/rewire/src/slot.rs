@@ -5,25 +5,17 @@
 //! requires that. A slot may span `2^k` consecutive base pages: the pool
 //! then allocates, frees and relocates `2^k`-page units, a [`crate::VirtArea`]
 //! "page" becomes a `2^k`-page window, and every `mmap` moves `2^k` pages at
-//! once. Larger slots cut the §3.2 hardware cost twice over:
-//!
-//! * **VMAs** — a directory of `s` slots costs at most `s` mappings
-//!   regardless of slot size, but the same number of *entries* needs
-//!   `2^k`-fold fewer slots, so the mapping footprint (and the pressure on
-//!   `vm.max_map_count`) shrinks by up to `2^k`.
-//! * **TLB reach** — each TLB entry then covers `2^k` pages of leaf data,
-//!   and at the 2 MB boundary the mapping can be backed by hardware
-//!   hugepages ([`crate::PoolConfig::huge_pages`]), collapsing a page-walk
-//!   level.
+//! once. Larger slots cut the §3.2 hardware cost: a directory of `s`
+//! slots costs at most `s` mappings regardless of slot size, but the same
+//! number of *entries* needs `2^k`-fold fewer slots, so the mapping
+//! footprint (and the pressure on `vm.max_map_count`) shrinks by up to
+//! `2^k`.
 //!
 //! `SlotLayout` is constructed once per pool and threaded through every
 //! layer; all byte arithmetic on slot indices goes through it.
 
 use crate::error::{Error, Result};
 use crate::page::{PAGE_SHIFT_4K, PAGE_SIZE_4K};
-
-/// Bytes in one 2 MB hardware hugepage (x86-64 PMD / aarch64 L2 block).
-pub const HUGE_PAGE_BYTES: usize = 2 << 20;
 
 /// The physical slot layout of a pool: a slot is `2^k` consecutive 4 KB
 /// base pages, allocated, rewired and relocated as one unit.
@@ -43,11 +35,10 @@ pub const HUGE_PAGE_BYTES: usize = 2 << 20;
 /// assert_eq!(big.pages_per_slot(), 16);
 /// assert_eq!(big.slot_bytes(), 64 * 1024);
 /// assert_eq!(big.slot_shift(), 16);         // byte offset = index << 16
-/// assert!(!big.reaches_huge_boundary());
 ///
-/// let huge = SlotLayout::new(9).unwrap();   // k = 9: 2 MB slots
-/// assert!(huge.reaches_huge_boundary());    // eligible for MFD_HUGETLB
-/// assert!(SlotLayout::new(10).is_err());    // capped at the 2 MB boundary
+/// let max = SlotLayout::new(9).unwrap();    // k = 9: 2 MB slots
+/// assert_eq!(max.slot_bytes(), 2 << 20);
+/// assert!(SlotLayout::new(10).is_err());    // capped at 2 MB
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotLayout {
@@ -56,9 +47,9 @@ pub struct SlotLayout {
 }
 
 impl SlotLayout {
-    /// Largest supported slot power: `2^9` pages = 2 MB, the hardware
-    /// hugepage size. Larger slots would not shrink the page-table walk
-    /// further and would waste half-empty buckets.
+    /// Largest supported slot power: `2^9` pages = 2 MB, the span of one
+    /// page-table page, so a slot-aligned slot never straddles two. Larger
+    /// slots would waste half-empty buckets.
     pub const MAX_SLOT_POWER: u32 = 9;
 
     /// A layout of `2^k`-page slots.
@@ -112,13 +103,6 @@ impl SlotLayout {
         index << self.slot_shift()
     }
 
-    /// Whether slots are large enough to be backed by 2 MB hardware
-    /// hugepages (`MFD_HUGETLB`).
-    #[inline]
-    pub const fn reaches_huge_boundary(self) -> bool {
-        self.slot_bytes() >= HUGE_PAGE_BYTES
-    }
-
     /// How many slots cover `bytes` (at least one) — the helper behind
     /// byte-denominated sizing floors ("grow by ≥ 256 KB", "reserve
     /// ≥ 16 MB of view") that must stay constant in bytes as the slot
@@ -158,7 +142,6 @@ mod tests {
         assert_eq!(l.slot_bytes(), PAGE_SIZE_4K);
         assert_eq!(l.slot_shift(), PAGE_SHIFT_4K);
         assert_eq!(l.byte_offset(3), 3 * PAGE_SIZE_4K);
-        assert!(!l.reaches_huge_boundary());
         assert_eq!(SlotLayout::default(), l);
     }
 
@@ -174,9 +157,8 @@ mod tests {
 
     #[test]
     fn huge_boundary_at_2mb() {
-        assert!(!SlotLayout::new(8).unwrap().reaches_huge_boundary());
-        assert!(SlotLayout::new(9).unwrap().reaches_huge_boundary());
-        assert_eq!(SlotLayout::new(9).unwrap().slot_bytes(), HUGE_PAGE_BYTES);
+        assert_eq!(SlotLayout::new(8).unwrap().slot_bytes(), 1 << 20);
+        assert_eq!(SlotLayout::new(9).unwrap().slot_bytes(), 2 << 20);
     }
 
     #[test]

@@ -82,9 +82,9 @@ pub fn zap_call() -> Option<ZapCall> {
 
 /// Reserve `len` bytes of anonymous memory whose base is aligned to
 /// `align` (a power of two, at least the system page size): over-reserve
-/// by `align`, then trim the unaligned head and the surplus tail. Needed
-/// because hugetlb `MAP_FIXED` rewires demand slot-aligned target
-/// addresses, which a plain `mmap(NULL, …)` reservation does not provide.
+/// by `align`, then trim the unaligned head and the surplus tail. With a
+/// slot-aligned base no slot straddles a page-table page (a slot is at
+/// most 2 MB), which a plain `mmap(NULL, …)` reservation does not provide.
 pub(crate) fn reserve_aligned(len: usize, align: usize, prot: libc::c_int) -> Result<*mut u8> {
     debug_assert!(align.is_power_of_two() && align >= page_size());
     let flags = libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE;
@@ -236,8 +236,7 @@ impl VirtArea {
     }
 
     /// Reserve `slots` slots of `layout.slot_bytes()` each. The base is
-    /// aligned to the slot size so hugetlb-backed pools can `MAP_FIXED`
-    /// into the area.
+    /// aligned to the slot size (see `reserve_aligned`).
     pub fn reserve_layout(slots: usize, layout: SlotLayout) -> Result<Self> {
         if slots == 0 {
             return Err(Error::invalid("cannot reserve an empty area"));

@@ -62,11 +62,7 @@
 //! * [`IndexBuilder::slot_pages`] sizes the physical slot (the bucket
 //!   and rewiring unit) as `2^k` base pages: larger slots hold `~2^k`
 //!   more entries per bucket, so the directory is `~2^k` shallower and
-//!   the mapping/TLB footprint shrinks by the same factor.
-//!   [`IndexBuilder::huge_pages`] opts into `MFD_HUGETLB` backing at the
-//!   2 MB boundary (`k = 9`), with a creation-time probe and clean
-//!   fallback to 4 KB-page slots
-//!   (`StatsSnapshot::huge_pages_active`).
+//!   the mapping footprint shrinks by the same factor (`k ≤ 9`, 2 MB).
 //! * [`IndexBuilder::vma_budget`] injects a private limit (tests, CI
 //!   stress); [`StatsSnapshot::vma`] reports the live/retired
 //!   mapping split ([`VmaSnapshot::live_vmas`]), the limit, and

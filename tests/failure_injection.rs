@@ -66,7 +66,7 @@ fn mapper_surfaces_bad_requests_as_errors() {
             ..MaintConfig::default()
         },
     );
-    let v = maint.state().bump_traditional();
+    let v = maint.inbox_lock().bump_traditional();
     // Create referencing a pool page that does not exist.
     maint.submit(MaintRequest::Create {
         slots: 2,
@@ -152,7 +152,7 @@ fn reclamation_never_unmaps_under_a_stale_read_ticket() {
         *(pool.page_ptr(l0) as *mut u64) = 0xDEAD_0001;
     }
 
-    let v1 = state.bump_traditional();
+    let v1 = engine.inbox_lock().bump_traditional();
     engine
         .apply_batch(vec![MaintRequest::Create {
             slots: 1,
@@ -168,7 +168,7 @@ fn reclamation_never_unmaps_under_a_stale_read_ticket() {
     let ticket = state.begin_read().expect("in sync");
 
     // A rebuild retires the 1-slot directory under the stalled reader.
-    let v2 = state.bump_traditional();
+    let v2 = engine.inbox_lock().bump_traditional();
     engine
         .apply_batch(vec![MaintRequest::Create {
             slots: 2,
@@ -229,7 +229,7 @@ fn stale_ticket_protection_is_identical_under_forced_dekker_fallback() {
         *(pool.page_ptr(l0) as *mut u64) = 0xDEAD_0002;
     }
 
-    let v1 = state.bump_traditional();
+    let v1 = engine.inbox_lock().bump_traditional();
     engine
         .apply_batch(vec![MaintRequest::Create {
             slots: 1,
@@ -242,7 +242,7 @@ fn stale_ticket_protection_is_identical_under_forced_dekker_fallback() {
     let pin = handle.retire_list().pin();
     let ticket = state.begin_read().expect("in sync");
 
-    let v2 = state.bump_traditional();
+    let v2 = engine.inbox_lock().bump_traditional();
     engine
         .apply_batch(vec![MaintRequest::Create {
             slots: 2,
