@@ -380,7 +380,6 @@ fn slot_pool_config(expected_entries: usize, layout: SlotLayout) -> PoolConfig {
     PoolConfig {
         initial_pages: 1,
         min_growth_pages: slots.clamp(growth_floor, 4096), // audit:allow(page-literal): growth clamp in pages (a count), not a byte size
-        shrink_threshold_pages: usize::MAX,
         view_capacity_pages: ((slots * 4).max(view_floor)).next_power_of_two(),
         slot_layout: layout,
         ..PoolConfig::default()

@@ -18,7 +18,6 @@ pub(crate) fn experiment_pool(pages: usize) -> PagePool {
     PagePool::new(PoolConfig {
         initial_pages: 0,
         min_growth_pages: pages.max(1),
-        shrink_threshold_pages: usize::MAX, // experiments never shrink
         view_capacity_pages: pages + 64,
         ..PoolConfig::default()
     })

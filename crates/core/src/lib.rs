@@ -10,9 +10,10 @@
 //! * [`ShortcutNode`] — the shortcut: a `k`-page virtual memory area whose
 //!   i-th page *is* the i-th leaf, via rewiring (Figure 1b).
 //! * [`maintenance`] — the asynchronous maintenance design of §4.1: a
-//!   lock-free FIFO queue of update/create requests, a mapper thread that
-//!   polls it (default every 25 ms), version numbers that gate when the
-//!   shortcut may serve reads, and the one serving word a read loads.
+//!   FIFO queue of update/create requests (a vector behind one mutex, one
+//!   version bump per relay), a mapper thread that polls it (default every
+//!   25 ms), version numbers that gate when the shortcut may serve reads,
+//!   and the one serving word a read loads.
 //! * [`route`] — the fan-in-based access-path choice of §3.2 (shortcut only
 //!   while average fan-in ≤ 8).
 

@@ -16,14 +16,16 @@
 //! A separate **mapper thread** polls the queue at a fixed interval (the
 //! paper found 25 ms to work well), executes requests, eagerly populates
 //! the page table, and only then stamps the shortcut's version — so no
-//! access through an in-sync shortcut ever takes a page fault. Readers see
-//! the stamp once the pass ends: under the queue's lock, which the write
-//! path bumps versions under too, the mapper sets the serving word
-//! ([`SharedDirectoryState::refresh_serving`]) if what it published is
-//! still the traditional version.
+//! access through an in-sync shortcut ever takes a page fault.
+//!
+//! **Relays.** A write hands its directory change over as one *relay*
+//! ([`InboxGuard::relay`]): one version bump and its requests, under the
+//! queue's lock. The mapper reads the version with the queue it takes and
+//! stamps that; at the pass's end, under the lock again, it serves what it
+//! published if that is still the traditional version.
 //!
 //! **Passes.** What the mapper finds queued when it wakes is one *pass*
-//! ([`MapperEngine::apply_batch`]): the last create, then the updates
+//! ([`MapperEngine::pass`]): the create at its head, then the updates
 //! behind it as one sorted list whose slots first lose their page-table
 //! entries through a vectored `MADV_DONTNEED`
 //! ([`shortcut_rewire::VirtArea::zap`]: one TLB shootdown per call, where
@@ -50,11 +52,10 @@
 
 use crate::metrics::{MaintMetrics, MaintSnapshot};
 use crate::shortcut_node::ShortcutNode;
-use crate::version::SharedDirectoryState;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use crate::version::{ReadLine, SharedDirectoryState};
 use shortcut_rewire::{Error, PageIdx, PoolHandle, Result, RetireList, ZapCall};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Mappings left unaccounted for the rest of the process (binary, heap,
@@ -117,26 +118,24 @@ pub fn service_census(assignments: &[(usize, PageIdx)], max_shift: u32) -> (usiz
 /// Queue length that wakes a parked mapper ahead of its tick.
 pub const WAKE_BACKLOG: usize = 512;
 
-/// A maintenance request, as pushed by the index's main thread.
+/// A directory change, as the index records it and relays it to the
+/// mapper ([`InboxGuard::relay`]).
 #[derive(Debug, Clone)]
 pub enum MaintRequest {
-    /// Remap one slot of the current shortcut (bucket split).
+    /// A bucket split redirected `slot`: remap it.
     Update {
         /// Slot to remap.
         slot: usize,
         /// Pool page of the bucket it must reference.
         ppage: PageIdx,
-        /// Traditional-directory version this update brings us to.
-        version: u64,
     },
-    /// Replace the shortcut with a fresh one (directory doubling).
+    /// The directory doubled, or its buckets moved (compaction): replace
+    /// the shortcut with a fresh one.
     Create {
         /// Slot count of the new directory.
         slots: usize,
         /// Complete `(slot, pool page)` assignment, sorted by slot.
         assignments: Vec<(usize, PageIdx)>,
-        /// Traditional-directory version this rebuild reflects.
-        version: u64,
     },
 }
 
@@ -225,7 +224,8 @@ fn next_mapper_seq() -> usize {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The payload of a [`MaintRequest::Create`]: `(slots, assignments, version)`.
+/// A [`MaintRequest::Create`] deferred, with the version of the last pass
+/// that folded into it: `(slots, assignments, version)`.
 type Rebuild = (usize, Vec<(usize, PageIdx)>, u64);
 
 /// The synchronous core of the mapper: applies requests to the shortcut it
@@ -275,11 +275,7 @@ impl MapperEngine {
         MapperEngine {
             pool,
             state,
-            shared: Arc::new(Shared {
-                inbox: Mutex::new(Inbox::default()),
-                wake: Condvar::new(),
-                done: Condvar::new(),
-            }),
+            shared: Arc::default(),
             metrics,
             cfg,
             current: None,
@@ -291,56 +287,88 @@ impl MapperEngine {
     }
 
     /// The inbox lock of this engine (see [`InboxGuard`]): what a test
-    /// that drives the engine without its thread bumps versions under.
+    /// that drives the engine without its thread relays under.
     pub fn inbox_lock(&self) -> InboxGuard<'_> {
         self.shared.lock(&self.state)
     }
 
-    /// Apply one pass's requests, honoring supersession: only the *last*
-    /// create is executed, updates older than it are discarded, and the
-    /// updates behind it are applied as one batch (one vectored zap per
-    /// [`shortcut_rewire::ZAP_BATCH`] slots, one publish). Returns the
-    /// number of requests consumed.
-    pub fn apply_batch(&mut self, batch: Vec<MaintRequest>) -> Result<usize> {
+    /// One pass, as the mapper thread runs it (a test without the thread
+    /// runs it by hand). Returns the number of requests consumed.
+    pub fn pass(&mut self) -> Result<usize> {
+        self.run_pass().1
+    }
+
+    /// One pass: take what is queued and the traditional version under the
+    /// inbox lock; apply them, then the reclaim tick (retired areas drain,
+    /// a deferred create is retried); then, under the lock again — which
+    /// it returns held — serve what the pass published and count it.
+    fn run_pass(&mut self) -> (MutexGuard<'_, Inbox>, Result<usize>) {
+        let (batch, version) = {
+            let mut inbox = self.shared.inbox();
+            inbox.demand = false;
+            inbox.in_pass = true;
+            (
+                std::mem::take(&mut inbox.queue),
+                self.state.traditional_version(),
+            )
+        };
+        let polls = if batch.is_empty() {
+            &self.metrics.idle_polls
+        } else {
+            &self.metrics.busy_polls
+        };
+        polls.add(1);
+        let pass = self
+            .apply_batch(batch, version)
+            .and_then(|n| self.reclaim_tick().map(|_| n));
+        let mut inbox = self.shared.inbox();
+        inbox.in_pass = false;
+        // Serve what the pass published if it is still the traditional
+        // version: compared and stored under the lock the write path bumps
+        // and a shard revokes its bias under, so neither falls in between.
+        // SAFETY: `inbox` holds that lock.
+        unsafe { self.state.refresh_serving() };
+        // Counted under the lock `wait_sync` reads the count under: who
+        // sees it sees what the pass published and whether it left the
+        // shortcut suspended.
+        self.metrics.passes.add(1);
+        self.shared.done.notify_all();
+        (inbox, pass)
+    }
+
+    /// Apply one pass's requests, taken at traditional `version`: the
+    /// create at the head of the queue, if any (a relay's create clears
+    /// what is queued ahead of it), then the updates behind it as one
+    /// batch (one vectored zap per [`shortcut_rewire::ZAP_BATCH`] slots,
+    /// one publish).
+    fn apply_batch(&mut self, batch: Vec<MaintRequest>, version: u64) -> Result<usize> {
         let n = batch.len();
-        let mut create = None;
-        let mut updates = Vec::new();
+        let mut updates = Vec::with_capacity(n);
         for req in batch {
             match req {
-                MaintRequest::Update {
-                    slot,
-                    ppage,
-                    version,
-                } => updates.push((slot, ppage, version)),
-                MaintRequest::Create {
-                    slots,
-                    assignments,
-                    version,
-                } => {
-                    self.metrics.updates_discarded.add(updates.len() as u64);
-                    updates.clear();
-                    create = Some((slots, assignments, version));
+                MaintRequest::Update { slot, ppage } => updates.push((slot, ppage)),
+                MaintRequest::Create { slots, assignments } => {
+                    debug_assert!(updates.is_empty(), "a create behind an update");
+                    self.apply_create(slots, assignments, version)?;
                 }
             }
         }
-        if let Some((slots, assignments, version)) = create {
-            self.apply_create(slots, assignments, version)?;
-        }
-        self.apply_updates(updates)?;
+        self.apply_updates(updates, version)?;
         Ok(n)
     }
 
-    /// Apply the updates of one pass, in FIFO order `(slot, page, version)`,
-    /// as **one** sorted, last-wins assignment list: zap, rewire, touch,
-    /// publish the last version once. The shortcut is out of sync from the
-    /// first of these versions until that publish (the writer bumped the
-    /// traditional version before relaying), so no reader takes an answer
-    /// from a slot this touches.
-    fn apply_updates(&mut self, updates: Vec<(usize, PageIdx, u64)>) -> Result<()> {
+    /// Apply the updates of one pass, in FIFO order, as **one** sorted,
+    /// last-wins assignment list: zap, rewire, touch, publish `version`
+    /// once. The shortcut is out of sync from the relay of the first of
+    /// them until that publish (the relay bumped the traditional version),
+    /// so no reader takes an answer from a slot this touches. A stale
+    /// update — one no directory of the engine resolves — is discarded,
+    /// and the pass then publishes nothing: the shortcut stays out of sync.
+    fn apply_updates(&mut self, updates: Vec<(usize, PageIdx)>, version: u64) -> Result<()> {
         let live_slots = self.current.as_ref().map_or(0, |n| n.slots());
         let mut batch: Vec<(usize, PageIdx)> = Vec::with_capacity(updates.len());
-        let mut last_version = 0;
-        for (slot, ppage, version) in updates {
+        let mut stale = false;
+        for (slot, ppage) in updates {
             // While a create is deferred (budget-skipped, awaiting
             // retry), updates describe the *deferred* directory — fold
             // them into its assignment vector rather than discarding
@@ -369,10 +397,10 @@ impl MapperEngine {
                 // node yet). Protocol-respecting producers never hit
                 // this; drop defensively.
                 self.metrics.updates_discarded.add(1);
+                stale = true;
                 continue;
             }
             batch.push((slot, ppage));
-            last_version = version;
         }
         let Some(node) = self.current.as_mut().filter(|_| !batch.is_empty()) else {
             return Ok(());
@@ -410,7 +438,11 @@ impl MapperEngine {
         self.metrics.updates_applied.add(applied);
         self.metrics.slots_rewired.add(batch.len() as u64);
         self.metrics.update_batches.add(1);
-        self.state.publish(node.base(), node.slots(), last_version);
+        if !stale {
+            // SAFETY: the live node maps its slots until `retire` hands it
+            // to the pool's retire list, whose pins readers hold.
+            unsafe { self.state.publish(node.base(), node.slots(), version) };
+        }
         Ok(())
     }
 
@@ -457,7 +489,8 @@ impl MapperEngine {
         self.metrics.slots_rewired.add(pub_assignments.len() as u64);
         self.metrics.create_mmap_calls.add(calls);
         self.published_shift = shift;
-        self.state.publish(node.base(), node.slots(), version);
+        // SAFETY: as in `apply_updates`: the node becomes the live one.
+        unsafe { self.state.publish(node.base(), node.slots(), version) };
         self.state.set_suspended(false);
         if let Some(old) = self.current.replace(node) {
             self.retire(old);
@@ -642,12 +675,6 @@ impl MapperEngine {
     pub fn current(&self) -> Option<&ShortcutNode> {
         self.current.as_ref()
     }
-
-    /// Number of retired, still mapped areas awaiting reader drain in the
-    /// pool's retire list.
-    pub fn retired_count(&self) -> usize {
-        self.pool.retire_list().retired_count()
-    }
 }
 
 /// What producers and the mapper hand each other, under one lock.
@@ -667,6 +694,7 @@ struct Inbox {
 }
 
 /// State shared between a [`Maintainer`] and its mapper thread.
+#[derive(Default)]
 struct Shared {
     inbox: Mutex<Inbox>,
     /// Wakes the parked mapper (demand, backlog, stop).
@@ -676,8 +704,14 @@ struct Shared {
 }
 
 impl Shared {
+    /// The inbox, locked. A panic while it was held poisons nothing: the
+    /// fields stay consistent between any two statements that hold it.
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn lock<'a>(&'a self, state: &'a SharedDirectoryState) -> InboxGuard<'a> {
-        let inbox = self.inbox.lock();
+        let inbox = self.inbox();
         InboxGuard {
             queued: inbox.queue.len(),
             inbox,
@@ -687,13 +721,12 @@ impl Shared {
     }
 }
 
-/// The inbox lock, held. Every store to the serving word and a shard's
-/// admission word is made under it, and the traditional version is bumped
-/// only through it: a bump outside it can fall between a pass-end
-/// [`SharedDirectoryState::refresh_serving`]'s compare and its store,
-/// which leaves the superseded directory served after the next pass
-/// retires it — to readers that pin after the reclaim scan unmapped it.
-/// Dropping a guard whose requests took the queue across
+/// The inbox lock, held: the one owner of the traditional version and of
+/// every store readers trust — the serving word and a shard's admission
+/// word. A bump outside it can fall between a pass-end refresh's compare
+/// and its store, which leaves the superseded directory served after the
+/// next pass retires it — to readers that pin after the reclaim scan
+/// unmapped it. Dropping a guard whose relays took the queue across
 /// [`WAKE_BACKLOG`] wakes a parked mapper.
 pub struct InboxGuard<'a> {
     inbox: MutexGuard<'a, Inbox>,
@@ -704,23 +737,44 @@ pub struct InboxGuard<'a> {
 }
 
 impl InboxGuard<'_> {
-    /// [`SharedDirectoryState::bump_traditional`], under this lock: the
-    /// shortcut leaves service until the mapper publishes the returned
-    /// version.
-    pub fn bump_traditional(&self) -> u64 {
-        // SAFETY: this guard holds the inbox lock every pass-end refresh
-        // of the state's serving word runs under.
-        unsafe { self.state.bump_traditional() }
+    /// Relay one directory change: bump the traditional version once —
+    /// the shortcut leaves service until a pass publishes it — and queue
+    /// `requests`. A create supersedes whatever is queued ahead of it (the
+    /// paper's main thread drops those right before pushing the create).
+    pub fn relay(&mut self, requests: impl IntoIterator<Item = MaintRequest>) {
+        // SAFETY: this guard holds the inbox lock every store of the
+        // state's serving word is made under.
+        unsafe { self.state.bump_traditional() };
+        for req in requests {
+            if matches!(req, MaintRequest::Create { .. }) {
+                self.inbox.queue.clear();
+            }
+            self.inbox.queue.push(req);
+        }
     }
 
-    /// Queue `req`. A create supersedes whatever is queued ahead of it
-    /// (the paper's main thread drops those right before pushing the
-    /// create).
-    pub fn submit(&mut self, req: MaintRequest) {
-        if matches!(req, MaintRequest::Create { .. }) {
-            self.inbox.queue.clear();
-        }
-        self.inbox.queue.push(req);
+    /// [`SharedDirectoryState::set_route_shortcut`], under this lock.
+    pub fn set_route_shortcut(&self, on: bool) {
+        // SAFETY: as in `relay`.
+        unsafe { self.state.set_route_shortcut(on) }
+    }
+
+    /// [`SharedDirectoryState::refresh_serving`], under this lock.
+    pub fn refresh_serving(&self) {
+        // SAFETY: as in `relay`.
+        unsafe { self.state.refresh_serving() }
+    }
+
+    /// [`SharedDirectoryState::rearm`], under this lock.
+    pub fn rearm(&self) {
+        // SAFETY: as in `relay`.
+        unsafe { self.state.rearm() }
+    }
+
+    /// [`SharedDirectoryState::attach_line`], under this lock.
+    pub fn attach_line(&self, lines: Arc<[ReadLine]>, i: usize) {
+        // SAFETY: as in `relay`.
+        unsafe { self.state.attach_line(lines, i) }
     }
 }
 
@@ -735,40 +789,16 @@ impl Drop for InboxGuard<'_> {
 
 /// The mapper thread: one pass per wake, then park.
 fn mapper_loop(mut engine: MapperEngine, shared: &Shared, poll: Duration) {
-    let metrics = Arc::clone(&engine.metrics);
     loop {
-        let batch = {
-            let mut inbox = shared.inbox.lock();
-            inbox.demand = false;
-            inbox.in_pass = true;
-            std::mem::take(&mut inbox.queue)
-        };
-        let polls = if batch.is_empty() {
-            &metrics.idle_polls
-        } else {
-            &metrics.busy_polls
-        };
-        polls.add(1);
-        // Every pass ends in a reclaim tick: retired areas drain, a
-        // deferred create is retried.
-        let pass = engine
-            .apply_batch(batch)
-            .and_then(|_| engine.reclaim_tick());
-        let mut inbox = shared.inbox.lock();
-        inbox.in_pass = false;
+        let (mut inbox, pass) = engine.run_pass();
         inbox.error = pass.err();
-        // Serve what the pass published if it is still the traditional
-        // version: compared and stored under the lock the write path bumps
-        // and a shard revokes its bias under, so neither falls in between.
-        engine.state.refresh_serving();
-        // Counted under the lock `wait_sync` reads the count under: who
-        // sees it sees what the pass published and whether it left the
-        // shortcut suspended.
-        metrics.passes.add(1);
-        shared.done.notify_all();
         let stop = |inbox: &Inbox| inbox.stop || inbox.error.is_some();
         if !(stop(&inbox) || inbox.demand) {
-            shared.wake.wait_for(&mut inbox, poll);
+            inbox = shared
+                .wake
+                .wait_timeout(inbox, poll)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         if stop(&inbox) {
             return;
@@ -792,12 +822,8 @@ pub struct Maintainer {
 impl Maintainer {
     /// Spawn the mapper thread over `pool`.
     pub fn spawn(pool: PoolHandle, cfg: MaintConfig) -> Self {
-        Self::spawn_on(pool, cfg, Arc::new(SharedDirectoryState::new()))
-    }
-
-    /// [`Maintainer::spawn`] publishing into a `state` the caller built.
-    pub fn spawn_on(pool: PoolHandle, cfg: MaintConfig, state: Arc<SharedDirectoryState>) -> Self {
         let poll = staggered_poll_interval(cfg.poll_interval, next_mapper_seq());
+        let state = Arc::new(SharedDirectoryState::new());
         let metrics = Arc::new(MaintMetrics::default());
         Self::start(MapperEngine::new(pool, state, metrics, cfg), poll)
     }
@@ -837,34 +863,23 @@ impl Maintainer {
         &self.state
     }
 
-    /// Enqueue a request.
-    pub fn submit(&self, req: MaintRequest) {
-        self.inbox_lock().submit(req);
-    }
-
-    /// The inbox lock (see [`InboxGuard`]): a relay's bumps and requests
-    /// go in under one hold of it, and a shard stores its admission word
-    /// under it (after taking its own lock).
+    /// The inbox lock (see [`InboxGuard`]): a relay goes in under one
+    /// hold of it, and a shard stores its admission word under it (after
+    /// taking its own lock).
     pub fn inbox_lock(&self) -> InboxGuard<'_> {
         self.shared.lock(&self.state)
     }
 
-    /// Drop all *pending* requests, as [`InboxGuard::submit`] does ahead
-    /// of a create. Returns how many were dropped.
-    pub fn drop_pending(&self) -> usize {
-        std::mem::take(&mut self.shared.inbox.lock().queue).len()
-    }
-
     /// Current queue length.
     pub fn pending(&self) -> usize {
-        self.shared.inbox.lock().queue.len()
+        self.shared.inbox().queue.len()
     }
 
     /// Passes the mapper has completed (apply, then reclaim tick). Read
     /// under the inbox lock, which orders it after what those passes
     /// published.
     pub fn passes(&self) -> u64 {
-        let _inbox = self.shared.inbox.lock();
+        let _inbox = self.shared.inbox();
         self.metrics.passes.get()
     }
 
@@ -875,13 +890,7 @@ impl Maintainer {
 
     /// First error the mapper hit, if any.
     pub fn error(&self) -> Option<Error> {
-        self.shared.inbox.lock().error.clone()
-    }
-
-    /// Whether the mapper skipped the latest rebuild because the directory
-    /// would not fit the VMA budget.
-    pub fn suspended(&self) -> bool {
-        self.state.suspended()
+        self.shared.inbox().error.clone()
     }
 
     /// Block until the shortcut is in sync with the traditional directory
@@ -899,7 +908,7 @@ impl Maintainer {
     /// back.
     pub fn wait_sync(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut inbox = self.shared.inbox.lock();
+        let mut inbox = self.shared.inbox();
         // Pass count from which a pass that began after our last look at
         // the state has completed; `None` before the first look.
         let mut awaited: Option<u64> = None;
@@ -932,7 +941,9 @@ impl Maintainer {
                 // A pass in flight took its queue before this look.
                 awaited = Some(passes + 1 + u64::from(inbox.in_pass));
             }
-            self.shared.done.wait_for(&mut inbox, deadline - now);
+            inbox = (self.shared.done.wait_timeout(inbox, deadline - now))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }
@@ -940,7 +951,7 @@ impl Maintainer {
 impl Drop for Maintainer {
     fn drop(&mut self) {
         {
-            let mut inbox = self.shared.inbox.lock();
+            let mut inbox = self.shared.inbox();
             inbox.stop = true;
             self.shared.wake.notify_one();
         }
@@ -956,9 +967,9 @@ mod pass_tests;
 
 #[cfg(test)]
 mod tests {
-    // An engine driven without its thread has no end of pass: a test that
-    // reads through the shortcut serves what it published by hand
-    // (`state.refresh_serving()`), which no bump races here.
+    // An engine driven without its thread runs its passes by hand
+    // (`MapperEngine::pass`), each ending as the thread's do: what it
+    // published is served.
     use super::*;
     use shortcut_rewire::{PagePool, PoolConfig, PAGE_SIZE_4K};
 
@@ -996,15 +1007,12 @@ mod tests {
         stamp(&pl, l0, 10);
         stamp(&pl, l1, 11);
 
-        let v = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l1)],
-            version: v,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         assert!(state.in_sync());
-        state.refresh_serving();
         let t = state.begin_read().unwrap();
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1031,24 +1039,17 @@ mod tests {
         stamp(&pl, l0, 10);
         stamp(&pl, l1, 11);
 
-        let v1 = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l0)],
-            version: v1,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
 
-        let v2 = eng.inbox_lock().bump_traditional();
+        eng.inbox_lock()
+            .relay([MaintRequest::Update { slot: 1, ppage: l1 }]);
         assert!(!state.in_sync());
-        eng.apply_batch(vec![MaintRequest::Update {
-            slot: 1,
-            ppage: l1,
-            version: v2,
-        }])
-        .unwrap();
+        eng.pass().unwrap();
         assert!(state.in_sync());
-        state.refresh_serving();
         let t = state.begin_read().unwrap();
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1073,33 +1074,22 @@ mod tests {
         let l0 = pl.alloc_page().unwrap();
         let l1 = pl.alloc_page().unwrap();
 
-        let v1 = eng.inbox_lock().bump_traditional();
-        let v2 = eng.inbox_lock().bump_traditional();
-        let v3 = eng.inbox_lock().bump_traditional();
-        // Updates for v1/v2 arrive together with the create for v3.
-        eng.apply_batch(vec![
-            MaintRequest::Update {
-                slot: 0,
-                ppage: l0,
-                version: v1,
-            },
-            MaintRequest::Update {
-                slot: 1,
-                ppage: l1,
-                version: v2,
-            },
-            MaintRequest::Create {
-                slots: 4,
-                assignments: vec![(0, l0), (1, l0), (2, l1), (3, l1)],
-                version: v3,
-            },
-        ])
-        .unwrap();
+        // Two relays of updates, then one of a create: the create drops
+        // them from the queue, and the pass sees the create alone.
+        eng.inbox_lock()
+            .relay([MaintRequest::Update { slot: 0, ppage: l0 }]);
+        eng.inbox_lock()
+            .relay([MaintRequest::Update { slot: 1, ppage: l1 }]);
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 4,
+            assignments: vec![(0, l0), (1, l0), (2, l1), (3, l1)],
+        }]);
+        assert_eq!(eng.shared.inbox().queue.len(), 1);
+        assert_eq!(eng.pass().unwrap(), 1);
         let s = metrics.snapshot();
-        assert_eq!(s.updates_discarded, 2);
+        assert_eq!(s.updates_discarded, 0);
         assert_eq!(s.creates_applied, 1);
         assert!(state.in_sync());
-        state.refresh_serving();
         assert_eq!(state.begin_read().unwrap().slots, 4);
     }
 
@@ -1118,23 +1108,14 @@ mod tests {
         let l1 = pl.alloc_page().unwrap();
         stamp(&pl, l1, 42);
 
-        let v1 = eng.inbox_lock().bump_traditional();
-        let v2 = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![
-            MaintRequest::Create {
-                slots: 2,
-                assignments: vec![(0, l0), (1, l0)],
-                version: v1,
-            },
-            MaintRequest::Update {
-                slot: 1,
-                ppage: l1,
-                version: v2,
-            },
-        ])
-        .unwrap();
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 2,
+            assignments: vec![(0, l0), (1, l0)],
+        }]);
+        eng.inbox_lock()
+            .relay([MaintRequest::Update { slot: 1, ppage: l1 }]);
+        eng.pass().unwrap();
         assert!(state.in_sync());
-        state.refresh_serving();
         let t = state.begin_read().unwrap();
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1158,29 +1139,24 @@ mod tests {
         let l0 = pl.alloc_page().unwrap();
         stamp(&pl, l0, 7);
 
-        let v1 = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 1,
             assignments: vec![(0, l0)],
-            version: v1,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         // A reader pins, takes its ticket, and is about to dereference.
         let pin = handle.retire_list().pin();
-        state.refresh_serving();
         let old_base = state.begin_read().unwrap().base;
 
-        let v2 = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l0)],
-            version: v2,
-        }])
-        .unwrap();
-        assert_eq!(eng.retired_count(), 1);
+        }]);
+        eng.pass().unwrap();
+        assert_eq!(eng.pool.retire_list().retired_count(), 1);
         // Reclamation must not unmap under the outstanding pin.
         assert_eq!(eng.reclaim_tick().unwrap(), 0);
-        assert_eq!(eng.retired_count(), 1);
+        assert_eq!(eng.pool.retire_list().retired_count(), 1);
         // The old base is still readable (stale but mapped).
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1190,7 +1166,7 @@ mod tests {
         // Once the reader drains, the next tick reclaims the area.
         drop(pin);
         assert_eq!(eng.reclaim_tick().unwrap(), 1);
-        assert_eq!(eng.retired_count(), 0);
+        assert_eq!(eng.pool.retire_list().retired_count(), 0);
         assert_eq!(handle.retire_list().counters().1, 1);
     }
 
@@ -1220,24 +1196,20 @@ mod tests {
         let l0 = pl.alloc_page().unwrap();
 
         // A small directory fits.
-        let v1 = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l0)],
-            version: v1,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         assert!(state.in_sync());
         assert!(!state.suspended());
 
         // A 64-slot fan-in-64 directory (64 unmergeable VMAs) does not.
-        let v2 = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 64,
             assignments: (0..64).map(|s| (s, l0)).collect(),
-            version: v2,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         assert!(state.suspended());
         assert!(!state.in_sync());
         assert_eq!(metrics.snapshot().creates_skipped, 1);
@@ -1245,7 +1217,7 @@ mod tests {
         // The stale current node was retired and (no readers) reclaimed on
         // the next tick, so the budget drops back to the pool view alone.
         eng.reclaim_tick().unwrap();
-        assert_eq!(eng.retired_count(), 0);
+        assert_eq!(eng.pool.retire_list().retired_count(), 0);
         assert!(handle.budget().in_use() <= 2 + 1);
     }
 
@@ -1278,25 +1250,21 @@ mod tests {
         stamp(&pl, l0, 70);
         stamp(&pl, l1, 71);
 
-        let v1 = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l0)],
-            version: v1,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         assert!(state.in_sync());
 
         // A reader stalls mid-read; the 6-slot rebuild (worst case 6
         // VMAs) does not fit while the old directory cannot be reclaimed.
         let pin = handle.retire_list().pin();
-        let v2 = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 6,
             assignments: (0..6).map(|s| (s, l0)).collect(),
-            version: v2,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         assert!(state.suspended());
         // The skip is transient (a pinned reader stalled reclamation), so
         // it is counted as deferred, not as a genuine suspension.
@@ -1307,13 +1275,9 @@ mod tests {
         // must be folded into the deferred assignments, not discarded —
         // otherwise the retry would publish a stale slot that a later
         // version-restoring update could legitimize.
-        let v3 = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Update {
-            slot: 3,
-            ppage: l1,
-            version: v3,
-        }])
-        .unwrap();
+        eng.inbox_lock()
+            .relay([MaintRequest::Update { slot: 3, ppage: l1 }]);
+        eng.pass().unwrap();
         assert_eq!(metrics.snapshot().updates_discarded, 0);
 
         // Pin still held: the tick reclaims nothing and must not retry.
@@ -1327,7 +1291,7 @@ mod tests {
         assert_eq!(eng.reclaim_tick().unwrap(), 1);
         assert!(!state.suspended());
         assert!(state.in_sync());
-        state.refresh_serving();
+        eng.inbox_lock().refresh_serving();
         let t = state.begin_read().unwrap();
         // The descriptor publishes a depth: of 6 slots, hashes reach 4.
         assert_eq!(t.slots, 4);
@@ -1376,13 +1340,11 @@ mod tests {
                 },
             );
             let run = pl.alloc_run(64).unwrap();
-            let v = eng.inbox_lock().bump_traditional();
-            eng.apply_batch(vec![MaintRequest::Create {
+            eng.inbox_lock().relay([MaintRequest::Create {
                 slots: 64,
                 assignments: (0..64).map(|s| (s, PageIdx(run.0 + s))).collect(),
-                version: v,
-            }])
-            .unwrap();
+            }]);
+            eng.pass().unwrap();
             assert_eq!(
                 state.in_sync(),
                 expect_applied,
@@ -1423,17 +1385,14 @@ mod tests {
         for i in 0..8 {
             stamp(&pl, PageIdx(run.0 + i), 500 + i as u64);
         }
-        let v = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 16,
             assignments: (0..16).map(|s| (s, PageIdx(run.0 + s / 2))).collect(),
-            version: v,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         assert!(state.in_sync(), "coarse publish must keep the shortcut up");
         assert!(!state.suspended());
         assert_eq!(metrics.snapshot().creates_coarse, 1);
-        state.refresh_serving();
         let t = state.begin_read().unwrap();
         assert_eq!(t.slots, 8, "published at half depth");
         for i in 0..8 {
@@ -1452,16 +1411,13 @@ mod tests {
         let fresh = pl.alloc_run(1).unwrap();
         stamp(&pl, fresh, 999);
         for fine_slot in [14usize, 15] {
-            let v = eng.inbox_lock().bump_traditional();
-            eng.apply_batch(vec![MaintRequest::Update {
+            eng.inbox_lock().relay([MaintRequest::Update {
                 slot: fine_slot,
                 ppage: fresh,
-                version: v,
-            }])
-            .unwrap();
+            }]);
+            eng.pass().unwrap();
         }
         assert!(state.in_sync());
-        state.refresh_serving();
         let t = state.begin_read().unwrap();
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1541,16 +1497,13 @@ mod tests {
         for (i, s) in (12..16).enumerate() {
             assignments.push((s, pages[2 + i])); // four depth-4 buckets
         }
-        let v = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 16,
             assignments,
-            version: v,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         assert!(state.in_sync());
         assert!(!state.suspended());
-        state.refresh_serving();
         let t = state.begin_read().unwrap();
         assert_eq!(
             t.slots, 4,
@@ -1586,13 +1539,11 @@ mod tests {
             MaintConfig::default(),
         );
         let l0 = pl.alloc_page().unwrap();
-        let v = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Create {
+        eng.inbox_lock().relay([MaintRequest::Create {
             slots: 64,
             assignments: (0..64).map(|s| (s, l0)).collect(),
-            version: v,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         assert!(state.suspended());
         assert_eq!(metrics.snapshot().creates_skipped, 1);
         assert_eq!(metrics.snapshot().creates_deferred, 0);
@@ -1609,15 +1560,66 @@ mod tests {
             Arc::clone(&metrics),
             MaintConfig::default(),
         );
-        let v = eng.inbox_lock().bump_traditional();
-        eng.apply_batch(vec![MaintRequest::Update {
+        eng.inbox_lock().relay([MaintRequest::Update {
             slot: 0,
             ppage: PageIdx(0),
-            version: v,
-        }])
-        .unwrap();
+        }]);
+        eng.pass().unwrap();
         assert_eq!(metrics.snapshot().updates_discarded, 1);
         assert!(!state.in_sync());
+    }
+
+    #[test]
+    fn two_relays_and_one_pass_publish_the_second_relays_version() {
+        let mut pl = pool();
+        let state = Arc::new(SharedDirectoryState::new());
+        let mut eng = MapperEngine::new(
+            pl.handle(),
+            Arc::clone(&state),
+            Arc::default(),
+            MaintConfig::default(),
+        );
+        let (l0, l1) = (pl.alloc_page().unwrap(), pl.alloc_page().unwrap());
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 2,
+            assignments: vec![(0, l0), (1, l0)],
+        }]);
+        let first = state.traditional_version();
+        eng.inbox_lock()
+            .relay([MaintRequest::Update { slot: 1, ppage: l1 }]);
+        assert_eq!(state.traditional_version(), first + 1, "one bump a relay");
+        eng.pass().unwrap();
+        assert_eq!(state.shortcut_version(), first + 1);
+        assert!(state.begin_read().is_some(), "served");
+    }
+
+    #[test]
+    fn a_pass_whose_only_update_is_stale_stays_out_of_sync() {
+        let mut pl = pool();
+        let state = Arc::new(SharedDirectoryState::new());
+        let metrics = Arc::new(MaintMetrics::default());
+        let mut eng = MapperEngine::new(
+            pl.handle(),
+            Arc::clone(&state),
+            Arc::clone(&metrics),
+            MaintConfig::default(),
+        );
+        let l0 = pl.alloc_page().unwrap();
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 2,
+            assignments: vec![(0, l0), (1, l0)],
+        }]);
+        eng.pass().unwrap();
+        let published = state.shortcut_version();
+        // Slot 5 of a 2-slot directory: no producer that keeps the
+        // protocol sends it.
+        eng.inbox_lock()
+            .relay([MaintRequest::Update { slot: 5, ppage: l0 }]);
+        eng.pass().unwrap();
+        assert_eq!(metrics.snapshot().updates_discarded, 1);
+        assert_eq!(state.shortcut_version(), published, "published nothing");
+        assert!(!state.in_sync());
+        assert!(state.begin_read().is_none());
     }
 
     #[test]
@@ -1670,12 +1672,10 @@ mod tests {
                 ..MaintConfig::default()
             },
         );
-        let v = m.inbox_lock().bump_traditional();
-        m.submit(MaintRequest::Create {
+        m.inbox_lock().relay([MaintRequest::Create {
             slots: 2,
             assignments: vec![(0, l0), (1, l1)],
-            version: v,
-        });
+        }]);
         assert!(m.wait_sync(Duration::from_secs(5)), "mapper never synced");
         let t = m.state().begin_read().unwrap();
         // SAFETY: t.base is the directory the ticket published; offsets stay
@@ -1702,20 +1702,14 @@ mod tests {
                 ..MaintConfig::default()
             },
         );
-        let v = m.inbox_lock().bump_traditional();
-        m.submit(MaintRequest::Create {
+        m.inbox_lock().relay([MaintRequest::Create {
             slots: 8,
             assignments: (0..8).map(|i| (i, pages[0])).collect(),
-            version: v,
-        });
+        }]);
         // Stream of split-style updates.
         for (i, p) in pages.iter().enumerate() {
-            let v = m.inbox_lock().bump_traditional();
-            m.submit(MaintRequest::Update {
-                slot: i,
-                ppage: *p,
-                version: v,
-            });
+            m.inbox_lock()
+                .relay([MaintRequest::Update { slot: i, ppage: *p }]);
         }
         assert!(m.wait_sync(Duration::from_secs(5)));
         let t = m.state().begin_read().unwrap();
@@ -1733,30 +1727,5 @@ mod tests {
         let s = m.metrics();
         assert_eq!(s.creates_applied, 1);
         assert!(s.updates_applied + s.updates_discarded >= 8);
-    }
-
-    #[test]
-    fn drop_pending_empties_queue() {
-        let pl = pool();
-        let m = Maintainer::spawn(
-            pl.handle(),
-            MaintConfig {
-                // Long interval so requests stay queued.
-                poll_interval: Duration::from_secs(60),
-                ..MaintConfig::default()
-            },
-        );
-        // The first pass is over: the mapper sits out its minute, and
-        // five requests are no backlog.
-        pass_tests::wait_until("the first pass", || m.passes() == 1);
-        for i in 0..5 {
-            m.submit(MaintRequest::Update {
-                slot: i,
-                ppage: PageIdx(0),
-                version: i as u64 + 1,
-            });
-        }
-        assert_eq!(m.drop_pending(), 5);
-        assert_eq!(m.pending(), 0);
     }
 }

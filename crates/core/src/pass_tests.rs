@@ -11,7 +11,7 @@ use std::sync::atomic::AtomicBool;
 
 /// Spin (yielding) until `cond` holds; a generous bound turns a hang into
 /// a failure. No sleep: nothing here may depend on a tick.
-pub(super) fn wait_until(what: &str, cond: impl Fn() -> bool) {
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
@@ -120,29 +120,29 @@ fn rig(k: u32, limit: Option<usize>, compaction: bool, zap: Option<ZapCall>) -> 
     }
 }
 
+fn create(dir: &[PageIdx]) -> MaintRequest {
+    MaintRequest::Create {
+        slots: dir.len(),
+        assignments: dir.iter().copied().enumerate().collect(),
+    }
+}
+
 impl Rig {
-    fn create(&self, dir: &[PageIdx]) -> MaintRequest {
-        MaintRequest::Create {
-            slots: dir.len(),
-            assignments: dir.iter().copied().enumerate().collect(),
-            version: self.eng.inbox_lock().bump_traditional(),
-        }
+    /// `req` as one relay of its own.
+    fn relay(&self, req: MaintRequest) {
+        self.eng.inbox_lock().relay([req]);
     }
 
-    fn update(&self, slot: usize, ppage: PageIdx) -> MaintRequest {
-        MaintRequest::Update {
-            slot,
-            ppage,
-            version: self.eng.inbox_lock().bump_traditional(),
-        }
+    /// [`Rig::relay`] of a split's update.
+    fn update(&self, slot: usize, ppage: PageIdx) {
+        self.relay(MaintRequest::Update { slot, ppage });
     }
 
     /// What a lookup of each published slot answers: the stamp of the
-    /// page behind it, read through the published base once the end of
-    /// the (threadless) pass has served it.
+    /// page behind it, read through the published base once it is served.
     fn answers(&self) -> Vec<u64> {
         assert!(self.state.in_sync(), "not in sync");
-        self.state.refresh_serving();
+        self.eng.inbox_lock().refresh_serving();
         let t = self.state.begin_read().expect("in sync");
         let node = self.eng.current().expect("published");
         assert_eq!(t.base, node.base());
@@ -162,19 +162,18 @@ fn a_wake_of_2000_updates_is_one_zapped_batch_and_one_publish() {
     const DISTINCT: usize = 700;
     let mut r = rig(0, None, false, Some(counted));
     let mut dir = vec![r.pages[0]; SLOTS];
-    r.eng.apply_batch(vec![r.create(&dir)]).unwrap();
+    r.relay(create(&dir));
+    r.eng.pass().unwrap();
     let before = r.metrics.snapshot();
     let calls_before = zap_calls();
     // 37 is a unit mod 700: 2000 updates land on exactly 700 slots, the
     // later ones overwriting the earlier.
-    let batch: Vec<MaintRequest> = (0..2000)
-        .map(|i| {
-            let (slot, page) = (i * 37 % DISTINCT, r.pages[i * 13 % PAGES]);
-            dir[slot] = page;
-            r.update(slot, page)
-        })
-        .collect();
-    assert_eq!(r.eng.apply_batch(batch).unwrap(), 2000);
+    for i in 0..2000 {
+        let (slot, page) = (i * 37 % DISTINCT, r.pages[i * 13 % PAGES]);
+        dir[slot] = page;
+        r.update(slot, page);
+    }
+    assert_eq!(r.eng.pass().unwrap(), 2000);
     let after = r.metrics.snapshot();
     assert_eq!(
         zap_calls() - calls_before,
@@ -187,7 +186,7 @@ fn a_wake_of_2000_updates_is_one_zapped_batch_and_one_publish() {
         after.pages_populated - before.pages_populated,
         DISTINCT as u64
     );
-    // One batch is one publish, of the last version queued.
+    // One batch is one publish, of the last relay's version.
     assert_eq!(after.update_batches - before.update_batches, 1);
     assert_eq!(r.state.shortcut_version(), r.state.traditional_version());
     let want: Vec<u64> = dir.iter().map(|&p| stamp_of(p)).collect();
@@ -200,16 +199,15 @@ fn a_failing_vectored_call_costs_speed_and_nothing_else() {
     // (unsupported), at its first use (refused), or half way (short).
     let script = |r: &mut Rig| {
         let mut dir = vec![r.pages[1]; 64];
-        r.eng.apply_batch(vec![r.create(&dir)]).unwrap();
+        r.relay(create(&dir));
+        r.eng.pass().unwrap();
         for pass in 0..3 {
-            let batch: Vec<MaintRequest> = (0..100)
-                .map(|i| {
-                    let (slot, page) = ((i * 29 + pass) % 64, r.pages[(i * 7 + pass) % PAGES]);
-                    dir[slot] = page;
-                    r.update(slot, page)
-                })
-                .collect();
-            r.eng.apply_batch(batch).unwrap();
+            for i in 0..100 {
+                let (slot, page) = ((i * 29 + pass) % 64, r.pages[(i * 7 + pass) % PAGES]);
+                dir[slot] = page;
+                r.update(slot, page);
+            }
+            r.eng.pass().unwrap();
         }
         dir.iter().map(|&p| stamp_of(p)).collect::<Vec<u64>>()
     };
@@ -259,9 +257,9 @@ enum Scenario {
     Coarse,
 }
 
-/// Run `steps` through an engine, `pass_len` requests per pass. Returns
-/// what the published slots answer, what the directory says they should,
-/// the node's VMA estimate and the counters.
+/// Run `steps` through an engine, one relay each, a pass every `pass_len`
+/// relays. Returns what the published slots answer, what the directory
+/// says they should, the node's VMA estimate and the counters.
 fn run_script(
     k: u32,
     scenario: Scenario,
@@ -285,28 +283,23 @@ fn run_script(
     // What each published slot maps: the directory itself at full depth,
     // the sibling updated last on a coarse slot.
     let mut published: Vec<PageIdx> = dir.iter().copied().step_by(1 << shift).collect();
-    let mut requests = vec![r.create(&dir)];
-    for &(kind, a, b) in steps {
+    r.relay(create(&dir));
+    for (i, &(kind, a, b)) in steps.iter().enumerate() {
+        if (i + 1) % pass_len == 0 {
+            r.eng.pass().unwrap();
+        }
         if kind >= 236 && dir.len() < 64 && shift == 0 {
             dir = dir.iter().flat_map(|&p| [p, p]).collect();
             published = dir.clone();
-            requests.push(r.create(&dir));
+            r.relay(create(&dir));
         } else {
             let (slot, page) = (a as usize % dir.len(), r.pages[b as usize % PAGES]);
             dir[slot] = page;
             published[slot >> shift] = page;
-            requests.push(r.update(slot, page));
+            r.update(slot, page);
         }
     }
-    let mut requests = requests.into_iter();
-    loop {
-        let pass: Vec<MaintRequest> = requests.by_ref().take(pass_len).collect();
-        if pass.is_empty() {
-            break;
-        }
-        r.eng.apply_batch(pass).unwrap();
-        r.eng.reclaim_tick().unwrap();
-    }
+    r.eng.pass().unwrap();
     drop(pin);
     r.eng.reclaim_tick().unwrap();
     (
@@ -358,12 +351,7 @@ fn parked_maintainer(pool: &PagePool, zap: Option<ZapCall>) -> Maintainer {
 fn a_demand_on_a_parked_mapper_gets_one_pass_and_no_tick() {
     let r = rig(0, None, false, None);
     let m = parked_maintainer(&r.pool, Some(counted));
-    let v = m.inbox_lock().bump_traditional();
-    m.submit(MaintRequest::Create {
-        slots: 2,
-        assignments: vec![(0, r.pages[0]), (1, r.pages[1])],
-        version: v,
-    });
+    m.inbox_lock().relay([create(&[r.pages[0], r.pages[1]])]);
     assert_eq!(m.passes(), 1, "a lone request wakes nobody");
     assert!(m.wait_sync(Duration::from_secs(60)), "demand went unheard");
     assert_eq!(m.passes(), 2, "the pass the demand started");
@@ -393,30 +381,23 @@ unsafe fn gated(ranges: &[ZapRange]) -> isize {
 fn a_demand_made_mid_pass_is_answered_by_the_next_pass() {
     let r = rig(0, None, false, None);
     let m = parked_maintainer(&r.pool, Some(gated));
-    let update = |slot: usize, ppage: PageIdx| MaintRequest::Update {
-        slot,
-        ppage,
-        version: m.inbox_lock().bump_traditional(),
+    let update = |slot: usize, ppage: PageIdx| {
+        m.inbox_lock().relay([MaintRequest::Update { slot, ppage }]);
     };
-    let v = m.inbox_lock().bump_traditional();
-    m.submit(MaintRequest::Create {
-        slots: 2,
-        assignments: vec![(0, r.pages[0]), (1, r.pages[0])],
-        version: v,
-    });
+    m.inbox_lock().relay([create(&[r.pages[0]; 2])]);
     assert!(m.wait_sync(Duration::from_secs(60)));
     assert_eq!(m.passes(), 2);
     std::thread::scope(|s| {
         // Pass 3 takes the first update and stops at the gate.
-        m.submit(update(0, r.pages[1]));
+        update(0, r.pages[1]);
         let first = s.spawn(|| m.wait_sync(Duration::from_secs(60)));
         wait_until("the mapper at the gate", || {
             GATE_ENTERED.load(Ordering::Acquire)
         });
         // Queued behind a pass that already has its batch.
-        m.submit(update(1, r.pages[2]));
+        update(1, r.pages[2]);
         let second = s.spawn(|| m.wait_sync(Duration::from_secs(60)));
-        wait_until("the second demand", || m.shared.inbox.lock().demand);
+        wait_until("the second demand", || m.shared.inbox().demand);
         assert_eq!(m.passes(), 2, "pass 3 is still at the gate");
         GATE_OPEN.store(true, Ordering::Release);
         assert!(first.join().unwrap());
@@ -444,28 +425,18 @@ fn a_demand_made_mid_pass_is_answered_by_the_next_pass() {
 fn the_relay_that_crosses_the_backlog_wakes_a_parked_mapper_once() {
     let r = rig(0, None, false, None);
     let m = parked_maintainer(&r.pool, Some(counted));
-    let v = m.inbox_lock().bump_traditional();
-    m.submit(MaintRequest::Create {
-        slots: 1024,
-        assignments: (0..1024).map(|s| (s, r.pages[0])).collect(),
-        version: v,
-    });
+    m.inbox_lock().relay([create(&[r.pages[0]; 1024])]);
     assert!(m.wait_sync(Duration::from_secs(60)));
     let before = m.metrics();
-    // One relay: every bump and request under one hold of the lock.
+    // One relay: one bump and the requests, under one hold of the lock.
     let relay = |slots: std::ops::Range<usize>| {
-        let mut inbox = m.inbox_lock();
-        for slot in slots {
-            let version = inbox.bump_traditional();
-            inbox.submit(MaintRequest::Update {
-                slot,
-                ppage: r.pages[1 + slot % 7],
-                version,
-            });
-        }
+        m.inbox_lock().relay(slots.map(|slot| MaintRequest::Update {
+            slot,
+            ppage: r.pages[1 + slot % 7],
+        }));
     };
     relay(0..WAKE_BACKLOG - 1);
-    assert!(!m.shared.inbox.lock().demand, "one short of a backlog");
+    assert!(!m.shared.inbox().demand, "one short of a backlog");
     assert_eq!(m.passes(), before.passes);
     relay(WAKE_BACKLOG - 1..WAKE_BACKLOG + 1);
     wait_until("the pass the backlog started", || {

@@ -9,10 +9,11 @@
 //!
 //! Readers do not compare the versions: they load one **serving word**,
 //! which holds the published `base | depth` exactly while the shortcut may
-//! answer (versions equal, routing on) and is null otherwise. A bump
-//! clears it ([`SharedDirectoryState::bump_traditional`]); only the mapper
-//! sets it, at the end of a pass and under the lock every racing bump
-//! holds too ([`SharedDirectoryState::refresh_serving`]). A read section
+//! answer (versions equal, routing on) and is null otherwise. A relay's
+//! bump clears it; only the mapper sets it, at the end of a pass. Both,
+//! and every other store a reader trusts, are made under the mapper's
+//! inbox lock, held as an [`InboxGuard`](crate::InboxGuard): the state's
+//! own forms of them are `unsafe`, there for the model checks. A read section
 //! excludes every bump, so a reader inside one loads the word once and
 //! never validates (CONCURRENCY.md §2); a biased one reads its copy on the
 //! shard's [`ReadLine`] (§4). [`SharedDirectoryState::begin_read`]
@@ -183,8 +184,15 @@ impl SharedDirectoryState {
     }
 
     /// Mirror the serving word to `lines[i]`'s admission word from now on.
-    /// Once, under the inbox lock.
-    pub fn attach_line(&self, lines: Arc<[ReadLine]>, i: usize) {
+    ///
+    /// # Safety
+    ///
+    /// As [`SharedDirectoryState::bump_traditional`].
+    ///
+    /// # Panics
+    ///
+    /// If a line is attached already.
+    pub unsafe fn attach_line(&self, lines: Arc<[ReadLine]>, i: usize) {
         assert!(self.line.set((lines, i)).is_ok(), "a read line is attached");
         self.serve(self.serving.load(Ordering::Acquire));
     }
@@ -193,9 +201,13 @@ impl SharedDirectoryState {
         self.line.get().map(|(lines, i)| &lines[*i])
     }
 
-    /// Arm the attached line's bias with the serving word, under the
-    /// shard's read lock and the inbox lock.
-    pub fn rearm(&self) {
+    /// Arm the attached line's bias with the serving word, holding the
+    /// shard's read lock.
+    ///
+    /// # Safety
+    ///
+    /// As [`SharedDirectoryState::bump_traditional`].
+    pub unsafe fn rearm(&self) {
         if let Some(line) = self.line() {
             line.bias.rearm(self.serving.load(Ordering::Acquire));
         }
@@ -213,8 +225,11 @@ impl SharedDirectoryState {
     /// Turning it off clears the serving word (a clear is always safe: it
     /// only sends readers to the traditional directory); turning it on
     /// takes effect at the next [`SharedDirectoryState::refresh_serving`].
-    /// The write path decides in the relay that also bumps the version.
-    pub fn set_route_shortcut(&self, on: bool) {
+    ///
+    /// # Safety
+    ///
+    /// As [`SharedDirectoryState::bump_traditional`].
+    pub unsafe fn set_route_shortcut(&self, on: bool) {
         self.route_shortcut.store(on, Ordering::Release);
         if !on {
             self.serve(ptr::null_mut());
@@ -235,7 +250,7 @@ impl SharedDirectoryState {
 
     /// Record whether shortcut maintenance is suspended by the VMA budget
     /// (set by the mapper thread only).
-    pub fn set_suspended(&self, suspended: bool) {
+    pub(crate) fn set_suspended(&self, suspended: bool) {
         self.suspended.store(suspended, Ordering::Release);
     }
 
@@ -249,17 +264,19 @@ impl SharedDirectoryState {
 
     /// Record a modification of the traditional directory, taking the
     /// shortcut out of service until the mapper has published it; returns
-    /// the new version (to be attached to the maintenance request). The
-    /// safe way in is [`InboxGuard::bump_traditional`](crate::InboxGuard::bump_traditional).
+    /// the new version. The safe way in to this and every other store of
+    /// the serving word is a method of the held inbox lock
+    /// ([`InboxGuard`](crate::InboxGuard)).
     ///
     /// # Safety
     ///
-    /// No [`SharedDirectoryState::refresh_serving`] of this state may run
-    /// concurrently: the caller holds the lock every refresh runs under
-    /// (a mapper's inbox lock), or is the only thread that refreshes. A
-    /// bump between a refresh's compare and its store leaves a superseded
-    /// directory served, which the next pass retires and a reclaim
-    /// unmaps under readers that pin after its scan.
+    /// No other store of the serving word — a refresh, a bump, a routing
+    /// change, a re-arm, an attach — runs concurrently: the caller holds
+    /// the lock they are all made under (a mapper's inbox lock), or is
+    /// the only thread that makes them. A bump between a refresh's compare
+    /// and its store leaves a superseded directory served, which the next
+    /// pass retires and a reclaim unmaps under readers that pin after its
+    /// scan.
     pub unsafe fn bump_traditional(&self) -> u64 {
         self.serve(ptr::null_mut());
         self.traditional_version.fetch_add(1, Ordering::AcqRel) + 1
@@ -288,12 +305,18 @@ impl SharedDirectoryState {
     /// finds it in sync. Readers address the largest power of two of the
     /// slots, which is all a hash-addressed directory has.
     ///
+    /// # Safety
+    ///
+    /// `base` maps `slots` live slots until it is retired through the
+    /// retire list whose pins this state's readers hold: a refresh serves
+    /// it to readers that dereference it under such a pin.
+    ///
     /// # Panics
     ///
     /// On a null `base` or a zero `version` (the type's invariant), a
     /// `base` that is not 64-byte aligned (a mapped area is page aligned)
     /// or no slots.
-    pub fn publish(&self, base: *mut u8, slots: usize, version: u64) {
+    pub unsafe fn publish(&self, base: *mut u8, slots: usize, version: u64) {
         assert!(!base.is_null() && version != 0);
         assert_eq!(base.addr() % BASE_ALIGN, 0, "unaligned shortcut base");
         self.published.store(pack(base, slots), Ordering::Release);
@@ -302,10 +325,14 @@ impl SharedDirectoryState {
 
     /// Set the serving word to the published directory if it may serve
     /// reads — in sync, routing on — and clear it otherwise. The mapper
-    /// calls this at the end of every pass, under the inbox lock that
-    /// every racing [`SharedDirectoryState::bump_traditional`] and bias
-    /// revocation holds too (`tests/loom_admission.rs` seeds it outside).
-    pub fn refresh_serving(&self) {
+    /// does at the end of every pass, under the inbox lock that every
+    /// racing bump and bias revocation holds too (`tests/loom_admission.rs`
+    /// seeds it outside).
+    ///
+    /// # Safety
+    ///
+    /// As [`SharedDirectoryState::bump_traditional`].
+    pub unsafe fn refresh_serving(&self) {
         let word = if self.in_sync() && self.route_shortcut.load(Ordering::Acquire) {
             self.published.load(Ordering::Acquire)
         } else {
@@ -353,10 +380,27 @@ mod tests {
     #[repr(align(64))]
     struct Page([u8; 64]);
 
-    /// `s.bump_traditional()`, from the one thread that also refreshes.
+    // The state's stores, from the one thread that makes them all: these
+    // tests are single-threaded.
+
     fn bump(s: &SharedDirectoryState) -> u64 {
-        // SAFETY: these tests are single-threaded; no refresh runs beside it.
+        // SAFETY: no other store runs beside it (single-threaded test).
         unsafe { s.bump_traditional() }
+    }
+
+    fn publish(s: &SharedDirectoryState, base: *mut u8, slots: usize, version: u64) {
+        // SAFETY: every base is a test's `Page`, which outlives its state.
+        unsafe { s.publish(base, slots, version) }
+    }
+
+    fn refresh(s: &SharedDirectoryState) {
+        // SAFETY: no other store runs beside it (single-threaded test).
+        unsafe { s.refresh_serving() }
+    }
+
+    fn set_route(s: &SharedDirectoryState, on: bool) {
+        // SAFETY: no other store runs beside it (single-threaded test).
+        unsafe { s.set_route_shortcut(on) }
     }
 
     /// The directory `s` serves, if any.
@@ -377,9 +421,9 @@ mod tests {
         let v = bump(&s);
         assert!(!s.in_sync());
         let mut page = Page([0; 64]);
-        s.publish(page.0.as_mut_ptr(), 1, v);
+        publish(&s, page.0.as_mut_ptr(), 1, v);
         assert!(s.in_sync());
-        s.refresh_serving();
+        refresh(&s);
         let t = s.begin_read().unwrap();
         assert_eq!(t.slots, 1);
         assert!(s.still_valid(t));
@@ -390,8 +434,8 @@ mod tests {
         let s = SharedDirectoryState::new();
         let v = bump(&s);
         let mut page = Page([0; 64]);
-        s.publish(page.0.as_mut_ptr(), 1, v);
-        s.refresh_serving();
+        publish(&s, page.0.as_mut_ptr(), 1, v);
+        refresh(&s);
         let t = s.begin_read().unwrap();
         // A split happens mid-read…
         bump(&s);
@@ -404,12 +448,12 @@ mod tests {
         let s = SharedDirectoryState::new();
         let v1 = bump(&s);
         let mut page = Page([0; 64]);
-        s.publish(page.0.as_mut_ptr(), 1, v1);
+        publish(&s, page.0.as_mut_ptr(), 1, v1);
         let v2 = bump(&s);
         assert!(!s.in_sync());
-        s.publish(page.0.as_mut_ptr(), 2, v2);
+        publish(&s, page.0.as_mut_ptr(), 2, v2);
         assert!(s.in_sync());
-        s.refresh_serving();
+        refresh(&s);
         assert_eq!(s.begin_read().unwrap().slots, 2);
     }
 
@@ -420,7 +464,7 @@ mod tests {
         let s = SharedDirectoryState::new();
         assert_eq!(s.traditional_version(), 0);
         assert_eq!(s.shortcut_version(), 0);
-        s.refresh_serving();
+        refresh(&s);
         assert!(s.begin_read().is_none());
     }
 
@@ -450,18 +494,19 @@ mod tests {
                         geometry: ReadGeometry::default(),
                         pins: Arc::clone(&pins),
                     }]);
-                    s.attach_line(Arc::clone(&lines), 0);
+                    // SAFETY: no other store runs beside it (single-threaded test).
+                    unsafe { s.attach_line(Arc::clone(&lines), 0) };
                     let word = || lines[0].bias.admission(&pins.pin());
                     let v = bump(&s);
                     if sync != "suspended" {
-                        s.publish(base, 4, v);
+                        publish(&s, base, 4, v);
                     }
                     if sync != "in sync" {
                         s.set_suspended(sync == "suspended");
                         bump(&s);
                     }
-                    s.set_route_shortcut(route);
-                    s.refresh_serving();
+                    set_route(&s, route);
+                    refresh(&s);
                     let serving = if sync == "in sync" && route {
                         base.wrapping_add(2)
                     } else {
@@ -470,7 +515,7 @@ mod tests {
                     if bias != Bias::Armed {
                         let quiesced = bias == Bias::Locked;
                         assert_eq!(lines[0].bias.try_revoke(|| (), || quiesced), quiesced);
-                        s.refresh_serving();
+                        refresh(&s);
                         assert!(!ReadBias::admits(word()), "{case}: revoked");
                         bump(&s);
                         assert!(!ReadBias::admits(word()), "{case}: revoked, bumped");
@@ -480,10 +525,11 @@ mod tests {
                         // The locked read that re-arms, once the mapper
                         // caught up again.
                         if sync == "in sync" {
-                            s.publish(base, 4, s.traditional_version());
+                            publish(&s, base, 4, s.traditional_version());
                         }
-                        s.refresh_serving();
-                        s.rearm();
+                        refresh(&s);
+                        // SAFETY: no other store runs beside it (single-threaded test).
+                        unsafe { s.rearm() };
                     }
                     assert_eq!(word(), serving, "{case}");
                     if let Some((_, t)) = lines[0].enter() {
@@ -505,36 +551,36 @@ mod tests {
         let (mut a, mut b) = (Page([0; 64]), Page([0; 64]));
         let (a, b) = (a.0.as_mut_ptr(), b.0.as_mut_ptr());
         let v1 = bump(&s);
-        s.refresh_serving();
+        refresh(&s);
         assert_eq!(serving(&s), None, "before the first publish");
-        s.publish(a, 2, v1);
+        publish(&s, a, 2, v1);
         assert_eq!(serving(&s), None, "set by the refresh, not by publish");
-        s.refresh_serving();
+        refresh(&s);
         assert_eq!(serving(&s), Some((a, 2)));
 
         // A bump clears it until that version is published.
         let v2 = bump(&s);
         assert_eq!(serving(&s), None, "bumped");
         let v3 = bump(&s);
-        s.publish(b, 8, v2);
-        s.refresh_serving();
+        publish(&s, b, 8, v2);
+        refresh(&s);
         assert_eq!(serving(&s), None, "a publish of an older version");
-        s.publish(b, 8, v3);
-        s.refresh_serving();
+        publish(&s, b, 8, v3);
+        refresh(&s);
         assert_eq!(serving(&s), Some((b, 8)));
 
         // Routing: off clears at once, and no refresh serves it; on serves
         // at the next refresh while in sync. `in_sync` ignores routing.
-        s.set_route_shortcut(false);
+        set_route(&s, false);
         assert_eq!(serving(&s), None, "routing off");
-        s.refresh_serving();
+        refresh(&s);
         assert_eq!(serving(&s), None, "routing off, refreshed");
         assert!(s.in_sync());
-        s.set_route_shortcut(true);
-        s.refresh_serving();
+        set_route(&s, true);
+        refresh(&s);
         assert_eq!(serving(&s), Some((b, 8)), "routing back on in sync");
         bump(&s);
-        s.refresh_serving();
+        refresh(&s);
         assert_eq!(serving(&s), None, "routing on, out of sync");
     }
 }

@@ -88,12 +88,9 @@ fn seqlock_readers_never_observe_torn_state() {
             let run = gen_runs[g as usize];
             let assignments: Vec<(usize, PageIdx)> =
                 (0..slots).map(|s| (s, PageIdx(run.0 + s))).collect();
-            let v = maint.inbox_lock().bump_traditional();
-            maint.submit(MaintRequest::Create {
-                slots,
-                assignments,
-                version: v,
-            });
+            maint
+                .inbox_lock()
+                .relay([MaintRequest::Create { slots, assignments }]);
             // Small pause so several generations actually publish.
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -139,12 +136,10 @@ fn updates_race_with_readers_without_tearing() {
         },
     );
     let state = maint.state().clone();
-    let v = maint.inbox_lock().bump_traditional();
-    maint.submit(MaintRequest::Create {
+    maint.inbox_lock().relay([MaintRequest::Create {
         slots: 1,
         assignments: vec![(0, a)],
-        version: v,
-    });
+    }]);
     assert!(maint.wait_sync(Duration::from_secs(5)));
 
     let stop = AtomicBool::new(false);
@@ -170,12 +165,10 @@ fn updates_race_with_readers_without_tearing() {
 
         for i in 0..400u64 {
             let target = if i % 2 == 0 { b } else { a };
-            let v = maint.inbox_lock().bump_traditional();
-            maint.submit(MaintRequest::Update {
+            maint.inbox_lock().relay([MaintRequest::Update {
                 slot: 0,
                 ppage: target,
-                version: v,
-            });
+            }]);
             if i % 50 == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }

@@ -18,13 +18,13 @@
 //! `Shard::enter_write` once: lock, revoke the bias (the revocation's stores
 //! under the inbox lock, the stripe scan outside it), then split a bucket
 //! — rewrite it with plain stores — and relay: under the inbox lock, bump
-//! the traditional version (which clears the words) and queue it. The
-//! mapper runs a pass: under the inbox lock take the queue, publish what
-//! it took, then under the inbox lock again refresh the words. The bucket
-//! is two words tied to the version that wrote them (`data0 == version`,
-//! `data1 == 100 + data0`), and the published slot count doubles as the
-//! version, as in the seqlock suite. A `Mutex` stands in for the shard's
-//! `RwLock`.
+//! the traditional version once (which clears the words) and queue it.
+//! The mapper runs a pass: under the inbox lock take the queue with its
+//! version, publish that, then under the inbox lock again refresh the
+//! words. The bucket is two words tied to the version that wrote them
+//! (`data0 == version`, `data1 == 100 + data0`), and the published slot
+//! count doubles as the version, as in the seqlock suite. A `Mutex`
+//! stands in for the shard's `RwLock`.
 //!
 //! Model thread 1 reads twice on an exclusive stripe (its pin is the
 //! plain-store one under `Asymmetric`); thread 2 runs the mapper's pass,
@@ -180,9 +180,13 @@ impl World {
         let v1 = unsafe { world.state.bump_traditional() };
         world.bucket[0].store(v1, Ordering::Release);
         world.bucket[1].store(100 + v1, Ordering::Release);
-        world.state.publish(FAKE_BASE, v1 as usize, v1);
-        world.state.refresh_serving();
-        world.state.attach_line(Arc::clone(&world.lines), 0);
+        // SAFETY: no other thread exists yet, and the base is never
+        // dereferenced.
+        unsafe {
+            world.state.publish(FAKE_BASE, v1 as usize, v1);
+            world.state.refresh_serving();
+            world.state.attach_line(Arc::clone(&world.lines), 0);
+        }
         world
     }
 
@@ -257,7 +261,8 @@ impl World {
             let _inbox = self.inbox.lock().unwrap();
             match stale {
                 Some(word) => self.line().bias.rearm(word),
-                None => self.state.rearm(),
+                // SAFETY: under the inbox lock, which every store takes.
+                None => unsafe { self.state.rearm() },
             }
             count(&seen.rearms);
         }
@@ -289,7 +294,7 @@ impl World {
             self.bucket[0].store(v, Ordering::Relaxed);
             self.bucket[1].store(100 + v, Ordering::Relaxed);
             self.writing.store(false, StdOrd::SeqCst);
-            // `relay_events`, before the section ends.
+            // The relay (`InboxGuard::relay`), before the section ends.
             let mut queue = self.inbox.lock().unwrap();
             // SAFETY: under the inbox lock, which every refresh takes.
             *queue = unsafe { self.state.bump_traditional() };
@@ -356,14 +361,13 @@ impl World {
     fn mapper_pass(&self, seed: Seed) {
         let v = std::mem::take(&mut *self.inbox.lock().unwrap());
         if v != 0 {
-            self.state.publish(FAKE_BASE, v as usize, v);
+            // SAFETY: the base is never dereferenced.
+            unsafe { self.state.publish(FAKE_BASE, v as usize, v) };
         }
-        if seed == Seed::RefreshOutsideTheInboxLock {
-            self.state.refresh_serving();
-        } else {
-            let _inbox = self.inbox.lock().unwrap();
-            self.state.refresh_serving();
-        }
+        let _inbox = (seed != Seed::RefreshOutsideTheInboxLock).then(|| self.inbox.lock().unwrap());
+        // SAFETY: under the inbox lock, which every store takes — but for
+        // the seeded bug, which refreshes without it.
+        unsafe { self.state.refresh_serving() };
     }
 }
 
@@ -652,10 +656,14 @@ fn rebuild_scenario(
             Arc::new(StdAtomicBool::new(true)),
         ];
         // Quiescent setup: the old directory published and served.
-        // SAFETY: no other thread exists yet.
-        let v1 = unsafe { state.bump_traditional() };
-        state.publish(OLD_BASE, 1, v1);
-        state.refresh_serving();
+        // SAFETY: no other thread exists yet; the old area stays "mapped"
+        // until its stand-in is reclaimed.
+        let v1 = unsafe {
+            let v1 = state.bump_traditional();
+            state.publish(OLD_BASE, 1, v1);
+            state.refresh_serving();
+            v1
+        };
         let old = Area(Arc::clone(&mapped[0]));
 
         let writer = {
@@ -675,14 +683,18 @@ fn rebuild_scenario(
             thread::spawn(move || {
                 let end_of_pass = || {
                     let _inbox = inbox.lock().unwrap();
-                    state.refresh_serving();
+                    // SAFETY: under the inbox lock, which every bump takes
+                    // — but for the seeded bug's.
+                    unsafe { state.refresh_serving() };
                 };
                 end_of_pass();
                 // The next pass: build, retire, reclaim.
                 let v = state.traditional_version();
                 let mut current = old;
                 if v != v1 {
-                    state.publish(NEW_BASE, 1, v);
+                    // SAFETY: the new area's stand-in lives until the
+                    // scenario's end.
+                    unsafe { state.publish(NEW_BASE, 1, v) };
                     areas.retire(std::mem::replace(&mut current, Area(new_mapped)));
                     if areas.try_reclaim() > 0 {
                         count(&seen.reclaims);

@@ -71,8 +71,12 @@ fn bump(state: &SharedDirectoryState) -> u64 {
 
 /// What the mapper does once a version's directory is in place.
 fn publish_and_serve(state: &SharedDirectoryState, base: *mut u8, slots: usize, version: u64) {
-    state.publish(base, slots, version);
-    state.refresh_serving();
+    // SAFETY: the bases are never dereferenced; the writer is the one
+    // thread that stores the serving word.
+    unsafe {
+        state.publish(base, slots, version);
+        state.refresh_serving();
+    }
 }
 
 fn scenario(wk: WriterKind, rk: ReaderKind) -> impl Fn() + Send + Sync + 'static {

@@ -22,7 +22,7 @@ use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash, split_bit};
 use crate::stats::IndexStats;
 use crate::traits::Index;
-use shortcut_core::CompactionPolicy;
+use shortcut_core::{CompactionPolicy, MaintRequest};
 use shortcut_rewire::{planned_vmas, PageIdx, PagePool, PoolConfig, PoolHandle, SlotLayout};
 use std::sync::Arc;
 
@@ -39,38 +39,6 @@ pub(crate) const PREFETCH_DISTANCE: usize = 16;
 /// and lock hold) not to stall the reclaim scan or the shards' writers.
 pub(crate) const WINDOW: usize = 4096; // audit:allow(page-literal): key-batch size per pin, not a page size
 
-/// Directory-modifying events, emitted (when enabled) for the asynchronous
-/// shortcut maintenance of Shortcut-EH.
-#[derive(Debug, Clone)]
-pub enum DirEvent {
-    /// A split redirected `slot` to the bucket in pool page `ppage`.
-    SlotUpdated {
-        /// Directory slot that changed.
-        slot: usize,
-        /// Pool page of the bucket it now references.
-        ppage: PageIdx,
-    },
-    /// The directory doubled; a full rebuild of any shortcut is required.
-    Doubled {
-        /// New slot count (`2^global_depth`).
-        slots: usize,
-        /// Complete `(slot, pool page)` assignment, sorted by slot.
-        assignments: Vec<(usize, PageIdx)>,
-    },
-    /// The bucket layout was physically compacted (and possibly the
-    /// directory doubled in the same step): every slot's backing page may
-    /// have changed, so — like [`DirEvent::Doubled`] — any shortcut needs
-    /// a full rebuild. After a compaction the assignment vector is an
-    /// identity run over freshly placed pages, which the rebuild coalesces
-    /// into a handful of `mmap` calls and VMAs.
-    Rebuilt {
-        /// Slot count (`2^global_depth`).
-        slots: usize,
-        /// Complete `(slot, pool page)` assignment, sorted by slot.
-        assignments: Vec<(usize, PageIdx)>,
-    },
-}
-
 /// EH tuning.
 #[derive(Debug, Clone)]
 pub struct EhConfig {
@@ -78,7 +46,10 @@ pub struct EhConfig {
     pub max_load_factor: f64,
     /// Page pool configuration (bucket storage).
     pub pool: PoolConfig,
-    /// Emit [`DirEvent`]s (enabled by Shortcut-EH, off for plain EH).
+    /// Record every directory change as the [`MaintRequest`] that replays
+    /// it on a shortcut (enabled by Shortcut-EH, off for plain EH): an
+    /// update per slot a split redirects, a create for a doubling or a
+    /// compaction.
     pub track_events: bool,
     /// Hard cap on the global depth; exceeding it panics with a clear
     /// message instead of exhausting memory (2^28 slots = 2 GB directory).
@@ -135,7 +106,7 @@ pub struct ExtendibleHash {
     max_entries: usize,
     cfg: EhConfig,
     stats: IndexStats,
-    events: Vec<DirEvent>,
+    events: Vec<MaintRequest>,
     /// A splitting bucket's live entries, between its emptying and their
     /// re-placement: sized for the load limit once, reused by every split.
     split_entries: Vec<(u64, u64)>,
@@ -259,20 +230,16 @@ impl ExtendibleHash {
         self.pool.handle()
     }
 
-    /// Whether [`ExtendibleHash::take_events`] has anything to return.
+    /// Whether directory changes were recorded since the last drain.
     #[inline]
     pub fn has_events(&self) -> bool {
         !self.events.is_empty()
     }
 
-    /// Drain the directory events accumulated since the last call.
-    pub fn take_events(&mut self) -> Vec<DirEvent> {
-        self.drain_events().collect()
-    }
-
-    /// [`ExtendibleHash::take_events`] in place: the buffer keeps its
-    /// capacity, so recording the next split's events allocates nothing.
-    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, DirEvent> {
+    /// Drain the directory changes recorded since the last call. The
+    /// buffer keeps its capacity, so recording the next split's requests
+    /// allocates nothing.
+    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, MaintRequest> {
         self.events.drain(..)
     }
 
@@ -323,14 +290,7 @@ impl ExtendibleHash {
                 Err(_) => self.note_compaction_skipped(),
             }
         }
-        if self.cfg.track_events {
-            let assignments = self.directory_assignments()?;
-            self.events.push(DirEvent::Doubled {
-                slots: self.dir.slot_count(),
-                assignments,
-            });
-        }
-        Ok(())
+        self.emit_rebuilt_event()
     }
 
     /// Split the bucket the hash routes to. One split per call;
@@ -397,7 +357,7 @@ impl ExtendibleHash {
         for s in first_new..range.end {
             self.dir.set(s, new_ptr);
             if self.cfg.track_events {
-                self.events.push(DirEvent::SlotUpdated {
+                self.events.push(MaintRequest::Update {
                     slot: s,
                     ppage: new_page,
                 });
@@ -540,17 +500,17 @@ impl ExtendibleHash {
     }
 
     /// Relocate **every** bucket into directory order in one pass and
-    /// (with `track_events`) emit a single [`DirEvent::Rebuilt`] carrying
-    /// the identity assignment. Sources are epoch-retired and reclaimed
-    /// once reader pins drain; the vacated span is reused by the next
-    /// pass.
+    /// (with `track_events`) record a single [`MaintRequest::Create`]
+    /// carrying the identity assignment. Sources are epoch-retired and
+    /// reclaimed once reader pins drain; the vacated span is reused by the
+    /// next pass.
     ///
     /// # Errors
     ///
     /// Fails when the pool cannot host the target run (view capacity). If
     /// some buckets moved before the failure, the directory is left fully
-    /// consistent and a `Rebuilt` event with the *current* assignment is
-    /// still emitted, so a shortcut can never legitimize stale slots.
+    /// consistent and a create with the *current* assignment is still
+    /// recorded, so a shortcut can never legitimize stale slots.
     pub fn compact_full(&mut self) -> Result<CompactionOutcome, IndexError> {
         self.pool.reclaim_retired_pages();
         let slots = self.dir.slot_count();
@@ -577,7 +537,8 @@ impl ExtendibleHash {
                 debug_assert_eq!(moved, n, "covering ranges must partition the directory");
                 let vmas_after = planned_vmas(slots, &assignments);
                 if self.cfg.track_events {
-                    self.events.push(DirEvent::Rebuilt { slots, assignments });
+                    self.events
+                        .push(MaintRequest::Create { slots, assignments });
                 }
                 let outcome = CompactionOutcome {
                     pages_moved: moved,
@@ -594,22 +555,18 @@ impl ExtendibleHash {
                 }
                 // The moved prefix is live: publish the current (partly
                 // compacted) truth so the shortcut rebuild reflects it.
-                if self.cfg.track_events {
-                    if let Ok(assignments) = self.directory_assignments() {
-                        self.events.push(DirEvent::Rebuilt { slots, assignments });
-                    }
-                }
+                let _ = self.emit_rebuilt_event();
                 Err(e)
             }
         }
     }
 
-    /// Re-announce the current directory as a full rebuild without moving
-    /// any page: pushes one [`DirEvent::Rebuilt`] carrying the current
-    /// assignment. Shortcut-EH uses this to lift a budget suspension once
-    /// splits have shrunk the layout's footprint below the budget — the
-    /// pages are already well placed, only the mapper needs to hear about
-    /// it again.
+    /// Announce the current directory as a full rebuild without moving any
+    /// page: records one [`MaintRequest::Create`] carrying the current
+    /// assignment. A doubling does, Shortcut-EH's first directory does,
+    /// and Shortcut-EH lifts a budget suspension with it once splits have
+    /// shrunk the layout's footprint below the budget — the pages are
+    /// already well placed, only the mapper needs to hear about it again.
     ///
     /// # Errors
     ///
@@ -617,7 +574,7 @@ impl ExtendibleHash {
     pub fn emit_rebuilt_event(&mut self) -> Result<(), IndexError> {
         if self.cfg.track_events {
             let assignments = self.directory_assignments()?;
-            self.events.push(DirEvent::Rebuilt {
+            self.events.push(MaintRequest::Create {
                 slots: self.dir.slot_count(),
                 assignments,
             });
@@ -752,6 +709,10 @@ impl Index for ExtendibleHash {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn take_events(eh: &mut ExtendibleHash) -> Vec<MaintRequest> {
+        eh.drain_events().collect()
+    }
 
     fn small() -> ExtendibleHash {
         ExtendibleHash::try_new(EhConfig {
@@ -923,33 +884,33 @@ mod tests {
         for k in 0..1_000u64 {
             eh.insert(k, k).unwrap();
         }
-        let events = eh.take_events();
+        let events = take_events(&mut eh);
         assert!(!events.is_empty());
         let doubles = events
             .iter()
-            .filter(|e| matches!(e, DirEvent::Doubled { .. }))
+            .filter(|e| matches!(e, MaintRequest::Create { .. }))
             .count();
         let updates = events
             .iter()
-            .filter(|e| matches!(e, DirEvent::SlotUpdated { .. }))
+            .filter(|e| matches!(e, MaintRequest::Update { .. }))
             .count();
         assert_eq!(doubles as u64, eh.stats().doublings);
         assert!(updates > 0);
-        // After take_events, the buffer is empty.
-        assert!(eh.take_events().is_empty());
-        // The last Doubled event's assignment vector covers every slot of
-        // the directory it announced.
-        if let Some(DirEvent::Doubled { slots, assignments }) = events
+        // After a drain, the buffer is empty.
+        assert!(take_events(&mut eh).is_empty());
+        // The last create's assignment vector covers every slot of the
+        // directory it announced.
+        if let Some(MaintRequest::Create { slots, assignments }) = events
             .iter()
             .rev()
-            .find(|e| matches!(e, DirEvent::Doubled { .. }))
+            .find(|e| matches!(e, MaintRequest::Create { .. }))
         {
             assert_eq!(assignments.len(), *slots);
             for (i, (s, _)) in assignments.iter().enumerate() {
                 assert_eq!(i, *s);
             }
         } else {
-            panic!("expected at least one Doubled event");
+            panic!("expected at least one create");
         }
     }
 
@@ -959,7 +920,7 @@ mod tests {
         for k in 0..2_000u64 {
             eh.insert(k, k).unwrap();
         }
-        assert!(eh.take_events().is_empty());
+        assert!(take_events(&mut eh).is_empty());
     }
 
     #[test]
@@ -1026,19 +987,17 @@ mod tests {
         assert!(eh.stats().doublings > 3);
         assert_eq!(eh.stats().compactions, eh.stats().doublings);
 
-        let events = eh.take_events();
+        let events = take_events(&mut eh);
         let rebuilds: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                DirEvent::Rebuilt { slots, assignments } => Some((slots, assignments)),
-                _ => None,
+                MaintRequest::Create { slots, assignments } => Some((slots, assignments)),
+                MaintRequest::Update { .. } => None,
             })
             .collect();
+        // One create a doubling: the compacted rebuild, no second one for
+        // the doubling itself.
         assert_eq!(rebuilds.len() as u64, eh.stats().doublings);
-        assert!(
-            !events.iter().any(|e| matches!(e, DirEvent::Doubled { .. })),
-            "doublings must be announced as compacted rebuilds"
-        );
         // The last rebuild's assignment is a full identity over the
         // directory at that time: sorted slots, monotone pages within
         // each covering run.

@@ -50,7 +50,7 @@ pub use bucket::{
 };
 pub use builder::IndexBuilder;
 pub use chained::{ChConfig, ChainedHash};
-pub use eh::{CompactionOutcome, DirEvent, EhConfig, ExtendibleHash};
+pub use eh::{CompactionOutcome, EhConfig, ExtendibleHash};
 pub use error::IndexError;
 pub use hash::{bucket_slot_hash, dir_slot, mult_hash};
 pub use ht::{HashTable, HtConfig};

@@ -51,12 +51,11 @@ use crate::hash::{dir_slot, mult_hash};
 use crate::shortcut_eh::{ReadSection, ShortcutEh, ShortcutEhConfig};
 use crate::stats::StatsSnapshot;
 use crate::traits::Index;
-use parking_lot::{RwLock, RwLockWriteGuard};
 use shortcut_core::ReadLine;
 use shortcut_rewire::ReadBias;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Hard cap on `shard_bits`: 2^8 = 256 shards is already far past any
@@ -66,7 +65,9 @@ pub const MAX_SHARD_BITS: u32 = 8;
 /// One shard behind its biased reader-writer section (module docs), whose
 /// [`ReadLine`] is the index's: the fast path reads nothing of it.
 struct Shard {
-    /// The writers' lock, and the readers' while the bias is revoked.
+    /// The writers' lock, and the readers' while the bias is revoked. A
+    /// panic inside a section poisons nothing: every access ignores the
+    /// poison, as the shard is whole between any two of its operations.
     lock: RwLock<()>,
     eh: UnsafeCell<ShortcutEh>,
 }
@@ -108,12 +109,11 @@ impl Shard {
     #[cold]
     #[inline(never)]
     fn enter_locked<'a>(&'a self, line: &'a ReadLine) -> ReadSection<'a> {
-        let locked = self.lock.read();
+        let locked = self.lock.read().unwrap_or_else(PoisonError::into_inner);
         // SAFETY: the read lock excludes `enter_write`.
         let eh = unsafe { &*self.eh.get() };
         if line.bias.note_locked_read() {
-            let _inbox = eh.maint().inbox_lock();
-            eh.maint().state().rearm();
+            eh.maint().inbox_lock().rearm();
         }
         let pin = line.pins.pin();
         ReadSection {
@@ -127,7 +127,7 @@ impl Shard {
     /// Shared access under the read lock and no pin, for callers that may
     /// block or run long (statistics, `wait_sync`, arbitrary closures).
     fn read_locked<R>(&self, f: impl FnOnce(&ShortcutEh) -> R) -> R {
-        let _shared = self.lock.read();
+        let _shared = self.lock.read().unwrap_or_else(PoisonError::into_inner);
         // SAFETY: the read lock excludes `enter_write`.
         f(unsafe { &*self.eh.get() })
     }
@@ -136,7 +136,7 @@ impl Shard {
     /// the first structural write ([`WriteSection::eh`]).
     fn enter_write<'a>(&'a self, line: &'a ReadLine) -> WriteSection<'a> {
         WriteSection {
-            _exclusive: Some(self.lock.write()),
+            _exclusive: Some(self.lock.write().unwrap_or_else(PoisonError::into_inner)),
             shard: self,
             unrevoked: Some(line),
         }
@@ -413,8 +413,7 @@ impl ShortcutIndex {
         let lines: Arc<[ReadLine]> = lines.into();
         for (i, shard) in shards.iter_mut().enumerate() {
             let maint = shard.eh.get_mut().maint();
-            let _inbox = maint.inbox_lock();
-            maint.state().attach_line(Arc::clone(&lines), i);
+            maint.inbox_lock().attach_line(Arc::clone(&lines), i);
         }
         Ok(ShortcutIndex {
             bits,
@@ -1220,6 +1219,43 @@ mod tests {
                 assert_eq!(counted(k), (1, 0), "key {k} after the pass");
             }
         }
+    }
+
+    /// A panic inside a write section poisons nothing: the shard's lock
+    /// still admits readers and writers, and the index answers as before.
+    #[test]
+    fn a_panic_inside_with_shard_mut_leaves_the_index_answering() {
+        let t = ShortcutIndex::try_new(1, fast_cfg()).unwrap();
+        for k in 0..2_000u64 {
+            t.insert_shared(k, val(k)).unwrap();
+        }
+        let shard = t.shard_of(0);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.with_shard_mut(shard, |s| {
+                s.insert(0, 7).unwrap();
+                panic!("inside the write section");
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(t.get(0), Some(7), "the write before the panic");
+        t.insert_shared(0, val(0)).unwrap();
+        for k in 2_000..4_000u64 {
+            t.insert_shared(k, val(k)).unwrap();
+        }
+        assert_eq!(t.remove_shared(1).unwrap(), Some(val(1)));
+        assert_eq!(
+            t.with_shard(shard, |s| s.len()) + t.with_shard(1 - shard, |s| s.len()),
+            3_999
+        );
+        assert!(t.wait_sync(Duration::from_secs(10)));
+        let keys: Vec<u64> = (0..4_000).collect();
+        let got = t.get_many(&keys);
+        for &k in &keys {
+            let want = (k != 1).then(|| val(k));
+            assert_eq!(t.get(k), want, "key {k}");
+            assert_eq!(got[k as usize], want, "key {k} batched");
+        }
+        assert!(t.maint_error().is_none());
     }
 
     /// A window enters the section of exactly the shards its keys route

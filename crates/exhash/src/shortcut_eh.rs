@@ -9,6 +9,9 @@
 //! * directory doubling → pending updates are dropped (superseded) and one
 //!   *create* request carries the full slot→page assignment.
 //!
+//! The inner EH records these requests as it changes its directory; a
+//! write hands them to the mapper as one relay (one version bump).
+//!
 //! A write runs plain EH's inline fast path and nothing else; only a
 //! split leaves it, and only a split owes the mapper a relay.
 //!
@@ -34,19 +37,17 @@
 //! are alive.
 
 use crate::bucket::{BucketLayout, BucketRef};
-use crate::eh::{CompactionOutcome, DirEvent, EhConfig, ExtendibleHash, PREFETCH_DISTANCE, WINDOW};
+use crate::eh::{CompactionOutcome, EhConfig, ExtendibleHash, PREFETCH_DISTANCE, WINDOW};
 use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash};
 use crate::stats::IndexStats;
 use crate::traits::Index;
-use parking_lot::RwLockReadGuard;
 use shortcut_core::metrics::MaintSnapshot;
 use shortcut_core::{
-    CompactionPolicy, MaintConfig, MaintRequest, Maintainer, ReadGeometry, ReadTicket, RoutePolicy,
-    SharedDirectoryState,
+    CompactionPolicy, MaintConfig, Maintainer, ReadGeometry, ReadTicket, RoutePolicy,
 };
 use shortcut_rewire::{PoolUsage, ReaderPin, RetireList};
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard};
 
 /// Shortcut-EH tuning.
 #[derive(Debug, Clone, Default)]
@@ -73,7 +74,7 @@ pub struct ShortcutEh {
     /// Its decision for the directory's current fan-in is folded into the
     /// read descriptor's serving word, so a lookup reads none of it.
     /// Only splits and doublings move the fan-in, and they reach
-    /// [`ShortcutEh::relay_events`], which refreshes it.
+    /// [`ShortcutEh::relay_events`], which stores it again.
     policy: RoutePolicy,
     /// The pool's retirement machinery: lookups pin it around every
     /// dereference of the published shortcut base, so the mapper's
@@ -116,10 +117,8 @@ impl ShortcutEh {
         let retire = Arc::clone(handle.retire_list());
         let usage = Arc::clone(handle.usage());
         let geometry = eh.bucket_layout().read_geometry(hash_rot);
-        let state = SharedDirectoryState::new();
-        state.set_route_shortcut(cfg.policy.use_shortcut(eh.avg_fanin(), true));
-        let maint = Maintainer::spawn_on(handle, cfg.maint, Arc::new(state));
-        let this = ShortcutEh {
+        let maint = Maintainer::spawn(handle, cfg.maint);
+        let mut this = ShortcutEh {
             maint,
             eh,
             policy: cfg.policy,
@@ -129,17 +128,10 @@ impl ShortcutEh {
             next_look_splits: Self::COMPACTION_SPLIT_INTERVAL,
             geometry,
         };
-        // Publish the initial single-slot directory so the shortcut can
+        // Announce the initial single-slot directory so the shortcut can
         // serve reads before the first doubling.
-        let assignments = this.eh.directory_assignments()?;
-        let mut inbox = this.maint.inbox_lock();
-        let version = inbox.bump_traditional();
-        inbox.submit(MaintRequest::Create {
-            slots: this.eh.dir_slots(),
-            assignments,
-            version,
-        });
-        drop(inbox);
+        this.eh.emit_rebuilt_event()?;
+        this.relay_events();
         Ok(this)
     }
 
@@ -212,7 +204,7 @@ impl ShortcutEh {
     /// through the traditional directory; raise `vm.max_map_count` (or the
     /// injected budget) for shortcut-served reads at this scale.
     pub fn shortcut_suspended(&self) -> bool {
-        self.maint.suspended()
+        self.maint.state().suspended()
     }
 
     /// Average directory fan-in.
@@ -265,42 +257,19 @@ impl ShortcutEh {
         &self.maint
     }
 
-    /// Forward directory events to the mapper queue, under one hold of the
-    /// inbox lock per relay. Each event's version bump clears the serving
-    /// word before the caller leaves its write section: no reader that
-    /// enters after it finds a directory that predates these events.
+    /// Hand the directory changes the inner EH recorded to the mapper as
+    /// one relay: one hold of the inbox lock, one version bump — which
+    /// clears the serving word before the caller leaves its write section,
+    /// so no reader that enters after it finds a directory that predates
+    /// these changes — and the routing decision for the fan-in they moved.
     pub(crate) fn relay_events(&mut self) {
         if !self.eh.has_events() {
             return;
         }
-        // A split or a doubling moved the fan-in: decided once, stored
-        // under the lock with the first bump.
-        let mut route = Some(self.policy.use_shortcut(self.eh.avg_fanin(), true));
+        let route = self.policy.use_shortcut(self.eh.avg_fanin(), true);
         let mut inbox = self.maint.inbox_lock();
-        for ev in self.eh.drain_events() {
-            if let Some(on) = route.take() {
-                self.maint.state().set_route_shortcut(on);
-            }
-            let version = inbox.bump_traditional();
-            inbox.submit(match ev {
-                DirEvent::SlotUpdated { slot, ppage } => MaintRequest::Update {
-                    slot,
-                    ppage,
-                    version,
-                },
-                // Both a doubling and a full-pass compaction supersede
-                // every pending update (the queue drops them ahead of the
-                // create) and require a full rebuild; after a compaction
-                // the assignment is an identity run the rebuild coalesces
-                // into a handful of mmap calls.
-                DirEvent::Doubled { slots, assignments }
-                | DirEvent::Rebuilt { slots, assignments } => MaintRequest::Create {
-                    slots,
-                    assignments,
-                    version,
-                },
-            });
-        }
+        inbox.set_route_shortcut(route);
+        inbox.relay(self.eh.drain_events());
     }
 
     /// Splits between two looks of [`ShortcutEh::maybe_compact`].
@@ -462,8 +431,8 @@ impl ShortcutEh {
     /// target run). The index stays fully consistent and keeps answering.
     pub fn compact(&mut self) -> Result<CompactionOutcome, IndexError> {
         let r = self.eh.compact_full();
-        // Relay even on failure: a partial pass emits a Rebuilt event
-        // carrying the current truth.
+        // Relay even on failure: a partial pass records a create carrying
+        // the current truth.
         self.relay_events();
         r
     }
@@ -929,7 +898,7 @@ mod tests {
         // every key is one traditional lookup.
         let keys: Vec<u64> = (0..5_000u64).map(|k| k * 2).collect();
         let before = t.stats();
-        t.maint().inbox_lock().bump_traditional();
+        t.maint().inbox_lock().relay([]);
         let got = t.get_many(&keys);
         for (&k, got) in keys.iter().zip(got) {
             assert_eq!(got, (k < 8_000).then_some(!k), "key {k}");
@@ -1274,7 +1243,8 @@ mod tests {
                 }
                 assert!(!t.eh.has_events(), "op {op} left events behind");
                 let changed = shape(&t) != before.0;
-                assert_eq!(t.versions().0 > before.1, changed, "op {op}");
+                // One relay an operation (a batch of 64 is one window).
+                assert_eq!(t.versions().0 - before.1, u64::from(changed), "op {op}");
                 structural += usize::from(changed);
                 // Stay below the backlog that wakes the mapper by itself.
                 if t.maint.pending() > 128 || op % 1024 == 0 {
@@ -1288,6 +1258,60 @@ mod tests {
             assert!(structural > 50 && plain > 1_000, "{structural} / {plain}");
             assert!(t.maint_error().is_none());
         }
+    }
+
+    /// A split is one relay: the version moves by one however many slots
+    /// it redirected, and one update is queued for each of them.
+    #[test]
+    fn a_split_is_one_bump_and_one_update_per_redirected_slot() {
+        let mut t = ShortcutEh::try_new(on_demand_cfg(8, 1 << 16)).unwrap();
+        assert!(t.wait_sync(Duration::from_secs(10)));
+        let mut assignments = t.eh.directory_assignments().unwrap();
+        let mut wide = 0;
+        // The lower half of the hash space first, then the upper one: the
+        // upper half's buckets stay shallow while the directory deepens,
+        // and their splits redirect many slots each.
+        let half = |upper: bool| {
+            let t = &t;
+            (0u64..).filter(move |&k| (t.eh.dir_hash(k) >> 63 == 1) == upper)
+        };
+        let keys: Vec<u64> = half(false)
+            .take(6_000)
+            .chain(half(true).take(6_000))
+            .collect();
+        for key in keys {
+            // Stay below the backlog that wakes the mapper by itself.
+            if t.maint.pending() > 256 {
+                assert!(t.wait_sync(Duration::from_secs(10)), "never synced");
+            }
+            let before = (shape(&t), t.versions().0, t.maint.pending());
+            t.insert(key, key).unwrap();
+            if shape(&t) == before.0 {
+                continue;
+            }
+            let after = t.eh.directory_assignments().unwrap();
+            if shape(&t) == (before.0 .0 + 1, before.0 .1) {
+                // One split, no doubling: the slots it redirected are the
+                // ones whose page changed.
+                let redirected = after
+                    .iter()
+                    .zip(&assignments)
+                    .filter(|(a, b)| a != b)
+                    .count();
+                assert!(redirected > 0);
+                assert_eq!(t.versions().0, before.1 + 1, "key {key}: one bump");
+                // A relay that takes the queue across the backlog wakes the
+                // mapper, which may take it at once.
+                if before.2 + redirected < shortcut_core::maintenance::WAKE_BACKLOG {
+                    assert_eq!(t.maint.pending() - before.2, redirected, "key {key}");
+                    wide += usize::from(redirected >= 2);
+                }
+            }
+            assignments = after;
+        }
+        assert!(wide > 10, "only {wide} splits redirected two slots or more");
+        assert!(t.wait_sync(Duration::from_secs(10)));
+        assert!(t.maint_error().is_none());
     }
 
     /// An insert that fails after it changed the directory — in a later

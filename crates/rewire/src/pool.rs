@@ -5,16 +5,17 @@
 //!
 //! * grows the file on demand (`ftruncate`) in chunks, eagerly populating
 //!   new pages to avoid hard page faults at access time,
-//! * keeps a FIFO free-queue of page offsets for reuse,
-//! * shrinks the file when the tail pages are unused and the pool exceeds a
-//!   configurable threshold, and
+//! * keeps a FIFO free-queue of page offsets for reuse — it never shrinks
+//!   the file: a retired shortcut directory may still map any page of it,
+//!   and a truncated page would `SIGBUS` a straggling reader, where a
+//!   freed one only reads stale or zero — and
 //! * maintains `v_pool`: a virtual memory area that maps **linearly** to the
 //!   entire file, so that pool pages are directly addressable and so that
 //!   the physical page of any leaf can be recovered from its `v_pool`
 //!   address by plain offset arithmetic (`offset_leaf = v_leaf − v_pool`).
 //!
 //! The linear view lives inside a fixed-size anonymous reservation, so its
-//! base address never changes across grows/shrinks — pointers derived from
+//! base address never changes as it grows — pointers derived from
 //! [`PagePool::page_ptr`] stay valid for the lifetime of the allocation.
 
 use crate::budget::{BudgetBinding, PoolUsage, VmaBudget, VmaSnapshot};
@@ -72,8 +73,6 @@ pub struct PoolConfig {
     /// Grow by at least this many slots per `ftruncate` (amortizes
     /// syscalls).
     pub min_growth_pages: usize,
-    /// Only shrink the file while it is larger than this many slots.
-    pub shrink_threshold_pages: usize,
     /// Size of the fixed virtual reservation holding the linear view, in
     /// slots. The pool can never grow beyond this. Virtual address space is
     /// effectively free on 64-bit; the default reserves 16 GB at `k = 0`.
@@ -109,7 +108,6 @@ impl Default for PoolConfig {
             name: "shortcut-pool".to_string(),
             initial_pages: 1,
             min_growth_pages: 64,
-            shrink_threshold_pages: 1024,
             view_capacity_pages: 1 << 22, // 16 GB of 4 KB pages
             vma_budget: None,
             fair_share: false,
@@ -211,8 +209,7 @@ pub struct PagePool {
     view_base: *mut u8,
     /// Slots of the file currently mapped into the view (== file length).
     file_pages: usize,
-    /// FIFO of reusable slot indices. May contain stale entries for slots
-    /// that were truncated away by a shrink; `alloc_page` skips those.
+    /// FIFO of reusable slot indices, each free.
     free_queue: VecDeque<usize>,
     state: Vec<PageState>,
     allocated: usize,
@@ -350,30 +347,25 @@ impl PagePool {
     /// Allocate one physical page. A slot never handed out before reads as
     /// zeros; a recycled one still holds what its last owner left there.
     pub fn alloc_page(&mut self) -> Result<PageIdx> {
-        loop {
-            match self.free_queue.pop_front() {
-                Some(i) if i < self.file_pages && self.state[i] == PageState::Free => {
-                    self.state[i] = PageState::Allocated;
-                    self.allocated += 1;
-                    self.stats.pages_allocated.add(1);
-                    return Ok(PageIdx(i));
-                }
-                Some(_) => continue, // stale entry from a shrink
-                None => {
-                    let step = (self.file_pages / GROWTH_DIVISOR)
-                        .max(self.cfg.min_growth_pages)
-                        .max(1);
-                    let target = (self.file_pages + step).min(self.cfg.view_capacity_pages);
-                    if target <= self.file_pages {
-                        return Err(Error::BadResize {
-                            current: self.file_pages,
-                            requested: target + 1,
-                        });
-                    }
-                    self.grow_to(target)?;
-                }
+        if self.free_queue.is_empty() {
+            let step = (self.file_pages / GROWTH_DIVISOR)
+                .max(self.cfg.min_growth_pages)
+                .max(1);
+            let target = (self.file_pages + step).min(self.cfg.view_capacity_pages);
+            if target <= self.file_pages {
+                return Err(Error::BadResize {
+                    current: self.file_pages,
+                    requested: target + 1,
+                });
             }
+            self.grow_to(target)?;
         }
+        let i = self.free_queue.pop_front().expect("grown");
+        debug_assert_eq!(self.state[i], PageState::Free);
+        self.state[i] = PageState::Allocated;
+        self.allocated += 1;
+        self.stats.pages_allocated.add(1);
+        Ok(PageIdx(i))
     }
 
     /// Allocate `n` physically **contiguous** pages (contiguous in file
@@ -445,8 +437,7 @@ impl PagePool {
         None
     }
 
-    /// Return a page to the pool. Shrinks the file if the freed page(s) sit
-    /// at the end and the pool is above the shrink threshold.
+    /// Return a page to the pool's free queue.
     pub fn free_page(&mut self, page: PageIdx) -> Result<()> {
         let i = page.0;
         if i >= self.file_pages {
@@ -465,31 +456,16 @@ impl PagePool {
         self.allocated -= 1;
         self.stats.pages_freed.add(1);
         self.free_queue.push_back(i);
-
-        // Paper §2.1: if the unused page marks the end of the file and the
-        // pool is above the threshold, simply shrink the file. Truncated
-        // pages leave stale queue entries behind; `alloc_page` skips them
-        // (and duplicates are harmless because popping requires the page to
-        // still be in the Free state).
-        if self.file_pages > self.cfg.shrink_threshold_pages
-            && self.state[self.file_pages - 1] == PageState::Free
-        {
-            self.shrink_tail()?;
-        }
         Ok(())
     }
 
     /// Free `n` contiguous pages `[start, start + n)` as one run: every
     /// page is returned to the allocator and the run's physical memory is
-    /// released with a **single** `FALLOC_FL_PUNCH_HOLE` call, instead of
-    /// the per-page hole punching of [`PagePool::reclaim_free_pages`].
-    ///
-    /// Unlike [`PagePool::free_page`] this never truncates the file:
-    /// compaction frees pages that retired shortcut directories may still
-    /// map, and a punched hole reads as zeros where a truncated range
-    /// would `SIGBUS` a straggling (ticket-discarded) reader. The hole
-    /// punch is best-effort — hosts without memfd hole support merely
-    /// keep the physical pages until reuse.
+    /// released with a **single** `FALLOC_FL_PUNCH_HOLE` call. A punched
+    /// hole reads as zeros to a straggling (ticket-discarded) reader of a
+    /// retired shortcut directory that still maps it. The hole punch is
+    /// best-effort — hosts without memfd hole support merely keep the
+    /// physical pages until reuse.
     ///
     /// # Errors
     ///
@@ -638,74 +614,6 @@ impl PagePool {
         self.retired_pages.len()
     }
 
-    /// Truncate away all trailing free pages (but never below the threshold).
-    fn shrink_tail(&mut self) -> Result<()> {
-        let mut new_pages = self.file_pages;
-        while new_pages > self.cfg.shrink_threshold_pages
-            && new_pages > 0
-            && self.state[new_pages - 1] == PageState::Free
-        {
-            new_pages -= 1;
-        }
-        if new_pages == self.file_pages {
-            return Ok(());
-        }
-        // Return the vacated view range to PROT_NONE anonymous memory so
-        // stray accesses fault instead of SIGBUS-ing on a shrunk file.
-        let delta = self.file_pages - new_pages;
-        // SAFETY: range is inside our reservation; MAP_FIXED replacement.
-        let rc = unsafe {
-            libc::mmap(
-                self.view_base.add(new_pages * self.slot_bytes()) as *mut libc::c_void,
-                delta * self.slot_bytes(),
-                libc::PROT_NONE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_FIXED | libc::MAP_NORESERVE,
-                -1,
-                0,
-            )
-        };
-        if rc == libc::MAP_FAILED {
-            return Err(Error::os("mmap"));
-        }
-        self.stats.mmap_calls.add(1);
-        self.file.resize(new_pages * self.slot_bytes())?;
-        self.stats.pool_shrinks.add(1);
-        self.file_pages = new_pages;
-        self.state.truncate(new_pages);
-        // Stale queue entries >= new_pages are skipped lazily by alloc_page.
-        Ok(())
-    }
-
-    /// Best-effort release of the physical memory behind all currently
-    /// free pages (hole punching). The pages stay allocatable — they
-    /// re-materialize as zero pages on next use. Maximal runs of free
-    /// pages are punched with a single `fallocate` call each. Returns the
-    /// number of pages whose memory was reclaimed, or 0 if the host does
-    /// not support `FALLOC_FL_PUNCH_HOLE` on memfds.
-    pub fn reclaim_free_pages(&mut self) -> usize {
-        let mut reclaimed = 0;
-        let mut i = 0;
-        while i < self.file_pages {
-            if self.state[i] != PageState::Free {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < self.file_pages && self.state[i] == PageState::Free {
-                i += 1;
-            }
-            let n = i - start;
-            if self
-                .file
-                .punch_hole(start * self.slot_bytes(), n * self.slot_bytes())
-                .is_ok()
-            {
-                reclaimed += n;
-            }
-        }
-        reclaimed
-    }
-
     /// Pointer to the start of pool page `page` in the linear view.
     ///
     /// The pointer stays valid until the page is freed (the view base is a
@@ -814,7 +722,6 @@ mod tests {
         PagePool::new(PoolConfig {
             initial_pages: 2,
             min_growth_pages: 2,
-            shrink_threshold_pages: 4,
             view_capacity_pages: 64,
             ..PoolConfig::default()
         })
@@ -959,24 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_when_tail_freed() {
-        let mut p = small_pool(); // threshold 4
-        let pages: Vec<_> = (0..12).map(|_| p.alloc_page().unwrap()).collect();
-        let before = p.file_pages();
-        assert!(before >= 12);
-        // Free the tail pages in descending order; pool should shrink to
-        // the threshold.
-        for pg in pages.iter().rev() {
-            p.free_page(*pg).unwrap();
-        }
-        assert_eq!(p.file_pages(), 4);
-        assert!(p.stats().pool_shrinks > 0);
-        // And allocation still works afterwards.
-        let x = p.alloc_page().unwrap();
-        assert!(x.0 < p.file_pages());
-    }
-
-    #[test]
     fn alloc_run_is_contiguous() {
         let mut p = small_pool();
         let start = p.alloc_run(5).unwrap();
@@ -1030,36 +919,38 @@ mod tests {
         assert_eq!(got, 4);
     }
 
+    /// Freeing — page by page at the file's tail, or as a run whose
+    /// memory goes back to the host — keeps the file, live data and the
+    /// allocator sound: every page freed comes back, once.
     #[test]
     fn reclaim_free_pages_keeps_allocator_sound() {
         let mut p = small_pool();
         let keep = p.alloc_page().unwrap();
         let toss: Vec<_> = (0..6).map(|_| p.alloc_page().unwrap()).collect();
+        let run = p.alloc_run(4).unwrap();
         // SAFETY: page_ptr of a page this test allocated; offsets stay inside
         // the slot and the pool view stays mapped for the pool's lifetime.
         unsafe {
             *(p.page_ptr(keep) as *mut u64) = 42;
+            *(p.page_ptr(run) as *mut u64) = 43;
         }
-        for pg in toss {
+        let file = p.file_pages();
+        for &pg in toss.iter().rev() {
             p.free_page(pg).unwrap();
         }
-        // Works (count > 0) or degrades (0) depending on host support;
-        // either way the allocator and live data stay intact.
-        let _ = p.reclaim_free_pages();
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
+        p.free_run(run, 4).unwrap();
+        assert_eq!(p.file_pages(), file, "the file never shrinks");
+        assert_eq!(p.allocated_pages(), 1);
+        // SAFETY: as above.
         unsafe {
             assert_eq!(*(p.page_ptr(keep) as *const u64), 42);
         }
-        let fresh = p.alloc_page().unwrap();
-        let ptr = p.page_ptr(fresh);
-        for i in 0..page_size() {
-            // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-            // the slot and the pool view stays mapped for the pool's lifetime.
-            unsafe {
-                assert_eq!(*ptr.add(i), 0, "reclaimed page not zero at {i}");
-            }
-        }
+        let mut again: Vec<usize> = (0..file - 1).map(|_| p.alloc_page().unwrap().0).collect();
+        assert_eq!(p.file_pages(), file, "the freed pages came back first");
+        again.sort_unstable();
+        again.dedup();
+        assert_eq!(again.len(), file - 1);
+        assert!(!again.contains(&keep.0));
     }
 
     #[test]
@@ -1212,7 +1103,6 @@ mod tests {
         let mut p = PagePool::new(PoolConfig {
             initial_pages: 2,
             min_growth_pages: 2,
-            shrink_threshold_pages: 4,
             view_capacity_pages: 64,
             slot_layout: layout,
             ..PoolConfig::default()

@@ -184,8 +184,6 @@ crate::statistics! {
         pages_populated: u64 = Sum,
         /// Pool file growth events (`ftruncate` up).
         pool_grows: u64 = Sum,
-        /// Pool file shrink events (`ftruncate` down).
-        pool_shrinks: u64 = Sum,
         /// Pages handed out by the pool allocator.
         pages_allocated: u64 = Sum,
         /// Pages returned to the pool allocator.
@@ -231,7 +229,6 @@ mod tests {
             pages_rewired: 3,
             pages_populated: 4,
             pool_grows: 5,
-            pool_shrinks: 6,
             pages_allocated: 7,
             pages_freed: 8,
             pool_file_slots: 9,
@@ -242,7 +239,6 @@ mod tests {
             pages_rewired: 30,
             pages_populated: 40,
             pool_grows: 50,
-            pool_shrinks: 60,
             pages_allocated: 70,
             pages_freed: 80,
             pool_file_slots: 90,
@@ -256,7 +252,6 @@ mod tests {
                 pages_rewired: 33,
                 pages_populated: 44,
                 pool_grows: 55,
-                pool_shrinks: 66,
                 pages_allocated: 77,
                 pages_freed: 88,
                 pool_file_slots: 99, // a gauge that adds up across pools

@@ -3,8 +3,8 @@
 //! Two invariant families are exercised:
 //!
 //! 1. **Pool allocator**: arbitrary alloc/free sequences never hand out the
-//!    same page twice, never lose pages, and keep the file exactly as large
-//!    as needed (modulo growth slack / shrink threshold).
+//!    same page twice, never lose pages, and keep every live page inside
+//!    the file.
 //! 2. **Rewiring**: a `VirtArea` whose pages are rewired according to an
 //!    arbitrary script always reads back exactly what a `HashMap`-based
 //!    shadow model predicts, including under remapping, resets, and
@@ -18,7 +18,6 @@ fn test_pool(initial: usize) -> PagePool {
     PagePool::new(PoolConfig {
         initial_pages: initial,
         min_growth_pages: 4,
-        shrink_threshold_pages: 8,
         view_capacity_pages: 4096,
         ..PoolConfig::default()
     })

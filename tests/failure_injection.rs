@@ -66,13 +66,11 @@ fn mapper_surfaces_bad_requests_as_errors() {
             ..MaintConfig::default()
         },
     );
-    let v = maint.inbox_lock().bump_traditional();
     // Create referencing a pool page that does not exist.
-    maint.submit(MaintRequest::Create {
+    maint.inbox_lock().relay([MaintRequest::Create {
         slots: 2,
         assignments: vec![(0, PageIdx(0)), (1, PageIdx(12345))],
-        version: v,
-    });
+    }]);
     // The mapper must record the failure (and stop), never publish sync.
     common::wait_until("the mapper records the failure", || maint.error().is_some());
     let err = maint.error().expect("just seen");
@@ -152,30 +150,22 @@ fn reclamation_never_unmaps_under_a_stale_read_ticket() {
         *(pool.page_ptr(l0) as *mut u64) = 0xDEAD_0001;
     }
 
-    let v1 = engine.inbox_lock().bump_traditional();
-    engine
-        .apply_batch(vec![MaintRequest::Create {
-            slots: 1,
-            assignments: vec![(0, l0)],
-            version: v1,
-        }])
-        .unwrap();
+    engine.inbox_lock().relay([MaintRequest::Create {
+        slots: 1,
+        assignments: vec![(0, l0)],
+    }]);
+    engine.pass().unwrap();
 
-    // The end of the pass (the engine runs threadless here) serves it.
-    state.refresh_serving();
     // Reader pins and takes its ticket, then stalls before dereferencing.
     let pin = handle.retire_list().pin();
     let ticket = state.begin_read().expect("in sync");
 
     // A rebuild retires the 1-slot directory under the stalled reader.
-    let v2 = engine.inbox_lock().bump_traditional();
-    engine
-        .apply_batch(vec![MaintRequest::Create {
-            slots: 2,
-            assignments: vec![(0, l0), (1, l1)],
-            version: v2,
-        }])
-        .unwrap();
+    engine.inbox_lock().relay([MaintRequest::Create {
+        slots: 2,
+        assignments: vec![(0, l0), (1, l1)],
+    }]);
+    engine.pass().unwrap();
     assert_eq!(handle.retire_list().retired_count(), 1);
 
     // Reclamation runs while the stale ticket is outstanding: it must not
@@ -229,27 +219,20 @@ fn stale_ticket_protection_is_identical_under_forced_dekker_fallback() {
         *(pool.page_ptr(l0) as *mut u64) = 0xDEAD_0002;
     }
 
-    let v1 = engine.inbox_lock().bump_traditional();
-    engine
-        .apply_batch(vec![MaintRequest::Create {
-            slots: 1,
-            assignments: vec![(0, l0)],
-            version: v1,
-        }])
-        .unwrap();
+    engine.inbox_lock().relay([MaintRequest::Create {
+        slots: 1,
+        assignments: vec![(0, l0)],
+    }]);
+    engine.pass().unwrap();
 
-    state.refresh_serving();
     let pin = handle.retire_list().pin();
     let ticket = state.begin_read().expect("in sync");
 
-    let v2 = engine.inbox_lock().bump_traditional();
-    engine
-        .apply_batch(vec![MaintRequest::Create {
-            slots: 2,
-            assignments: vec![(0, l0), (1, l1)],
-            version: v2,
-        }])
-        .unwrap();
+    engine.inbox_lock().relay([MaintRequest::Create {
+        slots: 2,
+        assignments: vec![(0, l0), (1, l1)],
+    }]);
+    engine.pass().unwrap();
     assert_eq!(handle.retire_list().retired_count(), 1);
 
     // Identical PR 3 semantics: no unmap under the outstanding pin...
