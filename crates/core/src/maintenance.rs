@@ -54,6 +54,7 @@ use crate::metrics::{MaintMetrics, MaintSnapshot};
 use crate::shortcut_node::ShortcutNode;
 use crate::version::{ReadLine, SharedDirectoryState};
 use shortcut_rewire::{Error, PageIdx, PoolHandle, Result, RetireList, ZapCall};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -122,11 +123,12 @@ pub const WAKE_BACKLOG: usize = 512;
 /// mapper ([`InboxGuard::relay`]).
 #[derive(Debug, Clone)]
 pub enum MaintRequest {
-    /// A bucket split redirected `slot`: remap it.
+    /// A bucket split redirected `slots` (the upper half of the split
+    /// bucket's covering range): remap each of them.
     Update {
-        /// Slot to remap.
-        slot: usize,
-        /// Pool page of the bucket it must reference.
+        /// Slots to remap.
+        slots: Range<usize>,
+        /// Pool page of the bucket they must reference.
         ppage: PageIdx,
     },
     /// The directory doubled, or its buckets moved (compaction): replace
@@ -338,15 +340,17 @@ impl MapperEngine {
 
     /// Apply one pass's requests, taken at traditional `version`: the
     /// create at the head of the queue, if any (a relay's create clears
-    /// what is queued ahead of it), then the updates behind it as one
-    /// batch (one vectored zap per [`shortcut_rewire::ZAP_BATCH`] slots,
-    /// one publish).
+    /// what is queued ahead of it), then the updates behind it, one
+    /// `(slot, page)` per redirected slot, as one batch (one vectored zap
+    /// per [`shortcut_rewire::ZAP_BATCH`] slots, one publish).
     fn apply_batch(&mut self, batch: Vec<MaintRequest>, version: u64) -> Result<usize> {
         let n = batch.len();
-        let mut updates = Vec::with_capacity(n);
+        let mut updates = Vec::new();
         for req in batch {
             match req {
-                MaintRequest::Update { slot, ppage } => updates.push((slot, ppage)),
+                MaintRequest::Update { slots, ppage } => {
+                    updates.extend(slots.map(|slot| (slot, ppage)));
+                }
                 MaintRequest::Create { slots, assignments } => {
                     debug_assert!(updates.is_empty(), "a create behind an update");
                     self.apply_create(slots, assignments, version)?;
@@ -1045,8 +1049,10 @@ mod tests {
         }]);
         eng.pass().unwrap();
 
-        eng.inbox_lock()
-            .relay([MaintRequest::Update { slot: 1, ppage: l1 }]);
+        eng.inbox_lock().relay([MaintRequest::Update {
+            slots: 1..2,
+            ppage: l1,
+        }]);
         assert!(!state.in_sync());
         eng.pass().unwrap();
         assert!(state.in_sync());
@@ -1058,6 +1064,47 @@ mod tests {
             assert_eq!(*(t.base.add(PAGE_SIZE_4K) as *const u64), 11);
         }
         assert_eq!(metrics.snapshot().updates_applied, 1);
+    }
+
+    #[test]
+    fn engine_update_remaps_its_whole_range() {
+        let mut pl = pool();
+        let state = Arc::new(SharedDirectoryState::new());
+        let metrics = Arc::new(MaintMetrics::default());
+        let mut eng = MapperEngine::new(
+            pl.handle(),
+            Arc::clone(&state),
+            Arc::clone(&metrics),
+            MaintConfig::default(),
+        );
+        let l0 = pl.alloc_page().unwrap();
+        let l1 = pl.alloc_page().unwrap();
+        stamp(&pl, l0, 10);
+        stamp(&pl, l1, 11);
+
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 4,
+            assignments: (0..4).map(|s| (s, l0)).collect(),
+        }]);
+        eng.pass().unwrap();
+        // One split of a bucket covering all four slots: the upper half
+        // moves to l1, in one request.
+        eng.inbox_lock().relay([MaintRequest::Update {
+            slots: 2..4,
+            ppage: l1,
+        }]);
+        eng.pass().unwrap();
+        assert!(state.in_sync());
+        let t = state.begin_read().unwrap();
+        for (slot, want) in [10, 10, 11, 11].into_iter().enumerate() {
+            // SAFETY: t.base is the directory the ticket published; offsets
+            // stay below t.slots slots and retirement cannot unmap it
+            // mid-test.
+            unsafe {
+                assert_eq!(*(t.base.add(slot * PAGE_SIZE_4K) as *const u64), want);
+            }
+        }
+        assert_eq!(metrics.snapshot().updates_applied, 2, "counted in slots");
     }
 
     #[test]
@@ -1076,10 +1123,14 @@ mod tests {
 
         // Two relays of updates, then one of a create: the create drops
         // them from the queue, and the pass sees the create alone.
-        eng.inbox_lock()
-            .relay([MaintRequest::Update { slot: 0, ppage: l0 }]);
-        eng.inbox_lock()
-            .relay([MaintRequest::Update { slot: 1, ppage: l1 }]);
+        eng.inbox_lock().relay([MaintRequest::Update {
+            slots: 0..1,
+            ppage: l0,
+        }]);
+        eng.inbox_lock().relay([MaintRequest::Update {
+            slots: 1..2,
+            ppage: l1,
+        }]);
         eng.inbox_lock().relay([MaintRequest::Create {
             slots: 4,
             assignments: vec![(0, l0), (1, l0), (2, l1), (3, l1)],
@@ -1112,8 +1163,10 @@ mod tests {
             slots: 2,
             assignments: vec![(0, l0), (1, l0)],
         }]);
-        eng.inbox_lock()
-            .relay([MaintRequest::Update { slot: 1, ppage: l1 }]);
+        eng.inbox_lock().relay([MaintRequest::Update {
+            slots: 1..2,
+            ppage: l1,
+        }]);
         eng.pass().unwrap();
         assert!(state.in_sync());
         let t = state.begin_read().unwrap();
@@ -1275,8 +1328,10 @@ mod tests {
         // must be folded into the deferred assignments, not discarded —
         // otherwise the retry would publish a stale slot that a later
         // version-restoring update could legitimize.
-        eng.inbox_lock()
-            .relay([MaintRequest::Update { slot: 3, ppage: l1 }]);
+        eng.inbox_lock().relay([MaintRequest::Update {
+            slots: 3..4,
+            ppage: l1,
+        }]);
         eng.pass().unwrap();
         assert_eq!(metrics.snapshot().updates_discarded, 0);
 
@@ -1412,7 +1467,7 @@ mod tests {
         stamp(&pl, fresh, 999);
         for fine_slot in [14usize, 15] {
             eng.inbox_lock().relay([MaintRequest::Update {
-                slot: fine_slot,
+                slots: fine_slot..fine_slot + 1,
                 ppage: fresh,
             }]);
             eng.pass().unwrap();
@@ -1561,7 +1616,7 @@ mod tests {
             MaintConfig::default(),
         );
         eng.inbox_lock().relay([MaintRequest::Update {
-            slot: 0,
+            slots: 0..1,
             ppage: PageIdx(0),
         }]);
         eng.pass().unwrap();
@@ -1585,8 +1640,10 @@ mod tests {
             assignments: vec![(0, l0), (1, l0)],
         }]);
         let first = state.traditional_version();
-        eng.inbox_lock()
-            .relay([MaintRequest::Update { slot: 1, ppage: l1 }]);
+        eng.inbox_lock().relay([MaintRequest::Update {
+            slots: 1..2,
+            ppage: l1,
+        }]);
         assert_eq!(state.traditional_version(), first + 1, "one bump a relay");
         eng.pass().unwrap();
         assert_eq!(state.shortcut_version(), first + 1);
@@ -1613,8 +1670,10 @@ mod tests {
         let published = state.shortcut_version();
         // Slot 5 of a 2-slot directory: no producer that keeps the
         // protocol sends it.
-        eng.inbox_lock()
-            .relay([MaintRequest::Update { slot: 5, ppage: l0 }]);
+        eng.inbox_lock().relay([MaintRequest::Update {
+            slots: 5..6,
+            ppage: l0,
+        }]);
         eng.pass().unwrap();
         assert_eq!(metrics.snapshot().updates_discarded, 1);
         assert_eq!(state.shortcut_version(), published, "published nothing");
@@ -1708,8 +1767,10 @@ mod tests {
         }]);
         // Stream of split-style updates.
         for (i, p) in pages.iter().enumerate() {
-            m.inbox_lock()
-                .relay([MaintRequest::Update { slot: i, ppage: *p }]);
+            m.inbox_lock().relay([MaintRequest::Update {
+                slots: i..i + 1,
+                ppage: *p,
+            }]);
         }
         assert!(m.wait_sync(Duration::from_secs(5)));
         let t = m.state().begin_read().unwrap();

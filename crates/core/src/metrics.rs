@@ -4,7 +4,9 @@ shortcut_rewire::statistics! {
     /// Thread-safe maintenance counters, shared between the index (producer)
     /// and the mapper thread (consumer).
     pub struct MaintMetrics {
-        /// Update requests processed.
+        /// Directory slots remapped by update requests (a request names
+        /// the range of slots one split redirected, so this counts slots,
+        /// not requests).
         updates_applied: u64 = Sum,
         /// Create (full rebuild) requests processed.
         creates_applied: u64 = Sum,

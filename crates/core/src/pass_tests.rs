@@ -135,7 +135,10 @@ impl Rig {
 
     /// [`Rig::relay`] of a split's update.
     fn update(&self, slot: usize, ppage: PageIdx) {
-        self.relay(MaintRequest::Update { slot, ppage });
+        self.relay(MaintRequest::Update {
+            slots: slot..slot + 1,
+            ppage,
+        });
     }
 
     /// What a lookup of each published slot answers: the stamp of the
@@ -382,7 +385,10 @@ fn a_demand_made_mid_pass_is_answered_by_the_next_pass() {
     let r = rig(0, None, false, None);
     let m = parked_maintainer(&r.pool, Some(gated));
     let update = |slot: usize, ppage: PageIdx| {
-        m.inbox_lock().relay([MaintRequest::Update { slot, ppage }]);
+        m.inbox_lock().relay([MaintRequest::Update {
+            slots: slot..slot + 1,
+            ppage,
+        }]);
     };
     m.inbox_lock().relay([create(&[r.pages[0]; 2])]);
     assert!(m.wait_sync(Duration::from_secs(60)));
@@ -431,7 +437,7 @@ fn the_relay_that_crosses_the_backlog_wakes_a_parked_mapper_once() {
     // One relay: one bump and the requests, under one hold of the lock.
     let relay = |slots: std::ops::Range<usize>| {
         m.inbox_lock().relay(slots.map(|slot| MaintRequest::Update {
-            slot,
+            slots: slot..slot + 1,
             ppage: r.pages[1 + slot % 7],
         }));
     };

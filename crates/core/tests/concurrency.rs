@@ -166,7 +166,7 @@ fn updates_race_with_readers_without_tearing() {
         for i in 0..400u64 {
             let target = if i % 2 == 0 { b } else { a };
             maint.inbox_lock().relay([MaintRequest::Update {
-                slot: 0,
+                slots: 0..1,
                 ppage: target,
             }]);
             if i % 50 == 0 {

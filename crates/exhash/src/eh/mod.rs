@@ -27,11 +27,11 @@ use shortcut_rewire::{planned_vmas, PageIdx, PagePool, PoolConfig, PoolHandle, S
 use std::sync::Arc;
 
 /// How many keys ahead of the probe the batched lookups prefetch. One
-/// constant for every path, from a sweep on this host (README, "PR 16"):
-/// cold 256-key batches cost 1.15 × a bare bucket probe per key at
-/// distance 4, 1.00 × at 8 and 0.91–0.94 × anywhere from 12 to 24, while
-/// cached streams and the server's few-keys-per-shard groups read the same
-/// at every distance from 4 to 32.
+/// constant for every path, from a sweep on a 2-vCPU Xeon (BASELINES.md,
+/// the batches block): cold 256-key batches cost 1.15 × a bare bucket probe
+/// per key at distance 4, 1.00 × at 8 and 0.91–0.94 × anywhere from 12 to
+/// 24, while cached streams and the server's few-keys-per-shard groups read
+/// the same at every distance from 4 to 32.
 pub(crate) const PREFETCH_DISTANCE: usize = 16;
 
 /// Keys a batch serves per entry into the sections of the shards they
@@ -46,11 +46,6 @@ pub struct EhConfig {
     pub max_load_factor: f64,
     /// Page pool configuration (bucket storage).
     pub pool: PoolConfig,
-    /// Record every directory change as the [`MaintRequest`] that replays
-    /// it on a shortcut (enabled by Shortcut-EH, off for plain EH): an
-    /// update per slot a split redirects, a create for a doubling or a
-    /// compaction.
-    pub track_events: bool,
     /// Hard cap on the global depth; exceeding it panics with a clear
     /// message instead of exhausting memory (2^28 slots = 2 GB directory).
     pub max_global_depth: u32,
@@ -74,7 +69,6 @@ impl Default for EhConfig {
         EhConfig {
             max_load_factor: 0.35,
             pool: PoolConfig::default(),
-            track_events: false,
             max_global_depth: 28,
             compaction: CompactionPolicy::default(),
             hash_rot: 0,
@@ -106,7 +100,9 @@ pub struct ExtendibleHash {
     max_entries: usize,
     cfg: EhConfig,
     stats: IndexStats,
-    events: Vec<MaintRequest>,
+    /// The directory changes recorded since the last drain; `None` unless
+    /// built by [`ExtendibleHash::try_new_tracked`].
+    events: Option<Vec<MaintRequest>>,
     /// A splitting bucket's live entries, between its emptying and their
     /// re-placement: sized for the load limit once, reused by every split.
     split_entries: Vec<(u64, u64)>,
@@ -123,6 +119,17 @@ impl ExtendibleHash {
     /// allocation failures (memfd, `mmap`, reservation sizing) as
     /// [`IndexError::Pool`].
     pub fn try_new(cfg: EhConfig) -> Result<Self, IndexError> {
+        Self::build(cfg, false)
+    }
+
+    /// [`ExtendibleHash::try_new`] for Shortcut-EH: every directory change
+    /// is recorded as the [`MaintRequest`] that replays it on a shortcut —
+    /// an update per split, a create per doubling or compaction.
+    pub(crate) fn try_new_tracked(cfg: EhConfig) -> Result<Self, IndexError> {
+        Self::build(cfg, true)
+    }
+
+    fn build(cfg: EhConfig, track_events: bool) -> Result<Self, IndexError> {
         if !(cfg.max_load_factor > 0.0 && cfg.max_load_factor <= 1.0) {
             return Err(IndexError::config("max_load_factor must be in (0, 1]"));
         }
@@ -148,7 +155,7 @@ impl ExtendibleHash {
             max_entries,
             cfg,
             stats: IndexStats::default(),
-            events: Vec::new(),
+            events: track_events.then(Vec::new),
             split_entries: Vec::with_capacity(max_entries),
         })
     }
@@ -233,14 +240,23 @@ impl ExtendibleHash {
     /// Whether directory changes were recorded since the last drain.
     #[inline]
     pub fn has_events(&self) -> bool {
-        !self.events.is_empty()
+        self.events
+            .as_ref()
+            .is_some_and(|events| !events.is_empty())
     }
 
     /// Drain the directory changes recorded since the last call. The
     /// buffer keeps its capacity, so recording the next split's requests
     /// allocates nothing.
-    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, MaintRequest> {
-        self.events.drain(..)
+    pub(crate) fn drain_events(&mut self) -> impl Iterator<Item = MaintRequest> + '_ {
+        self.events.iter_mut().flat_map(|events| events.drain(..))
+    }
+
+    /// Record a directory change, if this index records them.
+    fn record(&mut self, request: MaintRequest) {
+        if let Some(events) = &mut self.events {
+            events.push(request);
+        }
     }
 
     /// The bucket a hash currently routes to. Forced inline: the write
@@ -356,13 +372,11 @@ impl ExtendibleHash {
         let first_new = range.start + half;
         for s in first_new..range.end {
             self.dir.set(s, new_ptr);
-            if self.cfg.track_events {
-                self.events.push(MaintRequest::Update {
-                    slot: s,
-                    ppage: new_page,
-                });
-            }
         }
+        self.record(MaintRequest::Update {
+            slots: first_new..range.end,
+            ppage: new_page,
+        });
         self.bucket_count += 1;
         self.stats.splits += 1;
         // Opportunistically return relocated-away pages whose reader pins
@@ -500,7 +514,7 @@ impl ExtendibleHash {
     }
 
     /// Relocate **every** bucket into directory order in one pass and
-    /// (with `track_events`) record a single [`MaintRequest::Create`]
+    /// (when tracked) record a single [`MaintRequest::Create`]
     /// carrying the identity assignment. Sources are epoch-retired and
     /// reclaimed once reader pins drain; the vacated span is reused by the
     /// next pass.
@@ -536,10 +550,7 @@ impl ExtendibleHash {
             Ok(()) => {
                 debug_assert_eq!(moved, n, "covering ranges must partition the directory");
                 let vmas_after = planned_vmas(slots, &assignments);
-                if self.cfg.track_events {
-                    self.events
-                        .push(MaintRequest::Create { slots, assignments });
-                }
+                self.record(MaintRequest::Create { slots, assignments });
                 let outcome = CompactionOutcome {
                     pages_moved: moved,
                     vmas_before,
@@ -572,9 +583,9 @@ impl ExtendibleHash {
     ///
     /// Propagates [`ExtendibleHash::directory_assignments`] failures.
     pub fn emit_rebuilt_event(&mut self) -> Result<(), IndexError> {
-        if self.cfg.track_events {
+        if self.events.is_some() {
             let assignments = self.directory_assignments()?;
-            self.events.push(MaintRequest::Create {
+            self.record(MaintRequest::Create {
                 slots: self.dir.slot_count(),
                 assignments,
             });
@@ -876,11 +887,7 @@ mod tests {
 
     #[test]
     fn events_track_splits_and_doublings() {
-        let mut eh = ExtendibleHash::try_new(EhConfig {
-            track_events: true,
-            ..EhConfig::default()
-        })
-        .unwrap();
+        let mut eh = ExtendibleHash::try_new_tracked(EhConfig::default()).unwrap();
         for k in 0..1_000u64 {
             eh.insert(k, k).unwrap();
         }
@@ -895,7 +902,7 @@ mod tests {
             .filter(|e| matches!(e, MaintRequest::Update { .. }))
             .count();
         assert_eq!(doubles as u64, eh.stats().doublings);
-        assert!(updates > 0);
+        assert_eq!(updates as u64, eh.stats().splits, "one update a split");
         // After a drain, the buffer is empty.
         assert!(take_events(&mut eh).is_empty());
         // The last create's assignment vector covers every slot of the
@@ -962,14 +969,13 @@ mod tests {
 
     #[test]
     fn on_rebuild_compaction_keeps_directory_near_identity() {
-        let mut eh = ExtendibleHash::try_new(EhConfig {
+        let mut eh = ExtendibleHash::try_new_tracked(EhConfig {
             pool: PoolConfig {
                 initial_pages: 1,
                 min_growth_pages: 8,
                 view_capacity_pages: 1 << 16,
                 ..PoolConfig::default()
             },
-            track_events: true,
             compaction: shortcut_core::CompactionPolicy::on(),
             ..EhConfig::default()
         })

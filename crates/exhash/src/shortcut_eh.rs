@@ -5,7 +5,7 @@
 //! shortcut directory replays its modifications **asynchronously** via the
 //! mapper thread of [`shortcut_core::Maintainer`]:
 //!
-//! * bucket split → one *update* request per redirected slot;
+//! * bucket split → one *update* request naming the slots it redirected;
 //! * directory doubling → pending updates are dropped (superseded) and one
 //!   *create* request carries the full slot→page assignment.
 //!
@@ -52,7 +52,8 @@ use std::sync::{Arc, RwLockReadGuard};
 /// Shortcut-EH tuning.
 #[derive(Debug, Clone, Default)]
 pub struct ShortcutEhConfig {
-    /// The underlying EH configuration (`track_events` is forced on).
+    /// The underlying EH configuration (Shortcut-EH's EH always records
+    /// its directory changes for the mapper).
     pub eh: EhConfig,
     /// Mapper-thread configuration (poll interval, eager population).
     pub maint: MaintConfig,
@@ -105,14 +106,13 @@ impl ShortcutEh {
     /// the underlying EH as [`IndexError::Pool`] — the path that used to
     /// panic when `vm.max_map_count` or the view reservation ran out.
     pub fn try_new(mut cfg: ShortcutEhConfig) -> Result<Self, IndexError> {
-        cfg.eh.track_events = true;
         // One source of truth for the compaction policy: the maintenance
         // config. The inner EH needs a copy so rebuild-time compaction
         // runs inside its directory-doubling path.
         cfg.eh.compaction = cfg.maint.compaction;
         let compaction = cfg.maint.compaction;
         let hash_rot = cfg.eh.hash_rot;
-        let eh = ExtendibleHash::try_new(cfg.eh)?;
+        let eh = ExtendibleHash::try_new_tracked(cfg.eh)?;
         let handle = eh.pool_handle();
         let retire = Arc::clone(handle.retire_list());
         let usage = Arc::clone(handle.usage());
@@ -1260,10 +1260,10 @@ mod tests {
         }
     }
 
-    /// A split is one relay: the version moves by one however many slots
-    /// it redirected, and one update is queued for each of them.
+    /// A split is one relay: the version moves by one and one update is
+    /// queued, however many slots it redirected.
     #[test]
-    fn a_split_is_one_bump_and_one_update_per_redirected_slot() {
+    fn a_split_is_one_bump_and_one_update_per_split() {
         let mut t = ShortcutEh::try_new(on_demand_cfg(8, 1 << 16)).unwrap();
         assert!(t.wait_sync(Duration::from_secs(10)));
         let mut assignments = t.eh.directory_assignments().unwrap();
@@ -1300,12 +1300,9 @@ mod tests {
                     .count();
                 assert!(redirected > 0);
                 assert_eq!(t.versions().0, before.1 + 1, "key {key}: one bump");
-                // A relay that takes the queue across the backlog wakes the
-                // mapper, which may take it at once.
-                if before.2 + redirected < shortcut_core::maintenance::WAKE_BACKLOG {
-                    assert_eq!(t.maint.pending() - before.2, redirected, "key {key}");
-                    wide += usize::from(redirected >= 2);
-                }
+                assert_eq!(t.maint.pending(), before.2 + 1, "key {key}: one update");
+                assert!(t.maint.pending() < shortcut_core::maintenance::WAKE_BACKLOG);
+                wide += usize::from(redirected >= 2);
             }
             assignments = after;
         }

@@ -4,7 +4,7 @@
 //!
 //! The flow is the whole point of this crate:
 //!
-//! 1. Per-connection reader threads decode requests and push them as
+//! 1. Per-connection threads decode requests and push them as
 //!    [`Op`]s into a **submission lane** ([`Lane`]): an MPSC queue with a
 //!    condvar wakeup. A connection always pushes into the same lane
 //!    (`conn_id % lanes`), so one executor owns all of a connection's
@@ -29,9 +29,10 @@
 //!      failing `SET` leaves exactly the run's earlier ones applied; other
 //!      executors write the shards it does not touch in parallel;
 //!    * a remove run becomes **one** `remove_batch_shared_into`.
-//! 3. Each op carries its [`ReplySlot`]; the executor fills it and the
-//!    connection's writer thread — which holds the slots in submission
-//!    order — encodes and sends replies in order.
+//! 3. Each op carries its [`ReplySlot`]; the executor fills it, and the
+//!    connection thread — which holds one read's slots in submission
+//!    order — waits for each, encodes the replies in order and writes
+//!    them at once.
 
 use crate::protocol::Reply;
 use shortcut_rewire::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
@@ -41,8 +42,8 @@ use std::time::Duration;
 use taking_the_shortcut::ShortcutIndex;
 
 /// A one-shot rendezvous for one request's reply: the executor (or the
-/// reader itself, for immediate replies) fills it once; the connection's
-/// writer thread blocks until it is filled.
+/// connection thread itself, for immediate replies) fills it once; the
+/// connection thread blocks until it is filled.
 #[derive(Debug, Default)]
 pub struct ReplySlot {
     state: Mutex<Option<Reply>>,
@@ -132,7 +133,7 @@ pub enum Op {
     },
 }
 
-/// An MPSC submission lane: readers push, one executor drains.
+/// An MPSC submission lane: connections push, one executor drains.
 #[derive(Debug, Default)]
 pub struct Lane {
     q: Mutex<VecDeque<Op>>,
@@ -148,14 +149,6 @@ impl Lane {
     pub fn push(&self, op: Op) {
         self.q.lock().unwrap().push_back(op);
         self.cv.notify_one();
-    }
-
-    pub fn len(&self) -> usize {
-        self.q.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Drain up to `max` ops. Blocks (in bounded slices, so `stop` is

@@ -1,163 +1,127 @@
-//! Per-connection plumbing: one reader thread (socket → decoder →
-//! submission lane) and one writer thread (reply slots → socket), with
-//! replies delivered strictly in request order.
+//! Per-connection plumbing: one thread per connection reads a chunk,
+//! submits every complete command in it, waits for their replies in
+//! request order, writes them with one `write_all`, and only then reads
+//! again.
 //!
-//! The reader never executes index operations itself — `GET`/`MGET`/
+//! The thread never executes index operations itself — `GET`/`MGET`/
 //! `SET`/`DEL` become [`Op`]s on the connection's submission lane and are
-//! batch-executed there. `PING`/`INFO`/error replies are filled
-//! immediately (they touch no keyed state), but still travel through the
-//! same in-order slot queue, so a client can rely on reply N answering
-//! request N. `SHUTDOWN` acknowledges `+OK`, then trips the server-wide
-//! shutdown flag.
+//! batch-executed there. `PING`/`INFO`/error replies are filled at once
+//! (they touch no keyed state) but keep their place among the chunk's
+//! reply slots, so a client can rely on reply N answering request N.
+//! `SHUTDOWN` acknowledges `+OK`, then trips the server-wide shutdown
+//! flag.
 //!
-//! A client that disconnects mid-stream (EOF or reset) just ends the
-//! reader loop once it has read what the client sent; those ops still
-//! execute — the executor fills their slots whether or not anyone is left
-//! to read them — and the writer exits once the slot queue drains or the
-//! first write fails (which does not stop the reader).
+//! A connection holds at most one read's commands (16 KB, plus the
+//! decoder's partial frame). A client that stops reading its
+//! replies meets TCP backpressure: the thread blocks in `write_all` and
+//! reads nothing more, and no server-side queue grows. A client that
+//! writes more than the socket buffers hold before it reads any reply
+//! stalls the same way, as it would against any blocking server.
+//!
+//! Batch-synchronous clients (send a batch, read all its replies) see the
+//! same flow as with a separate writer thread. A streaming client loses
+//! the overlap between reading chunk k+1 and writing chunk k's replies; no
+//! workload here measures that case.
+//!
+//! A client that disconnects mid-stream (EOF or reset) ends the loop once
+//! it has read what the client sent; those ops still execute. After the
+//! first failed write no reply is written, but what the client sent is
+//! still read and executed.
 
-use crate::batch::{Op, ReplySlot};
+use crate::batch::{Lane, Op, ReplySlot};
 use crate::protocol::{Decoder, Reply, Request};
 use crate::server::ServerCtx;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Reader poll granularity: how promptly a blocked reader notices the
+/// Read poll granularity: how promptly a blocked read notices the
 /// server-wide shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
 
-/// Serve one accepted connection to completion. Runs on its own thread;
-/// spawns (and joins) the paired writer thread.
-pub fn handle_connection(stream: TcpStream, ctx: Arc<ServerCtx>, conn_id: u64) {
+/// Bytes read per turn of the loop: all a connection submits before it
+/// writes the replies.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Serve one accepted connection to completion on the calling thread.
+pub fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>, conn_id: u64) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            ctx.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    };
-    let (tx, rx) = mpsc::channel::<Arc<ReplySlot>>();
-    let writer = std::thread::Builder::new()
-        .name(format!("resp-writer-{conn_id}"))
-        .spawn(move || writer_loop(writer_stream, rx))
-        .expect("spawn writer thread");
-
-    reader_loop(stream, &ctx, conn_id, tx);
-
-    // Sender dropped above: the writer drains what is queued, then exits.
-    let _ = writer.join();
-    ctx.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Decode requests and fan them out until EOF, error, or shutdown.
-fn reader_loop(
-    mut stream: TcpStream,
-    ctx: &Arc<ServerCtx>,
-    conn_id: u64,
-    tx: mpsc::Sender<Arc<ReplySlot>>,
-) {
     let lane = &ctx.lanes[(conn_id as usize) % ctx.lanes.len()];
     let mut decoder = Decoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    'conn: loop {
-        if ctx.shutdown.load(Ordering::Acquire) {
-            break;
-        }
+    let mut buf = [0u8; READ_CHUNK];
+    let mut slots = Vec::new();
+    // Cleared by a failed write: the client is gone, what it sent still runs.
+    let mut replying = true;
+    let mut open = true;
+    let mut out = Vec::with_capacity(4096); // audit:allow(page-literal): initial reply-buffer capacity, not a page size
+    while open && !ctx.shutdown.load(Ordering::Acquire) {
         match stream.read(&mut buf) {
             Ok(0) => break, // EOF
             Ok(n) => decoder.feed(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
+            Err(e) => match e.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted => continue,
+                _ => break,
+            },
         }
-        loop {
-            match decoder.next_command() {
-                Ok(Some(args)) => {
-                    ctx.stats.commands.fetch_add(1, Ordering::Relaxed);
-                    let slot = ReplySlot::new();
-                    // A writer that died (client gone) reads no more
-                    // replies; what the client sent still executes.
-                    let _ = tx.send(Arc::clone(&slot));
-                    match Request::parse(&args) {
-                        Err(msg) => slot.fill(Reply::Error(msg)),
-                        Ok(Request::Ping) => slot.fill(Reply::Simple("PONG")),
-                        Ok(Request::Info) => {
-                            slot.fill(Reply::Bulk(ctx.render_info().into_bytes()));
-                        }
-                        Ok(Request::Shutdown) => {
-                            slot.fill(Reply::Simple("OK"));
-                            ctx.shutdown.store(true, Ordering::Release);
-                            break 'conn;
-                        }
-                        Ok(Request::Get(key)) => lane.push(Op::Read {
-                            keys: vec![key],
-                            single: true,
-                            slot,
-                        }),
-                        Ok(Request::MGet(keys)) => lane.push(Op::Read {
-                            keys,
-                            single: false,
-                            slot,
-                        }),
-                        Ok(Request::Set(key, value)) => lane.push(Op::Write { key, value, slot }),
-                        Ok(Request::Del(keys)) => lane.push(Op::Remove { keys, slot }),
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Protocol error: report, then close — the stream
-                    // cannot be resynchronized (module docs).
-                    ctx.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let slot = ReplySlot::new();
-                    slot.fill(Reply::Error(format!("ERR {e}")));
-                    let _ = tx.send(slot);
-                    break 'conn;
-                }
-            }
+        open = submit(&mut decoder, &ctx, lane, &mut slots);
+        out.clear();
+        for slot in slots.drain(..) {
+            slot.wait().encode(&mut out);
         }
+        replying = replying && stream.write_all(&out).is_ok();
     }
+    ctx.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Pop reply slots in submission order, block on each until its executor
-/// fills it, and write the encoded reply. Flushes whenever the queue
-/// momentarily empties (one syscall per burst, not per reply).
-fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<Arc<ReplySlot>>) {
-    let mut out = std::io::BufWriter::with_capacity(32 * 1024, stream);
-    let mut encode_buf = Vec::with_capacity(4096); // audit:allow(page-literal): initial reply-buffer capacity, not a page size
-    let mut next = rx.try_recv();
+/// Submit every complete command the decoder holds, pushing each one's
+/// reply slot onto `slots` in request order. Returns `false` when the
+/// connection closes after these replies: on `SHUTDOWN`, and on a protocol
+/// error, since the stream cannot be resynchronized.
+fn submit(
+    decoder: &mut Decoder,
+    ctx: &ServerCtx,
+    lane: &Lane,
+    slots: &mut Vec<Arc<ReplySlot>>,
+) -> bool {
     loop {
-        let slot = match next {
-            Ok(slot) => slot,
-            Err(mpsc::TryRecvError::Empty) => {
-                if out.flush().is_err() {
-                    return;
-                }
-                match rx.recv() {
-                    Ok(slot) => slot,
-                    Err(_) => return, // reader hung up and queue drained
-                }
-            }
-            Err(mpsc::TryRecvError::Disconnected) => {
-                let _ = out.flush();
-                return;
+        let args = match decoder.next_command() {
+            Ok(Some(args)) => args,
+            Ok(None) => return true,
+            Err(e) => {
+                ctx.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                let slot = ReplySlot::new();
+                slot.fill(Reply::Error(format!("ERR {e}")));
+                slots.push(slot);
+                return false;
             }
         };
-        encode_buf.clear();
-        slot.wait().encode(&mut encode_buf);
-        if out.write_all(&encode_buf).is_err() {
-            // Client is gone. Keep draining slots (executors fill them
-            // regardless) without writing, so the reader's join is not
-            // held up; exit when the sender closes.
-            while rx.recv().is_ok() {}
-            return;
+        ctx.stats.commands.fetch_add(1, Ordering::Relaxed);
+        let slot = ReplySlot::new();
+        slots.push(Arc::clone(&slot));
+        match Request::parse(&args) {
+            Err(msg) => slot.fill(Reply::Error(msg)),
+            Ok(Request::Ping) => slot.fill(Reply::Simple("PONG")),
+            Ok(Request::Info) => slot.fill(Reply::Bulk(ctx.render_info().into_bytes())),
+            Ok(Request::Shutdown) => {
+                slot.fill(Reply::Simple("OK"));
+                ctx.shutdown.store(true, Ordering::Release);
+                return false;
+            }
+            Ok(Request::Get(key)) => lane.push(Op::Read {
+                keys: vec![key],
+                single: true,
+                slot,
+            }),
+            Ok(Request::MGet(keys)) => lane.push(Op::Read {
+                keys,
+                single: false,
+                slot,
+            }),
+            Ok(Request::Set(key, value)) => lane.push(Op::Write { key, value, slot }),
+            Ok(Request::Del(keys)) => lane.push(Op::Remove { keys, slot }),
         }
-        next = rx.try_recv();
     }
 }

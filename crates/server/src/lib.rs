@@ -4,7 +4,7 @@
 //! The paper's batched entry points (`get_many`'s one-serving-word
 //! reads, `insert_batch_shared`'s parallel per-shard writer lanes) want
 //! batches — but network clients send one request at a time. This crate
-//! closes that gap server-side: per-connection readers decode requests
+//! closes that gap server-side: per-connection threads decode requests
 //! into submission lanes, and a small executor pool drains each lane
 //! into group batches, so concurrent clients' requests amortize into the
 //! same batched index calls the benchmarks use. See [`batch`] for the

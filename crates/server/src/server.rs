@@ -4,16 +4,18 @@
 //! Thread topology (for `executors = E`, `C` live connections):
 //!
 //! ```text
-//! acceptor ──spawns──▶ C × reader ──lanes[conn % E]──▶ E × executor
-//!                      C × writer ◀──reply slots───────────┘
+//! acceptor ──spawns──▶ C × connection ──lanes[conn % E]──▶ E × executor
+//!                          ▲                                   │
+//!                          └──────────── reply slots ──────────┘
 //! ```
 //!
 //! Shutdown ordering matters and is encoded in [`Server::join`]:
 //! 1. the shutdown flag stops the acceptor (nonblocking poll loop) and
-//!    every reader (bounded read timeout);
-//! 2. readers are joined **first** — only then can no new ops enter the
-//!    lanes, and every submitted op still has a live executor to fill its
-//!    slot (so writers never hang);
+//!    every connection (bounded read timeout) once it has written the
+//!    replies to what it read;
+//! 2. connections are joined **first** — only then can no new ops enter
+//!    the lanes, and every submitted op still has a live executor to fill
+//!    its slot (so a connection waiting on its replies never hangs);
 //! 3. the drain flag releases the executors, which finish whatever is
 //!    left in their lane and exit — no accepted request is dropped;
 //! 4. the final [`StatsSnapshot`] and server counters are captured for
@@ -21,10 +23,10 @@
 
 use crate::batch::{Lane, RunBuffers, ServerStats};
 use crate::config::{Engine, ServerConfig};
-use shortcut_rewire::sync::{AtomicBool, AtomicU64, Ordering};
+use shortcut_rewire::sync::{AtomicBool, Ordering};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use taking_the_shortcut::{CompactionPolicy, ShortcutIndex, StatsSnapshot};
@@ -41,11 +43,11 @@ pub struct ServerCtx {
     /// One submission lane per executor; connections hash onto them.
     pub lanes: Vec<Lane>,
     pub stats: ServerStats,
-    /// Stops the acceptor and the readers (set by `SHUTDOWN` or
+    /// Stops the acceptor and the connections (set by `SHUTDOWN` or
     /// [`Server::shutdown`]).
     pub shutdown: AtomicBool,
     /// Releases the executors once the lanes can only shrink; set by
-    /// [`Server::join`] *after* the readers are joined.
+    /// [`Server::join`] *after* the connections are joined.
     drain: AtomicBool,
     started: Instant,
 }
@@ -152,9 +154,9 @@ pub struct ShutdownReport {
 pub struct Server {
     ctx: Arc<ServerCtx>,
     addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    /// Hands back the handles of the connections it spawned when it exits.
+    acceptor: JoinHandle<Vec<JoinHandle<()>>>,
     executors: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -204,22 +206,19 @@ impl Server {
             })
             .collect();
 
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let ctx = Arc::clone(&ctx);
-            let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("acceptor".to_string())
-                .spawn(move || acceptor_loop(listener, &ctx, &conns))
+                .spawn(move || acceptor_loop(listener, &ctx))
                 .expect("spawn acceptor")
         };
 
         Ok(Server {
             ctx,
             addr,
-            acceptor: Some(acceptor),
+            acceptor,
             executors,
-            conns,
         })
     }
 
@@ -240,23 +239,18 @@ impl Server {
 
     /// Block until the server has shut down, running the ordered drain
     /// (see module docs), and return the final stats.
+    ///
+    /// # Panics
+    ///
+    /// If the acceptor panicked (it could not spawn a connection thread):
+    /// the handles of its connections went with it, so the drain could not
+    /// wait for them.
     pub fn join(mut self) -> ShutdownReport {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // After the acceptor exits no new connections appear; join the
-        // readers (each exits within one read-poll of the flag).
-        loop {
-            let drained: Vec<JoinHandle<()>> = {
-                let mut conns = self.conns.lock().unwrap();
-                conns.drain(..).collect()
-            };
-            if drained.is_empty() {
-                break;
-            }
-            for handle in drained {
-                let _ = handle.join();
-            }
+        // The acceptor exits on the flag, and with it no new connection
+        // appears; each connection exits within one read-poll of the flag.
+        let conns = self.acceptor.join().expect("the acceptor panicked");
+        for conn in conns {
+            let _ = conn.join();
         }
         // Lanes can only shrink now — release the executors.
         self.ctx.drain.store(true, Ordering::Release);
@@ -271,33 +265,30 @@ impl Server {
 }
 
 /// Accept loop: nonblocking poll so the shutdown flag is honored without
-/// needing a wakeup connection.
-fn acceptor_loop(
-    listener: TcpListener,
-    ctx: &Arc<ServerCtx>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let next_id = AtomicU64::new(0);
+/// needing a wakeup connection. Returns the handles of the connections it
+/// spawned.
+fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServerCtx>) -> Vec<JoinHandle<()>> {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
     while !ctx.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let conn_id = next_id.fetch_add(1, Ordering::Relaxed);
+                let conn_id = next_id;
+                next_id += 1;
                 ctx.stats
                     .connections_accepted
                     .fetch_add(1, Ordering::Relaxed);
                 let ctx = Arc::clone(ctx);
                 let handle = std::thread::Builder::new()
-                    .name(format!("resp-reader-{conn_id}"))
+                    .name(format!("resp-conn-{conn_id}"))
                     .spawn(move || crate::conn::handle_connection(stream, ctx, conn_id))
                     .expect("spawn connection thread");
-                conns.lock().unwrap().push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
+                conns.push(handle);
             }
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
+    conns
 }
 
 /// Executor loop: drain the owned lane, execute, repeat; exit on the

@@ -331,3 +331,59 @@ fn shutdown_drains_pipelined_requests_before_exiting() {
     );
     assert!(report.info.contains("commands:"));
 }
+
+#[test]
+fn a_pipeline_longer_than_one_read_is_answered_in_order() {
+    let server = spawn_server(2);
+    let mut client = Client::connect(server.local_addr());
+
+    // ≈ 100 KB of requests in one flush before the first reply is read:
+    // the server takes them in several 16 KB reads and answers each read
+    // before the next.
+    const N: u64 = 2_000;
+    for k in 0..N {
+        client.send(&["SET", &k.to_string(), &(k * 3).to_string()]);
+    }
+    for k in 0..N {
+        client.send(&["GET", &k.to_string()]);
+    }
+    client.flush();
+    for k in 0..N {
+        assert_eq!(client.recv(), R::Simple("OK".into()), "SET {k}");
+    }
+    for k in 0..N {
+        assert_eq!(client.recv(), R::Bulk(Some((k * 3).to_string())), "GET {k}");
+    }
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn immediate_replies_keep_their_place_in_a_pipeline() {
+    let server = spawn_server(1);
+    let mut client = Client::connect(server.local_addr());
+
+    client.send(&["SET", "1", "10"]);
+    client.send(&["PING"]);
+    client.send(&["GET", "1"]);
+    client.send(&["NOSUCHCOMMAND"]);
+    client.send(&["INFO"]);
+    client.send(&["GET", "1"]);
+    client.flush();
+    assert_eq!(client.recv(), R::Simple("OK".into()));
+    assert_eq!(client.recv(), R::Simple("PONG".into()));
+    assert_eq!(client.recv(), R::Bulk(Some("10".into())));
+    assert!(
+        matches!(client.recv(), R::Error(e) if e.starts_with("ERR unknown command")),
+        "unknown command"
+    );
+    assert!(
+        matches!(client.recv(), R::Bulk(Some(info)) if info.contains("# server")),
+        "INFO"
+    );
+    assert_eq!(client.recv(), R::Bulk(Some("10".into())));
+
+    server.shutdown();
+    server.join();
+}
