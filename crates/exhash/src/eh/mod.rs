@@ -888,11 +888,24 @@ mod tests {
     #[test]
     fn events_track_splits_and_doublings() {
         let mut eh = ExtendibleHash::try_new_tracked(EhConfig::default()).unwrap();
-        for k in 0..1_000u64 {
+        // The lower half of the hash space first, then the upper one: the
+        // upper half's buckets stay shallow while the directory deepens,
+        // and their splits redirect many slots each, so one update a split
+        // and one a redirected slot give different counts.
+        let keys: Vec<u64> = {
+            let half = |upper: bool| {
+                let eh = &eh;
+                (0u64..).filter(move |&k| (eh.dir_hash(k) >> 63 == 1) == upper)
+            };
+            half(false)
+                .take(3_000)
+                .chain(half(true).take(3_000))
+                .collect()
+        };
+        for k in keys {
             eh.insert(k, k).unwrap();
         }
         let events = take_events(&mut eh);
-        assert!(!events.is_empty());
         let doubles = events
             .iter()
             .filter(|e| matches!(e, MaintRequest::Create { .. }))
@@ -903,6 +916,11 @@ mod tests {
             .count();
         assert_eq!(doubles as u64, eh.stats().doublings);
         assert_eq!(updates as u64, eh.stats().splits, "one update a split");
+        let wide = events
+            .iter()
+            .filter(|e| matches!(e, MaintRequest::Update { slots, .. } if slots.len() >= 2))
+            .count();
+        assert!(wide > 10, "only {wide} splits redirected two slots or more");
         // After a drain, the buffer is empty.
         assert!(take_events(&mut eh).is_empty());
         // The last create's assignment vector covers every slot of the

@@ -4,18 +4,18 @@
 //!
 //! The flow is the whole point of this crate:
 //!
-//! 1. Per-connection threads decode requests and push them as
-//!    [`Op`]s into a **submission lane** ([`Lane`]): an MPSC queue with a
-//!    condvar wakeup. A connection always pushes into the same lane
-//!    (`conn_id % lanes`), so one executor owns all of a connection's
-//!    operations and **per-connection program order is preserved** —
-//!    `SET 7 70` then `GET 7` on one connection always observes the
-//!    write. (A single global queue drained by racing executors would
-//!    reorder exactly that pair.)
-//! 2. One executor thread per lane drains up to
-//!    [`crate::ServerConfig::max_batch`] ops at a time — waiting up to
-//!    [`crate::ServerConfig::batch_window`] to aggregate company for a
-//!    lone op — and splits the drained FIFO into **maximal homogeneous
+//! 1. Per-connection threads decode a read's requests and hand their
+//!    [`Op`]s, in request order, to a **submission lane** ([`Lane`]) in one
+//!    push: an MPSC queue with a condvar wakeup. When the lane's executor
+//!    is parked on an empty lane, nothing would join the read, so the
+//!    connection runs it itself, without a hand-off or a wakeup. Either
+//!    way **per-connection program order is preserved** — `SET 7 70` then
+//!    `GET 7` on one connection always observes the write — since a
+//!    connection submits a read only once every reply to the last is in.
+//! 2. One executor thread per lane blocks while its lane is empty, then
+//!    takes up to [`crate::ServerConfig::max_batch`] of what is queued —
+//!    what connections pushed while it was busy — and splits the drained
+//!    FIFO (or a read its connection runs) into **maximal homogeneous
 //!    runs** (reads / inserts / removes). Runs execute in order, so the
 //!    FIFO semantics survive; within a run the per-request cost is
 //!    amortized:
@@ -29,7 +29,7 @@
 //!      failing `SET` leaves exactly the run's earlier ones applied; other
 //!      executors write the shards it does not touch in parallel;
 //!    * a remove run becomes **one** `remove_batch_shared_into`.
-//! 3. Each op carries its [`ReplySlot`]; the executor fills it, and the
+//! 3. Each op carries its [`ReplySlot`]; whoever runs it fills it, and the
 //!    connection thread — which holds one read's slots in submission
 //!    order — waits for each, encodes the replies in order and writes
 //!    them at once.
@@ -44,10 +44,19 @@ use taking_the_shortcut::ShortcutIndex;
 /// A one-shot rendezvous for one request's reply: the executor (or the
 /// connection thread itself, for immediate replies) fills it once; the
 /// connection thread blocks until it is filled.
+/// `fill` notifies only a parked waiter: std's condvar makes a system
+/// call on every notify, and most slots are filled before they are waited on.
 #[derive(Debug, Default)]
 pub struct ReplySlot {
-    state: Mutex<Option<Reply>>,
+    state: Mutex<SlotState>,
     cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct SlotState {
+    reply: Option<Reply>,
+    /// The waiter is in `wait`'s condvar wait (written and read under the mutex).
+    parked: bool,
 }
 
 impl ReplySlot {
@@ -55,13 +64,15 @@ impl ReplySlot {
         Arc::new(Self::default())
     }
 
-    /// Fill the slot (first write wins; a second fill is ignored so a
-    /// shutdown path racing an executor cannot panic).
+    /// Fill the slot (first write wins; a second fill is ignored, so no
+    /// path that ever fills a slot twice can panic an executor).
     pub fn fill(&self, reply: Reply) {
         let mut state = self.state.lock().unwrap();
-        if state.is_none() {
-            *state = Some(reply);
-            self.cv.notify_all();
+        let wake = state.reply.is_none() && state.parked;
+        state.reply.get_or_insert(reply);
+        drop(state);
+        if wake {
+            self.cv.notify_one();
         }
     }
 
@@ -69,9 +80,10 @@ impl ReplySlot {
     pub fn wait(&self) -> Reply {
         let mut state = self.state.lock().unwrap();
         loop {
-            if let Some(reply) = state.take() {
+            if let Some(reply) = state.reply.take() {
                 return reply;
             }
+            state.parked = true;
             state = self.cv.wait(state).unwrap();
         }
     }
@@ -83,14 +95,14 @@ impl ReplySlot {
 /// these outside that suite.
 #[cfg(feature = "loomish")]
 impl ReplySlot {
-    /// Seeded bug: the double-fill tolerance removed. A shutdown path
-    /// racing an executor trips the assertion — exactly the crash the
-    /// `is_none` guard in [`ReplySlot::fill`] exists to prevent.
+    /// Seeded bug: the double-fill tolerance removed. A second filler
+    /// trips the assertion — exactly the crash the `is_none` guard in
+    /// [`ReplySlot::fill`] exists to prevent.
     pub fn fill_seeded_assert_empty(&self, reply: Reply) {
         let mut state = self.state.lock().unwrap();
-        assert!(state.is_none(), "double fill");
-        *state = Some(reply);
-        self.cv.notify_all();
+        assert!(state.reply.is_none(), "double fill");
+        state.reply = Some(reply);
+        self.cv.notify_one();
     }
 
     /// Seeded bug: the emptiness check released before waiting. A fill
@@ -99,11 +111,23 @@ impl ReplySlot {
     /// deadlock.
     pub fn wait_seeded_check_then_wait(&self) -> Reply {
         loop {
-            if let Some(reply) = self.state.lock().unwrap().take() {
+            if let Some(reply) = self.state.lock().unwrap().reply.take() {
                 return reply;
             }
-            let state = self.state.lock().unwrap();
+            let mut state = self.state.lock().unwrap();
+            state.parked = true;
             drop(self.cv.wait(state).unwrap());
+        }
+    }
+
+    /// Seeded bug: the waiter flag read apart from the store it decides
+    /// about. The waiter can park in between; the fill then skips the
+    /// notify, and the waiter sleeps for good — a model deadlock.
+    pub fn fill_seeded_flag_read_apart(&self, reply: Reply) {
+        let parked = self.state.lock().unwrap().parked;
+        self.state.lock().unwrap().reply.get_or_insert(reply);
+        if parked {
+            self.cv.notify_one();
         }
     }
 }
@@ -136,8 +160,15 @@ pub enum Op {
 /// An MPSC submission lane: connections push, one executor drains.
 #[derive(Debug, Default)]
 pub struct Lane {
-    q: Mutex<VecDeque<Op>>,
+    state: Mutex<LaneState>,
     cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct LaneState {
+    q: VecDeque<Op>,
+    /// The executor waits in [`Lane::drain`] for the lane to fill.
+    parked: bool,
 }
 
 impl Lane {
@@ -145,34 +176,48 @@ impl Lane {
         Self::default()
     }
 
-    /// Enqueue an op and wake the lane's executor.
+    /// Enqueue one op and wake the lane's executor.
     pub fn push(&self, op: Op) {
-        self.q.lock().unwrap().push_back(op);
+        self.state.lock().unwrap().q.push_back(op);
         self.cv.notify_one();
     }
 
+    /// Hand a read's ops over in one push: queue them in order under one
+    /// lock and wake the executor once — unless it is parked on an empty
+    /// lane, where nothing would join them: then they stay in `ops` for the
+    /// caller to run itself, and nothing is woken. Returns whether they were queued.
+    pub fn push_all(&self, ops: &mut Vec<Op>) -> bool {
+        let mut state = self.state.lock().unwrap();
+        if state.parked && state.q.is_empty() {
+            return false;
+        }
+        state.q.extend(ops.drain(..));
+        drop(state);
+        self.cv.notify_one();
+        true
+    }
+
     /// Drain up to `max` ops. Blocks (in bounded slices, so `stop` is
-    /// honored promptly) until at least one op is available; once one
-    /// is, waits up to `window` more for company — that wait is the
-    /// aggregation knob: longer windows build bigger batches at the cost
-    /// of added latency. Returns an empty vec only when `stop` is set
-    /// and the lane is empty (the drain-then-exit contract).
-    pub fn drain(&self, max: usize, window: Duration, stop: &AtomicBool) -> Vec<Op> {
-        let mut q = self.q.lock().unwrap();
-        while q.is_empty() {
+    /// honored promptly) while the lane is empty, then takes what is
+    /// queued without waiting for more. Returns an empty vec only when
+    /// `stop` is set and the lane is empty (the drain-then-exit contract).
+    /// `_window` is ignored; it is kept only for callers that still pass it.
+    pub fn drain(&self, max: usize, _window: Duration, stop: &AtomicBool) -> Vec<Op> {
+        let mut state = self.state.lock().unwrap();
+        while state.q.is_empty() {
             if stop.load(Ordering::Acquire) {
                 return Vec::new();
             }
-            let (guard, _) = self.cv.wait_timeout(q, Duration::from_millis(50)).unwrap();
-            q = guard;
+            state.parked = true;
+            let (guard, _) = self
+                .cv
+                .wait_timeout(state, Duration::from_millis(50))
+                .unwrap();
+            state = guard;
+            state.parked = false;
         }
-        if q.len() < max && !window.is_zero() && !stop.load(Ordering::Acquire) {
-            // One bounded aggregation nap; whatever arrived joins the batch.
-            let (guard, _) = self.cv.wait_timeout(q, window).unwrap();
-            q = guard;
-        }
-        let take = q.len().min(max);
-        q.drain(..take).collect()
+        let take = state.q.len().min(max);
+        state.q.drain(..take).collect()
     }
 }
 
@@ -201,23 +246,25 @@ impl ServerStats {
     /// Mean keys per read batch — the headline aggregation gauge
     /// (`1.0` means batching never engaged).
     pub fn mean_read_batch_keys(&self) -> f64 {
-        let batches = self.read_batches.load(Ordering::Relaxed);
-        if batches == 0 {
-            0.0
-        } else {
-            self.read_keys.load(Ordering::Relaxed) as f64 / batches as f64
-        }
+        self.per_read_batch(&self.read_keys)
     }
 
     /// Mean `GET`/`MGET` commands per read batch.
     pub fn mean_read_batch_ops(&self) -> f64 {
-        let batches = self.read_batches.load(Ordering::Relaxed);
-        if batches == 0 {
-            0.0
-        } else {
-            self.read_ops.load(Ordering::Relaxed) as f64 / batches as f64
+        self.per_read_batch(&self.read_ops)
+    }
+
+    fn per_read_batch(&self, count: &AtomicU64) -> f64 {
+        match self.read_batches.load(Ordering::Relaxed) {
+            0 => 0.0,
+            batches => count.load(Ordering::Relaxed) as f64 / batches as f64,
         }
     }
+}
+
+/// Add `n` to a statistics counter.
+fn count(counter: &AtomicU64, n: usize) {
+    counter.fetch_add(n as u64, Ordering::Relaxed);
 }
 
 /// Execute one drained FIFO batch on fresh buffers. An executor loop
@@ -248,17 +295,12 @@ impl RunBuffers {
     /// runs and drive each run through the matching batched index entry
     /// point.
     pub fn execute(&mut self, index: &ShortcutIndex, stats: &ServerStats, ops: Vec<Op>) {
-        // `kind` of the run currently being accumulated: 0 reads, 1
-        // writes, 2 removes. A kind switch flushes the previous run,
-        // preserving the drained FIFO order across runs.
-        let mut current: Option<u8> = None;
+        // The op kind of the run being accumulated. A kind switch flushes
+        // the previous run, preserving the drained FIFO order across runs.
+        let mut current = None;
         for op in ops {
-            let kind = match op {
-                Op::Read { .. } => 0u8,
-                Op::Write { .. } => 1,
-                Op::Remove { .. } => 2,
-            };
-            if current.is_some() && current != Some(kind) {
+            let kind = std::mem::discriminant(&op);
+            if current.is_some_and(|run| run != kind) {
                 self.flush_run(index, stats);
             }
             current = Some(kind);
@@ -286,42 +328,26 @@ impl RunBuffers {
             keys.clear();
             keys.extend(reads.iter().flat_map(|(keys, _, _)| keys));
             index.get_many_into(keys, answers);
-            stats.read_batches.fetch_add(1, Ordering::Relaxed);
-            stats
-                .read_ops
-                .fetch_add(reads.len() as u64, Ordering::Relaxed);
-            stats
-                .read_keys
-                .fetch_add(keys.len() as u64, Ordering::Relaxed);
+            count(&stats.read_batches, 1);
+            count(&stats.read_ops, reads.len());
+            count(&stats.read_keys, keys.len());
             let mut at = 0;
             for (keys, single, slot) in reads.drain(..) {
                 let mine = &answers[at..at + keys.len()];
                 at += keys.len();
-                let reply = if single {
-                    match mine[0] {
-                        Some(v) => Reply::bulk_u64(v),
-                        None => Reply::Nil,
-                    }
+                let answer = |a: Option<u64>| a.map_or(Reply::Nil, Reply::bulk_u64);
+                slot.fill(if single {
+                    answer(mine[0])
                 } else {
-                    Reply::Array(
-                        mine.iter()
-                            .map(|a| match a {
-                                Some(v) => Reply::bulk_u64(*v),
-                                None => Reply::Nil,
-                            })
-                            .collect(),
-                    )
-                };
-                slot.fill(reply);
+                    Reply::Array(mine.iter().map(|&a| answer(a)).collect())
+                });
             }
         } else if !writes.is_empty() {
             entries.clear();
             entries.extend(writes.iter().map(|&(k, v, _)| (k, v)));
             let result = index.insert_batch_shared(entries);
-            stats.write_batches.fetch_add(1, Ordering::Relaxed);
-            stats
-                .write_ops
-                .fetch_add(entries.len() as u64, Ordering::Relaxed);
+            count(&stats.write_batches, 1);
+            count(&stats.write_ops, entries.len());
             for (_, _, slot) in writes.drain(..) {
                 // On a batch failure every member reports it: per-shard
                 // applied prefixes are not attributable to individual
@@ -337,10 +363,8 @@ impl RunBuffers {
             keys.clear();
             keys.extend(removes.iter().flat_map(|(keys, _)| keys));
             let result = index.remove_batch_shared_into(keys, answers);
-            stats.del_batches.fetch_add(1, Ordering::Relaxed);
-            stats
-                .del_keys
-                .fetch_add(keys.len() as u64, Ordering::Relaxed);
+            count(&stats.del_batches, 1);
+            count(&stats.del_keys, keys.len());
             match result {
                 Ok(()) => {
                     let mut at = 0;
@@ -487,6 +511,49 @@ mod tests {
             lane.drain(16, Duration::ZERO, &stop).is_empty(),
             "stop + empty"
         );
+    }
+
+    #[test]
+    fn one_push_all_is_drained_at_once_in_push_order() {
+        let lane = Lane::new();
+        let stop = AtomicBool::new(false);
+        let mut ops = (0..16u64).map(|k| read_op(&[k]).0).collect();
+        assert!(lane.push_all(&mut ops), "no executor has parked yet");
+        let started = std::time::Instant::now();
+        // A window the drain would nap through if it still waited for company.
+        let got = lane.drain(256, Duration::from_secs(5), &stop);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the drain napped"
+        );
+        let keys: Vec<u64> = got
+            .iter()
+            .map(|op| match op {
+                Op::Read { keys, .. } => keys[0],
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(keys, (0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn push_all_leaves_a_read_with_the_caller_while_the_executor_parks() {
+        let lane = Lane::new();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let executor = s.spawn(|| lane.drain(256, Duration::ZERO, &stop));
+            while !lane.state.lock().unwrap().parked {
+                std::thread::yield_now();
+            }
+            let mut ops = vec![read_op(&[1]).0];
+            assert!(
+                !lane.push_all(&mut ops),
+                "the parked executor was handed a read"
+            );
+            assert_eq!(ops.len(), 1, "the read left the caller");
+            stop.store(true, Ordering::Release);
+            assert!(executor.join().unwrap().is_empty());
+        });
     }
 
     #[test]

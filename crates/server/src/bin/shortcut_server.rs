@@ -3,7 +3,6 @@
 //! print the final stats dump.
 
 use shortcut_server::{Engine, Server, ServerConfig};
-use std::time::Duration;
 
 const USAGE: &str = "\
 shortcut-server — RESP-speaking KV server over the shortcut index
@@ -17,7 +16,6 @@ FLAGS:
     --shards S             2^S index shards      [default: 2]
     --slot-pages K         2^K pages per slot    [default: 0]
     --capacity N           expected live entries [default: 1000000]
-    --batch-window-us US   aggregation window    [default: 200]
     --max-batch N          max ops per batch     [default: 256]
     --executors N          executor threads      [default: #cores, <= 4]
     --help                 print this text
@@ -51,9 +49,6 @@ fn parse_args(mut args: std::env::Args) -> Result<ServerConfig, String> {
             "--shards" => cfg.shard_bits = parse_num("shard bits")? as u32,
             "--slot-pages" => cfg.slot_pages = parse_num("page exponent")? as u32,
             "--capacity" => cfg.capacity = parse_num("entry count")? as usize,
-            "--batch-window-us" => {
-                cfg.batch_window = Duration::from_micros(parse_num("microseconds")?);
-            }
             "--max-batch" => cfg.max_batch = (parse_num("batch size")? as usize).max(1),
             "--executors" => cfg.executors = (parse_num("thread count")? as usize).max(1),
             _ => return Err(format!("unknown flag {flag} (see --help)")),

@@ -50,9 +50,8 @@ pub struct ServerConfig {
     pub slot_pages: u32,
     /// Expected live-entry capacity (pool sizing hint).
     pub capacity: usize,
-    /// How long an executor waits for company after finding the first
-    /// request of a batch. Zero disables aggregation waiting (batches
-    /// then only form from genuinely concurrent arrivals).
+    /// Ignored: an executor takes what its lane holds without waiting for
+    /// more. Kept only for callers that still set it.
     pub batch_window: Duration,
     /// Maximum requests drained into one executor batch.
     pub max_batch: usize,
@@ -70,7 +69,7 @@ impl Default for ServerConfig {
             shard_bits: 2,
             slot_pages: 0,
             capacity: 1_000_000,
-            batch_window: Duration::from_micros(200),
+            batch_window: Duration::ZERO,
             max_batch: 256,
             executors: std::thread::available_parallelism()
                 .map(|n| n.get().clamp(1, 4))

@@ -3,11 +3,12 @@
 //! request order, writes them with one `write_all`, and only then reads
 //! again.
 //!
-//! The thread never executes index operations itself — `GET`/`MGET`/
-//! `SET`/`DEL` become [`Op`]s on the connection's submission lane and are
-//! batch-executed there. `PING`/`INFO`/error replies are filled at once
-//! (they touch no keyed state) but keep their place among the chunk's
-//! reply slots, so a client can rely on reply N answering request N.
+//! A read's `GET`/`MGET`/`SET`/`DEL` become [`Op`]s, handed to the
+//! connection's submission lane in one push and batch-executed there, or
+//! here when the lane's executor is parked ([`crate::batch`]).
+//! `PING`/`INFO`/error replies are filled at once (they touch no keyed
+//! state) but keep their place among the chunk's reply slots, so a client
+//! can rely on reply N answering request N.
 //! `SHUTDOWN` acknowledges `+OK`, then trips the server-wide shutdown
 //! flag.
 //!
@@ -28,7 +29,7 @@
 //! first failed write no reply is written, but what the client sent is
 //! still read and executed.
 
-use crate::batch::{Lane, Op, ReplySlot};
+use crate::batch::{Op, ReplySlot, RunBuffers};
 use crate::protocol::{Decoder, Reply, Request};
 use crate::server::ServerCtx;
 use std::io::{ErrorKind, Read, Write};
@@ -53,6 +54,8 @@ pub fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>, conn_id: u6
     let mut decoder = Decoder::new();
     let mut buf = [0u8; READ_CHUNK];
     let mut slots = Vec::new();
+    let mut ops = Vec::new();
+    let mut buffers = RunBuffers::default();
     // Cleared by a failed write: the client is gone, what it sent still runs.
     let mut replying = true;
     let mut open = true;
@@ -66,7 +69,10 @@ pub fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>, conn_id: u6
                 _ => break,
             },
         }
-        open = submit(&mut decoder, &ctx, lane, &mut slots);
+        open = submit(&mut decoder, &ctx, &mut slots, &mut ops);
+        if !ops.is_empty() && !lane.push_all(&mut ops) {
+            buffers.execute(&ctx.index, &ctx.stats, std::mem::take(&mut ops));
+        }
         out.clear();
         for slot in slots.drain(..) {
             slot.wait().encode(&mut out);
@@ -76,15 +82,15 @@ pub fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>, conn_id: u6
     ctx.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Submit every complete command the decoder holds, pushing each one's
-/// reply slot onto `slots` in request order. Returns `false` when the
-/// connection closes after these replies: on `SHUTDOWN`, and on a protocol
-/// error, since the stream cannot be resynchronized.
+/// Take every complete command the decoder holds, pushing its reply slot
+/// onto `slots` and its lane op onto `ops` in request order. Returns
+/// `false` when the connection closes after these replies: on `SHUTDOWN`,
+/// and on a protocol error, since the stream cannot be resynchronized.
 fn submit(
     decoder: &mut Decoder,
     ctx: &ServerCtx,
-    lane: &Lane,
     slots: &mut Vec<Arc<ReplySlot>>,
+    ops: &mut Vec<Op>,
 ) -> bool {
     loop {
         let args = match decoder.next_command() {
@@ -110,18 +116,18 @@ fn submit(
                 ctx.shutdown.store(true, Ordering::Release);
                 return false;
             }
-            Ok(Request::Get(key)) => lane.push(Op::Read {
+            Ok(Request::Get(key)) => ops.push(Op::Read {
                 keys: vec![key],
                 single: true,
                 slot,
             }),
-            Ok(Request::MGet(keys)) => lane.push(Op::Read {
+            Ok(Request::MGet(keys)) => ops.push(Op::Read {
                 keys,
                 single: false,
                 slot,
             }),
-            Ok(Request::Set(key, value)) => lane.push(Op::Write { key, value, slot }),
-            Ok(Request::Del(keys)) => lane.push(Op::Remove { keys, slot }),
+            Ok(Request::Set(key, value)) => ops.push(Op::Write { key, value, slot }),
+            Ok(Request::Del(keys)) => ops.push(Op::Remove { keys, slot }),
         }
     }
 }

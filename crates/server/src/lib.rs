@@ -6,9 +6,9 @@
 //! batches — but network clients send one request at a time. This crate
 //! closes that gap server-side: per-connection threads decode requests
 //! into submission lanes, and a small executor pool drains each lane
-//! into group batches, so concurrent clients' requests amortize into the
-//! same batched index calls the benchmarks use. See [`batch`] for the
-//! flow and the ordering argument.
+//! into group batches (a connection whose executor idles runs its read
+//! as one batch itself), so concurrent clients' requests amortize into
+//! the same batched index calls. See [`batch`] for the flow and ordering.
 //!
 //! Wire protocol: a minimal hand-rolled RESP2 subset ([`protocol`]) —
 //! `GET`/`MGET`/`SET`/`DEL`/`PING`/`INFO`/`SHUTDOWN`, keys and values as

@@ -9,6 +9,8 @@
 //!                          └──────────── reply slots ──────────┘
 //! ```
 //!
+//! A connection whose executor is parked runs its read itself ([`crate::batch`]).
+//!
 //! Shutdown ordering matters and is encoded in [`Server::join`]:
 //! 1. the shutdown flag stops the acceptor (nonblocking poll loop) and
 //!    every connection (bounded read timeout) once it has written the
@@ -23,7 +25,7 @@
 
 use crate::batch::{Lane, RunBuffers, ServerStats};
 use crate::config::{Engine, ServerConfig};
-use shortcut_rewire::sync::{AtomicBool, Ordering};
+use shortcut_rewire::sync::{AtomicBool, AtomicU64, Ordering};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -61,59 +63,33 @@ impl ServerCtx {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(2048);
         let s = &self.stats;
-        let open = s
-            .connections_accepted
-            .load(Ordering::Relaxed)
-            .saturating_sub(s.connections_closed.load(Ordering::Relaxed));
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let accepted = count(&s.connections_accepted);
+        let open = accepted.saturating_sub(count(&s.connections_closed));
         out.push_str("# server\r\n");
         let _ = writeln!(out, "engine:{}\r", self.cfg.engine.as_str());
         let _ = writeln!(out, "uptime_seconds:{}\r", self.started.elapsed().as_secs());
         let _ = writeln!(out, "executors:{}\r", self.lanes.len());
-        let _ = writeln!(
-            out,
-            "batch_window_us:{}\r",
-            self.cfg.batch_window.as_micros()
-        );
         let _ = writeln!(out, "max_batch:{}\r", self.cfg.max_batch);
         out.push_str("# clients\r\n");
-        let _ = writeln!(
-            out,
-            "connections_accepted:{}\r",
-            s.connections_accepted.load(Ordering::Relaxed)
-        );
+        let _ = writeln!(out, "connections_accepted:{accepted}\r");
         let _ = writeln!(out, "connections_open:{open}\r");
-        let _ = writeln!(out, "commands:{}\r", s.commands.load(Ordering::Relaxed));
-        let _ = writeln!(
-            out,
-            "protocol_errors:{}\r",
-            s.protocol_errors.load(Ordering::Relaxed)
-        );
+        let _ = writeln!(out, "commands:{}\r", count(&s.commands));
+        let _ = writeln!(out, "protocol_errors:{}\r", count(&s.protocol_errors));
         out.push_str("# batching\r\n");
-        let _ = writeln!(
-            out,
-            "read_batches:{}\r",
-            s.read_batches.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "read_ops:{}\r", s.read_ops.load(Ordering::Relaxed));
-        let _ = writeln!(out, "read_keys:{}\r", s.read_keys.load(Ordering::Relaxed));
+        let _ = writeln!(out, "read_batches:{}\r", count(&s.read_batches));
+        let _ = writeln!(out, "read_ops:{}\r", count(&s.read_ops));
+        let _ = writeln!(out, "read_keys:{}\r", count(&s.read_keys));
         let _ = writeln!(
             out,
             "mean_read_batch_keys:{:.2}\r",
             s.mean_read_batch_keys()
         );
         let _ = writeln!(out, "mean_read_batch_ops:{:.2}\r", s.mean_read_batch_ops());
-        let _ = writeln!(
-            out,
-            "write_batches:{}\r",
-            s.write_batches.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "write_ops:{}\r", s.write_ops.load(Ordering::Relaxed));
-        let _ = writeln!(
-            out,
-            "del_batches:{}\r",
-            s.del_batches.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "del_keys:{}\r", s.del_keys.load(Ordering::Relaxed));
+        let _ = writeln!(out, "write_batches:{}\r", count(&s.write_batches));
+        let _ = writeln!(out, "write_ops:{}\r", count(&s.write_ops));
+        let _ = writeln!(out, "del_batches:{}\r", count(&s.del_batches));
+        let _ = writeln!(out, "del_keys:{}\r", count(&s.del_keys));
         out.push_str("# index\r\n");
         let snapshot = self.index.stats();
         for line in snapshot.to_string().lines() {
@@ -297,7 +273,7 @@ fn executor_loop(ctx: &Arc<ServerCtx>, lane_idx: usize) {
     let lane = &ctx.lanes[lane_idx];
     let mut buffers = RunBuffers::default();
     loop {
-        let ops = lane.drain(ctx.cfg.max_batch, ctx.cfg.batch_window, &ctx.drain);
+        let ops = lane.drain(ctx.cfg.max_batch, Duration::ZERO, &ctx.drain);
         if ops.is_empty() {
             return;
         }

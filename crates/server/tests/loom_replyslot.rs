@@ -1,28 +1,35 @@
 //! Exhaustive model check of the reply-slot rendezvous and the
-//! submission-lane drain ([`shortcut_server::batch`]).
+//! submission-lane hand-off ([`shortcut_server::batch`]).
 //!
 //! Run with `cargo test -p shortcut-server --features loomish`.
 //!
-//! Two scenarios:
+//! Three scenarios:
 //!
-//! * **Reply slot** — a connection's writer thread waits on a slot while
-//!   an executor fills it and a shutdown path races a second fill (the
-//!   real race [`ReplySlot::fill`]'s first-write-wins guard exists for).
-//!   Invariants: the waiter always wakes (no lost wakeup — a violation
-//!   surfaces as a model deadlock) and always takes exactly one of the
-//!   two replies (no double-fulfill — the seeded variant panics).
-//! * **Lane drain** — a reader pushes an op and raises the stop flag; the
-//!   executor drains until the stop+empty exit. Invariants: the pushed op
-//!   is delivered exactly once and every thread terminates. This scenario
-//!   runs under the sequentially-consistent-per-location model: its
-//!   progress relies on the stop flag's store becoming visible to the
-//!   executor's bounded-timeout retry loop, which real memory systems
-//!   guarantee in finite time but the ordering-sensitive model — which
-//!   never forces a stale load to converge — does not, so the
-//!   ordering-sensitive run would report a liveness artifact, not a bug.
-//!   The slot scenario carries no atomics (the mutex hand-off is exact in
-//!   both models), so it runs ordering-sensitive for uniformity with the
-//!   pin/reclaim and seqlock suites.
+//! * **Reply slot** — a connection thread waits on a slot while an
+//!   executor fills it, and a second filler races the first. No path
+//!   fills a slot twice today; the second filler keeps
+//!   [`ReplySlot::fill`]'s first-write-wins guard honest. Invariants: the
+//!   waiter always wakes (no lost wakeup, and no notify skipped while it
+//!   is parked — a violation surfaces as a model deadlock) and always
+//!   takes exactly one of the two replies (no double-fulfill — the seeded
+//!   variant panics).
+//! * **Lane drain** — a connection pushes an op and raises the stop flag;
+//!   the executor drains until the stop+empty exit. Invariants: the pushed
+//!   op is delivered exactly once and every thread terminates.
+//! * **One push per read** — a connection hands two ops to the lane in
+//!   one `push_all`; they run exactly once, in push order: drained by the
+//!   executor, or kept by the connection when it finds the executor
+//!   parked on an empty lane.
+//!
+//! The lane scenarios run under the sequentially-consistent-per-location
+//! model: their progress relies on the stop flag's store becoming visible
+//! to the executor's bounded-timeout retry loop, which real memory
+//! systems guarantee in finite time but the ordering-sensitive model —
+//! which never forces a stale load to converge — does not, so the
+//! ordering-sensitive run would report a liveness artifact, not a bug.
+//! The slot scenario carries no atomics (the mutex hand-off is exact in
+//! both models), so it runs ordering-sensitive for uniformity with the
+//! pin/reclaim and seqlock suites.
 
 #![cfg(feature = "loomish")]
 
@@ -38,6 +45,8 @@ enum FillKind {
     Correct,
     /// Executor fills with the double-fill tolerance removed.
     SeededAssertEmpty,
+    /// Executor reads the waiter flag apart from its store.
+    SeededFlagReadApart,
 }
 
 #[derive(Clone, Copy)]
@@ -47,13 +56,13 @@ enum WaitKind {
     SeededCheckThenWait,
 }
 
-/// Executor and shutdown path race to fill while the connection's writer
-/// waits. `shutdown_racer` is off for the lost-wakeup seed so its extra
-/// notify cannot mask the bug.
+/// An executor and a second filler race to fill while the connection
+/// thread waits. `second_filler` is off for the wakeup seeds so its
+/// fill cannot mask the bug.
 fn slot_scenario(
     fill: FillKind,
     wait: WaitKind,
-    shutdown_racer: bool,
+    second_filler: bool,
 ) -> impl Fn() + Send + Sync + 'static {
     move || {
         let slot = ReplySlot::new();
@@ -63,11 +72,14 @@ fn slot_scenario(
             thread::spawn(move || match fill {
                 FillKind::Correct => slot.fill(Reply::Simple("OK")),
                 FillKind::SeededAssertEmpty => slot.fill_seeded_assert_empty(Reply::Simple("OK")),
+                FillKind::SeededFlagReadApart => {
+                    slot.fill_seeded_flag_read_apart(Reply::Simple("OK"))
+                }
             })
         };
-        let shutdown = shutdown_racer.then(|| {
+        let second = second_filler.then(|| {
             let slot = Arc::clone(&slot);
-            thread::spawn(move || slot.fill(Reply::Error("ERR shutting down".into())))
+            thread::spawn(move || slot.fill(Reply::Error("ERR second".into())))
         });
         let waiter = {
             let slot = Arc::clone(&slot);
@@ -77,21 +89,19 @@ fn slot_scenario(
                     WaitKind::SeededCheckThenWait => slot.wait_seeded_check_then_wait(),
                 };
                 assert!(
-                    reply == Reply::Simple("OK")
-                        || reply == Reply::Error("ERR shutting down".into()),
+                    reply == Reply::Simple("OK") || reply == Reply::Error("ERR second".into()),
                     "reply from nowhere: {reply:?}"
                 );
             })
         };
 
         executor.join().unwrap();
-        if let Some(h) = shutdown {
+        if let Some(h) = second {
             h.join().unwrap();
         }
         waiter.join().unwrap();
     }
 }
-
 #[test]
 fn reply_slot_delivers_exactly_once() {
     let report = Builder::new()
@@ -111,7 +121,7 @@ fn reply_slot_delivers_exactly_once() {
 }
 
 /// Teeth check: removing `fill`'s first-write-wins guard panics when the
-/// shutdown fill lands first — the executor/shutdown race must be found.
+/// second fill lands first — the race between the two fillers must be found.
 #[test]
 fn seeded_double_fill_is_caught() {
     let err = Builder::new()
@@ -143,6 +153,27 @@ fn seeded_lost_wakeup_is_caught() {
             false,
         ))
         .expect_err("lost wakeup not caught — the model checker has lost its teeth");
+    assert!(
+        err.message.contains("deadlock"),
+        "unexpected counterexample: {err}"
+    );
+}
+
+/// Teeth check: a fill that reads the waiter flag in one critical section
+/// and stores the reply in another skips the notify when the connection
+/// thread parks in between; the waiter blocks forever and the model
+/// reports the deadlock.
+#[test]
+fn seeded_skipped_notify_is_caught() {
+    let err = Builder::new()
+        .ordering_sensitive(true)
+        .preemption_bound(Some(3))
+        .check(slot_scenario(
+            FillKind::SeededFlagReadApart,
+            WaitKind::Correct,
+            false,
+        ))
+        .expect_err("skipped notify not caught — the model checker has lost its teeth");
     assert!(
         err.message.contains("deadlock"),
         "unexpected counterexample: {err}"
@@ -201,4 +232,77 @@ fn lane_drain_delivers_and_terminates() {
         })
         .unwrap_or_else(|cx| panic!("lane counterexample: {cx}"));
     println!("lane drain: {} interleavings explored", report.executions);
+}
+
+/// One push per read: a `push_all` of two ops is run exactly once, in push
+/// order — by the executor, or by the pushing connection itself when it
+/// finds the executor parked on an empty lane — and both threads
+/// terminate. (SC model — see module docs.)
+#[test]
+fn one_push_all_is_drained_once_in_order() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    // Outside the model: how many executions took each path.
+    static QUEUED: AtomicUsize = AtomicUsize::new(0);
+    static KEPT: AtomicUsize = AtomicUsize::new(0);
+    let keys = |ops: Vec<Op>| -> Vec<u64> {
+        ops.into_iter()
+            .flat_map(|op| match op {
+                Op::Read { keys, .. } => keys,
+                _ => unreachable!(),
+            })
+            .collect()
+    };
+    let report = Builder::new()
+        .preemption_bound(Some(3))
+        .check(move || {
+            let lane = Arc::new(Lane::new());
+            let stop = Arc::new(AtomicBool::new(false));
+
+            let pusher = {
+                let lane = Arc::clone(&lane);
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || {
+                    let mut ops: Vec<Op> = (1..=2)
+                        .map(|key| Op::Read {
+                            keys: vec![key],
+                            single: true,
+                            slot: ReplySlot::new(),
+                        })
+                        .collect();
+                    let queued = lane.push_all(&mut ops);
+                    assert_eq!(ops.is_empty(), queued, "ops both queued and kept");
+                    stop.store(true, Ordering::Release);
+                    keys(ops) // run here: the executor was parked
+                })
+            };
+            let executor = {
+                let lane = Arc::clone(&lane);
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || {
+                    let mut delivered = Vec::new();
+                    loop {
+                        let ops = lane.drain(4, Duration::ZERO, &stop);
+                        if ops.is_empty() {
+                            return delivered;
+                        }
+                        delivered.extend(keys(ops));
+                    }
+                })
+            };
+
+            let inline = pusher.join().unwrap();
+            let drained = executor.join().unwrap();
+            assert!(inline.is_empty() || drained.is_empty(), "a read split");
+            let path = if inline.is_empty() { &QUEUED } else { &KEPT };
+            path.fetch_add(1, Relaxed);
+            let ran: Vec<u64> = inline.into_iter().chain(drained).collect();
+            assert_eq!(ran, [1, 2], "ops lost, duplicated or reordered");
+        })
+        .unwrap_or_else(|cx| panic!("push_all counterexample: {cx}"));
+    let (queued, kept) = (QUEUED.load(Relaxed), KEPT.load(Relaxed));
+    println!(
+        "push_all: {} interleavings explored ({queued} queued, {kept} kept)",
+        report.executions
+    );
+    assert!(queued > 0 && kept > 0, "a path of push_all went unexplored");
 }
