@@ -1,38 +1,40 @@
-//! Request batch aggregation: submission lanes, reply slots, and the
-//! executor loop that funnels many connections' requests into the
-//! index's batched entry points.
+//! Request batching: reply slots, the run splitter that funnels a read's
+//! requests into the index's batched entry points, and the benchmark's
+//! submission lane.
 //!
 //! The flow is the whole point of this crate:
 //!
-//! 1. Per-connection threads decode a read's requests and hand their
-//!    [`Op`]s, in request order, to a **submission lane** ([`Lane`]) in one
-//!    push: an MPSC queue with a condvar wakeup. When the lane's executor
-//!    is parked on an empty lane, nothing would join the read, so the
-//!    connection runs it itself, without a hand-off or a wakeup. Either
-//!    way **per-connection program order is preserved** — `SET 7 70` then
-//!    `GET 7` on one connection always observes the write — since a
-//!    connection submits a read only once every reply to the last is in.
-//! 2. One executor thread per lane blocks while its lane is empty, then
-//!    takes up to [`crate::ServerConfig::max_batch`] of what is queued —
-//!    what connections pushed while it was busy — and splits the drained
-//!    FIFO (or a read its connection runs) into **maximal homogeneous
-//!    runs** (reads / inserts / removes). Runs execute in order, so the
-//!    FIFO semantics survive; within a run the per-request cost is
-//!    amortized:
+//! 1. A connection thread decodes one read's requests (up to 16 KB) into
+//!    [`Op`]s, in request order, and runs them itself, at most
+//!    [`crate::ServerConfig::max_batch`] at a time, with no hand-off to
+//!    another thread and no wait for more. **Per-connection program order
+//!    is preserved** — `SET 7 70` then `GET 7` on one connection always
+//!    observes the write — since a connection runs a read's ops in order
+//!    and reads again only once they are answered. Batches hold one
+//!    connection's requests: a client that pipelines gets batches as deep
+//!    as its pipeline, a client that sends one request at a time gets
+//!    batches of one.
+//! 2. [`RunBuffers::execute`] splits such a batch into **maximal
+//!    homogeneous runs** (reads / inserts / removes). Runs execute in
+//!    order, so the request order survives; within a run the per-request
+//!    cost is amortized:
 //!    * a read run becomes **one** `get_many_into` batch — one read
 //!      section (a reader pin and one load of the admission word) per
 //!      shard the run touches, entered once for every `GET`/`MGET` in the
 //!      run and walked in request order, answered into a buffer the
-//!      executor keeps ([`RunBuffers`]);
+//!      connection keeps ([`RunBuffers`]);
 //!    * a write run becomes **one** `insert_batch_shared` — one write
 //!      section per shard it touches, applied in request order, so a
 //!      failing `SET` leaves exactly the run's earlier ones applied; other
-//!      executors write the shards it does not touch in parallel;
+//!      connections write the shards it does not touch in parallel;
 //!    * a remove run becomes **one** `remove_batch_shared_into`.
-//! 3. Each op carries its [`ReplySlot`]; whoever runs it fills it, and the
-//!    connection thread — which holds one read's slots in submission
-//!    order — waits for each, encodes the replies in order and writes
-//!    them at once.
+//! 3. Each op carries its [`ReplySlot`]; running it fills the slot, and
+//!    the connection — which holds one read's slots in request order,
+//!    immediate replies (`PING`, `INFO`, errors) among them — takes each,
+//!    encodes the replies in order and writes them at once.
+//!
+//! [`Lane`] (push, drain) hands ops to another thread. The server does not
+//! use it; the benchmark's `lane_hop` rung times it.
 
 use crate::protocol::Reply;
 use shortcut_rewire::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
@@ -41,11 +43,11 @@ use std::sync::Arc;
 use std::time::Duration;
 use taking_the_shortcut::ShortcutIndex;
 
-/// A one-shot rendezvous for one request's reply: the executor (or the
-/// connection thread itself, for immediate replies) fills it once; the
-/// connection thread blocks until it is filled.
+/// A one-shot rendezvous for one request's reply: whoever runs the op
+/// fills it once; the waiter blocks until it is filled.
 /// `fill` notifies only a parked waiter: std's condvar makes a system
-/// call on every notify, and most slots are filled before they are waited on.
+/// call on every notify, and in the server every slot is filled, on the
+/// connection's own thread, before it is waited on.
 #[derive(Debug, Default)]
 pub struct ReplySlot {
     state: Mutex<SlotState>,
@@ -65,7 +67,7 @@ impl ReplySlot {
     }
 
     /// Fill the slot (first write wins; a second fill is ignored, so no
-    /// path that ever fills a slot twice can panic an executor).
+    /// path that ever fills a slot twice can panic its filler).
     pub fn fill(&self, reply: Reply) {
         let mut state = self.state.lock().unwrap();
         let wake = state.reply.is_none() && state.parked;
@@ -157,18 +159,13 @@ pub enum Op {
     },
 }
 
-/// An MPSC submission lane: connections push, one executor drains.
+/// An MPSC hand-off: producers push, one consumer drains. The server runs
+/// every op on the connection that decoded it; only the benchmark's
+/// `lane_hop` rung uses a lane.
 #[derive(Debug, Default)]
 pub struct Lane {
-    state: Mutex<LaneState>,
+    q: Mutex<VecDeque<Op>>,
     cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct LaneState {
-    q: VecDeque<Op>,
-    /// The executor waits in [`Lane::drain`] for the lane to fill.
-    parked: bool,
 }
 
 impl Lane {
@@ -176,25 +173,10 @@ impl Lane {
         Self::default()
     }
 
-    /// Enqueue one op and wake the lane's executor.
+    /// Enqueue one op and wake the consumer.
     pub fn push(&self, op: Op) {
-        self.state.lock().unwrap().q.push_back(op);
+        self.q.lock().unwrap().push_back(op);
         self.cv.notify_one();
-    }
-
-    /// Hand a read's ops over in one push: queue them in order under one
-    /// lock and wake the executor once — unless it is parked on an empty
-    /// lane, where nothing would join them: then they stay in `ops` for the
-    /// caller to run itself, and nothing is woken. Returns whether they were queued.
-    pub fn push_all(&self, ops: &mut Vec<Op>) -> bool {
-        let mut state = self.state.lock().unwrap();
-        if state.parked && state.q.is_empty() {
-            return false;
-        }
-        state.q.extend(ops.drain(..));
-        drop(state);
-        self.cv.notify_one();
-        true
     }
 
     /// Drain up to `max` ops. Blocks (in bounded slices, so `stop` is
@@ -203,21 +185,19 @@ impl Lane {
     /// `stop` is set and the lane is empty (the drain-then-exit contract).
     /// `_window` is ignored; it is kept only for callers that still pass it.
     pub fn drain(&self, max: usize, _window: Duration, stop: &AtomicBool) -> Vec<Op> {
-        let mut state = self.state.lock().unwrap();
-        while state.q.is_empty() {
+        let mut q = self.q.lock().unwrap();
+        while q.is_empty() {
             if stop.load(Ordering::Acquire) {
                 return Vec::new();
             }
-            state.parked = true;
-            let (guard, _) = self
+            q = self
                 .cv
-                .wait_timeout(state, Duration::from_millis(50))
-                .unwrap();
-            state = guard;
-            state.parked = false;
+                .wait_timeout(q, Duration::from_millis(50))
+                .unwrap()
+                .0;
         }
-        let take = state.q.len().min(max);
-        state.q.drain(..take).collect()
+        let take = q.len().min(max);
+        q.drain(..take).collect()
     }
 }
 
@@ -267,14 +247,14 @@ fn count(counter: &AtomicU64, n: usize) {
     counter.fetch_add(n as u64, Ordering::Relaxed);
 }
 
-/// Execute one drained FIFO batch on fresh buffers. An executor loop
-/// keeps a [`RunBuffers`] and calls [`RunBuffers::execute`] instead.
+/// Execute one batch on fresh buffers. A connection keeps a
+/// [`RunBuffers`] and calls [`RunBuffers::execute`] instead.
 pub fn execute_batch(index: &ShortcutIndex, stats: &ServerStats, ops: Vec<Op>) {
     RunBuffers::default().execute(index, stats, ops);
 }
 
-/// What one run of a drained batch is gathered into and answered from.
-/// An executor owns one for its lifetime, so a steady-state run allocates
+/// What one run of a batch is gathered into and answered from. A
+/// connection owns one for its lifetime, so a steady-state run allocates
 /// nothing: the index's `_into` entry points reuse `answers`, and the
 /// gathering vectors keep their capacity.
 #[derive(Debug, Default)]
@@ -282,21 +262,25 @@ pub struct RunBuffers {
     reads: Vec<(Vec<u64>, bool, Arc<ReplySlot>)>,
     writes: Vec<(u64, u64, Arc<ReplySlot>)>,
     removes: Vec<(Vec<u64>, Arc<ReplySlot>)>,
-    /// The run's keys (reads, removes) flattened in FIFO order.
+    /// The run's keys (reads, removes) flattened in request order.
     keys: Vec<u64>,
-    /// The run's entries (writes) in FIFO order.
+    /// The run's entries (writes) in request order.
     entries: Vec<(u64, u64)>,
     /// `answers[i]` answers `keys[i]`.
     answers: Vec<Option<u64>>,
 }
 
 impl RunBuffers {
-    /// Execute one drained FIFO batch: split it into maximal homogeneous
-    /// runs and drive each run through the matching batched index entry
-    /// point.
-    pub fn execute(&mut self, index: &ShortcutIndex, stats: &ServerStats, ops: Vec<Op>) {
+    /// Execute one batch: split it into maximal homogeneous runs and drive
+    /// each run through the matching batched index entry point.
+    pub fn execute(
+        &mut self,
+        index: &ShortcutIndex,
+        stats: &ServerStats,
+        ops: impl IntoIterator<Item = Op>,
+    ) {
         // The op kind of the run being accumulated. A kind switch flushes
-        // the previous run, preserving the drained FIFO order across runs.
+        // the previous run, preserving the request order across runs.
         let mut current = None;
         for op in ops {
             let kind = std::mem::discriminant(&op);
@@ -514,11 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn one_push_all_is_drained_at_once_in_push_order() {
+    fn pushed_ops_are_drained_at_once_in_push_order() {
         let lane = Lane::new();
         let stop = AtomicBool::new(false);
-        let mut ops = (0..16u64).map(|k| read_op(&[k]).0).collect();
-        assert!(lane.push_all(&mut ops), "no executor has parked yet");
+        for k in 0..16u64 {
+            lane.push(read_op(&[k]).0);
+        }
         let started = std::time::Instant::now();
         // A window the drain would nap through if it still waited for company.
         let got = lane.drain(256, Duration::from_secs(5), &stop);
@@ -534,26 +519,6 @@ mod tests {
             })
             .collect();
         assert_eq!(keys, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn push_all_leaves_a_read_with_the_caller_while_the_executor_parks() {
-        let lane = Lane::new();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let executor = s.spawn(|| lane.drain(256, Duration::ZERO, &stop));
-            while !lane.state.lock().unwrap().parked {
-                std::thread::yield_now();
-            }
-            let mut ops = vec![read_op(&[1]).0];
-            assert!(
-                !lane.push_all(&mut ops),
-                "the parked executor was handed a read"
-            );
-            assert_eq!(ops.len(), 1, "the read left the caller");
-            stop.store(true, Ordering::Release);
-            assert!(executor.join().unwrap().is_empty());
-        });
     }
 
     #[test]

@@ -17,7 +17,6 @@ FLAGS:
     --slot-pages K         2^K pages per slot    [default: 0]
     --capacity N           expected live entries [default: 1000000]
     --max-batch N          max ops per batch     [default: 256]
-    --executors N          executor threads      [default: #cores, <= 4]
     --help                 print this text
 
 Stop it with a RESP `SHUTDOWN` command; the server drains in-flight
@@ -50,7 +49,6 @@ fn parse_args(mut args: std::env::Args) -> Result<ServerConfig, String> {
             "--slot-pages" => cfg.slot_pages = parse_num("page exponent")? as u32,
             "--capacity" => cfg.capacity = parse_num("entry count")? as usize,
             "--max-batch" => cfg.max_batch = (parse_num("batch size")? as usize).max(1),
-            "--executors" => cfg.executors = (parse_num("thread count")? as usize).max(1),
             _ => return Err(format!("unknown flag {flag} (see --help)")),
         }
     }

@@ -43,21 +43,19 @@ pub struct ServerConfig {
     pub addr: String,
     /// `s`: the index is partitioned into `2^s` shards (see
     /// `IndexBuilder::shards`). More shards = more write parallelism
-    /// across executor threads.
+    /// across connection threads.
     pub shard_bits: u32,
     /// `k`: physical slot size of `2^k` base pages (see
     /// `IndexBuilder::slot_pages`).
     pub slot_pages: u32,
     /// Expected live-entry capacity (pool sizing hint).
     pub capacity: usize,
-    /// Ignored: an executor takes what its lane holds without waiting for
-    /// more. Kept only for callers that still set it.
+    /// Ignored: a connection runs what it read without waiting for more.
+    /// Kept only for callers that still set it.
     pub batch_window: Duration,
-    /// Maximum requests drained into one executor batch.
+    /// The most requests run as one batch; a read that holds more runs as
+    /// several batches, in order.
     pub max_batch: usize,
-    /// Executor thread count (= submission lane count). Connections are
-    /// assigned to lanes round-robin; one executor owns each lane.
-    pub executors: usize,
     /// Which arm serves the data.
     pub engine: Engine,
 }
@@ -71,9 +69,6 @@ impl Default for ServerConfig {
             capacity: 1_000_000,
             batch_window: Duration::ZERO,
             max_batch: 256,
-            executors: std::thread::available_parallelism()
-                .map(|n| n.get().clamp(1, 4))
-                .unwrap_or(2),
             engine: Engine::Shortcut,
         }
     }
@@ -95,7 +90,6 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let c = ServerConfig::default();
-        assert!(c.executors >= 1);
         assert!(c.max_batch > 1);
         assert!(c.capacity > 0);
     }

@@ -1,11 +1,9 @@
 //! Per-connection plumbing: one thread per connection reads a chunk,
-//! submits every complete command in it, waits for their replies in
-//! request order, writes them with one `write_all`, and only then reads
-//! again.
+//! runs every complete command in it, encodes their replies in request
+//! order, writes them with one `write_all`, and only then reads again.
 //!
-//! A read's `GET`/`MGET`/`SET`/`DEL` become [`Op`]s, handed to the
-//! connection's submission lane in one push and batch-executed there, or
-//! here when the lane's executor is parked ([`crate::batch`]).
+//! A read's `GET`/`MGET`/`SET`/`DEL` become [`Op`]s, which this thread
+//! batch-executes itself, `max_batch` at a time ([`crate::batch`]).
 //! `PING`/`INFO`/error replies are filled at once (they touch no keyed
 //! state) but keep their place among the chunk's reply slots, so a client
 //! can rely on reply N answering request N.
@@ -47,10 +45,10 @@ const READ_POLL: Duration = Duration::from_millis(100);
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Serve one accepted connection to completion on the calling thread.
-pub fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>, conn_id: u64) {
+pub fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let lane = &ctx.lanes[(conn_id as usize) % ctx.lanes.len()];
+    let max_batch = ctx.cfg.max_batch.max(1);
     let mut decoder = Decoder::new();
     let mut buf = [0u8; READ_CHUNK];
     let mut slots = Vec::new();
@@ -70,8 +68,9 @@ pub fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>, conn_id: u6
             },
         }
         open = submit(&mut decoder, &ctx, &mut slots, &mut ops);
-        if !ops.is_empty() && !lane.push_all(&mut ops) {
-            buffers.execute(&ctx.index, &ctx.stats, std::mem::take(&mut ops));
+        while !ops.is_empty() {
+            let batch = ops.drain(..ops.len().min(max_batch));
+            buffers.execute(&ctx.index, &ctx.stats, batch);
         }
         out.clear();
         for slot in slots.drain(..) {
@@ -83,7 +82,7 @@ pub fn handle_connection(mut stream: TcpStream, ctx: Arc<ServerCtx>, conn_id: u6
 }
 
 /// Take every complete command the decoder holds, pushing its reply slot
-/// onto `slots` and its lane op onto `ops` in request order. Returns
+/// onto `slots` and its op onto `ops` in request order. Returns
 /// `false` when the connection closes after these replies: on `SHUTDOWN`,
 /// and on a protocol error, since the stream cannot be resynchronized.
 fn submit(

@@ -4,11 +4,10 @@
 //! The paper's batched entry points (`get_many`'s one-serving-word
 //! reads, `insert_batch_shared`'s parallel per-shard writer lanes) want
 //! batches — but network clients send one request at a time. This crate
-//! closes that gap server-side: per-connection threads decode requests
-//! into submission lanes, and a small executor pool drains each lane
-//! into group batches (a connection whose executor idles runs its read
-//! as one batch itself), so concurrent clients' requests amortize into
-//! the same batched index calls. See [`batch`] for the flow and ordering.
+//! closes that gap server-side: each connection's thread decodes what one
+//! socket read holds and runs those requests as one batch, so a client's
+//! pipeline amortizes into the same batched index calls the benchmarks
+//! use. See [`batch`] for the flow and ordering.
 //!
 //! Wire protocol: a minimal hand-rolled RESP2 subset ([`protocol`]) —
 //! `GET`/`MGET`/`SET`/`DEL`/`PING`/`INFO`/`SHUTDOWN`, keys and values as

@@ -1,29 +1,20 @@
-//! The server proper: listener + acceptor, executor pool, shared context,
-//! `INFO` rendering, and the ordered graceful-shutdown sequence.
+//! The server proper: listener + acceptor, shared context, `INFO`
+//! rendering, and the graceful-shutdown sequence.
 //!
-//! Thread topology (for `executors = E`, `C` live connections):
+//! Thread topology: one acceptor, and one thread per live connection,
+//! which runs its own reads against the index ([`crate::batch`]). With `C`
+//! live connections the index has `C` reader threads; the reader pin
+//! gives up to 32 live threads a slot of their own, and readers past
+//! those share overflow stripes through `SeqCst` read-modify-writes
+//! (`crates/rewire/src/retire.rs`).
 //!
-//! ```text
-//! acceptor ──spawns──▶ C × connection ──lanes[conn % E]──▶ E × executor
-//!                          ▲                                   │
-//!                          └──────────── reply slots ──────────┘
-//! ```
-//!
-//! A connection whose executor is parked runs its read itself ([`crate::batch`]).
-//!
-//! Shutdown ordering matters and is encoded in [`Server::join`]:
-//! 1. the shutdown flag stops the acceptor (nonblocking poll loop) and
-//!    every connection (bounded read timeout) once it has written the
-//!    replies to what it read;
-//! 2. connections are joined **first** — only then can no new ops enter
-//!    the lanes, and every submitted op still has a live executor to fill
-//!    its slot (so a connection waiting on its replies never hangs);
-//! 3. the drain flag releases the executors, which finish whatever is
-//!    left in their lane and exit — no accepted request is dropped;
-//! 4. the final [`StatsSnapshot`] and server counters are captured for
-//!    the shutdown report.
+//! Shutdown, encoded in [`Server::join`]: the shutdown flag stops the
+//! acceptor (nonblocking poll loop) and every connection (bounded read
+//! timeout) once it has run and answered what it read; the connections
+//! are joined, so no accepted request is dropped; then the final
+//! [`StatsSnapshot`] and server counters are captured for the report.
 
-use crate::batch::{Lane, RunBuffers, ServerStats};
+use crate::batch::ServerStats;
 use crate::config::{Engine, ServerConfig};
 use shortcut_rewire::sync::{AtomicBool, AtomicU64, Ordering};
 use std::io;
@@ -42,15 +33,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 pub struct ServerCtx {
     pub cfg: ServerConfig,
     pub index: ShortcutIndex,
-    /// One submission lane per executor; connections hash onto them.
-    pub lanes: Vec<Lane>,
     pub stats: ServerStats,
     /// Stops the acceptor and the connections (set by `SHUTDOWN` or
     /// [`Server::shutdown`]).
     pub shutdown: AtomicBool,
-    /// Releases the executors once the lanes can only shrink; set by
-    /// [`Server::join`] *after* the connections are joined.
-    drain: AtomicBool,
     started: Instant,
 }
 
@@ -69,7 +55,6 @@ impl ServerCtx {
         out.push_str("# server\r\n");
         let _ = writeln!(out, "engine:{}\r", self.cfg.engine.as_str());
         let _ = writeln!(out, "uptime_seconds:{}\r", self.started.elapsed().as_secs());
-        let _ = writeln!(out, "executors:{}\r", self.lanes.len());
         let _ = writeln!(out, "max_batch:{}\r", self.cfg.max_batch);
         out.push_str("# clients\r\n");
         let _ = writeln!(out, "connections_accepted:{accepted}\r");
@@ -115,7 +100,7 @@ impl ServerCtx {
     }
 }
 
-/// What [`Server::join`] hands back after the drain completes.
+/// What [`Server::join`] hands back once every connection has ended.
 #[derive(Debug)]
 pub struct ShutdownReport {
     /// Final merged index snapshot (render with `Display`).
@@ -132,12 +117,11 @@ pub struct Server {
     addr: SocketAddr,
     /// Hands back the handles of the connections it spawned when it exits.
     acceptor: JoinHandle<Vec<JoinHandle<()>>>,
-    executors: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Build the index, bind the listener, and spawn the acceptor and
-    /// executor pool. Returns once the server is accepting.
+    /// Build the index, bind the listener, and spawn the acceptor.
+    /// Returns once the server is accepting.
     ///
     /// # Errors
     ///
@@ -161,26 +145,13 @@ impl Server {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let executors_n = cfg.executors.max(1);
         let ctx = Arc::new(ServerCtx {
-            lanes: (0..executors_n).map(|_| Lane::new()).collect(),
             stats: ServerStats::default(),
             shutdown: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
             started: Instant::now(),
             index,
             cfg,
         });
-
-        let executors = (0..executors_n)
-            .map(|i| {
-                let ctx = Arc::clone(&ctx);
-                std::thread::Builder::new()
-                    .name(format!("executor-{i}"))
-                    .spawn(move || executor_loop(&ctx, i))
-                    .expect("spawn executor")
-            })
-            .collect();
 
         let acceptor = {
             let ctx = Arc::clone(&ctx);
@@ -194,7 +165,6 @@ impl Server {
             ctx,
             addr,
             acceptor,
-            executors,
         })
     }
 
@@ -213,25 +183,20 @@ impl Server {
         self.ctx.shutdown.store(true, Ordering::Release);
     }
 
-    /// Block until the server has shut down, running the ordered drain
-    /// (see module docs), and return the final stats.
+    /// Block until the server has shut down (see module docs) and return
+    /// the final stats.
     ///
     /// # Panics
     ///
     /// If the acceptor panicked (it could not spawn a connection thread):
-    /// the handles of its connections went with it, so the drain could not
+    /// the handles of its connections went with it, so `join` could not
     /// wait for them.
-    pub fn join(mut self) -> ShutdownReport {
+    pub fn join(self) -> ShutdownReport {
         // The acceptor exits on the flag, and with it no new connection
         // appears; each connection exits within one read-poll of the flag.
         let conns = self.acceptor.join().expect("the acceptor panicked");
         for conn in conns {
             let _ = conn.join();
-        }
-        // Lanes can only shrink now — release the executors.
-        self.ctx.drain.store(true, Ordering::Release);
-        for handle in self.executors.drain(..) {
-            let _ = handle.join();
         }
         ShutdownReport {
             snapshot: self.ctx.index.stats(),
@@ -257,7 +222,7 @@ fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServerCtx>) -> Vec<JoinHandle<
                 let ctx = Arc::clone(ctx);
                 let handle = std::thread::Builder::new()
                     .name(format!("resp-conn-{conn_id}"))
-                    .spawn(move || crate::conn::handle_connection(stream, ctx, conn_id))
+                    .spawn(move || crate::conn::handle_connection(stream, ctx))
                     .expect("spawn connection thread");
                 conns.push(handle);
             }
@@ -265,20 +230,6 @@ fn acceptor_loop(listener: TcpListener, ctx: &Arc<ServerCtx>) -> Vec<JoinHandle<
         }
     }
     conns
-}
-
-/// Executor loop: drain the owned lane, execute, repeat; exit on the
-/// drain-flag-and-empty contract encoded in `Lane::drain`.
-fn executor_loop(ctx: &Arc<ServerCtx>, lane_idx: usize) {
-    let lane = &ctx.lanes[lane_idx];
-    let mut buffers = RunBuffers::default();
-    loop {
-        let ops = lane.drain(ctx.cfg.max_batch, Duration::ZERO, &ctx.drain);
-        if ops.is_empty() {
-            return;
-        }
-        buffers.execute(&ctx.index, &ctx.stats, ops);
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +240,6 @@ mod tests {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             capacity: 10_000,
-            executors: 2,
             ..ServerConfig::default()
         }
     }

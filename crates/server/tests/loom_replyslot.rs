@@ -1,29 +1,26 @@
-//! Exhaustive model check of the reply-slot rendezvous and the
-//! submission-lane hand-off ([`shortcut_server::batch`]).
+//! Exhaustive model check of the reply-slot rendezvous and the lane
+//! hand-off ([`shortcut_server::batch`]).
 //!
 //! Run with `cargo test -p shortcut-server --features loomish`.
 //!
-//! Three scenarios:
+//! Two scenarios:
 //!
-//! * **Reply slot** — a connection thread waits on a slot while an
-//!   executor fills it, and a second filler races the first. No path
-//!   fills a slot twice today; the second filler keeps
+//! * **Reply slot** — a waiter blocks on a slot while another thread
+//!   fills it, and a second filler races the first. No path fills a slot
+//!   twice today; the second filler keeps
 //!   [`ReplySlot::fill`]'s first-write-wins guard honest. Invariants: the
 //!   waiter always wakes (no lost wakeup, and no notify skipped while it
 //!   is parked — a violation surfaces as a model deadlock) and always
 //!   takes exactly one of the two replies (no double-fulfill — the seeded
 //!   variant panics).
-//! * **Lane drain** — a connection pushes an op and raises the stop flag;
-//!   the executor drains until the stop+empty exit. Invariants: the pushed
-//!   op is delivered exactly once and every thread terminates.
-//! * **One push per read** — a connection hands two ops to the lane in
-//!   one `push_all`; they run exactly once, in push order: drained by the
-//!   executor, or kept by the connection when it finds the executor
-//!   parked on an empty lane.
+//! * **Lane drain** — a producer pushes two ops and raises the stop flag;
+//!   the consumer drains until the stop+empty exit. Invariants: the pushed
+//!   ops are delivered exactly once, in push order, and every thread
+//!   terminates.
 //!
-//! The lane scenarios run under the sequentially-consistent-per-location
-//! model: their progress relies on the stop flag's store becoming visible
-//! to the executor's bounded-timeout retry loop, which real memory
+//! The lane scenario runs under the sequentially-consistent-per-location
+//! model: its progress relies on the stop flag's store becoming visible
+//! to the consumer's bounded-timeout retry loop, which real memory
 //! systems guarantee in finite time but the ordering-sensitive model —
 //! which never forces a stale load to converge — does not, so the
 //! ordering-sensitive run would report a liveness artifact, not a bug.
@@ -43,9 +40,9 @@ use std::time::Duration;
 #[derive(Clone, Copy)]
 enum FillKind {
     Correct,
-    /// Executor fills with the double-fill tolerance removed.
+    /// The filler with the double-fill tolerance removed.
     SeededAssertEmpty,
-    /// Executor reads the waiter flag apart from its store.
+    /// The filler reads the waiter flag apart from its store.
     SeededFlagReadApart,
 }
 
@@ -56,9 +53,9 @@ enum WaitKind {
     SeededCheckThenWait,
 }
 
-/// An executor and a second filler race to fill while the connection
-/// thread waits. `second_filler` is off for the wakeup seeds so its
-/// fill cannot mask the bug.
+/// A filler and a second filler race to fill while a third thread
+/// waits. `second_filler` is off for the wakeup seeds so its fill cannot
+/// mask the bug.
 fn slot_scenario(
     fill: FillKind,
     wait: WaitKind,
@@ -67,7 +64,7 @@ fn slot_scenario(
     move || {
         let slot = ReplySlot::new();
 
-        let executor = {
+        let filler = {
             let slot = Arc::clone(&slot);
             thread::spawn(move || match fill {
                 FillKind::Correct => slot.fill(Reply::Simple("OK")),
@@ -95,7 +92,7 @@ fn slot_scenario(
             })
         };
 
-        executor.join().unwrap();
+        filler.join().unwrap();
         if let Some(h) = second {
             h.join().unwrap();
         }
@@ -160,9 +157,9 @@ fn seeded_lost_wakeup_is_caught() {
 }
 
 /// Teeth check: a fill that reads the waiter flag in one critical section
-/// and stores the reply in another skips the notify when the connection
-/// thread parks in between; the waiter blocks forever and the model
-/// reports the deadlock.
+/// and stores the reply in another skips the notify when the waiter
+/// parks in between; it blocks forever and the model reports the
+/// deadlock.
 #[test]
 fn seeded_skipped_notify_is_caught() {
     let err = Builder::new()
@@ -180,8 +177,9 @@ fn seeded_skipped_notify_is_caught() {
     );
 }
 
-/// Lane hand-off: one pushed op is drained exactly once and both threads
-/// terminate through the stop+empty exit. (SC model — see module docs.)
+/// Lane hand-off: two pushed ops are drained exactly once, in push order,
+/// and both threads terminate through the stop+empty exit. (SC model — see
+/// module docs.)
 #[test]
 fn lane_drain_delivers_and_terminates() {
     let report = Builder::new()
@@ -189,93 +187,22 @@ fn lane_drain_delivers_and_terminates() {
         .check(|| {
             let lane = Arc::new(Lane::new());
             let stop = Arc::new(AtomicBool::new(false));
-            let slot = ReplySlot::new();
-
-            let pusher = {
-                let lane = Arc::clone(&lane);
-                let stop = Arc::clone(&stop);
-                let slot = Arc::clone(&slot);
-                thread::spawn(move || {
-                    lane.push(Op::Read {
-                        keys: vec![1],
-                        single: true,
-                        slot,
-                    });
-                    stop.store(true, Ordering::Release);
-                })
-            };
-            let executor = {
-                let lane = Arc::clone(&lane);
-                let stop = Arc::clone(&stop);
-                thread::spawn(move || {
-                    let mut delivered = 0usize;
-                    loop {
-                        let ops = lane.drain(4, Duration::ZERO, &stop);
-                        if ops.is_empty() {
-                            break; // stop + empty: the drain-then-exit contract
-                        }
-                        for op in ops {
-                            match op {
-                                Op::Read { slot, .. } => slot.fill(Reply::Nil),
-                                _ => unreachable!(),
-                            }
-                            delivered += 1;
-                        }
-                    }
-                    assert_eq!(delivered, 1, "op lost or duplicated across drains");
-                })
-            };
-
-            pusher.join().unwrap();
-            executor.join().unwrap();
-            assert_eq!(slot.wait(), Reply::Nil, "drained op's slot never filled");
-        })
-        .unwrap_or_else(|cx| panic!("lane counterexample: {cx}"));
-    println!("lane drain: {} interleavings explored", report.executions);
-}
-
-/// One push per read: a `push_all` of two ops is run exactly once, in push
-/// order — by the executor, or by the pushing connection itself when it
-/// finds the executor parked on an empty lane — and both threads
-/// terminate. (SC model — see module docs.)
-#[test]
-fn one_push_all_is_drained_once_in_order() {
-    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-    // Outside the model: how many executions took each path.
-    static QUEUED: AtomicUsize = AtomicUsize::new(0);
-    static KEPT: AtomicUsize = AtomicUsize::new(0);
-    let keys = |ops: Vec<Op>| -> Vec<u64> {
-        ops.into_iter()
-            .flat_map(|op| match op {
-                Op::Read { keys, .. } => keys,
-                _ => unreachable!(),
-            })
-            .collect()
-    };
-    let report = Builder::new()
-        .preemption_bound(Some(3))
-        .check(move || {
-            let lane = Arc::new(Lane::new());
-            let stop = Arc::new(AtomicBool::new(false));
 
             let pusher = {
                 let lane = Arc::clone(&lane);
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
-                    let mut ops: Vec<Op> = (1..=2)
-                        .map(|key| Op::Read {
+                    for key in 1..=2 {
+                        lane.push(Op::Read {
                             keys: vec![key],
                             single: true,
                             slot: ReplySlot::new(),
-                        })
-                        .collect();
-                    let queued = lane.push_all(&mut ops);
-                    assert_eq!(ops.is_empty(), queued, "ops both queued and kept");
+                        });
+                    }
                     stop.store(true, Ordering::Release);
-                    keys(ops) // run here: the executor was parked
                 })
             };
-            let executor = {
+            let consumer = {
                 let lane = Arc::clone(&lane);
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
@@ -283,26 +210,22 @@ fn one_push_all_is_drained_once_in_order() {
                     loop {
                         let ops = lane.drain(4, Duration::ZERO, &stop);
                         if ops.is_empty() {
-                            return delivered;
+                            return delivered; // stop + empty: the drain-then-exit contract
                         }
-                        delivered.extend(keys(ops));
+                        for op in ops {
+                            match op {
+                                Op::Read { keys, .. } => delivered.extend(keys),
+                                _ => unreachable!(),
+                            }
+                        }
                     }
                 })
             };
 
-            let inline = pusher.join().unwrap();
-            let drained = executor.join().unwrap();
-            assert!(inline.is_empty() || drained.is_empty(), "a read split");
-            let path = if inline.is_empty() { &QUEUED } else { &KEPT };
-            path.fetch_add(1, Relaxed);
-            let ran: Vec<u64> = inline.into_iter().chain(drained).collect();
-            assert_eq!(ran, [1, 2], "ops lost, duplicated or reordered");
+            pusher.join().unwrap();
+            let delivered = consumer.join().unwrap();
+            assert_eq!(delivered, [1, 2], "ops lost, duplicated or reordered");
         })
-        .unwrap_or_else(|cx| panic!("push_all counterexample: {cx}"));
-    let (queued, kept) = (QUEUED.load(Relaxed), KEPT.load(Relaxed));
-    println!(
-        "push_all: {} interleavings explored ({queued} queued, {kept} kept)",
-        report.executions
-    );
-    assert!(queued > 0 && kept > 0, "a path of push_all went unexplored");
+        .unwrap_or_else(|cx| panic!("lane counterexample: {cx}"));
+    println!("lane drain: {} interleavings explored", report.executions);
 }

@@ -6,6 +6,7 @@
 //! request before the final stats dump.
 
 use shortcut_exhash::{ChConfig, ChainedHash, Index};
+use shortcut_rewire::sync::Ordering;
 use shortcut_server::{Server, ServerConfig};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -108,12 +109,11 @@ impl Client {
     }
 }
 
-fn spawn_server(executors: usize) -> Server {
+fn spawn_server() -> Server {
     Server::spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         capacity: 50_000,
         shard_bits: 2,
-        executors,
         ..ServerConfig::default()
     })
     .expect("spawn server")
@@ -125,7 +125,7 @@ fn concurrent_clients_match_chained_hash_oracle() {
     const OPS: u64 = 400;
     const STRIDE: u64 = 1_000_000; // disjoint per-client keyspaces
 
-    let server = spawn_server(2);
+    let server = spawn_server();
     let addr = server.local_addr();
 
     // Each client runs a deterministic script over its own key range and
@@ -215,7 +215,6 @@ fn pipelined_reads_aggregate_into_batches() {
     let server = Server::spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         capacity: 10_000,
-        executors: 1,
         max_batch: 256,
         ..ServerConfig::default()
     })
@@ -227,8 +226,8 @@ fn pipelined_reads_aggregate_into_batches() {
     );
 
     // 512 pipelined GETs in one flush (≈ 10 KB, one or two server reads):
-    // each read's GETs run as one batch, on the executor or on the
-    // connection's own thread, without any wait for company.
+    // the connection runs each read's GETs in batches of up to 256,
+    // without any wait for company.
     const N: usize = 512;
     for _ in 0..N {
         client.send(&["GET", "1"]);
@@ -249,8 +248,55 @@ fn pipelined_reads_aggregate_into_batches() {
 }
 
 #[test]
+fn max_batch_splits_a_long_read_into_batches_in_order() {
+    const MAX: usize = 8;
+    let server = Server::spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        capacity: 10_000,
+        max_batch: MAX,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr());
+
+    // One flush of GET 999, then SET k / GET k pairs: batches of 8 ops end
+    // between a SET and its GET, and each GET must still see its SET.
+    client.send(&["GET", "999"]);
+    for k in 0..20u64 {
+        client.send(&["SET", &k.to_string(), &(k * 10).to_string()]);
+        client.send(&["GET", &k.to_string()]);
+    }
+    client.flush();
+    assert_eq!(client.recv(), R::Bulk(None));
+    for k in 0..20u64 {
+        assert_eq!(client.recv(), R::Simple("OK".into()));
+        assert_eq!(client.recv(), R::Bulk(Some((k * 10).to_string())));
+    }
+
+    // 64 GETs in one flush run as at least 64 / 8 batches.
+    let stats = &server.ctx().stats;
+    let before = stats.read_batches.load(Ordering::Relaxed);
+    for _ in 0..64 {
+        client.send(&["GET", "1"]);
+    }
+    client.flush();
+    for _ in 0..64 {
+        assert_eq!(client.recv(), R::Bulk(Some("10".into())));
+    }
+    let batches = stats.read_batches.load(Ordering::Relaxed) - before;
+    assert!(
+        batches >= 64 / MAX as u64,
+        "{batches} read batches for 64 GETs"
+    );
+    assert!(stats.mean_read_batch_ops() <= MAX as f64);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn mid_stream_disconnect_does_not_take_the_server_down() {
-    let server = spawn_server(2);
+    let server = spawn_server();
     let addr = server.local_addr();
 
     // Client A: pipeline writes it never reads replies for, plus a
@@ -304,7 +350,7 @@ fn mid_stream_disconnect_does_not_take_the_server_down() {
 
 #[test]
 fn shutdown_drains_pipelined_requests_before_exiting() {
-    let server = spawn_server(1);
+    let server = spawn_server();
     let addr = server.local_addr();
 
     // One connection pipelines a burst of SETs immediately followed by
@@ -332,7 +378,7 @@ fn shutdown_drains_pipelined_requests_before_exiting() {
 
 #[test]
 fn a_pipeline_longer_than_one_read_is_answered_in_order() {
-    let server = spawn_server(2);
+    let server = spawn_server();
     let mut client = Client::connect(server.local_addr());
 
     // ≈ 100 KB of requests in one flush before the first reply is read:
@@ -359,7 +405,7 @@ fn a_pipeline_longer_than_one_read_is_answered_in_order() {
 
 #[test]
 fn immediate_replies_keep_their_place_in_a_pipeline() {
-    let server = spawn_server(1);
+    let server = spawn_server();
     let mut client = Client::connect(server.local_addr());
 
     client.send(&["SET", "1", "10"]);
