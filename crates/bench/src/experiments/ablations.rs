@@ -6,8 +6,8 @@ use crate::timing::{ms, Stopwatch};
 use crate::workload::KeyGen;
 use crate::Table;
 use shortcut_core::{CompactionPolicy, MaintConfig, RoutePolicy, ShortcutNode};
-use shortcut_exhash::{BucketLayout, EhConfig, Index, ShortcutEh, ShortcutEhConfig};
-use shortcut_rewire::{max_map_count, PageIdx, PoolConfig, SlotLayout, VmaBudget};
+use shortcut_exhash::{EhConfig, Index, ShortcutEh, ShortcutEhConfig};
+use shortcut_rewire::{max_map_count, PageIdx};
 use std::time::{Duration, Instant};
 use taking_the_shortcut::ShortcutIndex;
 
@@ -235,8 +235,6 @@ pub fn a4_populate(s: &ScaleArgs) -> Table {
 struct A5Cell {
     /// Epochs of inserts; the cell ends at `epochs × epoch` keys.
     epochs: usize,
-    /// `k`: 2^k base pages per slot.
-    slot_power: u32,
     /// `s`: 2^s shards on one budget.
     shard_bits: u32,
     seed: u64,
@@ -250,8 +248,8 @@ struct A5Cell {
 /// is for (the share of reads the shortcut served, the peak of the
 /// budget's `in_use` over the epochs' sync points) next to what it costs
 /// (pages moved, insert time). The cells span the directory sizes around
-/// the budget: one that never feels it, the 2^16- and 2^17-slot plateaus
-/// at 4 KB slots, 16 KB slots, and four shards sharing the budget.
+/// the budget: one that never feels it, the 2^16- and 2^17-slot plateaus,
+/// ≈ 8 M keys, and four shards sharing the budget.
 ///
 /// # Panics
 ///
@@ -261,25 +259,23 @@ pub fn a5_compaction(s: &ScaleArgs) -> Table {
     let epoch = s.pick(1 << 16, 1 << 16, 1 << 12);
     let reads = s.pick(1 << 14, 1 << 14, 1 << 10);
     let budget = s.pick(65_530, 65_530, 4_090);
-    let cell = |epochs, slot_power, shard_bits, seed| A5Cell {
+    let cell = |epochs, shard_bits, seed| A5Cell {
         epochs,
-        slot_power,
         shard_bits,
         seed,
     };
-    let mut cells = vec![cell(4, 0, 0, 1), cell(36, 0, 0, 7), cell(61, 0, 2, 1)];
+    let mut cells = vec![cell(4, 0, 1), cell(36, 0, 7), cell(61, 2, 1)];
     if s.paper {
-        cells.extend([cell(76, 0, 0, 4), cell(107, 0, 0, 4), cell(122, 2, 0, 1)]);
+        cells.extend([cell(76, 0, 4), cell(107, 0, 4), cell(122, 0, 1)]);
     } else if s.quick {
         // A sixteenth of everything: the budget binds at 2^12 slots.
-        cells = vec![cell(48, 0, 0, 1), cell(48, 0, 2, 1)];
+        cells = vec![cell(48, 0, 1), cell(48, 2, 1)];
     }
 
     let mut t = Table::new(
         format!("Ablation A5 — compaction off / on, epochs of {epoch} keys, budget {budget}"),
         &[
             "keys",
-            "k",
             "shards",
             "seed",
             "compaction",
@@ -298,7 +294,6 @@ pub fn a5_compaction(s: &ScaleArgs) -> Table {
             let mut index = ShortcutIndex::builder()
                 .capacity(keys.len())
                 .vma_budget(budget)
-                .slot_pages(c.slot_power)
                 .shards(c.shard_bits)
                 .compaction(policy)
                 .build()
@@ -330,16 +325,14 @@ pub fn a5_compaction(s: &ScaleArgs) -> Table {
             let error = index.maint_error();
             assert!(
                 !(policy.enabled() && (stats.shortcut_suspended || error.is_some())),
-                "compaction on must keep {} keys (k = {}, {} shards, seed {}) \
+                "compaction on must keep {} keys ({} shards, seed {}) \
                  shortcut-served: maint error {error:?}\n{stats}",
                 keys.len(),
-                c.slot_power,
                 stats.shards,
                 c.seed
             );
             t.row(&[
                 Table::n(keys.len() as u64),
-                c.slot_power.to_string(),
                 stats.shards.to_string(),
                 c.seed.to_string(),
                 name.into(),
@@ -361,110 +354,12 @@ pub fn a5_compaction(s: &ScaleArgs) -> Table {
     t
 }
 
-/// The compaction axis of A5 and A6.
+/// The compaction axis of A5.
 fn compaction_arms() -> [(&'static str, CompactionPolicy); 2] {
     [
         ("off", CompactionPolicy::disabled()),
         ("on", CompactionPolicy::on()),
     ]
-}
-
-/// Pool sized for `expected_entries` at an arbitrary slot layout (the
-/// slot-aware generalization of [`super::fig7::bench_pool_config`]).
-fn slot_pool_config(expected_entries: usize, layout: SlotLayout) -> PoolConfig {
-    let per_slot = BucketLayout::for_slot(layout).steady_entries(0.35);
-    let slots = (expected_entries / per_slot).max(16);
-    // Byte-denominated floors (~256 KB growth, ≥ 16 MB view at k = 0).
-    let growth_floor = layout.slots_for_bytes(1 << 18);
-    let view_floor = layout.slots_for_bytes(1 << 24).max(64);
-    PoolConfig {
-        initial_pages: 1,
-        min_growth_pages: slots.clamp(growth_floor, 4096), // audit:allow(page-literal): growth clamp in pages (a count), not a byte size
-        view_capacity_pages: ((slots * 4).max(view_floor)).next_power_of_two(),
-        slot_layout: layout,
-        ..PoolConfig::default()
-    }
-}
-
-/// **A6** — the physical slot size (`2^k` base pages per bucket), crossed
-/// with compaction on/off. Larger slots are the other §3.2 lever next to
-/// compaction: the same keys need `~2^k`-fold fewer buckets, so the
-/// directory is shallower and the live mapping footprint drops by about
-/// `2^k` — enough that even the *no-compaction* worst-case admission fits
-/// a stock `vm.max_map_count` at scales where k = 0 suspends. The lookup
-/// column watches for regressions from the layout indirection (k = 0 must
-/// match the pre-SlotLayout numbers) and from the larger in-bucket probe
-/// distance at high k.
-pub fn a6_slot_size(s: &ScaleArgs) -> Table {
-    let n = s.pick(4_000_000, 2_000_000, 60_000);
-    let lookups = s.pick(2_000_000, 1_000_000, 60_000);
-    let slot_powers = [0u32, 2, 4];
-
-    let mut t = Table::new(
-        format!("Ablation A6 — slot size × compaction, {n} keys"),
-        &[
-            "k (slot)",
-            "bucket cap",
-            "compaction",
-            "fill [ms]",
-            "depth",
-            "live VMAs",
-            "suspended",
-            "lookups [ms]",
-        ],
-    );
-    for k in slot_powers {
-        let layout = SlotLayout::new(k).expect("slot power in range");
-        for (name, policy) in compaction_arms() {
-            let mut sceh = ShortcutEh::try_new(ShortcutEhConfig {
-                eh: EhConfig {
-                    pool: slot_pool_config(n * 2, layout),
-                    ..EhConfig::default()
-                },
-                maint: MaintConfig {
-                    compaction: policy,
-                    ..MaintConfig::default()
-                },
-                ..Default::default()
-            })
-            .expect("Shortcut-EH construction failed");
-            let mut gen = KeyGen::new(42);
-            let keys = gen.uniform_keys(n);
-
-            let sw = Stopwatch::start();
-            for &key in &keys {
-                sceh.insert(key, key).expect("insert failed");
-            }
-            let fill_ms = ms(sw.elapsed());
-            let _ = sceh.wait_sync(Duration::from_secs(120));
-            let vma = sceh.vma_stats();
-            let suspended = sceh.shortcut_suspended();
-            let depth = sceh.global_depth();
-
-            let probe = gen.hits_from(&keys, lookups);
-            let sw = Stopwatch::start();
-            let mut found = 0u64;
-            for &key in &probe {
-                if sceh.get(key).is_some() {
-                    found += 1;
-                }
-            }
-            std::hint::black_box(found);
-            let lookup_ms = ms(sw.elapsed());
-
-            t.row(&[
-                format!("{k} ({} KB)", layout.slot_bytes() / 1024),
-                Table::n(sceh.bucket_layout().capacity() as u64),
-                name.into(),
-                Table::f(fill_ms),
-                depth.to_string(),
-                Table::n(vma.live_vmas()),
-                if suspended { "YES" } else { "no" }.into(),
-                Table::f(lookup_ms),
-            ]);
-        }
-    }
-    t
 }
 
 /// **A7** — shard-count scaling (the sharded-index tentpole): `2^s`
@@ -503,26 +398,13 @@ pub fn a7_shards(s: &ScaleArgs) -> Table {
         let shards = 1usize << bits;
         // One budget shared by the arm's shards, sized from the sysctl
         // like production but private to the arm (isolates accounting).
-        let budget = VmaBudget::with_limit(max_map_count());
-        let layout = SlotLayout::default();
-        let index = ShortcutIndex::try_new(
-            bits,
-            ShortcutEhConfig {
-                eh: EhConfig {
-                    pool: PoolConfig {
-                        vma_budget: Some(budget),
-                        ..slot_pool_config((n / shards) * 2, layout)
-                    },
-                    ..EhConfig::default()
-                },
-                maint: MaintConfig {
-                    compaction: CompactionPolicy::on(),
-                    ..MaintConfig::default()
-                },
-                ..Default::default()
-            },
-        )
-        .expect("sharded construction failed");
+        let index = ShortcutIndex::builder()
+            .capacity(2 * n)
+            .vma_budget(max_map_count())
+            .shards(bits)
+            .compaction(CompactionPolicy::on())
+            .build()
+            .expect("sharded construction failed");
 
         let mut gen = KeyGen::new(42);
         let keys = gen.uniform_keys(n);
@@ -645,17 +527,6 @@ mod tests {
             assert!(s.contains(shards), "missing arm {shards}:\n{s}");
         }
         assert!(!s.contains("YES"), "a quick run must not suspend:\n{s}");
-    }
-
-    #[test]
-    fn a6_slot_size_runs_all_cells() {
-        let t = a6_slot_size(&quick());
-        let s = t.render();
-        assert!(s.contains("0 (4 KB)"));
-        assert!(s.contains("2 (16 KB)"));
-        assert!(s.contains("4 (64 KB)"));
-        assert!(s.contains("on"));
-        assert!(s.contains("off"));
     }
 
     #[test]

@@ -48,7 +48,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("ablate_populate", |s| ablations::a4_populate(s).print()),
     // Panics if an `on` arm ends suspended or with a maintenance error.
     ("ablate_compaction", |s| ablations::a5_compaction(s).print()),
-    ("ablate_slot_size", |s| ablations::a6_slot_size(s).print()),
     ("ablate_shards", |s| ablations::a7_shards(s).print()),
     ("snapshot", run_snapshot),
 ];

@@ -32,4 +32,4 @@ pub use metrics::MaintMetrics;
 pub use route::RoutePolicy;
 pub use shortcut_node::ShortcutNode;
 pub use traditional::TraditionalNode;
-pub use version::{ReadGeometry, ReadLine, ReadTicket, SharedDirectoryState};
+pub use version::{ReadLine, ReadTicket, SharedDirectoryState};

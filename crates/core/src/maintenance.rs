@@ -6,9 +6,10 @@
 //! behind one mutex, appended to once per relay and swapped out whole by
 //! the mapper:
 //!
-//! * **Update** — after a bucket split, two (or more) slots must be
-//!   remapped; the index pushes one request per slot carrying the slot
-//!   index and the pool page (file offset) to map it to.
+//! * **Update** — after a bucket split, the upper half of the split
+//!   bucket's covering range must be remapped; the index pushes one
+//!   request per split carrying that slot range and the pool page (file
+//!   offset) to map it to.
 //! * **Create** — after a directory doubling, the old shortcut is obsolete;
 //!   the index pushes the new slot count plus the full assignment vector.
 //!   Pending updates that precede a create are superseded and discarded.
@@ -471,9 +472,11 @@ impl MapperEngine {
             coarse = coarsen_assignments(&assignments, shift);
             (slots >> shift, &coarse)
         };
-        // The node inherits the pool's slot layout: each published
-        // slot spans a whole 2^k-page physical slot.
-        let mut node = ShortcutNode::for_pool(pub_slots, &self.pool, self.cfg.eager_populate)?;
+        let mut node = if self.cfg.eager_populate {
+            ShortcutNode::new_populated(pub_slots)?
+        } else {
+            ShortcutNode::new(pub_slots)?
+        };
         let calls = node.set_batch(&self.pool, pub_assignments)?;
         if self.cfg.eager_populate {
             let touched = node.populate();

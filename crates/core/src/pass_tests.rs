@@ -5,7 +5,7 @@
 
 use super::*;
 use proptest::prelude::*;
-use shortcut_rewire::{PagePool, PoolConfig, SlotLayout, VmaBudget, ZapRange, ZAP_BATCH};
+use shortcut_rewire::{PagePool, PoolConfig, VmaBudget, ZapRange, ZAP_BATCH};
 use std::cell::Cell;
 use std::sync::atomic::AtomicBool;
 
@@ -68,7 +68,7 @@ unsafe fn short(ranges: &[ZapRange]) -> isize {
 
 const PAGES: usize = 32;
 
-/// An engine over a pool of [`PAGES`] stamped slots of `2^k` pages.
+/// An engine over a pool of [`PAGES`] stamped pages.
 struct Rig {
     pool: PagePool,
     pages: Vec<PageIdx>,
@@ -81,12 +81,11 @@ fn stamp_of(page: PageIdx) -> u64 {
     0x5eed_0000 + page.0 as u64
 }
 
-fn rig(k: u32, limit: Option<usize>, compaction: bool, zap: Option<ZapCall>) -> Rig {
+fn rig(limit: Option<usize>, compaction: bool, zap: Option<ZapCall>) -> Rig {
     let mut pool = PagePool::new(PoolConfig {
         initial_pages: 0,
         min_growth_pages: PAGES,
         view_capacity_pages: 1024,
-        slot_layout: SlotLayout::new(k).unwrap(),
         vma_budget: limit.map(VmaBudget::with_limit),
         ..PoolConfig::default()
     })
@@ -163,7 +162,7 @@ impl Rig {
 fn a_wake_of_2000_updates_is_one_zapped_batch_and_one_publish() {
     const SLOTS: usize = 1024;
     const DISTINCT: usize = 700;
-    let mut r = rig(0, None, false, Some(counted));
+    let mut r = rig(None, false, Some(counted));
     let mut dir = vec![r.pages[0]; SLOTS];
     r.relay(create(&dir));
     r.eng.pass().unwrap();
@@ -214,7 +213,7 @@ fn a_failing_vectored_call_costs_speed_and_nothing_else() {
         }
         dir.iter().map(|&p| stamp_of(p)).collect::<Vec<u64>>()
     };
-    let mut reference = rig(0, None, false, Some(counted));
+    let mut reference = rig(None, false, Some(counted));
     let want = script(&mut reference);
     assert_eq!(reference.answers(), want);
     let zapped = reference.metrics.snapshot();
@@ -225,7 +224,7 @@ fn a_failing_vectored_call_costs_speed_and_nothing_else() {
         ("short", Some(short as ZapCall)),
     ] {
         let calls_before = zap_calls();
-        let mut r = rig(0, None, false, zap);
+        let mut r = rig(None, false, zap);
         assert_eq!(script(&mut r), want);
         assert_eq!(r.answers(), want, "{name}");
         let s = r.metrics.snapshot();
@@ -264,7 +263,6 @@ enum Scenario {
 /// relays. Returns what the published slots answer, what the directory
 /// says they should, the node's VMA estimate and the counters.
 fn run_script(
-    k: u32,
     scenario: Scenario,
     steps: &[(u8, u16, u8)],
     pass_len: usize,
@@ -274,7 +272,7 @@ fn run_script(
         Scenario::Deferred => (Some(96), false, 0),
         Scenario::Coarse => (Some(8), true, 1),
     };
-    let mut r = rig(k, limit, compaction, Some(counted));
+    let mut r = rig(limit, compaction, Some(counted));
     let retire = Arc::clone(r.pool.handle().retire_list());
     let pin = matches!(scenario, Scenario::Deferred).then(|| retire.pin());
     // Coarse: 16 slots, fan-in 2 over 8 directory-ordered pages do not
@@ -320,16 +318,14 @@ proptest! {
         steps in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 1..400),
         pass_len in 2usize..50,
     ) {
-        for k in [0, 2] {
-            for scenario in [Scenario::Plain, Scenario::Deferred, Scenario::Coarse] {
-                let (one_by_one, want, vmas, _) = run_script(k, scenario, &steps, 1);
-                prop_assert_eq!(&one_by_one, &want, "k {} {:?} one by one", k, scenario);
-                for len in [pass_len, usize::MAX] {
-                    let (batched, _, batched_vmas, s) = run_script(k, scenario, &steps, len);
-                    prop_assert_eq!(&batched, &want, "k {} {:?} passes of {}", k, scenario, len);
-                    prop_assert_eq!(batched_vmas, vmas);
-                    prop_assert_eq!(s.creates_coarse > 0, matches!(scenario, Scenario::Coarse));
-                }
+        for scenario in [Scenario::Plain, Scenario::Deferred, Scenario::Coarse] {
+            let (one_by_one, want, vmas, _) = run_script(scenario, &steps, 1);
+            prop_assert_eq!(&one_by_one, &want, "{:?} one by one", scenario);
+            for len in [pass_len, usize::MAX] {
+                let (batched, _, batched_vmas, s) = run_script(scenario, &steps, len);
+                prop_assert_eq!(&batched, &want, "{:?} passes of {}", scenario, len);
+                prop_assert_eq!(batched_vmas, vmas);
+                prop_assert_eq!(s.creates_coarse > 0, matches!(scenario, Scenario::Coarse));
             }
         }
     }
@@ -352,7 +348,7 @@ fn parked_maintainer(pool: &PagePool, zap: Option<ZapCall>) -> Maintainer {
 
 #[test]
 fn a_demand_on_a_parked_mapper_gets_one_pass_and_no_tick() {
-    let r = rig(0, None, false, None);
+    let r = rig(None, false, None);
     let m = parked_maintainer(&r.pool, Some(counted));
     m.inbox_lock().relay([create(&[r.pages[0], r.pages[1]])]);
     assert_eq!(m.passes(), 1, "a lone request wakes nobody");
@@ -382,7 +378,7 @@ unsafe fn gated(ranges: &[ZapRange]) -> isize {
 
 #[test]
 fn a_demand_made_mid_pass_is_answered_by_the_next_pass() {
-    let r = rig(0, None, false, None);
+    let r = rig(None, false, None);
     let m = parked_maintainer(&r.pool, Some(gated));
     let update = |slot: usize, ppage: PageIdx| {
         m.inbox_lock().relay([MaintRequest::Update {
@@ -429,7 +425,7 @@ fn a_demand_made_mid_pass_is_answered_by_the_next_pass() {
 
 #[test]
 fn the_relay_that_crosses_the_backlog_wakes_a_parked_mapper_once() {
-    let r = rig(0, None, false, None);
+    let r = rig(None, false, None);
     let m = parked_maintainer(&r.pool, Some(counted));
     m.inbox_lock().relay([create(&[r.pages[0]; 1024])]);
     assert!(m.wait_sync(Duration::from_secs(60)));

@@ -3,12 +3,11 @@
 //! A `k`-slot virtual memory area where page `i` *is* slot `i`: rather than
 //! storing a pointer, slot `i` is rewired so that its virtual window maps
 //! to the physical slot of the referenced leaf. "Following" the slot is
-//! then pure address arithmetic (`base + (i << slot_shift)`, `slot_shift`
-//! = 12 at the default one-page layout); the actual indirection is
+//! then pure address arithmetic (`base + (i << 12)`); the actual indirection is
 //! resolved by the MMU when the leaf is read — one hardware-accelerated
 //! page-table lookup, cached by the TLB.
 
-use shortcut_rewire::{Mapping, PageIdx, PoolHandle, Result, SlotLayout, VirtArea, ZapCall};
+use shortcut_rewire::{Mapping, PageIdx, PoolHandle, Result, VirtArea, ZapCall, PAGE_SIZE_4K};
 
 /// A `k`-slot inner node expressed purely in the page table.
 pub struct ShortcutNode {
@@ -33,23 +32,16 @@ impl ShortcutNode {
         })
     }
 
-    /// Reserve a `k`-slot node matching `pool`'s physical
-    /// [`SlotLayout`] — the constructor the mapper engine uses, so that a
-    /// pool of `2^k`-page slots gets shortcut nodes whose windows span
-    /// whole slots.
-    pub fn for_pool(k: usize, pool: &PoolHandle, populated: bool) -> Result<Self> {
-        let area = if populated {
-            VirtArea::reserve_layout_populated(k, pool.layout())?
+    /// [`ShortcutNode::new_populated`] or [`ShortcutNode::new`]: a stub
+    /// whose `pool` argument is unused, kept only because the benchmark
+    /// calls it; the change to the benchmark that drops those calls drops
+    /// this too.
+    pub fn for_pool(k: usize, _pool: &PoolHandle, populated: bool) -> Result<Self> {
+        if populated {
+            Self::new_populated(k)
         } else {
-            VirtArea::reserve_layout(k, pool.layout())?
-        };
-        Ok(ShortcutNode { area })
-    }
-
-    /// The slot layout the node's area was reserved with.
-    #[inline]
-    pub fn layout(&self) -> SlotLayout {
-        self.area.layout()
+            Self::new(k)
+        }
     }
 
     /// Attach `pool`'s [`shortcut_rewire::VmaBudget`] without charging
@@ -146,10 +138,10 @@ impl ShortcutNode {
         self.area.mmap_calls()
     }
 
-    /// Size of the virtual area in bytes (`slots × slot_bytes`) — the
+    /// Size of the virtual area in bytes (`slots × 4 KB`) — the
     /// quantity that drives TLB pressure in §3.2.
     pub fn virtual_bytes(&self) -> usize {
-        self.slots() * self.area.slot_bytes()
+        self.slots() * PAGE_SIZE_4K
     }
 }
 

@@ -34,20 +34,6 @@ use std::sync::{Arc, OnceLock};
 /// load and can never pair one directory's base with another's depth.
 const BASE_ALIGN: usize = 64;
 
-/// The constants a lookup needs beside the published directory, fixed when
-/// the index is built: they ride on the [`ReadLine`] a read loads anyway.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadGeometry {
-    /// `log2(slot_bytes)`: published slot `i` starts at `base + (i << slot_shift)`.
-    pub slot_shift: u32,
-    /// Left rotation that turns a key's hash into its directory hash.
-    pub hash_rot: u32,
-    /// Entries per bucket.
-    pub bucket_capacity: u32,
-    /// Byte offset of a bucket's entry array.
-    pub bucket_entries_off: u32,
-}
-
 /// One shard's **read line**: what a biased single-key lookup loads
 /// before the bucket, on a line of its own. The bias's admission word holds
 /// the published `base | depth` exactly while the bias is armed and the
@@ -56,7 +42,10 @@ pub struct ReadGeometry {
 #[repr(C, align(64))]
 pub struct ReadLine {
     pub bias: ReadBias,
-    pub geometry: ReadGeometry,
+    /// Left rotation that turns a key's hash into its directory hash,
+    /// fixed when the index is built: it rides on the line a read loads
+    /// anyway.
+    pub hash_rot: u32,
     /// The shard's retire list, whose pins the bias reads.
     pub pins: Arc<RetireList>,
 }
@@ -491,7 +480,7 @@ mod tests {
                     let pins = Arc::new(RetireList::new());
                     let lines: Arc<[ReadLine]> = Arc::new([ReadLine {
                         bias: ReadBias::default(),
-                        geometry: ReadGeometry::default(),
+                        hash_rot: 0,
                         pins: Arc::clone(&pins),
                     }]);
                     // SAFETY: no other store runs beside it (single-threaded test).

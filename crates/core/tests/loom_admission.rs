@@ -92,7 +92,7 @@
 #![cfg(feature = "loomish")]
 
 use loomish::Builder;
-use shortcut_core::{ReadGeometry, ReadLine, ReadTicket, SharedDirectoryState};
+use shortcut_core::{ReadLine, ReadTicket, SharedDirectoryState};
 use shortcut_rewire::sync::{thread, AtomicU64, Mutex, Ordering};
 use shortcut_rewire::{PinStrategy, ReadBias, Reclaimable, RetireCore, RetireList};
 use std::sync::atomic::{
@@ -163,7 +163,7 @@ impl World {
         let world = World {
             lines: Arc::new([ReadLine {
                 bias: ReadBias::default(),
-                geometry: ReadGeometry::default(),
+                hash_rot: 0,
                 pins,
             }]),
             state: SharedDirectoryState::new(),

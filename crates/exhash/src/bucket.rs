@@ -1,17 +1,13 @@
-//! The slot-sized bucket: a leaf holding `(u64 key, u64 value)` entries
+//! The page-sized bucket: a leaf holding `(u64 key, u64 value)` entries
 //! under open addressing / linear probing.
 //!
-//! Buckets live in [`shortcut_rewire::PagePool`] slots so that shortcut
-//! directories can be rewired to them. The bucket's capacity and field
-//! offsets are **derived from the pool's slot size** via [`BucketLayout`]:
-//! at the paper's default 4 KB slots the layout is the classic
-//! 251-entry page ([`BUCKET_CAPACITY`]), while a `2^k`-page slot holds
-//! roughly `2^k` times as many entries — fewer splits, a shallower
-//! directory, and fewer doublings for the same key count.
+//! Buckets live in [`shortcut_rewire::PagePool`] pages so that shortcut
+//! directories can be rewired to them: one 4 KB page is one bucket of
+//! [`BUCKET_CAPACITY`] entries, and one page-table entry stands for it.
 //!
-//! A [`BucketRef`] is a thin wrapper around the slot's base pointer plus
-//! its layout; it is valid for as long as the underlying slot is
-//! allocated, which the owning index guarantees.
+//! A [`BucketRef`] is the page's base pointer and nothing else; it is
+//! valid for as long as the underlying page is allocated, which the
+//! owning index guarantees.
 //!
 //! **Relocation.** Compaction may physically move a bucket to another pool
 //! slot (copy-then-retire, see [`shortcut_rewire::PagePool::relocate_page`]).
@@ -20,7 +16,8 @@
 //! that can compact (splits, doublings, explicit passes) — re-fetch it
 //! through the directory instead.
 //!
-//! Slot layout (little-endian, 8-byte aligned, `W = ceil(capacity / 64)`):
+//! Page layout (little-endian, 8-byte aligned, `W = ceil(capacity / 64)`
+//! = 4):
 //!
 //! ```text
 //! offset          0: u32  local_depth
@@ -78,14 +75,14 @@ pub(crate) fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
-/// Home slot of `key` in a bucket of `capacity` slots: multiply-shift
-/// range reduction (`hash · capacity >> 64`) instead of `hash % capacity`.
-/// The distribution is as uniform as the hash, and the widening multiply
+/// Home slot of `key`: multiply-shift range reduction
+/// (`hash · capacity >> 64`) instead of `hash % capacity`. The
+/// distribution is as uniform as the hash, and the widening multiply
 /// replaces a ~25-cycle division that sat at the head of every probe's
 /// data-dependent chain (hash → slot → bitmap word → entry).
 #[inline]
-fn home_slot(key: u64, capacity: usize) -> usize {
-    ((bucket_slot_hash(key) as u128 * capacity as u128) >> 64) as usize
+fn home_slot(key: u64) -> usize {
+    ((bucket_slot_hash(key) as u128 * BUCKET_CAPACITY as u128) >> 64) as usize
 }
 
 /// Outcome of the unified bucket probe for a key. Two words — a tag and
@@ -102,119 +99,72 @@ enum ProbeHit {
     Full,
 }
 
-/// Entries per 4 KB bucket (`(4096 − 72) / 16`): the capacity of the
-/// default [`BucketLayout::base`], kept as a named constant for the
-/// page-sized schemes (HT, CH) and tests.
+/// Entries per bucket: the most whose two bitmaps and entries fit a 4 KB
+/// page, `(4096 − 72) / 16`.
 pub const BUCKET_CAPACITY: usize = 251;
 
-/// Header offset of the occupied bitmap (independent of capacity).
+/// Words of each bitmap.
+const BITMAP_WORDS: usize = BUCKET_CAPACITY.div_ceil(64);
+
+/// Header offset of the occupied bitmap.
 const OCCUPIED_OFF: usize = 8;
+
+/// Header offset of the tombstone bitmap.
+const TOMBSTONE_OFF: usize = OCCUPIED_OFF + 8 * BITMAP_WORDS;
+
+/// Offset of the entry array.
+const ENTRIES_OFF: usize = OCCUPIED_OFF + 16 * BITMAP_WORDS;
+
+/// Bytes a bucket of `capacity` entries uses.
+const fn bucket_bytes(capacity: usize) -> usize {
+    OCCUPIED_OFF + 16 * capacity.div_ceil(64) + 16 * capacity
+}
+
+const _: () = assert!(
+    bucket_bytes(BUCKET_CAPACITY) <= PAGE_SIZE_4K
+        && bucket_bytes(BUCKET_CAPACITY + 1) > PAGE_SIZE_4K
+);
 
 /// Slots the inlined tier of the probe walks before it leaves the rest of
 /// the run to the outlined one. At the paper's load limit a run averages
 /// ~1.3 slots, so this answers nearly every probe inline.
 const FAST_PROBE_SLOTS: usize = 8;
 
-/// Derived geometry of a bucket inside a slot of a given byte size: the
-/// largest entry capacity whose entries plus the two bitmaps fit, and the
-/// resulting field offsets. Constructed once per index from the pool's
-/// [`SlotLayout`] and carried by every [`BucketRef`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BucketLayout {
-    bytes: u32,
-    capacity: u32,
-    tombstone_off: u32,
-    entries_off: u32,
+/// Live entries per bucket in the steady state at load factor `load`:
+/// capacity × load, halved for splitting churn (a bucket spends its life
+/// between half-full-of-limit and the limit) — the classic ~40 at the
+/// paper's 0.35. The input of capacity-driven pool sizing.
+pub(crate) fn steady_entries(load: f64) -> usize {
+    (((BUCKET_CAPACITY as f64) * load) / 2.0).max(1.0) as usize
 }
 
+/// The bucket's geometry: one 4 KB page of [`BUCKET_CAPACITY`] entries,
+/// the only one. A stub of constants, kept only because the benchmark
+/// sizes its pools and probes buckets through it; the change to the
+/// benchmark that drops those calls drops this type too.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BucketLayout;
+
 impl BucketLayout {
-    /// Layout of a bucket filling `bytes` (the slot size): the maximum
-    /// `capacity` with `8 + 16·⌈capacity/64⌉ + 16·capacity ≤ bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Unless `bytes` is a power of two of at least 128.
-    pub fn for_bytes(bytes: usize) -> Self {
-        // A capacity of zero would break the probe's fast window, which
-        // wraps but is not clamped to the capacity; `from_hot_fields`
-        // rounds up to the slot size.
-        assert!(
-            bytes >= 128 && bytes.is_power_of_two(),
-            "no bucket fits a slot of {bytes} B"
-        );
-        let mut capacity = (bytes - 8) / 16; // ignores the bitmaps
-        while 8 + 16 * capacity.div_ceil(64) + 16 * capacity > bytes {
-            capacity -= 1;
-        }
-        let words = capacity.div_ceil(64);
-        BucketLayout {
-            bytes: bytes as u32,
-            capacity: capacity as u32,
-            tombstone_off: (OCCUPIED_OFF + 8 * words) as u32,
-            entries_off: (OCCUPIED_OFF + 16 * words) as u32,
-        }
+    /// The layout of a bucket filling one slot: the only one.
+    pub fn for_slot(_: SlotLayout) -> Self {
+        BucketLayout
     }
 
-    /// Layout of a bucket filling one slot of `slot_layout`.
-    pub fn for_slot(slot_layout: SlotLayout) -> Self {
-        Self::for_bytes(slot_layout.slot_bytes())
-    }
-
-    /// This layout as the constants of a read descriptor, for an index
-    /// whose directory hash is the key's hash rotated left by `hash_rot`.
-    pub(crate) fn read_geometry(self, hash_rot: u32) -> shortcut_core::ReadGeometry {
-        shortcut_core::ReadGeometry {
-            slot_shift: self.bytes.trailing_zeros(),
-            hash_rot,
-            bucket_capacity: self.capacity,
-            bucket_entries_off: self.entries_off,
-        }
-    }
-
-    /// The layout a read descriptor carries.
-    #[inline(always)]
-    pub(crate) fn from_geometry(g: shortcut_core::ReadGeometry) -> Self {
-        Self::from_hot_fields(g.bucket_capacity, g.bucket_entries_off)
-    }
-
-    /// The layout back from the two fields a probe's hit path reads — all
-    /// its caller need keep for [`BucketRef::probe_slow`]. The others
-    /// follow: the two bitmaps are equally long, and a slot is a power of
-    /// two less than twice what its bucket uses.
-    #[inline(always)]
-    fn from_hot_fields(capacity: u32, entries_off: u32) -> Self {
-        BucketLayout {
-            bytes: (entries_off + 16 * capacity).next_power_of_two(),
-            capacity,
-            tombstone_off: (OCCUPIED_OFF as u32 + entries_off) / 2,
-            entries_off,
-        }
-    }
-
-    /// The paper's 4 KB layout ([`BUCKET_CAPACITY`] entries).
+    /// The paper's 4 KB layout: the only one.
     pub fn base() -> Self {
-        Self::for_bytes(PAGE_SIZE_4K)
+        BucketLayout
     }
 
-    /// Entry capacity of the bucket.
+    /// [`BUCKET_CAPACITY`].
     #[inline]
     pub fn capacity(self) -> usize {
-        self.capacity as usize
+        BUCKET_CAPACITY
     }
 
-    /// Bucket size in bytes (== the slot size).
-    #[inline]
-    pub fn bytes(self) -> usize {
-        self.bytes as usize
-    }
-
-    /// Steady-state live entries per bucket at load factor `load`:
-    /// capacity × load, halved for splitting churn (a bucket spends its
-    /// life between half-full-of-limit and the limit). The shared input
-    /// for capacity-driven pool sizing — the classic ~40 per 4 KB bucket
-    /// at the paper's 0.35, scaling with the slot size.
+    /// Steady-state live entries per bucket at load factor `load`.
     pub fn steady_entries(self, load: f64) -> usize {
-        (((self.capacity() as f64) * load) / 2.0).max(1.0) as usize
+        steady_entries(load)
     }
 }
 
@@ -229,60 +179,70 @@ pub enum InsertOutcome {
     Full,
 }
 
-/// A typed view over a bucket slot. Copyable; does not own the slot.
+/// A typed view over a bucket page: its address, nothing else, so that it
+/// travels in one register. Copyable; does not own the page.
 #[derive(Debug, Clone, Copy)]
 pub struct BucketRef {
     ptr: *mut u8,
-    layout: BucketLayout,
 }
 
+// A field beside the pointer would put every by-value `BucketRef` — the
+// cold probe tiers' argument — in memory.
+const _: () = assert!(size_of::<BucketRef>() == size_of::<*mut u8>());
+
 impl BucketRef {
-    /// Wrap a bucket slot.
+    /// Wrap a bucket page.
     ///
     /// # Safety
     ///
-    /// `ptr` must point to the start of a live, writable slot of at least
-    /// `layout.bytes()` that is used exclusively as a bucket (of the same
-    /// layout) and outlives all reads through the ref.
-    pub unsafe fn from_ptr(ptr: *mut u8, layout: BucketLayout) -> Self {
+    /// `ptr` must point to the start of a live, writable 4 KB page that is
+    /// used exclusively as a bucket and outlives all reads through the ref.
+    #[inline(always)]
+    pub(crate) unsafe fn at(ptr: *mut u8) -> Self {
         debug_assert!(!ptr.is_null());
-        debug_assert_eq!(ptr as usize % 8, 0, "bucket slot must be aligned");
-        let rebuilt = BucketLayout::from_hot_fields(layout.capacity, layout.entries_off);
-        debug_assert_eq!(layout, rebuilt, "see `from_hot_fields`");
-        BucketRef { ptr, layout }
+        debug_assert_eq!(ptr as usize % 8, 0, "bucket page must be aligned");
+        BucketRef { ptr }
     }
 
-    /// The underlying slot pointer.
+    /// Wrap a bucket page; `layout` is unused — a stub argument kept only
+    /// because the benchmark passes it (see [`BucketLayout`]).
+    ///
+    /// # Safety
+    ///
+    /// As for the crate's own constructor: `ptr` must point to the start
+    /// of a live, writable 4 KB page that is used exclusively as a bucket
+    /// and outlives all reads through the ref.
+    pub unsafe fn from_ptr(ptr: *mut u8, layout: BucketLayout) -> Self {
+        let _ = layout;
+        // SAFETY: the caller's obligation, passed on.
+        unsafe { Self::at(ptr) }
+    }
+
+    /// The underlying page pointer.
     #[inline]
     pub fn as_ptr(self) -> *mut u8 {
         self.ptr
     }
 
-    /// The bucket's layout.
-    #[inline]
-    pub fn layout(self) -> BucketLayout {
-        self.layout
-    }
-
-    /// Zero the **whole** slot and set the local depth: an empty bucket
+    /// Zero the **whole** page and set the local depth: an empty bucket
     /// with every byte defined, which [`Self::reset`] does not promise.
     pub fn init(self, local_depth: u32) {
-        // SAFETY: per from_ptr contract the whole slot is ours.
+        // SAFETY: per the constructor's contract the whole page is ours.
         unsafe {
-            std::ptr::write_bytes(self.ptr, 0, self.layout.bytes());
+            std::ptr::write_bytes(self.ptr, 0, PAGE_SIZE_4K);
         }
         self.set_local_depth(local_depth);
     }
 
     /// Empty the bucket and set the local depth by zeroing the header and
-    /// both bitmaps only (72 B of a 4 KB slot). The entry array keeps its
-    /// bytes, a recycled pool slot's garbage included: a probe reads the
+    /// both bitmaps only (72 B of the 4 KB page). The entry array keeps its
+    /// bytes, a recycled pool page's garbage included: a probe reads the
     /// key of an occupied slot only.
     pub fn reset(self, local_depth: u32) {
-        // SAFETY: the header and bitmaps are the slot's first
-        // `entries_off` bytes (from_ptr contract).
+        // SAFETY: the header and bitmaps are the page's first
+        // `ENTRIES_OFF` bytes.
         unsafe {
-            std::ptr::write_bytes(self.ptr, 0, self.layout.entries_off as usize);
+            std::ptr::write_bytes(self.ptr, 0, ENTRIES_OFF);
         }
         self.set_local_depth(local_depth);
     }
@@ -327,11 +287,6 @@ impl BucketRef {
     }
 
     #[inline]
-    fn tombstone_off(self) -> usize {
-        self.layout.tombstone_off as usize
-    }
-
-    #[inline]
     fn bit(self, base: usize, slot: usize) -> bool {
         self.bitmap_word(base, slot / 64) >> (slot % 64) & 1 == 1
     }
@@ -341,7 +296,7 @@ impl BucketRef {
     /// (a mask the compiler would compute ahead of both).
     #[inline]
     fn tombstone_bit(self, slot: usize) -> bool {
-        let word = self.bitmap_word(self.tombstone_off(), slot / 64);
+        let word = self.bitmap_word(TOMBSTONE_OFF, slot / 64);
         // `!slot` is `63 - slot % 64` modulo 64, the rotation's own modulus.
         (word.rotate_left(!slot as u32) as i64) < 0
     }
@@ -358,19 +313,19 @@ impl BucketRef {
     /// not (see [`Self::value`]).
     #[inline(always)]
     fn key(self, slot: usize) -> u64 {
-        debug_assert!(slot < self.layout.capacity());
+        debug_assert!(slot < BUCKET_CAPACITY);
         // SAFETY: in-bounds, aligned.
-        unsafe { (self.ptr.add(self.layout.entries_off as usize + slot * 16) as *const u64).read() }
+        unsafe { (self.ptr.add(ENTRIES_OFF + slot * 16) as *const u64).read() }
     }
 
     /// The whole entry of `slot`, value word by a plain load: only for a
     /// caller that holds the bucket to itself (`remove`, `for_each_entry`).
     #[inline]
     fn entry(self, slot: usize) -> (u64, u64) {
-        debug_assert!(slot < self.layout.capacity());
+        debug_assert!(slot < BUCKET_CAPACITY);
         // SAFETY: in-bounds, aligned.
         unsafe {
-            let p = self.ptr.add(self.layout.entries_off as usize + slot * 16) as *const u64;
+            let p = self.ptr.add(ENTRIES_OFF + slot * 16) as *const u64;
             (p.read(), p.add(1).read())
         }
     }
@@ -378,17 +333,17 @@ impl BucketRef {
     /// The value word of `slot`, atomic for lookups and [`Self::update`].
     #[inline(always)]
     fn value<'a>(self, slot: usize) -> &'a AtomicU64 {
-        let offset = self.layout.entries_off as usize + slot * 16 + 8;
+        let offset = ENTRIES_OFF + slot * 16 + 8;
         // SAFETY: in-bounds and 8-aligned; the slot outlives the use.
         unsafe { AtomicU64::from_ptr(self.ptr.add(offset).cast()) }
     }
 
     #[inline]
     fn set_entry(self, slot: usize, key: u64, value: u64) {
-        debug_assert!(slot < self.layout.capacity());
+        debug_assert!(slot < BUCKET_CAPACITY);
         // SAFETY: in-bounds, aligned.
         unsafe {
-            let p = self.ptr.add(self.layout.entries_off as usize + slot * 16) as *mut u64;
+            let p = self.ptr.add(ENTRIES_OFF + slot * 16) as *mut u64;
             p.write(key);
             p.add(1).write(value);
         }
@@ -414,15 +369,14 @@ impl BucketRef {
     fn probe(self, key: u64) -> ProbeHit {
         match self.probe_fast(key) {
             Some(hit) => hit,
-            None => Self::probe_slow(self.ptr, self.layout.capacity, self.layout.entries_off, key),
+            None => self.probe_slow(key),
         }
     }
 
     /// The fast tier of [`Self::probe`]; `None` leaves it to the cold one.
     #[inline(always)]
     fn probe_fast(self, key: u64) -> Option<ProbeHit> {
-        let capacity = self.layout.capacity();
-        let mut slot = home_slot(key, capacity);
+        let mut slot = home_slot(key);
         for _ in 0..FAST_PROBE_SLOTS {
             if self.bit(OCCUPIED_OFF, slot) {
                 if self.key(slot) == key {
@@ -434,33 +388,27 @@ impl BucketRef {
                 break;
             }
             slot += 1;
-            if slot == capacity {
+            if slot == BUCKET_CAPACITY {
                 slot = 0;
             }
         }
         None
     }
 
-    /// The cold tier of [`Self::probe`]. Takes the bucket as scalars, and
-    /// only those the fast tier has in registers anyway: a by-value
-    /// `BucketRef` (24 bytes) or `BucketLayout` (16) is passed in memory,
-    /// which would put every caller's bucket on its stack. Hashes again,
-    /// so the fast tier need not keep the home slot either.
+    /// The cold tier of [`Self::probe`]. Hashes again, so the fast tier
+    /// need not keep the home slot.
     #[cold]
     #[inline(never)]
-    fn probe_slow(ptr: *mut u8, capacity: u32, entries_off: u32, key: u64) -> ProbeHit {
-        let layout = BucketLayout::from_hot_fields(capacity, entries_off);
-        BucketRef { ptr, layout }.walk(key)
+    fn probe_slow(self, key: u64) -> ProbeHit {
+        self.walk(key)
     }
 
     /// [`Self::probe_slow`] for [`Self::get`], through to the value: the
-    /// caller then keeps neither the bucket nor its layout across the call.
+    /// caller then keeps nothing across the call.
     #[cold]
     #[inline(never)]
-    fn get_slow(ptr: *mut u8, capacity: u32, entries_off: u32, key: u64) -> Option<u64> {
-        let layout = BucketLayout::from_hot_fields(capacity, entries_off);
-        let this = BucketRef { ptr, layout };
-        this.value_at(this.walk(key))
+    fn get_slow(self, key: u64) -> Option<u64> {
+        self.value_at(self.walk(key))
     }
 
     /// The whole probe path of `key`, at most once round the bucket. The
@@ -471,10 +419,9 @@ impl BucketRef {
     /// live key sits past one on its path.
     #[inline(always)]
     fn walk(self, key: u64) -> ProbeHit {
-        let capacity = self.layout.capacity();
-        let mut slot = home_slot(key, capacity);
+        let mut slot = home_slot(key);
         let mut first_free = None;
-        for _ in 0..capacity {
+        for _ in 0..BUCKET_CAPACITY {
             if self.bit(OCCUPIED_OFF, slot) {
                 if self.key(slot) == key {
                     return ProbeHit::Found(slot);
@@ -486,7 +433,7 @@ impl BucketRef {
                 }
             }
             slot += 1;
-            if slot == capacity {
+            if slot == BUCKET_CAPACITY {
                 slot = 0;
             }
         }
@@ -514,7 +461,7 @@ impl BucketRef {
             ProbeHit::Free(slot) if self.count() < max_entries => {
                 self.set_entry(slot, key, value);
                 self.set_bit(OCCUPIED_OFF, slot, true);
-                self.set_bit(self.tombstone_off(), slot, false);
+                self.set_bit(TOMBSTONE_OFF, slot, false);
                 self.set_count(self.count() + 1);
                 InsertOutcome::Inserted
             }
@@ -534,7 +481,7 @@ impl BucketRef {
     }
 
     /// Ask the cache for the lines a probe for `key` reads first: the
-    /// header (local depth, and on page-sized buckets the whole bitmaps),
+    /// header (local depth, and the whole bitmaps),
     /// the home slot's bitmap word where that lies beyond the header's
     /// line, and the home entry — one entry in four straddles two lines,
     /// hence both of its words. All three are functions of the bucket's
@@ -542,9 +489,9 @@ impl BucketRef {
     /// key it will only probe several keys later.
     #[inline(always)]
     pub(crate) fn prefetch(self, key: u64) {
-        let slot = home_slot(key, self.layout.capacity());
+        let slot = home_slot(key);
         let word = OCCUPIED_OFF + slot / 64 * 8;
-        let entry = self.layout.entries_off as usize + slot * 16;
+        let entry = ENTRIES_OFF + slot * 16;
         prefetch(self.ptr);
         if word >= CACHE_LINE {
             prefetch(self.ptr.wrapping_add(word));
@@ -558,7 +505,7 @@ impl BucketRef {
     pub fn get(self, key: u64) -> Option<u64> {
         match self.probe_fast(key) {
             Some(hit) => self.value_at(hit),
-            None => Self::get_slow(self.ptr, self.layout.capacity, self.layout.entries_off, key),
+            None => self.get_slow(key),
         }
     }
 
@@ -570,7 +517,7 @@ impl BucketRef {
     pub(crate) fn get_inlined(self, key: u64) -> Option<u64> {
         match self.probe_fast(key) {
             Some(hit) => self.value_at(hit),
-            None => Self::get_slow(self.ptr, self.layout.capacity, self.layout.entries_off, key),
+            None => self.get_slow(key),
         }
     }
 
@@ -582,7 +529,7 @@ impl BucketRef {
             ProbeHit::Found(slot) => {
                 let v = self.entry(slot).1;
                 self.set_bit(OCCUPIED_OFF, slot, false);
-                self.set_bit(self.tombstone_off(), slot, true);
+                self.set_bit(TOMBSTONE_OFF, slot, true);
                 self.set_count(self.count() - 1);
                 Some(v)
             }
@@ -595,12 +542,14 @@ impl BucketRef {
     /// after [`Self::reset`]): the first unoccupied slot from the home
     /// slot on takes it. No duplicate search, no load-limit test.
     pub fn insert_absent(self, key: u64, value: u64) {
-        let capacity = self.layout.capacity();
-        assert!(self.count() < capacity, "insert_absent into a full bucket");
-        let mut slot = home_slot(key, capacity);
+        assert!(
+            self.count() < BUCKET_CAPACITY,
+            "insert_absent into a full bucket"
+        );
+        let mut slot = home_slot(key);
         while self.bit(OCCUPIED_OFF, slot) {
             slot += 1;
-            if slot == capacity {
+            if slot == BUCKET_CAPACITY {
                 slot = 0;
             }
         }
@@ -612,7 +561,7 @@ impl BucketRef {
 
     /// Iterate live entries without allocating.
     pub fn for_each_entry(self, mut f: impl FnMut(u64, u64)) {
-        for word in 0..self.layout.capacity().div_ceil(64) {
+        for word in 0..BITMAP_WORDS {
             let mut occupied = self.bitmap_word(OCCUPIED_OFF, word);
             while occupied != 0 {
                 let (k, v) = self.entry(word * 64 + occupied.trailing_zeros() as usize);
@@ -627,34 +576,30 @@ impl BucketRef {
 mod tests {
     use super::*;
 
-    /// A heap-allocated stand-in for a pool slot of `layout.bytes()`, every
-    /// byte `fill` (a recycled pool page is not zero); not yet a bucket.
-    fn raw_slot(layout: BucketLayout, fill: u8) -> (Vec<u8>, BucketRef) {
-        let mut mem = vec![fill; layout.bytes() + 8];
+    /// A heap-allocated stand-in for a pool page, every byte `fill` (a
+    /// recycled pool page is not zero); not yet a bucket.
+    fn raw_page(fill: u8) -> (Vec<u8>, BucketRef) {
+        let mut mem = vec![fill; PAGE_SIZE_4K + 8];
         let off = mem.as_ptr().align_offset(8);
         // SAFETY: `off < 8` keeps the pointer inside the buffer, whose 8
         // spare bytes absorb the alignment shift.
         let ptr = unsafe { mem.as_mut_ptr().add(off) };
-        // SAFETY: `ptr` is 8-aligned with `layout.bytes()` writable bytes
-        // behind it, and `mem` (returned alongside) keeps them alive.
-        (mem, unsafe { BucketRef::from_ptr(ptr, layout) })
+        // SAFETY: `ptr` is 8-aligned with a page of writable bytes behind
+        // it, and `mem` (returned alongside) keeps them alive.
+        (mem, unsafe { BucketRef::at(ptr) })
     }
 
-    /// An empty bucket in a zeroed stand-in slot.
-    fn slot(layout: BucketLayout) -> (Vec<u8>, BucketRef) {
-        let (mem, b) = raw_slot(layout, 0);
+    /// An empty bucket in a zeroed stand-in page.
+    fn page() -> (Vec<u8>, BucketRef) {
+        let (mem, b) = raw_page(0);
         b.init(0);
         (mem, b)
-    }
-
-    fn page() -> (Vec<u8>, BucketRef) {
-        slot(BucketLayout::base())
     }
 
     impl BucketRef {
         /// Bits set in the bitmap at offset `base`.
         fn bits_set(self, base: usize) -> usize {
-            (0..self.layout.capacity().div_ceil(64))
+            (0..BITMAP_WORDS)
                 .map(|w| self.bitmap_word(base, w).count_ones() as usize)
                 .sum()
         }
@@ -662,37 +607,15 @@ mod tests {
         /// Slots marked deleted and not reused since (for this crate's
         /// tests of what a split leaves behind).
         pub(crate) fn tombstones(self) -> usize {
-            self.bits_set(self.tombstone_off())
+            self.bits_set(TOMBSTONE_OFF)
         }
     }
 
     #[test]
     fn base_layout_matches_the_paper() {
-        let l = BucketLayout::base();
-        assert_eq!(l.capacity(), BUCKET_CAPACITY);
-        assert_eq!(l.bytes(), PAGE_SIZE_4K);
-        assert_eq!(l.tombstone_off, 40);
-        assert_eq!(l.entries_off, 72);
-    }
-
-    #[test]
-    fn derived_layouts_fill_the_slot_tightly() {
-        for k in 0..=SlotLayout::MAX_SLOT_POWER {
-            let bytes = PAGE_SIZE_4K << k;
-            let l = BucketLayout::for_slot(SlotLayout::new(k).unwrap());
-            let words = l.capacity().div_ceil(64);
-            let used = 8 + 16 * words + 16 * l.capacity();
-            assert!(used <= bytes, "k={k}: {used} > {bytes}");
-            // Not wasting a whole extra entry's worth of space.
-            let cap1 = l.capacity() + 1;
-            assert!(
-                8 + 16 * cap1.div_ceil(64) + 16 * cap1 > bytes,
-                "k={k}: capacity {} too conservative",
-                l.capacity()
-            );
-            assert_eq!(l.tombstone_off as usize, 8 + 8 * words);
-            assert_eq!(l.entries_off as usize, 8 + 16 * words);
-        }
+        assert_eq!(BucketLayout::base().capacity(), BUCKET_CAPACITY);
+        assert_eq!((TOMBSTONE_OFF, ENTRIES_OFF), (40, 72));
+        assert_eq!(bucket_bytes(BUCKET_CAPACITY), PAGE_SIZE_4K - 8);
     }
 
     #[test]
@@ -734,25 +657,22 @@ mod tests {
 
     #[test]
     fn fills_to_capacity_then_full_at_every_layout() {
-        for k in [0u32, 2] {
-            let layout = BucketLayout::for_slot(SlotLayout::new(k).unwrap());
-            let (_m, b) = slot(layout);
-            let cap = layout.capacity();
-            for key in 0..cap as u64 {
-                assert_eq!(
-                    b.insert(key, key, cap),
-                    InsertOutcome::Inserted,
-                    "key {key}"
-                );
-            }
-            assert_eq!(b.count(), cap);
-            assert_eq!(b.insert(u64::MAX, 1, cap), InsertOutcome::Full);
-            // Updates still work when full.
-            assert_eq!(b.insert(5, 55, cap), InsertOutcome::Updated);
-            for key in 0..cap as u64 {
-                let want = if key == 5 { 55 } else { key };
-                assert_eq!(b.get(key), Some(want), "k={k} key {key}");
-            }
+        let (_m, b) = page();
+        let cap = BUCKET_CAPACITY;
+        for key in 0..cap as u64 {
+            assert_eq!(
+                b.insert(key, key, cap),
+                InsertOutcome::Inserted,
+                "key {key}"
+            );
+        }
+        assert_eq!(b.count(), cap);
+        assert_eq!(b.insert(u64::MAX, 1, cap), InsertOutcome::Full);
+        // Updates still work when full.
+        assert_eq!(b.insert(5, 55, cap), InsertOutcome::Updated);
+        for key in 0..cap as u64 {
+            let want = if key == 5 { 55 } else { key };
+            assert_eq!(b.get(key), Some(want), "key {key}");
         }
     }
 
@@ -785,11 +705,11 @@ mod tests {
     fn tombstones_do_not_break_probe_chains() {
         // Force three keys into the same start slot by brute-force search.
         let (_m, b) = page();
-        let start = home_slot(1, BUCKET_CAPACITY);
+        let start = home_slot(1);
         let mut colliders = vec![1u64];
         let mut k = 2u64;
         while colliders.len() < 3 {
-            if home_slot(k, BUCKET_CAPACITY) == start {
+            if home_slot(k) == start {
                 colliders.push(k);
             }
             k += 1;
@@ -841,7 +761,7 @@ mod tests {
 
     /// `probe`, both tiers, against a deliberately naive walk of the same
     /// bucket, on buckets built so that `probe` leaves its fast tier each
-    /// way there is, at every layout.
+    /// way there is.
     mod reference {
         use super::*;
         use proptest::prelude::*;
@@ -850,13 +770,13 @@ mod tests {
         /// both bits read at every slot, the first non-occupied slot
         /// remembered.
         fn naive(b: BucketRef, key: u64) -> ProbeHit {
-            let capacity = b.layout.capacity();
-            let home = home_slot(key, capacity);
+            let capacity = BUCKET_CAPACITY;
+            let home = home_slot(key);
             let mut first_free = None;
             for i in 0..capacity {
                 let slot = (home + i) % capacity;
                 let occupied = b.bit(OCCUPIED_OFF, slot);
-                let tombstone = b.bit(b.tombstone_off(), slot);
+                let tombstone = b.bit(TOMBSTONE_OFF, slot);
                 if occupied && b.entry(slot).0 == key {
                     return ProbeHit::Found(slot);
                 }
@@ -874,20 +794,19 @@ mod tests {
         pub(super) fn check(b: BucketRef, key: u64) {
             let want = naive(b, key);
             assert_eq!(b.probe(key), want, "probe, key {key}");
-            let (capacity, entries_off) = (b.layout.capacity, b.layout.entries_off);
-            let cold = BucketRef::probe_slow(b.ptr, capacity, entries_off, key);
+            let cold = b.probe_slow(key);
             assert_eq!(cold, want, "cold tier, key {key}");
             assert_eq!(b.get(key), b.value_at(want), "get, key {key}");
         }
 
-        pub(super) fn history(layout: BucketLayout, ops: &[(u8, u64)], probes: &[u64]) {
-            let (_m, b) = slot(layout);
+        pub(super) fn history(ops: &[(u8, u64)], probes: &[u64]) {
+            let (_m, b) = page();
             // A domain of half the capacity forces long runs and tombstones.
-            let domain = (layout.capacity() as u64 / 2).max(8);
+            let domain = BUCKET_CAPACITY as u64 / 2;
             for &(kind, raw) in ops {
                 let key = raw % domain;
                 if kind % 3 < 2 {
-                    b.insert(key, !raw, layout.capacity());
+                    b.insert(key, !raw, BUCKET_CAPACITY);
                 } else {
                     b.remove(key);
                 }
@@ -902,20 +821,20 @@ mod tests {
         fn occupy(b: BucketRef, slot: usize, key: u64) {
             b.set_entry(slot, key, !key);
             b.set_bit(OCCUPIED_OFF, slot, true);
-            b.set_bit(b.tombstone_off(), slot, false);
+            b.set_bit(TOMBSTONE_OFF, slot, false);
             b.set_count(b.count() + 1);
         }
 
         /// Make the unoccupied `slot` a tombstone, as a remove does.
         fn bury(b: BucketRef, slot: usize) {
-            b.set_bit(b.tombstone_off(), slot, true);
+            b.set_bit(TOMBSTONE_OFF, slot, true);
         }
 
         /// One bucket per way out of the fast tier, built around the home
         /// slot of the key it is for; each builder returns where that key
         /// then goes, if anywhere. The key is checked absent and present.
-        fn cold_exits(layout: BucketLayout, key: u64) {
-            let cap = layout.capacity();
+        fn cold_exits(key: u64) {
+            let cap = BUCKET_CAPACITY;
             let run = FAST_PROBE_SLOTS + 1;
             let at = |home: usize, i: usize| (home + i) % cap;
             let filler = |i: usize| !key ^ i as u64;
@@ -925,7 +844,7 @@ mod tests {
             // A key whose run of `run` slots wraps at the capacity.
             let wrapping = (0..)
                 .map(|i| key.wrapping_add(i))
-                .find(|&k| home_slot(k, cap) > cap - run)
+                .find(|&k| home_slot(k) > cap - run)
                 .unwrap();
             type Build<'a> = &'a dyn Fn(BucketRef, usize) -> Option<usize>;
             let shapes: [(&str, u64, Build); 5] = [
@@ -952,8 +871,8 @@ mod tests {
                 }),
             ];
             for (shape, key, build) in shapes {
-                let (_m, b) = slot(layout);
-                let place = build(b, home_slot(key, cap));
+                let (_m, b) = page();
+                let place = build(b, home_slot(key));
                 let fillers = b.count().min(run);
                 assert_eq!(b.probe_fast(key), None, "{shape}: no cold exit");
                 check(b, key);
@@ -976,20 +895,16 @@ mod tests {
                 ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..120),
                 probes in proptest::collection::vec(any::<u64>(), 4..12),
             ) {
-                for k in 0..=SlotLayout::MAX_SLOT_POWER {
-                    let layout = BucketLayout::for_slot(SlotLayout::new(k).unwrap());
-                    cold_exits(layout, probes[0]);
-                }
+                cold_exits(probes[0]);
             }
         }
     }
 
     /// The probe's two tiers — inline `probe` and the cold tier alone —
     /// and `get` agree with the naive walk after each insert and remove of
-    /// a random history, at every layout.
+    /// a random history.
     mod agreement {
         use super::reference::history;
-        use super::*;
         use proptest::prelude::*;
 
         proptest! {
@@ -999,10 +914,7 @@ mod tests {
                 ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..120),
                 probes in proptest::collection::vec(any::<u64>(), 4..12),
             ) {
-                for k in 0..=SlotLayout::MAX_SLOT_POWER {
-                    let layout = BucketLayout::for_slot(SlotLayout::new(k).unwrap());
-                    history(layout, &ops, &probes);
-                }
+                history(&ops, &probes);
             }
         }
     }
@@ -1013,19 +925,17 @@ mod tests {
         // all-ones, the capacity-boundary partial word live): every key
         // reads through both probe tiers as the naive walk does, and a
         // missing key wraps the whole table to Full.
-        for layout in [BucketLayout::base(), BucketLayout::for_bytes(512)] {
-            let (_m, b) = slot(layout);
-            let cap = layout.capacity();
-            for key in 0..cap as u64 {
-                assert_eq!(b.insert(key, key ^ 0xdead, cap), InsertOutcome::Inserted);
-            }
-            for key in 0..cap as u64 {
-                reference::check(b, key);
-                assert!(matches!(b.probe(key), ProbeHit::Found(_)), "key {key}");
-            }
-            reference::check(b, u64::MAX);
-            assert_eq!(b.probe(u64::MAX), ProbeHit::Full, "miss");
+        let (_m, b) = page();
+        let cap = BUCKET_CAPACITY;
+        for key in 0..cap as u64 {
+            assert_eq!(b.insert(key, key ^ 0xdead, cap), InsertOutcome::Inserted);
         }
+        for key in 0..cap as u64 {
+            reference::check(b, key);
+            assert!(matches!(b.probe(key), ProbeHit::Found(_)), "key {key}");
+        }
+        reference::check(b, u64::MAX);
+        assert_eq!(b.probe(u64::MAX), ProbeHit::Full, "miss");
     }
 
     /// What a split does to each half: on a slot that starts as a recycled
@@ -1049,15 +959,15 @@ mod tests {
             }
         }
 
-        fn run(layout: BucketLayout, ops: &[(u8, u64)]) {
-            let (_mem, b) = raw_slot(layout, 0xA5);
+        fn run(ops: &[(u8, u64)]) {
+            let (_mem, b) = raw_page(0xA5);
             b.reset(3);
-            let domain = (layout.capacity() as u64 / 2).max(8);
+            let domain = BUCKET_CAPACITY as u64 / 2;
             let mut model = HashMap::new();
             for &(kind, raw) in ops {
                 let key = raw % domain;
                 if kind % 3 < 2 {
-                    b.insert(key, !raw, layout.capacity());
+                    b.insert(key, !raw, BUCKET_CAPACITY);
                     model.insert(key, !raw);
                 } else {
                     assert_eq!(b.remove(key), model.remove(&key));
@@ -1079,7 +989,7 @@ mod tests {
             for &(kind, raw) in ops {
                 let key = (raw >> 7) % domain;
                 if kind % 2 == 0 {
-                    b.insert(key, raw, layout.capacity());
+                    b.insert(key, raw, BUCKET_CAPACITY);
                     model.insert(key, raw);
                 } else {
                     assert_eq!(b.remove(key), model.remove(&key));
@@ -1094,33 +1004,8 @@ mod tests {
             fn reset_and_insert_absent_rebuild_a_dirty_slot(
                 ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..200),
             ) {
-                for layout in [BucketLayout::base(), BucketLayout::for_bytes(512)] {
-                    run(layout, &ops);
-                }
+                run(&ops);
             }
         }
-    }
-
-    #[test]
-    fn large_slot_roundtrip_past_the_4k_capacity() {
-        // A 16 KB bucket holds ~4x the entries of the 4 KB layout; fill it
-        // well past 251 and read everything back.
-        let layout = BucketLayout::for_slot(SlotLayout::new(2).unwrap());
-        assert!(layout.capacity() > 4 * BUCKET_CAPACITY - 64);
-        let (_m, b) = slot(layout);
-        let n = (BUCKET_CAPACITY * 3) as u64;
-        for k in 0..n {
-            assert_eq!(
-                b.insert(k, !k, layout.capacity()),
-                InsertOutcome::Inserted,
-                "key {k}"
-            );
-        }
-        b.remove(100);
-        for k in 0..n {
-            let want = if k == 100 { None } else { Some(!k) };
-            assert_eq!(b.get(k), want, "key {k}");
-        }
-        assert_eq!(b.count(), n as usize - 1);
     }
 }

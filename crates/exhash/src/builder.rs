@@ -1,17 +1,23 @@
-//! [`IndexBuilder`]: the nine setters that configure a [`ShortcutIndex`].
+//! [`IndexBuilder`]: the eight setters that configure a [`ShortcutIndex`].
 
-use crate::bucket::BucketLayout;
+use crate::bucket::steady_entries;
 use crate::eh::EhConfig;
 use crate::error::IndexError;
 use crate::shard::{ShortcutIndex, MAX_SHARD_BITS};
 use crate::shortcut_eh::ShortcutEhConfig;
 use shortcut_core::{CompactionPolicy, MaintConfig, RoutePolicy};
-use shortcut_rewire::{PinStrategy, PoolConfig, SlotLayout, VmaBudget};
+use shortcut_rewire::{PinStrategy, PoolConfig, VmaBudget, PAGE_SIZE_4K};
 use std::time::Duration;
 
-/// Builder for [`ShortcutIndex`]: nine setters — pool sizing
-/// ([`capacity`](IndexBuilder::capacity), [`pool`](IndexBuilder::pool),
-/// [`slot_pages`](IndexBuilder::slot_pages)), routing
+/// Pool growth floor of [`IndexBuilder::capacity`]: 256 KB per
+/// `ftruncate`, in pages.
+const GROWTH_FLOOR_PAGES: usize = (1 << 18) / PAGE_SIZE_4K;
+
+/// Smallest virtual view of [`IndexBuilder::capacity`]: 16 MB, in pages.
+const VIEW_FLOOR_PAGES: usize = (1 << 24) / PAGE_SIZE_4K;
+
+/// Builder for [`ShortcutIndex`]: eight setters — pool sizing
+/// ([`capacity`](IndexBuilder::capacity), [`pool`](IndexBuilder::pool)), routing
 /// ([`fanin_threshold`](IndexBuilder::fanin_threshold)), the mapper
 /// ([`poll_interval`](IndexBuilder::poll_interval)), the mapping budget
 /// ([`vma_budget`](IndexBuilder::vma_budget),
@@ -30,7 +36,6 @@ pub struct IndexBuilder {
     policy: RoutePolicy,
     maint: MaintConfig,
     vma_budget_limit: Option<usize>,
-    slot_power: Option<u32>,
     shard_bits: u32,
     pin_strategy: Option<PinStrategy>,
 }
@@ -78,23 +83,6 @@ impl IndexBuilder {
     /// for mappings the budget does not track.
     pub fn vma_budget(mut self, limit: usize) -> Self {
         self.vma_budget_limit = Some(limit);
-        self
-    }
-
-    /// Size the physical slot — the bucket and the rewiring unit — as
-    /// `2^k` base pages (default `k = 0`, the paper's 4 KB buckets).
-    /// Larger slots hold `~2^k` times more entries per bucket, so the
-    /// directory is `~2^k` times shallower and the mapping footprint
-    /// (live VMAs against `vm.max_map_count`) shrinks by about the same
-    /// factor, at the cost of coarser-grained splits and more bytes
-    /// copied per relocation. Applied on top of an explicit
-    /// [`IndexBuilder::pool`] config too.
-    ///
-    /// # Errors
-    ///
-    /// `k > 9` is rejected at [`IndexBuilder::build`] time.
-    pub fn slot_pages(mut self, k: u32) -> Self {
-        self.slot_power = Some(k);
         self
     }
 
@@ -182,16 +170,8 @@ impl IndexBuilder {
     pub fn build(self) -> Result<ShortcutIndex, IndexError> {
         // An `s` over the cap is `try_new`'s error, not a shift overflow.
         let shard_count = 1usize << self.shard_bits.min(MAX_SHARD_BITS);
-        let layout = match self.slot_power {
-            Some(k) => SlotLayout::new(k).map_err(IndexError::Pool)?,
-            None => self
-                .pool
-                .as_ref()
-                .map(|p| p.slot_layout)
-                .unwrap_or_default(),
-        };
         let eh = EhConfig::default();
-        let entries_per_slot = BucketLayout::for_slot(layout).steady_entries(eh.max_load_factor);
+        let entries_per_page = steady_entries(eh.max_load_factor);
         // Compaction passes transiently hold live buckets + the target run
         // + not-yet-reclaimed sources, so give the fixed reservation extra
         // room (virtual address space is effectively free; physical pages
@@ -206,24 +186,17 @@ impl IndexBuilder {
                 // Each shard gets its own pool, so the capacity estimate
                 // is divided evenly across them (the multiplicative hash
                 // spreads keys uniformly over shards).
-                let slots_needed = (entries.div_ceil(shard_count) / entries_per_slot).max(1);
-                // Growth amortization floors scale by bytes, not slots:
-                // ~256 KB per ftruncate and a 16 MB virtual-view minimum
-                // at any slot size (the historical 64/4096-page values at
-                // k = 0).
-                let growth_floor = layout.slots_for_bytes(1 << 18);
-                let view_floor = layout.slots_for_bytes(1 << 24).max(64);
+                let pages_needed = (entries.div_ceil(shard_count) / entries_per_page).max(1);
                 PoolConfig {
                     initial_pages: 1,
-                    min_growth_pages: slots_needed.clamp(growth_floor, 4096), // audit:allow(page-literal): growth clamp in pages (a count), not a byte size
-                    view_capacity_pages: ((slots_needed * view_multiplier).max(view_floor))
+                    min_growth_pages: pages_needed.clamp(GROWTH_FLOOR_PAGES, 4096), // audit:allow(page-literal): growth clamp in pages (a count), not a byte size
+                    view_capacity_pages: ((pages_needed * view_multiplier).max(VIEW_FLOOR_PAGES))
                         .next_power_of_two(),
                     ..PoolConfig::default()
                 }
             }
             None => PoolConfig::default(),
         });
-        pool.slot_layout = layout;
         if let Some(strategy) = self.pin_strategy {
             pool.pin_strategy = Some(strategy);
         }

@@ -17,13 +17,13 @@ mod directory;
 
 pub use directory::Directory;
 
-use crate::bucket::{prefetch, BucketLayout, BucketRef, InsertOutcome};
+use crate::bucket::{prefetch, BucketLayout, BucketRef, InsertOutcome, BUCKET_CAPACITY};
 use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash, split_bit};
 use crate::stats::IndexStats;
 use crate::traits::Index;
 use shortcut_core::{CompactionPolicy, MaintRequest};
-use shortcut_rewire::{planned_vmas, PageIdx, PagePool, PoolConfig, PoolHandle, SlotLayout};
+use shortcut_rewire::{planned_vmas, PageIdx, PagePool, PoolConfig, PoolHandle};
 use std::sync::Arc;
 
 /// How many keys ahead of the probe the batched lookups prefetch. One
@@ -57,11 +57,6 @@ pub struct EhConfig {
     /// identical to a standalone index instead of every shard's
     /// directory burning `s` constant levels. Default 0 (unsharded).
     pub hash_rot: u32,
-    /// Bucket-layout compaction (see [`shortcut_core::CompactionPolicy`];
-    /// default disabled). When on, every directory doubling relocates the
-    /// buckets into directory order, so the emitted rebuild assignment is
-    /// an identity run.
-    pub compaction: CompactionPolicy,
 }
 
 impl Default for EhConfig {
@@ -70,7 +65,6 @@ impl Default for EhConfig {
             max_load_factor: 0.35,
             pool: PoolConfig::default(),
             max_global_depth: 28,
-            compaction: CompactionPolicy::default(),
             hash_rot: 0,
         }
     }
@@ -91,14 +85,17 @@ pub struct CompactionOutcome {
 /// The EH baseline (and the synchronous half of Shortcut-EH).
 pub struct ExtendibleHash {
     pool: PagePool,
-    /// Bucket geometry derived from the pool's slot size (capacity, field
-    /// offsets). One bucket fills one slot.
-    bucket_layout: BucketLayout,
     dir: Directory,
     bucket_count: usize,
     len: usize,
     max_entries: usize,
     cfg: EhConfig,
+    /// Bucket-layout compaction (see [`CompactionPolicy`]): when on, every
+    /// directory doubling relocates the buckets into directory order, so
+    /// the emitted rebuild assignment is an identity run. Off unless built
+    /// by [`ExtendibleHash::try_new_tracked`]: a plain EH has no shortcut
+    /// to rebuild.
+    compaction: CompactionPolicy,
     stats: IndexStats,
     /// The directory changes recorded since the last drain; `None` unless
     /// built by [`ExtendibleHash::try_new_tracked`].
@@ -119,41 +116,47 @@ impl ExtendibleHash {
     /// allocation failures (memfd, `mmap`, reservation sizing) as
     /// [`IndexError::Pool`].
     pub fn try_new(cfg: EhConfig) -> Result<Self, IndexError> {
-        Self::build(cfg, false)
+        Self::build(cfg, false, CompactionPolicy::disabled())
     }
 
     /// [`ExtendibleHash::try_new`] for Shortcut-EH: every directory change
     /// is recorded as the [`MaintRequest`] that replays it on a shortcut —
-    /// an update per split, a create per doubling or compaction.
-    pub(crate) fn try_new_tracked(cfg: EhConfig) -> Result<Self, IndexError> {
-        Self::build(cfg, true)
+    /// an update per split, a create per doubling or compaction — and
+    /// `compaction` runs at every doubling.
+    pub(crate) fn try_new_tracked(
+        cfg: EhConfig,
+        compaction: CompactionPolicy,
+    ) -> Result<Self, IndexError> {
+        Self::build(cfg, true, compaction)
     }
 
-    fn build(cfg: EhConfig, track_events: bool) -> Result<Self, IndexError> {
+    fn build(
+        cfg: EhConfig,
+        track_events: bool,
+        compaction: CompactionPolicy,
+    ) -> Result<Self, IndexError> {
         if !(cfg.max_load_factor > 0.0 && cfg.max_load_factor <= 1.0) {
             return Err(IndexError::config("max_load_factor must be in (0, 1]"));
         }
-        let bucket_layout = BucketLayout::for_slot(cfg.pool.slot_layout);
-        let max_entries =
-            ((bucket_layout.capacity() as f64) * cfg.max_load_factor).floor() as usize;
+        let max_entries = ((BUCKET_CAPACITY as f64) * cfg.max_load_factor).floor() as usize;
         if max_entries < 1 {
             return Err(IndexError::config("load factor too small for any entry"));
         }
         let mut pool = PagePool::new(cfg.pool.clone())?;
         let first = pool.alloc_page()?;
         let ptr = pool.page_ptr(first);
-        // SAFETY: freshly allocated, exclusively owned pool slot.
-        unsafe { BucketRef::from_ptr(ptr, bucket_layout) }.init(0);
+        // SAFETY: freshly allocated, exclusively owned pool page.
+        unsafe { BucketRef::at(ptr) }.init(0);
         let mut dir = Directory::new();
         dir.set_all(ptr);
         Ok(ExtendibleHash {
             pool,
-            bucket_layout,
             dir,
             bucket_count: 1,
             len: 0,
             max_entries,
             cfg,
+            compaction,
             stats: IndexStats::default(),
             events: track_events.then(Vec::new),
             split_entries: Vec::with_capacity(max_entries),
@@ -189,14 +192,15 @@ impl ExtendibleHash {
         self.dir.slot_count() as f64 / self.bucket_count as f64
     }
 
-    /// The pool's physical slot layout (`2^k` base pages per bucket).
-    pub fn slot_layout(&self) -> SlotLayout {
-        self.pool.layout()
+    /// The bucket geometry: a stub of constants, kept only because the
+    /// benchmark calls it (see [`BucketLayout`]).
+    pub fn bucket_layout(&self) -> BucketLayout {
+        BucketLayout
     }
 
-    /// The derived bucket geometry (capacity, offsets) of this index.
-    pub fn bucket_layout(&self) -> BucketLayout {
-        self.bucket_layout
+    /// The compaction policy the doublings run.
+    pub(crate) fn compaction(&self) -> CompactionPolicy {
+        self.compaction
     }
 
     /// Structural statistics.
@@ -266,7 +270,7 @@ impl ExtendibleHash {
         let ptr = self.dir.get(dir_slot(hash, self.dir.global_depth()));
         debug_assert!(!ptr.is_null());
         // SAFETY: directory slots always point at live pool bucket slots.
-        unsafe { BucketRef::from_ptr(ptr, self.bucket_layout) }
+        unsafe { BucketRef::at(ptr) }
     }
 
     /// Full `(slot, pool page)` assignment of the current directory.
@@ -294,7 +298,7 @@ impl ExtendibleHash {
         }
         self.dir.double();
         self.stats.doublings += 1;
-        if self.cfg.compaction.enabled() {
+        if self.compaction.enabled() {
             // Compact "for free" while the shortcut must be rebuilt
             // anyway: the emitted assignment is then an identity run the
             // mapper coalesces into a handful of mmap calls and VMAs. A
@@ -321,7 +325,7 @@ impl ExtendibleHash {
         let slot = dir_slot(hash, g);
         let old_ptr = self.dir.get(slot);
         // SAFETY: live bucket slot (directory invariant).
-        let old = unsafe { BucketRef::from_ptr(old_ptr, self.bucket_layout) };
+        let old = unsafe { BucketRef::at(old_ptr) };
         let l = old.local_depth();
 
         if l == g {
@@ -336,7 +340,7 @@ impl ExtendibleHash {
         // only stable through the directory's translation.
         let old_ptr = self.dir.get(slot);
         // SAFETY: live bucket slot (directory invariant).
-        let old = unsafe { BucketRef::from_ptr(old_ptr, self.bucket_layout) };
+        let old = unsafe { BucketRef::at(old_ptr) };
         let l = old.local_depth();
         debug_assert!(l < g);
 
@@ -348,7 +352,7 @@ impl ExtendibleHash {
         let new_page = self.pool.alloc_page()?;
         let new_ptr = self.pool.page_ptr(new_page);
         // SAFETY: freshly allocated pool slot, exclusively ours.
-        let new = unsafe { BucketRef::from_ptr(new_ptr, self.bucket_layout) };
+        let new = unsafe { BucketRef::at(new_ptr) };
 
         // Redistribute: the (l+1)-th hash bit decides the side. Both
         // halves restart empty and tombstone-free, and every entry is
@@ -459,7 +463,7 @@ impl ExtendibleHash {
         let cover_at = |s: usize| {
             let ptr = self.dir.get(s);
             // SAFETY: live bucket slot (directory invariant).
-            let l = unsafe { BucketRef::from_ptr(ptr, self.bucket_layout) }.local_depth();
+            let l = unsafe { BucketRef::at(ptr) }.local_depth();
             1usize << (g - l)
         };
         for s in (0..slots).step_by(step) {
@@ -499,7 +503,7 @@ impl ExtendibleHash {
         let g = self.dir.global_depth();
         let ptr = self.dir.get(slot);
         // SAFETY: live bucket slot (directory invariant).
-        let l = unsafe { BucketRef::from_ptr(ptr, self.bucket_layout) }.local_depth();
+        let l = unsafe { BucketRef::at(ptr) }.local_depth();
         let range = Directory::covering_range(slot, g, l);
         debug_assert_eq!(range.start, slot, "cursor must sit on a range start");
         let src = self.pool.page_of_ptr(ptr)?;
@@ -815,7 +819,7 @@ mod tests {
             let ptr = eh.dir.get(s);
             assert!(!ptr.is_null());
             // SAFETY: directory invariant — live bucket page.
-            let b = unsafe { BucketRef::from_ptr(ptr, eh.bucket_layout) };
+            let b = unsafe { BucketRef::at(ptr) };
             let l = b.local_depth();
             assert!(l <= g, "local depth exceeds global at slot {s}");
             // Exactly 2^(g-l) contiguous slots share this bucket, aligned
@@ -838,7 +842,7 @@ mod tests {
         let mut eh = small();
         let bucket_at = |eh: &ExtendibleHash, slot: usize| {
             // SAFETY: directory invariant — live bucket page.
-            unsafe { BucketRef::from_ptr(eh.dir.get(slot), eh.bucket_layout) }
+            unsafe { BucketRef::at(eh.dir.get(slot)) }
         };
         // Every third key is removed shortly after it went in, so buckets
         // carry tombstones when they split.
@@ -887,7 +891,9 @@ mod tests {
 
     #[test]
     fn events_track_splits_and_doublings() {
-        let mut eh = ExtendibleHash::try_new_tracked(EhConfig::default()).unwrap();
+        let mut eh =
+            ExtendibleHash::try_new_tracked(EhConfig::default(), CompactionPolicy::disabled())
+                .unwrap();
         // The lower half of the hash space first, then the upper one: the
         // upper half's buckets stay shallow while the directory deepens,
         // and their splits redirect many slots each, so one update a split
@@ -987,16 +993,18 @@ mod tests {
 
     #[test]
     fn on_rebuild_compaction_keeps_directory_near_identity() {
-        let mut eh = ExtendibleHash::try_new_tracked(EhConfig {
-            pool: PoolConfig {
-                initial_pages: 1,
-                min_growth_pages: 8,
-                view_capacity_pages: 1 << 16,
-                ..PoolConfig::default()
+        let mut eh = ExtendibleHash::try_new_tracked(
+            EhConfig {
+                pool: PoolConfig {
+                    initial_pages: 1,
+                    min_growth_pages: 8,
+                    view_capacity_pages: 1 << 16,
+                    ..PoolConfig::default()
+                },
+                ..EhConfig::default()
             },
-            compaction: shortcut_core::CompactionPolicy::on(),
-            ..EhConfig::default()
-        })
+            CompactionPolicy::on(),
+        )
         .unwrap();
         let n = 20_000u64;
         for k in 0..n {
@@ -1051,51 +1059,6 @@ mod tests {
             "{layout} VMAs > ideal {} + 3×{splits_since} splits",
             eh.ideal_layout_vmas(),
         );
-    }
-
-    #[test]
-    fn larger_slots_grow_shallower_directories() {
-        // Same keys, 16 KB slots: ~4x the bucket capacity must produce a
-        // directory at least two levels shallower than the 4 KB run, with
-        // every answer intact.
-        let build = |k: u32| {
-            ExtendibleHash::try_new(EhConfig {
-                pool: PoolConfig {
-                    initial_pages: 1,
-                    min_growth_pages: 8,
-                    view_capacity_pages: 1 << 16,
-                    slot_layout: SlotLayout::new(k).unwrap(),
-                    ..PoolConfig::default()
-                },
-                ..EhConfig::default()
-            })
-            .unwrap()
-        };
-        let n = 30_000u64;
-        let mut base = build(0);
-        let mut big = build(2);
-        assert!(big.bucket_layout().capacity() > 4 * base.bucket_layout().capacity() - 64);
-        for k in 0..n {
-            base.insert(k, k ^ 42).unwrap();
-            big.insert(k, k ^ 42).unwrap();
-        }
-        for k in 0..n {
-            assert_eq!(big.get(k), Some(k ^ 42), "key {k}");
-        }
-        assert!(
-            big.global_depth() + 2 <= base.global_depth(),
-            "16 KB slots: depth {} vs {} at 4 KB",
-            big.global_depth(),
-            base.global_depth()
-        );
-        assert!(big.stats().splits * 3 < base.stats().splits);
-        // The layout estimates stay slot-denominated: compacting a k=2
-        // index hits the same `slots − buckets + 1` closed form.
-        let out = big.compact_full().unwrap();
-        assert_eq!(out.vmas_after, big.ideal_layout_vmas());
-        for k in 0..n {
-            assert_eq!(big.get(k), Some(k ^ 42), "post-compaction key {k}");
-        }
     }
 
     #[test]
@@ -1174,13 +1137,11 @@ mod tests {
     /// Insert and remove, operation by operation, against a `HashMap`:
     /// `len()` and every `get` agree, and `splits()` moves on exactly the
     /// inserts that found their bucket full — by several on a multi-round
-    /// split. At the 4 KB layout's entry limit, at a 512 B bucket's, and
-    /// at three entries, where one split in eight takes a second round.
+    /// split. At the bucket's entry limit, at ten entries, and at three,
+    /// where one split in eight takes a second round.
     #[test]
     fn fast_and_slow_paths_match_a_model() {
-        let limit_of = |layout: BucketLayout| (layout.capacity() as f64 * 0.35) as usize;
-        let limits = [BucketLayout::for_bytes(512), BucketLayout::base()].map(limit_of);
-        for limit in [3, limits[0], limits[1]] {
+        for limit in [3, 10, (BUCKET_CAPACITY as f64 * 0.35) as usize] {
             let mut eh = limited(limit, 1 << 16);
             let domain = 150 * limit as u64;
             let mut model = std::collections::HashMap::new();

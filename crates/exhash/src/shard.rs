@@ -402,7 +402,7 @@ impl ShortcutIndex {
             let eh = ShortcutEh::try_new(cfg)?;
             lines.push(ReadLine {
                 bias: ReadBias::default(),
-                geometry: eh.geometry,
+                hash_rot: eh.hash_rot,
                 pins: Arc::clone(eh.retire_list()),
             });
             shards.push(Shard {
@@ -499,7 +499,7 @@ impl ShortcutIndex {
         // A served word is an armed one: no writer passes
         // `Shard::enter_write`'s drain before the pin drops.
         if let Some((pin, t)) = line.enter() {
-            if let Some(hit) = ShortcutEh::get_served(t, line.geometry, key, hash, &pin) {
+            if let Some(hit) = ShortcutEh::get_served(t, line.hash_rot, key, hash, &pin) {
                 return hit;
             }
         }
@@ -517,7 +517,7 @@ impl ShortcutIndex {
         let shard = &self.shards[offset / std::mem::size_of::<ReadLine>()];
         shard
             .enter_read(line)
-            .get(line.geometry, key, mult_hash(key))
+            .get(line.hash_rot, key, mult_hash(key))
     }
 
     /// Run `f` against shard `i` under a **read** lock (per-shard
@@ -614,8 +614,8 @@ impl ShortcutIndex {
     pub fn get_many_into(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         out.clear();
         out.resize(keys.len(), None);
-        // Every shard has the same bucket layout and hash rotation.
-        let geometry = self.lines[0].geometry;
+        // Every shard has the same hash rotation.
+        let hash_rot = self.lines[0].hash_rot;
         for (keys, out) in keys.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
             let enter = |i: usize| self.shards[i].enter_read(&self.lines[i]);
             Held::with(self.bits, keys.iter().copied(), enter, |held| {
@@ -626,11 +626,11 @@ impl ShortcutIndex {
                     0 => {
                         // SAFETY: every hash routes to shard 0, entered.
                         let only = unsafe { held.get(0) };
-                        ShortcutEh::get_window(keys, out, geometry, |_| only);
+                        ShortcutEh::get_window(keys, out, hash_rot, |_| only);
                     }
                     // SAFETY: `get_window` asks for the sections of `keys`
                     // only, which `held` entered for.
-                    _ => ShortcutEh::get_window(keys, out, geometry, |hash| unsafe {
+                    _ => ShortcutEh::get_window(keys, out, hash_rot, |hash| unsafe {
                         held.get(hash)
                     }),
                 }
@@ -704,9 +704,7 @@ impl ShortcutIndex {
             in_sync: s.in_sync(),
             versions: s.versions(),
             shortcut_suspended: s.shortcut_suspended(),
-            pages_per_slot: s.slot_layout().pages_per_slot(),
-            slot_bytes: s.slot_layout().slot_bytes(),
-            bucket_capacity: s.bucket_layout().capacity(),
+            slot_bytes: shortcut_rewire::PAGE_SIZE_4K,
             pin_strategy: s.pin_strategy(),
             bias_revocations,
             bias_rearms,

@@ -36,17 +36,15 @@
 //! aliasing rules guarantee no writer exists while those shared borrows
 //! are alive.
 
-use crate::bucket::{BucketLayout, BucketRef};
+use crate::bucket::BucketRef;
 use crate::eh::{CompactionOutcome, EhConfig, ExtendibleHash, PREFETCH_DISTANCE, WINDOW};
 use crate::error::IndexError;
 use crate::hash::{dir_slot, mult_hash};
 use crate::stats::IndexStats;
 use crate::traits::Index;
 use shortcut_core::metrics::MaintSnapshot;
-use shortcut_core::{
-    CompactionPolicy, MaintConfig, Maintainer, ReadGeometry, ReadTicket, RoutePolicy,
-};
-use shortcut_rewire::{PoolUsage, ReaderPin, RetireList};
+use shortcut_core::{MaintConfig, Maintainer, ReadTicket, RoutePolicy};
+use shortcut_rewire::{PoolUsage, ReaderPin, RetireList, PAGE_SHIFT_4K};
 use std::sync::{Arc, RwLockReadGuard};
 
 /// Shortcut-EH tuning.
@@ -84,17 +82,13 @@ pub struct ShortcutEh {
     retire: Arc<RetireList>,
     /// What the pool holds of its (possibly shared) VMA budget.
     usage: Arc<PoolUsage>,
-    /// Bucket-layout compaction policy (mirrored into the inner EH, which
-    /// runs the pass at every doubling; the write path here runs it on
-    /// the other occasions, see [`ShortcutEh::maybe_compact`]).
-    compaction: CompactionPolicy,
     /// Split count below which [`ShortcutEh::maybe_compact`] does not
     /// look again: bounds what its probes (and a rescue the mapper
     /// refuses) cost.
     next_look_splits: u64,
-    /// The read constants: the lookup path types published slots from
-    /// them alone (the index copies them onto the shard's read line).
-    pub(crate) geometry: ReadGeometry,
+    /// [`EhConfig::hash_rot`], for the lookup path (the index copies it
+    /// onto the shard's read line).
+    pub(crate) hash_rot: u32,
 }
 
 impl ShortcutEh {
@@ -105,18 +99,16 @@ impl ShortcutEh {
     /// Propagates pool creation / initial-bucket allocation failures from
     /// the underlying EH as [`IndexError::Pool`] — the path that used to
     /// panic when `vm.max_map_count` or the view reservation ran out.
-    pub fn try_new(mut cfg: ShortcutEhConfig) -> Result<Self, IndexError> {
-        // One source of truth for the compaction policy: the maintenance
-        // config. The inner EH needs a copy so rebuild-time compaction
-        // runs inside its directory-doubling path.
-        cfg.eh.compaction = cfg.maint.compaction;
-        let compaction = cfg.maint.compaction;
+    pub fn try_new(cfg: ShortcutEhConfig) -> Result<Self, IndexError> {
+        // The compaction policy comes from the maintenance config, which
+        // the mapper's admission reads; the inner EH runs the pass at
+        // every doubling, the write path here on the other occasions
+        // (see [`ShortcutEh::maybe_compact`]).
         let hash_rot = cfg.eh.hash_rot;
-        let eh = ExtendibleHash::try_new_tracked(cfg.eh)?;
+        let eh = ExtendibleHash::try_new_tracked(cfg.eh, cfg.maint.compaction)?;
         let handle = eh.pool_handle();
         let retire = Arc::clone(handle.retire_list());
         let usage = Arc::clone(handle.usage());
-        let geometry = eh.bucket_layout().read_geometry(hash_rot);
         let maint = Maintainer::spawn(handle, cfg.maint);
         let mut this = ShortcutEh {
             maint,
@@ -124,9 +116,8 @@ impl ShortcutEh {
             policy: cfg.policy,
             retire,
             usage,
-            compaction,
             next_look_splits: Self::COMPACTION_SPLIT_INTERVAL,
-            geometry,
+            hash_rot,
         };
         // Announce the initial single-slot directory so the shortcut can
         // serve reads before the first doubling.
@@ -220,16 +211,6 @@ impl ShortcutEh {
     /// Number of buckets.
     pub fn bucket_count(&self) -> usize {
         self.eh.bucket_count()
-    }
-
-    /// The pool's physical slot layout (`2^k` base pages per bucket).
-    pub fn slot_layout(&self) -> shortcut_rewire::SlotLayout {
-        self.eh.slot_layout()
-    }
-
-    /// The derived bucket geometry (capacity, offsets).
-    pub fn bucket_layout(&self) -> BucketLayout {
-        self.eh.bucket_layout()
     }
 
     /// First maintenance error, if the mapper thread failed, wrapped as the
@@ -360,7 +341,7 @@ impl ShortcutEh {
     /// splits apart.
     fn maybe_compact(&mut self) {
         let splits = self.eh.splits();
-        if !self.compaction.enabled() || splits < self.next_look_splits {
+        if !self.eh.compaction().enabled() || splits < self.next_look_splits {
             return;
         }
         self.next_look_splits = splits + Self::COMPACTION_SPLIT_INTERVAL;
@@ -472,12 +453,12 @@ impl ShortcutEh {
     #[inline(always)]
     pub(crate) fn get_served(
         t: ReadTicket,
-        geometry: ReadGeometry,
+        hash_rot: u32,
         key: u64,
         hash: u64,
         pin: &ReaderPin<'_>,
     ) -> Option<Option<u64>> {
-        let bucket = published_bucket(t, geometry, hash.rotate_left(geometry.hash_rot));
+        let bucket = published_bucket(t, hash.rotate_left(hash_rot));
         // The shortcut may be published at a coarser depth than the
         // traditional directory (VMA-budget admission). A bucket deeper
         // than the published depth shares its slot with a sibling and is
@@ -513,7 +494,7 @@ impl ShortcutEh {
     pub(crate) fn get_window<'s, 'a: 's>(
         keys: &[u64],
         out: &mut [Option<u64>],
-        geometry: ReadGeometry,
+        hash_rot: u32,
         section: impl Fn(u64) -> &'s ReadSection<'a>,
     ) {
         debug_assert_eq!(keys.len(), out.len());
@@ -524,7 +505,7 @@ impl ShortcutEh {
         };
         let ahead = |i: usize| {
             let (key, hash, s) = at(i);
-            s.prefetch(geometry, key, hash);
+            s.prefetch(hash_rot, key, hash);
         };
         let n = keys.len();
         (0..n.min(PREFETCH_DISTANCE)).for_each(ahead);
@@ -533,7 +514,7 @@ impl ShortcutEh {
                 ahead(i + PREFETCH_DISTANCE);
             }
             let (key, hash, s) = at(i);
-            *out = s.get(geometry, key, hash);
+            *out = s.get(hash_rot, key, hash);
         }
     }
 
@@ -633,9 +614,9 @@ impl ReadSection<'_> {
     /// `key`'s lookup, from its [`mult_hash`] `hash`, counted on the pin's
     /// stripe: served, or traditional where the served one cannot.
     #[inline(always)]
-    pub(crate) fn get(&self, geometry: ReadGeometry, key: u64, hash: u64) -> Option<u64> {
+    pub(crate) fn get(&self, hash_rot: u32, key: u64, hash: u64) -> Option<u64> {
         if let Some(t) = self.served {
-            if let Some(hit) = ShortcutEh::get_served(t, geometry, key, hash, &self.pin) {
+            if let Some(hit) = ShortcutEh::get_served(t, hash_rot, key, hash, &self.pin) {
                 return hit;
             }
         }
@@ -644,10 +625,10 @@ impl ReadSection<'_> {
 
     /// Ask the cache for what [`ReadSection::get`] of `key` reads first.
     #[inline(always)]
-    fn prefetch(&self, geometry: ReadGeometry, key: u64, hash: u64) {
-        let h = hash.rotate_left(geometry.hash_rot);
+    fn prefetch(&self, hash_rot: u32, key: u64, hash: u64) {
+        let h = hash.rotate_left(hash_rot);
         match self.served {
-            Some(t) => published_bucket(t, geometry, h).prefetch(key),
+            Some(t) => published_bucket(t, h).prefetch(key),
             None => self.eh.eh.prefetch_entry(h),
         }
     }
@@ -674,19 +655,14 @@ fn unlock(locked: RwLockReadGuard<'_, ()>) {
 /// before it loaded the serving word: it is what keeps that directory
 /// mapped until the read drains.
 #[inline(always)]
-fn published_bucket(t: ReadTicket, geometry: ReadGeometry, hash: u64) -> BucketRef {
+fn published_bucket(t: ReadTicket, hash: u64) -> BucketRef {
     let slot = dir_slot(hash, t.depth());
-    // SAFETY: the published area has `1 << t.depth()` slots and `slot` is
+    // SAFETY: the published area has `1 << t.depth()` pages and `slot` is
     // below that by construction of dir_slot, so the pointer is in-bounds
-    // and slot-aligned; a rebuild retires an area only after a bump took
+    // and page-aligned; a rebuild retires an area only after a bump took
     // it out of service, and reclamation waits for the caller's pin to
-    // drop, so the slot stays readable.
-    unsafe {
-        BucketRef::from_ptr(
-            t.base.add(slot << geometry.slot_shift),
-            BucketLayout::from_geometry(geometry),
-        )
-    }
+    // drop, so the page stays readable.
+    unsafe { BucketRef::at(t.base.add(slot << PAGE_SHIFT_4K)) }
 }
 
 impl Index for ShortcutEh {
@@ -696,7 +672,7 @@ impl Index for ShortcutEh {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        self.section().get(self.geometry, key, mult_hash(key))
+        self.section().get(self.hash_rot, key, mult_hash(key))
     }
 
     #[inline]
@@ -722,7 +698,7 @@ impl Index for ShortcutEh {
         let mut out = vec![None; keys.len()];
         for (keys, out) in keys.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
             let section = self.section();
-            Self::get_window(keys, out, self.geometry, |_| &section);
+            Self::get_window(keys, out, self.hash_rot, |_| &section);
         }
         out
     }
@@ -786,7 +762,7 @@ mod tests {
         let _pin = t.retire.pin();
         let state = t.maint.state();
         let ticket = state.begin_read()?;
-        let bucket = published_bucket(ticket, t.geometry, t.eh.dir_hash(key));
+        let bucket = published_bucket(ticket, t.eh.dir_hash(key));
         (bucket.local_depth() <= ticket.depth()).then(|| bucket.get(key))
     }
 
@@ -1013,7 +989,11 @@ mod tests {
 
     #[test]
     fn explicit_compact_collapses_live_vmas() {
-        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
+        // A private budget: the live count read below would otherwise
+        // include the mappings of the tests running beside this one.
+        let mut cfg = fast_cfg();
+        cfg.eh.pool.vma_budget = Some(shortcut_rewire::VmaBudget::with_limit(65_530));
+        let mut t = ShortcutEh::try_new(cfg).unwrap();
         for k in 0..30_000u64 {
             t.insert(k, k * 9).unwrap();
         }
@@ -1137,47 +1117,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn large_slots_serve_through_the_shortcut() {
-        // A k=2 (16 KB slot) Shortcut-EH: the published directory's
-        // pointer arithmetic must use the layout-derived shift, lookups
-        // must be shortcut-served once synced, and the live footprint
-        // must undercut the k=0 run by roughly the capacity ratio.
-        let build = |k: u32| {
-            let mut cfg = fast_cfg();
-            cfg.eh.pool.slot_layout = shortcut_rewire::SlotLayout::new(k).unwrap();
-            cfg.eh.pool.vma_budget = Some(shortcut_rewire::VmaBudget::with_limit(1_000_000));
-            ShortcutEh::try_new(cfg).unwrap()
-        };
-        let n = 60_000u64;
-        let mut base = build(0);
-        let mut big = build(2);
-        for k in 0..n {
-            base.insert(k, k * 3).unwrap();
-            big.insert(k, k * 3).unwrap();
-        }
-        assert!(big.wait_sync(Duration::from_secs(10)), "k=2 never synced");
-        assert!(base.wait_sync(Duration::from_secs(10)));
-        for k in (0..n).step_by(17) {
-            assert_eq!(big.get(k), Some(k * 3), "key {k}");
-        }
-        let s = big.stats();
-        assert!(
-            s.shortcut_lookups > s.traditional_lookups,
-            "k=2 lookups not shortcut-served: {s:?}"
-        );
-        // ~4x fewer buckets → at least 2x fewer live mappings (VMAs are
-        // slot-denominated, and the k=2 directory is 4x shallower).
-        let (b, g) = (base.vma_stats(), big.vma_stats());
-        assert!(
-            g.live_vmas() * 2 <= b.live_vmas(),
-            "live VMAs did not scale down: k=0 {} vs k=2 {}",
-            b.live_vmas(),
-            g.live_vmas()
-        );
-        assert_eq!(big.slot_layout().pages_per_slot(), 4);
-    }
-
     /// A configuration whose mapper only runs on demand (a tick of an
     /// hour) and whose buckets split at `entry_limit` entries.
     fn on_demand_cfg(entry_limit: usize, view_capacity_pages: usize) -> ShortcutEhConfig {
@@ -1201,14 +1140,11 @@ mod tests {
 
     /// The write path's contract with the mapper, operation by operation:
     /// the hooks run exactly when the directory changed, and never leave
-    /// an event behind. At the 4 KB layout, and — an index has no layout
-    /// below one 4 KB slot — at a 4 KB slot held to a 512 B bucket's entry
-    /// limit: a split every few inserts, multi-round ones among them.
+    /// an event behind. At the paper's entry limit, and at ten entries:
+    /// a split every few inserts, multi-round ones among them.
     #[test]
     fn hooks_run_exactly_when_the_directory_changed() {
-        for layout in [BucketLayout::for_bytes(512), BucketLayout::base()] {
-            // The layout's entry limit at the paper's load factor.
-            let limit = (layout.capacity() as f64 * 0.35) as usize;
+        for limit in [10, (BUCKET_CAPACITY as f64 * 0.35) as usize] {
             let mut t = ShortcutEh::try_new(on_demand_cfg(limit, 1 << 16)).unwrap();
             assert!(t.wait_sync(Duration::from_secs(10)));
             let domain = 150 * limit as u64;

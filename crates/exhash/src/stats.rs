@@ -74,14 +74,10 @@ shortcut_rewire::statistics! {
         /// Whether shortcut maintenance is suspended by the VMA budget
         /// (lookups fall back to the traditional directory) on any shard.
         shortcut_suspended: bool = Or,
-        /// Base pages per physical slot — the **count** `2^k`, not the log2
-        /// knob passed to [`IndexBuilder::slot_pages`](crate::IndexBuilder::slot_pages).
-        /// Like every layout field, one configuration for all shards.
-        pages_per_slot: usize = First,
-        /// Bytes per physical slot (= bytes per bucket).
+        /// Bytes per pool slot (= bytes per bucket): always 4096. A stub
+        /// kept only because the benchmark reads it; the change to the
+        /// benchmark that drops that read drops this field too.
         slot_bytes: usize = First,
-        /// Entry capacity of one bucket at this slot size.
-        bucket_capacity: usize = First,
         /// Reader-pin pairing of the retire list:
         /// [`PinStrategy::Asymmetric`] (membarrier-paired load/store pins) or
         /// the [`PinStrategy::Dekker`] RMW fallback.
@@ -144,11 +140,7 @@ impl std::fmt::Display for StatsSnapshot {
             "shortcut: in_sync={} suspended={} versions_traditional={} versions_shortcut={}",
             self.in_sync, self.shortcut_suspended, self.versions.0, self.versions.1
         )?;
-        writeln!(
-            f,
-            "layout: pages_per_slot={} slot_bytes={} bucket_capacity={}",
-            self.pages_per_slot, self.slot_bytes, self.bucket_capacity
-        )?;
+        writeln!(f, "layout: slot_bytes={}", self.slot_bytes)?;
         writeln!(
             f,
             "lookups: shortcut={} traditional={} shortcut_served_pct={:.1}",

@@ -16,9 +16,7 @@ fn snap(len: usize, depth: u32, buckets: usize, fanin: f64, in_sync: bool) -> St
         in_sync,
         versions: (len as u64, len as u64),
         shortcut_suspended: false,
-        pages_per_slot: 1,
         slot_bytes: shortcut_rewire::PAGE_SIZE_4K,
-        bucket_capacity: 87,
         pin_strategy: PinStrategy::Asymmetric,
         bias_revocations: 0,
         bias_rearms: 0,
@@ -43,9 +41,7 @@ fn distinct(d: u64, flip: bool) -> StatsSnapshot {
         in_sync: !flip,
         versions: (1002 + d, 1003 + d),
         shortcut_suspended: flip,
-        pages_per_slot: u(4),
-        slot_bytes: u(16384),
-        bucket_capacity: u(349),
+        slot_bytes: shortcut_rewire::PAGE_SIZE_4K + d as usize,
         pin_strategy: if flip {
             PinStrategy::Dekker
         } else {
@@ -115,9 +111,7 @@ fn snapshot_merge_sums_counters_and_takes_honest_gauges() {
         assert!(!m.in_sync);
         assert!(m.shortcut_suspended);
         // First: one configuration per index, one probe per process.
-        assert_eq!(m.pages_per_slot, first.pages_per_slot);
         assert_eq!(m.slot_bytes, first.slot_bytes);
-        assert_eq!(m.bucket_capacity, first.bucket_capacity);
         assert_eq!(m.pin_strategy, first.pin_strategy);
         assert_eq!(m.zap_supported, first.zap_supported);
         // Merge: each nested block by its own rules (their tests).
@@ -153,7 +147,7 @@ fn snapshot_display_is_stable_and_greppable() {
     for key in [
         "index: entries=150 ",
         "shortcut: in_sync=true ",
-        "layout: pages_per_slot=1 ",
+        "layout: slot_bytes=4096\n",
         "lookups: shortcut=190 traditional=10 shortcut_served_pct=95.0",
         "structure: splits=0 ",
         "maint: creates=0 ",
@@ -173,7 +167,7 @@ fn snapshot_display_is_stable_and_greppable() {
         "index: entries=1001 shards=3 global_depth=7 buckets=40 avg_fanin=3.20\n\
          shortcut: in_sync=true suspended=false versions_traditional=1002 \
          versions_shortcut=1003\n\
-         layout: pages_per_slot=4 slot_bytes=16384 bucket_capacity=349\n\
+         layout: slot_bytes=4096\n\
          lookups: shortcut=900 traditional=100 shortcut_served_pct=90.0\n\
          structure: splits=41 doublings=5 compactions=8 compaction_skipped=9 pages_moved=44\n\
          maint: creates=11 updates=12 creates_skipped=13 creates_deferred=14 creates_coarse=15 \

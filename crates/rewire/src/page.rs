@@ -6,9 +6,8 @@
 //! than silently corrupting offsets.
 //!
 //! These constants are the workspace's **canonical** definition of the
-//! base-page geometry: every real-mapping layer (pool, areas, bucket
-//! layouts) derives its byte arithmetic from them via
-//! [`crate::SlotLayout`]. (`shortcut_vmsim` defines its own `PAGE_SIZE`
+//! base-page geometry: every real-mapping layer (pool, areas, buckets)
+//! derives its byte arithmetic from them. (`shortcut_vmsim` defines its own `PAGE_SIZE`
 //! on purpose — it is a self-contained software model of a 4 KB-paged
 //! machine and must stay independent of what the host mappings use.)
 
@@ -20,28 +19,22 @@ pub const PAGE_SIZE_4K: usize = 4096; // audit:allow(page-literal): the definiti
 /// `log2(PAGE_SIZE_4K)`, handy for shifting byte offsets to page indices.
 pub const PAGE_SHIFT_4K: u32 = 12;
 
-/// Index of a physical **slot** inside a [`crate::PagePool`]'s main-memory
-/// file.
-///
-/// The pool's allocation unit is the slot — `2^k` consecutive base pages
-/// fixed by the pool's [`crate::SlotLayout`] (one page at the default
-/// `k = 0`). `PageIdx(i)` denotes the slot at byte offset
-/// `i << layout.slot_shift()`. It is the *handle to physical memory* the
-/// paper's technique revolves around: a rewiring call maps a virtual slot
-/// of a [`crate::VirtArea`] to the pool slot named by a `PageIdx`.
+/// Index of a physical 4 KB page inside a [`crate::PagePool`]'s
+/// main-memory file: `PageIdx(i)` denotes the page at byte offset
+/// `i << 12`. It is the *handle to physical memory* the paper's technique
+/// revolves around: a rewiring call maps a virtual page of a
+/// [`crate::VirtArea`] to the pool page named by a `PageIdx`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageIdx(pub usize);
 
 impl PageIdx {
-    /// Byte offset of this slot **at the default one-page-per-slot
-    /// layout**. Pools with larger slots must use
-    /// [`crate::SlotLayout::byte_offset`] instead.
+    /// Byte offset of this page in the pool file.
     #[inline]
     pub fn byte_offset(self) -> usize {
         self.0 * page_size()
     }
 
-    /// The slot immediately after this one.
+    /// The page immediately after this one.
     #[inline]
     pub fn next(self) -> PageIdx {
         PageIdx(self.0 + 1)

@@ -21,11 +21,11 @@
 use crate::budget::{BudgetBinding, PoolUsage, VmaBudget, VmaSnapshot};
 use crate::error::{Error, Result};
 use crate::memfile::MemFile;
-use crate::page::{page_size, PageIdx};
+use crate::page::{PageIdx, PAGE_SIZE_4K};
 use crate::retire::{PinStrategy, RetireList};
 use crate::slot::SlotLayout;
 use crate::stats::{RewireStats, StatsSnapshot};
-use crate::varea::reserve_aligned;
+use crate::varea::reserve_anon;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -57,25 +57,20 @@ fn vma_snapshot(budget: &VmaBudget, usage: &PoolUsage, retire: &RetireList) -> V
     }
 }
 
-/// Tuning knobs for a [`PagePool`].
-///
-/// All `*_pages` counts are denominated in **slots** — the pool's
-/// allocation unit of `2^k` base pages fixed by
-/// [`PoolConfig::slot_layout`]. At the default layout (`k = 0`) a slot is
-/// one 4 KB page and the historical field names read literally.
+/// Tuning knobs for a [`PagePool`]. All `*_pages` counts are 4 KB pages.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Diagnostic name of the backing memfd.
     pub name: String,
-    /// Initial file size in slots (the paper's indexes start at one
-    /// bucket, i.e. one slot).
+    /// Initial file size in pages (the paper's indexes start at one
+    /// bucket, i.e. one page).
     pub initial_pages: usize,
-    /// Grow by at least this many slots per `ftruncate` (amortizes
+    /// Grow by at least this many pages per `ftruncate` (amortizes
     /// syscalls).
     pub min_growth_pages: usize,
     /// Size of the fixed virtual reservation holding the linear view, in
-    /// slots. The pool can never grow beyond this. Virtual address space is
-    /// effectively free on 64-bit; the default reserves 16 GB at `k = 0`.
+    /// pages. The pool can never grow beyond this. Virtual address space is
+    /// effectively free on 64-bit; the default reserves 16 GB.
     pub view_capacity_pages: usize,
     /// VMA budget this pool (and the areas retired into it) accounts
     /// against. `None` uses the process-global budget fed by
@@ -90,10 +85,6 @@ pub struct PoolConfig {
     /// exactly as before. The sharded index sets this on every shard so
     /// one hot shard's directory cannot starve its siblings' rebuilds.
     pub fair_share: bool,
-    /// Physical slot layout: `2^k` base pages per slot (default `k = 0`,
-    /// the paper's one-page buckets). Constructed once; every consumer of
-    /// the pool must use the same layout for its offset arithmetic.
-    pub slot_layout: SlotLayout,
     /// Reader-pin pairing for this pool's retire list. `None` (default)
     /// probes `membarrier(2)` once per process and picks
     /// [`PinStrategy::Asymmetric`] when registration succeeds, else the
@@ -111,7 +102,6 @@ impl Default for PoolConfig {
             view_capacity_pages: 1 << 22, // 16 GB of 4 KB pages
             vma_budget: None,
             fair_share: false,
-            slot_layout: SlotLayout::base(),
             pin_strategy: None,
         }
     }
@@ -141,7 +131,6 @@ pub struct PoolHandle {
     budget: Arc<VmaBudget>,
     usage: Arc<PoolUsage>,
     retire: Arc<RetireList>,
-    layout: SlotLayout,
 }
 
 impl PoolHandle {
@@ -157,10 +146,11 @@ impl PoolHandle {
         self.file.len()
     }
 
-    /// The pool's physical slot layout.
+    /// The pool's slot geometry: a stub of constants, kept only because
+    /// the benchmark calls it (see [`SlotLayout`]).
     #[inline]
     pub fn layout(&self) -> SlotLayout {
-        self.layout
+        SlotLayout
     }
 
     /// The VMA budget this pool accounts against.
@@ -199,12 +189,10 @@ impl PoolHandle {
     }
 }
 
-/// The pool of physical slots (`2^k` base pages each). See module docs.
+/// The pool of physical 4 KB pages. See module docs.
 pub struct PagePool {
     file: Arc<MemFile>,
     cfg: PoolConfig,
-    /// The slot layout (copied out of `cfg` for hot-path arithmetic).
-    layout: SlotLayout,
     /// Base of the fixed anonymous reservation that hosts the linear view.
     view_base: *mut u8,
     /// Slots of the file currently mapped into the view (== file length).
@@ -242,17 +230,12 @@ impl PagePool {
         if cfg.initial_pages > cfg.view_capacity_pages {
             return Err(Error::invalid("initial_pages exceeds view_capacity_pages"));
         }
-        let layout = cfg.slot_layout;
-        let slot_bytes = layout.slot_bytes();
-
         let file = Arc::new(MemFile::create(&cfg.name)?);
         let stats = Arc::new(RewireStats::default());
 
         // Reserve the fixed view as PROT_NONE anonymous memory: any stray
-        // access to a not-yet-grown region faults loudly. The base is
-        // slot-aligned, so over-reserve and trim.
-        let cap_bytes = cfg.view_capacity_pages * slot_bytes;
-        let view_base = reserve_aligned(cap_bytes, slot_bytes.max(page_size()), libc::PROT_NONE)?;
+        // access to a not-yet-grown region faults loudly.
+        let view_base = reserve_anon(cfg.view_capacity_pages, libc::PROT_NONE)?;
         stats.mmap_calls.add(1);
         let budget = cfg.vma_budget.clone().unwrap_or_else(VmaBudget::global);
         let usage = budget.register_pool(cfg.fair_share);
@@ -261,7 +244,6 @@ impl PagePool {
         let cfg_pin_strategy = cfg.pin_strategy;
         let mut pool = PagePool {
             file,
-            layout,
             cfg,
             view_base,
             file_pages: 0,
@@ -284,24 +266,12 @@ impl PagePool {
         Ok(pool)
     }
 
-    /// Bytes per slot (the pool's allocation unit).
-    #[inline]
-    fn slot_bytes(&self) -> usize {
-        self.layout.slot_bytes()
-    }
-
-    /// The pool's physical slot layout.
-    #[inline]
-    pub fn layout(&self) -> SlotLayout {
-        self.layout
-    }
-
     /// Create a pool with [`PoolConfig::default`].
     pub fn with_defaults() -> Result<Self> {
         Self::new(PoolConfig::default())
     }
 
-    /// Grow the file (and the linear view) to exactly `new_pages` slots.
+    /// Grow the file (and the linear view) to exactly `new_pages` pages.
     fn grow_to(&mut self, new_pages: usize) -> Result<()> {
         debug_assert!(new_pages > self.file_pages);
         if new_pages > self.cfg.view_capacity_pages {
@@ -310,24 +280,23 @@ impl PagePool {
                 requested: new_pages,
             });
         }
-        let slot_bytes = self.slot_bytes();
         let old_pages = self.file_pages;
-        self.file.resize(new_pages * slot_bytes)?;
+        self.file.resize(new_pages * PAGE_SIZE_4K)?;
         self.stats.pool_grows.add(1);
 
         // Map the newly valid file range into the view at the same offset.
         // Populated eagerly, so first accesses take no hard page fault.
         let delta = new_pages - old_pages;
         // SAFETY: the target range lies inside our own reservation; MAP_FIXED
-        // replaces the PROT_NONE placeholder; offset/length are slot aligned.
+        // replaces the PROT_NONE placeholder; offset/length are page aligned.
         let rc = unsafe {
             libc::mmap(
-                self.view_base.add(old_pages * slot_bytes) as *mut libc::c_void,
-                delta * slot_bytes,
+                self.view_base.add(old_pages * PAGE_SIZE_4K) as *mut libc::c_void,
+                delta * PAGE_SIZE_4K,
                 libc::PROT_READ | libc::PROT_WRITE,
                 libc::MAP_SHARED | libc::MAP_FIXED | libc::MAP_POPULATE,
                 self.file.fd(),
-                (old_pages * slot_bytes) as libc::off_t,
+                (old_pages * PAGE_SIZE_4K) as libc::off_t,
             )
         };
         if rc == libc::MAP_FAILED {
@@ -388,16 +357,12 @@ impl PagePool {
                 // hole punching is unsupported.
                 if self
                     .file
-                    .punch_hole(start * self.slot_bytes(), n * self.slot_bytes())
+                    .punch_hole(start * PAGE_SIZE_4K, n * PAGE_SIZE_4K)
                     .is_err()
                 {
                     // SAFETY: in-bounds span of the mapped linear view.
                     unsafe {
-                        std::ptr::write_bytes(
-                            self.page_ptr(PageIdx(start)),
-                            0,
-                            n * self.slot_bytes(),
-                        );
+                        std::ptr::write_bytes(self.page_ptr(PageIdx(start)), 0, n * PAGE_SIZE_4K);
                     }
                 }
                 start
@@ -497,9 +462,7 @@ impl PagePool {
         }
         self.allocated -= n;
         self.stats.pages_freed.add(n as u64);
-        let _ = self
-            .file
-            .punch_hole(self.layout.byte_offset(start.0), n * self.slot_bytes());
+        let _ = self.file.punch_hole(start.byte_offset(), n * PAGE_SIZE_4K);
         Ok(())
     }
 
@@ -528,11 +491,7 @@ impl PagePool {
         // SAFETY: both pages are in-bounds, allocated, and distinct; the
         // linear view maps the whole file read/write.
         unsafe {
-            std::ptr::copy_nonoverlapping(
-                self.page_ptr(src),
-                self.page_ptr(dst),
-                self.slot_bytes(),
-            );
+            std::ptr::copy_nonoverlapping(self.page_ptr(src), self.page_ptr(dst), PAGE_SIZE_4K);
         }
         Ok(())
     }
@@ -600,9 +559,7 @@ impl PagePool {
             }
             self.allocated -= n;
             self.stats.pages_freed.add(n as u64);
-            let _ = self
-                .file
-                .punch_hole(start * self.slot_bytes(), n * self.slot_bytes());
+            let _ = self.file.punch_hole(start * PAGE_SIZE_4K, n * PAGE_SIZE_4K);
             i = j;
         }
         freed
@@ -623,7 +580,7 @@ impl PagePool {
     pub fn page_ptr(&self, page: PageIdx) -> *mut u8 {
         assert!(page.0 < self.file_pages, "page {page} out of range");
         // SAFETY: in-bounds offset inside the mapped view.
-        unsafe { self.view_base.add(page.0 * self.slot_bytes()) }
+        unsafe { self.view_base.add(page.0 * PAGE_SIZE_4K) }
     }
 
     /// Base address of the linear view (`v_pool` in the paper).
@@ -637,10 +594,10 @@ impl PagePool {
     pub fn page_of_ptr(&self, ptr: *const u8) -> Result<PageIdx> {
         let base = self.view_base as usize;
         let p = ptr as usize;
-        if p < base || p >= base + self.file_pages * self.slot_bytes() {
+        if p < base || p >= base + self.file_pages * PAGE_SIZE_4K {
             return Err(Error::invalid("pointer not inside the pool view"));
         }
-        Ok(PageIdx((p - base) / self.slot_bytes()))
+        Ok(PageIdx((p - base) / PAGE_SIZE_4K))
     }
 
     /// Number of pages currently backed by the file.
@@ -663,7 +620,6 @@ impl PagePool {
             budget: Arc::clone(&self.budget),
             usage: Arc::clone(&self.usage),
             retire: Arc::clone(&self.retire),
-            layout: self.layout,
         }
     }
 
@@ -700,7 +656,7 @@ impl Drop for PagePool {
         unsafe {
             libc::munmap(
                 self.view_base as *mut libc::c_void,
-                self.cfg.view_capacity_pages * self.slot_bytes(),
+                self.cfg.view_capacity_pages * PAGE_SIZE_4K,
             );
         }
     }
@@ -717,6 +673,7 @@ unsafe impl Sync for PagePool {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::page_size;
 
     fn small_pool() -> PagePool {
         PagePool::new(PoolConfig {
@@ -789,7 +746,7 @@ mod tests {
         // budget charges for it however many steps it took.
         assert!(s.pool_grows >= 20, "only {} growth steps", s.pool_grows);
         let base = p.view_base() as usize;
-        let end = base + p.file_pages() * p.layout().slot_bytes();
+        let end = base + p.file_pages() * PAGE_SIZE_4K;
         assert_eq!(mappings_within(base, end), [(base, end)]);
     }
 
@@ -1094,69 +1051,6 @@ mod tests {
             p.alloc_page().unwrap();
         }
         assert!(h.file_len() >= before);
-        assert_eq!(h.file_len(), p.file_pages() * p.layout().slot_bytes());
-    }
-
-    #[test]
-    fn larger_slots_scale_all_byte_arithmetic() {
-        let layout = SlotLayout::new(2).unwrap(); // 16 KB slots
-        let mut p = PagePool::new(PoolConfig {
-            initial_pages: 2,
-            min_growth_pages: 2,
-            view_capacity_pages: 64,
-            slot_layout: layout,
-            ..PoolConfig::default()
-        })
-        .unwrap();
-        assert_eq!(p.layout(), layout);
-        let a = p.alloc_page().unwrap();
-        let b = p.alloc_page().unwrap();
-        assert_eq!(p.handle().file_len() % layout.slot_bytes(), 0);
-        // Writes at the far end of a slot stay inside it.
-        let last = layout.slot_bytes() - 8;
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            *(p.page_ptr(a).add(last) as *mut u64) = 0xaaaa;
-            *(p.page_ptr(b) as *mut u64) = 0xbbbb;
-            assert_eq!(*(p.page_ptr(a).add(last) as *const u64), 0xaaaa);
-            assert_eq!(*(p.page_ptr(b) as *const u64), 0xbbbb);
-        }
-        // page_of_ptr resolves interior pointers slot-granularly.
-        assert_eq!(
-            // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-            // the slot and the pool view stays mapped for the pool's lifetime.
-            p.page_of_ptr(unsafe { p.page_ptr(a).add(last) }).unwrap(),
-            a
-        );
-        assert_eq!(p.page_of_ptr(p.page_ptr(b)).unwrap(), b);
-        // relocate_page moves the whole slot.
-        p.relocate_page(a, b).unwrap();
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            assert_eq!(*(p.page_ptr(b).add(last) as *const u64), 0xaaaa);
-        }
-    }
-
-    #[test]
-    fn max_power_slots_alloc_and_store() {
-        let layout = SlotLayout::new(SlotLayout::MAX_SLOT_POWER).unwrap();
-        let mut p = PagePool::new(PoolConfig {
-            initial_pages: 1,
-            min_growth_pages: 1,
-            view_capacity_pages: 4,
-            slot_layout: layout,
-            ..PoolConfig::default()
-        })
-        .unwrap();
-        let a = p.alloc_page().unwrap();
-        let mid = layout.slot_bytes() / 2;
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            *(p.page_ptr(a).add(mid) as *mut u64) = 0x2468;
-            assert_eq!(*(p.page_ptr(a).add(mid) as *const u64), 0x2468);
-        }
+        assert_eq!(h.file_len(), p.file_pages() * PAGE_SIZE_4K);
     }
 }

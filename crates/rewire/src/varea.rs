@@ -10,9 +10,8 @@
 
 use crate::budget::BudgetBinding;
 use crate::error::{Error, Result};
-use crate::page::{page_size, PageIdx};
+use crate::page::{page_size, PageIdx, PAGE_SIZE_4K};
 use crate::pool::PoolHandle;
-use crate::slot::SlotLayout;
 use crate::stats::Counter;
 use std::sync::OnceLock;
 
@@ -80,41 +79,25 @@ pub fn zap_call() -> Option<ZapCall> {
     supported.then_some(process_madvise_dontneed as ZapCall)
 }
 
-/// Reserve `len` bytes of anonymous memory whose base is aligned to
-/// `align` (a power of two, at least the system page size): over-reserve
-/// by `align`, then trim the unaligned head and the surplus tail. With a
-/// slot-aligned base no slot straddles a page-table page (a slot is at
-/// most 2 MB), which a plain `mmap(NULL, …)` reservation does not provide.
-pub(crate) fn reserve_aligned(len: usize, align: usize, prot: libc::c_int) -> Result<*mut u8> {
-    debug_assert!(align.is_power_of_two() && align >= page_size());
+/// Reserve `pages` 4 KB pages of anonymous memory at a kernel-chosen
+/// address.
+pub(crate) fn reserve_anon(pages: usize, prot: libc::c_int) -> Result<*mut u8> {
     let flags = libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE;
-    let total = if align > page_size() {
-        len + align
-    } else {
-        len
-    };
     // SAFETY: fresh anonymous reservation, kernel-chosen address.
-    let p = unsafe { libc::mmap(std::ptr::null_mut(), total, prot, flags, -1, 0) };
+    let p = unsafe {
+        libc::mmap(
+            std::ptr::null_mut(),
+            pages * page_size(),
+            prot,
+            flags,
+            -1,
+            0,
+        )
+    };
     if p == libc::MAP_FAILED {
         return Err(Error::os("mmap"));
     }
-    if total == len {
-        return Ok(p as *mut u8);
-    }
-    let addr = p as usize;
-    let aligned = addr.next_multiple_of(align);
-    let head = aligned - addr;
-    let tail = total - head - len;
-    // SAFETY: trimming sub-ranges of the reservation we just obtained.
-    unsafe {
-        if head > 0 {
-            libc::munmap(p, head);
-        }
-        if tail > 0 {
-            libc::munmap((aligned + len) as *mut libc::c_void, tail);
-        }
-    }
-    Ok(aligned as *mut u8)
+    Ok(p.cast())
 }
 
 /// Current mapping of one page of a [`VirtArea`].
@@ -145,10 +128,11 @@ fn mergeable(a: Mapping, b: Mapping) -> bool {
 /// reservation: one VMA per maximal mergeable run, counting the anonymous
 /// gaps. This is the exact initial footprint a directory rebuild charges
 /// the budget (it equals [`VirtArea::vma_estimate`] right after
-/// `rewire_batch`); note that admission control reserves the **worst
-/// case** — one VMA per page — instead, because later per-slot remappings
-/// can fragment merged runs up to that bound. Size private budgets from
-/// `pages`, not from this estimate.
+/// `rewire_batch`). With compaction off, admission control reserves the
+/// **worst case** — one VMA per page — instead, because later per-slot
+/// remappings can fragment merged runs up to that bound; with it on,
+/// admission reserves this estimate, since compaction bounds how far the
+/// layout can fragment.
 pub fn planned_vmas(pages: usize, assignments: &[(usize, PageIdx)]) -> usize {
     let mut vmas = 0usize;
     let mut prev: Option<(usize, PageIdx)> = None;
@@ -185,18 +169,9 @@ pub fn planned_vmas(pages: usize, assignments: &[(usize, PageIdx)]) -> usize {
 
 /// A consecutive virtual memory area whose pages can be individually
 /// rewired to pool pages. See module docs.
-///
-/// With a non-default [`SlotLayout`], each "page" of the area is one slot
-/// of `2^k` base pages: the reservation spans `pages × slot_bytes`, and a
-/// rewiring moves a whole slot with one `mmap`. All indices stay
-/// slot-denominated, so the VMA estimate and [`planned_vmas`] are
-/// layout-independent.
 pub struct VirtArea {
     base: *mut u8,
     pages: usize,
-    /// The slot layout the area was reserved with — must match the pool
-    /// it is rewired against.
-    layout: SlotLayout,
     /// Shadow of the kernel's view of each page, used for introspection,
     /// tests, and coalescing decisions.
     map: Vec<Mapping>,
@@ -224,33 +199,14 @@ impl VirtArea {
     /// of the paper's construction). This is a mere reservation: no
     /// physical memory is committed and the page table is untouched.
     pub fn reserve(pages: usize) -> Result<Self> {
-        Self::reserve_layout(pages, SlotLayout::base())
-    }
-
-    /// Reserve an area that eagerly populates page-table entries on every
-    /// subsequent rewiring (the paper's `MAP_POPULATE` variant).
-    pub fn reserve_populated(pages: usize) -> Result<Self> {
-        let mut a = Self::reserve(pages)?;
-        a.populate_default = true;
-        Ok(a)
-    }
-
-    /// Reserve `slots` slots of `layout.slot_bytes()` each. The base is
-    /// aligned to the slot size (see `reserve_aligned`).
-    pub fn reserve_layout(slots: usize, layout: SlotLayout) -> Result<Self> {
-        if slots == 0 {
+        if pages == 0 {
             return Err(Error::invalid("cannot reserve an empty area"));
         }
-        let base = reserve_aligned(
-            slots * layout.slot_bytes(),
-            layout.slot_bytes().max(page_size()),
-            libc::PROT_READ | libc::PROT_WRITE,
-        )?;
+        let base = reserve_anon(pages, libc::PROT_READ | libc::PROT_WRITE)?;
         let area = VirtArea {
             base,
-            pages: slots,
-            layout,
-            map: vec![Mapping::Anon; slots],
+            pages,
+            map: vec![Mapping::Anon; pages],
             mmap_calls: Counter::default(),
             populate_default: false,
             vmas: 1,
@@ -260,24 +216,12 @@ impl VirtArea {
         Ok(area)
     }
 
-    /// [`VirtArea::reserve_layout`] with eager page-table population on
-    /// every subsequent rewiring.
-    pub fn reserve_layout_populated(slots: usize, layout: SlotLayout) -> Result<Self> {
-        let mut a = Self::reserve_layout(slots, layout)?;
+    /// Reserve an area that eagerly populates page-table entries on every
+    /// subsequent rewiring (the paper's `MAP_POPULATE` variant).
+    pub fn reserve_populated(pages: usize) -> Result<Self> {
+        let mut a = Self::reserve(pages)?;
         a.populate_default = true;
         Ok(a)
-    }
-
-    /// The slot layout the area was reserved with.
-    #[inline]
-    pub fn layout(&self) -> SlotLayout {
-        self.layout
-    }
-
-    /// Bytes per slot of the area.
-    #[inline]
-    pub fn slot_bytes(&self) -> usize {
-        self.layout.slot_bytes()
     }
 
     /// Charge this area's VMA estimate against `binding` (a budget plus
@@ -350,7 +294,7 @@ impl VirtArea {
     pub fn page_ptr(&self, i: usize) -> *mut u8 {
         assert!(i < self.pages, "page {i} out of range ({})", self.pages);
         // SAFETY: in-bounds offset within the reservation.
-        unsafe { self.base.add(i * self.layout.slot_bytes()) }
+        unsafe { self.base.add(i * PAGE_SIZE_4K) }
     }
 
     /// The current mapping of page `i` (shadow state).
@@ -395,16 +339,8 @@ impl VirtArea {
                 self.pages
             )));
         }
-        if pool.layout() != self.layout {
-            return Err(Error::invalid(format!(
-                "slot layout mismatch: area has {}, pool has {}",
-                self.layout,
-                pool.layout()
-            )));
-        }
-        let slot_bytes = self.layout.slot_bytes();
-        let byte_off = self.layout.byte_offset(ppage.0);
-        if byte_off + n * slot_bytes > pool.file_len() {
+        let byte_off = ppage.byte_offset();
+        if byte_off + n * PAGE_SIZE_4K > pool.file_len() {
             return Err(Error::invalid(format!(
                 "pool range {ppage}+{n} beyond end of pool file"
             )));
@@ -418,7 +354,7 @@ impl VirtArea {
         let rc = unsafe {
             libc::mmap(
                 self.page_ptr(vpage) as *mut libc::c_void,
-                n * slot_bytes,
+                n * PAGE_SIZE_4K,
                 libc::PROT_READ | libc::PROT_WRITE,
                 flags,
                 pool.fd(),
@@ -495,7 +431,7 @@ impl VirtArea {
     /// Returns the slots zapped, `None` once a call is refused or short —
     /// the rewiring needs none of this, the caller carries on without.
     pub fn zap(&self, call: ZapCall, assignments: &[(usize, PageIdx)]) -> Option<usize> {
-        let len = self.slot_bytes();
+        let len = PAGE_SIZE_4K;
         let ranges: Vec<ZapRange> = assignments
             .iter()
             .filter(|&&(v, _)| matches!(self.map[v], Mapping::Pool(_)))
@@ -504,7 +440,7 @@ impl VirtArea {
                 iov_len: len,
             })
             .collect();
-        // SAFETY: every range is one whole slot of this area (`page_ptr`
+        // SAFETY: every range is one whole page of this area (`page_ptr`
         // checks the bound) that the shadow map says is a MAP_SHARED view
         // of the pool file: its contents live in the file.
         let whole = |batch: &[ZapRange]| unsafe { call(batch) } == (batch.len() * len) as isize;
@@ -521,7 +457,7 @@ impl VirtArea {
         let rc = unsafe {
             libc::mmap(
                 self.page_ptr(vpage) as *mut libc::c_void,
-                self.layout.slot_bytes(),
+                PAGE_SIZE_4K,
                 libc::PROT_READ | libc::PROT_WRITE,
                 libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_FIXED | libc::MAP_NORESERVE,
                 -1,
@@ -610,10 +546,7 @@ impl Drop for VirtArea {
         // SAFETY: unmapping our own reservation exactly once; rewired pages
         // merely drop their reference to the pool file's pages.
         unsafe {
-            libc::munmap(
-                self.base as *mut libc::c_void,
-                self.pages * self.layout.slot_bytes(),
-            );
+            libc::munmap(self.base as *mut libc::c_void, self.pages * PAGE_SIZE_4K);
         }
     }
 }
@@ -898,52 +831,6 @@ mod tests {
             a.rewire_batch(&h, &pat).unwrap();
             assert_eq!(a.vma_estimate(), planned_vmas(6, &pat), "pattern {pat:?}");
         }
-    }
-
-    #[test]
-    fn layout_area_rewires_whole_slots() {
-        let layout = SlotLayout::new(2).unwrap(); // 16 KB slots
-        let mut p = PagePool::new(PoolConfig {
-            initial_pages: 8,
-            min_growth_pages: 8,
-            view_capacity_pages: 64,
-            slot_layout: layout,
-            ..PoolConfig::default()
-        })
-        .unwrap();
-        let h = p.handle();
-        let run = p.alloc_run(2).unwrap();
-        let tail = layout.slot_bytes() - 8;
-        // SAFETY: page_ptr stays inside the reserved area (slots wired by the
-        // rewire calls in this test); the area and pool view outlive the access.
-        unsafe {
-            *(p.page_ptr(run) as *mut u64) = 1;
-            *(p.page_ptr(run).add(tail) as *mut u64) = 2;
-            *(p.page_ptr(PageIdx(run.0 + 1)) as *mut u64) = 3;
-        }
-        let mut a = VirtArea::reserve_layout(4, layout).unwrap();
-        assert_eq!(a.slot_bytes(), layout.slot_bytes());
-        assert_eq!(a.base() as usize % layout.slot_bytes(), 0, "aligned base");
-        a.rewire_run(1, &h, run, 2).unwrap();
-        // SAFETY: page_ptr stays inside the reserved area (slots wired by the
-        // rewire calls in this test); the area and pool view outlive the access.
-        unsafe {
-            // Whole slots moved: both ends of slot 1, and slot 2's head.
-            assert_eq!(*(a.page_ptr(1) as *const u64), 1);
-            assert_eq!(*(a.page_ptr(1).add(tail) as *const u64), 2);
-            assert_eq!(*(a.page_ptr(2) as *const u64), 3);
-        }
-        // The estimate counts slots, not base pages: anon | run | anon.
-        assert_eq!(a.vma_estimate(), 3);
-
-        // A layout-mismatched pool is rejected before any mmap.
-        let base_pool = PagePool::new(PoolConfig {
-            initial_pages: 2,
-            view_capacity_pages: 16,
-            ..PoolConfig::default()
-        })
-        .unwrap();
-        assert!(a.rewire(0, &base_pool.handle(), PageIdx(0)).is_err());
     }
 
     thread_local! {

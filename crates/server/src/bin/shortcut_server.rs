@@ -14,7 +14,6 @@ FLAGS:
     --addr HOST:PORT       listen address        [default: 127.0.0.1:6399]
     --engine ARM           shortcut-eh | eh      [default: shortcut-eh]
     --shards S             2^S index shards      [default: 2]
-    --slot-pages K         2^K pages per slot    [default: 0]
     --capacity N           expected live entries [default: 1000000]
     --max-batch N          max ops per batch     [default: 256]
     --help                 print this text
@@ -46,7 +45,6 @@ fn parse_args(mut args: std::env::Args) -> Result<ServerConfig, String> {
                     .ok_or_else(|| format!("--engine: shortcut-eh or eh, got {value:?}"))?;
             }
             "--shards" => cfg.shard_bits = parse_num("shard bits")? as u32,
-            "--slot-pages" => cfg.slot_pages = parse_num("page exponent")? as u32,
             "--capacity" => cfg.capacity = parse_num("entry count")? as usize,
             "--max-batch" => cfg.max_batch = (parse_num("batch size")? as usize).max(1),
             _ => return Err(format!("unknown flag {flag} (see --help)")),

@@ -45,9 +45,6 @@ pub struct ServerConfig {
     /// `IndexBuilder::shards`). More shards = more write parallelism
     /// across connection threads.
     pub shard_bits: u32,
-    /// `k`: physical slot size of `2^k` base pages (see
-    /// `IndexBuilder::slot_pages`).
-    pub slot_pages: u32,
     /// Expected live-entry capacity (pool sizing hint).
     pub capacity: usize,
     /// Ignored: a connection runs what it read without waiting for more.
@@ -65,7 +62,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:6399".to_string(),
             shard_bits: 2,
-            slot_pages: 0,
             capacity: 1_000_000,
             batch_window: Duration::ZERO,
             max_batch: 256,

@@ -131,7 +131,6 @@ impl Server {
         let mut builder = ShortcutIndex::builder()
             .capacity(cfg.capacity)
             .shards(cfg.shard_bits)
-            .slot_pages(cfg.slot_pages)
             .compaction(CompactionPolicy::on());
         if cfg.engine == Engine::Eh {
             // The EH baseline arm: identical server, shortcut routing off.

@@ -5,8 +5,8 @@
 /// Deliberately independent of `shortcut_rewire::PAGE_SIZE_4K` (the
 /// canonical constant for the *real*-mapping layers): the simulator
 /// models a fixed 4 KB-paged x86-64 machine for deterministic cost
-/// accounting, and must not drift when the rewiring stack runs with
-/// larger physical slots (`shortcut_rewire::SlotLayout`) or hugepages.
+/// accounting, and must not drift with whatever the host's real mappings
+/// use.
 pub const PAGE_SIZE: u64 = 4096;
 
 /// log2 of [`PAGE_SIZE`].

@@ -283,7 +283,7 @@ fn page_literal_findings(display: &str, lines: &[Line], out: &mut Vec<String>) -
             continue;
         }
         out.push(format!(
-            "{}:{}: bare page-size literal (use SlotLayout/PAGE_SIZE_4K, or waive with `// {}: <why this 4096 is not a page size>`)",
+            "{}:{}: bare page-size literal (use PAGE_SIZE_4K, or waive with `// {}: <why this 4096 is not a page size>`)",
             display,
             idx + 1,
             WAIVER

@@ -49,7 +49,7 @@ const CHECKED: [Checked; 8] = [
     // Route to the shard's read line, pin on the exclusive stripe, the
     // admission word (the one load of shard state: the served directory),
     // slot, over-depth test, probe, tally, unpin; every other exit is one
-    // call to `ShortcutIndex::get_slow`. Measured 811 B (70 instructions
+    // call to `ShortcutIndex::get_slow`. Measured 811 B (64 instructions
     // on the unsharded hit), no frame.
     Checked {
         symbol: "hotpath_get",
@@ -58,7 +58,7 @@ const CHECKED: [Checked; 8] = [
         callees: None,
     },
     // The same lookup as `<ShortcutIndex as Index>::get`, out of line in
-    // `shortcut-exhash`: what `point_*` time. Measured 817 B, no frame.
+    // `shortcut-exhash`: what `point_*` time. Measured 803 B, no frame.
     // Its callees are listed: a hit path whose tally or probe went out of
     // line (a closure LLVM declined to inline measured 0x1e9 B and cost
     // `point_hot` a fifth of its `speedup_vs_eh`) calls something else.
@@ -71,28 +71,28 @@ const CHECKED: [Checked; 8] = [
     // Route and EH's insert fast path inline (probe, store, count): the
     // plain-EH arm's body and nothing else. A full bucket leaves through
     // `ShortcutEh::insert_slow` (EH's split, then the hooks), a probe past
-    // its first slots through `BucketRef::probe_slow`. Measured 976 B,
-    // frame 0x18 — the EH arm's: no `Result` or event-buffer look of the
+    // its first slots through `BucketRef::probe_slow`. Measured 889 B, no
+    // frame — as the EH arm's: no `Result` or event-buffer look of the
     // facade's own is left on the fast path (the `Result` passed on
     // through a stack temporary cost ≈ 30 ns an insert on `grow_churn`).
     Checked {
         symbol: "hotpath_insert",
         budget_bytes: 976,
-        frame_bytes: 0x18,
+        frame_bytes: 0,
         callees: Some(&["ShortcutEh11insert_slow", "BucketRef10probe_slow"]),
     },
     // The plain-EH arm's insert: the same fast path without routing or
     // event buffer. Held so that neither arm calls the fast path out of
     // line — with plain `#[inline]` LLVM kept local copies of it, one arm
-    // called one, and `speedup_vs_eh` moved by that alone. Measured 864 B,
-    // frame 0x18.
+    // called one, and `speedup_vs_eh` moved by that alone. Measured 823 B,
+    // no frame.
     Checked {
         symbol: "hotpath_eh_insert",
         budget_bytes: 864,
-        frame_bytes: 0x18,
+        frame_bytes: 0,
         callees: Some(&["ExtendibleHash11insert_slow", "BucketRef10probe_slow"]),
     },
-    // Route and EH's remove, inline whole. Measured 919 B, no frame.
+    // Route and EH's remove, inline whole. Measured 878 B, no frame.
     Checked {
         symbol: "hotpath_remove",
         budget_bytes: 919,
@@ -104,14 +104,14 @@ const CHECKED: [Checked; 8] = [
     // line), the keys answered in batch order under one prefetch pipeline
     // — two copies of the walk, the unsharded one reading its one section
     // as a constant — and the sections left (`drop_in_place::<Held<..>>`;
-    // a locked section's unlock is out of line there). Measured 4756 B;
-    // frame 0x49b8, probed a page at a time: room for a read section of
+    // a locked section's unlock is out of line there). Measured 4453 B;
+    // frame 0x4998, probed a page at a time: room for a read section of
     // every shard `MAX_SHARD_BITS` allows, of which a window initializes
     // the ones it touches.
     Checked {
         symbol: "hotpath_get_many",
         budget_bytes: 4756,
-        frame_bytes: 0x49b8,
+        frame_bytes: 0x4998,
         callees: Some(&[
             "pin_slow",
             "Shard12enter_locked",
@@ -127,16 +127,17 @@ const CHECKED: [Checked; 8] = [
     // The bucket probe's cold tier, the exit every row above may take: the
     // fast tier's per-slot walk carried on over the whole bucket. A leaf —
     // a backend dispatch or a vector kernel that came back would show as a
-    // call, or as bytes. Measured 175 B and 163 B, no frame.
+    // call, or as bytes. Measured 143 B and 122 B, no frame: the bucket's
+    // capacity and entry offset are constants, not loads or arguments.
     Checked {
         symbol: "BucketRef10probe_slow",
-        budget_bytes: 175,
+        budget_bytes: 143,
         frame_bytes: 0,
         callees: Some(&[]),
     },
     Checked {
         symbol: "BucketRef8get_slow",
-        budget_bytes: 163,
+        budget_bytes: 122,
         frame_bytes: 0,
         callees: Some(&[]),
     },

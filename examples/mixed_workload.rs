@@ -8,9 +8,7 @@
 //! MIXED_WORKLOAD_ENTRIES=4000000 MIXED_WORKLOAD_ASSERT_SHORTCUT=1 \
 //!     cargo run --release --example mixed_workload
 //! MIXED_WORKLOAD_COMPACTION=off cargo run --release --example mixed_workload
-//! # physical slot size: 2^k base pages per bucket (k = 0..9)
-//! MIXED_WORKLOAD_SLOT_PAGES=4 cargo run --release --example mixed_workload
-//! # assert the exit live-VMA count stays under a bound (CI slot-size leg)
+//! # assert the exit live-VMA count stays under a bound
 //! MIXED_WORKLOAD_MAX_LIVE_VMAS=2000 cargo run --release --example mixed_workload
 //! # shard the index (power-of-two count; bulk load becomes one writer
 //! # thread per shard through the shared-write API)
@@ -36,10 +34,6 @@ fn main() -> Result<(), IndexError> {
         _ => CompactionPolicy::on(),
     };
     let assert_shortcut = std::env::var("MIXED_WORKLOAD_ASSERT_SHORTCUT").as_deref() == Ok("1");
-    let slot_pages: u32 = std::env::var("MIXED_WORKLOAD_SLOT_PAGES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
     let max_live_vmas: Option<u64> = std::env::var("MIXED_WORKLOAD_MAX_LIVE_VMAS")
         .ok()
         .and_then(|s| s.parse().ok());
@@ -55,23 +49,16 @@ fn main() -> Result<(), IndexError> {
     let mut index = ShortcutIndex::builder()
         .capacity(entries as usize + entries as usize / 10)
         .compaction(compaction)
-        .slot_pages(slot_pages)
         .shards(shards.trailing_zeros())
         .build()?;
     let mut rng = StdRng::seed_from_u64(99);
 
-    {
-        let s = index.stats();
-        println!(
-            "bulk-loading {entries} entries (compaction {}, slot 2^{slot_pages} pages = {} KB, \
-             bucket capacity {}, {} shard{})…",
-            if compaction.enabled() { "on" } else { "off" },
-            s.slot_bytes / 1024,
-            s.bucket_capacity,
-            shards,
-            if shards == 1 { "" } else { "s" }
-        );
-    }
+    println!(
+        "bulk-loading {entries} entries (compaction {}, {} shard{})…",
+        if compaction.enabled() { "on" } else { "off" },
+        shards,
+        if shards == 1 { "" } else { "s" }
+    );
     let mut keys: Vec<u64> = (0..entries).map(|_| rng.random()).collect();
     if shards > 1 {
         // True multi-writer bulk load: partition the keys by owning shard
@@ -172,8 +159,6 @@ fn main() -> Result<(), IndexError> {
         index.layout_vmas()?,
         index.ideal_layout_vmas(),
     );
-    // Parseable for the CI slot-size comparison leg.
-    println!("final live VMAs: {}", s.vma.live_vmas());
     assert!(index.maint_error().is_none());
     assert!(
         s.vma.in_use <= s.vma.limit,
@@ -183,7 +168,7 @@ fn main() -> Result<(), IndexError> {
     if let Some(bound) = max_live_vmas {
         assert!(
             s.vma.live_vmas() <= bound,
-            "live VMAs {} exceed the asserted bound {bound} (slot 2^{slot_pages} pages)",
+            "live VMAs {} exceed the asserted bound {bound}",
             s.vma.live_vmas()
         );
         println!("assert: live VMAs {} <= {bound} ✓", s.vma.live_vmas());

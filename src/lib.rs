@@ -59,10 +59,6 @@
 //!   footprint instead of the worst case, and shortcut-served lookups
 //!   scale to millions of keys on a stock kernel.
 //!   [`ShortcutIndex::compact`] runs a pass explicitly.
-//! * [`IndexBuilder::slot_pages`] sizes the physical slot (the bucket
-//!   and rewiring unit) as `2^k` base pages: larger slots hold `~2^k`
-//!   more entries per bucket, so the directory is `~2^k` shallower and
-//!   the mapping footprint shrinks by the same factor (`k ≤ 9`, 2 MB).
 //! * [`IndexBuilder::vma_budget`] injects a private limit (tests, CI
 //!   stress); [`StatsSnapshot::vma`] reports the live/retired
 //!   mapping split ([`VmaSnapshot::live_vmas`]), the limit, and

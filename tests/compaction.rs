@@ -12,7 +12,7 @@ use taking_the_shortcut::{CompactionPolicy, Index, ShortcutIndex};
 
 mod common;
 
-fn build(policy: CompactionPolicy, slot_power: u32) -> ShortcutIndex {
+fn build(policy: CompactionPolicy) -> ShortcutIndex {
     ShortcutIndex::builder()
         .capacity(150_000)
         .poll_interval(Duration::from_millis(1))
@@ -20,7 +20,6 @@ fn build(policy: CompactionPolicy, slot_power: u32) -> ShortcutIndex {
         // sharing the process-global budget.
         .vma_budget(1_000_000)
         .compaction(policy)
-        .slot_pages(slot_power)
         .build()
         .unwrap()
 }
@@ -98,17 +97,13 @@ proptest! {
     // Interleave inserts (→ splits, doublings), removals, and explicit
     // and triggered compaction passes against 4 concurrent reader threads; every lookup must match the chained-hash
     // oracle, and after each full compaction the layout estimate must
-    // have dropped to the ideal (never increased). Runs at both the
-    // paper's 4 KB slots (k = 0) and 16 KB slots (k = 2): relocation,
-    // the VMA closed forms, and the published-directory arithmetic must
-    // be layout-independent.
+    // have dropped to the ideal (never increased).
     #[test]
     fn relocation_never_changes_an_answer(
         ops in ops(),
         policy in policies(),
-        slot_power in prop_oneof![Just(0u32), Just(2u32)],
     ) {
-        let mut index = build(policy, slot_power);
+        let mut index = build(policy);
         let mut oracle = oracle();
         let mut next_key = 0u64;
 
@@ -149,9 +144,7 @@ proptest! {
         read_phase(&index, &oracle, next_key);
         prop_assert_eq!(index.len(), oracle.len());
         assert!(index.maint_error().is_none());
-        let stats = index.stats();
-        prop_assert_eq!(stats.pages_per_slot, 1usize << slot_power);
-        let vma = stats.vma;
+        let vma = index.stats().vma;
         prop_assert!(vma.in_use <= vma.limit, "budget exceeded: {:?}", vma);
     }
 }
@@ -324,7 +317,6 @@ fn compaction_collapses_live_vmas_by_10x() {
         .capacity(400_000)
         .poll_interval(Duration::from_millis(1))
         .vma_budget(1_000_000)
-        .slot_pages(0)
         .build()
         .unwrap();
 

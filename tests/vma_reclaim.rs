@@ -126,60 +126,6 @@ fn forced_dekker_fallback_reclaims_exactly_like_the_default() {
 }
 
 #[test]
-fn plateau_scales_down_with_slot_size() {
-    // Same entries, 2^k-page slots: buckets hold ~2^k times more entries,
-    // the directory is ~2^k times shallower, and the post-reclamation
-    // mapping plateau must scale down accordingly. Assert ≥ 2x at k = 2
-    // (the exact ratio is ~4x, but the doubling quantizes depths).
-    let build = |k: u32| {
-        ShortcutIndex::builder()
-            .capacity(300_000)
-            .poll_interval(Duration::from_millis(1))
-            .vma_budget(1_000_000) // private: isolate `in_use` accounting
-            .slot_pages(k)
-            .build()
-            .unwrap()
-    };
-    let n = 250_000u64;
-    let fill = |index: &mut ShortcutIndex| {
-        let mut k = 0u64;
-        while k < n {
-            index
-                .insert_batch(&(k..k + 5_000).map(|x| (x, x ^ 0xDEAD)).collect::<Vec<_>>())
-                .expect("insert failed");
-            k += 5_000;
-            let _ = index.wait_sync(Duration::from_secs(30));
-        }
-    };
-    let mut base = build(0);
-    let mut big = build(2);
-    fill(&mut base);
-    fill(&mut big);
-    assert!(base.wait_sync(Duration::from_secs(60)));
-    assert!(big.wait_sync(Duration::from_secs(60)));
-    let sb = drain_retired(&base);
-    let sg = drain_retired(&big);
-    assert_eq!(sg.len, sb.len);
-    assert_eq!(sg.pages_per_slot, 4);
-    assert!(
-        sg.global_depth + 2 <= sb.global_depth,
-        "k=2 directory not shallower: {} vs {}",
-        sg.global_depth,
-        sb.global_depth
-    );
-    assert!(
-        sg.vma.live_vmas() * 2 <= sb.vma.live_vmas(),
-        "plateau did not scale with the slot size: k=0 {} vs k=2 {} live VMAs",
-        sb.vma.live_vmas(),
-        sg.vma.live_vmas()
-    );
-    // Both answer everything.
-    for k in (0..n).step_by(997) {
-        assert_eq!(big.get(k), Some(k ^ 0xDEAD), "key {k}");
-    }
-}
-
-#[test]
 fn tiny_budget_suspends_instead_of_dying() {
     // Simulate a kernel with a ~300-mapping budget (the stress CI job's
     // configuration): growth must continue past the point where the
