@@ -26,7 +26,7 @@ pub mod version;
 
 pub use maintenance::{
     service_census, CompactionPolicy, InboxGuard, MaintConfig, MaintRequest, Maintainer,
-    MapperEngine, MAX_PUBLISH_SHIFT,
+    MapperEngine, SlotStride, MAX_PUBLISH_SHIFT,
 };
 pub use metrics::MaintMetrics;
 pub use route::RoutePolicy;

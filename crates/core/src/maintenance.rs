@@ -6,10 +6,11 @@
 //! behind one mutex, appended to once per relay and swapped out whole by
 //! the mapper:
 //!
-//! * **Update** — after a bucket split, the upper half of the split
-//!   bucket's covering range must be remapped; the index pushes one
-//!   request per split carrying that slot range and the pool page (file
-//!   offset) to map it to.
+//! * **Update** — after a bucket split, the slots of the split bucket that
+//!   now belong to its new half must be remapped. The directory is indexed
+//!   by hash suffix, so they are a strided set ([`SlotStride`]): the index
+//!   pushes one request per split carrying that set and the pool page
+//!   (file offset) to map it to.
 //! * **Create** — after a directory doubling, the old shortcut is obsolete;
 //!   the index pushes the new slot count plus the full assignment vector.
 //!   Pending updates that precede a create are superseded and discarded.
@@ -55,7 +56,6 @@ use crate::metrics::{MaintMetrics, MaintSnapshot};
 use crate::shortcut_node::ShortcutNode;
 use crate::version::{ReadLine, SharedDirectoryState};
 use shortcut_rewire::{Error, PageIdx, PoolHandle, Result, RetireList, ZapCall};
-use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -71,50 +71,75 @@ pub use shortcut_rewire::budget_headroom;
 /// fewer slots) tried by rebuild admission before a create is refused.
 pub const MAX_PUBLISH_SHIFT: u32 = 4;
 
-/// Derive the `shift`-coarser directory from a **full** assignment vector
-/// (`assignments[i].0 == i`): coarse slot `s` maps the page of its first
-/// covered fine slot. Buckets with `local_depth ≤ published_depth` cover
-/// whole coarse slots, so they resolve exactly; deeper buckets share a
-/// coarse slot with a sibling and are detected by readers via the
-/// bucket's stored local depth (they fall back to the traditional
-/// directory for those keys).
-fn coarsen_assignments(assignments: &[(usize, PageIdx)], shift: u32) -> Vec<(usize, PageIdx)> {
-    let coarse_slots = assignments.len() >> shift;
-    (0..coarse_slots)
-        .map(|s| {
-            let (slot, page) = assignments[s << shift];
-            debug_assert_eq!(slot, s << shift, "assignments must be full and sorted");
-            (s, page)
-        })
-        .collect()
+/// The `shift`-coarser directory of a **full** assignment vector
+/// (`assignments[i].0 == i`): its first `2^(d−shift)` slots. The directory
+/// is indexed by hash suffix, so slot `j` of the coarse directory holds the
+/// bucket of every fine slot `j + k·2^(d−shift)` whose local depth fits:
+/// those resolve exactly; deeper buckets share a coarse slot with a
+/// sibling and are detected by readers via the bucket's stored local depth
+/// (they fall back to the traditional directory for those keys).
+fn coarsen_assignments(assignments: &[(usize, PageIdx)], shift: u32) -> &[(usize, PageIdx)] {
+    &assignments[..assignments.len() >> shift]
 }
 
-/// Service census of a **full, sorted** assignment vector: `resolvable[s]`
-/// counts the buckets — maximal runs of consecutive slots mapping the same
-/// pool slot, which are exactly the covering ranges — that span at least
-/// `2^s` fine slots, i.e. whose local depth still fits a publish `s`
-/// levels coarser. Those are the buckets such a publish resolves through
-/// the shortcut; deeper buckets fall back per key via the reader-side
+/// Service census of a **full** assignment vector: `resolvable[s]` counts
+/// the buckets — distinct pool pages; a bucket of local depth `l` under a
+/// depth-`d` directory is named by `2^(d−l)` slots — whose local depth
+/// still fits a publish `s` levels coarser, i.e. that at least `2^s`
+/// slots name. Those are the buckets such a publish resolves through the
+/// shortcut; deeper buckets fall back per key via the reader-side
 /// local-depth check. Returns `(total_buckets, resolvable)`.
 pub fn service_census(assignments: &[(usize, PageIdx)], max_shift: u32) -> (usize, Vec<usize>) {
-    let mut total = 0usize;
+    let mut pages: Vec<usize> = assignments.iter().map(|&(_, p)| p.0).collect();
+    pages.sort_unstable();
     let mut resolvable = vec![0usize; max_shift as usize + 1];
-    let mut i = 0;
-    while i < assignments.len() {
-        let page = assignments[i].1;
-        let mut run = 1;
-        while i + run < assignments.len() && assignments[i + run].1 == page {
-            run += 1;
-        }
+    let mut total = 0usize;
+    for named in pages.chunk_by(|a, b| a == b).map(<[usize]>::len) {
         total += 1;
         for (s, r) in resolvable.iter_mut().enumerate() {
-            if run >= (1usize << s) {
+            if named >= 1 << s {
                 *r += 1;
             }
         }
-        i += run;
     }
     (total, resolvable)
+}
+
+/// The directory slots one split redirects: `first`, `first + step`, …
+/// below `end`. A bucket of local depth `l` with suffix `b` is named by
+/// the slots `b + k·2^l`; splitting it hands those with bit `l` set to the
+/// new bucket, so `first = b + 2^l`, `step = 2^(l+1)` and `end` is the
+/// directory's slot count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotStride {
+    /// The lowest redirected slot.
+    pub first: usize,
+    /// Distance between two redirected slots (a power of two).
+    pub step: usize,
+    /// The directory's slot count: every redirected slot lies below it.
+    pub end: usize,
+}
+
+impl SlotStride {
+    /// The redirected slots below `bound`, ascending.
+    pub fn below(self, bound: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+        (self.first..self.end.min(bound)).step_by(self.step)
+    }
+
+    /// Every redirected slot, ascending.
+    pub fn iter(self) -> std::iter::StepBy<std::ops::Range<usize>> {
+        self.below(self.end)
+    }
+
+    /// How many slots are redirected.
+    pub fn len(self) -> usize {
+        self.end.saturating_sub(self.first).div_ceil(self.step)
+    }
+
+    /// Whether no slot is redirected.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Queue length that wakes a parked mapper ahead of its tick.
@@ -124,16 +149,17 @@ pub const WAKE_BACKLOG: usize = 512;
 /// mapper ([`InboxGuard::relay`]).
 #[derive(Debug, Clone)]
 pub enum MaintRequest {
-    /// A bucket split redirected `slots` (the upper half of the split
-    /// bucket's covering range): remap each of them.
+    /// A bucket split redirected `slots` (those of the split bucket whose
+    /// next hash bit is set): remap each of them.
     Update {
         /// Slots to remap.
-        slots: Range<usize>,
+        slots: SlotStride,
         /// Pool page of the bucket they must reference.
         ppage: PageIdx,
     },
-    /// The directory doubled, or its buckets moved (compaction): replace
-    /// the shortcut with a fresh one.
+    /// The directory doubled, or the index announces it again (its first
+    /// directory, a suspension rescue): replace the shortcut with a fresh
+    /// one.
     Create {
         /// Slot count of the new directory.
         slots: usize,
@@ -142,38 +168,38 @@ pub enum MaintRequest {
     },
 }
 
-/// Whether bucket pages are physically compacted into directory order.
+/// How rebuild admission reserves a directory's mappings.
 ///
-/// A scattered bucket layout costs roughly one VMA per directory slot
-/// (adjacent slots map non-consecutive pool offsets, so the kernel cannot
-/// merge them); laid out in directory order, fan-in-1 runs become identity
-/// mappings that collapse into a handful of VMAs. Compaction is one pass —
-/// the index's write path, the only place with exclusive access to the
-/// bucket pages, sorts them all and hands the mapper one rebuild — run at
-/// every directory doubling, when the pool's mappings cross half of its
-/// share of the budget, and to rescue a suspended or coarsely published
-/// shortcut. Here it switches rebuild admission from worst-case to
-/// layout-exact reservations.
+/// The index places the bucket of hash suffix `b` on pool page `b`, so a
+/// directory indexed by suffix maps whole stretches of consecutive pages
+/// and costs a handful of VMAs — until splits go on redirecting single
+/// slots, each of which can cost two more. By default admission reserves
+/// the **worst case**, one VMA per slot, so a live directory can never
+/// outgrow the budget between doublings; [`CompactionPolicy::on`]
+/// reserves the rebuild's **exact** footprint instead, lets admission
+/// publish a coarser directory when even that does not fit, and has the
+/// write path re-announce a suspended or coarsely published directory
+/// once a finer one fits again. (The name is that of the mechanism this
+/// rule once came with: a pass that moved bucket pages into directory
+/// order, which the layout has made unnecessary.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionPolicy {
     enabled: bool,
 }
 
 impl CompactionPolicy {
-    /// No page relocation, worst-case rebuild admission. This is the
-    /// default.
+    /// Worst-case rebuild admission. This is the default.
     pub fn disabled() -> Self {
         CompactionPolicy { enabled: false }
     }
 
-    /// The recommended production policy: compaction on.
+    /// Exact-footprint rebuild admission, with coarse publishes and
+    /// rescues: the recommended production policy.
     pub fn on() -> Self {
         CompactionPolicy { enabled: true }
     }
 
-    /// Whether compaction is on (this also switches rebuild admission
-    /// from worst-case to layout-exact reservations, because compaction
-    /// bounds how far the layout can fragment).
+    /// Whether admission reserves the exact footprint.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -190,8 +216,7 @@ pub struct MaintConfig {
     /// Whether rewirings eagerly populate the page table (`MAP_POPULATE`).
     /// The paper's design always populates before bumping the version.
     pub eager_populate: bool,
-    /// Physical bucket-layout compaction (see [`CompactionPolicy`];
-    /// default disabled).
+    /// Rebuild admission (see [`CompactionPolicy`]; default worst case).
     pub compaction: CompactionPolicy,
 }
 
@@ -341,17 +366,15 @@ impl MapperEngine {
 
     /// Apply one pass's requests, taken at traditional `version`: the
     /// create at the head of the queue, if any (a relay's create clears
-    /// what is queued ahead of it), then the updates behind it, one
-    /// `(slot, page)` per redirected slot, as one batch (one vectored zap
-    /// per [`shortcut_rewire::ZAP_BATCH`] slots, one publish).
+    /// what is queued ahead of it), then the updates behind it as one
+    /// batch (one vectored zap per [`shortcut_rewire::ZAP_BATCH`] slots,
+    /// one publish).
     fn apply_batch(&mut self, batch: Vec<MaintRequest>, version: u64) -> Result<usize> {
         let n = batch.len();
         let mut updates = Vec::new();
         for req in batch {
             match req {
-                MaintRequest::Update { slots, ppage } => {
-                    updates.extend(slots.map(|slot| (slot, ppage)));
-                }
+                MaintRequest::Update { slots, ppage } => updates.push((slots, ppage)),
                 MaintRequest::Create { slots, assignments } => {
                     debug_assert!(updates.is_empty(), "a create behind an update");
                     self.apply_create(slots, assignments, version)?;
@@ -369,35 +392,30 @@ impl MapperEngine {
     /// so no reader takes an answer from a slot this touches. A stale
     /// update — one no directory of the engine resolves — is discarded,
     /// and the pass then publishes nothing: the shortcut stays out of sync.
-    fn apply_updates(&mut self, updates: Vec<(usize, PageIdx)>, version: u64) -> Result<()> {
+    fn apply_updates(&mut self, updates: Vec<(SlotStride, PageIdx)>, version: u64) -> Result<()> {
         let live_slots = self.current.as_ref().map_or(0, |n| n.slots());
         let mut batch: Vec<(usize, PageIdx)> = Vec::with_capacity(updates.len());
-        let mut stale = false;
-        for (slot, ppage) in updates {
+        let (mut stale, mut live) = (false, false);
+        for (slots, ppage) in updates {
             // While a create is deferred (budget-skipped, awaiting
             // retry), updates describe the *deferred* directory — fold
             // them into its assignment vector rather than discarding
             // them, or the retried create would publish pre-split
             // slots and a later update could restore version equality
             // over a stale mapping.
-            if let Some((slots, assignments, deferred_version)) = &mut self.deferred {
-                if slot < *slots {
-                    match assignments.binary_search_by_key(&slot, |a| a.0) {
-                        Ok(i) => assignments[i].1 = ppage,
-                        Err(i) => assignments.insert(i, (slot, ppage)),
+            if let Some((dir_slots, assignments, deferred_version)) = &mut self.deferred {
+                if slots.end <= *dir_slots {
+                    for slot in slots.iter() {
+                        match assignments.binary_search_by_key(&slot, |a| a.0) {
+                            Ok(i) => assignments[i].1 = ppage,
+                            Err(i) => assignments.insert(i, (slot, ppage)),
+                        }
                     }
                     *deferred_version = version;
                     continue;
                 }
             }
-            // Producers address slots at the traditional directory's
-            // depth; a coarsely published node resolves them at its
-            // own granularity. A split deeper than the published
-            // depth clobbers the shared coarse slot with one sibling
-            // — readers detect the over-depth bucket via its stored
-            // local depth and fall back for those keys.
-            let slot = slot >> self.published_shift;
-            if slot >= live_slots {
+            if slots.end > live_slots << self.published_shift {
                 // Stale update (raced a rebuild that shrank… or no
                 // node yet). Protocol-respecting producers never hit
                 // this; drop defensively.
@@ -405,44 +423,71 @@ impl MapperEngine {
                 stale = true;
                 continue;
             }
-            batch.push((slot, ppage));
+            // Producers address slots at the traditional directory's
+            // depth; a coarsely published node holds its first
+            // `live_slots`, and fine slot `j` resolves at `j & (live_slots
+            // − 1)`. A split that leaves its halves deeper than the
+            // published depth redirects no slot below that (its first
+            // slot is past it): the coarse slot keeps the old half, and
+            // readers detect its local depth and fall back for its keys.
+            batch.extend(slots.below(live_slots).map(|slot| (slot, ppage)));
+            live = true;
         }
-        let Some(node) = self.current.as_mut().filter(|_| !batch.is_empty()) else {
+        // Each rewired slot can split a run in three, up to one mapping a
+        // slot. A batch the budget cannot take at that cost first has the
+        // live directory published a level coarser, from its own first
+        // half. (A directory admitted at the worst case never needs it.)
+        let growth = |node: &ShortcutNode, batch: &[(usize, PageIdx)]| {
+            (2 * batch.len()).min(node.slots() - node.vma_estimate().min(node.slots()))
+        };
+        while let Some(node) = self.current.as_ref().filter(|_| !batch.is_empty()) {
+            let budget = self.pool.budget();
+            if budget.would_fit_for(self.pool.usage(), growth(node, &batch), 0)
+                || !self.coarsen_live()?
+            {
+                break;
+            }
+            let live_slots = self.current.as_ref().map_or(0, ShortcutNode::slots);
+            batch.retain(|&(slot, _)| slot < live_slots);
+        }
+        let Some(node) = self.current.as_mut().filter(|_| live) else {
             return Ok(());
         };
-        let applied = batch.len() as u64;
-        // Stable, so among updates of one slot the last one queued is the
-        // last one here, and it wins.
-        batch.sort_by_key(|&(slot, _)| slot);
-        batch.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                *kept = *later;
-            }
-            same
-        });
-        if let Some(call) = self.zap {
-            match node.zap(call, &batch) {
-                Some(n) => {
-                    self.metrics.slots_zapped.add(n as u64);
+        if !batch.is_empty() {
+            let applied = batch.len() as u64;
+            // Stable, so among updates of one slot the last one queued is the
+            // last one here, and it wins.
+            batch.sort_by_key(|&(slot, _)| slot);
+            batch.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    *kept = *later;
                 }
-                None => self.zap = None,
-            }
-        }
-        node.set_batch(&self.pool, &batch)?;
-        if self.cfg.eager_populate {
-            for &(slot, _) in &batch {
-                // Touch just the remapped slot to install its PTE.
-                // SAFETY: slot was just rewired to a valid pool page.
-                unsafe {
-                    std::ptr::read_volatile(node.slot_ptr(slot));
+                same
+            });
+            if let Some(call) = self.zap {
+                match node.zap(call, &batch) {
+                    Some(n) => {
+                        self.metrics.slots_zapped.add(n as u64);
+                    }
+                    None => self.zap = None,
                 }
             }
-            self.metrics.pages_populated.add(batch.len() as u64);
+            node.set_batch(&self.pool, &batch)?;
+            if self.cfg.eager_populate {
+                for &(slot, _) in &batch {
+                    // Touch just the remapped slot to install its PTE.
+                    // SAFETY: slot was just rewired to a valid pool page.
+                    unsafe {
+                        std::ptr::read_volatile(node.slot_ptr(slot));
+                    }
+                }
+                self.metrics.pages_populated.add(batch.len() as u64);
+            }
+            self.metrics.updates_applied.add(applied);
+            self.metrics.slots_rewired.add(batch.len() as u64);
+            self.metrics.update_batches.add(1);
         }
-        self.metrics.updates_applied.add(applied);
-        self.metrics.slots_rewired.add(batch.len() as u64);
-        self.metrics.update_batches.add(1);
         if !stale {
             // SAFETY: the live node maps its slots until `retire` hands it
             // to the pool's retire list, whose pins readers hold.
@@ -465,36 +510,15 @@ impl MapperEngine {
             self.deferred = Some((slots, assignments, version));
             return Ok(());
         };
-        let coarse;
-        let (pub_slots, pub_assignments) = if shift == 0 {
-            (slots, &assignments)
-        } else {
-            coarse = coarsen_assignments(&assignments, shift);
-            (slots >> shift, &coarse)
-        };
-        let mut node = if self.cfg.eager_populate {
-            ShortcutNode::new_populated(pub_slots)?
-        } else {
-            ShortcutNode::new(pub_slots)?
-        };
-        let calls = node.set_batch(&self.pool, pub_assignments)?;
-        if self.cfg.eager_populate {
-            let touched = node.populate();
-            self.metrics.pages_populated.add(touched as u64);
-        }
-        // Hand the worst-case reservation over to the built node
-        // as its exact charge in one atomic adjustment — the
-        // budget never transiently double-counts the directory
-        // (which could trip `in_use <= limit` asserts) and never
-        // dips (which would let a concurrent pool steal margin).
-        reservation.settle(node.vma_estimate());
-        node.charge_to_prepaid(&self.pool);
+        let node = self.build(
+            slots >> shift,
+            coarsen_assignments(&assignments, shift),
+            reservation,
+        )?;
         self.metrics.creates_applied.add(1);
         if shift > 0 {
             self.metrics.creates_coarse.add(1);
         }
-        self.metrics.slots_rewired.add(pub_assignments.len() as u64);
-        self.metrics.create_mmap_calls.add(calls);
         self.published_shift = shift;
         // SAFETY: as in `apply_updates`: the node becomes the live one.
         unsafe { self.state.publish(node.base(), node.slots(), version) };
@@ -503,6 +527,69 @@ impl MapperEngine {
             self.retire(old);
         }
         Ok(())
+    }
+
+    /// A `slots`-slot node mapping `assignments`, populated (when the
+    /// engine populates) and charged to the pool's budget: `reservation`
+    /// is settled to its exact footprint in one adjustment, so the budget
+    /// never transiently double-counts the directory (which could trip
+    /// `in_use <= limit` asserts) and never dips (which would let a
+    /// concurrent pool steal margin).
+    fn build(
+        &self,
+        slots: usize,
+        assignments: &[(usize, PageIdx)],
+        reservation: shortcut_rewire::BudgetReservation,
+    ) -> Result<ShortcutNode> {
+        let mut node = if self.cfg.eager_populate {
+            ShortcutNode::new_populated(slots)?
+        } else {
+            ShortcutNode::new(slots)?
+        };
+        let calls = node.set_batch(&self.pool, assignments)?;
+        if self.cfg.eager_populate {
+            let touched = node.populate();
+            self.metrics.pages_populated.add(touched as u64);
+        }
+        reservation.settle(node.vma_estimate());
+        node.charge_to_prepaid(&self.pool);
+        self.metrics.slots_rewired.add(assignments.len() as u64);
+        self.metrics.create_mmap_calls.add(calls);
+        Ok(node)
+    }
+
+    /// Replace the live directory by its first half, published one level
+    /// coarser: slot `i` keeps the bucket of fine slot `i`, which resolves
+    /// every bucket shallow enough, and readers fall back for the rest. The
+    /// live node is out of service (a relay's bump cleared the serving
+    /// word), so it is retired first. `false` when there is no directory
+    /// to halve, or when its half does not fit either — then the shortcut
+    /// is suspended until a create brings it back.
+    fn coarsen_live(&mut self) -> Result<bool> {
+        let Some(old) = self.current.take_if(|node| node.slots() > 1) else {
+            return Ok(false);
+        };
+        let slots = old.slots() / 2;
+        let half: Vec<(usize, PageIdx)> = (0..slots)
+            .filter_map(|i| Some((i, old.slot_mapping(i)?)))
+            .collect();
+        self.retire(old);
+        self.pool.retire_list().try_reclaim();
+        let want = shortcut_rewire::planned_vmas(slots, &half);
+        let Some(reservation) = self
+            .pool
+            .budget()
+            .try_reserve_for(self.pool.usage(), want, 0)
+        else {
+            self.state.set_suspended(true);
+            self.metrics.creates_skipped.add(1);
+            return Ok(false);
+        };
+        let node = self.build(slots, &half, reservation)?;
+        self.metrics.creates_coarse.add(1);
+        self.published_shift += 1;
+        self.current = Some(node);
+        Ok(true)
     }
 
     /// Retire a superseded node. Readers must not be served its area: the
@@ -517,11 +604,10 @@ impl MapperEngine {
     }
 
     /// The coarsening shifts admission may try for a rebuild: always the
-    /// exact depth; additionally, with compaction enabled and a full
+    /// exact depth; additionally, with exact admission and a full
     /// assignment vector, up to [`MAX_PUBLISH_SHIFT`] halvings of the
-    /// published depth (each halving of a compacted directory folds
-    /// aliased covering ranges back onto single slots, so the identity
-    /// run gets *more* mergeable, not less).
+    /// published depth (a halving keeps the directory's first half, which
+    /// maps the same runs of pages, so it is never less mergeable).
     fn candidate_shifts(&self, slots: usize, assignments: &[(usize, PageIdx)]) -> u32 {
         if self.cfg.compaction.enabled() && assignments.len() == slots {
             MAX_PUBLISH_SHIFT.min(slots.trailing_zeros())
@@ -530,16 +616,14 @@ impl MapperEngine {
         }
     }
 
-    /// VMAs to reserve for a rebuild at coarsening `shift`. Without
-    /// compaction this is the **worst case** — a `slots`-page area can
-    /// fragment to one VMA per slot as later bucket splits break merged
-    /// runs, so admitting at `slots` guarantees the live directory can
-    /// never outgrow the budget between doublings. With compaction
-    /// enabled the layout's fragmentation is bounded (every doubling
-    /// re-sorts the pool, and so does the write path once the footprint
-    /// crosses half of the pool's share), so admission uses the rebuild's
-    /// **exact** initial footprint instead — this is what lets a compacted
-    /// multi-million-slot directory through a stock `vm.max_map_count`.
+    /// VMAs to reserve for a rebuild at coarsening `shift`. By default
+    /// this is the **worst case** — a `slots`-page area can fragment to
+    /// one VMA per slot as later bucket splits break merged runs, so
+    /// admitting at `slots` guarantees the live directory can never
+    /// outgrow the budget between doublings. With
+    /// [`CompactionPolicy::on`] admission uses the rebuild's **exact**
+    /// initial footprint instead — this is what lets a multi-million-slot
+    /// directory through a stock `vm.max_map_count`.
     fn rebuild_reservation(
         &self,
         slots: usize,
@@ -547,8 +631,7 @@ impl MapperEngine {
         shift: u32,
     ) -> usize {
         if shift > 0 {
-            let coarse = coarsen_assignments(assignments, shift);
-            shortcut_rewire::planned_vmas(slots >> shift, &coarse)
+            shortcut_rewire::planned_vmas(slots >> shift, coarsen_assignments(assignments, shift))
         } else if self.cfg.compaction.enabled() {
             shortcut_rewire::planned_vmas(slots, assignments)
         } else {
@@ -990,6 +1073,15 @@ mod tests {
         .unwrap()
     }
 
+    /// Slot `slot` alone, as a split's last redirection is.
+    pub(super) fn one(slot: usize) -> SlotStride {
+        SlotStride {
+            first: slot,
+            step: 1,
+            end: slot + 1,
+        }
+    }
+
     fn stamp(pool: &PagePool, p: PageIdx, v: u64) {
         // SAFETY: t.base is the directory the ticket published; offsets stay
         // below t.slots slots and retirement cannot unmap it mid-test.
@@ -1053,7 +1145,7 @@ mod tests {
         eng.pass().unwrap();
 
         eng.inbox_lock().relay([MaintRequest::Update {
-            slots: 1..2,
+            slots: one(1),
             ppage: l1,
         }]);
         assert!(!state.in_sync());
@@ -1090,16 +1182,20 @@ mod tests {
             assignments: (0..4).map(|s| (s, l0)).collect(),
         }]);
         eng.pass().unwrap();
-        // One split of a bucket covering all four slots: the upper half
-        // moves to l1, in one request.
+        // One split of the bucket all four slots name: the odd slots (hash
+        // bit 0 set) move to l1, in one request.
         eng.inbox_lock().relay([MaintRequest::Update {
-            slots: 2..4,
+            slots: SlotStride {
+                first: 1,
+                step: 2,
+                end: 4,
+            },
             ppage: l1,
         }]);
         eng.pass().unwrap();
         assert!(state.in_sync());
         let t = state.begin_read().unwrap();
-        for (slot, want) in [10, 10, 11, 11].into_iter().enumerate() {
+        for (slot, want) in [10, 11, 10, 11].into_iter().enumerate() {
             // SAFETY: t.base is the directory the ticket published; offsets
             // stay below t.slots slots and retirement cannot unmap it
             // mid-test.
@@ -1127,11 +1223,11 @@ mod tests {
         // Two relays of updates, then one of a create: the create drops
         // them from the queue, and the pass sees the create alone.
         eng.inbox_lock().relay([MaintRequest::Update {
-            slots: 0..1,
+            slots: one(0),
             ppage: l0,
         }]);
         eng.inbox_lock().relay([MaintRequest::Update {
-            slots: 1..2,
+            slots: one(1),
             ppage: l1,
         }]);
         eng.inbox_lock().relay([MaintRequest::Create {
@@ -1167,7 +1263,7 @@ mod tests {
             assignments: vec![(0, l0), (1, l0)],
         }]);
         eng.inbox_lock().relay([MaintRequest::Update {
-            slots: 1..2,
+            slots: one(1),
             ppage: l1,
         }]);
         eng.pass().unwrap();
@@ -1332,7 +1428,7 @@ mod tests {
         // otherwise the retry would publish a stale slot that a later
         // version-restoring update could legitimize.
         eng.inbox_lock().relay([MaintRequest::Update {
-            slots: 3..4,
+            slots: one(3),
             ppage: l1,
         }]);
         eng.pass().unwrap();
@@ -1414,12 +1510,114 @@ mod tests {
         }
     }
 
+    /// A suffix-ordered directory of fan-in 2 whose buckets sit on the
+    /// pages of their suffixes is two runs: its rebuild at 2^12 slots is
+    /// at most 4 `mmap` calls, where a scattered layout costs one a slot.
+    #[test]
+    fn a_fan_in_2_rebuild_of_4096_slots_is_a_few_mmap_calls() {
+        let mut pl = PagePool::new(PoolConfig {
+            initial_pages: 0,
+            min_growth_pages: 2048,
+            view_capacity_pages: 1 << 12,
+            ..PoolConfig::default()
+        })
+        .unwrap();
+        let state = Arc::new(SharedDirectoryState::new());
+        let metrics = Arc::new(MaintMetrics::default());
+        let mut eng = MapperEngine::new(
+            pl.handle(),
+            Arc::clone(&state),
+            Arc::clone(&metrics),
+            MaintConfig::default(),
+        );
+        const SLOTS: usize = 1 << 12;
+        let run = pl.alloc_run(SLOTS / 2).unwrap();
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: SLOTS,
+            assignments: (0..SLOTS)
+                .map(|s| (s, PageIdx(run.0 + s % (SLOTS / 2))))
+                .collect(),
+        }]);
+        eng.pass().unwrap();
+        assert!(state.in_sync());
+        let calls = metrics.snapshot().create_mmap_calls;
+        assert!(calls <= 4, "{calls} mmap calls");
+        assert_eq!(eng.current().unwrap().vma_estimate(), 2);
+    }
+
+    /// Updates that could take the budget past its limit republish the
+    /// live directory a level coarser, from its own first half, instead
+    /// of mapping past the limit: the budget holds, and the coarse node
+    /// serves every bucket shallow enough for it.
+    #[test]
+    fn updates_past_the_budget_republish_the_live_directory_coarser() {
+        let mut pl = PagePool::new(PoolConfig {
+            initial_pages: 0,
+            min_growth_pages: 64,
+            view_capacity_pages: 4096, // audit:allow(page-literal): view capacity in pages (a count), not a byte size
+            vma_budget: Some(shortcut_rewire::VmaBudget::with_limit(30)),
+            ..PoolConfig::default()
+        })
+        .unwrap();
+        let state = Arc::new(SharedDirectoryState::new());
+        let metrics = Arc::new(MaintMetrics::default());
+        let mut eng = MapperEngine::new(
+            pl.handle(),
+            Arc::clone(&state),
+            Arc::clone(&metrics),
+            MaintConfig {
+                compaction: CompactionPolicy::on(),
+                ..MaintConfig::default()
+            },
+        );
+        let run = pl.alloc_run(64).unwrap();
+        for i in 0..64 {
+            stamp(&pl, PageIdx(run.0 + i), 700 + i as u64);
+        }
+        // 64 slots over the 32 depth-5 buckets at their suffixes: 2 runs.
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 64,
+            assignments: (0..64).map(|s| (s, PageIdx(run.0 + s % 32))).collect(),
+        }]);
+        eng.pass().unwrap();
+        assert!(state.in_sync());
+        assert_eq!(state.begin_read().unwrap().slots, 64);
+        // Every other bucket splits: 16 single-slot redirections in the
+        // upper half, each breaking a run in three — 32 more mappings
+        // than the budget's 30 can take beside the pool's view.
+        eng.inbox_lock()
+            .relay((0..16).map(|b| MaintRequest::Update {
+                slots: SlotStride {
+                    first: 32 + 2 * b,
+                    step: 64,
+                    end: 64,
+                },
+                ppage: PageIdx(run.0 + 32 + 2 * b),
+            }));
+        eng.pass().unwrap();
+        assert!(state.in_sync(), "the pass published");
+        let t = state.begin_read().unwrap();
+        assert_eq!(t.slots, 32, "published a level coarser");
+        for i in 0..32 {
+            // SAFETY: t.base is the directory the ticket published; offsets
+            // stay below t.slots slots and retirement cannot unmap it.
+            unsafe {
+                assert_eq!(*(t.base.add(i << 12) as *const u64), 700 + i as u64);
+            }
+        }
+        let budget = pl.budget();
+        assert!(budget.in_use() <= budget.limit(), "{}", budget.in_use());
+        assert_eq!(metrics.snapshot().creates_coarse, 1);
+    }
+
     #[test]
     fn over_budget_rebuild_publishes_at_coarser_depth() {
-        // 16 slots, fan-in 2 over 8 directory-ordered pages: exact-depth
-        // planned footprint is 16 − 8 + 1 = 9. Budget 8 (headroom 0)
-        // refuses it, but the half-depth view is a pure identity run
-        // (planned 1) and must be published instead of suspending.
+        // 16 slots in suffix order over pages placed at their suffix: a
+        // depth-2 bucket (slots ≡ 3 mod 4), depth-3 ones at the even
+        // suffixes, depth-4 ones at 1, 5, 9 and 13. The exact depth maps
+        // 8 runs (10 VMAs with the pool view): budget 8 (headroom 0)
+        // refuses it. The half-depth view — the first 8 slots — is 2 runs
+        // and must be published instead of suspending.
         let mut pl = PagePool::new(PoolConfig {
             initial_pages: 0,
             min_growth_pages: 8,
@@ -1439,13 +1637,18 @@ mod tests {
                 ..MaintConfig::default()
             },
         );
-        let run = pl.alloc_run(8).unwrap();
-        for i in 0..8 {
+        let run = pl.alloc_run(16).unwrap();
+        for i in 0..16 {
             stamp(&pl, PageIdx(run.0 + i), 500 + i as u64);
         }
+        let page_of = |s: usize| match s {
+            _ if s % 4 == 3 => 3,
+            1 | 5 | 9 | 13 => s,
+            _ => s % 8,
+        };
         eng.inbox_lock().relay([MaintRequest::Create {
             slots: 16,
-            assignments: (0..16).map(|s| (s, PageIdx(run.0 + s / 2))).collect(),
+            assignments: (0..16).map(|s| (s, PageIdx(run.0 + page_of(s)))).collect(),
         }]);
         eng.pass().unwrap();
         assert!(state.in_sync(), "coarse publish must keep the shortcut up");
@@ -1453,24 +1656,32 @@ mod tests {
         assert_eq!(metrics.snapshot().creates_coarse, 1);
         let t = state.begin_read().unwrap();
         assert_eq!(t.slots, 8, "published at half depth");
-        for i in 0..8 {
+        for (i, want) in [500, 501, 502, 503, 504, 505, 506, 503]
+            .into_iter()
+            .enumerate()
+        {
             // SAFETY: t.base is the directory the ticket published; offsets stay
             // below t.slots slots and retirement cannot unmap it mid-test.
             unsafe {
-                assert_eq!(*(t.base.add(i << 12) as *const u64), 500 + i as u64);
+                assert_eq!(*(t.base.add(i << 12) as *const u64), want);
             }
         }
         assert!(pl.budget().in_use() <= 8);
 
         // Updates arrive addressed at the traditional (16-slot) depth and
-        // must be shifted onto the coarse node: redirecting fine slots
-        // 14 and 15 (one covering range at depth 4) lands on coarse
-        // slot 7.
+        // land on the coarse node's first 8 slots: the depth-2 bucket's
+        // split hands suffix 7 (slots 7 and 15) a new page, which coarse
+        // slot 7 takes. Suffix 6's split leaves both halves at depth 4,
+        // deeper than the published 3: it redirects no coarse slot.
         let fresh = pl.alloc_run(1).unwrap();
         stamp(&pl, fresh, 999);
-        for fine_slot in [14usize, 15] {
+        for (first, step) in [(7, 8), (14, 16)] {
             eng.inbox_lock().relay([MaintRequest::Update {
-                slots: fine_slot..fine_slot + 1,
+                slots: SlotStride {
+                    first,
+                    step,
+                    end: 16,
+                },
                 ppage: fresh,
             }]);
             eng.pass().unwrap();
@@ -1484,7 +1695,7 @@ mod tests {
             assert_eq!(
                 *(t.base.add(6 << 12) as *const u64),
                 506,
-                "neighbor untouched"
+                "an over-depth split redirects nothing"
             );
         }
     }
@@ -1494,15 +1705,15 @@ mod tests {
         let a = |pairs: &[(usize, usize)]| -> Vec<(usize, PageIdx)> {
             pairs.iter().map(|&(s, p)| (s, PageIdx(p))).collect()
         };
-        // Covers 4, 2, 1, 1 over 8 slots.
+        // Named by 4, 2, 1 and 1 of 8 slots, in suffix order.
         let v = a(&[
             (0, 10),
-            (1, 10),
+            (1, 30),
             (2, 10),
-            (3, 10),
-            (4, 30),
+            (3, 50),
+            (4, 10),
             (5, 30),
-            (6, 50),
+            (6, 10),
             (7, 70),
         ]);
         let (total, r) = service_census(&v, 3);
@@ -1545,16 +1756,16 @@ mod tests {
             .iter()
             .map(|&off| PageIdx(run.0 + off))
             .collect();
-        let mut assignments: Vec<(usize, PageIdx)> = Vec::new();
-        for s in 0..8 {
-            assignments.push((s, pages[0])); // depth-1 bucket
-        }
-        for s in 8..12 {
-            assignments.push((s, pages[1])); // depth-2 bucket
-        }
-        for (i, s) in (12..16).enumerate() {
-            assignments.push((s, pages[2 + i])); // four depth-4 buckets
-        }
+        // Suffix order: the depth-1 bucket is named by the even slots,
+        // the depth-2 one by the slots ≡ 1 (mod 4), and the four depth-4
+        // ones by one slot each.
+        let assignments: Vec<(usize, PageIdx)> = (0..16)
+            .map(|s| match s % 4 {
+                0 | 2 => (s, pages[0]),
+                1 => (s, pages[1]),
+                _ => (s, pages[2 + s / 4]),
+            })
+            .collect();
         eng.inbox_lock().relay([MaintRequest::Create {
             slots: 16,
             assignments,
@@ -1619,7 +1830,7 @@ mod tests {
             MaintConfig::default(),
         );
         eng.inbox_lock().relay([MaintRequest::Update {
-            slots: 0..1,
+            slots: one(0),
             ppage: PageIdx(0),
         }]);
         eng.pass().unwrap();
@@ -1644,7 +1855,7 @@ mod tests {
         }]);
         let first = state.traditional_version();
         eng.inbox_lock().relay([MaintRequest::Update {
-            slots: 1..2,
+            slots: one(1),
             ppage: l1,
         }]);
         assert_eq!(state.traditional_version(), first + 1, "one bump a relay");
@@ -1674,7 +1885,7 @@ mod tests {
         // Slot 5 of a 2-slot directory: no producer that keeps the
         // protocol sends it.
         eng.inbox_lock().relay([MaintRequest::Update {
-            slots: 5..6,
+            slots: one(5),
             ppage: l0,
         }]);
         eng.pass().unwrap();
@@ -1771,7 +1982,7 @@ mod tests {
         // Stream of split-style updates.
         for (i, p) in pages.iter().enumerate() {
             m.inbox_lock().relay([MaintRequest::Update {
-                slots: i..i + 1,
+                slots: one(i),
                 ppage: *p,
             }]);
         }

@@ -15,7 +15,7 @@ shortcut_rewire::statistics! {
         /// Create requests skipped because the rebuilt directory **genuinely**
         /// does not fit the VMA budget even with nothing left to reclaim
         /// (maintenance suspended; lookups fall back until the budget grows
-        /// or compaction shrinks the footprint).
+        /// or splits shrink the footprint).
         creates_skipped: u64 = Sum,
         /// Create requests deferred **transiently**: admission failed only
         /// because retired areas were still pinned by readers, so the rebuild
@@ -53,22 +53,13 @@ shortcut_rewire::statistics! {
         /// Slots zapped (`MADV_DONTNEED`) ahead of their rewiring.
         slots_zapped: u64 = Sum,
     }
-    /// Plain-value snapshot of [`MaintMetrics`], plus the compaction
-    /// counters, which the write path counts in the index's own statistics
-    /// and the index copies in here (0 in [`MaintMetrics::snapshot`]).
+    /// Plain-value snapshot of [`MaintMetrics`], plus `pages_moved`.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct MaintSnapshot {
-        /// Bucket pages physically relocated into directory order by
-        /// compaction.
+        /// Bucket pages moved: always 0. Buckets sit on the pool page of
+        /// their hash suffix and never move; the field stays while the
+        /// benchmark reads it.
         pages_moved: u64 = Sum,
-        /// Estimated VMAs saved by compaction passes (layout estimate before
-        /// minus after, summed over passes).
-        vmas_saved: u64 = Sum,
-        /// Completed compaction passes.
-        compactions: u64 = Sum,
-        /// Compaction passes skipped: the target run did not fit the pool, or
-        /// the layout was already as compact as fan-in permits.
-        compaction_skipped: u64 = Sum,
     }
 }
 
@@ -95,9 +86,6 @@ mod tests {
             update_batches: 13,
             slots_zapped: 14,
             pages_moved: 15,
-            vmas_saved: 16,
-            compactions: 17,
-            compaction_skipped: 18,
         };
         let b = MaintSnapshot {
             updates_applied: 100,
@@ -116,9 +104,6 @@ mod tests {
             update_batches: 1300,
             slots_zapped: 1400,
             pages_moved: 1500,
-            vmas_saved: 1600,
-            compactions: 1700,
-            compaction_skipped: 1800,
         };
         let m = a.merge(&b);
         assert_eq!(
@@ -141,9 +126,6 @@ mod tests {
                 update_batches: 1313,
                 slots_zapped: 1414,
                 pages_moved: 1515,
-                vmas_saved: 1616,
-                compactions: 1717,
-                compaction_skipped: 1818,
             }
         );
         // Merge is commutative.

@@ -135,7 +135,7 @@ impl Rig {
     /// [`Rig::relay`] of a split's update.
     fn update(&self, slot: usize, ppage: PageIdx) {
         self.relay(MaintRequest::Update {
-            slots: slot..slot + 1,
+            slots: tests::one(slot),
             ppage,
         });
     }
@@ -255,7 +255,7 @@ enum Scenario {
     /// deferred and updates fold into them until the pin drops.
     Deferred,
     /// Published one level coarser than the directory (`published_shift`
-    /// 1): updates arrive at fine slots and land on coarse ones.
+    /// 1): updates arrive at fine slots, and those of the first half land.
     Coarse,
 }
 
@@ -270,33 +270,39 @@ fn run_script(
     let (limit, compaction, shift) = match scenario {
         Scenario::Plain => (None, false, 0),
         Scenario::Deferred => (Some(96), false, 0),
-        Scenario::Coarse => (Some(8), true, 1),
+        Scenario::Coarse => (Some(10), true, 1),
     };
     let mut r = rig(limit, compaction, Some(counted));
     let retire = Arc::clone(r.pool.handle().retire_list());
     let pin = matches!(scenario, Scenario::Deferred).then(|| retire.pin());
-    // Coarse: 16 slots, fan-in 2 over 8 directory-ordered pages do not
-    // fit 8 mappings at full depth and publish as an identity run of 8.
+    // Coarse: 16 slots in suffix order, pages at their suffix, the upper
+    // half's odd slots on pages of their own: 9 runs and the pool's 2 do
+    // not fit 10 mappings at full depth, and the first half publishes as
+    // one run, with room to fragment into 8.
     let mut dir: Vec<PageIdx> = match scenario {
-        Scenario::Coarse => (0..16).map(|s| r.pages[s / 2]).collect(),
+        Scenario::Coarse => (0..16)
+            .map(|s| r.pages[if s < 8 || s % 2 == 0 { s % 8 } else { 16 + s }])
+            .collect(),
         _ => vec![r.pages[0]; 4],
     };
-    // What each published slot maps: the directory itself at full depth,
-    // the sibling updated last on a coarse slot.
-    let mut published: Vec<PageIdx> = dir.iter().copied().step_by(1 << shift).collect();
+    // What each published slot maps: the directory's first `1/2^shift`.
+    let mut published: Vec<PageIdx> = dir[..dir.len() >> shift].to_vec();
     r.relay(create(&dir));
     for (i, &(kind, a, b)) in steps.iter().enumerate() {
         if (i + 1) % pass_len == 0 {
             r.eng.pass().unwrap();
         }
         if kind >= 236 && dir.len() < 64 && shift == 0 {
-            dir = dir.iter().flat_map(|&p| [p, p]).collect();
+            dir = [&dir[..], &dir[..]].concat();
             published = dir.clone();
             r.relay(create(&dir));
         } else {
             let (slot, page) = (a as usize % dir.len(), r.pages[b as usize % PAGES]);
             dir[slot] = page;
-            published[slot >> shift] = page;
+            // A fine slot past the published ones moves none of them.
+            if let Some(coarse) = published.get_mut(slot) {
+                *coarse = page;
+            }
             r.update(slot, page);
         }
     }
@@ -382,7 +388,7 @@ fn a_demand_made_mid_pass_is_answered_by_the_next_pass() {
     let m = parked_maintainer(&r.pool, Some(gated));
     let update = |slot: usize, ppage: PageIdx| {
         m.inbox_lock().relay([MaintRequest::Update {
-            slots: slot..slot + 1,
+            slots: tests::one(slot),
             ppage,
         }]);
     };
@@ -433,7 +439,7 @@ fn the_relay_that_crosses_the_backlog_wakes_a_parked_mapper_once() {
     // One relay: one bump and the requests, under one hold of the lock.
     let relay = |slots: std::ops::Range<usize>| {
         m.inbox_lock().relay(slots.map(|slot| MaintRequest::Update {
-            slots: slot..slot + 1,
+            slots: tests::one(slot),
             ppage: r.pages[1 + slot % 7],
         }));
     };

@@ -64,16 +64,16 @@ impl TraditionalNode {
         }
     }
 
-    /// Grow to `new_k` slots (used by directory doubling): slot `i` of the
-    /// new node receives the pointer of old slot `i / 2`, the extendible-
-    /// hashing doubling rule.
+    /// Grow to twice the slots (used by directory doubling): the upper
+    /// half is a copy of the lower one, slot `i + k` receiving the pointer
+    /// of slot `i` — the doubling rule of a directory indexed by hash
+    /// suffix.
     pub fn doubled(&self) -> TraditionalNode {
-        let k = self.slots.len();
-        let mut n = TraditionalNode::new(k * 2);
-        for i in 0..k * 2 {
-            n.slots[i] = self.slots[i / 2];
+        TraditionalNode {
+            slots: [&self.slots[..], &self.slots[..]]
+                .concat()
+                .into_boxed_slice(),
         }
-        n
     }
 
     /// Iterate over `(slot, pointer)` pairs of non-null slots.
@@ -126,8 +126,8 @@ mod tests {
         let d = n.doubled();
         assert_eq!(d.slots(), 4);
         assert_eq!(d.get(0), a.as_mut_ptr());
-        assert_eq!(d.get(1), a.as_mut_ptr());
-        assert_eq!(d.get(2), b.as_mut_ptr());
+        assert_eq!(d.get(1), b.as_mut_ptr());
+        assert_eq!(d.get(2), a.as_mut_ptr());
         assert_eq!(d.get(3), b.as_mut_ptr());
     }
 

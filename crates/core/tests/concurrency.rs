@@ -4,7 +4,7 @@
 //! must never observe a value that the version protocol declared valid but
 //! that contradicts the writer's history.
 
-use shortcut_core::{MaintConfig, MaintRequest, Maintainer};
+use shortcut_core::{MaintConfig, MaintRequest, Maintainer, SlotStride};
 use shortcut_rewire::{PageIdx, PagePool, PoolConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
@@ -166,7 +166,11 @@ fn updates_race_with_readers_without_tearing() {
         for i in 0..400u64 {
             let target = if i % 2 == 0 { b } else { a };
             maint.inbox_lock().relay([MaintRequest::Update {
-                slots: 0..1,
+                slots: SlotStride {
+                    first: 0,
+                    step: 1,
+                    end: 1,
+                },
                 ppage: target,
             }]);
             if i % 50 == 0 {

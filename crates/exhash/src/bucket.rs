@@ -7,14 +7,8 @@
 //!
 //! A [`BucketRef`] is the page's base pointer and nothing else; it is
 //! valid for as long as the underlying page is allocated, which the
-//! owning index guarantees.
-//!
-//! **Relocation.** Compaction may physically move a bucket to another pool
-//! slot (copy-then-retire, see [`shortcut_rewire::PagePool::relocate_page`]).
-//! A `BucketRef` is therefore only as stable as the translation that
-//! produced it: the owning directory. Never cache one across an operation
-//! that can compact (splits, doublings, explicit passes) — re-fetch it
-//! through the directory instead.
+//! owning index guarantees. A bucket never moves: it stays on the page it
+//! was made on (the page of its hash suffix, when that was free).
 //!
 //! Page layout (little-endian, 8-byte aligned, `W = ceil(capacity / 64)`
 //! = 4):

@@ -146,16 +146,16 @@ impl IndexBuilder {
         self
     }
 
-    /// Physical bucket-layout compaction (default
-    /// [`CompactionPolicy::disabled`]; use [`CompactionPolicy::on`] for
-    /// the recommended production setting). With compaction the bucket
-    /// pages are relocated into directory order — at every doubling, when
-    /// the index's mappings cross half of its share of the budget, and to
-    /// rescue a suspended or coarsely published shortcut — so rebuilds map
-    /// identity runs the kernel merges into a handful of VMAs: this is
-    /// what lets shortcut-served lookups scale past the
-    /// `vm.max_map_count` ceiling (millions of keys on a stock kernel)
-    /// instead of suspending.
+    /// Rebuild admission (default [`CompactionPolicy::disabled`], the
+    /// worst case of one mapping per slot; use [`CompactionPolicy::on`]
+    /// for the recommended production setting). Each bucket sits on the
+    /// pool page of its hash suffix, so a rebuild maps runs the kernel
+    /// merges into a handful of VMAs; exact admission reserves just that
+    /// footprint, publishes coarser when even that does not fit, and
+    /// re-announces a suspended or coarsely published shortcut once a
+    /// finer one fits: this is what lets shortcut-served lookups scale
+    /// past the `vm.max_map_count` ceiling (millions of keys on a stock
+    /// kernel) instead of suspending.
     pub fn compaction(mut self, policy: CompactionPolicy) -> Self {
         self.maint.compaction = policy;
         self
@@ -172,15 +172,10 @@ impl IndexBuilder {
         let shard_count = 1usize << self.shard_bits.min(MAX_SHARD_BITS);
         let eh = EhConfig::default();
         let entries_per_page = steady_entries(eh.max_load_factor);
-        // Compaction passes transiently hold live buckets + the target run
-        // + not-yet-reclaimed sources, so give the fixed reservation extra
-        // room (virtual address space is effectively free; physical pages
-        // are hole-punched back as passes retire their sources).
-        let view_multiplier = if self.maint.compaction.enabled() {
-            5
-        } else {
-            2
-        };
+        // Room for every bucket to sit at its suffix: a directory has at
+        // most twice as many slots as buckets, and virtual address space
+        // (a hole in the pool file, too) is effectively free.
+        let view_multiplier = 2;
         let mut pool = self.pool.unwrap_or_else(|| match self.capacity {
             Some(entries) => {
                 // Each shard gets its own pool, so the capacity estimate

@@ -1,8 +1,7 @@
 //! The extendible-hashing directory: a wide traditional inner node plus the
-//! global depth, with the doubling and covering-range arithmetic.
+//! global depth, with the doubling and split-slot arithmetic.
 
-use shortcut_core::TraditionalNode;
-use std::ops::Range;
+use shortcut_core::{SlotStride, TraditionalNode};
 
 /// Directory of `2^global_depth` bucket pointers.
 pub struct Directory {
@@ -56,21 +55,26 @@ impl Directory {
         }
     }
 
-    /// Double the directory: slot `i` of the new directory inherits the
-    /// pointer of old slot `i/2` (Figure 6b).
+    /// Double the directory: the upper half is a copy of the lower one
+    /// (slot `i + 2^g` inherits slot `i`). The directory is indexed by
+    /// hash suffix, so this departs from the paper's Figure 6b, where slot
+    /// `i` inherits slot `i/2`: appending keeps every slot where it was,
+    /// and a bucket's aliases a stride apart instead of side by side.
     pub fn double(&mut self) {
         self.node = self.node.doubled();
         self.global_depth += 1;
     }
 
-    /// The contiguous range of slots covered by the bucket that `slot`
-    /// points to, given global depth `g` and the bucket's local depth `l`:
-    /// `2^(g-l)` slots aligned at that size.
-    pub fn covering_range(slot: usize, g: u32, l: u32) -> Range<usize> {
-        debug_assert!(l <= g);
-        let cover = 1usize << (g - l);
-        let first = slot / cover * cover;
-        first..first + cover
+    /// The slots a split of the bucket with suffix `suffix` (its local
+    /// depth `l` low bits) hands to the new bucket under global depth `g`:
+    /// those whose bit `l` is set, `suffix + 2^l + k·2^(l+1)`.
+    pub fn split_slots(suffix: usize, g: u32, l: u32) -> SlotStride {
+        debug_assert!(l < g && suffix < 1 << l);
+        SlotStride {
+            first: suffix | 1 << l,
+            step: 1 << (l + 1),
+            end: 1 << g,
+        }
     }
 }
 
@@ -106,21 +110,22 @@ mod tests {
         d.set(1, b);
         d.double();
         assert_eq!(d.get(0), a);
-        assert_eq!(d.get(1), a);
-        assert_eq!(d.get(2), b);
+        assert_eq!(d.get(1), b);
+        assert_eq!(d.get(2), a);
         assert_eq!(d.get(3), b);
     }
 
     #[test]
-    fn covering_range_math() {
-        // g=3 (8 slots), bucket with l=1 covers 4 aligned slots.
-        assert_eq!(Directory::covering_range(0, 3, 1), 0..4);
-        assert_eq!(Directory::covering_range(3, 3, 1), 0..4);
-        assert_eq!(Directory::covering_range(4, 3, 1), 4..8);
-        assert_eq!(Directory::covering_range(7, 3, 1), 4..8);
-        // l == g: exactly one slot.
-        assert_eq!(Directory::covering_range(5, 3, 3), 5..6);
-        // l = 0 covers everything.
-        assert_eq!(Directory::covering_range(6, 3, 0), 0..8);
+    fn split_slots_are_strided() {
+        // g=3 (8 slots): suffix 0 at l=0 hands over the odd slots.
+        let odd: Vec<usize> = Directory::split_slots(0, 3, 0).iter().collect();
+        assert_eq!(odd, [1, 3, 5, 7]);
+        // Suffix 0b01 at l=2 hands over 0b101 alone.
+        let one: Vec<usize> = Directory::split_slots(0b01, 3, 2).iter().collect();
+        assert_eq!(one, [0b101]);
+        // Suffix 1 at l=1: bit 1 set, bit 0 set.
+        let two: Vec<usize> = Directory::split_slots(1, 3, 1).iter().collect();
+        assert_eq!(two, [3, 7]);
+        assert_eq!(Directory::split_slots(1, 3, 1).len(), 2);
     }
 }

@@ -1,17 +1,23 @@
 //! **EH**: classical extendible hashing (paper §4, Figure 6).
 //!
-//! A directory of `2^global_depth` slots, indexed by the most significant
-//! hash bits, points to 4 KB buckets. Each bucket knows its *local depth*
-//! `l ≤ g`: exactly `2^(g−l)` contiguous directory slots reference it. An
-//! overflowing bucket splits (local depth +1); if its local depth already
-//! equals the global depth, the directory doubles first.
+//! A directory of `2^global_depth` slots, indexed by the low bits of the
+//! directory hash (its suffix, [`crate::dir_slot`]), points to 4 KB
+//! buckets. Each bucket knows its *local depth* `l ≤ g` and is named by
+//! its suffix `b`, the hash's low `l` bits: exactly the `2^(g−l)` slots
+//! `b + k·2^l` reference it. An overflowing bucket splits (local depth
+//! +1); if its local depth already equals the global depth, the directory
+//! doubles first — by appending a copy of itself.
 //!
 //! An insert or remove is one fast path inlined into the caller, in both
 //! arms; only an insert into a full bucket leaves it, for a cold split.
 //!
 //! Buckets are allocated from a [`shortcut_rewire::PagePool`] so that a
 //! shortcut directory can later be rewired straight to their physical
-//! pages — this is the prerequisite the paper states in §2.1.
+//! pages — this is the prerequisite the paper states in §2.1. The bucket
+//! of suffix `b` sits on pool page `b` ([`PagePool::alloc_page_at`]), so
+//! slot `j` maps page `j mod 2^l`: whole stretches of the directory map
+//! consecutive pages, which a rebuild maps with one `mmap` each and the
+//! kernel keeps in one VMA.
 
 mod directory;
 
@@ -19,10 +25,10 @@ pub use directory::Directory;
 
 use crate::bucket::{prefetch, BucketLayout, BucketRef, InsertOutcome, BUCKET_CAPACITY};
 use crate::error::IndexError;
-use crate::hash::{dir_slot, mult_hash, split_bit};
+use crate::hash::{dir_hash_of, dir_slot, mult_hash, split_bit};
 use crate::stats::IndexStats;
 use crate::traits::Index;
-use shortcut_core::{CompactionPolicy, MaintRequest};
+use shortcut_core::MaintRequest;
 use shortcut_rewire::{planned_vmas, PageIdx, PagePool, PoolConfig, PoolHandle};
 use std::sync::Arc;
 
@@ -50,12 +56,13 @@ pub struct EhConfig {
     /// message instead of exhausting memory (2^28 slots = 2 GB directory).
     pub max_global_depth: u32,
     /// Left-rotation applied to every key's multiplicative hash before
-    /// the directory consumes its **top** bits ([`crate::dir_slot`]).
-    /// The sharded index routes on the hash's top `s` bits and sets
-    /// `hash_rot = s` on each shard, so a shard's directory addresses
-    /// with the *next* bits down — keeping per-shard depth semantics
-    /// identical to a standalone index instead of every shard's
-    /// directory burning `s` constant levels. Default 0 (unsharded).
+    /// the directory byte-swaps it and consumes its low bits
+    /// ([`crate::dir_hash_of`]). The sharded index routes on the hash's
+    /// top `s` bits and sets `hash_rot = s` on each shard, so a shard's
+    /// directory addresses with the *next* bits down — keeping per-shard
+    /// depth semantics identical to a standalone index instead of every
+    /// shard's directory burning `s` constant levels. Default 0
+    /// (unsharded).
     pub hash_rot: u32,
 }
 
@@ -70,18 +77,6 @@ impl Default for EhConfig {
     }
 }
 
-/// Outcome of one completed compaction pass.
-#[derive(Debug, Clone, Copy)]
-pub struct CompactionOutcome {
-    /// Bucket pages physically relocated.
-    pub pages_moved: usize,
-    /// Planned-VMA estimate of the directory layout before the pass.
-    pub vmas_before: usize,
-    /// Planned-VMA estimate after (an identity layout: one VMA plus one
-    /// per fan-in > 1 aliasing boundary).
-    pub vmas_after: usize,
-}
-
 /// The EH baseline (and the synchronous half of Shortcut-EH).
 pub struct ExtendibleHash {
     pool: PagePool,
@@ -90,12 +85,6 @@ pub struct ExtendibleHash {
     len: usize,
     max_entries: usize,
     cfg: EhConfig,
-    /// Bucket-layout compaction (see [`CompactionPolicy`]): when on, every
-    /// directory doubling relocates the buckets into directory order, so
-    /// the emitted rebuild assignment is an identity run. Off unless built
-    /// by [`ExtendibleHash::try_new_tracked`]: a plain EH has no shortcut
-    /// to rebuild.
-    compaction: CompactionPolicy,
     stats: IndexStats,
     /// The directory changes recorded since the last drain; `None` unless
     /// built by [`ExtendibleHash::try_new_tracked`].
@@ -116,25 +105,17 @@ impl ExtendibleHash {
     /// allocation failures (memfd, `mmap`, reservation sizing) as
     /// [`IndexError::Pool`].
     pub fn try_new(cfg: EhConfig) -> Result<Self, IndexError> {
-        Self::build(cfg, false, CompactionPolicy::disabled())
+        Self::build(cfg, false)
     }
 
     /// [`ExtendibleHash::try_new`] for Shortcut-EH: every directory change
     /// is recorded as the [`MaintRequest`] that replays it on a shortcut —
-    /// an update per split, a create per doubling or compaction — and
-    /// `compaction` runs at every doubling.
-    pub(crate) fn try_new_tracked(
-        cfg: EhConfig,
-        compaction: CompactionPolicy,
-    ) -> Result<Self, IndexError> {
-        Self::build(cfg, true, compaction)
+    /// an update per split, a create per doubling.
+    pub(crate) fn try_new_tracked(cfg: EhConfig) -> Result<Self, IndexError> {
+        Self::build(cfg, true)
     }
 
-    fn build(
-        cfg: EhConfig,
-        track_events: bool,
-        compaction: CompactionPolicy,
-    ) -> Result<Self, IndexError> {
+    fn build(cfg: EhConfig, track_events: bool) -> Result<Self, IndexError> {
         if !(cfg.max_load_factor > 0.0 && cfg.max_load_factor <= 1.0) {
             return Err(IndexError::config("max_load_factor must be in (0, 1]"));
         }
@@ -143,7 +124,8 @@ impl ExtendibleHash {
             return Err(IndexError::config("load factor too small for any entry"));
         }
         let mut pool = PagePool::new(cfg.pool.clone())?;
-        let first = pool.alloc_page()?;
+        // The root bucket's suffix is empty: page 0.
+        let first = pool.alloc_page_at(0)?;
         let ptr = pool.page_ptr(first);
         // SAFETY: freshly allocated, exclusively owned pool page.
         unsafe { BucketRef::at(ptr) }.init(0);
@@ -156,7 +138,6 @@ impl ExtendibleHash {
             len: 0,
             max_entries,
             cfg,
-            compaction,
             stats: IndexStats::default(),
             events: track_events.then(Vec::new),
             split_entries: Vec::with_capacity(max_entries),
@@ -196,11 +177,6 @@ impl ExtendibleHash {
     /// benchmark calls it (see [`BucketLayout`]).
     pub fn bucket_layout(&self) -> BucketLayout {
         BucketLayout
-    }
-
-    /// The compaction policy the doublings run.
-    pub(crate) fn compaction(&self) -> CompactionPolicy {
-        self.compaction
     }
 
     /// Structural statistics.
@@ -298,18 +274,6 @@ impl ExtendibleHash {
         }
         self.dir.double();
         self.stats.doublings += 1;
-        if self.compaction.enabled() {
-            // Compact "for free" while the shortcut must be rebuilt
-            // anyway: the emitted assignment is then an identity run the
-            // mapper coalesces into a handful of mmap calls and VMAs. A
-            // pass that cannot run (no room for the target run) degrades
-            // to the plain scattered rebuild instead of failing the
-            // insert.
-            match self.compact_full() {
-                Ok(_) => return Ok(()),
-                Err(_) => self.note_compaction_skipped(),
-            }
-        }
         self.emit_rebuilt_event()
     }
 
@@ -321,41 +285,25 @@ impl ExtendibleHash {
     /// overflowing bucket is split only after the fresh page is in hand —
     /// so the index stays fully readable.
     fn split(&mut self, hash: u64) -> Result<(), IndexError> {
-        let g = self.dir.global_depth();
-        let slot = dir_slot(hash, g);
-        let old_ptr = self.dir.get(slot);
+        let old_ptr = self.dir.get(dir_slot(hash, self.dir.global_depth()));
         // SAFETY: live bucket slot (directory invariant).
         let old = unsafe { BucketRef::at(old_ptr) };
         let l = old.local_depth();
-
-        if l == g {
+        if l == self.dir.global_depth() {
             self.double_directory()?;
         }
-        let g = self.dir.global_depth();
-        let slot = dir_slot(hash, g);
-        // Re-fetch through the directory: a rebuild-time compaction inside
-        // `double_directory` may have physically relocated the bucket, and
-        // the pre-doubling `old` ref would then point at the retired copy
-        // (splitting *that* would lose the entries). Bucket handles are
-        // only stable through the directory's translation.
-        let old_ptr = self.dir.get(slot);
-        // SAFETY: live bucket slot (directory invariant).
-        let old = unsafe { BucketRef::at(old_ptr) };
-        let l = old.local_depth();
-        debug_assert!(l < g);
 
-        // Covering range of the old bucket: 2^(g-l) contiguous slots.
-        let range = Directory::covering_range(slot, g, l);
-        let half = range.len() / 2;
-
-        // Bucket page for the upper half, fresh or recycled.
-        let new_page = self.pool.alloc_page()?;
+        // The new half takes the slots whose bit `l` is set, and the page
+        // of its own suffix when that is free.
+        let suffix = dir_slot(hash, l);
+        let slots = Directory::split_slots(suffix, self.dir.global_depth(), l);
+        let new_page = self.pool.alloc_page_at(slots.first)?;
         let new_ptr = self.pool.page_ptr(new_page);
         // SAFETY: freshly allocated pool slot, exclusively ours.
         let new = unsafe { BucketRef::at(new_ptr) };
 
-        // Redistribute: the (l+1)-th hash bit decides the side. Both
-        // halves restart empty and tombstone-free, and every entry is
+        // Redistribute: bit `l` of the directory hash decides the side.
+        // Both halves restart empty and tombstone-free, and every entry is
         // known absent from the half it goes to.
         let mut entries = std::mem::take(&mut self.split_entries);
         entries.clear();
@@ -372,44 +320,16 @@ impl ExtendibleHash {
         }
         self.split_entries = entries;
 
-        // Redirect the upper half of the covering range.
-        let first_new = range.start + half;
-        for s in first_new..range.end {
+        for s in slots.iter() {
             self.dir.set(s, new_ptr);
         }
         self.record(MaintRequest::Update {
-            slots: first_new..range.end,
+            slots,
             ppage: new_page,
         });
         self.bucket_count += 1;
         self.stats.splits += 1;
-        // Opportunistically return relocated-away pages whose reader pins
-        // have drained (split frequency makes this prompt without putting
-        // a quiescence scan on the per-insert path).
-        if self.pool.retired_page_count() > 0 {
-            self.pool.reclaim_retired_pages();
-        }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Physical compaction: relocate bucket pages into directory order so
-    // that a shortcut rebuild becomes an identity mapping the kernel can
-    // merge into a handful of VMAs. All moves run here on the write path:
-    // `&mut self` guarantees no in-process reader holds a reference to any
-    // bucket, so a copy-then-repoint can never tear a lookup. Readers that
-    // raced through a *retired shortcut directory* may still dereference
-    // the old page — which is why sources are epoch-retired via
-    // [`shortcut_rewire::PagePool::retire_page`] instead of freed, and
-    // their ticket check discards whatever they read.
-    // ------------------------------------------------------------------
-
-    /// `slots − buckets + 1`: the planned-VMA estimate of a perfectly
-    /// directory-ordered layout (every covering-range boundary merges;
-    /// each fan-in > 1 bucket keeps `fanin − 1` unmergeable internal
-    /// boundaries). The cheapest possible "is compaction worth it" input.
-    pub fn ideal_layout_vmas(&self) -> usize {
-        self.dir.slot_count() - self.bucket_count + 1
     }
 
     /// Planned-VMA estimate of the **current** bucket layout, as a fresh
@@ -424,164 +344,23 @@ impl ExtendibleHash {
     }
 
     /// [`ExtendibleHash::layout_vmas`] for a directory published `shift`
-    /// levels coarser (the maintenance engine's budget fallback): coarse
-    /// slot `s` maps the page of fine slot `s << shift`.
+    /// levels coarser (the maintenance engine's budget fallback): the
+    /// directory's first `slots >> shift` slots.
     ///
     /// # Errors
     ///
     /// Propagates [`ExtendibleHash::directory_assignments`] failures.
     pub fn layout_vmas_at(&self, shift: u32) -> Result<usize, IndexError> {
-        let slots = self.dir.slot_count();
+        let slots = self.dir.slot_count() >> shift;
         let assignments = self.directory_assignments()?;
-        if shift == 0 {
-            return Ok(planned_vmas(slots, &assignments));
-        }
-        let coarse: Vec<(usize, PageIdx)> = (0..slots >> shift)
-            .map(|s| (s, assignments[s << shift].1))
-            .collect();
-        Ok(planned_vmas(slots >> shift, &coarse))
+        Ok(planned_vmas(slots, &assignments[..slots]))
     }
 
-    /// What [`ExtendibleHash::layout_vmas_at`] would report right after a
-    /// full compaction, published `shift` levels coarser: each coarse
-    /// boundary merges exactly when the preceding coarse slot contains
-    /// exactly one directory-ordered bucket. `O(slots)`; used by the
-    /// suspension rescue to decide whether a fresh pass can fit a budget
-    /// the current layout cannot.
-    pub fn ideal_layout_vmas_at(&self, shift: u32) -> usize {
-        if shift == 0 {
-            return self.ideal_layout_vmas();
-        }
-        let g = self.dir.global_depth();
-        let slots = self.dir.slot_count();
-        let step = (1usize << shift).min(slots);
-        // Walk coarse slots with a bucket cursor: `bucket_idx` numbers the
-        // buckets in directory order (their page index after compaction).
-        let mut planned = 0usize;
-        let mut prev: Option<usize> = None;
-        let (mut fine, mut bucket_idx) = (0usize, 0usize);
-        let cover_at = |s: usize| {
-            let ptr = self.dir.get(s);
-            // SAFETY: live bucket slot (directory invariant).
-            let l = unsafe { BucketRef::at(ptr) }.local_depth();
-            1usize << (g - l)
-        };
-        for s in (0..slots).step_by(step) {
-            let mut cover = cover_at(fine);
-            while fine + cover <= s {
-                fine += cover;
-                bucket_idx += 1;
-                cover = cover_at(fine);
-            }
-            if prev != Some(bucket_idx.wrapping_sub(1)) {
-                planned += 1;
-            }
-            prev = Some(bucket_idx);
-        }
-        planned
-    }
-
-    fn note_compaction(&mut self, outcome: CompactionOutcome) {
-        self.stats.compactions += 1;
-        self.stats.pages_moved += outcome.pages_moved as u64;
-        self.stats.vmas_saved += outcome.vmas_before.saturating_sub(outcome.vmas_after) as u64;
-    }
-
-    pub(crate) fn note_compaction_skipped(&mut self) {
-        self.stats.compaction_skipped += 1;
-    }
-
-    /// Move the bucket covering `slot` to `dst`: copy the page, repoint
-    /// every covering directory slot, retire the source, and record the
-    /// per-slot identity assignment. Returns the covering width.
-    fn move_bucket(
-        &mut self,
-        slot: usize,
-        dst: PageIdx,
-        assignments: &mut Vec<(usize, PageIdx)>,
-    ) -> Result<usize, IndexError> {
-        let g = self.dir.global_depth();
-        let ptr = self.dir.get(slot);
-        // SAFETY: live bucket slot (directory invariant).
-        let l = unsafe { BucketRef::at(ptr) }.local_depth();
-        let range = Directory::covering_range(slot, g, l);
-        debug_assert_eq!(range.start, slot, "cursor must sit on a range start");
-        let src = self.pool.page_of_ptr(ptr)?;
-        self.pool.relocate_page(src, dst)?;
-        let dst_ptr = self.pool.page_ptr(dst);
-        for s in range.clone() {
-            self.dir.set(s, dst_ptr);
-        }
-        self.pool.retire_page(src)?;
-        assignments.extend(range.clone().map(|s| (s, dst)));
-        Ok(range.len())
-    }
-
-    /// Relocate **every** bucket into directory order in one pass and
-    /// (when tracked) record a single [`MaintRequest::Create`]
-    /// carrying the identity assignment. Sources are epoch-retired and
-    /// reclaimed once reader pins drain; the vacated span is reused by the
-    /// next pass.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the pool cannot host the target run (view capacity). If
-    /// some buckets moved before the failure, the directory is left fully
-    /// consistent and a create with the *current* assignment is still
-    /// recorded, so a shortcut can never legitimize stale slots.
-    pub fn compact_full(&mut self) -> Result<CompactionOutcome, IndexError> {
-        self.pool.reclaim_retired_pages();
-        let slots = self.dir.slot_count();
-        let vmas_before = self.layout_vmas()?;
-        let n = self.bucket_count;
-        let target = self.pool.alloc_run(n)?;
-        let mut assignments: Vec<(usize, PageIdx)> = Vec::with_capacity(slots);
-        let mut moved = 0usize;
-        let mut cursor = 0usize;
-        let result: Result<(), IndexError> = loop {
-            if cursor >= slots {
-                break Ok(());
-            }
-            match self.move_bucket(cursor, PageIdx(target.0 + moved), &mut assignments) {
-                Ok(cover) => {
-                    cursor += cover;
-                    moved += 1;
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        match result {
-            Ok(()) => {
-                debug_assert_eq!(moved, n, "covering ranges must partition the directory");
-                let vmas_after = planned_vmas(slots, &assignments);
-                self.record(MaintRequest::Create { slots, assignments });
-                let outcome = CompactionOutcome {
-                    pages_moved: moved,
-                    vmas_before,
-                    vmas_after,
-                };
-                self.note_compaction(outcome);
-                Ok(outcome)
-            }
-            Err(e) => {
-                // Free the part of the target run no bucket reached.
-                if moved < n {
-                    let _ = self.pool.free_run(PageIdx(target.0 + moved), n - moved);
-                }
-                // The moved prefix is live: publish the current (partly
-                // compacted) truth so the shortcut rebuild reflects it.
-                let _ = self.emit_rebuilt_event();
-                Err(e)
-            }
-        }
-    }
-
-    /// Announce the current directory as a full rebuild without moving any
-    /// page: records one [`MaintRequest::Create`] carrying the current
-    /// assignment. A doubling does, Shortcut-EH's first directory does,
-    /// and Shortcut-EH lifts a budget suspension with it once splits have
-    /// shrunk the layout's footprint below the budget — the pages are
-    /// already well placed, only the mapper needs to hear about it again.
+    /// Announce the current directory as a full rebuild: records one
+    /// [`MaintRequest::Create`] carrying the current assignment. A
+    /// doubling does, Shortcut-EH's first directory does, and Shortcut-EH
+    /// lifts a budget suspension (or a coarse publish) with it once a
+    /// finer directory fits the budget again.
     ///
     /// # Errors
     ///
@@ -597,9 +376,9 @@ impl ExtendibleHash {
         Ok(())
     }
 
-    /// The hash the directory addresses with: the key's multiplicative
-    /// hash rotated left by [`EhConfig::hash_rot`] (0 unless this index
-    /// is a shard — see the field's docs).
+    /// The hash the directory addresses with: [`dir_hash_of`] the key's
+    /// multiplicative hash, under [`EhConfig::hash_rot`] (0 unless this
+    /// index is a shard — see the field's docs).
     #[inline(always)]
     pub fn dir_hash(&self, key: u64) -> u64 {
         self.dir_hash_of(mult_hash(key))
@@ -609,7 +388,7 @@ impl ExtendibleHash {
     /// `hash`, for callers that already computed it (shard routing).
     #[inline(always)]
     pub(crate) fn dir_hash_of(&self, hash: u64) -> u64 {
-        hash.rotate_left(self.cfg.hash_rot)
+        dir_hash_of(hash, self.cfg.hash_rot)
     }
 
     /// [`Index::get`] from the key's [`ExtendibleHash::dir_hash`].
@@ -819,26 +598,38 @@ mod tests {
             let ptr = eh.dir.get(s);
             assert!(!ptr.is_null());
             // SAFETY: directory invariant — live bucket page.
-            let b = unsafe { BucketRef::at(ptr) };
-            let l = b.local_depth();
+            let l = unsafe { BucketRef::at(ptr) }.local_depth();
             assert!(l <= g, "local depth exceeds global at slot {s}");
-            // Exactly 2^(g-l) contiguous slots share this bucket, aligned
-            // to that power of two.
-            let cover = 1usize << (g - l);
-            assert_eq!(s / cover, (s / cover * cover) / cover);
-            seen.entry(ptr as usize).or_insert_with(Vec::new).push(s);
+            seen.entry(ptr as usize)
+                .or_insert_with(Vec::new)
+                .push((s, l));
         }
-        for (_, slots) in seen.iter() {
-            // Covering slots are contiguous and a power of two long.
-            let len = slots.len();
-            assert!(len.is_power_of_two(), "cover size {len} not a power of 2");
-            assert_eq!(slots[len - 1] - slots[0] + 1, len, "cover not contiguous");
+        for slots in seen.values() {
+            // A bucket of local depth l is named by the 2^(g-l) slots that
+            // share its l-bit suffix, one every 2^l.
+            let (first, l) = slots[0];
+            assert!(first < 1 << l, "first slot {first} is not a suffix");
+            let want: Vec<(usize, u32)> = (first..eh.dir_slots())
+                .step_by(1 << l)
+                .map(|s| (s, l))
+                .collect();
+            assert_eq!(slots, &want);
         }
         assert_eq!(seen.len(), eh.bucket_count());
     }
 
+    /// The layout rule: the bucket of suffix `b` sits on pool page `b`,
+    /// so slot `j` maps page `j mod 2^l`.
+    fn assert_suffix_layout(eh: &ExtendibleHash, assignments: &[(usize, PageIdx)]) {
+        for &(slot, page) in assignments {
+            // SAFETY: directory invariant — live bucket page.
+            let l = unsafe { BucketRef::at(eh.pool.page_ptr(page)) }.local_depth();
+            assert_eq!(page.0, slot & ((1 << l) - 1), "slot {slot}");
+        }
+    }
+
     #[test]
-    fn entries_live_in_their_prefix_bucket() {
+    fn entries_live_in_their_suffix_bucket() {
         let mut eh = small();
         let bucket_at = |eh: &ExtendibleHash, slot: usize| {
             // SAFETY: directory invariant — live bucket page.
@@ -854,10 +645,9 @@ mod tests {
             if eh.stats().splits > splits {
                 // The bucket `k` went into and its buddy are the halves of
                 // the last split: rebuilt, so tombstone-free.
-                let g = eh.global_depth();
-                let slot = dir_slot(eh.dir_hash(k), g);
+                let slot = dir_slot(eh.dir_hash(k), eh.global_depth());
                 let l = bucket_at(&eh, slot).local_depth();
-                for half in [slot, slot ^ (1 << (g - l))] {
+                for half in [slot, slot ^ (1 << (l - 1))] {
                     let b = bucket_at(&eh, half);
                     assert_eq!(b.local_depth(), l, "not a buddy at key {k}");
                     assert_eq!(b.tombstones(), 0, "split left a tombstone at key {k}");
@@ -872,36 +662,33 @@ mod tests {
         for k in 0..20_000u64 {
             assert_eq!(eh.get(k), model.get(&k).copied(), "key {k}");
         }
-        let g = eh.global_depth();
         let mut entries = 0;
-        let mut s = 0;
-        while s < eh.dir_slots() {
+        for s in 0..eh.dir_slots() {
             let b = bucket_at(&eh, s);
-            let cover = 1usize << (g - b.local_depth());
+            let l = b.local_depth();
+            if s >= 1 << l {
+                continue; // Counted at its suffix, the lowest slot naming it.
+            }
             b.for_each_entry(|k, _| {
-                // The entry's slot must be covered by this bucket.
-                let slot = dir_slot(eh.dir_hash(k), g);
-                assert_eq!(slot / cover, s / cover, "entry {k} in wrong bucket");
+                assert_eq!(dir_slot(eh.dir_hash(k), l), s, "entry {k} in wrong bucket");
                 entries += 1;
             });
-            s += cover;
         }
         assert_eq!(entries, model.len(), "a bucket holds a removed entry");
+        assert_suffix_layout(&eh, &eh.directory_assignments().unwrap());
     }
 
     #[test]
     fn events_track_splits_and_doublings() {
-        let mut eh =
-            ExtendibleHash::try_new_tracked(EhConfig::default(), CompactionPolicy::disabled())
-                .unwrap();
-        // The lower half of the hash space first, then the upper one: the
-        // upper half's buckets stay shallow while the directory deepens,
+        let mut eh = ExtendibleHash::try_new_tracked(EhConfig::default()).unwrap();
+        // The even half of the hash space first, then the odd one: the
+        // odd half's buckets stay shallow while the directory deepens,
         // and their splits redirect many slots each, so one update a split
         // and one a redirected slot give different counts.
         let keys: Vec<u64> = {
-            let half = |upper: bool| {
+            let half = |odd: bool| {
                 let eh = &eh;
-                (0u64..).filter(move |&k| (eh.dir_hash(k) >> 63 == 1) == upper)
+                (0u64..).filter(move |&k| (eh.dir_hash(k) & 1 == 1) == odd)
             };
             half(false)
                 .take(3_000)
@@ -955,109 +742,111 @@ mod tests {
     }
 
     #[test]
-    fn compact_full_sorts_layout_and_keeps_answers() {
-        let mut eh = small();
-        for k in 0..20_000u64 {
-            eh.insert(k, k * 13).unwrap();
-        }
-        let before = eh.layout_vmas().unwrap();
-        let ideal = eh.ideal_layout_vmas();
-        // Split-order allocation scatters the layout far from directory
-        // order.
-        assert!(before > ideal * 4, "layout unexpectedly compact: {before}");
-
-        let out = eh.compact_full().unwrap();
-        assert_eq!(out.pages_moved, eh.bucket_count());
-        assert_eq!(out.vmas_before, before);
-        assert_eq!(out.vmas_after, ideal, "identity layout must hit the ideal");
-        assert_eq!(eh.layout_vmas().unwrap(), ideal);
-        assert_eq!(eh.stats().compactions, 1);
-        assert_eq!(eh.stats().pages_moved as usize, out.pages_moved);
-
-        // Every answer survives the relocation.
-        for k in 0..20_000u64 {
-            assert_eq!(eh.get(k), Some(k * 13), "key {k}");
-        }
-        // Sources were retired, and (no readers) a reclaim frees them for
-        // reuse — the next pass can reuse the vacated span.
-        eh.pool.reclaim_retired_pages();
-        assert_eq!(eh.pool.retired_page_count(), 0);
-        let pages_before = eh.pool.file_pages();
-        eh.compact_full().unwrap();
-        assert_eq!(
-            eh.pool.file_pages(),
-            pages_before,
-            "second pass grew the file"
-        );
-    }
-
-    #[test]
     fn on_rebuild_compaction_keeps_directory_near_identity() {
-        let mut eh = ExtendibleHash::try_new_tracked(
-            EhConfig {
-                pool: PoolConfig {
-                    initial_pages: 1,
-                    min_growth_pages: 8,
-                    view_capacity_pages: 1 << 16,
-                    ..PoolConfig::default()
-                },
-                ..EhConfig::default()
+        // No page ever moves: each bucket is placed at its suffix when it
+        // is made, and every rebuild a doubling announces is already laid
+        // out in runs.
+        let mut eh = ExtendibleHash::try_new_tracked(EhConfig {
+            pool: PoolConfig {
+                initial_pages: 1,
+                min_growth_pages: 8,
+                view_capacity_pages: 1 << 16,
+                ..PoolConfig::default()
             },
-            CompactionPolicy::on(),
-        )
+            ..EhConfig::default()
+        })
         .unwrap();
-        let n = 20_000u64;
-        for k in 0..n {
-            // This doubles repeatedly with compaction inside the doubling
-            // path — the split that triggered it must re-fetch its bucket
-            // through the directory or it would drain the retired copy.
-            eh.insert(k, !k).unwrap();
+        let n = 100_000u64;
+        for i in 0..n {
+            eh.insert(scattered(3, i), i).unwrap();
         }
-        for k in 0..n {
-            assert_eq!(eh.get(k), Some(!k), "key {k}");
+        for i in 0..n {
+            assert_eq!(eh.get(scattered(3, i)), Some(i), "key {i}");
         }
-        assert!(eh.stats().doublings > 3);
-        assert_eq!(eh.stats().compactions, eh.stats().doublings);
-
+        assert!(eh.stats().doublings > 8);
         let events = take_events(&mut eh);
         let rebuilds: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                MaintRequest::Create { slots, assignments } => Some((slots, assignments)),
+                MaintRequest::Create { slots, assignments } => Some((*slots, assignments)),
                 MaintRequest::Update { .. } => None,
             })
             .collect();
-        // One create a doubling: the compacted rebuild, no second one for
-        // the doubling itself.
         assert_eq!(rebuilds.len() as u64, eh.stats().doublings);
-        // The last rebuild's assignment is a full identity over the
-        // directory at that time: sorted slots, monotone pages within
-        // each covering run.
-        let (slots, assignments) = rebuilds.last().unwrap();
-        assert_eq!(assignments.len(), **slots);
-        for (i, (s, _)) in assignments.iter().enumerate() {
-            assert_eq!(i, *s);
+        for (slots, assignments) in &rebuilds {
+            assert_eq!(assignments.len(), *slots);
+            // A uniform load doubles when nearly every bucket has split to
+            // the old depth: the copy maps two runs, and the few buckets
+            // left shallower break them in a handful of places.
+            let runs = planned_vmas(*slots, assignments);
+            if *slots >= 256 {
+                assert!(runs * 16 <= *slots, "{runs} runs over {slots} slots");
+            }
         }
-        let distinct: std::collections::BTreeSet<usize> =
-            assignments.iter().map(|(_, p)| p.0).collect();
-        let min = *distinct.iter().next().unwrap();
-        let max = *distinct.iter().next_back().unwrap();
-        assert_eq!(
-            max - min + 1,
-            distinct.len(),
-            "compacted pages must be one contiguous run"
-        );
-        // Layout since the last doubling fragments only by the splits that
-        // followed it: each breaks at most 3 boundaries on top of the
-        // irreducible fan-in floor (`ideal = slots − buckets + 1`).
-        let layout = eh.layout_vmas().unwrap();
-        // Every split since added one bucket to those the pass placed.
-        let splits_since = eh.bucket_count() - distinct.len();
-        let bound = eh.ideal_layout_vmas() + 3 * splits_since;
+        assert_suffix_layout(&eh, &eh.directory_assignments().unwrap());
+    }
+
+    /// Keys whose directory hashes share a 10-bit suffix drive the depth
+    /// past log2 of a 2^10-page view: their buckets cannot sit at their
+    /// suffix and take fallback pages, and every answer still agrees with
+    /// a `HashMap`.
+    #[test]
+    fn a_long_shared_suffix_takes_fallback_pages_and_keeps_answers() {
+        // The inverse of MULT_CONST modulo 2^64, by Newton's iteration.
+        let inv = (0..6).fold(crate::hash::MULT_CONST, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(crate::hash::MULT_CONST.wrapping_mul(x)))
+        });
+        assert_eq!(inv.wrapping_mul(crate::hash::MULT_CONST), 1);
+        // dir_hash = swap_bytes(mult_hash): the directory's low 10 bits are
+        // the multiplicative hash's bits 56..64 and 48..50.
+        let fixed = 0xFFu64 << 56 | 0b11 << 48;
+        let key = |i: u64| (scattered(7, i) & !fixed | 0xA5 << 56 | 0b10 << 48).wrapping_mul(inv);
+        let mut eh = limited(8, 1 << 10);
+        let mut model = std::collections::HashMap::new();
+        for i in 0..600u64 {
+            assert_eq!(dir_slot(eh.dir_hash(key(i)), 10), 0x2A5);
+            eh.insert(key(i), i).unwrap();
+            model.insert(key(i), i);
+        }
+        for i in 0..1_000u64 {
+            eh.insert(scattered(8, i), i).unwrap();
+            model.insert(scattered(8, i), i);
+        }
+        assert!(eh.global_depth() > 10, "depth {}", eh.global_depth());
+        for (&k, &v) in &model {
+            assert_eq!(eh.get(k), Some(v), "key {k}");
+        }
+        assert_eq!(eh.len(), model.len());
+        let assignments = eh.directory_assignments().unwrap();
+        let misplaced = assignments
+            .iter()
+            .filter(|&&(slot, page)| {
+                // SAFETY: directory invariant — live bucket page.
+                let l = unsafe { BucketRef::at(eh.pool.page_ptr(page)) }.local_depth();
+                page.0 != slot & ((1 << l) - 1)
+            })
+            .count();
+        assert!(misplaced > 0, "no bucket took a fallback page");
+    }
+
+    /// Identity placement leaves holes in the pool file, and nothing fills
+    /// them: after 2^16 keys the file holds at most 1.25 × the pages the
+    /// pool handed out.
+    #[test]
+    fn placement_holes_hold_no_memory() {
+        use std::os::unix::fs::MetadataExt;
+        let mut eh = small();
+        for k in 0..1u64 << 16 {
+            eh.insert(k, k).unwrap();
+        }
+        let handed_out = eh.pool.allocated_pages() as u64;
+        let file = std::fs::metadata(format!("/proc/self/fd/{}", eh.pool_handle().fd())).unwrap();
+        let resident = file.blocks() * 512 / shortcut_rewire::PAGE_SIZE_4K as u64;
         assert!(
-            layout <= bound,
-            "{layout} VMAs > ideal {} + 3×{splits_since} splits",
-            eh.ideal_layout_vmas(),
+            resident * 4 <= handed_out * 5,
+            "{resident} resident pages for {handed_out} handed out \
+             (file of {} pages)",
+            eh.pool.file_pages()
         );
     }
 

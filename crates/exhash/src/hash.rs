@@ -1,11 +1,15 @@
 //! The shared lightweight multiplicative hash.
 //!
 //! All five schemes use the same hash function for comparability (paper
-//! §4.2). Extendible hashing consumes the **most significant bits** for the
-//! directory slot, so a multiplicative (Fibonacci) hash — whose high bits
-//! are the well-mixed ones — is the natural fit. In-bucket open addressing
-//! uses a second multiplicative constant (Shortcut-EH "has to compute two
-//! hashes: directory slot and bucket slot").
+//! §4.2). A multiplicative (Fibonacci) hash mixes its **high** bits well
+//! and its low bits poorly (the lowest bit of `key * odd` is the key's
+//! own), so every consumer reads it from the top: shard routing takes the
+//! top bits ([`route_slot`]), and the directory hash ([`dir_hash_of`])
+//! byte-swaps the rotated hash so that extendible hashing's directory,
+//! which is indexed by hash **suffix** ([`dir_slot`]), starts at the
+//! well-mixed top byte. In-bucket open addressing uses a second
+//! multiplicative constant (Shortcut-EH "has to compute two hashes:
+//! directory slot and bucket slot").
 
 /// 2^64 / φ, the classic Fibonacci-hashing constant.
 pub const MULT_CONST: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -26,22 +30,43 @@ pub fn bucket_slot_hash(key: u64) -> u64 {
     key.wrapping_mul(BUCKET_CONST)
 }
 
-/// Directory slot for a hash under `global_depth` (`< 64`): the top
-/// `global_depth` bits. Depth 0 always maps to slot 0 — the shift is split
-/// in two so that it needs no branch to be valid there.
+/// The hash a directory addresses with, from a key's [`mult_hash`]:
+/// rotated left by `hash_rot` (a shard's routing bits, 0 unsharded —
+/// see [`crate::EhConfig::hash_rot`]), then byte-swapped, so the low bits
+/// [`dir_slot`] reads are the top byte of the rotated hash. The one
+/// definition for the directory, the shortcut read and every caller.
+#[inline(always)]
+pub fn dir_hash_of(hash: u64, hash_rot: u32) -> u64 {
+    hash.rotate_left(hash_rot).swap_bytes()
+}
+
+/// Directory slot of a directory hash under `global_depth` (`< 64`): its
+/// low `global_depth` bits, the hash **suffix**. Doubling the directory
+/// appends a copy of it (slot `s + 2^g` shares slot `s`'s suffix), the
+/// addressing order of linear hashing (Litwin, VLDB 1980).
 #[inline(always)]
 pub fn dir_slot(hash: u64, global_depth: u32) -> usize {
     debug_assert!(global_depth < 64);
-    ((hash >> 1) >> (63 - global_depth)) as usize
+    (hash & ((1u64 << global_depth) - 1)) as usize
 }
 
-/// The `depth`-th most significant bit of `hash` (0-indexed): the bit that
-/// decides which side of a split an entry lands on when local depth grows
-/// from `depth` to `depth + 1`.
+/// Bit `depth` of a directory hash: the bit that decides which side of a
+/// split an entry lands on when local depth grows from `depth` to
+/// `depth + 1`.
 #[inline(always)]
 pub fn split_bit(hash: u64, depth: u32) -> bool {
     debug_assert!(depth < 64);
-    (hash >> (63 - depth)) & 1 == 1
+    (hash >> depth) & 1 == 1
+}
+
+/// The shard a key's [`mult_hash`] routes to among `2^bits`: its top
+/// `bits` bits, which a shard's directory hash rotates out of its way.
+/// Zero bits route every hash to shard 0 — the shift is split in two so
+/// that it needs no branch to be valid there.
+#[inline(always)]
+pub fn route_slot(hash: u64, bits: u32) -> usize {
+    debug_assert!(bits < 64);
+    ((hash >> 1) >> (63 - bits)) as usize
 }
 
 #[cfg(test)]
@@ -55,18 +80,16 @@ mod tests {
     }
 
     #[test]
-    fn dir_slot_uses_top_bits() {
-        // hash with top bit set -> upper half of the directory.
-        let h = 1u64 << 63;
-        assert_eq!(dir_slot(h, 1), 1);
-        assert_eq!(dir_slot(h, 2), 0b10);
+    fn dir_slot_uses_low_bits() {
+        assert_eq!(dir_slot(1, 1), 1);
+        assert_eq!(dir_slot(0b110, 2), 0b10);
         assert_eq!(dir_slot(!0, 3), 0b111);
-        assert_eq!(dir_slot(0, 8), 0);
+        assert_eq!(dir_slot(1 << 63, 8), 0);
     }
 
     #[test]
-    fn split_bit_extracts_msb_first() {
-        let h = 0b1010u64 << 60;
+    fn split_bit_extracts_lsb_first() {
+        let h = 0b0101u64;
         assert!(split_bit(h, 0));
         assert!(!split_bit(h, 1));
         assert!(split_bit(h, 2));
@@ -75,25 +98,42 @@ mod tests {
 
     #[test]
     fn dir_slot_consistent_with_split_bit() {
-        // Doubling rule: slot at depth g+1 = (slot at depth g) * 2 + split_bit(g).
+        // The append rule: slot_{g+1} = slot_g | split_bit(g) << g.
         for key in [0u64, 1, 42, 0xdead_beef, u64::MAX / 3] {
-            let h = mult_hash(key);
+            let h = dir_hash_of(mult_hash(key), 0);
             for g in 0..16 {
                 let s_g = dir_slot(h, g);
                 let s_g1 = dir_slot(h, g + 1);
                 let bit = split_bit(h, g) as usize;
-                assert_eq!(s_g1, s_g * 2 + bit, "key {key} depth {g}");
+                assert_eq!(s_g1, s_g | bit << g, "key {key} depth {g}");
             }
         }
     }
 
     #[test]
+    fn the_directory_reads_the_top_byte_first() {
+        let h = mult_hash(0x1234_5678);
+        assert_eq!(dir_slot(dir_hash_of(h, 0), 8) as u64, h >> 56);
+        // A shard's rotation moves its routing bits out of the suffix.
+        assert_eq!(dir_slot(dir_hash_of(h, 3), 8) as u64, (h << 3) >> 56);
+    }
+
+    #[test]
+    fn route_slot_uses_top_bits() {
+        let h = 1u64 << 63;
+        assert_eq!(route_slot(h, 0), 0);
+        assert_eq!(route_slot(h, 1), 1);
+        assert_eq!(route_slot(h, 2), 0b10);
+        assert_eq!(route_slot(!0, 3), 0b111);
+    }
+
+    #[test]
     fn hash_spreads_sequential_keys() {
         // Sequential keys must land in different directory slots (this is
-        // exactly why a multiplicative hash is used).
+        // exactly why a multiplicative hash is used, read from the top).
         let mut slots = std::collections::HashSet::new();
         for k in 0..1000u64 {
-            slots.insert(dir_slot(mult_hash(k), 10));
+            slots.insert(dir_slot(dir_hash_of(mult_hash(k), 0), 10));
         }
         assert!(slots.len() > 500, "only {} distinct slots", slots.len());
     }

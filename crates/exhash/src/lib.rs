@@ -11,10 +11,10 @@
 //! * [`ChainedHash`] (**CH**) — a fixed-size table whose slots hold an
 //!   entry or link to a chain of fixed-size (128 B) overflow buckets.
 //! * [`ExtendibleHash`] (**EH**) — classical extendible hashing \[Fagin et
-//!   al. 1979\]: a directory indexed by the most significant hash bits,
-//!   pointing to 4 KB buckets with local depths; buckets split on overflow
-//!   and the directory doubles when a bucket's local depth reaches the
-//!   global depth.
+//!   al. 1979\]: a directory indexed by the directory hash's low bits (its
+//!   suffix), pointing to 4 KB buckets with local depths; buckets split on
+//!   overflow and the directory doubles — appending a copy of itself —
+//!   when a bucket's local depth reaches the global depth.
 //! * [`ShortcutEh`] (**Shortcut-EH**) — EH enhanced with a page-table
 //!   shortcut directory maintained asynchronously (paper §4.1): lookups
 //!   route through the shortcut whenever it is in sync and the average
@@ -50,9 +50,9 @@ pub use bucket::{
 };
 pub use builder::IndexBuilder;
 pub use chained::{ChConfig, ChainedHash};
-pub use eh::{CompactionOutcome, EhConfig, ExtendibleHash};
+pub use eh::{EhConfig, ExtendibleHash};
 pub use error::IndexError;
-pub use hash::{bucket_slot_hash, dir_slot, mult_hash};
+pub use hash::{bucket_slot_hash, dir_hash_of, dir_slot, mult_hash};
 pub use ht::{HashTable, HtConfig};
 pub use hti::{HtiConfig, IncrementalHashTable};
 pub use shard::{ShortcutIndex, MAX_SHARD_BITS};

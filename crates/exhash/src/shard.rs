@@ -1,14 +1,16 @@
 //! [`ShortcutIndex`]: hash-partitioned sharding over [`ShortcutEh`].
 //!
 //! [`ShortcutIndex`] owns `N = 2^s` independent Shortcut-EH shards — each
-//! with its own page pool, mapper thread, retirement list, and compaction
+//! with its own page pool, mapper thread, retirement list, and admission
 //! policy — and routes every key by the **top `s` bits** of its
-//! multiplicative hash ([`mult_hash`]). Each shard's directory then hashes
-//! with the rotation `hash_rot = s` ([`crate::EhConfig::hash_rot`]), so it
-//! consumes the *next* bits down and keeps exactly the depth semantics of
-//! a standalone index: an `s`-bit route plus a depth-`g` shard directory
-//! addresses the same `s + g` hash bits a single depth-`(s + g)` directory
-//! would, without every shard burning `s` constant levels.
+//! multiplicative hash ([`mult_hash`], [`route_slot`]). Each shard's
+//! directory then hashes with the rotation `hash_rot = s`
+//! ([`crate::EhConfig::hash_rot`]), so its directory hash
+//! ([`crate::dir_hash_of`]) starts at the *next* bits down and keeps
+//! exactly the depth semantics of a standalone index: an `s`-bit route
+//! plus a depth-`g` shard directory addresses `s + g` hash bits, without
+//! every shard burning `s` constant levels and without a routing bit in
+//! any shard's directory slot.
 //!
 //! Two write disciplines coexist:
 //!
@@ -45,9 +47,9 @@
 //! rebuilds.
 
 use crate::builder::IndexBuilder;
-use crate::eh::{CompactionOutcome, WINDOW};
+use crate::eh::WINDOW;
 use crate::error::IndexError;
-use crate::hash::{dir_slot, mult_hash};
+use crate::hash::{mult_hash, route_slot};
 use crate::shortcut_eh::{ReadSection, ShortcutEh, ShortcutEhConfig};
 use crate::stats::StatsSnapshot;
 use crate::traits::Index;
@@ -236,7 +238,7 @@ impl<S> Held<S> {
         if bits == 0 {
             add(&mut touched, 0); // One shard owns every key.
         } else {
-            keys.for_each(|key| add(&mut touched, dir_slot(mult_hash(key), bits)));
+            keys.for_each(|key| add(&mut touched, route_slot(mult_hash(key), bits)));
         }
         let mut held = Held {
             bits,
@@ -261,7 +263,7 @@ impl<S> Held<S> {
         // SAFETY: the caller's.
         unsafe {
             self.sections
-                .get_unchecked(dir_slot(hash, self.bits))
+                .get_unchecked(route_slot(hash, self.bits))
                 .assume_init_ref()
         }
     }
@@ -276,7 +278,7 @@ impl<S> Held<S> {
         // SAFETY: the caller's.
         unsafe {
             self.sections
-                .get_unchecked_mut(dir_slot(hash, self.bits))
+                .get_unchecked_mut(route_slot(hash, self.bits))
                 .assume_init_mut()
         }
     }
@@ -438,7 +440,7 @@ impl ShortcutIndex {
     /// multiplicative hash (0 when unsharded).
     #[inline]
     pub fn shard_of(&self, key: u64) -> usize {
-        dir_slot(mult_hash(key), self.bits)
+        route_slot(mult_hash(key), self.bits)
     }
 
     /// The read line of the shard a key routes to, from its [`mult_hash`]
@@ -450,7 +452,7 @@ impl ShortcutIndex {
             // SAFETY: `try_new` builds `1 << bits >= 1` lines and nothing
             // removes one.
             0 => unsafe { self.lines.get_unchecked(0) },
-            bits => &self.lines[dir_slot(hash, bits)],
+            bits => &self.lines[route_slot(hash, bits)],
         }
     }
 
@@ -461,7 +463,7 @@ impl ShortcutIndex {
         let shard = match self.bits {
             // SAFETY: as in `line_for`.
             0 => unsafe { self.shards.get_unchecked_mut(0) },
-            bits => &mut self.shards[dir_slot(hash, bits)],
+            bits => &mut self.shards[route_slot(hash, bits)],
         };
         shard.eh.get_mut()
     }
@@ -535,7 +537,7 @@ impl ShortcutIndex {
     }
 
     /// Run `f` against shard `i` under a **write** lock (shared-writer
-    /// maintenance such as per-shard [`ShortcutEh::compact`]).
+    /// maintenance).
     ///
     /// `f` must not call back into the index, as for
     /// [`ShortcutIndex::with_shard`].
@@ -566,7 +568,7 @@ impl ShortcutIndex {
     /// Same contract as [`Index::insert`].
     pub fn insert_shared(&self, key: u64, value: u64) -> Result<(), IndexError> {
         let hash = mult_hash(key);
-        let mut section = self.enter_write(dir_slot(hash, self.bits));
+        let mut section = self.enter_write(route_slot(hash, self.bits));
         if section.update(key, value, hash) {
             return Ok(());
         }
@@ -581,7 +583,7 @@ impl ShortcutIndex {
     pub fn remove_shared(&self, key: u64) -> Result<Option<u64>, IndexError> {
         let hash = mult_hash(key);
         Ok(self
-            .enter_write(dir_slot(hash, self.bits))
+            .enter_write(route_slot(hash, self.bits))
             .eh()
             .remove_hashed(key, hash))
     }
@@ -743,34 +745,6 @@ impl ShortcutIndex {
             .find_map(|s| s.read_locked(|s| s.maint_error()))
     }
 
-    /// Relocate every shard's bucket pages into directory order in one
-    /// synchronous pass each (exclusive discipline) and hand the identity
-    /// rebuilds to the mappers, summing the per-shard outcomes. After the
-    /// mappers apply them (and retired mappings drain), the live VMA
-    /// footprint collapses from one-per-scattered-slot to one per fan-in
-    /// cluster. Automatic passes run per the [`IndexBuilder::compaction`]
-    /// policy; this entry point is for explicit maintenance windows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing shard's error (typically no room for
-    /// the contiguous target run); earlier shards keep their completed
-    /// passes, and the index stays consistent and keeps answering.
-    pub fn compact(&mut self) -> Result<CompactionOutcome, IndexError> {
-        let mut total = CompactionOutcome {
-            pages_moved: 0,
-            vmas_before: 0,
-            vmas_after: 0,
-        };
-        for s in &mut self.shards {
-            let o = s.eh.get_mut().compact()?;
-            total.pages_moved += o.pages_moved;
-            total.vmas_before += o.vmas_before;
-            total.vmas_after += o.vmas_after;
-        }
-        Ok(total)
-    }
-
     /// Summed planned-VMA estimate of every shard's current layout, as a
     /// fresh shortcut rebuild would map it (`O(slots)` — diagnostics).
     ///
@@ -783,16 +757,6 @@ impl ShortcutIndex {
             total += s.read_locked(|s| s.layout_vmas())?;
         }
         Ok(total)
-    }
-
-    /// Summed `slots − buckets + 1`: the irreducible footprint of a
-    /// perfectly compacted layout (per shard, one VMA plus one per aliased
-    /// fan-in > 1 slot).
-    pub fn ideal_layout_vmas(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read_locked(|s| s.ideal_layout_vmas()))
-            .sum()
     }
 }
 
@@ -925,7 +889,7 @@ mod tests {
     #[test]
     fn unsharded_matches_a_bare_shortcut_eh() {
         // N = 1 must behave identically to ShortcutEh: same answers, same
-        // routing hash (hash_rot = 0 leaves dir_hash == mult_hash).
+        // directory hash (hash_rot = 0 on both).
         let mut sharded = ShortcutIndex::try_new(0, fast_cfg()).unwrap();
         let mut bare = ShortcutEh::try_new(fast_cfg()).unwrap();
         for k in 0..5_000u64 {
@@ -957,6 +921,34 @@ mod tests {
         }
         assert_eq!(t.get(999_999), None);
         assert!(t.maint_error().is_none());
+    }
+
+    /// At 2^2 shards every slot of every shard's directory is reachable:
+    /// the directory hash rotates the routing bits out of its suffix, so
+    /// none of them fixes a slot bit of the shard that owns the key.
+    #[test]
+    fn every_slot_of_every_shard_is_reachable() {
+        let mut t = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
+        let keys = 0..80_000u64;
+        for k in keys.clone() {
+            t.insert(k, val(k)).unwrap();
+        }
+        for i in 0..t.shard_count() {
+            let depth = t.with_shard(i, |s| s.global_depth());
+            assert!(depth >= 8, "shard {i}: depth {depth}");
+            let mut reached = vec![false; 1 << depth];
+            for k in keys.clone().filter(|&k| t.shard_of(k) == i) {
+                let hash = crate::hash::dir_hash_of(mult_hash(k), t.shard_bits());
+                reached[crate::hash::dir_slot(hash, depth)] = true;
+            }
+            let unreached = reached.iter().filter(|&&r| !r).count();
+            assert_eq!(
+                unreached,
+                0,
+                "shard {i}: {unreached} of {} slots",
+                1 << depth
+            );
+        }
     }
 
     #[test]
@@ -1160,8 +1152,7 @@ mod tests {
         assert_eq!(stats.global_depth, depth_max);
         let fanin = stats.avg_fanin;
         assert!(fanin >= 1.0, "fan-in {fanin} below 1");
-        assert!(t.ideal_layout_vmas() >= t.shard_count());
-        assert!(t.layout_vmas().unwrap() >= t.ideal_layout_vmas());
+        assert!(t.layout_vmas().unwrap() >= t.shard_count());
         // Pool counters really sum: each shard allocated at least a page.
         assert!(stats.rewire.pages_allocated >= t.shard_count() as u64);
         assert!(!stats.shortcut_suspended);
@@ -1272,8 +1263,10 @@ mod tests {
         for bits in [0, 1, 3, MAX_SHARD_BITS] {
             for n in [1, 17, 300, WINDOW] {
                 let keys: Vec<u64> = (0..n as u64).map(|k| k * 31 + 7).collect();
-                let mut touched: Vec<usize> =
-                    keys.iter().map(|&k| dir_slot(mult_hash(k), bits)).collect();
+                let mut touched: Vec<usize> = keys
+                    .iter()
+                    .map(|&k| route_slot(mult_hash(k), bits))
+                    .collect();
                 touched.sort_unstable();
                 touched.dedup();
                 let (entered, left) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
@@ -1285,7 +1278,7 @@ mod tests {
                     for &k in &keys {
                         let hash = mult_hash(k);
                         // SAFETY: `held` entered for `keys`.
-                        assert_eq!(unsafe { held.get(hash) }.0, dir_slot(hash, bits));
+                        assert_eq!(unsafe { held.get(hash) }.0, route_slot(hash, bits));
                     }
                 });
                 assert_eq!(*entered.borrow(), touched, "bits {bits}, {n} keys");

@@ -37,13 +37,13 @@
 //! are alive.
 
 use crate::bucket::BucketRef;
-use crate::eh::{CompactionOutcome, EhConfig, ExtendibleHash, PREFETCH_DISTANCE, WINDOW};
+use crate::eh::{EhConfig, ExtendibleHash, PREFETCH_DISTANCE, WINDOW};
 use crate::error::IndexError;
-use crate::hash::{dir_slot, mult_hash};
+use crate::hash::{dir_hash_of, dir_slot, mult_hash};
 use crate::stats::IndexStats;
 use crate::traits::Index;
 use shortcut_core::metrics::MaintSnapshot;
-use shortcut_core::{MaintConfig, Maintainer, ReadTicket, RoutePolicy};
+use shortcut_core::{CompactionPolicy, MaintConfig, Maintainer, ReadTicket, RoutePolicy};
 use shortcut_rewire::{PoolUsage, ReaderPin, RetireList, PAGE_SHIFT_4K};
 use std::sync::{Arc, RwLockReadGuard};
 
@@ -82,7 +82,11 @@ pub struct ShortcutEh {
     retire: Arc<RetireList>,
     /// What the pool holds of its (possibly shared) VMA budget.
     usage: Arc<PoolUsage>,
-    /// Split count below which [`ShortcutEh::maybe_compact`] does not
+    /// The mapper's admission rule: with exact admission, the write path
+    /// looks for a finer directory to re-announce
+    /// ([`ShortcutEh::maybe_republish`]).
+    admission: CompactionPolicy,
+    /// Split count below which [`ShortcutEh::maybe_republish`] does not
     /// look again: bounds what its probes (and a rescue the mapper
     /// refuses) cost.
     next_look_splits: u64,
@@ -100,12 +104,9 @@ impl ShortcutEh {
     /// the underlying EH as [`IndexError::Pool`] — the path that used to
     /// panic when `vm.max_map_count` or the view reservation ran out.
     pub fn try_new(cfg: ShortcutEhConfig) -> Result<Self, IndexError> {
-        // The compaction policy comes from the maintenance config, which
-        // the mapper's admission reads; the inner EH runs the pass at
-        // every doubling, the write path here on the other occasions
-        // (see [`ShortcutEh::maybe_compact`]).
         let hash_rot = cfg.eh.hash_rot;
-        let eh = ExtendibleHash::try_new_tracked(cfg.eh, cfg.maint.compaction)?;
+        let admission = cfg.maint.compaction;
+        let eh = ExtendibleHash::try_new_tracked(cfg.eh)?;
         let handle = eh.pool_handle();
         let retire = Arc::clone(handle.retire_list());
         let usage = Arc::clone(handle.usage());
@@ -116,7 +117,8 @@ impl ShortcutEh {
             policy: cfg.policy,
             retire,
             usage,
-            next_look_splits: Self::COMPACTION_SPLIT_INTERVAL,
+            admission,
+            next_look_splits: Self::REPUBLISH_SPLIT_INTERVAL,
             hash_rot,
         };
         // Announce the initial single-slot directory so the shortcut can
@@ -161,17 +163,9 @@ impl ShortcutEh {
         s
     }
 
-    /// Maintenance counters of the mapper thread, with the compaction
-    /// passes the write path ran (counted once, in [`IndexStats`]).
+    /// Maintenance counters of the mapper thread.
     pub fn maint_metrics(&self) -> MaintSnapshot {
-        let s = self.eh.stats();
-        MaintSnapshot {
-            pages_moved: s.pages_moved,
-            vmas_saved: s.vmas_saved,
-            compactions: s.compactions,
-            compaction_skipped: s.compaction_skipped,
-            ..self.maint.metrics()
-        }
+        self.maint.metrics()
     }
 
     /// Operation counters of the backing page pool.
@@ -253,169 +247,54 @@ impl ShortcutEh {
         inbox.relay(self.eh.drain_events());
     }
 
-    /// Splits between two looks of [`ShortcutEh::maybe_compact`].
-    const COMPACTION_SPLIT_INTERVAL: u64 = 64;
+    /// Splits between two looks of [`ShortcutEh::maybe_republish`].
+    const REPUBLISH_SPLIT_INTERVAL: u64 = 64;
 
-    /// The coarsest publish the mapper's admission tries, as a shift of
-    /// the directory's depth.
-    fn max_publish_shift(&self) -> u32 {
-        shortcut_core::MAX_PUBLISH_SHIFT.min(self.eh.dir_slots().trailing_zeros())
-    }
-
-    /// Hand the mapper a fresh full-directory announcement targeting a
-    /// footprint of at most `target` VMAs, at the **finest** published
-    /// depth any layout affords (finer depth = more buckets resolvable =
-    /// more shortcut-served keys). Event-only when the current physical
-    /// placement already achieves that depth; a physical directory-order
-    /// pass when a freshly sorted layout publishes finer; a counted skip
-    /// when no depth of any layout can fit.
-    fn republish_or_compact(
-        &mut self,
-        target: usize,
-        improve_below: Option<u32>,
-        count_skip: bool,
-    ) {
-        let shifts = 0..=self.max_publish_shift();
-        let best_current = shifts.clone().find(|&s| {
-            self.eh
-                .layout_vmas_at(s)
-                .is_ok_and(|planned| planned <= target)
-        });
-        let best_ideal = shifts
-            .clone()
-            .find(|&s| self.eh.ideal_layout_vmas_at(s) <= target);
-        // For voluntary service recovery, only act when the achievable
-        // published depth is strictly finer than what is live now.
-        if let Some(bound) = improve_below {
-            let best = best_current
-                .unwrap_or(u32::MAX)
-                .min(best_ideal.unwrap_or(u32::MAX));
-            if best >= bound {
-                return;
-            }
-        }
-        match (best_current, best_ideal) {
-            // A pass buys a finer published depth than the placement we
-            // already have — pay for the moves.
-            (cur, Some(ideal)) if ideal < cur.unwrap_or(u32::MAX) => {
-                if self.eh.compact_full().is_err() {
-                    self.eh.note_compaction_skipped();
-                }
-            }
-            // The current placement is already as finely publishable as a
-            // fresh sort would be: just re-announce it.
-            (Some(_), _) => {
-                let _ = self.eh.emit_rebuilt_event();
-            }
-            // Genuinely over `target` at any depth of any layout; further
-            // growth shrinks the irreducible footprint (each split
-            // retires one aliased slot pair), so a later attempt can
-            // succeed.
-            (None, _) => {
-                if count_skip {
-                    self.eh.note_compaction_skipped();
-                }
-            }
-        }
-    }
-
-    /// The two occasions for a compaction pass the write path has to look
-    /// for itself (the third, a doubling, is the inner EH's) — here, the
-    /// only place bucket pages can be relocated without tearing a reader:
-    ///
-    /// * **rescue** a budget-suspended shortcut by re-announcing /
-    ///   re-sorting once some published depth fits again, and a coarsely
-    ///   published one (it resolves only the shallow buckets) once the
-    ///   fan-in has shrunk enough that a finer depth is affordable;
-    /// * **repair** a live directory that splits have fragmented until
-    ///   this pool's mappings crossed half of its share of the budget —
-    ///   when a pass can bring them back under it with room for a quarter
-    ///   of the buckets to split again: a pass moves every bucket, so that
-    ///   is at most four moves per split, and the passes of one directory
-    ///   size get further and further apart. On a directory whose fan-in
-    ///   alone keeps it above that, a pass would move every page for
-    ///   nothing, and is not run.
+    /// With exact admission, re-announce the directory when the mapper
+    /// would now publish it finer than it did: a suspended shortcut once
+    /// some published depth fits what admission hands out, and a coarsely
+    /// published one once a finer depth fits half of this pool's share
+    /// (so that the published depth does not flap at the boundary). The
+    /// pages never move; only the mapper needs to hear of the directory
+    /// again.
     ///
     /// Runs after every insert that split: nothing but the split count is
-    /// read between two looks [`ShortcutEh::COMPACTION_SPLIT_INTERVAL`]
+    /// read between two looks [`ShortcutEh::REPUBLISH_SPLIT_INTERVAL`]
     /// splits apart.
-    fn maybe_compact(&mut self) {
+    fn maybe_republish(&mut self) {
         let splits = self.eh.splits();
-        if !self.eh.compaction().enabled() || splits < self.next_look_splits {
+        if !self.admission.enabled() || splits < self.next_look_splits {
             return;
         }
-        self.next_look_splits = splits + Self::COMPACTION_SPLIT_INTERVAL;
+        self.next_look_splits = splits + Self::REPUBLISH_SPLIT_INTERVAL;
+        let state = self.maint.state();
+        // How much coarser than the directory the shortcut is published.
+        let finer_than = match state.published_slots() {
+            _ if state.suspended() => u32::MAX,
+            0 => return,
+            published => (self.eh.dir_slots() / published).trailing_zeros(),
+        };
+        if finer_than == 0 {
+            return;
+        }
         let budget = self.eh.vma_budget();
         let limit = budget.limit();
-        let admitted = limit.saturating_sub(shortcut_core::maintenance::budget_headroom(limit));
-        if self.maint.state().suspended() {
-            self.republish_or_compact(admitted, None, true);
-            return;
-        }
-        // Half of what admission guarantees this pool: an even part of the
-        // budget among the shards of a sharded index, else all of it.
-        let half_share = if self.usage.is_fair() {
+        let target = if finer_than == u32::MAX {
+            limit.saturating_sub(shortcut_core::maintenance::budget_headroom(limit))
+        } else if self.usage.is_fair() {
             budget.fair_share(0) / 2
         } else {
             limit / 2
         };
-        // How much coarser than the directory the shortcut is published
-        // (not at all before the first create).
-        let published_shift = match self.maint.state().published_slots() {
-            0 => 0,
-            published => (self.eh.dir_slots() / published).trailing_zeros(),
-        };
-        let (held, total) = (self.usage.in_use(), budget.in_use());
-        if held > half_share {
-            let target = half_share.saturating_sub(self.eh.bucket_count() / 4);
-            // The mapper publishes a sorted layout at the finest depth it
-            // can admit beside what the other pools hold.
-            let room = admitted.saturating_sub(total.saturating_sub(held));
-            let lands_under_target = (0..=self.max_publish_shift())
-                .map(|shift| self.eh.ideal_layout_vmas_at(shift))
-                .find(|&planned| planned <= room)
-                .is_some_and(|planned| planned <= target);
-            if lands_under_target {
-                // What the pool holds is what the mapper has got to: a pass
-                // it has yet to apply shows in the layout alone.
-                let fragmented = self
-                    .eh
-                    .layout_vmas_at(published_shift)
-                    .is_ok_and(|planned| planned > half_share);
-                if fragmented && self.eh.compact_full().is_err() {
-                    self.eh.note_compaction_skipped();
-                }
-                return;
-            }
-            if total > admitted {
-                // No pass gets this pool under its half, and the budget is
-                // past what admission hands out: announce the directory
-                // again, so that admission publishes it coarser.
-                self.republish_or_compact(half_share, None, true);
-                return;
-            }
+        let max_shift = shortcut_core::MAX_PUBLISH_SHIFT.min(self.eh.dir_slots().trailing_zeros());
+        let fits = (0..=max_shift.min(finer_than.saturating_sub(1))).any(|shift| {
+            self.eh
+                .layout_vmas_at(shift)
+                .is_ok_and(|planned| planned <= target)
+        });
+        if fits {
+            let _ = self.eh.emit_rebuilt_event();
         }
-        if published_shift > 0 {
-            // Acts only when the published depth actually improves.
-            self.republish_or_compact(half_share, Some(published_shift), false);
-        }
-    }
-
-    /// Relocate every bucket page into directory order now, in one
-    /// synchronous pass, and hand the resulting identity rebuild to the
-    /// mapper. See [`ExtendibleHash::compact_full`]; the returned outcome
-    /// reports the planned-VMA estimate before and after.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool failures (typically: no room for the contiguous
-    /// target run). The index stays fully consistent and keeps answering.
-    pub fn compact(&mut self) -> Result<CompactionOutcome, IndexError> {
-        let r = self.eh.compact_full();
-        // Relay even on failure: a partial pass records a create carrying
-        // the current truth.
-        self.relay_events();
-        r
     }
 
     /// Planned-VMA estimate of the current bucket layout (`O(slots)`).
@@ -425,12 +304,6 @@ impl ShortcutEh {
     /// Propagates directory-invariant violations as [`IndexError::Pool`].
     pub fn layout_vmas(&self) -> Result<usize, IndexError> {
         self.eh.layout_vmas()
-    }
-
-    /// `slots − buckets + 1`: the footprint of a perfectly compacted
-    /// layout.
-    pub fn ideal_layout_vmas(&self) -> usize {
-        self.eh.ideal_layout_vmas()
     }
 
     /// This index's own read section: a pin on its retire list, then the
@@ -458,7 +331,7 @@ impl ShortcutEh {
         hash: u64,
         pin: &ReaderPin<'_>,
     ) -> Option<Option<u64>> {
-        let bucket = published_bucket(t, hash.rotate_left(hash_rot));
+        let bucket = published_bucket(t, dir_hash_of(hash, hash_rot));
         // The shortcut may be published at a coarser depth than the
         // traditional directory (VMA-budget admission). A bucket deeper
         // than the published depth shares its slot with a sibling and is
@@ -557,7 +430,7 @@ impl ShortcutEh {
     ) -> Result<(), IndexError> {
         let r = self.eh.insert_slow(key, value, dir_hash);
         if self.eh.has_events() {
-            self.maybe_compact();
+            self.maybe_republish();
             if relay {
                 self.relay_events();
             }
@@ -626,7 +499,7 @@ impl ReadSection<'_> {
     /// Ask the cache for what [`ReadSection::get`] of `key` reads first.
     #[inline(always)]
     fn prefetch(&self, hash_rot: u32, key: u64, hash: u64) {
-        let h = hash.rotate_left(hash_rot);
+        let h = dir_hash_of(hash, hash_rot);
         match self.served {
             Some(t) => published_bucket(t, h).prefetch(key),
             None => self.eh.eh.prefetch_entry(h),
@@ -988,7 +861,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_compact_collapses_live_vmas() {
+    fn the_suffix_layout_keeps_live_vmas_collapsed() {
         // A private budget: the live count read below would otherwise
         // include the mappings of the tests running beside this one.
         let mut cfg = fast_cfg();
@@ -998,28 +871,20 @@ mod tests {
             t.insert(k, k * 9).unwrap();
         }
         assert!(t.wait_sync(Duration::from_secs(10)));
-        let before = t.layout_vmas().unwrap();
-        let ideal = t.ideal_layout_vmas();
-        assert!(before > ideal, "nothing to compact");
-
-        let out = t.compact().unwrap();
-        assert_eq!(out.vmas_before, before);
-        assert_eq!(out.vmas_after, ideal);
-        assert!(
-            t.wait_sync(Duration::from_secs(10)),
-            "rebuild never applied"
-        );
-        // Once the mapper has reclaimed the superseded directory, the
-        // budget must reflect the compacted layout (plus the pool view and
-        // small constants).
+        // Once the mapper has reclaimed the superseded directories, the
+        // budget holds the live directory's runs (plus the pool view and
+        // small constants): far fewer than one mapping a slot, with no
+        // page ever moved.
         drain_retired(&t);
+        let layout = t.layout_vmas().unwrap();
+        let slots = t.eh.dir_slots();
+        assert!(layout * 2 <= slots + 4, "{layout} runs over {slots} slots");
         let vma = t.vma_stats();
         assert!(
-            vma.live_vmas() <= (ideal + 16) as u64,
-            "live estimate did not collapse: {vma:?} (ideal {ideal})"
+            vma.live_vmas() <= (layout + 16) as u64,
+            "live estimate does not follow the layout: {vma:?} (layout {layout})"
         );
-        assert!(t.maint_metrics().pages_moved > 0);
-        assert!(t.maint_metrics().compactions > 0);
+        assert_eq!(t.maint_metrics().pages_moved, 0);
         for k in 0..30_000u64 {
             assert_eq!(t.get(k), Some(k * 9), "key {k}");
         }
@@ -1033,13 +898,13 @@ mod tests {
 
     #[test]
     fn compaction_keeps_shortcut_served_where_it_used_to_suspend() {
-        // A ~600-mapping budget, far below one-VMA-per-slot scale. Without
-        // compaction, worst-case admission refuses the first ≥600-slot
-        // rebuild for good (PR 3 behavior). With compaction, rebuilds are
-        // admitted at their exact identity footprint — published at a
-        // coarser depth when even that is too aliased — and transient
-        // refusals are rescued by the write path, so the index must end
-        // in sync and shortcut-serving.
+        // A ~600-mapping budget, far below one-VMA-per-slot scale.
+        // Worst-case admission refuses the first ≥600-slot rebuild for
+        // good. Exact admission (`on`) admits rebuilds at their footprint
+        // — a few runs, each bucket on the page of its suffix — published
+        // at a coarser depth when even that does not fit, and the write
+        // path re-announces a refused one, so the index must end in sync
+        // and shortcut-serving.
         let n = 100_000u64;
         let build = |compaction: shortcut_core::CompactionPolicy| {
             let mut cfg = fast_cfg();
@@ -1059,7 +924,8 @@ mod tests {
             let _ = on.wait_sync(Duration::from_secs(10));
         }
         // Growth may transit refusals, but each must resolve (coarse
-        // publish or rescue): at rest the index serves via the shortcut.
+        // publish or re-announce): at rest the index serves via the
+        // shortcut.
         assert!(
             on.wait_sync(Duration::from_secs(30)),
             "never back in sync: vma={:?} metrics={:?}",
@@ -1068,11 +934,6 @@ mod tests {
         );
         assert!(!on.shortcut_suspended());
         assert!(on.maint_error().is_none());
-        let m = on.maint_metrics();
-        assert!(
-            m.creates_coarse > 0,
-            "a 600-mapping budget must have forced coarse publishes: {m:?}"
-        );
         let vma = on.vma_stats();
         assert!(vma.in_use <= vma.limit, "{vma:?}");
         for key in (0..n).step_by(101) {
@@ -1204,12 +1065,12 @@ mod tests {
         assert!(t.wait_sync(Duration::from_secs(10)));
         let mut assignments = t.eh.directory_assignments().unwrap();
         let mut wide = 0;
-        // The lower half of the hash space first, then the upper one: the
-        // upper half's buckets stay shallow while the directory deepens,
+        // The even half of the hash space first, then the odd one: the
+        // odd half's buckets stay shallow while the directory deepens,
         // and their splits redirect many slots each.
-        let half = |upper: bool| {
+        let half = |odd: bool| {
             let t = &t;
-            (0u64..).filter(move |&k| (t.eh.dir_hash(k) >> 63 == 1) == upper)
+            (0u64..).filter(move |&k| (t.eh.dir_hash(k) & 1 == 1) == odd)
         };
         let keys: Vec<u64> = half(false)
             .take(6_000)

@@ -19,16 +19,6 @@ shortcut_rewire::statistics! {
         migrated_entries: u64 = Sum,
         /// Overflow chain buckets allocated (CH).
         chain_buckets: u64 = Sum,
-        /// Completed bucket-layout compaction passes (EH family).
-        compactions: u64 = Sum,
-        /// Bucket pages physically relocated into directory order.
-        pages_moved: u64 = Sum,
-        /// Estimated VMAs saved by compaction passes (layout estimate
-        /// before minus after, summed over passes).
-        vmas_saved: u64 = Sum,
-        /// Compaction passes skipped (target run did not fit the pool, or the
-        /// layout was already as compact as the fan-in permits).
-        compaction_skipped: u64 = Sum,
         /// Lookups answered via the shortcut directory (Shortcut-EH).
         shortcut_lookups: u64 = Sum,
         /// Lookups answered via the traditional directory (Shortcut-EH).
@@ -150,24 +140,18 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "structure: splits={} doublings={} compactions={} compaction_skipped={} \
-             pages_moved={}",
-            self.index.splits,
-            self.index.doublings,
-            self.index.compactions,
-            self.index.compaction_skipped,
-            self.index.pages_moved
+            "structure: splits={} doublings={}",
+            self.index.splits, self.index.doublings
         )?;
         writeln!(
             f,
             "maint: creates={} updates={} creates_skipped={} creates_deferred={} \
-             creates_coarse={} vmas_saved={} passes={} update_batches={} slots_zapped={}",
+             creates_coarse={} passes={} update_batches={} slots_zapped={}",
             self.maint.creates_applied,
             self.maint.updates_applied,
             self.maint.creates_skipped,
             self.maint.creates_deferred,
             self.maint.creates_coarse,
-            self.maint.vmas_saved,
             self.maint.passes,
             self.maint.update_batches,
             self.maint.slots_zapped
@@ -208,10 +192,6 @@ mod tests {
             full_rehashes: 3,
             migrated_entries: 4,
             chain_buckets: 5,
-            compactions: 6,
-            pages_moved: 7,
-            vmas_saved: 8,
-            compaction_skipped: 9,
             shortcut_lookups: 10,
             traditional_lookups: 11,
         };
@@ -221,10 +201,6 @@ mod tests {
             full_rehashes: 300,
             migrated_entries: 400,
             chain_buckets: 500,
-            compactions: 600,
-            pages_moved: 700,
-            vmas_saved: 800,
-            compaction_skipped: 900,
             shortcut_lookups: 1000,
             traditional_lookups: 1100,
         };
@@ -237,10 +213,6 @@ mod tests {
                 full_rehashes: 303,
                 migrated_entries: 404,
                 chain_buckets: 505,
-                compactions: 606,
-                pages_moved: 707,
-                vmas_saved: 808,
-                compaction_skipped: 909,
                 shortcut_lookups: 1010,
                 traditional_lookups: 1111,
             }

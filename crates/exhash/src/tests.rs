@@ -53,9 +53,6 @@ fn distinct(d: u64, flip: bool) -> StatsSnapshot {
         index: IndexStats {
             splits: 41 + d,
             doublings: 5 + d,
-            compactions: 8 + d,
-            compaction_skipped: 9 + d,
-            pages_moved: 44 + d,
             shortcut_lookups: 900 + d,
             traditional_lookups: 100 + d,
             ..IndexStats::default()
@@ -66,7 +63,6 @@ fn distinct(d: u64, flip: bool) -> StatsSnapshot {
             creates_skipped: 13 + d,
             creates_deferred: 14 + d,
             creates_coarse: 15 + d,
-            vmas_saved: 16 + d,
             passes: 17 + d,
             update_batches: 18 + d,
             slots_zapped: 19 + d,
@@ -169,9 +165,9 @@ fn snapshot_display_is_stable_and_greppable() {
          versions_shortcut=1003\n\
          layout: slot_bytes=4096\n\
          lookups: shortcut=900 traditional=100 shortcut_served_pct=90.0\n\
-         structure: splits=41 doublings=5 compactions=8 compaction_skipped=9 pages_moved=44\n\
+         structure: splits=41 doublings=5\n\
          maint: creates=11 updates=12 creates_skipped=13 creates_deferred=14 creates_coarse=15 \
-         vmas_saved=16 passes=17 update_batches=18 slots_zapped=19\n\
+         passes=17 update_batches=18 slots_zapped=19\n\
          vma: in_use=500 live=450 retired=50 limit=65530 areas_retired=21 areas_reclaimed=22\n\
          read_path: pin_strategy=asymmetric bias_revocations=23 bias_rearms=24 zap_supported=true\n\
          rewire: pages_populated=60 pages_allocated=61 pages_freed=62 pool_file_slots=63\n"

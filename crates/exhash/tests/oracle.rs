@@ -423,9 +423,10 @@ const EXITS: &[Exit] = &[
     },
     Exit {
         name: "coarsely published, some buckets over-depth",
-        // Layout-exact admission (compaction on): half the slots fit.
+        // Layout-exact admission (compaction on): a directory in runs
+        // fits 48 mappings whole, 16 only at half depth.
         configure: |cfg| {
-            budget(cfg, 48);
+            budget(cfg, 16);
             cfg.maint.compaction = shortcut_core::CompactionPolicy::on();
         },
         enter: |t| {

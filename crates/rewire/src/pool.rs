@@ -3,8 +3,10 @@
 //! One [`MemFile`] represents all physical memory the application wants to
 //! be able to create shortcuts to. The pool
 //!
-//! * grows the file on demand (`ftruncate`) in chunks, eagerly populating
-//!   new pages to avoid hard page faults at access time,
+//! * grows the file on demand (`ftruncate`) in chunks, populating nothing
+//!   ahead of use: a page is faulted in by the first write of whoever it
+//!   is handed out to, so a file with holes (see [`PagePool::alloc_page_at`])
+//!   holds only the pages handed out,
 //! * keeps a FIFO free-queue of page offsets for reuse — it never shrinks
 //!   the file: a retired shortcut directory may still map any page of it,
 //!   and a truncated page would `SIGBUS` a straggling reader, where a
@@ -34,9 +36,8 @@ use std::sync::Arc;
 const POOL_VIEW_VMAS: usize = 2;
 
 /// [`PagePool::alloc_page`] grows an exhausted file by this fraction of
-/// its size (at least [`PoolConfig::min_growth_pages`]). Grown slots are
-/// populated, so the step bounds what is faulted in ahead of use: an
-/// eighth, at ≈ 6 calls per doubling, where doubling left up to half.
+/// its size (at least [`PoolConfig::min_growth_pages`]): ≈ 6 calls per
+/// doubling. Growth populates nothing, so the step costs no memory.
 const GROWTH_DIVISOR: usize = 8;
 
 /// Shared implementation of [`PagePool::vma_snapshot`] /
@@ -112,11 +113,6 @@ impl Default for PoolConfig {
 enum PageState {
     Free,
     Allocated,
-    /// Relocated away but not yet reusable: the page keeps its (stale)
-    /// contents until every reader pin taken before its retirement has
-    /// drained, then [`PagePool::reclaim_retired_pages`] frees it. Neither
-    /// allocatable nor freeable in this state.
-    Retired,
 }
 
 /// A shareable, thread-safe handle to the pool's physical memory.
@@ -197,14 +193,11 @@ pub struct PagePool {
     view_base: *mut u8,
     /// Slots of the file currently mapped into the view (== file length).
     file_pages: usize,
-    /// FIFO of reusable slot indices, each free.
+    /// FIFO of reusable slot indices. A page [`PagePool::alloc_page_at`]
+    /// takes stays queued; [`PagePool::alloc_page`] skips what is not free.
     free_queue: VecDeque<usize>,
     state: Vec<PageState>,
     allocated: usize,
-    /// Slots relocated away by compaction, stamped with the retirement
-    /// epoch at which they became unreachable. Freed (as runs) by
-    /// [`PagePool::reclaim_retired_pages`] once readers quiesce.
-    retired_pages: Vec<(u64, usize)>,
     stats: Arc<RewireStats>,
     budget: Arc<VmaBudget>,
     usage: Arc<PoolUsage>,
@@ -250,7 +243,6 @@ impl PagePool {
             free_queue: VecDeque::new(),
             state: Vec::new(),
             allocated: 0,
-            retired_pages: Vec::new(),
             stats,
             budget,
             usage,
@@ -284,8 +276,8 @@ impl PagePool {
         self.file.resize(new_pages * PAGE_SIZE_4K)?;
         self.stats.pool_grows.add(1);
 
-        // Map the newly valid file range into the view at the same offset.
-        // Populated eagerly, so first accesses take no hard page fault.
+        // Map the newly valid file range into the view at the same offset,
+        // unpopulated: the file's new pages stay holes until written.
         let delta = new_pages - old_pages;
         // SAFETY: the target range lies inside our own reservation; MAP_FIXED
         // replaces the PROT_NONE placeholder; offset/length are page aligned.
@@ -294,7 +286,7 @@ impl PagePool {
                 self.view_base.add(old_pages * PAGE_SIZE_4K) as *mut libc::c_void,
                 delta * PAGE_SIZE_4K,
                 libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_SHARED | libc::MAP_FIXED | libc::MAP_POPULATE,
+                libc::MAP_SHARED | libc::MAP_FIXED,
                 self.file.fd(),
                 (old_pages * PAGE_SIZE_4K) as libc::off_t,
             )
@@ -303,7 +295,6 @@ impl PagePool {
             return Err(Error::os("mmap"));
         }
         self.stats.mmap_calls.add(1);
-        self.stats.pages_populated.add(delta as u64);
 
         self.file_pages = new_pages;
         self.state.resize(new_pages, PageState::Free);
@@ -313,39 +304,69 @@ impl PagePool {
         Ok(())
     }
 
-    /// Allocate one physical page. A slot never handed out before reads as
-    /// zeros; a recycled one still holds what its last owner left there.
-    pub fn alloc_page(&mut self) -> Result<PageIdx> {
-        if self.free_queue.is_empty() {
-            let step = (self.file_pages / GROWTH_DIVISOR)
-                .max(self.cfg.min_growth_pages)
-                .max(1);
-            let target = (self.file_pages + step).min(self.cfg.view_capacity_pages);
-            if target <= self.file_pages {
-                return Err(Error::BadResize {
-                    current: self.file_pages,
-                    requested: target + 1,
-                });
-            }
-            self.grow_to(target)?;
+    /// Grow the file by one step past `at_least` pages: by an eighth of its
+    /// size, at least [`PoolConfig::min_growth_pages`], within the view.
+    fn grow_past(&mut self, at_least: usize) -> Result<()> {
+        let step = (self.file_pages / GROWTH_DIVISOR)
+            .max(self.cfg.min_growth_pages)
+            .max(1);
+        let target = (self.file_pages + step)
+            .max(at_least)
+            .min(self.cfg.view_capacity_pages);
+        if target < at_least || target <= self.file_pages {
+            return Err(Error::BadResize {
+                current: self.file_pages,
+                requested: at_least.max(self.file_pages + 1),
+            });
         }
-        let i = self.free_queue.pop_front().expect("grown");
+        self.grow_to(target)
+    }
+
+    /// Mark free page `i` handed out.
+    fn take(&mut self, i: usize) -> PageIdx {
         debug_assert_eq!(self.state[i], PageState::Free);
         self.state[i] = PageState::Allocated;
         self.allocated += 1;
         self.stats.pages_allocated.add(1);
-        Ok(PageIdx(i))
+        PageIdx(i)
+    }
+
+    /// Allocate one physical page. A slot never handed out before reads as
+    /// zeros; a recycled one still holds what its last owner left there.
+    pub fn alloc_page(&mut self) -> Result<PageIdx> {
+        loop {
+            match self.free_queue.pop_front() {
+                Some(i) if self.state[i] == PageState::Free => return Ok(self.take(i)),
+                // Taken by `alloc_page_at` while queued.
+                Some(_) => {}
+                None => self.grow_past(self.file_pages + 1)?,
+            }
+        }
+    }
+
+    /// Allocate page `page` itself when it is free and inside the view —
+    /// growing the file over it, and leaving the pages between as holes
+    /// — and any free page ([`PagePool::alloc_page`]) when it is not.
+    /// Extendible hashing puts the bucket of hash suffix `b` on page `b`,
+    /// so a directory indexed by suffix maps runs of consecutive pages.
+    pub fn alloc_page_at(&mut self, page: usize) -> Result<PageIdx> {
+        if page < self.cfg.view_capacity_pages {
+            if page >= self.file_pages {
+                self.grow_past(page + 1)?;
+            }
+            if self.state[page] == PageState::Free {
+                return Ok(self.take(page));
+            }
+        }
+        self.alloc_page()
     }
 
     /// Allocate `n` physically **contiguous** pages (contiguous in file
     /// offsets), so the run can later be rewired with a single `mmap` call.
     ///
     /// Prefers the first free span of `n` pages already inside the file
-    /// (compaction allocates a bucket-count-sized run per pass; without
-    /// reuse of the span the previous pass freed, the file would grow by
-    /// that much every time) and carves fresh space from the end of the
-    /// file only when no span fits. Reused spans read as zeros, like
-    /// fresh ones.
+    /// and carves fresh space from the end of the file only when no span
+    /// fits. Reused spans read as zeros, like fresh ones.
     pub fn alloc_run(&mut self, n: usize) -> Result<PageIdx> {
         if n == 0 {
             return Err(Error::invalid("alloc_run of zero pages"));
@@ -422,153 +443,6 @@ impl PagePool {
         self.stats.pages_freed.add(1);
         self.free_queue.push_back(i);
         Ok(())
-    }
-
-    /// Free `n` contiguous pages `[start, start + n)` as one run: every
-    /// page is returned to the allocator and the run's physical memory is
-    /// released with a **single** `FALLOC_FL_PUNCH_HOLE` call. A punched
-    /// hole reads as zeros to a straggling (ticket-discarded) reader of a
-    /// retired shortcut directory that still maps it. The hole punch is
-    /// best-effort — hosts without memfd hole support merely keep the
-    /// physical pages until reuse.
-    ///
-    /// # Errors
-    ///
-    /// Rejects the run (without freeing anything) if any page is out of
-    /// range or not currently allocated.
-    pub fn free_run(&mut self, start: PageIdx, n: usize) -> Result<()> {
-        if n == 0 {
-            return Err(Error::invalid("free_run of zero pages"));
-        }
-        if start.0 + n > self.file_pages {
-            return Err(Error::BadPageRef {
-                page: start.0 + n - 1,
-                what: "beyond end of pool",
-            });
-        }
-        // Validate the whole run before mutating any state, so a bad run
-        // is rejected atomically.
-        for i in start.0..start.0 + n {
-            if self.state[i] != PageState::Allocated {
-                return Err(Error::BadPageRef {
-                    page: i,
-                    what: "double free",
-                });
-            }
-        }
-        for i in start.0..start.0 + n {
-            self.state[i] = PageState::Free;
-            self.free_queue.push_back(i);
-        }
-        self.allocated -= n;
-        self.stats.pages_freed.add(n as u64);
-        let _ = self.file.punch_hole(start.byte_offset(), n * PAGE_SIZE_4K);
-        Ok(())
-    }
-
-    /// Copy the contents of pool page `src` into pool page `dst` (both
-    /// must be allocated). This is the physical half of bucket-page
-    /// relocation: the caller then redirects its directory slots to `dst`
-    /// and hands `src` to [`PagePool::retire_page`] so concurrent pinned
-    /// readers — which may still dereference `src` through a retired
-    /// shortcut directory — never observe the page being reused while
-    /// they could read it.
-    pub fn relocate_page(&mut self, src: PageIdx, dst: PageIdx) -> Result<()> {
-        for (p, what) in [(src, "relocate source"), (dst, "relocate target")] {
-            if p.0 >= self.file_pages {
-                return Err(Error::BadPageRef {
-                    page: p.0,
-                    what: "beyond end of pool",
-                });
-            }
-            if self.state[p.0] != PageState::Allocated {
-                return Err(Error::BadPageRef { page: p.0, what });
-            }
-        }
-        if src == dst {
-            return Err(Error::invalid("relocate_page onto itself"));
-        }
-        // SAFETY: both pages are in-bounds, allocated, and distinct; the
-        // linear view maps the whole file read/write.
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.page_ptr(src), self.page_ptr(dst), PAGE_SIZE_4K);
-        }
-        Ok(())
-    }
-
-    /// Retire an allocated page: it stops being the caller's storage but
-    /// is **not** returned to the allocator yet. The page keeps its
-    /// contents (readable by pinned stragglers through retired shortcut
-    /// directories) until a [`PagePool::reclaim_retired_pages`] call
-    /// observes every reader pin taken before this retirement drained —
-    /// the same epoch machinery [`RetireList`] uses for whole areas.
-    /// Returns the stamped epoch.
-    pub fn retire_page(&mut self, page: PageIdx) -> Result<u64> {
-        if page.0 >= self.file_pages {
-            return Err(Error::BadPageRef {
-                page: page.0,
-                what: "beyond end of pool",
-            });
-        }
-        if self.state[page.0] != PageState::Allocated {
-            return Err(Error::BadPageRef {
-                page: page.0,
-                what: "retire of unallocated page",
-            });
-        }
-        self.state[page.0] = PageState::Retired;
-        let epoch = self.retire.advance_epoch();
-        self.retired_pages.push((epoch, page.0));
-        Ok(epoch)
-    }
-
-    /// Free every retired page whose retirement epoch is covered by one
-    /// reader-quiescence scan, coalescing adjacent pages into
-    /// [`PagePool::free_run`]-style single hole punches. Returns the
-    /// number of pages freed (0 while readers keep a stripe busy — retry
-    /// later; reclamation is only ever delayed, never lost).
-    pub fn reclaim_retired_pages(&mut self) -> usize {
-        if self.retired_pages.is_empty() {
-            return 0;
-        }
-        let Some(safe_epoch) = self.retire.quiescent_epoch() else {
-            return 0;
-        };
-        let mut ready: Vec<usize> = Vec::new();
-        self.retired_pages.retain(|&(epoch, page)| {
-            if epoch <= safe_epoch {
-                ready.push(page);
-                false
-            } else {
-                true
-            }
-        });
-        ready.sort_unstable();
-        let freed = ready.len();
-        let mut i = 0;
-        while i < freed {
-            let mut j = i + 1;
-            while j < freed && ready[j] == ready[j - 1] + 1 {
-                j += 1;
-            }
-            let (start, n) = (ready[i], j - i);
-            for p in start..start + n {
-                debug_assert_eq!(self.state[p], PageState::Retired);
-                self.state[p] = PageState::Free;
-                self.free_queue.push_back(p);
-            }
-            self.allocated -= n;
-            self.stats.pages_freed.add(n as u64);
-            let _ = self.file.punch_hole(start * PAGE_SIZE_4K, n * PAGE_SIZE_4K);
-            i = j;
-        }
-        freed
-    }
-
-    /// Pages currently retired (relocated away, awaiting reader drain).
-    #[inline]
-    pub fn retired_page_count(&self) -> usize {
-        self.retired_pages.len()
     }
 
     /// Pointer to the start of pool page `page` in the linear view.
@@ -717,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn growth_populates_an_eighth_ahead_and_keeps_one_mapping() {
+    fn growth_populates_nothing_and_keeps_one_mapping() {
         let mut p = PagePool::with_defaults().unwrap();
         let floor = PoolConfig::default().min_growth_pages;
         for n in 1..=33_000usize {
@@ -731,16 +605,7 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.pages_allocated, 33_000);
         assert_eq!(s.pool_file_slots, p.file_pages() as u64);
-        assert_eq!(
-            s.pages_populated, s.pool_file_slots,
-            "grown slots are populated"
-        );
-        assert!(
-            s.pages_populated * 4 <= s.pages_allocated * 5,
-            "{} populated for {} allocated",
-            s.pages_populated,
-            s.pages_allocated
-        );
+        assert_eq!(s.pages_populated, 0, "growth populates nothing");
         // Each step maps the next range of the same file right behind the
         // last, so the kernel merges them: the view stays the one VMA the
         // budget charges for it however many steps it took.
@@ -748,6 +613,47 @@ mod tests {
         let base = p.view_base() as usize;
         let end = base + p.file_pages() * PAGE_SIZE_4K;
         assert_eq!(mappings_within(base, end), [(base, end)]);
+    }
+
+    /// Pages of the file, in 4 KB units, that hold memory.
+    fn resident_pages(p: &PagePool) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        let file = std::fs::metadata(format!("/proc/self/fd/{}", p.handle().fd())).unwrap();
+        file.blocks() * 512 / PAGE_SIZE_4K as u64
+    }
+
+    /// A page is handed out where asked while it is free and inside the
+    /// view; otherwise any free page is. The pages between are holes that
+    /// hold no memory, and plain allocation fills them in.
+    #[test]
+    fn alloc_page_at_places_pages_and_leaves_holes() {
+        let mut p = PagePool::new(PoolConfig {
+            initial_pages: 1,
+            min_growth_pages: 1,
+            view_capacity_pages: 64,
+            ..PoolConfig::default()
+        })
+        .unwrap();
+        assert_eq!(p.alloc_page_at(0).unwrap(), PageIdx(0));
+        assert_eq!(p.alloc_page_at(40).unwrap(), PageIdx(40));
+        assert!(p.file_pages() > 40);
+        for page in [0, 40] {
+            // SAFETY: both pages were just handed out; the view maps them.
+            unsafe { *(p.page_ptr(PageIdx(page)) as *mut u64) = 1 };
+        }
+        assert_eq!(resident_pages(&p), 2, "the pages between are holes");
+        // Taken, or past the view: any free page.
+        let again = p.alloc_page_at(40).unwrap();
+        let past = p.alloc_page_at(64).unwrap();
+        assert!(![0, 40].contains(&again.0) && ![0, 40, again.0].contains(&past.0));
+        // Plain allocation never hands out a page twice.
+        let mut seen: Vec<usize> = vec![0, 40, again.0, past.0];
+        while let Ok(page) = p.alloc_page() {
+            seen.push(page.0);
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (0..64).collect::<Vec<_>>());
+        assert_eq!(p.allocated_pages(), 64);
     }
 
     #[test]
@@ -876,9 +782,9 @@ mod tests {
         assert_eq!(got, 4);
     }
 
-    /// Freeing — page by page at the file's tail, or as a run whose
-    /// memory goes back to the host — keeps the file, live data and the
-    /// allocator sound: every page freed comes back, once.
+    /// Freeing — page by page at the file's tail, or the pages of a run —
+    /// keeps the file, live data and the allocator sound: every page freed
+    /// comes back, once.
     #[test]
     fn reclaim_free_pages_keeps_allocator_sound() {
         let mut p = small_pool();
@@ -895,7 +801,9 @@ mod tests {
         for &pg in toss.iter().rev() {
             p.free_page(pg).unwrap();
         }
-        p.free_run(run, 4).unwrap();
+        for i in 0..4 {
+            p.free_page(PageIdx(run.0 + i)).unwrap();
+        }
         assert_eq!(p.file_pages(), file, "the file never shrinks");
         assert_eq!(p.allocated_pages(), 1);
         // SAFETY: as above.
@@ -911,39 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn free_run_frees_all_pages_at_once() {
-        let mut p = small_pool();
-        let start = p.alloc_run(6).unwrap();
-        assert_eq!(p.allocated_pages(), 6);
-        p.free_run(start, 6).unwrap();
-        assert_eq!(p.allocated_pages(), 0);
-        // Every page is individually reusable afterwards.
-        for _ in 0..6 {
-            let pg = p.alloc_page().unwrap();
-            assert!(pg.0 < p.file_pages());
-        }
-    }
-
-    #[test]
-    fn free_run_rejects_partial_runs_atomically() {
-        let mut p = small_pool();
-        let start = p.alloc_run(4).unwrap();
-        p.free_page(PageIdx(start.0 + 2)).unwrap();
-        // A run containing a free page is rejected without freeing the
-        // allocated ones around it.
-        assert!(matches!(
-            p.free_run(start, 4),
-            Err(Error::BadPageRef {
-                what: "double free",
-                ..
-            })
-        ));
-        assert_eq!(p.allocated_pages(), 3);
-        assert!(p.free_run(PageIdx(9990), 4).is_err());
-        assert!(p.free_run(start, 0).is_err());
-    }
-
-    #[test]
     fn alloc_run_reuses_freed_spans() {
         let mut p = small_pool();
         let a = p.alloc_run(5).unwrap();
@@ -953,7 +828,9 @@ mod tests {
         unsafe {
             *(p.page_ptr(a) as *mut u64) = 0xDEAD;
         }
-        p.free_run(a, 5).unwrap();
+        for i in 0..5 {
+            p.free_page(PageIdx(a.0 + i)).unwrap();
+        }
         // The next run of the same size must reuse a span inside the
         // existing file instead of growing it, and must read as zeros.
         let b = p.alloc_run(5).unwrap();
@@ -969,77 +846,6 @@ mod tests {
         // A larger run does not fit the span and grows instead.
         let c = p.alloc_run(6).unwrap();
         assert!(c.0 >= pages_after_first || c.0 != b.0);
-    }
-
-    #[test]
-    fn relocate_page_copies_contents() {
-        let mut p = small_pool();
-        let src = p.alloc_page().unwrap();
-        let dst = p.alloc_page().unwrap();
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            for i in 0..page_size() / 8 {
-                *(p.page_ptr(src) as *mut u64).add(i) = 7000 + i as u64;
-            }
-        }
-        p.relocate_page(src, dst).unwrap();
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            for i in 0..page_size() / 8 {
-                assert_eq!(*(p.page_ptr(dst) as *const u64).add(i), 7000 + i as u64);
-            }
-        }
-        // Source keeps its contents (readable until retired + reclaimed).
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            assert_eq!(*(p.page_ptr(src) as *const u64), 7000);
-        }
-        // Invalid relocations are rejected.
-        assert!(p.relocate_page(src, src).is_err());
-        let free = p.alloc_page().unwrap();
-        p.free_page(free).unwrap();
-        assert!(p.relocate_page(src, free).is_err());
-        assert!(p.relocate_page(PageIdx(9999), dst).is_err());
-    }
-
-    #[test]
-    fn retired_pages_wait_for_reader_pins() {
-        let mut p = small_pool();
-        let retire = Arc::clone(p.retire_list());
-        let a = p.alloc_page().unwrap();
-        let b = p.alloc_page().unwrap();
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            *(p.page_ptr(a) as *mut u64) = 41;
-        }
-
-        // A reader pins before the retirement; the page must stay intact
-        // and unreusable until the pin drains.
-        let pin = retire.pin();
-        p.retire_page(a).unwrap();
-        p.retire_page(b).unwrap();
-        assert_eq!(p.retired_page_count(), 2);
-        assert_eq!(p.reclaim_retired_pages(), 0, "must not free under a pin");
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            assert_eq!(*(p.page_ptr(a) as *const u64), 41);
-        }
-        // Retired pages cannot be double-retired or freed.
-        assert!(p.retire_page(a).is_err());
-        assert!(p.free_page(a).is_err());
-
-        drop(pin);
-        assert_eq!(p.reclaim_retired_pages(), 2);
-        assert_eq!(p.retired_page_count(), 0);
-        // Both pages are allocatable again.
-        let c = p.alloc_page().unwrap();
-        let d = p.alloc_page().unwrap();
-        assert!([a, b].contains(&c) || [a, b].contains(&d));
     }
 
     #[test]

@@ -569,12 +569,8 @@ impl<T: Reclaimable> RetireCore<T> {
         epoch
     }
 
-    /// Advance the retirement epoch and return the new value, without
-    /// retiring an area. Used by [`crate::PagePool::retire_page`], which
-    /// stamps relocated *bucket pages* with the same epoch stream so that
-    /// a page is only returned to the allocator once every reader pin
-    /// taken before its retirement has drained.
-    pub fn advance_epoch(&self) -> u64 {
+    /// Advance the retirement epoch and return the new value.
+    fn advance_epoch(&self) -> u64 {
         self.epoch.fetch_add(1, Ordering::SeqCst) + 1
     }
 

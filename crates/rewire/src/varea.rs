@@ -793,6 +793,56 @@ mod tests {
         assert_eq!(a.vma_estimate(), 1);
     }
 
+    /// Lines of `/proc/self/maps` inside `area`.
+    fn kernel_vmas(area: &VirtArea) -> usize {
+        let (lo, hi) = (
+            area.base() as usize,
+            area.base() as usize + area.pages() * PAGE_SIZE_4K,
+        );
+        std::fs::read_to_string("/proc/self/maps")
+            .unwrap()
+            .lines()
+            .filter_map(|line| {
+                let (start, end) = line.split_whitespace().next()?.split_once('-')?;
+                let start = usize::from_str_radix(start, 16).ok()?;
+                let end = usize::from_str_radix(end, 16).ok()?;
+                (start >= lo && end <= hi).then_some(())
+            })
+            .count()
+    }
+
+    /// The estimate is the kernel's count, on a suffix-ordered directory:
+    /// a fan-in-2 copy (two runs over the same pages), then single-slot
+    /// updates, in scattered order, that move upper-half slots onto pages
+    /// of their own — each first a VMA of its own, then merged into its
+    /// neighbours once they follow, until the whole area is one run.
+    #[test]
+    fn vma_estimate_matches_the_kernel_on_a_suffix_layout() {
+        const SLOTS: usize = 64;
+        let mut p = PagePool::new(PoolConfig {
+            initial_pages: SLOTS,
+            min_growth_pages: SLOTS,
+            view_capacity_pages: SLOTS,
+            ..PoolConfig::default()
+        })
+        .unwrap();
+        let h = p.handle();
+        let run = p.alloc_run(SLOTS).unwrap();
+        let mut a = VirtArea::reserve(SLOTS).unwrap();
+        let copy: Vec<(usize, PageIdx)> = (0..SLOTS)
+            .map(|s| (s, PageIdx(run.0 + s % (SLOTS / 2))))
+            .collect();
+        a.rewire_batch(&h, &copy).unwrap();
+        assert_eq!(a.vma_estimate(), 2);
+        assert_eq!(kernel_vmas(&a), a.vma_estimate());
+        for i in 0..SLOTS / 2 {
+            let slot = SLOTS / 2 + i * 13 % (SLOTS / 2);
+            a.rewire(slot, &h, PageIdx(run.0 + slot)).unwrap();
+            assert_eq!(kernel_vmas(&a), a.vma_estimate(), "after slot {slot}");
+        }
+        assert_eq!(a.vma_estimate(), 1);
+    }
+
     #[test]
     fn fanin_batch_coalesces_bucket_boundaries() {
         // Fan-in 2 over 4 contiguous buckets: p0,p0,p1,p1,p2,p2,p3,p3.

@@ -4,7 +4,7 @@
 //!
 //! ```bash
 //! cargo run --release --example mixed_workload
-//! # scale and policy knobs (CI stress uses 4M + compaction + assert):
+//! # scale and policy knobs (CI stress uses 4M + exact admission + assert):
 //! MIXED_WORKLOAD_ENTRIES=4000000 MIXED_WORKLOAD_ASSERT_SHORTCUT=1 \
 //!     cargo run --release --example mixed_workload
 //! MIXED_WORKLOAD_COMPACTION=off cargo run --release --example mixed_workload
@@ -25,10 +25,11 @@ fn main() -> Result<(), IndexError> {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2_000_000);
-    // Directory-order compaction is on by default: it is what keeps the
-    // directory's mapping footprint inside the stock vm.max_map_count
-    // budget at millions of keys. `off` restores the PR 3 behavior
-    // (worst-case admission; large directories suspend the shortcut).
+    // Exact rebuild admission is on by default: with each bucket on the
+    // page of its hash suffix, the directory's mapping footprint stays
+    // inside the stock vm.max_map_count budget at millions of keys. `off`
+    // restores worst-case admission (one mapping a slot; large
+    // directories suspend the shortcut).
     let compaction = match std::env::var("MIXED_WORKLOAD_COMPACTION").as_deref() {
         Ok("off") => CompactionPolicy::disabled(),
         _ => CompactionPolicy::on(),
@@ -54,7 +55,7 @@ fn main() -> Result<(), IndexError> {
     let mut rng = StdRng::seed_from_u64(99);
 
     println!(
-        "bulk-loading {entries} entries (compaction {}, {} shard{})…",
+        "bulk-loading {entries} entries (exact admission {}, {} shard{})…",
         if compaction.enabled() { "on" } else { "off" },
         shards,
         if shards == 1 { "" } else { "s" }
@@ -151,14 +152,10 @@ fn main() -> Result<(), IndexError> {
 
     let s = index.stats();
     // The exit report is the snapshot's stable rendering (shared with the
-    // server's INFO reply and the `all` driver), plus the layout estimates
+    // server's INFO reply and the `all` driver), plus the layout estimate
     // the snapshot does not carry.
     print!("{s}");
-    println!(
-        "compaction_layout: planned={} ideal={}",
-        index.layout_vmas()?,
-        index.ideal_layout_vmas(),
-    );
+    println!("layout: planned={}", index.layout_vmas()?);
     assert!(index.maint_error().is_none());
     assert!(
         s.vma.in_use <= s.vma.limit,
@@ -174,7 +171,7 @@ fn main() -> Result<(), IndexError> {
         println!("assert: live VMAs {} <= {bound} ✓", s.vma.live_vmas());
     }
     if assert_shortcut {
-        // The CI stress contract: with compaction on, this scale must end
+        // The CI stress contract: with exact admission, this scale must end
         // fully shortcut-served under the stock vm.max_map_count.
         assert!(
             !s.shortcut_suspended,

@@ -50,20 +50,18 @@
 //!   the budget **suspends** the shortcut
 //!   ([`StatsSnapshot::shortcut_suspended`]) — lookups keep working
 //!   through the traditional directory, and nothing dies inside `mmap`.
-//! * With [`IndexBuilder::compaction`] enabled, bucket pages are
-//!   physically **relocated into directory order** — one pass, run at
-//!   every doubling, when the index's mappings cross half of its share
-//!   of the budget, and to rescue a suspended or coarsely published
-//!   shortcut — so rebuilds map identity runs the kernel merges into a
-//!   handful of VMAs; rebuild admission then reserves the exact layout
-//!   footprint instead of the worst case, and shortcut-served lookups
-//!   scale to millions of keys on a stock kernel.
-//!   [`ShortcutIndex::compact`] runs a pass explicitly.
+//! * The directory is indexed by hash **suffix** and each bucket sits on
+//!   the pool page of its suffix, so a rebuild maps runs of consecutive
+//!   pages the kernel merges into a handful of VMAs. With
+//!   [`IndexBuilder::compaction`] set to [`CompactionPolicy::on`],
+//!   rebuild admission reserves that exact footprint instead of the worst
+//!   case, publishes coarser when even that does not fit, and
+//!   shortcut-served lookups scale to millions of keys on a stock kernel.
 //! * [`IndexBuilder::vma_budget`] injects a private limit (tests, CI
 //!   stress); [`StatsSnapshot::vma`] reports the live/retired
 //!   mapping split ([`VmaSnapshot::live_vmas`]), the limit, and
-//!   reclamation totals, and [`ShortcutIndex::layout_vmas`] /
-//!   [`ShortcutIndex::ideal_layout_vmas`] expose the layout estimates.
+//!   reclamation totals, and [`ShortcutIndex::layout_vmas`] exposes the
+//!   layout estimate.
 //!
 //! The underlying layers remain available:
 //!
@@ -82,7 +80,7 @@ pub use shortcut_vmsim as vmsim;
 
 pub use shortcut_core::{CompactionPolicy, MaintConfig, RoutePolicy};
 pub use shortcut_exhash::{probe_backend, ProbeBackend};
-pub use shortcut_exhash::{BucketLayout, CompactionOutcome, Index, IndexError, IndexStats};
+pub use shortcut_exhash::{BucketLayout, Index, IndexError, IndexStats};
 pub use shortcut_rewire::{
     max_map_count, PinStrategy, PoolConfig, SlotLayout, VmaBudget, VmaSnapshot,
 };

@@ -1,13 +1,14 @@
-//! Directory-order physical compaction, end to end: relocating bucket
-//! pages out from under a live `ShortcutIndex` must never change an
-//! answer (checked against a `ChainedHash` oracle, with 4 concurrent
-//! reader threads hammering the index between mutation phases), and each
-//! full pass must bring the planned-VMA layout estimate down to its
-//! fan-in-determined ideal.
+//! The directory layout, end to end: each bucket sits on the pool page of
+//! its hash suffix, so a `ShortcutIndex`'s directory maps runs of pages —
+//! its planned-VMA footprint stays bounded far below one mapping a slot
+//! while every answer matches a `ChainedHash` oracle (with 4 concurrent
+//! reader threads between mutation phases), the live mappings collapse
+//! without a page ever moving, and a suspended shortcut is announced
+//! again once a depth fits.
 
 use proptest::prelude::*;
 use std::time::Duration;
-use taking_the_shortcut::exhash::{ChConfig, ChainedHash};
+use taking_the_shortcut::exhash::{dir_hash_of, mult_hash, ChConfig, ChainedHash};
 use taking_the_shortcut::{CompactionPolicy, Index, ShortcutIndex};
 
 mod common;
@@ -39,13 +40,12 @@ fn val(k: u64) -> u64 {
 /// One mutation-or-check step of the interleaving.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Insert the next `n` keys (batched — drives splits, doublings and
-    /// the passes they trigger).
+    /// Insert the next `n` keys (batched — drives splits and doublings).
     Insert(usize),
     /// Remove every `stride`-th key inserted so far.
     Remove(usize),
-    /// Explicit full compaction pass.
-    Compact,
+    /// The layout's footprint against its bound.
+    Layout,
     /// 4 concurrent reader threads verify a sample against the oracle.
     ReadPhase,
 }
@@ -55,7 +55,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             5 => (64usize..1200).prop_map(Op::Insert),
             1 => (7usize..31).prop_map(Op::Remove),
-            2 => Just(Op::Compact),
+            2 => Just(Op::Layout),
             2 => Just(Op::ReadPhase),
         ],
         4..24,
@@ -91,15 +91,24 @@ fn read_phase(index: &ShortcutIndex, oracle: &ChainedHash, next_key: u64) {
     });
 }
 
+/// The layout bound of a directory whose buckets span at most two local
+/// depths, `g − 1` and `g` (what evenly spread keys make): its first half
+/// maps pages `0..2^(g−1)` in one run, and each slot `j` of its second
+/// half maps page `j` or `j − 2^(g−1)` — at most one run a slot there,
+/// plus one at the boundary. `slots / 2 + 2` in all.
+fn layout_bound(index: &ShortcutIndex) -> usize {
+    (1usize << index.stats().global_depth) / 2 + 2
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Interleave inserts (→ splits, doublings), removals, and explicit
-    // and triggered compaction passes against 4 concurrent reader threads; every lookup must match the chained-hash
-    // oracle, and after each full compaction the layout estimate must
-    // have dropped to the ideal (never increased).
+    // Interleave inserts (→ splits, doublings) and removals against 4
+    // concurrent reader threads, under both admission rules: every lookup
+    // must match the chained-hash oracle, and the directory's planned
+    // footprint must stay within the layout bound however the splits fell.
     #[test]
-    fn relocation_never_changes_an_answer(
+    fn layout_stays_bounded_and_answers_match_an_oracle(
         ops in ops(),
         policy in policies(),
     ) {
@@ -125,15 +134,14 @@ proptest! {
                         prop_assert_eq!(got, want, "remove({}) diverged", k);
                     }
                 }
-                Op::Compact => {
-                    let before = index.layout_vmas().unwrap();
-                    let out = index.compact().unwrap();
-                    prop_assert_eq!(out.vmas_before, before);
-                    // Monotone non-increasing across the pass, and exactly
-                    // the fan-in-determined ideal afterwards.
-                    prop_assert!(out.vmas_after <= out.vmas_before);
-                    prop_assert_eq!(out.vmas_after, index.ideal_layout_vmas());
-                    prop_assert_eq!(index.layout_vmas().unwrap(), out.vmas_after);
+                Op::Layout => {
+                    let layout = index.layout_vmas().unwrap();
+                    prop_assert!(
+                        layout <= layout_bound(&index),
+                        "{} planned VMAs over {} slots",
+                        layout,
+                        1usize << index.stats().global_depth
+                    );
                 }
                 Op::ReadPhase => read_phase(&index, &oracle, next_key),
             }
@@ -144,17 +152,19 @@ proptest! {
         read_phase(&index, &oracle, next_key);
         prop_assert_eq!(index.len(), oracle.len());
         assert!(index.maint_error().is_none());
-        let vma = index.stats().vma;
-        prop_assert!(vma.in_use <= vma.limit, "budget exceeded: {:?}", vma);
+        let stats = index.stats();
+        prop_assert!(stats.vma.in_use <= stats.vma.limit, "budget exceeded: {:?}", stats.vma);
+        prop_assert_eq!(stats.maint.pages_moved, 0);
+        prop_assert!(index.layout_vmas().unwrap() <= layout_bound(&index));
     }
 }
 
-/// The mapping budget of the occasion scenarios: the stock 65 530 at a
+/// The mapping budget of the rescue scenario: the stock 65 530 at a
 /// sixteenth, so that a few hundred thousand keys reach the directory sizes
 /// where it binds.
 const OCCASION_BUDGET: usize = 4_090;
 
-/// The `i`-th key of the occasion scenarios (SplitMix64's finalizer):
+/// The `i`-th key of the rescue scenario (SplitMix64's finalizer):
 /// spread like random keys, so buckets split one by one, not in the
 /// lockstep waves consecutive integers make of a multiplicative hash.
 fn key(i: u64) -> u64 {
@@ -181,101 +191,46 @@ fn occasion_index(policy: CompactionPolicy, shard_bits: u32, budget: usize) -> S
         .unwrap()
 }
 
-/// Compaction is one pass run on three occasions; this drives an index
-/// (one shard, then four on one budget) through each and checks that the
-/// pass ran when, and only when, the occasion's condition held.
+/// A shortcut the budget suspended is announced again once growth has
+/// shrunk what the directory needs: 100 keys whose directory hashes share
+/// their low 12 bits (and, sharded, their route) force a 2^13-slot
+/// directory of a few buckets, strided so that no published depth fits a
+/// budget of 255 mappings; the spread keys that follow fill it in until
+/// one does, and the write path announces it again. No create is skipped
+/// after that.
 #[test]
-fn each_occasion_runs_one_pass_when_and_only_when_its_condition_holds() {
+fn a_suspended_shortcut_is_announced_again_once_a_depth_fits() {
     for shard_bits in [0, 2] {
-        doublings_and_pressure(shard_bits);
         rescue_of_a_suspended_shortcut(shard_bits);
     }
 }
 
-/// Growth through two directory sizes on a budget the larger one crosses
-/// half of: every doubling is one pass; between doublings a shard's pass
-/// count moves only once its mappings have crossed half of its share, by
-/// one, and lands back under it; the budget never runs past 80 % at a
-/// sync point. The same keys with compaction off move no page.
-fn doublings_and_pressure(shard_bits: u32) {
-    let shards = 1usize << shard_bits;
-    let half_share = (OCCASION_BUDGET / shards / 2) as u64;
-    let mut on = occasion_index(CompactionPolicy::on(), shard_bits, OCCASION_BUDGET);
-    let mut off = occasion_index(CompactionPolicy::disabled(), shard_bits, OCCASION_BUDGET);
-    let mut before: Vec<_> = (0..shards).map(|i| on.shard_stats(i)).collect();
-    // Per shard: passes run under pressure, and doublings seen since.
-    let mut pressure_passes = vec![0u64; shards];
-    let mut doublings_since = vec![0u64; shards];
-    let mut next = 1u64;
-    while doublings_since.contains(&0) {
-        assert!(next < 400_000, "pressure never ran a pass: {before:?}");
-        let batch = next_batch(&mut next);
-        on.insert_batch(&batch).unwrap();
-        off.insert_batch(&batch).unwrap();
-        assert!(on.wait_sync(Duration::from_secs(60)), "never synced");
-        assert_eq!(off.stats().maint.pages_moved, 0);
-        for (i, was) in before.iter_mut().enumerate() {
-            let now = on.shard_stats(i);
-            assert!(
-                now.vma.in_use * 5 <= now.vma.limit * 4,
-                "budget past 80 % at a sync point: {:?}",
-                now.vma
-            );
-            let doublings = now.index.doublings - was.index.doublings;
-            let passes = now.maint.compactions - was.maint.compactions;
-            assert!(passes >= doublings, "a doubling ran no pass");
-            let extra = passes - doublings;
-            // A split adds at most two mappings.
-            let splits = now.index.splits - was.index.splits;
-            let crossed = was.vma.pool_in_use + 2 * splits > half_share;
-            assert!(
-                extra == 0 || crossed,
-                "shard {i}: a pass without its occasion: {was}\n{now}"
-            );
-            if extra > 0 {
-                assert_eq!(extra, 1, "shard {i}: one occasion, one pass");
-                assert!(
-                    now.vma.pool_in_use <= half_share,
-                    "shard {i}: the pass left {} mappings, over half the share",
-                    now.vma.pool_in_use
-                );
-                pressure_passes[i] += 1;
-            }
-            if pressure_passes[i] > 0 {
-                doublings_since[i] += doublings;
-            }
-            *was = now;
-        }
-    }
-    assert_eq!(on.stats().maint.creates_skipped, 0);
-    assert!(on.maint_error().is_none());
-    for i in (1..next).step_by(997) {
-        assert_eq!(on.get(key(i)), Some(val(i)), "key {i}");
-    }
-}
-
-/// A shortcut the budget suspended is rescued once growth has shrunk what
-/// the directory needs: 100 keys whose hashes share 12 bits below the
-/// shard's force a 2^13-slot directory of a few buckets, which fits a
-/// budget of 511 mappings at no published depth; the spread keys that
-/// follow fill it in until one does, and the write path announces it
-/// again. No create is skipped after that.
 fn rescue_of_a_suspended_shortcut(shard_bits: u32) {
-    let mut index = occasion_index(CompactionPolicy::on(), shard_bits, OCCASION_BUDGET / 8);
+    let mut index = occasion_index(CompactionPolicy::on(), shard_bits, OCCASION_BUDGET / 16);
     // `mult_hash` multiplies by an odd constant: invert it (Newton).
-    let mult = taking_the_shortcut::exhash::mult_hash(1);
+    let mult = mult_hash(1);
     let inverse = (0..6).fold(mult, |x, _| {
         x.wrapping_mul(2u64.wrapping_sub(mult.wrapping_mul(x)))
     });
-    let prefix = 12 + shard_bits;
+    // The directory hash byte-swaps the hash rotated past the route: its
+    // low 12 bits are the hash's bits 56 − s .. 64 − s and 48 − s .. 52 − s.
+    let s = shard_bits;
+    let fixed = (0xFFu64 << (56 - s) | 0xF << (48 - s)) | !(u64::MAX >> s);
     let clustered: Vec<(u64, u64)> = (0..100u64)
         .map(|i| {
             (
-                (0xABC << (64 - prefix) | i << (57 - prefix)).wrapping_mul(inverse),
+                (key(i) & !fixed | 0xA5C3 << (48 - s)).wrapping_mul(inverse),
                 i,
             )
         })
         .collect();
+    let suffix = |k: u64| dir_hash_of(mult_hash(k), s) & 0xFFF;
+    assert!(clustered
+        .iter()
+        .all(|&(k, _)| suffix(k) == suffix(clustered[0].0)));
+    assert!(clustered
+        .iter()
+        .all(|&(k, _)| index.shard_of(k) == index.shard_of(clustered[0].0)));
     index.insert_batch(&clustered).unwrap();
     assert!(
         !index.wait_sync(Duration::from_secs(60)),
@@ -308,9 +263,9 @@ fn rescue_of_a_suspended_shortcut(shard_bits: u32) {
     }
 }
 
-/// The headline acceptance number: compacting a mature directory (fan-in
-/// near 1, scattered by split-order allocation) collapses the live VMA
-/// estimate by at least 10x at unchanged depth.
+/// The headline acceptance number: a mature directory (fan-in near 1)
+/// keeps its live VMA estimate at least 10x below one mapping a slot —
+/// without a page ever moving.
 #[test]
 fn compaction_collapses_live_vmas_by_10x() {
     let mut index = ShortcutIndex::builder()
@@ -322,7 +277,7 @@ fn compaction_collapses_live_vmas_by_10x() {
 
     // Grow until the directory is mature: deep enough to matter and late
     // enough in its depth's life that fan-in approaches 1 (right before
-    // the next doubling) — the point where directory order pays most.
+    // the next doubling).
     let mut k = 0u64;
     loop {
         let batch: Vec<(u64, u64)> = (k..k + 10_000).map(|x| (x, val(x))).collect();
@@ -337,49 +292,18 @@ fn compaction_collapses_live_vmas_by_10x() {
     assert!(index.wait_sync(Duration::from_secs(60)), "never synced");
 
     // Settle retired directories so `live ≈ in_use` before measuring.
-    let drain = |index: &ShortcutIndex| {
-        common::wait_until("retired directories are reclaimed", || {
-            index.stats().vma.retired_areas == 0
-        });
-        index.stats()
-    };
-    let before = drain(&index);
-    let depth_before = before.global_depth;
-    let live_before = before.vma.live_vmas();
-    let layout_before = index.layout_vmas().unwrap();
-
-    let out = index.compact().unwrap();
+    common::wait_until("retired directories are reclaimed", || {
+        index.stats().vma.retired_areas == 0
+    });
+    let stats = index.stats();
+    let slots = 1u64 << stats.global_depth;
     assert!(
-        index.wait_sync(Duration::from_secs(60)),
-        "rebuild never applied"
+        stats.vma.live_vmas() * 10 <= slots,
+        "{} live VMAs over {slots} slots (layout {})",
+        stats.vma.live_vmas(),
+        index.layout_vmas().unwrap()
     );
-    let after = drain(&index);
-
-    assert_eq!(after.global_depth, depth_before, "depth must not change");
-    assert_eq!(out.vmas_before, layout_before);
-    assert_eq!(out.vmas_after, index.ideal_layout_vmas());
-    assert!(
-        after.vma.live_vmas() * 10 <= live_before,
-        "live VMAs only dropped {} -> {} (layout {} -> {})",
-        live_before,
-        after.vma.live_vmas(),
-        out.vmas_before,
-        out.vmas_after
-    );
-    assert!(after.maint.pages_moved > 0);
-    assert_eq!(after.maint.compactions, 1);
-    // The write path counts a pass once; both blocks read that count.
-    assert_eq!(after.maint.compactions, after.index.compactions);
-    assert_eq!(after.maint.pages_moved, after.index.pages_moved);
-    assert_eq!(
-        after.maint.compaction_skipped,
-        after.index.compaction_skipped
-    );
-    assert_eq!(after.maint.vmas_saved, after.index.vmas_saved);
-    assert_eq!(
-        after.maint.vmas_saved,
-        (out.vmas_before - out.vmas_after) as u64
-    );
+    assert_eq!(stats.maint.pages_moved, 0);
 
     // Everything still answers, shortcut-served once synced.
     for key in (0..k).step_by(4_093) {

@@ -329,7 +329,7 @@ fn armed(index: &ShortcutIndex, i: usize) -> bool {
 /// entered in ascending shard order. Run everything that takes sections
 /// concurrently at 4 shards — cross-shard batched lookups, batched
 /// inserts and removals over overlapping shard sets, single-key shared
-/// inserts, and a `with_shard_mut` compaction loop — and check every
+/// inserts, and a `with_shard_mut` layout-estimate loop — and check every
 /// answer: the lock order must not deadlock, and no section may let a
 /// reader see a foreign value. A watchdog fails the test instead of
 /// letting a deadlock hang it.
@@ -380,15 +380,14 @@ fn batches_holding_several_shards_do_not_deadlock() {
         let index = Arc::clone(&index);
         let mut round = 0usize;
         threads.push((
-            "single-and-compact",
+            "single-and-mut",
             Box::new(move |rng| {
                 let k = rng();
                 index.insert_shared(k, val(k)).unwrap();
                 round += 1;
                 if round.is_multiple_of(64) {
-                    // A pass may find no room for its target run: that is an
-                    // answer too, and leaves the shard consistent.
-                    let _ = index.with_shard_mut(round / 64 % 4, |s| s.compact());
+                    // A shard's write section, held across an O(slots) walk.
+                    let _ = index.with_shard_mut(round / 64 % 4, |s| s.layout_vmas());
                 }
             }),
         ));
