@@ -26,7 +26,7 @@ pub mod version;
 
 pub use maintenance::{
     service_census, CompactionPolicy, InboxGuard, MaintConfig, MaintRequest, Maintainer,
-    MapperEngine, SlotStride, MAX_PUBLISH_SHIFT,
+    MapperEngine, SlotStride,
 };
 pub use metrics::MaintMetrics;
 pub use route::RoutePolicy;

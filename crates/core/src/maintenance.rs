@@ -51,25 +51,29 @@
 //! current area and reclaiming), the create is **skipped** and the state
 //! is marked *suspended*: lookups keep working through the traditional
 //! directory, and the index no longer dies inside `mmap` with `ENOMEM`.
+//! The mapper alone picks the published depth: while it serves a
+//! directory coarser than the traditional one, or none, it keeps the
+//! full-depth directory *pending*, folds every update into it, and runs
+//! it through the same admission again when a finer depth may fit
+//! ([`MapperEngine::reclaim_tick`]).
 
 use crate::metrics::{MaintMetrics, MaintSnapshot};
 use crate::shortcut_node::ShortcutNode;
 use crate::version::{ReadLine, SharedDirectoryState};
-use shortcut_rewire::{Error, PageIdx, PoolHandle, Result, RetireList, ZapCall};
+use shortcut_rewire::{budget_headroom, Error, PageIdx, PoolHandle, Result, RetireList, ZapCall};
+use std::ops::RangeInclusive;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Mappings left unaccounted for the rest of the process (binary, heap,
-/// stacks, the pool view's transient splits) when admitting a rebuild.
-/// Re-exported from the budget layer (where fair-share arithmetic needs
-/// the same number) so producers — the write path's suspension rescue —
-/// can target exactly what admission will accept.
-pub use shortcut_rewire::budget_headroom;
-
 /// Maximum coarsening of the published shortcut depth (up to 2⁴ = 16×
 /// fewer slots) tried by rebuild admission before a create is refused.
-pub const MAX_PUBLISH_SHIFT: u32 = 4;
+const MAX_PUBLISH_SHIFT: u32 = 4;
+
+/// Update requests folded into the pending directory between two looks
+/// at it (see [`MapperEngine::worth_a_retry`]): a look costs a scan of
+/// the directory per depth it weighs.
+const LOOK_INTERVAL: usize = 64;
 
 /// The `shift`-coarser directory of a **full** assignment vector
 /// (`assignments[i].0 == i`): its first `2^(d−shift)` slots. The directory
@@ -157,9 +161,8 @@ pub enum MaintRequest {
         /// Pool page of the bucket they must reference.
         ppage: PageIdx,
     },
-    /// The directory doubled, or the index announces it again (its first
-    /// directory, a suspension rescue): replace the shortcut with a fresh
-    /// one.
+    /// The directory doubled, or the index announces its first one:
+    /// replace the shortcut with a fresh one.
     Create {
         /// Slot count of the new directory.
         slots: usize,
@@ -176,12 +179,12 @@ pub enum MaintRequest {
 /// slots, each of which can cost two more. By default admission reserves
 /// the **worst case**, one VMA per slot, so a live directory can never
 /// outgrow the budget between doublings; [`CompactionPolicy::on`]
-/// reserves the rebuild's **exact** footprint instead, lets admission
-/// publish a coarser directory when even that does not fit, and has the
-/// write path re-announce a suspended or coarsely published directory
-/// once a finer one fits again. (The name is that of the mechanism this
-/// rule once came with: a pass that moved bucket pages into directory
-/// order, which the layout has made unnecessary.)
+/// reserves the rebuild's **exact** footprint instead and lets admission
+/// publish a coarser directory when even that does not fit; the mapper
+/// keeps the full-depth directory pending meanwhile and publishes it
+/// finer once a finer depth fits again. (The name is that of the
+/// mechanism this rule once came with: a pass that moved bucket pages
+/// into directory order, which the layout has made unnecessary.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionPolicy {
     enabled: bool,
@@ -193,8 +196,8 @@ impl CompactionPolicy {
         CompactionPolicy { enabled: false }
     }
 
-    /// Exact-footprint rebuild admission, with coarse publishes and
-    /// rescues: the recommended production policy.
+    /// Exact-footprint rebuild admission, with coarse publishes: the
+    /// recommended production policy.
     pub fn on() -> Self {
         CompactionPolicy { enabled: true }
     }
@@ -252,9 +255,18 @@ fn next_mapper_seq() -> usize {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A [`MaintRequest::Create`] deferred, with the version of the last pass
-/// that folded into it: `(slots, assignments, version)`.
+/// A directory as a [`MaintRequest::Create`] carries it, with the version
+/// of the last pass that folded an update into it:
+/// `(slots, assignments, version)`.
 type Rebuild = (usize, Vec<(usize, PageIdx)>, u64);
+
+/// Point `slot` of a sorted assignment vector at `ppage`.
+fn assign(assignments: &mut Vec<(usize, PageIdx)>, slot: usize, ppage: PageIdx) {
+    match assignments.binary_search_by_key(&slot, |a| a.0) {
+        Ok(i) => assignments[i].1 = ppage,
+        Err(i) => assignments.insert(i, (slot, ppage)),
+    }
+}
 
 /// The synchronous core of the mapper: applies requests to the shortcut it
 /// owns. Separated from the thread so the logic is unit-testable and so
@@ -268,25 +280,25 @@ pub struct MapperEngine {
     metrics: Arc<MaintMetrics>,
     cfg: MaintConfig,
     current: Option<ShortcutNode>,
-    /// A create that was skipped because its footprint did not fit the
-    /// budget *at that moment* (e.g. a reader pin stalled the reclaim
-    /// scan). Retried on poll ticks once it would fit, so a transient
-    /// reclaim failure does not suspend the shortcut permanently.
-    /// Superseded by any newer create.
-    deferred: Option<Rebuild>,
-    /// `traditional_depth − published_depth` of the current node: 0 when
-    /// the shortcut resolves the full directory, > 0 when admission
-    /// coarsened the published depth to fit the budget. Update slots are
-    /// shifted right by this amount before being applied.
-    published_shift: u32,
-    /// Smallest footprint any *admissible* depth of the deferred create
-    /// would reserve (exact depth, or a coarser depth that still
-    /// resolves at least one bucket) — computed when the create is
-    /// deferred, so the per-tick retry probe is one O(1) `would_fit_for`
-    /// that agrees with what admission will actually accept. Folded
-    /// updates can leave it slightly stale; a retry that then fails
-    /// recomputes it, so the probe self-corrects instead of looping.
-    deferred_min_want: usize,
+    /// The traditional directory at full depth, kept while the live node
+    /// is coarser than it or there is none (admission refused it, maybe
+    /// only because a reader pin stalled a reclaim): every update is
+    /// folded into it, so that what the mapper's own retry
+    /// ([`MapperEngine::publish_pending`]) publishes is what the index
+    /// holds. Superseded by any newer create.
+    pending: Option<Rebuild>,
+    /// Smallest footprint any *admissible* depth of the pending directory
+    /// would reserve (exact depth, or a coarser depth that still resolves
+    /// at least one bucket), cached by the admission that refused it — so
+    /// the per-tick retry probe of a suspended shortcut is one O(1)
+    /// `would_fit_for` that agrees with what admission will accept.
+    /// Folded updates can leave it stale: a retry that then fails
+    /// recomputes it, and under exact admission a look every
+    /// [`LOOK_INTERVAL`] folded updates retries anyway.
+    min_want: usize,
+    /// Update requests folded into the pending directory since it last
+    /// went through admission or a look.
+    folded: usize,
     /// The vectored PTE drop ahead of a batch of updates: the process's
     /// (tests inject others), `None` from the first call that fails.
     zap: Option<ZapCall>,
@@ -307,9 +319,9 @@ impl MapperEngine {
             metrics,
             cfg,
             current: None,
-            deferred: None,
-            published_shift: 0,
-            deferred_min_want: 0,
+            pending: None,
+            min_want: 0,
+            folded: 0,
             zap: shortcut_rewire::zap_call(),
         }
     }
@@ -377,7 +389,9 @@ impl MapperEngine {
                 MaintRequest::Update { slots, ppage } => updates.push((slots, ppage)),
                 MaintRequest::Create { slots, assignments } => {
                     debug_assert!(updates.is_empty(), "a create behind an update");
-                    self.apply_create(slots, assignments, version)?;
+                    // It supersedes whatever directory was pending.
+                    self.pending = Some((slots, assignments, version));
+                    self.publish_pending(true, 0..=MAX_PUBLISH_SHIFT)?;
                 }
             }
         }
@@ -397,25 +411,21 @@ impl MapperEngine {
         let mut batch: Vec<(usize, PageIdx)> = Vec::with_capacity(updates.len());
         let (mut stale, mut live) = (false, false);
         for (slots, ppage) in updates {
-            // While a create is deferred (budget-skipped, awaiting
-            // retry), updates describe the *deferred* directory — fold
-            // them into its assignment vector rather than discarding
-            // them, or the retried create would publish pre-split
-            // slots and a later update could restore version equality
-            // over a stale mapping.
-            if let Some((dir_slots, assignments, deferred_version)) = &mut self.deferred {
-                if slots.end <= *dir_slots {
-                    for slot in slots.iter() {
-                        match assignments.binary_search_by_key(&slot, |a| a.0) {
-                            Ok(i) => assignments[i].1 = ppage,
-                            Err(i) => assignments.insert(i, (slot, ppage)),
-                        }
-                    }
-                    *deferred_version = version;
-                    continue;
+            // A pending directory takes every update, or a retry would
+            // publish pre-split slots and a later update could restore
+            // version equality over a stale mapping.
+            let folded = match &mut self.pending {
+                Some((dir_slots, assignments, pending_version)) if slots.end <= *dir_slots => {
+                    slots
+                        .iter()
+                        .for_each(|slot| assign(assignments, slot, ppage));
+                    *pending_version = version;
+                    self.folded += 1;
+                    true
                 }
-            }
-            if slots.end > live_slots << self.published_shift {
+                _ => false,
+            };
+            if !folded && slots.end > live_slots {
                 // Stale update (raced a rebuild that shrank… or no
                 // node yet). Protocol-respecting producers never hit
                 // this; drop defensively.
@@ -431,24 +441,45 @@ impl MapperEngine {
             // slot is past it): the coarse slot keeps the old half, and
             // readers detect its local depth and fall back for its keys.
             batch.extend(slots.below(live_slots).map(|slot| (slot, ppage)));
-            live = true;
+            live |= live_slots > 0;
+        }
+        // Under exact admission, folded splits move the pending
+        // directory's footprints: look at it again now and then. This
+        // pass took a relay, whose bump took the live node out of service.
+        if self.cfg.compaction.enabled() && self.folded >= LOOK_INTERVAL {
+            self.folded = 0;
+            if self.worth_a_retry() {
+                return self.publish_pending(false, 0..=MAX_PUBLISH_SHIFT);
+            }
         }
         // Each rewired slot can split a run in three, up to one mapping a
-        // slot. A batch the budget cannot take at that cost first has the
-        // live directory published a level coarser, from its own first
-        // half. (A directory admitted at the worst case never needs it.)
-        let growth = |node: &ShortcutNode, batch: &[(usize, PageIdx)]| {
-            (2 * batch.len()).min(node.slots() - node.vma_estimate().min(node.slots()))
-        };
-        while let Some(node) = self.current.as_ref().filter(|_| !batch.is_empty()) {
-            let budget = self.pool.budget();
-            if budget.would_fit_for(self.pool.usage(), growth(node, &batch), 0)
-                || !self.coarsen_live()?
+        // slot. A batch the budget cannot take at that cost sends the
+        // directory through admission instead — the pending one, or the
+        // live node's mappings and the batch — at depths coarser than the
+        // live node only: rebuilt at its own depth, it would take the
+        // next pass's updates no better, and a pass could rebuild it
+        // every time. (A directory admitted at the worst case never
+        // needs it.)
+        if let Some(node) = self.current.as_ref().filter(|_| !batch.is_empty()) {
+            let growth =
+                (2 * batch.len()).min(node.slots() - node.vma_estimate().min(node.slots()));
+            if !self
+                .pool
+                .budget()
+                .would_fit_for(self.pool.usage(), growth, 0)
             {
-                break;
+                let pending = self.pending.get_or_insert_with(|| {
+                    let mut assignments: Vec<(usize, PageIdx)> = (0..node.slots())
+                        .filter_map(|i| Some((i, node.slot_mapping(i)?)))
+                        .collect();
+                    for &(slot, ppage) in &batch {
+                        assign(&mut assignments, slot, ppage);
+                    }
+                    (node.slots(), assignments, version)
+                });
+                let finest = (pending.0 / node.slots()).trailing_zeros() + 1;
+                return self.publish_pending(true, finest..=MAX_PUBLISH_SHIFT.max(finest));
             }
-            let live_slots = self.current.as_ref().map_or(0, ShortcutNode::slots);
-            batch.retain(|&(slot, _)| slot < live_slots);
         }
         let Some(node) = self.current.as_mut().filter(|_| live) else {
             return Ok(());
@@ -496,18 +527,34 @@ impl MapperEngine {
         Ok(())
     }
 
-    /// Replace the shortcut with a fresh `slots`-slot directory, if
-    /// admission lets it in; defer it otherwise.
-    fn apply_create(
-        &mut self,
-        slots: usize,
-        assignments: Vec<(usize, PageIdx)>,
-        version: u64,
-    ) -> Result<()> {
-        // Any newer create supersedes a deferred one.
-        self.deferred = None;
-        let Some((shift, reservation)) = self.admit_create(slots, &assignments) else {
-            self.deferred = Some((slots, assignments, version));
+    /// Admit the pending directory ([`MapperEngine::admit_create`]) and
+    /// publish it, at its version, at the depth admission picks, retiring
+    /// the live node it supersedes. Every published depth is reached
+    /// through here: from a relayed create, from an update batch the live
+    /// node cannot take, and from the mapper's own retries. A directory
+    /// published coarser than it is stays pending. Refused, it stays
+    /// pending with the shortcut suspended, and `count` says whether the
+    /// refusal is counted — a retry that fails counts nothing. Admission
+    /// tries the depths `shifts` levels coarser than the directory.
+    fn publish_pending(&mut self, count: bool, shifts: RangeInclusive<u32>) -> Result<()> {
+        self.folded = 0;
+        let Some((slots, assignments, version)) = self.pending.take() else {
+            return Ok(());
+        };
+        let Some((shift, reservation)) = self.admit_create(slots, &assignments, shifts) else {
+            self.state.set_suspended(true);
+            if count {
+                // Deferred (transient: pinned readers stalled the reclaim
+                // scan, and a retry on an upcoming tick will succeed)
+                // while retired areas remain; skipped (genuine: the
+                // directory does not fit) otherwise.
+                if self.pool.retire_list().retired_count() > 0 {
+                    self.metrics.creates_deferred.add(1);
+                } else {
+                    self.metrics.creates_skipped.add(1);
+                }
+            }
+            self.pending = Some((slots, assignments, version));
             return Ok(());
         };
         let node = self.build(
@@ -518,8 +565,8 @@ impl MapperEngine {
         self.metrics.creates_applied.add(1);
         if shift > 0 {
             self.metrics.creates_coarse.add(1);
+            self.pending = Some((slots, assignments, version));
         }
-        self.published_shift = shift;
         // SAFETY: as in `apply_updates`: the node becomes the live one.
         unsafe { self.state.publish(node.base(), node.slots(), version) };
         self.state.set_suspended(false);
@@ -527,6 +574,33 @@ impl MapperEngine {
             self.retire(old);
         }
         Ok(())
+    }
+
+    /// Whether a look at the pending directory finds a retry worth its
+    /// rebuild: for a suspended shortcut always (the folded splits moved
+    /// its footprints, which a failed retry caches again); for a coarse
+    /// one when a finer depth's planned footprint fits half the pool's
+    /// share — half of `fair_share(0)` in a fair pool, of the limit
+    /// otherwise — so that the published depth does not flap where it
+    /// barely fits.
+    fn worth_a_retry(&self) -> bool {
+        match (&self.pending, &self.current) {
+            (Some((slots, assignments, _)), Some(node)) => {
+                let budget = self.pool.budget();
+                let share = if self.pool.usage().is_fair() {
+                    budget.fair_share(0)
+                } else {
+                    budget.limit()
+                };
+                let coarser = (slots / node.slots()).trailing_zeros();
+                (0..coarser).any(|shift| {
+                    let fine = coarsen_assignments(assignments, shift);
+                    shortcut_rewire::planned_vmas(slots >> shift, fine) <= share / 2
+                })
+            }
+            (pending, None) => pending.is_some(),
+            (None, Some(_)) => false,
+        }
     }
 
     /// A `slots`-slot node mapping `assignments`, populated (when the
@@ -558,40 +632,6 @@ impl MapperEngine {
         Ok(node)
     }
 
-    /// Replace the live directory by its first half, published one level
-    /// coarser: slot `i` keeps the bucket of fine slot `i`, which resolves
-    /// every bucket shallow enough, and readers fall back for the rest. The
-    /// live node is out of service (a relay's bump cleared the serving
-    /// word), so it is retired first. `false` when there is no directory
-    /// to halve, or when its half does not fit either — then the shortcut
-    /// is suspended until a create brings it back.
-    fn coarsen_live(&mut self) -> Result<bool> {
-        let Some(old) = self.current.take_if(|node| node.slots() > 1) else {
-            return Ok(false);
-        };
-        let slots = old.slots() / 2;
-        let half: Vec<(usize, PageIdx)> = (0..slots)
-            .filter_map(|i| Some((i, old.slot_mapping(i)?)))
-            .collect();
-        self.retire(old);
-        self.pool.retire_list().try_reclaim();
-        let want = shortcut_rewire::planned_vmas(slots, &half);
-        let Some(reservation) = self
-            .pool
-            .budget()
-            .try_reserve_for(self.pool.usage(), want, 0)
-        else {
-            self.state.set_suspended(true);
-            self.metrics.creates_skipped.add(1);
-            return Ok(false);
-        };
-        let node = self.build(slots, &half, reservation)?;
-        self.metrics.creates_coarse.add(1);
-        self.published_shift += 1;
-        self.current = Some(node);
-        Ok(true)
-    }
-
     /// Retire a superseded node. Readers must not be served its area: the
     /// bump to the version that superseded it cleared the serving word,
     /// and only a pass end sets it again.
@@ -603,14 +643,19 @@ impl MapperEngine {
         self.pool.retire_list().retire(old.into_area());
     }
 
-    /// The coarsening shifts admission may try for a rebuild: always the
-    /// exact depth; additionally, with exact admission and a full
-    /// assignment vector, up to [`MAX_PUBLISH_SHIFT`] halvings of the
-    /// published depth (a halving keeps the directory's first half, which
-    /// maps the same runs of pages, so it is never less mergeable).
-    fn candidate_shifts(&self, slots: usize, assignments: &[(usize, PageIdx)]) -> u32 {
+    /// The coarsest shift admission may try for a rebuild: with exact
+    /// admission and a full assignment vector, up to `coarsest` halvings
+    /// of the published depth (a halving keeps the directory's first
+    /// half, which maps the same runs of pages, so it is never less
+    /// mergeable); otherwise only the exact depth.
+    fn candidate_shifts(
+        &self,
+        slots: usize,
+        assignments: &[(usize, PageIdx)],
+        coarsest: u32,
+    ) -> u32 {
         if self.cfg.compaction.enabled() && assignments.len() == slots {
-            MAX_PUBLISH_SHIFT.min(slots.trailing_zeros())
+            coarsest.min(slots.trailing_zeros())
         } else {
             0
         }
@@ -639,9 +684,10 @@ impl MapperEngine {
         }
     }
 
-    /// Admission control for a rebuild: atomically reserve the rebuild's
-    /// footprint (see [`MapperEngine::rebuild_reservation`]), preferring
-    /// the exact depth and falling back to coarser published depths (the
+    /// Admission control for a rebuild at the depths `shifts` levels
+    /// coarser than it: atomically reserve the rebuild's footprint (see
+    /// [`MapperEngine::rebuild_reservation`]), preferring the exact depth
+    /// and falling back to coarser published depths (the
     /// paper's directory at half depth still resolves every bucket whose
     /// local depth fits; deeper buckets are detected by readers and
     /// served traditionally). Among coarse depths the engine picks by
@@ -655,21 +701,19 @@ impl MapperEngine {
     /// nothing fits, the stale current node is retired (the traditional
     /// version has already moved past it, so no new reader can route
     /// through it), a reclaim is attempted, and — if the rebuild still
-    /// does not fit — the state is marked suspended and the create
-    /// skipped. The skip is counted as *deferred* (transient: pinned
-    /// readers stalled the reclaim scan, the retry on an upcoming tick
-    /// will succeed) when retired areas remain, and as *skipped*
-    /// (genuine: nothing left to reclaim, the directory simply does not
-    /// fit) otherwise.
+    /// does not fit — `None`, with the cheapest footprint any depth would
+    /// be admitted at cached for the retry probe.
     fn admit_create(
         &mut self,
         slots: usize,
         assignments: &[(usize, PageIdx)],
+        shifts: RangeInclusive<u32>,
     ) -> Option<(u32, shortcut_rewire::BudgetReservation)> {
         let budget = Arc::clone(self.pool.budget());
         let usage = Arc::clone(self.pool.usage());
         let headroom = budget_headroom(budget.limit());
-        let max_shift = self.candidate_shifts(slots, assignments);
+        let max_shift = self.candidate_shifts(slots, assignments, *shifts.end());
+        let exact = shifts.contains(&0);
         // Exact depth first. Building while the superseded directory is
         // still mapped (the common fast path) doubles the kernel's
         // transient mapping count, so the overlap is only allowed while
@@ -681,7 +725,10 @@ impl MapperEngine {
         // just because a reclaimable directory was still charged.
         let want = self.rebuild_reservation(slots, assignments, 0);
         let overlap_headroom = headroom.max(budget.limit() / 4);
-        if let Some(r) = budget.try_reserve_for(&usage, want, overlap_headroom) {
+        if let Some(r) = exact
+            .then(|| budget.try_reserve_for(&usage, want, overlap_headroom))
+            .flatten()
+        {
             self.metrics.coarse_service_pct.set(100);
             return Some((0, r));
         }
@@ -690,7 +737,10 @@ impl MapperEngine {
         }
         self.pool.retire_list().try_reclaim();
         let mut min_want = want;
-        if let Some(r) = budget.try_reserve_for(&usage, want, headroom) {
+        if let Some(r) = exact
+            .then(|| budget.try_reserve_for(&usage, want, headroom))
+            .flatten()
+        {
             self.metrics.coarse_service_pct.set(100);
             return Some((0, r));
         }
@@ -715,6 +765,9 @@ impl MapperEngine {
                     continue;
                 }
                 min_want = min_want.min(want);
+                if !shifts.contains(&shift) {
+                    continue;
+                }
                 if let Some(r) = budget.try_reserve_for(&usage, want, headroom) {
                     let pct = (served * 100 / total.max(1)) as u64;
                     self.metrics.coarse_service_pct.set(pct);
@@ -722,40 +775,26 @@ impl MapperEngine {
                 }
             }
         }
-        // Deferred: cache the cheapest admissible footprint so the
-        // per-tick retry probe is one O(1) `would_fit_for` that agrees with
-        // what this function will accept (recomputed here on every
-        // failed retry, so a stale bound self-corrects).
-        self.deferred_min_want = min_want;
-        self.state.set_suspended(true);
-        if self.pool.retire_list().retired_count() > 0 {
-            self.metrics.creates_deferred.add(1);
-        } else {
-            self.metrics.creates_skipped.add(1);
-        }
+        // Refused: recomputed here on every failed retry, so a stale
+        // bound self-corrects.
+        self.min_want = min_want;
         None
     }
 
-    /// Drive retired-area reclamation, then retry a deferred create if it
-    /// would now fit (called by the mapper thread at the end of every
-    /// pass). Returns the number of areas unmapped.
+    /// Drive retired-area reclamation, then retry a suspended shortcut's
+    /// pending directory if it would now fit (called by the mapper thread
+    /// at the end of every pass). Returns the number of areas unmapped.
     pub fn reclaim_tick(&mut self) -> Result<usize> {
         let reclaimed = self.pool.retire_list().try_reclaim();
-        if self.deferred.is_some() {
-            // Racy pre-check to avoid re-counting a skip every tick; the
-            // retry's real admission goes through try_reserve_for again. The
-            // probe is one O(1) `would_fit_for` against the smallest
-            // footprint any admissible depth would reserve, cached by
-            // the failed admission that deferred the create (and
-            // recomputed whenever a retry fails, so a slightly-stale
-            // bound — folded updates can shift footprints by a few VMAs
-            // — costs at most one futile retry, never a per-tick loop).
-            let budget = Arc::clone(self.pool.budget());
+        if self.current.is_none() && self.pending.is_some() {
+            // A racy O(1) probe against the smallest footprint admission
+            // would take; the retry reserves atomically. A bound folded
+            // updates left stale costs at most one futile retry, which
+            // recomputes it — never a per-tick loop.
+            let budget = self.pool.budget();
             let headroom = budget_headroom(budget.limit());
-            if budget.would_fit_for(self.pool.usage(), self.deferred_min_want, headroom) {
-                if let Some((slots, assignments, version)) = self.deferred.take() {
-                    self.apply_create(slots, assignments, version)?;
-                }
+            if budget.would_fit_for(self.pool.usage(), self.min_want, headroom) {
+                self.publish_pending(false, 0..=MAX_PUBLISH_SHIFT)?;
             }
         }
         Ok(reclaimed)
@@ -1784,6 +1823,246 @@ mod tests {
             s.coarse_service_pct,
             2 * 100 / 6,
             "2 of 6 buckets resolvable"
+        );
+    }
+
+    /// An engine over a fresh pool whose private budget starts at `limit`
+    /// mappings (the pool's view takes 2 of them), with the pool, its
+    /// budget and the engine's counters.
+    fn budgeted(
+        limit: usize,
+        compaction: CompactionPolicy,
+    ) -> (
+        PagePool,
+        Arc<shortcut_rewire::VmaBudget>,
+        Arc<MaintMetrics>,
+        MapperEngine,
+    ) {
+        let budget = shortcut_rewire::VmaBudget::with_limit(limit);
+        let pl = PagePool::new(PoolConfig {
+            initial_pages: 0,
+            min_growth_pages: 64,
+            view_capacity_pages: 4096, // audit:allow(page-literal): view capacity in pages (a count), not a byte size
+            vma_budget: Some(Arc::clone(&budget)),
+            ..PoolConfig::default()
+        })
+        .unwrap();
+        let metrics = Arc::new(MaintMetrics::default());
+        let eng = MapperEngine::new(
+            pl.handle(),
+            Arc::new(SharedDirectoryState::new()),
+            Arc::clone(&metrics),
+            MaintConfig {
+                compaction,
+                ..MaintConfig::default()
+            },
+        );
+        (pl, budget, metrics, eng)
+    }
+
+    /// The directory a pass of `eng` published, once served: its base and
+    /// slot count.
+    fn served(eng: &MapperEngine) -> (*const u8, usize) {
+        assert!(eng.state.in_sync(), "not in sync");
+        eng.inbox_lock().refresh_serving();
+        let t = eng.state.begin_read().expect("served");
+        (t.base.cast_const(), t.slots)
+    }
+
+    /// 64 slots in suffix order over a run of 64 stamped pages: the first
+    /// half maps pages 0..32 in one run, and of the second half the first
+    /// `2k` slots alternate between the page of the lower-half bucket and
+    /// a page of their own, the rest continuing one run: `2k + 2` mappings
+    /// at full depth, one at half depth.
+    fn fragmented(pl: &mut PagePool, k: usize) -> Vec<(usize, PageIdx)> {
+        let run = pl.alloc_run(64).unwrap();
+        for i in 0..64 {
+            stamp(pl, PageIdx(run.0 + i), 900 + i as u64);
+        }
+        (0..64)
+            .map(|s| {
+                let own = s >= 32 && (s - 32) % 2 == 1 && s - 32 < 2 * k;
+                (s, PageIdx(run.0 + if own { s } else { s % 32 }))
+            })
+            .collect()
+    }
+
+    /// `n` updates, in one relay, that remap slots of the first half to
+    /// the pages they map already: they change no answer and no
+    /// footprint, and each is one request to fold.
+    fn no_op_updates(eng: &MapperEngine, dir: &[(usize, PageIdx)], n: usize) {
+        eng.inbox_lock().relay((0..n).map(|i| MaintRequest::Update {
+            slots: one(i % 8),
+            ppage: dir[i % 8].1,
+        }));
+    }
+
+    #[test]
+    fn a_suspended_shortcut_comes_back_once_the_limit_is_raised() {
+        let (mut pl, budget, metrics, mut eng) = budgeted(32, CompactionPolicy::disabled());
+        let l0 = pl.alloc_page().unwrap();
+        stamp(&pl, l0, 55);
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 64,
+            assignments: (0..64).map(|s| (s, l0)).collect(),
+        }]);
+        eng.pass().unwrap();
+        assert!(eng.state.suspended());
+        assert_eq!(metrics.snapshot().creates_skipped, 1);
+        // Nothing changes until the budget does.
+        eng.reclaim_tick().unwrap();
+        assert!(eng.state.suspended());
+        budget.set_limit(1_000);
+        eng.reclaim_tick().unwrap();
+        assert!(!eng.state.suspended());
+        let (base, slots) = served(&eng);
+        assert_eq!(slots, 64);
+        // SAFETY: the served directory maps 64 slots, and nothing retires
+        // it while the engine is borrowed here.
+        unsafe {
+            assert_eq!(*(base.add(63 << 12) as *const u64), 55);
+        }
+        let s = metrics.snapshot();
+        assert_eq!((s.creates_applied, s.creates_skipped), (1, 1));
+    }
+
+    #[test]
+    fn a_coarse_shortcut_is_published_finer_only_by_a_pass_that_took_updates() {
+        // 18 mappings at full depth (20 with the view) do not fit 10: the
+        // first half, one run, is published.
+        let (mut pl, budget, metrics, mut eng) = budgeted(10, CompactionPolicy::on());
+        let dir = fragmented(&mut pl, 8);
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 64,
+            assignments: dir.clone(),
+        }]);
+        eng.pass().unwrap();
+        let coarse = served(&eng);
+        assert_eq!(coarse.1, 32);
+        // A raised limit alone changes nothing: idle ticks never retire
+        // the directory readers are served.
+        budget.set_limit(1_000);
+        for _ in 0..10 {
+            eng.pass().unwrap();
+            eng.reclaim_tick().unwrap();
+            assert_eq!(served(&eng), coarse);
+        }
+        no_op_updates(&eng, &dir, LOOK_INTERVAL - 1);
+        eng.pass().unwrap();
+        assert_eq!(served(&eng).1, 32, "published finer before the look");
+        no_op_updates(&eng, &dir, 1);
+        eng.pass().unwrap();
+        let (base, slots) = served(&eng);
+        assert_eq!(slots, 64, "the look published finer");
+        for &(s, page) in &dir {
+            // SAFETY: the served directory maps 64 slots, and nothing
+            // retires it while the engine is borrowed here.
+            unsafe {
+                assert_eq!(
+                    *(base.add(s << 12) as *const u64),
+                    900 + (page.0 - dir[0].1 .0) as u64
+                );
+            }
+        }
+        let s = metrics.snapshot();
+        assert_eq!((s.creates_applied, s.creates_coarse), (2, 1));
+    }
+
+    #[test]
+    fn the_published_depth_does_not_flap_at_the_half_share() {
+        let (mut pl, budget, metrics, mut eng) = budgeted(10, CompactionPolicy::on());
+        let dir = fragmented(&mut pl, 8);
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 64,
+            assignments: dir.clone(),
+        }]);
+        eng.pass().unwrap();
+        assert_eq!(served(&eng).1, 32);
+        let finer = || {
+            let s = metrics.snapshot();
+            s.creates_applied - s.creates_coarse
+        };
+        // The full depth's 18 mappings fit 35 whole, but not half of it:
+        // the shortcut stays coarse. (Published whole, 8 updates a pass —
+        // up to 16 more mappings — would not fit beside them, and every
+        // pass would rebuild it.)
+        budget.set_limit(35);
+        for _ in 0..200 {
+            no_op_updates(&eng, &dir, 8);
+            eng.pass().unwrap();
+        }
+        assert_eq!(served(&eng).1, 32);
+        assert_eq!(finer(), 0);
+        // At 36 they fit half of it: one finer create, and it stays.
+        budget.set_limit(36);
+        for _ in 0..200 {
+            no_op_updates(&eng, &dir, 8);
+            eng.pass().unwrap();
+        }
+        assert_eq!(served(&eng).1, 64);
+        assert_eq!(finer(), 1);
+        // Back at 35, a pass's 8 updates no longer fit beside the full
+        // depth: one pass publishes it a level coarser, and there it
+        // stays — no pass rebuilds it at the depth it could not keep.
+        budget.set_limit(35);
+        for _ in 0..200 {
+            no_op_updates(&eng, &dir, 8);
+            eng.pass().unwrap();
+        }
+        assert_eq!(served(&eng).1, 32);
+        assert_eq!((metrics.snapshot().creates_coarse, finer()), (2, 1));
+        assert!(budget.in_use() <= budget.limit());
+    }
+
+    #[test]
+    fn a_retry_that_fails_counts_nothing() {
+        // Two runs at full depth (4 mappings with the view) do not fit 3,
+        // and no coarser depth resolves a bucket (every bucket is named
+        // by one slot): suspended, the cheapest footprint 2.
+        let (mut pl, budget, metrics, mut eng) = budgeted(3, CompactionPolicy::on());
+        let run = pl.alloc_run(64).unwrap();
+        let mut dir: Vec<(usize, PageIdx)> = (0..16)
+            .map(|s| (s, PageIdx(run.0 + s % 8 + 20 * (s / 8))))
+            .collect();
+        eng.inbox_lock().relay([MaintRequest::Create {
+            slots: 16,
+            assignments: dir.clone(),
+        }]);
+        eng.pass().unwrap();
+        assert!(eng.state.suspended());
+        assert_eq!(metrics.snapshot().creates_skipped, 1);
+        // Splits scatter the first run (fewer than a look's worth of
+        // them): the cached footprint is now too small.
+        for s in [1, 3, 5] {
+            dir[s].1 = PageIdx(run.0 + 40 + 2 * s);
+            eng.inbox_lock().relay([MaintRequest::Update {
+                slots: one(s),
+                ppage: dir[s].1,
+            }]);
+        }
+        eng.pass().unwrap();
+        // The probe lets a retry through that admission refuses.
+        budget.set_limit(4);
+        eng.reclaim_tick().unwrap();
+        eng.reclaim_tick().unwrap();
+        // And a look's retry, 64 folded updates on.
+        eng.inbox_lock()
+            .relay((0..LOOK_INTERVAL).map(|i| MaintRequest::Update {
+                slots: one(i % 16),
+                ppage: dir[i % 16].1,
+            }));
+        eng.pass().unwrap();
+        assert!(eng.state.suspended());
+        let s = metrics.snapshot();
+        assert_eq!((s.creates_skipped, s.creates_deferred), (1, 0));
+        assert_eq!(s.creates_applied, 0);
+        // Its directory, with the splits folded in, is what comes back.
+        budget.set_limit(1_000);
+        eng.reclaim_tick().unwrap();
+        assert!(!eng.state.suspended());
+        assert_eq!(
+            eng.current().unwrap().vma_estimate(),
+            shortcut_rewire::planned_vmas(16, &dir)
         );
     }
 

@@ -225,28 +225,17 @@ impl SharedDirectoryState {
         }
     }
 
-    /// Slot count of the currently published shortcut area (0 before the
-    /// first create), regardless of sync state. Smaller than the
-    /// traditional directory's slot count when admission published at a
-    /// coarser depth to fit the VMA budget.
-    pub fn published_slots(&self) -> usize {
-        let (base, depth) = unpack(self.published.load(Ordering::Acquire));
-        if base.is_null() {
-            return 0;
-        }
-        1 << depth
-    }
-
     /// Record whether shortcut maintenance is suspended by the VMA budget
     /// (set by the mapper thread only).
     pub(crate) fn set_suspended(&self, suspended: bool) {
         self.suspended.store(suspended, Ordering::Release);
     }
 
-    /// Whether the mapper skipped the latest rebuild because it would not
-    /// fit the VMA budget. The index stays fully usable — lookups route
-    /// through the traditional directory — but the shortcut will not catch
-    /// up until the budget allows a rebuild.
+    /// Whether the mapper serves no directory because admission refused
+    /// every depth of the latest one under the VMA budget. The index stays
+    /// fully usable — lookups route through the traditional directory —
+    /// and the mapper keeps the directory pending, with every later update
+    /// folded in, and publishes it itself once a depth fits.
     pub fn suspended(&self) -> bool {
         self.suspended.load(Ordering::Acquire)
     }

@@ -151,9 +151,9 @@ impl IndexBuilder {
     /// for the recommended production setting). Each bucket sits on the
     /// pool page of its hash suffix, so a rebuild maps runs the kernel
     /// merges into a handful of VMAs; exact admission reserves just that
-    /// footprint, publishes coarser when even that does not fit, and
-    /// re-announces a suspended or coarsely published shortcut once a
-    /// finer one fits: this is what lets shortcut-served lookups scale
+    /// footprint and publishes coarser when even that does not fit; the
+    /// mapper publishes a suspended or coarsely published shortcut finer
+    /// by itself once a finer depth fits: this is what lets shortcut-served lookups scale
     /// past the `vm.max_map_count` ceiling (millions of keys on a stock
     /// kernel) instead of suspending.
     pub fn compaction(mut self, policy: CompactionPolicy) -> Self {

@@ -30,7 +30,6 @@ use crate::stats::IndexStats;
 use crate::traits::Index;
 use shortcut_core::MaintRequest;
 use shortcut_rewire::{planned_vmas, PageIdx, PagePool, PoolConfig, PoolHandle};
-use std::sync::Arc;
 
 /// How many keys ahead of the probe the batched lookups prefetch. One
 /// constant for every path, from a sweep on a 2-vCPU Xeon (BASELINES.md,
@@ -184,12 +183,6 @@ impl ExtendibleHash {
         self.stats
     }
 
-    /// Bucket splits so far ([`IndexStats::splits`], without the copy).
-    #[inline]
-    pub fn splits(&self) -> u64 {
-        self.stats.splits
-    }
-
     /// Operation counters of the backing page pool.
     pub fn pool_stats(&self) -> shortcut_rewire::StatsSnapshot {
         self.pool.stats()
@@ -200,16 +193,15 @@ impl ExtendibleHash {
         self.pool.vma_snapshot()
     }
 
-    /// The pool's VMA budget — cheap atomic `in_use`/`limit` reads for
-    /// hot-path decisions (the full [`ExtendibleHash::vma_stats`]
-    /// snapshot takes the retire-list mutex).
-    pub fn vma_budget(&self) -> &Arc<shortcut_rewire::VmaBudget> {
-        self.pool.budget()
-    }
-
     /// Maximum entries a bucket may hold before splitting.
     pub fn bucket_entry_limit(&self) -> usize {
         self.max_entries
+    }
+
+    /// The bucket pool.
+    #[cfg(test)]
+    pub(crate) fn pool(&self) -> &PagePool {
+        &self.pool
     }
 
     /// A shareable handle to the bucket pool (for shortcut maintenance).
@@ -340,32 +332,20 @@ impl ExtendibleHash {
     ///
     /// Propagates [`ExtendibleHash::directory_assignments`] failures.
     pub fn layout_vmas(&self) -> Result<usize, IndexError> {
-        self.layout_vmas_at(0)
-    }
-
-    /// [`ExtendibleHash::layout_vmas`] for a directory published `shift`
-    /// levels coarser (the maintenance engine's budget fallback): the
-    /// directory's first `slots >> shift` slots.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExtendibleHash::directory_assignments`] failures.
-    pub fn layout_vmas_at(&self, shift: u32) -> Result<usize, IndexError> {
-        let slots = self.dir.slot_count() >> shift;
-        let assignments = self.directory_assignments()?;
-        Ok(planned_vmas(slots, &assignments[..slots]))
+        Ok(planned_vmas(
+            self.dir.slot_count(),
+            &self.directory_assignments()?,
+        ))
     }
 
     /// Announce the current directory as a full rebuild: records one
     /// [`MaintRequest::Create`] carrying the current assignment. A
-    /// doubling does, Shortcut-EH's first directory does, and Shortcut-EH
-    /// lifts a budget suspension (or a coarse publish) with it once a
-    /// finer directory fits the budget again.
+    /// doubling does, and so does Shortcut-EH's first directory.
     ///
     /// # Errors
     ///
     /// Propagates [`ExtendibleHash::directory_assignments`] failures.
-    pub fn emit_rebuilt_event(&mut self) -> Result<(), IndexError> {
+    pub(crate) fn emit_rebuilt_event(&mut self) -> Result<(), IndexError> {
         if self.events.is_some() {
             let assignments = self.directory_assignments()?;
             self.record(MaintRequest::Create {
@@ -911,15 +891,15 @@ mod tests {
         for k in 0..3 {
             eh.insert(k, k).unwrap();
         }
-        assert_eq!((eh.splits(), eh.bucket_count(), eh.len()), (0, 1, 3));
+        assert_eq!((eh.stats().splits, eh.bucket_count(), eh.len()), (0, 1, 3));
         assert!((0..3).all(|k| !finds_full(&eh, k)) && finds_full(&eh, 3));
         for k in 0..3 {
             eh.insert(k, k + 100).unwrap();
-            assert_eq!((eh.splits(), eh.len()), (0, 3), "update of {k}");
+            assert_eq!((eh.stats().splits, eh.len()), (0, 3), "update of {k}");
             assert_eq!(eh.get(k), Some(k + 100));
         }
         eh.insert(3, 3).unwrap();
-        assert!(eh.splits() > 0);
+        assert!(eh.stats().splits > 0);
         assert_eq!(eh.len(), 4);
     }
 
@@ -940,12 +920,12 @@ mod tests {
                 if op % 4 == 0 {
                     assert_eq!(eh.remove(key).unwrap(), model.remove(&key), "op {op}");
                 } else {
-                    let (full, splits) = (finds_full(&eh, key), eh.splits());
+                    let (full, splits) = (finds_full(&eh, key), eh.stats().splits);
                     eh.insert(key, op).unwrap();
                     model.insert(key, op);
-                    assert_eq!(eh.splits() > splits, full, "op {op}: key {key}");
+                    assert_eq!(eh.stats().splits > splits, full, "op {op}: key {key}");
                     splitting += usize::from(full);
-                    multi_round += usize::from(eh.splits() > splits + 1);
+                    multi_round += usize::from(eh.stats().splits > splits + 1);
                 }
                 assert_eq!(eh.len(), model.len(), "op {op}");
                 if op % 1024 == 0 {
@@ -977,7 +957,7 @@ mod tests {
             let mut model = std::collections::HashMap::new();
             let (failed, splits) = (0u64..)
                 .find_map(|i| {
-                    let (key, splits) = (scattered(seed, i), eh.splits());
+                    let (key, splits) = (scattered(seed, i), eh.stats().splits);
                     match eh.insert(key, i) {
                         Ok(()) => model.insert(key, i).and(None),
                         Err(e) => {
@@ -987,7 +967,7 @@ mod tests {
                     }
                 })
                 .unwrap();
-            later_rounds += usize::from(eh.splits() > splits);
+            later_rounds += usize::from(eh.stats().splits > splits);
             assert_eq!(eh.len(), model.len());
             assert_eq!(eh.get(failed), None);
             for (&k, &v) in &model {

@@ -43,8 +43,8 @@ use crate::hash::{dir_hash_of, dir_slot, mult_hash};
 use crate::stats::IndexStats;
 use crate::traits::Index;
 use shortcut_core::metrics::MaintSnapshot;
-use shortcut_core::{CompactionPolicy, MaintConfig, Maintainer, ReadTicket, RoutePolicy};
-use shortcut_rewire::{PoolUsage, ReaderPin, RetireList, PAGE_SHIFT_4K};
+use shortcut_core::{MaintConfig, Maintainer, ReadTicket, RoutePolicy};
+use shortcut_rewire::{ReaderPin, RetireList, PAGE_SHIFT_4K};
 use std::sync::{Arc, RwLockReadGuard};
 
 /// Shortcut-EH tuning.
@@ -80,16 +80,6 @@ pub struct ShortcutEh {
     /// reclamation never unmaps a retired directory under a reader —
     /// and count themselves on the pin's stripe.
     retire: Arc<RetireList>,
-    /// What the pool holds of its (possibly shared) VMA budget.
-    usage: Arc<PoolUsage>,
-    /// The mapper's admission rule: with exact admission, the write path
-    /// looks for a finer directory to re-announce
-    /// ([`ShortcutEh::maybe_republish`]).
-    admission: CompactionPolicy,
-    /// Split count below which [`ShortcutEh::maybe_republish`] does not
-    /// look again: bounds what its probes (and a rescue the mapper
-    /// refuses) cost.
-    next_look_splits: u64,
     /// [`EhConfig::hash_rot`], for the lookup path (the index copies it
     /// onto the shard's read line).
     pub(crate) hash_rot: u32,
@@ -105,20 +95,15 @@ impl ShortcutEh {
     /// panic when `vm.max_map_count` or the view reservation ran out.
     pub fn try_new(cfg: ShortcutEhConfig) -> Result<Self, IndexError> {
         let hash_rot = cfg.eh.hash_rot;
-        let admission = cfg.maint.compaction;
         let eh = ExtendibleHash::try_new_tracked(cfg.eh)?;
         let handle = eh.pool_handle();
         let retire = Arc::clone(handle.retire_list());
-        let usage = Arc::clone(handle.usage());
         let maint = Maintainer::spawn(handle, cfg.maint);
         let mut this = ShortcutEh {
             maint,
             eh,
             policy: cfg.policy,
             retire,
-            usage,
-            admission,
-            next_look_splits: Self::REPUBLISH_SPLIT_INTERVAL,
             hash_rot,
         };
         // Announce the initial single-slot directory so the shortcut can
@@ -247,56 +232,6 @@ impl ShortcutEh {
         inbox.relay(self.eh.drain_events());
     }
 
-    /// Splits between two looks of [`ShortcutEh::maybe_republish`].
-    const REPUBLISH_SPLIT_INTERVAL: u64 = 64;
-
-    /// With exact admission, re-announce the directory when the mapper
-    /// would now publish it finer than it did: a suspended shortcut once
-    /// some published depth fits what admission hands out, and a coarsely
-    /// published one once a finer depth fits half of this pool's share
-    /// (so that the published depth does not flap at the boundary). The
-    /// pages never move; only the mapper needs to hear of the directory
-    /// again.
-    ///
-    /// Runs after every insert that split: nothing but the split count is
-    /// read between two looks [`ShortcutEh::REPUBLISH_SPLIT_INTERVAL`]
-    /// splits apart.
-    fn maybe_republish(&mut self) {
-        let splits = self.eh.splits();
-        if !self.admission.enabled() || splits < self.next_look_splits {
-            return;
-        }
-        self.next_look_splits = splits + Self::REPUBLISH_SPLIT_INTERVAL;
-        let state = self.maint.state();
-        // How much coarser than the directory the shortcut is published.
-        let finer_than = match state.published_slots() {
-            _ if state.suspended() => u32::MAX,
-            0 => return,
-            published => (self.eh.dir_slots() / published).trailing_zeros(),
-        };
-        if finer_than == 0 {
-            return;
-        }
-        let budget = self.eh.vma_budget();
-        let limit = budget.limit();
-        let target = if finer_than == u32::MAX {
-            limit.saturating_sub(shortcut_core::maintenance::budget_headroom(limit))
-        } else if self.usage.is_fair() {
-            budget.fair_share(0) / 2
-        } else {
-            limit / 2
-        };
-        let max_shift = shortcut_core::MAX_PUBLISH_SHIFT.min(self.eh.dir_slots().trailing_zeros());
-        let fits = (0..=max_shift.min(finer_than.saturating_sub(1))).any(|shift| {
-            self.eh
-                .layout_vmas_at(shift)
-                .is_ok_and(|planned| planned <= target)
-        });
-        if fits {
-            let _ = self.eh.emit_rebuilt_event();
-        }
-    }
-
     /// Planned-VMA estimate of the current bucket layout (`O(slots)`).
     ///
     /// # Errors
@@ -414,9 +349,8 @@ impl ShortcutEh {
         self.insert_slow(key, value, dir_hash, true)
     }
 
-    /// EH's split-and-retry, then what a directory change owes: a look at
-    /// the layout and (`relay`) the relay, so a pass's rebuild rides the
-    /// same submission. Also on error: a multi-round split can apply a
+    /// EH's split-and-retry, then (`relay`) the relay a directory change
+    /// owes. Also on error: a multi-round split can apply a
     /// first round before a later one fails, and skipping the relay would
     /// leave the shortcut stamped in-sync over pre-split buckets.
     #[cold]
@@ -429,11 +363,8 @@ impl ShortcutEh {
         relay: bool,
     ) -> Result<(), IndexError> {
         let r = self.eh.insert_slow(key, value, dir_hash);
-        if self.eh.has_events() {
-            self.maybe_republish();
-            if relay {
-                self.relay_events();
-            }
+        if relay {
+            self.relay_events();
         }
         r
     }
@@ -453,7 +384,7 @@ impl ShortcutEh {
     }
 
     /// [`ShortcutEh::insert_hashed`] in a batch's write section, which
-    /// relays when it is left: after a split, only the look at the layout.
+    /// relays when it is left.
     ///
     /// # Errors
     ///
@@ -896,15 +827,55 @@ mod tests {
         assert!(t.stats().shortcut_lookups >= served_before + 900);
     }
 
+    /// Lines of `/proc/self/maps` inside the `pages` pages from `lo`.
+    fn kernel_vmas(lo: *const u8, pages: usize) -> u64 {
+        let (lo, hi) = (lo as usize, lo as usize + (pages << PAGE_SHIFT_4K));
+        std::fs::read_to_string("/proc/self/maps")
+            .unwrap()
+            .lines()
+            .filter_map(|line| {
+                let (start, end) = line.split_whitespace().next()?.split_once('-')?;
+                let start = usize::from_str_radix(start, 16).ok()?;
+                let end = usize::from_str_radix(end, 16).ok()?;
+                (start >= lo && end <= hi).then_some(())
+            })
+            .count() as u64
+    }
+
+    /// The budget charges what the kernel maps: once the index is in sync
+    /// and its retired directories are unmapped, a private budget holds
+    /// exactly the `/proc/self/maps` lines inside the pool's view
+    /// reservation and inside the live shortcut area — here a directory
+    /// mid-way through its splits, a few hundred runs. (Only lines inside
+    /// those ranges are counted, so tests running beside it cannot move
+    /// the count.)
+    #[test]
+    fn the_budget_charges_what_the_kernel_maps() {
+        let mut cfg = fast_cfg();
+        cfg.eh.pool.vma_budget = Some(shortcut_rewire::VmaBudget::with_limit(65_530));
+        let view_pages = cfg.eh.pool.view_capacity_pages;
+        let mut t = ShortcutEh::try_new(cfg).unwrap();
+        for k in 0..45_000u64 {
+            t.insert(k, k * 3).unwrap();
+        }
+        assert!(t.wait_sync(Duration::from_secs(10)));
+        drain_retired(&t);
+        let served = t.maint.state().begin_read().expect("served");
+        let kernel = kernel_vmas(t.eh.pool().view_base(), view_pages)
+            + kernel_vmas(served.base, served.slots);
+        assert_eq!(t.vma_stats().in_use, kernel, "{:?}", t.vma_stats());
+        assert!(kernel > 100, "a directory of runs: {kernel} mappings");
+    }
+
     #[test]
     fn compaction_keeps_shortcut_served_where_it_used_to_suspend() {
         // A ~600-mapping budget, far below one-VMA-per-slot scale.
         // Worst-case admission refuses the first ≥600-slot rebuild for
         // good. Exact admission (`on`) admits rebuilds at their footprint
         // — a few runs, each bucket on the page of its suffix — published
-        // at a coarser depth when even that does not fit, and the write
-        // path re-announces a refused one, so the index must end in sync
-        // and shortcut-serving.
+        // at a coarser depth when even that does not fit, and the mapper
+        // retries a refused one itself, so the index must end in sync and
+        // shortcut-serving.
         let n = 100_000u64;
         let build = |compaction: shortcut_core::CompactionPolicy| {
             let mut cfg = fast_cfg();
@@ -924,8 +895,8 @@ mod tests {
             let _ = on.wait_sync(Duration::from_secs(10));
         }
         // Growth may transit refusals, but each must resolve (coarse
-        // publish or re-announce): at rest the index serves via the
-        // shortcut.
+        // publish or the mapper's retry): at rest the index serves via
+        // the shortcut.
         assert!(
             on.wait_sync(Duration::from_secs(30)),
             "never back in sync: vma={:?} metrics={:?}",
@@ -951,8 +922,7 @@ mod tests {
         assert!(
             served > 2_048,
             "only {served}/4096 batched lookups shortcut-served \
-             (published slots={} dir_slots={} buckets={} metrics={:?})",
-            on.state_arc().published_slots(),
+             (dir_slots={} buckets={} metrics={:?})",
             on.eh.dir_slots(),
             on.bucket_count(),
             on.maint_metrics()
@@ -990,7 +960,7 @@ mod tests {
 
     /// What only a split or a doubling moves.
     fn shape(t: &ShortcutEh) -> (u64, u64) {
-        (t.eh.splits(), t.eh.stats().doublings)
+        (t.eh.stats().splits, t.eh.stats().doublings)
     }
 
     fn assert_reads_as(t: &ShortcutEh, model: &std::collections::HashMap<u64, u64>, domain: u64) {

@@ -128,11 +128,11 @@ fn mergeable(a: Mapping, b: Mapping) -> bool {
 /// reservation: one VMA per maximal mergeable run, counting the anonymous
 /// gaps. This is the exact initial footprint a directory rebuild charges
 /// the budget (it equals [`VirtArea::vma_estimate`] right after
-/// `rewire_batch`). With compaction off, admission control reserves the
-/// **worst case** — one VMA per page — instead, because later per-slot
-/// remappings can fragment merged runs up to that bound; with it on,
-/// admission reserves this estimate, since compaction bounds how far the
-/// layout can fragment.
+/// `rewire_batch`). Worst-case admission reserves one VMA per page
+/// instead, because later per-slot remappings can fragment merged runs up
+/// to that bound; exact admission reserves this estimate, and the mapper
+/// sends a directory whose pending updates could fragment it past the
+/// budget back through admission, which publishes it coarser.
 pub fn planned_vmas(pages: usize, assignments: &[(usize, PageIdx)]) -> usize {
     let mut vmas = 0usize;
     let mut prev: Option<(usize, PageIdx)> = None;

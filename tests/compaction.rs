@@ -3,8 +3,8 @@
 //! its planned-VMA footprint stays bounded far below one mapping a slot
 //! while every answer matches a `ChainedHash` oracle (with 4 concurrent
 //! reader threads between mutation phases), the live mappings collapse
-//! without a page ever moving, and a suspended shortcut is announced
-//! again once a depth fits.
+//! without a page ever moving, and the mapper brings a suspended shortcut
+//! back by itself once a depth fits.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -191,22 +191,24 @@ fn occasion_index(policy: CompactionPolicy, shard_bits: u32, budget: usize) -> S
         .unwrap()
 }
 
-/// A shortcut the budget suspended is announced again once growth has
-/// shrunk what the directory needs: 100 keys whose directory hashes share
-/// their low 12 bits (and, sharded, their route) force a 2^13-slot
-/// directory of a few buckets, strided so that no published depth fits a
-/// budget of 255 mappings; the spread keys that follow fill it in until
-/// one does, and the write path announces it again. No create is skipped
-/// after that.
+/// A shortcut the budget suspended comes back once growth has shrunk
+/// what the directory needs: 100 keys whose directory hashes share their
+/// low 12 bits (and, sharded, their route) force a 2^13-slot directory of
+/// a few buckets, strided so that no published depth fits a budget of 255
+/// mappings; the spread keys that follow fill it in until one does, and
+/// the mapper, which keeps the directory pending, publishes it. No create
+/// is skipped after that.
 #[test]
-fn a_suspended_shortcut_is_announced_again_once_a_depth_fits() {
+fn a_suspended_shortcut_comes_back_once_a_depth_fits() {
     for shard_bits in [0, 2] {
         rescue_of_a_suspended_shortcut(shard_bits);
     }
 }
 
-fn rescue_of_a_suspended_shortcut(shard_bits: u32) {
-    let mut index = occasion_index(CompactionPolicy::on(), shard_bits, OCCASION_BUDGET / 16);
+/// The clustered keys of [`rescue_of_a_suspended_shortcut`] for an index
+/// of `shard_bits` route bits, with their values: all in one shard, with
+/// the low 12 bits of their directory hashes equal.
+fn clustered_keys(index: &ShortcutIndex, shard_bits: u32) -> Vec<(u64, u64)> {
     // `mult_hash` multiplies by an odd constant: invert it (Newton).
     let mult = mult_hash(1);
     let inverse = (0..6).fold(mult, |x, _| {
@@ -231,6 +233,12 @@ fn rescue_of_a_suspended_shortcut(shard_bits: u32) {
     assert!(clustered
         .iter()
         .all(|&(k, _)| index.shard_of(k) == index.shard_of(clustered[0].0)));
+    clustered
+}
+
+fn rescue_of_a_suspended_shortcut(shard_bits: u32) {
+    let mut index = occasion_index(CompactionPolicy::on(), shard_bits, OCCASION_BUDGET / 16);
+    let clustered = clustered_keys(&index, shard_bits);
     index.insert_batch(&clustered).unwrap();
     assert!(
         !index.wait_sync(Duration::from_secs(60)),
@@ -248,7 +256,23 @@ fn rescue_of_a_suspended_shortcut(shard_bits: u32) {
     let skipped = index.stats().maint.creates_skipped;
     for _ in 0..16 {
         index.insert_batch(&next_batch(&mut next)).unwrap();
-        assert!(index.wait_sync(Duration::from_secs(60)), "never synced");
+        assert!(
+            index.wait_sync(Duration::from_secs(60)),
+            "never synced: {:?} {:#?}",
+            index.maint_error(),
+            (0..index.shard_count())
+                .map(|i| {
+                    let s = index.shard_stats(i);
+                    (
+                        s.shortcut_suspended,
+                        s.global_depth,
+                        s.bucket_count,
+                        s.maint,
+                        s.vma,
+                    )
+                })
+                .collect::<Vec<_>>()
+        );
     }
     let stats = index.stats();
     assert!(!stats.shortcut_suspended);
@@ -260,6 +284,75 @@ fn rescue_of_a_suspended_shortcut(shard_bits: u32) {
     assert!(index.maint_error().is_none());
     for &(k, v) in &clustered {
         assert_eq!(index.get(k), Some(v), "key {k}");
+    }
+}
+
+/// One shard of four, fair-sharing the budget, suspended by the clustered
+/// keys: while it stays suspended its mapper refuses a create only when
+/// one is relayed — at a doubling — and never counts its own retries, so
+/// its skips never outnumber its doublings; the spread keys bring it back
+/// in sync, and every key answers as a `HashMap` says.
+#[test]
+fn a_suspended_shard_counts_a_skip_only_for_a_relayed_create() {
+    let mut index = occasion_index(CompactionPolicy::on(), 2, OCCASION_BUDGET / 16);
+    let mut oracle = std::collections::HashMap::new();
+    let clustered = clustered_keys(&index, 2);
+    let shard = index.shard_of(clustered[0].0);
+    index.insert_batch(&clustered).unwrap();
+    oracle.extend(clustered.iter().copied());
+    assert!(!index.wait_sync(Duration::from_secs(60)));
+    let counts = |index: &ShortcutIndex| {
+        let s = index.shard_stats(shard);
+        (
+            s.index.doublings,
+            s.maint.creates_skipped,
+            s.shortcut_suspended,
+        )
+    };
+    let (doublings, skips, suspended) = counts(&index);
+    assert!(suspended && skips > 0);
+    let (mut while_suspended, mut next) = ((0, 0), 1u64);
+    loop {
+        assert!(next < 400_000, "never rescued: {}", index.stats());
+        let before = counts(&index);
+        let batch = next_batch(&mut next);
+        index.insert_batch(&batch).unwrap();
+        oracle.extend(batch);
+        let _ = index.wait_sync(Duration::from_secs(60));
+        let after = counts(&index);
+        if !after.2 {
+            break;
+        }
+        while_suspended.0 += after.0 - before.0;
+        while_suspended.1 += after.1 - before.1;
+    }
+    eprintln!(
+        "shard {shard}: {} skips over {} doublings while suspended \
+         ({skips} over {doublings} before); {} skips in all",
+        while_suspended.1,
+        while_suspended.0,
+        counts(&index).1
+    );
+    assert!(
+        while_suspended.1 <= while_suspended.0,
+        "{} skips over {} doublings",
+        while_suspended.1,
+        while_suspended.0
+    );
+    for _ in 0..4 {
+        let batch = next_batch(&mut next);
+        index.insert_batch(&batch).unwrap();
+        oracle.extend(batch);
+    }
+    assert!(index.wait_sync(Duration::from_secs(60)), "never synced");
+    assert!(!index.stats().shortcut_suspended);
+    assert!(index.maint_error().is_none());
+    assert_eq!(index.len(), oracle.len());
+    let keys: Vec<u64> = oracle.keys().copied().collect();
+    let got = index.get_many(&keys);
+    for (k, got) in keys.iter().zip(got) {
+        assert_eq!(got, oracle.get(k).copied(), "key {k}");
+        assert_eq!(index.get(*k), got, "key {k}");
     }
 }
 
