@@ -400,10 +400,10 @@ impl MapperEngine {
     }
 
     /// Apply the updates of one pass, in FIFO order, as **one** sorted,
-    /// last-wins assignment list: zap, rewire, touch, publish `version`
-    /// once. The shortcut is out of sync from the relay of the first of
-    /// them until that publish (the relay bumped the traditional version),
-    /// so no reader takes an answer from a slot this touches. A stale
+    /// last-wins assignment list: zap, rewire (populated), publish
+    /// `version` once. The shortcut is out of sync from the relay of the
+    /// first of them until that publish (the relay bumped the traditional
+    /// version), so no reader takes an answer from a slot this touches. A stale
     /// update — one no directory of the engine resolves — is discarded,
     /// and the pass then publishes nothing: the shortcut stays out of sync.
     fn apply_updates(&mut self, updates: Vec<(SlotStride, PageIdx)>, version: u64) -> Result<()> {
@@ -506,13 +506,8 @@ impl MapperEngine {
             }
             node.set_batch(&self.pool, &batch)?;
             if self.cfg.eager_populate {
-                for &(slot, _) in &batch {
-                    // Touch just the remapped slot to install its PTE.
-                    // SAFETY: slot was just rewired to a valid pool page.
-                    unsafe {
-                        std::ptr::read_volatile(node.slot_ptr(slot));
-                    }
-                }
+                // The node rewires with `MAP_POPULATE`: each slot of the
+                // batch has its page-table entry already.
                 self.metrics.pages_populated.add(batch.len() as u64);
             }
             self.metrics.updates_applied.add(applied);
@@ -622,8 +617,8 @@ impl MapperEngine {
         };
         let calls = node.set_batch(&self.pool, assignments)?;
         if self.cfg.eager_populate {
-            let touched = node.populate();
-            self.metrics.pages_populated.add(touched as u64);
+            // Populated as it was rewired (`MAP_POPULATE`).
+            self.metrics.pages_populated.add(assignments.len() as u64);
         }
         reservation.settle(node.vma_estimate());
         node.charge_to_prepaid(&self.pool);
@@ -2095,6 +2090,70 @@ mod tests {
         assert!(state.suspended());
         assert_eq!(metrics.snapshot().creates_skipped, 1);
         assert_eq!(metrics.snapshot().creates_deferred, 0);
+    }
+
+    /// Whether the page at `addr` is in this process's page table: bit 63
+    /// of its `/proc/self/pagemap` entry.
+    fn present(addr: *const u8) -> bool {
+        use std::os::unix::fs::FileExt;
+        let pagemap = std::fs::File::open("/proc/self/pagemap").unwrap();
+        let mut entry = [0u8; 8];
+        let at = (addr as usize / PAGE_SIZE_4K * 8) as u64;
+        pagemap.read_exact_at(&mut entry, at).unwrap();
+        u64::from_ne_bytes(entry) >> 63 == 1
+    }
+
+    /// The mapper touches no slot after rewiring it: `MAP_POPULATE` has
+    /// put every rewired slot of the live node in the page table, after a
+    /// create and after an update batch. A lazy engine's slots are not
+    /// there, so the check can tell.
+    #[test]
+    fn rewired_slots_are_in_the_page_table_without_a_touch() {
+        for eager_populate in [true, false] {
+            let mut pl = pool();
+            let state = Arc::new(SharedDirectoryState::new());
+            let metrics = Arc::new(MaintMetrics::default());
+            let mut eng = MapperEngine::new(
+                pl.handle(),
+                Arc::clone(&state),
+                Arc::clone(&metrics),
+                MaintConfig {
+                    eager_populate,
+                    ..MaintConfig::default()
+                },
+            );
+            let leaves: Vec<PageIdx> = (0..8).map(|_| pl.alloc_page().unwrap()).collect();
+            for (i, &leaf) in leaves.iter().enumerate() {
+                stamp(&pl, leaf, i as u64);
+            }
+            let presence = |eng: &MapperEngine| {
+                let node = eng.current().unwrap();
+                (0..node.slots())
+                    .map(|i| present(node.slot_ptr(i)))
+                    .collect::<Vec<_>>()
+            };
+            eng.inbox_lock().relay([MaintRequest::Create {
+                slots: 64,
+                assignments: (0..64).map(|s| (s, leaves[s % 8])).collect(),
+            }]);
+            eng.pass().unwrap();
+            assert_eq!(presence(&eng), [eager_populate; 64]);
+            if !eager_populate {
+                continue;
+            }
+            eng.inbox_lock().relay([MaintRequest::Update {
+                slots: SlotStride {
+                    first: 1,
+                    step: 2,
+                    end: 64,
+                },
+                ppage: leaves[0],
+            }]);
+            eng.pass().unwrap();
+            assert!(state.in_sync());
+            assert_eq!(presence(&eng), [true; 64]);
+            assert_eq!(metrics.snapshot().pages_populated, 64 + 32);
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ shortcut_rewire::statistics! {
         slots_rewired: u64 = Sum,
         /// mmap calls spent on rebuilds (after coalescing).
         create_mmap_calls: u64 = Sum,
-        /// Pages touched for page-table population.
+        /// Slots put in the page table as they were rewired (`MAP_POPULATE`).
         pages_populated: u64 = Sum,
         /// Times the mapper woke up and found work.
         busy_polls: u64 = Sum,

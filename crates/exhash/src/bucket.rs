@@ -230,8 +230,8 @@ impl BucketRef {
 
     /// Empty the bucket and set the local depth by zeroing the header and
     /// both bitmaps only (72 B of the 4 KB page). The entry array keeps its
-    /// bytes, a recycled pool page's garbage included: a probe reads the
-    /// key of an occupied slot only.
+    /// bytes, a split bucket's old entries included: a probe reads the key
+    /// of an occupied slot only.
     pub fn reset(self, local_depth: u32) {
         // SAFETY: the header and bitmaps are the page's first
         // `ENTRIES_OFF` bytes.

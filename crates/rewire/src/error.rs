@@ -26,14 +26,7 @@ pub enum Error {
         /// Human-readable description of the violated precondition.
         what: String,
     },
-    /// A page index was freed twice or used after free.
-    BadPageRef {
-        /// The offending pool page index.
-        page: usize,
-        /// What went wrong with it.
-        what: &'static str,
-    },
-    /// The pool was asked to shrink/grow to an impossible size.
+    /// The pool was asked to grow past its view.
     BadResize {
         /// Current size in pages.
         current: usize,
@@ -65,7 +58,6 @@ impl fmt::Display for Error {
                 write!(f, "{call} failed: {msg} (errno {errno})")
             }
             Error::InvalidArg { what } => write!(f, "invalid argument: {what}"),
-            Error::BadPageRef { page, what } => write!(f, "bad page reference {page}: {what}"),
             Error::BadResize { current, requested } => {
                 write!(f, "bad resize: {current} -> {requested} pages")
             }

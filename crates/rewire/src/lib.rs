@@ -11,8 +11,8 @@
 //!   behaves like a regular file but is backed by volatile physical memory,
 //!   so its file offsets act as **handles to physical pages**.
 //! * [`PagePool`] — a self-managed pool of physical pages represented by a
-//!   single `MemFile` that grows and shrinks on demand (`ftruncate(2)`),
-//!   keeps a free-queue of page offsets for reuse, and maintains a linear
+//!   single `MemFile` that grows on demand (`ftruncate(2)`), hands each
+//!   page out once (it reads zeros until written), and maintains a linear
 //!   virtual view (`v_pool`) over the whole file.
 //! * [`VirtArea`] — a consecutive virtual memory area reserved with
 //!   `mmap(MAP_PRIVATE | MAP_ANONYMOUS)`. Individual pages of the area can
@@ -31,7 +31,7 @@
 //! 1. A [`VirtArea`] owns its reservation exclusively: no other code mmaps
 //!    into `[base, base + pages * page_size)`.
 //! 2. Pool pages referenced by a live rewired mapping must not be truncated
-//!    away (the pool only shrinks pages that were explicitly freed).
+//!    away (the pool never shrinks its file).
 //! 3. Aliased access (the same physical page visible through `v_pool` *and*
 //!    through one or more rewired virtual pages) is exposed through raw
 //!    pointers and volatile-free plain loads/stores; callers must not hold

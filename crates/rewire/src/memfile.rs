@@ -58,32 +58,6 @@ impl MemFile {
         self.len() == 0
     }
 
-    /// Release the physical memory backing `[offset, offset + len)` without
-    /// changing the file size (`fallocate(FALLOC_FL_PUNCH_HOLE)`). The range
-    /// reads as zeros afterwards and is materialized again on next write.
-    ///
-    /// This is how a pool reclaims physical memory of freed pages that are
-    /// *not* at the end of the file (where `ftruncate` cannot reach).
-    pub fn punch_hole(&self, offset: usize, len: usize) -> Result<()> {
-        if !is_page_aligned(offset) || !is_page_aligned(len) {
-            return Err(Error::invalid("punch_hole range must be page aligned"));
-        }
-        // SAFETY: fd is a valid memfd owned by self; flags are the
-        // documented hole-punching combination.
-        let rc = unsafe {
-            libc::fallocate(
-                self.fd,
-                libc::FALLOC_FL_PUNCH_HOLE | libc::FALLOC_FL_KEEP_SIZE,
-                offset as libc::off_t,
-                len as libc::off_t,
-            )
-        };
-        if rc != 0 {
-            return Err(Error::os("fallocate"));
-        }
-        Ok(())
-    }
-
     /// Resize the file to `new_len` bytes (must be page aligned). Growing
     /// provides new zero-filled physical pages; shrinking releases the tail.
     pub fn resize(&self, new_len: usize) -> Result<()> {
@@ -147,58 +121,6 @@ mod tests {
     #[test]
     fn name_with_nul_rejected() {
         assert!(MemFile::create("a\0b").is_err());
-    }
-
-    #[test]
-    fn punch_hole_zeroes_range_and_keeps_size() {
-        let f = MemFile::create("hole").unwrap();
-        f.resize(4 * page_size()).unwrap();
-        // SAFETY: fresh MAP_SHARED mapping of this test's memfd; every offset
-        // stays inside the mapped length and munmap precedes the fd's drop.
-        unsafe {
-            let p = libc::mmap(
-                std::ptr::null_mut(),
-                4 * page_size(),
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_SHARED,
-                f.fd(),
-                0,
-            );
-            assert_ne!(p, libc::MAP_FAILED);
-            for i in 0..4 {
-                *(p as *mut u64).add(i * page_size() / 8) = 1000 + i as u64;
-            }
-            match f.punch_hole(page_size(), page_size()) {
-                Err(Error::Os { errno, .. }) if errno == libc::EOPNOTSUPP => {
-                    // Sandboxed kernels (e.g. gVisor) do not implement
-                    // FALLOC_FL_PUNCH_HOLE on memfds; the API degrades to
-                    // an error the pool can ignore. Nothing more to check.
-                    libc::munmap(p, 4 * page_size());
-                    return;
-                }
-                other => other.unwrap(),
-            }
-            assert_eq!(f.len(), 4 * page_size(), "size unchanged");
-            assert_eq!(*(p as *const u64), 1000);
-            assert_eq!(
-                *(p as *const u64).add(page_size() / 8),
-                0,
-                "hole reads zero"
-            );
-            assert_eq!(*(p as *const u64).add(2 * page_size() / 8), 1002);
-            // The hole is writable again (fresh zero page materializes).
-            *(p as *mut u64).add(page_size() / 8) = 77;
-            assert_eq!(*(p as *const u64).add(page_size() / 8), 77);
-            libc::munmap(p, 4 * page_size());
-        }
-    }
-
-    #[test]
-    fn punch_hole_rejects_unaligned() {
-        let f = MemFile::create("hole2").unwrap();
-        f.resize(page_size()).unwrap();
-        assert!(f.punch_hole(1, page_size()).is_err());
-        assert!(f.punch_hole(0, 100).is_err());
     }
 
     #[test]

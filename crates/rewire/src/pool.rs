@@ -3,14 +3,13 @@
 //! One [`MemFile`] represents all physical memory the application wants to
 //! be able to create shortcuts to. The pool
 //!
+//! * hands each page out at most once, so a page reads zeros until its
+//!   owner writes it — nothing is freed, and the file never shrinks: a
+//!   retired shortcut directory may still map any page of it,
 //! * grows the file on demand (`ftruncate`) in chunks, populating nothing
 //!   ahead of use: a page is faulted in by the first write of whoever it
 //!   is handed out to, so a file with holes (see [`PagePool::alloc_page_at`])
-//!   holds only the pages handed out,
-//! * keeps a FIFO free-queue of page offsets for reuse — it never shrinks
-//!   the file: a retired shortcut directory may still map any page of it,
-//!   and a truncated page would `SIGBUS` a straggling reader, where a
-//!   freed one only reads stale or zero — and
+//!   holds only the pages handed out, and
 //! * maintains `v_pool`: a virtual memory area that maps **linearly** to the
 //!   entire file, so that pool pages are directly addressable and so that
 //!   the physical page of any leaf can be recovered from its `v_pool`
@@ -28,7 +27,6 @@ use crate::retire::{PinStrategy, RetireList};
 use crate::slot::SlotLayout;
 use crate::stats::{RewireStats, StatsSnapshot};
 use crate::varea::reserve_anon;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// VMAs charged for the pool's own linear view: the mapped file prefix
@@ -106,13 +104,6 @@ impl Default for PoolConfig {
             pin_strategy: None,
         }
     }
-}
-
-/// Allocation state of one pool page (kept for double-free detection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageState {
-    Free,
-    Allocated,
 }
 
 /// A shareable, thread-safe handle to the pool's physical memory.
@@ -193,10 +184,10 @@ pub struct PagePool {
     view_base: *mut u8,
     /// Slots of the file currently mapped into the view (== file length).
     file_pages: usize,
-    /// FIFO of reusable slot indices. A page [`PagePool::alloc_page_at`]
-    /// takes stays queued; [`PagePool::alloc_page`] skips what is not free.
-    free_queue: VecDeque<usize>,
-    state: Vec<PageState>,
+    /// One bit a page of the file, set once the page is handed out.
+    handed_out: Vec<u64>,
+    /// Every page below it is handed out.
+    cursor: usize,
     allocated: usize,
     stats: Arc<RewireStats>,
     budget: Arc<VmaBudget>,
@@ -209,7 +200,7 @@ impl std::fmt::Debug for PagePool {
         f.debug_struct("PagePool")
             .field("file_pages", &self.file_pages)
             .field("allocated", &self.allocated)
-            .field("free_queued", &self.free_queue.len())
+            .field("cursor", &self.cursor)
             .finish()
     }
 }
@@ -240,8 +231,8 @@ impl PagePool {
             cfg,
             view_base,
             file_pages: 0,
-            free_queue: VecDeque::new(),
-            state: Vec::new(),
+            handed_out: Vec::new(),
+            cursor: 0,
             allocated: 0,
             stats,
             budget,
@@ -297,10 +288,7 @@ impl PagePool {
         self.stats.mmap_calls.add(1);
 
         self.file_pages = new_pages;
-        self.state.resize(new_pages, PageState::Free);
-        for i in old_pages..new_pages {
-            self.free_queue.push_back(i);
-        }
+        self.handed_out.resize(new_pages.div_ceil(64), 0);
         Ok(())
     }
 
@@ -322,39 +310,44 @@ impl PagePool {
         self.grow_to(target)
     }
 
-    /// Mark free page `i` handed out.
+    /// Whether page `i` of the file was handed out.
+    fn is_handed_out(&self, i: usize) -> bool {
+        self.handed_out[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Hand out page `i`, which never was.
     fn take(&mut self, i: usize) -> PageIdx {
-        debug_assert_eq!(self.state[i], PageState::Free);
-        self.state[i] = PageState::Allocated;
+        debug_assert!(!self.is_handed_out(i));
+        self.handed_out[i / 64] |= 1 << (i % 64);
         self.allocated += 1;
         self.stats.pages_allocated.add(1);
         PageIdx(i)
     }
 
-    /// Allocate one physical page. A slot never handed out before reads as
-    /// zeros; a recycled one still holds what its last owner left there.
+    /// Allocate one physical page: the lowest one never handed out,
+    /// growing the file only when every page of it was. It reads zeros.
     pub fn alloc_page(&mut self) -> Result<PageIdx> {
-        loop {
-            match self.free_queue.pop_front() {
-                Some(i) if self.state[i] == PageState::Free => return Ok(self.take(i)),
-                // Taken by `alloc_page_at` while queued.
-                Some(_) => {}
-                None => self.grow_past(self.file_pages + 1)?,
-            }
+        while self.cursor < self.file_pages && self.is_handed_out(self.cursor) {
+            self.cursor += 1;
         }
+        if self.cursor == self.file_pages {
+            self.grow_past(self.file_pages + 1)?;
+        }
+        Ok(self.take(self.cursor))
     }
 
-    /// Allocate page `page` itself when it is free and inside the view —
-    /// growing the file over it, and leaving the pages between as holes
-    /// — and any free page ([`PagePool::alloc_page`]) when it is not.
-    /// Extendible hashing puts the bucket of hash suffix `b` on page `b`,
-    /// so a directory indexed by suffix maps runs of consecutive pages.
+    /// Allocate page `page` itself when it is inside the view and was
+    /// never handed out — growing the file over it, and leaving the pages
+    /// between as holes — and any page ([`PagePool::alloc_page`]) when
+    /// not. Extendible hashing puts the bucket of hash suffix `b` on page
+    /// `b`, so a directory indexed by suffix maps runs of consecutive
+    /// pages.
     pub fn alloc_page_at(&mut self, page: usize) -> Result<PageIdx> {
         if page < self.cfg.view_capacity_pages {
             if page >= self.file_pages {
                 self.grow_past(page + 1)?;
             }
-            if self.state[page] == PageState::Free {
+            if !self.is_handed_out(page) {
                 return Ok(self.take(page));
             }
         }
@@ -363,91 +356,27 @@ impl PagePool {
 
     /// Allocate `n` physically **contiguous** pages (contiguous in file
     /// offsets), so the run can later be rewired with a single `mmap` call.
-    ///
-    /// Prefers the first free span of `n` pages already inside the file
-    /// and carves fresh space from the end of the file only when no span
-    /// fits. Reused spans read as zeros, like fresh ones.
+    /// The run starts past the last page handed out, and the file grows
+    /// just far enough to hold it ([`Error::BadResize`] past the view).
     pub fn alloc_run(&mut self, n: usize) -> Result<PageIdx> {
         if n == 0 {
             return Err(Error::invalid("alloc_run of zero pages"));
         }
-        let start = match self.find_free_run(n) {
-            Some(start) => {
-                // Reset the reused span to zeros (releasing any stale
-                // physical pages); fall back to an explicit clear where
-                // hole punching is unsupported.
-                if self
-                    .file
-                    .punch_hole(start * PAGE_SIZE_4K, n * PAGE_SIZE_4K)
-                    .is_err()
-                {
-                    // SAFETY: in-bounds span of the mapped linear view.
-                    unsafe {
-                        std::ptr::write_bytes(self.page_ptr(PageIdx(start)), 0, n * PAGE_SIZE_4K);
-                    }
-                }
-                start
-            }
-            None => {
-                let start = self.file_pages;
-                self.grow_to(start + n)?;
-                start
-            }
-        };
+        let start = (0..self.file_pages)
+            .rfind(|&i| self.is_handed_out(i))
+            .map_or(0, |i| i + 1);
+        if start + n > self.file_pages {
+            self.grow_to(start + n)?;
+        }
         for i in start..start + n {
-            debug_assert_eq!(self.state[i], PageState::Free);
-            self.state[i] = PageState::Allocated;
+            self.take(i);
         }
-        // Remove the claimed indices from the free queue (they were either
-        // just appended by grow_to or left over from earlier frees).
-        self.free_queue
-            .retain(|&i| !(start..start + n).contains(&i));
-        self.allocated += n;
-        self.stats.pages_allocated.add(n as u64);
         Ok(PageIdx(start))
-    }
-
-    /// First free span of `n` contiguous pages inside the file, if any.
-    fn find_free_run(&self, n: usize) -> Option<usize> {
-        let mut run = 0usize;
-        for i in 0..self.file_pages {
-            if self.state[i] == PageState::Free {
-                run += 1;
-                if run == n {
-                    return Some(i + 1 - n);
-                }
-            } else {
-                run = 0;
-            }
-        }
-        None
-    }
-
-    /// Return a page to the pool's free queue.
-    pub fn free_page(&mut self, page: PageIdx) -> Result<()> {
-        let i = page.0;
-        if i >= self.file_pages {
-            return Err(Error::BadPageRef {
-                page: i,
-                what: "beyond end of pool",
-            });
-        }
-        if self.state[i] != PageState::Allocated {
-            return Err(Error::BadPageRef {
-                page: i,
-                what: "double free",
-            });
-        }
-        self.state[i] = PageState::Free;
-        self.allocated -= 1;
-        self.stats.pages_freed.add(1);
-        self.free_queue.push_back(i);
-        Ok(())
     }
 
     /// Pointer to the start of pool page `page` in the linear view.
     ///
-    /// The pointer stays valid until the page is freed (the view base is a
+    /// The pointer stays valid for the pool's lifetime (the view base is a
     /// fixed reservation). Callers must uphold the aliasing rule from the
     /// crate docs when the same page is also rewired into a [`crate::VirtArea`].
     #[inline]
@@ -480,7 +409,7 @@ impl PagePool {
         self.file_pages
     }
 
-    /// Number of pages currently allocated out.
+    /// Number of pages handed out.
     #[inline]
     pub fn allocated_pages(&self) -> usize {
         self.allocated
@@ -538,8 +467,8 @@ impl Drop for PagePool {
 
 // SAFETY: the pool owns its mapping; moving it between threads is fine.
 unsafe impl Send for PagePool {}
-// SAFETY: no interior mutability — allocation, freeing and resizing all
-// take `&mut self`; the `&self` surface (page_ptr, view_base, page_of_ptr,
+// SAFETY: no interior mutability — allocation and resizing take
+// `&mut self`; the `&self` surface (page_ptr, view_base, page_of_ptr,
 // counters) only reads plain fields. Cross-thread *rewiring* still goes
 // through PoolHandle; shared references permit concurrent reads only.
 unsafe impl Sync for PagePool {}
@@ -622,9 +551,9 @@ mod tests {
         file.blocks() * 512 / PAGE_SIZE_4K as u64
     }
 
-    /// A page is handed out where asked while it is free and inside the
-    /// view; otherwise any free page is. The pages between are holes that
-    /// hold no memory, and plain allocation fills them in.
+    /// A page is handed out where asked while it is inside the view and
+    /// was never handed out; otherwise another page is. The pages between
+    /// are holes that hold no memory, and plain allocation fills them in.
     #[test]
     fn alloc_page_at_places_pages_and_leaves_holes() {
         let mut p = PagePool::new(PoolConfig {
@@ -642,7 +571,7 @@ mod tests {
             unsafe { *(p.page_ptr(PageIdx(page)) as *mut u64) = 1 };
         }
         assert_eq!(resident_pages(&p), 2, "the pages between are holes");
-        // Taken, or past the view: any free page.
+        // Taken, or past the view: another page.
         let again = p.alloc_page_at(40).unwrap();
         let past = p.alloc_page_at(64).unwrap();
         assert!(![0, 40].contains(&again.0) && ![0, 40, again.0].contains(&past.0));
@@ -654,42 +583,6 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..64).collect::<Vec<_>>());
         assert_eq!(p.allocated_pages(), 64);
-    }
-
-    #[test]
-    fn freed_pages_are_reused() {
-        let mut p = small_pool();
-        let a = p.alloc_page().unwrap();
-        let b = p.alloc_page().unwrap();
-        p.free_page(a).unwrap();
-        p.free_page(b).unwrap();
-        let c = p.alloc_page().unwrap();
-        let d = p.alloc_page().unwrap();
-        assert!([a, b].contains(&c));
-        assert!([a, b].contains(&d));
-        assert_ne!(c, d);
-    }
-
-    #[test]
-    fn double_free_detected() {
-        let mut p = small_pool();
-        let a = p.alloc_page().unwrap();
-        p.free_page(a).unwrap();
-        let err = p.free_page(a).unwrap_err();
-        assert!(matches!(
-            err,
-            Error::BadPageRef {
-                what: "double free",
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn free_out_of_range_detected() {
-        let mut p = small_pool();
-        let err = p.free_page(PageIdx(9999)).unwrap_err();
-        assert!(matches!(err, Error::BadPageRef { .. }));
     }
 
     #[test]
@@ -742,9 +635,12 @@ mod tests {
                 assert_eq!(*(p.page_ptr(PageIdx(start.0 + i)) as *const u64), i as u64);
             }
         }
-        // Run pages are marked allocated: freeing them works exactly once.
+        // The file grew just enough to hold the run, and its pages are
+        // handed out: asking for one of them again gets another page.
+        assert_eq!(p.file_pages(), start.0 + 5);
         for i in 0..5 {
-            p.free_page(PageIdx(start.0 + i)).unwrap();
+            let again = p.alloc_page_at(start.0 + i).unwrap();
+            assert!(again.0 >= start.0 + 5, "page {again} handed out twice");
         }
     }
 
@@ -780,72 +676,6 @@ mod tests {
             assert!(got <= 4);
         }
         assert_eq!(got, 4);
-    }
-
-    /// Freeing — page by page at the file's tail, or the pages of a run —
-    /// keeps the file, live data and the allocator sound: every page freed
-    /// comes back, once.
-    #[test]
-    fn reclaim_free_pages_keeps_allocator_sound() {
-        let mut p = small_pool();
-        let keep = p.alloc_page().unwrap();
-        let toss: Vec<_> = (0..6).map(|_| p.alloc_page().unwrap()).collect();
-        let run = p.alloc_run(4).unwrap();
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            *(p.page_ptr(keep) as *mut u64) = 42;
-            *(p.page_ptr(run) as *mut u64) = 43;
-        }
-        let file = p.file_pages();
-        for &pg in toss.iter().rev() {
-            p.free_page(pg).unwrap();
-        }
-        for i in 0..4 {
-            p.free_page(PageIdx(run.0 + i)).unwrap();
-        }
-        assert_eq!(p.file_pages(), file, "the file never shrinks");
-        assert_eq!(p.allocated_pages(), 1);
-        // SAFETY: as above.
-        unsafe {
-            assert_eq!(*(p.page_ptr(keep) as *const u64), 42);
-        }
-        let mut again: Vec<usize> = (0..file - 1).map(|_| p.alloc_page().unwrap().0).collect();
-        assert_eq!(p.file_pages(), file, "the freed pages came back first");
-        again.sort_unstable();
-        again.dedup();
-        assert_eq!(again.len(), file - 1);
-        assert!(!again.contains(&keep.0));
-    }
-
-    #[test]
-    fn alloc_run_reuses_freed_spans() {
-        let mut p = small_pool();
-        let a = p.alloc_run(5).unwrap();
-        let pages_after_first = p.file_pages();
-        // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-        // the slot and the pool view stays mapped for the pool's lifetime.
-        unsafe {
-            *(p.page_ptr(a) as *mut u64) = 0xDEAD;
-        }
-        for i in 0..5 {
-            p.free_page(PageIdx(a.0 + i)).unwrap();
-        }
-        // The next run of the same size must reuse a span inside the
-        // existing file instead of growing it, and must read as zeros.
-        let b = p.alloc_run(5).unwrap();
-        assert!(b.0 + 5 <= pages_after_first, "run {b} did not reuse");
-        assert_eq!(p.file_pages(), pages_after_first);
-        for i in 0..5 * page_size() {
-            // SAFETY: page_ptr of a page this test allocated; offsets stay inside
-            // the slot and the pool view stays mapped for the pool's lifetime.
-            unsafe {
-                assert_eq!(*p.page_ptr(b).add(i), 0, "reused run dirty at {i}");
-            }
-        }
-        // A larger run does not fit the span and grows instead.
-        let c = p.alloc_run(6).unwrap();
-        assert!(c.0 >= pages_after_first || c.0 != b.0);
     }
 
     #[test]

@@ -186,7 +186,9 @@ crate::statistics! {
         pool_grows: u64 = Sum,
         /// Pages handed out by the pool allocator.
         pages_allocated: u64 = Sum,
-        /// Pages returned to the pool allocator.
+        /// Pages returned to the pool: always 0. The pool hands each page
+        /// out once and takes none back; the field stays while the
+        /// benchmark's `mem_bytes_per_key` and the stats report read it.
         pages_freed: u64 = Sum,
     }
     /// A point-in-time copy of a pool's operation counters
@@ -196,8 +198,8 @@ crate::statistics! {
     pub struct StatsSnapshot {
         /// Gauge: slots in the pool's file right now, handed out or not
         /// (the pool fills it in). Populated eagerly, all of them are
-        /// resident, where `pages_allocated − pages_freed` counts only
-        /// those in use. Adds up across pools.
+        /// resident, where `pages_allocated` counts only those handed
+        /// out. Adds up across pools.
         pool_file_slots: u64 = Sum,
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Two invariant families are exercised:
 //!
-//! 1. **Pool allocator**: arbitrary alloc/free sequences never hand out the
-//!    same page twice, never lose pages, and keep every live page inside
-//!    the file.
+//! 1. **Pool allocator**: arbitrary mixes of `alloc_page`, `alloc_page_at`
+//!    and `alloc_run` never hand out the same page twice, keep every page
+//!    inside the file and the view, and hand out pages that read zeros
+//!    until written and keep what was written.
 //! 2. **Rewiring**: a `VirtArea` whose pages are rewired according to an
 //!    arbitrary script always reads back exactly what a `HashMap`-based
 //!    shadow model predicts, including under remapping, resets, and
@@ -24,21 +25,44 @@ fn test_pool(initial: usize) -> PagePool {
     .unwrap()
 }
 
+/// The view capacity of [`test_pool`], in pages.
+const VIEW: usize = 4096;
+
 #[derive(Debug, Clone)]
 enum PoolOp {
     Alloc,
-    /// Free the i-th oldest live allocation (modulo live count).
-    Free(usize),
+    /// `alloc_page_at` of this page, which may lie past the view.
+    At(usize),
+    /// `alloc_run` of this many pages.
+    Run(usize),
+    /// Write a fresh stamp into the i-th page handed out (modulo their count).
+    Write(usize),
 }
 
 fn pool_ops() -> impl Strategy<Value = Vec<PoolOp>> {
     proptest::collection::vec(
         prop_oneof![
             3 => Just(PoolOp::Alloc),
-            2 => (0usize..64).prop_map(PoolOp::Free),
+            3 => (0usize..96).prop_map(PoolOp::At),
+            1 => (VIEW..VIEW + 64).prop_map(PoolOp::At),
+            1 => (1usize..8).prop_map(PoolOp::Run),
+            3 => (0usize..1024).prop_map(PoolOp::Write),
         ],
         1..200,
     )
+}
+
+/// Apply `op` and return the pages it handed out.
+fn handed_out_by(pool: &mut PagePool, op: &PoolOp) -> Vec<PageIdx> {
+    match *op {
+        PoolOp::Alloc => vec![pool.alloc_page().unwrap()],
+        PoolOp::At(page) => vec![pool.alloc_page_at(page).unwrap()],
+        PoolOp::Run(n) => {
+            let start = pool.alloc_run(n).unwrap();
+            (start.0..start.0 + n).map(PageIdx).collect()
+        }
+        PoolOp::Write(_) => Vec::new(),
+    }
 }
 
 proptest! {
@@ -47,64 +71,51 @@ proptest! {
     #[test]
     fn pool_allocator_never_duplicates(ops in pool_ops()) {
         let mut pool = test_pool(1);
-        let mut live: Vec<PageIdx> = Vec::new();
-        let mut live_set: HashSet<usize> = HashSet::new();
+        let mut handed: HashSet<usize> = HashSet::new();
 
-        for op in ops {
-            match op {
-                PoolOp::Alloc => {
-                    let p = pool.alloc_page().unwrap();
-                    prop_assert!(
-                        live_set.insert(p.0),
-                        "page {p} handed out twice (live: {live_set:?})"
-                    );
-                    live.push(p);
-                }
-                PoolOp::Free(i) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let idx = i % live.len();
-                    let p = live.swap_remove(idx);
-                    live_set.remove(&p.0);
-                    pool.free_page(p).unwrap();
+        for op in &ops {
+            // `alloc_page_at` hands out the page asked for exactly when it
+            // lies inside the view and was never handed out.
+            let placed = match *op {
+                PoolOp::At(page) => Some((page, page < VIEW && !handed.contains(&page))),
+                _ => None,
+            };
+            for p in handed_out_by(&mut pool, op) {
+                prop_assert!(handed.insert(p.0), "page {} handed out twice", p);
+                prop_assert!(p.0 < pool.file_pages() && p.0 < VIEW);
+                if let Some((page, free)) = placed {
+                    prop_assert_eq!(p.0 == page, free, "alloc_page_at({}) gave {}", page, p);
                 }
             }
-            prop_assert_eq!(pool.allocated_pages(), live.len());
-            prop_assert!(pool.file_pages() >= live.len());
-            // Every live page is addressable.
-            for p in &live {
-                prop_assert!(p.0 < pool.file_pages());
-            }
+            prop_assert_eq!(pool.allocated_pages(), handed.len());
         }
     }
 
     #[test]
     fn pool_pages_keep_their_data(ops in pool_ops()) {
         let mut pool = test_pool(1);
-        let mut live: Vec<(PageIdx, u64)> = Vec::new();
+        // Every page handed out, with the stamp last written to it (0: none).
+        let mut pages: Vec<(PageIdx, u64)> = Vec::new();
         let mut stamp = 1u64;
 
-        for op in ops {
-            match op {
-                PoolOp::Alloc => {
-                    let p = pool.alloc_page().unwrap();
-                    unsafe { *(pool.page_ptr(p) as *mut u64) = stamp; }
-                    live.push((p, stamp));
+        for op in &ops {
+            if let PoolOp::Write(i) = *op {
+                let len = pages.len().max(1);
+                if let Some((p, v)) = pages.get_mut(i % len) {
+                    unsafe { *(pool.page_ptr(*p) as *mut u64) = stamp; }
+                    *v = stamp;
                     stamp += 1;
                 }
-                PoolOp::Free(i) => {
-                    if live.is_empty() { continue; }
-                    let idx = i % live.len();
-                    let (p, _) = live.swap_remove(idx);
-                    // Scrub so that reuse without re-init is caught.
-                    unsafe { *(pool.page_ptr(p) as *mut u64) = u64::MAX; }
-                    pool.free_page(p).unwrap();
-                }
             }
-            for (p, v) in &live {
+            for p in handed_out_by(&mut pool, op) {
+                let base = pool.page_ptr(p) as *const u64;
+                let zeroed = (0..page_size() / 8).all(|w| unsafe { *base.add(w) } == 0);
+                prop_assert!(zeroed, "page {} handed out dirty", p);
+                pages.push((p, 0));
+            }
+            for (p, v) in &pages {
                 let got = unsafe { *(pool.page_ptr(*p) as *const u64) };
-                prop_assert_eq!(got, *v, "page {} corrupted", p);
+                prop_assert_eq!(got, *v, "page {} lost its data", p);
             }
         }
     }

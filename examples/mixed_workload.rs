@@ -150,6 +150,9 @@ fn main() -> Result<(), IndexError> {
         println!();
     }
 
+    // Let the mapper finish its last pass first, so the exit report and
+    // the bounds below count no pass in flight.
+    let final_sync = index.wait_sync(Duration::from_secs(60));
     let s = index.stats();
     // The exit report is the snapshot's stable rendering (shared with the
     // server's INFO reply and the `all` driver), plus the layout estimate
@@ -178,12 +181,7 @@ fn main() -> Result<(), IndexError> {
             "shortcut suspended at exit: vma={:?} maint={:?}",
             s.vma, s.maint
         );
-        let final_sync = index.wait_sync(Duration::from_secs(60));
-        assert!(
-            final_sync,
-            "shortcut never converged: {:?}",
-            index.stats().versions
-        );
+        assert!(final_sync, "shortcut never converged: {:?}", s.versions);
         // Per shard, not just in aggregate: every shard must end
         // shortcut-served (the sharded CI leg's contract).
         for i in 0..index.shard_count() {

