@@ -6,7 +6,7 @@ use crate::timing::{ms, Stopwatch};
 use crate::workload::KeyGen;
 use crate::Table;
 use shortcut_core::{CompactionPolicy, MaintConfig, RoutePolicy, ShortcutNode};
-use shortcut_exhash::{EhConfig, Index, ShortcutEh, ShortcutEhConfig};
+use shortcut_exhash::{EhConfig, Index, ShortcutEhConfig};
 use shortcut_rewire::{max_map_count, PageIdx};
 use std::time::{Duration, Instant};
 use taking_the_shortcut::ShortcutIndex;
@@ -125,17 +125,20 @@ pub fn a3_poll_interval(s: &ScaleArgs) -> Table {
         ],
     );
     for poll in intervals_ms {
-        let mut sceh = ShortcutEh::try_new(ShortcutEhConfig {
-            eh: EhConfig {
-                pool: super::fig7::bench_pool_config(bulk * 2),
-                ..EhConfig::default()
+        let mut sceh = ShortcutIndex::try_new(
+            0,
+            ShortcutEhConfig {
+                eh: EhConfig {
+                    pool: super::fig7::bench_pool_config(bulk * 2),
+                    ..EhConfig::default()
+                },
+                maint: MaintConfig {
+                    poll_interval: Duration::from_millis(poll),
+                    ..MaintConfig::default()
+                },
+                ..Default::default()
             },
-            maint: MaintConfig {
-                poll_interval: Duration::from_millis(poll),
-                ..MaintConfig::default()
-            },
-            ..Default::default()
-        })
+        )
         .expect("Shortcut-EH construction failed");
         let mut gen = KeyGen::new(42);
         let keys = gen.uniform_keys(bulk + burst);
@@ -184,17 +187,20 @@ pub fn a4_populate(s: &ScaleArgs) -> Table {
         ],
     );
     for eager in [true, false] {
-        let mut sceh = ShortcutEh::try_new(ShortcutEhConfig {
-            eh: EhConfig {
-                pool: super::fig7::bench_pool_config(n * 2),
-                ..EhConfig::default()
+        let mut sceh = ShortcutIndex::try_new(
+            0,
+            ShortcutEhConfig {
+                eh: EhConfig {
+                    pool: super::fig7::bench_pool_config(n * 2),
+                    ..EhConfig::default()
+                },
+                maint: MaintConfig {
+                    eager_populate: eager,
+                    ..MaintConfig::default()
+                },
+                ..Default::default()
             },
-            maint: MaintConfig {
-                eager_populate: eager,
-                ..MaintConfig::default()
-            },
-            ..Default::default()
-        })
+        )
         .expect("Shortcut-EH construction failed");
         let mut gen = KeyGen::new(42);
         let keys = gen.uniform_keys(n);

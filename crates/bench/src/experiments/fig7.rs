@@ -17,7 +17,7 @@ use crate::Table;
 use shortcut_core::{CompactionPolicy, MaintConfig};
 use shortcut_exhash::{
     ChConfig, ChainedHash, EhConfig, ExtendibleHash, HashTable, HtConfig, HtiConfig,
-    IncrementalHashTable, Index, ShortcutEh, ShortcutEhConfig,
+    IncrementalHashTable, Index, ShortcutEhConfig, ShortcutIndex,
 };
 use shortcut_rewire::PoolConfig;
 use std::hint::black_box;
@@ -98,20 +98,23 @@ pub fn build_schemes(n: usize) -> Vec<Box<dyn Index>> {
             .expect("EH construction failed"),
         ),
         Box::new(
-            ShortcutEh::try_new(ShortcutEhConfig {
-                eh: EhConfig {
-                    pool: bench_pool_config(n),
-                    ..EhConfig::default()
+            ShortcutIndex::try_new(
+                0,
+                ShortcutEhConfig {
+                    eh: EhConfig {
+                        pool: bench_pool_config(n),
+                        ..EhConfig::default()
+                    },
+                    // Exact admission keeps large directories
+                    // shortcut-served under the stock vm.max_map_count (the
+                    // seed needed the sysctl raised past ~1.5M keys).
+                    maint: MaintConfig {
+                        compaction: CompactionPolicy::on(),
+                        ..MaintConfig::default()
+                    },
+                    ..Default::default()
                 },
-                // Directory-order compaction keeps large directories
-                // shortcut-served under the stock vm.max_map_count (the
-                // seed needed the sysctl raised past ~1.5M keys).
-                maint: MaintConfig {
-                    compaction: CompactionPolicy::on(),
-                    ..MaintConfig::default()
-                },
-                ..Default::default()
-            })
+            )
             .expect("Shortcut-EH construction failed"),
         ),
     ]

@@ -12,7 +12,7 @@ use crate::scale::ScaleArgs;
 use crate::timing::us;
 use crate::workload::KeyGen;
 use crate::Table;
-use shortcut_exhash::{EhConfig, ExtendibleHash, Index, ShortcutEh, ShortcutEhConfig};
+use shortcut_exhash::{EhConfig, ExtendibleHash, Index, ShortcutEhConfig, ShortcutIndex};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -72,20 +72,23 @@ pub fn run(opts: &Fig8Opts) -> Vec<Fig8Point> {
         ..EhConfig::default()
     })
     .expect("EH construction failed");
-    let mut sceh = ShortcutEh::try_new(ShortcutEhConfig {
-        eh: EhConfig {
-            pool: super::fig7::bench_pool_config(opts.bulk * 2),
-            ..EhConfig::default()
+    let mut sceh = ShortcutIndex::try_new(
+        0,
+        ShortcutEhConfig {
+            eh: EhConfig {
+                pool: super::fig7::bench_pool_config(opts.bulk * 2),
+                ..EhConfig::default()
+            },
+            // Exact admission keeps the bulk-loaded directory inside the
+            // VMA budget at default scale, so the waves run shortcut-served
+            // on a stock kernel instead of suspended.
+            maint: shortcut_core::MaintConfig {
+                compaction: shortcut_core::CompactionPolicy::on(),
+                ..shortcut_core::MaintConfig::default()
+            },
+            ..Default::default()
         },
-        // Compaction keeps the bulk-loaded directory inside the VMA
-        // budget at default scale, so the waves run shortcut-served on a
-        // stock kernel instead of suspended.
-        maint: shortcut_core::MaintConfig {
-            compaction: shortcut_core::CompactionPolicy::on(),
-            ..shortcut_core::MaintConfig::default()
-        },
-        ..Default::default()
-    })
+    )
     .expect("Shortcut-EH construction failed");
 
     for &k in &bulk_keys {
@@ -98,16 +101,16 @@ pub fn run(opts: &Fig8Opts) -> Vec<Fig8Point> {
     // proceeds with traditionally-routed Shortcut-EH lookups instead of
     // aborting — raise the sysctl for shortcut-served numbers.
     let mut synced = sceh.wait_sync(Duration::from_secs(120));
-    if !synced && !sceh.shortcut_suspended() {
+    if !synced && !sceh.stats().shortcut_suspended {
         // A transient suspension resolved between wait_sync giving up and
         // the check above (deferred rebuild applied); settle it.
         synced = sceh.wait_sync(Duration::from_secs(10));
     }
-    if sceh.shortcut_suspended() {
+    if sceh.stats().shortcut_suspended {
         eprintln!(
             "fig8: directory exceeds the VMA budget ({:?}); \
              shortcut suspended, lookups run traditionally",
-            sceh.vma_stats()
+            sceh.stats().vma
         );
     } else {
         assert!(synced, "shortcut never synced after bulk load");
@@ -127,12 +130,12 @@ pub fn run(opts: &Fig8Opts) -> Vec<Fig8Point> {
                  eh_batch: &mut Duration,
                  sceh_batch: &mut Duration,
                  in_batch: &mut usize,
-                 sceh: &ShortcutEh,
+                 sceh: &ShortcutIndex,
                  points: &mut Vec<Fig8Point>| {
         if *in_batch == 0 {
             return;
         }
-        let (tver, sver) = sceh.versions();
+        let (tver, sver) = versions(sceh);
         points.push(Fig8Point {
             accesses,
             eh_us: us(*eh_batch),
@@ -199,18 +202,23 @@ pub fn run(opts: &Fig8Opts) -> Vec<Fig8Point> {
     if std::env::var("FIG8_DEBUG").is_ok() {
         eprintln!(
             "fig8 debug: versions={:?} metrics={:?}",
-            sceh.versions(),
-            sceh.maint_metrics()
+            versions(&sceh),
+            sceh.stats().maint
         );
         std::thread::sleep(Duration::from_millis(200));
         eprintln!(
             "fig8 debug after 200ms idle: versions={:?} metrics={:?}",
-            sceh.versions(),
-            sceh.maint_metrics()
+            versions(&sceh),
+            sceh.stats().maint
         );
     }
     assert!(sceh.maint_error().is_none(), "mapper thread failed");
     points
+}
+
+/// The (traditional, shortcut) version numbers of the index's one shard.
+fn versions(sceh: &ShortcutIndex) -> (u64, u64) {
+    sceh.with_shard(0, |s| s.versions())
 }
 
 /// Render the series as a table.

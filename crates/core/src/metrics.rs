@@ -39,6 +39,9 @@ shortcut_rewire::statistics! {
         /// mmap calls spent on rebuilds (after coalescing).
         create_mmap_calls: u64 = Sum,
         /// Slots put in the page table as they were rewired (`MAP_POPULATE`).
+        /// Two runs of one commit differ: the count depends on how many
+        /// update batches the mapper's wake-ups split a run into, so
+        /// compare it as a range, never exactly.
         pages_populated: u64 = Sum,
         /// Times the mapper woke up and found work.
         busy_polls: u64 = Sum,

@@ -1,4 +1,4 @@
-//! [`IndexBuilder`]: the eight setters that configure a [`ShortcutIndex`].
+//! [`IndexBuilder`]: the five setters that configure a [`ShortcutIndex`].
 
 use crate::bucket::steady_entries;
 use crate::eh::EhConfig;
@@ -6,8 +6,7 @@ use crate::error::IndexError;
 use crate::shard::{ShortcutIndex, MAX_SHARD_BITS};
 use crate::shortcut_eh::ShortcutEhConfig;
 use shortcut_core::{CompactionPolicy, MaintConfig, RoutePolicy};
-use shortcut_rewire::{PinStrategy, PoolConfig, VmaBudget, PAGE_SIZE_4K};
-use std::time::Duration;
+use shortcut_rewire::{PoolConfig, VmaBudget, PAGE_SIZE_4K};
 
 /// Pool growth floor of [`IndexBuilder::capacity`]: 256 KB per
 /// `ftruncate`, in pages.
@@ -16,28 +15,25 @@ const GROWTH_FLOOR_PAGES: usize = (1 << 18) / PAGE_SIZE_4K;
 /// Smallest virtual view of [`IndexBuilder::capacity`]: 16 MB, in pages.
 const VIEW_FLOOR_PAGES: usize = (1 << 24) / PAGE_SIZE_4K;
 
-/// Builder for [`ShortcutIndex`]: eight setters — pool sizing
-/// ([`capacity`](IndexBuilder::capacity), [`pool`](IndexBuilder::pool)), routing
-/// ([`fanin_threshold`](IndexBuilder::fanin_threshold)), the mapper
-/// ([`poll_interval`](IndexBuilder::poll_interval)), the mapping budget
-/// ([`vma_budget`](IndexBuilder::vma_budget),
+/// Builder for [`ShortcutIndex`]: five setters — pool sizing
+/// ([`capacity`](IndexBuilder::capacity)), routing
+/// ([`fanin_threshold`](IndexBuilder::fanin_threshold)), the mapping
+/// budget ([`vma_budget`](IndexBuilder::vma_budget),
 /// [`compaction`](IndexBuilder::compaction)) and concurrency
-/// ([`shards`](IndexBuilder::shards),
-/// [`pin_strategy`](IndexBuilder::pin_strategy)). What they do not reach
-/// (load factor, lazy population, a whole [`MaintConfig`]) is set on the
-/// layers below: [`ShortcutEhConfig`].
+/// ([`shards`](IndexBuilder::shards)). What they do not reach (a whole
+/// [`PoolConfig`] and its pin strategy, the load factor, a whole
+/// [`MaintConfig`] and its poll interval) is a [`ShortcutEhConfig`] handed
+/// to [`ShortcutIndex::try_new`].
 ///
 /// Obtained via [`ShortcutIndex::builder`]; finished with
 /// [`IndexBuilder::build`].
 #[derive(Debug, Clone, Default)]
 pub struct IndexBuilder {
     capacity: Option<usize>,
-    pool: Option<PoolConfig>,
     policy: RoutePolicy,
-    maint: MaintConfig,
+    compaction: CompactionPolicy,
     vma_budget_limit: Option<usize>,
     shard_bits: u32,
-    pin_strategy: Option<PinStrategy>,
 }
 
 impl IndexBuilder {
@@ -46,16 +42,8 @@ impl IndexBuilder {
     /// Buckets hold ≤ 87 entries at the default load factor; with
     /// splitting churn the steady state is ~40 entries per bucket, so the
     /// virtual reservation gets generous headroom on top of that estimate.
-    /// Ignored if an explicit [`IndexBuilder::pool`] is set.
     pub fn capacity(mut self, entries: usize) -> Self {
         self.capacity = Some(entries);
-        self
-    }
-
-    /// Use an explicit pool configuration (overrides
-    /// [`IndexBuilder::capacity`]).
-    pub fn pool(mut self, pool: PoolConfig) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -63,12 +51,6 @@ impl IndexBuilder {
     /// `threshold` (paper §3.2; default 8).
     pub fn fanin_threshold(mut self, threshold: f64) -> Self {
         self.policy = RoutePolicy::with_threshold(threshold);
-        self
-    }
-
-    /// The mapper thread's queue polling interval (paper: 25 ms).
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.maint.poll_interval = interval;
         self
     }
 
@@ -83,23 +65,6 @@ impl IndexBuilder {
     /// for mappings the budget does not track.
     pub fn vma_budget(mut self, limit: usize) -> Self {
         self.vma_budget_limit = Some(limit);
-        self
-    }
-
-    /// Force the reader-pin pairing of every shard's retire list instead
-    /// of auto-detecting. The default (`None`) probes `membarrier(2)` once
-    /// per process and uses [`PinStrategy::Asymmetric`] — load/store-only
-    /// reader pins, the reclaimer pays the barrier — when registration
-    /// succeeds, degrading to the [`PinStrategy::Dekker`] RMW pairing
-    /// otherwise. Forcing `Dekker` exercises the fallback path on hosts
-    /// where membarrier works (the fallback-matrix tests do exactly
-    /// that). Forcing `Asymmetric` on a host whose kernel rejects the
-    /// barrier stays safe but disables reclamation (every reclaim tick
-    /// aborts before its scan), so retired directories accumulate —
-    /// normally leave this alone. Surfaced in
-    /// `StatsSnapshot::pin_strategy`.
-    pub fn pin_strategy(mut self, strategy: PinStrategy) -> Self {
-        self.pin_strategy = Some(strategy);
         self
     }
 
@@ -157,7 +122,7 @@ impl IndexBuilder {
     /// past the `vm.max_map_count` ceiling (millions of keys on a stock
     /// kernel) instead of suspending.
     pub fn compaction(mut self, policy: CompactionPolicy) -> Self {
-        self.maint.compaction = policy;
+        self.compaction = policy;
         self
     }
 
@@ -176,7 +141,7 @@ impl IndexBuilder {
         // most twice as many slots as buckets, and virtual address space
         // (a hole in the pool file, too) is effectively free.
         let view_multiplier = 2;
-        let mut pool = self.pool.unwrap_or_else(|| match self.capacity {
+        let mut pool = match self.capacity {
             Some(entries) => {
                 // Each shard gets its own pool, so the capacity estimate
                 // is divided evenly across them (the multiplicative hash
@@ -191,10 +156,7 @@ impl IndexBuilder {
                 }
             }
             None => PoolConfig::default(),
-        });
-        if let Some(strategy) = self.pin_strategy {
-            pool.pin_strategy = Some(strategy);
-        }
+        };
         if let Some(limit) = self.vma_budget_limit {
             // One Arc, cloned into every shard's pool config: all shards
             // account against (and fair-share) the same budget. Without a
@@ -206,7 +168,10 @@ impl IndexBuilder {
             self.shard_bits,
             ShortcutEhConfig {
                 eh: EhConfig { pool, ..eh },
-                maint: self.maint,
+                maint: MaintConfig {
+                    compaction: self.compaction,
+                    ..MaintConfig::default()
+                },
                 policy: self.policy,
             },
         )

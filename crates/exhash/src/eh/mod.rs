@@ -44,6 +44,11 @@ pub(crate) const PREFETCH_DISTANCE: usize = 16;
 /// and lock hold) not to stall the reclaim scan or the shards' writers.
 pub(crate) const WINDOW: usize = 4096; // audit:allow(page-literal): key-batch size per pin, not a page size
 
+/// Hard cap on the global depth: a directory would exceed it only on a
+/// pathological key distribution, and [`IndexError::DepthLimit`] reports
+/// it instead of exhausting memory (2^28 slots = 2 GB of directory).
+pub const MAX_GLOBAL_DEPTH: u32 = 28;
+
 /// EH tuning.
 #[derive(Debug, Clone)]
 pub struct EhConfig {
@@ -51,18 +56,6 @@ pub struct EhConfig {
     pub max_load_factor: f64,
     /// Page pool configuration (bucket storage).
     pub pool: PoolConfig,
-    /// Hard cap on the global depth; exceeding it panics with a clear
-    /// message instead of exhausting memory (2^28 slots = 2 GB directory).
-    pub max_global_depth: u32,
-    /// Left-rotation applied to every key's multiplicative hash before
-    /// the directory byte-swaps it and consumes its low bits
-    /// ([`crate::dir_hash_of`]). The sharded index routes on the hash's
-    /// top `s` bits and sets `hash_rot = s` on each shard, so a shard's
-    /// directory addresses with the *next* bits down — keeping per-shard
-    /// depth semantics identical to a standalone index instead of every
-    /// shard's directory burning `s` constant levels. Default 0
-    /// (unsharded).
-    pub hash_rot: u32,
 }
 
 impl Default for EhConfig {
@@ -70,8 +63,6 @@ impl Default for EhConfig {
         EhConfig {
             max_load_factor: 0.35,
             pool: PoolConfig::default(),
-            max_global_depth: 28,
-            hash_rot: 0,
         }
     }
 }
@@ -83,7 +74,13 @@ pub struct ExtendibleHash {
     bucket_count: usize,
     len: usize,
     max_entries: usize,
-    cfg: EhConfig,
+    /// Left-rotation applied to every key's multiplicative hash before
+    /// the directory byte-swaps it and consumes its low bits
+    /// ([`crate::dir_hash_of`]): a shard's routing bits, so its directory
+    /// addresses with the *next* bits down and keeps the depth semantics
+    /// of a standalone index instead of burning `s` constant levels. 0
+    /// unsharded.
+    pub(crate) hash_rot: u32,
     stats: IndexStats,
     /// The directory changes recorded since the last drain; `None` unless
     /// built by [`ExtendibleHash::try_new_tracked`].
@@ -104,17 +101,18 @@ impl ExtendibleHash {
     /// allocation failures (memfd, `mmap`, reservation sizing) as
     /// [`IndexError::Pool`].
     pub fn try_new(cfg: EhConfig) -> Result<Self, IndexError> {
-        Self::build(cfg, false)
+        Self::build(cfg, 0, false)
     }
 
-    /// [`ExtendibleHash::try_new`] for Shortcut-EH: every directory change
-    /// is recorded as the [`MaintRequest`] that replays it on a shortcut —
-    /// an update per split, a create per doubling.
-    pub(crate) fn try_new_tracked(cfg: EhConfig) -> Result<Self, IndexError> {
-        Self::build(cfg, true)
+    /// [`ExtendibleHash::try_new`] for a Shortcut-EH shard whose keys were
+    /// routed by the top `hash_rot` bits of their hash: every directory
+    /// change is recorded as the [`MaintRequest`] that replays it on a
+    /// shortcut — an update per split, a create per doubling.
+    pub(crate) fn try_new_tracked(cfg: EhConfig, hash_rot: u32) -> Result<Self, IndexError> {
+        Self::build(cfg, hash_rot, true)
     }
 
-    fn build(cfg: EhConfig, track_events: bool) -> Result<Self, IndexError> {
+    fn build(cfg: EhConfig, hash_rot: u32, track_events: bool) -> Result<Self, IndexError> {
         if !(cfg.max_load_factor > 0.0 && cfg.max_load_factor <= 1.0) {
             return Err(IndexError::config("max_load_factor must be in (0, 1]"));
         }
@@ -122,7 +120,7 @@ impl ExtendibleHash {
         if max_entries < 1 {
             return Err(IndexError::config("load factor too small for any entry"));
         }
-        let mut pool = PagePool::new(cfg.pool.clone())?;
+        let mut pool = PagePool::new(cfg.pool)?;
         // The root bucket's suffix is empty: page 0.
         let first = pool.alloc_page_at(0)?;
         let ptr = pool.page_ptr(first);
@@ -136,7 +134,7 @@ impl ExtendibleHash {
             bucket_count: 1,
             len: 0,
             max_entries,
-            cfg,
+            hash_rot,
             stats: IndexStats::default(),
             events: track_events.then(Vec::new),
             split_entries: Vec::with_capacity(max_entries),
@@ -259,9 +257,9 @@ impl ExtendibleHash {
     }
 
     fn double_directory(&mut self) -> Result<(), IndexError> {
-        if self.dir.global_depth() >= self.cfg.max_global_depth {
+        if self.dir.global_depth() >= MAX_GLOBAL_DEPTH {
             return Err(IndexError::DepthLimit {
-                max_global_depth: self.cfg.max_global_depth,
+                max_global_depth: MAX_GLOBAL_DEPTH,
             });
         }
         self.dir.double();
@@ -357,8 +355,8 @@ impl ExtendibleHash {
     }
 
     /// The hash the directory addresses with: [`dir_hash_of`] the key's
-    /// multiplicative hash, under [`EhConfig::hash_rot`] (0 unless this
-    /// index is a shard — see the field's docs).
+    /// multiplicative hash, rotated by the routing bits of the shard this
+    /// index is (0 unless it is one).
     #[inline(always)]
     pub fn dir_hash(&self, key: u64) -> u64 {
         self.dir_hash_of(mult_hash(key))
@@ -368,7 +366,7 @@ impl ExtendibleHash {
     /// `hash`, for callers that already computed it (shard routing).
     #[inline(always)]
     pub(crate) fn dir_hash_of(&self, hash: u64) -> u64 {
-        dir_hash_of(hash, self.cfg.hash_rot)
+        dir_hash_of(hash, self.hash_rot)
     }
 
     /// [`Index::get`] from the key's [`ExtendibleHash::dir_hash`].
@@ -461,7 +459,7 @@ impl Index for ExtendibleHash {
     /// Shared-reference lookup. Because inserts require `&mut self`, Rust's
     /// aliasing rules guarantee no concurrent structural change while any
     /// `&self` lookup runs — this is the sound basis for parallel lookup
-    /// phases (see [`crate::ShortcutEh`]).
+    /// phases (see [`crate::ShortcutIndex`]).
     fn get(&self, key: u64) -> Option<u64> {
         self.get_hashed(key, self.dir_hash(key))
     }
@@ -660,7 +658,7 @@ mod tests {
 
     #[test]
     fn events_track_splits_and_doublings() {
-        let mut eh = ExtendibleHash::try_new_tracked(EhConfig::default()).unwrap();
+        let mut eh = ExtendibleHash::try_new_tracked(EhConfig::default(), 0).unwrap();
         // The even half of the hash space first, then the odd one: the
         // odd half's buckets stay shallow while the directory deepens,
         // and their splits redirect many slots each, so one update a split
@@ -726,15 +724,18 @@ mod tests {
         // No page ever moves: each bucket is placed at its suffix when it
         // is made, and every rebuild a doubling announces is already laid
         // out in runs.
-        let mut eh = ExtendibleHash::try_new_tracked(EhConfig {
-            pool: PoolConfig {
-                initial_pages: 1,
-                min_growth_pages: 8,
-                view_capacity_pages: 1 << 16,
-                ..PoolConfig::default()
+        let mut eh = ExtendibleHash::try_new_tracked(
+            EhConfig {
+                pool: PoolConfig {
+                    initial_pages: 1,
+                    min_growth_pages: 8,
+                    view_capacity_pages: 1 << 16,
+                    ..PoolConfig::default()
+                },
+                ..EhConfig::default()
             },
-            ..EhConfig::default()
-        })
+            0,
+        )
         .unwrap();
         let n = 100_000u64;
         for i in 0..n {
@@ -862,7 +863,6 @@ mod tests {
                 view_capacity_pages,
                 ..PoolConfig::default()
             },
-            ..EhConfig::default()
         })
         .unwrap();
         assert_eq!(eh.bucket_entry_limit(), entry_limit);

@@ -19,10 +19,11 @@ pub enum IndexError {
     /// `vm.max_map_count` is exhausted, or the pool hitting its fixed
     /// virtual reservation ([`shortcut_rewire::Error::BadResize`]).
     Pool(shortcut_rewire::Error),
-    /// The directory would exceed its configured maximum global depth
-    /// (a guard against pathological key distributions exhausting memory).
+    /// The directory would exceed its maximum global depth,
+    /// [`crate::eh::MAX_GLOBAL_DEPTH`] (a guard against pathological key
+    /// distributions exhausting memory).
     DepthLimit {
-        /// The configured cap that would have been crossed.
+        /// The cap that would have been crossed.
         max_global_depth: u32,
     },
     /// A configuration value was rejected up front.

@@ -32,7 +32,7 @@ pub fn bucket_slot_hash(key: u64) -> u64 {
 
 /// The hash a directory addresses with, from a key's [`mult_hash`]:
 /// rotated left by `hash_rot` (a shard's routing bits, 0 unsharded —
-/// see [`crate::EhConfig::hash_rot`]), then byte-swapped, so the low bits
+/// see [`crate::shard`]), then byte-swapped, so the low bits
 /// [`dir_slot`] reads are the top byte of the rotated hash. The one
 /// definition for the directory, the shortcut read and every caller.
 #[inline(always)]

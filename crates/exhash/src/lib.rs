@@ -15,20 +15,20 @@
 //!   suffix), pointing to 4 KB buckets with local depths; buckets split on
 //!   overflow and the directory doubles — appending a copy of itself —
 //!   when a bucket's local depth reaches the global depth.
-//! * [`ShortcutEh`] (**Shortcut-EH**) — EH enhanced with a page-table
+//! * [`ShortcutIndex`] (**Shortcut-EH**) — EH enhanced with a page-table
 //!   shortcut directory maintained asynchronously (paper §4.1): lookups
 //!   route through the shortcut whenever it is in sync and the average
-//!   fan-in is at most the policy threshold.
+//!   fan-in is at most the policy threshold. It is `2^s` [`ShortcutEh`]
+//!   shards routed by the top hash bits (one by default), configured
+//!   through [`IndexBuilder`] or [`ShortcutIndex::try_new`], with
+//!   shared-writer entry points beside [`Index`] and one merged
+//!   [`StatsSnapshot`].
 //!
-//! All five implement the [`Index`] trait: lookups through `&self` (so
-//! readers can share an index across threads where the scheme is `Sync`),
-//! writes through `&mut self` returning [`IndexError`] on pool or
+//! All five implement the [`Index`] trait — Shortcut-EH through
+//! [`ShortcutIndex`], the only way to build one: lookups through `&self`
+//! (so readers can share an index across threads where the scheme is
+//! `Sync`), writes through `&mut self` returning [`IndexError`] on pool or
 //! directory-growth failure, and overridable batched entry points.
-//!
-//! The front door is [`ShortcutIndex`]: `2^s` Shortcut-EH shards routed
-//! by the top hash bits, configured through [`IndexBuilder`], with
-//! shared-writer entry points beside [`Index`] and one merged
-//! [`StatsSnapshot`].
 
 pub mod bucket;
 mod builder;

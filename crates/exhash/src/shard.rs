@@ -4,13 +4,12 @@
 //! with its own page pool, mapper thread, retirement list, and admission
 //! policy — and routes every key by the **top `s` bits** of its
 //! multiplicative hash ([`mult_hash`], [`route_slot`]). Each shard's
-//! directory then hashes with the rotation `hash_rot = s`
-//! ([`crate::EhConfig::hash_rot`]), so its directory hash
-//! ([`crate::dir_hash_of`]) starts at the *next* bits down and keeps
-//! exactly the depth semantics of a standalone index: an `s`-bit route
-//! plus a depth-`g` shard directory addresses `s + g` hash bits, without
-//! every shard burning `s` constant levels and without a routing bit in
-//! any shard's directory slot.
+//! directory then hashes with the rotation `hash_rot = s`, so its
+//! directory hash ([`crate::dir_hash_of`]) starts at the *next* bits down
+//! and keeps exactly the depth semantics of a standalone index: an
+//! `s`-bit route plus a depth-`g` shard directory addresses `s + g` hash
+//! bits, without every shard burning `s` constant levels and without a
+//! routing bit in any shard's directory slot.
 //!
 //! Two write disciplines coexist:
 //!
@@ -370,16 +369,19 @@ impl ShortcutIndex {
     }
 
     /// Build `2^bits` shards from `base`, each with its pool memfd renamed
-    /// `<name>-s<i>`. Two fields are overridden on every shard because
-    /// they are correctness-critical for the sharded layout:
+    /// `<name>-s<i>`. Each shard's directory hashes with the rotation
+    /// `bits`, so it consumes the hash bits *below* the routing bits (see
+    /// the module docs), and `eh.pool.fair_share` is overridden to
+    /// `bits > 0`: shards sharing a [`shortcut_rewire::VmaBudget`] get
+    /// fair-share admission so one shard cannot starve its siblings, and a
+    /// single shard, with no sibling, has it off.
     ///
-    /// * `eh.hash_rot = bits` — the shard directory must consume the hash
-    ///   bits *below* the routing bits (see the module docs).
-    /// * `eh.pool.fair_share = (bits > 0)` — shards sharing a
-    ///   [`shortcut_rewire::VmaBudget`] get fair-share admission so one
-    ///   shard cannot starve its siblings; with a single shard the knob
-    ///   is forced off and behavior is bit-identical to a bare
-    ///   [`ShortcutEh`].
+    /// With [`IndexBuilder`]'s five settings this is the one way to build
+    /// the index; it is how a caller reaches the rest of
+    /// [`ShortcutEhConfig`] — the mapper's poll interval, a whole
+    /// [`shortcut_rewire::PoolConfig`] (its
+    /// [`pin_strategy`](shortcut_rewire::PoolConfig::pin_strategy) forces
+    /// the membarrier-less Dekker fallback), the load factor.
     ///
     /// # Errors
     ///
@@ -399,12 +401,11 @@ impl ShortcutIndex {
             if bits > 0 {
                 cfg.eh.pool.name = format!("{}-s{i}", cfg.eh.pool.name);
             }
-            cfg.eh.hash_rot = bits;
             cfg.eh.pool.fair_share = bits > 0;
-            let eh = ShortcutEh::try_new(cfg)?;
+            let eh = ShortcutEh::try_new(cfg, bits)?;
             lines.push(ReadLine {
                 bias: ReadBias::default(),
-                hash_rot: eh.hash_rot,
+                hash_rot: bits,
                 pins: Arc::clone(eh.retire_list()),
             });
             shards.push(Shard {
@@ -707,7 +708,7 @@ impl ShortcutIndex {
             versions: s.versions(),
             shortcut_suspended: s.shortcut_suspended(),
             slot_bytes: shortcut_rewire::PAGE_SIZE_4K,
-            pin_strategy: s.pin_strategy(),
+            pin_strategy: self.lines[i].pins.pin_strategy(),
             bias_revocations,
             bias_rearms,
             zap_supported: shortcut_rewire::zap_call().is_some(),
@@ -840,7 +841,7 @@ impl Index for ShortcutIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eh::EhConfig;
+    use crate::eh::{EhConfig, ExtendibleHash};
     use shortcut_core::MaintConfig;
     use shortcut_rewire::PoolConfig;
     use std::sync::Arc;
@@ -886,22 +887,49 @@ mod tests {
         assert!(t.maint_error().is_none());
     }
 
+    /// Unsharded, the index is a plain EH plus the mapper: the same
+    /// inserts give the same answers, the same directory (no rotation of
+    /// the hash) and the same buckets.
     #[test]
-    fn unsharded_matches_a_bare_shortcut_eh() {
-        // N = 1 must behave identically to ShortcutEh: same answers, same
-        // directory hash (hash_rot = 0 on both).
-        let mut sharded = ShortcutIndex::try_new(0, fast_cfg()).unwrap();
-        let mut bare = ShortcutEh::try_new(fast_cfg()).unwrap();
+    fn unsharded_matches_a_plain_eh() {
+        let cfg = fast_cfg();
+        let mut index = ShortcutIndex::try_new(0, cfg.clone()).unwrap();
+        let mut eh = ExtendibleHash::try_new(cfg.eh).unwrap();
         for k in 0..5_000u64 {
-            sharded.insert(k, val(k)).unwrap();
-            bare.insert(k, val(k)).unwrap();
+            index.insert(k, val(k)).unwrap();
+            eh.insert(k, val(k)).unwrap();
         }
-        assert_eq!(sharded.len(), bare.len());
-        let stats = sharded.stats();
-        assert_eq!(stats.global_depth, bare.global_depth());
-        assert_eq!(stats.bucket_count, bare.bucket_count());
+        assert_eq!(index.len(), eh.len());
+        let stats = index.stats();
+        assert_eq!(stats.global_depth, eh.global_depth());
+        assert_eq!(stats.bucket_count, eh.bucket_count());
         for k in (0..6_000u64).step_by(7) {
-            assert_eq!(sharded.get(k), bare.get(k), "key {k}");
+            assert_eq!(index.get(k), eh.get(k), "key {k}");
+        }
+    }
+
+    /// The routing bits reach no shard's directory: each shard of a 2^2
+    /// index holds about a quarter of the keys and grows the directory of
+    /// an unsharded index holding a quarter of them, not 2 levels deeper.
+    #[test]
+    fn each_shard_grows_as_deep_as_an_index_of_its_share() {
+        let n = 80_000u64;
+        let mut sharded = ShortcutIndex::try_new(2, fast_cfg()).unwrap();
+        for k in 0..n {
+            sharded.insert(k, val(k)).unwrap();
+        }
+        let mut quarter = ShortcutIndex::try_new(0, fast_cfg()).unwrap();
+        for k in 0..n / 4 {
+            quarter.insert(k, val(k)).unwrap();
+        }
+        let want = quarter.stats().global_depth;
+        assert!(want >= 8, "depth {want}: too shallow to tell");
+        for i in 0..sharded.shard_count() {
+            let depth = sharded.with_shard(i, |s| s.global_depth());
+            assert!(
+                depth.abs_diff(want) <= 1,
+                "shard {i}: depth {depth}, not {want}"
+            );
         }
     }
 
@@ -1184,7 +1212,7 @@ mod tests {
                 let splits = s.stats().splits;
                 let key = keys
                     .find(|&k| {
-                        s.insert(k, val(k)).unwrap();
+                        s.insert_hashed(k, val(k), mult_hash(k)).unwrap();
                         s.stats().splits > splits
                     })
                     .unwrap();
@@ -1221,7 +1249,7 @@ mod tests {
         let shard = t.shard_of(0);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             t.with_shard_mut(shard, |s| {
-                s.insert(0, 7).unwrap();
+                s.insert_hashed(0, 7, mult_hash(0)).unwrap();
                 panic!("inside the write section");
             })
         }));

@@ -30,14 +30,15 @@
 //! directory too large for `vm.max_map_count` suspends the shortcut
 //! (see [`ShortcutEh::shortcut_suspended`]) instead of dying in `mmap`.
 //!
-//! [`Index::get`] takes `&self` and the routing counters are tallies on
-//! the reader's own pin stripe, so any number of threads may share a
-//! `&ShortcutEh` and look up concurrently (the type is `Sync`); Rust's
-//! aliasing rules guarantee no writer exists while those shared borrows
-//! are alive.
+//! A [`ShortcutEh`] is a shard of [`crate::ShortcutIndex`], the one way
+//! to build and write one: the index routes each key to its shard, holds
+//! the shard's read and write sections, and answers [`crate::Index`].
+//! [`ShortcutEh::get`] takes `&self` and the routing counters are tallies
+//! on the reader's own pin stripe, so any number of threads inside
+//! [`crate::ShortcutIndex::with_shard`] may look up concurrently.
 
 use crate::bucket::BucketRef;
-use crate::eh::{EhConfig, ExtendibleHash, PREFETCH_DISTANCE, WINDOW};
+use crate::eh::{EhConfig, ExtendibleHash, PREFETCH_DISTANCE};
 use crate::error::IndexError;
 use crate::hash::{dir_hash_of, dir_slot, mult_hash};
 use crate::stats::IndexStats;
@@ -64,7 +65,8 @@ pub struct ShortcutEhConfig {
 const SHORTCUT_LOOKUPS: usize = 0;
 const TRADITIONAL_LOOKUPS: usize = 1;
 
-/// The shortcut-enhanced extendible hash table. See module docs.
+/// The shortcut-enhanced extendible hash table: one shard of
+/// [`crate::ShortcutIndex`]. See module docs.
 pub struct ShortcutEh {
     // Field order matters: the maintainer (mapper thread) must stop before
     // the EH (and its page pool) is torn down.
@@ -80,22 +82,19 @@ pub struct ShortcutEh {
     /// reclamation never unmaps a retired directory under a reader —
     /// and count themselves on the pin's stripe.
     retire: Arc<RetireList>,
-    /// [`EhConfig::hash_rot`], for the lookup path (the index copies it
-    /// onto the shard's read line).
-    pub(crate) hash_rot: u32,
 }
 
 impl ShortcutEh {
-    /// Build with custom configuration and spawn the mapper thread.
+    /// Build a shard whose keys the index routed by the top `hash_rot`
+    /// bits of their hash, and spawn its mapper thread.
     ///
     /// # Errors
     ///
     /// Propagates pool creation / initial-bucket allocation failures from
     /// the underlying EH as [`IndexError::Pool`] — the path that used to
     /// panic when `vm.max_map_count` or the view reservation ran out.
-    pub fn try_new(cfg: ShortcutEhConfig) -> Result<Self, IndexError> {
-        let hash_rot = cfg.eh.hash_rot;
-        let eh = ExtendibleHash::try_new_tracked(cfg.eh)?;
+    pub(crate) fn try_new(cfg: ShortcutEhConfig, hash_rot: u32) -> Result<Self, IndexError> {
+        let eh = ExtendibleHash::try_new_tracked(cfg.eh, hash_rot)?;
         let handle = eh.pool_handle();
         let retire = Arc::clone(handle.retire_list());
         let maint = Maintainer::spawn(handle, cfg.maint);
@@ -104,7 +103,6 @@ impl ShortcutEh {
             eh,
             policy: cfg.policy,
             retire,
-            hash_rot,
         };
         // Announce the initial single-slot directory so the shortcut can
         // serve reads before the first doubling.
@@ -113,13 +111,24 @@ impl ShortcutEh {
         Ok(this)
     }
 
-    /// Build with the paper's defaults.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool creation failure as [`IndexError::Pool`].
-    pub fn with_defaults() -> Result<Self, IndexError> {
-        Self::try_new(ShortcutEhConfig::default())
+    /// Look up a key in this shard's own read section: a pin on its
+    /// retire list, then the descriptor's serving word. What a
+    /// [`crate::ShortcutIndex::with_shard`] reader calls; the index's own
+    /// lookups take the biased hit path of its read line.
+    pub fn get(&self, key: u64) -> Option<u64> {
+        let pin = self.retire.pin();
+        let section = ReadSection {
+            eh: self,
+            served: self.maint.state().begin_read(),
+            pin,
+            locked: None,
+        };
+        section.get(self.eh.hash_rot, key, mult_hash(key))
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.eh.len()
     }
 
     /// Current (traditional, shortcut) version numbers — the quantities
@@ -161,12 +170,6 @@ impl ShortcutEh {
     /// VMA budget and retirement counters of the backing page pool.
     pub fn vma_stats(&self) -> shortcut_rewire::VmaSnapshot {
         self.eh.vma_stats()
-    }
-
-    /// Reader-pin pairing of this index's retire list (asymmetric
-    /// membarrier pins, or the Dekker RMW fallback).
-    pub fn pin_strategy(&self) -> shortcut_rewire::PinStrategy {
-        self.retire.pin_strategy()
     }
 
     /// Whether shortcut maintenance is suspended because the directory no
@@ -239,19 +242,6 @@ impl ShortcutEh {
     /// Propagates directory-invariant violations as [`IndexError::Pool`].
     pub fn layout_vmas(&self) -> Result<usize, IndexError> {
         self.eh.layout_vmas()
-    }
-
-    /// This index's own read section: a pin on its retire list, then the
-    /// descriptor's serving word, which no bump moves while `&self` lasts.
-    #[inline(always)]
-    fn section(&self) -> ReadSection<'_> {
-        let pin = self.retire.pin();
-        ReadSection {
-            eh: self,
-            served: self.maint.state().begin_read(),
-            pin,
-            locked: None,
-        }
     }
 
     /// The shortcut hit of `key` (whose [`mult_hash`] is `hash`) in the
@@ -469,62 +459,11 @@ fn published_bucket(t: ReadTicket, hash: u64) -> BucketRef {
     unsafe { BucketRef::at(t.base.add(slot << PAGE_SHIFT_4K)) }
 }
 
-impl Index for ShortcutEh {
-    #[inline]
-    fn insert(&mut self, key: u64, value: u64) -> Result<(), IndexError> {
-        self.insert_hashed(key, value, mult_hash(key))
-    }
-
-    fn get(&self, key: u64) -> Option<u64> {
-        self.section().get(self.hash_rot, key, mult_hash(key))
-    }
-
-    #[inline]
-    fn remove(&mut self, key: u64) -> Result<Option<u64>, IndexError> {
-        Ok(self.remove_hashed(key, mult_hash(key)))
-    }
-
-    fn len(&self) -> usize {
-        self.eh.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "Shortcut-EH"
-    }
-
-    /// Batched lookup with one load of the serving word (and one reader
-    /// pin) per window of 4096 keys. The pin is per window on
-    /// purpose: one pin spanning an arbitrarily large batch would keep a
-    /// reclaim-scan stripe busy indefinitely and starve retired-directory
-    /// reclamation (the bounded-spin scan gives up, and retired areas
-    /// accumulate against the VMA budget).
-    fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out = vec![None; keys.len()];
-        for (keys, out) in keys.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
-            let section = self.section();
-            Self::get_window(keys, out, self.hash_rot, |_| &section);
-        }
-        out
-    }
-
-    /// Batched insert that relays directory events to the mapper once per
-    /// window instead of once per key, shrinking producer-side overhead
-    /// during insert storms.
-    fn insert_batch(&mut self, entries: &[(u64, u64)]) -> Result<(), IndexError> {
-        entries.chunks(WINDOW).try_for_each(|window| {
-            let r = window
-                .iter()
-                .try_for_each(|&(key, value)| self.insert_deferred(key, value, mult_hash(key)));
-            self.relay_events();
-            r
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bucket::BUCKET_CAPACITY;
+    use crate::shard::ShortcutIndex;
     use shortcut_rewire::PoolConfig;
     use std::time::Duration;
 
@@ -547,18 +486,40 @@ mod tests {
         }
     }
 
+    /// A Shortcut-EH: the index of one shard.
+    fn index(cfg: ShortcutEhConfig) -> ShortcutIndex {
+        ShortcutIndex::try_new(0, cfg).unwrap()
+    }
+
+    /// `f` on the index's one shard.
+    fn shard<R>(t: &ShortcutIndex, f: impl FnOnce(&ShortcutEh) -> R) -> R {
+        t.with_shard(0, f)
+    }
+
+    /// (traditional, shortcut) version numbers.
+    fn versions(t: &ShortcutIndex) -> (u64, u64) {
+        shard(t, ShortcutEh::versions)
+    }
+
+    /// Requests queued for the mapper.
+    fn pending(t: &ShortcutIndex) -> usize {
+        shard(t, |s| s.maint.pending())
+    }
+
     /// Let the mapper run passes — each ends in a reclaim tick — until it
     /// has unmapped every retired directory.
-    fn drain_retired(t: &ShortcutEh) {
-        for _ in 0..10_000 {
-            if t.vma_stats().retired_areas == 0 {
-                return;
+    fn drain_retired(t: &ShortcutIndex) {
+        shard(t, |t| {
+            for _ in 0..10_000 {
+                if t.vma_stats().retired_areas == 0 {
+                    return;
+                }
+                let seen = t.maint.passes();
+                while t.maint.passes() == seen {
+                    std::thread::yield_now();
+                }
             }
-            let seen = t.maint.passes();
-            while t.maint.passes() == seen {
-                std::thread::yield_now();
-            }
-        }
+        });
     }
 
     /// The shortcut path alone, as `ReadSection::get` takes it.
@@ -572,7 +533,7 @@ mod tests {
 
     #[test]
     fn basic_roundtrip() {
-        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
+        let mut t = index(fast_cfg());
         t.insert(1, 10).unwrap();
         t.insert(2, 20).unwrap();
         assert_eq!(t.get(1), Some(10));
@@ -585,21 +546,21 @@ mod tests {
 
     #[test]
     fn bulk_insert_then_synced_lookups() {
-        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
+        let mut t = index(fast_cfg());
         let n = 20_000u64;
         for k in 0..n {
             t.insert(k, k + 3).unwrap();
         }
         assert!(t.wait_sync(Duration::from_secs(10)), "never synced");
         assert!(t.in_sync());
-        let (tv, sv) = t.versions();
+        let (tv, sv) = versions(&t);
         assert_eq!(tv, sv);
         for k in 0..n {
             assert_eq!(t.get(k), Some(k + 3), "key {k}");
         }
         // With fan-in 1-ish and in-sync state, the shortcut must have
         // served the bulk of the lookups.
-        let s = t.stats();
+        let s = t.stats().index;
         assert!(
             s.shortcut_lookups > s.traditional_lookups,
             "shortcut {} vs traditional {}",
@@ -614,7 +575,7 @@ mod tests {
         // Slow mapper: the shortcut lags; every lookup must still be right.
         let mut cfg = fast_cfg();
         cfg.maint.poll_interval = Duration::from_millis(200);
-        let mut t = ShortcutEh::try_new(cfg).unwrap();
+        let mut t = index(cfg);
         for k in 0..5_000u64 {
             t.insert(k, k).unwrap();
             if k % 97 == 0 {
@@ -631,22 +592,24 @@ mod tests {
 
     #[test]
     fn shortcut_matches_traditional_for_every_key() {
-        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
+        let mut t = index(fast_cfg());
         for k in 0..10_000u64 {
             t.insert(k, k * 7).unwrap();
         }
         assert!(t.wait_sync(Duration::from_secs(10)));
         // Compare the shortcut path against the traditional path directly.
-        for k in (0..10_000u64).step_by(37) {
-            let via_shortcut = via_shortcut(&t, k).expect("in sync");
-            let via_traditional = t.eh.get(k);
-            assert_eq!(via_shortcut, via_traditional, "key {k}");
-        }
+        shard(&t, |t| {
+            for k in (0..10_000u64).step_by(37) {
+                let via_shortcut = via_shortcut(t, k).expect("in sync");
+                let via_traditional = t.eh.get(k);
+                assert_eq!(via_shortcut, via_traditional, "key {k}");
+            }
+        });
     }
 
     #[test]
     fn get_many_agrees_with_get() {
-        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
+        let mut t = index(fast_cfg());
         for k in 0..8_000u64 {
             t.insert(k, !k).unwrap();
         }
@@ -658,7 +621,7 @@ mod tests {
             assert_eq!(batched[i], t.get(k), "key {k}");
         }
         // The synced batch must have been answered via the shortcut.
-        let s = t.stats();
+        let s = t.stats().index;
         assert!(s.shortcut_lookups >= keys.len() as u64);
     }
 
@@ -668,7 +631,7 @@ mod tests {
         // hears of.
         let mut cfg = fast_cfg();
         cfg.maint.poll_interval = Duration::from_secs(3600);
-        let mut t = ShortcutEh::try_new(cfg).unwrap();
+        let mut t = index(cfg);
         for k in 0..8_000u64 {
             t.insert(k, !k).unwrap();
         }
@@ -677,13 +640,13 @@ mod tests {
         // mapper never hears of: the bump cleared the serving word, and
         // every key is one traditional lookup.
         let keys: Vec<u64> = (0..5_000u64).map(|k| k * 2).collect();
-        let before = t.stats();
-        t.maint().inbox_lock().relay([]);
+        let before = t.stats().index;
+        shard(&t, |s| s.maint().inbox_lock().relay([]));
         let got = t.get_many(&keys);
         for (&k, got) in keys.iter().zip(got) {
             assert_eq!(got, (k < 8_000).then_some(!k), "key {k}");
         }
-        let after = t.stats();
+        let after = t.stats().index;
         assert_eq!(after.shortcut_lookups, before.shortcut_lookups);
         assert_eq!(
             after.traditional_lookups - before.traditional_lookups,
@@ -693,7 +656,7 @@ mod tests {
 
     #[test]
     fn insert_batch_relays_to_the_mapper() {
-        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
+        let mut t = index(fast_cfg());
         let entries: Vec<(u64, u64)> = (0..20_000u64).map(|k| (k, k * 3)).collect();
         t.insert_batch(&entries).unwrap();
         assert_eq!(t.len(), entries.len());
@@ -706,15 +669,15 @@ mod tests {
 
     #[test]
     fn versions_advance_with_structure() {
-        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
-        let (tv0, _) = t.versions();
+        let mut t = index(fast_cfg());
+        let (tv0, _) = versions(&t);
         for k in 0..1_000u64 {
             t.insert(k, k).unwrap();
         }
-        let (tv1, _) = t.versions();
+        let (tv1, _) = versions(&t);
         assert!(tv1 > tv0, "splits/doublings must bump the version");
         assert!(t.wait_sync(Duration::from_secs(10)));
-        let (tv2, sv2) = t.versions();
+        let (tv2, sv2) = versions(&t);
         assert_eq!(tv2, sv2);
     }
 
@@ -723,21 +686,21 @@ mod tests {
         // Policy with threshold 0 → never use the shortcut.
         let mut cfg = fast_cfg();
         cfg.policy = RoutePolicy::with_threshold(0.0);
-        let mut t = ShortcutEh::try_new(cfg).unwrap();
+        let mut t = index(cfg);
         for k in 0..100u64 {
             t.insert(k, k).unwrap();
         }
         for k in 0..100u64 {
             assert_eq!(t.get(k), Some(k));
         }
-        let s = t.stats();
+        let s = t.stats().index;
         assert_eq!(s.shortcut_lookups, 0);
         assert_eq!(s.traditional_lookups, 100);
     }
 
     #[test]
     fn len_and_updates() {
-        let mut t = ShortcutEh::try_new(fast_cfg()).unwrap();
+        let mut t = index(fast_cfg());
         t.insert(9, 1).unwrap();
         t.insert(9, 2).unwrap();
         assert_eq!(t.len(), 1);
@@ -752,7 +715,7 @@ mod tests {
         // being answered through the traditional directory.
         let mut cfg = fast_cfg();
         cfg.eh.pool.vma_budget = Some(shortcut_rewire::VmaBudget::with_limit(100));
-        let mut t = ShortcutEh::try_new(cfg).unwrap();
+        let mut t = index(cfg);
         let n = 30_000u64;
         // Insert in paced chunks so the mapper actually applies (and later
         // retires) intermediate directories instead of superseding them
@@ -764,25 +727,28 @@ mod tests {
                 t.insert(k, k * 5).unwrap();
                 k += 1;
             }
-            if !t.shortcut_suspended() {
+            if !t.stats().shortcut_suspended {
                 let _ = t.wait_sync(Duration::from_secs(10));
             }
         }
-        assert!(t.shortcut_suspended(), "budget never suspended the mapper");
+        assert!(
+            t.stats().shortcut_suspended,
+            "budget never suspended the mapper"
+        );
         assert!(
             !t.wait_sync(Duration::from_secs(10)),
             "suspended must not sync"
         );
         assert!(t.maint_error().is_none());
-        assert!(t.maint_metrics().creates_skipped > 0);
-        assert!(t.maint_metrics().creates_applied > 0);
+        assert!(t.stats().maint.creates_skipped > 0);
+        assert!(t.stats().maint.creates_applied > 0);
         for k in 0..n {
             assert_eq!(t.get(k), Some(k * 5), "key {k}");
         }
         // The budget estimate stays within its limit, and the retired
         // directories were reclaimed rather than accumulated.
         drain_retired(&t);
-        let vma = t.vma_stats();
+        let vma = t.stats().vma;
         assert!(vma.in_use <= vma.limit, "{vma:?}");
         assert!(vma.areas_retired > 0, "{vma:?}");
         assert_eq!(
@@ -797,7 +763,7 @@ mod tests {
         // include the mappings of the tests running beside this one.
         let mut cfg = fast_cfg();
         cfg.eh.pool.vma_budget = Some(shortcut_rewire::VmaBudget::with_limit(65_530));
-        let mut t = ShortcutEh::try_new(cfg).unwrap();
+        let mut t = index(cfg);
         for k in 0..30_000u64 {
             t.insert(k, k * 9).unwrap();
         }
@@ -808,23 +774,23 @@ mod tests {
         // page ever moved.
         drain_retired(&t);
         let layout = t.layout_vmas().unwrap();
-        let slots = t.eh.dir_slots();
+        let slots = shard(&t, |s| s.eh.dir_slots());
         assert!(layout * 2 <= slots + 4, "{layout} runs over {slots} slots");
-        let vma = t.vma_stats();
+        let vma = t.stats().vma;
         assert!(
             vma.live_vmas() <= (layout + 16) as u64,
             "live estimate does not follow the layout: {vma:?} (layout {layout})"
         );
-        assert_eq!(t.maint_metrics().pages_moved, 0);
+        assert_eq!(t.stats().maint.pages_moved, 0);
         for k in 0..30_000u64 {
             assert_eq!(t.get(k), Some(k * 9), "key {k}");
         }
         // The shortcut (not the fallback) serves once synced.
-        let served_before = t.stats().shortcut_lookups;
+        let served_before = t.stats().index.shortcut_lookups;
         for k in 0..1_000u64 {
             let _ = t.get(k);
         }
-        assert!(t.stats().shortcut_lookups >= served_before + 900);
+        assert!(t.stats().index.shortcut_lookups >= served_before + 900);
     }
 
     /// Lines of `/proc/self/maps` inside the `pages` pages from `lo`.
@@ -854,17 +820,19 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.eh.pool.vma_budget = Some(shortcut_rewire::VmaBudget::with_limit(65_530));
         let view_pages = cfg.eh.pool.view_capacity_pages;
-        let mut t = ShortcutEh::try_new(cfg).unwrap();
+        let mut t = index(cfg);
         for k in 0..45_000u64 {
             t.insert(k, k * 3).unwrap();
         }
         assert!(t.wait_sync(Duration::from_secs(10)));
         drain_retired(&t);
-        let served = t.maint.state().begin_read().expect("served");
-        let kernel = kernel_vmas(t.eh.pool().view_base(), view_pages)
-            + kernel_vmas(served.base, served.slots);
-        assert_eq!(t.vma_stats().in_use, kernel, "{:?}", t.vma_stats());
-        assert!(kernel > 100, "a directory of runs: {kernel} mappings");
+        shard(&t, |t| {
+            let served = t.maint.state().begin_read().expect("served");
+            let kernel = kernel_vmas(t.eh.pool().view_base(), view_pages)
+                + kernel_vmas(served.base, served.slots);
+            assert_eq!(t.vma_stats().in_use, kernel, "{:?}", t.vma_stats());
+            assert!(kernel > 100, "a directory of runs: {kernel} mappings");
+        });
     }
 
     #[test]
@@ -882,7 +850,7 @@ mod tests {
             cfg.eh.pool.vma_budget = Some(shortcut_rewire::VmaBudget::with_limit(600));
             cfg.eh.pool.view_capacity_pages = 1 << 17;
             cfg.maint.compaction = compaction;
-            ShortcutEh::try_new(cfg).unwrap()
+            index(cfg)
         };
 
         let mut on = build(shortcut_core::CompactionPolicy::on());
@@ -900,32 +868,32 @@ mod tests {
         assert!(
             on.wait_sync(Duration::from_secs(30)),
             "never back in sync: vma={:?} metrics={:?}",
-            on.vma_stats(),
-            on.maint_metrics()
+            on.stats().vma,
+            on.stats().maint
         );
-        assert!(!on.shortcut_suspended());
+        assert!(!on.stats().shortcut_suspended);
         assert!(on.maint_error().is_none());
-        let vma = on.vma_stats();
+        let vma = on.stats().vma;
         assert!(vma.in_use <= vma.limit, "{vma:?}");
         for key in (0..n).step_by(101) {
             assert_eq!(on.get(key), Some(key + 7), "key {key}");
         }
         // In-sync lookups go through the shortcut (over-depth buckets may
         // fall back per key, but the bulk must be shortcut-served).
-        let served_before = on.stats().shortcut_lookups;
+        let served_before = on.stats().index.shortcut_lookups;
         let keys: Vec<u64> = (0..4_096u64).collect();
         let got = on.get_many(&keys);
         for (i, key) in keys.iter().enumerate() {
             assert_eq!(got[i], Some(key + 7));
         }
-        let served = on.stats().shortcut_lookups - served_before;
+        let served = on.stats().index.shortcut_lookups - served_before;
         assert!(
             served > 2_048,
             "only {served}/4096 batched lookups shortcut-served \
              (dir_slots={} buckets={} metrics={:?})",
-            on.eh.dir_slots(),
-            on.bucket_count(),
-            on.maint_metrics()
+            shard(&on, |s| s.eh.dir_slots()),
+            on.stats().bucket_count,
+            on.stats().maint
         );
 
         // Same budget, compaction off: the worst-case admission refuses at
@@ -937,11 +905,14 @@ mod tests {
                 off.insert(k, k + 7).unwrap();
                 k += 1;
             }
-            if !off.shortcut_suspended() {
+            if !off.stats().shortcut_suspended {
                 let _ = off.wait_sync(Duration::from_secs(10));
             }
         }
-        assert!(off.shortcut_suspended(), "worst-case admission must refuse");
+        assert!(
+            off.stats().shortcut_suspended,
+            "worst-case admission must refuse"
+        );
         assert!(off.maint_error().is_none());
         for key in (0..n).step_by(101) {
             assert_eq!(off.get(key), Some(key + 7), "key {key}");
@@ -959,11 +930,16 @@ mod tests {
     }
 
     /// What only a split or a doubling moves.
-    fn shape(t: &ShortcutEh) -> (u64, u64) {
-        (t.eh.stats().splits, t.eh.stats().doublings)
+    fn shape(t: &ShortcutIndex) -> (u64, u64) {
+        let s = shard(t, |s| s.eh.stats());
+        (s.splits, s.doublings)
     }
 
-    fn assert_reads_as(t: &ShortcutEh, model: &std::collections::HashMap<u64, u64>, domain: u64) {
+    fn assert_reads_as(
+        t: &ShortcutIndex,
+        model: &std::collections::HashMap<u64, u64>,
+        domain: u64,
+    ) {
         for k in 0..domain {
             assert_eq!(t.get(k), model.get(&k).copied(), "key {k}");
         }
@@ -976,7 +952,7 @@ mod tests {
     #[test]
     fn hooks_run_exactly_when_the_directory_changed() {
         for limit in [10, (BUCKET_CAPACITY as f64 * 0.35) as usize] {
-            let mut t = ShortcutEh::try_new(on_demand_cfg(limit, 1 << 16)).unwrap();
+            let mut t = index(on_demand_cfg(limit, 1 << 16));
             assert!(t.wait_sync(Duration::from_secs(10)));
             let domain = 150 * limit as u64;
             let mut model = std::collections::HashMap::new();
@@ -989,7 +965,7 @@ mod tests {
             };
             let (mut structural, mut plain) = (0, 0);
             for op in 0..2 * domain {
-                let before = (shape(&t), t.versions().0, t.maint.pending());
+                let before = (shape(&t), versions(&t).0, pending(&t));
                 let key = next() % domain;
                 match next() % 8 {
                     0 => assert_eq!(t.remove(key).unwrap(), model.remove(&key), "key {key}"),
@@ -1003,21 +979,24 @@ mod tests {
                         t.insert(key, op).unwrap();
                         model.insert(key, op);
                         if shape(&t) == before.0 {
-                            assert_eq!(t.maint.pending(), before.2, "a plain insert relayed");
+                            assert_eq!(pending(&t), before.2, "a plain insert relayed");
                             plain += 1;
                         }
                     }
                 }
-                assert!(!t.eh.has_events(), "op {op} left events behind");
+                assert!(
+                    !shard(&t, |s| s.eh.has_events()),
+                    "op {op} left events behind"
+                );
                 let changed = shape(&t) != before.0;
                 // One relay an operation (a batch of 64 is one window).
-                assert_eq!(t.versions().0 - before.1, u64::from(changed), "op {op}");
+                assert_eq!(versions(&t).0 - before.1, u64::from(changed), "op {op}");
                 structural += usize::from(changed);
                 // Stay below the backlog that wakes the mapper by itself.
-                if t.maint.pending() > 128 || op % 1024 == 0 {
+                if pending(&t) > 128 || op % 1024 == 0 {
                     assert_reads_as(&t, &model, domain);
                     assert!(t.wait_sync(Duration::from_secs(10)), "never synced");
-                    assert_eq!(t.maint.pending(), 0);
+                    assert_eq!(pending(&t), 0);
                     assert_reads_as(&t, &model, domain);
                 }
             }
@@ -1031,32 +1010,33 @@ mod tests {
     /// queued, however many slots it redirected.
     #[test]
     fn a_split_is_one_bump_and_one_update_per_split() {
-        let mut t = ShortcutEh::try_new(on_demand_cfg(8, 1 << 16)).unwrap();
+        let mut t = index(on_demand_cfg(8, 1 << 16));
         assert!(t.wait_sync(Duration::from_secs(10)));
-        let mut assignments = t.eh.directory_assignments().unwrap();
+        let assignments_of =
+            |t: &ShortcutIndex| shard(t, |s| s.eh.directory_assignments().unwrap());
+        let mut assignments = assignments_of(&t);
         let mut wide = 0;
         // The even half of the hash space first, then the odd one: the
         // odd half's buckets stay shallow while the directory deepens,
-        // and their splits redirect many slots each.
-        let half = |odd: bool| {
-            let t = &t;
-            (0u64..).filter(move |&k| (t.eh.dir_hash(k) & 1 == 1) == odd)
-        };
+        // and their splits redirect many slots each (unsharded, the
+        // directory hash rotates nothing).
+        let half =
+            |odd: bool| (0u64..).filter(move |&k| (dir_hash_of(mult_hash(k), 0) & 1 == 1) == odd);
         let keys: Vec<u64> = half(false)
             .take(6_000)
             .chain(half(true).take(6_000))
             .collect();
         for key in keys {
             // Stay below the backlog that wakes the mapper by itself.
-            if t.maint.pending() > 256 {
+            if pending(&t) > 256 {
                 assert!(t.wait_sync(Duration::from_secs(10)), "never synced");
             }
-            let before = (shape(&t), t.versions().0, t.maint.pending());
+            let before = (shape(&t), versions(&t).0, pending(&t));
             t.insert(key, key).unwrap();
             if shape(&t) == before.0 {
                 continue;
             }
-            let after = t.eh.directory_assignments().unwrap();
+            let after = assignments_of(&t);
             if shape(&t) == (before.0 .0 + 1, before.0 .1) {
                 // One split, no doubling: the slots it redirected are the
                 // ones whose page changed.
@@ -1066,9 +1046,9 @@ mod tests {
                     .filter(|(a, b)| a != b)
                     .count();
                 assert!(redirected > 0);
-                assert_eq!(t.versions().0, before.1 + 1, "key {key}: one bump");
-                assert_eq!(t.maint.pending(), before.2 + 1, "key {key}: one update");
-                assert!(t.maint.pending() < shortcut_core::maintenance::WAKE_BACKLOG);
+                assert_eq!(versions(&t).0, before.1 + 1, "key {key}: one bump");
+                assert_eq!(pending(&t), before.2 + 1, "key {key}: one update");
+                assert!(pending(&t) < shortcut_core::maintenance::WAKE_BACKLOG);
                 wide += usize::from(redirected >= 2);
             }
             assignments = after;
@@ -1087,7 +1067,7 @@ mod tests {
         let mut later_rounds = 0;
         for seed in 0..64u64 {
             // Three entries a bucket: one split in eight needs a second round.
-            let mut t = ShortcutEh::try_new(on_demand_cfg(3, 8)).unwrap();
+            let mut t = index(on_demand_cfg(3, 8));
             assert!(t.wait_sync(Duration::from_secs(10)));
             let mut model = std::collections::HashMap::new();
             // Scattered keys: evenly spread ones fill every bucket at once
@@ -1098,7 +1078,7 @@ mod tests {
             };
             let (failed, before) = (0u64..)
                 .find_map(|i| {
-                    let before = (shape(&t), t.versions().0, t.maint.pending());
+                    let before = (shape(&t), versions(&t).0, pending(&t));
                     match t.insert(key(i), i) {
                         Ok(()) => model.insert(key(i), i).and(None),
                         Err(e) => {
@@ -1108,22 +1088,22 @@ mod tests {
                     }
                 })
                 .unwrap();
-            assert!(!t.eh.has_events());
+            assert!(!shard(&t, |s| s.eh.has_events()));
             let (splits, doublings) = shape(&t);
             if (splits, doublings) == before.0 {
                 // Failed before anything was applied: nothing owed.
-                assert_eq!((t.versions().0, t.maint.pending()), (before.1, before.2));
+                assert_eq!((versions(&t).0, pending(&t)), (before.1, before.2));
                 continue;
             }
-            assert!(t.versions().0 > before.1, "applied part not stamped");
+            assert!(versions(&t).0 > before.1, "applied part not stamped");
             if splits > before.0 .0 {
                 later_rounds += 1;
                 // A doubling's create would have superseded the queue.
                 if doublings == before.0 .1 {
-                    assert!(t.maint.pending() > before.2, "applied round not queued");
+                    assert!(pending(&t) > before.2, "applied round not queued");
                 }
             }
-            let reads_as_model = |t: &ShortcutEh| {
+            let reads_as_model = |t: &ShortcutIndex| {
                 assert_eq!(t.get(failed), None);
                 for (&k, &v) in &model {
                     assert_eq!(t.get(k), Some(v), "key {k}");
@@ -1132,11 +1112,13 @@ mod tests {
             reads_as_model(&t);
             assert!(t.wait_sync(Duration::from_secs(10)), "mapper never drained");
             reads_as_model(&t);
-            for (&k, &v) in &model {
-                if let Some(got) = via_shortcut(&t, k) {
-                    assert_eq!(got, Some(v), "shortcut is stale for {k}");
+            shard(&t, |t| {
+                for (&k, &v) in &model {
+                    if let Some(got) = via_shortcut(t, k) {
+                        assert_eq!(got, Some(v), "shortcut is stale for {k}");
+                    }
                 }
-            }
+            });
         }
         assert!(later_rounds > 0, "no seed failed in a later round");
     }
@@ -1153,7 +1135,7 @@ mod tests {
             view_capacity_pages: 8,
             ..PoolConfig::default()
         };
-        let mut t = ShortcutEh::try_new(cfg).unwrap();
+        let mut t = index(cfg);
         let mut applied = 0u64;
         let err = loop {
             match t.insert(applied, applied) {
@@ -1171,10 +1153,12 @@ mod tests {
         // shortcut is genuinely in sync and agrees with the traditional
         // directory for every applied key.
         assert!(t.wait_sync(Duration::from_secs(10)), "mapper never drained");
-        for k in 0..applied {
-            if let Some(res) = via_shortcut(&t, k) {
-                assert_eq!(res, Some(k), "shortcut reads pre-split bucket for {k}");
+        shard(&t, |t| {
+            for k in 0..applied {
+                if let Some(res) = via_shortcut(t, k) {
+                    assert_eq!(res, Some(k), "shortcut reads pre-split bucket for {k}");
+                }
             }
-        }
+        });
     }
 }

@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 use shortcut_exhash::{
     ChConfig, ChainedHash, EhConfig, ExtendibleHash, HashTable, HtConfig, HtiConfig,
-    IncrementalHashTable, Index, IndexError, IndexStats, ShortcutEh, ShortcutEhConfig,
-    ShortcutIndex,
+    IncrementalHashTable, Index, IndexError, IndexStats, ShortcutEhConfig, ShortcutIndex,
 };
 use shortcut_rewire::{PinStrategy, PoolConfig, VmaBudget, REARM_AFTER};
 use std::collections::HashMap;
@@ -113,7 +112,7 @@ fn all_five() -> Vec<Box<dyn Index>> {
         ),
         Box::new(ChainedHash::try_new(ChConfig { table_slots: 64 }).unwrap()),
         Box::new(ExtendibleHash::try_new(small_eh_config()).unwrap()),
-        Box::new(ShortcutEh::try_new(small_shortcut_config()).unwrap()),
+        Box::new(ShortcutIndex::try_new(0, small_shortcut_config()).unwrap()),
     ]
 }
 
@@ -150,7 +149,7 @@ proptest! {
 
     #[test]
     fn shortcut_eh_matches_oracle(ops in ops(2048, 400)) {
-        let mut t = ShortcutEh::try_new(small_shortcut_config()).unwrap();
+        let mut t = ShortcutIndex::try_new(0, small_shortcut_config()).unwrap();
         check_against_oracle(&mut t, &ops)?;
         prop_assert!(t.maint_error().is_none());
     }
@@ -246,13 +245,16 @@ fn exhausted_pool_yields_typed_error_not_panic() {
             .unwrap(),
         ),
         Box::new(
-            ShortcutEh::try_new(ShortcutEhConfig {
-                eh: EhConfig {
-                    pool: tiny_pool,
-                    ..EhConfig::default()
+            ShortcutIndex::try_new(
+                0,
+                ShortcutEhConfig {
+                    eh: EhConfig {
+                        pool: tiny_pool,
+                        ..EhConfig::default()
+                    },
+                    ..Default::default()
                 },
-                ..Default::default()
-            })
+            )
             .unwrap(),
         ),
     ];
@@ -297,10 +299,13 @@ fn constructor_failure_is_typed_not_panic() {
         Err(IndexError::Pool(_))
     ));
     assert!(matches!(
-        ShortcutEh::try_new(ShortcutEhConfig {
-            eh: bad,
-            ..Default::default()
-        }),
+        ShortcutIndex::try_new(
+            0,
+            ShortcutEhConfig {
+                eh: bad,
+                ..Default::default()
+            }
+        ),
         Err(IndexError::Pool(_))
     ));
 }

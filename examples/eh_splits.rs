@@ -6,9 +6,7 @@
 //! ```
 
 use std::time::Duration;
-use taking_the_shortcut::exhash::{
-    EhConfig, ExtendibleHash, Index, IndexError, ShortcutEh, ShortcutEhConfig,
-};
+use taking_the_shortcut::exhash::{EhConfig, ExtendibleHash, Index, IndexError, ShortcutIndex};
 
 fn dump(eh: &ExtendibleHash, label: &str) {
     println!(
@@ -42,18 +40,18 @@ fn main() -> Result<(), IndexError> {
 
     // Now Shortcut-EH: the same structural events, replayed asynchronously
     // into the page table by the mapper thread.
-    let mut sceh = ShortcutEh::try_new(ShortcutEhConfig::default())?;
+    let mut sceh = ShortcutIndex::builder().build()?;
     for k in 0..200_000u64 {
         sceh.insert(k, k)?;
     }
-    let (tv_before, sv_before) = sceh.versions();
+    let (tv_before, sv_before) = sceh.stats().versions;
     println!(
         "Shortcut-EH right after the insert storm: traditional v{tv_before}, shortcut v{sv_before} ({}✓)",
         if tv_before == sv_before { "in sync " } else { "catching up " }
     );
     sceh.wait_sync(Duration::from_secs(30));
-    let (tv, sv) = sceh.versions();
-    let m = sceh.maint_metrics();
+    let s = sceh.stats();
+    let ((tv, sv), m) = (s.versions, s.maint);
     println!("after the mapper caught up: traditional v{tv}, shortcut v{sv}");
     println!(
         "mapper work: {} rebuilds (directory doublings), {} slot remaps, {} superseded updates discarded",
@@ -68,7 +66,7 @@ fn main() -> Result<(), IndexError> {
     for k in (0..200_000u64).step_by(7919) {
         assert_eq!(sceh.get(k), Some(k));
     }
-    let s = sceh.stats();
+    let s = sceh.stats().index;
     println!(
         "verification lookups: {} via shortcut, {} via traditional",
         s.shortcut_lookups, s.traditional_lookups

@@ -16,7 +16,6 @@ fn main() -> Result<(), IndexError> {
     let mut index = ShortcutIndex::builder()
         .capacity(1_000_000)
         .fanin_threshold(8.0)
-        .poll_interval(Duration::from_millis(25))
         .build()?;
 
     println!("inserting 1M entries…");

@@ -8,21 +8,36 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use taking_the_shortcut::exhash::{dir_hash_of, mult_hash, ChConfig, ChainedHash};
-use taking_the_shortcut::{CompactionPolicy, Index, ShortcutIndex};
+use taking_the_shortcut::exhash::{
+    dir_hash_of, mult_hash, ChConfig, ChainedHash, ShortcutEhConfig,
+};
+use taking_the_shortcut::{CompactionPolicy, Index, ShortcutIndex, VmaBudget};
 
 mod common;
 
+/// An index of `2^shard_bits` shards under `policy`, over a private budget
+/// of `budget` mappings (isolated from other tests sharing the
+/// process-global budget), whose mappers tick every millisecond. Each
+/// shard's pool is a view of `view_pages` pages, as
+/// `IndexBuilder::capacity` sizes one: 2^13 for 150 000 keys, 2^15 for
+/// 400 000.
+fn index(
+    shard_bits: u32,
+    view_pages: usize,
+    budget: usize,
+    policy: CompactionPolicy,
+) -> ShortcutIndex {
+    let mut cfg = ShortcutEhConfig::default();
+    cfg.eh.pool.min_growth_pages = 1 << 12;
+    cfg.eh.pool.view_capacity_pages = view_pages;
+    cfg.eh.pool.vma_budget = Some(VmaBudget::with_limit(budget));
+    cfg.maint.poll_interval = Duration::from_millis(1);
+    cfg.maint.compaction = policy;
+    ShortcutIndex::try_new(shard_bits, cfg).unwrap()
+}
+
 fn build(policy: CompactionPolicy) -> ShortcutIndex {
-    ShortcutIndex::builder()
-        .capacity(150_000)
-        .poll_interval(Duration::from_millis(1))
-        // Private budget: isolate `in_use` accounting from other tests
-        // sharing the process-global budget.
-        .vma_budget(1_000_000)
-        .compaction(policy)
-        .build()
-        .unwrap()
+    index(0, 1 << 13, 1_000_000, policy)
 }
 
 fn oracle() -> ChainedHash {
@@ -181,14 +196,8 @@ fn next_batch(next: &mut u64) -> Vec<(u64, u64)> {
 }
 
 fn occasion_index(policy: CompactionPolicy, shard_bits: u32, budget: usize) -> ShortcutIndex {
-    ShortcutIndex::builder()
-        .capacity(400_000)
-        .poll_interval(Duration::from_millis(1))
-        .vma_budget(budget)
-        .shards(shard_bits)
-        .compaction(policy)
-        .build()
-        .unwrap()
+    // 400 000 keys over the shards.
+    index(shard_bits, (1 << 15) >> shard_bits, budget, policy)
 }
 
 /// A shortcut the budget suspended comes back once growth has shrunk
@@ -361,12 +370,7 @@ fn a_suspended_shard_counts_a_skip_only_for_a_relayed_create() {
 /// without a page ever moving.
 #[test]
 fn compaction_collapses_live_vmas_by_10x() {
-    let mut index = ShortcutIndex::builder()
-        .capacity(400_000)
-        .poll_interval(Duration::from_millis(1))
-        .vma_budget(1_000_000)
-        .build()
-        .unwrap();
+    let mut index = index(0, 1 << 15, 1_000_000, CompactionPolicy::disabled());
 
     // Grow until the directory is mature: deep enough to matter and late
     // enough in its depth's life that fan-in approaches 1 (right before

@@ -95,7 +95,7 @@ fn index_trait_covers_every_scheme() {
     roundtrip(&mut exhash::IncrementalHashTable::with_defaults().unwrap());
     roundtrip(&mut exhash::ChainedHash::try_new(exhash::ChConfig { table_slots: 64 }).unwrap());
     roundtrip(&mut exhash::ExtendibleHash::with_defaults().unwrap());
-    roundtrip(&mut exhash::ShortcutEh::with_defaults().unwrap());
+    roundtrip(&mut exhash::ShortcutIndex::builder().build().unwrap());
 }
 
 #[test]

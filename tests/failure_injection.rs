@@ -248,8 +248,8 @@ fn stale_ticket_protection_is_identical_under_forced_dekker_fallback() {
 
 #[test]
 fn index_survives_pathological_key_patterns() {
-    use taking_the_shortcut::exhash::{Index, ShortcutEh};
-    let mut index = ShortcutEh::with_defaults().unwrap();
+    use taking_the_shortcut::{Index, ShortcutIndex};
+    let mut index = ShortcutIndex::builder().build().unwrap();
     // Keys crafted to collide in the *bucket* hash (same low bits), plus
     // keys dense in the directory hash's top bits. (Start at 1: for i = 0
     // the two patterns would be the same key.)
@@ -264,21 +264,39 @@ fn index_survives_pathological_key_patterns() {
     assert!(index.maint_error().is_none());
 }
 
+/// A `2^bits`-shard index whose shards' pools are views of
+/// `view_capacity_pages` pages, grown one page at a time.
+fn tiny(
+    bits: u32,
+    view_capacity_pages: usize,
+) -> Result<taking_the_shortcut::ShortcutIndex, taking_the_shortcut::IndexError> {
+    use taking_the_shortcut::exhash::{EhConfig, ShortcutEhConfig};
+    let pool = PoolConfig {
+        initial_pages: 1,
+        min_growth_pages: 1,
+        view_capacity_pages,
+        ..PoolConfig::default()
+    };
+    let eh = EhConfig {
+        pool,
+        ..EhConfig::default()
+    };
+    taking_the_shortcut::ShortcutIndex::try_new(
+        bits,
+        ShortcutEhConfig {
+            eh,
+            ..ShortcutEhConfig::default()
+        },
+    )
+}
+
 #[test]
 fn facade_surfaces_pool_exhaustion_as_typed_error() {
-    use taking_the_shortcut::{Index, IndexError, PoolConfig, ShortcutIndex};
+    use taking_the_shortcut::{Index, IndexError};
     // A pool whose fixed reservation holds only 8 bucket pages: the
     // facade must hand back IndexError::Pool once splitting outgrows it —
     // no panic — and keep the applied prefix readable.
-    let mut index = ShortcutIndex::builder()
-        .pool(PoolConfig {
-            initial_pages: 1,
-            min_growth_pages: 1,
-            view_capacity_pages: 8,
-            ..PoolConfig::default()
-        })
-        .build()
-        .unwrap();
+    let mut index = tiny(0, 8).unwrap();
     let mut applied = 0u64;
     let err = loop {
         match index.insert(applied, applied * 3) {
@@ -293,15 +311,7 @@ fn facade_surfaces_pool_exhaustion_as_typed_error() {
         assert_eq!(index.get(k), Some(k * 3), "entry {k} lost after error");
     }
     // A zero reservation is rejected at build time, typed as well.
-    assert!(matches!(
-        ShortcutIndex::builder()
-            .pool(PoolConfig {
-                view_capacity_pages: 0,
-                ..PoolConfig::default()
-            })
-            .build(),
-        Err(IndexError::Pool(_))
-    ));
+    assert!(matches!(tiny(0, 0), Err(IndexError::Pool(_))));
 }
 
 /// A batched insert that fails leaves exactly the batch prefix before the
@@ -317,18 +327,9 @@ fn facade_surfaces_pool_exhaustion_as_typed_error() {
 /// revoked — before the fresh keys: the updates are in the prefix.
 #[test]
 fn a_failing_batch_insert_leaves_exactly_its_prefix() {
-    use taking_the_shortcut::{Index, IndexError, ShortcutIndex};
+    use taking_the_shortcut::{Index, IndexError};
     for (shared, updates) in [(false, 0), (true, 0), (false, 8), (true, 8)] {
-        let mut index = ShortcutIndex::builder()
-            .shards(2)
-            .pool(PoolConfig {
-                initial_pages: 1,
-                min_growth_pages: 1,
-                view_capacity_pages: 8,
-                ..PoolConfig::default()
-            })
-            .build()
-            .unwrap();
+        let mut index = tiny(2, 8).unwrap();
         let (mut next, mut failures) = (0u64, 0);
         let mut present: Vec<u64> = Vec::new();
         while failures < 8 {

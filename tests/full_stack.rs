@@ -4,12 +4,12 @@
 use std::collections::HashMap;
 use std::time::Duration;
 use taking_the_shortcut::core::{ShortcutNode, TraditionalNode};
-use taking_the_shortcut::exhash::{EhConfig, ExtendibleHash, Index, ShortcutEh, ShortcutEhConfig};
+use taking_the_shortcut::exhash::{EhConfig, ExtendibleHash, Index, ShortcutIndex};
 use taking_the_shortcut::rewire::{PageIdx, PagePool, PoolConfig};
 
 #[test]
 fn shortcut_eh_against_oracle_with_live_mapper() {
-    let mut index = ShortcutEh::with_defaults().unwrap();
+    let mut index = ShortcutIndex::builder().build().unwrap();
     let mut oracle: HashMap<u64, u64> = HashMap::new();
 
     // Mixed stream: inserts, updates, lookups, deletes — interleaved so the
@@ -55,7 +55,7 @@ fn shortcut_eh_against_oracle_with_live_mapper() {
         assert_eq!(index.get(k), Some(v), "final get({k})");
     }
     assert!(index.maint_error().is_none());
-    let s = index.stats();
+    let s = index.stats().index;
     assert!(s.shortcut_lookups > 0, "shortcut path never exercised");
     assert!(s.traditional_lookups > 0, "fallback path never exercised");
 }
@@ -63,7 +63,7 @@ fn shortcut_eh_against_oracle_with_live_mapper() {
 #[test]
 fn eh_and_shortcut_eh_agree_exactly() {
     let mut eh = ExtendibleHash::try_new(EhConfig::default()).unwrap();
-    let mut sceh = ShortcutEh::try_new(ShortcutEhConfig::default()).unwrap();
+    let mut sceh = ShortcutIndex::builder().build().unwrap();
     for k in 0..50_000u64 {
         let key = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         eh.insert(key, k).unwrap();

@@ -1,5 +1,5 @@
 //! Parallel read-only phases through the redesigned API: multiple threads
-//! share `&ShortcutIndex` / `&ShortcutEh` and call `Index::get` /
+//! share `&ShortcutIndex` and call `Index::get` /
 //! `Index::get_many` — which take `&self` — concurrently. Rust's aliasing
 //! rules make this sound: no `&mut` (writer) can coexist with the shared
 //! borrows, and the routing statistics are tallies on each reader's own
@@ -8,6 +8,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
+use taking_the_shortcut::exhash::ShortcutEhConfig;
 use taking_the_shortcut::{Index, ShortcutIndex};
 
 mod common;
@@ -283,10 +284,9 @@ fn short_lived_readers_are_counted_exactly() {
 fn readers_fall_back_while_out_of_sync() {
     // Build the index but never give the mapper a chance to catch up: the
     // shared-reference path must still answer via the traditional fallback.
-    let mut index = ShortcutIndex::builder()
-        .poll_interval(Duration::from_secs(3600)) // effectively never
-        .build()
-        .unwrap();
+    let mut cfg = ShortcutEhConfig::default();
+    cfg.maint.poll_interval = Duration::from_secs(3600); // effectively never
+    let mut index = ShortcutIndex::try_new(0, cfg).unwrap();
     for k in 0..20_000u64 {
         index.insert(k, k + 1).unwrap();
     }

@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use taking_the_shortcut::exhash::{ChConfig, ChainedHash};
-use taking_the_shortcut::{Index, ShortcutIndex};
+use taking_the_shortcut::exhash::{ChConfig, ChainedHash, ShortcutEhConfig};
+use taking_the_shortcut::{Index, ShortcutIndex, VmaBudget};
 
 /// Value derivation shared by index, oracle, and racing readers: with the
 /// value a pure function of the key, a reader racing the writers can
@@ -20,16 +20,17 @@ fn val(k: u64) -> u64 {
     k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA5A5
 }
 
-fn build() -> ShortcutIndex {
-    ShortcutIndex::builder()
-        .capacity(20_000)
-        .shards(2) // 4 shards, one writer thread each
-        .poll_interval(Duration::from_millis(1))
-        // Private budget: isolate accounting from other tests sharing the
-        // process-global budget (all 4 shards still share THIS budget).
-        .vma_budget(1_000_000)
-        .build()
-        .unwrap()
+/// 4 shards, one writer thread each, whose mappers tick every
+/// millisecond, over a private budget of `budget` mappings all 4 share
+/// (isolated from other tests sharing the process-global budget). The
+/// pools are the ones `IndexBuilder::capacity(20_000)` sizes.
+fn four_shards(budget: usize) -> ShortcutIndex {
+    let mut cfg = ShortcutEhConfig::default();
+    cfg.eh.pool.min_growth_pages = 116;
+    cfg.eh.pool.view_capacity_pages = 1 << 12;
+    cfg.eh.pool.vma_budget = Some(VmaBudget::with_limit(budget));
+    cfg.maint.poll_interval = Duration::from_millis(1);
+    ShortcutIndex::try_new(2, cfg).unwrap()
 }
 
 fn oracle() -> ChainedHash {
@@ -72,7 +73,7 @@ proptest! {
     // depends on, so the concurrent execution must be indistinguishable.
     #[test]
     fn concurrent_shard_writers_agree_with_a_sequential_oracle(ops in ops()) {
-        let index = build();
+        let index = four_shards(1_000_000);
         prop_assert_eq!(index.shard_count(), 4);
 
         // Scatter the sequence by owning shard, preserving relative order.
@@ -159,17 +160,11 @@ proptest! {
 /// shard's reservations may not eat into their guaranteed shares.
 #[test]
 fn deep_shard_cannot_suspend_its_siblings() {
-    let index = ShortcutIndex::builder()
-        .capacity(20_000)
-        .shards(2)
-        .poll_interval(Duration::from_millis(1))
-        // Small shared budget: usable = 600 - headroom(37) = 563, so each
-        // of the 4 fair shards is guaranteed ~140 mappings — plenty for
-        // the small siblings, far too little for the hot shard's
-        // scattered exact-depth directory (≥ 1024 slots).
-        .vma_budget(600)
-        .build()
-        .unwrap();
+    // Small shared budget: usable = 600 - headroom(37) = 563, so each
+    // of the 4 fair shards is guaranteed ~140 mappings — plenty for
+    // the small siblings, far too little for the hot shard's
+    // scattered exact-depth directory (≥ 1024 slots).
+    let index = four_shards(600);
     assert_eq!(index.shard_count(), 4);
 
     // Partition a key range by owning shard.
@@ -347,7 +342,7 @@ fn batches_holding_several_shards_do_not_deadlock() {
     use std::time::Instant;
     const DOMAIN: u64 = 4096;
     const RUN: Duration = Duration::from_millis(1500);
-    let index = Arc::new(build());
+    let index = Arc::new(four_shards(1_000_000));
     assert_eq!(index.shard_count(), 4);
     let all: Vec<(u64, u64)> = (0..DOMAIN).map(|k| (k, val(k))).collect();
     index.insert_batch_shared(&all).unwrap();
@@ -465,7 +460,7 @@ fn updates_run_beside_biased_readers_and_revoke_nothing() {
     use std::sync::Arc;
     const DOMAIN: u64 = 4096;
     let other = |k: u64| !val(k);
-    let mut index = build();
+    let mut index = four_shards(1_000_000);
     // Loaded through `&mut`: no shared writer has come by.
     for k in 0..DOMAIN {
         index.insert(k, val(k)).unwrap();

@@ -5,9 +5,25 @@
 //! of leaking mappings until `vm.max_map_count` kills the process.
 
 use std::time::Duration;
-use taking_the_shortcut::{Index, ShortcutIndex, StatsSnapshot};
+use taking_the_shortcut::exhash::ShortcutEhConfig;
+use taking_the_shortcut::{Index, PinStrategy, ShortcutIndex, StatsSnapshot, VmaBudget};
 
 mod common;
+
+/// An index over a private budget of `budget` mappings — `in_use`
+/// assertions must not see the charges of other tests running beside it —
+/// whose readers pin with `pin_strategy` (`None`: the probed default) and
+/// whose mapper ticks every millisecond, reclaiming on each tick. The pool
+/// is the one `IndexBuilder::capacity(300_000)` sizes.
+fn index(budget: usize, pin_strategy: Option<PinStrategy>) -> ShortcutIndex {
+    let mut cfg = ShortcutEhConfig::default();
+    cfg.eh.pool.min_growth_pages = 1 << 12;
+    cfg.eh.pool.view_capacity_pages = 1 << 14;
+    cfg.eh.pool.vma_budget = Some(VmaBudget::with_limit(budget));
+    cfg.eh.pool.pin_strategy = pin_strategy;
+    cfg.maint.poll_interval = Duration::from_millis(1);
+    ShortcutIndex::try_new(0, cfg).unwrap()
+}
 
 /// Insert `chunk`-sized batches until the index reports at least `target`
 /// doublings, pacing with `wait_sync` so the mapper applies (rather than
@@ -41,14 +57,7 @@ fn drain_retired(index: &ShortcutIndex) -> StatsSnapshot {
 
 #[test]
 fn mapping_count_plateaus_after_doublings() {
-    let mut index = ShortcutIndex::builder()
-        .capacity(300_000)
-        .poll_interval(Duration::from_millis(1))
-        // Private budget: `in_use` assertions must not see the charges of
-        // other tests running concurrently against the global budget.
-        .vma_budget(1_000_000)
-        .build()
-        .unwrap();
+    let mut index = index(1_000_000, None);
 
     // Small chunks: several early doublings land inside the first chunks
     // (and are superseded in one create), but from depth ~3 on each
@@ -89,18 +98,11 @@ fn mapping_count_plateaus_after_doublings() {
 #[test]
 fn forced_dekker_fallback_reclaims_exactly_like_the_default() {
     // The fallback half of the pin-strategy matrix, end to end through
-    // the facade: a builder-forced Dekker index (what membarrier-less
+    // the facade: a pool-forced Dekker index (what membarrier-less
     // kernels get) must show the same retire-and-reclaim lifecycle as the
     // auto-detected default — every retired directory reclaimed, mapping
     // count plateaued, lookups correct.
-    use taking_the_shortcut::PinStrategy;
-    let mut index = ShortcutIndex::builder()
-        .capacity(200_000)
-        .poll_interval(Duration::from_millis(1))
-        .vma_budget(1_000_000) // private: isolate `in_use` accounting
-        .pin_strategy(PinStrategy::Dekker)
-        .build()
-        .unwrap();
+    let mut index = index(1_000_000, Some(PinStrategy::Dekker));
     assert_eq!(index.stats().pin_strategy, PinStrategy::Dekker);
 
     let n = grow_to_doublings(&mut index, 6, 100);
@@ -131,12 +133,7 @@ fn tiny_budget_suspends_instead_of_dying() {
     // configuration): growth must continue past the point where the
     // directory stops fitting, with the shortcut suspended and the
     // mapping estimate bounded — the seed died in mmap(ENOMEM) here.
-    let mut index = ShortcutIndex::builder()
-        .capacity(300_000)
-        .poll_interval(Duration::from_millis(1))
-        .vma_budget(300)
-        .build()
-        .unwrap();
+    let mut index = index(300, None);
     let n = grow_to_doublings(&mut index, 10, 2_000);
 
     assert!(index.stats().shortcut_suspended, "budget never suspended");
